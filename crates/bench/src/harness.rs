@@ -254,6 +254,11 @@ pub fn arg_value(key: &str) -> Option<String> {
 /// silently vanishes would let the CI gate pass on stale data.
 pub fn write_report(file_name: &str, contents: &str) {
     let path = workspace_path(file_name);
+    // A report may name a directory that a build elsewhere never made
+    // (`target/` under an external `CARGO_TARGET_DIR`).
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("create {}: {e}", dir.display()));
+    }
     std::fs::write(&path, contents).unwrap_or_else(|e| panic!("write {file_name}: {e}"));
     println!("wrote {}", path.display());
 }

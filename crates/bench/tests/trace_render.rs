@@ -7,9 +7,10 @@
 use harp_obs::flame::{chrome_trace, collapsed_stacks, text_flame, utilization_heatmap, TraceDoc};
 use harp_obs::json::{parse, Json};
 
-/// Workspace-root files expected to carry a renderable trace.
-const TRACE_FILES: [&str; 8] = [
-    "BENCH_trace_sample.json",
+/// Committed workspace-root reports that carry a renderable trace. (The
+/// simulator bench's `BENCH_trace_sample.json` is git-ignored: a clean
+/// checkout does not have it, and CI renders it right after producing it.)
+const TRACE_FILES: [&str; 7] = [
     "BENCH_simulator.json",
     "BENCH_mgmt_loss.json",
     "BENCH_fig9.json",

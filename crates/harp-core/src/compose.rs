@@ -147,25 +147,30 @@ pub fn compose_components(
         pass1_channels
     };
 
-    let mut placed: BTreeMap<NodeId, Rect> = BTreeMap::new();
-    if use_pass2 {
-        for ((node, _), rect) in packable.iter().zip(pass2.placements()) {
-            placed.insert(*node, *rect);
-        }
+    // `packable` is `children` minus the empty components, in order, and the
+    // packer answers in input order: walk both in step.
+    let mut packed = if use_pass2 {
+        pass2.placements()
     } else {
-        for ((node, _), rect) in packable.iter().zip(pass1.placements()) {
-            // Pass 1 coordinates are (x = channel, y = slot): transpose back
-            // to slotframe orientation.
-            placed.insert(
-                *node,
-                Rect::from_xywh(rect.origin.y, rect.origin.x, rect.size.h, rect.size.w),
-            );
-        }
+        pass1.placements()
     }
-
+    .iter();
     let placements = children
         .iter()
-        .map(|&(n, _)| (n, placed.get(&n).copied().unwrap_or_default()))
+        .map(|&(n, c)| {
+            if c.is_empty() {
+                return (n, Rect::default());
+            }
+            let rect = *packed.next().expect("one placement per packable child");
+            if use_pass2 {
+                (n, rect)
+            } else {
+                // Pass 1 coordinates are (x = channel, y = slot): transpose
+                // back to slotframe orientation.
+                let (o, s) = (rect.origin, rect.size);
+                (n, Rect::from_xywh(o.y, o.x, s.h, s.w))
+            }
+        })
         .collect();
     Ok(CompositionLayout {
         composite: ResourceComponent::new(min_slots, channels),

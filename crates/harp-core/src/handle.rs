@@ -168,7 +168,11 @@ impl AllocatorHandle {
     /// schedule stays installed (the protocol rolls back).
     pub fn adjust(&mut self, link: Link, cells: u32) -> Result<AdjustmentBill, HarpError> {
         let now = self.net.now();
-        let report = self.net.adjust_and_settle(now, link, cells)?;
+        let result = self.net.adjust_and_settle(now, link, cells);
+        // A handle's schedule is the network's own: nobody replays the op
+        // stream, so left undrained it would grow for the handle's lifetime.
+        self.net.discard_ops();
+        let report = result?;
         self.adjustments += 1;
         self.mgmt_messages_total += report.mgmt_messages;
         self.cell_messages_total += report.cell_messages;
@@ -341,6 +345,23 @@ mod tests {
         assert!(handle.summary().exclusive, "schedule rolled back intact");
         let bill = handle.adjust(Link::up(NodeId(9)), 2).unwrap();
         assert!(bill.mgmt_messages >= 2, "handle still serves after a 4xx");
+    }
+
+    #[test]
+    fn adjustments_leave_no_ops_behind() {
+        let mut handle = fig1_handle();
+        let mut rejected = 0;
+        for i in 0..1000u32 {
+            // Local changes, escalations and (every 50th) a demand no
+            // slotframe holds, which rolls back.
+            let cells = if i % 50 == 49 { 10_000 } else { 1 + i % 4 };
+            let node = NodeId(1 + i % 11);
+            rejected += u32::from(handle.adjust(Link::up(node), cells).is_err());
+        }
+        assert_eq!(rejected, 20);
+        assert_eq!(handle.adjustments(), 980);
+        assert!(handle.network_mut().take_ops().is_empty());
+        assert!(handle.summary().exclusive);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::protocol::HarpMessage;
 use crate::schedule_gen::{assign_cells_to_links, SchedulingPolicy};
 use packing::{Point, Rect};
 use std::collections::BTreeMap;
-use tsch_sim::{Cell, Direction, Link, NodeId, SlotframeConfig, Tree};
+use tsch_sim::{Cell, Direction, Link, NetworkSchedule, NodeId, SlotframeConfig, Tree};
 
 /// A schedule change produced by the protocol, to be applied to the network
 /// schedule by whoever drives the nodes.
@@ -79,8 +79,21 @@ impl Effects {
     }
 }
 
+/// The messages a parent's static-phase grant to one child stands for, in
+/// the order they leave the parent: the uplink cell assignment, the
+/// `POST part`, the downlink cell assignment.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct StaticGrant {
+    /// The child's uplink got cells.
+    pub up_cells: bool,
+    /// The child (a non-leaf) got its partitions.
+    pub partitions: bool,
+    /// The child's downlink got cells.
+    pub down_cells: bool,
+}
+
 /// Per-direction protocol state of a node.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct DirState {
     /// Cell requirements `r(e)` of the links to this node's children.
     reqs: BTreeMap<NodeId, u32>,
@@ -144,7 +157,7 @@ impl NodeObsCounters {
 }
 
 /// One HARP participant: the distributed state machine of a single device.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HarpNode {
     id: NodeId,
     parent: Option<NodeId>,
@@ -489,8 +502,7 @@ impl HarpNode {
         {
             return Ok(Effects::none());
         }
-        self.generate_interface(Direction::Up)?;
-        self.generate_interface(Direction::Down)?;
+        self.generate_interfaces()?;
         if self.is_gateway() {
             self.gateway_allocate()
         } else {
@@ -506,6 +518,13 @@ impl HarpNode {
                 schedule_ops: Vec::new(),
             })
         }
+    }
+
+    /// Builds this node's interfaces, uplink then downlink, from local
+    /// requirements and the interfaces its non-leaf children reported.
+    pub(crate) fn generate_interfaces(&mut self) -> Result<(), HarpError> {
+        self.generate_interface(Direction::Up)?;
+        self.generate_interface(Direction::Down)
     }
 
     /// Builds this node's interface for one direction (Case 1 + Case 2 of
@@ -546,6 +565,18 @@ impl HarpNode {
     /// The gateway's slotframe placement: uplink super-partition first with
     /// layers descending, downlink after with layers ascending (§IV-C).
     fn gateway_allocate(&mut self) -> Result<Effects, HarpError> {
+        self.place_gateway_partitions()?;
+        let mut fx = Effects::none();
+        for d in Direction::BOTH {
+            fx.merge(self.distribute_partitions(d)?);
+        }
+        fx.coalesce_post_partitions();
+        Ok(fx)
+    }
+
+    /// Lays the gateway's per-layer partitions side by side along the
+    /// slotframe and checks that they fit it.
+    pub(crate) fn place_gateway_partitions(&mut self) -> Result<(), HarpError> {
         let mut cursor: u32 = 0;
         for (d, descending) in [(Direction::Up, true), (Direction::Down, false)] {
             let iface = self
@@ -571,51 +602,27 @@ impl HarpNode {
                 available: self.config.slots,
             });
         }
-        let mut fx = Effects::none();
-        for d in Direction::BOTH {
-            fx.merge(self.distribute_partitions(d)?);
-        }
-        fx.coalesce_post_partitions();
-        Ok(fx)
+        Ok(())
     }
 
     /// Having just received (or allocated) partitions for every layer of the
     /// own subtree: derive children's partitions from the stored composition
     /// layouts, send them down, and schedule the own row.
     fn distribute_partitions(&mut self, direction: Direction) -> Result<Effects, HarpError> {
-        // Derive child partitions per composed layer.
-        let layers: Vec<u32> = self.dir(direction).layouts.keys().copied().collect();
+        self.derive_child_partitions(direction)?;
+        let mut fx = self.schedule_own_row(direction)?;
+        let ds = self.dir(direction);
         let mut per_child: BTreeMap<NodeId, Vec<(Direction, u32, Rect)>> = BTreeMap::new();
-        for layer in layers {
-            let own = self.dir(direction).partitions.get(&layer).copied().ok_or(
-                HarpError::MissingPartition {
-                    node: self.id,
-                    layer,
-                },
-            )?;
-            let layout = self
-                .dir(direction)
-                .layouts
-                .get(&layer)
-                .expect("listed layer");
-            let placed: Vec<(NodeId, Rect)> = layout
-                .placements()
-                .iter()
-                .map(|&(c, rel)| (c, rel.translated(own.origin.x, own.origin.y)))
-                .collect();
-            for &(c, rect) in &placed {
+        for layer in ds.layouts.keys() {
+            for &(c, rect) in &ds.child_partitions[layer] {
                 if self.nonleaf_children.contains(&c) {
                     per_child
                         .entry(c)
                         .or_default()
-                        .push((direction, layer, rect));
+                        .push((direction, *layer, rect));
                 }
             }
-            self.dir_mut(direction)
-                .child_partitions
-                .insert(layer, placed);
         }
-        let mut fx = self.schedule_own_row(direction)?;
         for (child, partitions) in per_child {
             fx.messages
                 .push((child, HarpMessage::PostPartitions { partitions }));
@@ -623,9 +630,55 @@ impl HarpNode {
         Ok(fx)
     }
 
+    /// Carves the children's partitions out of this node's own, one composed
+    /// layer at a time, by translating the stored composition layouts.
+    fn derive_child_partitions(&mut self, direction: Direction) -> Result<(), HarpError> {
+        let id = self.id;
+        let DirState {
+            layouts,
+            partitions,
+            child_partitions,
+            ..
+        } = self.dir_mut(direction);
+        for (&layer, layout) in layouts.iter() {
+            let own = partitions
+                .get(&layer)
+                .copied()
+                .ok_or(HarpError::MissingPartition { node: id, layer })?;
+            let placed: Vec<(NodeId, Rect)> = layout
+                .placements()
+                .iter()
+                .map(|&(c, rel)| (c, rel.translated(own.origin.x, own.origin.y)))
+                .collect();
+            child_partitions.insert(layer, placed);
+        }
+        Ok(())
+    }
+
     /// Re-runs the local scheduler over the own partition row and notifies
     /// every child whose cells changed.
     fn schedule_own_row(&mut self, direction: Direction) -> Result<Effects, HarpError> {
+        let mut fx = Effects::none();
+        self.assign_own_row(direction, |child, cells| {
+            fx.messages.push((
+                child,
+                HarpMessage::CellAssignment {
+                    direction,
+                    cells: cells.to_vec(),
+                },
+            ));
+        })?;
+        Ok(fx)
+    }
+
+    /// Re-runs the local scheduler over the own partition row, storing the
+    /// cells of every child link whose cells changed and reporting each such
+    /// `(child, cells)` to `changed`, in row order.
+    fn assign_own_row(
+        &mut self,
+        direction: Direction,
+        mut changed: impl FnMut(NodeId, &[Cell]),
+    ) -> Result<(), HarpError> {
         let id = self.id;
         let policy = self.policy;
         let config = self.config;
@@ -634,28 +687,90 @@ impl HarpNode {
         let total: u32 = ds.reqs.values().sum();
         let Some(row) = ds.partitions.get(&layer).copied() else {
             if total == 0 {
-                return Ok(Effects::none());
+                return Ok(());
             }
             return Err(HarpError::MissingPartition { node: id, layer });
         };
         let child_reqs: Vec<(NodeId, u32)> = ds.reqs.iter().map(|(&c, &r)| (c, r)).collect();
         let assignments = assign_cells_to_links(id, &child_reqs, direction, row, policy, config)?;
-        let mut fx = Effects::none();
         for a in assignments {
             let child = a.link.child;
-            let old = ds.assignments.get(&child).cloned().unwrap_or_default();
+            let old = ds.assignments.get(&child).map_or(&[][..], Vec::as_slice);
             if old != a.cells {
-                fx.messages.push((
-                    child,
-                    HarpMessage::CellAssignment {
-                        direction,
-                        cells: a.cells.clone(),
-                    },
-                ));
+                changed(child, &a.cells);
                 ds.assignments.insert(child, a.cells);
             }
         }
-        Ok(fx)
+        Ok(())
+    }
+
+    // ---- direct static settle (see `HarpNetwork::run_static`) ----
+
+    /// Stores the interfaces `child` generated, as its `POST intf` would
+    /// have delivered them.
+    pub(crate) fn store_child_interfaces(&mut self, child: &HarpNode) {
+        for d in Direction::BOTH {
+            let iface = child
+                .dir(d)
+                .interface
+                .clone()
+                .expect("children generate before their parent");
+            self.dir_mut(d).child_interfaces.insert(child.id, iface);
+        }
+    }
+
+    /// With this node's partitions in place for every layer of its subtree:
+    /// carves out the children's partitions and schedules the own row, both
+    /// directions — the state a `POST part` handler leaves behind, without
+    /// the messages.
+    pub(crate) fn settle_partitions(&mut self) -> Result<(), HarpError> {
+        for d in Direction::BOTH {
+            self.derive_child_partitions(d)?;
+            self.assign_own_row(d, |_, _| {})?;
+        }
+        Ok(())
+    }
+
+    /// Takes over what `parent` decided for this node — its partitions at
+    /// every composed layer (non-leaf nodes only) and the cells of its own
+    /// link, both directions — as the `POST part` and cell-assignment
+    /// messages would have delivered them, and installs the cells in
+    /// `schedule`. Returns which of those messages the grant stands for.
+    pub(crate) fn accept_static_grant(
+        &mut self,
+        parent: &HarpNode,
+        schedule: &mut NetworkSchedule,
+    ) -> Result<StaticGrant, HarpError> {
+        let id = self.id;
+        let mut grant = StaticGrant::default();
+        for d in Direction::BOTH {
+            let from = parent.dir(d);
+            if parent.nonleaf_children.contains(&id) {
+                for (&layer, placed) in &from.child_partitions {
+                    for &(c, rect) in placed {
+                        if c == id {
+                            self.dir_mut(d).partitions.insert(layer, rect);
+                            grant.partitions = true;
+                        }
+                    }
+                }
+            }
+            if let Some(cells) = from.assignments.get(&id) {
+                let link = Link {
+                    child: id,
+                    direction: d,
+                };
+                for &cell in cells {
+                    schedule.assign(cell, link)?;
+                }
+                self.dir_mut(d).own_cells = Some(cells.clone());
+                match d {
+                    Direction::Up => grant.up_cells = true,
+                    Direction::Down => grant.down_cells = true,
+                }
+            }
+        }
+        Ok(grant)
     }
 
     // ---- dynamic phase internals ----

@@ -1,8 +1,8 @@
 //! Seeded randomized tests of the *distributed* HARP deployment: on
-//! arbitrary trees and demands, the message-passing protocol must converge
-//! to the same schedule as the centralized oracle, and arbitrary sequences
-//! of feasible traffic changes must preserve exclusivity and demand
-//! satisfaction.
+//! arbitrary trees and demands, the message-passing protocol and its direct
+//! settle must converge to the same schedule as the centralized oracle, and
+//! arbitrary sequences of feasible traffic changes must preserve
+//! exclusivity and demand satisfaction.
 
 use harp_core::{
     allocate_partitions, build_interfaces, generate_schedule, unsatisfied_links, HarpNetwork,
@@ -44,17 +44,24 @@ fn distributed_converges_to_centralized() {
         let oracle =
             generate_schedule(&tree, &reqs, &table, SchedulingPolicy::RateMonotonic).unwrap();
 
+        // Three routes to one schedule: the direct settle, the
+        // message-driven protocol and the centralized functions.
         let mut net =
             HarpNetwork::new(tree.clone(), config, &reqs, SchedulingPolicy::RateMonotonic);
         net.run_static().unwrap();
-        assert!(net.quiescent(), "case {case}");
-        for d in Direction::BOTH {
-            for link in tree.links(d) {
-                assert_eq!(
-                    net.schedule().cells_of(link),
-                    oracle.cells_of(link),
-                    "case {case}: {link}"
-                );
+        let mut by_messages =
+            HarpNetwork::new(tree.clone(), config, &reqs, SchedulingPolicy::RateMonotonic);
+        by_messages.run_static_by_messages().unwrap();
+        for net in [&net, &by_messages] {
+            assert!(net.quiescent(), "case {case}");
+            for d in Direction::BOTH {
+                for link in tree.links(d) {
+                    assert_eq!(
+                        net.schedule().cells_of(link),
+                        oracle.cells_of(link),
+                        "case {case}: {link}"
+                    );
+                }
             }
         }
     }

@@ -131,11 +131,13 @@ pub struct SpanRing {
 }
 
 impl SpanRing {
-    /// A ring keeping the most recent `capacity` spans.
+    /// A ring keeping the most recent `capacity` spans. Storage is reserved
+    /// by the first [`SpanRing::record`], so a ring that never records —
+    /// the control plane's on a lossless transport — costs nothing.
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         Self {
-            events: VecDeque::with_capacity(capacity.min(4096)),
+            events: VecDeque::new(),
             capacity,
             total_recorded: 0,
         }
@@ -146,6 +148,10 @@ impl SpanRing {
     pub fn record(&mut self, event: SpanEvent) {
         if self.capacity == 0 {
             return;
+        }
+        if self.events.capacity() == 0 {
+            // The one reservation; larger rings grow past it on demand.
+            self.events.reserve_exact(self.capacity.min(4096));
         }
         if self.events.len() == self.capacity {
             self.events.pop_front();
@@ -245,6 +251,20 @@ mod tests {
         assert_eq!(r.total_recorded(), 4);
         let starts: Vec<u64> = r.iter().map(|e| e.start_asn).collect();
         assert_eq!(starts, vec![2, 3]);
+    }
+
+    #[test]
+    fn storage_is_reserved_once_by_the_first_record() {
+        let mut r = SpanRing::new(64);
+        assert_eq!(r.events.capacity(), 0, "an idle ring holds no storage");
+        r.record(ev("a", "sim", 0));
+        let reserved = r.events.capacity();
+        assert!(reserved >= 64);
+        for i in 1..200 {
+            r.record(ev("a", "sim", i));
+        }
+        assert_eq!(r.events.capacity(), reserved, "a full ring never regrows");
+        assert_eq!(r.len(), 64);
     }
 
     #[test]

@@ -206,28 +206,34 @@ impl Skyline {
 
         // Rebuild the affected segment: the covered interval rises to `top`,
         // the remainder keeps the old height.
-        let mut replacement = Vec::with_capacity(3);
-        if x > seg.x {
-            replacement.push(Segment {
-                x: seg.x,
-                w: x - seg.x,
-                y: seg.y,
-            });
-        }
-        replacement.push(Segment {
+        let covered = Segment {
             x,
             w: size.w,
             y: top,
-        });
+        };
+        let mut replacement = [covered; 3];
+        let mut n = 0;
+        if x > seg.x {
+            replacement[n] = Segment {
+                x: seg.x,
+                w: x - seg.x,
+                y: seg.y,
+            };
+            n += 1;
+        }
+        replacement[n] = covered;
+        n += 1;
         let right_rest = (seg.x + seg.w) - (x + size.w);
         if right_rest > 0 {
-            replacement.push(Segment {
+            replacement[n] = Segment {
                 x: x + size.w,
                 w: right_rest,
                 y: seg.y,
-            });
+            };
+            n += 1;
         }
-        self.segments.splice(i..=i, replacement);
+        self.segments
+            .splice(i..=i, replacement[..n].iter().copied());
         self.max_top = self.max_top.max(top);
         self.merge();
         origin

@@ -80,6 +80,15 @@ impl<T> EventCalendar<T> {
         }
     }
 
+    /// An empty calendar with room for `capacity` events before it grows.
+    #[must_use]
+    pub fn with_capacity(capacity: usize) -> Self {
+        Self {
+            heap: BinaryHeap::with_capacity(capacity),
+            seq: 0,
+        }
+    }
+
     /// Registers `value` to fire at `at`. Events scheduled for the same
     /// instant fire in registration order.
     pub fn schedule(&mut self, at: Asn, value: T) {

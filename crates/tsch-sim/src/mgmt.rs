@@ -76,6 +76,13 @@ struct InFlight<M> {
     payload: M,
 }
 
+/// Most in-flight slots a plane reserves at construction (small networks
+/// reserve one per management cell). A plane's first traffic can come long
+/// after it was built — the static phase of a lossless network is settled
+/// without queueing a message — and an adjustment's escalation should not
+/// regrow the calendar message by message when it does.
+const IN_FLIGHT_RESERVE: usize = 64;
+
 /// The management plane of a network: carries one-hop messages with
 /// management-cell timing and counts every transmission.
 ///
@@ -135,7 +142,7 @@ impl<M> MgmtPlane<M> {
             config,
             up_slot,
             down_slot,
-            in_flight: EventCalendar::new(),
+            in_flight: EventCalendar::with_capacity((2 * n).min(IN_FLIGHT_RESERVE)),
             up_busy_until: vec![Asn::ZERO; n],
             down_busy_until: vec![Asn::ZERO; n],
             sent: 0,
@@ -187,27 +194,31 @@ impl<M> MgmtPlane<M> {
         to: NodeId,
         payload: M,
     ) -> Result<Asn, MgmtError> {
-        let deliver_at = self.transmit_time(tree, now, from, to)?;
+        let deliver_at = self.occupy(tree, now, from, to, 1)?;
         self.enqueue_raw(deliver_at, from, to, payload);
         Ok(deliver_at)
     }
 
-    /// Occupies the sender's next management cell for the `from → to` hop
-    /// and counts one transmission, returning when that cell fires — without
-    /// enqueuing anything. The transport layer decides what (if anything)
-    /// actually arrives.
+    /// Occupies the next `count` occurrences of the `from → to` management
+    /// cell — strictly after `now` and the cell's previous use — and counts
+    /// `count` transmissions, without enqueuing anything: the transport
+    /// layer decides what (if anything) actually arrives. Returns when the
+    /// first occurrence fires; a cell carries one message per slotframe, so
+    /// the `k`-th fires `k` slotframes later.
     ///
     /// # Errors
     ///
     /// Returns [`MgmtError::NotNeighbors`] unless `to` is `from`'s parent or
     /// child.
-    pub(crate) fn transmit_time(
+    pub(crate) fn occupy(
         &mut self,
         tree: &Tree,
         now: Asn,
         from: NodeId,
         to: NodeId,
+        count: u64,
     ) -> Result<Asn, MgmtError> {
+        debug_assert!(count > 0, "occupying a cell zero times has no first use");
         let (slot, busy_until) = if tree.parent(from) == Some(to) {
             (
                 self.up_slot[from.index()],
@@ -224,10 +235,10 @@ impl<M> MgmtPlane<M> {
         // One message per cell occurrence: the departure must be strictly
         // after both `now` and the cell's previous use.
         let earliest = now.plus(1).max(busy_until.plus(1));
-        let deliver_at = self.config.next_occurrence(earliest, slot);
-        *busy_until = deliver_at;
-        self.sent += 1;
-        Ok(deliver_at)
+        let first = self.config.next_occurrence(earliest, slot);
+        *busy_until = first.plus((count - 1) * u64::from(self.config.slots));
+        self.sent += count;
+        Ok(first)
     }
 
     /// When the next `from → to` management cell fires, strictly after
@@ -253,7 +264,7 @@ impl<M> MgmtPlane<M> {
 
     /// Enqueues a payload for delivery at `deliver_at`, bypassing cell
     /// accounting (the transport layer has already paid for the airtime via
-    /// [`MgmtPlane::transmit_time`], or deliberately avoids paying for it,
+    /// [`MgmtPlane::occupy`], or deliberately avoids paying for it,
     /// as piggybacked ACKs do).
     pub(crate) fn enqueue_raw(&mut self, deliver_at: Asn, from: NodeId, to: NodeId, payload: M) {
         self.in_flight

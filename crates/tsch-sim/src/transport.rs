@@ -503,7 +503,7 @@ impl<M: Clone> ControlPlane<M> {
         payload: M,
     ) -> Result<Asn, MgmtError> {
         let link = hop_link(tree, from, to)?;
-        let deliver_at = self.plane.transmit_time(tree, now, from, to)?;
+        let deliver_at = self.plane.occupy(tree, now, from, to, 1)?;
         self.stats.attempts += 1;
         self.obs.metrics.inc(self.obs_ids.attempts, 1);
         if self.lossless {
@@ -550,6 +550,50 @@ impl<M: Clone> ControlPlane<M> {
         });
         self.retry_timers.schedule(next_retry_at, token);
         Ok(deliver_at)
+    }
+
+    /// Returns `true` if the transport delivers every frame exactly once, on
+    /// time: the reliability sublayer is disengaged and a transmission's
+    /// arrival is the ASN its management cell fires.
+    #[must_use]
+    pub fn is_lossless(&self) -> bool {
+        self.lossless
+    }
+
+    /// Occupies the next `count` occurrences of the `from → to` management
+    /// cell for a sender that delivers the payloads itself: the cells, the
+    /// transmission count and the attempt counters move exactly as under
+    /// `count` [`ControlPlane::send`] calls at `now`, but nothing is
+    /// enqueued. Returns when the first occurrence fires; the `k`-th fires
+    /// `k` slotframes later. On a lossless transport those are the arrival
+    /// times, which is what lets a caller that knows every message a cell
+    /// will carry settle a protocol phase without an event queue.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MgmtError::NotNeighbors`] unless `to` is `from`'s parent or
+    /// child.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a lossy transport, where a frame's fate has to be drawn
+    /// per attempt and arrivals are not a function of the cell alone.
+    pub fn occupy_cell(
+        &mut self,
+        tree: &Tree,
+        now: Asn,
+        from: NodeId,
+        to: NodeId,
+        count: u64,
+    ) -> Result<Asn, MgmtError> {
+        assert!(
+            self.lossless,
+            "cell occupancy without fates needs a lossless transport"
+        );
+        let first = self.plane.occupy(tree, now, from, to, count)?;
+        self.stats.attempts += count;
+        self.obs.metrics.inc(self.obs_ids.attempts, count);
+        Ok(first)
     }
 
     /// Enqueues `envelope` according to `fate` (possibly dropping it, adding
@@ -713,7 +757,7 @@ impl<M: Clone> ControlPlane<M> {
                 let o = &self.outstanding[i];
                 (o.from, o.to, o.msg_id, o.payload.clone())
             };
-            let deliver_at = self.plane.transmit_time(tree, now, from, to)?;
+            let deliver_at = self.plane.occupy(tree, now, from, to, 1)?;
             self.stats.attempts += 1;
             self.stats.retransmissions += 1;
             self.obs.metrics.inc(self.obs_ids.attempts, 1);
@@ -871,6 +915,48 @@ mod tests {
         assert!(wrapped.is_idle(), "no ACKs outstanding on lossless");
         assert_eq!(wrapped.stats().acks_sent, 0);
         assert_eq!(wrapped.stats().retransmissions, 0);
+    }
+
+    #[test]
+    fn occupying_a_cell_books_what_the_sends_would() {
+        let t = tree();
+        let slots = u64::from(cfg().slots);
+        for (from, to) in [(NodeId(9), NodeId(7)), (NodeId(1), NodeId(4))] {
+            let mut sent: ControlPlane<u32> = ControlPlane::reliable(&t, cfg());
+            let mut booked: ControlPlane<u32> = ControlPlane::reliable(&t, cfg());
+            let arrivals: Vec<Asn> = (0..3)
+                .map(|m| sent.send(&t, Asn(5), from, to, m).unwrap())
+                .collect();
+            let first = booked.occupy_cell(&t, Asn(5), from, to, 3).unwrap();
+            let expected: Vec<Asn> = (0..3).map(|k| first.plus(k * slots)).collect();
+            assert_eq!(arrivals, expected, "one occurrence per slotframe");
+            assert_eq!(booked.stats(), sent.stats());
+            assert_eq!(booked.messages_sent(), sent.messages_sent());
+            assert!(booked.is_idle(), "nothing was enqueued");
+            // The cell stays busy through its last booked occurrence: a
+            // send handed over earlier queues behind it on both planes.
+            assert_eq!(
+                booked.send(&t, Asn(6), from, to, 9).unwrap(),
+                sent.send(&t, Asn(6), from, to, 9).unwrap()
+            );
+        }
+        let mut plane: ControlPlane<u32> = ControlPlane::reliable(&t, cfg());
+        assert_eq!(
+            plane.occupy_cell(&t, Asn(0), NodeId(4), NodeId(0), 1),
+            Err(MgmtError::NotNeighbors {
+                from: NodeId(4),
+                to: NodeId(0)
+            })
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "lossless transport")]
+    fn occupying_a_cell_refuses_a_lossy_transport() {
+        let t = tree();
+        let mut plane: ControlPlane<u32> =
+            ControlPlane::new(&t, cfg(), Box::new(Lossy::uniform(0.9, 1).unwrap()));
+        let _ = plane.occupy_cell(&t, Asn(0), NodeId(9), NodeId(7), 1);
     }
 
     #[test]
