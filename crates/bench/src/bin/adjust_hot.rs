@@ -6,8 +6,8 @@
 //! machinery is the part of the implementation where that locality is
 //! easiest to lose: a clone-everything snapshot costs `O(nodes)` per
 //! adjustment and turns the constant-depth algorithm into a linear one.
-//! This benchmark pins the fix — the undo journal of first-touch
-//! before-images — by timing the *same* adjustment (same link, same depth,
+//! This benchmark pins the fix — an undo log of the values a run
+//! displaces — by timing the *same* adjustment (same link, same depth,
 //! same demand delta) on 1k, 10k and 100k-node networks and asserting the
 //! rate stays flat.
 //!
@@ -28,10 +28,10 @@
 //!   first raise (warmup) escalates through the whole
 //!   [`ADJUST_DEPTH`]-deep chain of resource interfaces; the parent then
 //!   retains the slack (§V releases locally), so every *timed*
-//!   adjustment is the steady-state transaction: journal the touched
-//!   node and rows, move `SWING_HIGH - 1` cells in the parent's
+//!   adjustment is the steady-state transaction: log the displaced
+//!   values and rows, move `SWING_HIGH - 1` cells in the parent's
 //!   partition, emit the schedule ops, settle the confirming cell
-//!   message. Rollback never fires — the journal cost measured is the
+//!   message. Rollback never fires — the log cost measured is the
 //!   pure bookkeeping overhead the old snapshot paid as `O(nodes)`.
 //!
 //! Rounds interleave the sizes (1k, 10k, 100k, 1k, ...) so minutes-scale
@@ -65,14 +65,14 @@ const SOURCES: usize = 8;
 /// to the gateway (warmup); after that the parent retains the slack — §V
 /// releases locally — so every timed adjustment moves `SWING_HIGH - 1`
 /// cells through the parent's partition, the schedule rows and the undo
-/// journal without further escalation. The batch makes the measured work
+/// log without further escalation. The batch makes the measured work
 /// deterministic and large enough to dominate per-tree structural noise
 /// (the parent's child count differs between seeded topologies).
 const SWING_HIGH: u32 = 33;
 
 /// Untimed adjustments before the first measured round: they trigger the
 /// one-time escalation that provisions the slack and warm allocator-side
-/// lazy state (interface maps, journal buffers) on every row.
+/// lazy state (interface maps) on every row.
 const WARMUP_ADJUSTS: usize = 16;
 
 /// Timed adjustments per round per size; even, so the alternating swing

@@ -339,7 +339,7 @@ pub fn scale_check_str(fresh: &str) -> Result<Vec<Violation>, String> {
 /// [`SCALE_FLATNESS_TOLERANCE`] of the geometric mean across rows. The
 /// rows time the same fixed-depth adjustment on 1k–100k-node networks, so
 /// any size-dependence in the rate is an `O(nodes)` residue on the
-/// adjustment hot path — exactly what the undo-journal rollback removed
+/// adjustment hot path — exactly what the undo-log rollback removed
 /// (the legacy path cloned every node and the whole schedule per
 /// adjustment).
 #[must_use]

@@ -122,11 +122,20 @@ impl ResourceInterface {
         Self::default()
     }
 
-    /// Sets the component at `layer`, replacing any previous one. Empty
-    /// components are stored too — they record that the layer exists with
-    /// zero demand.
-    pub fn set(&mut self, layer: u32, component: ResourceComponent) {
-        self.components.insert(layer, component);
+    /// Sets the component at `layer` and returns the one it displaced, if
+    /// any. Empty components are stored too — they record that the layer
+    /// exists with zero demand.
+    pub fn set(&mut self, layer: u32, component: ResourceComponent) -> Option<ResourceComponent> {
+        self.components.insert(layer, component)
+    }
+
+    /// Undoes a [`ResourceInterface::set`] given what it returned: the
+    /// displaced component comes back, or the layer goes away again.
+    pub(crate) fn restore(&mut self, layer: u32, displaced: Option<ResourceComponent>) {
+        match displaced {
+            Some(c) => self.components.insert(layer, c),
+            None => self.components.remove(&layer),
+        };
     }
 
     /// The component at `layer`, if present.

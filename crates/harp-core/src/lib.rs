@@ -88,6 +88,7 @@ mod analysis;
 mod coexist;
 mod component;
 mod compose;
+mod dir_state;
 mod error;
 mod handle;
 mod node;

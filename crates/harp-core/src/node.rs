@@ -12,7 +12,8 @@
 
 use crate::adjust::adjust_partition;
 use crate::component::{ResourceComponent, ResourceInterface};
-use crate::compose::{compose_components, CompositionLayout};
+use crate::compose::compose_components;
+use crate::dir_state::{DirState, DirWriter, UndoLog};
 use crate::error::HarpError;
 use crate::protocol::HarpMessage;
 use crate::schedule_gen::{assign_cells_to_links, SchedulingPolicy};
@@ -92,37 +93,11 @@ pub(crate) struct StaticGrant {
     pub down_cells: bool,
 }
 
-/// Per-direction protocol state of a node.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-struct DirState {
-    /// Cell requirements `r(e)` of the links to this node's children.
-    reqs: BTreeMap<NodeId, u32>,
-    /// Interfaces reported by non-leaf children.
-    child_interfaces: BTreeMap<NodeId, ResourceInterface>,
-    /// This node's own interface, once generated.
-    interface: Option<ResourceInterface>,
-    /// Composition layouts per composed layer (from the static phase).
-    layouts: BTreeMap<u32, CompositionLayout>,
-    /// Partitions granted to this node, per layer.
-    partitions: BTreeMap<u32, Rect>,
-    /// Partitions this node allocated to its children, per layer.
-    child_partitions: BTreeMap<u32, Vec<(NodeId, Rect)>>,
-    /// Cells this node assigned to each child link.
-    assignments: BTreeMap<NodeId, Vec<Cell>>,
-    /// Cells granted to this node's own link by its parent (`None` until
-    /// the first `CellAssignment` arrives). Tracked so a re-delivered
-    /// assignment is recognisable as a duplicate.
-    own_cells: Option<Vec<Cell>>,
-    /// Escalated layers awaiting a bigger partition from the parent:
-    /// layer → the child whose component grew.
-    pending: BTreeMap<u32, NodeId>,
-}
-
 /// Plain counters of one node's dynamic-adjustment activity, aggregated by
 /// the runner into its metrics snapshot.
 ///
-/// Deliberately not an `Obs` handle: the counters travel with the node's
-/// state (they are cloned with it), so a transactional rollback in
+/// Deliberately not an `Obs` handle: the counters are node state, logged
+/// like the rest of it, so a transactional rollback in
 /// [`HarpNetwork::adjust_and_settle`](crate::HarpNetwork::adjust_and_settle)
 /// rolls the counts of the aborted attempt back too — the snapshot only ever
 /// reports work that actually happened.
@@ -226,35 +201,56 @@ impl HarpNode {
         }
     }
 
-    fn dir_mut(&mut self, d: Direction) -> &mut DirState {
+    /// One direction's state. Harmless to hand out: its fields are private
+    /// to `dir_state.rs`, which writes through this only to build a
+    /// [`DirWriter`] or to roll back.
+    pub(crate) fn dir_state_mut(&mut self, d: Direction) -> &mut DirState {
         match d {
             Direction::Up => &mut self.up,
             Direction::Down => &mut self.down,
         }
     }
 
+    /// Puts back counters an aborted run had saved ([`UndoLog::rollback`]).
+    pub(crate) fn restore_counters(&mut self, counters: NodeObsCounters) {
+        self.counters = counters;
+    }
+
+    /// The only way to write one direction's state: through `log`.
+    fn dir_mut<'a>(&'a mut self, log: &'a mut UndoLog, d: Direction) -> DirWriter<'a> {
+        let id = self.id;
+        DirWriter::new(self.dir_state_mut(d), log, id, d)
+    }
+
+    /// Changes the counters, saving them to `log` first.
+    fn count(&mut self, log: &mut UndoLog, change: impl FnOnce(&mut NodeObsCounters)) {
+        log.save_counters(self.id, self.counters);
+        change(&mut self.counters);
+    }
+
     /// Sets the requirement of the link to `child` (static configuration).
     pub fn set_requirement(&mut self, direction: Direction, child: NodeId, cells: u32) {
-        self.dir_mut(direction).reqs.insert(child, cells);
+        self.dir_mut(&mut UndoLog::off(), direction)
+            .put_req(child, Some(cells));
     }
 
     /// The node's generated interface for `direction`, if any.
     #[must_use]
     pub fn interface(&self, direction: Direction) -> Option<&ResourceInterface> {
-        self.dir(direction).interface.as_ref()
+        self.dir(direction).interface()
     }
 
     /// The partition granted to this node at `layer`.
     #[must_use]
     pub fn partition(&self, direction: Direction, layer: u32) -> Option<Rect> {
-        self.dir(direction).partitions.get(&layer).copied()
+        self.dir(direction).partitions().get(&layer).copied()
     }
 
     /// The partitions this node granted its children at `layer`.
     #[must_use]
     pub fn child_partitions(&self, direction: Direction, layer: u32) -> &[(NodeId, Rect)] {
         self.dir(direction)
-            .child_partitions
+            .child_partitions()
             .get(&layer)
             .map(Vec::as_slice)
             .unwrap_or(&[])
@@ -264,7 +260,7 @@ impl HarpNode {
     #[must_use]
     pub fn assignment(&self, direction: Direction, child: NodeId) -> &[Cell] {
         self.dir(direction)
-            .assignments
+            .assignments()
             .get(&child)
             .map(Vec::as_slice)
             .unwrap_or(&[])
@@ -273,7 +269,7 @@ impl HarpNode {
     /// The current requirement of the link to `child` as this node tracks it.
     #[must_use]
     pub fn requirement(&self, direction: Direction, child: NodeId) -> u32 {
-        self.dir(direction).reqs.get(&child).copied().unwrap_or(0)
+        self.dir(direction).reqs().get(&child).copied().unwrap_or(0)
     }
 
     // ---- topology mutation (node join / parent switch) ----
@@ -286,7 +282,9 @@ impl HarpNode {
             self.children.push(child);
         }
         for d in Direction::BOTH {
-            self.dir_mut(d).reqs.entry(child).or_insert(0);
+            if !self.dir(d).reqs().contains_key(&child) {
+                self.set_requirement(d, child, 0);
+            }
         }
     }
 
@@ -305,13 +303,19 @@ impl HarpNode {
     pub fn orphan_child(&mut self, child: NodeId) {
         self.children.retain(|&c| c != child);
         self.nonleaf_children.retain(|&c| c != child);
+        let log = &mut UndoLog::off();
         for d in Direction::BOTH {
-            let ds = self.dir_mut(d);
-            ds.reqs.remove(&child);
-            ds.child_interfaces.remove(&child);
-            ds.assignments.remove(&child);
-            for placements in ds.child_partitions.values_mut() {
-                placements.retain(|&(c, _)| c != child);
+            let mut ds = self.dir_mut(log, d);
+            ds.put_req(child, None);
+            ds.put_child_interface(child, None);
+            ds.put_assignment(child, None);
+            let mut from = 0;
+            while let Some((&layer, placed)) = ds.child_partitions().range(from..).next() {
+                if placed.iter().any(|&(c, _)| c == child) {
+                    let kept = placed.iter().copied().filter(|&(c, _)| c != child);
+                    ds.set_child_partitions(layer, kept.collect());
+                }
+                from = layer + 1;
             }
         }
     }
@@ -331,10 +335,15 @@ impl HarpNode {
     ///
     /// Propagates composition/allocation failures.
     pub fn bootstrap(&mut self) -> Result<Effects, HarpError> {
+        self.bootstrap_logged(&mut UndoLog::off())
+    }
+
+    /// [`HarpNode::bootstrap`] with every state write recorded in `log`.
+    pub(crate) fn bootstrap_logged(&mut self, log: &mut UndoLog) -> Result<Effects, HarpError> {
         if self.is_leaf() {
             return Ok(Effects::none());
         }
-        self.maybe_generate_and_report()
+        self.maybe_generate_and_report(log)
     }
 
     /// Handles one protocol message from a neighbour.
@@ -348,6 +357,16 @@ impl HarpNode {
     ///
     /// Propagates algorithmic failures (overflow, packing, missing state).
     pub fn handle(&mut self, from: NodeId, msg: HarpMessage) -> Result<Effects, HarpError> {
+        self.handle_logged(&mut UndoLog::off(), from, msg)
+    }
+
+    /// [`HarpNode::handle`] with every state write recorded in `log`.
+    pub(crate) fn handle_logged(
+        &mut self,
+        log: &mut UndoLog,
+        from: NodeId,
+        msg: HarpMessage,
+    ) -> Result<Effects, HarpError> {
         match msg {
             HarpMessage::PostInterface { up, down } => {
                 // A static-phase report is a fact about the child's subtree;
@@ -355,34 +374,36 @@ impl HarpNode {
                 // already contributed, so a further copy is a re-delivery.
                 // Storing it again would clobber dynamic (`PUT intf`)
                 // updates that arrived since.
-                if self.up.interface.is_some() {
+                if self.up.interface().is_some() {
                     return Ok(Effects::none());
                 }
-                self.up.child_interfaces.insert(from, up);
-                self.down.child_interfaces.insert(from, down);
-                self.maybe_generate_and_report()
+                self.dir_mut(log, Direction::Up)
+                    .put_child_interface(from, Some(up));
+                self.dir_mut(log, Direction::Down)
+                    .put_child_interface(from, Some(down));
+                self.maybe_generate_and_report(log)
             }
             HarpMessage::PostPartitions { partitions } => {
                 // Every entry identical to stored state ⇒ the original of
                 // this message was already processed (storage and
                 // distribution happen atomically below).
                 if !partitions.is_empty()
-                    && partitions
-                        .iter()
-                        .all(|&(d, layer, rect)| self.dir(d).partitions.get(&layer) == Some(&rect))
+                    && partitions.iter().all(|&(d, layer, rect)| {
+                        self.dir(d).partitions().get(&layer) == Some(&rect)
+                    })
                 {
                     return Ok(Effects::none());
                 }
                 let mut dirs = Vec::new();
                 for &(d, layer, rect) in &partitions {
-                    self.dir_mut(d).partitions.insert(layer, rect);
+                    self.dir_mut(log, d).set_partition(layer, rect);
                     if !dirs.contains(&d) {
                         dirs.push(d);
                     }
                 }
                 let mut fx = Effects::none();
                 for d in dirs {
-                    fx.merge(self.distribute_partitions(d)?);
+                    fx.merge(self.distribute_partitions(log, d)?);
                 }
                 fx.coalesce_post_partitions();
                 Ok(fx)
@@ -391,32 +412,32 @@ impl HarpNode {
                 direction,
                 layer,
                 component,
-            } => self.on_child_component_update(direction, from, layer, component),
+            } => self.on_child_component_update(log, direction, from, layer, component),
             HarpMessage::PutPartition {
                 direction,
                 layer,
                 rect,
             } => {
-                let old = self.dir(direction).partitions.get(&layer).copied();
+                let old = self.dir(direction).partitions().get(&layer).copied();
                 // An unchanged grant with no escalation pending is a
                 // re-delivery; replaying it would only recompute a layout
                 // identical to the stored one.
-                if old == Some(rect) && !self.dir(direction).pending.contains_key(&layer) {
+                if old == Some(rect) && !self.dir(direction).pending().contains_key(&layer) {
                     return Ok(Effects::none());
                 }
-                self.dir_mut(direction).partitions.insert(layer, rect);
-                self.replace_layer(direction, layer, old)
+                self.dir_mut(log, direction).set_partition(layer, rect);
+                self.replace_layer(log, direction, layer, old)
             }
             HarpMessage::CellAssignment { direction, cells } => {
                 // The child starts (or stops) using the granted cells now.
                 // A re-delivered assignment matches the cells already in
                 // use and must not re-emit the (externally visible) op.
                 let id = self.id;
-                let ds = self.dir_mut(direction);
-                if ds.own_cells.as_ref() == Some(&cells) {
+                let mut ds = self.dir_mut(log, direction);
+                if ds.own_cells() == Some(&cells) {
                     return Ok(Effects::none());
                 }
-                ds.own_cells = Some(cells.clone());
+                ds.set_own_cells(cells.clone());
                 Ok(Effects {
                     messages: Vec::new(),
                     schedule_ops: vec![ScheduleOp::SetLinkCells {
@@ -446,30 +467,39 @@ impl HarpNode {
         child: NodeId,
         new_cells: u32,
     ) -> Result<Effects, HarpError> {
+        self.request_change_logged(&mut UndoLog::off(), direction, child, new_cells)
+    }
+
+    /// [`HarpNode::request_change`] with every state write recorded in
+    /// `log`.
+    pub(crate) fn request_change_logged(
+        &mut self,
+        log: &mut UndoLog,
+        direction: Direction,
+        child: NodeId,
+        new_cells: u32,
+    ) -> Result<Effects, HarpError> {
         let layer = self.link_layer;
         let id = self.id;
-        let ds = self.dir_mut(direction);
-        ds.reqs.insert(child, new_cells);
-        let total: u32 = ds.reqs.values().sum();
-        let row = ds.partitions.get(&layer).copied();
+        let mut ds = self.dir_mut(log, direction);
+        ds.put_req(child, Some(new_cells));
+        let total: u32 = ds.reqs().values().sum();
+        let row = ds.partitions().get(&layer).copied();
         match row {
             Some(row) if total <= row.width() * row.height() => {
                 // Case 1: enough idle cells in the current partition.
-                self.counters.local_updates += 1;
-                self.schedule_own_row(direction)
+                self.count(log, |c| c.local_updates += 1);
+                self.schedule_own_row(log, direction)
             }
             _ => {
                 // Case 2: the partition itself must grow.
                 let component = ResourceComponent::row(total);
-                let ds = self.dir_mut(direction);
-                if let Some(iface) = ds.interface.as_mut() {
-                    iface.set(layer, component);
-                }
-                ds.pending.insert(layer, id);
+                ds.set_component(layer, component);
+                ds.put_pending(layer, Some(id));
                 if self.is_gateway() {
-                    self.gateway_reallocate(direction, layer)
+                    self.gateway_reallocate(log, direction, layer)
                 } else {
-                    self.counters.escalations += 1;
+                    self.count(log, |c| c.escalations += 1);
                     let parent = self.parent.expect("non-gateway has a parent");
                     Ok(Effects {
                         messages: vec![(
@@ -492,27 +522,27 @@ impl HarpNode {
     /// Generates the interface (both directions) once every non-leaf child
     /// has reported, then reports upward — or allocates if this is the
     /// gateway.
-    fn maybe_generate_and_report(&mut self) -> Result<Effects, HarpError> {
+    fn maybe_generate_and_report(&mut self, log: &mut UndoLog) -> Result<Effects, HarpError> {
         let ready = |ds: &DirState, kids: &[NodeId]| {
-            kids.iter().all(|c| ds.child_interfaces.contains_key(c))
+            kids.iter().all(|c| ds.child_interfaces().contains_key(c))
         };
-        if self.up.interface.is_some()
+        if self.up.interface().is_some()
             || !ready(&self.up, &self.nonleaf_children)
             || !ready(&self.down, &self.nonleaf_children)
         {
             return Ok(Effects::none());
         }
-        self.generate_interfaces()?;
+        self.generate_interfaces(log)?;
         if self.is_gateway() {
-            self.gateway_allocate()
+            self.gateway_allocate(log)
         } else {
             let parent = self.parent.expect("non-gateway has a parent");
             Ok(Effects {
                 messages: vec![(
                     parent,
                     HarpMessage::PostInterface {
-                        up: self.up.interface.clone().expect("just generated"),
-                        down: self.down.interface.clone().expect("just generated"),
+                        up: self.up.interface().cloned().expect("just generated"),
+                        down: self.down.interface().cloned().expect("just generated"),
                     },
                 )],
                 schedule_ops: Vec::new(),
@@ -522,23 +552,27 @@ impl HarpNode {
 
     /// Builds this node's interfaces, uplink then downlink, from local
     /// requirements and the interfaces its non-leaf children reported.
-    pub(crate) fn generate_interfaces(&mut self) -> Result<(), HarpError> {
-        self.generate_interface(Direction::Up)?;
-        self.generate_interface(Direction::Down)
+    pub(crate) fn generate_interfaces(&mut self, log: &mut UndoLog) -> Result<(), HarpError> {
+        self.generate_interface(log, Direction::Up)?;
+        self.generate_interface(log, Direction::Down)
     }
 
     /// Builds this node's interface for one direction (Case 1 + Case 2 of
     /// §IV-B) from local requirements and the children's interfaces.
-    fn generate_interface(&mut self, direction: Direction) -> Result<(), HarpError> {
+    fn generate_interface(
+        &mut self,
+        log: &mut UndoLog,
+        direction: Direction,
+    ) -> Result<(), HarpError> {
         let channels = self.config.channels;
         let own_layer = self.link_layer;
-        let ds = self.dir_mut(direction);
+        let mut ds = self.dir_mut(log, direction);
         let mut iface = ResourceInterface::new();
-        let direct: u32 = ds.reqs.values().sum();
+        let direct: u32 = ds.reqs().values().sum();
         iface.set(own_layer, ResourceComponent::row(direct));
 
         let deepest = ds
-            .child_interfaces
+            .child_interfaces()
             .values()
             .filter_map(ResourceInterface::max_layer)
             .max()
@@ -546,7 +580,7 @@ impl HarpNode {
         let mut layouts = BTreeMap::new();
         for layer in own_layer + 1..=deepest {
             let comps: Vec<(NodeId, ResourceComponent)> = ds
-                .child_interfaces
+                .child_interfaces()
                 .iter()
                 .filter_map(|(&c, i)| i.component(layer).map(|comp| (c, comp)))
                 .collect();
@@ -557,18 +591,18 @@ impl HarpNode {
             iface.set(layer, layout.composite());
             layouts.insert(layer, layout);
         }
-        ds.interface = Some(iface);
-        ds.layouts = layouts;
+        ds.set_interface(iface);
+        ds.set_layouts(layouts);
         Ok(())
     }
 
     /// The gateway's slotframe placement: uplink super-partition first with
     /// layers descending, downlink after with layers ascending (§IV-C).
-    fn gateway_allocate(&mut self) -> Result<Effects, HarpError> {
-        self.place_gateway_partitions()?;
+    fn gateway_allocate(&mut self, log: &mut UndoLog) -> Result<Effects, HarpError> {
+        self.place_gateway_partitions(log)?;
         let mut fx = Effects::none();
         for d in Direction::BOTH {
-            fx.merge(self.distribute_partitions(d)?);
+            fx.merge(self.distribute_partitions(log, d)?);
         }
         fx.coalesce_post_partitions();
         Ok(fx)
@@ -576,13 +610,13 @@ impl HarpNode {
 
     /// Lays the gateway's per-layer partitions side by side along the
     /// slotframe and checks that they fit it.
-    pub(crate) fn place_gateway_partitions(&mut self) -> Result<(), HarpError> {
+    pub(crate) fn place_gateway_partitions(&mut self, log: &mut UndoLog) -> Result<(), HarpError> {
         let mut cursor: u32 = 0;
         for (d, descending) in [(Direction::Up, true), (Direction::Down, false)] {
             let iface = self
                 .dir(d)
-                .interface
-                .clone()
+                .interface()
+                .cloned()
                 .expect("generated before allocation");
             let mut layers: Vec<u32> = iface.layers().collect();
             if descending {
@@ -590,9 +624,8 @@ impl HarpNode {
             }
             for layer in layers {
                 let c = iface.component(layer).expect("listed layer");
-                self.dir_mut(d)
-                    .partitions
-                    .insert(layer, Rect::new(Point::new(cursor, 0), c.as_size()));
+                self.dir_mut(log, d)
+                    .set_partition(layer, Rect::new(Point::new(cursor, 0), c.as_size()));
                 cursor += c.slots;
             }
         }
@@ -608,13 +641,17 @@ impl HarpNode {
     /// Having just received (or allocated) partitions for every layer of the
     /// own subtree: derive children's partitions from the stored composition
     /// layouts, send them down, and schedule the own row.
-    fn distribute_partitions(&mut self, direction: Direction) -> Result<Effects, HarpError> {
-        self.derive_child_partitions(direction)?;
-        let mut fx = self.schedule_own_row(direction)?;
+    fn distribute_partitions(
+        &mut self,
+        log: &mut UndoLog,
+        direction: Direction,
+    ) -> Result<Effects, HarpError> {
+        self.derive_child_partitions(log, direction)?;
+        let mut fx = self.schedule_own_row(log, direction)?;
         let ds = self.dir(direction);
         let mut per_child: BTreeMap<NodeId, Vec<(Direction, u32, Rect)>> = BTreeMap::new();
-        for layer in ds.layouts.keys() {
-            for &(c, rect) in &ds.child_partitions[layer] {
+        for layer in ds.layouts().keys() {
+            for &(c, rect) in &ds.child_partitions()[layer] {
                 if self.nonleaf_children.contains(&c) {
                     per_child
                         .entry(c)
@@ -632,34 +669,34 @@ impl HarpNode {
 
     /// Carves the children's partitions out of this node's own, one composed
     /// layer at a time, by translating the stored composition layouts.
-    fn derive_child_partitions(&mut self, direction: Direction) -> Result<(), HarpError> {
+    fn derive_child_partitions(
+        &mut self,
+        log: &mut UndoLog,
+        direction: Direction,
+    ) -> Result<(), HarpError> {
         let id = self.id;
-        let DirState {
-            layouts,
-            partitions,
-            child_partitions,
-            ..
-        } = self.dir_mut(direction);
-        for (&layer, layout) in layouts.iter() {
-            let own = partitions
-                .get(&layer)
-                .copied()
-                .ok_or(HarpError::MissingPartition { node: id, layer })?;
-            let placed: Vec<(NodeId, Rect)> = layout
-                .placements()
-                .iter()
-                .map(|&(c, rel)| (c, rel.translated(own.origin.x, own.origin.y)))
-                .collect();
-            child_partitions.insert(layer, placed);
-        }
-        Ok(())
+        self.dir_mut(log, direction)
+            .place_child_partitions(|layer, layout, partitions| {
+                let own = partitions
+                    .get(&layer)
+                    .ok_or(HarpError::MissingPartition { node: id, layer })?;
+                Ok(layout
+                    .placements()
+                    .iter()
+                    .map(|&(c, rel)| (c, rel.translated(own.origin.x, own.origin.y)))
+                    .collect())
+            })
     }
 
     /// Re-runs the local scheduler over the own partition row and notifies
     /// every child whose cells changed.
-    fn schedule_own_row(&mut self, direction: Direction) -> Result<Effects, HarpError> {
+    fn schedule_own_row(
+        &mut self,
+        log: &mut UndoLog,
+        direction: Direction,
+    ) -> Result<Effects, HarpError> {
         let mut fx = Effects::none();
-        self.assign_own_row(direction, |child, cells| {
+        self.assign_own_row(log, direction, |child, cells| {
             fx.messages.push((
                 child,
                 HarpMessage::CellAssignment {
@@ -676,6 +713,7 @@ impl HarpNode {
     /// `(child, cells)` to `changed`, in row order.
     fn assign_own_row(
         &mut self,
+        log: &mut UndoLog,
         direction: Direction,
         mut changed: impl FnMut(NodeId, &[Cell]),
     ) -> Result<(), HarpError> {
@@ -683,22 +721,22 @@ impl HarpNode {
         let policy = self.policy;
         let config = self.config;
         let layer = self.link_layer;
-        let ds = self.dir_mut(direction);
-        let total: u32 = ds.reqs.values().sum();
-        let Some(row) = ds.partitions.get(&layer).copied() else {
+        let mut ds = self.dir_mut(log, direction);
+        let total: u32 = ds.reqs().values().sum();
+        let Some(row) = ds.partitions().get(&layer).copied() else {
             if total == 0 {
                 return Ok(());
             }
             return Err(HarpError::MissingPartition { node: id, layer });
         };
-        let child_reqs: Vec<(NodeId, u32)> = ds.reqs.iter().map(|(&c, &r)| (c, r)).collect();
+        let child_reqs: Vec<(NodeId, u32)> = ds.reqs().iter().map(|(&c, &r)| (c, r)).collect();
         let assignments = assign_cells_to_links(id, &child_reqs, direction, row, policy, config)?;
         for a in assignments {
             let child = a.link.child;
-            let old = ds.assignments.get(&child).map_or(&[][..], Vec::as_slice);
+            let old = ds.assignments().get(&child).map_or(&[][..], Vec::as_slice);
             if old != a.cells {
                 changed(child, &a.cells);
-                ds.assignments.insert(child, a.cells);
+                ds.put_assignment(child, Some(a.cells));
             }
         }
         Ok(())
@@ -708,14 +746,15 @@ impl HarpNode {
 
     /// Stores the interfaces `child` generated, as its `POST intf` would
     /// have delivered them.
-    pub(crate) fn store_child_interfaces(&mut self, child: &HarpNode) {
+    pub(crate) fn store_child_interfaces(&mut self, log: &mut UndoLog, child: &HarpNode) {
         for d in Direction::BOTH {
             let iface = child
                 .dir(d)
-                .interface
-                .clone()
+                .interface()
+                .cloned()
                 .expect("children generate before their parent");
-            self.dir_mut(d).child_interfaces.insert(child.id, iface);
+            self.dir_mut(log, d)
+                .put_child_interface(child.id, Some(iface));
         }
     }
 
@@ -723,10 +762,10 @@ impl HarpNode {
     /// carves out the children's partitions and schedules the own row, both
     /// directions — the state a `POST part` handler leaves behind, without
     /// the messages.
-    pub(crate) fn settle_partitions(&mut self) -> Result<(), HarpError> {
+    pub(crate) fn settle_partitions(&mut self, log: &mut UndoLog) -> Result<(), HarpError> {
         for d in Direction::BOTH {
-            self.derive_child_partitions(d)?;
-            self.assign_own_row(d, |_, _| {})?;
+            self.derive_child_partitions(log, d)?;
+            self.assign_own_row(log, d, |_, _| {})?;
         }
         Ok(())
     }
@@ -738,6 +777,7 @@ impl HarpNode {
     /// `schedule`. Returns which of those messages the grant stands for.
     pub(crate) fn accept_static_grant(
         &mut self,
+        log: &mut UndoLog,
         parent: &HarpNode,
         schedule: &mut NetworkSchedule,
     ) -> Result<StaticGrant, HarpError> {
@@ -746,16 +786,16 @@ impl HarpNode {
         for d in Direction::BOTH {
             let from = parent.dir(d);
             if parent.nonleaf_children.contains(&id) {
-                for (&layer, placed) in &from.child_partitions {
+                for (&layer, placed) in from.child_partitions() {
                     for &(c, rect) in placed {
                         if c == id {
-                            self.dir_mut(d).partitions.insert(layer, rect);
+                            self.dir_mut(log, d).set_partition(layer, rect);
                             grant.partitions = true;
                         }
                     }
                 }
             }
-            if let Some(cells) = from.assignments.get(&id) {
+            if let Some(cells) = from.assignments().get(&id) {
                 let link = Link {
                     child: id,
                     direction: d,
@@ -763,7 +803,7 @@ impl HarpNode {
                 for &cell in cells {
                     schedule.assign(cell, link)?;
                 }
-                self.dir_mut(d).own_cells = Some(cells.clone());
+                self.dir_mut(log, d).set_own_cells(cells.clone());
                 match d {
                     Direction::Up => grant.up_cells = true,
                     Direction::Down => grant.down_cells = true,
@@ -779,6 +819,7 @@ impl HarpNode {
     /// absorb it locally (Alg. 2); escalate otherwise.
     fn on_child_component_update(
         &mut self,
+        log: &mut UndoLog,
         direction: Direction,
         child: NodeId,
         layer: u32,
@@ -792,38 +833,41 @@ impl HarpNode {
         {
             let ds = self.dir(direction);
             let already_stored = ds
-                .child_interfaces
+                .child_interfaces()
                 .get(&child)
                 .and_then(|i| i.component(layer))
                 == Some(component);
-            let already_granted = ds.child_partitions.get(&layer).is_some_and(|ps| {
+            let already_granted = ds.child_partitions().get(&layer).is_some_and(|ps| {
                 ps.iter()
                     .any(|&(c, r)| c == child && r.size == component.as_size())
             });
-            let already_escalated = ds.pending.get(&layer) == Some(&child);
+            let already_escalated = ds.pending().get(&layer) == Some(&child);
             if already_stored && (already_granted || already_escalated) {
                 return Ok(Effects::none());
             }
         }
-        let ds = self.dir_mut(direction);
-        ds.child_interfaces
-            .entry(child)
-            .or_default()
-            .set(layer, component);
+        let mut ds = self.dir_mut(log, direction);
+        ds.set_child_component(child, layer, component);
         // A layer this node has never held a partition for (the subtree just
         // grew deeper, e.g. after a node join): nothing to adjust locally —
         // escalate straight away so an ancestor creates the layer.
-        let Some(own) = ds.partitions.get(&layer).copied() else {
-            return self.escalate_layer(direction, layer, child);
+        let Some(own) = ds.partitions().get(&layer).copied() else {
+            return self.escalate_layer(log, direction, layer, child);
         };
-        let mut placements = ds.child_partitions.get(&layer).cloned().unwrap_or_default();
+        let mut placements = ds
+            .child_partitions()
+            .get(&layer)
+            .cloned()
+            .unwrap_or_default();
         if !placements.iter().any(|(c, _)| *c == child) {
             placements.push((child, Rect::default()));
         }
 
         if let Some(outcome) = adjust_partition(own, &placements, child, component)? {
-            self.counters.adjust_feasible += 1;
-            self.counters.partitions_moved += outcome.moved_count() as u64;
+            self.count(log, |c| {
+                c.adjust_feasible += 1;
+                c.partitions_moved += outcome.moved_count() as u64;
+            });
             let mut fx = Effects::none();
             for &moved in &outcome.moved {
                 let rect = outcome
@@ -841,42 +885,40 @@ impl HarpNode {
                     },
                 ));
             }
-            self.dir_mut(direction)
-                .child_partitions
-                .insert(layer, outcome.layout);
+            self.dir_mut(log, direction)
+                .set_child_partitions(layer, outcome.layout);
             return Ok(fx);
         }
 
-        self.counters.adjust_infeasible += 1;
-        self.escalate_layer(direction, layer, child)
+        self.count(log, |c| c.adjust_infeasible += 1);
+        self.escalate_layer(log, direction, layer, child)
     }
 
     /// Recomposes `layer` from the children's current components and asks
     /// the parent (or, at the gateway, the slotframe) for room.
     fn escalate_layer(
         &mut self,
+        log: &mut UndoLog,
         direction: Direction,
         layer: u32,
         requester: NodeId,
     ) -> Result<Effects, HarpError> {
         let comps: Vec<(NodeId, ResourceComponent)> = self
             .dir(direction)
-            .child_interfaces
+            .child_interfaces()
             .iter()
             .filter_map(|(&c, i)| i.component(layer).map(|comp| (c, comp)))
             .collect();
         let layout = compose_components(&comps, self.config.channels, layer)?;
         let composite = layout.composite();
-        let ds = self.dir_mut(direction);
-        if let Some(iface) = ds.interface.as_mut() {
-            iface.set(layer, composite);
-        }
-        ds.layouts.insert(layer, layout);
-        ds.pending.insert(layer, requester);
+        let mut ds = self.dir_mut(log, direction);
+        ds.set_component(layer, composite);
+        ds.set_layout(layer, layout);
+        ds.put_pending(layer, Some(requester));
         if self.is_gateway() {
-            self.gateway_reallocate(direction, layer)
+            self.gateway_reallocate(log, direction, layer)
         } else {
-            self.counters.escalations += 1;
+            self.count(log, |c| c.escalations += 1);
             let parent = self.parent.expect("non-gateway has a parent");
             Ok(Effects {
                 messages: vec![(
@@ -896,19 +938,22 @@ impl HarpNode {
     /// whatever lives inside it and propagate.
     fn replace_layer(
         &mut self,
+        log: &mut UndoLog,
         direction: Direction,
         layer: u32,
         old: Option<Rect>,
     ) -> Result<Effects, HarpError> {
-        self.dir_mut(direction).pending.remove(&layer);
-        let rect = self.dir(direction).partitions[&layer];
+        if self.dir(direction).pending().contains_key(&layer) {
+            self.dir_mut(log, direction).put_pending(layer, None);
+        }
+        let rect = self.dir(direction).partitions()[&layer];
         if layer == self.link_layer {
-            return self.schedule_own_row(direction);
+            return self.schedule_own_row(log, direction);
         }
 
         let current = self
             .dir(direction)
-            .child_partitions
+            .child_partitions()
             .get(&layer)
             .cloned()
             .unwrap_or_default();
@@ -932,7 +977,7 @@ impl HarpNode {
                 .collect(),
             // Growth: lay the (re)composed layout into the new rectangle.
             _ => {
-                let layout = self.dir(direction).layouts.get(&layer).cloned().ok_or(
+                let layout = self.dir(direction).layouts().get(&layer).cloned().ok_or(
                     HarpError::MissingPartition {
                         node: self.id,
                         layer,
@@ -964,9 +1009,8 @@ impl HarpNode {
                 ));
             }
         }
-        self.dir_mut(direction)
-            .child_partitions
-            .insert(layer, new_layout);
+        self.dir_mut(log, direction)
+            .set_child_partitions(layer, new_layout);
         Ok(fx)
     }
 
@@ -978,13 +1022,14 @@ impl HarpNode {
     /// growth lands in the slotframe's idle area whenever possible.
     fn gateway_reallocate(
         &mut self,
+        log: &mut UndoLog,
         direction: Direction,
         layer: u32,
     ) -> Result<Effects, HarpError> {
         let container = Rect::from_xywh(0, 0, self.config.slots, u32::from(self.config.channels));
         let mut entries: Vec<((Direction, u32), Rect)> = Vec::new();
         for d in Direction::BOTH {
-            for (&l, &r) in &self.dir(d).partitions {
+            for (&l, &r) in self.dir(d).partitions() {
                 entries.push(((d, l), r));
             }
         }
@@ -995,8 +1040,7 @@ impl HarpNode {
         }
         let component = self
             .dir(direction)
-            .interface
-            .as_ref()
+            .interface()
             .and_then(|i| i.component(layer))
             .ok_or(HarpError::MissingPartition {
                 node: self.id,
@@ -1004,7 +1048,7 @@ impl HarpNode {
             })?;
         let Some(outcome) = adjust_partition(container, &entries, (direction, layer), component)?
         else {
-            self.counters.adjust_infeasible += 1;
+            self.count(log, |c| c.adjust_infeasible += 1);
             let total: u64 =
                 entries.iter().map(|(_, r)| r.area()).sum::<u64>() + component.cell_count();
             // The binding constraint is either the total area or the grown
@@ -1018,8 +1062,10 @@ impl HarpNode {
                 available: self.config.slots,
             });
         };
-        self.counters.adjust_feasible += 1;
-        self.counters.partitions_moved += outcome.moved_count() as u64;
+        self.count(log, |c| {
+            c.adjust_feasible += 1;
+            c.partitions_moved += outcome.moved_count() as u64;
+        });
         let mut fx = Effects::none();
         for &(d, l) in &outcome.moved {
             let rect = outcome
@@ -1028,9 +1074,9 @@ impl HarpNode {
                 .find(|&&(k, _)| k == (d, l))
                 .map(|&(_, r)| r)
                 .expect("moved key is in the layout");
-            let old = self.dir(d).partitions.get(&l).copied();
-            self.dir_mut(d).partitions.insert(l, rect);
-            fx.merge(self.replace_layer(d, l, old)?);
+            let old = self.dir(d).partitions().get(&l).copied();
+            self.dir_mut(log, d).set_partition(l, rect);
+            fx.merge(self.replace_layer(log, d, l, old)?);
         }
         Ok(fx)
     }

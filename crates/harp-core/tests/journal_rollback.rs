@@ -1,17 +1,15 @@
-//! Differential oracle for the undo-journal rollback.
+//! Rollback oracle for [`HarpNetwork::adjust_and_settle`].
 //!
-//! [`HarpNetwork::adjust_and_settle`] used to clone every node and the
-//! whole schedule as its rollback snapshot; it now keeps an undo journal
-//! of first-touch before-images. The legacy path survives behind the
-//! test-only `set_snapshot_rollback` toggle purely so this suite can
-//! drive the *same* seeded sequence of feasible and infeasible
-//! adjustments through both and assert byte-identical node state,
-//! schedule contents, reports, drained schedule ops and metrics after
-//! every step — on the reliable transport and under Lossy/Chaos channels,
-//! where rollbacks are triggered by retry exhaustion rather than
-//! infeasibility and the plane must cancel in-flight messages.
+//! One network per transport runs a fixed sequence of feasible and
+//! infeasible adjustments. The oracle is the test's own pre-image: after
+//! every rejection, node state, schedule contents and version, the op sink
+//! and quiescence must read exactly as they did before the attempt (the
+//! clock alone may advance) — on the reliable transport and under
+//! Lossy/Chaos channels, where rollbacks are triggered by retry exhaustion
+//! rather than infeasibility and the plane must cancel in-flight messages.
+//! `undo_log.rs` asks the same of generated trees and demands.
 
-use harp_core::{HarpNetwork, Requirements, SchedulingPolicy};
+use harp_core::{apply_op, HarpNetwork, Requirements, SchedulingPolicy};
 use std::fmt::Write as _;
 use tsch_sim::{Chaos, Link, Lossy, NodeId, SlotframeConfig, Tree};
 
@@ -31,7 +29,7 @@ enum Channel {
     Chaos,
 }
 
-fn build(channel: Channel, snapshot_rollback: bool) -> HarpNetwork {
+fn build(channel: Channel) -> HarpNetwork {
     let tree = Tree::paper_fig1_example();
     let reqs = fig1_reqs(&tree);
     let cfg = SlotframeConfig::paper_default();
@@ -54,13 +52,12 @@ fn build(channel: Channel, snapshot_rollback: bool) -> HarpNetwork {
         ),
     };
     net.enable_observability(256);
-    net.set_snapshot_rollback(snapshot_rollback);
     net
 }
 
-/// Every observable byte of the network, minus the process-unique
-/// schedule version (meaningless across two networks) and the clock-only
-/// drift a failed adjustment legitimately leaves behind in spans.
+/// Every observable byte of the network but the schedule version (checked
+/// on its own). The `now` and `metrics` lines are what a failed adjustment
+/// legitimately moves: the clock, and the rolled-back counter.
 fn state_dump(net: &HarpNetwork) -> String {
     let mut out = String::new();
     for v in net.tree().nodes() {
@@ -93,112 +90,105 @@ const MOVES: &[(u32, u32)] = &[
     (8, 1),
 ];
 
-fn run_differential(channel: Channel) {
-    let mut journal = build(channel, false);
-    let mut snapshot = build(channel, true);
-
-    let a = journal.run_static().expect("static phase converges");
-    let b = snapshot.run_static().expect("static phase converges");
-    assert_eq!(a, b, "static reports diverge before any adjustment");
-    assert_eq!(journal.take_ops(), snapshot.take_ops());
-    assert_eq!(state_dump(&journal), state_dump(&snapshot));
+fn run_moves(channel: Channel) {
+    let mut net = build(channel);
+    net.run_static().expect("static phase converges");
+    assert!(net.take_ops().is_empty());
+    // What an embedding simulator would hold: the drained ops, replayed.
+    let mut mirror = net.schedule().clone();
 
     let mut failures = 0usize;
     let mut successes = 0usize;
     for &(node, cells) in MOVES {
         let link = Link::up(NodeId(node));
-        let before = state_dump(&journal);
-        let version_before = journal.schedule().version();
-        let at = journal.now();
-        assert_eq!(at, snapshot.now(), "clocks diverged");
+        let before = state_dump(&net);
+        let version_before = net.schedule().version();
+        let at = net.now();
 
-        let ra = journal.adjust_and_settle(at, link, cells);
-        let rb = snapshot.adjust_and_settle(at, link, cells);
-        assert_eq!(ra, rb, "outcome diverged at ({node}, {cells})");
-
-        match ra {
-            Ok(_) => successes += 1,
+        match net.adjust_and_settle(at, link, cells) {
+            Ok(_) => {
+                successes += 1;
+                assert_eq!(net.schedule().cells_of(link).len(), cells as usize);
+                assert!(net.schedule().is_exclusive());
+                for op in net.take_ops() {
+                    apply_op(&mut mirror, &op).unwrap();
+                }
+            }
             Err(_) => {
                 failures += 1;
-                // The journal restore must be indistinguishable from
-                // swapping in pre-run clones: same bytes as before the
-                // attempt (the clock alone may advance), including the
-                // schedule's version stamp, with nothing left in flight.
-                let after = state_dump(&journal);
                 let strip_now = |d: &str| {
                     d.lines()
                         .filter(|l| !l.starts_with("now ") && !l.starts_with("metrics "))
                         .collect::<Vec<_>>()
                         .join("\n")
                 };
-                assert_eq!(strip_now(&before), strip_now(&after));
-                assert_eq!(journal.schedule().version(), version_before);
-                assert!(journal.quiescent(), "in-flight messages not cancelled");
-                assert!(snapshot.quiescent());
+                assert_eq!(
+                    strip_now(&before),
+                    strip_now(&state_dump(&net)),
+                    "state not restored after ({node}, {cells})"
+                );
+                assert_eq!(net.schedule().version(), version_before);
+                assert!(net.quiescent(), "in-flight messages not cancelled");
+                assert!(net.take_ops().is_empty(), "a rollback truncates its ops");
             }
         }
-        // Drained ops must match (a failed adjustment truncates its ops).
-        assert_eq!(journal.take_ops(), snapshot.take_ops());
-        assert_eq!(
-            state_dump(&journal),
-            state_dump(&snapshot),
-            "state diverged after ({node}, {cells})"
+        assert!(
+            mirror.iter_links().eq(net.schedule().iter_links()),
+            "drained ops diverged from the schedule after ({node}, {cells})"
         );
     }
     assert!(successes > 0, "sequence must exercise the commit path");
     assert!(failures > 0, "sequence must exercise the rollback path");
+    let snap = net.metrics_snapshot();
+    assert_eq!(snap.counter("harp.adjustments"), Some(successes as u64));
+    assert_eq!(
+        snap.counter("harp.adjustments_rolled_back"),
+        Some(failures as u64)
+    );
 }
 
 #[test]
-fn journal_matches_snapshot_on_reliable_transport() {
-    run_differential(Channel::Reliable);
+fn rollback_restores_the_pre_image_on_reliable_transport() {
+    run_moves(Channel::Reliable);
 }
 
 #[test]
-fn journal_matches_snapshot_on_lossy_transport() {
-    run_differential(Channel::Lossy);
+fn rollback_restores_the_pre_image_on_lossy_transport() {
+    run_moves(Channel::Lossy);
 }
 
 #[test]
-fn journal_matches_snapshot_on_chaos_transport() {
-    run_differential(Channel::Chaos);
+fn rollback_restores_the_pre_image_on_chaos_transport() {
+    run_moves(Channel::Chaos);
 }
 
 /// Pending-ops truncation: ops committed by an earlier successful
-/// adjustment must survive a later failed one un-drained, on both paths.
+/// adjustment must survive a later failed one un-drained, and nothing of the
+/// failed one may: replayed onto a mirror, the sink reproduces the schedule.
 #[test]
 fn failed_adjustment_truncates_only_its_own_ops() {
-    let mut journal = build(Channel::Reliable, false);
-    let mut snapshot = build(Channel::Reliable, true);
-    journal.run_static().unwrap();
-    snapshot.run_static().unwrap();
-    journal.take_ops();
-    snapshot.take_ops();
+    let mut net = build(Channel::Reliable);
+    net.run_static().unwrap();
+    net.take_ops();
+    let mut mirror = net.schedule().clone();
 
     // Leave the successful adjustment's ops sitting in the sink.
-    let at = journal.now();
-    journal
-        .adjust_and_settle(at, Link::up(NodeId(9)), 2)
-        .unwrap();
-    snapshot
-        .adjust_and_settle(at, Link::up(NodeId(9)), 2)
-        .unwrap();
-
-    let at = journal.now();
-    assert!(journal
-        .adjust_and_settle(at, Link::up(NodeId(10)), 600)
-        .is_err());
-    assert!(snapshot
+    let at = net.now();
+    net.adjust_and_settle(at, Link::up(NodeId(9)), 2).unwrap();
+    let at = net.now();
+    assert!(net
         .adjust_and_settle(at, Link::up(NodeId(10)), 600)
         .is_err());
 
-    let a = journal.take_ops();
-    let b = snapshot.take_ops();
-    assert_eq!(a, b);
+    let ops = net.take_ops();
     assert!(
-        !a.is_empty(),
+        !ops.is_empty(),
         "the successful adjustment's ops must survive the failed one"
     );
+    for op in &ops {
+        apply_op(&mut mirror, op).unwrap();
+    }
+    assert!(mirror.iter_links().eq(net.schedule().iter_links()));
 }
 
 /// The version stamp: every mutation advances it — including a rejected
@@ -206,7 +196,7 @@ fn failed_adjustment_truncates_only_its_own_ops() {
 /// alone, which is what lets a service cache rendered summaries.
 #[test]
 fn version_stamp_advances_on_every_mutation() {
-    let mut net = build(Channel::Reliable, false);
+    let mut net = build(Channel::Reliable);
     let v0 = net.version();
     net.run_static().unwrap();
     let v1 = net.version();

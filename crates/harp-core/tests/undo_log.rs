@@ -1,0 +1,326 @@
+//! Generated-input referee and allocation budget for the undo log behind
+//! [`HarpNetwork::adjust_and_settle`].
+//!
+//! The referee runs mixed adjustments — local, escalating, and demands no
+//! slotframe holds — over the seeded trees of `direct_static.rs`, on the
+//! reliable transport and under Lossy/Chaos channels (where a re-delivery
+//! can reach any handler arm mid-transaction and a dead hop aborts a run
+//! half-way). A rejection must leave every node `==` its pre-image, the
+//! schedule rows and version and the op sink untouched and nothing in
+//! flight; a commit must pass the collision and disjointness checks of
+//! `verify.rs`.
+//!
+//! The budget test counts what one adjustment allocates: the log keeps the
+//! values a run displaces, so a transaction costs what it writes, and a
+//! change that goes back to copying node state shows up here first.
+
+mod common;
+
+use common::{seeded_config, seeded_reqs, seeded_tree};
+use harp_core::{
+    allocate_partitions, apply_op, build_interfaces, verify_partitions, verify_schedule,
+    AllocatorHandle, HarpNetwork, HarpNode, PartitionTable, Requirements, SchedulingPolicy,
+};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell as Counter;
+use tsch_sim::{Cell, Chaos, Direction, Link, Lossy, NodeId, SlotframeConfig, SplitMix64, Tree};
+
+const CASES: u64 = 240;
+const ADJUSTMENTS: usize = 32;
+
+/// The static allocation of `reqs`: the table the adjustments then edit.
+fn static_table(tree: &Tree, reqs: &Requirements, config: SlotframeConfig) -> PartitionTable {
+    let up = build_interfaces(tree, reqs, Direction::Up, config.channels).expect("composes");
+    let down = build_interfaces(tree, reqs, Direction::Down, config.channels).expect("composes");
+    allocate_partitions(tree, &up, &down, config).expect("the static phase fit")
+}
+
+/// The network's partitions as a table `verify_partitions` reads: every
+/// entry of `table` overwritten with what the nodes hold now (adjustments
+/// move and grow partitions, and add layers).
+fn current_partitions(net: &HarpNetwork, mut table: PartitionTable) -> PartitionTable {
+    let tree = net.tree();
+    for v in tree.nodes() {
+        for d in Direction::BOTH {
+            for layer in 1..=tree.layers() {
+                if let Some(rect) = net.node(v).partition(d, layer) {
+                    table.set(v, d, layer, rect);
+                }
+            }
+        }
+    }
+    table
+}
+
+#[test]
+fn rejections_restore_the_pre_image_and_commits_stay_collision_free() {
+    let (mut commits, mut rejections, mut escalated) = (0u32, 0u32, 0u32);
+    let mut rejected_on = [0u32; 3];
+    for case in 0..CASES {
+        let mut rng = SplitMix64::new(0x0D0_106 ^ (case << 20));
+        let tree = seeded_tree(&mut rng, case);
+        let reqs = seeded_reqs(&mut rng, case, &tree);
+        let config = seeded_config(&mut rng);
+        let policy = SchedulingPolicy::RateMonotonic;
+        let channel = (case / 4 % 3) as usize;
+        let mut net = match channel {
+            0 => HarpNetwork::new(tree.clone(), config, &reqs, policy),
+            1 => {
+                let lossy = Lossy::uniform(0.8, 42 + case).expect("valid pdr");
+                HarpNetwork::with_transport(tree.clone(), config, &reqs, policy, Box::new(lossy))
+            }
+            _ => {
+                let chaos = Chaos::new(9 + case, 0.15, 0.10, 0.30, 7);
+                HarpNetwork::with_transport(tree.clone(), config, &reqs, policy, Box::new(chaos))
+            }
+        };
+        let ctx = format!("case {case} ({} nodes, channel {channel})", tree.len());
+        if net.run_static().is_err() {
+            continue;
+        }
+        net.discard_ops();
+        // What an embedding simulator holds: the drained ops, replayed.
+        let mut mirror = net.schedule().clone();
+        let table = static_table(&tree, &reqs, config);
+        let mut demand = reqs;
+
+        let n = tree.len() as u64;
+        for step in 0..ADJUSTMENTS {
+            let link = Link {
+                child: NodeId(1 + rng.next_below(n - 1) as u32),
+                direction: if rng.chance(0.5) {
+                    Direction::Up
+                } else {
+                    Direction::Down
+                },
+            };
+            let cells = match rng.next_below(8) {
+                0 => 0,
+                1..=3 => 1 + rng.next_below(3) as u32,
+                4..=5 => 4 + rng.next_below(12) as u32,
+                6 => config.slots + 1 + rng.next_below(100) as u32,
+                _ => 4 * config.slots,
+            };
+            let ctx = format!("{ctx}, adjustment {step} ({link} -> {cells})");
+
+            let nodes: Vec<HarpNode> = tree.nodes().map(|v| net.node(v).clone()).collect();
+            let rows: Vec<(Link, Vec<Cell>)> = net
+                .schedule()
+                .iter_links()
+                .map(|(l, c)| (l, c.to_vec()))
+                .collect();
+            let version = net.schedule().version();
+            // Ops of earlier commits stay in the sink on three steps of
+            // four: a rollback must cut its own and no others.
+            if step % 4 == 0 {
+                for op in net.take_ops() {
+                    apply_op(&mut mirror, &op).expect("ops replay");
+                }
+                assert!(mirror.iter_links().eq(net.schedule().iter_links()), "{ctx}");
+            }
+
+            match net.adjust_and_settle(net.now(), link, cells) {
+                Err(_) => {
+                    rejections += 1;
+                    rejected_on[channel] += 1;
+                    for (v, before) in tree.nodes().zip(&nodes) {
+                        assert_eq!(net.node(v), before, "{ctx}: node {v}");
+                    }
+                    let after = net.schedule().iter_links();
+                    assert!(
+                        after.eq(rows.iter().map(|(l, c)| (*l, c.as_slice()))),
+                        "{ctx}: schedule rows"
+                    );
+                    assert_eq!(net.schedule().version(), version, "{ctx}: version");
+                    assert!(net.quiescent(), "{ctx}: messages left in flight");
+                }
+                Ok(report) => {
+                    commits += 1;
+                    demand.set(link, cells);
+                    let broken = verify_schedule(&tree, &demand, net.schedule());
+                    assert!(broken.is_empty(), "{ctx}: {broken:?}");
+                    // No management message, no partition moved. The
+                    // sibling check is quadratic in a node's children, so
+                    // big trees get it once, after their last adjustment.
+                    escalated += u32::from(report.mgmt_messages > 0);
+                    if report.mgmt_messages > 0 && tree.len() <= 64 {
+                        let table = current_partitions(&net, table.clone());
+                        let broken = verify_partitions(&tree, &table);
+                        assert!(broken.is_empty(), "{ctx}: {broken:?}");
+                    }
+                }
+            }
+        }
+        for op in net.take_ops() {
+            apply_op(&mut mirror, &op).expect("ops replay");
+        }
+        assert!(mirror.iter_links().eq(net.schedule().iter_links()), "{ctx}");
+        let broken = verify_partitions(&tree, &current_partitions(&net, table));
+        assert!(broken.is_empty(), "{ctx}: {broken:?}");
+    }
+    // The generator must keep covering what the suite claims to cover.
+    println!("{commits} commits ({escalated} escalated), {rejections} rejections {rejected_on:?}");
+    assert!(commits > 1000 && escalated > 200, "{commits} / {escalated}");
+    assert!(rejections > 200, "only {rejections} rejections");
+    assert!(rejected_on.iter().all(|&r| r > 20), "{rejected_on:?}");
+}
+
+/// Counts the calling thread's allocations, so tests running beside this
+/// one on other threads stay out of the numbers.
+struct CountingAlloc;
+
+thread_local! {
+    // Constant initialisers, no destructors: reading them never allocates.
+    static ALLOCS: Counter<u64> = const { Counter::new(0) };
+    static BYTES: Counter<u64> = const { Counter::new(0) };
+}
+
+fn on_alloc(size: usize) {
+    // `try_with`: a thread may still allocate while its locals are torn down.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    let _ = BYTES.try_with(|c| c.set(c.get() + size as u64));
+}
+
+// SAFETY: every method forwards to `System` with the caller's layout and
+// pointer unchanged, so `System`'s guarantees carry over; the bookkeeping
+// touches thread-local counters only, never the allocated memory.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        on_alloc(layout.size());
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        on_alloc(layout.size());
+        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        on_alloc(new_size);
+        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// `(allocations, bytes)` of the calling thread so far.
+fn allocated() -> (u64, u64) {
+    (ALLOCS.with(Counter::get), BYTES.with(Counter::get))
+}
+
+/// A 256-node tree of 8 layers with at most 4 children per node (the shape
+/// of `harpd`'s benchmark tenants): a backbone reaches every depth, the
+/// rest attach at random.
+fn tenant_tree(rng: &mut SplitMix64) -> Tree {
+    const NODES: usize = 256;
+    const LAYERS: u32 = 8;
+    const MAX_CHILDREN: u32 = 4;
+    let mut depth = vec![0u32];
+    let mut children = vec![0u32; NODES];
+    let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(NODES - 1);
+    for i in 1..NODES {
+        let parent = if i <= LAYERS as usize {
+            i - 1
+        } else {
+            loop {
+                let p = rng.next_below(i as u64) as usize;
+                if depth[p] < LAYERS && children[p] < MAX_CHILDREN {
+                    break p;
+                }
+            }
+        };
+        depth.push(depth[parent] + 1);
+        children[parent] += 1;
+        pairs.push((i as u32, parent as u32));
+    }
+    Tree::from_parents(&pairs)
+}
+
+/// 64 changes over 16 hot links, one uplink and one downlink per depth:
+/// demands cycle through 1..=4, so the first raise of a link escalates and
+/// later ones fit the slack it left; three surges ask for more cells than
+/// the slotframe has slots and roll back.
+fn hot_link_sequence(tree: &Tree, rng: &mut SplitMix64) -> Vec<(Link, u32)> {
+    let mut hot = Vec::with_capacity(16);
+    for depth in 1..=8 {
+        let at_depth = tree.nodes_at_depth(depth);
+        let up = at_depth[rng.next_below(at_depth.len() as u64) as usize];
+        let down = at_depth[rng.next_below(at_depth.len() as u64) as usize];
+        hot.extend([Link::up(up), Link::down(down)]);
+    }
+    let mut moves: Vec<(Link, u32)> = (0..64usize)
+        .map(|slot| (hot[slot % 16], 1 + ((slot + slot / 16 + 1) % 4) as u32))
+        .collect();
+    for (k, slot) in [5, 14, 23].into_iter().enumerate() {
+        moves[slot].1 = 200 + 40 * k as u32;
+    }
+    for i in (1..moves.len()).rev() {
+        moves.swap(i, rng.next_below(i as u64 + 1) as usize);
+    }
+    moves
+}
+
+#[test]
+fn an_adjustment_allocates_what_it_writes() {
+    /// Mean allocations per adjustment measured when the undo log landed
+    /// (301.3; 878.7 with the first-touch node clones it replaced), + 10 %.
+    const MEAN_ALLOCS_BUDGET: f64 = 331.4;
+    /// A local adjustment rewrites one row: cell vectors and their
+    /// messages, 4.8 KiB on average here (21.3 KiB with node clones).
+    const LOCAL_BYTES_BUDGET: f64 = 8.0 * 1024.0;
+
+    let mut rng = SplitMix64::new(0xB0D6E7);
+    let tree = tenant_tree(&mut rng);
+    assert_eq!((tree.len(), tree.layers()), (256, 8));
+    let mut reqs = Requirements::new();
+    for v in tree.nodes().skip(1) {
+        reqs.set(Link::up(v), 1);
+        reqs.set(Link::down(v), 1);
+    }
+    let moves = hot_link_sequence(&tree, &mut rng);
+    let config = SlotframeConfig::paper_default();
+    let mut handle =
+        AllocatorHandle::converge(tree, config, &reqs, SchedulingPolicy::RateMonotonic)
+            .expect("one cell per link fits the paper's slotframe");
+
+    let (mut allocs, mut local_bytes) = (0u64, 0u64);
+    let (mut local, mut escalated, mut rejected) = (0u32, 0u32, 0u32);
+    for &(link, cells) in &moves {
+        let (a0, b0) = allocated();
+        let result = handle.adjust(link, cells);
+        let (a1, b1) = allocated();
+        allocs += a1 - a0;
+        match result {
+            Ok(bill) if bill.mgmt_messages == 0 => {
+                local += 1;
+                local_bytes += b1 - b0;
+            }
+            Ok(_) => escalated += 1,
+            Err(_) => rejected += 1,
+        }
+    }
+    assert!(
+        local >= 16 && escalated >= 16 && rejected == 3,
+        "{local} local / {escalated} escalated / {rejected} rejected"
+    );
+    let mean_allocs = allocs as f64 / moves.len() as f64;
+    let mean_local_bytes = local_bytes as f64 / f64::from(local);
+    println!("mean allocations per adjustment {mean_allocs:.1}, local bytes {mean_local_bytes:.0}");
+    assert!(
+        mean_allocs <= MEAN_ALLOCS_BUDGET,
+        "{mean_allocs:.1} allocations per adjustment, budget {MEAN_ALLOCS_BUDGET}"
+    );
+    assert!(
+        mean_local_bytes < LOCAL_BYTES_BUDGET,
+        "a local adjustment allocates {mean_local_bytes:.0} bytes on average"
+    );
+}

@@ -14,7 +14,7 @@
 //! failover, link-PDR degradation windows, subtree partition, traffic
 //! bursts, reparenting churn) all lower onto this action set; the
 //! control-plane kinds (gateway failover with re-bootstrap, reparenting)
-//! additionally drive [`HarpNetwork`] operations from the scenario runner —
+//! additionally drive `HarpNetwork` operations from the scenario runner —
 //! see `DESIGN.md` §14.
 //!
 //! # Semantics

@@ -4,7 +4,7 @@
 //! slotframe. HARP guarantees at most one link per cell; the baseline
 //! schedulers (random, MSF, LDSF) do not, so the table supports multiple
 //! links per cell and exposes collision analysis over an
-//! [`InterferenceModel`](crate::InterferenceModel).
+//! [`InterferenceModel`].
 
 use crate::interference::InterferenceModel;
 use crate::time::{Cell, SlotframeConfig};
@@ -291,7 +291,7 @@ impl NetworkSchedule {
     }
 
     /// Restores previously captured link rows — the rollback primitive
-    /// behind journaled transactions (see `HarpNetwork`'s undo journal).
+    /// behind `HarpNetwork`'s transactional adjustments.
     ///
     /// Each `(link, cells)` pair is a before-image taken with
     /// [`cells_of`](Self::cells_of) prior to mutating that link: whatever
@@ -299,7 +299,7 @@ impl NetworkSchedule {
     /// reinstated in their original order. `version` is the value
     /// [`version`](Self::version) returned when the first row was
     /// captured; it is restored verbatim (no fresh version is minted), so
-    /// a journaled rollback is indistinguishable — version included —
+    /// a rollback is indistinguishable — version included —
     /// from swapping in a clone taken at the same point.
     ///
     /// The restore reproduces the pre-image exactly as long as no
