@@ -12,79 +12,30 @@
 //!
 //! Run with `cargo run --release -p harp-bench --bin fig11a_collision_rate`.
 
-use harp_bench::harness::{rows_json, to_json_with_sections, write_report};
-use harp_bench::{average_collision_probability, pct};
-use harp_obs::{spans_to_json, MetricsSnapshot, SpanEvent, NO_NODE};
-use schedulers::{
-    AliceScheduler, HarpScheduler, LdsfScheduler, MsfScheduler, RandomScheduler, Scheduler,
-};
+use harp_bench::Fig11Sweep;
 use tsch_sim::SlotframeConfig;
 
 fn main() {
-    let topologies = workloads::fig11_topologies();
+    let mut sweep = Fig11Sweep::new();
     let config = SlotframeConfig::paper_default();
-    let schedulers: [&dyn Scheduler; 5] = [
-        &RandomScheduler,
-        &MsfScheduler,
-        &AliceScheduler,
-        &LdsfScheduler,
-        &HarpScheduler::default(),
-    ];
 
     println!("# Fig. 11(a) — collision probability vs data rate");
     println!(
         "# {} topologies, 50 nodes, 5 layers, {} slots x {} channels",
-        topologies.len(),
+        sweep.topology_count(),
         config.slots,
         config.channels
     );
     print!("{:>4}", "rate");
-    for s in &schedulers {
-        print!(" {:>8}", s.name());
-    }
+    sweep.print_scheduler_columns();
     println!(" {:>12}", "total_cells");
 
-    let mut rows: Vec<(String, Vec<(&'static str, f64)>)> = Vec::new();
-    let mut spans: Vec<SpanEvent> = Vec::new();
     for rate in 1..=8u32 {
         print!("{rate:>4}");
-        let mut fields: Vec<(&'static str, f64)> = Vec::new();
-        for (si, s) in schedulers.iter().enumerate() {
-            let p = average_collision_probability(*s, &topologies, rate, config);
-            print!(" {:>8}", pct(p));
-            fields.push((s.name(), p));
-            // One span per sweep cell on a virtual clock: 1000 "slots" per
-            // rate step, one lane per scheduler, depth carries the rate.
-            let start = u64::from(rate - 1) * 1000 + si as u64 * 150;
-            spans.push(SpanEvent {
-                name: s.name(),
-                layer: "bench",
-                node: NO_NODE,
-                depth: rate,
-                start_asn: start,
-                end_asn: start + 149,
-                detail: (p * 1e6).round() as i64,
-                corr: 0,
-            });
-        }
-        fields.push(("total_cells", f64::from(49 * rate)));
+        sweep
+            .point(format!("rate{rate}"), rate, rate, config)
+            .push(("total_cells", f64::from(49 * rate)));
         println!(" {:>12}", 49 * rate);
-        rows.push((format!("rate{rate}"), fields));
     }
-    println!("{}", harp_bench::obs_footer());
-
-    let mut snap = MetricsSnapshot::default();
-    snap.add_counters(workloads::obs::totals());
-    snap.add_counters(schedulers::obs::totals());
-    let total = spans.len() as u64;
-    let json = to_json_with_sections(
-        &[],
-        &[("bench_threads", tsch_sim::bench_threads() as f64)],
-        &[
-            ("rows", rows_json(&rows)),
-            ("obs", snap.to_json()),
-            ("trace_sample", spans_to_json(spans.iter(), total)),
-        ],
-    );
-    write_report("BENCH_fig11a.json", &json);
+    sweep.write_report("BENCH_fig11a.json");
 }

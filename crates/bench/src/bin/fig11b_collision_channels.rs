@@ -14,26 +14,11 @@
 //!
 //! Run with `cargo run --release -p harp-bench --bin fig11b_collision_channels`.
 
-use harp_bench::harness::{rows_json, to_json_with_sections, write_report};
-use harp_bench::{average_collision_probability, pct};
-use harp_obs::{spans_to_json, MetricsSnapshot, SpanEvent, NO_NODE};
-use schedulers::{
-    AliceScheduler, HarpScheduler, LdsfScheduler, MsfScheduler, RandomScheduler, Scheduler,
-};
+use harp_bench::Fig11Sweep;
 use tsch_sim::SlotframeConfig;
 
 fn main() {
-    let topologies = workloads::fig11_topologies();
-    let schedulers: [&dyn Scheduler; 5] = [
-        &RandomScheduler,
-        &MsfScheduler,
-        &AliceScheduler,
-        &LdsfScheduler,
-        &HarpScheduler::default(),
-    ];
-    let mut rows: Vec<(String, Vec<(&'static str, f64)>)> = Vec::new();
-    let mut spans: Vec<SpanEvent> = Vec::new();
-    let mut step = 0u64;
+    let mut sweep = Fig11Sweep::new();
     // The paper sweeps at rate 3. Our composition packs tighter than the
     // testbed implementation, so at rate 3 HARP stays collision-free even
     // on one channel; the rate-6 sweep below exposes the same
@@ -42,12 +27,10 @@ fn main() {
         println!("# Fig. 11(b) — collision probability vs number of channels (rate {rate})");
         println!(
             "# {} topologies, 50 nodes, 5 layers, 199 slots",
-            topologies.len()
+            sweep.topology_count()
         );
         print!("{:>8}", "channels");
-        for s in &schedulers {
-            print!(" {:>8}", s.name());
-        }
+        sweep.print_scheduler_columns();
         println!();
 
         for channels in [16u16, 12, 8, 6, 4, 3, 2, 1] {
@@ -55,43 +38,15 @@ fn main() {
                 .with_channels(channels)
                 .expect("nonzero channel count");
             print!("{channels:>8}");
-            let mut fields: Vec<(&'static str, f64)> = Vec::new();
-            for (si, s) in schedulers.iter().enumerate() {
-                let p = average_collision_probability(*s, &topologies, rate, config);
-                print!(" {:>8}", pct(p));
-                fields.push((s.name(), p));
-                let start = step * 1000 + si as u64 * 150;
-                spans.push(SpanEvent {
-                    name: s.name(),
-                    layer: "bench",
-                    node: NO_NODE,
-                    depth: u32::from(channels),
-                    start_asn: start,
-                    end_asn: start + 149,
-                    detail: (p * 1e6).round() as i64,
-                    corr: 0,
-                });
-            }
+            sweep.point(
+                format!("r{rate}c{channels:02}"),
+                u32::from(channels),
+                rate,
+                config,
+            );
             println!();
-            rows.push((format!("r{rate}c{channels:02}"), fields));
-            step += 1;
         }
         println!();
     }
-    println!("{}", harp_bench::obs_footer());
-
-    let mut snap = MetricsSnapshot::default();
-    snap.add_counters(workloads::obs::totals());
-    snap.add_counters(schedulers::obs::totals());
-    let total = spans.len() as u64;
-    let json = to_json_with_sections(
-        &[],
-        &[("bench_threads", tsch_sim::bench_threads() as f64)],
-        &[
-            ("rows", rows_json(&rows)),
-            ("obs", snap.to_json()),
-            ("trace_sample", spans_to_json(spans.iter(), total)),
-        ],
-    );
-    write_report("BENCH_fig11b.json", &json);
+    sweep.write_report("BENCH_fig11b.json");
 }

@@ -1,15 +1,11 @@
 //! Scale study: event-engine throughput and conflict-storage footprint at
-//! 1k / 10k / 100k / 1M nodes, plus the sharded-execution speedup.
+//! 1k / 10k / 100k / 1M nodes.
 //!
 //! Each size runs the [`workloads::scale_scenario`] — 16 grafted fanout-4
 //! subtrees, a 199-slot × 16-channel slotframe, and a conflict-free
-//! schedule confined to per-subtree slot ranges — first on the monolithic
-//! event-driven engine, then sharded per depth-1 subtree on the full
-//! [`bench_threads`] worker pool. Both runs use streaming stats, so memory
-//! stays flat no matter how many packets flow. Sizes below
-//! [`SERIAL_FALLBACK_THRESHOLD`] nodes per shard skip the fork-join
-//! machinery entirely and run one serial engine, so the sharded path never
-//! loses to the dense one.
+//! schedule confined to per-subtree slot ranges — on the event-driven
+//! engine with streaming stats, so memory stays flat no matter how many
+//! packets flow.
 //!
 //! The headline metric is `active_cell_slots_per_sec`: throughput
 //! normalized to the number of *active cells* — scheduled (cell, link)
@@ -18,8 +14,8 @@
 //! sharing density grows with size.) The event engine touches only slots
 //! whose scheduled links hold traffic, so this rate stays flat (±25%,
 //! asserted here) from 1k to 1M nodes while the raw slots/sec
-//! necessarily falls with schedule density. The monolithic run executes
-//! with observability enabled and asserts the engine's `sim.idle_wakeups`
+//! necessarily falls with schedule density. The run executes with
+//! observability enabled and asserts the engine's `sim.idle_wakeups`
 //! counter stays zero — the calendar never woke a slot with no traffic.
 //!
 //! Writes `BENCH_scale.json` at the workspace root: one gated row per
@@ -32,16 +28,8 @@
 
 use harp_bench::harness::{rows_json, to_json_with_sections, write_report};
 use harp_obs::MetricsSnapshot;
-use tsch_sim::{
-    bench_threads, LinkQuality, ShardOptions, ShardedSimulator, Simulator, SimulatorBuilder,
-    StatsMode,
-};
+use tsch_sim::{bench_threads, Simulator, SimulatorBuilder, StatsMode};
 use workloads::{scale_scenario, ScaleScenario, SCALE_SIZES};
-
-/// Below this mean shard size the sharded run drops to one serial engine:
-/// fork-join overhead beats the parallel win on small shards, and the
-/// gate requires `sharded_speedup >= 1.0` on every row.
-const SERIAL_FALLBACK_THRESHOLD: usize = 4_000;
 
 /// Per-node budget on CSR conflict storage. The dense matrix needed
 /// `(2n)^2` bytes (~37 GiB at 100k); the CSR rows grow linearly, so a
@@ -62,11 +50,11 @@ const WARMUP_FRAMES: u64 = 20;
 /// Timed slotframes per measurement round.
 const FRAMES_PER_ROUND: u64 = 200;
 
-/// Measurement rounds. Each round times every size back to back (dense
-/// then sharded), so slow drift in host CPU speed — minutes-scale
-/// throttling on shared machines — hits all sizes alike instead of
-/// inflating whichever row happened to run first; the per-size medians
-/// across rounds are what the flatness check and the speedups compare.
+/// Measurement rounds. Each round times every size back to back, so slow
+/// drift in host CPU speed — minutes-scale throttling on shared machines —
+/// hits all sizes alike instead of inflating whichever row happened to run
+/// first; the per-size medians across rounds are what the flatness check
+/// compares.
 const ROUNDS: usize = 7;
 
 fn scenario_seed(nodes: u32) -> u64 {
@@ -84,14 +72,11 @@ fn row_label(nodes: u32) -> String {
     }
 }
 
-/// One size's live engines plus the rates sampled so far.
+/// One size's live engine plus the rates sampled so far.
 struct SizeRun {
     scenario: ScaleScenario,
-    dense: Simulator,
-    sharded: ShardedSimulator,
-    dense_rates: Vec<f64>,
-    /// Per-round sharded/dense ratio (adjacent in time, so drift cancels).
-    speedups: Vec<f64>,
+    sim: Simulator,
+    rates: Vec<f64>,
 }
 
 /// Median of `samples` (mean of the middle pair for even counts).
@@ -109,9 +94,9 @@ fn median(samples: &[f64]) -> f64 {
     }
 }
 
-/// Builds and warms both engines for one size. The dense engine runs
-/// with observability on, so the idle-wakeup counter is live.
-fn build_size(nodes: u32, threads: usize, warmup: u64) -> SizeRun {
+/// Builds and warms the engine for one size, with observability on so
+/// the idle-wakeup counter is live.
+fn build_size(nodes: u32, warmup: u64) -> SizeRun {
     let scenario = scale_scenario(nodes, scenario_seed(nodes));
     let mut builder = SimulatorBuilder::new(scenario.tree.clone(), scenario.config)
         .schedule(scenario.schedule.clone())
@@ -120,47 +105,13 @@ fn build_size(nodes: u32, threads: usize, warmup: u64) -> SizeRun {
     for task in &scenario.tasks {
         builder = builder.task(task.clone()).expect("unique task ids");
     }
-    let mut dense = builder.build();
-    dense.run_slotframes(warmup);
-
-    // On a single worker the fork-join pool cannot win — sharding is the
-    // serial engine's work plus per-shard frame overhead — so the
-    // fallback threshold goes to "always" and the row honestly reports
-    // the structural speedup of 1.0.
-    let threshold = if threads <= 1 {
-        usize::MAX
-    } else {
-        SERIAL_FALLBACK_THRESHOLD
-    };
-    let mut sharded = ShardedSimulator::try_new(
-        &scenario.tree,
-        scenario.config,
-        &scenario.schedule,
-        &LinkQuality::perfect(),
-        scenario_seed(nodes),
-        &scenario.tasks,
-        ShardOptions {
-            trace_capacity: 0,
-            stats_mode: StatsMode::Streaming,
-            serial_fallback_threshold: threshold,
-        },
-    )
-    .expect("scale scenario shards by construction");
-    sharded.run_slotframes_with_threads(warmup, threads);
+    let mut sim = builder.build();
+    sim.run_slotframes(warmup);
     SizeRun {
         scenario,
-        dense,
-        sharded,
-        dense_rates: Vec::new(),
-        speedups: Vec::new(),
+        sim,
+        rates: Vec::new(),
     }
-}
-
-/// Times one engine chunk, returning slots per second.
-fn timed_frames<F: FnOnce()>(frames: u64, slots: u32, run: F) -> f64 {
-    let start = std::time::Instant::now();
-    run();
-    (frames * u64::from(slots)) as f64 / start.elapsed().as_secs_f64()
 }
 
 fn main() {
@@ -170,45 +121,27 @@ fn main() {
     } else {
         (&SCALE_SIZES, ROUNDS, FRAMES_PER_ROUND, WARMUP_FRAMES)
     };
-    let threads = bench_threads();
-
-    println!("# Scale study — event engine, dense vs sharded, streaming stats");
-    println!(
-        "# {rounds} round(s) x {frames} slotframes per size, interleaved; \
-         sharded on {threads} threads"
-    );
+    println!("# Scale study — event engine, streaming stats");
+    println!("# {rounds} round(s) x {frames} slotframes per size, interleaved");
 
     // Build and warm every size up front, then interleave the timed
     // rounds across sizes (see [`ROUNDS`] for why).
     let mut runs: Vec<SizeRun> = sizes
         .iter()
-        .map(|&nodes| build_size(nodes, threads, warmup))
+        .map(|&nodes| build_size(nodes, warmup))
         .collect();
     for _ in 0..rounds {
         for run in &mut runs {
-            let slots = run.scenario.config.slots;
-            let dense = &mut run.dense;
-            let dense_rate = timed_frames(frames, slots, || dense.run_slotframes(frames));
-            let sharded = &mut run.sharded;
-            let shard_rate = timed_frames(frames, slots, || {
-                sharded.run_slotframes_with_threads(frames, threads);
-            });
-            run.dense_rates.push(dense_rate);
-            run.speedups.push(shard_rate / dense_rate);
+            let slots = frames * u64::from(run.scenario.config.slots);
+            let start = std::time::Instant::now();
+            run.sim.run_slotframes(frames);
+            run.rates.push(slots as f64 / start.elapsed().as_secs_f64());
         }
     }
 
     println!(
-        "{:>8} {:>14} {:>8} {:>8} {:>14} {:>14} {:>14} {:>8} {:>10}",
-        "nodes",
-        "conflict_B",
-        "active",
-        "distinct",
-        "slots/s",
-        "cell_slots/s",
-        "shard_slots/s",
-        "speedup",
-        "delivered"
+        "{:>8} {:>14} {:>8} {:>8} {:>14} {:>14} {:>10}",
+        "nodes", "conflict_B", "active", "distinct", "slots/s", "cell_slots/s", "delivered"
     );
     let mut rows = Vec::new();
     let mut flatness: Vec<(u32, f64)> = Vec::new();
@@ -217,8 +150,8 @@ fn main() {
         let active_cells = run.scenario.schedule.assignment_count();
         let distinct_cells = run.scenario.schedule.active_cells();
         let slots = run.scenario.config.slots;
-        let conflict_bytes = run.dense.conflict_storage_bytes();
-        let conflict_entries = run.dense.conflict_entries();
+        let conflict_bytes = run.sim.conflict_storage_bytes();
+        let conflict_entries = run.sim.conflict_entries();
         let conflict_limit = nodes as usize * CONFLICT_BYTES_PER_NODE;
         assert!(
             conflict_bytes < conflict_limit,
@@ -226,7 +159,7 @@ fn main() {
              at {nodes} nodes"
         );
         let idle_wakeups = run
-            .dense
+            .sim
             .metrics_snapshot()
             .counter("sim.idle_wakeups")
             .unwrap_or(0);
@@ -234,43 +167,23 @@ fn main() {
             idle_wakeups, 0,
             "the event calendar woke an idle slot at {nodes} nodes"
         );
-        let dense_stats = run.dense.into_stats();
-        assert_eq!(
-            dense_stats.collisions, 0,
-            "the scale schedule is conflict-free"
-        );
-        let shard_stats = run.sharded.stats();
-        assert_eq!(
-            shard_stats.delivered(),
-            dense_stats.delivered(),
-            "sharded delivery count must match the dense engine"
-        );
+        let stats = run.sim.into_stats();
+        assert_eq!(stats.collisions, 0, "the scale schedule is conflict-free");
 
-        let dense_rate = median(&run.dense_rates);
+        let rate = median(&run.rates);
         // Same normalization as SimStats::active_cell_slots_per_sec, but
         // over the measured rounds only (stats.run_time includes warmup).
-        let cell_rate = dense_rate * active_cells as f64 / f64::from(slots);
-        let shard_rate = dense_rate * median(&run.speedups);
-        // A fallback row *is* the monolithic engine — the ratio of two
-        // timings of identical work is noise, so report the structural
-        // value.
-        let speedup = if run.sharded.is_fallback() {
-            1.0
-        } else {
-            median(&run.speedups)
-        };
+        let cell_rate = rate * active_cells as f64 / f64::from(slots);
 
         println!(
-            "{:>8} {:>14} {:>8} {:>8} {:>14.0} {:>14.0} {:>14.0} {:>8.2} {:>10}",
+            "{:>8} {:>14} {:>8} {:>8} {:>14.0} {:>14.0} {:>10}",
             nodes,
             conflict_bytes,
             active_cells,
             distinct_cells,
-            dense_rate,
+            rate,
             cell_rate,
-            shard_rate,
-            speedup,
-            dense_stats.delivered()
+            stats.delivered()
         );
 
         flatness.push((nodes, cell_rate));
@@ -282,14 +195,12 @@ fn main() {
                 ("conflict_entries", conflict_entries as f64),
                 ("active_cells", active_cells as f64),
                 ("distinct_cells", distinct_cells as f64),
-                ("slots_per_sec", dense_rate),
+                ("slots_per_sec", rate),
                 ("active_cell_slots_per_sec", cell_rate),
-                ("sharded_slots_per_sec", shard_rate),
-                ("sharded_speedup", speedup),
                 ("idle_wakeups", idle_wakeups as f64),
-                ("delivered", dense_stats.delivered() as f64),
-                ("collisions", dense_stats.collisions as f64),
-                ("queue_drops", dense_stats.queue_drops as f64),
+                ("delivered", stats.delivered() as f64),
+                ("collisions", stats.collisions as f64),
+                ("queue_drops", stats.queue_drops as f64),
             ],
         ));
     }
@@ -319,7 +230,7 @@ fn main() {
     snap.add_counters(workloads::obs::totals());
     let json = to_json_with_sections(
         &[],
-        &[("bench_threads", threads as f64)],
+        &[("bench_threads", bench_threads() as f64)],
         &[("rows", rows_json(&rows)), ("obs", snap.to_json())],
     );
     write_report("BENCH_scale.json", &json);

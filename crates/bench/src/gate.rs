@@ -264,8 +264,6 @@ pub const SCALE_FLATNESS_TOLERANCE: f64 = 0.25;
 ///
 /// * `idle_wakeups` is zero on every row — the event calendar never woke
 ///   a slot without traffic;
-/// * `sharded_speedup` is at least `1.0` on every row — the serial
-///   fallback guarantees sharding never loses to the dense engine;
 /// * `active_cell_slots_per_sec` stays within
 ///   [`SCALE_FLATNESS_TOLERANCE`] of the geometric mean across rows —
 ///   per-active-cell cost is flat in the node count.
@@ -287,16 +285,6 @@ pub fn scale_checks(fresh: &Json) -> Vec<Violation> {
                     baseline: Some(0.0),
                     fresh: Some(wakeups),
                     limit: "event calendar must never wake an idle slot".to_owned(),
-                });
-            }
-        }
-        if let Some(speedup) = field("sharded_speedup") {
-            if speedup < 1.0 {
-                out.push(Violation {
-                    key: format!("rows[{label}].sharded_speedup"),
-                    baseline: Some(1.0),
-                    fresh: Some(speedup),
-                    limit: "sharded run must never lose to the dense engine".to_owned(),
                 });
             }
         }
@@ -542,6 +530,21 @@ mod tests {
     }
 
     #[test]
+    fn baseline_column_missing_from_fresh_row_trips() {
+        // Dropping a report column needs the baseline recommitted with it.
+        let base = r#"{"rows": [
+            {"name": "scale_1k", "delivered": 181548.0, "removed_column": 1.0}
+        ]}"#;
+        let fresh = r#"{"rows": [{"name": "scale_1k", "delivered": 181548.0}]}"#;
+        let v = compare_report_strs(base, fresh).unwrap();
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].key, "rows[scale_1k].removed_column");
+        assert_eq!(v[0].fresh, None);
+        // The other direction — a new column in the fresh row — is fine.
+        assert!(compare_report_strs(fresh, base).unwrap().is_empty());
+    }
+
+    #[test]
     fn committed_baselines_self_compare_clean() {
         // Every report the manifest registers must exist, parse, and
         // self-compare empty — the manifest and the committed artefacts
@@ -576,25 +579,24 @@ mod tests {
     #[test]
     fn scale_checks_accept_flat_zero_wakeup_rows() {
         let fresh = r#"{"rows": [
-            {"name": "scale_1k", "idle_wakeups": 0.0, "sharded_speedup": 1.0,
+            {"name": "scale_1k", "idle_wakeups": 0.0,
              "active_cell_slots_per_sec": 95000.0},
-            {"name": "scale_1m", "idle_wakeups": 0.0, "sharded_speedup": 2.1,
+            {"name": "scale_1m", "idle_wakeups": 0.0,
              "active_cell_slots_per_sec": 105000.0}
         ]}"#;
         assert!(scale_check_str(fresh).unwrap().is_empty());
     }
 
     #[test]
-    fn scale_checks_trip_on_wakeups_slowdown_and_drift() {
+    fn scale_checks_trip_on_wakeups_and_drift() {
         let fresh = r#"{"rows": [
-            {"name": "scale_1k", "idle_wakeups": 3.0, "sharded_speedup": 0.9,
+            {"name": "scale_1k", "idle_wakeups": 3.0,
              "active_cell_slots_per_sec": 100000.0},
-            {"name": "scale_1m", "idle_wakeups": 0.0, "sharded_speedup": 1.5,
+            {"name": "scale_1m", "idle_wakeups": 0.0,
              "active_cell_slots_per_sec": 20000.0}
         ]}"#;
         let v = scale_check_str(fresh).unwrap();
         assert!(v.iter().any(|x| x.key == "rows[scale_1k].idle_wakeups"));
-        assert!(v.iter().any(|x| x.key == "rows[scale_1k].sharded_speedup"));
         assert!(v
             .iter()
             .any(|x| x.key == "rows[scale_1m].active_cell_slots_per_sec"));

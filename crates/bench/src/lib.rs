@@ -46,6 +46,108 @@ pub fn average_collision_probability(
     mean(&probabilities)
 }
 
+/// The sweep both Fig. 11 panels run: the five compared schedulers over the
+/// 100 Fig. 11 topologies. Each [`point`](Self::point) adds one gated
+/// report row and one lane of synthetic `bench` spans on a virtual clock
+/// (1000 "slots" per point, one 150-slot lane per scheduler), so
+/// `harp_trace` can show where the sweep spent its slots.
+pub struct Fig11Sweep {
+    topologies: Vec<Tree>,
+    schedulers: [Box<dyn Scheduler>; 5],
+    rows: Vec<(String, Vec<(&'static str, f64)>)>,
+    spans: Vec<harp_obs::SpanEvent>,
+}
+
+impl Fig11Sweep {
+    /// Generates the topologies and starts an empty sweep.
+    #[must_use]
+    #[allow(clippy::new_without_default)]
+    pub fn new() -> Self {
+        Self {
+            topologies: workloads::fig11_topologies(),
+            schedulers: [
+                Box::new(schedulers::RandomScheduler),
+                Box::new(schedulers::MsfScheduler),
+                Box::new(schedulers::AliceScheduler),
+                Box::new(schedulers::LdsfScheduler),
+                Box::new(schedulers::HarpScheduler::default()),
+            ],
+            rows: Vec::new(),
+            spans: Vec::new(),
+        }
+    }
+
+    /// Number of topologies each point averages over.
+    #[must_use]
+    pub fn topology_count(&self) -> usize {
+        self.topologies.len()
+    }
+
+    /// Prints the scheduler-name column headers (no newline).
+    pub fn print_scheduler_columns(&self) {
+        for s in &self.schedulers {
+            print!(" {:>8}", s.name());
+        }
+    }
+
+    /// Measures every scheduler at one sweep point, prints the collision
+    /// probabilities as columns (no newline) and records the row `name`
+    /// and its spans, whose `depth` carries the swept parameter. Returns
+    /// the row's fields so a panel can append its own.
+    pub fn point(
+        &mut self,
+        name: String,
+        depth: u32,
+        cells_per_link: u32,
+        config: SlotframeConfig,
+    ) -> &mut Vec<(&'static str, f64)> {
+        let step = self.rows.len() as u64;
+        let mut fields = Vec::new();
+        for (si, s) in self.schedulers.iter().enumerate() {
+            let p =
+                average_collision_probability(s.as_ref(), &self.topologies, cells_per_link, config);
+            print!(" {:>8}", pct(p));
+            fields.push((s.name(), p));
+            let start = step * 1000 + si as u64 * 150;
+            self.spans.push(harp_obs::SpanEvent {
+                name: s.name(),
+                layer: "bench",
+                node: harp_obs::NO_NODE,
+                depth,
+                start_asn: start,
+                end_asn: start + 149,
+                detail: (p * 1e6).round() as i64,
+                corr: 0,
+            });
+        }
+        self.rows.push((name, fields));
+        &mut self.rows.last_mut().expect("row just pushed").1
+    }
+
+    /// Prints the library-counter footer and writes the report: rows, the
+    /// workloads and schedulers counters, and the sweep trace.
+    pub fn write_report(self, file_name: &str) {
+        println!("{}", obs_footer());
+        let mut snap = tsch_sim::MetricsSnapshot::default();
+        snap.add_counters(workloads::obs::totals());
+        snap.add_counters(schedulers::obs::totals());
+        let total = self.spans.len() as u64;
+        let json = harness::to_json_with_sections(
+            &[],
+            &[("bench_threads", bench_threads() as f64)],
+            &[
+                ("rows", harness::rows_json(&self.rows)),
+                ("obs", snap.to_json()),
+                (
+                    "trace_sample",
+                    harp_obs::spans_to_json(self.spans.iter(), total),
+                ),
+            ],
+        );
+        harness::write_report(file_name, &json);
+    }
+}
+
 /// One measured HARP adjustment: messages and timing for raising one link's
 /// demand on a converged network (a Table II row / Fig. 12 sample).
 #[derive(Debug, Clone, PartialEq)]

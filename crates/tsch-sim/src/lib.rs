@@ -62,7 +62,6 @@ mod radio;
 pub mod reference;
 mod rng;
 mod schedule;
-pub mod sharded;
 mod stats;
 mod time;
 mod topology;
@@ -79,11 +78,10 @@ pub use hopping::{HoppingError, HoppingSequence};
 pub use interference::{GlobalInterference, InterferenceModel, TwoHopInterference};
 pub use mgmt::{Delivered, MgmtError, MgmtPlane};
 pub use packet::{Packet, Rate, RateError, Task, TaskId, TaskKind};
-pub use par::{bench_threads, par_for_each_mut_with_threads, par_map, par_map_with_threads};
+pub use par::{bench_threads, par_map, par_map_with_threads};
 pub use radio::{LinkQuality, PdrError};
 pub use rng::SplitMix64;
 pub use schedule::{CollisionReport, NetworkSchedule, ScheduleError};
-pub use sharded::{ShardOptions, ShardViolation, ShardedSimulator};
 pub use stats::{
     mean, percentile_nearest_rank, DeliveryRecord, LatencySummary, SimStats, StatsMode,
 };

@@ -1,13 +1,10 @@
 //! Deterministic fork-join helpers over OS threads.
 //!
-//! Used by the sharded simulator to execute subtree shards concurrently and
-//! by the experiment harness for parameter sweeps. Result order never
+//! Used by the experiment harness for parameter sweeps. Result order never
 //! depends on OS scheduling, so parallel runs are byte-identical to serial
 //! ones.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Worker-thread count for parallel work: the `HARP_BENCH_THREADS`
 /// environment variable when set to a positive integer, otherwise the
@@ -80,89 +77,6 @@ where
     par_map_with_threads(items, bench_threads(), f)
 }
 
-/// Runs `f` on every item, in place, on `threads` OS threads with work
-/// stealing.
-///
-/// Each worker is dealt a contiguous chunk of item indices up front and
-/// drains it from the front; a worker whose own deque runs dry steals the
-/// back half of the fullest remaining victim's deque. The items themselves
-/// live behind per-item mutexed slots taken exactly once, so every item is
-/// visited exactly once with exclusive access and — for independent items —
-/// the outcome is identical to a serial `iter_mut` pass regardless of how
-/// stealing interleaves. No `unsafe` is involved; the slot mutexes are
-/// uncontended in the common case, so the overhead is one lock/unlock per
-/// item.
-///
-/// # Panics
-///
-/// Propagates a panic from `f` (the panicking worker's join fails).
-pub fn par_for_each_mut_with_threads<T, F>(items: &mut [T], threads: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let threads = threads.clamp(1, items.len().max(1));
-    if threads == 1 || items.len() <= 1 {
-        for (i, item) in items.iter_mut().enumerate() {
-            f(i, item);
-        }
-        return;
-    }
-    let len = items.len();
-    // One slot per item: taking the Option guarantees single execution even
-    // if a stale index were ever observed twice.
-    let slots: Vec<Mutex<Option<(usize, &mut T)>>> = items
-        .iter_mut()
-        .enumerate()
-        .map(|(i, item)| Mutex::new(Some((i, item))))
-        .collect();
-    // Deal contiguous chunks so each worker starts on a cache-friendly
-    // range; stealing rebalances uneven chunk costs.
-    let chunk = len.div_ceil(threads);
-    let queues: Vec<Mutex<VecDeque<usize>>> = (0..threads)
-        .map(|w| {
-            let lo = (w * chunk).min(len);
-            let hi = ((w + 1) * chunk).min(len);
-            Mutex::new((lo..hi).collect())
-        })
-        .collect();
-    std::thread::scope(|scope| {
-        for w in 0..threads {
-            let slots = &slots;
-            let queues = &queues;
-            let f = &f;
-            scope.spawn(move || loop {
-                // Own work first, front to back.
-                let mut next = queues[w].lock().expect("queue poisoned").pop_front();
-                if next.is_none() {
-                    // Steal the back half of the fullest victim.
-                    let victim = (0..queues.len())
-                        .filter(|&v| v != w)
-                        .map(|v| (v, queues[v].lock().expect("queue poisoned").len()))
-                        .max_by_key(|&(_, len)| len)
-                        .filter(|&(_, len)| len > 0)
-                        .map(|(v, _)| v);
-                    if let Some(v) = victim {
-                        let mut theirs = queues[v].lock().expect("queue poisoned");
-                        let keep = theirs.len() - theirs.len() / 2;
-                        let stolen = theirs.split_off(keep);
-                        drop(theirs);
-                        if !stolen.is_empty() {
-                            let mut mine = queues[w].lock().expect("queue poisoned");
-                            *mine = stolen;
-                            next = mine.pop_front();
-                        }
-                    }
-                }
-                let Some(i) = next else { break };
-                if let Some((idx, item)) = slots[i].lock().expect("slot poisoned").take() {
-                    f(idx, item);
-                }
-            });
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,38 +118,5 @@ mod tests {
             x + 1
         });
         assert_eq!(out, (1..=40).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn par_for_each_mut_steals_across_skewed_chunks() {
-        // All the heavy items land in worker 0's contiguous chunk; the
-        // other workers' chunks drain instantly and must steal. Whatever
-        // the interleaving, every item is visited exactly once.
-        for threads in [2, 4] {
-            let mut items: Vec<u64> = (0..64).collect();
-            let visits = AtomicUsize::new(0);
-            par_for_each_mut_with_threads(&mut items, threads, |i, x| {
-                if i < 16 {
-                    std::thread::sleep(std::time::Duration::from_millis(1));
-                }
-                visits.fetch_add(1, Ordering::Relaxed);
-                *x += 100;
-            });
-            assert_eq!(visits.load(Ordering::Relaxed), 64, "threads={threads}");
-            let expected: Vec<u64> = (100..164).collect();
-            assert_eq!(items, expected, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn par_for_each_mut_visits_every_item_once() {
-        for threads in [1, 2, 3, 16] {
-            let mut items: Vec<u64> = (0..23).collect();
-            par_for_each_mut_with_threads(&mut items, threads, |i, x| {
-                *x = *x * 2 + i as u64;
-            });
-            let expected: Vec<u64> = (0..23).map(|x| x * 3).collect();
-            assert_eq!(items, expected, "threads={threads}");
-        }
     }
 }

@@ -325,79 +325,6 @@ impl SimStats {
         }
     }
 
-    /// Folds a shard's measurements into this collector, remapping the
-    /// shard's local node ids through `node_map` (`node_map[local]` is the
-    /// global [`NodeId`]) — the merge step of the sharded simulator.
-    ///
-    /// Counters, per-link attempts, per-source latency aggregates and
-    /// delivery records add; queue high-water marks merge by maximum —
-    /// shards own disjoint nodes except the shared gateway, whose true
-    /// cross-shard peak the caller must reconstruct itself.
-    /// `slots_simulated`, `run_time` and timeline trackers are left
-    /// untouched: shards execute the same slot range concurrently, so the
-    /// caller sets those once for the whole run.
-    pub fn merge_shard(&mut self, other: &SimStats, node_map: &[NodeId]) {
-        self.tx_attempts += other.tx_attempts;
-        self.collisions += other.collisions;
-        self.losses += other.losses;
-        self.queue_drops += other.queue_drops;
-        self.generated += other.generated;
-        self.delivered += other.delivered;
-        for (i, &n) in other.tx_attempts_by_link.iter().enumerate() {
-            if n == 0 {
-                continue;
-            }
-            let local = Self::link_of(i);
-            let global = Link {
-                child: node_map[local.child.index()],
-                direction: local.direction,
-            };
-            let gi = Self::link_index(global);
-            if gi >= self.tx_attempts_by_link.len() {
-                self.tx_attempts_by_link.resize(gi + 1, 0);
-            }
-            self.tx_attempts_by_link[gi] += n;
-        }
-        for (i, &depth) in other.queue_high_water_by_node.iter().enumerate() {
-            if depth > 0 {
-                self.record_queue_depth(node_map[i], depth);
-            }
-        }
-        for (i, agg) in other.per_source.iter().enumerate() {
-            if agg.count == 0 {
-                continue;
-            }
-            let gi = node_map[i].index();
-            if gi >= self.per_source.len() {
-                self.per_source.resize_with(gi + 1, SourceAgg::default);
-            }
-            let mine = &mut self.per_source[gi];
-            if mine.count == 0 {
-                mine.min = agg.min;
-                mine.max = agg.max;
-            } else {
-                mine.min = mine.min.min(agg.min);
-                mine.max = mine.max.max(agg.max);
-            }
-            mine.count += agg.count;
-            mine.sum += agg.sum;
-            if !agg.hist.is_empty() {
-                if mine.hist.is_empty() {
-                    mine.hist = vec![0; LATENCY_SLOT_BOUNDS.len() + 1];
-                }
-                for (a, &b) in mine.hist.iter_mut().zip(&agg.hist) {
-                    *a += b;
-                }
-            }
-        }
-        for d in &other.deliveries {
-            self.deliveries.push(DeliveryRecord {
-                source: node_map[d.source.index()],
-                ..*d
-            });
-        }
-    }
-
     /// Updates a node's queue high-water mark.
     pub fn record_queue_depth(&mut self, node: NodeId, depth: usize) {
         let i = node.index();
@@ -406,15 +333,6 @@ impl SimStats {
         }
         let entry = &mut self.queue_high_water_by_node[i];
         *entry = (*entry).max(depth);
-    }
-
-    /// One node's queue high-water mark (0 if never recorded).
-    #[must_use]
-    pub fn queue_high_water_of(&self, node: NodeId) -> usize {
-        self.queue_high_water_by_node
-            .get(node.index())
-            .copied()
-            .unwrap_or(0)
     }
 
     /// The deepest queue high-water mark across all nodes.
@@ -675,7 +593,6 @@ mod tests {
         stats.record_queue_depth(NodeId(1), 3);
         stats.record_queue_depth(NodeId(1), 1);
         stats.record_queue_depth(NodeId(1), 5);
-        assert_eq!(stats.queue_high_water_of(NodeId(1)), 5);
         assert_eq!(stats.max_queue_high_water(), 5);
         assert_eq!(stats.queue_high_water(), HashMap::from([(NodeId(1), 5)]));
     }

@@ -1,17 +1,16 @@
 //! The scale-study scenario: one tree of 16 grafted subtrees sized to a
-//! requested node count, with a schedule built to shard cleanly.
+//! requested node count, each subtree scheduled in its own slot range.
 //!
-//! The HARP partitioning insight — depth-1 subtrees are disjoint — only
-//! pays off at scale if the workload actually respects it. This scenario
-//! makes the precondition hold by construction: the slotframe's slots are
-//! divided into one contiguous range per subtree, and every link is
-//! scheduled inside its own subtree's range, so no cell ever mixes links
-//! from two subtrees and [`tsch_sim::ShardedSimulator`] accepts the
-//! scenario as-is. Within a range, cells are assigned demand-aware and
-//! first-fit: each uplink route link receives as many cells per slotframe
-//! as tasks route through it (so queues are stable), and non-conflicting
-//! links share cells where the two-hop model allows, exercising the
-//! engine's conflict probing without manufacturing collisions.
+//! The scenario mirrors HARP's partitioning — depth-1 subtrees hold
+//! disjoint resources — at sizes the allocator is not run at: the
+//! slotframe's slots are divided into one contiguous range per subtree,
+//! every link is scheduled inside its own subtree's range, and no task is
+//! sourced at the gateway, so no cell ever mixes links from two subtrees.
+//! Within a range, cells are assigned demand-aware and first-fit: each
+//! uplink route link receives as many cells per slotframe as tasks route
+//! through it (so queues are stable), and non-conflicting links share
+//! cells where the two-hop model allows, exercising the engine's conflict
+//! probing without manufacturing collisions.
 
 use crate::topo_gen::TopologyConfig;
 use std::collections::HashMap;
@@ -20,7 +19,7 @@ use tsch_sim::{
     Tree, TwoHopInterference,
 };
 
-/// Depth-1 subtrees (= shards) in every scale scenario.
+/// Depth-1 subtrees in every scale scenario.
 pub const SCALE_SUBTREES: usize = 16;
 
 /// Node counts of the scale-study rows (1k → 1M). The bench harness and
@@ -170,7 +169,7 @@ fn scale_schedule(
         }
     }
 
-    let shard_index = |v: NodeId| -> usize {
+    let subtree_index = |v: NodeId| -> usize {
         match subtree_roots.binary_search_by(|root| root.0.cmp(&v.0)) {
             Ok(i) => i,
             Err(i) => i - 1,
@@ -182,7 +181,7 @@ fn scale_schedule(
         let slot_base = u32::try_from(k).expect("small constant") * width;
         let mut links: Vec<(Link, u64)> = demand
             .iter()
-            .filter(|(&v, _)| shard_index(v) == k)
+            .filter(|(&v, _)| subtree_index(v) == k)
             .map(|(&v, &d)| (Link::up(v), d))
             .collect();
         links.sort_by_key(|&(link, d)| {
@@ -226,7 +225,7 @@ fn scale_schedule(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tsch_sim::{LinkQuality, ShardOptions, ShardedSimulator, StatsMode};
+    use tsch_sim::StatsMode;
 
     #[test]
     fn scenario_has_requested_size_and_shape() {
@@ -248,23 +247,25 @@ mod tests {
     }
 
     #[test]
-    fn schedule_fits_the_slotframe_and_shards_cleanly() {
+    fn schedule_fits_the_slotframe_and_keeps_subtrees_apart() {
         let s = scale_scenario(1_000, 3);
         let total: usize = s.schedule.iter_cells().map(|(_, links)| links.len()).sum();
         assert!(total <= (s.config.slots * u32::from(s.config.channels)) as usize);
-        // The sharded simulator accepting the scenario proves no cell
-        // mixes subtrees and no task sits on the gateway.
-        let sharded = ShardedSimulator::try_new(
-            &s.tree,
-            s.config,
-            &s.schedule,
-            &LinkQuality::perfect(),
-            1,
-            &s.tasks,
-            ShardOptions::default(),
-        )
-        .unwrap();
-        assert_eq!(sharded.shard_count(), SCALE_SUBTREES);
+
+        assert_eq!(s.tree.children(NodeId(0)).len(), SCALE_SUBTREES);
+        // Depth-1 ancestor: the path ends `[.., top, gateway]`.
+        let top_of = |v: NodeId| {
+            let path = s.tree.path_to_root(v);
+            path[path.len() - 2]
+        };
+        for (cell, links) in s.schedule.iter_cells() {
+            let top = top_of(links[0].child);
+            assert!(
+                links.iter().all(|l| top_of(l.child) == top),
+                "cell {cell} mixes links from two subtrees"
+            );
+        }
+        assert!(s.tasks.iter().all(|t| t.source != NodeId(0)));
     }
 
     #[test]
