@@ -4,10 +4,18 @@
 //! simpler shelf packers (FFDH/NFDH). This bench measures both runtime and
 //! — via the reported strip heights printed once per size — solution
 //! quality on workloads shaped like HARP compositions.
+//!
+//! The 2- and 4-item rows are the traffic: every `BENCHMARK.json` workload
+//! composes at most `max_children` = 4 components per layer, where the
+//! fixed cost of a call is the whole cost. `skyline` is [`pack_strip`]
+//! (a fresh workspace per call — what the benchmark's traced
+//! `packing.skyline.pack_strip_us` times), `skyline_reused` the same pack
+//! through one warm [`StripWorkspace`] (what a `HarpNetwork` composes
+//! with).
 
 use harp_bench::harness::measure;
 use packing::shelf::{pack_strip_ffdh, pack_strip_nfdh};
-use packing::{pack_strip, FreeSpace, Rect, Size};
+use packing::{pack_strip, FreeSpace, Rect, Size, StripWorkspace};
 use std::hint::black_box;
 use tsch_sim::SplitMix64;
 
@@ -25,7 +33,7 @@ fn component_set(n: usize, seed: u64) -> Vec<Size> {
 }
 
 fn bench_strip_packers() {
-    for &n in &[8usize, 32, 128] {
+    for &n in &[2usize, 4, 8, 32, 128] {
         let items = component_set(n, 7);
         // Print the quality comparison once per size (ablation data).
         let sky = pack_strip(&items, 16).unwrap().height();
@@ -35,6 +43,12 @@ fn bench_strip_packers() {
 
         let m = measure(&format!("strip_packing/skyline/{n}"), || {
             pack_strip(black_box(&items), 16).unwrap()
+        });
+        println!("{}", m.report());
+        let mut ws = StripWorkspace::new();
+        let mut placements = Vec::new();
+        let m = measure(&format!("strip_packing/skyline_reused/{n}"), || {
+            ws.pack(black_box(&items), 16, &mut placements).unwrap()
         });
         println!("{}", m.report());
         let m = measure(&format!("strip_packing/ffdh/{n}"), || {

@@ -19,7 +19,8 @@
 use crate::component::{ResourceComponent, ResourceInterface};
 use crate::error::HarpError;
 use crate::requirement::Requirements;
-use packing::{pack_strip, Rect, Size};
+use crate::workspace::Workspace;
+use packing::Rect;
 use std::collections::BTreeMap;
 use tsch_sim::{Direction, NodeId, Tree};
 
@@ -58,7 +59,8 @@ impl CompositionLayout {
     }
 }
 
-/// Composes child components at one layer into a composite (Alg. 1).
+/// Composes child components at one layer into a composite (Alg. 1):
+/// [`Workspace::compose`] on a fresh workspace.
 ///
 /// `children` pairs each direct-subtree root with its component at the layer
 /// being composed. The `max_channels` budget is the network's channel count
@@ -94,88 +96,128 @@ pub fn compose_components(
     max_channels: u16,
     layer: u32,
 ) -> Result<CompositionLayout, HarpError> {
-    // Partition into packable and empty children.
-    let packable: Vec<(NodeId, ResourceComponent)> = children
-        .iter()
-        .copied()
-        .filter(|(_, c)| !c.is_empty())
-        .collect();
-    if let Some(&(_, c)) = packable
-        .iter()
-        .find(|(_, c)| c.channels > u32::from(max_channels))
-    {
-        return Err(HarpError::ChannelBudgetExceeded {
-            layer,
-            needed: c.channels,
-            budget: max_channels,
-        });
-    }
-    if packable.is_empty() {
-        return Ok(CompositionLayout {
-            composite: ResourceComponent::default(),
-            placements: children
-                .iter()
-                .map(|&(n, _)| (n, Rect::default()))
-                .collect(),
-        });
-    }
+    Workspace::new().compose(children.iter().copied(), max_channels, layer)
+}
 
-    // Pass 1: width = channel budget, minimise the slot extent.
-    let channel_major: Vec<Size> = packable
-        .iter()
-        .map(|(_, c)| c.as_size_channel_major())
-        .collect();
-    let pass1 = pack_strip(&channel_major, u32::from(max_channels))?;
-    let min_slots = pass1.height();
-    let pass1_channels = pass1
-        .placements()
-        .iter()
-        .map(Rect::right)
-        .max()
-        .expect("non-empty packing");
+impl Workspace {
+    /// Composes child components at one layer into a composite (Alg. 1),
+    /// allocating nothing but the returned layout's placements once the
+    /// workspace is warm.
+    ///
+    /// `children` pairs each direct-subtree root with its component at the
+    /// layer being composed. The `max_channels` budget is the network's
+    /// channel count `M`.
+    ///
+    /// # Errors
+    ///
+    /// [`HarpError::ChannelBudgetExceeded`] if any child component is taller
+    /// (in channels) than the budget.
+    pub fn compose(
+        &mut self,
+        children: impl IntoIterator<Item = (NodeId, ResourceComponent)>,
+        max_channels: u16,
+        layer: u32,
+    ) -> Result<CompositionLayout, HarpError> {
+        let Self {
+            strip,
+            components,
+            sizes,
+            pass1,
+            pass2,
+            ..
+        } = self;
+        components.clear();
+        components.extend(children);
+        // Only non-empty components are packed.
+        let packable = || components.iter().map(|(_, c)| c).filter(|c| !c.is_empty());
+        if let Some(c) = packable().find(|c| c.channels > u32::from(max_channels)) {
+            return Err(HarpError::ChannelBudgetExceeded {
+                layer,
+                needed: c.channels,
+                budget: max_channels,
+            });
+        }
 
-    // Pass 2: width = the minimal slot extent, minimise the channel extent.
-    let slot_major: Vec<Size> = packable.iter().map(|(_, c)| c.as_size()).collect();
-    let pass2 = pack_strip(&slot_major, min_slots)?;
+        // Pass 1: width = channel budget, minimise the slot extent.
+        sizes.clear();
+        sizes.extend(packable().map(ResourceComponent::as_size_channel_major));
+        if sizes.is_empty() {
+            return Ok(CompositionLayout {
+                composite: ResourceComponent::default(),
+                placements: components
+                    .iter()
+                    .map(|&(n, _)| (n, Rect::default()))
+                    .collect(),
+            });
+        }
+        let min_slots = strip.pack(sizes, u32::from(max_channels), pass1)?;
+        let pass1_channels = pass1
+            .iter()
+            .map(Rect::right)
+            .max()
+            .expect("non-empty packing");
 
-    // Keep whichever pass used fewer channels (pass 2 can regress when the
-    // narrow strip forces stacking; the paper assumes it improves).
-    let use_pass2 = pass2.height() <= pass1_channels;
-    let channels = if use_pass2 {
-        pass2.height()
-    } else {
-        pass1_channels
-    };
+        // Pass 2: width = the minimal slot extent, minimise the channel
+        // extent.
+        sizes.clear();
+        sizes.extend(packable().map(ResourceComponent::as_size));
+        let pass2_channels = strip.pack(sizes, min_slots, pass2)?;
 
-    // `packable` is `children` minus the empty components, in order, and the
-    // packer answers in input order: walk both in step.
-    let mut packed = if use_pass2 {
-        pass2.placements()
-    } else {
-        pass1.placements()
-    }
-    .iter();
-    let placements = children
-        .iter()
-        .map(|&(n, c)| {
-            if c.is_empty() {
-                return (n, Rect::default());
-            }
-            let rect = *packed.next().expect("one placement per packable child");
-            if use_pass2 {
-                (n, rect)
-            } else {
-                // Pass 1 coordinates are (x = channel, y = slot): transpose
-                // back to slotframe orientation.
-                let (o, s) = (rect.origin, rect.size);
-                (n, Rect::from_xywh(o.y, o.x, s.h, s.w))
-            }
+        // Keep whichever pass used fewer channels (pass 2 can regress when
+        // the narrow strip forces stacking; the paper assumes it improves).
+        let use_pass2 = pass2_channels <= pass1_channels;
+        let channels = pass2_channels.min(pass1_channels);
+
+        // The packed items are `components` minus the empty ones, in order,
+        // and the packer answers in input order: walk both in step.
+        let mut packed = if use_pass2 { pass2 } else { pass1 }.iter();
+        let placements = components
+            .iter()
+            .map(|&(n, c)| {
+                if c.is_empty() {
+                    return (n, Rect::default());
+                }
+                let rect = *packed.next().expect("one placement per packable child");
+                if use_pass2 {
+                    (n, rect)
+                } else {
+                    // Pass 1 coordinates are (x = channel, y = slot):
+                    // transpose back to slotframe orientation.
+                    let (o, s) = (rect.origin, rect.size);
+                    (n, Rect::from_xywh(o.y, o.x, s.h, s.w))
+                }
+            })
+            .collect();
+        Ok(CompositionLayout {
+            composite: ResourceComponent::new(min_slots, channels),
+            placements,
         })
-        .collect();
-    Ok(CompositionLayout {
-        composite: ResourceComponent::new(min_slots, channels),
-        placements,
-    })
+    }
+
+    /// Case 2 of §IV-B at one node: for each of `layers` at which a child
+    /// reports a component, composes the children's components into
+    /// `iface` and returns the layouts.
+    pub(crate) fn compose_layers<'a>(
+        &mut self,
+        children: impl Iterator<Item = (NodeId, &'a ResourceInterface)> + Clone,
+        layers: std::ops::RangeInclusive<u32>,
+        max_channels: u16,
+        iface: &mut ResourceInterface,
+    ) -> Result<BTreeMap<u32, CompositionLayout>, HarpError> {
+        let mut layouts = BTreeMap::new();
+        for layer in layers {
+            let reported = children
+                .clone()
+                .filter_map(|(c, i)| i.component(layer).map(|comp| (c, comp)));
+            let layout = self.compose(reported, max_channels, layer)?;
+            if layout.placements.is_empty() {
+                continue;
+            }
+            iface.set(layer, layout.composite());
+            layouts.insert(layer, layout);
+        }
+        Ok(layouts)
+    }
 }
 
 /// The per-node outcome of interface generation: the interface itself plus
@@ -258,41 +300,25 @@ pub fn build_interfaces(
     max_channels: u16,
 ) -> Result<InterfaceSet, HarpError> {
     let mut nodes: Vec<NodeInterface> = vec![NodeInterface::default(); tree.len()];
+    let mut ws = Workspace::new();
     for v in tree.postorder() {
         if tree.is_leaf(v) {
             continue;
         }
         let own_layer = tree.link_layer(v);
-        let mut iface = ResourceInterface::new();
+        let mut interface = ResourceInterface::new();
         // Case 1: the direct component.
         let direct = requirements.direct_total(tree, v, direction);
-        iface.set(own_layer, ResourceComponent::row(direct));
+        interface.set(own_layer, ResourceComponent::row(direct));
 
         // Case 2: compose children's components per deeper layer.
-        let mut layouts = BTreeMap::new();
-        let deepest = tree.subtree_layer(v);
-        for layer in own_layer + 1..=deepest {
-            let children: Vec<(NodeId, ResourceComponent)> = tree
-                .children(v)
-                .iter()
-                .filter_map(|&c| {
-                    nodes[c.index()]
-                        .interface
-                        .component(layer)
-                        .map(|comp| (c, comp))
-                })
-                .collect();
-            if children.is_empty() {
-                continue;
-            }
-            let layout = compose_components(&children, max_channels, layer)?;
-            iface.set(layer, layout.composite());
-            layouts.insert(layer, layout);
-        }
-        nodes[v.index()] = NodeInterface {
-            interface: iface,
-            layouts,
-        };
+        let children = tree
+            .children(v)
+            .iter()
+            .map(|&c| (c, &nodes[c.index()].interface));
+        let layers = own_layer + 1..=tree.subtree_layer(v);
+        let layouts = ws.compose_layers(children, layers, max_channels, &mut interface)?;
+        nodes[v.index()] = NodeInterface { interface, layouts };
     }
     Ok(InterfaceSet { direction, nodes })
 }
@@ -300,6 +326,7 @@ pub fn build_interfaces(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use packing::Size;
     use tsch_sim::Link;
 
     fn rc(s: u32, c: u32) -> ResourceComponent {
@@ -449,6 +476,36 @@ mod tests {
             .filter(|r| !r.is_empty())
             .collect();
         assert!(packing::all_disjoint(&rects));
+    }
+
+    #[test]
+    fn compose_through_a_reused_workspace_equals_fresh_ones() {
+        // One workspace through a seeded sequence: a 128-child layer, then
+        // the 1-, 2- and 4-child layers a tenant composes, budgets of every
+        // width, empty components and an over-budget child in between. A
+        // buffer read before it is reset would carry the big layer over.
+        let mut rng = tsch_sim::SplitMix64::new(0x00C0_FFEE);
+        let mut ws = Workspace::new();
+        let mut over_budget = 0;
+        for round in 0..24u32 {
+            for n in [128, 1, 2, 4, 3, 4] {
+                let budget = 1 + rng.next_below(16) as u16;
+                let mut children: Vec<(NodeId, ResourceComponent)> = (0..n)
+                    .map(|i| {
+                        let slots = rng.next_below(9) as u32; // 0: an empty one
+                        let channels = 1 + rng.next_below(u64::from(budget)) as u32;
+                        (NodeId(i + 1), rc(slots, channels))
+                    })
+                    .collect();
+                if n == 3 {
+                    children[1].1 = rc(2, u32::from(budget) + 1 + round % 2);
+                }
+                let reused = ws.compose(children.iter().copied(), budget, round);
+                assert_eq!(reused, compose_components(&children, budget, round));
+                over_budget += u32::from(reused.is_err());
+            }
+        }
+        assert_eq!(over_budget, 24, "an error in the middle of every round");
     }
 
     // ---- build_interfaces ----

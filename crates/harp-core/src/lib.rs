@@ -98,6 +98,7 @@ mod requirement;
 mod runner;
 mod schedule_gen;
 mod verify;
+mod workspace;
 
 pub use adjust::{adjust_partition, is_feasible, AdjustmentOutcome};
 pub use allocation::{
@@ -120,10 +121,11 @@ pub use render::{render_cell_map, render_super_partitions, render_utilization};
 pub use requirement::Requirements;
 pub use runner::{apply_op, HarpNetwork, ProtocolReport};
 pub use schedule_gen::{
-    assign_cells_in_row, assign_cells_to_links, generate_schedule, unsatisfied_links,
-    LinkAssignment, SchedulingPolicy,
+    assign_cells_in_row, assign_cells_to_links, generate_schedule, unsatisfied_links, CellRun,
+    LinkAssignment, RowAssignments, SchedulingPolicy,
 };
 pub use verify::{verify_partitions, verify_schedule, verify_uplink_compliance, Violation};
+pub use workspace::Workspace;
 
 #[cfg(test)]
 mod lib_tests {

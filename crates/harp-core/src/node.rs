@@ -12,11 +12,11 @@
 
 use crate::adjust::adjust_partition;
 use crate::component::{ResourceComponent, ResourceInterface};
-use crate::compose::compose_components;
 use crate::dir_state::{DirState, DirWriter, UndoLog};
 use crate::error::HarpError;
 use crate::protocol::HarpMessage;
-use crate::schedule_gen::{assign_cells_to_links, SchedulingPolicy};
+use crate::schedule_gen::SchedulingPolicy;
+use crate::workspace::Workspace;
 use packing::{Point, Rect};
 use std::collections::BTreeMap;
 use tsch_sim::{Cell, Direction, Link, NetworkSchedule, NodeId, SlotframeConfig, Tree};
@@ -335,15 +335,20 @@ impl HarpNode {
     ///
     /// Propagates composition/allocation failures.
     pub fn bootstrap(&mut self) -> Result<Effects, HarpError> {
-        self.bootstrap_logged(&mut UndoLog::off())
+        self.bootstrap_logged(&mut UndoLog::off(), &mut Workspace::new())
     }
 
-    /// [`HarpNode::bootstrap`] with every state write recorded in `log`.
-    pub(crate) fn bootstrap_logged(&mut self, log: &mut UndoLog) -> Result<Effects, HarpError> {
+    /// [`HarpNode::bootstrap`] with every state write recorded in `log`,
+    /// working in `ws`.
+    pub(crate) fn bootstrap_logged(
+        &mut self,
+        log: &mut UndoLog,
+        ws: &mut Workspace,
+    ) -> Result<Effects, HarpError> {
         if self.is_leaf() {
             return Ok(Effects::none());
         }
-        self.maybe_generate_and_report(log)
+        self.maybe_generate_and_report(log, ws)
     }
 
     /// Handles one protocol message from a neighbour.
@@ -357,13 +362,15 @@ impl HarpNode {
     ///
     /// Propagates algorithmic failures (overflow, packing, missing state).
     pub fn handle(&mut self, from: NodeId, msg: HarpMessage) -> Result<Effects, HarpError> {
-        self.handle_logged(&mut UndoLog::off(), from, msg)
+        self.handle_logged(&mut UndoLog::off(), &mut Workspace::new(), from, msg)
     }
 
-    /// [`HarpNode::handle`] with every state write recorded in `log`.
+    /// [`HarpNode::handle`] with every state write recorded in `log`,
+    /// working in `ws`.
     pub(crate) fn handle_logged(
         &mut self,
         log: &mut UndoLog,
+        ws: &mut Workspace,
         from: NodeId,
         msg: HarpMessage,
     ) -> Result<Effects, HarpError> {
@@ -381,7 +388,7 @@ impl HarpNode {
                     .put_child_interface(from, Some(up));
                 self.dir_mut(log, Direction::Down)
                     .put_child_interface(from, Some(down));
-                self.maybe_generate_and_report(log)
+                self.maybe_generate_and_report(log, ws)
             }
             HarpMessage::PostPartitions { partitions } => {
                 // Every entry identical to stored state ⇒ the original of
@@ -403,7 +410,7 @@ impl HarpNode {
                 }
                 let mut fx = Effects::none();
                 for d in dirs {
-                    fx.merge(self.distribute_partitions(log, d)?);
+                    fx.merge(self.distribute_partitions(log, ws, d)?);
                 }
                 fx.coalesce_post_partitions();
                 Ok(fx)
@@ -412,7 +419,7 @@ impl HarpNode {
                 direction,
                 layer,
                 component,
-            } => self.on_child_component_update(log, direction, from, layer, component),
+            } => self.on_child_component_update(log, ws, direction, from, layer, component),
             HarpMessage::PutPartition {
                 direction,
                 layer,
@@ -426,7 +433,7 @@ impl HarpNode {
                     return Ok(Effects::none());
                 }
                 self.dir_mut(log, direction).set_partition(layer, rect);
-                self.replace_layer(log, direction, layer, old)
+                self.replace_layer(log, ws, direction, layer, old)
             }
             HarpMessage::CellAssignment { direction, cells } => {
                 // The child starts (or stops) using the granted cells now.
@@ -467,14 +474,21 @@ impl HarpNode {
         child: NodeId,
         new_cells: u32,
     ) -> Result<Effects, HarpError> {
-        self.request_change_logged(&mut UndoLog::off(), direction, child, new_cells)
+        self.request_change_logged(
+            &mut UndoLog::off(),
+            &mut Workspace::new(),
+            direction,
+            child,
+            new_cells,
+        )
     }
 
     /// [`HarpNode::request_change`] with every state write recorded in
-    /// `log`.
+    /// `log`, working in `ws`.
     pub(crate) fn request_change_logged(
         &mut self,
         log: &mut UndoLog,
+        ws: &mut Workspace,
         direction: Direction,
         child: NodeId,
         new_cells: u32,
@@ -489,7 +503,7 @@ impl HarpNode {
             Some(row) if total <= row.width() * row.height() => {
                 // Case 1: enough idle cells in the current partition.
                 self.count(log, |c| c.local_updates += 1);
-                self.schedule_own_row(log, direction)
+                self.schedule_own_row(log, ws, direction)
             }
             _ => {
                 // Case 2: the partition itself must grow.
@@ -497,7 +511,7 @@ impl HarpNode {
                 ds.set_component(layer, component);
                 ds.put_pending(layer, Some(id));
                 if self.is_gateway() {
-                    self.gateway_reallocate(log, direction, layer)
+                    self.gateway_reallocate(log, ws, direction, layer)
                 } else {
                     self.count(log, |c| c.escalations += 1);
                     let parent = self.parent.expect("non-gateway has a parent");
@@ -522,7 +536,11 @@ impl HarpNode {
     /// Generates the interface (both directions) once every non-leaf child
     /// has reported, then reports upward — or allocates if this is the
     /// gateway.
-    fn maybe_generate_and_report(&mut self, log: &mut UndoLog) -> Result<Effects, HarpError> {
+    fn maybe_generate_and_report(
+        &mut self,
+        log: &mut UndoLog,
+        ws: &mut Workspace,
+    ) -> Result<Effects, HarpError> {
         let ready = |ds: &DirState, kids: &[NodeId]| {
             kids.iter().all(|c| ds.child_interfaces().contains_key(c))
         };
@@ -532,9 +550,9 @@ impl HarpNode {
         {
             return Ok(Effects::none());
         }
-        self.generate_interfaces(log)?;
+        self.generate_interfaces(log, ws)?;
         if self.is_gateway() {
-            self.gateway_allocate(log)
+            self.gateway_allocate(log, ws)
         } else {
             let parent = self.parent.expect("non-gateway has a parent");
             Ok(Effects {
@@ -552,9 +570,13 @@ impl HarpNode {
 
     /// Builds this node's interfaces, uplink then downlink, from local
     /// requirements and the interfaces its non-leaf children reported.
-    pub(crate) fn generate_interfaces(&mut self, log: &mut UndoLog) -> Result<(), HarpError> {
-        self.generate_interface(log, Direction::Up)?;
-        self.generate_interface(log, Direction::Down)
+    pub(crate) fn generate_interfaces(
+        &mut self,
+        log: &mut UndoLog,
+        ws: &mut Workspace,
+    ) -> Result<(), HarpError> {
+        self.generate_interface(log, ws, Direction::Up)?;
+        self.generate_interface(log, ws, Direction::Down)
     }
 
     /// Builds this node's interface for one direction (Case 1 + Case 2 of
@@ -562,6 +584,7 @@ impl HarpNode {
     fn generate_interface(
         &mut self,
         log: &mut UndoLog,
+        ws: &mut Workspace,
         direction: Direction,
     ) -> Result<(), HarpError> {
         let channels = self.config.channels;
@@ -577,20 +600,8 @@ impl HarpNode {
             .filter_map(ResourceInterface::max_layer)
             .max()
             .unwrap_or(own_layer);
-        let mut layouts = BTreeMap::new();
-        for layer in own_layer + 1..=deepest {
-            let comps: Vec<(NodeId, ResourceComponent)> = ds
-                .child_interfaces()
-                .iter()
-                .filter_map(|(&c, i)| i.component(layer).map(|comp| (c, comp)))
-                .collect();
-            if comps.is_empty() {
-                continue;
-            }
-            let layout = compose_components(&comps, channels, layer)?;
-            iface.set(layer, layout.composite());
-            layouts.insert(layer, layout);
-        }
+        let children = ds.child_interfaces().iter().map(|(&c, i)| (c, i));
+        let layouts = ws.compose_layers(children, own_layer + 1..=deepest, channels, &mut iface)?;
         ds.set_interface(iface);
         ds.set_layouts(layouts);
         Ok(())
@@ -598,11 +609,15 @@ impl HarpNode {
 
     /// The gateway's slotframe placement: uplink super-partition first with
     /// layers descending, downlink after with layers ascending (§IV-C).
-    fn gateway_allocate(&mut self, log: &mut UndoLog) -> Result<Effects, HarpError> {
+    fn gateway_allocate(
+        &mut self,
+        log: &mut UndoLog,
+        ws: &mut Workspace,
+    ) -> Result<Effects, HarpError> {
         self.place_gateway_partitions(log)?;
         let mut fx = Effects::none();
         for d in Direction::BOTH {
-            fx.merge(self.distribute_partitions(log, d)?);
+            fx.merge(self.distribute_partitions(log, ws, d)?);
         }
         fx.coalesce_post_partitions();
         Ok(fx)
@@ -644,10 +659,11 @@ impl HarpNode {
     fn distribute_partitions(
         &mut self,
         log: &mut UndoLog,
+        ws: &mut Workspace,
         direction: Direction,
     ) -> Result<Effects, HarpError> {
         self.derive_child_partitions(log, direction)?;
-        let mut fx = self.schedule_own_row(log, direction)?;
+        let mut fx = self.schedule_own_row(log, ws, direction)?;
         let ds = self.dir(direction);
         let mut per_child: BTreeMap<NodeId, Vec<(Direction, u32, Rect)>> = BTreeMap::new();
         for layer in ds.layouts().keys() {
@@ -693,10 +709,11 @@ impl HarpNode {
     fn schedule_own_row(
         &mut self,
         log: &mut UndoLog,
+        ws: &mut Workspace,
         direction: Direction,
     ) -> Result<Effects, HarpError> {
         let mut fx = Effects::none();
-        self.assign_own_row(log, direction, |child, cells| {
+        self.assign_own_row(log, ws, direction, |child, cells| {
             fx.messages.push((
                 child,
                 HarpMessage::CellAssignment {
@@ -714,6 +731,7 @@ impl HarpNode {
     fn assign_own_row(
         &mut self,
         log: &mut UndoLog,
+        ws: &mut Workspace,
         direction: Direction,
         mut changed: impl FnMut(NodeId, &[Cell]),
     ) -> Result<(), HarpError> {
@@ -729,14 +747,13 @@ impl HarpNode {
             }
             return Err(HarpError::MissingPartition { node: id, layer });
         };
-        let child_reqs: Vec<(NodeId, u32)> = ds.reqs().iter().map(|(&c, &r)| (c, r)).collect();
-        let assignments = assign_cells_to_links(id, &child_reqs, direction, row, policy, config)?;
-        for a in assignments {
-            let child = a.link.child;
+        let links = ds.reqs().iter().map(|(&c, &r)| (c, r));
+        for (child, cells) in ws.assign_row(id, links, row, policy, config)? {
             let old = ds.assignments().get(&child).map_or(&[][..], Vec::as_slice);
-            if old != a.cells {
-                changed(child, &a.cells);
-                ds.put_assignment(child, Some(a.cells));
+            if !cells.clone().eq(old.iter().copied()) {
+                let cells = cells.to_vec();
+                changed(child, &cells);
+                ds.put_assignment(child, Some(cells));
             }
         }
         Ok(())
@@ -762,10 +779,14 @@ impl HarpNode {
     /// carves out the children's partitions and schedules the own row, both
     /// directions — the state a `POST part` handler leaves behind, without
     /// the messages.
-    pub(crate) fn settle_partitions(&mut self, log: &mut UndoLog) -> Result<(), HarpError> {
+    pub(crate) fn settle_partitions(
+        &mut self,
+        log: &mut UndoLog,
+        ws: &mut Workspace,
+    ) -> Result<(), HarpError> {
         for d in Direction::BOTH {
             self.derive_child_partitions(log, d)?;
-            self.assign_own_row(log, d, |_, _| {})?;
+            self.assign_own_row(log, ws, d, |_, _| {})?;
         }
         Ok(())
     }
@@ -820,6 +841,7 @@ impl HarpNode {
     fn on_child_component_update(
         &mut self,
         log: &mut UndoLog,
+        ws: &mut Workspace,
         direction: Direction,
         child: NodeId,
         layer: u32,
@@ -852,7 +874,7 @@ impl HarpNode {
         // grew deeper, e.g. after a node join): nothing to adjust locally —
         // escalate straight away so an ancestor creates the layer.
         let Some(own) = ds.partitions().get(&layer).copied() else {
-            return self.escalate_layer(log, direction, layer, child);
+            return self.escalate_layer(log, ws, direction, layer, child);
         };
         let mut placements = ds
             .child_partitions()
@@ -891,7 +913,7 @@ impl HarpNode {
         }
 
         self.count(log, |c| c.adjust_infeasible += 1);
-        self.escalate_layer(log, direction, layer, child)
+        self.escalate_layer(log, ws, direction, layer, child)
     }
 
     /// Recomposes `layer` from the children's current components and asks
@@ -899,24 +921,24 @@ impl HarpNode {
     fn escalate_layer(
         &mut self,
         log: &mut UndoLog,
+        ws: &mut Workspace,
         direction: Direction,
         layer: u32,
         requester: NodeId,
     ) -> Result<Effects, HarpError> {
-        let comps: Vec<(NodeId, ResourceComponent)> = self
+        let reported = self
             .dir(direction)
             .child_interfaces()
             .iter()
-            .filter_map(|(&c, i)| i.component(layer).map(|comp| (c, comp)))
-            .collect();
-        let layout = compose_components(&comps, self.config.channels, layer)?;
+            .filter_map(|(&c, i)| i.component(layer).map(|comp| (c, comp)));
+        let layout = ws.compose(reported, self.config.channels, layer)?;
         let composite = layout.composite();
         let mut ds = self.dir_mut(log, direction);
         ds.set_component(layer, composite);
         ds.set_layout(layer, layout);
         ds.put_pending(layer, Some(requester));
         if self.is_gateway() {
-            self.gateway_reallocate(log, direction, layer)
+            self.gateway_reallocate(log, ws, direction, layer)
         } else {
             self.count(log, |c| c.escalations += 1);
             let parent = self.parent.expect("non-gateway has a parent");
@@ -939,6 +961,7 @@ impl HarpNode {
     fn replace_layer(
         &mut self,
         log: &mut UndoLog,
+        ws: &mut Workspace,
         direction: Direction,
         layer: u32,
         old: Option<Rect>,
@@ -948,7 +971,7 @@ impl HarpNode {
         }
         let rect = self.dir(direction).partitions()[&layer];
         if layer == self.link_layer {
-            return self.schedule_own_row(log, direction);
+            return self.schedule_own_row(log, ws, direction);
         }
 
         let current = self
@@ -1023,6 +1046,7 @@ impl HarpNode {
     fn gateway_reallocate(
         &mut self,
         log: &mut UndoLog,
+        ws: &mut Workspace,
         direction: Direction,
         layer: u32,
     ) -> Result<Effects, HarpError> {
@@ -1076,7 +1100,7 @@ impl HarpNode {
                 .expect("moved key is in the layout");
             let old = self.dir(d).partitions().get(&l).copied();
             self.dir_mut(log, d).set_partition(l, rect);
-            fx.merge(self.replace_layer(log, d, l, old)?);
+            fx.merge(self.replace_layer(log, ws, d, l, old)?);
         }
         Ok(fx)
     }

@@ -12,8 +12,10 @@
 use crate::allocation::PartitionTable;
 use crate::error::HarpError;
 use crate::requirement::Requirements;
+use crate::workspace::Workspace;
 use packing::Rect;
-use tsch_sim::{Cell, Direction, Link, NetworkSchedule, NodeId, Tree};
+use std::ops::Range;
+use tsch_sim::{Cell, Direction, Link, NetworkSchedule, NodeId, SlotframeConfig, Tree};
 
 /// How a parent orders its child links inside its partition row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -54,28 +56,30 @@ pub fn assign_cells_in_row(
     row: Rect,
     requirements: &Requirements,
     policy: SchedulingPolicy,
-    config: tsch_sim::SlotframeConfig,
+    config: SlotframeConfig,
 ) -> Result<Vec<LinkAssignment>, HarpError> {
-    let children: Vec<(NodeId, u32)> = tree
-        .children(parent)
-        .iter()
-        .map(|&c| {
-            (
-                c,
-                requirements.get(Link {
-                    child: c,
-                    direction,
-                }),
-            )
-        })
-        .collect();
-    assign_cells_to_links(parent, &children, direction, row, policy, config)
+    let links = child_links(tree, parent, direction, requirements);
+    let mut ws = Workspace::new();
+    let assigned = ws.assign_row(parent, links, row, policy, config)?;
+    Ok(assigned.collect_links(direction))
+}
+
+/// `parent`'s children with the requirement of each one's `direction` link.
+fn child_links<'a>(
+    tree: &'a Tree,
+    parent: NodeId,
+    direction: Direction,
+    requirements: &'a Requirements,
+) -> impl Iterator<Item = (NodeId, u32)> + 'a {
+    tree.children(parent).iter().map(move |&child| {
+        let link = Link { child, direction };
+        (child, requirements.get(link))
+    })
 }
 
 /// Tree-free core of [`assign_cells_in_row`]: the caller supplies the
-/// `(child, requirement)` pairs directly. This is the form each distributed
-/// [`HarpNode`](crate::HarpNode) uses — a node knows its own children and
-/// their demands without holding the global tree.
+/// `(child, requirement)` pairs directly — [`Workspace::assign_row`] on a
+/// fresh workspace, every link's cells collected.
 ///
 /// # Errors
 ///
@@ -87,47 +91,137 @@ pub fn assign_cells_to_links(
     direction: Direction,
     row: Rect,
     policy: SchedulingPolicy,
-    config: tsch_sim::SlotframeConfig,
+    config: SlotframeConfig,
 ) -> Result<Vec<LinkAssignment>, HarpError> {
-    let mut children = child_requirements.to_vec();
-    let required: u32 = children.iter().map(|&(_, r)| r).sum();
-    let available = row.width() * row.height();
-    if required > available {
-        return Err(HarpError::PartitionTooSmall {
-            node: parent,
-            required,
-            available,
-        });
-    }
-    match policy {
-        SchedulingPolicy::RateMonotonic => {
-            children.sort_by_key(|&(c, r)| (std::cmp::Reverse(r), c));
+    let links = child_requirements.iter().copied();
+    let mut ws = Workspace::new();
+    let assigned = ws.assign_row(parent, links, row, policy, config)?;
+    Ok(assigned.collect_links(direction))
+}
+
+impl Workspace {
+    /// Assigns the cells of one partition row to `parent`'s child links,
+    /// given as `(child, requirement)` pairs, according to `policy`. This
+    /// is the form each distributed [`HarpNode`](crate::HarpNode) uses — a
+    /// node knows its own children and their demands without holding the
+    /// global tree. The links come back in row order, each with its run of
+    /// cells still uncollected, so a caller allocates only for the links it
+    /// keeps.
+    ///
+    /// # Errors
+    ///
+    /// [`HarpError::PartitionTooSmall`] if the row has fewer cells than the
+    /// links require.
+    pub fn assign_row(
+        &mut self,
+        parent: NodeId,
+        child_requirements: impl IntoIterator<Item = (NodeId, u32)>,
+        row: Rect,
+        policy: SchedulingPolicy,
+        config: SlotframeConfig,
+    ) -> Result<RowAssignments<'_>, HarpError> {
+        let links = &mut self.row;
+        links.clear();
+        links.extend(child_requirements);
+        let required: u32 = links.iter().map(|&(_, r)| r).sum();
+        let available = row.width() * row.height();
+        if required > available {
+            return Err(HarpError::PartitionTooSmall {
+                node: parent,
+                required,
+                available,
+            });
         }
-        SchedulingPolicy::ChildOrder => children.sort_by_key(|&(c, _)| c),
+        match policy {
+            SchedulingPolicy::RateMonotonic => {
+                links.sort_by_key(|&(c, r)| (std::cmp::Reverse(r), c));
+            }
+            SchedulingPolicy::ChildOrder => links.sort_by_key(|&(c, _)| c),
+        }
+        Ok(RowAssignments {
+            links: links.iter(),
+            cells: CellRun {
+                row,
+                config,
+                range: 0..0,
+            },
+        })
+    }
+}
+
+/// The links of one scheduled row in row order, each with the cells it was
+/// granted; what [`Workspace::assign_row`] returns.
+#[derive(Debug)]
+pub struct RowAssignments<'a> {
+    links: std::slice::Iter<'a, (NodeId, u32)>,
+    /// The run granted to the previous link (empty at the row's start).
+    cells: CellRun,
+}
+
+impl RowAssignments<'_> {
+    /// Every link's cells collected, as `direction` links.
+    fn collect_links(self, direction: Direction) -> Vec<LinkAssignment> {
+        self.map(|(child, cells)| LinkAssignment {
+            link: Link { child, direction },
+            cells: cells.to_vec(),
+        })
+        .collect()
+    }
+}
+
+impl Iterator for RowAssignments<'_> {
+    type Item = (NodeId, CellRun);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let &(child, r) = self.links.next()?;
+        let start = self.cells.range.end;
+        self.cells.range = start..start + r;
+        Some((child, self.cells.clone()))
     }
 
-    // Walk the row's cells left to right (then next channel for multi-row
-    // partitions, which only arise after dynamic adjustment).
-    let mut cells = (0..row.height()).flat_map(|dy| {
-        (0..row.width()).map(move |dx| {
-            Cell::new(
-                (row.left() + dx) % config.slots,
-                ((u64::from(row.bottom() + dy) % u64::from(config.channels)) as u16)
-                    .min(config.channels - 1),
-            )
-        })
-    });
-    let mut out = Vec::with_capacity(children.len());
-    for (child, r) in children {
-        let link = Link { child, direction };
-        let granted: Vec<Cell> = cells.by_ref().take(r as usize).collect();
-        debug_assert_eq!(granted.len(), r as usize);
-        out.push(LinkAssignment {
-            link,
-            cells: granted,
-        });
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.links.size_hint()
     }
-    Ok(out)
+}
+
+/// The cells granted to one link: consecutive cells of a partition row,
+/// walked left to right (then the next channel for multi-row partitions,
+/// which only arise after dynamic adjustment), in transmission order.
+#[derive(Debug, Clone)]
+pub struct CellRun {
+    row: Rect,
+    config: SlotframeConfig,
+    /// Indices into the row's walk.
+    range: Range<u32>,
+}
+
+impl CellRun {
+    /// The cells as a vector of exactly their number (none: no heap).
+    #[must_use]
+    pub fn to_vec(&self) -> Vec<Cell> {
+        let mut cells = Vec::with_capacity(self.range.len());
+        cells.extend(self.clone());
+        cells
+    }
+}
+
+impl Iterator for CellRun {
+    type Item = Cell;
+
+    fn next(&mut self) -> Option<Cell> {
+        let index = self.range.next()?;
+        let (row, config) = (self.row, self.config);
+        let (dx, dy) = (index % row.width(), index / row.width());
+        Some(Cell::new(
+            (row.left() + dx) % config.slots,
+            ((u64::from(row.bottom() + dy) % u64::from(config.channels)) as u16)
+                .min(config.channels - 1),
+        ))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.range.size_hint()
+    }
 }
 
 /// Generates the complete network schedule from an allocated partition
@@ -176,6 +270,7 @@ pub fn generate_schedule(
 ) -> Result<NetworkSchedule, HarpError> {
     let config = table.config();
     let mut schedule = NetworkSchedule::new(config);
+    let mut ws = Workspace::new();
     for direction in Direction::BOTH {
         for v in tree.nodes() {
             if tree.is_leaf(v) {
@@ -191,11 +286,10 @@ pub fn generate_schedule(
                     layer: tree.link_layer(v),
                 });
             };
-            let assignments =
-                assign_cells_in_row(tree, v, direction, row, requirements, policy, config)?;
-            for a in assignments {
-                for cell in a.cells {
-                    schedule.assign(cell, a.link)?;
+            let links = child_links(tree, v, direction, requirements);
+            for (child, cells) in ws.assign_row(v, links, row, policy, config)? {
+                for cell in cells {
+                    schedule.assign(cell, Link { child, direction })?;
                 }
             }
         }
@@ -234,7 +328,6 @@ mod tests {
     use super::*;
     use crate::allocation::allocate_partitions;
     use crate::compose::build_interfaces;
-    use tsch_sim::SlotframeConfig;
 
     fn fig1_reqs(tree: &Tree) -> Requirements {
         let mut reqs = Requirements::new();
@@ -386,6 +479,45 @@ mod tests {
             .find(|a| a.link.child == NodeId(2))
             .unwrap();
         assert!(empty.cells.is_empty());
+    }
+
+    #[test]
+    fn rows_through_a_reused_workspace_equal_fresh_ones() {
+        // A long row, a too-small one and short ones through one workspace:
+        // a link list read before it is reset would carry the long row over.
+        let cfg = SlotframeConfig::paper_default();
+        let links = |n: u32| -> Vec<(NodeId, u32)> {
+            (0..n).map(|i| (NodeId(40 - i), 1 + (i * 7) % 4)).collect()
+        };
+        let mut ws = Workspace::new();
+        for policy in [
+            SchedulingPolicy::RateMonotonic,
+            SchedulingPolicy::ChildOrder,
+        ] {
+            for (n, row) in [
+                (24, Rect::from_xywh(3, 1, 30, 2)),
+                (5, Rect::from_xywh(0, 0, 4, 1)),
+                (2, Rect::from_xywh(190, 15, 9, 1)),
+                (1, Rect::from_xywh(7, 2, 1, 1)),
+            ] {
+                let links = links(n);
+                let reused = ws
+                    .assign_row(NodeId(0), links.iter().copied(), row, policy, cfg)
+                    .map(|assigned| assigned.collect_links(Direction::Down));
+                let fresh =
+                    assign_cells_to_links(NodeId(0), &links, Direction::Down, row, policy, cfg);
+                assert_eq!(reused.is_err(), n == 5, "the 4-cell row is too small");
+                assert_eq!(reused, fresh);
+                // The links share out the row's walk: left to right, then
+                // the next channel.
+                let granted = fresh.iter().flatten().flat_map(|a| a.cells.iter().copied());
+                let walk = (0..row.height()).flat_map(|dy| {
+                    (0..row.width())
+                        .map(move |dx| Cell::new(row.left() + dx, (row.bottom() + dy) as u16))
+                });
+                assert!(granted.zip(walk).all(|(got, cell)| got == cell));
+            }
+        }
     }
 
     #[test]

@@ -54,15 +54,18 @@ pub const DEFAULT_SLO_US: u64 = 2_000_000;
 /// Span capacity of the daemon's request-span ring (parse/route/allocator/
 /// encode spans, four to five per request).
 const DAEMON_SPAN_CAPACITY: usize = 4096;
-/// Span capacity of each tenant's request-span ring.
-const TENANT_SPAN_CAPACITY: usize = 1024;
-/// Span capacity handed to each tenant's observed allocator.
+/// Span capacity handed to each tenant's observed allocator: four times
+/// what `/debug/trace/<tenant>` can return. It cannot shrink alone: the
+/// benchmark's stage replay (`benchmark/src/layers.rs`) converges with the
+/// same capacity, to replay what a create does here.
 const ALLOCATOR_SPAN_CAPACITY: usize = 2048;
 /// Event capacity of the always-on flight recorder.
 const FLIGHT_CAPACITY: usize = 1024;
 /// Most recent events returned by `/debug/flight`.
 const FLIGHT_DUMP_LIMIT: usize = 512;
-/// Most recent spans returned per ring by `/debug/trace/<tenant>`.
+/// Most recent spans `/debug/trace/<tenant>` returns per ring, and so the
+/// capacity of a tenant's request-span ring: that endpoint is its only
+/// reader, and a ring reserves its whole capacity on the first span.
 const TRACE_DUMP_LIMIT: usize = 512;
 /// Adjustment-storm detector: this many adjustments inside
 /// [`STORM_WINDOW_US`] trips the flight recorder.
@@ -868,7 +871,7 @@ fn create_network(
     let tenant = Tenant {
         handle,
         scenario_name,
-        request_spans: SpanRing::new(TENANT_SPAN_CAPACITY),
+        request_spans: SpanRing::new(TRACE_DUMP_LIMIT),
     };
     let slot = Arc::new(TenantSlot::new(tenant));
     {
@@ -1108,18 +1111,20 @@ fn delete_network(
     timing: &mut RouteTiming,
 ) -> Result<Response, HttpError> {
     timing.tenant = Some(id.to_owned());
+    // Taken out under the write lock, freed after it: dropping a network
+    // takes long enough that every route of every tenant would wait for it.
     let removed = state
         .tenants
         .write()
         .map_err(|_| HttpError::new(500, "tenant map poisoned"))?
-        .remove(id)
-        .is_some();
-    if !removed {
+        .remove(id);
+    let Some(slot) = removed else {
         return Err(HttpError::new(
             404,
             format!("no network for tenant \"{id}\""),
         ));
-    }
+    };
+    drop(slot);
     state.flight_record(FlightEvent {
         seq: 0,
         at: state.uptime_us(),
@@ -1465,6 +1470,37 @@ mod tests {
         // Spans from the earlier create keep corr 0 and thus serialise no
         // corr field at all — only the adjusted request is tagged.
         assert!(alloc_part.contains("\"layer\": \"harp\""), "{text}");
+    }
+
+    #[test]
+    fn debug_trace_of_a_wrapped_ring_holds_exactly_the_newest_spans() {
+        const WRAPPED: usize = 8;
+        let state = state();
+        assert_eq!(create_tiny(&state, "t1").status, 201);
+        // One request span per adjustment, under its correlation id.
+        let corrs: Vec<u64> = (0..TRACE_DUMP_LIMIT + WRAPPED)
+            .map(|i| {
+                let body = format!("{{\"node\": 9, \"cells\": {}}}", 1 + i % 2);
+                let resp = handle_request(&state, &post("/networks/t1/adjust", &body));
+                assert_eq!(resp.status, 200);
+                correlation_of(&String::from_utf8(resp.body).unwrap())
+            })
+            .collect();
+
+        let resp = handle_request(&state, &get("/debug/trace/t1"));
+        assert_eq!(resp.status, 200);
+        let doc = harp_obs::json::parse(&String::from_utf8(resp.body).unwrap()).unwrap();
+        let requests =
+            harp_obs::flame::TraceDoc::from_json(doc.get("request_spans").unwrap()).unwrap();
+        let kept: Vec<u64> = requests.spans.iter().map(|s| s.corr).collect();
+        assert_eq!(kept, corrs[WRAPPED..], "the newest, oldest first");
+        assert_eq!(requests.dropped, WRAPPED as u64);
+        // The ring keeps what its reader returns and no more, so what the
+        // tenant reports dropped is what a reader can no longer get.
+        let slot = tenant_of(&state, "t1").unwrap();
+        let tenant = slot.tenant.lock().unwrap();
+        assert_eq!(tenant.request_spans.len(), TRACE_DUMP_LIMIT);
+        assert_eq!(tenant.spans_dropped(), requests.dropped);
     }
 
     #[test]

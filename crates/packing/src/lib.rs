@@ -44,7 +44,7 @@ pub use exact::{exact_strip_height, ExactResult};
 pub use maxrects::FreeSpace;
 pub use rect::{all_disjoint, Point, Rect, Size};
 pub use rpp::{fits_into, pack_into};
-pub use skyline::{pack_strip, Skyline, StripPacking};
+pub use skyline::{pack_strip, Skyline, StripPacking, StripWorkspace};
 
 use core::fmt;
 

@@ -105,7 +105,7 @@ struct Segment {
 ///
 /// Maintains a list of disjoint horizontal segments covering `[0, width)`,
 /// ordered by `x`. Exposed for use by the packers in this crate and by
-/// white-box tests; most callers want [`pack_strip`].
+/// white-box tests; most callers want [`pack_strip`] or a [`StripWorkspace`].
 #[derive(Debug, Clone)]
 pub struct Skyline {
     segments: Vec<Segment>,
@@ -121,18 +121,35 @@ impl Skyline {
     ///
     /// Returns [`PackError::ZeroWidthStrip`] if `width == 0`.
     pub fn new(width: u32) -> Result<Self, PackError> {
+        let mut skyline = Self::unset();
+        skyline.reset(width)?;
+        Ok(skyline)
+    }
+
+    /// A skyline over no strip yet; [`Skyline::reset`] gives it one.
+    const fn unset() -> Self {
+        Self {
+            segments: Vec::new(),
+            width: 0,
+            max_top: 0,
+        }
+    }
+
+    /// Flattens the skyline over a strip of the given width, keeping the
+    /// segment storage.
+    fn reset(&mut self, width: u32) -> Result<(), PackError> {
         if width == 0 {
             return Err(PackError::ZeroWidthStrip);
         }
-        Ok(Self {
-            segments: vec![Segment {
-                x: 0,
-                w: width,
-                y: 0,
-            }],
-            width,
-            max_top: 0,
-        })
+        self.segments.clear();
+        self.segments.push(Segment {
+            x: 0,
+            w: width,
+            y: 0,
+        });
+        self.width = width;
+        self.max_top = 0;
+        Ok(())
     }
 
     /// The strip width.
@@ -285,8 +302,109 @@ fn validate(items: &[Size], width: u32) -> Result<(), PackError> {
     Ok(())
 }
 
+/// The best-fit skyline packer with its working buffers kept between calls.
+///
+/// [`pack_strip`] allocates a skyline, a pending list and a placement
+/// vector per call; a caller that packs many small strips — HARP composes
+/// at most a handful of components per layer, twice — pays more for those
+/// than for the packing. A workspace keeps the first two and writes the
+/// placements into a buffer the caller brings, so a warm one allocates
+/// nothing. Every call resets what it reads: results depend on the
+/// arguments only, never on what the workspace packed before.
+#[derive(Debug, Clone)]
+pub struct StripWorkspace {
+    skyline: Skyline,
+    /// Indices of items not yet placed.
+    pending: Vec<usize>,
+}
+
+impl Default for StripWorkspace {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl StripWorkspace {
+    /// An empty workspace; it owns no heap until its first pack.
+    #[must_use]
+    pub const fn new() -> Self {
+        Self {
+            skyline: Skyline::unset(),
+            pending: Vec::new(),
+        }
+    }
+
+    /// Packs `items` into a strip of the given `width` using the best-fit
+    /// skyline heuristic, minimising the resulting height, which it
+    /// returns.
+    ///
+    /// `placements` is overwritten with one placement per input item, in
+    /// input order; placements never overlap and never exceed the strip
+    /// width. Items are *not* rotated. On error `placements` is left as it
+    /// was.
+    ///
+    /// # Errors
+    ///
+    /// * [`PackError::ZeroWidthStrip`] if `width == 0`.
+    /// * [`PackError::EmptyItem`] if any item has a zero dimension.
+    /// * [`PackError::ItemTooWide`] if any item is wider than the strip.
+    pub fn pack(
+        &mut self,
+        items: &[Size],
+        width: u32,
+        placements: &mut Vec<Rect>,
+    ) -> Result<u32, PackError> {
+        crate::obs::STRIP_PACKS.add(1);
+        validate(items, width)?;
+        let Self { skyline, pending } = self;
+        skyline.reset(width)?;
+        placements.clear();
+        placements.resize(items.len(), Rect::default());
+        pending.clear();
+        pending.extend(0..items.len());
+
+        while !pending.is_empty() {
+            let seg_idx = skyline.lowest_segment();
+            let seg_w = skyline.segments[seg_idx].w;
+
+            // Best fit: widest item that fits the gap; exact width match
+            // wins; ties broken by greater height (locks in tall items
+            // early), then by input order for determinism.
+            let mut best: Option<(usize, Size)> = None;
+            for &item_idx in pending.iter() {
+                let size = items[item_idx];
+                if size.w > seg_w {
+                    continue;
+                }
+                let better = match best {
+                    None => true,
+                    Some((_, b)) => {
+                        let exact_new = size.w == seg_w;
+                        let exact_old = b.w == seg_w;
+                        (exact_new, size.w, size.h) > (exact_old, b.w, b.h)
+                    }
+                };
+                if better {
+                    best = Some((item_idx, size));
+                }
+            }
+
+            match best {
+                Some((item_idx, size)) => {
+                    let origin = skyline.place_on(seg_idx, size);
+                    placements[item_idx] = Rect::new(origin, size);
+                    pending.retain(|&i| i != item_idx);
+                }
+                None => skyline.raise(seg_idx),
+            }
+        }
+        Ok(skyline.height())
+    }
+}
+
 /// Packs `items` into a strip of the given `width` using the best-fit
-/// skyline heuristic, minimising the resulting height.
+/// skyline heuristic, minimising the resulting height:
+/// [`StripWorkspace::pack`] on a fresh workspace.
 ///
 /// The returned [`StripPacking`] holds one placement per input item, in
 /// input order; placements never overlap and never exceed the strip width.
@@ -311,53 +429,12 @@ fn validate(items: &[Size], width: u32) -> Result<(), PackError> {
 /// # }
 /// ```
 pub fn pack_strip(items: &[Size], width: u32) -> Result<StripPacking, PackError> {
-    crate::obs::STRIP_PACKS.add(1);
-    validate(items, width)?;
-    let mut skyline = Skyline::new(width)?;
-    let mut placements = vec![Rect::default(); items.len()];
-    // Indices of items not yet placed.
-    let mut pending: Vec<usize> = (0..items.len()).collect();
-
-    while !pending.is_empty() {
-        let seg_idx = skyline.lowest_segment();
-        let seg_w = skyline.segments[seg_idx].w;
-
-        // Best fit: widest item that fits the gap; exact width match wins;
-        // ties broken by greater height (locks in tall items early), then by
-        // input order for determinism.
-        let mut best: Option<(usize, Size)> = None;
-        for &item_idx in &pending {
-            let size = items[item_idx];
-            if size.w > seg_w {
-                continue;
-            }
-            let better = match best {
-                None => true,
-                Some((_, b)) => {
-                    let exact_new = size.w == seg_w;
-                    let exact_old = b.w == seg_w;
-                    (exact_new, size.w, size.h) > (exact_old, b.w, b.h)
-                }
-            };
-            if better {
-                best = Some((item_idx, size));
-            }
-        }
-
-        match best {
-            Some((item_idx, size)) => {
-                let origin = skyline.place_on(seg_idx, size);
-                placements[item_idx] = Rect::new(origin, size);
-                pending.retain(|&i| i != item_idx);
-            }
-            None => skyline.raise(seg_idx),
-        }
-    }
-
+    let mut placements = Vec::with_capacity(items.len());
+    let height = StripWorkspace::new().pack(items, width, &mut placements)?;
     Ok(StripPacking {
         placements,
         width,
-        height: skyline.height(),
+        height,
     })
 }
 

@@ -6,7 +6,10 @@
 //! simulator's `SplitMix64` so every case replays from the seeds below.
 
 use packing::shelf::{pack_strip_ffdh, pack_strip_nfdh};
-use packing::{all_disjoint, fits_into, pack_into, pack_strip, FreeSpace, Rect, Size};
+use packing::{
+    all_disjoint, fits_into, pack_into, pack_strip, FreeSpace, PackError, Rect, Size,
+    StripWorkspace,
+};
 use tsch_sim::SplitMix64;
 
 /// Items sized like HARP resource components: small widths and heights.
@@ -46,6 +49,60 @@ fn skyline_packing_is_sound() {
         let packing = pack_strip(&items, width).unwrap();
         check_strip_packing(&items, width, &packing);
     }
+}
+
+#[test]
+fn workspace_reuse_is_invisible() {
+    // One workspace and one placement buffer through a whole sequence:
+    // a 128-item pack, then 1-, 2- and 4-item packs (the sizes HARP
+    // composes), strips of every width, and the three input errors in
+    // between. Each call must answer what a fresh workspace answers — a
+    // buffer read before it is reset would carry the 128-item pack over.
+    let mut rng = SplitMix64::new(0x5EED_CA5E);
+    let sized = |rng: &mut SplitMix64, n: usize, width: u32| -> Vec<Size> {
+        (0..n).map(|_| item(rng, width)).collect()
+    };
+    let mut calls: Vec<(Vec<Size>, u32)> = Vec::new();
+    for round in 0..24 {
+        for n in [128, 1, 2, 4] {
+            let width = 1 + rng.next_below(16) as u32;
+            calls.push((sized(&mut rng, n, width), width));
+        }
+        let width = 1 + rng.next_below(16) as u32;
+        calls.push(match round % 3 {
+            0 => (vec![Size::new(1, 1), Size::new(width + 1, 2)], width),
+            1 => (vec![Size::new(1, 1), Size::new(1, 0)], width),
+            _ => (sized(&mut rng, 3, width), 0),
+        });
+        calls.push((sized(&mut rng, 4, width), width));
+    }
+
+    let mut ws = StripWorkspace::new();
+    let mut placements = Vec::new();
+    let mut errors = [0u32; 3];
+    for (call, (items, width)) in calls.iter().enumerate() {
+        let before = placements.clone();
+        let reused = ws.pack(items, *width, &mut placements);
+        let fresh = pack_strip(items, *width);
+        match (reused, fresh) {
+            (Ok(height), Ok(fresh)) => {
+                assert_eq!(height, fresh.height(), "call {call}");
+                assert_eq!(placements, fresh.placements(), "call {call}");
+                check_strip_packing(items, *width, &fresh);
+            }
+            (Err(reused), Err(fresh)) => {
+                assert_eq!(reused, fresh, "call {call}");
+                assert_eq!(placements, before, "call {call}: an error writes nothing");
+                errors[match reused {
+                    PackError::ItemTooWide { .. } => 0,
+                    PackError::EmptyItem { .. } => 1,
+                    _ => 2,
+                }] += 1;
+            }
+            (reused, fresh) => panic!("call {call}: {reused:?} vs {fresh:?}"),
+        }
+    }
+    assert_eq!(errors, [8, 8, 8], "every error kind, in the middle");
 }
 
 #[test]
