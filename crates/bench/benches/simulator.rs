@@ -4,11 +4,15 @@
 //! The headline comparison pits the dense-index fast path
 //! (`tsch_sim::Simulator`) against the map-based engine it replaced
 //! (`tsch_sim::reference::ReferenceSimulator`) on a 100-node network with
-//! the paper's 199-slot, 16-channel slotframe, and writes the results —
-//! including the measured speedup and the dense engine's slots/sec — to
-//! `BENCH_simulator.json` in the working directory.
+//! the paper's 199-slot, 16-channel slotframe. Every timing — the five
+//! means, the measured speedup, the dense engine's slots/sec — is printed
+//! as a `timing` line; `BENCH_simulator.json` at the workspace root holds
+//! what the seeds determine: packing quality against proven optima and the
+//! counters and spans of the instrumented sustained run.
 
-use harp_bench::harness::{measure, measure_with_setup, to_json_with_sections, Measurement};
+use harp_bench::harness::{
+    measure, measure_with_setup, print_timing, to_json_with_sections, write_report, Measurement,
+};
 use harp_core::{HarpNetwork, SchedulingPolicy};
 use packing::{exact_strip_height, pack_strip, FreeSpace, Size};
 use schedulers::{HarpScheduler, Scheduler};
@@ -48,17 +52,19 @@ fn build_dense(
     builder.build()
 }
 
-/// Headline numbers plus the observability artefacts of the sustained run.
+/// The observability artefacts of the instrumented sustained run.
 struct DenseOutcome {
-    speedup: f64,
-    slots_per_sec: f64,
-    /// Rendered metrics snapshot of the instrumented sustained run.
+    /// Rendered metrics snapshot.
     obs_json: String,
     /// Rendered sample of the most recent slotframe spans.
     trace_json: String,
 }
 
-fn bench_dense_vs_reference(results: &mut Vec<Measurement>) -> DenseOutcome {
+fn print_mean(m: &Measurement) {
+    print_timing(&m.name, m.mean_ns(), "ns");
+}
+
+fn bench_dense_vs_reference() -> DenseOutcome {
     let (tree, config, schedule, tasks) = scenario_100_nodes();
     let frames_per_iter = 10u64;
 
@@ -106,20 +112,17 @@ fn bench_dense_vs_reference(results: &mut Vec<Measurement>) -> DenseOutcome {
     let obs_json = sim.metrics_snapshot().to_json();
     let trace_json = sim.obs().spans.to_json(16);
 
-    println!("{}", dense.report());
-    println!("{}", reference.report());
-    println!("# dense vs reference: {speedup:.2}x speedup, {slots_per_sec:.0} slots/sec dense");
-    results.push(dense);
-    results.push(reference);
+    print_mean(&dense);
+    print_mean(&reference);
+    print_timing("dense_speedup_vs_reference", speedup, "x");
+    print_timing("dense_slots_per_sec", slots_per_sec, "1/s");
     DenseOutcome {
-        speedup,
-        slots_per_sec,
         obs_json,
         trace_json,
     }
 }
 
-fn bench_data_plane(results: &mut Vec<Measurement>) {
+fn bench_data_plane() {
     let tree = workloads::testbed_50_node_tree();
     let config = SlotframeConfig::paper_default();
     let rate = Rate::per_slotframe(1);
@@ -137,11 +140,10 @@ fn bench_data_plane(results: &mut Vec<Measurement>) {
             black_box(sim.stats().deliveries.len())
         },
     );
-    println!("{}", m.report());
-    results.push(m);
+    print_mean(&m);
 }
 
-fn bench_control_plane(results: &mut Vec<Measurement>) {
+fn bench_control_plane() {
     let tree = workloads::testbed_50_node_tree();
     let config = SlotframeConfig::paper_default();
     let reqs = workloads::uniform_link_requirements(&tree, 1);
@@ -157,16 +159,14 @@ fn bench_control_plane(results: &mut Vec<Measurement>) {
         let net = converged();
         black_box(net.schedule().assignment_count())
     });
-    println!("{}", static_phase.report());
-    results.push(static_phase);
+    print_mean(&static_phase);
 
     let adjustment = measure_with_setup("harp_adjustment_leaf", converged, |mut net| {
         let link = tsch_sim::Link::up(tsch_sim::NodeId(45));
         net.adjust_and_settle(net.now(), link, 2).unwrap();
         black_box(net.schedule().assignment_count())
     });
-    println!("{}", adjustment.report());
-    results.push(adjustment);
+    print_mean(&adjustment);
 }
 
 /// Strip width for the packing-quality instances (all item sides fit).
@@ -213,8 +213,7 @@ fn maxrects_strip_height(items: &[Size], width: u32) -> u32 {
 
 /// Heuristic-vs-exact packing quality on seeded small instances — the
 /// ROADMAP "packing exactness" metric. All values are deterministic
-/// (seeded instances, proven optima), so the gate holds them to count
-/// tolerance.
+/// (seeded instances, proven optima).
 fn packing_quality_metrics() -> Vec<(&'static str, f64)> {
     let instances = quality_instances();
     let mut skyline_factors = Vec::with_capacity(instances.len());
@@ -238,44 +237,25 @@ fn packing_quality_metrics() -> Vec<(&'static str, f64)> {
 }
 
 fn main() {
-    let mut results = Vec::new();
-    let outcome = bench_dense_vs_reference(&mut results);
-    bench_data_plane(&mut results);
-    bench_control_plane(&mut results);
+    let outcome = bench_dense_vs_reference();
+    bench_data_plane();
+    bench_control_plane();
     let quality = packing_quality_metrics();
     for (name, value) in &quality {
         println!("# {name}: {value:.3}");
     }
 
-    let mut metrics = vec![
-        ("dense_speedup_vs_reference", outcome.speedup),
-        ("dense_slots_per_sec", outcome.slots_per_sec),
-        ("bench_threads", tsch_sim::bench_threads() as f64),
-    ];
-    metrics.extend(quality);
-
     let json = to_json_with_sections(
-        &results,
-        &metrics,
+        &quality,
         &[
-            ("obs", outcome.obs_json.clone()),
+            ("obs", outcome.obs_json),
             ("trace_sample", outcome.trace_json.clone()),
         ],
     );
-    // Write to the workspace root (two levels above this crate) so the
-    // report lands at a stable path regardless of cargo's bench CWD.
-    let path = match std::env::var("CARGO_MANIFEST_DIR") {
-        Ok(dir) => std::path::Path::new(&dir).join("../../BENCH_simulator.json"),
-        Err(_) => std::path::PathBuf::from("BENCH_simulator.json"),
-    };
-    std::fs::write(&path, &json).expect("write benchmark report");
-    println!("# wrote {}", path.display());
-
+    write_report("BENCH_simulator.json", &json);
     // Standalone trace sample (CI uploads it as an artifact; not committed).
-    let trace_path = match std::env::var("CARGO_MANIFEST_DIR") {
-        Ok(dir) => std::path::Path::new(&dir).join("../../BENCH_trace_sample.json"),
-        Err(_) => std::path::PathBuf::from("BENCH_trace_sample.json"),
-    };
-    std::fs::write(&trace_path, format!("{}\n", outcome.trace_json)).expect("write trace sample");
-    println!("# wrote {}", trace_path.display());
+    write_report(
+        "BENCH_trace_sample.json",
+        &format!("{}\n", outcome.trace_json),
+    );
 }

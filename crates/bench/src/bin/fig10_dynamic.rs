@@ -21,5 +21,5 @@ fn main() {
     };
     run_scenario(&scenario, &opts)
         .expect("scenario runs")
-        .emit();
+        .emit(&opts);
 }

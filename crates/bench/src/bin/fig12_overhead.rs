@@ -14,7 +14,7 @@
 //!
 //! Run with `cargo run --release -p harp-bench --bin fig12_overhead`.
 
-use harp_bench::harness::{rows_json, to_json_with_sections, write_report};
+use harp_bench::harness::{print_bench_threads, rows_json, to_json_with_sections, write_report};
 use harp_bench::{mean, measure_harp_adjustment, measure_harp_adjustment_traced, par_map};
 use harp_core::Requirements;
 use harp_obs::{spans_to_json, MetricsSnapshot, SpanEvent};
@@ -116,9 +116,9 @@ fn main() {
     let mut snap = MetricsSnapshot::default();
     harp_bench::add_all_library_counters(&mut snap);
     let total = spans.len() as u64;
+    print_bench_threads(tsch_sim::bench_threads());
     let json = to_json_with_sections(
         &[],
-        &[("bench_threads", tsch_sim::bench_threads() as f64)],
         &[
             ("rows", rows_json(&rows)),
             ("obs", snap.to_json()),

@@ -22,7 +22,7 @@
 //!
 //! Run with `cargo run --release -p harp-bench --bin fig9_latency`.
 
-use harp_bench::harness::{rows_json, to_json_with_sections, write_report};
+use harp_bench::harness::{print_bench_threads, rows_json, to_json_with_sections, write_report};
 use harp_core::{HarpNetwork, SchedulingPolicy};
 use harp_obs::{merged_trace_json, SpanRing};
 use std::fmt::Write as _;
@@ -254,12 +254,11 @@ fn main() {
         rows.extend(block.rows.iter().cloned());
         metrics.extend(block.metrics.iter().copied());
     }
-    metrics.push(("bench_threads", tsch_sim::bench_threads() as f64));
+    print_bench_threads(tsch_sim::bench_threads());
     let mut snap = harp_obs::MetricsSnapshot::default();
     harp_bench::add_all_library_counters(&mut snap);
     let rings: Vec<&SpanRing> = blocks.iter().flat_map(|b| b.rings.iter()).collect();
     let json = to_json_with_sections(
-        &[],
         &metrics,
         &[
             ("rows", rows_json(&rows)),

@@ -8,7 +8,7 @@
 //! `harp_sim --scenario scenarios/mgmt_loss.scn [--quick]`.
 //!
 //! Writes `BENCH_mgmt_loss.json` at the workspace root; `--quick` runs the
-//! two-topology smoke batch (CI).
+//! two-topology smoke batch (CI) and writes nothing.
 
 use harp_bench::harness::flag;
 use harp_bench::scenario_run::{load_scenario_file, run_scenario, scenario_dir, RunOptions};
@@ -22,5 +22,5 @@ fn main() {
     };
     run_scenario(&scenario, &opts)
         .expect("scenario runs")
-        .emit();
+        .emit(&opts);
 }

@@ -16,15 +16,20 @@
 //! schedule and report shape (grammar in `DESIGN.md` §14); the runner
 //! replays it deterministically — the same scenario and seed produce a
 //! byte-identical report on every run and for every `--threads` value.
-//! `--seed` overrides the file's seed; `--quick` shrinks topology sweeps
-//! to their `quick_count` (the CI smoke setting).
+//! `--seed` overrides the file's seed and still writes to the scenario's
+//! own `[report] file`, so on a checkout whose reports are compared with
+//! the committed ones, restore that file afterwards. `--quick` shrinks
+//! topology sweeps to their `quick_count` (the CI smoke setting) and never
+//! writes the report file.
 
 use harp_bench::harness::{arg_value, flag};
 use harp_bench::scenario_run::{load_scenario_file, run_scenario, RunOptions};
 use std::path::Path;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: harp_sim --scenario <file.scn> [--seed <n>] [--quick] [--threads <n>] [--flight <out.json>]";
+const USAGE: &str = "usage: harp_sim --scenario <file.scn> [--seed <n>] [--quick] [--threads <n>] [--flight <out.json>]
+  --seed <n>  replay with another seed; the report still goes to the scenario's own `[report] file`
+  --quick     shrink sweeps to their quick_count; the report file is not written";
 
 fn parse_u64(s: &str) -> Option<u64> {
     if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
@@ -73,7 +78,7 @@ fn main() -> ExitCode {
     };
     match run_scenario(&scenario, &opts) {
         Ok(output) => {
-            output.emit();
+            output.emit(&opts);
             if let Some(path) = arg_value("--flight") {
                 let Some(flight) = &output.flight else {
                     eprintln!(

@@ -2,14 +2,21 @@
 //!
 //! The workspace builds offline, so the `[[bench]]` targets cannot pull in
 //! an external harness crate; this module provides the few pieces they
-//! need: warmed-up, time-budgeted measurement loops and a plain JSON
-//! report writer (consumed by `BENCH_simulator.json`).
+//! need: warmed-up, time-budgeted measurement loops, a plain JSON report
+//! writer and the flat-cost check the two scale studies share
+//! ([`assert_flat`]).
+//!
+//! A report file holds only what the source tree and the seeds written in
+//! it determine, so the committed copy can be compared byte for byte with a
+//! regenerated one. Anything read from a clock is printed by the binary
+//! that measured it ([`print_timing`]) and never enters a file.
 //!
 //! Timing uses a doubling batch schedule against a wall-clock budget
 //! (`HARP_BENCH_BUDGET_MS`, default 200 ms per benchmark), which keeps a
 //! full bench run in seconds while still amortising timer overhead for
 //! nanosecond-scale bodies.
 
+use harp_obs::json::escape_json;
 use std::time::{Duration, Instant};
 
 /// One benchmark's timing result.
@@ -143,76 +150,121 @@ pub fn measure_with_setup<S, R>(
     }
 }
 
-/// Renders measurements plus scalar metrics as a JSON document.
-///
-/// The shape is stable for downstream tooling:
-/// `{"benchmarks": [{"name", "iters", "total_ns", "mean_ns"}...],
-///   "metrics": {...}}`.
-#[must_use]
-pub fn to_json(measurements: &[Measurement], metrics: &[(&str, f64)]) -> String {
-    to_json_with_sections(measurements, metrics, &[])
+/// Prints one `timing <name> <value> <unit>` line, the format `benchmark/`
+/// prints its ungated op timings in.
+pub fn print_timing(name: &str, value: f64, unit: &str) {
+    println!("timing {name} {value:.3} {unit}");
 }
 
-/// [`to_json`] with extra top-level sections, each a key plus an
-/// already-rendered JSON value (e.g. an observability snapshot from
-/// [`harp_obs::MetricsSnapshot::to_json`] or a span-ring dump). The gate
-/// ([`crate::gate`]) ignores sections it does not classify, so reports may
-/// grow new sections without breaking old baselines.
+/// Prints the worker-thread count a sweep fans out over, on stderr. It
+/// explains the run's wall-clock and nothing else: the report and stdout
+/// are the same bytes for every count.
+pub fn print_bench_threads(threads: usize) {
+    eprintln!("# bench_threads: {threads}");
+}
+
+/// Renders scalar metrics plus further top-level sections as a JSON
+/// document: `{"metrics": {...}, "<section>": <rendered>...}`. Each section
+/// is a key plus an already-rendered JSON value (a [`rows_json`] array, an
+/// observability snapshot from [`harp_obs::MetricsSnapshot::to_json`], a
+/// span-ring dump). A report without scalar metrics has no `metrics` key.
 #[must_use]
-pub fn to_json_with_sections(
-    measurements: &[Measurement],
-    metrics: &[(&str, f64)],
-    sections: &[(&str, String)],
-) -> String {
-    let mut out = String::from("{\n");
-    if !measurements.is_empty() {
-        out.push_str("  \"benchmarks\": [\n");
-        for (i, m) in measurements.iter().enumerate() {
-            let sep = if i + 1 < measurements.len() { "," } else { "" };
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"iters\": {}, \"total_ns\": {}, \"mean_ns\": {:.1}}}{sep}\n",
-                escape(&m.name),
-                m.iters,
-                m.total.as_nanos(),
-                m.mean_ns()
-            ));
+pub fn to_json_with_sections(metrics: &[(&str, f64)], sections: &[(&str, String)]) -> String {
+    let mut entries = Vec::with_capacity(sections.len() + 1);
+    if !metrics.is_empty() {
+        let mut body = String::from("{\n");
+        for (i, (name, value)) in metrics.iter().enumerate() {
+            let sep = if i + 1 < metrics.len() { "," } else { "" };
+            body.push_str(&format!("    \"{}\": {value:.3}{sep}\n", escape_json(name)));
         }
-        out.push_str("  ],\n");
+        body.push_str("  }");
+        entries.push(format!("  \"metrics\": {body}"));
     }
-    out.push_str("  \"metrics\": {\n");
-    for (i, (name, value)) in metrics.iter().enumerate() {
-        let sep = if i + 1 < metrics.len() { "," } else { "" };
-        out.push_str(&format!("    \"{}\": {value:.3}{sep}\n", escape(name)));
-    }
-    out.push_str("  }");
     for (name, rendered) in sections {
-        out.push_str(&format!(",\n  \"{}\": {rendered}", escape(name)));
+        entries.push(format!("  \"{}\": {rendered}", escape_json(name)));
     }
-    out.push_str("\n}\n");
-    out
-}
-
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+    format!("{{\n{}\n}}\n", entries.join(",\n"))
 }
 
 /// Renders a `rows` section: an array of objects each labelled with a
-/// `name` field followed by its numeric fields, in the given order. The
-/// gate keys row comparison on `name`, so labels must be unique within a
-/// report and stable across runs.
+/// `name` field followed by its numeric fields, in the given order.
 #[must_use]
 pub fn rows_json(rows: &[(String, Vec<(&str, f64)>)]) -> String {
     let mut out = String::from("[\n");
     for (i, (name, fields)) in rows.iter().enumerate() {
         let sep = if i + 1 < rows.len() { "," } else { "" };
-        out.push_str(&format!("    {{\"name\": \"{}\"", escape(name)));
+        out.push_str(&format!("    {{\"name\": \"{}\"", escape_json(name)));
         for (k, v) in fields {
-            out.push_str(&format!(", \"{}\": {v:.3}", escape(k)));
+            out.push_str(&format!(", \"{}\": {v:.3}", escape_json(k)));
         }
         out.push_str(&format!("}}{sep}\n"));
     }
     out.push_str("  ]");
     out
+}
+
+/// The flat-cost bound: every row's rate must lie within this ratio of the
+/// geometric mean across rows.
+const FLATNESS_TOLERANCE: f64 = 0.25;
+
+/// Median of `samples` (mean of the middle pair for even counts).
+#[must_use]
+pub fn median(samples: &[f64]) -> f64 {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let n = sorted.len();
+    if n == 0 {
+        return 0.0;
+    }
+    if n % 2 == 1 {
+        sorted[n / 2]
+    } else {
+        (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
+    }
+}
+
+/// The geometric mean of `rates` when every one lies within
+/// ±[`FLATNESS_TOLERANCE`] of it; otherwise a message naming the rows out
+/// of band. Fewer than two rows, or a rate that is not positive, is a
+/// failure too: there is nothing to be flat across.
+fn check_flatness(rates: &[(String, f64)]) -> Result<f64, String> {
+    if rates.len() < 2 || rates.iter().any(|&(_, r)| r.is_nan() || r <= 0.0) {
+        return Err(format!(
+            "flatness needs at least two rows with a positive rate, got {rates:?}"
+        ));
+    }
+    let mean = (rates.iter().map(|(_, r)| r.ln()).sum::<f64>() / rates.len() as f64).exp();
+    let band = 1.0 - FLATNESS_TOLERANCE..=1.0 + FLATNESS_TOLERANCE;
+    let outliers: Vec<String> = rates
+        .iter()
+        .filter(|(_, rate)| !band.contains(&(rate / mean)))
+        .map(|(label, rate)| format!("{label} ({rate:.0}/s, {:.2}x)", rate / mean))
+        .collect();
+    if outliers.is_empty() {
+        Ok(mean)
+    } else {
+        Err(format!(
+            "outside ±{FLATNESS_TOLERANCE} of the geometric mean {mean:.0}/s: {}",
+            outliers.join(", ")
+        ))
+    }
+}
+
+/// The flat-cost check of the scale studies, as the last act of a binary:
+/// the same work timed at several network sizes in one run must cost the
+/// same at each, so every labelled rate has to lie within ±0.25 of the
+/// geometric mean of all of them. The rates come from one process on one
+/// machine, which is why this can be a check where a comparison against a
+/// committed timing cannot. Prints the flatness line for `what` (e.g.
+/// "adjustment rate").
+///
+/// # Panics
+///
+/// Panics, so the process exits non-zero, naming the rows out of band;
+/// also with fewer than two rows or a rate that is not positive.
+pub fn assert_flat(what: &str, rates: &[(String, f64)]) {
+    let mean = check_flatness(rates).unwrap_or_else(|e| panic!("{what}: {e}"));
+    println!("# {what} flat within ±{FLATNESS_TOLERANCE} of {mean:.0}/s");
 }
 
 /// Resolves a path against the workspace root: relative to this crate's
@@ -296,35 +348,20 @@ mod tests {
 
     #[test]
     fn json_report_is_well_formed() {
-        let ms = vec![
-            Measurement {
-                name: "a".into(),
-                iters: 10,
-                total: Duration::from_micros(5),
-            },
-            Measurement {
-                name: "b\"x".into(),
-                iters: 1,
-                total: Duration::from_nanos(7),
-            },
-        ];
-        let json = to_json(&ms, &[("speedup", 2.5), ("rate", 100.0)]);
-        assert!(json.contains("\"name\": \"a\""));
-        assert!(json.contains("\"b\\\"x\""));
-        assert!(json.contains("\"speedup\": 2.500"));
-        assert!(json.contains("\"rate\": 100.000"));
-        // Balanced braces/brackets as a cheap structural check.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        let json = to_json_with_sections(
+            &[("a\"b", 2.5), ("count", 100.0)],
+            &[("rows", "[\n  ]".into())],
+        );
+        assert_eq!(
+            json,
+            "{\n  \"metrics\": {\n    \"a\\\"b\": 2.500,\n    \"count\": 100.000\n  },\n  \"rows\": [\n  ]\n}\n"
+        );
     }
 
     #[test]
-    fn empty_measurements_omit_benchmarks_section() {
-        let json = to_json_with_sections(&[], &[("x", 1.0)], &[("rows", "[\n  ]".into())]);
-        assert!(!json.contains("\"benchmarks\""));
-        assert!(json.contains("\"x\": 1.000"));
-        assert!(json.contains("\"rows\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+    fn report_without_metrics_has_no_metrics_key() {
+        let json = to_json_with_sections(&[], &[("rows", "[\n  ]".into()), ("obs", "{}".into())]);
+        assert_eq!(json, "{\n  \"rows\": [\n  ],\n  \"obs\": {}\n}\n");
     }
 
     #[test]
@@ -338,6 +375,67 @@ mod tests {
         assert!(json.contains("{\"name\": \"sf\\\"1\", \"a\": 3.000}\n"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
+    }
+
+    fn rates(rows: &[(&str, f64)]) -> Vec<(String, f64)> {
+        rows.iter().map(|&(l, r)| (l.to_owned(), r)).collect()
+    }
+
+    #[test]
+    fn median_takes_the_middle() {
+        assert_eq!(median(&[]), 0.0);
+        assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]), 2.5);
+    }
+
+    #[test]
+    fn flatness_accepts_flat_rates() {
+        let two = rates(&[("scale_1k", 95_000.0), ("scale_1m", 105_000.0)]);
+        let mean = check_flatness(&two).unwrap();
+        assert!((mean - (95_000.0f64 * 105_000.0).sqrt()).abs() < 1e-6);
+        let three = rates(&[("1k", 110_000.0), ("10k", 95_000.0), ("100k", 105_000.0)]);
+        assert!(check_flatness(&three).is_ok());
+    }
+
+    #[test]
+    fn flatness_trips_on_one_row_out_of_band() {
+        let mut rows = rates(&[
+            ("scale_1k", 100_000.0),
+            ("scale_10k", 100_000.0),
+            ("scale_100k", 100_000.0),
+            ("scale_1m", 100_000.0),
+        ]);
+        assert!(check_flatness(&rows).is_ok());
+        rows[3].1 = 60_000.0;
+        let err = check_flatness(&rows).unwrap_err();
+        assert!(err.contains("scale_1m (60000/s, 0.68x)"), "{err}");
+        assert!(!err.contains("scale_10k"), "{err}");
+    }
+
+    #[test]
+    fn flatness_trips_on_size_dependent_rates() {
+        // A 10x fall from 1k to 100k is the O(nodes) signature the check
+        // exists to catch; only the drifted rows are named.
+        let err = check_flatness(&rates(&[
+            ("1k", 100_000.0),
+            ("10k", 33_000.0),
+            ("100k", 10_000.0),
+        ]))
+        .unwrap_err();
+        assert!(err.contains("1k (") && err.contains("100k ("), "{err}");
+        assert!(!err.contains("10k ("), "{err}");
+    }
+
+    #[test]
+    fn flatness_demands_usable_rows() {
+        // No row, a single row and a zero rate are failures, not passes.
+        for unusable in [
+            rates(&[]),
+            rates(&[("1k", 100_000.0)]),
+            rates(&[("1k", 0.0), ("10k", 100_000.0)]),
+        ] {
+            assert!(check_flatness(&unusable).is_err(), "{unusable:?}");
+        }
     }
 
     #[test]

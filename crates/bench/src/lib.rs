@@ -8,7 +8,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod gate;
 pub mod harness;
 pub mod scenario_run;
 
@@ -47,7 +46,7 @@ pub fn average_collision_probability(
 }
 
 /// The sweep both Fig. 11 panels run: the five compared schedulers over the
-/// 100 Fig. 11 topologies. Each [`point`](Self::point) adds one gated
+/// 100 Fig. 11 topologies. Each [`point`](Self::point) adds one
 /// report row and one lane of synthetic `bench` spans on a virtual clock
 /// (1000 "slots" per point, one 150-slot lane per scheduler), so
 /// `harp_trace` can show where the sweep spent its slots.
@@ -128,13 +127,13 @@ impl Fig11Sweep {
     /// workloads and schedulers counters, and the sweep trace.
     pub fn write_report(self, file_name: &str) {
         println!("{}", obs_footer());
+        harness::print_bench_threads(bench_threads());
         let mut snap = tsch_sim::MetricsSnapshot::default();
         snap.add_counters(workloads::obs::totals());
         snap.add_counters(schedulers::obs::totals());
         let total = self.spans.len() as u64;
         let json = harness::to_json_with_sections(
             &[],
-            &[("bench_threads", bench_threads() as f64)],
             &[
                 ("rows", harness::rows_json(&self.rows)),
                 ("obs", snap.to_json()),

@@ -20,11 +20,14 @@
 //! across thread counts, and reports render through the same JSON writers
 //! as the bespoke binaries did. A converted experiment therefore reproduces
 //! its committed `BENCH_*` baseline byte for byte, and any scenario+seed
-//! pair replays identically across runs and `--threads` settings. Every
-//! data-plane run also re-pins the engine's `idle_wakeups == 0` invariant,
-//! fault windows included.
+//! pair replays identically across runs, `--threads` settings and
+//! `HARP_BENCH_THREADS` values (the thread count is printed, not
+//! reported). Every data-plane run also re-pins the engine's
+//! `idle_wakeups == 0` invariant, fault windows included.
 
-use crate::harness::{rows_json, to_json_with_sections, workspace_path, write_report};
+use crate::harness::{
+    print_bench_threads, rows_json, to_json_with_sections, workspace_path, write_report,
+};
 use crate::{measure_harp_adjustment_traced, run_lockstep};
 use harp_core::{HarpNetwork, ProtocolReport, SchedulingPolicy};
 use harp_obs::flame::{detect_storms, TraceSpan};
@@ -71,12 +74,16 @@ pub struct RunOutput {
 
 impl RunOutput {
     /// Prints the run log and writes the report file when the scenario
-    /// names one.
-    pub fn emit(&self) {
+    /// names one. A `quick` run shrinks the sweep, so its report is another
+    /// population's: it is never written over the committed one.
+    pub fn emit(&self, opts: &RunOptions) {
         print!("{}", self.stdout);
         println!("{}", crate::obs_footer());
-        if let Some(file) = &self.file {
-            write_report(file, &self.json);
+        print_bench_threads(opts.threads.unwrap_or_else(bench_threads));
+        match &self.file {
+            Some(file) if opts.quick => println!("quick run: {file} not written"),
+            Some(file) => write_report(file, &self.json),
+            None => {}
         }
     }
 }
@@ -328,13 +335,11 @@ fn run_timeline(
         ("delivered", stats.deliveries.len() as f64),
         ("collisions", stats.collisions as f64),
         ("losses", stats.losses as f64),
-        ("bench_threads", bench_threads() as f64),
     ];
     let mut snap = net.metrics_snapshot();
     crate::add_library_counters(&mut snap);
     let trace = merged_trace_json(&[&net.obs().spans, &sim.obs().spans], 96);
     let json = to_json_with_sections(
-        &[],
         &metrics,
         &[
             ("rows", rows_json(&rows)),
@@ -494,11 +499,6 @@ fn run_pdr_sweep(
 
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"topologies\": {topologies},");
-    let _ = writeln!(
-        json,
-        "  \"metrics\": {{\"bench_threads\": {}}},",
-        bench_threads()
-    );
     json.push_str("  \"rows\": [\n");
     for (p, &pdr) in pdrs.iter().enumerate() {
         let rows: Vec<&SweepSample> = samples
@@ -658,7 +658,6 @@ fn run_adjustments(
     let total = spans.len() as u64;
     let json = to_json_with_sections(
         &[],
-        &[("bench_threads", bench_threads() as f64)],
         &[
             ("rows", rows_json(&rows)),
             ("obs", snap.to_json()),
@@ -754,10 +753,8 @@ fn run_replicates(
         ("replicates", f64::from(repeats)),
         ("frames", scenario.frames as f64),
         ("fault_events", plan.len() as f64),
-        ("bench_threads", bench_threads() as f64),
     ];
     let json = to_json_with_sections(
-        &[],
         &metrics,
         &[("rows", rows_json(&rows)), ("obs", snap.to_json())],
     );
@@ -850,13 +847,9 @@ fn run_churn(scenario: &Scenario, opts: &RunOptions) -> Result<(String, String),
 
     let mut snap = net.metrics_snapshot();
     crate::add_library_counters(&mut snap);
-    let metrics: Vec<(&str, f64)> = vec![
-        ("churn_events", events.len() as f64),
-        ("bench_threads", bench_threads() as f64),
-    ];
+    let metrics: Vec<(&str, f64)> = vec![("churn_events", events.len() as f64)];
     let trace = net.obs().spans.to_json(64);
     let json = to_json_with_sections(
-        &[],
         &metrics,
         &[
             ("rows", rows_json(&rows)),

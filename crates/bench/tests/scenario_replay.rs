@@ -1,6 +1,9 @@
 //! Replay determinism: the same scenario file and seed must produce
 //! byte-identical output — across repeated runs, across `--threads`
-//! settings, and with fault windows active mid-run.
+//! settings and `HARP_BENCH_THREADS` values, and with fault windows active
+//! mid-run. That is what lets CI gate the committed `BENCH_*.json` on
+//! equality with a regenerated copy; the last test keeps anything a clock
+//! or the machine decides out of those files.
 //!
 //! Two layers of coverage:
 //!
@@ -12,6 +15,7 @@
 //!   second run in the same process legitimately reports larger totals).
 
 use harp_bench::scenario_run::{load_scenario_file, run_scenario, scenario_dir, RunOptions};
+use harp_obs::json::{parse, Json};
 use std::path::PathBuf;
 use std::process::Command;
 use workloads::scenario_dsl::parse_scenario;
@@ -54,25 +58,26 @@ fn workspace_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../")
 }
 
-/// Runs the `harp_sim` binary on `scenario_path` and returns its stdout
-/// plus the bytes of the report it wrote.
+/// Runs the `harp_sim` binary on `scenario_path` under
+/// `HARP_BENCH_THREADS=env_threads` (how CI sets the worker count), with
+/// `--threads` on top when given, and returns its stdout plus the bytes of
+/// the report it wrote.
 fn run_harp_sim(
     scenario_path: &std::path::Path,
     seed: u64,
-    threads: usize,
+    env_threads: usize,
+    cli_threads: Option<usize>,
     report: &str,
 ) -> (String, String) {
-    let out = Command::new(env!("CARGO_BIN_EXE_harp_sim"))
-        .args([
-            "--scenario",
-            &scenario_path.display().to_string(),
-            "--seed",
-            &seed.to_string(),
-            "--threads",
-            &threads.to_string(),
-        ])
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_harp_sim"));
+    cmd.arg("--scenario").arg(scenario_path);
+    cmd.args(["--seed", &seed.to_string()]);
+    if let Some(n) = cli_threads {
+        cmd.args(["--threads", &n.to_string()]);
+    }
+    let out = cmd
         .env("CARGO_MANIFEST_DIR", env!("CARGO_MANIFEST_DIR"))
-        .env("HARP_BENCH_THREADS", "3") // pin the env-derived metric
+        .env("HARP_BENCH_THREADS", env_threads.to_string())
         .output()
         .expect("harp_sim spawns");
     assert!(
@@ -97,14 +102,19 @@ fn harp_sim_replays_byte_identically_across_runs_and_threads() {
     )
     .unwrap();
 
-    let (stdout_a, json_a) = run_harp_sim(&scn, 5, 1, report);
-    let (stdout_b, json_b) = run_harp_sim(&scn, 5, 1, report);
+    let (stdout_a, json_a) = run_harp_sim(&scn, 5, 1, None, report);
+    let (stdout_b, json_b) = run_harp_sim(&scn, 5, 1, None, report);
     assert_eq!(stdout_a, stdout_b, "same seed, same threads: same bytes");
     assert_eq!(json_a, json_b);
 
-    let (stdout_c, json_c) = run_harp_sim(&scn, 5, 4, report);
-    assert_eq!(stdout_a, stdout_c, "thread count must not leak into output");
-    assert_eq!(json_a, json_c);
+    for (env_threads, cli_threads) in [(4, None), (1, Some(4))] {
+        let (stdout_c, json_c) = run_harp_sim(&scn, 5, env_threads, cli_threads, report);
+        assert_eq!(stdout_a, stdout_c, "thread count must not leak into output");
+        assert_eq!(
+            json_a, json_c,
+            "a report is a function of tree and seed, not of the machine's threads"
+        );
+    }
 
     // The comparison must have happened under live fault pressure: all
     // nine lowered events (crash 2, pdr_window 2, partition 4, burst 1)
@@ -295,4 +305,58 @@ fn seed_override_changes_the_replay() {
         without_obs(&b.json),
         "the PDR window makes replicate stats seed-dependent"
     );
+}
+
+/// True for a key whose value a clock or the machine decides.
+fn is_timed_key(key: &str) -> bool {
+    key.ends_with("_ns")
+        || key.ends_with("per_sec")
+        || key.contains("speedup")
+        || key == "bench_threads"
+        || key == "iters"
+}
+
+fn timed_keys(value: &Json, path: &str, found: &mut Vec<String>) {
+    match value {
+        Json::Obj(members) => {
+            for (key, member) in members {
+                let here = format!("{path}.{key}");
+                if is_timed_key(key) {
+                    found.push(here.clone());
+                }
+                timed_keys(member, &here, found);
+            }
+        }
+        Json::Arr(items) => {
+            for (i, item) in items.iter().enumerate() {
+                timed_keys(item, &format!("{path}[{i}]"), found);
+            }
+        }
+        _ => {}
+    }
+}
+
+#[test]
+fn committed_reports_hold_nothing_timed() {
+    // The reports are whatever `BENCH_*.json` the workspace root holds, not
+    // a list: a new report is covered the moment it is committed.
+    let mut checked = 0;
+    for entry in std::fs::read_dir(workspace_root()).expect("workspace root") {
+        let path = entry.expect("directory entry").path();
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        if !(name.starts_with("BENCH_") && name.ends_with(".json")) {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).expect("report reads");
+        let doc = parse(&text).unwrap_or_else(|e| panic!("{name} does not parse: {e}"));
+        let mut found = Vec::new();
+        timed_keys(&doc, "", &mut found);
+        assert!(
+            found.is_empty(),
+            "{name} holds timed or machine-derived fields, which cannot be compared \
+             for equality; print them as `timing` lines instead: {found:?}"
+        );
+        checked += 1;
+    }
+    assert!(checked > 0, "no BENCH_*.json at the workspace root");
 }

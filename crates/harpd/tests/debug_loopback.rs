@@ -1,9 +1,10 @@
 //! Live-observability loopback tests: boot the daemon on real sockets and
 //! pin (1) that the correlation id an adjust response returns resolves via
 //! `/debug/trace/<tenant>` to the allocator spans and control-plane ops
-//! that request produced, and (2) that concurrent multi-tenant load wraps
-//! the flight-recorder ring without corrupting its dump or starving
-//! `/debug/health`.
+//! that request produced, and (2) that concurrent multi-tenant load —
+//! creates, reads, adjustments and deletes on four workers — wraps the
+//! flight-recorder ring without corrupting its dump or starving
+//! `/debug/health`, leaks no network and is counted request for request.
 
 use std::time::Duration;
 
@@ -116,32 +117,49 @@ fn adjust_correlation_resolves_over_the_wire() {
     join.join().expect("clean join");
 }
 
+/// Runs `work(i)` for the four tenants on four client threads at once and
+/// returns how many requests they sent in total.
+fn four_clients(work: impl Fn(usize) -> u64 + Copy + Send + 'static) -> u64 {
+    let handles: Vec<_> = (0..4)
+        .map(|i| std::thread::spawn(move || work(i)))
+        .collect();
+    handles
+        .into_iter()
+        .map(|h| h.join().expect("tenant thread"))
+        .sum()
+}
+
 #[test]
 fn concurrent_load_wraps_flight_ring_and_stays_consistent() {
     let (addr, join) = boot(4);
     // Every request logs one flight event; 4 tenants x ~300 requests
     // comfortably exceeds the 1024-event ring and forces wraparound
     // while four workers interleave recordings.
-    let handles: Vec<_> = (0..4)
-        .map(|i| {
-            std::thread::spawn(move || {
-                let mut client = HttpClient::new(addr).with_timeout(Duration::from_secs(30));
-                let created = client
-                    .post("/networks", &create_body(&format!("w{i}")))
-                    .expect("create");
-                assert_eq!(created.status, 201, "{}", created.body);
-                for _ in 0..300 {
-                    let resp = client
-                        .get(&format!("/networks/w{i}/schedule"))
-                        .expect("schedule");
-                    assert_eq!(resp.status, 200);
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().expect("tenant thread");
-    }
+    let mut sent = four_clients(move |i| {
+        let mut client = HttpClient::new(addr).with_timeout(Duration::from_secs(30));
+        let created = client
+            .post("/networks", &create_body(&format!("w{i}")))
+            .expect("create");
+        assert_eq!(created.status, 201, "{}", created.body);
+        for _ in 0..300 {
+            let resp = client
+                .get(&format!("/networks/w{i}/schedule"))
+                .expect("schedule");
+            assert_eq!(resp.status, 200);
+        }
+        // Writes race the other tenants' reads and writes: raise and
+        // relax one deep link, every step feasible.
+        for cells in [2, 1, 2, 1] {
+            let bill = client
+                .post(
+                    &format!("/networks/w{i}/adjust"),
+                    &format!("{{\"node\": 5, \"cells\": {cells}}}"),
+                )
+                .expect("adjust");
+            assert_eq!(bill.status, 200, "{}", bill.body);
+        }
+        1 + 300 + 4
+    });
 
     let mut client = HttpClient::new(addr).with_timeout(Duration::from_secs(30));
     let flight = client.get("/debug/flight").expect("flight");
@@ -205,6 +223,15 @@ fn concurrent_load_wraps_flight_ring_and_stays_consistent() {
         metrics.body
     );
 
+    // Four concurrent deletes, then the daemon's own tally at shutdown:
+    // nothing leaked, and it served exactly what the clients sent — the
+    // three reads above and the shutdown included.
+    sent += four_clients(move |i| {
+        let mut client = HttpClient::new(addr).with_timeout(Duration::from_secs(30));
+        let deleted = client.delete(&format!("/networks/w{i}")).expect("delete");
+        assert!(deleted.is_success(), "{}", deleted.body);
+        1
+    });
     assert_eq!(
         client
             .post("/shutdown?token=loop-token", "")
@@ -212,5 +239,11 @@ fn concurrent_load_wraps_flight_ring_and_stays_consistent() {
             .status,
         200
     );
-    join.join().expect("clean join");
+    let summary = join.join().expect("clean join");
+    assert_eq!(summary.networks, 0, "every tenant was deleted");
+    assert_eq!(
+        summary.metrics.counter("harpd.requests_total"),
+        Some(sent + 4),
+        "client and server request counts reconcile"
+    );
 }

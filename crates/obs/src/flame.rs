@@ -27,7 +27,7 @@
 //! break on explicit keys, and no wall clock or randomness is involved —
 //! the same trace bytes always produce the same view bytes.
 
-use crate::json::Json;
+use crate::json::{escape_json, Json};
 use crate::span::{SpanEvent, NO_NODE};
 use std::collections::BTreeMap;
 
@@ -243,10 +243,6 @@ pub fn collapsed_stacks(spans: &[TraceSpan]) -> String {
     out
 }
 
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 /// Renders spans as a Chrome trace-event JSON array (loadable in
 /// `chrome://tracing` and Perfetto): every span becomes one complete
 /// (`"ph": "X"`) event with
@@ -284,8 +280,8 @@ pub fn chrome_trace(spans: &[TraceSpan], slot_us: u64) -> String {
         }
         out.push_str(&format!(
             "{{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"X\", \"ts\": {}, \"dur\": {}, \"pid\": {}, \"tid\": {}, \"args\": {{\"node\": {}, \"depth\": {}, \"detail\": {}}}}}",
-            escape(&s.name),
-            escape(&s.layer),
+            escape_json(&s.name),
+            escape_json(&s.layer),
             s.start_asn * slot_us,
             s.slot_mass() * slot_us,
             s.node + 1,

@@ -22,6 +22,7 @@
 //! scenario runner), so a seeded scenario produces byte-identical dumps
 //! across runs and thread counts (pinned by `flight_determinism`).
 
+use crate::json::escape_json;
 use std::collections::VecDeque;
 
 /// Node id meaning "no specific node" in a [`FlightEvent`].
@@ -50,22 +51,6 @@ pub struct FlightEvent {
     pub magnitude: i64,
 }
 
-fn escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl FlightEvent {
     /// Renders the event as one JSON object (the element shape of
     /// [`FlightRecorder::to_json`]).
@@ -75,11 +60,11 @@ impl FlightEvent {
             "{{\"seq\": {}, \"at\": {}, \"kind\": \"{}\", \"tenant\": \"{}\", \"corr\": {}, \"node\": {}, \"detail\": \"{}\", \"magnitude\": {}}}",
             self.seq,
             self.at,
-            escape(self.kind),
-            escape(&self.tenant),
+            escape_json(self.kind),
+            escape_json(&self.tenant),
             self.corr,
             self.node,
-            escape(&self.detail),
+            escape_json(&self.detail),
             self.magnitude,
         )
     }
@@ -214,7 +199,7 @@ impl FlightRecorder {
         self.incident.as_ref().map(|i| {
             format!(
                 "{{\"reason\": \"{}\", \"tripped_at_seq\": {}, \"dump\": {}}}",
-                escape(&i.reason),
+                escape_json(&i.reason),
                 i.at_seq,
                 i.dump,
             )

@@ -3,8 +3,8 @@
 //!
 //! The reader is a strict-enough recursive descent parser over the subset
 //! the workspace produces (full JSON minus exotic number forms), with
-//! byte offsets in errors and a depth limit; `bench_check` uses it to
-//! diff fresh benchmark reports against committed baselines. The writer
+//! byte offsets in errors and a depth limit; `harpd` reads request bodies
+//! with it, `harp_trace` the committed reports and flight dumps. The writer
 //! side is [`JsonBuf`] — an append-only assembly buffer over a reusable
 //! `Vec<u8>` — plus the shared string-escaping helpers
 //! ([`escape_json`], [`escape_json_into`]) every producer in the

@@ -18,8 +18,8 @@
 //! with and without it (the acceptance bar of the observability PR).
 //!
 //! The [`json`] module is the consumer side: a minimal JSON value parser
-//! used by the `bench_check` CI gate to diff fresh benchmark reports
-//! against committed baselines.
+//! that `harpd` reads request bodies with and `harp_trace` reads committed
+//! reports and flight dumps with.
 //!
 //! # Examples
 //!

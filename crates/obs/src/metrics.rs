@@ -7,6 +7,7 @@
 //! still hands out handles (instrumentation code stays branch-free at the
 //! call site) but every record call returns after one flag test.
 
+use crate::json::escape_json;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -347,14 +348,14 @@ impl MetricsSnapshot {
             if i > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&format!("\"{}\": {v}", escape(name)));
+            out.push_str(&format!("\"{}\": {v}", escape_json(name)));
         }
         out.push_str("}, \"gauges\": {");
         for (i, (name, v)) in self.gauges.iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&format!("\"{}\": {}", escape(name), fmt_f64(*v)));
+            out.push_str(&format!("\"{}\": {}", escape_json(name), fmt_f64(*v)));
         }
         out.push_str("}, \"histograms\": {");
         for (i, (name, h)) in self.histograms.iter().enumerate() {
@@ -363,7 +364,7 @@ impl MetricsSnapshot {
             }
             out.push_str(&format!(
                 "\"{}\": {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"mean\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {}, \"buckets\": [",
-                escape(name),
+                escape_json(name),
                 h.count,
                 h.sum,
                 h.min,
@@ -399,10 +400,6 @@ fn fmt_f64(v: f64) -> String {
     } else {
         "0".to_owned()
     }
-}
-
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// A process-wide counter for library crates with no instance to own a

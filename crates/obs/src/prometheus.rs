@@ -22,7 +22,7 @@
 //! when many label groups carry it.
 //!
 //! [`validate_exposition`] is the consumer-side check used by the HTTP
-//! loopback tests and the `harp_load --smoke` CI client: it rejects
+//! loopback tests and the `harpd_smoke` CI client: it rejects
 //! malformed sample lines, label syntax, duplicate series and samples of
 //! undeclared histogram types.
 
