@@ -179,23 +179,7 @@ pub fn measure_harp_adjustment(
     link: Link,
     new_cells: u32,
 ) -> Option<AdjustmentSample> {
-    let mut net = HarpNetwork::new(
-        tree.clone(),
-        config,
-        requirements,
-        SchedulingPolicy::RateMonotonic,
-    );
-    net.run_static().ok()?;
-    let report = net.adjust_and_settle(net.now(), link, new_cells).ok()?;
-    Some(AdjustmentSample {
-        link,
-        layer: tree.layer_of_link(link),
-        mgmt_messages: report.mgmt_messages,
-        involved_nodes: report.involved_nodes.len(),
-        layers_touched: report.layers.len(),
-        seconds: report.elapsed_seconds(config),
-        slotframes: report.slotframes(config),
-    })
+    measure_adjustment(tree, requirements, config, link, new_cells, None).map(|(sample, _)| sample)
 }
 
 /// [`measure_harp_adjustment`] with span capture: runs the same static
@@ -212,13 +196,28 @@ pub fn measure_harp_adjustment_traced(
     link: Link,
     new_cells: u32,
 ) -> Option<(AdjustmentSample, Vec<harp_obs::SpanEvent>)> {
+    measure_adjustment(tree, requirements, config, link, new_cells, Some(1024))
+}
+
+/// The one measurement body: static phase, then the adjustment, on a
+/// network that captures spans when given a capacity (none otherwise).
+fn measure_adjustment(
+    tree: &Tree,
+    requirements: &Requirements,
+    config: SlotframeConfig,
+    link: Link,
+    new_cells: u32,
+    span_capacity: Option<usize>,
+) -> Option<(AdjustmentSample, Vec<harp_obs::SpanEvent>)> {
     let mut net = HarpNetwork::new(
         tree.clone(),
         config,
         requirements,
         SchedulingPolicy::RateMonotonic,
     );
-    net.enable_observability(1024);
+    if let Some(capacity) = span_capacity {
+        net.enable_observability(capacity);
+    }
     net.run_static().ok()?;
     let report = net.adjust_and_settle(net.now(), link, new_cells).ok()?;
     let sample = AdjustmentSample {

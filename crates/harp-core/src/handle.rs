@@ -119,16 +119,7 @@ impl AllocatorHandle {
         requirements: &Requirements,
         policy: SchedulingPolicy,
     ) -> Result<Self, HarpError> {
-        let mut net = HarpNetwork::new(tree, config, requirements, policy);
-        let static_report = net.run_static()?;
-        let (mgmt, cells) = (static_report.mgmt_messages, static_report.cell_messages);
-        Ok(Self {
-            net,
-            static_report,
-            adjustments: 0,
-            mgmt_messages_total: mgmt,
-            cell_messages_total: cells,
-        })
+        Self::converge_with(tree, config, requirements, policy, None)
     }
 
     /// Like [`AllocatorHandle::converge`] with observability enabled before
@@ -146,8 +137,22 @@ impl AllocatorHandle {
         policy: SchedulingPolicy,
         span_capacity: usize,
     ) -> Result<Self, HarpError> {
+        Self::converge_with(tree, config, requirements, policy, Some(span_capacity))
+    }
+
+    /// The one convergence body: observability, when asked for, is enabled
+    /// before the static phase runs.
+    fn converge_with(
+        tree: Tree,
+        config: SlotframeConfig,
+        requirements: &Requirements,
+        policy: SchedulingPolicy,
+        span_capacity: Option<usize>,
+    ) -> Result<Self, HarpError> {
         let mut net = HarpNetwork::new(tree, config, requirements, policy);
-        net.enable_observability(span_capacity);
+        if let Some(capacity) = span_capacity {
+            net.enable_observability(capacity);
+        }
         let static_report = net.run_static()?;
         let (mgmt, cells) = (static_report.mgmt_messages, static_report.cell_messages);
         Ok(Self {

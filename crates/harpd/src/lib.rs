@@ -23,9 +23,12 @@
 //!
 //! Module layout mirrors the request path: [`http`] parses bytes into
 //! requests (strict, incremental, hard limits), [`state`] routes them
-//! against the tenant map, [`server`] owns the acceptor/worker threads
-//! and the graceful drain, [`client`] is the matching minimal client the
-//! load generator and tests speak through.
+//! against the tenant map and writes one telemetry record per request
+//! (its private submodules: the tenant and its caches, the telemetry
+//! record and its one lock, the network routes, the operator routes),
+//! [`server`] owns the acceptor/worker threads and the graceful drain,
+//! [`client`] is the matching minimal client the benchmark and tests
+//! speak through.
 //!
 //! # Examples
 //!

@@ -20,8 +20,8 @@ use std::time::Duration;
 use harp_obs::prometheus::render_exposition;
 use harp_obs::MetricsSnapshot;
 
-use crate::http::{next_request_timed, Response};
-use crate::state::{handle_request_timed, AppState};
+use crate::http::next_request_timed;
+use crate::state::{handle_request_timed, handle_unparsed, AppState};
 
 /// How the server binds and behaves.
 #[derive(Debug, Clone)]
@@ -225,8 +225,9 @@ fn serve_connection(mut stream: TcpStream, state: &Arc<AppState>, read_timeout: 
             }
             Ok(None) => return, // clean close or idle timeout
             Err(err) => {
-                // Best-effort error response; framing is gone, so close.
-                let _ = Response::from_error(&err).write_to(&mut stream);
+                // Counted, then answered best-effort; framing is gone,
+                // so close.
+                let _ = handle_unparsed(state, &err).write_to(&mut stream);
                 return;
             }
         }

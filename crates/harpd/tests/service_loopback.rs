@@ -152,11 +152,12 @@ fn concurrent_tenants_do_not_serialize_errors() {
 #[test]
 fn raw_socket_malformed_requests_get_4xx_not_hangs() {
     let (addr, join) = boot(1);
-    for raw in [
+    let malformed = [
         "BROKEN\r\n\r\n",
         "GET /health HTTP/9.9\r\n\r\n",
         "GET /health HTTP/1.1\r\nno-colon-here\r\n\r\n",
-    ] {
+    ];
+    for raw in malformed {
         let mut stream = TcpStream::connect(addr).expect("connect");
         stream
             .set_read_timeout(Some(Duration::from_secs(10)))
@@ -194,5 +195,12 @@ fn raw_socket_malformed_requests_get_4xx_not_hangs() {
             .status,
         200
     );
-    join.join().expect("clean join");
+    // The daemon counted what it refused to parse: each malformed request
+    // is a request, an error and an observation of the `other` route; the
+    // split-read health check and the shutdown are the other two requests.
+    let metrics = join.join().expect("clean join").metrics;
+    let refused = malformed.len() as u64;
+    assert_eq!(metrics.counter("harpd.http_errors"), Some(refused));
+    assert_eq!(metrics.counter("harpd.requests_total"), Some(refused + 2));
+    assert_eq!(metrics.histograms["harpd.route.other_us"].count, refused);
 }
