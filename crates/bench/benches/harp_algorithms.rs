@@ -1,12 +1,14 @@
 //! Benchmarks of HARP's algorithms plus the design-choice ablations of
 //! DESIGN.md: the two-pass SPP mapping of Alg. 1 (vs stopping after pass 1)
 //! and the neighbour-first adjustment of Alg. 2 (vs an immediate full
-//! repack).
+//! repack). `static_settle/*` times what a service pays per tenant: the
+//! distributed static phase through [`AllocatorHandle`] and the drop of its
+//! result.
 
-use harp_bench::harness::measure;
+use harp_bench::harness::{measure, measure_with_setup};
 use harp_core::{
     adjust_partition, allocate_partitions, build_interfaces, compose_components, generate_schedule,
-    Requirements, ResourceComponent, SchedulingPolicy,
+    AllocatorHandle, Requirements, ResourceComponent, SchedulingPolicy,
 };
 use packing::{pack_into, pack_strip, Rect, Size};
 use std::hint::black_box;
@@ -79,6 +81,52 @@ fn bench_static_pipeline() {
     }
 }
 
+/// The two halves of a `create_churn` op below harpd, on the benchmark's
+/// tenant shape (8 layers, at most 4 children, one cell per link and
+/// direction): the distributed static phase as `AllocatorHandle` settles
+/// it, and the drop of the converged handle. These are the operations the
+/// benchmark's traced run times as `harp-core.handle.converge_us` and
+/// `harp-core.handle.drop_us` — same call, same arguments, the tree moved
+/// in — so the rows here and the spans there can be read side by side. The
+/// rows above time the centralized functions, which keep no per-node state.
+fn bench_static_settle() {
+    /// The spans harpd keeps per tenant allocator
+    /// (`ALLOCATOR_SPAN_CAPACITY` in `harpd/src/state/tenant.rs`).
+    const ALLOCATOR_SPAN_CAPACITY: usize = 2048;
+    let config = SlotframeConfig::paper_default();
+    for nodes in [64u32, 256] {
+        let tree = TopologyConfig {
+            nodes,
+            layers: 8,
+            max_children: 4,
+        }
+        .generate(0x5E771E + u64::from(nodes));
+        let reqs = workloads::uniform_link_requirements(&tree, 1);
+        let converge = |tree: Tree| {
+            AllocatorHandle::converge_observed(
+                tree,
+                config,
+                &reqs,
+                SchedulingPolicy::RateMonotonic,
+                ALLOCATOR_SPAN_CAPACITY,
+            )
+            .expect("one cell per link fits the paper's slotframe")
+        };
+        let m = measure_with_setup(
+            &format!("static_settle/converge/{nodes}"),
+            || tree.clone(),
+            converge,
+        );
+        println!("{}", m.report());
+        let m = measure_with_setup(
+            &format!("static_settle/drop/{nodes}"),
+            || converge(tree.clone()),
+            drop,
+        );
+        println!("{}", m.report());
+    }
+}
+
 fn bench_adjustment() {
     // A partly fragmented parent partition with 12 sibling rows.
     let parent = Rect::from_xywh(0, 0, 60, 4);
@@ -147,5 +195,6 @@ fn bench_adjustment() {
 fn main() {
     bench_compose();
     bench_static_pipeline();
+    bench_static_settle();
     bench_adjustment();
 }

@@ -149,8 +149,9 @@ impl ResourceInterface {
         self.components.keys().copied()
     }
 
-    /// Iterates over `(layer, component)` pairs in layer order.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, ResourceComponent)> + '_ {
+    /// Iterates over `(layer, component)` pairs in layer order (from
+    /// either end).
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = (u32, ResourceComponent)> + '_ {
         self.components.iter().map(|(&l, &c)| (l, c))
     }
 

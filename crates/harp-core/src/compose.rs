@@ -196,15 +196,17 @@ impl Workspace {
 
     /// Case 2 of §IV-B at one node: for each of `layers` at which a child
     /// reports a component, composes the children's components into
-    /// `iface` and returns the layouts.
+    /// `iface`. The `(layer, layout)` pairs come back in layer order, out of
+    /// a buffer of the workspace: a caller moves each layout to where it
+    /// keeps it, and no container is built to carry them there.
     pub(crate) fn compose_layers<'a>(
         &mut self,
         children: impl Iterator<Item = (NodeId, &'a ResourceInterface)> + Clone,
         layers: std::ops::RangeInclusive<u32>,
         max_channels: u16,
         iface: &mut ResourceInterface,
-    ) -> Result<BTreeMap<u32, CompositionLayout>, HarpError> {
-        let mut layouts = BTreeMap::new();
+    ) -> Result<std::vec::Drain<'_, (u32, CompositionLayout)>, HarpError> {
+        self.layouts.clear();
         for layer in layers {
             let reported = children
                 .clone()
@@ -214,9 +216,9 @@ impl Workspace {
                 continue;
             }
             iface.set(layer, layout.composite());
-            layouts.insert(layer, layout);
+            self.layouts.push((layer, layout));
         }
-        Ok(layouts)
+        Ok(self.layouts.drain(..))
     }
 }
 
@@ -317,7 +319,9 @@ pub fn build_interfaces(
             .iter()
             .map(|&c| (c, &nodes[c.index()].interface));
         let layers = own_layer + 1..=tree.subtree_layer(v);
-        let layouts = ws.compose_layers(children, layers, max_channels, &mut interface)?;
+        // One by one: collecting a map sorts its input in a vector first.
+        let mut layouts = BTreeMap::new();
+        layouts.extend(ws.compose_layers(children, layers, max_channels, &mut interface)?);
         nodes[v.index()] = NodeInterface { interface, layouts };
     }
     Ok(InterfaceSet { direction, nodes })

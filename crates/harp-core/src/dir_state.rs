@@ -2,121 +2,281 @@
 //!
 //! [`DirState`]'s fields are private to this module. Code outside it reads
 //! them through getters and writes them only through a [`DirWriter`], whose
-//! every setter hands the value it displaced — what `BTreeMap::insert` or
-//! `mem::replace` returns, moved, never cloned — to an [`UndoLog`]. A
+//! every setter hands the value it displaced — what the table write or
+//! `Option::replace` returns, moved, never cloned — to an [`UndoLog`]. A
 //! handler in `node.rs` therefore cannot change protocol state without the
 //! log seeing it: the write would not compile. Replaying the log in reverse
 //! puts every displaced value back, which is all a rollback of node state
 //! is.
+//!
+//! What a node keeps per child and per layer sits in two small sorted
+//! tables, one row per child link and one per layer. A node has a handful
+//! of children and its subtree a handful of layers, so a row is found by
+//! walking the table, and a node-direction owns two heap blocks where a map
+//! per field owned seven.
 
 use crate::component::{ResourceComponent, ResourceInterface};
 use crate::compose::CompositionLayout;
 use crate::node::{HarpNode, NodeObsCounters};
-use packing::Rect;
-use std::collections::BTreeMap;
+use crate::schedule_gen::CellRun;
+use packing::{Point, Rect};
 use std::mem;
 use std::ops::Deref;
-use tsch_sim::{Cell, Direction, NodeId};
+use tsch_sim::{Direction, NodeId};
+
+/// A row of one of [`DirState`]'s tables: a key and fields that may each
+/// hold a value or not.
+trait Row {
+    type Key: Ord + Copy;
+
+    /// The row of `key` with no field set.
+    fn vacant(key: Self::Key) -> Self;
+
+    fn key(&self) -> Self::Key;
+
+    /// No field holds a value. Such a row says nothing, and a table never
+    /// keeps one: states that read the same are then equal field by field,
+    /// which is the equality the rollback referees compare nodes with.
+    fn is_vacant(&self) -> bool;
+}
+
+/// What this node keeps about the link to one child.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct ChildLink {
+    child: NodeId,
+    /// The link's cell requirement `r(e)`.
+    req: Option<u32>,
+    /// The interface the child (a non-leaf) reported.
+    interface: Option<ResourceInterface>,
+    /// The cells this node assigned to the link.
+    assignment: Option<CellRun>,
+}
+
+impl Row for ChildLink {
+    type Key = NodeId;
+
+    fn vacant(child: NodeId) -> Self {
+        Self {
+            child,
+            req: None,
+            interface: None,
+            assignment: None,
+        }
+    }
+
+    fn key(&self) -> NodeId {
+        self.child
+    }
+
+    fn is_vacant(&self) -> bool {
+        self.req.is_none() && self.interface.is_none() && self.assignment.is_none()
+    }
+}
+
+/// What this node keeps about one layer of its subtree.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct LayerState {
+    layer: u32,
+    /// How the children's components were composed (layers below the own).
+    layout: Option<CompositionLayout>,
+    /// The partition granted to this node.
+    partition: Option<Rect>,
+    /// The partitions this node allocated to its children.
+    child_partitions: Option<Vec<(NodeId, Rect)>>,
+    /// An escalation awaiting a bigger partition from the parent: the child
+    /// whose component grew.
+    pending: Option<NodeId>,
+}
+
+impl Row for LayerState {
+    type Key = u32;
+
+    fn vacant(layer: u32) -> Self {
+        Self {
+            layer,
+            layout: None,
+            partition: None,
+            child_partitions: None,
+            pending: None,
+        }
+    }
+
+    fn key(&self) -> u32 {
+        self.layer
+    }
+
+    fn is_vacant(&self) -> bool {
+        self.layout.is_none()
+            && self.partition.is_none()
+            && self.child_partitions.is_none()
+            && self.pending.is_none()
+    }
+}
+
+/// Stores `value` in one field of `key`'s row, or empties the field for
+/// `None`; returns what the field held. The row is made when a value needs
+/// one and removed when the write leaves it vacant, so the write is its own
+/// inverse: `put(t, k, f, put(t, k, f, v))` changes nothing.
+fn put<R: Row, V>(
+    table: &mut Vec<R>,
+    key: R::Key,
+    field: impl Fn(&mut R) -> &mut Option<V>,
+    value: Option<V>,
+) -> Option<V> {
+    let at = table.partition_point(|row| row.key() < key);
+    match table.get_mut(at).filter(|row| row.key() == key) {
+        Some(row) => {
+            let old = mem::replace(field(row), value);
+            if row.is_vacant() {
+                table.remove(at);
+            }
+            old
+        }
+        None => {
+            if value.is_some() {
+                let mut row = R::vacant(key);
+                *field(&mut row) = value;
+                table.insert(at, row);
+            }
+            None
+        }
+    }
+}
+
+fn row<R: Row>(table: &[R], key: R::Key) -> Option<&R> {
+    table.iter().find(|row| row.key() == key)
+}
 
 /// Per-direction protocol state of a node.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct DirState {
-    /// Cell requirements `r(e)` of the links to this node's children.
-    reqs: BTreeMap<NodeId, u32>,
-    /// Interfaces reported by non-leaf children.
-    child_interfaces: BTreeMap<NodeId, ResourceInterface>,
+    /// One row per child link this node keeps anything about, by child.
+    links: Vec<ChildLink>,
     /// This node's own interface, once generated.
     interface: Option<ResourceInterface>,
-    /// Composition layouts per composed layer (from the static phase).
-    layouts: BTreeMap<u32, CompositionLayout>,
-    /// Partitions granted to this node, per layer.
-    partitions: BTreeMap<u32, Rect>,
-    /// Partitions this node allocated to its children, per layer.
-    child_partitions: BTreeMap<u32, Vec<(NodeId, Rect)>>,
-    /// Cells this node assigned to each child link.
-    assignments: BTreeMap<NodeId, Vec<Cell>>,
+    /// One row per layer this node keeps anything about, by layer.
+    layers: Vec<LayerState>,
     /// Cells granted to this node's own link by its parent (`None` until
     /// the first `CellAssignment` arrives). Tracked so a re-delivered
     /// assignment is recognisable as a duplicate.
-    own_cells: Option<Vec<Cell>>,
-    /// Escalated layers awaiting a bigger partition from the parent:
-    /// layer → the child whose component grew.
-    pending: BTreeMap<u32, NodeId>,
+    own_cells: Option<CellRun>,
 }
 
 impl DirState {
-    pub(crate) fn reqs(&self) -> &BTreeMap<NodeId, u32> {
-        &self.reqs
+    /// Cell requirements `r(e)` of the links to this node's children, in
+    /// child order.
+    pub(crate) fn reqs(&self) -> impl Iterator<Item = (NodeId, u32)> + '_ {
+        self.links.iter().filter_map(|l| Some((l.child, l.req?)))
     }
 
-    pub(crate) fn child_interfaces(&self) -> &BTreeMap<NodeId, ResourceInterface> {
-        &self.child_interfaces
+    pub(crate) fn req(&self, child: NodeId) -> Option<u32> {
+        row(&self.links, child)?.req
+    }
+
+    /// Interfaces reported by non-leaf children, in child order.
+    pub(crate) fn child_interfaces(
+        &self,
+    ) -> impl Iterator<Item = (NodeId, &ResourceInterface)> + Clone {
+        self.links
+            .iter()
+            .filter_map(|l| Some((l.child, l.interface.as_ref()?)))
+    }
+
+    pub(crate) fn child_interface(&self, child: NodeId) -> Option<&ResourceInterface> {
+        row(&self.links, child)?.interface.as_ref()
+    }
+
+    fn child_interface_mut(&mut self, child: NodeId) -> Option<&mut ResourceInterface> {
+        let link = self.links.iter_mut().find(|l| l.child == child)?;
+        link.interface.as_mut()
+    }
+
+    /// Cells this node assigned to the link to `child`.
+    pub(crate) fn assignment(&self, child: NodeId) -> Option<&CellRun> {
+        row(&self.links, child)?.assignment.as_ref()
     }
 
     pub(crate) fn interface(&self) -> Option<&ResourceInterface> {
         self.interface.as_ref()
     }
 
-    pub(crate) fn layouts(&self) -> &BTreeMap<u32, CompositionLayout> {
-        &self.layouts
-    }
-
-    pub(crate) fn partitions(&self) -> &BTreeMap<u32, Rect> {
-        &self.partitions
-    }
-
-    pub(crate) fn child_partitions(&self) -> &BTreeMap<u32, Vec<(NodeId, Rect)>> {
-        &self.child_partitions
-    }
-
-    pub(crate) fn assignments(&self) -> &BTreeMap<NodeId, Vec<Cell>> {
-        &self.assignments
-    }
-
-    pub(crate) fn own_cells(&self) -> Option<&Vec<Cell>> {
+    pub(crate) fn own_cells(&self) -> Option<&CellRun> {
         self.own_cells.as_ref()
     }
 
-    pub(crate) fn pending(&self) -> &BTreeMap<u32, NodeId> {
-        &self.pending
+    /// Composition layouts of the composed layers, in layer order.
+    pub(crate) fn layouts(&self) -> impl Iterator<Item = (u32, &CompositionLayout)> {
+        self.layers
+            .iter()
+            .filter_map(|l| Some((l.layer, l.layout.as_ref()?)))
+    }
+
+    pub(crate) fn layout(&self, layer: u32) -> Option<&CompositionLayout> {
+        row(&self.layers, layer)?.layout.as_ref()
+    }
+
+    /// Partitions granted to this node, in layer order.
+    pub(crate) fn partitions(&self) -> impl Iterator<Item = (u32, Rect)> + '_ {
+        self.layers
+            .iter()
+            .filter_map(|l| Some((l.layer, l.partition?)))
+    }
+
+    pub(crate) fn partition(&self, layer: u32) -> Option<Rect> {
+        row(&self.layers, layer)?.partition
+    }
+
+    /// Partitions this node allocated to its children, in layer order.
+    pub(crate) fn child_partitions(&self) -> impl Iterator<Item = (u32, &[(NodeId, Rect)])> {
+        self.layers
+            .iter()
+            .filter_map(|l| Some((l.layer, l.child_partitions.as_deref()?)))
+    }
+
+    pub(crate) fn child_partitions_at(&self, layer: u32) -> Option<&[(NodeId, Rect)]> {
+        row(&self.layers, layer)?.child_partitions.as_deref()
+    }
+
+    /// The child whose grown component awaits a bigger partition at `layer`.
+    pub(crate) fn pending(&self, layer: u32) -> Option<NodeId> {
+        row(&self.layers, layer)?.pending
     }
 
     /// Puts one displaced value back where its setter took it from.
     fn revert(&mut self, undo: DirUndo) {
-        fn back<K: Ord, V>(map: &mut BTreeMap<K, V>, key: K, old: Option<V>) {
-            put(map, key, old);
-        }
         const SET: &str = "the interface was there when its component was set";
         match undo {
-            DirUndo::Req(child, old) => back(&mut self.reqs, child, old),
-            DirUndo::ChildInterface(child, old) => back(&mut self.child_interfaces, child, old),
+            DirUndo::Req(child, old) => {
+                put(&mut self.links, child, |l| &mut l.req, old);
+            }
+            DirUndo::ChildInterface(child, old) => {
+                put(&mut self.links, child, |l| &mut l.interface, old);
+            }
             DirUndo::ChildComponent(child, layer, old) => self
-                .child_interfaces
-                .get_mut(&child)
+                .child_interface_mut(child)
                 .expect(SET)
                 .restore(layer, old),
             DirUndo::Interface(old) => self.interface = old,
             DirUndo::Component(layer, old) => {
                 self.interface.as_mut().expect(SET).restore(layer, old);
             }
-            DirUndo::Layouts(old) => self.layouts = old,
-            DirUndo::Layout(layer, old) => back(&mut self.layouts, layer, old),
-            DirUndo::Partition(layer, old) => back(&mut self.partitions, layer, old),
-            DirUndo::ChildPartitions(layer, old) => back(&mut self.child_partitions, layer, old),
-            DirUndo::Assignment(child, old) => back(&mut self.assignments, child, old),
+            DirUndo::Layout(layer, old) => {
+                put(&mut self.layers, layer, |l| &mut l.layout, old);
+            }
+            DirUndo::Partition(layer, old) => {
+                put(&mut self.layers, layer, |l| &mut l.partition, old);
+            }
+            DirUndo::ChildPartitions(layer, old) => {
+                put(&mut self.layers, layer, |l| &mut l.child_partitions, old);
+            }
+            DirUndo::Assignment(child, old) => {
+                put(&mut self.links, child, |l| &mut l.assignment, old);
+            }
             DirUndo::OwnCells(old) => self.own_cells = old,
-            DirUndo::Pending(layer, old) => back(&mut self.pending, layer, old),
+            DirUndo::Pending(layer, old) => {
+                put(&mut self.layers, layer, |l| &mut l.pending, old);
+            }
         }
-    }
-}
-
-/// Stores `value` under `key`, or removes the key for `None`; returns what
-/// was there. Its own inverse: `put(map, key, put(map, key, v))` changes
-/// nothing.
-fn put<K: Ord, V>(map: &mut BTreeMap<K, V>, key: K, value: Option<V>) -> Option<V> {
-    match value {
-        Some(v) => map.insert(key, v),
-        None => map.remove(&key),
     }
 }
 
@@ -128,12 +288,11 @@ enum DirUndo {
     ChildComponent(NodeId, u32, Option<ResourceComponent>),
     Interface(Option<ResourceInterface>),
     Component(u32, Option<ResourceComponent>),
-    Layouts(BTreeMap<u32, CompositionLayout>),
     Layout(u32, Option<CompositionLayout>),
     Partition(u32, Option<Rect>),
     ChildPartitions(u32, Option<Vec<(NodeId, Rect)>>),
-    Assignment(NodeId, Option<Vec<Cell>>),
-    OwnCells(Option<Vec<Cell>>),
+    Assignment(NodeId, Option<CellRun>),
+    OwnCells(Option<CellRun>),
     Pending(u32, Option<NodeId>),
 }
 
@@ -145,6 +304,16 @@ enum Undo {
     /// The node's counters before a bump.
     Counters(NodeObsCounters),
 }
+
+// A recording run allocates its log, so an adjustment's bytes follow the
+// size of an entry, and a displaced run of cells is part of one. Measured
+// on the benchmark's `adjust_storm`: with a 36-byte run (the row's height
+// and the slot duration kept too, i.e. a `Rect` and a `SlotframeConfig`)
+// an entry is 64 bytes and `alloc_kb_per_op` reads 32.34, more than the
+// 31.65 it read with a vector of cells per link; with the 28-byte run an
+// entry stays 56 bytes and it reads 31.33.
+const _: () = assert!(mem::size_of::<CellRun>() <= 28);
+const _: () = assert!(mem::size_of::<(NodeId, Undo)>() <= 56);
 
 /// The displaced values of one transactional run, in write order.
 ///
@@ -237,14 +406,14 @@ impl<'a> DirWriter<'a> {
     /// Sets (`Some`) or drops (`None`) the requirement of the link to
     /// `child`.
     pub(crate) fn put_req(&mut self, child: NodeId, cells: Option<u32>) {
-        let old = put(&mut self.state.reqs, child, cells);
+        let old = put(&mut self.state.links, child, |l| &mut l.req, cells);
         self.displaced(DirUndo::Req(child, old));
     }
 
     /// Stores (`Some`) or forgets (`None`) the whole interface `child`
     /// reported.
     pub(crate) fn put_child_interface(&mut self, child: NodeId, iface: Option<ResourceInterface>) {
-        let old = put(&mut self.state.child_interfaces, child, iface);
+        let old = put(&mut self.state.links, child, |l| &mut l.interface, iface);
         self.displaced(DirUndo::ChildInterface(child, old));
     }
 
@@ -256,13 +425,12 @@ impl<'a> DirWriter<'a> {
         layer: u32,
         component: ResourceComponent,
     ) {
-        if !self.state.child_interfaces.contains_key(&child) {
+        if self.state.child_interface(child).is_none() {
             self.put_child_interface(child, Some(ResourceInterface::new()));
         }
         let iface = self
             .state
-            .child_interfaces
-            .get_mut(&child)
+            .child_interface_mut(child)
             .expect("present or just inserted");
         let old = iface.set(layer, component);
         self.displaced(DirUndo::ChildComponent(child, layer, old));
@@ -283,47 +451,75 @@ impl<'a> DirWriter<'a> {
         }
     }
 
-    /// Replaces every composition layout.
-    pub(crate) fn set_layouts(&mut self, layouts: BTreeMap<u32, CompositionLayout>) {
-        let old = mem::replace(&mut self.state.layouts, layouts);
-        self.displaced(DirUndo::Layouts(old));
-    }
-
     pub(crate) fn set_layout(&mut self, layer: u32, layout: CompositionLayout) {
-        let old = self.state.layouts.insert(layer, layout);
+        let old = put(
+            &mut self.state.layers,
+            layer,
+            |l| &mut l.layout,
+            Some(layout),
+        );
         self.displaced(DirUndo::Layout(layer, old));
     }
 
     pub(crate) fn set_partition(&mut self, layer: u32, rect: Rect) {
-        let old = self.state.partitions.insert(layer, rect);
+        let old = put(
+            &mut self.state.layers,
+            layer,
+            |l| &mut l.partition,
+            Some(rect),
+        );
         self.displaced(DirUndo::Partition(layer, old));
     }
 
+    /// [`DirWriter::set_partition`] for every layer of this node's
+    /// interface, in one pass (a caller cannot read the interface while it
+    /// writes): the layers' components side by side along the slot axis
+    /// from `cursor` on, deepest layer first if `descending`. Returns the
+    /// slot after the last one.
+    pub(crate) fn place_partitions_in_a_row(&mut self, mut cursor: u32, descending: bool) -> u32 {
+        let DirState {
+            interface, layers, ..
+        } = &mut *self.state;
+        let iface = interface.as_ref().expect("generated before allocation");
+        let mut place = |(layer, c): (u32, ResourceComponent)| {
+            let rect = Rect::new(Point::new(cursor, 0), c.as_size());
+            let old = put(layers, layer, |l| &mut l.partition, Some(rect));
+            let undo = DirUndo::Partition(layer, old);
+            self.log.push(self.node, Undo::Dir(self.direction, undo));
+            cursor += c.slots;
+        };
+        if descending {
+            iface.iter().rev().for_each(&mut place);
+        } else {
+            iface.iter().for_each(&mut place);
+        }
+        cursor
+    }
+
     pub(crate) fn set_child_partitions(&mut self, layer: u32, placed: Vec<(NodeId, Rect)>) {
-        let old = self.state.child_partitions.insert(layer, placed);
+        let old = put(
+            &mut self.state.layers,
+            layer,
+            |l| &mut l.child_partitions,
+            Some(placed),
+        );
         self.displaced(DirUndo::ChildPartitions(layer, old));
     }
 
     /// [`DirWriter::set_child_partitions`] for every composed layer, in one
     /// pass: stores what `place` makes of the layer's layout and this
-    /// node's partitions (a caller cannot read those while it writes).
+    /// node's partition there (a caller cannot read those while it writes).
     pub(crate) fn place_child_partitions<E>(
         &mut self,
-        mut place: impl FnMut(
-            u32,
-            &CompositionLayout,
-            &BTreeMap<u32, Rect>,
-        ) -> Result<Vec<(NodeId, Rect)>, E>,
+        mut place: impl FnMut(u32, &CompositionLayout, Option<Rect>) -> Result<Vec<(NodeId, Rect)>, E>,
     ) -> Result<(), E> {
-        let DirState {
-            layouts,
-            partitions,
-            child_partitions,
-            ..
-        } = &mut *self.state;
-        for (&layer, layout) in layouts.iter() {
-            let old = child_partitions.insert(layer, place(layer, layout, partitions)?);
-            let undo = DirUndo::ChildPartitions(layer, old);
+        for row in &mut self.state.layers {
+            let Some(layout) = &row.layout else {
+                continue;
+            };
+            let placed = place(row.layer, layout, row.partition)?;
+            let old = row.child_partitions.replace(placed);
+            let undo = DirUndo::ChildPartitions(row.layer, old);
             self.log.push(self.node, Undo::Dir(self.direction, undo));
         }
         Ok(())
@@ -331,12 +527,12 @@ impl<'a> DirWriter<'a> {
 
     /// Stores (`Some`) or drops (`None`) the cells assigned to the link to
     /// `child`.
-    pub(crate) fn put_assignment(&mut self, child: NodeId, cells: Option<Vec<Cell>>) {
-        let old = put(&mut self.state.assignments, child, cells);
+    pub(crate) fn put_assignment(&mut self, child: NodeId, cells: Option<CellRun>) {
+        let old = put(&mut self.state.links, child, |l| &mut l.assignment, cells);
         self.displaced(DirUndo::Assignment(child, old));
     }
 
-    pub(crate) fn set_own_cells(&mut self, cells: Vec<Cell>) {
+    pub(crate) fn set_own_cells(&mut self, cells: CellRun) {
         let old = self.state.own_cells.replace(cells);
         self.displaced(DirUndo::OwnCells(old));
     }
@@ -344,7 +540,7 @@ impl<'a> DirWriter<'a> {
     /// Marks (`Some(requester)`) or clears (`None`) the escalation pending
     /// at `layer`.
     pub(crate) fn put_pending(&mut self, layer: u32, requester: Option<NodeId>) {
-        let old = put(&mut self.state.pending, layer, requester);
+        let old = put(&mut self.state.layers, layer, |l| &mut l.pending, requester);
         self.displaced(DirUndo::Pending(layer, old));
     }
 }
@@ -371,13 +567,19 @@ mod tests {
         w.set_interface([(layer, comp)].into_iter().collect());
         w.set_component(layer, ResourceComponent::row(9));
         w.set_component(layer + 1, comp);
-        w.set_layouts([(layer, layout.clone())].into_iter().collect());
         w.set_layout(layer, layout.clone());
         w.set_layout(layer + 1, layout);
         w.set_partition(layer, rect);
+        w.place_partitions_in_a_row(round, round == 0);
         w.set_child_partitions(layer, vec![(kid, rect)]);
-        w.put_assignment(kid, Some(vec![Cell::new(round, 0)]));
-        w.set_own_cells(vec![Cell::new(round, 1)]);
+        w.place_child_partitions(|_, layout, own| match own {
+            Some(own) => Ok(vec![(kid, own), (kid, layout.placements()[0].1)]),
+            None => Err(()),
+        })
+        .expect("both layers with a layout have a partition");
+        let config = SlotframeConfig::paper_default();
+        w.put_assignment(kid, Some(CellRun::new(rect, config, 0..1)));
+        w.set_own_cells(CellRun::new(rect, config, 4..5));
         w.put_pending(layer, Some(kid));
     }
 
@@ -388,6 +590,42 @@ mod tests {
         w.put_assignment(kid, None);
         w.put_pending(2, None);
         w.put_pending(77, None);
+    }
+
+    #[test]
+    fn a_table_write_is_its_own_inverse_at_every_position() {
+        let rect = |l: u32| Rect::from_xywh(l, 0, 3, 1);
+        // Rows 2, 4 and 6 hold a partition, row 4 a pending requester too.
+        let mut table: Vec<LayerState> = Vec::new();
+        for layer in [4, 2, 6] {
+            put(&mut table, layer, |l| &mut l.partition, Some(rect(layer)));
+        }
+        put(&mut table, 4, |l| &mut l.pending, Some(NodeId(9)));
+        let before = table.clone();
+
+        // Keys before, between and after the rows, and the first, middle
+        // and last row; a value, and the `None` that empties rows 2 and 6
+        // but not row 4.
+        for layer in 1..=7 {
+            for value in [Some(rect(99)), None] {
+                let old = put(&mut table, layer, |l| &mut l.partition, value);
+                assert_eq!(
+                    old,
+                    before
+                        .iter()
+                        .find(|l| l.layer == layer)
+                        .map(|_| rect(layer))
+                );
+                assert_eq!(row(&table, layer).and_then(|l| l.partition), value);
+                assert_eq!(row(&table, layer).is_some(), value.is_some() || layer == 4);
+                assert!(table.windows(2).all(|w| w[0].layer < w[1].layer));
+                assert!(!table.iter().any(Row::is_vacant));
+
+                let written = put(&mut table, layer, |l| &mut l.partition, old);
+                assert_eq!(written, value);
+                assert_eq!(table, before, "layer {layer}, {value:?}");
+            }
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::component::{ResourceComponent, ResourceInterface};
 use crate::dir_state::{DirState, DirWriter, UndoLog};
 use crate::error::HarpError;
 use crate::protocol::HarpMessage;
-use crate::schedule_gen::SchedulingPolicy;
+use crate::schedule_gen::{CellRun, SchedulingPolicy};
 use crate::workspace::Workspace;
 use packing::{Point, Rect};
 use std::collections::BTreeMap;
@@ -243,33 +243,31 @@ impl HarpNode {
     /// The partition granted to this node at `layer`.
     #[must_use]
     pub fn partition(&self, direction: Direction, layer: u32) -> Option<Rect> {
-        self.dir(direction).partitions().get(&layer).copied()
+        self.dir(direction).partition(layer)
     }
 
     /// The partitions this node granted its children at `layer`.
     #[must_use]
     pub fn child_partitions(&self, direction: Direction, layer: u32) -> &[(NodeId, Rect)] {
         self.dir(direction)
-            .child_partitions()
-            .get(&layer)
-            .map(Vec::as_slice)
+            .child_partitions_at(layer)
             .unwrap_or(&[])
     }
 
-    /// The cells this node assigned to the link toward `child`.
+    /// The cells this node assigned to the link toward `child` (an empty
+    /// run if none).
     #[must_use]
-    pub fn assignment(&self, direction: Direction, child: NodeId) -> &[Cell] {
+    pub fn assignment(&self, direction: Direction, child: NodeId) -> CellRun {
         self.dir(direction)
-            .assignments()
-            .get(&child)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+            .assignment(child)
+            .cloned()
+            .unwrap_or_default()
     }
 
     /// The current requirement of the link to `child` as this node tracks it.
     #[must_use]
     pub fn requirement(&self, direction: Direction, child: NodeId) -> u32 {
-        self.dir(direction).reqs().get(&child).copied().unwrap_or(0)
+        self.dir(direction).req(child).unwrap_or(0)
     }
 
     // ---- topology mutation (node join / parent switch) ----
@@ -282,7 +280,7 @@ impl HarpNode {
             self.children.push(child);
         }
         for d in Direction::BOTH {
-            if !self.dir(d).reqs().contains_key(&child) {
+            if self.dir(d).req(child).is_none() {
                 self.set_requirement(d, child, 0);
             }
         }
@@ -310,10 +308,15 @@ impl HarpNode {
             ds.put_child_interface(child, None);
             ds.put_assignment(child, None);
             let mut from = 0;
-            while let Some((&layer, placed)) = ds.child_partitions().range(from..).next() {
+            loop {
+                let next = ds.child_partitions().find(|&(l, _)| l >= from);
+                let Some((layer, placed)) = next else {
+                    break;
+                };
                 if placed.iter().any(|&(c, _)| c == child) {
                     let kept = placed.iter().copied().filter(|&(c, _)| c != child);
-                    ds.set_child_partitions(layer, kept.collect());
+                    let kept = kept.collect();
+                    ds.set_child_partitions(layer, kept);
                 }
                 from = layer + 1;
             }
@@ -395,9 +398,9 @@ impl HarpNode {
                 // this message was already processed (storage and
                 // distribution happen atomically below).
                 if !partitions.is_empty()
-                    && partitions.iter().all(|&(d, layer, rect)| {
-                        self.dir(d).partitions().get(&layer) == Some(&rect)
-                    })
+                    && partitions
+                        .iter()
+                        .all(|&(d, layer, rect)| self.dir(d).partition(layer) == Some(rect))
                 {
                     return Ok(Effects::none());
                 }
@@ -425,11 +428,11 @@ impl HarpNode {
                 layer,
                 rect,
             } => {
-                let old = self.dir(direction).partitions().get(&layer).copied();
+                let old = self.dir(direction).partition(layer);
                 // An unchanged grant with no escalation pending is a
                 // re-delivery; replaying it would only recompute a layout
                 // identical to the stored one.
-                if old == Some(rect) && !self.dir(direction).pending().contains_key(&layer) {
+                if old == Some(rect) && self.dir(direction).pending(layer).is_none() {
                     return Ok(Effects::none());
                 }
                 self.dir_mut(log, direction).set_partition(layer, rect);
@@ -444,16 +447,18 @@ impl HarpNode {
                 if ds.own_cells() == Some(&cells) {
                     return Ok(Effects::none());
                 }
-                ds.set_own_cells(cells.clone());
+                // The one place a run becomes a vector of cells.
+                let op = ScheduleOp::SetLinkCells {
+                    link: Link {
+                        child: id,
+                        direction,
+                    },
+                    cells: cells.to_vec(),
+                };
+                ds.set_own_cells(cells);
                 Ok(Effects {
                     messages: Vec::new(),
-                    schedule_ops: vec![ScheduleOp::SetLinkCells {
-                        link: Link {
-                            child: id,
-                            direction,
-                        },
-                        cells,
-                    }],
+                    schedule_ops: vec![op],
                 })
             }
         }
@@ -497,9 +502,8 @@ impl HarpNode {
         let id = self.id;
         let mut ds = self.dir_mut(log, direction);
         ds.put_req(child, Some(new_cells));
-        let total: u32 = ds.reqs().values().sum();
-        let row = ds.partitions().get(&layer).copied();
-        match row {
+        let total: u32 = ds.reqs().map(|(_, r)| r).sum();
+        match ds.partition(layer) {
             Some(row) if total <= row.width() * row.height() => {
                 // Case 1: enough idle cells in the current partition.
                 self.count(log, |c| c.local_updates += 1);
@@ -541,9 +545,8 @@ impl HarpNode {
         log: &mut UndoLog,
         ws: &mut Workspace,
     ) -> Result<Effects, HarpError> {
-        let ready = |ds: &DirState, kids: &[NodeId]| {
-            kids.iter().all(|c| ds.child_interfaces().contains_key(c))
-        };
+        let ready =
+            |ds: &DirState, kids: &[NodeId]| kids.iter().all(|&c| ds.child_interface(c).is_some());
         if self.up.interface().is_some()
             || !ready(&self.up, &self.nonleaf_children)
             || !ready(&self.down, &self.nonleaf_children)
@@ -591,19 +594,21 @@ impl HarpNode {
         let own_layer = self.link_layer;
         let mut ds = self.dir_mut(log, direction);
         let mut iface = ResourceInterface::new();
-        let direct: u32 = ds.reqs().values().sum();
+        let direct: u32 = ds.reqs().map(|(_, r)| r).sum();
         iface.set(own_layer, ResourceComponent::row(direct));
 
         let deepest = ds
             .child_interfaces()
-            .values()
-            .filter_map(ResourceInterface::max_layer)
+            .filter_map(|(_, i)| i.max_layer())
             .max()
             .unwrap_or(own_layer);
-        let children = ds.child_interfaces().iter().map(|(&c, i)| (c, i));
+        let children = ds.child_interfaces();
         let layouts = ws.compose_layers(children, own_layer + 1..=deepest, channels, &mut iface)?;
         ds.set_interface(iface);
-        ds.set_layouts(layouts);
+        // A node generates its interface once, before it holds any layout.
+        for (layer, layout) in layouts {
+            ds.set_layout(layer, layout);
+        }
         Ok(())
     }
 
@@ -628,21 +633,9 @@ impl HarpNode {
     pub(crate) fn place_gateway_partitions(&mut self, log: &mut UndoLog) -> Result<(), HarpError> {
         let mut cursor: u32 = 0;
         for (d, descending) in [(Direction::Up, true), (Direction::Down, false)] {
-            let iface = self
-                .dir(d)
-                .interface()
-                .cloned()
-                .expect("generated before allocation");
-            let mut layers: Vec<u32> = iface.layers().collect();
-            if descending {
-                layers.reverse();
-            }
-            for layer in layers {
-                let c = iface.component(layer).expect("listed layer");
-                self.dir_mut(log, d)
-                    .set_partition(layer, Rect::new(Point::new(cursor, 0), c.as_size()));
-                cursor += c.slots;
-            }
+            cursor = self
+                .dir_mut(log, d)
+                .place_partitions_in_a_row(cursor, descending);
         }
         if u64::from(cursor) > u64::from(self.config.slots) {
             return Err(HarpError::SlotframeOverflow {
@@ -666,13 +659,14 @@ impl HarpNode {
         let mut fx = self.schedule_own_row(log, ws, direction)?;
         let ds = self.dir(direction);
         let mut per_child: BTreeMap<NodeId, Vec<(Direction, u32, Rect)>> = BTreeMap::new();
-        for layer in ds.layouts().keys() {
-            for &(c, rect) in &ds.child_partitions()[layer] {
+        for (layer, _) in ds.layouts() {
+            let placed = ds.child_partitions_at(layer).expect("derived above");
+            for &(c, rect) in placed {
                 if self.nonleaf_children.contains(&c) {
                     per_child
                         .entry(c)
                         .or_default()
-                        .push((direction, *layer, rect));
+                        .push((direction, layer, rect));
                 }
             }
         }
@@ -692,10 +686,8 @@ impl HarpNode {
     ) -> Result<(), HarpError> {
         let id = self.id;
         self.dir_mut(log, direction)
-            .place_child_partitions(|layer, layout, partitions| {
-                let own = partitions
-                    .get(&layer)
-                    .ok_or(HarpError::MissingPartition { node: id, layer })?;
+            .place_child_partitions(|layer, layout, own| {
+                let own = own.ok_or(HarpError::MissingPartition { node: id, layer })?;
                 Ok(layout
                     .placements()
                     .iter()
@@ -718,7 +710,7 @@ impl HarpNode {
                 child,
                 HarpMessage::CellAssignment {
                     direction,
-                    cells: cells.to_vec(),
+                    cells: cells.clone(),
                 },
             ));
         })?;
@@ -733,25 +725,28 @@ impl HarpNode {
         log: &mut UndoLog,
         ws: &mut Workspace,
         direction: Direction,
-        mut changed: impl FnMut(NodeId, &[Cell]),
+        mut changed: impl FnMut(NodeId, &CellRun),
     ) -> Result<(), HarpError> {
         let id = self.id;
         let policy = self.policy;
         let config = self.config;
         let layer = self.link_layer;
         let mut ds = self.dir_mut(log, direction);
-        let total: u32 = ds.reqs().values().sum();
-        let Some(row) = ds.partitions().get(&layer).copied() else {
+        let total: u32 = ds.reqs().map(|(_, r)| r).sum();
+        let Some(row) = ds.partition(layer) else {
             if total == 0 {
                 return Ok(());
             }
             return Err(HarpError::MissingPartition { node: id, layer });
         };
-        let links = ds.reqs().iter().map(|(&c, &r)| (c, r));
-        for (child, cells) in ws.assign_row(id, links, row, policy, config)? {
-            let old = ds.assignments().get(&child).map_or(&[][..], Vec::as_slice);
-            if !cells.clone().eq(old.iter().copied()) {
-                let cells = cells.to_vec();
+        for (child, cells) in ws.assign_row(id, ds.reqs(), row, policy, config)? {
+            // By the cells, not by the row they were cut from: a row that
+            // grew in place leaves the leading links' cells where they were.
+            let unchanged = match ds.assignment(child) {
+                Some(old) => *old == cells,
+                None => cells.is_empty(),
+            };
+            if !unchanged {
                 changed(child, &cells);
                 ds.put_assignment(child, Some(cells));
             }
@@ -807,7 +802,7 @@ impl HarpNode {
         for d in Direction::BOTH {
             let from = parent.dir(d);
             if parent.nonleaf_children.contains(&id) {
-                for (&layer, placed) in from.child_partitions() {
+                for (layer, placed) in from.child_partitions() {
                     for &(c, rect) in placed {
                         if c == id {
                             self.dir_mut(log, d).set_partition(layer, rect);
@@ -816,12 +811,12 @@ impl HarpNode {
                     }
                 }
             }
-            if let Some(cells) = from.assignments().get(&id) {
+            if let Some(cells) = from.assignment(id) {
                 let link = Link {
                     child: id,
                     direction: d,
                 };
-                for &cell in cells {
+                for cell in cells.clone() {
                     schedule.assign(cell, link)?;
                 }
                 self.dir_mut(log, d).set_own_cells(cells.clone());
@@ -854,16 +849,13 @@ impl HarpNode {
         // re-grant or re-escalate redundantly.
         {
             let ds = self.dir(direction);
-            let already_stored = ds
-                .child_interfaces()
-                .get(&child)
-                .and_then(|i| i.component(layer))
-                == Some(component);
-            let already_granted = ds.child_partitions().get(&layer).is_some_and(|ps| {
+            let already_stored =
+                ds.child_interface(child).and_then(|i| i.component(layer)) == Some(component);
+            let already_granted = ds.child_partitions_at(layer).is_some_and(|ps| {
                 ps.iter()
                     .any(|&(c, r)| c == child && r.size == component.as_size())
             });
-            let already_escalated = ds.pending().get(&layer) == Some(&child);
+            let already_escalated = ds.pending(layer) == Some(child);
             if already_stored && (already_granted || already_escalated) {
                 return Ok(Effects::none());
             }
@@ -873,13 +865,12 @@ impl HarpNode {
         // A layer this node has never held a partition for (the subtree just
         // grew deeper, e.g. after a node join): nothing to adjust locally —
         // escalate straight away so an ancestor creates the layer.
-        let Some(own) = ds.partitions().get(&layer).copied() else {
+        let Some(own) = ds.partition(layer) else {
             return self.escalate_layer(log, ws, direction, layer, child);
         };
         let mut placements = ds
-            .child_partitions()
-            .get(&layer)
-            .cloned()
+            .child_partitions_at(layer)
+            .map(<[_]>::to_vec)
             .unwrap_or_default();
         if !placements.iter().any(|(c, _)| *c == child) {
             placements.push((child, Rect::default()));
@@ -929,8 +920,7 @@ impl HarpNode {
         let reported = self
             .dir(direction)
             .child_interfaces()
-            .iter()
-            .filter_map(|(&c, i)| i.component(layer).map(|comp| (c, comp)));
+            .filter_map(|(c, i)| i.component(layer).map(|comp| (c, comp)));
         let layout = ws.compose(reported, self.config.channels, layer)?;
         let composite = layout.composite();
         let mut ds = self.dir_mut(log, direction);
@@ -966,19 +956,21 @@ impl HarpNode {
         layer: u32,
         old: Option<Rect>,
     ) -> Result<Effects, HarpError> {
-        if self.dir(direction).pending().contains_key(&layer) {
+        if self.dir(direction).pending(layer).is_some() {
             self.dir_mut(log, direction).put_pending(layer, None);
         }
-        let rect = self.dir(direction).partitions()[&layer];
+        let rect = self
+            .dir(direction)
+            .partition(layer)
+            .expect("set by the caller");
         if layer == self.link_layer {
             return self.schedule_own_row(log, ws, direction);
         }
 
         let current = self
             .dir(direction)
-            .child_partitions()
-            .get(&layer)
-            .cloned()
+            .child_partitions_at(layer)
+            .map(<[_]>::to_vec)
             .unwrap_or_default();
 
         let new_layout: Vec<(NodeId, Rect)> = match old {
@@ -1000,12 +992,13 @@ impl HarpNode {
                 .collect(),
             // Growth: lay the (re)composed layout into the new rectangle.
             _ => {
-                let layout = self.dir(direction).layouts().get(&layer).cloned().ok_or(
-                    HarpError::MissingPartition {
-                        node: self.id,
-                        layer,
-                    },
-                )?;
+                let layout =
+                    self.dir(direction)
+                        .layout(layer)
+                        .ok_or(HarpError::MissingPartition {
+                            node: self.id,
+                            layer,
+                        })?;
                 layout
                     .placements()
                     .iter()
@@ -1053,7 +1046,7 @@ impl HarpNode {
         let container = Rect::from_xywh(0, 0, self.config.slots, u32::from(self.config.channels));
         let mut entries: Vec<((Direction, u32), Rect)> = Vec::new();
         for d in Direction::BOTH {
-            for (&l, &r) in self.dir(d).partitions() {
+            for (l, r) in self.dir(d).partitions() {
                 entries.push(((d, l), r));
             }
         }
@@ -1098,7 +1091,7 @@ impl HarpNode {
                 .find(|&&(k, _)| k == (d, l))
                 .map(|&(_, r)| r)
                 .expect("moved key is in the layout");
-            let old = self.dir(d).partitions().get(&l).copied();
+            let old = self.dir(d).partition(l);
             self.dir_mut(log, d).set_partition(l, rect);
             fx.merge(self.replace_layer(log, ws, d, l, old)?);
         }
@@ -1424,13 +1417,14 @@ mod tests {
             SlotframeConfig::paper_default(),
             SchedulingPolicy::RateMonotonic,
         );
-        let cells = vec![Cell::new(3, 0), Cell::new(4, 0)];
+        let config = SlotframeConfig::paper_default();
+        let cells = CellRun::new(Rect::from_xywh(3, 0, 2, 1), config, 0..2);
         let fx = node
             .handle(
                 NodeId(1),
                 HarpMessage::CellAssignment {
                     direction: Direction::Up,
-                    cells: cells.clone(),
+                    cells,
                 },
             )
             .unwrap();
@@ -1438,7 +1432,7 @@ mod tests {
             fx.schedule_ops,
             vec![ScheduleOp::SetLinkCells {
                 link: Link::up(NodeId(4)),
-                cells
+                cells: vec![Cell::new(3, 0), Cell::new(4, 0)],
             }]
         );
     }

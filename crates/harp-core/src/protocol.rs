@@ -16,9 +16,10 @@
 //! layer-specific because dynamic adjustments are.
 
 use crate::component::{ResourceComponent, ResourceInterface};
+use crate::schedule_gen::CellRun;
 use core::fmt;
 use packing::Rect;
-use tsch_sim::{Cell, Direction};
+use tsch_sim::Direction;
 
 /// A HARP protocol message exchanged between tree neighbours over the
 /// management plane.
@@ -65,8 +66,10 @@ pub enum HarpMessage {
     CellAssignment {
         /// Direction of the link the cells serve.
         direction: Direction,
-        /// The cells granted, in transmission order.
-        cells: Vec<Cell>,
+        /// The cells granted, in transmission order: a run of the parent's
+        /// row (§IV-D), which is what keeps this variant no bigger than the
+        /// others and a cell assignment off the heap.
+        cells: CellRun,
     },
 }
 
@@ -167,7 +170,7 @@ mod tests {
         };
         let cells = HarpMessage::CellAssignment {
             direction: Direction::Up,
-            cells: vec![],
+            cells: CellRun::default(),
         };
         assert_eq!(post_intf.kind(), MessageKind::Interface);
         assert_eq!(put_intf.kind(), MessageKind::Interface);
@@ -180,7 +183,7 @@ mod tests {
     fn management_classification() {
         let cells = HarpMessage::CellAssignment {
             direction: Direction::Up,
-            cells: vec![],
+            cells: CellRun::default(),
         };
         assert!(!cells.is_management());
         assert!(!cells.is_dynamic());

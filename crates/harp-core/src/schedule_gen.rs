@@ -13,6 +13,7 @@ use crate::allocation::PartitionTable;
 use crate::error::HarpError;
 use crate::requirement::Requirements;
 use crate::workspace::Workspace;
+use core::fmt;
 use packing::Rect;
 use std::ops::Range;
 use tsch_sim::{Cell, Direction, Link, NetworkSchedule, NodeId, SlotframeConfig, Tree};
@@ -140,11 +141,7 @@ impl Workspace {
         }
         Ok(RowAssignments {
             links: links.iter(),
-            cells: CellRun {
-                row,
-                config,
-                range: 0..0,
-            },
+            cells: CellRun::new(row, config, 0..0),
         })
     }
 }
@@ -174,6 +171,7 @@ impl Iterator for RowAssignments<'_> {
 
     fn next(&mut self) -> Option<Self::Item> {
         let &(child, r) = self.links.next()?;
+        // `assign_row` checked that the links' total fits the row.
         let start = self.cells.range.end;
         self.cells.range = start..start + r;
         Some((child, self.cells.clone()))
@@ -187,19 +185,65 @@ impl Iterator for RowAssignments<'_> {
 /// The cells granted to one link: consecutive cells of a partition row,
 /// walked left to right (then the next channel for multi-row partitions,
 /// which only arise after dynamic adjustment), in transmission order.
-#[derive(Debug, Clone)]
+///
+/// A run is how a link's cells are kept wherever they are kept — in the
+/// parent's assignment, in the child's own record of it, in the
+/// [`CellAssignment`](crate::HarpMessage::CellAssignment) between them and in
+/// the undo log — so it owns no heap and is small: the row's corner and
+/// width, the slotframe's two moduli and the range, 28 bytes (the row's
+/// height and the slot duration are not needed to walk it). Like a
+/// [`Range`], it is its own iterator; clone it to walk it again.
+///
+/// Two runs are equal when they yield the same cells in the same order,
+/// whatever rows they were cut from: a row that grew in place leaves the
+/// leading links' cells where they were, and neither the parent (which
+/// tells a child only when its cells changed) nor the child (which ignores
+/// a re-delivered assignment) may take that for a change.
+#[derive(Clone, Default)]
 pub struct CellRun {
-    row: Rect,
-    config: SlotframeConfig,
+    left: u32,
+    bottom: u32,
+    width: u32,
+    slots: u32,
+    channels: u16,
     /// Indices into the row's walk.
     range: Range<u32>,
 }
 
 impl CellRun {
+    /// The cells at positions `range` of `row`'s walk, with slot and channel
+    /// offsets taken modulo `config`'s slotframe.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` is not empty and ends beyond the row's last cell.
+    #[must_use]
+    pub fn new(row: Rect, config: SlotframeConfig, range: Range<u32>) -> Self {
+        assert!(
+            range.is_empty() || u64::from(range.end) <= row.area(),
+            "cells {range:?} of a row of {} cells",
+            row.area()
+        );
+        Self {
+            left: row.left(),
+            bottom: row.bottom(),
+            width: row.width(),
+            slots: config.slots,
+            channels: config.channels,
+            range,
+        }
+    }
+
+    /// Returns `true` if the run holds no cell.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.range.is_empty()
+    }
+
     /// The cells as a vector of exactly their number (none: no heap).
     #[must_use]
     pub fn to_vec(&self) -> Vec<Cell> {
-        let mut cells = Vec::with_capacity(self.range.len());
+        let mut cells = Vec::with_capacity(self.len());
         cells.extend(self.clone());
         cells
     }
@@ -210,17 +254,33 @@ impl Iterator for CellRun {
 
     fn next(&mut self) -> Option<Cell> {
         let index = self.range.next()?;
-        let (row, config) = (self.row, self.config);
-        let (dx, dy) = (index % row.width(), index / row.width());
+        let (dx, dy) = (index % self.width, index / self.width);
         Some(Cell::new(
-            (row.left() + dx) % config.slots,
-            ((u64::from(row.bottom() + dy) % u64::from(config.channels)) as u16)
-                .min(config.channels - 1),
+            (self.left + dx) % self.slots,
+            ((u64::from(self.bottom + dy) % u64::from(self.channels)) as u16)
+                .min(self.channels - 1),
         ))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
         self.range.size_hint()
+    }
+}
+
+impl ExactSizeIterator for CellRun {}
+
+impl PartialEq for CellRun {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.clone().eq(other.clone())
+    }
+}
+
+impl Eq for CellRun {}
+
+/// Prints the cells, as the vector of them would.
+impl fmt::Debug for CellRun {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.clone()).finish()
     }
 }
 
@@ -518,6 +578,75 @@ mod tests {
                 assert!(granted.zip(walk).all(|(got, cell)| got == cell));
             }
         }
+    }
+
+    #[test]
+    fn runs_compare_and_count_by_their_cells() {
+        let cfg = SlotframeConfig::paper_default();
+        let cells = |run: &CellRun| run.clone().collect::<Vec<Cell>>();
+
+        // The same three cells cut from a row, from the row grown in place
+        // (wider, then a second channel) and from a row that starts later.
+        let row = Rect::from_xywh(10, 3, 5, 1);
+        let run = CellRun::new(row, cfg, 1..4);
+        assert_eq!(
+            cells(&run),
+            [Cell::new(11, 3), Cell::new(12, 3), Cell::new(13, 3)]
+        );
+        let wider = CellRun::new(Rect::from_xywh(10, 3, 9, 1), cfg, 1..4);
+        let taller = CellRun::new(Rect::from_xywh(10, 3, 5, 2), cfg, 1..4);
+        let later = CellRun::new(Rect::from_xywh(11, 3, 4, 1), cfg, 0..3);
+        for same in [&wider, &taller, &later] {
+            assert_eq!(&run, same);
+            assert_eq!(format!("{run:?}"), format!("{same:?}"));
+        }
+        assert_eq!(format!("{run:?}"), format!("{:?}", cells(&run)));
+        // One cell more, one cell less, the same number one slot on.
+        for other in [1..5, 1..3, 2..5] {
+            assert_ne!(run, CellRun::new(row, cfg, other));
+        }
+
+        // Across the two channels of a grown partition, and around the end
+        // of the slotframe (an unbounded allocation wraps).
+        let grown = CellRun::new(Rect::from_xywh(10, 3, 5, 2), cfg, 3..7);
+        assert_eq!(
+            cells(&grown),
+            [
+                Cell::new(13, 3),
+                Cell::new(14, 3),
+                Cell::new(10, 4),
+                Cell::new(11, 4)
+            ]
+        );
+        let wrapped = CellRun::new(Rect::from_xywh(197, 15, 4, 2), cfg, 1..6);
+        assert_eq!(
+            cells(&wrapped),
+            [
+                Cell::new(198, 15),
+                Cell::new(0, 15),
+                Cell::new(1, 15),
+                Cell::new(197, 0),
+                Cell::new(198, 0)
+            ]
+        );
+        assert_ne!(grown, wrapped);
+        let head = CellRun::new(Rect::from_xywh(198, 15, 3, 1), cfg, 0..3);
+        assert_eq!(
+            CellRun::new(Rect::from_xywh(197, 15, 4, 2), cfg, 1..4),
+            head
+        );
+
+        // However cut, a run counts its cells; empty runs are all equal.
+        for run in [&run, &wider, &grown, &wrapped, &CellRun::default()] {
+            assert_eq!(run.len(), run.to_vec().len());
+            assert_eq!(run.len(), cells(run).len());
+            assert_eq!(run.is_empty(), cells(run).is_empty());
+            let mut walked = run.clone();
+            walked.next();
+            assert_eq!(walked.len(), run.len().saturating_sub(1));
+        }
+        assert_eq!(CellRun::new(row, cfg, 2..2), CellRun::default());
+        assert_eq!(CellRun::new(row, cfg, 9..9).to_vec(), []);
     }
 
     #[test]

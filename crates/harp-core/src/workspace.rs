@@ -2,6 +2,7 @@
 //! between calls: [`Workspace`].
 
 use crate::component::ResourceComponent;
+use crate::compose::CompositionLayout;
 use packing::{Rect, Size, StripWorkspace};
 use tsch_sim::NodeId;
 
@@ -14,8 +15,9 @@ use tsch_sim::NodeId;
 /// on `malloc` for those temporaries than on the values it keeps. A
 /// workspace holds them instead — the strip packer's skyline and pending
 /// list, the size list and placements of the two passes, the components
-/// gathered for a layer, the `(child, requirement)` list of a row — so what
-/// runs in it allocates only what its caller keeps.
+/// gathered for a layer, the layouts of a node's layers on their way into
+/// the node, the `(child, requirement)` list of a row — so what runs in it
+/// allocates only what its caller keeps.
 ///
 /// A workspace belongs to whoever drives the algorithms: a
 /// [`HarpNetwork`](crate::HarpNetwork) has one and lends it to every
@@ -38,6 +40,9 @@ pub struct Workspace {
     pub(crate) pass1: Vec<Rect>,
     /// Placements of pass 2 (slot-major).
     pub(crate) pass2: Vec<Rect>,
+    /// The layouts of the layers a node just composed, until their caller
+    /// takes them.
+    pub(crate) layouts: Vec<(u32, CompositionLayout)>,
     /// The links of the row being scheduled, in the policy's order.
     pub(crate) row: Vec<(NodeId, u32)>,
 }
@@ -52,6 +57,7 @@ impl Workspace {
             sizes: Vec::new(),
             pass1: Vec::new(),
             pass2: Vec::new(),
+            layouts: Vec::new(),
             row: Vec::new(),
         }
     }
