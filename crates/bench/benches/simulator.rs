@@ -4,7 +4,7 @@
 //! The headline comparison pits the dense-index fast path
 //! (`tsch_sim::Simulator`) against the map-based engine it replaced
 //! (`tsch_sim::reference::ReferenceSimulator`) on a 100-node network with
-//! the paper's 199-slot, 16-channel slotframe. Every timing — the five
+//! the paper's 199-slot, 16-channel slotframe. Every timing — the
 //! means, the measured speedup, the dense engine's slots/sec — is printed
 //! as a `timing` line; `BENCH_simulator.json` at the workspace root holds
 //! what the seeds determine: packing quality against proven optima and the
@@ -141,6 +141,58 @@ fn bench_data_plane() {
         },
     );
     print_mean(&m);
+
+    // What a replicate pays before its first slot — the tree and schedule
+    // cloned in, the builder, `build()` — which is the interval the
+    // benchmark's traced run reports as `tsch-sim.build_us`, on two of its
+    // inputs: the testbed tree under HARP's schedule and the 500-node
+    // scale scenario with its stacked cells.
+    let m = measure("simulator_build/testbed50", || {
+        build_dense(&tree, config, &schedule, &tasks)
+    });
+    print_mean(&m);
+    let scale = workloads::scale_scenario(500, 1);
+    let m = measure("simulator_build/scale500", || {
+        build_dense(&scale.tree, scale.config, &scale.schedule, &scale.tasks)
+    });
+    print_mean(&m);
+}
+
+/// The schedule table on the benchmark's tenant shape (256 nodes, 8
+/// layers, at most 4 children, one cell per link and direction): the clone
+/// every replicate and every schedule read starts from, and one pass of
+/// the unassign + re-assign that every adjustment applies, over all links.
+fn bench_schedule_table() {
+    let tree = TopologyConfig {
+        nodes: 256,
+        layers: 8,
+        max_children: 4,
+    }
+    .generate(0x5E771E + 256);
+    let config = SlotframeConfig::paper_default();
+    let reqs = workloads::uniform_link_requirements(&tree, 1);
+    let schedule = HarpScheduler::default().build_schedule(&tree, &reqs, config, 0);
+    let rows: Vec<(tsch_sim::Link, Vec<tsch_sim::Cell>)> = schedule
+        .iter_links()
+        .map(|(link, cells)| (link, cells.to_vec()))
+        .collect();
+
+    let m = measure("schedule/clone/256", || schedule.clone());
+    print_mean(&m);
+    let m = measure_with_setup(
+        "schedule/assign_unassign/256",
+        || schedule.clone(),
+        |mut schedule| {
+            for (link, cells) in &rows {
+                schedule.unassign_link(*link);
+                for &cell in cells {
+                    schedule.assign(cell, *link).unwrap();
+                }
+            }
+            black_box(schedule.assignment_count())
+        },
+    );
+    print_mean(&m);
 }
 
 fn bench_control_plane() {
@@ -239,6 +291,7 @@ fn packing_quality_metrics() -> Vec<(&'static str, f64)> {
 fn main() {
     let outcome = bench_dense_vs_reference();
     bench_data_plane();
+    bench_schedule_table();
     bench_control_plane();
     let quality = packing_quality_metrics();
     for (name, value) in &quality {

@@ -284,22 +284,24 @@ fn hot_link_sequence(tree: &Tree, rng: &mut SplitMix64) -> Vec<(Link, u32)> {
 
 #[test]
 fn an_adjustment_allocates_what_it_writes() {
-    /// Allocations of the 256-node create, measured with a node-direction's
-    /// state in two tables and a link's cells kept as a run (2,829; 4,427
-    /// with a map per field and a cell vector per link and end, 7,631 with
+    /// Allocations of the 256-node create, measured with the schedule and
+    /// the tree's children as flat tables (1,684; 2,829 with the schedule
+    /// as two maps of vectors, 4,427 with a map per field of a
+    /// node-direction and a cell vector per link and end, 7,631 with
     /// composition and row scheduling in per-call buffers too), + 10 %.
-    const CREATE_ALLOCS_BUDGET: u64 = 3_110;
+    const CREATE_ALLOCS_BUDGET: u64 = 1_852;
     /// Blocks the create frees before it returns: the tree's walk order,
     /// the stack that produced it and the per-node instants of the direct
     /// settle (7 while the gateway's placement cloned both its interfaces
     /// and collected their layers). Everything else it allocates, it keeps.
     const CREATE_FREES_BUDGET: u64 = 3;
-    /// Mean allocations per adjustment, measured likewise (231.0; 261.5 with
-    /// maps and cell vectors, 301.3 with per-call buffers, 878.7 with the
-    /// first-touch node clones the undo log replaced), + 10 %.
-    const MEAN_ALLOCS_BUDGET: f64 = 254.1;
+    /// Mean allocations per adjustment, measured likewise (202.9; 231.0 with
+    /// the schedule as maps, 261.5 with maps and cell vectors in the nodes
+    /// too, 301.3 with per-call buffers, 878.7 with the first-touch node
+    /// clones the undo log replaced), + 10 %.
+    const MEAN_ALLOCS_BUDGET: f64 = 223.2;
     /// A local adjustment rewrites one row: its undo log, the cell messages
-    /// and the schedule ops they become, 4.5 KiB on average here (21.3 KiB
+    /// and the schedule ops they become, 4.1 KiB on average here (21.3 KiB
     /// with node clones).
     const LOCAL_BYTES_BUDGET: f64 = 8.0 * 1024.0;
 

@@ -26,12 +26,13 @@
 //! * per-link queues in a `Vec<VecDeque<_>>` indexed by link id;
 //! * per-link PDR values in a flat `Vec<f64>`;
 //! * the pairwise interference relation in a sparse CSR adjacency (built
-//!   from [`InterferenceModel::conflict_candidates`] when the model has
+//!   from [`crate::InterferenceModel::conflict_candidates`] when the model has
 //!   bounded range), so the trait object is consulted once per candidate
 //!   pair at build instead of once per pair per slot, and storage stays
 //!   O(Σ degree) instead of `(2n)²`;
-//! * a per-slot table of non-empty cells (channel plus interned link list),
-//!   replacing a `BTreeMap<Cell, Vec<Link>>` probe per (slot, channel).
+//! * a per-slot table of non-empty cells in CSR form (slot → cells →
+//!   lanes, three flat vectors filled straight from
+//!   [`NetworkSchedule::iter_cells`]).
 //!
 //! The slot table is derived from the [`NetworkSchedule`] and rebuilt lazily
 //! whenever the schedule's version counter changes (see
@@ -69,15 +70,22 @@
 //! can opt back into the unconditional walk with
 //! [`SimulatorBuilder::dense_walk`], which is kept as the in-tree
 //! differential baseline.
+//!
+//! The builder and the derivations of these tables live in `engine/build.rs`;
+//! this file is what runs inside a slot: the slot loop, the queues, fault
+//! application and the statistics they feed.
+
+mod build;
+
+pub use build::SimulatorBuilder;
 
 use crate::calendar::EventCalendar;
-use crate::faults::{FaultAction, FaultPlan};
-use crate::interference::InterferenceModel;
+use crate::faults::FaultAction;
 use crate::packet::{Packet, Rate, Task, TaskId};
-use crate::radio::{LinkQuality, PdrError};
+use crate::radio::PdrError;
 use crate::rng::SplitMix64;
 use crate::schedule::NetworkSchedule;
-use crate::stats::{SimStats, StatsMode};
+use crate::stats::SimStats;
 use crate::time::{Asn, Cell, SlotframeConfig};
 use crate::topology::{Direction, Link, NodeId, Tree};
 use crate::trace::{TraceBuffer, TraceEvent};
@@ -177,380 +185,20 @@ struct QueuedPacket {
 /// sequence number, and packet count.
 type TaskRelease = (Arc<[NodeId]>, Arc<[u32]>, TaskId, u64, u32);
 
-/// Configures and builds a [`Simulator`].
-///
-/// # Examples
-///
-/// ```
-/// use tsch_sim::{
-///     Rate, SimulatorBuilder, SlotframeConfig, Task, TaskId, Tree,
-/// };
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let tree = Tree::paper_fig1_example();
-/// let sim = SimulatorBuilder::new(tree, SlotframeConfig::paper_default())
-///     .seed(7)
-///     .task(Task::echo(TaskId(0), tsch_sim::NodeId(4), Rate::per_slotframe(1)))?
-///     .build();
-/// assert_eq!(sim.now().0, 0);
-/// # Ok(())
-/// # }
-/// ```
-pub struct SimulatorBuilder {
-    tree: Tree,
-    config: SlotframeConfig,
-    schedule: Option<NetworkSchedule>,
-    interference: Box<dyn InterferenceModel + Send + Sync>,
-    quality: LinkQuality,
-    tasks: Vec<TaskState>,
-    seed: u64,
-    queue_capacity: usize,
-    max_retries: u32,
-    trace_capacity: usize,
-    obs_span_capacity: Option<usize>,
-    stats_mode: StatsMode,
-    dense_walk: bool,
-    fault_plan: FaultPlan,
+/// One non-empty cell of the slot table: its channel and where its lanes
+/// start in `Simulator::cell_lanes`. They end where the next cell's start;
+/// a sentinel closes the last.
+#[derive(Debug, Clone, Copy)]
+struct SlotCell {
+    channel: u16,
+    lanes: u32,
 }
 
-impl fmt::Debug for SimulatorBuilder {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SimulatorBuilder")
-            .field("nodes", &self.tree.len())
-            .field("config", &self.config)
-            .field("tasks", &self.tasks.len())
-            .field("seed", &self.seed)
-            .finish_non_exhaustive()
-    }
-}
-
-impl SimulatorBuilder {
-    /// Starts a builder with perfect links and two-hop interference.
-    #[must_use]
-    pub fn new(tree: Tree, config: SlotframeConfig) -> Self {
-        let interference = Box::new(crate::interference::TwoHopInterference::from_tree(&tree));
-        Self {
-            tree,
-            config,
-            schedule: None,
-            interference,
-            quality: LinkQuality::perfect(),
-            tasks: Vec::new(),
-            seed: 0,
-            queue_capacity: DEFAULT_QUEUE_CAPACITY,
-            max_retries: DEFAULT_MAX_RETRIES,
-            trace_capacity: 0,
-            obs_span_capacity: None,
-            stats_mode: StatsMode::Full,
-            dense_walk: false,
-            fault_plan: FaultPlan::new(),
-        }
-    }
-
-    /// Disables the event-driven slot skip, walking every slot's cell list
-    /// unconditionally like the pre-calendar engine. Off by default — the
-    /// two modes are observationally identical (pinned by the
-    /// `event_engine_reconcile` suite); this toggle exists as the in-tree
-    /// differential baseline for that suite.
-    #[must_use]
-    pub fn dense_walk(mut self, dense: bool) -> Self {
-        self.dense_walk = dense;
-        self
-    }
-
-    /// Selects how stats are retained; [`StatsMode::Streaming`] keeps
-    /// memory O(nodes) on runs whose delivery count would otherwise
-    /// dominate (see the [`SimStats`] docs).
-    #[must_use]
-    pub fn stats_mode(mut self, mode: StatsMode) -> Self {
-        self.stats_mode = mode;
-        self
-    }
-
-    /// Installs the initial network schedule.
-    #[must_use]
-    pub fn schedule(mut self, schedule: NetworkSchedule) -> Self {
-        self.schedule = Some(schedule);
-        self
-    }
-
-    /// Replaces the interference model.
-    #[must_use]
-    pub fn interference(mut self, model: Box<dyn InterferenceModel + Send + Sync>) -> Self {
-        self.interference = model;
-        self
-    }
-
-    /// Sets the link-quality (PDR) model.
-    #[must_use]
-    pub fn quality(mut self, quality: LinkQuality) -> Self {
-        self.quality = quality;
-        self
-    }
-
-    /// Seeds the simulator's random processes.
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Bounds the per-link packet queue (packets beyond it are dropped).
-    #[must_use]
-    pub fn queue_capacity(mut self, capacity: usize) -> Self {
-        self.queue_capacity = capacity;
-        self
-    }
-
-    /// Bounds per-hop retransmissions before a packet is dropped.
-    #[must_use]
-    pub fn max_retries(mut self, retries: u32) -> Self {
-        self.max_retries = retries;
-        self
-    }
-
-    /// Enables event tracing, retaining the most recent `capacity` events
-    /// (0, the default, disables tracing).
-    #[must_use]
-    pub fn trace_capacity(mut self, capacity: usize) -> Self {
-        self.trace_capacity = capacity;
-        self
-    }
-
-    /// Enables the observability layer, retaining the most recent
-    /// `span_capacity` slotframe-time spans. Off by default; a disabled
-    /// simulator records nothing and snapshots empty, and its random
-    /// processes are untouched, so runs are byte-identical either way.
-    #[must_use]
-    pub fn observability(mut self, span_capacity: usize) -> Self {
-        self.obs_span_capacity = Some(span_capacity);
-        self
-    }
-
-    /// Installs a fault-injection plan; its actions fire at their exact
-    /// ASNs as the simulation advances (see [`FaultPlan`]).
-    ///
-    /// The plan is validated when [`build`](Self::build) runs: every
-    /// referenced node and link must lie inside the tree's id space, PDR
-    /// values must be within `[0, 1]`, and every referenced task must be
-    /// registered — `build` panics otherwise.
-    #[must_use]
-    pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = plan;
-        self
-    }
-
-    /// Registers a task.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::UnknownTaskSource`] if the source node is not in the tree;
-    /// [`SimError::DuplicateTask`] on a repeated task id.
-    pub fn task(mut self, task: Task) -> Result<Self, SimError> {
-        if task.source.index() >= self.tree.len() {
-            return Err(SimError::UnknownTaskSource(task.source));
-        }
-        if self.tasks.iter().any(|t| t.task.id == task.id) {
-            return Err(SimError::DuplicateTask(task.id));
-        }
-        let route: Arc<[NodeId]> = task.route(&self.tree).into();
-        self.tasks.push(TaskState {
-            task,
-            route,
-            route_lanes: Arc::from([]),
-            next_seq: 0,
-        });
-        Ok(self)
-    }
-
-    /// Builds the simulator at ASN 0.
-    #[must_use]
-    pub fn build(self) -> Simulator {
-        let schedule = self
-            .schedule
-            .unwrap_or_else(|| NetworkSchedule::new(self.config));
-        let link_count = self.tree.len() * 2;
-
-        // Intern every directed tree link; the dense id is
-        // `child * 2 + direction`, so `links[id]` inverts the mapping.
-        let links: Vec<Link> = (0..self.tree.len() as u32)
-            .flat_map(|c| [Link::up(NodeId(c)), Link::down(NodeId(c))])
-            .collect();
-
-        // Per-link PDR, frozen at build time (the quality model has no
-        // runtime mutation API).
-        let pdr: Vec<f64> = links.iter().map(|&l| self.quality.pdr(l)).collect();
-
-        // Pairwise interference in sparse CSR form, consulted once per
-        // ordered pair here rather than once per pair per occupied cell.
-        // Links whose child is the root have no tree edge and can never
-        // carry traffic; their rows stay empty. Models exposing conflict
-        // candidates (bounded-range interference such as
-        // [`crate::TwoHopInterference`]) make the build near-linear —
-        // O(Σ degree) storage instead of the old dense `(2n)²` matrix,
-        // which is ~37 GiB at 100k nodes.
-        let valid: Vec<bool> = (0..link_count)
-            .map(|id| self.tree.parent(links[id].child).is_some())
-            .collect();
-        let intern = |link: Link| -> Option<usize> {
-            if link.child.index() >= self.tree.len() {
-                return None;
-            }
-            let bit = match link.direction {
-                Direction::Up => 0,
-                Direction::Down => 1,
-            };
-            Some(link.child.index() * 2 + bit)
-        };
-        let mut conflict_offsets: Vec<u32> = Vec::with_capacity(link_count + 1);
-        let mut conflict_neighbors: Vec<u32> = Vec::new();
-        let mut row: Vec<u32> = Vec::new();
-        conflict_offsets.push(0);
-        for a in 0..link_count {
-            row.clear();
-            if valid[a] {
-                match self.interference.conflict_candidates(&self.tree, links[a]) {
-                    Some(candidates) => {
-                        for candidate in candidates {
-                            if let Some(b) = intern(candidate) {
-                                if b != a
-                                    && valid[b]
-                                    && self.interference.conflicts(&self.tree, links[a], links[b])
-                                {
-                                    row.push(b as u32);
-                                }
-                            }
-                        }
-                    }
-                    None => {
-                        for b in 0..link_count {
-                            if b != a
-                                && valid[b]
-                                && self.interference.conflicts(&self.tree, links[a], links[b])
-                            {
-                                row.push(b as u32);
-                            }
-                        }
-                    }
-                }
-                row.sort_unstable();
-                row.dedup();
-            }
-            conflict_neighbors.extend_from_slice(&row);
-            conflict_offsets.push(
-                u32::try_from(conflict_neighbors.len()).expect("conflict adjacency fits u32"),
-            );
-        }
-
-        let mut obs = match self.obs_span_capacity {
-            Some(capacity) => Obs::enabled(capacity),
-            None => Obs::disabled(),
-        };
-        let obs_ids = SimObsIds::register(&mut obs);
-
-        // Validate the fault plan against the tree and task set, then load
-        // it onto the event calendar. Same-ASN actions keep plan order
-        // (the calendar is FIFO within a slot).
-        let mut fault_calendar = EventCalendar::new();
-        for &(at, action) in self.fault_plan.events() {
-            match action {
-                FaultAction::NodeDown(n) | FaultAction::NodeUp(n) => {
-                    assert!(
-                        n.index() < self.tree.len(),
-                        "fault plan names node {n} outside the tree"
-                    );
-                }
-                FaultAction::LinkMask(l, _) => {
-                    assert!(
-                        l.child.index() < self.tree.len(),
-                        "fault plan names link {l:?} outside the tree"
-                    );
-                }
-                FaultAction::LinkPdr(l, p) => {
-                    assert!(
-                        l.child.index() < self.tree.len(),
-                        "fault plan names link {l:?} outside the tree"
-                    );
-                    assert!(
-                        (0.0..=1.0).contains(&p),
-                        "fault plan PDR {p} outside [0, 1]"
-                    );
-                }
-                FaultAction::TaskBurst(t, _) | FaultAction::TaskRate(t, _) => {
-                    assert!(
-                        self.tasks.iter().any(|s| s.task.id == t),
-                        "fault plan names unregistered task {t}"
-                    );
-                }
-            }
-            fault_calendar.schedule(at, action);
-        }
-
-        let node_count = self.tree.len();
-        let mut sim = Simulator {
-            tree: self.tree,
-            config: self.config,
-            schedule,
-            tasks: self.tasks,
-            queues: Vec::new(),
-            lane_of: vec![u32::MAX; link_count],
-            lane_links: Vec::new(),
-            lane_link_id: Vec::new(),
-            lane_pdr: Vec::new(),
-            links,
-            pdr,
-            conflict_offsets,
-            conflict_neighbors,
-            slot_table: vec![Vec::new(); self.config.slots as usize],
-            table_version: u64::MAX,
-            link_slot_offsets: vec![0; link_count + 1],
-            link_slots: Vec::new(),
-            slot_busy: vec![0; self.config.slots as usize],
-            occupied_links: Vec::new(),
-            occupied_pos: Vec::new(),
-            dense_walk: self.dense_walk,
-            active_scratch: Vec::new(),
-            collided_scratch: Vec::new(),
-            depth_scratch: Vec::new(),
-            touched_scratch: Vec::new(),
-            active_stamp: vec![0; link_count],
-            stamp: 0,
-            now: Asn::ZERO,
-            rng: SplitMix64::new(self.seed),
-            stats: match self.stats_mode {
-                StatsMode::Full => SimStats::new(),
-                StatsMode::Streaming => SimStats::streaming(),
-            },
-            queue_capacity: self.queue_capacity,
-            max_retries: self.max_retries,
-            trace: TraceBuffer::new(self.trace_capacity),
-            obs,
-            obs_ids,
-            frame_start_asn: 0,
-            frame_tx_base: 0,
-            fault_calendar,
-            node_down: vec![false; node_count],
-            link_masked: vec![false; link_count],
-            faults_fired: 0,
-            idle_wakeup_count: 0,
-        };
-        sim.rebuild_slot_table();
-        // Scheduled links took the low (cache-densest) lanes above; now
-        // resolve each task route into its per-hop lane sequence so the
-        // enqueue path is a single indexed read.
-        for i in 0..sim.tasks.len() {
-            let route = sim.tasks[i].route.clone();
-            let lanes: Vec<u32> = route
-                .windows(2)
-                .map(|hop| {
-                    let id = sim.route_link_id(hop[0], hop[1]);
-                    sim.lane_for(id) as u32
-                })
-                .collect();
-            sim.tasks[i].route_lanes = lanes.into();
-        }
-        sim
-    }
+/// The dense id of `link` (`child * 2 + direction`) in a tree of `nodes`
+/// nodes, or `None` for links outside its id space (they can never carry
+/// traffic).
+fn link_id(nodes: usize, link: Link) -> Option<usize> {
+    (link.child.index() < nodes).then(|| link.dense_id())
 }
 
 /// The running network simulation.
@@ -582,9 +230,14 @@ pub struct Simulator {
     conflict_offsets: Vec<u32>,
     /// Concatenated, per-row-sorted conflicting link ids.
     conflict_neighbors: Vec<u32>,
-    /// `slot_table[slot]` lists the slot's non-empty cells in channel order,
-    /// each with its assigned links (lanes, assignment order).
-    slot_table: Vec<Vec<(u16, Vec<u32>)>>,
+    /// The slot table in CSR form: slot `s`'s non-empty cells are
+    /// `slot_cells[slot_offsets[s]..slot_offsets[s + 1]]`, in channel order.
+    slot_offsets: Vec<u32>,
+    /// Every non-empty cell in (slot, channel) order, plus the sentinel.
+    slot_cells: Vec<SlotCell>,
+    /// The lanes of every scheduled assignment, in (slot, channel,
+    /// assignment) order.
+    cell_lanes: Vec<u32>,
     /// Schedule version the slot table was built from.
     table_version: u64,
     /// CSR offsets into [`Self::link_slots`]; lane `l`'s scheduled slot
@@ -612,6 +265,8 @@ pub struct Simulator {
     depth_scratch: Vec<usize>,
     /// Sender nodes touched by the current queue-depth sample.
     touched_scratch: Vec<u32>,
+    /// The releases of the slotframe boundary in progress.
+    release_scratch: Vec<TaskRelease>,
     /// Per-link stamp marking membership in the current cell's active set;
     /// a link is active iff `active_stamp[id] == stamp`.
     active_stamp: Vec<u32>,
@@ -630,7 +285,7 @@ pub struct Simulator {
     /// `stats.tx_attempts` at the start of the slotframe in progress.
     frame_tx_base: u64,
     /// Pending fault actions, drained at the top of every slot
-    /// ([`FaultPlan`]). Empty unless a plan was installed.
+    /// ([`crate::FaultPlan`]). Empty unless a plan was installed.
     fault_calendar: EventCalendar<FaultAction>,
     /// Per node: currently crashed. Adjacent links read as PDR 0.
     node_down: Vec<bool>,
@@ -867,14 +522,16 @@ impl Simulator {
         // check — no transmission, no RNG draw, no stats or trace — so it
         // can be skipped without touching its cell list at all.
         if self.dense_walk || self.slot_busy[slot] > 0 {
-            // Move the slot's cell list out so the engine can be borrowed
-            // mutably while iterating it; nothing below touches the table.
-            let cells = std::mem::take(&mut self.slot_table[slot]);
+            // Walk the slot's cells by index: nothing below touches the
+            // table, and the engine is borrowed mutably by each cell.
             let mut any_active = false;
-            for (channel, ids) in &cells {
-                any_active |= self.execute_cell(Cell::new(slot as u32, *channel), ids);
+            for k in self.slot_offsets[slot] as usize..self.slot_offsets[slot + 1] as usize {
+                let (cell, next) = (self.slot_cells[k], self.slot_cells[k + 1]);
+                any_active |= self.execute_cell(
+                    Cell::new(slot as u32, cell.channel),
+                    cell.lanes as usize..next.lanes as usize,
+                );
             }
-            self.slot_table[slot] = cells;
             if !self.dense_walk && !any_active {
                 // The queue-pressure index promised work but every cell
                 // was idle — unreachable by construction; the reconcile
@@ -889,73 +546,6 @@ impl Simulator {
         self.now = self.now.plus(1);
     }
 
-    /// The dense id of `link`, or `None` for links outside the tree's id
-    /// space (they can never carry traffic).
-    fn intern(&self, link: Link) -> Option<u32> {
-        if link.child.index() >= self.tree.len() {
-            return None;
-        }
-        let bit = match link.direction {
-            Direction::Up => 0,
-            Direction::Down => 1,
-        };
-        Some((link.child.index() * 2 + bit) as u32)
-    }
-
-    /// Re-derives the per-slot schedule table from the live schedule.
-    fn rebuild_slot_table(&mut self) {
-        for slot in &mut self.slot_table {
-            slot.clear();
-        }
-        for (cell, links) in self.schedule.iter_cells() {
-            // Mirror the map-based engine: only cells inside the simulator's
-            // own slotframe bounds ever execute.
-            if cell.slot >= self.config.slots || cell.channel >= self.config.channels {
-                continue;
-            }
-            let ids: Vec<u32> = links.iter().filter_map(|&l| self.intern(l)).collect();
-            if !ids.is_empty() {
-                // `iter_cells` is cell-ordered, so channels arrive ascending
-                // within each slot.
-                self.slot_table[cell.slot as usize].push((cell.channel, ids));
-            }
-        }
-        // Second pass: dense ids → lanes (a `&mut self` call, so it cannot
-        // run while `iter_cells` borrows the schedule). Every scheduled
-        // link gets its lane here, in (slot, channel, assignment) order.
-        let mut table = std::mem::take(&mut self.slot_table);
-        for cells in &mut table {
-            for (_, ids) in cells.iter_mut() {
-                for id in ids.iter_mut() {
-                    *id = self.lane_for(*id as usize) as u32;
-                }
-            }
-        }
-        self.slot_table = table;
-        self.table_version = self.schedule.version();
-        self.rebuild_wake_index();
-    }
-
-    /// The lane of dense link `id`, allocated on first use. A lane pins
-    /// the link's queue, occupancy slot and wake rows into contiguous
-    /// arrays, so per-slot work touches memory proportional to the active
-    /// link population — the mechanism behind the flat per-active-cell
-    /// cost from 1k to 1M nodes.
-    fn lane_for(&mut self, id: usize) -> usize {
-        let lane = self.lane_of[id];
-        if lane != u32::MAX {
-            return lane as usize;
-        }
-        let lane = self.lane_links.len();
-        self.lane_of[id] = u32::try_from(lane).expect("lane count fits u32");
-        self.lane_links.push(self.links[id]);
-        self.lane_link_id.push(id as u32);
-        self.lane_pdr.push(self.effective_pdr(id));
-        self.queues.push(VecDeque::new());
-        self.occupied_pos.push(u32::MAX);
-        lane
-    }
-
     /// Scheduled slot range of `lane` in the wake CSR. Lanes allocated
     /// after the last rebuild are necessarily unscheduled: empty range.
     fn lane_slot_range(&self, lane: usize) -> (usize, usize) {
@@ -966,52 +556,6 @@ impl Simulator {
             )
         } else {
             (0, 0)
-        }
-    }
-
-    /// Re-derives the link→slots CSR and per-slot queue-pressure counts
-    /// from the freshly rebuilt slot table.
-    ///
-    /// One CSR entry exists per (slot, cell, link) assignment — duplicates
-    /// are kept deliberately so that `slot_busy` increments and decrements
-    /// stay balanced when a link appears several times in one slotframe.
-    fn rebuild_wake_index(&mut self) {
-        let lane_count = self.lane_links.len();
-        self.link_slot_offsets.clear();
-        self.link_slot_offsets.resize(lane_count + 1, 0);
-        for cells in &self.slot_table {
-            for (_, lanes) in cells {
-                for &lane in lanes {
-                    self.link_slot_offsets[lane as usize + 1] += 1;
-                }
-            }
-        }
-        for i in 0..lane_count {
-            self.link_slot_offsets[i + 1] += self.link_slot_offsets[i];
-        }
-        let total = self.link_slot_offsets[lane_count] as usize;
-        self.link_slots.clear();
-        self.link_slots.resize(total, 0);
-        let mut cursor: Vec<u32> = self.link_slot_offsets[..lane_count].to_vec();
-        for (slot, cells) in self.slot_table.iter().enumerate() {
-            for (_, lanes) in cells {
-                for &lane in lanes {
-                    let c = &mut cursor[lane as usize];
-                    self.link_slots[*c as usize] = slot as u32;
-                    *c += 1;
-                }
-            }
-        }
-        // Re-derive slot pressure from the lanes that currently hold
-        // traffic; the occupied set itself is schedule-independent.
-        self.slot_busy.clear();
-        self.slot_busy.resize(self.slot_table.len(), 0);
-        for i in 0..self.occupied_links.len() {
-            let lane = self.occupied_links[i] as usize;
-            let (lo, hi) = self.lane_slot_range(lane);
-            for k in lo..hi {
-                self.slot_busy[self.link_slots[k] as usize] += 1;
-            }
         }
     }
 
@@ -1054,7 +598,7 @@ impl Simulator {
         let frame = self.config.slotframe_index(self.now);
         // Collect first: route clones are cheap (Arc), and we must not hold
         // a borrow of `self.tasks` while enqueueing.
-        let mut releases: Vec<TaskRelease> = Vec::new();
+        let mut releases = std::mem::take(&mut self.release_scratch);
         for state in &mut self.tasks {
             // A crashed node generates nothing while down (the sensor is
             // off, not buffering); its sequence numbers do not advance.
@@ -1073,7 +617,7 @@ impl Simulator {
                 state.next_seq += u64::from(n);
             }
         }
-        for (route, route_lanes, task, seq0, n) in releases {
+        for (route, route_lanes, task, seq0, n) in releases.drain(..) {
             for k in 0..u64::from(n) {
                 self.stats.generated += 1;
                 self.obs.metrics.inc(self.obs_ids.generated, 1);
@@ -1089,6 +633,7 @@ impl Simulator {
                 }
             }
         }
+        self.release_scratch = releases;
     }
 
     /// Queues a packet at its current holder for its next hop.
@@ -1111,30 +656,14 @@ impl Simulator {
         }
     }
 
-    /// The dense id of the link from `holder` to `next` (build-time route
-    /// resolution; see [`TaskState::route_lanes`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the hop is not a tree edge.
-    fn route_link_id(&self, holder: NodeId, next: NodeId) -> usize {
-        if self.tree.parent(holder) == Some(next) {
-            holder.index() * 2 // Link::up(holder)
-        } else if self.tree.parent(next) == Some(holder) {
-            next.index() * 2 + 1 // Link::down(next)
-        } else {
-            panic!("route hop {holder}->{next} is not a tree edge");
-        }
-    }
-
     /// Executes all transmissions scheduled on one cell.
     ///
     /// Returns `true` if at least one link transmitted, so `step_slot` can
     /// verify that the queue-pressure index never wakes an idle slot.
-    fn execute_cell(&mut self, cell: Cell, lanes: &[u32]) -> bool {
+    fn execute_cell(&mut self, cell: Cell, lanes: core::ops::Range<usize>) -> bool {
         // Links with traffic ready on this cell.
         self.active_scratch.clear();
-        for &lane in lanes {
+        for &lane in &self.cell_lanes[lanes] {
             if !self.queues[lane as usize].is_empty() {
                 self.active_scratch.push(lane);
             }
@@ -1326,7 +855,7 @@ impl Simulator {
 
     // --- Fault injection -------------------------------------------------
 
-    /// Applies one fault action now (see [`FaultPlan`] for semantics).
+    /// Applies one fault action now (see [`crate::FaultPlan`] for semantics).
     fn apply_fault(&mut self, action: FaultAction) {
         match action {
             FaultAction::NodeDown(node) => {
@@ -1347,15 +876,15 @@ impl Simulator {
                 self.refresh_node_links(node);
             }
             FaultAction::LinkMask(link, masked) => {
-                if let Some(id) = self.intern(link) {
-                    self.link_masked[id as usize] = masked;
-                    self.refresh_link_quality(id as usize);
+                if let Some(id) = link_id(self.tree.len(), link) {
+                    self.link_masked[id] = masked;
+                    self.refresh_link_quality(id);
                 }
             }
             FaultAction::LinkPdr(link, pdr) => {
-                if let Some(id) = self.intern(link) {
-                    self.pdr[id as usize] = pdr;
-                    self.refresh_link_quality(id as usize);
+                if let Some(id) = link_id(self.tree.len(), link) {
+                    self.pdr[id] = pdr;
+                    self.refresh_link_quality(id);
                 }
             }
             FaultAction::TaskBurst(task, n) => self.release_burst(task, n),
@@ -1397,13 +926,12 @@ impl Simulator {
     /// Refreshes every link with `node` as an endpoint: its own up/down
     /// pair and each child's up/down pair.
     fn refresh_node_links(&mut self, node: NodeId) {
-        let mut ids = vec![node.index() * 2, node.index() * 2 + 1];
-        for &child in self.tree.children(node) {
-            ids.push(child.index() * 2);
-            ids.push(child.index() * 2 + 1);
-        }
-        for id in ids {
-            self.refresh_link_quality(id);
+        self.refresh_link_quality(node.index() * 2);
+        self.refresh_link_quality(node.index() * 2 + 1);
+        for i in 0..self.tree.children(node).len() {
+            let child = self.tree.children(node)[i].index();
+            self.refresh_link_quality(child * 2);
+            self.refresh_link_quality(child * 2 + 1);
         }
     }
 
@@ -1411,32 +939,35 @@ impl Simulator {
     /// child's downlink), with queue-drop accounting and trace events, and
     /// releases the lanes' queue pressure.
     fn clear_sender_queues(&mut self, node: NodeId) {
-        let mut ids = Vec::new();
         if self.tree.parent(node).is_some() {
-            ids.push(node.index() * 2); // Link::up(node)
+            self.clear_queue(node.index() * 2); // Link::up(node)
         }
-        for &child in self.tree.children(node) {
-            ids.push(child.index() * 2 + 1); // Link::down(child)
+        for i in 0..self.tree.children(node).len() {
+            let child = self.tree.children(node)[i].index();
+            self.clear_queue(child * 2 + 1); // Link::down(child)
         }
-        for id in ids {
-            let lane = self.lane_of[id];
-            if lane == u32::MAX {
-                continue;
-            }
-            let lane = lane as usize;
-            let n = self.queues[lane].len();
-            if n == 0 {
-                continue;
-            }
-            let link = self.lane_links[lane];
-            self.queues[lane].clear();
-            self.stats.queue_drops += n as u64;
-            self.obs.metrics.inc(self.obs_ids.queue_drops, n as u64);
-            for _ in 0..n {
-                self.trace.record(TraceEvent::Drop { at: self.now, link });
-            }
-            self.note_queue_empty(lane);
+    }
+
+    /// Drops the queue of dense link `id`, if it has one and it holds
+    /// anything.
+    fn clear_queue(&mut self, id: usize) {
+        let lane = self.lane_of[id];
+        if lane == u32::MAX {
+            return;
         }
+        let lane = lane as usize;
+        let n = self.queues[lane].len();
+        if n == 0 {
+            return;
+        }
+        let link = self.lane_links[lane];
+        self.queues[lane].clear();
+        self.stats.queue_drops += n as u64;
+        self.obs.metrics.inc(self.obs_ids.queue_drops, n as u64);
+        for _ in 0..n {
+            self.trace.record(TraceEvent::Drop { at: self.now, link });
+        }
+        self.note_queue_empty(lane);
     }
 
     /// Releases `n` extra packets for `task` immediately (off the
@@ -1478,9 +1009,9 @@ impl Simulator {
         if !(0.0..=1.0).contains(&pdr) {
             return Err(PdrError { pdr });
         }
-        if let Some(id) = self.intern(link) {
-            self.pdr[id as usize] = pdr;
-            self.refresh_link_quality(id as usize);
+        if let Some(id) = link_id(self.tree.len(), link) {
+            self.pdr[id] = pdr;
+            self.refresh_link_quality(id);
         }
         Ok(())
     }
@@ -1516,6 +1047,7 @@ impl Simulator {
 mod tests {
     use super::*;
     use crate::interference::GlobalInterference;
+    use crate::radio::LinkQuality;
 
     fn chain_tree() -> Tree {
         // 0 ← 1 ← 2

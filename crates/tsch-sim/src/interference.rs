@@ -23,17 +23,20 @@ pub trait InterferenceModel {
     /// and channel) fail due to interference or radio constraints.
     fn conflicts(&self, tree: &Tree, a: Link, b: Link) -> bool;
 
-    /// Returns a *superset* of the links that may conflict with `link`, or
-    /// `None` when the model has no locality to exploit (the caller must
-    /// then probe every link pair).
+    /// Writes a *superset* of the links that may conflict with `link` into
+    /// `out` (replacing its contents) and returns `true`, or returns
+    /// `false` when the model has no locality to exploit (the caller must
+    /// then probe every link pair; `out` is unspecified).
     ///
     /// Models whose interference is bounded in the radio graph override
     /// this so the engine can build its sparse conflict adjacency in
     /// near-linear time and space; the engine still filters candidates
     /// through [`InterferenceModel::conflicts`], so over-approximation is
-    /// safe while *under*-approximation is not.
-    fn conflict_candidates(&self, _tree: &Tree, _link: Link) -> Option<Vec<Link>> {
-        None
+    /// safe while *under*-approximation is not. The buffer is the
+    /// caller's, reused from link to link: once it has grown to the
+    /// largest neighbourhood a call allocates nothing.
+    fn conflict_candidates(&self, _tree: &Tree, _link: Link, _out: &mut Vec<Link>) -> bool {
+        false
     }
 }
 
@@ -149,40 +152,43 @@ impl InterferenceModel for TwoHopInterference {
         self.in_range(tree, s2, r1) || self.in_range(tree, s1, r2)
     }
 
-    fn conflict_candidates(&self, tree: &Tree, link: Link) -> Option<Vec<Link>> {
+    fn conflict_candidates(&self, tree: &Tree, link: Link, out: &mut Vec<Link>) -> bool {
         // Every conflict with `link` requires the other link to have an
         // endpoint that is either an endpoint of `link` (shared node) or a
         // radio neighbour of one (hidden terminal), so enumerating the
         // links incident to that closed neighbourhood is a complete
         // over-approximation.
+        out.clear();
         let Ok((sender, receiver)) = tree.endpoints(link) else {
-            return Some(Vec::new()); // No tree edge: conflicts with nothing.
+            return true; // No tree edge: conflicts with nothing.
         };
-        let mut nodes: Vec<NodeId> = Vec::new();
+        // The neighbourhood sits at the front of the buffer, each node as
+        // its uplink, and is deduplicated *before* it is expanded: a dozen
+        // nodes to sort instead of every link incident to them.
         for n in [sender, receiver] {
-            nodes.push(n);
-            if let Some(p) = tree.parent(n) {
-                nodes.push(p);
-            }
-            nodes.extend_from_slice(tree.children(n));
+            out.push(Link::up(n));
+            out.extend(tree.parent(n).map(Link::up));
+            out.extend(tree.children(n).iter().copied().map(Link::up));
             if let Some(extra) = self.extra_adjacency.get(&n) {
-                nodes.extend_from_slice(extra);
+                out.extend(extra.iter().copied().map(Link::up));
             }
         }
-        nodes.sort_unstable();
-        nodes.dedup();
-        let mut candidates: Vec<Link> = Vec::with_capacity(nodes.len() * 4);
-        for v in nodes {
+        out.sort_unstable();
+        out.dedup();
+        let nodes = out.len();
+        for i in 0..nodes {
             // Links with endpoint `v`: its own up/down pair plus each
             // child's (whose far endpoint is `v`).
-            candidates.push(Link::up(v));
-            candidates.push(Link::down(v));
+            let v = out[i].child;
+            out.push(Link::up(v));
+            out.push(Link::down(v));
             for &c in tree.children(v) {
-                candidates.push(Link::up(c));
-                candidates.push(Link::down(c));
+                out.push(Link::up(c));
+                out.push(Link::down(c));
             }
         }
-        Some(candidates)
+        out.drain(..nodes);
+        true
     }
 }
 
@@ -302,8 +308,9 @@ mod tests {
             .into_iter()
             .chain(t.links(Direction::Down))
             .collect();
+        let mut candidates = Vec::new();
         for &a in &all {
-            let candidates = m.conflict_candidates(&t, a).unwrap();
+            assert!(m.conflict_candidates(&t, a, &mut candidates));
             for &b in &all {
                 if a != b && m.conflicts(&t, a, b) {
                     assert!(
@@ -319,7 +326,13 @@ mod tests {
     fn root_uplink_has_no_candidates() {
         let t = tree();
         let m = TwoHopInterference::from_tree(&t);
-        assert_eq!(m.conflict_candidates(&t, Link::up(NodeId(0))), Some(vec![]));
+        let mut candidates = vec![Link::up(NodeId(4))];
+        assert!(m.conflict_candidates(&t, Link::up(NodeId(0)), &mut candidates));
+        assert!(
+            candidates.is_empty(),
+            "the buffer's old contents are replaced"
+        );
+        assert!(!GlobalInterference.conflict_candidates(&t, Link::up(NodeId(4)), &mut candidates));
     }
 
     #[test]

@@ -202,7 +202,8 @@ impl Task {
         match self.kind {
             TaskKind::UplinkOnly => up,
             TaskKind::Echo => {
-                let mut route = up.clone();
+                let mut route = Vec::with_capacity(2 * up.len() - 1);
+                route.extend_from_slice(&up);
                 route.extend(up.iter().rev().skip(1));
                 route
             }

@@ -4,7 +4,8 @@
 //! slotframe. HARP guarantees at most one link per cell; the baseline
 //! schedulers (random, MSF, LDSF) do not, so the table supports multiple
 //! links per cell and exposes collision analysis over an
-//! [`InterferenceModel`].
+//! [`InterferenceModel`]. The two-map model of the same API is the oracle
+//! in `tests/schedule_model.rs`.
 
 use crate::interference::InterferenceModel;
 use crate::time::{Cell, SlotframeConfig};
@@ -91,7 +92,41 @@ impl CollisionReport {
     }
 }
 
+/// Cell-index entry of a cell that hosts more than one link: its whole
+/// list, first link included, lives in `NetworkSchedule::stacked`.
+const STACKED: u32 = u32::MAX;
+
+/// Dead pool entries tolerated before a relocation compacts the pool
+/// (they must also outnumber half of it).
+const GARBAGE_FLOOR: usize = 64;
+
+/// One row of the link table: the link itself, so an exclusive cell can
+/// lend it as a one-element slice, and its run of the cell pool.
+#[derive(Debug, Clone, Copy)]
+struct LinkRow {
+    link: Link,
+    /// First pool entry of the run; 0 while the row owns no room.
+    start: u32,
+    /// Cells assigned: the run's live prefix.
+    len: u32,
+    /// Pool entries the row owns from `start`. `len..cap` is room kept for
+    /// the re-assignment that follows an unassign.
+    cap: u32,
+}
+
+impl LinkRow {
+    fn run(&self) -> core::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
 /// A slotframe-wide table of cell assignments.
+///
+/// Stored flat: a dense `slots × channels` cell index naming each cell's
+/// link, and a link table dense by link id whose rows are runs of one cell
+/// pool. Only cells that host several links (the baseline schedulers'
+/// collisions) keep a list of their own. The tables hold `20 B` per link
+/// id up to the largest id assigned, so node ids are expected to be dense.
 ///
 /// # Examples
 ///
@@ -109,8 +144,21 @@ impl CollisionReport {
 #[derive(Debug, Clone, Default)]
 pub struct NetworkSchedule {
     config: SlotframeConfig,
-    by_cell: BTreeMap<Cell, Vec<Link>>,
-    by_link: BTreeMap<Link, Vec<Cell>>,
+    /// One entry per cell, slot-major (`Cell`'s order), allocated by the
+    /// first assignment: 0 = empty, [`STACKED`], else the link's id + 1.
+    /// Four bytes a cell: the paper's 199 × 16 slotframe costs 12.7 KB.
+    index: Vec<u32>,
+    /// The link table, dense by `Link::dense_id` and grown on demand.
+    rows: Vec<LinkRow>,
+    /// Every link's cells, in assignment order within a row's run.
+    pool: Vec<Cell>,
+    /// Pool entries no row owns (runs left behind by a relocation).
+    garbage: usize,
+    /// Cells hosting two or more links, in assignment order. Empty for a
+    /// HARP schedule.
+    stacked: BTreeMap<Cell, Vec<Link>>,
+    assignments: usize,
+    active_cells: usize,
     version: u64,
 }
 
@@ -120,9 +168,7 @@ impl NetworkSchedule {
     pub fn new(config: SlotframeConfig) -> Self {
         Self {
             config,
-            by_cell: BTreeMap::new(),
-            by_link: BTreeMap::new(),
-            version: 0,
+            ..Self::default()
         }
     }
 
@@ -149,6 +195,142 @@ impl NetworkSchedule {
         self.version = NEXT_VERSION.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Position of an in-bounds `cell` in the cell index.
+    fn cell_pos(&self, cell: Cell) -> usize {
+        cell.slot as usize * usize::from(self.config.channels) + usize::from(cell.channel)
+    }
+
+    /// The links an index entry stands for.
+    fn links_at(&self, cell: Cell, entry: u32) -> &[Link] {
+        match entry {
+            0 => &[],
+            STACKED => &self.stacked[&cell],
+            id_plus_one => core::slice::from_ref(&self.rows[id_plus_one as usize - 1].link),
+        }
+    }
+
+    /// Extends the link table to hold `id`.
+    fn grow_rows(&mut self, id: usize) {
+        assert!(
+            id < STACKED as usize - 1,
+            "link id {id} does not fit the cell index"
+        );
+        let from = self.rows.len();
+        self.rows.extend((from..=id).map(|id| LinkRow {
+            link: Link::from_dense_id(id),
+            start: 0,
+            len: 0,
+            cap: 0,
+        }));
+    }
+
+    /// Writes `link` into the cell index at `cell`.
+    fn occupy(&mut self, cell: Cell, link: Link) {
+        if self.index.is_empty() {
+            self.index = vec![0; self.config.cells_per_slotframe() as usize];
+        }
+        let pos = self.cell_pos(cell);
+        match self.index[pos] {
+            0 => {
+                self.index[pos] = link.dense_id() as u32 + 1;
+                self.active_cells += 1;
+            }
+            STACKED => self
+                .stacked
+                .get_mut(&cell)
+                .expect("a stacked cell has its list")
+                .push(link),
+            first => {
+                let first = self.rows[first as usize - 1].link;
+                self.stacked.insert(cell, vec![first, link]);
+                self.index[pos] = STACKED;
+            }
+        }
+    }
+
+    /// Removes `link` from the cell index at `cell`.
+    fn vacate(&mut self, cell: Cell, link: Link) {
+        let pos = self.cell_pos(cell);
+        if self.index[pos] == STACKED {
+            let links = self
+                .stacked
+                .get_mut(&cell)
+                .expect("a stacked cell has its list");
+            links.retain(|&l| l != link);
+            if let [last] = links[..] {
+                self.index[pos] = last.dense_id() as u32 + 1;
+                self.stacked.remove(&cell);
+            }
+        } else {
+            debug_assert_eq!(self.index[pos], link.dense_id() as u32 + 1);
+            self.index[pos] = 0;
+            self.active_cells -= 1;
+        }
+    }
+
+    /// Appends `cell` to the run of link `id`: in place while the row has
+    /// room, at the pool's tail when the run ends there, else the run
+    /// moves to the tail and its old room becomes garbage.
+    fn push_cell(&mut self, id: usize, cell: Cell) {
+        self.assignments += 1;
+        let row = &mut self.rows[id];
+        let (start, len, cap) = (row.start as usize, row.len as usize, row.cap as usize);
+        row.len += 1;
+        if len < cap {
+            self.pool[start + len] = cell;
+            return;
+        }
+        let relocated = start + cap != self.pool.len();
+        if relocated {
+            row.start = u32::try_from(self.pool.len()).expect("cell pool fits u32");
+            row.cap = len as u32;
+            self.pool.extend_from_within(start..start + len);
+            self.garbage += cap;
+        }
+        row.cap += 1;
+        self.pool.push(cell);
+        if relocated && self.garbage > GARBAGE_FLOOR.max(self.pool.len() / 2) {
+            self.compact();
+        }
+    }
+
+    /// Rewrites the pool with every run packed in link order and no room.
+    fn compact(&mut self) {
+        let mut pool = Vec::with_capacity(self.assignments);
+        for row in &mut self.rows {
+            let run = row.run();
+            row.start = if run.is_empty() { 0 } else { pool.len() as u32 };
+            row.cap = row.len;
+            pool.extend_from_slice(&self.pool[run]);
+        }
+        self.pool = pool;
+        self.garbage = 0;
+    }
+
+    /// Empties the row of link `id`; returns how many cells it held. The
+    /// row keeps its room for the re-assignment `SetLinkCells` always
+    /// follows with, unless the run is the pool's tail, which shrinks.
+    fn release(&mut self, id: usize) -> usize {
+        let Some(&row) = self.rows.get(id) else {
+            return 0;
+        };
+        for k in row.run() {
+            self.vacate(self.pool[k], row.link);
+        }
+        let released = row.len as usize;
+        self.assignments -= released;
+        let row = &mut self.rows[id];
+        row.len = 0;
+        if (row.start + row.cap) as usize == self.pool.len() {
+            self.pool.truncate(row.start as usize);
+            // An emptied row must not keep pointing past a pool that other
+            // tail rows may shrink further.
+            row.start = 0;
+            row.cap = 0;
+        }
+        released
+    }
+
     /// Assigns `link` to `cell`. Multiple links may share a cell (that is
     /// exactly what the baseline schedulers do); the same link may not be
     /// assigned to the same cell twice.
@@ -165,53 +347,68 @@ impl NetworkSchedule {
                 channels: self.config.channels,
             });
         }
-        let links = self.by_cell.entry(cell).or_default();
-        if links.contains(&link) {
+        if self.links_on(cell).contains(&link) {
             return Err(ScheduleError::DuplicateAssignment { cell, link });
         }
-        links.push(link);
-        self.by_link.entry(link).or_default().push(cell);
+        let id = link.dense_id();
+        if id >= self.rows.len() {
+            self.grow_rows(id);
+        }
+        self.occupy(cell, link);
+        self.push_cell(id, cell);
         self.bump_version();
         Ok(())
     }
 
     /// Removes every cell assigned to `link`; returns how many were removed.
     pub fn unassign_link(&mut self, link: Link) -> usize {
-        let Some(cells) = self.by_link.remove(&link) else {
-            return 0;
-        };
-        for cell in &cells {
-            if let Some(links) = self.by_cell.get_mut(cell) {
-                links.retain(|&l| l != link);
-                if links.is_empty() {
-                    self.by_cell.remove(cell);
-                }
-            }
+        let released = self.release(link.dense_id());
+        if released > 0 {
+            self.bump_version();
         }
-        self.bump_version();
-        cells.len()
+        released
     }
 
     /// The cells currently assigned to `link`, in assignment order.
     #[must_use]
     pub fn cells_of(&self, link: Link) -> &[Cell] {
-        self.by_link.get(&link).map(Vec::as_slice).unwrap_or(&[])
+        match self.rows.get(link.dense_id()) {
+            Some(row) => &self.pool[row.run()],
+            None => &[],
+        }
     }
 
     /// The links assigned to `cell`.
     #[must_use]
     pub fn links_on(&self, cell: Cell) -> &[Link] {
-        self.by_cell.get(&cell).map(Vec::as_slice).unwrap_or(&[])
+        if !self.config.contains_cell(cell) {
+            return &[];
+        }
+        match self.index.get(self.cell_pos(cell)) {
+            Some(&entry) => self.links_at(cell, entry),
+            None => &[],
+        }
     }
 
     /// Iterates over all (cell, links) entries in cell order.
     pub fn iter_cells(&self) -> impl Iterator<Item = (Cell, &[Link])> + '_ {
-        self.by_cell.iter().map(|(&c, ls)| (c, ls.as_slice()))
+        let channels = usize::from(self.config.channels);
+        self.index
+            .iter()
+            .enumerate()
+            .filter(|&(_, &entry)| entry != 0)
+            .map(move |(pos, &entry)| {
+                let cell = Cell::new((pos / channels) as u32, (pos % channels) as u16);
+                (cell, self.links_at(cell, entry))
+            })
     }
 
     /// Iterates over all (link, cells) entries in link order.
     pub fn iter_links(&self) -> impl Iterator<Item = (Link, &[Cell])> + '_ {
-        self.by_link.iter().map(|(&l, cs)| (l, cs.as_slice()))
+        self.rows
+            .iter()
+            .filter(|row| row.len > 0)
+            .map(|row| (row.link, &self.pool[row.run()]))
     }
 
     /// Total number of (cell, link) assignments — per-slotframe
@@ -222,30 +419,26 @@ impl NetworkSchedule {
     /// links may share a cell, and the sharing density grows with size.
     #[must_use]
     pub fn assignment_count(&self) -> usize {
-        self.by_link.values().map(Vec::len).sum()
+        self.assignments
     }
 
     /// Number of distinct cells with at least one assigned link — the
     /// schedule's cell footprint in the slotframe matrix.
     #[must_use]
     pub fn active_cells(&self) -> usize {
-        self.by_cell.len()
+        self.active_cells
     }
 
     /// Returns `true` if no cell hosts more than one link — HARP's invariant.
     #[must_use]
     pub fn is_exclusive(&self) -> bool {
-        self.by_cell.values().all(|ls| ls.len() <= 1)
+        self.stacked.is_empty()
     }
 
     /// Cells assigned to more than one link.
     #[must_use]
     pub fn shared_cells(&self) -> Vec<Cell> {
-        self.by_cell
-            .iter()
-            .filter(|(_, ls)| ls.len() > 1)
-            .map(|(&c, _)| c)
-            .collect()
+        self.stacked.keys().copied().collect()
     }
 
     /// Analyses collisions under an interference model.
@@ -261,11 +454,10 @@ impl NetworkSchedule {
             total_assignments: self.assignment_count(),
             ..CollisionReport::default()
         };
-        for links in self.by_cell.values() {
-            if links.len() < 2 {
-                continue;
-            }
-            let mut colliding = vec![false; links.len()];
+        let mut colliding = Vec::new();
+        for links in self.stacked.values() {
+            colliding.clear();
+            colliding.resize(links.len(), false);
             for i in 0..links.len() {
                 for j in i + 1..links.len() {
                     if model.conflicts(tree, links[i], links[j]) {
@@ -285,8 +477,7 @@ impl NetworkSchedule {
 
     /// Clears every assignment, keeping the configuration.
     pub fn clear(&mut self) {
-        self.by_cell.clear();
-        self.by_link.clear();
+        *self = Self::new(self.config);
         self.bump_version();
     }
 
@@ -306,30 +497,31 @@ impl NetworkSchedule {
     /// restored link shared a cell with a link that was *not* captured —
     /// always true for exclusive schedules (HARP's invariant), where a
     /// cell hosts at most one link.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a captured cell lies outside the slotframe, which a
+    /// before-image of this schedule never does.
     pub fn restore_rows<'a>(
         &mut self,
         rows: impl IntoIterator<Item = (Link, &'a [Cell])>,
         version: u64,
     ) {
         for (link, cells) in rows {
+            let id = link.dense_id();
             // Drop whatever the aborted transaction left on this link.
-            if let Some(current) = self.by_link.remove(&link) {
-                for cell in &current {
-                    if let Some(links) = self.by_cell.get_mut(cell) {
-                        links.retain(|&l| l != link);
-                        if links.is_empty() {
-                            self.by_cell.remove(cell);
-                        }
-                    }
-                }
-            }
+            self.release(id);
             if cells.is_empty() {
                 continue;
             }
-            for &cell in cells {
-                self.by_cell.entry(cell).or_default().push(link);
+            if id >= self.rows.len() {
+                self.grow_rows(id);
             }
-            self.by_link.insert(link, cells.to_vec());
+            for &cell in cells {
+                assert!(self.config.contains_cell(cell), "restored {cell} in bounds");
+                self.occupy(cell, link);
+                self.push_cell(id, cell);
+            }
         }
         self.version = version;
     }

@@ -121,6 +121,21 @@ impl Link {
             direction: self.direction.reversed(),
         }
     }
+
+    /// The link's dense id, `child * 2 + direction` — the index of every
+    /// per-link table in this crate. Ids order links as the derived `Ord`
+    /// does: child first, then `Up < Down`.
+    pub(crate) fn dense_id(self) -> usize {
+        self.child.index() * 2 + usize::from(self.direction == Direction::Down)
+    }
+
+    /// The link with dense id `id`.
+    pub(crate) fn from_dense_id(id: usize) -> Link {
+        Link {
+            child: NodeId(u32::try_from(id / 2).expect("link ids come from u32 node ids")),
+            direction: Direction::BOTH[id % 2],
+        }
+    }
 }
 
 impl fmt::Display for Link {
@@ -229,7 +244,10 @@ impl Default for TreeBuilder {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tree {
     parent: Vec<Option<NodeId>>,
-    children: Vec<Vec<NodeId>>,
+    /// Node `v`'s children are `child_ids[child_offsets[v]..child_offsets[v + 1]]`.
+    child_offsets: Vec<u32>,
+    /// Every non-root node, grouped by parent, in id order within a group.
+    child_ids: Vec<NodeId>,
     depth: Vec<u32>,
     /// Max link layer within each node's subtree (`l(G_Vi)` in the paper);
     /// equals the node's own depth for leaves.
@@ -274,14 +292,34 @@ impl Tree {
 
     fn from_parent_vec(parent: Vec<Option<NodeId>>) -> Tree {
         let n = parent.len();
-        let mut children: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+        assert!(u32::try_from(n).is_ok(), "dense u32 ids");
+        // Counting sort by parent. A tree is only ever built whole, so the
+        // child lists are rows of one array rather than a vector each.
+        let mut child_offsets = vec![0u32; n + 1];
         for (i, &p) in parent.iter().enumerate() {
-            if let Some(p) = p {
-                children[p.index()].push(NodeId(u32::try_from(i).expect("dense u32 ids")));
-            } else {
-                assert_eq!(i, 0, "exactly node 0 may be the root");
+            match p {
+                Some(p) => child_offsets[p.index() + 1] += 1,
+                None => assert_eq!(i, 0, "exactly node 0 may be the root"),
             }
         }
+        for v in 0..n {
+            child_offsets[v + 1] += child_offsets[v];
+        }
+        // Fill with each row's start as its write cursor, which leaves
+        // every offset at its row's end; one rotation restores the starts.
+        let mut child_ids = vec![NodeId(0); n.saturating_sub(1)];
+        for (i, &p) in parent.iter().enumerate() {
+            if let Some(p) = p {
+                let at = &mut child_offsets[p.index()];
+                child_ids[*at as usize] = NodeId(i as u32);
+                *at += 1;
+            }
+        }
+        child_offsets.rotate_right(1);
+        child_offsets[0] = 0;
+        let children = |v: NodeId| {
+            &child_ids[child_offsets[v.index()] as usize..child_offsets[v.index() + 1] as usize]
+        };
         // Depths: BFS from the root. Parents must form an acyclic structure;
         // TreeBuilder guarantees parents precede children, from_parents
         // re-checks reachability here.
@@ -290,7 +328,7 @@ impl Tree {
         let mut queue = std::collections::VecDeque::from([NodeId(0)]);
         let mut seen = 1usize;
         while let Some(u) = queue.pop_front() {
-            for &c in &children[u.index()] {
+            for &c in children(u) {
                 assert_eq!(depth[c.index()], u32::MAX, "cycle at {c}");
                 depth[c.index()] = depth[u.index()] + 1;
                 seen += 1;
@@ -316,7 +354,8 @@ impl Tree {
 
         Tree {
             parent,
-            children,
+            child_offsets,
+            child_ids,
             depth,
             subtree_layer,
             subtree_size,
@@ -355,13 +394,14 @@ impl Tree {
     /// The children of `node`, in insertion order.
     #[must_use]
     pub fn children(&self, node: NodeId) -> &[NodeId] {
-        &self.children[node.index()]
+        let v = node.index();
+        &self.child_ids[self.child_offsets[v] as usize..self.child_offsets[v + 1] as usize]
     }
 
     /// Returns `true` if `node` has no children.
     #[must_use]
     pub fn is_leaf(&self, node: NodeId) -> bool {
-        self.children[node.index()].is_empty()
+        self.children(node).is_empty()
     }
 
     /// Hop count from `node` to the gateway.
@@ -427,7 +467,8 @@ impl Tree {
     /// The uplink routing path from `node` to the gateway, inclusive of both.
     #[must_use]
     pub fn path_to_root(&self, node: NodeId) -> Vec<NodeId> {
-        let mut path = vec![node];
+        let mut path = Vec::with_capacity(self.depth(node) as usize + 1);
+        path.push(node);
         let mut cur = node;
         while let Some(p) = self.parent(cur) {
             path.push(p);
@@ -790,6 +831,43 @@ mod tests {
         assert_eq!(l.reversed().direction, Direction::Down);
         assert_eq!(l.reversed().reversed(), l);
         assert_eq!(Direction::Up.reversed(), Direction::Down);
+    }
+
+    /// The child rows are exactly the per-node lists pushed in id order,
+    /// whatever order the pairs arrive in.
+    #[test]
+    fn child_rows_equal_per_node_lists() {
+        let mut rng = crate::rng::SplitMix64::new(0xC5A);
+        for _ in 0..50 {
+            let n = 2 + rng.next_below(120) as u32;
+            let mut pairs: Vec<(u32, u32)> = (1..n)
+                .map(|i| (i, rng.next_below(u64::from(i)) as u32))
+                .collect();
+            let in_id_order = pairs.clone();
+            for i in (1..pairs.len()).rev() {
+                pairs.swap(i, rng.next_below(i as u64 + 1) as usize);
+            }
+            let tree = Tree::from_parents(&pairs);
+            for v in tree.nodes() {
+                let list: Vec<NodeId> = in_id_order
+                    .iter()
+                    .filter(|&&(_, parent)| parent == v.0)
+                    .map(|&(child, _)| NodeId(child))
+                    .collect();
+                assert_eq!(tree.children(v), list, "children of {v}");
+                assert_eq!(tree.is_leaf(v), list.is_empty());
+            }
+        }
+    }
+
+    #[test]
+    fn equality_sees_one_moved_parent() {
+        let t = fig1();
+        assert_eq!(t, fig1());
+        // Same node count, same child counts at every depth but one edge.
+        let moved = t.with_reparented(NodeId(10), NodeId(8)).unwrap();
+        assert_ne!(t, moved);
+        assert_eq!(moved.with_reparented(NodeId(10), NodeId(7)).unwrap(), t);
     }
 
     #[test]
