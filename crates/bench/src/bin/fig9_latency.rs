@@ -3,7 +3,7 @@
 //!
 //! One echo task per node at 1 packet/slotframe (2 s period, as on the
 //! testbed); HARP's distributed static phase builds the schedule; the data
-//! plane then runs for 30 simulated minutes with a 0.97 per-link PDR to
+//! plane then runs for 30 simulated minutes with a 0.99 per-link PDR to
 //! reproduce the environmental-loss outliers the paper reports. The shape
 //! to check: latencies are bounded by roughly one slotframe (1.99 s), with
 //! loss-induced spikes at nodes many hops from the gateway.
@@ -23,10 +23,87 @@
 //! Run with `cargo run --release -p harp-bench --bin fig9_latency`.
 
 use harp_bench::harness::{print_bench_threads, rows_json, to_json_with_sections, write_report};
-use harp_core::{HarpNetwork, SchedulingPolicy};
+use harp_core::{HarpNetwork, ProtocolReport, Requirements, SchedulingPolicy};
 use harp_obs::{merged_trace_json, SpanRing};
 use std::fmt::Write as _;
-use tsch_sim::{LinkQuality, Rate, SimulatorBuilder, SlotframeConfig};
+use tsch_sim::{LinkQuality, Rate, SimStats, Simulator, SimulatorBuilder, SlotframeConfig, Tree};
+
+/// One echo packet per node per slotframe (a 2 s period, as on the testbed).
+const RATE: Rate = Rate::per_slotframe(1);
+
+/// The per-link PDR of both variants' data plane.
+fn quality() -> LinkQuality {
+    LinkQuality::uniform(0.99).expect("valid pdr")
+}
+
+/// What one variant's half hour leaves for its printer: the static phase's
+/// bill and spans, and the data plane with its statistics and spans.
+struct Run {
+    tree: Tree,
+    config: SlotframeConfig,
+    static_report: ProtocolReport,
+    control_spans: SpanRing,
+    sim: Simulator,
+}
+
+/// HARP's distributed static phase on the testbed tree under `reqs`, then
+/// the echo tasks on the schedule it built for `slotframes` slotframes.
+fn simulate(reqs: &Requirements, max_retries: u32, slotframes: u64) -> Run {
+    let tree = workloads::testbed_50_node_tree();
+    let config = SlotframeConfig::paper_default();
+    let mut net = HarpNetwork::new(tree.clone(), config, reqs, SchedulingPolicy::RateMonotonic);
+    net.enable_observability(1024);
+    let static_report = net.run_static().expect("the testbed workload is feasible");
+    assert!(
+        net.schedule().is_exclusive(),
+        "HARP schedules never collide"
+    );
+    let mut builder = SimulatorBuilder::new(tree.clone(), config)
+        .schedule(net.schedule().clone())
+        .quality(quality())
+        .max_retries(max_retries)
+        .seed(0xF19)
+        .observability(256);
+    for task in workloads::echo_task_per_node(&tree, RATE) {
+        builder = builder.task(task).expect("valid task");
+    }
+    let mut sim = builder.build();
+    sim.run_slotframes(slotframes);
+    Run {
+        tree,
+        config,
+        static_report,
+        control_spans: net.obs().spans.clone(),
+        sim,
+    }
+}
+
+/// Mean latency (slots) over one layer's nodes that delivered anything,
+/// their number, and the layer's sample count.
+struct LayerRow {
+    mean_slots: f64,
+    nodes: usize,
+    samples: usize,
+}
+
+fn layer_row(tree: &Tree, stats: &SimStats, layer: u32) -> LayerRow {
+    let mut sum = 0.0;
+    let mut samples = 0usize;
+    let mut nodes = 0usize;
+    for node in tree.nodes_at_depth(layer) {
+        let s = stats.latency_summary(node);
+        if s.count > 0 {
+            sum += s.mean;
+            samples += s.count;
+            nodes += 1;
+        }
+    }
+    LayerRow {
+        mean_slots: if nodes > 0 { sum / nodes as f64 } else { 0.0 },
+        nodes,
+        samples,
+    }
+}
 
 /// One variant's printable block plus its report fragments.
 struct VariantOut {
@@ -36,21 +113,43 @@ struct VariantOut {
     rings: Vec<SpanRing>,
 }
 
-fn exact_fit_report(slotframes: u64) -> VariantOut {
-    let tree = workloads::testbed_50_node_tree();
-    let config = SlotframeConfig::paper_default();
-    let rate = Rate::per_slotframe(1);
-    let reqs = workloads::aggregated_echo_requirements(&tree, rate);
-    let mut out = String::new();
+impl VariantOut {
+    /// Per-layer rows for the gated report (latency in slots — seeded, so
+    /// deterministic; seconds would just rescale by the slot duration).
+    fn new(prefix: &str, text: String, metrics: Vec<(&'static str, f64)>, run: Run) -> Self {
+        let rows = (1..=run.tree.layers())
+            .map(|layer| {
+                let row = layer_row(&run.tree, run.sim.stats(), layer);
+                (
+                    format!("{prefix}_L{layer}"),
+                    vec![
+                        ("mean_latency_slots", row.mean_slots),
+                        ("samples", row.samples as f64),
+                    ],
+                )
+            })
+            .collect();
+        Self {
+            text,
+            rows,
+            metrics,
+            rings: vec![run.control_spans, run.sim.obs().spans.clone()],
+        }
+    }
+}
 
-    // Distributed static phase.
-    let mut net = HarpNetwork::new(tree.clone(), config, &reqs, SchedulingPolicy::RateMonotonic);
-    net.enable_observability(1024);
-    let static_report = net.run_static().expect("the testbed workload is feasible");
-    assert!(
-        net.schedule().is_exclusive(),
-        "HARP schedules never collide"
-    );
+/// 0.99 per-link PDR, drop on loss (no link-layer retransmission): the
+/// partitions run at exactly full utilisation, so any retransmission
+/// permanently displaces a later packet and queueing delay accumulates
+/// for the whole 30 minutes. Dropping reproduces the paper's picture —
+/// latency bounded by ~one slotframe with loss showing up as missing
+/// samples at nodes many hops from the gateway.
+fn exact_fit_report(slotframes: u64) -> VariantOut {
+    let reqs = workloads::aggregated_echo_requirements(&workloads::testbed_50_node_tree(), RATE);
+    let run = simulate(&reqs, 0, slotframes);
+    let (tree, config, stats, static_report) =
+        (&run.tree, run.config, run.sim.stats(), &run.static_report);
+    let mut out = String::new();
     writeln!(
         out,
         "# static phase: {} mgmt msgs, {} cell msgs, {:.2} s",
@@ -59,26 +158,6 @@ fn exact_fit_report(slotframes: u64) -> VariantOut {
         static_report.elapsed_seconds(config)
     )
     .unwrap();
-
-    // 0.99 per-link PDR, drop on loss (no link-layer retransmission): the
-    // partitions run at exactly full utilisation, so any retransmission
-    // permanently displaces a later packet and queueing delay accumulates
-    // for the whole 30 minutes. Dropping reproduces the paper's picture —
-    // latency bounded by ~one slotframe with loss showing up as missing
-    // samples at nodes many hops from the gateway.
-    let mut builder = SimulatorBuilder::new(tree.clone(), config)
-        .schedule(net.schedule().clone())
-        .quality(LinkQuality::uniform(0.99).expect("valid pdr"))
-        .max_retries(0)
-        .seed(0xF19)
-        .observability(256);
-    for task in workloads::echo_task_per_node(&tree, rate) {
-        builder = builder.task(task).expect("valid task");
-    }
-    let mut sim = builder.build();
-    sim.run_slotframes(slotframes);
-
-    let stats = sim.stats();
     writeln!(
         out,
         "# {} slotframes, generated {}, delivered {}, collisions {}, losses {}",
@@ -113,11 +192,6 @@ fn exact_fit_report(slotframes: u64) -> VariantOut {
         )
         .unwrap();
     }
-    // Per-layer rows for the gated report (latency in slots — seeded, so
-    // deterministic; seconds would just rescale by the slot duration).
-    let rows = (1..=tree.layers())
-        .map(|layer| (format!("exact_L{layer}"), layer_row(&tree, stats, layer)))
-        .collect();
     let metrics = vec![
         ("exact_generated", stats.generated as f64),
         ("exact_delivered", stats.deliveries.len() as f64),
@@ -126,70 +200,17 @@ fn exact_fit_report(slotframes: u64) -> VariantOut {
         ("static_mgmt_messages", static_report.mgmt_messages as f64),
         ("static_cell_messages", static_report.cell_messages as f64),
     ];
-    let rings = vec![net.obs().spans.clone(), sim.obs().spans.clone()];
-    VariantOut {
-        text: out,
-        rows,
-        metrics,
-        rings,
-    }
+    VariantOut::new("exact", out, metrics, run)
 }
 
-/// Mean latency (slots) and sample count over one layer's nodes.
-fn layer_row(
-    tree: &tsch_sim::Tree,
-    stats: &tsch_sim::SimStats,
-    layer: u32,
-) -> Vec<(&'static str, f64)> {
-    let mut sum = 0.0;
-    let mut samples = 0usize;
-    let mut nodes = 0usize;
-    for node in tree.nodes_at_depth(layer) {
-        let s = stats.latency_summary(node);
-        if s.count > 0 {
-            sum += s.mean;
-            samples += s.count;
-            nodes += 1;
-        }
-    }
-    let mean_slots = if nodes > 0 { sum / nodes as f64 } else { 0.0 };
-    vec![
-        ("mean_latency_slots", mean_slots),
-        ("samples", samples as f64),
-    ]
-}
-
+/// Variant: loss-provisioned allocation with retransmissions enabled.
 fn provisioned_report(slotframes: u64) -> VariantOut {
-    let tree = workloads::testbed_50_node_tree();
-    let config = SlotframeConfig::paper_default();
-    let rate = Rate::per_slotframe(1);
-    let reqs = workloads::aggregated_echo_requirements(&tree, rate);
+    let reqs = workloads::aggregated_echo_requirements(&workloads::testbed_50_node_tree(), RATE)
+        .provisioned_for_loss(&quality());
+    let run = simulate(&reqs, 8, slotframes);
+    let (tree, stats) = (&run.tree, run.sim.stats());
+    let slot_s = f64::from(run.config.slot_duration_us) / 1e6;
     let mut out = String::new();
-
-    // Variant: loss-provisioned allocation with retransmissions enabled.
-    let quality = LinkQuality::uniform(0.99).expect("valid pdr");
-    let provisioned = reqs.provisioned_for_loss(&quality);
-    let mut net = HarpNetwork::new(
-        tree.clone(),
-        config,
-        &provisioned,
-        SchedulingPolicy::RateMonotonic,
-    );
-    net.enable_observability(1024);
-    net.run_static().expect("provisioned demand still fits");
-    let mut builder = SimulatorBuilder::new(tree.clone(), config)
-        .schedule(net.schedule().clone())
-        .quality(quality)
-        .max_retries(8)
-        .seed(0xF19)
-        .observability(256);
-    for task in workloads::echo_task_per_node(&tree, rate) {
-        builder = builder.task(task).expect("valid task");
-    }
-    let mut sim = builder.build();
-    sim.run_slotframes(slotframes);
-    let stats = sim.stats();
-    let slot_s = f64::from(config.slot_duration_us) / 1e6;
     writeln!(
         out,
         "\n# provisioned variant (ceil(r/PDR) cells, 8 retries): delivered {}/{}          ({} losses absorbed)",
@@ -198,38 +219,23 @@ fn provisioned_report(slotframes: u64) -> VariantOut {
         stats.losses
     )
     .unwrap();
-    let mut layer_means: Vec<(u32, f64, usize)> = Vec::new();
-    for layer in 1..=tree.layers() {
-        let mut sum = 0.0;
-        let mut n = 0usize;
-        for node in tree.nodes_at_depth(layer) {
-            let s = stats.latency_summary(node);
-            if s.count > 0 {
-                sum += s.mean * slot_s;
-                n += 1;
-            }
-        }
-        layer_means.push((layer, if n > 0 { sum / n as f64 } else { 0.0 }, n));
-    }
     writeln!(out, "{:>5} {:>12} {:>6}", "layer", "mean lat(s)", "nodes").unwrap();
-    for (layer, mean, n) in layer_means {
-        writeln!(out, "{layer:>5} {mean:>12.3} {n:>6}").unwrap();
+    for layer in 1..=tree.layers() {
+        let row = layer_row(tree, stats, layer);
+        writeln!(
+            out,
+            "{layer:>5} {:>12.3} {:>6}",
+            row.mean_slots * slot_s,
+            row.nodes
+        )
+        .unwrap();
     }
-    let rows = (1..=tree.layers())
-        .map(|layer| (format!("prov_L{layer}"), layer_row(&tree, stats, layer)))
-        .collect();
     let metrics = vec![
         ("prov_generated", stats.generated as f64),
         ("prov_delivered", stats.deliveries.len() as f64),
         ("prov_losses", stats.losses as f64),
     ];
-    let rings = vec![net.obs().spans.clone(), sim.obs().spans.clone()];
-    VariantOut {
-        text: out,
-        rows,
-        metrics,
-        rings,
-    }
+    VariantOut::new("prov", out, metrics, run)
 }
 
 fn main() {

@@ -22,7 +22,6 @@
 //! topology sweeps to their `quick_count` (the CI smoke setting) and never
 //! writes the report file.
 
-use harp_bench::harness::{arg_value, flag};
 use harp_bench::scenario_run::{load_scenario_file, run_scenario, RunOptions};
 use std::path::Path;
 use std::process::ExitCode;
@@ -39,37 +38,62 @@ fn parse_u64(s: &str) -> Option<u64> {
     }
 }
 
+struct Args {
+    scenario: String,
+    flight: Option<String>,
+    opts: RunOptions,
+}
+
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut scenario = None;
+    let mut flight = None;
+    let mut opts = RunOptions::default();
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let mut value = || {
+            it.next()
+                .cloned()
+                .ok_or_else(|| format!("{arg} needs a value"))
+        };
+        match arg.as_str() {
+            "--quick" => opts.quick = true,
+            "--scenario" => scenario = Some(value()?),
+            "--flight" => flight = Some(value()?),
+            "--seed" => {
+                let v = value()?;
+                opts.seed = Some(parse_u64(&v).ok_or_else(|| format!("invalid --seed `{v}`"))?);
+            }
+            "--threads" => {
+                let v = value()?;
+                match v.parse::<usize>() {
+                    Ok(n) if n > 0 => opts.threads = Some(n),
+                    _ => return Err(format!("invalid --threads `{v}`")),
+                }
+            }
+            other => return Err(format!("unknown argument `{other}`")),
+        }
+    }
+    Ok(Args {
+        scenario: scenario.ok_or("--scenario is required")?,
+        flight,
+        opts,
+    })
+}
+
 fn main() -> ExitCode {
-    let Some(path) = arg_value("--scenario") else {
-        eprintln!("{USAGE}");
-        return ExitCode::from(2);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Args {
+        scenario,
+        flight,
+        opts,
+    } = match parse_args(&args) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("error: {e}\n{USAGE}");
+            return ExitCode::from(2);
+        }
     };
-    let seed = match arg_value("--seed") {
-        Some(v) => match parse_u64(&v) {
-            Some(n) => Some(n),
-            None => {
-                eprintln!("error: invalid --seed `{v}`");
-                return ExitCode::from(2);
-            }
-        },
-        None => None,
-    };
-    let threads = match arg_value("--threads") {
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n > 0 => Some(n),
-            _ => {
-                eprintln!("error: invalid --threads `{v}`");
-                return ExitCode::from(2);
-            }
-        },
-        None => None,
-    };
-    let opts = RunOptions {
-        quick: flag("--quick"),
-        seed,
-        threads,
-    };
-    let scenario = match load_scenario_file(Path::new(&path)) {
+    let scenario = match load_scenario_file(Path::new(&scenario)) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("error: {e}");
@@ -79,7 +103,7 @@ fn main() -> ExitCode {
     match run_scenario(&scenario, &opts) {
         Ok(output) => {
             output.emit(&opts);
-            if let Some(path) = arg_value("--flight") {
+            if let Some(path) = flight {
                 let Some(flight) = &output.flight else {
                     eprintln!(
                         "error: --flight needs a `timeline` or `replicates` scenario; \

@@ -1,9 +1,9 @@
 //! Shared experiment machinery for the HARP reproduction harness.
 //!
-//! Each table and figure of the paper's evaluation has a binary in
-//! `src/bin/` that prints the same rows/series the paper reports; the
-//! common sweep logic lives here so the binaries stay declarative and the
-//! logic itself is unit-tested.
+//! Each table and figure of the paper's evaluation is either a binary in
+//! `src/bin/` or a scenario file replayed by `harp_sim`, and prints the
+//! same rows/series the paper reports; the common sweep logic lives here
+//! so the binaries stay declarative and the logic itself is unit-tested.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,7 +29,7 @@ pub use tsch_sim::{bench_threads, par_map, par_map_with_threads};
 /// Collisions are counted under the *global* model (any two links sharing a
 /// cell collide), which is the paper's notion of a schedule collision.
 #[must_use]
-pub fn average_collision_probability(
+pub(crate) fn average_collision_probability(
     scheduler: &dyn Scheduler,
     topologies: &[Tree],
     cells_per_link: u32,
@@ -235,12 +235,12 @@ fn measure_adjustment(
 
 /// Folds the process-wide packing and workloads counters into a snapshot —
 /// the `obs` section boilerplate every experiment report shares.
-pub fn add_library_counters(snap: &mut tsch_sim::MetricsSnapshot) {
+pub(crate) fn add_library_counters(snap: &mut tsch_sim::MetricsSnapshot) {
     snap.add_counters(packing::obs::totals());
     snap.add_counters(workloads::obs::totals());
 }
 
-/// [`add_library_counters`] plus the scheduler counters — for experiments
+/// `add_library_counters` plus the scheduler counters — for experiments
 /// that exercise the pluggable schedulers (Fig. 9, Fig. 12).
 pub fn add_all_library_counters(snap: &mut tsch_sim::MetricsSnapshot) {
     add_library_counters(snap);
@@ -286,7 +286,7 @@ pub fn obs_footer() -> String {
 ///
 /// Panics if the control plane rejects a message (infeasible adjustment)
 /// mid-run — experiments construct feasible scenarios.
-pub fn run_lockstep(
+pub(crate) fn run_lockstep(
     sim: &mut tsch_sim::Simulator,
     net: &mut HarpNetwork,
     net_offset: u64,

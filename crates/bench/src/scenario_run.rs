@@ -1,5 +1,5 @@
-//! Scenario execution: the shared runner behind `harp_sim` and the
-//! converted experiment binaries.
+//! Scenario execution: the runner behind `harp_sim`, the one binary that
+//! replays a scenario file.
 //!
 //! [`run_scenario`] dispatches on the scenario's report mode:
 //!
@@ -18,16 +18,14 @@
 //! `--seed` override) — replicate seeds come from a [`SplitMix64`] stream,
 //! sweeps fan out through [`par_map_with_threads`], which is byte-identical
 //! across thread counts, and reports render through the same JSON writers
-//! as the bespoke binaries did. A converted experiment therefore reproduces
-//! its committed `BENCH_*` baseline byte for byte, and any scenario+seed
+//! as the bespoke binaries use. A scenario that names a `[report] file`
+//! therefore reproduces its committed `BENCH_*` byte for byte, and any scenario+seed
 //! pair replays identically across runs, `--threads` settings and
 //! `HARP_BENCH_THREADS` values (the thread count is printed, not
 //! reported). Every data-plane run also re-pins the engine's
 //! `idle_wakeups == 0` invariant, fault windows included.
 
-use crate::harness::{
-    print_bench_threads, rows_json, to_json_with_sections, workspace_path, write_report,
-};
+use crate::harness::{print_bench_threads, rows_json, to_json_with_sections, write_report};
 use crate::{measure_harp_adjustment_traced, run_lockstep};
 use harp_core::{HarpNetwork, ProtocolReport, SchedulingPolicy};
 use harp_obs::flame::{detect_storms, TraceSpan};
@@ -36,7 +34,7 @@ use harp_obs::{
     NO_FLIGHT_NODE,
 };
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use tsch_sim::{
     bench_threads, mean, par_map_with_threads, Asn, Direction, Link, Lossy, NodeId, Rate,
     SimulatorBuilder, SlotframeConfig, SplitMix64, Tree,
@@ -58,7 +56,7 @@ pub struct RunOptions {
 /// What a scenario run produced.
 #[derive(Debug, Clone)]
 pub struct RunOutput {
-    /// Human-readable run log (the converted binaries' stdout tables).
+    /// Human-readable run log (the tables `harp_sim` prints).
     pub stdout: String,
     /// The rendered report document.
     pub json: String,
@@ -86,12 +84,6 @@ impl RunOutput {
             None => {}
         }
     }
-}
-
-/// The checked-in scenario directory at the workspace root.
-#[must_use]
-pub fn scenario_dir() -> PathBuf {
-    workspace_path("scenarios")
 }
 
 /// Reads and parses a scenario file, prefixing diagnostics with the path.

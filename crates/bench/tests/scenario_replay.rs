@@ -14,7 +14,7 @@
 //!   masked out (library counters are process-cumulative by design, so a
 //!   second run in the same process legitimately reports larger totals).
 
-use harp_bench::scenario_run::{load_scenario_file, run_scenario, scenario_dir, RunOptions};
+use harp_bench::scenario_run::{load_scenario_file, run_scenario, RunOptions};
 use harp_obs::json::{parse, Json};
 use std::path::PathBuf;
 use std::process::Command;
@@ -121,6 +121,23 @@ fn harp_sim_replays_byte_identically_across_runs_and_threads() {
     // fire inside every replicate's 30 frames.
     assert!(json_a.contains("\"fault_events\": 9.000"), "got: {json_a}");
     assert!(json_a.contains("\"faults_fired\": 9.000"), "got: {json_a}");
+}
+
+#[test]
+fn harp_sim_rejects_a_flag_it_does_not_define() {
+    // `--quik` used to run the full sweep and overwrite the committed report.
+    let out = Command::new(env!("CARGO_BIN_EXE_harp_sim"))
+        .args(["--scenario", "scenarios/fault_storm.scn", "--quik"])
+        .current_dir(workspace_root())
+        .output()
+        .expect("harp_sim spawns");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "nothing ran");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("`--quik`") && stderr.contains("usage:"),
+        "{stderr}"
+    );
 }
 
 #[test]
@@ -264,7 +281,7 @@ mode timeline node=15
 
 #[test]
 fn pdr_sweep_is_thread_count_invariant() {
-    let scenario = load_scenario_file(&scenario_dir().join("mgmt_loss.scn"))
+    let scenario = load_scenario_file(&workspace_root().join("scenarios/mgmt_loss.scn"))
         .expect("checked-in scenario parses");
     let run = |threads: usize| {
         run_scenario(
@@ -359,4 +376,28 @@ fn committed_reports_hold_nothing_timed() {
         checked += 1;
     }
     assert!(checked > 0, "no BENCH_*.json at the workspace root");
+}
+
+#[test]
+fn every_scenario_report_is_committed() {
+    // `harp_sim` is the only writer of a scenario's report and CI's gate
+    // runs it for whatever `scenarios/*.scn` names one, so a scenario whose
+    // report is missing here is one the gate's loop does not reach.
+    let mut checked = 0;
+    let scenarios = std::fs::read_dir(workspace_root().join("scenarios"))
+        .expect("scenarios/")
+        .map(|entry| entry.expect("directory entry").path())
+        .filter(|path| path.extension().is_some_and(|x| x == "scn"));
+    for path in scenarios {
+        let scenario = load_scenario_file(&path).expect("checked-in scenario parses");
+        if let Some(file) = scenario.report.file {
+            assert!(
+                workspace_root().join(&file).is_file(),
+                "{} writes {file}, which is not at the workspace root",
+                path.display()
+            );
+            checked += 1;
+        }
+    }
+    assert!(checked > 0, "no scenario names a report");
 }

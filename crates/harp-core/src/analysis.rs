@@ -17,7 +17,7 @@
 //! that costs (the effect visible in Fig. 10's settled tail).
 
 use crate::error::HarpError;
-use tsch_sim::{Cell, Link, NetworkSchedule, NodeId, Task, Tree};
+use tsch_sim::{Link, NetworkSchedule, NodeId, Task, Tree};
 
 /// The analysis result for one task.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -213,30 +213,10 @@ pub fn check_deadlines(
         .collect()
 }
 
-/// The number of distinct slotframes a worst-case packet spans — a quick
-/// compliance indicator: `1` means the schedule is routing-path compliant
-/// for this task (all hops ride within one frame).
-#[must_use]
-pub fn frames_spanned(bound: &LatencyBound, config: tsch_sim::SlotframeConfig) -> u64 {
-    bound
-        .worst_case_slots
-        .div_ceil(u64::from(config.slots))
-        .max(1)
-}
-
-/// Convenience: the cell list of a link as `(slot, channel)` pairs, sorted
-/// by slot — useful when reporting analysis results.
-#[must_use]
-pub fn sorted_cells(schedule: &NetworkSchedule, link: Link) -> Vec<Cell> {
-    let mut cells = schedule.cells_of(link).to_vec();
-    cells.sort_by_key(|c| (c.slot, c.channel));
-    cells
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tsch_sim::{Rate, SlotframeConfig, TaskId};
+    use tsch_sim::{Cell, Rate, SlotframeConfig, TaskId};
 
     fn chain() -> (Tree, NetworkSchedule) {
         let tree = Tree::from_parents(&[(1, 0), (2, 1)]);
@@ -268,7 +248,7 @@ mod tests {
         let cfg = s.config();
         let task = Task::echo(TaskId(0), NodeId(2), Rate::per_slotframe(1));
         let b = latency_bound(&s, &tree, &task).unwrap();
-        assert!(frames_spanned(&b, cfg) <= 2);
+        assert!(b.worst_case_slots.div_ceil(u64::from(cfg.slots)) <= 2);
         // Best case: release exactly at slot 2, ride cells 2, 5, 6, 8 and
         // deliver at the end of slot 8: latency 7.
         assert_eq!(b.best_case_slots, 7);
@@ -337,15 +317,5 @@ mod tests {
             !reports[1].is_schedulable(),
             "5 slots is below the worst case"
         );
-    }
-
-    #[test]
-    fn sorted_cells_orders_by_slot() {
-        let (_, s) = chain();
-        let mut s = s;
-        s.assign(Cell::new(1, 1), Link::up(NodeId(2))).unwrap();
-        let cells = sorted_cells(&s, Link::up(NodeId(2)));
-        assert_eq!(cells[0].slot, 1);
-        assert_eq!(cells[1].slot, 2);
     }
 }

@@ -108,7 +108,6 @@ impl From<ResourceComponent> for Size {
 /// iface.set(3, ResourceComponent::new(4, 2));
 /// assert_eq!(iface.component(2), Some(ResourceComponent::row(7)));
 /// assert_eq!(iface.layers().collect::<Vec<_>>(), vec![2, 3]);
-/// assert_eq!(iface.total_cells(), 7 + 8);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ResourceInterface {
@@ -167,25 +166,10 @@ impl ResourceInterface {
         self.components.is_empty()
     }
 
-    /// The smallest layer, if any.
-    #[must_use]
-    pub fn min_layer(&self) -> Option<u32> {
-        self.components.keys().next().copied()
-    }
-
     /// The largest layer, if any (`l(G_Vi)`).
     #[must_use]
-    pub fn max_layer(&self) -> Option<u32> {
+    pub(crate) fn max_layer(&self) -> Option<u32> {
         self.components.keys().next_back().copied()
-    }
-
-    /// Total cells over all layers.
-    #[must_use]
-    pub fn total_cells(&self) -> u64 {
-        self.components
-            .values()
-            .map(ResourceComponent::cell_count)
-            .sum()
     }
 }
 
@@ -255,11 +239,9 @@ mod tests {
     fn interface_layer_bounds() {
         let mut iface = ResourceInterface::new();
         assert!(iface.is_empty());
-        assert_eq!(iface.min_layer(), None);
         iface.set(3, ResourceComponent::row(1));
         iface.set(1, ResourceComponent::row(2));
         iface.set(2, ResourceComponent::row(3));
-        assert_eq!(iface.min_layer(), Some(1));
         assert_eq!(iface.max_layer(), Some(3));
         assert_eq!(iface.len(), 3);
         assert_eq!(iface.layers().collect::<Vec<_>>(), vec![1, 2, 3]);
@@ -272,17 +254,6 @@ mod tests {
         iface.set(2, ResourceComponent::row(9));
         assert_eq!(iface.component(2), Some(ResourceComponent::row(9)));
         assert_eq!(iface.len(), 1);
-    }
-
-    #[test]
-    fn interface_total_cells() {
-        let iface: ResourceInterface = [
-            (1, ResourceComponent::new(4, 1)),
-            (2, ResourceComponent::new(3, 3)),
-        ]
-        .into_iter()
-        .collect();
-        assert_eq!(iface.total_cells(), 4 + 9);
     }
 
     #[test]

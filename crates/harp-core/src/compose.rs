@@ -48,15 +48,6 @@ impl CompositionLayout {
     pub fn placements(&self) -> &[(NodeId, Rect)] {
         &self.placements
     }
-
-    /// The placement of one child, if it participated in the composition.
-    #[must_use]
-    pub fn placement_of(&self, child: NodeId) -> Option<Rect> {
-        self.placements
-            .iter()
-            .find(|(c, _)| *c == child)
-            .map(|&(_, r)| r)
-    }
 }
 
 /// Composes child components at one layer into a composite (Alg. 1):
@@ -359,8 +350,8 @@ mod tests {
         let layout = compose_components(&children, 16, 2).unwrap();
         assert_eq!(layout.composite(), rc(4, 2));
         assert_eq!(
-            layout.placement_of(NodeId(1)),
-            Some(Rect::from_xywh(0, 0, 4, 2))
+            layout.placements(),
+            [(NodeId(1), Rect::from_xywh(0, 0, 4, 2))]
         );
     }
 
@@ -454,7 +445,7 @@ mod tests {
         let children = [(NodeId(1), rc(3, 1)), (NodeId(2), rc(0, 1))];
         let layout = compose_components(&children, 16, 2).unwrap();
         assert_eq!(layout.placements().len(), 2);
-        assert_eq!(layout.placement_of(NodeId(2)), Some(Rect::default()));
+        assert_eq!(layout.placements()[1], (NodeId(2), Rect::default()));
         assert_eq!(layout.composite(), rc(3, 1));
     }
 

@@ -272,12 +272,6 @@ impl AllocatorHandle {
         &self.net
     }
 
-    /// Mutable access for protocol operations beyond adjustments (joins,
-    /// leaves, reparents).
-    pub fn network_mut(&mut self) -> &mut HarpNetwork {
-        &mut self.net
-    }
-
     /// Metrics of the underlying deployment (empty unless built with
     /// [`AllocatorHandle::converge_observed`]).
     #[must_use]
@@ -365,7 +359,7 @@ mod tests {
         }
         assert_eq!(rejected, 20);
         assert_eq!(handle.adjustments(), 980);
-        assert!(handle.network_mut().take_ops().is_empty());
+        assert!(handle.net.take_ops().is_empty());
         assert!(handle.summary().exclusive);
     }
 

@@ -104,10 +104,7 @@ pub use adjust::{adjust_partition, is_feasible, AdjustmentOutcome};
 pub use allocation::{
     allocate_partitions, allocate_partitions_unbounded, Partition, PartitionTable,
 };
-pub use analysis::{
-    check_deadlines, frames_spanned, latency_bound, sorted_cells, DeadlineReport, DeadlineTask,
-    LatencyBound,
-};
+pub use analysis::{check_deadlines, latency_bound, DeadlineReport, DeadlineTask, LatencyBound};
 pub use coexist::{BandPlan, ChannelBand};
 pub use component::{ResourceComponent, ResourceInterface};
 pub use compose::{
@@ -121,8 +118,7 @@ pub use render::{render_cell_map, render_super_partitions, render_utilization};
 pub use requirement::Requirements;
 pub use runner::{apply_op, HarpNetwork, ProtocolReport};
 pub use schedule_gen::{
-    assign_cells_in_row, assign_cells_to_links, generate_schedule, unsatisfied_links, CellRun,
-    LinkAssignment, RowAssignments, SchedulingPolicy,
+    generate_schedule, unsatisfied_links, CellRun, RowAssignments, SchedulingPolicy,
 };
 pub use verify::{verify_partitions, verify_schedule, verify_uplink_compliance, Violation};
 pub use workspace::Workspace;

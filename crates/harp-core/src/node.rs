@@ -46,7 +46,7 @@ pub struct Effects {
 impl Effects {
     /// No messages, no schedule changes.
     #[must_use]
-    pub fn none() -> Self {
+    pub(crate) fn none() -> Self {
         Self::default()
     }
 
@@ -122,7 +122,7 @@ pub struct NodeObsCounters {
 
 impl NodeObsCounters {
     /// Folds another node's counters into this one.
-    pub fn absorb(&mut self, other: &NodeObsCounters) {
+    pub(crate) fn absorb(&mut self, other: &NodeObsCounters) {
         self.local_updates += other.local_updates;
         self.escalations += other.escalations;
         self.adjust_feasible += other.adjust_feasible;
@@ -178,13 +178,13 @@ impl HarpNode {
 
     /// This node's adjustment-activity counters.
     #[must_use]
-    pub fn obs_counters(&self) -> &NodeObsCounters {
+    pub(crate) fn obs_counters(&self) -> &NodeObsCounters {
         &self.counters
     }
 
     /// Returns `true` for the gateway.
     #[must_use]
-    pub fn is_gateway(&self) -> bool {
+    pub(crate) fn is_gateway(&self) -> bool {
         self.parent.is_none()
     }
 
@@ -246,14 +246,6 @@ impl HarpNode {
         self.dir(direction).partition(layer)
     }
 
-    /// The partitions this node granted its children at `layer`.
-    #[must_use]
-    pub fn child_partitions(&self, direction: Direction, layer: u32) -> &[(NodeId, Rect)] {
-        self.dir(direction)
-            .child_partitions_at(layer)
-            .unwrap_or(&[])
-    }
-
     /// The cells this node assigned to the link toward `child` (an empty
     /// run if none).
     #[must_use]
@@ -275,7 +267,7 @@ impl HarpNode {
     /// Registers `child` as a new (leaf) child of this node with zero
     /// demand. Demand is added afterwards via
     /// [`HarpNode::request_change`], which triggers the partition machinery.
-    pub fn adopt_child(&mut self, child: NodeId) {
+    pub(crate) fn adopt_child(&mut self, child: NodeId) {
         if !self.children.contains(&child) {
             self.children.push(child);
         }
@@ -288,7 +280,7 @@ impl HarpNode {
 
     /// Marks `child` as non-leaf (it adopted a child of its own), so this
     /// node starts forwarding partition updates to it.
-    pub fn promote_child(&mut self, child: NodeId) {
+    pub(crate) fn promote_child(&mut self, child: NodeId) {
         if self.children.contains(&child) && !self.nonleaf_children.contains(&child) {
             self.nonleaf_children.push(child);
         }
@@ -298,7 +290,7 @@ impl HarpNode {
     /// interface and cell assignments. The freed cells become idle area in
     /// this node's partition (released locally, as §V prescribes for
     /// departures).
-    pub fn orphan_child(&mut self, child: NodeId) {
+    pub(crate) fn orphan_child(&mut self, child: NodeId) {
         self.children.retain(|&c| c != child);
         self.nonleaf_children.retain(|&c| c != child);
         let log = &mut UndoLog::off();
@@ -325,7 +317,7 @@ impl HarpNode {
 
     /// Rebinds this node's parent pointer and link layer after a parent
     /// switch (its own depth may have changed).
-    pub fn set_parent(&mut self, parent: Option<NodeId>, link_layer: u32) {
+    pub(crate) fn set_parent(&mut self, parent: Option<NodeId>, link_layer: u32) {
         self.parent = parent;
         self.link_layer = link_layer;
     }
@@ -358,7 +350,7 @@ impl HarpNode {
     ///
     /// Handlers are **idempotent**: the transport layer may re-deliver any
     /// message (a retransmission whose original squeaked through), so each
-    /// arm recognises "nothing new" and returns [`Effects::none`] instead of
+    /// arm recognises "nothing new" and returns `Effects::none` instead of
     /// re-applying state or re-triggering adjustments.
     ///
     /// # Errors

@@ -103,17 +103,8 @@ impl HarpMessage {
     /// in the paper (interface and partition messages; cell assignments are
     /// local schedule distribution).
     #[must_use]
-    pub fn is_management(&self) -> bool {
+    pub(crate) fn is_management(&self) -> bool {
         !matches!(self, HarpMessage::CellAssignment { .. })
-    }
-
-    /// Returns `true` for dynamic-phase (`PUT`) messages.
-    #[must_use]
-    pub fn is_dynamic(&self) -> bool {
-        matches!(
-            self,
-            HarpMessage::PutInterface { .. } | HarpMessage::PutPartition { .. }
-        )
     }
 }
 
@@ -186,17 +177,14 @@ mod tests {
             cells: CellRun::default(),
         };
         assert!(!cells.is_management());
-        assert!(!cells.is_dynamic());
         let put = HarpMessage::PutPartition {
             direction: Direction::Up,
             layer: 3,
             rect: Rect::default(),
         };
         assert!(put.is_management());
-        assert!(put.is_dynamic());
         let post = HarpMessage::PostPartitions { partitions: vec![] };
         assert!(post.is_management());
-        assert!(!post.is_dynamic());
     }
 
     #[test]

@@ -29,42 +29,6 @@ pub enum SchedulingPolicy {
     ChildOrder,
 }
 
-/// The cells a parent assigned to one of its child links.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LinkAssignment {
-    /// The directed link.
-    pub link: Link,
-    /// The cells granted to it, in transmission order.
-    pub cells: Vec<Cell>,
-}
-
-/// Assigns the cells of one partition row to the links of `parent`'s
-/// children, according to `policy`. This is the *local* operation each node
-/// performs independently (the rest of the network is irrelevant to it).
-///
-/// Cell slot/channel offsets are taken modulo the slotframe: partitions from
-/// an unbounded allocation wrap around, deliberately producing the overlap
-/// collisions measured in the channel-starvation experiment.
-///
-/// # Errors
-///
-/// [`HarpError::PartitionTooSmall`] if the row has fewer cells than the
-/// links require.
-pub fn assign_cells_in_row(
-    tree: &Tree,
-    parent: NodeId,
-    direction: Direction,
-    row: Rect,
-    requirements: &Requirements,
-    policy: SchedulingPolicy,
-    config: SlotframeConfig,
-) -> Result<Vec<LinkAssignment>, HarpError> {
-    let links = child_links(tree, parent, direction, requirements);
-    let mut ws = Workspace::new();
-    let assigned = ws.assign_row(parent, links, row, policy, config)?;
-    Ok(assigned.collect_links(direction))
-}
-
 /// `parent`'s children with the requirement of each one's `direction` link.
 fn child_links<'a>(
     tree: &'a Tree,
@@ -76,28 +40,6 @@ fn child_links<'a>(
         let link = Link { child, direction };
         (child, requirements.get(link))
     })
-}
-
-/// Tree-free core of [`assign_cells_in_row`]: the caller supplies the
-/// `(child, requirement)` pairs directly — [`Workspace::assign_row`] on a
-/// fresh workspace, every link's cells collected.
-///
-/// # Errors
-///
-/// [`HarpError::PartitionTooSmall`] if the row has fewer cells than the
-/// links require.
-pub fn assign_cells_to_links(
-    parent: NodeId,
-    child_requirements: &[(NodeId, u32)],
-    direction: Direction,
-    row: Rect,
-    policy: SchedulingPolicy,
-    config: SlotframeConfig,
-) -> Result<Vec<LinkAssignment>, HarpError> {
-    let links = child_requirements.iter().copied();
-    let mut ws = Workspace::new();
-    let assigned = ws.assign_row(parent, links, row, policy, config)?;
-    Ok(assigned.collect_links(direction))
 }
 
 impl Workspace {
@@ -153,17 +95,6 @@ pub struct RowAssignments<'a> {
     links: std::slice::Iter<'a, (NodeId, u32)>,
     /// The run granted to the previous link (empty at the row's start).
     cells: CellRun,
-}
-
-impl RowAssignments<'_> {
-    /// Every link's cells collected, as `direction` links.
-    fn collect_links(self, direction: Direction) -> Vec<LinkAssignment> {
-        self.map(|(child, cells)| LinkAssignment {
-            link: Link { child, direction },
-            cells: cells.to_vec(),
-        })
-        .collect()
-    }
 }
 
 impl Iterator for RowAssignments<'_> {
@@ -411,6 +342,25 @@ mod tests {
         (tree, reqs, schedule)
     }
 
+    /// One row through a fresh workspace, every link's cells collected.
+    fn assign_row(
+        links: impl IntoIterator<Item = (NodeId, u32)>,
+        row: Rect,
+        policy: SchedulingPolicy,
+    ) -> Result<Vec<(NodeId, Vec<Cell>)>, HarpError> {
+        let cfg = SlotframeConfig::paper_default();
+        let mut ws = Workspace::new();
+        let assigned = ws.assign_row(NodeId(0), links, row, policy, cfg)?;
+        Ok(assigned.map(|(child, run)| (child, run.to_vec())).collect())
+    }
+
+    /// The gateway's uplinks in Fig. 1: children 1 (r=3), 2 (r=2), 3 (r=6).
+    fn gateway_uplinks() -> Vec<(NodeId, u32)> {
+        let tree = Tree::paper_fig1_example();
+        let reqs = fig1_reqs(&tree);
+        child_links(&tree, NodeId(0), Direction::Up, &reqs).collect()
+    }
+
     #[test]
     fn schedule_is_exclusive_and_satisfies_requirements() {
         let (tree, reqs, schedule) = full_schedule(
@@ -446,65 +396,30 @@ mod tests {
 
     #[test]
     fn rm_policy_orders_heaviest_link_first() {
-        let tree = Tree::paper_fig1_example();
-        let reqs = fig1_reqs(&tree);
-        let cfg = SlotframeConfig::paper_default();
         let row = Rect::from_xywh(10, 0, 11, 1);
-        let assignments = assign_cells_in_row(
-            &tree,
-            NodeId(0),
-            Direction::Up,
-            row,
-            &reqs,
-            SchedulingPolicy::RateMonotonic,
-            cfg,
-        )
-        .unwrap();
+        let assignments =
+            assign_row(gateway_uplinks(), row, SchedulingPolicy::RateMonotonic).unwrap();
         // Gateway children: 1 (r=3), 2 (r=2), 3 (r=6). RM → 3, 1, 2.
-        assert_eq!(assignments[0].link, Link::up(NodeId(3)));
-        assert_eq!(assignments[0].cells.len(), 6);
-        assert_eq!(assignments[0].cells[0], Cell::new(10, 0));
-        assert_eq!(assignments[1].link, Link::up(NodeId(1)));
-        assert_eq!(assignments[2].link, Link::up(NodeId(2)));
-        assert_eq!(assignments[2].cells.last(), Some(&Cell::new(20, 0)));
+        assert_eq!(assignments[0].0, NodeId(3));
+        assert_eq!(assignments[0].1.len(), 6);
+        assert_eq!(assignments[0].1[0], Cell::new(10, 0));
+        assert_eq!(assignments[1].0, NodeId(1));
+        assert_eq!(assignments[2].0, NodeId(2));
+        assert_eq!(assignments[2].1.last(), Some(&Cell::new(20, 0)));
     }
 
     #[test]
     fn child_order_policy_is_id_order() {
-        let tree = Tree::paper_fig1_example();
-        let reqs = fig1_reqs(&tree);
-        let cfg = SlotframeConfig::paper_default();
         let row = Rect::from_xywh(0, 2, 11, 1);
-        let assignments = assign_cells_in_row(
-            &tree,
-            NodeId(0),
-            Direction::Up,
-            row,
-            &reqs,
-            SchedulingPolicy::ChildOrder,
-            cfg,
-        )
-        .unwrap();
-        let order: Vec<NodeId> = assignments.iter().map(|a| a.link.child).collect();
+        let assignments = assign_row(gateway_uplinks(), row, SchedulingPolicy::ChildOrder).unwrap();
+        let order: Vec<NodeId> = assignments.iter().map(|a| a.0).collect();
         assert_eq!(order, vec![NodeId(1), NodeId(2), NodeId(3)]);
     }
 
     #[test]
     fn too_small_row_is_an_error() {
-        let tree = Tree::paper_fig1_example();
-        let reqs = fig1_reqs(&tree);
-        let cfg = SlotframeConfig::paper_default();
         let row = Rect::from_xywh(0, 0, 5, 1); // gateway needs 11
-        let err = assign_cells_in_row(
-            &tree,
-            NodeId(0),
-            Direction::Up,
-            row,
-            &reqs,
-            SchedulingPolicy::RateMonotonic,
-            cfg,
-        )
-        .unwrap_err();
+        let err = assign_row(gateway_uplinks(), row, SchedulingPolicy::RateMonotonic).unwrap_err();
         assert_eq!(
             err,
             HarpError::PartitionTooSmall {
@@ -517,28 +432,13 @@ mod tests {
 
     #[test]
     fn zero_requirement_children_get_empty_assignments() {
-        let tree = Tree::from_parents(&[(1, 0), (2, 0)]);
-        let mut reqs = Requirements::new();
-        reqs.set(Link::up(NodeId(1)), 2);
         // Node 2 requires nothing.
-        let cfg = SlotframeConfig::paper_default();
+        let links = [(NodeId(1), 2), (NodeId(2), 0)];
         let row = Rect::from_xywh(0, 0, 2, 1);
-        let assignments = assign_cells_in_row(
-            &tree,
-            NodeId(0),
-            Direction::Up,
-            row,
-            &reqs,
-            SchedulingPolicy::RateMonotonic,
-            cfg,
-        )
-        .unwrap();
+        let assignments = assign_row(links, row, SchedulingPolicy::RateMonotonic).unwrap();
         assert_eq!(assignments.len(), 2);
-        let empty = assignments
-            .iter()
-            .find(|a| a.link.child == NodeId(2))
-            .unwrap();
-        assert!(empty.cells.is_empty());
+        let empty = assignments.iter().find(|a| a.0 == NodeId(2)).unwrap();
+        assert!(empty.1.is_empty());
     }
 
     #[test]
@@ -563,14 +463,17 @@ mod tests {
                 let links = links(n);
                 let reused = ws
                     .assign_row(NodeId(0), links.iter().copied(), row, policy, cfg)
-                    .map(|assigned| assigned.collect_links(Direction::Down));
-                let fresh =
-                    assign_cells_to_links(NodeId(0), &links, Direction::Down, row, policy, cfg);
+                    .map(|assigned| {
+                        assigned
+                            .map(|(child, run)| (child, run.to_vec()))
+                            .collect::<Vec<_>>()
+                    });
+                let fresh = assign_row(links, row, policy);
                 assert_eq!(reused.is_err(), n == 5, "the 4-cell row is too small");
                 assert_eq!(reused, fresh);
                 // The links share out the row's walk: left to right, then
                 // the next channel.
-                let granted = fresh.iter().flatten().flat_map(|a| a.cells.iter().copied());
+                let granted = fresh.iter().flatten().flat_map(|a| a.1.iter().copied());
                 let walk = (0..row.height()).flat_map(|dy| {
                     (0..row.width())
                         .map(move |dx| Cell::new(row.left() + dx, (row.bottom() + dy) as u16))

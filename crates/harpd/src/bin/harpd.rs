@@ -10,48 +10,66 @@
 //! self-describing), serves until a token-matched `POST /shutdown`, then
 //! prints the final Prometheus snapshot to stdout and exits 0.
 
-use std::time::Duration;
+use std::process::ExitCode;
 
 use harpd::server::{Server, ServerConfig};
 
-fn arg_value(args: &[String], key: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1).cloned())
+const USAGE: &str = "usage: harpd [--addr ADDR] [--port PORT] [--workers N] [--token SECRET] [--scenario-dir DIR] [--slo-us MICROS]";
+
+/// The configuration the flags describe, or `None` for `--help`.
+fn parse_args(args: &[String]) -> Result<Option<ServerConfig>, String> {
+    let mut addr = "127.0.0.1".to_owned();
+    let mut port = "0".to_owned();
+    let mut config = ServerConfig::loopback(4, "harpd", "scenarios");
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let mut value = || {
+            it.next()
+                .cloned()
+                .ok_or_else(|| format!("{arg} needs a value"))
+        };
+        match arg.as_str() {
+            "--help" | "-h" => return Ok(None),
+            "--addr" => addr = value()?,
+            "--port" => port = value()?,
+            "--token" => config.token = value()?,
+            "--scenario-dir" => config.scenario_dir = value()?.into(),
+            "--workers" => {
+                config.workers = value()?
+                    .parse()
+                    .map_err(|_| "--workers takes a number".to_owned())?;
+            }
+            "--slo-us" => {
+                config.slo_us = value()?
+                    .parse()
+                    .map_err(|_| "--slo-us takes microseconds".to_owned())?;
+            }
+            other => return Err(format!("unknown argument `{other}`")),
+        }
+    }
+    config.addr = format!("{addr}:{port}");
+    Ok(Some(config))
 }
 
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!(
-            "usage: harpd [--addr ADDR] [--port PORT] [--workers N] [--token SECRET] [--scenario-dir DIR] [--slo-us MICROS]"
-        );
-        return;
-    }
-    let addr = arg_value(&args, "--addr").unwrap_or_else(|| "127.0.0.1".to_owned());
-    let port = arg_value(&args, "--port").unwrap_or_else(|| "0".to_owned());
-    let workers: usize = arg_value(&args, "--workers")
-        .map(|w| w.parse().expect("--workers takes a number"))
-        .unwrap_or(4);
-    let token = arg_value(&args, "--token").unwrap_or_else(|| "harpd".to_owned());
-    let scenario_dir = arg_value(&args, "--scenario-dir").unwrap_or_else(|| "scenarios".to_owned());
-    let slo_us: u64 = arg_value(&args, "--slo-us")
-        .map(|v| v.parse().expect("--slo-us takes microseconds"))
-        .unwrap_or(harpd::state::DEFAULT_SLO_US);
-
-    let config = ServerConfig {
-        addr: format!("{addr}:{port}"),
-        workers,
-        token,
-        scenario_dir: scenario_dir.into(),
-        read_timeout: Duration::from_secs(5),
-        slo_us,
+    let config = match parse_args(&args) {
+        Ok(Some(config)) => config,
+        Ok(None) => {
+            eprintln!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
+        Err(e) => {
+            eprintln!("harpd: {e}\n{USAGE}");
+            return ExitCode::from(2);
+        }
     };
+    let addr = config.addr.clone();
     let server = match Server::bind(config) {
         Ok(s) => s,
         Err(e) => {
-            eprintln!("harpd: bind {addr}:{port} failed: {e}");
-            std::process::exit(1);
+            eprintln!("harpd: bind {addr} failed: {e}");
+            return ExitCode::FAILURE;
         }
     };
     match server.local_addr() {
@@ -62,4 +80,5 @@ fn main() {
     let summary = server.run();
     println!("harpd: drained with {} network(s) hosted", summary.networks);
     print!("{}", summary.exposition());
+    ExitCode::SUCCESS
 }

@@ -10,7 +10,7 @@
 //!
 //! Hard limits keep a hostile peer from pinning a worker: request heads
 //! over [`MAX_HEAD_BYTES`] are rejected with 431, bodies over
-//! [`MAX_BODY_BYTES`] with 413, and more than [`MAX_HEADERS`] header
+//! `MAX_BODY_BYTES` with 413, and more than `MAX_HEADERS` header
 //! lines with 431. Anything malformed — a bad start-line, a non-CRLF
 //! line ending, a header without a colon, an unparsable
 //! `content-length` — is a clean 400, never a panic and never a hang.
@@ -22,9 +22,9 @@ use std::net::TcpStream;
 /// Maximum bytes of request line + headers.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Maximum request body bytes (inline scenario files stay far below).
-pub const MAX_BODY_BYTES: usize = 4 * 1024 * 1024;
+pub(crate) const MAX_BODY_BYTES: usize = 4 * 1024 * 1024;
 /// Maximum header count.
-pub const MAX_HEADERS: usize = 64;
+pub(crate) const MAX_HEADERS: usize = 64;
 
 /// A parse or I/O failure with the HTTP status that answers it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,7 +81,7 @@ impl Request {
 
     /// First value of a query key.
     #[must_use]
-    pub fn query_value(&self, key: &str) -> Option<&str> {
+    pub(crate) fn query_value(&self, key: &str) -> Option<&str> {
         self.query
             .iter()
             .find(|(k, _)| k == key)
@@ -93,7 +93,7 @@ impl Request {
     /// # Errors
     ///
     /// A 400 [`HttpError`] when the body is not valid UTF-8.
-    pub fn body_str(&self) -> Result<&str, HttpError> {
+    pub(crate) fn body_str(&self) -> Result<&str, HttpError> {
         std::str::from_utf8(&self.body)
             .map_err(|_| HttpError::new(400, "request body is not valid UTF-8"))
     }
@@ -283,7 +283,7 @@ impl Response {
     /// A JSON response from already-assembled bytes (the handlers build
     /// bodies with [`harp_obs::json::JsonBuf`] into pooled buffers).
     #[must_use]
-    pub fn json_bytes(status: u16, body: Vec<u8>) -> Self {
+    pub(crate) fn json_bytes(status: u16, body: Vec<u8>) -> Self {
         Self {
             status,
             content_type: "application/json",
@@ -305,7 +305,7 @@ impl Response {
 
     /// The canonical error body for an [`HttpError`].
     #[must_use]
-    pub fn from_error(err: &HttpError) -> Self {
+    pub(crate) fn from_error(err: &HttpError) -> Self {
         let mut r = Self::json(
             err.status,
             format!("{{\"error\": \"{}\"}}\n", escape_json(&err.message)),
@@ -321,7 +321,7 @@ impl Response {
     /// # Errors
     ///
     /// The underlying socket write error.
-    pub fn write_to(&self, stream: &mut TcpStream) -> std::io::Result<()> {
+    pub(crate) fn write_to(&self, stream: &mut TcpStream) -> std::io::Result<()> {
         let connection = if self.close { "close" } else { "keep-alive" };
         let head = format!(
             "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: {connection}\r\n\r\n",
@@ -338,7 +338,7 @@ impl Response {
 
 /// Canonical reason phrase for the statuses the daemon emits.
 #[must_use]
-pub fn status_text(status: u16) -> &'static str {
+pub(crate) fn status_text(status: u16) -> &'static str {
     match status {
         200 => "OK",
         201 => "Created",
@@ -362,7 +362,9 @@ pub fn status_text(status: u16) -> &'static str {
 pub use harp_obs::json::escape_json;
 
 /// Reads the next complete request from `stream`, buffering leftovers in
-/// `buf` across calls (pipelining).
+/// `buf` across calls (pipelining), and reports the microseconds spent
+/// *parsing* the message (CPU over all incremental [`try_parse`] passes,
+/// excluding socket waits) — the `parse` span of the request trace.
 ///
 /// Returns `Ok(None)` on clean end-of-stream (peer closed between
 /// requests) and on a read timeout with nothing buffered (idle keep-alive
@@ -372,21 +374,7 @@ pub use harp_obs::json::escape_json;
 ///
 /// A parse [`HttpError`], 408 when a partial message times out, or 400
 /// when the peer closes mid-message.
-pub fn next_request(
-    stream: &mut TcpStream,
-    buf: &mut Vec<u8>,
-) -> Result<Option<Request>, HttpError> {
-    next_request_timed(stream, buf).map(|r| r.map(|(req, _)| req))
-}
-
-/// [`next_request`], also reporting the microseconds spent *parsing* the
-/// message (CPU over all incremental [`try_parse`] passes, excluding
-/// socket waits) — the `parse` span of the request trace.
-///
-/// # Errors
-///
-/// As [`next_request`].
-pub fn next_request_timed(
+pub(crate) fn next_request_timed(
     stream: &mut TcpStream,
     buf: &mut Vec<u8>,
 ) -> Result<Option<(Request, u64)>, HttpError> {

@@ -22,7 +22,7 @@
 //!
 //! Telemetry is one record per request: a route handler (`networks`,
 //! `debug`) reports what it did in the record it hands back, and
-//! [`handle_request_timed`] has `telemetry` write it — counters,
+//! `handle_request_timed` has `telemetry` write it — counters,
 //! histograms, flight events, the SLO check — under its one lock, once.
 
 mod debug;
@@ -38,7 +38,7 @@ use std::sync::{Arc, Mutex, RwLock};
 use harp_obs::MetricsSnapshot;
 
 use crate::http::{HttpError, Request, Response};
-pub use telemetry::DEFAULT_SLO_US;
+pub(crate) use telemetry::DEFAULT_SLO_US;
 use telemetry::{Record, RouteClass, Telemetry};
 use tenant::TenantSlot;
 
@@ -82,7 +82,7 @@ impl AppState {
     /// through [`AppState::recycle_buf`] after the socket write, so a
     /// steady-state request allocates nothing for its body.
     #[must_use]
-    pub fn take_buf(&self) -> Vec<u8> {
+    pub(crate) fn take_buf(&self) -> Vec<u8> {
         self.pool
             .lock()
             .ok()
@@ -112,17 +112,17 @@ impl AppState {
 
     /// Replaces the per-request latency SLO (µs). A request slower than
     /// this trips the flight recorder into freezing an incident.
-    pub fn set_slo_us(&self, us: u64) {
+    pub(crate) fn set_slo_us(&self, us: u64) {
         self.telemetry.set_slo_us(us);
     }
 
     /// A connection entered the accept queue (called by the acceptor).
-    pub fn queue_enter(&self) {
+    pub(crate) fn queue_enter(&self) {
         self.queue_depth.fetch_add(1, Ordering::Relaxed);
     }
 
     /// A worker picked a connection off the queue.
-    pub fn queue_leave(&self) {
+    pub(crate) fn queue_leave(&self) {
         self.queue_depth.fetch_sub(1, Ordering::Relaxed);
     }
 
@@ -134,7 +134,7 @@ impl AppState {
 
     /// Whether a shutdown has been requested.
     #[must_use]
-    pub fn is_shutting_down(&self) -> bool {
+    pub(crate) fn is_shutting_down(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst)
     }
 
@@ -145,7 +145,7 @@ impl AppState {
 
     /// Hosted network count.
     #[must_use]
-    pub fn network_count(&self) -> usize {
+    pub(crate) fn network_count(&self) -> usize {
         self.tenants.read().map(|t| t.len()).unwrap_or(0)
     }
 
@@ -183,7 +183,7 @@ pub fn handle_request(state: &AppState, req: &Request) -> Response {
 /// observation. Every request gets a fresh correlation id and exactly one
 /// telemetry record — counters, latency histograms, flight events, the
 /// SLO check — written when its response is ready.
-pub fn handle_request_timed(state: &AppState, req: &Request, parse_us: u64) -> Response {
+pub(crate) fn handle_request_timed(state: &AppState, req: &Request, parse_us: u64) -> Response {
     let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
     let mut rec = state.telemetry.begin(&req.method, &req.path, parse_us);
     let (class, result) = route(state, req, &segments, &mut rec);
@@ -197,7 +197,7 @@ pub fn handle_request_timed(state: &AppState, req: &Request, parse_us: u64) -> R
 /// malformed or oversized requests shows in `harpd_requests_total` and
 /// `harpd_http_errors`. The transport times no parse it gave up on, so
 /// the latency recorded is 0.
-pub fn handle_unparsed(state: &AppState, err: &HttpError) -> Response {
+pub(crate) fn handle_unparsed(state: &AppState, err: &HttpError) -> Response {
     let response = Response::from_error(err);
     let rec = state.telemetry.begin("UNPARSED", &err.message, 0);
     state

@@ -30,7 +30,7 @@ const REQUEST_US_BOUNDS: &[u64] = &[
 
 /// Default per-request latency SLO: a request slower than this trips the
 /// flight recorder into freezing an incident snapshot.
-pub const DEFAULT_SLO_US: u64 = 2_000_000;
+pub(crate) const DEFAULT_SLO_US: u64 = 2_000_000;
 
 /// Event capacity of the always-on flight recorder.
 const FLIGHT_CAPACITY: usize = 1024;

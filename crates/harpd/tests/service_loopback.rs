@@ -204,3 +204,22 @@ fn raw_socket_malformed_requests_get_4xx_not_hangs() {
     assert_eq!(metrics.counter("harpd.requests_total"), Some(refused + 2));
     assert_eq!(metrics.histograms["harpd.route.other_us"].count, refused);
 }
+
+#[test]
+fn the_binary_rejects_a_flag_it_does_not_define() {
+    // `--tokn` used to be ignored: the daemon served with the default token.
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_harpd"))
+        .args(["--tokn", "s3cret"])
+        .output()
+        .expect("harpd spawns");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(
+        out.stdout.is_empty(),
+        "it must not bind and announce a port"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("`--tokn`") && stderr.contains("usage:"),
+        "{stderr}"
+    );
+}

@@ -69,7 +69,7 @@ impl TraceSpan {
 
     /// Stable node label: `"net"` for network-wide spans, else `"N<id>"`.
     #[must_use]
-    pub fn node_label(&self) -> String {
+    pub(crate) fn node_label(&self) -> String {
         if self.node < 0 {
             "net".to_owned()
         } else {

@@ -201,29 +201,11 @@ impl Json {
         }
     }
 
-    /// The boolean, if this is a boolean.
-    #[must_use]
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The elements, if this is an array.
     #[must_use]
     pub fn as_arr(&self) -> Option<&[Json]> {
         match self {
             Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// The members, if this is an object.
-    #[must_use]
-    pub fn as_obj(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(members) => Some(members),
             _ => None,
         }
     }
@@ -548,8 +530,6 @@ mod tests {
         assert!(v.get("x").is_none());
         assert!(v.as_f64().is_none());
         assert!(v.as_str().is_none());
-        assert!(v.as_bool().is_none());
-        assert!(v.as_obj().is_none());
         assert_eq!(v.as_arr().map(<[Json]>::len), Some(1));
     }
 

@@ -91,15 +91,10 @@ impl Obs {
     }
 
     /// Sets the ambient correlation id: every span recorded until the next
-    /// call (or [`Obs::clear_correlation`]) carries it, stitching the span
-    /// to the request that caused it. Pass [`NO_CORRELATION`] to clear.
+    /// call carries it, stitching the span to the request that caused it.
+    /// Pass [`NO_CORRELATION`] to clear.
     pub fn set_correlation(&mut self, corr: u64) {
         self.corr = corr;
-    }
-
-    /// Clears the ambient correlation id (back to anonymous recording).
-    pub fn clear_correlation(&mut self) {
-        self.corr = NO_CORRELATION;
     }
 
     /// The ambient correlation id ([`NO_CORRELATION`] when unset).
@@ -171,7 +166,7 @@ mod tests {
         obs.metrics.inc(c, 2);
         obs.span("s", "l", 3, 1, 10, 20, -1);
         assert_eq!(obs.metrics.snapshot().counter("x"), Some(2));
-        assert_eq!(obs.spans.iter().next().unwrap().duration_slots(), 10);
+        assert_eq!(obs.spans.iter().next().unwrap().slot_mass(), 11);
     }
 
     #[test]
@@ -185,7 +180,7 @@ mod tests {
         obs.span("before", "l", NO_NODE, 0, 0, 0, 0);
         obs.set_correlation(7);
         obs.span("inside", "l", NO_NODE, 0, 1, 1, 0);
-        obs.clear_correlation();
+        obs.set_correlation(NO_CORRELATION);
         obs.span("after", "l", NO_NODE, 0, 2, 2, 0);
         let corrs: Vec<u64> = obs.spans.iter().map(|e| e.corr).collect();
         assert_eq!(corrs, vec![NO_CORRELATION, 7, NO_CORRELATION]);

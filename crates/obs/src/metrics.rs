@@ -163,12 +163,6 @@ impl MetricsRegistry {
         h.max = h.max.max(value);
     }
 
-    /// The current value of a counter (0 while disabled).
-    #[must_use]
-    pub fn counter_value(&self, id: CounterId) -> u64 {
-        self.counters[id.0].1
-    }
-
     /// Snapshots every metric into an owned, name-sorted view. Empty for a
     /// disabled registry.
     #[must_use]
@@ -446,7 +440,6 @@ mod tests {
         assert_eq!(a, a2);
         r.inc(a, 2);
         r.inc(a2, 3);
-        assert_eq!(r.counter_value(a), 5);
         assert_eq!(r.snapshot().counter("a"), Some(5));
     }
 
@@ -460,7 +453,6 @@ mod tests {
         r.set(g, 4.0);
         r.observe(h, 1);
         assert!(r.snapshot().is_empty());
-        assert_eq!(r.counter_value(c), 0);
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub type Labels = Vec<(String, String)>;
 /// character outside `[a-zA-Z0-9_:]` becomes `_`, and a leading digit is
 /// prefixed with `_`.
 #[must_use]
-pub fn sanitize_name(name: &str) -> String {
+pub(crate) fn sanitize_name(name: &str) -> String {
     let mut out = String::with_capacity(name.len());
     for (i, c) in name.chars().enumerate() {
         let ok = c.is_ascii_alphanumeric() || c == '_' || c == ':';
@@ -52,7 +52,7 @@ pub fn sanitize_name(name: &str) -> String {
 
 /// Escapes a label value (`\` → `\\`, `"` → `\"`, newline → `\n`).
 #[must_use]
-pub fn escape_label_value(value: &str) -> String {
+pub(crate) fn escape_label_value(value: &str) -> String {
     let mut out = String::with_capacity(value.len());
     for c in value.chars() {
         match c {

@@ -43,12 +43,6 @@ pub struct SpanEvent {
 }
 
 impl SpanEvent {
-    /// The span's length in slots.
-    #[must_use]
-    pub fn duration_slots(&self) -> u64 {
-        self.end_asn.saturating_sub(self.start_asn)
-    }
-
     /// The span's *mass* in slots: the number of slots the inclusive
     /// interval covers (`end - start + 1`). Flame folding aggregates mass,
     /// so instantaneous events still weigh one slot.
@@ -165,11 +159,6 @@ impl SpanRing {
         self.events.iter()
     }
 
-    /// Retained spans from one subsystem.
-    pub fn for_layer(&self, layer: &'static str) -> impl Iterator<Item = &SpanEvent> + '_ {
-        self.events.iter().filter(move |e| e.layer == layer)
-    }
-
     /// Retained spans with one name.
     pub fn named(&self, name: &'static str) -> impl Iterator<Item = &SpanEvent> + '_ {
         self.events.iter().filter(move |e| e.name == name)
@@ -276,19 +265,17 @@ mod tests {
     }
 
     #[test]
-    fn filters_by_layer_and_name() {
+    fn filters_by_name() {
         let mut r = SpanRing::new(8);
         r.record(ev("a", "sim", 0));
         r.record(ev("b", "transport", 1));
         r.record(ev("a", "harp", 2));
-        assert_eq!(r.for_layer("sim").count(), 1);
         assert_eq!(r.named("a").count(), 2);
     }
 
     #[test]
-    fn display_duration_and_mass() {
+    fn display_and_mass() {
         let e = ev("adjust", "harp", 100);
-        assert_eq!(e.duration_slots(), 5);
         assert_eq!(e.slot_mass(), 6);
         assert_eq!(e.to_string(), "[100..105] harp/adjust N2@L3 detail=7");
         let net = SpanEvent { node: NO_NODE, ..e };

@@ -61,15 +61,15 @@ pub mod obs {
 
     /// Strip packings computed ([`pack_strip`](crate::pack_strip) — HARP's
     /// component composition, Alg. 1).
-    pub static STRIP_PACKS: StaticCounter = StaticCounter::new();
+    pub(crate) static STRIP_PACKS: StaticCounter = StaticCounter::new();
     /// Fixed-container packings attempted ([`pack_into`](crate::pack_into)).
-    pub static CONTAINER_PACKS: StaticCounter = StaticCounter::new();
+    pub(crate) static CONTAINER_PACKS: StaticCounter = StaticCounter::new();
     /// Feasibility tests run ([`fits_into`](crate::fits_into) — Problem 2).
-    pub static FEASIBILITY_TESTS: StaticCounter = StaticCounter::new();
+    pub(crate) static FEASIBILITY_TESTS: StaticCounter = StaticCounter::new();
     /// Idle-area batch placements
     /// ([`FreeSpace::place_all`](crate::FreeSpace::place_all) — Alg. 2's
     /// cost-aware adjustment).
-    pub static FREESPACE_PLACEMENTS: StaticCounter = StaticCounter::new();
+    pub(crate) static FREESPACE_PLACEMENTS: StaticCounter = StaticCounter::new();
 
     /// Current totals, in the shape
     /// [`MetricsSnapshot::add_counters`](harp_obs::MetricsSnapshot::add_counters)

@@ -47,19 +47,6 @@ impl FreeSpace {
         Self { container, free }
     }
 
-    /// The container this free space tracks.
-    #[must_use]
-    pub fn container(&self) -> Rect {
-        self.container
-    }
-
-    /// The current maximal free rectangles. None of them is contained in
-    /// another, and their union is exactly the unoccupied area.
-    #[must_use]
-    pub fn free_rects(&self) -> &[Rect] {
-        &self.free
-    }
-
     /// Total free area in unit cells.
     ///
     /// Maximal rectangles overlap, so this is computed by sweeping rows
@@ -224,14 +211,14 @@ mod tests {
     #[test]
     fn fresh_container_is_one_free_rect() {
         let fs = FreeSpace::new(Size::new(8, 4));
-        assert_eq!(fs.free_rects(), &[Rect::from_xywh(0, 0, 8, 4)]);
+        assert_eq!(fs.free, [Rect::from_xywh(0, 0, 8, 4)]);
         assert_eq!(fs.free_area(), 32);
     }
 
     #[test]
     fn empty_container_has_no_free_space() {
         let fs = FreeSpace::new(Size::new(0, 4));
-        assert!(fs.free_rects().is_empty());
+        assert!(fs.free.is_empty());
         assert_eq!(fs.free_area(), 0);
     }
 
@@ -240,9 +227,9 @@ mod tests {
         let mut fs = FreeSpace::new(Size::new(8, 4));
         fs.occupy(Rect::from_xywh(2, 1, 3, 2));
         // Maximal rects: left band, right band, bottom band, top band.
-        assert_eq!(fs.free_rects().len(), 4);
+        assert_eq!(fs.free.len(), 4);
         assert_eq!(fs.free_area(), 32 - 6);
-        for fr in fs.free_rects() {
+        for fr in &fs.free {
             assert!(!fr.overlaps(&Rect::from_xywh(2, 1, 3, 2)));
         }
     }
@@ -343,7 +330,7 @@ mod tests {
         for &r in &occupied {
             fs.occupy(r);
         }
-        for fr in fs.free_rects() {
+        for fr in &fs.free {
             for occ in &occupied {
                 assert!(!fr.overlaps(occ), "{fr} overlaps occupied {occ}");
             }
@@ -359,7 +346,7 @@ mod tests {
             fs.occupy(Rect::from_xywh(i * 2, i, 1, 1));
         }
         // No free rect contained in another.
-        let rects = fs.free_rects();
+        let rects = &fs.free;
         for (i, a) in rects.iter().enumerate() {
             for (j, b) in rects.iter().enumerate() {
                 if i != j {

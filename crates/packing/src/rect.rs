@@ -55,7 +55,7 @@ impl Size {
 
     /// Swaps width and height.
     #[must_use]
-    pub const fn transposed(self) -> Size {
+    pub(crate) const fn transposed(self) -> Size {
         Size::new(self.h, self.w)
     }
 }
@@ -98,7 +98,7 @@ impl Point {
     }
 
     /// The origin `(0, 0)`.
-    pub const ORIGIN: Point = Point::new(0, 0);
+    pub(crate) const ORIGIN: Point = Point::new(0, 0);
 }
 
 impl fmt::Display for Point {
@@ -229,7 +229,7 @@ impl Rect {
 
     /// The intersection of two rectangles, if it is non-empty.
     #[must_use]
-    pub fn intersection(&self, other: &Rect) -> Option<Rect> {
+    pub(crate) fn intersection(&self, other: &Rect) -> Option<Rect> {
         if !self.overlaps(other) {
             return None;
         }

@@ -56,7 +56,7 @@ impl StripPacking {
 
     /// Consumes the packing and returns the placements.
     #[must_use]
-    pub fn into_placements(self) -> Vec<Rect> {
+    pub(crate) fn into_placements(self) -> Vec<Rect> {
         self.placements
     }
 
@@ -70,25 +70,6 @@ impl StripPacking {
     #[must_use]
     pub fn height(&self) -> u32 {
         self.height
-    }
-
-    /// The bounding box `width() × height()` of the packing.
-    #[must_use]
-    pub fn bounding_size(&self) -> Size {
-        Size::new(self.width, self.height)
-    }
-
-    /// Fraction of the bounding box covered by items, in `[0, 1]`.
-    ///
-    /// Returns `1.0` for an empty packing (nothing was wasted).
-    #[must_use]
-    pub fn fill_ratio(&self) -> f64 {
-        let total = Size::new(self.width, self.height).area();
-        if total == 0 {
-            return 1.0;
-        }
-        let used: u64 = self.placements.iter().map(Rect::area).sum();
-        used as f64 / total as f64
     }
 }
 
@@ -462,7 +443,6 @@ mod tests {
         let packing = pack_strip(&[], 10).unwrap();
         assert_eq!(packing.height(), 0);
         assert!(packing.placements().is_empty());
-        assert!((packing.fill_ratio() - 1.0).abs() < f64::EPSILON);
     }
 
     #[test]
@@ -480,7 +460,6 @@ mod tests {
         let packing = pack_strip(&items, 10).unwrap();
         check_valid(&items, &packing);
         assert_eq!(packing.height(), 2, "all three fit in one row");
-        assert!((packing.fill_ratio() - 1.0).abs() < f64::EPSILON);
     }
 
     #[test]
@@ -498,7 +477,6 @@ mod tests {
         let packing = pack_strip(&items, 10).unwrap();
         check_valid(&items, &packing);
         assert_eq!(packing.height(), 10);
-        assert!((packing.fill_ratio() - 1.0).abs() < f64::EPSILON);
     }
 
     #[test]
@@ -613,6 +591,5 @@ mod tests {
         let packing = pack_strip(&items, 10).unwrap();
         check_valid(&items, &packing);
         assert_eq!(packing.height(), 10);
-        assert!((packing.fill_ratio() - 1.0).abs() < f64::EPSILON);
     }
 }

@@ -124,6 +124,6 @@ mod tests {
         let tree = workloads::TopologyConfig::paper_50_node().generate(4);
         let reqs = workloads::uniform_uplink_requirements(&tree, 2);
         let s = AliceScheduler.build_schedule(&tree, &reqs, cfg(), 0);
-        assert!(crate::satisfies_requirements(&tree, &reqs, &s));
+        assert!(crate::traits::satisfies_requirements(&tree, &reqs, &s));
     }
 }

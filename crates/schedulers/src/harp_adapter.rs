@@ -62,7 +62,9 @@ mod tests {
             0,
         );
         assert!(schedule.is_exclusive());
-        assert!(crate::satisfies_requirements(&tree, &reqs, &schedule));
+        assert!(crate::traits::satisfies_requirements(
+            &tree, &reqs, &schedule
+        ));
         let report = schedule.collision_report(&tree, &GlobalInterference);
         assert_eq!(report.collision_probability(), 0.0);
     }
@@ -80,6 +82,8 @@ mod tests {
         assert!(!schedule.is_exclusive(), "overload must wrap");
         let report = schedule.collision_report(&tree, &GlobalInterference);
         assert!(report.collision_probability() > 0.0);
-        assert!(crate::satisfies_requirements(&tree, &reqs, &schedule));
+        assert!(crate::traits::satisfies_requirements(
+            &tree, &reqs, &schedule
+        ));
     }
 }

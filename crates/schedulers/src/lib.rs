@@ -28,7 +28,6 @@ mod alice;
 mod apas;
 mod baselines;
 mod harp_adapter;
-mod msf_adaptive;
 mod sixtop;
 mod traits;
 
@@ -36,9 +35,8 @@ pub use alice::AliceScheduler;
 pub use apas::{apas_adjustment_packets, ApasNetwork, ApasReport};
 pub use baselines::{LdsfScheduler, MsfScheduler, RandomScheduler};
 pub use harp_adapter::HarpScheduler;
-pub use msf_adaptive::{MsfAdaptiveNetwork, LIM_HIGH, LIM_LOW};
-pub use sixtop::{measure_sixtop_transaction, sixtop_transaction_packets, SixtopReport};
-pub use traits::{satisfies_requirements, Scheduler};
+pub use sixtop::sixtop_transaction_packets;
+pub use traits::Scheduler;
 
 /// Process-wide activity counters of the scheduler comparison suite.
 ///
@@ -50,7 +48,7 @@ pub mod obs {
 
     /// Full network schedules built via [`Scheduler::build_schedule`](crate::Scheduler::build_schedule),
     /// summed over every scheduler implementation.
-    pub static SCHEDULES_BUILT: StaticCounter = StaticCounter::new();
+    pub(crate) static SCHEDULES_BUILT: StaticCounter = StaticCounter::new();
 
     /// Current totals, in the shape
     /// [`MetricsSnapshot::add_counters`](harp_obs::MetricsSnapshot::add_counters)

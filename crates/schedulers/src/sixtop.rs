@@ -10,8 +10,6 @@
 //! two extremes: more than a 6P pair, far less than APaS's centralized
 //! round trip — while keeping the schedule provably collision-free.
 
-use tsch_sim::{Asn, MgmtPlane, NodeId, SlotframeConfig, Tree};
-
 /// Packets of one two-step 6P transaction (ADD/DELETE/RELOCATE): request +
 /// response between a node and its parent.
 ///
@@ -25,80 +23,4 @@ use tsch_sim::{Asn, MgmtPlane, NodeId, SlotframeConfig, Tree};
 #[must_use]
 pub fn sixtop_transaction_packets() -> u64 {
     2
-}
-
-/// Result of one measured 6P transaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SixtopReport {
-    /// Packets exchanged (always 2 for a two-step transaction).
-    pub packets: u64,
-    /// Slots from the request until the response arrived.
-    pub elapsed_slots: u64,
-}
-
-/// Measures one 6P ADD transaction between `node` and its parent over the
-/// management plane (same timing model as the HARP and APaS measurements),
-/// so the three systems' adjustment costs are directly comparable.
-///
-/// # Panics
-///
-/// Panics if `node` is the gateway.
-#[must_use]
-pub fn measure_sixtop_transaction(
-    tree: &Tree,
-    config: SlotframeConfig,
-    node: NodeId,
-    at: Asn,
-) -> SixtopReport {
-    let parent = tree
-        .parent(node)
-        .expect("the gateway runs no 6P transactions");
-    let mut plane: MgmtPlane<&str> = MgmtPlane::new(tree, config);
-    plane
-        .send(tree, at, node, parent, "6P ADD request")
-        .expect("parent is a neighbour");
-    let mut last = at;
-    while let Some(next) = plane.next_delivery() {
-        for d in plane.poll(next) {
-            last = last.max(d.at);
-            if d.payload == "6P ADD request" {
-                plane
-                    .send(tree, d.at, parent, node, "6P response")
-                    .expect("child is a neighbour");
-            }
-        }
-    }
-    SixtopReport {
-        packets: plane.messages_sent(),
-        elapsed_slots: last.since(at),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn transaction_is_two_packets_at_any_depth() {
-        let tree = workloads::TopologyConfig::paper_81_node().generate(0);
-        let config = SlotframeConfig::paper_default();
-        for layer in [1u32, 5, 10] {
-            let node = tree.nodes_at_depth(layer)[0];
-            let report = measure_sixtop_transaction(&tree, config, node, Asn(0));
-            assert_eq!(report.packets, sixtop_transaction_packets());
-            assert!(report.elapsed_slots > 0);
-            assert!(
-                report.elapsed_slots <= 2 * u64::from(config.slots),
-                "two one-hop messages fit two slotframes"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "gateway runs no 6P")]
-    fn gateway_has_no_transaction() {
-        let tree = tsch_sim::Tree::from_parents(&[(1, 0)]);
-        let _ =
-            measure_sixtop_transaction(&tree, SlotframeConfig::paper_default(), NodeId(0), Asn(0));
-    }
 }

@@ -31,8 +31,8 @@ pub trait Scheduler: Send + Sync {
 }
 
 /// Checks the scheduler contract: every link got at least its requirement.
-#[must_use]
-pub fn satisfies_requirements(
+#[cfg(test)]
+pub(crate) fn satisfies_requirements(
     tree: &Tree,
     requirements: &Requirements,
     schedule: &NetworkSchedule,

@@ -112,7 +112,7 @@ impl<T> EventCalendar<T> {
 
     /// The earliest scheduled fire time, if any.
     #[must_use]
-    pub fn next_fire(&self) -> Option<Asn> {
+    pub(crate) fn next_fire(&self) -> Option<Asn> {
         self.heap.peek().map(|e| e.at)
     }
 

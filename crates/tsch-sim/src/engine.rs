@@ -132,11 +132,11 @@ impl SimObsIds {
 }
 
 /// Default bound on packets queued per directed link.
-pub const DEFAULT_QUEUE_CAPACITY: usize = 64;
+pub(crate) const DEFAULT_QUEUE_CAPACITY: usize = 64;
 
 /// Default number of transmission attempts per hop before a packet is
 /// dropped.
-pub const DEFAULT_MAX_RETRIES: u32 = 16;
+pub(crate) const DEFAULT_MAX_RETRIES: u32 = 16;
 
 /// Errors raised when configuring or driving the simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -367,13 +367,6 @@ impl Simulator {
     #[must_use]
     pub fn obs(&self) -> &Obs {
         &self.obs
-    }
-
-    /// Mutable access to the observability handle (e.g. to clear spans
-    /// between measurement windows).
-    #[must_use]
-    pub fn obs_mut(&mut self) -> &mut Obs {
-        &mut self.obs
     }
 
     /// Snapshots the engine's metrics (empty while observability is off).

@@ -121,7 +121,7 @@ impl TwoHopInterference {
 
     /// Returns `true` if `a` and `b` are within radio range of each other.
     #[must_use]
-    pub fn in_range(&self, tree: &Tree, a: NodeId, b: NodeId) -> bool {
+    pub(crate) fn in_range(&self, tree: &Tree, a: NodeId, b: NodeId) -> bool {
         if a == b {
             return true;
         }

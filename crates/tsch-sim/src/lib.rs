@@ -53,7 +53,6 @@
 mod calendar;
 mod engine;
 mod faults;
-mod hopping;
 mod interference;
 mod mgmt;
 mod packet;
@@ -69,12 +68,9 @@ mod trace;
 mod transport;
 
 pub use calendar::EventCalendar;
-pub use engine::{
-    SimError, Simulator, SimulatorBuilder, DEFAULT_MAX_RETRIES, DEFAULT_QUEUE_CAPACITY,
-};
+pub use engine::{SimError, Simulator, SimulatorBuilder};
 pub use faults::{FaultAction, FaultPlan};
 pub use harp_obs::{MetricsSnapshot, Obs, SpanEvent, SpanRing, NO_NODE};
-pub use hopping::{HoppingError, HoppingSequence};
 pub use interference::{GlobalInterference, InterferenceModel, TwoHopInterference};
 pub use mgmt::{Delivered, MgmtError, MgmtPlane};
 pub use packet::{Packet, Rate, RateError, Task, TaskId, TaskKind};
@@ -82,9 +78,7 @@ pub use par::{bench_threads, par_map, par_map_with_threads};
 pub use radio::{LinkQuality, PdrError};
 pub use rng::SplitMix64;
 pub use schedule::{CollisionReport, NetworkSchedule, ScheduleError};
-pub use stats::{
-    mean, percentile_nearest_rank, DeliveryRecord, LatencySummary, SimStats, StatsMode,
-};
+pub use stats::{mean, DeliveryRecord, LatencySummary, SimStats, StatsMode};
 pub use time::{Asn, Cell, ConfigError, SlotframeConfig};
 pub use topology::{Direction, Link, NodeId, TopologyError, Tree, TreeBuilder};
 pub use trace::{TraceBuffer, TraceEvent};

@@ -288,14 +288,14 @@ impl<M> MgmtPlane<M> {
 
     /// Drops every in-flight message (used when a caller rolls back a
     /// failed protocol exchange). Counters are unaffected.
-    pub fn clear_in_flight(&mut self) {
+    pub(crate) fn clear_in_flight(&mut self) {
         self.in_flight.clear();
     }
 
     /// The earliest pending delivery time, if any — useful for fast-forward
     /// loops that skip idle slots.
     #[must_use]
-    pub fn next_delivery(&self) -> Option<Asn> {
+    pub(crate) fn next_delivery(&self) -> Option<Asn> {
         self.in_flight.next_fire()
     }
 }

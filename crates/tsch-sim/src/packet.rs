@@ -255,7 +255,7 @@ impl Packet {
 
     /// The next node on the route, or `None` if delivered.
     #[must_use]
-    pub fn next_hop(&self) -> Option<NodeId> {
+    pub(crate) fn next_hop(&self) -> Option<NodeId> {
         self.route.get(self.hop + 1).copied()
     }
 

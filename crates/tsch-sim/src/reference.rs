@@ -21,6 +21,7 @@
 //! losses, retries, bounded queues, runtime schedule mutation. Defaults for
 //! queue capacity and retry limit match the real engine's.
 
+use crate::engine::{DEFAULT_MAX_RETRIES, DEFAULT_QUEUE_CAPACITY};
 use crate::interference::{InterferenceModel, TwoHopInterference};
 use crate::packet::{Packet, Task, TaskId};
 use crate::radio::LinkQuality;
@@ -30,7 +31,6 @@ use crate::stats::SimStats;
 use crate::time::{Asn, Cell, SlotframeConfig};
 use crate::topology::{Direction, Link, NodeId, Tree};
 use crate::trace::TraceEvent;
-use crate::{DEFAULT_MAX_RETRIES, DEFAULT_QUEUE_CAPACITY};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 

@@ -58,13 +58,6 @@ impl SplitMix64 {
     pub fn chance(&mut self, p: f64) -> bool {
         self.next_f64() < p
     }
-
-    /// Derives an independent generator for a labelled subsystem, so
-    /// different components consume non-overlapping streams.
-    #[must_use]
-    pub fn fork(&mut self, label: u64) -> SplitMix64 {
-        SplitMix64::new(self.next_u64() ^ label.wrapping_mul(0xA076_1D64_78BD_642F))
-    }
 }
 
 #[cfg(test)]
@@ -125,13 +118,5 @@ mod tests {
         let mut rng = SplitMix64::new(4);
         assert!(!rng.chance(0.0));
         assert!(rng.chance(1.0));
-    }
-
-    #[test]
-    fn fork_streams_are_independent() {
-        let mut root = SplitMix64::new(5);
-        let mut f1 = root.fork(1);
-        let mut f2 = root.fork(2);
-        assert_ne!(f1.next_u64(), f2.next_u64());
     }
 }

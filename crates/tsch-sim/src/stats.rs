@@ -16,13 +16,11 @@
 //! * [`Streaming`](StatsMode::Streaming) drops individual records and keeps
 //!   only O(nodes + buckets) state: per-source count/sum/min/max plus a
 //!   fixed-bucket latency histogram (bounds shared with the observability
-//!   layer, [`harp_obs::LATENCY_SLOT_BOUNDS`]), and dense per-frame
-//!   timelines for sources registered via
-//!   [`track_timeline`](SimStats::track_timeline). Counters, per-link
-//!   attempts, queue high-water marks, delivery counts, means, minima,
-//!   maxima and tracked timelines are identical to `Full` mode;
-//!   per-source p95 becomes a histogram interpolation instead of an exact
-//!   nearest-rank.
+//!   layer, [`harp_obs::LATENCY_SLOT_BOUNDS`]). Counters, per-link
+//!   attempts, queue high-water marks, delivery counts, means, minima and
+//!   maxima are identical to `Full` mode; per-source p95 becomes a
+//!   histogram interpolation instead of an exact nearest-rank, and there
+//!   is no per-slotframe timeline.
 //!
 //! In both modes per-link attempts and per-node queue high-water marks live
 //! in dense id-indexed vectors (one add on the hot path); the `HashMap`
@@ -49,7 +47,7 @@ pub fn mean(samples: &[f64]) -> f64 {
 /// `p` is a fraction in `[0, 1]`; returns `0` for an empty slice. With
 /// `p = 0.95` this is the P95 used throughout the latency summaries.
 #[must_use]
-pub fn percentile_nearest_rank(sorted: &[u64], p: f64) -> u64 {
+pub(crate) fn percentile_nearest_rank(sorted: &[u64], p: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
     }
@@ -98,7 +96,7 @@ impl LatencySummary {
     /// Computes a summary from raw slot latencies. Returns the default
     /// (all-zero) summary for an empty slice.
     #[must_use]
-    pub fn from_samples(samples: &[u64]) -> Self {
+    pub(crate) fn from_samples(samples: &[u64]) -> Self {
         if samples.is_empty() {
             return Self::default();
         }
@@ -138,15 +136,6 @@ struct SourceAgg {
     hist: Vec<u64>,
 }
 
-/// Dense per-slotframe latency timeline for one registered source.
-#[derive(Debug, Clone)]
-struct TimelineTracker {
-    source: NodeId,
-    slots_per_frame: u32,
-    /// Indexed by slotframe: (latency sum, delivery count).
-    frames: Vec<(u64, u64)>,
-}
-
 /// All measurements recorded by a simulation run.
 #[derive(Debug, Clone, Default)]
 pub struct SimStats {
@@ -180,7 +169,6 @@ pub struct SimStats {
     /// Per-source latency aggregates, indexed by node; maintained in both
     /// modes (they are O(nodes) and make network-wide summaries cheap).
     per_source: Vec<SourceAgg>,
-    timelines: Vec<TimelineTracker>,
 }
 
 impl SimStats {
@@ -192,7 +180,7 @@ impl SimStats {
 
     /// Creates an empty collector in [`StatsMode::Streaming`].
     #[must_use]
-    pub fn streaming() -> Self {
+    pub(crate) fn streaming() -> Self {
         Self {
             mode: StatsMode::Streaming,
             ..Self::default()
@@ -233,21 +221,12 @@ impl SimStats {
 
     /// Records one transmission attempt on `link` (per-link bookkeeping
     /// only; the caller maintains the aggregate `tx_attempts` counter).
-    pub fn record_tx_attempt(&mut self, link: Link) {
+    pub(crate) fn record_tx_attempt(&mut self, link: Link) {
         let i = Self::link_index(link);
         if i >= self.tx_attempts_by_link.len() {
             self.tx_attempts_by_link.resize(i + 1, 0);
         }
         self.tx_attempts_by_link[i] += 1;
-    }
-
-    /// Transmission attempts recorded for one link so far.
-    #[must_use]
-    pub fn tx_attempts_of(&self, link: Link) -> u64 {
-        self.tx_attempts_by_link
-            .get(Self::link_index(link))
-            .copied()
-            .unwrap_or(0)
     }
 
     /// Attempts per directed link, materialized as a map (links with zero
@@ -262,26 +241,8 @@ impl SimStats {
             .collect()
     }
 
-    /// Registers a per-slotframe latency timeline for `source`, so
-    /// [`latency_timeline`](Self::latency_timeline) stays available in
-    /// [`StatsMode::Streaming`]. Idempotent; must be called before the
-    /// deliveries it should cover.
-    pub fn track_timeline(&mut self, source: NodeId, slots_per_frame: u32) {
-        let tracked = self
-            .timelines
-            .iter()
-            .any(|t| t.source == source && t.slots_per_frame == slots_per_frame);
-        if !tracked {
-            self.timelines.push(TimelineTracker {
-                source,
-                slots_per_frame,
-                frames: Vec::new(),
-            });
-        }
-    }
-
     /// Records a delivery.
-    pub fn record_delivery(&mut self, source: NodeId, created: Asn, delivered: Asn) {
+    pub(crate) fn record_delivery(&mut self, source: NodeId, created: Asn, delivered: Asn) {
         let latency = delivered.since(created);
         self.delivered += 1;
         let idx = source.index();
@@ -298,18 +259,6 @@ impl SimStats {
         }
         agg.count += 1;
         agg.sum += u128::from(latency);
-        for tracker in &mut self.timelines {
-            if tracker.source != source {
-                continue;
-            }
-            let frame = usize::try_from(delivered.0 / u64::from(tracker.slots_per_frame))
-                .expect("slotframe index fits usize");
-            if frame >= tracker.frames.len() {
-                tracker.frames.resize(frame + 1, (0, 0));
-            }
-            tracker.frames[frame].0 += latency;
-            tracker.frames[frame].1 += 1;
-        }
         match self.mode {
             StatsMode::Full => self.deliveries.push(DeliveryRecord {
                 source,
@@ -326,7 +275,7 @@ impl SimStats {
     }
 
     /// Updates a node's queue high-water mark.
-    pub fn record_queue_depth(&mut self, node: NodeId, depth: usize) {
+    pub(crate) fn record_queue_depth(&mut self, node: NodeId, depth: usize) {
         let i = node.index();
         if i >= self.queue_high_water_by_node.len() {
             self.queue_high_water_by_node.resize(i + 1, 0);
@@ -431,39 +380,23 @@ impl SimStats {
     }
 
     /// Deliveries from `source` bucketed by the slotframe of their delivery
-    /// time — the Fig. 10 timeline series. Computed from exact records in
-    /// [`StatsMode::Full`]; in [`StatsMode::Streaming`] the source must
-    /// have been registered via [`track_timeline`](Self::track_timeline)
-    /// with the same `slots_per_frame` (empty otherwise).
+    /// time — the Fig. 10 timeline series. Computed from the exact records,
+    /// so empty in [`StatsMode::Streaming`].
     #[must_use]
     pub fn latency_timeline(&self, source: NodeId, slots_per_frame: u32) -> Vec<(u64, f64)> {
-        if self.mode == StatsMode::Full {
-            let mut buckets: HashMap<u64, (u64, u64)> = HashMap::new();
-            for d in self.deliveries.iter().filter(|d| d.source == source) {
-                let frame = d.delivered.0 / u64::from(slots_per_frame);
-                let e = buckets.entry(frame).or_insert((0, 0));
-                e.0 += d.latency_slots();
-                e.1 += 1;
-            }
-            let mut out: Vec<(u64, f64)> = buckets
-                .into_iter()
-                .map(|(frame, (sum, n))| (frame, sum as f64 / n as f64))
-                .collect();
-            out.sort_by_key(|&(frame, _)| frame);
-            return out;
+        let mut buckets: HashMap<u64, (u64, u64)> = HashMap::new();
+        for d in self.deliveries.iter().filter(|d| d.source == source) {
+            let frame = d.delivered.0 / u64::from(slots_per_frame);
+            let e = buckets.entry(frame).or_insert((0, 0));
+            e.0 += d.latency_slots();
+            e.1 += 1;
         }
-        self.timelines
-            .iter()
-            .find(|t| t.source == source && t.slots_per_frame == slots_per_frame)
-            .map(|t| {
-                t.frames
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &(_, n))| n > 0)
-                    .map(|(frame, &(sum, n))| (frame as u64, sum as f64 / n as f64))
-                    .collect()
-            })
-            .unwrap_or_default()
+        let mut out: Vec<(u64, f64)> = buckets
+            .into_iter()
+            .map(|(frame, (sum, n))| (frame, sum as f64 / n as f64))
+            .collect();
+        out.sort_by_key(|&(frame, _)| frame);
+        out
     }
 
     /// Simulation throughput in slots per wall-clock second, over the time
@@ -568,7 +501,6 @@ mod tests {
     #[test]
     fn per_link_attempts_default_to_zero() {
         let stats = SimStats::new();
-        assert_eq!(stats.tx_attempts_of(Link::up(NodeId(3))), 0);
         assert!(stats.tx_attempts_per_link().is_empty());
     }
 
@@ -578,9 +510,6 @@ mod tests {
         stats.record_tx_attempt(Link::up(NodeId(3)));
         stats.record_tx_attempt(Link::up(NodeId(3)));
         stats.record_tx_attempt(Link::down(NodeId(3)));
-        assert_eq!(stats.tx_attempts_of(Link::up(NodeId(3))), 2);
-        assert_eq!(stats.tx_attempts_of(Link::down(NodeId(3))), 1);
-        assert_eq!(stats.tx_attempts_of(Link::up(NodeId(1))), 0);
         let map = stats.tx_attempts_per_link();
         assert_eq!(map.len(), 2, "zero entries are omitted");
         assert_eq!(map[&Link::up(NodeId(3))], 2);
@@ -601,7 +530,6 @@ mod tests {
     fn streaming_mode_matches_full_aggregates() {
         let mut full = SimStats::new();
         let mut streaming = SimStats::streaming();
-        streaming.track_timeline(NodeId(1), 10);
         let deliveries = [
             (NodeId(1), Asn(0), Asn(5)),
             (NodeId(1), Asn(2), Asn(9)),
@@ -622,12 +550,8 @@ mod tests {
                 (s.count, s.mean, s.min, s.max)
             );
         }
-        assert_eq!(
-            streaming.latency_timeline(NodeId(1), 10),
-            full.latency_timeline(NodeId(1), 10)
-        );
-        // An untracked source has no streaming timeline.
-        assert!(streaming.latency_timeline(NodeId(2), 10).is_empty());
+        // A timeline needs the records streaming mode does not keep.
+        assert!(streaming.latency_timeline(NodeId(1), 10).is_empty());
         let (fh, sh) = (full.latency_histogram(), streaming.latency_histogram());
         assert_eq!(fh, sh, "histograms agree bucket-for-bucket across modes");
         assert_eq!(fh.count, 4);

@@ -99,7 +99,7 @@ impl fmt::Display for Cell {
 /// assert_eq!(cfg.channels, 16);
 /// assert_eq!(cfg.cells_per_slotframe(), 199 * 16);
 /// // One slotframe is 1.99 s, as reported in the paper.
-/// assert!((cfg.slotframe_duration_s() - 1.99).abs() < 1e-9);
+/// assert!((cfg.slots_to_seconds(199) - 1.99).abs() < 1e-9);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SlotframeConfig {
@@ -170,15 +170,9 @@ impl SlotframeConfig {
         asn.0 / self.slots as u64
     }
 
-    /// The first ASN of the slotframe containing `asn`.
-    #[must_use]
-    pub const fn slotframe_start(&self, asn: Asn) -> Asn {
-        Asn(self.slotframe_index(asn) * self.slots as u64)
-    }
-
     /// The earliest ASN at or after `now` whose slot offset is `slot`.
     #[must_use]
-    pub fn next_occurrence(&self, now: Asn, slot: u32) -> Asn {
+    pub(crate) fn next_occurrence(&self, now: Asn, slot: u32) -> Asn {
         debug_assert!(slot < self.slots);
         let cur = self.slot_offset(now);
         if slot >= cur {
@@ -186,12 +180,6 @@ impl SlotframeConfig {
         } else {
             now.plus((self.slots - cur + slot) as u64)
         }
-    }
-
-    /// Duration of one slotframe in seconds.
-    #[must_use]
-    pub fn slotframe_duration_s(&self) -> f64 {
-        self.slots as f64 * self.slot_duration_us as f64 / 1e6
     }
 
     /// Converts a slot count to seconds.
@@ -257,7 +245,7 @@ mod tests {
         assert_eq!(cfg.slots, 199);
         assert_eq!(cfg.channels, 16);
         assert_eq!(cfg.slot_duration_us, 10_000);
-        assert!((cfg.slotframe_duration_s() - 1.99).abs() < 1e-12);
+        assert!((cfg.slots_to_seconds(199) - 1.99).abs() < 1e-12);
     }
 
     #[test]
@@ -289,7 +277,6 @@ mod tests {
         assert_eq!(cfg.slot_offset(Asn(10)), 0);
         assert_eq!(cfg.slotframe_index(Asn(9)), 0);
         assert_eq!(cfg.slotframe_index(Asn(10)), 1);
-        assert_eq!(cfg.slotframe_start(Asn(25)), Asn(20));
     }
 
     #[test]

@@ -52,15 +52,6 @@ pub enum Direction {
 impl Direction {
     /// Both directions, uplink first.
     pub const BOTH: [Direction; 2] = [Direction::Up, Direction::Down];
-
-    /// The opposite direction.
-    #[must_use]
-    pub const fn reversed(self) -> Direction {
-        match self {
-            Direction::Up => Direction::Down,
-            Direction::Down => Direction::Up,
-        }
-    }
 }
 
 impl fmt::Display for Direction {
@@ -84,7 +75,6 @@ impl fmt::Display for Direction {
 /// let up = Link::up(NodeId(5));
 /// assert_eq!(up.child, NodeId(5));
 /// assert_eq!(up.direction, Direction::Up);
-/// assert_eq!(up.reversed(), Link::down(NodeId(5)));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Link {
@@ -110,15 +100,6 @@ impl Link {
         Self {
             child,
             direction: Direction::Down,
-        }
-    }
-
-    /// The same edge in the opposite direction.
-    #[must_use]
-    pub const fn reversed(self) -> Link {
-        Link {
-            child: self.child,
-            direction: self.direction.reversed(),
         }
     }
 
@@ -487,32 +468,10 @@ impl Tree {
         pre
     }
 
-    /// Hop distance between two nodes along tree edges.
-    #[must_use]
-    pub fn distance(&self, a: NodeId, b: NodeId) -> u32 {
-        // Walk the deeper node up until depths match, then walk both.
-        let (mut a, mut b) = (a, b);
-        let mut dist = 0;
-        while self.depth(a) > self.depth(b) {
-            a = self.parent(a).expect("deeper node has a parent");
-            dist += 1;
-        }
-        while self.depth(b) > self.depth(a) {
-            b = self.parent(b).expect("deeper node has a parent");
-            dist += 1;
-        }
-        while a != b {
-            a = self.parent(a).expect("non-root while unequal");
-            b = self.parent(b).expect("non-root while unequal");
-            dist += 2;
-        }
-        dist
-    }
-
     /// Returns `true` if `ancestor` lies on `node`'s path to the root
     /// (a node is its own ancestor).
     #[must_use]
-    pub fn is_ancestor(&self, ancestor: NodeId, node: NodeId) -> bool {
+    pub(crate) fn is_ancestor(&self, ancestor: NodeId, node: NodeId) -> bool {
         let mut cur = node;
         loop {
             if cur == ancestor {
@@ -775,16 +734,6 @@ mod tests {
     }
 
     #[test]
-    fn distances() {
-        let t = fig1();
-        assert_eq!(t.distance(NodeId(9), NodeId(9)), 0);
-        assert_eq!(t.distance(NodeId(9), NodeId(7)), 1);
-        assert_eq!(t.distance(NodeId(9), NodeId(10)), 2);
-        assert_eq!(t.distance(NodeId(9), NodeId(11)), 4);
-        assert_eq!(t.distance(NodeId(4), NodeId(9)), 5);
-    }
-
-    #[test]
     fn ancestry() {
         let t = fig1();
         assert!(t.is_ancestor(NodeId(0), NodeId(9)));
@@ -823,14 +772,6 @@ mod tests {
     #[should_panic(expected = "root cannot have a parent")]
     fn from_parents_rejects_root_child() {
         let _ = Tree::from_parents(&[(0, 1)]);
-    }
-
-    #[test]
-    fn link_reversal() {
-        let l = Link::up(NodeId(2));
-        assert_eq!(l.reversed().direction, Direction::Down);
-        assert_eq!(l.reversed().reversed(), l);
-        assert_eq!(Direction::Up.reversed(), Direction::Down);
     }
 
     /// The child rows are exactly the per-node lists pushed in id order,

@@ -75,7 +75,7 @@ impl TraceEvent {
 
     /// Returns `true` for failure events (collision, loss, drop).
     #[must_use]
-    pub fn is_failure(&self) -> bool {
+    pub(crate) fn is_failure(&self) -> bool {
         !matches!(self, TraceEvent::TxOk { .. })
     }
 }
@@ -150,11 +150,6 @@ impl TraceBuffer {
         self.events.iter().filter(|e| e.is_failure())
     }
 
-    /// Events touching one link.
-    pub fn for_link(&self, link: Link) -> impl Iterator<Item = &TraceEvent> + '_ {
-        self.events.iter().filter(move |e| e.link() == link)
-    }
-
     /// Number of retained events.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -227,16 +222,6 @@ mod tests {
         });
         assert_eq!(t.failures().count(), 2);
         assert!(t.failures().all(TraceEvent::is_failure));
-    }
-
-    #[test]
-    fn link_filter() {
-        let mut t = TraceBuffer::new(10);
-        t.record(ok(0, 1));
-        t.record(ok(1, 2));
-        t.record(ok(2, 1));
-        assert_eq!(t.for_link(Link::up(NodeId(1))).count(), 2);
-        assert_eq!(t.for_link(Link::down(NodeId(1))).count(), 0);
     }
 
     #[test]

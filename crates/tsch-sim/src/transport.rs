@@ -97,7 +97,7 @@ pub struct TxFate {
 
 impl TxFate {
     /// A clean single delivery with no delay.
-    pub const DELIVERED: TxFate = TxFate {
+    pub(crate) const DELIVERED: TxFate = TxFate {
         delivered: true,
         duplicated: false,
         delay_slots: 0,
@@ -404,13 +404,6 @@ impl<M: Clone> ControlPlane<M> {
         Self::new(tree, config, Box::new(Reliable))
     }
 
-    /// Replaces the reliability tuning (builder style).
-    #[must_use]
-    pub fn with_reliability(mut self, reliability: ReliabilityConfig) -> Self {
-        self.reliability = reliability;
-        self
-    }
-
     /// Replaces the reliability tuning in place. Affects only messages sent
     /// after the call; already-outstanding `Con`s keep their timers.
     pub fn set_reliability(&mut self, reliability: ReliabilityConfig) {
@@ -434,12 +427,6 @@ impl<M: Clone> ControlPlane<M> {
     #[must_use]
     pub fn in_flight(&self) -> usize {
         self.plane.in_flight()
-    }
-
-    /// `Con`s sent but not yet acknowledged.
-    #[must_use]
-    pub fn outstanding(&self) -> usize {
-        self.outstanding.len()
     }
 
     /// Nothing in flight and nothing awaiting an ACK.
@@ -1049,11 +1036,11 @@ mod tests {
             };
             64
         ]);
-        let mut plane: ControlPlane<u32> = ControlPlane::new(&t, cfg(), Box::new(blackhole))
-            .with_reliability(ReliabilityConfig {
-                max_retransmissions: 3,
-                ..ReliabilityConfig::default()
-            });
+        let mut plane: ControlPlane<u32> = ControlPlane::new(&t, cfg(), Box::new(blackhole));
+        plane.set_reliability(ReliabilityConfig {
+            max_retransmissions: 3,
+            ..ReliabilityConfig::default()
+        });
         plane.send(&t, Asn(0), NodeId(9), NodeId(7), 1).unwrap();
         let mut last = Ok(Vec::new());
         while let Some(at) = plane.next_event() {
@@ -1084,13 +1071,13 @@ mod tests {
             };
             64
         ]);
-        let mut plane: ControlPlane<u32> = ControlPlane::new(&t, cfg(), Box::new(blackhole))
-            .with_reliability(ReliabilityConfig {
-                ack_timeout_slotframes: 1,
-                max_retransmissions: 5,
-                max_backoff_slotframes: 4,
-                dedup_window: 64,
-            });
+        let mut plane: ControlPlane<u32> = ControlPlane::new(&t, cfg(), Box::new(blackhole));
+        plane.set_reliability(ReliabilityConfig {
+            ack_timeout_slotframes: 1,
+            max_retransmissions: 5,
+            max_backoff_slotframes: 4,
+            dedup_window: 64,
+        });
         plane.send(&t, Asn(0), NodeId(9), NodeId(7), 1).unwrap();
         let mut timer_gaps = Vec::new();
         let mut prev = None;

@@ -1,47 +1,6 @@
-//! Traffic-change event streams for the dynamic experiments.
+//! Demand recomputation for the dynamic experiments.
 
 use tsch_sim::{Link, NodeId, Rate, Tree};
-
-/// One traffic change: at a given slotframe boundary, a link's demand (or a
-/// task's rate) changes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TrafficChange {
-    /// Slotframe index at which the change takes effect.
-    pub at_slotframe: u64,
-    /// The node whose traffic changes (its uplink/downlink demands move).
-    pub node: NodeId,
-    /// The node's new task rate.
-    pub new_rate: Rate,
-}
-
-/// The Fig. 10 storyline: the observed node's rate steps
-/// 1 → 1.5 → 3 packets/slotframe at two successive instants.
-///
-/// # Examples
-///
-/// ```
-/// use tsch_sim::NodeId;
-/// use workloads::fig10_rate_steps;
-///
-/// let steps = fig10_rate_steps(NodeId(15));
-/// assert_eq!(steps.len(), 2);
-/// assert!(steps[0].at_slotframe < steps[1].at_slotframe);
-/// ```
-#[must_use]
-pub fn fig10_rate_steps(node: NodeId) -> Vec<TrafficChange> {
-    vec![
-        TrafficChange {
-            at_slotframe: 30,
-            node,
-            new_rate: Rate::new(3, 2).expect("3/2 is a valid rate"),
-        },
-        TrafficChange {
-            at_slotframe: 60,
-            node,
-            new_rate: Rate::per_slotframe(3),
-        },
-    ]
-}
 
 /// The new uplink cell requirement of every link on `node`'s path to the
 /// gateway if the node's own rate becomes `new_rate` while every other node
@@ -73,13 +32,6 @@ pub fn uplink_demand_after_change(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fig10_steps_match_paper_rates() {
-        let steps = fig10_rate_steps(NodeId(15));
-        assert!((steps[0].new_rate.as_f64() - 1.5).abs() < 1e-12);
-        assert!((steps[1].new_rate.as_f64() - 3.0).abs() < 1e-12);
-    }
 
     #[test]
     fn demand_recomputation_on_chain() {

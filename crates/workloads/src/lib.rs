@@ -24,14 +24,10 @@ mod scenarios;
 mod tasks;
 mod topo_gen;
 
-pub use dynamics::{fig10_rate_steps, uplink_demand_after_change, TrafficChange};
+pub use dynamics::uplink_demand_after_change;
 pub use mesh::{ForestTree, Mesh};
-pub use scale::{
-    scale_scenario, ScaleScenario, SCALE_SIZES, SCALE_SOURCES_PER_SUBTREE, SCALE_SUBTREES,
-};
-pub use scenarios::{
-    fig10_observed_node, fig11_topologies, fig12_topologies, testbed_50_node_tree,
-};
+pub use scale::{scale_scenario, ScaleScenario, SCALE_SIZES};
+pub use scenarios::{fig11_topologies, fig12_topologies, testbed_50_node_tree};
 pub use tasks::{
     aggregated_echo_requirements, echo_task_per_node, task_id_of, uniform_link_requirements,
     uniform_uplink_requirements, uplink_task_per_node,
@@ -48,9 +44,9 @@ pub mod obs {
     use harp_obs::StaticCounter;
 
     /// Random trees generated ([`TopologyConfig::generate`](crate::TopologyConfig::generate)).
-    pub static TOPOLOGIES_GENERATED: StaticCounter = StaticCounter::new();
+    pub(crate) static TOPOLOGIES_GENERATED: StaticCounter = StaticCounter::new();
     /// Periodic tasks generated (the `*_task_per_node` helpers).
-    pub static TASKS_GENERATED: StaticCounter = StaticCounter::new();
+    pub(crate) static TASKS_GENERATED: StaticCounter = StaticCounter::new();
 
     /// Current totals, in the shape
     /// [`MetricsSnapshot::add_counters`](harp_obs::MetricsSnapshot::add_counters)

@@ -182,16 +182,8 @@ impl Mesh {
 pub struct ForestTree {
     /// The routing tree (local ids, gateway = 0).
     pub tree: Tree,
-    /// `mesh_id[local.index()]` is the mesh node represented by `local`.
+    /// `mesh_ids[local.index()]` is the mesh node represented by `local`.
     pub mesh_ids: Vec<NodeId>,
-}
-
-impl ForestTree {
-    /// The mesh node behind a local tree node.
-    #[must_use]
-    pub fn mesh_id(&self, local: NodeId) -> NodeId {
-        self.mesh_ids[local.index()]
-    }
 }
 
 impl Mesh {
@@ -369,7 +361,7 @@ mod tests {
         for t in &forest {
             for v in t.tree.nodes().skip(1) {
                 let p = t.tree.parent(v).unwrap();
-                let (a, b) = (t.mesh_id(v), t.mesh_id(p));
+                let (a, b) = (t.mesh_ids[v.index()], t.mesh_ids[p.index()]);
                 let key = if a < b { (a, b) } else { (b, a) };
                 assert!(mesh.edges().contains(&key));
             }

@@ -20,14 +20,14 @@ use tsch_sim::{
 };
 
 /// Depth-1 subtrees in every scale scenario.
-pub const SCALE_SUBTREES: usize = 16;
+pub(crate) const SCALE_SUBTREES: usize = 16;
 
 /// Node counts of the scale-study rows (1k → 1M). The bench harness and
 /// its gate both iterate this list, so adding a row here grows both.
 pub const SCALE_SIZES: [u32; 4] = [1_000, 10_000, 100_000, 1_000_000];
 
 /// Traffic sources per subtree (the deepest nodes, so routes are long).
-pub const SCALE_SOURCES_PER_SUBTREE: usize = 8;
+pub(crate) const SCALE_SOURCES_PER_SUBTREE: usize = 8;
 
 /// A complete simulator input for the scale study.
 #[derive(Debug, Clone)]

@@ -531,6 +531,21 @@ pub fn parse_scenario(text: &str) -> Result<Scenario, ScenarioError> {
                     let Some(f) = rest.first() else {
                         return err(line, head.col, "`file` needs a file name");
                     };
+                    // The runner joins the name onto the workspace root: an
+                    // absolute path would replace the root, `..` climb out.
+                    let stays_inside = std::path::Path::new(f.text).components().all(|c| {
+                        matches!(
+                            c,
+                            std::path::Component::Normal(_) | std::path::Component::CurDir
+                        )
+                    });
+                    if !stays_inside {
+                        return err(
+                            line,
+                            f.col,
+                            format!("`file {}` must be a relative path without `..`", f.text),
+                        );
+                    }
                     report.file = Some(f.text.to_owned());
                 }
                 "mode" => {

@@ -1,7 +1,7 @@
 //! Canned experiment scenarios mirroring the paper's setups.
 
 use crate::topo_gen::TopologyConfig;
-use tsch_sim::{NodeId, Tree};
+use tsch_sim::Tree;
 
 /// A fixed 50-node, 5-layer tree standing in for the testbed topology of
 /// Fig. 7(c).
@@ -49,14 +49,6 @@ pub fn testbed_50_node_tree() -> Tree {
     Tree::from_parents(&pairs)
 }
 
-/// The node the paper's Fig. 10 follows through rate changes. In our
-/// stand-in topology node 15 is a layer-2 node, as in the paper's narrative
-/// (its adjustment resolves within one hop).
-#[must_use]
-pub fn fig10_observed_node() -> NodeId {
-    NodeId(15)
-}
-
 /// The random-topology batch of Fig. 11: 100 seeded 50-node, 5-layer trees.
 #[must_use]
 pub fn fig11_topologies() -> Vec<Tree> {
@@ -83,12 +75,6 @@ mod tests {
         assert_eq!(tree.nodes_at_depth(3).len(), 16);
         assert_eq!(tree.nodes_at_depth(4).len(), 12);
         assert_eq!(tree.nodes_at_depth(5).len(), 5);
-    }
-
-    #[test]
-    fn observed_node_is_layer_two() {
-        let tree = testbed_50_node_tree();
-        assert_eq!(tree.depth(fig10_observed_node()), 2);
     }
 
     #[test]

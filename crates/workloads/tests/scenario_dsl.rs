@@ -153,6 +153,11 @@ fn semantic_checks_reject_bad_directives() {
         ),
         ("scenario x\n[report]\nmode adjustments\n", "demand_step"),
         ("scenario x\n[report]\nmode churn\n", "fault"),
+        ("scenario x\n[report]\nfile /tmp/x.json\n", "relative path"),
+        (
+            "scenario x\n[report]\nfile a/../../x.json\n",
+            "relative path",
+        ),
         ("[topology]\n", "missing `scenario"),
     ] {
         let e = parse_scenario(text).unwrap_err();

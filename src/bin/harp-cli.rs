@@ -1,12 +1,25 @@
-//! Thin binary wrapper over [`harp::cli`].
+//! Thin binary wrapper over [`harp::cli`]: a command line that does not
+//! parse exits 2, a command that fails exits 1.
 
-fn main() {
+use std::process::ExitCode;
+
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match harp::cli::CliCommand::parse(&args).and_then(harp::cli::run) {
-        Ok(output) => print!("{output}"),
+    let command = match harp::cli::CliCommand::parse(&args) {
+        Ok(command) => command,
         Err(message) => {
             eprintln!("error: {message}");
-            std::process::exit(1);
+            return ExitCode::from(2);
+        }
+    };
+    match harp::cli::run(command) {
+        Ok(output) => {
+            print!("{output}");
+            ExitCode::SUCCESS
+        }
+        Err(message) => {
+            eprintln!("error: {message}");
+            ExitCode::FAILURE
         }
     }
 }

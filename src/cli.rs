@@ -64,22 +64,6 @@ pub enum CliCommand {
         /// Topologies to average over.
         count: usize,
     },
-    /// `serve`: run the multi-tenant `harpd` service until shut down.
-    Serve {
-        /// Bind address (default 127.0.0.1).
-        addr: String,
-        /// Bind port (default 7464; 0 picks a free port).
-        port: u16,
-        /// Worker threads.
-        workers: usize,
-        /// Shutdown token (`POST /shutdown?token=...`).
-        token: String,
-        /// Directory named `scenario_file` bodies resolve under.
-        scenario_dir: String,
-        /// Per-request latency SLO in microseconds; a slower request
-        /// trips the flight recorder into freezing an incident.
-        slo_us: u64,
-    },
     /// `scenarios list`: list + validate the checked-in scenario files.
     ScenariosList,
     /// `scenarios validate <file>..`: parse + compile-check scenario files.
@@ -125,14 +109,15 @@ USAGE:
   harp-cli adjust     [net args] --node X --cells C
   harp-cli deadlines  [net args] [--frames F]
   harp-cli collisions --scheduler random|msf|alice|ldsf|harp [--rate R] [--count N]
-  harp-cli serve      [--addr A] [--port P] [--workers W] [--token T] [--scenario-dir D] [--slo-us U]
   harp-cli scenarios  list
   harp-cli scenarios  validate <file.scn>..
   harp-cli help
 ";
 
-fn parse_kv(args: &[String]) -> Result<std::collections::BTreeMap<String, String>, String> {
-    let mut map = std::collections::BTreeMap::new();
+type Flags = std::collections::BTreeMap<String, String>;
+
+fn parse_kv(args: &[String]) -> Result<Flags, String> {
+    let mut map = Flags::new();
     let mut i = 0;
     while i < args.len() {
         let key = args[i]
@@ -147,27 +132,29 @@ fn parse_kv(args: &[String]) -> Result<std::collections::BTreeMap<String, String
     Ok(map)
 }
 
-fn get<T: std::str::FromStr>(
-    map: &std::collections::BTreeMap<String, String>,
-    key: &str,
-    default: T,
-) -> Result<T, String> {
-    match map.get(key) {
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("invalid value for --{key}: '{v}'")),
-        None => Ok(default),
-    }
+/// Takes `--key`'s value out of `map`, so that what is left once a
+/// command has taken its own flags is what it does not define.
+fn take<T: std::str::FromStr>(map: &mut Flags, key: &str) -> Result<Option<T>, String> {
+    map.remove(key)
+        .map(|v| {
+            v.parse()
+                .map_err(|_| format!("invalid value for --{key}: '{v}'"))
+        })
+        .transpose()
 }
 
-fn parse_net(map: &std::collections::BTreeMap<String, String>) -> Result<NetArgs, String> {
+fn take_required<T: std::str::FromStr>(map: &mut Flags, key: &str) -> Result<T, String> {
+    take(map, key)?.ok_or_else(|| format!("--{key} is required"))
+}
+
+fn parse_net(map: &mut Flags) -> Result<NetArgs, String> {
     let d = NetArgs::default();
     Ok(NetArgs {
-        nodes: get(map, "nodes", d.nodes)?,
-        layers: get(map, "layers", d.layers)?,
-        seed: get(map, "seed", d.seed)?,
-        rate: get(map, "rate", d.rate)?,
-        channels: get(map, "channels", d.channels)?,
+        nodes: take(map, "nodes")?.unwrap_or(d.nodes),
+        layers: take(map, "layers")?.unwrap_or(d.layers),
+        seed: take(map, "seed")?.unwrap_or(d.seed),
+        rate: take(map, "rate")?.unwrap_or(d.rate),
+        channels: take(map, "channels")?.unwrap_or(d.channels),
     })
 }
 
@@ -194,59 +181,34 @@ impl CliCommand {
                 None => Err(format!("`scenarios` needs a subcommand\n{USAGE}")),
             };
         }
-        let map = parse_kv(&args[1..])?;
-        match command.as_str() {
-            "partition" => Ok(CliCommand::Partition(parse_net(&map)?)),
-            "simulate" => Ok(CliCommand::Simulate {
-                net: parse_net(&map)?,
-                frames: get(&map, "frames", 50)?,
-                pdr: get(&map, "pdr", 1.0)?,
-            }),
-            "adjust" => Ok(CliCommand::Adjust {
-                net: parse_net(&map)?,
-                node: get(&map, "node", u32::MAX).and_then(|n: u32| {
-                    if n == u32::MAX {
-                        Err("--node is required".into())
-                    } else {
-                        Ok(n)
-                    }
-                })?,
-                cells: get(&map, "cells", 0).and_then(|c: u32| {
-                    if c == 0 {
-                        Err("--cells is required".into())
-                    } else {
-                        Ok(c)
-                    }
-                })?,
-            }),
-            "deadlines" => Ok(CliCommand::Deadlines {
-                net: parse_net(&map)?,
-                frames: get(&map, "frames", 2)?,
-            }),
-            "collisions" => Ok(CliCommand::Collisions {
-                scheduler: map
-                    .get("scheduler")
-                    .cloned()
-                    .ok_or("--scheduler is required")?,
-                rate: get(&map, "rate", 3)?,
-                count: get(&map, "count", 20)?,
-            }),
-            "serve" => Ok(CliCommand::Serve {
-                addr: map
-                    .get("addr")
-                    .cloned()
-                    .unwrap_or_else(|| "127.0.0.1".into()),
-                port: get(&map, "port", 7464)?,
-                workers: get(&map, "workers", 4)?,
-                token: map.get("token").cloned().unwrap_or_else(|| "harpd".into()),
-                scenario_dir: map
-                    .get("scenario-dir")
-                    .cloned()
-                    .unwrap_or_else(|| scenario_dir().display().to_string()),
-                slo_us: get(&map, "slo-us", harpd::state::DEFAULT_SLO_US)?,
-            }),
-            "help" | "--help" | "-h" => Ok(CliCommand::Help),
-            other => Err(format!("unknown command '{other}'\n{USAGE}")),
+        let map = &mut parse_kv(&args[1..])?;
+        let parsed = match command.as_str() {
+            "partition" => CliCommand::Partition(parse_net(map)?),
+            "simulate" => CliCommand::Simulate {
+                net: parse_net(map)?,
+                frames: take(map, "frames")?.unwrap_or(50),
+                pdr: take(map, "pdr")?.unwrap_or(1.0),
+            },
+            "adjust" => CliCommand::Adjust {
+                net: parse_net(map)?,
+                node: take_required(map, "node")?,
+                cells: take_required(map, "cells")?,
+            },
+            "deadlines" => CliCommand::Deadlines {
+                net: parse_net(map)?,
+                frames: take(map, "frames")?.unwrap_or(2),
+            },
+            "collisions" => CliCommand::Collisions {
+                scheduler: take_required(map, "scheduler")?,
+                rate: take(map, "rate")?.unwrap_or(3),
+                count: take(map, "count")?.unwrap_or(20),
+            },
+            "help" | "--help" | "-h" => CliCommand::Help,
+            other => return Err(format!("unknown command '{other}'\n{USAGE}")),
+        };
+        match map.keys().next() {
+            Some(key) => Err(format!("unknown flag --{key} for `{command}`\n{USAGE}")),
+            None => Ok(parsed),
         }
     }
 }
@@ -279,34 +241,6 @@ fn build_network(net: NetArgs) -> Result<(tsch_sim::Tree, Requirements, Slotfram
 pub fn run(command: CliCommand) -> Result<String, String> {
     match command {
         CliCommand::Help => Ok(USAGE.to_string()),
-        CliCommand::Serve {
-            addr,
-            port,
-            workers,
-            token,
-            scenario_dir,
-            slo_us,
-        } => {
-            let config = harpd::server::ServerConfig {
-                addr: format!("{addr}:{port}"),
-                workers,
-                token,
-                scenario_dir: scenario_dir.into(),
-                read_timeout: std::time::Duration::from_secs(5),
-                slo_us,
-            };
-            let server = harpd::server::Server::bind(config).map_err(|e| e.to_string())?;
-            let local = server.local_addr().map_err(|e| e.to_string())?;
-            // `run` blocks until a token-matched shutdown drains the pool;
-            // the returned summary is the final metrics flush.
-            println!("harpd listening on {local}");
-            let summary = server.run();
-            Ok(format!(
-                "harpd drained ({} network(s) hosted)\n{}",
-                summary.networks,
-                summary.exposition()
-            ))
-        }
         CliCommand::ScenariosList => list_scenarios(),
         CliCommand::ScenariosValidate(files) => {
             let mut out = String::new();
@@ -467,8 +401,7 @@ pub fn run(command: CliCommand) -> Result<String, String> {
 
 /// The checked-in scenario directory at the workspace root (this crate's
 /// manifest directory under cargo, the working directory otherwise).
-#[must_use]
-pub fn scenario_dir() -> PathBuf {
+fn scenario_dir() -> PathBuf {
     match std::env::var("CARGO_MANIFEST_DIR") {
         Ok(dir) => Path::new(&dir).join("scenarios"),
         Err(_) => PathBuf::from("scenarios"),
@@ -599,6 +532,11 @@ mod tests {
         assert!(CliCommand::parse(&args("partition --nodes abc"))
             .unwrap_err()
             .contains("invalid value"));
+        assert!(CliCommand::parse(&args("partition --nodez 9"))
+            .unwrap_err()
+            .contains("unknown flag --nodez"));
+        // 0 is the release a leaving leaf requests, not a missing flag.
+        assert!(CliCommand::parse(&args("adjust --node 5 --cells 0")).is_ok());
     }
 
     #[test]
@@ -742,64 +680,6 @@ mod tests {
             count: 1
         })
         .is_err());
-    }
-
-    #[test]
-    fn parse_serve_defaults_and_overrides() {
-        let cmd = CliCommand::parse(&args("serve")).unwrap();
-        let CliCommand::Serve {
-            addr,
-            port,
-            workers,
-            token,
-            ..
-        } = cmd
-        else {
-            panic!()
-        };
-        assert_eq!(
-            (addr.as_str(), port, workers, token.as_str()),
-            ("127.0.0.1", 7464, 4, "harpd")
-        );
-        let cmd = CliCommand::parse(&args(
-            "serve --port 0 --workers 2 --token s --addr 0.0.0.0 --slo-us 500000",
-        ))
-        .unwrap();
-        let CliCommand::Serve {
-            addr,
-            port,
-            workers,
-            slo_us,
-            ..
-        } = cmd
-        else {
-            panic!()
-        };
-        assert_eq!(
-            (addr.as_str(), port, workers, slo_us),
-            ("0.0.0.0", 0, 2, 500_000)
-        );
-        assert!(CliCommand::parse(&args("serve --port notaport"))
-            .unwrap_err()
-            .contains("invalid value"));
-    }
-
-    #[test]
-    fn serve_runs_and_drains() {
-        // Bind a free port, drive one request through a real socket, shut
-        // down via the token, and check the drain summary.
-        let config = harpd::server::ServerConfig::loopback(1, "cli-test", "scenarios");
-        let server = harpd::server::Server::bind(config).unwrap();
-        let addr = server.local_addr().unwrap();
-        let join = std::thread::spawn(move || server.run());
-        let mut client = harpd::client::HttpClient::new(addr);
-        assert_eq!(client.get("/health").unwrap().status, 200);
-        assert_eq!(
-            client.post("/shutdown?token=cli-test", "").unwrap().status,
-            200
-        );
-        let summary = join.join().unwrap();
-        assert!(summary.exposition().contains("harpd_requests_total"));
     }
 
     #[test]

@@ -1,13 +1,10 @@
-//! HARP vs adaptive MSF under the same traffic surge — the dynamic
-//! trade-off the paper's two experiments show from opposite sides:
-//! MSF adapts with trivially few packets but its uncoordinated cells
-//! collide; HARP spends a few management messages and never collides.
+//! HARP under a traffic surge: it spends a few management messages and
+//! never collides.
 
 use harp::core::{HarpNetwork, SchedulingPolicy};
 use harp::sim::{
     GlobalInterference, Link, NodeId, Rate, SimulatorBuilder, SlotframeConfig, Task, TaskId,
 };
-use schedulers::MsfAdaptiveNetwork;
 
 /// The shared scenario: a 50-node network where one deep node's rate jumps
 /// from 1 to 4 packets per slotframe.
@@ -52,45 +49,4 @@ fn harp_absorbs_surge_without_collisions() {
     assert_eq!(sim.stats().deliveries.len() as u64, sim.stats().generated);
     assert!(total_msgs >= 2, "the surge escalates at least one hop");
     assert!(total_msgs <= 120, "but stays far from a full rebuild");
-}
-
-#[test]
-fn msf_adapts_cheaply_but_collides() {
-    let (tree, surging) = scenario();
-    let config = SlotframeConfig::paper_default();
-    // Background: one low-rate task per node keeps every autonomous cell
-    // lightly used; the surge pushes one path into adaptation.
-    let mut builder = SimulatorBuilder::new(tree.clone(), config)
-        .interference(Box::new(GlobalInterference))
-        .seed(3);
-    for (id, v) in tree.nodes().skip(1).enumerate() {
-        let rate = if v == surging {
-            Rate::per_slotframe(4)
-        } else {
-            Rate::new(1, 2).unwrap()
-        };
-        builder = builder
-            .task(Task::uplink(TaskId(id as u32), v, rate))
-            .unwrap();
-    }
-    let mut sim = builder.build();
-    let mut msf = MsfAdaptiveNetwork::bootstrap(&tree, &mut sim);
-
-    for _ in 0..12 {
-        sim.run_slotframes(4);
-        msf.observe_and_adapt(&mut sim, 4);
-    }
-
-    // MSF reacted: the surging path grew beyond its bootstrap cell.
-    assert!(
-        msf.cells_of(Link::up(surging)) > 1,
-        "adaptation must add cells on the surging link"
-    );
-    // The price: uncoordinated cells collide somewhere in the network.
-    assert!(
-        sim.stats().collisions > 0,
-        "autonomous cells collide under load"
-    );
-    // And the signalling really is flat: two packets per change.
-    assert!(msf.sixtop_packets().is_multiple_of(2));
 }
