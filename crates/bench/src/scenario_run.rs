@@ -780,6 +780,8 @@ fn run_replicates(
 
 /// `churn`: sequential mobile-node churn on a converged control plane —
 /// each `reparent` fault re-attaches a leaf and reports the protocol cost.
+/// A move the new path cannot hold is rolled back and reported as a row
+/// with `rejected` 1 (and no cost); the run goes on.
 fn run_churn(scenario: &Scenario, opts: &RunOptions) -> Result<(String, String), String> {
     let tree = single_tree(scenario, opts);
     let config = scenario.slotframe_config()?;
@@ -813,18 +815,24 @@ fn run_churn(scenario: &Scenario, opts: &RunOptions) -> Result<(String, String),
     let mut rows = Vec::new();
     for (i, &(at_frame, node, to)) in events.iter().enumerate() {
         let at = Asn(net.now().0.max(at_frame * u64::from(config.slots)));
-        let report = net
-            .reparent_leaf(at, NodeId(node), NodeId(to))
-            .map_err(|e| format!("reparent node {node} under {to}: {e}"))?;
         let label = format!("ev{i}_N{node}_to{to}");
-        let _ = writeln!(
-            out,
-            "{label:<16} {:>6} {:>7} {:>5} {:>4}",
-            report.involved_nodes.len(),
-            report.layers.len(),
-            report.mgmt_messages + report.cell_messages,
-            report.slotframes(config)
-        );
+        let (report, rejected) = match net.reparent_leaf(at, NodeId(node), NodeId(to)) {
+            Ok(report) => {
+                let _ = writeln!(
+                    out,
+                    "{label:<16} {:>6} {:>7} {:>5} {:>4}",
+                    report.involved_nodes.len(),
+                    report.layers.len(),
+                    report.mgmt_messages + report.cell_messages,
+                    report.slotframes(config)
+                );
+                (report, false)
+            }
+            Err(e) => {
+                let _ = writeln!(out, "{label:<16} rejected: {e}");
+                (ProtocolReport::default(), true)
+            }
+        };
         rows.push((
             label,
             vec![
@@ -833,6 +841,7 @@ fn run_churn(scenario: &Scenario, opts: &RunOptions) -> Result<(String, String),
                 ("mgmt_messages", report.mgmt_messages as f64),
                 ("cell_messages", report.cell_messages as f64),
                 ("slotframes", report.slotframes(config) as f64),
+                ("rejected", f64::from(u8::from(rejected))),
             ],
         ));
     }
@@ -868,6 +877,32 @@ mod tests {
         let sample = sweep_one(&scenario, &tree, SlotframeConfig::paper_default(), 0.9, 42);
         assert!(sample.static_report.mgmt_messages > 0);
         assert!(sample.adjust_report.elapsed_slots() > 0);
+    }
+
+    #[test]
+    fn churn_reports_a_rejected_reparent_and_goes_on() {
+        // Eight slots hold the static phase exactly (two layer-1 cells,
+        // one each at layers 2 and 3, per direction); moving node 2 under
+        // node 4 needs a fourth layer, which the slotframe cannot hold.
+        let scenario = parse_scenario(
+            "scenario s\n[topology]\nlink 1 0\nlink 2 0\nlink 3 1\nlink 4 3\n\
+             [scheduler]\nslots 8\nchannels 1\n[workloads]\ndemand uniform cells=1\n\
+             [faults]\nreparent node=2 to=4 at_frame=1\nreparent node=4 to=3 at_frame=2\n\
+             [report]\nmode churn\n",
+        )
+        .unwrap();
+        let run = run_scenario(&scenario, &RunOptions::default()).unwrap();
+        assert!(
+            run.stdout.contains("ev0_N2_to4       rejected: "),
+            "{}",
+            run.stdout
+        );
+        let rows: Vec<&str> = run.json.lines().filter(|l| l.contains("\"ev")).collect();
+        assert_eq!(rows.len(), 2, "{}", run.json);
+        assert!(rows[0].contains("\"rejected\": 1.000"), "{}", rows[0]);
+        assert!(rows[0].contains("\"mgmt_messages\": 0.000"), "{}", rows[0]);
+        assert!(rows[1].contains("\"rejected\": 0.000"), "{}", rows[1]);
+        assert!(rows[1].contains("\"cell_messages\": 4.000"), "{}", rows[1]);
     }
 
     #[test]

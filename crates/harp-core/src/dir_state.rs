@@ -17,7 +17,7 @@
 
 use crate::component::{ResourceComponent, ResourceInterface};
 use crate::compose::CompositionLayout;
-use crate::node::{HarpNode, NodeObsCounters};
+use crate::node::{HarpNode, NeighbourUndo, NodeObsCounters};
 use crate::schedule_gen::CellRun;
 use packing::{Point, Rect};
 use std::mem;
@@ -303,6 +303,8 @@ enum Undo {
     Dir(Direction, DirUndo),
     /// The node's counters before a bump.
     Counters(NodeObsCounters),
+    /// A topology event's edit of the node's neighbourhood.
+    Neighbour(NeighbourUndo),
 }
 
 // A recording run allocates its log, so an adjustment's bytes follow the
@@ -320,7 +322,8 @@ const _: () = assert!(mem::size_of::<(NodeId, Undo)>() <= 56);
 /// Off, it drops what it is given, so writes outside a transaction cost
 /// what they did without a log; recording, it keeps each displaced value
 /// until the run commits (drop the log) or aborts ([`UndoLog::rollback`]).
-#[derive(Debug)]
+/// The default is off.
+#[derive(Debug, Default)]
 pub(crate) struct UndoLog {
     entries: Option<Vec<(NodeId, Undo)>>,
 }
@@ -354,6 +357,11 @@ impl UndoLog {
         self.push(node, Undo::Counters(counters));
     }
 
+    /// Records how to undo an edit of `node`'s neighbourhood.
+    pub(crate) fn save_neighbourhood(&mut self, node: NodeId, undo: NeighbourUndo) {
+        self.push(node, Undo::Neighbour(undo));
+    }
+
     /// Puts every recorded value back, newest first: the nodes are as they
     /// were when recording started.
     pub(crate) fn rollback(self, nodes: &mut [HarpNode]) {
@@ -362,6 +370,7 @@ impl UndoLog {
             match undo {
                 Undo::Dir(direction, displaced) => node.dir_state_mut(direction).revert(displaced),
                 Undo::Counters(counters) => node.restore_counters(counters),
+                Undo::Neighbour(undo) => node.revert_neighbourhood(undo),
             }
         }
     }

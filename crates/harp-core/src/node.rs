@@ -131,6 +131,22 @@ impl NodeObsCounters {
     }
 }
 
+/// A neighbourhood edit as the undo log keeps it: what puts it back.
+#[derive(Debug)]
+pub(crate) enum NeighbourUndo {
+    /// A child was appended to the children list, or to the non-leaf
+    /// children list if `nonleaf`.
+    Appended { nonleaf: bool },
+    /// `child` was removed from position `at` of one of those lists.
+    Removed {
+        nonleaf: bool,
+        at: u32,
+        child: NodeId,
+    },
+    /// The parent pointer and link layer before a parent switch.
+    Parent(Option<NodeId>, u32),
+}
+
 /// One HARP participant: the distributed state machine of a single device.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HarpNode {
@@ -216,6 +232,50 @@ impl HarpNode {
         self.counters = counters;
     }
 
+    /// Undoes one neighbourhood edit an aborted run had logged
+    /// ([`UndoLog::rollback`]).
+    pub(crate) fn revert_neighbourhood(&mut self, undo: NeighbourUndo) {
+        match undo {
+            NeighbourUndo::Appended { nonleaf } => {
+                self.neighbours(nonleaf).pop();
+            }
+            NeighbourUndo::Removed { nonleaf, at, child } => {
+                self.neighbours(nonleaf).insert(at as usize, child);
+            }
+            NeighbourUndo::Parent(parent, link_layer) => {
+                self.parent = parent;
+                self.link_layer = link_layer;
+            }
+        }
+    }
+
+    /// The children list, or the non-leaf children list if `nonleaf`.
+    fn neighbours(&mut self, nonleaf: bool) -> &mut Vec<NodeId> {
+        if nonleaf {
+            &mut self.nonleaf_children
+        } else {
+            &mut self.children
+        }
+    }
+
+    /// Appends `child` to one children list, logging the edit.
+    fn append_neighbour(&mut self, log: &mut UndoLog, nonleaf: bool, child: NodeId) {
+        self.neighbours(nonleaf).push(child);
+        log.save_neighbourhood(self.id, NeighbourUndo::Appended { nonleaf });
+    }
+
+    /// Removes `child` from one children list if it is there, logging the
+    /// edit.
+    fn remove_neighbour(&mut self, log: &mut UndoLog, nonleaf: bool, child: NodeId) {
+        let list = self.neighbours(nonleaf);
+        if let Some(at) = list.iter().position(|&c| c == child) {
+            list.remove(at);
+            let at = u32::try_from(at).expect("a node has fewer than u32::MAX children");
+            let undo = NeighbourUndo::Removed { nonleaf, at, child };
+            log.save_neighbourhood(self.id, undo);
+        }
+    }
+
     /// The only way to write one direction's state: through `log`.
     fn dir_mut<'a>(&'a mut self, log: &'a mut UndoLog, d: Direction) -> DirWriter<'a> {
         let id = self.id;
@@ -262,27 +322,29 @@ impl HarpNode {
         self.dir(direction).req(child).unwrap_or(0)
     }
 
-    // ---- topology mutation (node join / parent switch) ----
+    // ---- topology mutation (node join / departure / parent switch); each
+    // edit writes through `log` like a handler does, so a rejected event
+    // rolls it back ----
 
     /// Registers `child` as a new (leaf) child of this node with zero
     /// demand. Demand is added afterwards via
     /// [`HarpNode::request_change`], which triggers the partition machinery.
-    pub(crate) fn adopt_child(&mut self, child: NodeId) {
+    pub(crate) fn adopt_child(&mut self, log: &mut UndoLog, child: NodeId) {
         if !self.children.contains(&child) {
-            self.children.push(child);
+            self.append_neighbour(log, false, child);
         }
         for d in Direction::BOTH {
             if self.dir(d).req(child).is_none() {
-                self.set_requirement(d, child, 0);
+                self.dir_mut(log, d).put_req(child, Some(0));
             }
         }
     }
 
     /// Marks `child` as non-leaf (it adopted a child of its own), so this
     /// node starts forwarding partition updates to it.
-    pub(crate) fn promote_child(&mut self, child: NodeId) {
+    pub(crate) fn promote_child(&mut self, log: &mut UndoLog, child: NodeId) {
         if self.children.contains(&child) && !self.nonleaf_children.contains(&child) {
-            self.nonleaf_children.push(child);
+            self.append_neighbour(log, true, child);
         }
     }
 
@@ -290,10 +352,9 @@ impl HarpNode {
     /// interface and cell assignments. The freed cells become idle area in
     /// this node's partition (released locally, as §V prescribes for
     /// departures).
-    pub(crate) fn orphan_child(&mut self, child: NodeId) {
-        self.children.retain(|&c| c != child);
-        self.nonleaf_children.retain(|&c| c != child);
-        let log = &mut UndoLog::off();
+    pub(crate) fn orphan_child(&mut self, log: &mut UndoLog, child: NodeId) {
+        self.remove_neighbour(log, false, child);
+        self.remove_neighbour(log, true, child);
         for d in Direction::BOTH {
             let mut ds = self.dir_mut(log, d);
             ds.put_req(child, None);
@@ -317,8 +378,9 @@ impl HarpNode {
 
     /// Rebinds this node's parent pointer and link layer after a parent
     /// switch (its own depth may have changed).
-    pub(crate) fn set_parent(&mut self, parent: Option<NodeId>, link_layer: u32) {
-        self.parent = parent;
+    pub(crate) fn set_parent(&mut self, log: &mut UndoLog, parent: NodeId, link_layer: u32) {
+        let old = NeighbourUndo::Parent(self.parent.replace(parent), self.link_layer);
+        log.save_neighbourhood(self.id, old);
         self.link_layer = link_layer;
     }
 

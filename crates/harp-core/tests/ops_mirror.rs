@@ -76,6 +76,32 @@ fn every_mutation_pathway_emits_mirrorable_ops() {
 }
 
 #[test]
+fn topology_events_keep_each_others_ops_and_bump_the_version_once() {
+    // A leave or a reparent used to drain the sink through the public
+    // `request_change`, dropping the ops of every event before it, and to
+    // advance the version three times.
+    let tree = Tree::paper_fig1_example();
+    let config = SlotframeConfig::paper_default();
+    let reqs = fig1_reqs(&tree);
+    let mut net = HarpNetwork::new(tree, config, &reqs, SchedulingPolicy::RateMonotonic);
+    net.run_static().unwrap();
+    let mut mirror = net.schedule().clone();
+
+    let v0 = net.version();
+    let (joined, _) = net.join_leaf(net.now(), NodeId(7), 2, 1).unwrap();
+    assert_eq!(net.version(), v0 + 1, "join");
+    net.leave_leaf(net.now(), joined).unwrap();
+    assert_eq!(net.version(), v0 + 2, "leave");
+    net.reparent_leaf(net.now(), NodeId(10), NodeId(8)).unwrap();
+    assert_eq!(net.version(), v0 + 3, "reparent");
+
+    for op in net.take_ops() {
+        apply_op(&mut mirror, &op).unwrap();
+    }
+    assert_mirror_matches(&net, &mirror, "join, leave and reparent with one drain");
+}
+
+#[test]
 fn run_static_clears_the_sink_for_lockstep_embedding() {
     // Lockstep callers clone the post-static schedule as their mirror seed;
     // a stale static-phase op replayed afterwards would double-assign.

@@ -2,8 +2,8 @@
 //! interference-driven parent switches — the network dynamics that motivate
 //! HARP (§I of the paper).
 
-use harp_core::{unsatisfied_links, HarpNetwork, Requirements, SchedulingPolicy};
-use tsch_sim::{Direction, Link, NodeId, SlotframeConfig, Tree};
+use harp_core::{unsatisfied_links, HarpNetwork, HarpNode, Requirements, SchedulingPolicy};
+use tsch_sim::{Cell, Direction, Link, NodeId, SlotframeConfig, Tree};
 
 fn fig1_network() -> HarpNetwork {
     let tree = Tree::paper_fig1_example();
@@ -109,6 +109,39 @@ fn parent_switch_across_layers() {
     assert_eq!(net.schedule().cells_of(Link::up(NodeId(6))).len(), 1);
     // Old parent (node 2) now has an empty row in use.
     assert_eq!(net.node(NodeId(2)).requirement(Direction::Up, NodeId(6)), 0);
+}
+
+#[test]
+fn a_move_the_tree_refuses_changes_nothing() {
+    // A leaf cannot become its own parent. The move is refused before
+    // anything is written; it used to be found only after the leaf's cells
+    // had been released. The twin makes the same adjustment, so the op
+    // sinks can be compared without draining them first.
+    let (mut net, mut twin) = (fig1_network(), fig1_network());
+    for n in [&mut net, &mut twin] {
+        n.adjust_and_settle(n.now(), Link::up(NodeId(9)), 2)
+            .unwrap();
+    }
+    let leaf = NodeId(10);
+    let nodes: Vec<HarpNode> = net.tree().nodes().map(|v| net.node(v).clone()).collect();
+    let rows: Vec<(Link, Vec<Cell>)> = net
+        .schedule()
+        .iter_links()
+        .map(|(l, c)| (l, c.to_vec()))
+        .collect();
+    let (version, schedule_version, now) = (net.version(), net.schedule().version(), net.now());
+
+    assert!(net.reparent_leaf(now, leaf, leaf).is_err());
+    for (v, before) in net.tree().nodes().zip(&nodes) {
+        assert_eq!(net.node(v), before, "node {v}");
+    }
+    let after = net.schedule().iter_links();
+    assert!(after.eq(rows.iter().map(|(l, c)| (*l, c.as_slice()))));
+    assert_eq!(net.version(), version);
+    assert_eq!(net.schedule().version(), schedule_version);
+    assert_eq!(net.now(), now);
+    assert_eq!(net.take_ops(), twin.take_ops(), "op sink");
+    assert!(!net.schedule().cells_of(Link::up(leaf)).is_empty());
 }
 
 #[test]

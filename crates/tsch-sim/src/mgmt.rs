@@ -15,7 +15,7 @@
 
 use crate::calendar::EventCalendar;
 use crate::time::{Asn, SlotframeConfig};
-use crate::topology::{NodeId, Tree};
+use crate::topology::{Link, NodeId, Tree};
 use core::fmt;
 
 /// A message delivered by [`MgmtPlane::poll`].
@@ -86,6 +86,11 @@ const IN_FLIGHT_RESERVE: usize = 64;
 /// The management plane of a network: carries one-hop messages with
 /// management-cell timing and counts every transmission.
 ///
+/// A management cell is a link: node *i*'s uplink cell and the downlink
+/// cell toward *i* are the hops [`Link::up`] and [`Link::down`] of *i*, so
+/// the plane keeps one table indexed by the hop's dense link id (`2i` and
+/// `2i + 1`), and a cell's slot is a function of that id.
+///
 /// # Examples
 ///
 /// ```
@@ -104,64 +109,50 @@ const IN_FLIGHT_RESERVE: usize = 64;
 #[derive(Debug)]
 pub struct MgmtPlane<M> {
     config: SlotframeConfig,
-    /// Per-node slot offset of the uplink management cell.
-    up_slot: Vec<u32>,
-    /// Per-node slot offset of the downlink management cell (indexed by the
-    /// *receiving child*).
-    down_slot: Vec<u32>,
     /// Future deliveries registered as calendar wakeups; simultaneous
     /// deliveries fire in registration (seq) order.
     in_flight: EventCalendar<InFlight<M>>,
-    /// Last used occurrence of each node's uplink management cell, to
-    /// serialise messages: one message per cell per slotframe.
-    up_busy_until: Vec<Asn>,
-    /// Same for the downlink management cells (indexed by receiving child).
-    down_busy_until: Vec<Asn>,
+    /// Last used occurrence of each management cell, by the dense id of
+    /// its hop, to serialise messages: one message per cell per slotframe.
+    /// Sized for the tree the plane was built for; a joined node's cells
+    /// are appended when first used.
+    busy_until: Vec<Asn>,
     sent: u64,
 }
 
+/// The directed management hop a `from → to` transmission crosses: the
+/// cell it occupies and the link its channel model draws a fate for.
+pub(crate) fn hop(tree: &Tree, from: NodeId, to: NodeId) -> Result<Link, MgmtError> {
+    if tree.parent(from) == Some(to) {
+        Ok(Link::up(from))
+    } else if tree.parent(to) == Some(from) {
+        Ok(Link::down(to))
+    } else {
+        Err(MgmtError::NotNeighbors { from, to })
+    }
+}
+
 impl<M> MgmtPlane<M> {
-    /// Creates a management plane, assigning each node an uplink and a
-    /// downlink management cell spread over the slotframe (mirroring the
-    /// Management sub-frame of the testbed).
+    /// Creates a management plane: each node has an uplink and a downlink
+    /// management cell, packed across channels and cycling through the
+    /// slotframe deterministically (mirroring the Management sub-frame of
+    /// the testbed).
     #[must_use]
     pub fn new(tree: &Tree, config: SlotframeConfig) -> Self {
-        let n = tree.len();
-        let channels = u32::from(config.channels).max(1);
-        let mut up_slot = vec![0u32; n];
-        let mut down_slot = vec![0u32; n];
-        for i in 0..n {
-            // Two management cells per node, packed across channels; the
-            // resulting slots cycle through the slotframe deterministically.
-            let up_index = 2 * i as u32;
-            let down_index = 2 * i as u32 + 1;
-            up_slot[i] = (up_index / channels) % config.slots;
-            down_slot[i] = (down_index / channels) % config.slots;
-        }
+        let cells = 2 * tree.len();
         Self {
             config,
-            up_slot,
-            down_slot,
-            in_flight: EventCalendar::with_capacity((2 * n).min(IN_FLIGHT_RESERVE)),
-            up_busy_until: vec![Asn::ZERO; n],
-            down_busy_until: vec![Asn::ZERO; n],
+            in_flight: EventCalendar::with_capacity(cells.min(IN_FLIGHT_RESERVE)),
+            busy_until: vec![Asn::ZERO; cells],
             sent: 0,
         }
     }
 
-    /// Registers one more node (a device joining the network), assigning it
-    /// the next pair of management cells. Returns the new node's id, which
-    /// always equals the previous node count.
-    pub fn add_node(&mut self) -> NodeId {
-        let i = self.up_slot.len();
-        let channels = u32::from(self.config.channels).max(1);
-        self.up_slot
-            .push(((2 * i as u32) / channels) % self.config.slots);
-        self.down_slot
-            .push(((2 * i as u32 + 1) / channels) % self.config.slots);
-        self.up_busy_until.push(Asn::ZERO);
-        self.down_busy_until.push(Asn::ZERO);
-        NodeId(u32::try_from(i).expect("more than u32::MAX nodes"))
+    /// The slot offset of `hop`'s management cell.
+    fn slot(&self, hop: Link) -> u32 {
+        let channels = usize::from(self.config.channels).max(1);
+        let slots = usize::try_from(self.config.slots).expect("a u32 fits usize");
+        u32::try_from(hop.dense_id() / channels % slots).expect("an offset below `slots`")
     }
 
     /// Total management messages transmitted so far — the overhead metric of
@@ -194,72 +185,39 @@ impl<M> MgmtPlane<M> {
         to: NodeId,
         payload: M,
     ) -> Result<Asn, MgmtError> {
-        let deliver_at = self.occupy(tree, now, from, to, 1)?;
+        let deliver_at = self.occupy(now, hop(tree, from, to)?, 1);
         self.enqueue_raw(deliver_at, from, to, payload);
         Ok(deliver_at)
     }
 
-    /// Occupies the next `count` occurrences of the `from → to` management
-    /// cell — strictly after `now` and the cell's previous use — and counts
+    /// Occupies the next `count` occurrences of `hop`'s management cell —
+    /// strictly after `now` and the cell's previous use — and counts
     /// `count` transmissions, without enqueuing anything: the transport
     /// layer decides what (if anything) actually arrives. Returns when the
     /// first occurrence fires; a cell carries one message per slotframe, so
     /// the `k`-th fires `k` slotframes later.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MgmtError::NotNeighbors`] unless `to` is `from`'s parent or
-    /// child.
-    pub(crate) fn occupy(
-        &mut self,
-        tree: &Tree,
-        now: Asn,
-        from: NodeId,
-        to: NodeId,
-        count: u64,
-    ) -> Result<Asn, MgmtError> {
+    pub(crate) fn occupy(&mut self, now: Asn, hop: Link, count: u64) -> Asn {
         debug_assert!(count > 0, "occupying a cell zero times has no first use");
-        let (slot, busy_until) = if tree.parent(from) == Some(to) {
-            (
-                self.up_slot[from.index()],
-                &mut self.up_busy_until[from.index()],
-            )
-        } else if tree.parent(to) == Some(from) {
-            (
-                self.down_slot[to.index()],
-                &mut self.down_busy_until[to.index()],
-            )
-        } else {
-            return Err(MgmtError::NotNeighbors { from, to });
-        };
+        let slot = self.slot(hop);
+        let id = hop.dense_id();
+        if id >= self.busy_until.len() {
+            self.busy_until.resize(id + 1, Asn::ZERO);
+        }
         // One message per cell occurrence: the departure must be strictly
         // after both `now` and the cell's previous use.
-        let earliest = now.plus(1).max(busy_until.plus(1));
+        let earliest = now.plus(1).max(self.busy_until[id].plus(1));
         let first = self.config.next_occurrence(earliest, slot);
-        *busy_until = first.plus((count - 1) * u64::from(self.config.slots));
+        self.busy_until[id] = first.plus((count - 1) * u64::from(self.config.slots));
         self.sent += count;
-        Ok(first)
+        first
     }
 
-    /// When the next `from → to` management cell fires, strictly after
-    /// `now`, *without* occupying it or counting a transmission. ACKs
-    /// piggyback on this occurrence: they share the cell with regular
-    /// traffic instead of serialising behind it.
-    pub(crate) fn peek_transmit_time(
-        &self,
-        tree: &Tree,
-        now: Asn,
-        from: NodeId,
-        to: NodeId,
-    ) -> Result<Asn, MgmtError> {
-        let slot = if tree.parent(from) == Some(to) {
-            self.up_slot[from.index()]
-        } else if tree.parent(to) == Some(from) {
-            self.down_slot[to.index()]
-        } else {
-            return Err(MgmtError::NotNeighbors { from, to });
-        };
-        Ok(self.config.next_occurrence(now.plus(1), slot))
+    /// When `hop`'s management cell next fires, strictly after `now`,
+    /// *without* occupying it or counting a transmission. ACKs piggyback on
+    /// this occurrence: they share the cell with regular traffic instead of
+    /// serialising behind it.
+    pub(crate) fn peek_transmit_time(&self, now: Asn, hop: Link) -> Asn {
+        self.config.next_occurrence(now.plus(1), self.slot(hop))
     }
 
     /// Enqueues a payload for delivery at `deliver_at`, bypassing cell
@@ -418,18 +376,19 @@ mod tests {
     }
 
     #[test]
-    fn add_node_assigns_fresh_cells() {
+    fn a_joined_node_gets_the_cells_of_a_plane_built_for_the_grown_tree() {
         let t = tree();
-        let mut plane: MgmtPlane<u8> = MgmtPlane::new(&t, cfg());
-        let id = plane.add_node();
-        assert_eq!(id, NodeId(12), "next dense id");
-        // The grown tree can route to/from the new node.
-        let (t2, new_id) = t.with_new_leaf(NodeId(9)).unwrap();
-        assert_eq!(new_id, id);
-        let at = plane.send(&t2, Asn(0), id, NodeId(9), 7).unwrap();
-        let delivered = plane.poll(at);
-        assert_eq!(delivered.len(), 1);
-        assert_eq!(delivered[0].payload, 7);
+        let (grown, id) = t.with_new_leaf(NodeId(9)).unwrap();
+        let mut small: MgmtPlane<u8> = MgmtPlane::new(&t, cfg());
+        let mut built: MgmtPlane<u8> = MgmtPlane::new(&grown, cfg());
+        // Both of the joined node's cells, twice each: the second use
+        // queues behind the first on both planes alike.
+        for (from, to) in [(id, NodeId(9)), (NodeId(9), id)].repeat(2) {
+            let at = small.send(&grown, Asn(3), from, to, 7).unwrap();
+            assert_eq!(at, built.send(&grown, Asn(3), from, to, 7).unwrap());
+        }
+        assert_eq!(small.poll(Asn(1000)), built.poll(Asn(1000)));
+        assert_eq!(small.messages_sent(), 4);
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! plain [`MgmtPlane`], which keeps the paper-reproduction reports stable.
 
 use crate::calendar::EventCalendar;
-use crate::mgmt::{Delivered, MgmtError, MgmtPlane};
+use crate::mgmt::{hop, Delivered, MgmtError, MgmtPlane};
 use crate::radio::{LinkQuality, PdrError};
 use crate::rng::SplitMix64;
 use crate::time::{Asn, SlotframeConfig};
@@ -362,17 +362,6 @@ pub struct ControlPlane<M> {
     obs_ids: TransportObsIds,
 }
 
-/// The directed management hop a `from → to` transmission crosses.
-fn hop_link(tree: &Tree, from: NodeId, to: NodeId) -> Result<Link, MgmtError> {
-    if tree.parent(from) == Some(to) {
-        Ok(Link::up(from))
-    } else if tree.parent(to) == Some(from) {
-        Ok(Link::down(to))
-    } else {
-        Err(MgmtError::NotNeighbors { from, to })
-    }
-}
-
 impl<M: Clone> ControlPlane<M> {
     /// Builds a control plane over `transport` with default reliability
     /// tuning.
@@ -408,11 +397,6 @@ impl<M: Clone> ControlPlane<M> {
     /// after the call; already-outstanding `Con`s keep their timers.
     pub fn set_reliability(&mut self, reliability: ReliabilityConfig) {
         self.reliability = reliability;
-    }
-
-    /// Registers one more node, assigning it fresh management cells.
-    pub fn add_node(&mut self) -> NodeId {
-        self.plane.add_node()
     }
 
     /// Total management transmissions (first sends and retransmissions;
@@ -489,8 +473,8 @@ impl<M: Clone> ControlPlane<M> {
         to: NodeId,
         payload: M,
     ) -> Result<Asn, MgmtError> {
-        let link = hop_link(tree, from, to)?;
-        let deliver_at = self.plane.occupy(tree, now, from, to, 1)?;
+        let link = hop(tree, from, to)?;
+        let deliver_at = self.plane.occupy(now, link, 1);
         self.stats.attempts += 1;
         self.obs.metrics.inc(self.obs_ids.attempts, 1);
         if self.lossless {
@@ -577,7 +561,7 @@ impl<M: Clone> ControlPlane<M> {
             self.lossless,
             "cell occupancy without fates needs a lossless transport"
         );
-        let first = self.plane.occupy(tree, now, from, to, count)?;
+        let first = self.plane.occupy(now, hop(tree, from, to)?, count);
         self.stats.attempts += count;
         self.obs.metrics.inc(self.obs_ids.attempts, count);
         Ok(first)
@@ -685,10 +669,11 @@ impl<M: Clone> ControlPlane<M> {
         msg_id: u64,
         token: u64,
     ) -> Result<(), MgmtError> {
-        let ack_at = self.plane.peek_transmit_time(tree, received_at, from, to)?;
+        let link = hop(tree, from, to)?;
+        let ack_at = self.plane.peek_transmit_time(received_at, link);
         self.stats.acks_sent += 1;
         self.obs.metrics.inc(self.obs_ids.acks_sent, 1);
-        let fate = self.transport.fate(hop_link(tree, from, to)?);
+        let fate = self.transport.fate(link);
         if fate.delivered {
             self.plane.enqueue_raw(
                 ack_at.plus(fate.delay_slots),
@@ -744,7 +729,8 @@ impl<M: Clone> ControlPlane<M> {
                 let o = &self.outstanding[i];
                 (o.from, o.to, o.msg_id, o.payload.clone())
             };
-            let deliver_at = self.plane.occupy(tree, now, from, to, 1)?;
+            let link = hop(tree, from, to)?;
+            let deliver_at = self.plane.occupy(now, link, 1);
             self.stats.attempts += 1;
             self.stats.retransmissions += 1;
             self.obs.metrics.inc(self.obs_ids.attempts, 1);
@@ -758,7 +744,7 @@ impl<M: Clone> ControlPlane<M> {
                 deliver_at.0,
                 i64::from(self.outstanding[i].retries_left),
             );
-            let fate = self.transport.fate(hop_link(tree, from, to)?);
+            let fate = self.transport.fate(link);
             self.deliver_per_fate(
                 fate,
                 deliver_at,

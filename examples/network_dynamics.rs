@@ -3,8 +3,8 @@
 //! exclusivity.
 //!
 //! The example raises and lowers demands across all layers — including an
-//! infeasible request that HARP must reject cleanly — and prints the
-//! adjustment cost of every event.
+//! infeasible request and an impossible join that HARP must reject
+//! cleanly — and prints the adjustment cost of every event.
 //!
 //! Run with `cargo run --example network_dynamics`.
 
@@ -81,6 +81,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "schedule intact after rejection ({before} assignments) — network still collision-free"
     );
+
+    // So is a device that asks to join with more than the slotframe holds:
+    // the join is rolled back, tree included.
+    let nodes = net.tree().len();
+    match net.join_leaf(net.now(), NodeId(45), 500, 1) {
+        Err(e) => println!("impossible join rejected: {e}"),
+        Ok((id, _)) => panic!("expected the join to be rejected, {id} joined"),
+    }
+    assert_eq!(net.schedule().assignment_count(), before);
+    assert_eq!(net.tree().len(), nodes);
+    println!("tree and schedule unchanged after rejection ({nodes} nodes)");
 
     // A maintenance window: defragment back to the compliant static layout.
     let (refresh_report, links_moved) = net.refresh()?;
