@@ -1,13 +1,11 @@
 //! Throughput benchmarks of the TSCH simulator and the distributed
 //! protocol runner — the substrate costs behind every experiment.
 //!
-//! The headline comparison pits the dense-index fast path
-//! (`tsch_sim::Simulator`) against the map-based engine it replaced
-//! (`tsch_sim::reference::ReferenceSimulator`) on a 100-node network with
-//! the paper's 199-slot, 16-channel slotframe. Every timing — the
-//! means, the measured speedup, the dense engine's slots/sec — is printed
-//! as a `timing` line; `BENCH_simulator.json` at the workspace root holds
-//! what the seeds determine: packing quality against proven optima and the
+//! The engine runs a 100-node network with the paper's 199-slot,
+//! 16-channel slotframe, once timed and once instrumented for a sustained
+//! run. Every timing — the means, the engine's slots/sec — is printed as a
+//! `timing` line; `BENCH_simulator.json` at the workspace root holds what
+//! the seeds determine: packing quality against proven optima and the
 //! counters and spans of the instrumented sustained run.
 
 use harp_bench::harness::{
@@ -17,13 +15,12 @@ use harp_core::{HarpNetwork, SchedulingPolicy};
 use packing::{exact_strip_height, pack_strip, FreeSpace, Size};
 use schedulers::{HarpScheduler, Scheduler};
 use std::hint::black_box;
-use tsch_sim::reference::ReferenceSimulator;
 use tsch_sim::{
     NetworkSchedule, Rate, Simulator, SimulatorBuilder, SlotframeConfig, SplitMix64, Task, Tree,
 };
 use workloads::TopologyConfig;
 
-/// The dense-vs-reference scenario: 100 nodes, paper slotframe, a HARP
+/// The engine's scenario: 100 nodes, paper slotframe, a HARP
 /// (collision-free) schedule, and an echo task on every node.
 fn scenario_100_nodes() -> (Tree, SlotframeConfig, NetworkSchedule, Vec<Task>) {
     let tree = TopologyConfig {
@@ -64,7 +61,7 @@ fn print_mean(m: &Measurement) {
     print_timing(&m.name, m.mean_ns(), "ns");
 }
 
-fn bench_dense_vs_reference() -> DenseOutcome {
+fn bench_engine_100_nodes() -> DenseOutcome {
     let (tree, config, schedule, tasks) = scenario_100_nodes();
     let frames_per_iter = 10u64;
 
@@ -76,25 +73,6 @@ fn bench_dense_vs_reference() -> DenseOutcome {
             black_box(sim.stats().deliveries.len())
         },
     );
-    let reference = measure_with_setup(
-        "reference_sim_10_slotframes_100_nodes",
-        || {
-            ReferenceSimulator::new(
-                tree.clone(),
-                config,
-                schedule.clone(),
-                tsch_sim::LinkQuality::perfect(),
-                1,
-                &tasks,
-            )
-        },
-        |mut sim| {
-            sim.run_slotframes(frames_per_iter);
-            black_box(sim.stats().deliveries.len())
-        },
-    );
-    let speedup = reference.mean_ns() / dense.mean_ns();
-
     // Sustained dense throughput on a longer run, via the engine's own
     // timing (stats.run_time covers run_slotframes only). This run has
     // observability ON — the reported slots/sec is the *instrumented*
@@ -113,8 +91,6 @@ fn bench_dense_vs_reference() -> DenseOutcome {
     let trace_json = sim.obs().spans.to_json(16);
 
     print_mean(&dense);
-    print_mean(&reference);
-    print_timing("dense_speedup_vs_reference", speedup, "x");
     print_timing("dense_slots_per_sec", slots_per_sec, "1/s");
     DenseOutcome {
         obs_json,
@@ -289,7 +265,7 @@ fn packing_quality_metrics() -> Vec<(&'static str, f64)> {
 }
 
 fn main() {
-    let outcome = bench_dense_vs_reference();
+    let outcome = bench_engine_100_nodes();
     bench_data_plane();
     bench_schedule_table();
     bench_control_plane();

@@ -793,7 +793,7 @@ impl HarpNetwork {
     /// deliveries *and* retransmission timers — are rolled back to their
     /// pre-request condition: the rejection a real deployment would deliver
     /// as a NACK. The cost of the transaction tracks what the run wrote —
-    /// the escalation depth — not the network size (see [`Transaction`]).
+    /// the escalation depth — not the network size (see `Transaction`).
     ///
     /// # Errors
     ///

@@ -6,28 +6,10 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
+mod common;
+
+use common::{boot, create_body};
 use harpd::client::HttpClient;
-use harpd::server::{Server, ServerConfig, ServerSummary};
-
-const SCN: &str = "scenario loopback\nseed 7\n[topology]\ngenerator random nodes=40 layers=6 max_children=4 seed=0xBEEF count=1\n[workloads]\ndemand uniform cells=1\n";
-
-fn create_body(tenant: &str) -> String {
-    format!(
-        "{{\"tenant\": \"{tenant}\", \"scenario\": \"{}\"}}",
-        SCN.replace('\n', "\\n")
-    )
-}
-
-fn boot(workers: usize) -> (std::net::SocketAddr, std::thread::JoinHandle<ServerSummary>) {
-    let server = Server::bind(ServerConfig::loopback(
-        workers,
-        "loop-token",
-        "/nonexistent",
-    ))
-    .expect("bind");
-    let addr = server.local_addr().expect("local addr");
-    (addr, std::thread::spawn(move || server.run()))
-}
 
 #[test]
 fn lifecycle_metrics_and_graceful_drain() {

@@ -13,17 +13,15 @@
 //! the clock has passed every cell's last use, so no later protocol run
 //! can observe it.)
 
-mod common;
-
-use common::{seeded_config, seeded_reqs, seeded_tree};
-use harp_core::{HarpError, HarpNetwork, ProtocolReport, Requirements, SchedulingPolicy};
-use tsch_sim::{Chaos, Direction, Link, Lossy, NodeId, SlotframeConfig, SplitMix64, Tree};
+use harp_core::{HarpError, HarpNetwork, ProtocolReport, Requirements};
+use testkit::seeded::{seeded_config, seeded_network, seeded_reqs, seeded_tree};
+use tsch_sim::{Direction, Link, NodeId, SlotframeConfig, SplitMix64, Tree};
 
 const CASES: u64 = 240;
 const ADJUSTMENTS: usize = 32;
 
 fn build(tree: &Tree, config: SlotframeConfig, reqs: &Requirements) -> HarpNetwork {
-    let mut net = HarpNetwork::new(tree.clone(), config, reqs, SchedulingPolicy::RateMonotonic);
+    let mut net = seeded_network(tree, reqs, config, 0, 0);
     net.enable_observability(4096);
     net
 }
@@ -168,9 +166,6 @@ fn lossy_and_chaos_networks_settle_by_messages() {
         reqs.set(Link::down(v), 1);
     }
     let config = SlotframeConfig::paper_default();
-    let policy = SchedulingPolicy::RateMonotonic;
-    let lossy = || Box::new(Lossy::uniform(0.8, 42).expect("valid pdr"));
-    let chaos = || Box::new(Chaos::new(9, 0.15, 0.10, 0.30, 7));
     let run = |net: &mut HarpNetwork, by_messages: bool| -> ProtocolReport {
         if by_messages {
             net.run_static_by_messages().expect("converges")
@@ -179,7 +174,7 @@ fn lossy_and_chaos_networks_settle_by_messages() {
         }
     };
 
-    let mut reliable = HarpNetwork::new(tree.clone(), config, &reqs, policy);
+    let mut reliable = seeded_network(&tree, &reqs, config, 0, 0);
     let settled = run(&mut reliable, false);
     assert_eq!(
         settled.acks, 0,
@@ -187,11 +182,11 @@ fn lossy_and_chaos_networks_settle_by_messages() {
     );
 
     for by_messages in [false, true] {
-        let mut a = HarpNetwork::with_transport(tree.clone(), config, &reqs, policy, lossy());
+        let mut a = seeded_network(&tree, &reqs, config, 1, 0);
         let report = run(&mut a, by_messages);
         assert!(report.acks >= report.mgmt_messages + report.cell_messages);
         assert!(report.dropped > 0, "a 0.8 PDR loses frames");
-        let mut b = HarpNetwork::with_transport(tree.clone(), config, &reqs, policy, chaos());
+        let mut b = seeded_network(&tree, &reqs, config, 2, 0);
         let report = run(&mut b, by_messages);
         assert!(report.acks >= report.mgmt_messages + report.cell_messages);
         // Same bill and schedule as the lossless settle, only later.

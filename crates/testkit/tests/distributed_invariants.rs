@@ -8,33 +8,15 @@ use harp_core::{
     allocate_partitions, build_interfaces, generate_schedule, unsatisfied_links, HarpNetwork,
     Requirements, SchedulingPolicy,
 };
-use tsch_sim::{Direction, Link, NodeId, SlotframeConfig, SplitMix64, Tree};
-
-fn random_tree(rng: &mut SplitMix64, max_nodes: usize) -> Tree {
-    let edges = 1 + rng.next_below(max_nodes as u64 - 1) as usize;
-    let mut pairs = Vec::with_capacity(edges);
-    for i in 0..edges {
-        pairs.push(((i + 1) as u32, rng.next_below(i as u64 + 1) as u32));
-    }
-    Tree::from_parents(&pairs)
-}
-
-/// Arbitrary demands: every link gets 0..=2 cells in each direction.
-fn random_reqs(rng: &mut SplitMix64, tree: &Tree) -> Requirements {
-    let mut reqs = Requirements::new();
-    for v in tree.nodes().skip(1) {
-        reqs.set(Link::up(v), rng.next_below(3) as u32);
-        reqs.set(Link::down(v), rng.next_below(3) as u32);
-    }
-    reqs
-}
+use testkit::seeded::{random_reqs, random_tree};
+use tsch_sim::{Direction, Link, NodeId, SlotframeConfig, SplitMix64};
 
 #[test]
 fn distributed_converges_to_centralized() {
     for case in 0..32u64 {
         let mut rng = SplitMix64::new(0xD1_57 ^ case);
         let tree = random_tree(&mut rng, 18);
-        let reqs = random_reqs(&mut rng, &tree);
+        let reqs = random_reqs(&mut rng, &tree, 2);
         let config = SlotframeConfig::paper_default();
         let up = build_interfaces(&tree, &reqs, Direction::Up, config.channels).unwrap();
         let down = build_interfaces(&tree, &reqs, Direction::Down, config.channels).unwrap();

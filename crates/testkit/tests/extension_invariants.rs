@@ -5,16 +5,8 @@ use harp_core::{
     allocate_partitions, build_interfaces, generate_schedule, latency_bound, verify_partitions,
     verify_schedule, verify_uplink_compliance, BandPlan, Requirements, SchedulingPolicy,
 };
+use testkit::seeded::random_tree;
 use tsch_sim::{Direction, Link, NodeId, Rate, SlotframeConfig, SplitMix64, Task, TaskId, Tree};
-
-fn random_tree(rng: &mut SplitMix64, max_nodes: usize) -> Tree {
-    let edges = 1 + rng.next_below(max_nodes as u64 - 1) as usize;
-    let mut pairs = Vec::with_capacity(edges);
-    for i in 0..edges {
-        pairs.push(((i + 1) as u32, rng.next_below(i as u64 + 1) as u32));
-    }
-    Tree::from_parents(&pairs)
-}
 
 #[test]
 fn band_plan_survives_random_adjustment_sequences() {

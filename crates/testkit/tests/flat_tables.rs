@@ -8,68 +8,14 @@
 //! benchmark's `fault_storm` input, + 10 %; the counts repeat exactly, in
 //! debug and release.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell as Counter;
-
 use harp_core::{AllocatorHandle, SchedulingPolicy};
+use testkit::alloc::counted;
 use tsch_sim::{
     Direction, FaultPlan, InterferenceModel, Link, NetworkSchedule, NodeId, SimulatorBuilder,
     SlotframeConfig, Task, Tree, TwoHopInterference,
 };
 use workloads::scenario_dsl::parse_scenario;
 use workloads::{testbed_50_node_tree, TopologyConfig};
-
-/// Counts the calling thread's allocations, so tests running beside this
-/// one on other threads stay out of the numbers.
-struct CountingAlloc;
-
-thread_local! {
-    // A constant initialiser and no destructor: reading it never allocates.
-    static ALLOCS: Counter<u64> = const { Counter::new(0) };
-}
-
-fn on_alloc() {
-    // `try_with`: a thread may still allocate while its locals are torn down.
-    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-}
-
-// SAFETY: every method forwards to `System` with the caller's layout and
-// pointer unchanged, so `System`'s guarantees carry over; the bookkeeping
-// touches a thread-local counter only, never the allocated memory.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        on_alloc();
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        on_alloc();
-        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        on_alloc();
-        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// The value of `f` and how many times the calling thread allocated in it.
-fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCS.with(Counter::get);
-    let out = f();
-    (out, ALLOCS.with(Counter::get) - before)
-}
 
 /// The benchmark's `fault_storm` input: `scenarios/fault_storm.scn` and the
 /// schedule HARP converges to on its tree.

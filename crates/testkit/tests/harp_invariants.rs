@@ -14,31 +14,11 @@
 
 use harp_core::{
     adjust_partition, allocate_partitions, build_interfaces, compose_components, generate_schedule,
-    is_feasible, unsatisfied_links, Requirements, ResourceComponent, SchedulingPolicy,
+    is_feasible, unsatisfied_links, ResourceComponent, SchedulingPolicy,
 };
 use packing::{all_disjoint, Rect};
-use tsch_sim::{Direction, Link, NodeId, SlotframeConfig, SplitMix64, Tree};
-
-/// Arbitrary tree with 2..=`max_nodes` nodes: node i's parent is drawn
-/// from `0..i`.
-fn random_tree(rng: &mut SplitMix64, max_nodes: usize) -> Tree {
-    let edges = 1 + rng.next_below(max_nodes as u64 - 1) as usize;
-    let mut pairs = Vec::with_capacity(edges);
-    for i in 0..edges {
-        pairs.push(((i + 1) as u32, rng.next_below(i as u64 + 1) as u32));
-    }
-    Tree::from_parents(&pairs)
-}
-
-/// Arbitrary demands: every link gets 0..=3 cells in each direction.
-fn random_reqs(rng: &mut SplitMix64, tree: &Tree) -> Requirements {
-    let mut reqs = Requirements::new();
-    for v in tree.nodes().skip(1) {
-        reqs.set(Link::up(v), rng.next_below(4) as u32);
-        reqs.set(Link::down(v), rng.next_below(4) as u32);
-    }
-    reqs
-}
+use testkit::seeded::{random_reqs, random_tree};
+use tsch_sim::{Direction, NodeId, SlotframeConfig, SplitMix64};
 
 #[test]
 fn composition_contains_children_disjointly() {
@@ -83,7 +63,7 @@ fn pipeline_produces_exclusive_satisfying_schedules() {
     for case in 0..64u64 {
         let mut rng = SplitMix64::new(0xE5_C1 ^ case);
         let tree = random_tree(&mut rng, 24);
-        let reqs = random_reqs(&mut rng, &tree);
+        let reqs = random_reqs(&mut rng, &tree, 3);
         let config = SlotframeConfig::paper_default();
         let up = build_interfaces(&tree, &reqs, Direction::Up, config.channels).unwrap();
         let down = build_interfaces(&tree, &reqs, Direction::Down, config.channels).unwrap();
@@ -110,7 +90,7 @@ fn scheduling_areas_are_isolated() {
     for case in 0..64u64 {
         let mut rng = SplitMix64::new(0x15_0A ^ case);
         let tree = random_tree(&mut rng, 24);
-        let reqs = random_reqs(&mut rng, &tree);
+        let reqs = random_reqs(&mut rng, &tree, 3);
         let config = SlotframeConfig::paper_default();
         let up = build_interfaces(&tree, &reqs, Direction::Up, config.channels).unwrap();
         let down = build_interfaces(&tree, &reqs, Direction::Down, config.channels).unwrap();
@@ -226,7 +206,7 @@ fn interfaces_direct_component_matches_demand() {
     for case in 0..64u64 {
         let mut rng = SplitMix64::new(0x1F_DC ^ case);
         let tree = random_tree(&mut rng, 20);
-        let reqs = random_reqs(&mut rng, &tree);
+        let reqs = random_reqs(&mut rng, &tree, 3);
         let set = build_interfaces(&tree, &reqs, Direction::Up, 16).unwrap();
         for v in tree.nodes() {
             if tree.is_leaf(v) {

@@ -9,9 +9,10 @@
 //! rather than infeasibility and the plane must cancel in-flight messages.
 //! `undo_log.rs` asks the same of generated trees and demands.
 
-use harp_core::{apply_op, HarpNetwork, Requirements, SchedulingPolicy};
-use std::fmt::Write as _;
-use tsch_sim::{Chaos, Link, Lossy, NodeId, SlotframeConfig, Tree};
+use harp_core::{apply_op, HarpNetwork, Requirements};
+use testkit::seeded::seeded_network;
+use testkit::PreImage;
+use tsch_sim::{Link, NodeId, SlotframeConfig, Tree};
 
 fn fig1_reqs(tree: &Tree) -> Requirements {
     let mut reqs = Requirements::new();
@@ -22,54 +23,13 @@ fn fig1_reqs(tree: &Tree) -> Requirements {
     reqs
 }
 
-#[derive(Clone, Copy)]
-enum Channel {
-    Reliable,
-    Lossy,
-    Chaos,
-}
-
-fn build(channel: Channel) -> HarpNetwork {
+/// The paper's tree on `channel`: 0 reliable, 1 Lossy, 2 Chaos.
+fn build(channel: usize) -> HarpNetwork {
     let tree = Tree::paper_fig1_example();
     let reqs = fig1_reqs(&tree);
-    let cfg = SlotframeConfig::paper_default();
-    let policy = SchedulingPolicy::RateMonotonic;
-    let mut net = match channel {
-        Channel::Reliable => HarpNetwork::new(tree, cfg, &reqs, policy),
-        Channel::Lossy => HarpNetwork::with_transport(
-            tree,
-            cfg,
-            &reqs,
-            policy,
-            Box::new(Lossy::uniform(0.8, 42).expect("valid pdr")),
-        ),
-        Channel::Chaos => HarpNetwork::with_transport(
-            tree,
-            cfg,
-            &reqs,
-            policy,
-            Box::new(Chaos::new(9, 0.15, 0.10, 0.30, 7)),
-        ),
-    };
+    let mut net = seeded_network(&tree, &reqs, SlotframeConfig::paper_default(), channel, 0);
     net.enable_observability(256);
     net
-}
-
-/// Every observable byte of the network but the schedule version (checked
-/// on its own). The `now` and `metrics` lines are what a failed adjustment
-/// legitimately moves: the clock, and the rolled-back counter.
-fn state_dump(net: &HarpNetwork) -> String {
-    let mut out = String::new();
-    for v in net.tree().nodes() {
-        writeln!(out, "node {v:?}: {:?}", net.node(v)).unwrap();
-    }
-    let s = net.schedule();
-    writeln!(out, "links {:?}", s.iter_links().collect::<Vec<_>>()).unwrap();
-    writeln!(out, "cells {:?}", s.iter_cells().collect::<Vec<_>>()).unwrap();
-    writeln!(out, "quiescent {}", net.quiescent()).unwrap();
-    writeln!(out, "now {:?}", net.now()).unwrap();
-    writeln!(out, "metrics {}", net.metrics_snapshot().to_json()).unwrap();
-    out
 }
 
 /// The seeded adjustment sequence: `(child node, new cells)` with cell
@@ -90,7 +50,7 @@ const MOVES: &[(u32, u32)] = &[
     (8, 1),
 ];
 
-fn run_moves(channel: Channel) {
+fn run_moves(channel: usize) {
     let mut net = build(channel);
     net.run_static().expect("static phase converges");
     assert!(net.take_ops().is_empty());
@@ -101,8 +61,7 @@ fn run_moves(channel: Channel) {
     let mut successes = 0usize;
     for &(node, cells) in MOVES {
         let link = Link::up(NodeId(node));
-        let before = state_dump(&net);
-        let version_before = net.schedule().version();
+        let pre = PreImage::of(&net);
         let at = net.now();
 
         match net.adjust_and_settle(at, link, cells) {
@@ -116,19 +75,7 @@ fn run_moves(channel: Channel) {
             }
             Err(_) => {
                 failures += 1;
-                let strip_now = |d: &str| {
-                    d.lines()
-                        .filter(|l| !l.starts_with("now ") && !l.starts_with("metrics "))
-                        .collect::<Vec<_>>()
-                        .join("\n")
-                };
-                assert_eq!(
-                    strip_now(&before),
-                    strip_now(&state_dump(&net)),
-                    "state not restored after ({node}, {cells})"
-                );
-                assert_eq!(net.schedule().version(), version_before);
-                assert!(net.quiescent(), "in-flight messages not cancelled");
+                pre.assert_restored(&net, &format!("after ({node}, {cells})"));
                 assert!(net.take_ops().is_empty(), "a rollback truncates its ops");
             }
         }
@@ -149,17 +96,17 @@ fn run_moves(channel: Channel) {
 
 #[test]
 fn rollback_restores_the_pre_image_on_reliable_transport() {
-    run_moves(Channel::Reliable);
+    run_moves(0);
 }
 
 #[test]
 fn rollback_restores_the_pre_image_on_lossy_transport() {
-    run_moves(Channel::Lossy);
+    run_moves(1);
 }
 
 #[test]
 fn rollback_restores_the_pre_image_on_chaos_transport() {
-    run_moves(Channel::Chaos);
+    run_moves(2);
 }
 
 /// Pending-ops truncation: ops committed by an earlier successful
@@ -167,7 +114,7 @@ fn rollback_restores_the_pre_image_on_chaos_transport() {
 /// failed one may: replayed onto a mirror, the sink reproduces the schedule.
 #[test]
 fn failed_adjustment_truncates_only_its_own_ops() {
-    let mut net = build(Channel::Reliable);
+    let mut net = build(0);
     net.run_static().unwrap();
     net.take_ops();
     let mut mirror = net.schedule().clone();
@@ -196,7 +143,7 @@ fn failed_adjustment_truncates_only_its_own_ops() {
 /// alone, which is what lets a service cache rendered summaries.
 #[test]
 fn version_stamp_advances_on_every_mutation() {
-    let mut net = build(Channel::Reliable);
+    let mut net = build(0);
     let v0 = net.version();
     net.run_static().unwrap();
     let v1 = net.version();

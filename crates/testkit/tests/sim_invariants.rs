@@ -1,26 +1,16 @@
 //! Seeded randomized tests of the simulator's conservation and timing
 //! invariants.
 //!
-//! Inputs are drawn from the crate's own [`SplitMix64`] generator, so every
+//! Inputs are drawn from `tsch-sim`'s own [`SplitMix64`] generator, so every
 //! case is reproducible from the fixed seeds below and the suite builds
 //! offline with no external property-testing dependency.
 
 use std::sync::Arc;
+use testkit::seeded::random_tree;
 use tsch_sim::{
     Cell, Direction, Link, NetworkSchedule, NodeId, Packet, Rate, SimulatorBuilder,
     SlotframeConfig, SplitMix64, Task, TaskId, Tree,
 };
-
-/// Arbitrary parent-pointer tree: node `i + 1` attaches to a random earlier
-/// node, giving between 2 and `max_nodes` nodes.
-fn random_tree(rng: &mut SplitMix64, max_nodes: usize) -> Tree {
-    let edges = 1 + rng.next_below(max_nodes as u64 - 1) as usize;
-    let mut pairs = Vec::with_capacity(edges);
-    for i in 0..edges {
-        pairs.push(((i + 1) as u32, rng.next_below(i as u64 + 1) as u32));
-    }
-    Tree::from_parents(&pairs)
-}
 
 /// A collision-free uplink schedule: every link gets one dedicated cell,
 /// scheduled deepest-first (compliant order), cells enumerated across

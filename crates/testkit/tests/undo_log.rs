@@ -3,8 +3,8 @@
 //! `leave_leaf` and `reparent_leaf`.
 //!
 //! The first referee runs mixed adjustments — local, escalating, and
-//! demands no slotframe holds — over the seeded trees of
-//! `direct_static.rs`, on the reliable transport and under Lossy/Chaos
+//! demands no slotframe holds — over `testkit::seeded`'s trees, on the
+//! reliable transport and under Lossy/Chaos
 //! channels (where a re-delivery can reach any handler arm mid-transaction
 //! and a dead hop aborts a run half-way). A rejection must leave every node
 //! `==` its pre-image, the schedule rows and version and the op sink
@@ -21,17 +21,15 @@
 //! goes back to copying node state, to per-call buffers or to a container
 //! per field shows up here first.
 
-mod common;
-
-use common::{seeded_config, seeded_reqs, seeded_tree};
 use harp_core::{
     allocate_partitions, apply_op, build_interfaces, verify_partitions, verify_schedule,
     AllocatorHandle, HarpNetwork, HarpNode, PartitionTable, Requirements, ResourceComponent,
     SchedulingPolicy, Workspace,
 };
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell as Counter;
-use tsch_sim::{Cell, Chaos, Direction, Link, Lossy, NodeId, SlotframeConfig, SplitMix64, Tree};
+use testkit::alloc::{allocated, counted, freed};
+use testkit::seeded::{seeded_config, seeded_network, seeded_reqs, seeded_tree};
+use testkit::PreImage;
+use tsch_sim::{Direction, Link, NodeId, SlotframeConfig, SplitMix64, Tree};
 
 const CASES: u64 = 240;
 const ADJUSTMENTS: usize = 32;
@@ -60,26 +58,8 @@ fn current_partitions(net: &HarpNetwork, mut table: PartitionTable) -> Partition
     table
 }
 
-/// The network a seeded case runs on: the reliable transport, Lossy or
-/// Chaos, by `channel`.
-fn seeded_network(
-    tree: &Tree,
-    reqs: &Requirements,
-    config: SlotframeConfig,
-    channel: usize,
-    case: u64,
-) -> HarpNetwork {
-    let policy = SchedulingPolicy::RateMonotonic;
-    let transport: Box<dyn tsch_sim::Transport> = match channel {
-        0 => return HarpNetwork::new(tree.clone(), config, reqs, policy),
-        1 => Box::new(Lossy::uniform(0.8, 42 + case).expect("valid pdr")),
-        _ => Box::new(Chaos::new(9 + case, 0.15, 0.10, 0.30, 7)),
-    };
-    HarpNetwork::with_transport(tree.clone(), config, reqs, policy, transport)
-}
-
-/// A demand drawn as the adjustment referee draws one: none, light, heavy,
-/// or more cells than the slotframe has slots.
+/// A demand as both referees draw one: none, light, heavy, or more cells
+/// than the slotframe has slots.
 fn drawn_cells(rng: &mut SplitMix64, config: SlotframeConfig) -> u32 {
     match rng.next_below(8) {
         0 => 0,
@@ -98,50 +78,6 @@ fn active_node(net: &HarpNetwork, rng: &mut SplitMix64, not: Option<NodeId>) -> 
         if net.is_active(v) && Some(v) != not {
             return v;
         }
-    }
-}
-
-/// Everything a rejected event must leave as it found it, apart from the
-/// op sink, which the mirror replay checks.
-struct PreImage {
-    tree: Tree,
-    nodes: Vec<HarpNode>,
-    rows: Vec<(Link, Vec<Cell>)>,
-    schedule_version: u64,
-}
-
-impl PreImage {
-    fn of(net: &HarpNetwork) -> Self {
-        Self {
-            tree: net.tree().clone(),
-            nodes: net.tree().nodes().map(|v| net.node(v).clone()).collect(),
-            rows: net
-                .schedule()
-                .iter_links()
-                .map(|(l, c)| (l, c.to_vec()))
-                .collect(),
-            schedule_version: net.schedule().version(),
-        }
-    }
-
-    fn assert_restored(&self, net: &HarpNetwork, ctx: &str) {
-        assert!(*net.tree() == self.tree, "{ctx}: tree");
-        // One node per tree entry is the runner's own (debug) invariant, so
-        // the node count follows the tree's.
-        for (v, before) in self.tree.nodes().zip(&self.nodes) {
-            assert_eq!(net.node(v), before, "{ctx}: node {v}");
-        }
-        let after = net.schedule().iter_links();
-        assert!(
-            after.eq(self.rows.iter().map(|(l, c)| (*l, c.as_slice()))),
-            "{ctx}: schedule rows"
-        );
-        assert_eq!(
-            net.schedule().version(),
-            self.schedule_version,
-            "{ctx}: version"
-        );
-        assert!(net.quiescent(), "{ctx}: messages left in flight");
     }
 }
 
@@ -318,19 +254,8 @@ fn rejections_restore_the_pre_image_and_commits_stay_collision_free() {
         let tree = seeded_tree(&mut rng, case);
         let reqs = seeded_reqs(&mut rng, case, &tree);
         let config = seeded_config(&mut rng);
-        let policy = SchedulingPolicy::RateMonotonic;
         let channel = (case / 4 % 3) as usize;
-        let mut net = match channel {
-            0 => HarpNetwork::new(tree.clone(), config, &reqs, policy),
-            1 => {
-                let lossy = Lossy::uniform(0.8, 42 + case).expect("valid pdr");
-                HarpNetwork::with_transport(tree.clone(), config, &reqs, policy, Box::new(lossy))
-            }
-            _ => {
-                let chaos = Chaos::new(9 + case, 0.15, 0.10, 0.30, 7);
-                HarpNetwork::with_transport(tree.clone(), config, &reqs, policy, Box::new(chaos))
-            }
-        };
+        let mut net = seeded_network(&tree, &reqs, config, channel, case);
         let ctx = format!("case {case} ({} nodes, channel {channel})", tree.len());
         if net.run_static().is_err() {
             continue;
@@ -351,22 +276,10 @@ fn rejections_restore_the_pre_image_and_commits_stay_collision_free() {
                     Direction::Down
                 },
             };
-            let cells = match rng.next_below(8) {
-                0 => 0,
-                1..=3 => 1 + rng.next_below(3) as u32,
-                4..=5 => 4 + rng.next_below(12) as u32,
-                6 => config.slots + 1 + rng.next_below(100) as u32,
-                _ => 4 * config.slots,
-            };
+            let cells = drawn_cells(&mut rng, config);
             let ctx = format!("{ctx}, adjustment {step} ({link} -> {cells})");
 
-            let nodes: Vec<HarpNode> = tree.nodes().map(|v| net.node(v).clone()).collect();
-            let rows: Vec<(Link, Vec<Cell>)> = net
-                .schedule()
-                .iter_links()
-                .map(|(l, c)| (l, c.to_vec()))
-                .collect();
-            let version = net.schedule().version();
+            let pre = PreImage::of(&net);
             // Ops of earlier commits stay in the sink on three steps of
             // four: a rollback must cut its own and no others.
             if step % 4 == 0 {
@@ -380,16 +293,7 @@ fn rejections_restore_the_pre_image_and_commits_stay_collision_free() {
                 Err(_) => {
                     rejections += 1;
                     rejected_on[channel] += 1;
-                    for (v, before) in tree.nodes().zip(&nodes) {
-                        assert_eq!(net.node(v), before, "{ctx}: node {v}");
-                    }
-                    let after = net.schedule().iter_links();
-                    assert!(
-                        after.eq(rows.iter().map(|(l, c)| (*l, c.as_slice()))),
-                        "{ctx}: schedule rows"
-                    );
-                    assert_eq!(net.schedule().version(), version, "{ctx}: version");
-                    assert!(net.quiescent(), "{ctx}: messages left in flight");
+                    pre.assert_restored(&net, &ctx);
                 }
                 Ok(report) => {
                     commits += 1;
@@ -420,66 +324,6 @@ fn rejections_restore_the_pre_image_and_commits_stay_collision_free() {
     assert!(commits > 1000 && escalated > 200, "{commits} / {escalated}");
     assert!(rejections > 200, "only {rejections} rejections");
     assert!(rejected_on.iter().all(|&r| r > 20), "{rejected_on:?}");
-}
-
-/// Counts the calling thread's allocations and frees, so tests running
-/// beside this one on other threads stay out of the numbers.
-struct CountingAlloc;
-
-thread_local! {
-    // Constant initialisers, no destructors: reading them never allocates.
-    static ALLOCS: Counter<u64> = const { Counter::new(0) };
-    static BYTES: Counter<u64> = const { Counter::new(0) };
-    static FREES: Counter<u64> = const { Counter::new(0) };
-}
-
-fn on_alloc(size: usize) {
-    // `try_with`: a thread may still allocate while its locals are torn down.
-    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-    let _ = BYTES.try_with(|c| c.set(c.get() + size as u64));
-}
-
-// SAFETY: every method forwards to `System` with the caller's layout and
-// pointer unchanged, so `System`'s guarantees carry over; the bookkeeping
-// touches thread-local counters only, never the allocated memory.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        on_alloc(layout.size());
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        on_alloc(layout.size());
-        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        let _ = FREES.try_with(|c| c.set(c.get() + 1));
-        // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        on_alloc(new_size);
-        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// `(allocations, bytes)` of the calling thread so far.
-fn allocated() -> (u64, u64) {
-    (ALLOCS.with(Counter::get), BYTES.with(Counter::get))
-}
-
-/// Blocks the calling thread has freed so far. A block that grew in place
-/// of being freed (`realloc`) is not among them.
-fn freed() -> u64 {
-    FREES.with(Counter::get)
 }
 
 /// A 256-node tree of 8 layers with at most 4 children per node (the shape
@@ -625,9 +469,7 @@ fn a_warm_workspace_composes_for_the_price_of_the_layout() {
     ];
     let mut ws = Workspace::new();
     let first = ws.compose(children, 8, 3).expect("composes");
-    let (before, _) = allocated();
-    let second = ws.compose(children, 8, 3).expect("composes");
-    let allocs = allocated().0 - before;
+    let (second, allocs) = counted(|| ws.compose(children, 8, 3).expect("composes"));
     assert_eq!(allocs, 1, "the returned placements and nothing else");
     assert_eq!(first, second);
 }
@@ -648,11 +490,11 @@ fn a_local_change_of_one_link_allocates_for_that_link_only() {
             gateway.set_requirement(Direction::Up, *c, if *c == light { 2 } else { 3 });
         }
         gateway.bootstrap().expect("the row fits the slotframe");
-        let (before, _) = allocated();
-        let fx = gateway
-            .request_change(Direction::Up, light, 1)
-            .expect("a decrease is local");
-        let allocs = allocated().0 - before;
+        let (fx, allocs) = counted(|| {
+            gateway
+                .request_change(Direction::Up, light, 1)
+                .expect("a decrease is local")
+        });
         assert_eq!(fx.messages.len(), 1, "only the changed link is told");
         assert_eq!(gateway.assignment(Direction::Up, light).len(), 1);
         allocs

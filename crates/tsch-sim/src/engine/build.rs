@@ -94,8 +94,8 @@ impl SimulatorBuilder {
 
     /// Disables the event-driven slot skip, walking every slot's cell list
     /// unconditionally like the pre-calendar engine. Off by default — the
-    /// two modes are observationally identical (pinned by the
-    /// `event_engine_reconcile` suite); this toggle exists as the in-tree
+    /// two modes are observationally identical (pinned by the `testkit`
+    /// crate's `engine_referee` suite); this toggle exists as the in-tree
     /// differential baseline for that suite.
     #[must_use]
     pub fn dense_walk(mut self, dense: bool) -> Self {

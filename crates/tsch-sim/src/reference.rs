@@ -8,18 +8,14 @@
 //! deliberately simple and obviously faithful to the TSCH semantics the
 //! optimised [`Simulator`](crate::Simulator) implements.
 //!
-//! Two consumers rely on it:
+//! Its one consumer is the `testkit` crate's `engine_referee` test, which
+//! checks that [`Simulator`](crate::Simulator) is observationally
+//! identical (same RNG stream, same stats, same trace) on arbitrary
+//! scenarios.
 //!
-//! * the `dense_vs_reference` regression test, which checks that the dense
-//!   fast path in [`Simulator`](crate::Simulator) is observationally
-//!   identical (same RNG stream, same stats, same trace) on arbitrary
-//!   scenarios;
-//! * the simulator benchmark, which reports the dense engine's speedup
-//!   over this baseline.
-//!
-//! It supports exactly the features those consumers need: tasks, PDR
-//! losses, retries, bounded queues, runtime schedule mutation. Defaults for
-//! queue capacity and retry limit match the real engine's.
+//! It supports exactly the features that test needs: tasks, PDR losses,
+//! retries, bounded queues, extra radio edges, runtime schedule mutation.
+//! Defaults for queue capacity and retry limit match the real engine's.
 
 use crate::engine::{DEFAULT_MAX_RETRIES, DEFAULT_QUEUE_CAPACITY};
 use crate::interference::{InterferenceModel, TwoHopInterference};
