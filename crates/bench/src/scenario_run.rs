@@ -780,8 +780,9 @@ fn run_replicates(
 
 /// `churn`: sequential mobile-node churn on a converged control plane —
 /// each `reparent` fault re-attaches a leaf and reports the protocol cost.
-/// A move the new path cannot hold is rolled back and reported as a row
-/// with `rejected` 1 (and no cost); the run goes on.
+/// A move the network refuses — the node is no longer a leaf, or the new
+/// path cannot hold it — changes nothing and is reported as a row with
+/// `rejected` 1 (and no cost); the run goes on.
 fn run_churn(scenario: &Scenario, opts: &RunOptions) -> Result<(String, String), String> {
     let tree = single_tree(scenario, opts);
     let config = scenario.slotframe_config()?;
@@ -791,14 +792,10 @@ fn run_churn(scenario: &Scenario, opts: &RunOptions) -> Result<(String, String),
         return Err("`mode churn` needs at least one `reparent` fault".into());
     }
     for &(_, node, to) in &events {
-        let leaf = NodeId(node);
-        if leaf.index() >= tree.len() || NodeId(to).index() >= tree.len() {
+        if NodeId(node).index() >= tree.len() || NodeId(to).index() >= tree.len() {
             return Err(format!(
                 "reparent names node {node} or {to} outside the tree"
             ));
-        }
-        if !tree.is_leaf(leaf) {
-            return Err(format!("reparent node {node} is not a leaf"));
         }
     }
     let mut net = HarpNetwork::new(tree.clone(), config, &reqs, SchedulingPolicy::RateMonotonic);
@@ -903,6 +900,25 @@ mod tests {
         assert!(rows[0].contains("\"mgmt_messages\": 0.000"), "{}", rows[0]);
         assert!(rows[1].contains("\"rejected\": 0.000"), "{}", rows[1]);
         assert!(rows[1].contains("\"cell_messages\": 4.000"), "{}", rows[1]);
+    }
+
+    #[test]
+    fn churn_rejects_a_move_of_a_node_an_earlier_move_made_a_parent() {
+        // Node 3 starts as a leaf; once node 2 moves under it, it is not.
+        let scenario = parse_scenario(
+            "scenario s\n[topology]\nlink 1 0\nlink 2 0\nlink 3 1\n\
+             [faults]\nreparent node=2 to=3 at_frame=1\nreparent node=3 to=0 at_frame=2\n\
+             [report]\nmode churn\n",
+        )
+        .unwrap();
+        let run = run_scenario(&scenario, &RunOptions::default()).unwrap();
+        let rows: Vec<&str> = run.stdout.lines().filter(|l| l.starts_with("ev")).collect();
+        assert_eq!(rows.len(), 2, "{}", run.stdout);
+        assert!(!rows[0].contains("rejected"), "{}", rows[0]);
+        assert_eq!(
+            rows[1],
+            "ev1_N3_to0       rejected: N3 has children; only a leaf can move"
+        );
     }
 
     #[test]

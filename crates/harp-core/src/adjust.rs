@@ -42,6 +42,22 @@ impl<K> AdjustmentOutcome<K> {
     pub fn moved_count(&self) -> usize {
         self.moved.len()
     }
+
+    /// The partitions that moved, each with its new rectangle, in `moved`
+    /// order.
+    pub(crate) fn moved_rects(&self) -> impl Iterator<Item = (K, Rect)> + '_
+    where
+        K: Copy + Eq,
+    {
+        self.moved.iter().map(|&k| {
+            let (_, rect) = self
+                .layout
+                .iter()
+                .find(|&&(n, _)| n == k)
+                .expect("a moved key is in the layout");
+            (k, *rect)
+        })
+    }
 }
 
 /// The feasibility test (Problem 2): can the updated component plus its

@@ -45,6 +45,11 @@ pub enum HarpError {
     /// The node has left the network and cannot take part in topology
     /// operations.
     NodeDeparted(NodeId),
+    /// The node has children, and only a leaf can leave or switch parents.
+    NotALeaf(NodeId),
+    /// A topology edit named an unknown node, the gateway's parent link or
+    /// a move that would close a cycle.
+    Topology(tsch_sim::TopologyError),
     /// An underlying packing call rejected its input.
     Pack(packing::PackError),
     /// An underlying schedule mutation failed.
@@ -87,6 +92,8 @@ impl fmt::Display for HarpError {
                 write!(f, "adjustment requester has no current partition")
             }
             HarpError::NodeDeparted(n) => write!(f, "{n} has left the network"),
+            HarpError::NotALeaf(n) => write!(f, "{n} has children; only a leaf can move"),
+            HarpError::Topology(e) => write!(f, "topology edit refused: {e}"),
             HarpError::Pack(e) => write!(f, "packing failed: {e}"),
             HarpError::Schedule(e) => write!(f, "schedule update failed: {e}"),
             HarpError::Mgmt(e) => write!(f, "management plane failed: {e}"),
@@ -100,6 +107,7 @@ impl std::error::Error for HarpError {
             HarpError::Pack(e) => Some(e),
             HarpError::Schedule(e) => Some(e),
             HarpError::Mgmt(e) => Some(e),
+            HarpError::Topology(e) => Some(e),
             _ => None,
         }
     }
@@ -114,6 +122,12 @@ impl From<packing::PackError> for HarpError {
 impl From<tsch_sim::ScheduleError> for HarpError {
     fn from(e: tsch_sim::ScheduleError) -> Self {
         HarpError::Schedule(e)
+    }
+}
+
+impl From<tsch_sim::TopologyError> for HarpError {
+    fn from(e: tsch_sim::TopologyError) -> Self {
+        HarpError::Topology(e)
     }
 }
 

@@ -2,7 +2,7 @@
 //!
 //! The experiment binaries build a [`HarpNetwork`], run the static phase,
 //! maybe measure one adjustment, and throw the network away. A service
-//! ([`harpd`](https://example.com/harp)) instead keeps one allocator per
+//! (the `harpd` crate of this workspace) instead keeps one allocator per
 //! tenant alive for hours and drives it request by request; this module
 //! packages that usage as [`AllocatorHandle`]: converge once, then any
 //! number of [`AllocatorHandle::adjust`] calls, each returning the

@@ -4,13 +4,18 @@
 //! testbed: its own neighbourhood (parent, children), the cell requirements
 //! of its child links, the interfaces its children reported, the partitions
 //! its parent granted, and the schedule it decided for its own links.
-//! Handlers consume one [`HarpMessage`] and produce [`Effects`] — messages
-//! to send to neighbours plus schedule operations that take effect at the
-//! *receiving* end of a cell-assignment message (a child only uses new cells
-//! once told about them, which is what gives the dynamic-adjustment
-//! experiments their latency shape).
+//! Handlers consume one [`HarpMessage`] and write into an outbox of
+//! [`Effects`] — messages to send to neighbours plus schedule operations
+//! that take effect at the *receiving* end of a cell-assignment message (a
+//! child only uses new cells once told about them, which is what gives the
+//! dynamic-adjustment experiments their latency shape).
+//!
+//! The dynamic phase (§V) makes three decisions, each in one transition
+//! that every handler reaching it calls: `escalate` asks the parent for
+//! room (or, at the gateway, re-places the slotframe), `adjust_within` is
+//! one step of Alg. 2, and `take_partition` installs a granted partition.
 
-use crate::adjust::adjust_partition;
+use crate::adjust::{adjust_partition, AdjustmentOutcome};
 use crate::component::{ResourceComponent, ResourceInterface};
 use crate::dir_state::{DirState, DirWriter, UndoLog};
 use crate::error::HarpError;
@@ -44,40 +49,36 @@ pub struct Effects {
 }
 
 impl Effects {
-    /// No messages, no schedule changes.
-    #[must_use]
-    pub(crate) fn none() -> Self {
-        Self::default()
-    }
-
-    /// Appends another effect set.
-    pub fn merge(&mut self, other: Effects) {
-        self.messages.extend(other.messages);
-        self.schedule_ops.extend(other.schedule_ops);
-    }
-
-    /// Coalesces multiple `POST part` messages to the same recipient into
-    /// one (a parent reports a child's partitions for both directions in a
-    /// single message, as on the testbed).
-    fn coalesce_post_partitions(&mut self) {
-        let mut merged: Vec<(NodeId, HarpMessage)> = Vec::with_capacity(self.messages.len());
-        for (to, msg) in self.messages.drain(..) {
-            if let HarpMessage::PostPartitions { partitions } = &msg {
-                if let Some(HarpMessage::PostPartitions {
-                    partitions: existing,
-                }) = merged
-                    .iter_mut()
-                    .find(|(t, m)| *t == to && matches!(m, HarpMessage::PostPartitions { .. }))
-                    .map(|(_, m)| m)
-                {
-                    existing.extend(partitions.iter().copied());
-                    continue;
-                }
-            }
-            merged.push((to, msg));
+    /// Queues `POST part` entries for `to`, onto the `POST part` already
+    /// queued for it if there is one: a parent reports a child's
+    /// partitions for both directions in one message, as on the testbed.
+    fn post_partitions(&mut self, to: NodeId, partitions: Vec<(Direction, u32, Rect)>) {
+        let queued = self.messages.iter_mut().find_map(|(t, m)| match m {
+            HarpMessage::PostPartitions { partitions } if *t == to => Some(partitions),
+            _ => None,
+        });
+        match queued {
+            Some(queued) => queued.extend(partitions),
+            None => self
+                .messages
+                .push((to, HarpMessage::PostPartitions { partitions })),
         }
-        self.messages = merged;
     }
+
+    /// Empties the outbox, keeping its capacity.
+    pub(crate) fn clear(&mut self) {
+        self.messages.clear();
+        self.schedule_ops.clear();
+    }
+}
+
+/// What a handler borrows from whoever drives it: the undo log its writes
+/// feed, the workspace it computes in, and the outbox its messages and
+/// schedule operations go to.
+pub(crate) struct Cx<'a> {
+    pub log: &'a mut UndoLog,
+    pub ws: &'a mut Workspace,
+    pub fx: &'a mut Effects,
 }
 
 /// The messages a parent's static-phase grant to one child stands for, in
@@ -196,12 +197,6 @@ impl HarpNode {
     #[must_use]
     pub(crate) fn obs_counters(&self) -> &NodeObsCounters {
         &self.counters
-    }
-
-    /// Returns `true` for the gateway.
-    #[must_use]
-    pub(crate) fn is_gateway(&self) -> bool {
-        self.parent.is_none()
     }
 
     /// Returns `true` if the node has no children.
@@ -392,45 +387,50 @@ impl HarpNode {
     ///
     /// Propagates composition/allocation failures.
     pub fn bootstrap(&mut self) -> Result<Effects, HarpError> {
-        self.bootstrap_logged(&mut UndoLog::off(), &mut Workspace::new())
+        self.standalone(Self::bootstrap_logged)
     }
 
-    /// [`HarpNode::bootstrap`] with every state write recorded in `log`,
-    /// working in `ws`.
-    pub(crate) fn bootstrap_logged(
+    /// Runs `handler` outside any transaction, in a fresh workspace, and
+    /// returns what it put in its outbox.
+    fn standalone(
         &mut self,
-        log: &mut UndoLog,
-        ws: &mut Workspace,
+        handler: impl FnOnce(&mut Self, &mut Cx<'_>) -> Result<(), HarpError>,
     ) -> Result<Effects, HarpError> {
+        let mut outbox = Effects::default();
+        let (log, ws, fx) = (&mut UndoLog::off(), &mut Workspace::new(), &mut outbox);
+        handler(self, &mut Cx { log, ws, fx })?;
+        Ok(outbox)
+    }
+
+    /// [`HarpNode::bootstrap`] in `cx`.
+    pub(crate) fn bootstrap_logged(&mut self, cx: &mut Cx<'_>) -> Result<(), HarpError> {
         if self.is_leaf() {
-            return Ok(Effects::none());
+            return Ok(());
         }
-        self.maybe_generate_and_report(log, ws)
+        self.maybe_generate_and_report(cx)
     }
 
     /// Handles one protocol message from a neighbour.
     ///
     /// Handlers are **idempotent**: the transport layer may re-deliver any
     /// message (a retransmission whose original squeaked through), so each
-    /// arm recognises "nothing new" and returns `Effects::none` instead of
+    /// arm recognises "nothing new" and sends nothing instead of
     /// re-applying state or re-triggering adjustments.
     ///
     /// # Errors
     ///
     /// Propagates algorithmic failures (overflow, packing, missing state).
     pub fn handle(&mut self, from: NodeId, msg: HarpMessage) -> Result<Effects, HarpError> {
-        self.handle_logged(&mut UndoLog::off(), &mut Workspace::new(), from, msg)
+        self.standalone(|node, cx| node.handle_logged(cx, from, msg))
     }
 
-    /// [`HarpNode::handle`] with every state write recorded in `log`,
-    /// working in `ws`.
+    /// [`HarpNode::handle`] in `cx`.
     pub(crate) fn handle_logged(
         &mut self,
-        log: &mut UndoLog,
-        ws: &mut Workspace,
+        cx: &mut Cx<'_>,
         from: NodeId,
         msg: HarpMessage,
-    ) -> Result<Effects, HarpError> {
+    ) -> Result<(), HarpError> {
         match msg {
             HarpMessage::PostInterface { up, down } => {
                 // A static-phase report is a fact about the child's subtree;
@@ -439,13 +439,13 @@ impl HarpNode {
                 // Storing it again would clobber dynamic (`PUT intf`)
                 // updates that arrived since.
                 if self.up.interface().is_some() {
-                    return Ok(Effects::none());
+                    return Ok(());
                 }
-                self.dir_mut(log, Direction::Up)
+                self.dir_mut(cx.log, Direction::Up)
                     .put_child_interface(from, Some(up));
-                self.dir_mut(log, Direction::Down)
+                self.dir_mut(cx.log, Direction::Down)
                     .put_child_interface(from, Some(down));
-                self.maybe_generate_and_report(log, ws)
+                self.maybe_generate_and_report(cx)
             }
             HarpMessage::PostPartitions { partitions } => {
                 // Every entry identical to stored state ⇒ the original of
@@ -456,64 +456,58 @@ impl HarpNode {
                         .iter()
                         .all(|&(d, layer, rect)| self.dir(d).partition(layer) == Some(rect))
                 {
-                    return Ok(Effects::none());
+                    return Ok(());
                 }
-                let mut dirs = Vec::new();
                 for &(d, layer, rect) in &partitions {
-                    self.dir_mut(log, d).set_partition(layer, rect);
-                    if !dirs.contains(&d) {
-                        dirs.push(d);
+                    self.dir_mut(cx.log, d).set_partition(layer, rect);
+                }
+                // A parent lists a direction's entries together, uplink
+                // first.
+                for d in Direction::BOTH {
+                    if partitions.iter().any(|&(pd, _, _)| pd == d) {
+                        self.distribute_partitions(cx, d)?;
                     }
                 }
-                let mut fx = Effects::none();
-                for d in dirs {
-                    fx.merge(self.distribute_partitions(log, ws, d)?);
-                }
-                fx.coalesce_post_partitions();
-                Ok(fx)
+                Ok(())
             }
             HarpMessage::PutInterface {
                 direction,
                 layer,
                 component,
-            } => self.on_child_component_update(log, ws, direction, from, layer, component),
+            } => self.on_child_component_update(cx, direction, from, layer, component),
             HarpMessage::PutPartition {
                 direction,
                 layer,
                 rect,
             } => {
-                let old = self.dir(direction).partition(layer);
                 // An unchanged grant with no escalation pending is a
                 // re-delivery; replaying it would only recompute a layout
                 // identical to the stored one.
-                if old == Some(rect) && self.dir(direction).pending(layer).is_none() {
-                    return Ok(Effects::none());
+                let ds = self.dir(direction);
+                if ds.partition(layer) == Some(rect) && ds.pending(layer).is_none() {
+                    return Ok(());
                 }
-                self.dir_mut(log, direction).set_partition(layer, rect);
-                self.replace_layer(log, ws, direction, layer, old)
+                self.take_partition(cx, direction, layer, rect)
             }
             HarpMessage::CellAssignment { direction, cells } => {
                 // The child starts (or stops) using the granted cells now.
                 // A re-delivered assignment matches the cells already in
                 // use and must not re-emit the (externally visible) op.
                 let id = self.id;
-                let mut ds = self.dir_mut(log, direction);
+                let mut ds = self.dir_mut(cx.log, direction);
                 if ds.own_cells() == Some(&cells) {
-                    return Ok(Effects::none());
+                    return Ok(());
                 }
                 // The one place a run becomes a vector of cells.
-                let op = ScheduleOp::SetLinkCells {
+                cx.fx.schedule_ops.push(ScheduleOp::SetLinkCells {
                     link: Link {
                         child: id,
                         direction,
                     },
                     cells: cells.to_vec(),
-                };
+                });
                 ds.set_own_cells(cells);
-                Ok(Effects {
-                    messages: Vec::new(),
-                    schedule_ops: vec![op],
-                })
+                Ok(())
             }
         }
     }
@@ -533,59 +527,29 @@ impl HarpNode {
         child: NodeId,
         new_cells: u32,
     ) -> Result<Effects, HarpError> {
-        self.request_change_logged(
-            &mut UndoLog::off(),
-            &mut Workspace::new(),
-            direction,
-            child,
-            new_cells,
-        )
+        self.standalone(|node, cx| node.request_change_logged(cx, direction, child, new_cells))
     }
 
-    /// [`HarpNode::request_change`] with every state write recorded in
-    /// `log`, working in `ws`.
+    /// [`HarpNode::request_change`] in `cx`.
     pub(crate) fn request_change_logged(
         &mut self,
-        log: &mut UndoLog,
-        ws: &mut Workspace,
+        cx: &mut Cx<'_>,
         direction: Direction,
         child: NodeId,
         new_cells: u32,
-    ) -> Result<Effects, HarpError> {
+    ) -> Result<(), HarpError> {
         let layer = self.link_layer;
-        let id = self.id;
-        let mut ds = self.dir_mut(log, direction);
+        let mut ds = self.dir_mut(cx.log, direction);
         ds.put_req(child, Some(new_cells));
         let total: u32 = ds.reqs().map(|(_, r)| r).sum();
         match ds.partition(layer) {
             Some(row) if total <= row.width() * row.height() => {
                 // Case 1: enough idle cells in the current partition.
-                self.count(log, |c| c.local_updates += 1);
-                self.schedule_own_row(log, ws, direction)
+                self.count(cx.log, |c| c.local_updates += 1);
+                self.schedule_own_row(cx, direction)
             }
-            _ => {
-                // Case 2: the partition itself must grow.
-                let component = ResourceComponent::row(total);
-                ds.set_component(layer, component);
-                ds.put_pending(layer, Some(id));
-                if self.is_gateway() {
-                    self.gateway_reallocate(log, ws, direction, layer)
-                } else {
-                    self.count(log, |c| c.escalations += 1);
-                    let parent = self.parent.expect("non-gateway has a parent");
-                    Ok(Effects {
-                        messages: vec![(
-                            parent,
-                            HarpMessage::PutInterface {
-                                direction,
-                                layer,
-                                component,
-                            },
-                        )],
-                        schedule_ops: Vec::new(),
-                    })
-                }
-            }
+            // Case 2: the partition itself must grow.
+            _ => self.escalate(cx, direction, layer, ResourceComponent::row(total), self.id),
         }
     }
 
@@ -594,35 +558,25 @@ impl HarpNode {
     /// Generates the interface (both directions) once every non-leaf child
     /// has reported, then reports upward — or allocates if this is the
     /// gateway.
-    fn maybe_generate_and_report(
-        &mut self,
-        log: &mut UndoLog,
-        ws: &mut Workspace,
-    ) -> Result<Effects, HarpError> {
+    fn maybe_generate_and_report(&mut self, cx: &mut Cx<'_>) -> Result<(), HarpError> {
         let ready =
             |ds: &DirState, kids: &[NodeId]| kids.iter().all(|&c| ds.child_interface(c).is_some());
         if self.up.interface().is_some()
             || !ready(&self.up, &self.nonleaf_children)
             || !ready(&self.down, &self.nonleaf_children)
         {
-            return Ok(Effects::none());
+            return Ok(());
         }
-        self.generate_interfaces(log, ws)?;
-        if self.is_gateway() {
-            self.gateway_allocate(log, ws)
-        } else {
-            let parent = self.parent.expect("non-gateway has a parent");
-            Ok(Effects {
-                messages: vec![(
-                    parent,
-                    HarpMessage::PostInterface {
-                        up: self.up.interface().cloned().expect("just generated"),
-                        down: self.down.interface().cloned().expect("just generated"),
-                    },
-                )],
-                schedule_ops: Vec::new(),
-            })
-        }
+        self.generate_interfaces(cx.log, cx.ws)?;
+        let Some(parent) = self.parent else {
+            return self.gateway_allocate(cx);
+        };
+        let msg = HarpMessage::PostInterface {
+            up: self.up.interface().cloned().expect("just generated"),
+            down: self.down.interface().cloned().expect("just generated"),
+        };
+        cx.fx.messages.push((parent, msg));
+        Ok(())
     }
 
     /// Builds this node's interfaces, uplink then downlink, from local
@@ -668,18 +622,12 @@ impl HarpNode {
 
     /// The gateway's slotframe placement: uplink super-partition first with
     /// layers descending, downlink after with layers ascending (§IV-C).
-    fn gateway_allocate(
-        &mut self,
-        log: &mut UndoLog,
-        ws: &mut Workspace,
-    ) -> Result<Effects, HarpError> {
-        self.place_gateway_partitions(log)?;
-        let mut fx = Effects::none();
+    fn gateway_allocate(&mut self, cx: &mut Cx<'_>) -> Result<(), HarpError> {
+        self.place_gateway_partitions(cx.log)?;
         for d in Direction::BOTH {
-            fx.merge(self.distribute_partitions(log, ws, d)?);
+            self.distribute_partitions(cx, d)?;
         }
-        fx.coalesce_post_partitions();
-        Ok(fx)
+        Ok(())
     }
 
     /// Lays the gateway's per-layer partitions side by side along the
@@ -705,12 +653,11 @@ impl HarpNode {
     /// layouts, send them down, and schedule the own row.
     fn distribute_partitions(
         &mut self,
-        log: &mut UndoLog,
-        ws: &mut Workspace,
+        cx: &mut Cx<'_>,
         direction: Direction,
-    ) -> Result<Effects, HarpError> {
-        self.derive_child_partitions(log, direction)?;
-        let mut fx = self.schedule_own_row(log, ws, direction)?;
+    ) -> Result<(), HarpError> {
+        self.derive_child_partitions(cx.log, direction)?;
+        self.schedule_own_row(cx, direction)?;
         let ds = self.dir(direction);
         let mut per_child: BTreeMap<NodeId, Vec<(Direction, u32, Rect)>> = BTreeMap::new();
         for (layer, _) in ds.layouts() {
@@ -725,10 +672,9 @@ impl HarpNode {
             }
         }
         for (child, partitions) in per_child {
-            fx.messages
-                .push((child, HarpMessage::PostPartitions { partitions }));
+            cx.fx.post_partitions(child, partitions);
         }
-        Ok(fx)
+        Ok(())
     }
 
     /// Carves the children's partitions out of this node's own, one composed
@@ -752,23 +698,12 @@ impl HarpNode {
 
     /// Re-runs the local scheduler over the own partition row and notifies
     /// every child whose cells changed.
-    fn schedule_own_row(
-        &mut self,
-        log: &mut UndoLog,
-        ws: &mut Workspace,
-        direction: Direction,
-    ) -> Result<Effects, HarpError> {
-        let mut fx = Effects::none();
-        self.assign_own_row(log, ws, direction, |child, cells| {
-            fx.messages.push((
-                child,
-                HarpMessage::CellAssignment {
-                    direction,
-                    cells: cells.clone(),
-                },
-            ));
-        })?;
-        Ok(fx)
+    fn schedule_own_row(&mut self, cx: &mut Cx<'_>, direction: Direction) -> Result<(), HarpError> {
+        let messages = &mut cx.fx.messages;
+        self.assign_own_row(cx.log, cx.ws, direction, |child, cells| {
+            let cells = cells.clone();
+            messages.push((child, HarpMessage::CellAssignment { direction, cells }));
+        })
     }
 
     /// Re-runs the local scheduler over the own partition row, storing the
@@ -883,19 +818,18 @@ impl HarpNode {
         Ok(grant)
     }
 
-    // ---- dynamic phase internals ----
+    // ---- dynamic phase: three transitions and the handlers around them ----
 
     /// A child reported a grown component at `layer` (`PUT intf`). Try to
     /// absorb it locally (Alg. 2); escalate otherwise.
     fn on_child_component_update(
         &mut self,
-        log: &mut UndoLog,
-        ws: &mut Workspace,
+        cx: &mut Cx<'_>,
         direction: Direction,
         child: NodeId,
         layer: u32,
         component: ResourceComponent,
-    ) -> Result<Effects, HarpError> {
+    ) -> Result<(), HarpError> {
         // Duplicate guard: the stored interface already matches and either
         // the child's current grant at this layer covers the component (the
         // original was fully absorbed) or an escalation for exactly this
@@ -911,16 +845,16 @@ impl HarpNode {
             });
             let already_escalated = ds.pending(layer) == Some(child);
             if already_stored && (already_granted || already_escalated) {
-                return Ok(Effects::none());
+                return Ok(());
             }
         }
-        let mut ds = self.dir_mut(log, direction);
+        let mut ds = self.dir_mut(cx.log, direction);
         ds.set_child_component(child, layer, component);
         // A layer this node has never held a partition for (the subtree just
         // grew deeper, e.g. after a node join): nothing to adjust locally —
         // escalate straight away so an ancestor creates the layer.
         let Some(own) = ds.partition(layer) else {
-            return self.escalate_layer(log, ws, direction, layer, child);
+            return self.escalate_layer(cx, direction, layer, child);
         };
         let mut placements = ds
             .child_partitions_at(layer)
@@ -929,96 +863,122 @@ impl HarpNode {
         if !placements.iter().any(|(c, _)| *c == child) {
             placements.push((child, Rect::default()));
         }
-
-        if let Some(outcome) = adjust_partition(own, &placements, child, component)? {
-            self.count(log, |c| {
-                c.adjust_feasible += 1;
-                c.partitions_moved += outcome.moved_count() as u64;
-            });
-            let mut fx = Effects::none();
-            for &moved in &outcome.moved {
-                let rect = outcome
-                    .layout
-                    .iter()
-                    .find(|(c, _)| *c == moved)
-                    .map(|&(_, r)| r)
-                    .expect("moved child is in the layout");
-                fx.messages.push((
-                    moved,
-                    HarpMessage::PutPartition {
-                        direction,
-                        layer,
-                        rect,
-                    },
-                ));
-            }
-            self.dir_mut(log, direction)
-                .set_child_partitions(layer, outcome.layout);
-            return Ok(fx);
+        let Some(outcome) = self.adjust_within(cx.log, own, &placements, child, component)? else {
+            return self.escalate_layer(cx, direction, layer, child);
+        };
+        for (moved, rect) in outcome.moved_rects() {
+            let msg = HarpMessage::PutPartition {
+                direction,
+                layer,
+                rect,
+            };
+            cx.fx.messages.push((moved, msg));
         }
-
-        self.count(log, |c| c.adjust_infeasible += 1);
-        self.escalate_layer(log, ws, direction, layer, child)
+        self.dir_mut(cx.log, direction)
+            .set_child_partitions(layer, outcome.layout);
+        Ok(())
     }
 
-    /// Recomposes `layer` from the children's current components and asks
-    /// the parent (or, at the gateway, the slotframe) for room.
+    /// Recomposes `layer` from the children's current components, stores
+    /// the layout and escalates the composite.
     fn escalate_layer(
         &mut self,
-        log: &mut UndoLog,
-        ws: &mut Workspace,
+        cx: &mut Cx<'_>,
         direction: Direction,
         layer: u32,
         requester: NodeId,
-    ) -> Result<Effects, HarpError> {
+    ) -> Result<(), HarpError> {
         let reported = self
             .dir(direction)
             .child_interfaces()
             .filter_map(|(c, i)| i.component(layer).map(|comp| (c, comp)));
-        let layout = ws.compose(reported, self.config.channels, layer)?;
+        let layout = cx.ws.compose(reported, self.config.channels, layer)?;
         let composite = layout.composite();
-        let mut ds = self.dir_mut(log, direction);
-        ds.set_component(layer, composite);
-        ds.set_layout(layer, layout);
-        ds.put_pending(layer, Some(requester));
-        if self.is_gateway() {
-            self.gateway_reallocate(log, ws, direction, layer)
-        } else {
-            self.count(log, |c| c.escalations += 1);
-            let parent = self.parent.expect("non-gateway has a parent");
-            Ok(Effects {
-                messages: vec![(
-                    parent,
-                    HarpMessage::PutInterface {
-                        direction,
-                        layer,
-                        component: composite,
-                    },
-                )],
-                schedule_ops: Vec::new(),
-            })
-        }
+        self.dir_mut(cx.log, direction).set_layout(layer, layout);
+        self.escalate(cx, direction, layer, composite, requester)
     }
 
-    /// The own partition at `layer` changed (grew or moved). Re-place
-    /// whatever lives inside it and propagate.
-    fn replace_layer(
+    /// Case 2 of §V: this node's component at `layer` grows to `component`
+    /// on behalf of `requester`. Marks the layer pending, then asks the
+    /// parent for room (`PUT intf`) or, at the gateway, re-places the
+    /// slotframe.
+    fn escalate(
+        &mut self,
+        cx: &mut Cx<'_>,
+        direction: Direction,
+        layer: u32,
+        component: ResourceComponent,
+        requester: NodeId,
+    ) -> Result<(), HarpError> {
+        let mut ds = self.dir_mut(cx.log, direction);
+        ds.set_component(layer, component);
+        ds.put_pending(layer, Some(requester));
+        let Some(parent) = self.parent else {
+            return self.gateway_reallocate(cx, direction, layer);
+        };
+        self.count(cx.log, |c| c.escalations += 1);
+        let msg = HarpMessage::PutInterface {
+            direction,
+            layer,
+            component,
+        };
+        cx.fx.messages.push((parent, msg));
+        Ok(())
+    }
+
+    /// One step of Alg. 2 (§V): `key`'s partition, one of `entries` inside
+    /// `container`, grows to `component`. Counts the outcome, which is
+    /// `None` when even a full repack cannot fit.
+    fn adjust_within<K: Copy + Ord>(
         &mut self,
         log: &mut UndoLog,
-        ws: &mut Workspace,
+        container: Rect,
+        entries: &[(K, Rect)],
+        key: K,
+        component: ResourceComponent,
+    ) -> Result<Option<AdjustmentOutcome<K>>, HarpError> {
+        let outcome = adjust_partition(container, entries, key, component)?;
+        self.count(log, |c| match &outcome {
+            Some(outcome) => {
+                c.adjust_feasible += 1;
+                c.partitions_moved += outcome.moved_count() as u64;
+            }
+            None => c.adjust_infeasible += 1,
+        });
+        Ok(outcome)
+    }
+
+    /// Installs a partition granted at `layer` (`PUT part`, or the
+    /// gateway's own re-placement) and re-places whatever lives inside it.
+    fn take_partition(
+        &mut self,
+        cx: &mut Cx<'_>,
+        direction: Direction,
+        layer: u32,
+        rect: Rect,
+    ) -> Result<(), HarpError> {
+        let mut ds = self.dir_mut(cx.log, direction);
+        let old = ds.partition(layer);
+        ds.set_partition(layer, rect);
+        self.replace_layer(cx, direction, layer, old, rect)
+    }
+
+    /// The own partition at `layer` became `rect` (it was `old`): settles
+    /// the escalation pending there, re-places whatever lives inside it and
+    /// tells every non-leaf child whose partition changed.
+    fn replace_layer(
+        &mut self,
+        cx: &mut Cx<'_>,
         direction: Direction,
         layer: u32,
         old: Option<Rect>,
-    ) -> Result<Effects, HarpError> {
+        rect: Rect,
+    ) -> Result<(), HarpError> {
         if self.dir(direction).pending(layer).is_some() {
-            self.dir_mut(log, direction).put_pending(layer, None);
+            self.dir_mut(cx.log, direction).put_pending(layer, None);
         }
-        let rect = self
-            .dir(direction)
-            .partition(layer)
-            .expect("set by the caller");
         if layer == self.link_layer {
-            return self.schedule_own_row(log, ws, direction);
+            return self.schedule_own_row(cx, direction);
         }
 
         let current = self
@@ -1061,7 +1021,6 @@ impl HarpNode {
             }
         };
 
-        let mut fx = Effects::none();
         for &(c, r) in &new_layout {
             let old_rect = current
                 .iter()
@@ -1069,19 +1028,17 @@ impl HarpNode {
                 .map(|&(_, r)| r)
                 .unwrap_or_default();
             if r != old_rect && self.nonleaf_children.contains(&c) {
-                fx.messages.push((
-                    c,
-                    HarpMessage::PutPartition {
-                        direction,
-                        layer,
-                        rect: r,
-                    },
-                ));
+                let msg = HarpMessage::PutPartition {
+                    direction,
+                    layer,
+                    rect: r,
+                };
+                cx.fx.messages.push((c, msg));
             }
         }
-        self.dir_mut(log, direction)
+        self.dir_mut(cx.log, direction)
             .set_child_partitions(layer, new_layout);
-        Ok(fx)
+        Ok(())
     }
 
     /// The gateway absorbs a grown component at `(direction, layer)` by
@@ -1092,11 +1049,10 @@ impl HarpNode {
     /// growth lands in the slotframe's idle area whenever possible.
     fn gateway_reallocate(
         &mut self,
-        log: &mut UndoLog,
-        ws: &mut Workspace,
+        cx: &mut Cx<'_>,
         direction: Direction,
         layer: u32,
-    ) -> Result<Effects, HarpError> {
+    ) -> Result<(), HarpError> {
         let container = Rect::from_xywh(0, 0, self.config.slots, u32::from(self.config.channels));
         let mut entries: Vec<((Direction, u32), Rect)> = Vec::new();
         for d in Direction::BOTH {
@@ -1117,9 +1073,8 @@ impl HarpNode {
                 node: self.id,
                 layer,
             })?;
-        let Some(outcome) = adjust_partition(container, &entries, (direction, layer), component)?
-        else {
-            self.count(log, |c| c.adjust_infeasible += 1);
+        let key = (direction, layer);
+        let Some(outcome) = self.adjust_within(cx.log, container, &entries, key, component)? else {
             let total: u64 =
                 entries.iter().map(|(_, r)| r.area()).sum::<u64>() + component.cell_count();
             // The binding constraint is either the total area or the grown
@@ -1133,23 +1088,10 @@ impl HarpNode {
                 available: self.config.slots,
             });
         };
-        self.count(log, |c| {
-            c.adjust_feasible += 1;
-            c.partitions_moved += outcome.moved_count() as u64;
-        });
-        let mut fx = Effects::none();
-        for &(d, l) in &outcome.moved {
-            let rect = outcome
-                .layout
-                .iter()
-                .find(|&&(k, _)| k == (d, l))
-                .map(|&(_, r)| r)
-                .expect("moved key is in the layout");
-            let old = self.dir(d).partition(l);
-            self.dir_mut(log, d).set_partition(l, rect);
-            fx.merge(self.replace_layer(log, ws, d, l, old)?);
+        for ((d, l), rect) in outcome.moved_rects() {
+            self.take_partition(cx, d, l, rect)?;
         }
-        Ok(fx)
+        Ok(())
     }
 }
 

@@ -1,6 +1,6 @@
-//! White-box tests of protocol details: message coalescing, partition
-//! translation on sibling moves, pending-request consumption, and report
-//! accounting.
+//! White-box tests of protocol details: message coalescing and order,
+//! partition translation on sibling moves, pending-request consumption,
+//! and report accounting.
 
 use harp_core::{
     HarpMessage, HarpNetwork, HarpNode, Requirements, ResourceComponent, SchedulingPolicy,
@@ -299,4 +299,124 @@ fn dynamic_phase_handlers_are_idempotent() {
     for want in ["PutInterface", "PutPartition", "CellAssignment"] {
         assert!(covered.contains(want), "adjustment never exercised {want}");
     }
+}
+
+// ---- message order ----
+
+/// Delivers `inbox` and everything it triggers through the synchronous
+/// loop (last in, first out), recording `from -> to: message` for every
+/// delivery.
+fn deliver_in_order(
+    nodes: &mut [HarpNode],
+    mut inbox: Vec<(NodeId, NodeId, HarpMessage)>,
+) -> Vec<String> {
+    let mut seen = Vec::new();
+    while let Some((from, to, msg)) = inbox.pop() {
+        seen.push(format!("{from} -> {to}: {msg}"));
+        let fx = nodes[to.index()].handle(from, msg).unwrap();
+        inbox.extend(fx.messages.into_iter().map(|(t, m)| (to, t, m)));
+    }
+    seen
+}
+
+/// The messages `node` sends for one traffic change of the link to `child`.
+fn change(
+    nodes: &mut [HarpNode],
+    node: NodeId,
+    child: NodeId,
+    cells: u32,
+) -> Vec<(NodeId, NodeId, HarpMessage)> {
+    let fx = nodes[node.index()]
+        .request_change(Direction::Up, child, cells)
+        .unwrap();
+    fx.messages
+        .into_iter()
+        .map(|(to, m)| (node, to, m))
+        .collect()
+}
+
+/// The static wave and three cascades on fig. 1, one cell per link, each
+/// message in the order it is delivered: `Up N9 → 8` climbs to the
+/// gateway (N3's Alg. 2 step fails), `Up N2 → 5` is absorbed by the
+/// gateway re-placing its own row, and `Up N11 → 2` is absorbed by N3's
+/// Alg. 2 step. Counts and timing are pinned elsewhere; this pins order.
+#[test]
+fn messages_leave_in_a_fixed_order() {
+    let tree = Tree::paper_fig1_example();
+    let mut nodes = fresh_nodes(&tree, SlotframeConfig::paper_default());
+    let mut inbox = Vec::new();
+    for node in &mut nodes {
+        let from = node.id();
+        let fx = node.bootstrap().unwrap();
+        inbox.extend(fx.messages.into_iter().map(|(to, m)| (from, to, m)));
+    }
+    assert_eq!(
+        deliver_in_order(&mut nodes, inbox),
+        [
+            "N8 -> N3: POST intf up={l3:[1, 1]} down={l3:[1, 1]}",
+            "N7 -> N3: POST intf up={l3:[2, 1]} down={l3:[2, 1]}",
+            "N3 -> N0: POST intf up={l2:[2, 1], l3:[2, 2]} down={l2:[2, 1], l3:[2, 2]}",
+            "N2 -> N0: POST intf up={l2:[1, 1]} down={l2:[1, 1]}",
+            "N1 -> N0: POST intf up={l2:[2, 1]} down={l2:[2, 1]}",
+            "N0 -> N3: CELLS down (1 cells)",
+            "N0 -> N2: CELLS down (1 cells)",
+            "N0 -> N1: CELLS down (1 cells)",
+            "N0 -> N3: POST part (4 entries)",
+            "N3 -> N8: CELLS down (1 cells)",
+            "N3 -> N7: CELLS down (1 cells)",
+            "N3 -> N8: POST part (2 entries)",
+            "N8 -> N11: CELLS down (1 cells)",
+            "N8 -> N11: CELLS up (1 cells)",
+            "N3 -> N7: POST part (2 entries)",
+            "N7 -> N10: CELLS down (1 cells)",
+            "N7 -> N9: CELLS down (1 cells)",
+            "N7 -> N10: CELLS up (1 cells)",
+            "N7 -> N9: CELLS up (1 cells)",
+            "N3 -> N8: CELLS up (1 cells)",
+            "N3 -> N7: CELLS up (1 cells)",
+            "N0 -> N2: POST part (2 entries)",
+            "N2 -> N6: CELLS down (1 cells)",
+            "N2 -> N6: CELLS up (1 cells)",
+            "N0 -> N1: POST part (2 entries)",
+            "N1 -> N5: CELLS down (1 cells)",
+            "N1 -> N4: CELLS down (1 cells)",
+            "N1 -> N5: CELLS up (1 cells)",
+            "N1 -> N4: CELLS up (1 cells)",
+            "N0 -> N3: CELLS up (1 cells)",
+            "N0 -> N2: CELLS up (1 cells)",
+            "N0 -> N1: CELLS up (1 cells)",
+        ]
+    );
+    let inbox = change(&mut nodes, NodeId(7), NodeId(9), 8);
+    assert_eq!(
+        deliver_in_order(&mut nodes, inbox),
+        [
+            "N7 -> N3: PUT intf up l3 [9, 1]",
+            "N3 -> N0: PUT intf up l3 [9, 2]",
+            "N0 -> N3: PUT part up l3 9x2+(14, 0)",
+            "N3 -> N8: PUT part up l3 1x1+(14, 1)",
+            "N8 -> N11: CELLS up (1 cells)",
+            "N3 -> N7: PUT part up l3 9x1+(14, 0)",
+            "N7 -> N10: CELLS up (1 cells)",
+            "N7 -> N9: CELLS up (8 cells)",
+        ]
+    );
+    let inbox = change(&mut nodes, tree.root(), NodeId(2), 5);
+    assert_eq!(
+        deliver_in_order(&mut nodes, inbox),
+        [
+            "N0 -> N3: CELLS up (1 cells)",
+            "N0 -> N1: CELLS up (1 cells)",
+            "N0 -> N2: CELLS up (5 cells)",
+        ]
+    );
+    let inbox = change(&mut nodes, NodeId(8), NodeId(11), 2);
+    assert_eq!(
+        deliver_in_order(&mut nodes, inbox),
+        [
+            "N8 -> N3: PUT intf up l3 [2, 1]",
+            "N3 -> N8: PUT part up l3 2x1+(14, 1)",
+            "N8 -> N11: CELLS up (2 cells)",
+        ]
+    );
 }

@@ -2,8 +2,10 @@
 //! interference-driven parent switches — the network dynamics that motivate
 //! HARP (§I of the paper).
 
-use harp_core::{unsatisfied_links, HarpNetwork, HarpNode, Requirements, SchedulingPolicy};
-use tsch_sim::{Cell, Direction, Link, NodeId, SlotframeConfig, Tree};
+use harp_core::{
+    unsatisfied_links, HarpError, HarpNetwork, HarpNode, Requirements, SchedulingPolicy,
+};
+use tsch_sim::{Cell, Direction, Link, NodeId, SlotframeConfig, TopologyError, Tree};
 
 fn fig1_network() -> HarpNetwork {
     let tree = Tree::paper_fig1_example();
@@ -111,6 +113,18 @@ fn parent_switch_across_layers() {
     assert_eq!(net.node(NodeId(2)).requirement(Direction::Up, NodeId(6)), 0);
 }
 
+/// Everything a refused topology event must leave as it was: every node,
+/// every schedule row, and the version stamps and the clock.
+type Observable = (Vec<HarpNode>, Vec<(Link, Vec<Cell>)>, [u64; 3]);
+
+fn observable(net: &HarpNetwork) -> Observable {
+    let nodes = net.tree().nodes().map(|v| net.node(v).clone()).collect();
+    let rows = net.schedule().iter_links();
+    let rows = rows.map(|(l, c)| (l, c.to_vec())).collect();
+    let stamps = [net.version(), net.schedule().version(), net.now().0];
+    (nodes, rows, stamps)
+}
+
 #[test]
 fn a_move_the_tree_refuses_changes_nothing() {
     // A leaf cannot become its own parent. The move is refused before
@@ -123,25 +137,50 @@ fn a_move_the_tree_refuses_changes_nothing() {
             .unwrap();
     }
     let leaf = NodeId(10);
-    let nodes: Vec<HarpNode> = net.tree().nodes().map(|v| net.node(v).clone()).collect();
-    let rows: Vec<(Link, Vec<Cell>)> = net
-        .schedule()
-        .iter_links()
-        .map(|(l, c)| (l, c.to_vec()))
-        .collect();
-    let (version, schedule_version, now) = (net.version(), net.schedule().version(), net.now());
-
-    assert!(net.reparent_leaf(now, leaf, leaf).is_err());
-    for (v, before) in net.tree().nodes().zip(&nodes) {
-        assert_eq!(net.node(v), before, "node {v}");
-    }
-    let after = net.schedule().iter_links();
-    assert!(after.eq(rows.iter().map(|(l, c)| (*l, c.as_slice()))));
-    assert_eq!(net.version(), version);
-    assert_eq!(net.schedule().version(), schedule_version);
-    assert_eq!(net.now(), now);
+    let before = observable(&net);
+    let refused = net.reparent_leaf(net.now(), leaf, leaf);
+    let cycle = TopologyError::Cycle {
+        child: leaf,
+        new_parent: leaf,
+    };
+    assert_eq!(refused.unwrap_err(), HarpError::Topology(cycle));
+    assert_eq!(observable(&net), before);
     assert_eq!(net.take_ops(), twin.take_ops(), "op sink");
     assert!(!net.schedule().cells_of(Link::up(leaf)).is_empty());
+}
+
+#[test]
+fn only_a_leaf_that_is_one_now_can_move() {
+    // Node 4 was a leaf when the network was built; after node 6 moves
+    // under it, it is not, and moving or removing it is refused with the
+    // reason — before anything changes, where it used to panic.
+    let mut net = fig1_network();
+    net.reparent_leaf(net.now(), NodeId(6), NodeId(4)).unwrap();
+    let before = observable(&net);
+    let unknown = HarpError::Topology(TopologyError::UnknownNode(NodeId(99)));
+    let gateway = HarpError::Topology(TopologyError::RootHasNoParent);
+    let refusals = [
+        (
+            net.reparent_leaf(net.now(), NodeId(4), NodeId(3)),
+            HarpError::NotALeaf(NodeId(4)),
+        ),
+        (
+            net.leave_leaf(net.now(), NodeId(4)),
+            HarpError::NotALeaf(NodeId(4)),
+        ),
+        (
+            net.reparent_leaf(net.now(), NodeId(0), NodeId(3)),
+            gateway.clone(),
+        ),
+        (net.leave_leaf(net.now(), NodeId(0)), gateway),
+        (net.leave_leaf(net.now(), NodeId(99)), unknown.clone()),
+        (net.reparent_leaf(net.now(), NodeId(5), NodeId(99)), unknown),
+    ];
+    for (refused, reason) in refusals {
+        assert_eq!(refused.unwrap_err(), reason);
+    }
+    assert_eq!(observable(&net), before);
+    assert_eq!(net.tree().parent(NodeId(6)), Some(NodeId(4)));
 }
 
 #[test]

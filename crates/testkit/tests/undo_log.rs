@@ -391,13 +391,14 @@ fn an_adjustment_allocates_what_it_writes() {
     /// settle (7 while the gateway's placement cloned both its interfaces
     /// and collected their layers). Everything else it allocates, it keeps.
     const CREATE_FREES_BUDGET: u64 = 3;
-    /// Mean allocations per adjustment, measured likewise (202.9; 231.0 with
-    /// the schedule as maps, 261.5 with maps and cell vectors in the nodes
-    /// too, 301.3 with per-call buffers, 878.7 with the first-touch node
-    /// clones the undo log replaced), + 10 %.
-    const MEAN_ALLOCS_BUDGET: f64 = 223.2;
+    /// Mean allocations per adjustment, measured likewise (174.3; 202.9
+    /// with a fresh outbox per handler, 231.0 with the schedule as maps,
+    /// 261.5 with maps and cell vectors in the nodes too, 301.3 with
+    /// per-call buffers, 878.7 with the first-touch node clones the undo
+    /// log replaced), + 10 %.
+    const MEAN_ALLOCS_BUDGET: f64 = 191.7;
     /// A local adjustment rewrites one row: its undo log, the cell messages
-    /// and the schedule ops they become, 4.1 KiB on average here (21.3 KiB
+    /// and the schedule ops they become, 3.8 KiB on average here (21.3 KiB
     /// with node clones).
     const LOCAL_BYTES_BUDGET: f64 = 8.0 * 1024.0;
 

@@ -12,8 +12,8 @@
 //! * periodic tasks, packets, queues and the slot-by-slot data-plane
 //!   execution ([`Task`], [`Simulator`]);
 //! * the management plane carrying network-management messages with
-//!   management-cell timing ([`MgmtPlane`]), plus a CoAP-style transport
-//!   layer with pluggable loss models and reliability ([`ControlPlane`],
+//!   management-cell timing and a CoAP-style transport layer with
+//!   pluggable loss models and reliability ([`ControlPlane`],
 //!   [`Transport`]).
 //!
 //! Everything is deterministic given a `u64` seed.
@@ -72,7 +72,7 @@ pub use engine::{SimError, Simulator, SimulatorBuilder};
 pub use faults::{FaultAction, FaultPlan};
 pub use harp_obs::{MetricsSnapshot, Obs, SpanEvent, SpanRing, NO_NODE};
 pub use interference::{GlobalInterference, InterferenceModel, TwoHopInterference};
-pub use mgmt::{Delivered, MgmtError, MgmtPlane};
+pub use mgmt::{Delivered, MgmtError};
 pub use packet::{Packet, Rate, RateError, Task, TaskId, TaskKind};
 pub use par::{bench_threads, par_map, par_map_with_threads};
 pub use radio::{LinkQuality, PdrError};
@@ -83,8 +83,7 @@ pub use time::{Asn, Cell, ConfigError, SlotframeConfig};
 pub use topology::{Direction, Link, NodeId, TopologyError, Tree, TreeBuilder};
 pub use trace::{TraceBuffer, TraceEvent};
 pub use transport::{
-    Chaos, ControlPlane, Envelope, EnvelopeKind, Lossy, ReliabilityConfig, Reliable, Transport,
-    TransportStats, TxFate,
+    Chaos, ControlPlane, Lossy, ReliabilityConfig, Reliable, Transport, TransportStats, TxFate,
 };
 
 #[cfg(test)]
@@ -101,7 +100,6 @@ mod lib_tests {
         assert_debug::<Link>();
         assert_debug::<NetworkSchedule>();
         assert_debug::<Simulator>();
-        assert_debug::<MgmtPlane<u8>>();
         assert_debug::<ControlPlane<u8>>();
         assert_debug::<SimStats>();
     }
@@ -110,7 +108,6 @@ mod lib_tests {
     fn simulator_is_send() {
         fn assert_send<T: Send>() {}
         assert_send::<Simulator>();
-        assert_send::<MgmtPlane<u64>>();
         assert_send::<ControlPlane<u64>>();
     }
 }

@@ -18,7 +18,8 @@ use crate::time::{Asn, SlotframeConfig};
 use crate::topology::{Link, NodeId, Tree};
 use core::fmt;
 
-/// A message delivered by [`MgmtPlane::poll`].
+/// A message delivered by
+/// [`ControlPlane::poll`](crate::ControlPlane::poll).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Delivered<M> {
     /// The sending neighbour.
@@ -91,23 +92,10 @@ const IN_FLIGHT_RESERVE: usize = 64;
 /// the plane keeps one table indexed by the hop's dense link id (`2i` and
 /// `2i + 1`), and a cell's slot is a function of that id.
 ///
-/// # Examples
-///
-/// ```
-/// use tsch_sim::{Asn, MgmtPlane, NodeId, SlotframeConfig, Tree};
-///
-/// # fn main() -> Result<(), tsch_sim::MgmtError> {
-/// let tree = Tree::paper_fig1_example();
-/// let mut plane: MgmtPlane<&str> =
-///     MgmtPlane::new(&tree, SlotframeConfig::paper_default());
-/// plane.send(&tree, Asn(0), NodeId(4), NodeId(1), "request")?;
-/// // Nothing arrives before the sender's management cell.
-/// assert!(plane.poll(Asn(0)).is_empty());
-/// # Ok(())
-/// # }
-/// ```
+/// [`ControlPlane`](crate::ControlPlane) is its only user: it decides what
+/// each occupied cell actually carries.
 #[derive(Debug)]
-pub struct MgmtPlane<M> {
+pub(crate) struct MgmtPlane<M> {
     config: SlotframeConfig,
     /// Future deliveries registered as calendar wakeups; simultaneous
     /// deliveries fire in registration (seq) order.
@@ -138,7 +126,7 @@ impl<M> MgmtPlane<M> {
     /// slotframe deterministically (mirroring the Management sub-frame of
     /// the testbed).
     #[must_use]
-    pub fn new(tree: &Tree, config: SlotframeConfig) -> Self {
+    pub(crate) fn new(tree: &Tree, config: SlotframeConfig) -> Self {
         let cells = 2 * tree.len();
         Self {
             config,
@@ -158,26 +146,22 @@ impl<M> MgmtPlane<M> {
     /// Total management messages transmitted so far — the overhead metric of
     /// Table II and Fig. 12.
     #[must_use]
-    pub fn messages_sent(&self) -> u64 {
+    pub(crate) fn messages_sent(&self) -> u64 {
         self.sent
     }
 
     /// Number of messages still in flight.
     #[must_use]
-    pub fn in_flight(&self) -> usize {
+    pub(crate) fn in_flight(&self) -> usize {
         self.in_flight.len()
     }
 
-    /// Sends `payload` from `from` to its tree neighbour `to`.
-    ///
-    /// The message is delivered at the sender's next management cell for the
-    /// appropriate direction, strictly after `now`. Returns the delivery ASN.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MgmtError::NotNeighbors`] unless `to` is `from`'s parent or
-    /// child.
-    pub fn send(
+    /// Sends `payload` from `from` to its tree neighbour `to`, delivered at
+    /// the sender's next management cell for that direction, strictly after
+    /// `now`; returns the delivery ASN. Without a transport on top, only the
+    /// plane's own tests send this way.
+    #[cfg(test)]
+    pub(crate) fn send(
         &mut self,
         tree: &Tree,
         now: Asn,
@@ -231,7 +215,7 @@ impl<M> MgmtPlane<M> {
 
     /// Delivers every message whose time has come (deliver_at ≤ `now`), in
     /// delivery-time order.
-    pub fn poll(&mut self, now: Asn) -> Vec<Delivered<M>> {
+    pub(crate) fn poll(&mut self, now: Asn) -> Vec<Delivered<M>> {
         let mut out = Vec::new();
         while let Some((at, m)) = self.in_flight.pop_due(now) {
             out.push(Delivered {

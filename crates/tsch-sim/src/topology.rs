@@ -133,6 +133,14 @@ pub enum TopologyError {
     UnknownNode(NodeId),
     /// The root has no parent, no uplink and no downlink.
     RootHasNoParent,
+    /// Moving `child` under `new_parent` would close a cycle: `new_parent`
+    /// is `child` or one of its descendants.
+    Cycle {
+        /// The node that was to move.
+        child: NodeId,
+        /// The parent it was to move under.
+        new_parent: NodeId,
+    },
 }
 
 impl fmt::Display for TopologyError {
@@ -140,6 +148,9 @@ impl fmt::Display for TopologyError {
         match self {
             TopologyError::UnknownNode(n) => write!(f, "unknown node {n}"),
             TopologyError::RootHasNoParent => write!(f, "the gateway has no parent link"),
+            TopologyError::Cycle { child, new_parent } => {
+                write!(f, "{new_parent} is in the subtree of {child}")
+            }
         }
     }
 }
@@ -518,9 +529,9 @@ impl Tree {
     /// # Errors
     ///
     /// * [`TopologyError::RootHasNoParent`] if `child` is the root.
-    /// * [`TopologyError::UnknownNode`] if either node does not exist, or if
-    ///   `new_parent` lies inside `child`'s subtree (the move would create a
-    ///   cycle).
+    /// * [`TopologyError::UnknownNode`] if either node does not exist.
+    /// * [`TopologyError::Cycle`] if `new_parent` lies inside `child`'s
+    ///   subtree.
     ///
     /// # Examples
     ///
@@ -540,11 +551,11 @@ impl Tree {
         if child == self.root() {
             return Err(TopologyError::RootHasNoParent);
         }
-        if child.index() >= self.len() || new_parent.index() >= self.len() {
-            return Err(TopologyError::UnknownNode(new_parent));
+        if let Some(&unknown) = [child, new_parent].iter().find(|v| v.index() >= self.len()) {
+            return Err(TopologyError::UnknownNode(unknown));
         }
         if self.is_ancestor(child, new_parent) {
-            return Err(TopologyError::UnknownNode(new_parent));
+            return Err(TopologyError::Cycle { child, new_parent });
         }
         let mut parent = self.parent.clone();
         parent[child.index()] = Some(new_parent);
@@ -809,6 +820,20 @@ mod tests {
         let moved = t.with_reparented(NodeId(10), NodeId(8)).unwrap();
         assert_ne!(t, moved);
         assert_eq!(moved.with_reparented(NodeId(10), NodeId(7)).unwrap(), t);
+    }
+
+    #[test]
+    fn a_refused_reparent_names_its_reason() {
+        let t = fig1();
+        let cycle = TopologyError::Cycle {
+            child: NodeId(3),
+            new_parent: NodeId(9),
+        };
+        assert_eq!(t.with_reparented(NodeId(3), NodeId(9)), Err(cycle));
+        let unknown = TopologyError::UnknownNode(NodeId(12));
+        assert_eq!(t.with_reparented(NodeId(12), NodeId(1)), Err(unknown));
+        let root = TopologyError::RootHasNoParent;
+        assert_eq!(t.with_reparented(NodeId(0), NodeId(1)), Err(root));
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! The paper's testbed runs HARP over CoAP confirmable messages (§VI-A): a
 //! control message can be lost like any other frame, so the endpoints
 //! acknowledge, retransmit with exponential backoff and suppress duplicates.
-//! [`ControlPlane`] reproduces that sublayer on top of [`MgmtPlane`]:
+//! [`ControlPlane`] reproduces that sublayer on top of the management
+//! plane's cell timing (`MgmtPlane`):
 //!
-//! * every payload travels in an [`Envelope`] (`Con` carrying data, `Ack`
+//! * every payload travels in an `Envelope` (`Con` carrying data, `Ack`
 //!   confirming a `msg_id`/`token` pair);
 //! * a pluggable [`Transport`] decides the fate of each transmission —
 //!   [`Reliable`] (every frame arrives, the pre-transport behaviour),
@@ -25,7 +26,7 @@
 //!
 //! With a lossless transport the sublayer disengages entirely: no envelope
 //! ids, no ACKs, no timers — deliveries are bit-for-bit identical to the
-//! plain [`MgmtPlane`], which keeps the paper-reproduction reports stable.
+//! plain `MgmtPlane`, which keeps the paper-reproduction reports stable.
 
 use crate::calendar::EventCalendar;
 use crate::mgmt::{hop, Delivered, MgmtError, MgmtPlane};
@@ -61,7 +62,7 @@ impl TransportObsIds {
 
 /// Whether an envelope carries data or confirms receipt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EnvelopeKind {
+pub(crate) enum EnvelopeKind {
     /// A confirmable message carrying a payload.
     Con,
     /// An acknowledgement of a previously received `Con`.
@@ -71,16 +72,16 @@ pub enum EnvelopeKind {
 /// The unit the transport layer moves: a payload (or an acknowledgement)
 /// plus the identifiers the reliability sublayer needs.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Envelope<M> {
+pub(crate) struct Envelope<M> {
     /// Per-sender-receiver-pair message id, assigned densely in send order;
     /// the receiver's duplicate-suppression window tracks these.
-    pub msg_id: u64,
+    msg_id: u64,
     /// Plane-wide unique exchange token matching an ACK to its `Con`.
-    pub token: u64,
+    token: u64,
     /// Data or acknowledgement.
-    pub kind: EnvelopeKind,
+    kind: EnvelopeKind,
     /// The payload (`Some` for `Con`, `None` for `Ack`).
-    pub payload: Option<M>,
+    payload: Option<M>,
 }
 
 /// What happened to one transmission attempt on the channel.
