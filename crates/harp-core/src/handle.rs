@@ -124,8 +124,8 @@ impl AllocatorHandle {
 
     /// Like [`AllocatorHandle::converge`] with observability enabled before
     /// the static phase, so the handle's [`AllocatorHandle::metrics_snapshot`]
-    /// carries the "harp.*" and "transport.*" series from the first message
-    /// on.
+    /// carries the "harp.*" and "transport.*" series and its spans cover
+    /// the static phase.
     ///
     /// # Errors
     ///

@@ -145,7 +145,7 @@ pub(super) struct Telemetry {
 
 impl Telemetry {
     pub(super) fn new() -> Self {
-        let mut registry = MetricsRegistry::new(true);
+        let mut registry = MetricsRegistry::new();
         Self {
             start: Instant::now(),
             correlation: AtomicU64::new(0),

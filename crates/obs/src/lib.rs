@@ -3,19 +3,22 @@
 //! Every quantitative claim in the paper — convergence slotframes,
 //! adjustment overhead, collision-free schedules — needs a durable way to
 //! be *seen* while the system runs and to be *guarded* in CI. This crate
-//! provides the three pieces the rest of the workspace wires in:
+//! provides the pieces the rest of the workspace wires in:
 //!
-//! * a [`MetricsRegistry`] of counters, gauges and histograms keyed by
-//!   static names, snapshotting to stable JSON ([`MetricsSnapshot`]);
+//! * [`MetricsSnapshot`]: counters, gauges and histograms by name, in
+//!   stable JSON or Prometheus text ([`prometheus`]). The simulator, the
+//!   control plane and the protocol runner keep every count once, in the
+//!   stats their callers read, and render a snapshot from them on demand;
+//!   `harpd` records its request series in a [`MetricsRegistry`];
 //! * slotframe-time trace spans ([`SpanRing`], [`SpanEvent`]) — ring-buffered
 //!   events stamped with start/end ASN and per-node / per-layer labels;
 //! * process-wide [`StaticCounter`]s for library crates with no instance
-//!   state to hang a registry off (packing calls, topology generations).
+//!   state to keep a count in (packing calls, topology generations).
 //!
-//! Instrumented components own an [`Obs`] handle. Observability is **off by
-//! default**: a disabled handle costs one well-predicted branch per record
-//! call and produces empty snapshots, so simulations are byte-identical
-//! with and without it (the acceptance bar of the observability PR).
+//! Instrumented components own an [`Obs`] handle: the switch that makes
+//! their snapshots non-empty, and their span ring. Observability is **off
+//! by default**: a disabled handle records no span and its component
+//! snapshots empty, so simulations are byte-identical with and without it.
 //!
 //! The [`json`] module is the consumer side: a minimal JSON value parser
 //! that `harpd` reads request bodies with and `harp_trace` reads committed
@@ -24,15 +27,15 @@
 //! # Examples
 //!
 //! ```
-//! use harp_obs::Obs;
+//! use harp_obs::{MetricsSnapshot, Obs};
 //!
 //! let mut obs = Obs::enabled(64);
-//! let tx = obs.metrics.counter("sim.tx_attempts");
-//! obs.metrics.inc(tx, 3);
 //! obs.span("slotframe", "sim", harp_obs::NO_NODE, 0, 0, 199, 3);
-//! let snap = obs.metrics.snapshot();
-//! assert_eq!(snap.counter("sim.tx_attempts"), Some(3));
 //! assert_eq!(obs.spans.len(), 1);
+//! // A component renders the counts it keeps.
+//! let mut snap = MetricsSnapshot::default();
+//! snap.add_counters([("sim.tx_attempts", 3)]);
+//! assert_eq!(snap.counter("sim.tx_attempts"), Some(3));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -47,20 +50,22 @@ mod span;
 
 pub use flight::{FlightDoc, FlightEvent, FlightRecorder, NO_FLIGHT_NODE};
 pub use metrics::{
-    CounterId, GaugeId, HistogramId, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
-    StaticCounter, LATENCY_SLOT_BOUNDS,
+    CounterId, HistogramId, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, StaticCounter,
+    LATENCY_SLOT_BOUNDS,
 };
 pub use span::{merged_trace_json, spans_to_json, SpanEvent, SpanRing, NO_CORRELATION, NO_NODE};
 
-/// One observability handle: a metrics registry plus a span ring.
+/// One observability handle: an on/off switch plus a span ring.
 ///
 /// Components that can be observed (the simulator, the control plane, the
 /// HARP runner) own one of these; callers enable it at construction or via
-/// the component's `enable_observability` hook.
+/// the component's `enable_observability` hook. The component's counts do
+/// not live here: it keeps them always, and renders them into its
+/// `metrics_snapshot` while the handle is enabled.
 #[derive(Debug, Clone)]
 pub struct Obs {
-    /// Named counters / gauges / histograms.
-    pub metrics: MetricsRegistry,
+    /// Whether spans are recorded and the component's snapshots are filled.
+    enabled: bool,
     /// Ring buffer of slotframe-time spans.
     pub spans: SpanRing,
     /// Ambient correlation id stamped onto every span recorded while set
@@ -73,18 +78,18 @@ impl Obs {
     #[must_use]
     pub fn enabled(span_capacity: usize) -> Self {
         Self {
-            metrics: MetricsRegistry::new(true),
+            enabled: true,
             spans: SpanRing::new(span_capacity),
             corr: NO_CORRELATION,
         }
     }
 
-    /// A disabled handle: registrations still hand out ids, every record
-    /// call is a cheap early return, snapshots are empty.
+    /// A disabled handle: it records no span, and the component owning it
+    /// snapshots empty.
     #[must_use]
     pub fn disabled() -> Self {
         Self {
-            metrics: MetricsRegistry::new(false),
+            enabled: false,
             spans: SpanRing::new(0),
             corr: NO_CORRELATION,
         }
@@ -103,10 +108,10 @@ impl Obs {
         self.corr
     }
 
-    /// Whether metric recording is live.
+    /// Whether observability is on.
     #[must_use]
     pub fn is_enabled(&self) -> bool {
-        self.metrics.is_enabled()
+        self.enabled
     }
 
     /// Records one span (no-op while disabled). `depth` is the tree depth
@@ -150,11 +155,8 @@ mod tests {
     #[test]
     fn disabled_handle_records_nothing() {
         let mut obs = Obs::disabled();
-        let c = obs.metrics.counter("x");
-        obs.metrics.inc(c, 9);
         obs.span("s", "l", NO_NODE, 0, 0, 1, 0);
         assert!(!obs.is_enabled());
-        assert!(obs.metrics.snapshot().is_empty());
         assert!(obs.spans.is_empty());
     }
 
@@ -162,10 +164,7 @@ mod tests {
     fn enabled_handle_records() {
         let mut obs = Obs::enabled(4);
         assert!(obs.is_enabled());
-        let c = obs.metrics.counter("x");
-        obs.metrics.inc(c, 2);
         obs.span("s", "l", 3, 1, 10, 20, -1);
-        assert_eq!(obs.metrics.snapshot().counter("x"), Some(2));
         assert_eq!(obs.spans.iter().next().unwrap().slot_mass(), 11);
     }
 

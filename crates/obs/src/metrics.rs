@@ -1,11 +1,18 @@
-//! The metrics registry: counters, gauges and histograms keyed by static
-//! names, with stable-JSON snapshots.
+//! Metric snapshots, and the registry the daemon records its own request
+//! series in.
 //!
-//! Handles ([`CounterId`] &c.) are dense indices handed out at registration,
-//! so the record path is one bounds-checked array access plus an integer
-//! add — cheap enough for the simulator's slot loop. A disabled registry
-//! still hands out handles (instrumentation code stays branch-free at the
-//! call site) but every record call returns after one flag test.
+//! A [`MetricsSnapshot`] is the one vocabulary every component reports
+//! in: counters, gauges and histograms by name, rendered as stable JSON or
+//! Prometheus text. The simulator, the control plane and the protocol
+//! runner keep each count once, in the stats their callers already read,
+//! and render a snapshot from them when one is asked for. The process-wide
+//! [`StaticCounter`]s of the library crates fold in with
+//! [`MetricsSnapshot::add_counters`].
+//!
+//! A [`MetricsRegistry`] is for a component with no such stats: `harpd`'s
+//! telemetry, which counts requests and observes their latencies. Handles
+//! ([`CounterId`], [`HistogramId`]) are dense indices handed out at
+//! registration, so recording is one bounds-checked array access.
 
 use crate::json::escape_json;
 use std::collections::BTreeMap;
@@ -28,10 +35,6 @@ pub const LATENCY_SLOT_BOUNDS: &[u64] = &[
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CounterId(usize);
 
-/// Handle to a registered gauge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GaugeId(usize);
-
 /// Handle to a registered histogram.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistogramId(usize);
@@ -48,32 +51,18 @@ struct Histogram {
     max: u64,
 }
 
-/// A registry of named metrics owned by one instrumented component.
-#[derive(Debug, Clone)]
+/// Named counters and histograms, recorded through pre-registered handles.
+#[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
-    enabled: bool,
     counters: Vec<(&'static str, u64)>,
-    gauges: Vec<(&'static str, f64)>,
     histograms: Vec<Histogram>,
 }
 
 impl MetricsRegistry {
-    /// Creates a registry; a disabled one records nothing and snapshots
-    /// empty.
+    /// An empty registry.
     #[must_use]
-    pub fn new(enabled: bool) -> Self {
-        Self {
-            enabled,
-            counters: Vec::new(),
-            gauges: Vec::new(),
-            histograms: Vec::new(),
-        }
-    }
-
-    /// Whether record calls are live.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Registers (or finds) a counter. Registration is idempotent per name.
@@ -83,15 +72,6 @@ impl MetricsRegistry {
         }
         self.counters.push((name, 0));
         CounterId(self.counters.len() - 1)
-    }
-
-    /// Registers (or finds) a gauge.
-    pub fn gauge(&mut self, name: &'static str) -> GaugeId {
-        if let Some(i) = self.gauges.iter().position(|&(n, _)| n == name) {
-            return GaugeId(i);
-        }
-        self.gauges.push((name, 0.0));
-        GaugeId(self.gauges.len() - 1)
     }
 
     /// Registers (or finds) a histogram over `bounds` (ascending inclusive
@@ -114,42 +94,15 @@ impl MetricsRegistry {
         HistogramId(self.histograms.len() - 1)
     }
 
-    /// Adds `by` to a counter (no-op while disabled).
+    /// Adds `by` to a counter.
     #[inline]
     pub fn inc(&mut self, id: CounterId, by: u64) {
-        if !self.enabled {
-            return;
-        }
         self.counters[id.0].1 += by;
     }
 
-    /// Sets a gauge to `value` (no-op while disabled).
-    #[inline]
-    pub fn set(&mut self, id: GaugeId, value: f64) {
-        if !self.enabled {
-            return;
-        }
-        self.gauges[id.0].1 = value;
-    }
-
-    /// Raises a gauge to `value` if it is higher (high-water marks).
-    #[inline]
-    pub fn set_max(&mut self, id: GaugeId, value: f64) {
-        if !self.enabled {
-            return;
-        }
-        let slot = &mut self.gauges[id.0].1;
-        if value > *slot {
-            *slot = value;
-        }
-    }
-
-    /// Records one histogram observation (no-op while disabled).
+    /// Records one histogram observation.
     #[inline]
     pub fn observe(&mut self, id: HistogramId, value: u64) {
-        if !self.enabled {
-            return;
-        }
         let h = &mut self.histograms[id.0];
         let bucket = h
             .bounds
@@ -163,19 +116,12 @@ impl MetricsRegistry {
         h.max = h.max.max(value);
     }
 
-    /// Snapshots every metric into an owned, name-sorted view. Empty for a
-    /// disabled registry.
+    /// Snapshots every metric into an owned, name-sorted view.
     #[must_use]
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::default();
-        if !self.enabled {
-            return snap;
-        }
         for &(name, v) in &self.counters {
             snap.counters.insert(name.to_owned(), v);
-        }
-        for &(name, v) in &self.gauges {
-            snap.gauges.insert(name.to_owned(), v);
         }
         for h in &self.histograms {
             snap.histograms.insert(
@@ -259,7 +205,7 @@ impl HistogramSnapshot {
     }
 }
 
-/// A frozen, name-sorted view of a registry (or a merge of several).
+/// A frozen, name-sorted set of named metrics (or a merge of several).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MetricsSnapshot {
     /// Counter totals by name.
@@ -434,7 +380,7 @@ mod tests {
 
     #[test]
     fn counters_register_once_and_accumulate() {
-        let mut r = MetricsRegistry::new(true);
+        let mut r = MetricsRegistry::new();
         let a = r.counter("a");
         let a2 = r.counter("a");
         assert_eq!(a, a2);
@@ -444,31 +390,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_registry_snapshots_empty() {
-        let mut r = MetricsRegistry::new(false);
-        let c = r.counter("a");
-        let g = r.gauge("g");
-        let h = r.histogram("h", &[1, 2]);
-        r.inc(c, 1);
-        r.set(g, 4.0);
-        r.observe(h, 1);
-        assert!(r.snapshot().is_empty());
-    }
-
-    #[test]
-    fn gauges_set_and_set_max() {
-        let mut r = MetricsRegistry::new(true);
-        let g = r.gauge("g");
-        r.set(g, 2.0);
-        r.set_max(g, 1.0);
-        assert_eq!(r.snapshot().gauge("g"), Some(2.0));
-        r.set_max(g, 7.5);
-        assert_eq!(r.snapshot().gauge("g"), Some(7.5));
-    }
-
-    #[test]
     fn histogram_buckets_and_stats() {
-        let mut r = MetricsRegistry::new(true);
+        let mut r = MetricsRegistry::new();
         let h = r.histogram("lat", &[10, 100]);
         for v in [1, 10, 11, 1000] {
             r.observe(h, v);
@@ -483,7 +406,7 @@ mod tests {
 
     #[test]
     fn percentiles_interpolate_within_buckets() {
-        let mut r = MetricsRegistry::new(true);
+        let mut r = MetricsRegistry::new();
         let h = r.histogram("lat", &[10, 100, 1000]);
         // 90 observations <= 10, 9 in (10, 100], 1 in (1000, inf).
         for _ in 0..90 {
@@ -508,7 +431,7 @@ mod tests {
         assert_eq!(HistogramSnapshot::default().percentile(0.95), 0);
         // Single observation: every quantile is that observation's bucket,
         // clamped into the [min, max] range actually seen.
-        let mut r2 = MetricsRegistry::new(true);
+        let mut r2 = MetricsRegistry::new();
         let h2 = r2.histogram("one", &[64]);
         r2.observe(h2, 7);
         let s2 = r2.snapshot();
@@ -517,7 +440,7 @@ mod tests {
 
     #[test]
     fn snapshot_json_includes_percentiles() {
-        let mut r = MetricsRegistry::new(true);
+        let mut r = MetricsRegistry::new();
         let h = r.histogram("lat", &[10, 100]);
         for v in [1, 2, 3, 50] {
             r.observe(h, v);
@@ -543,7 +466,7 @@ mod tests {
 
     #[test]
     fn empty_histogram_reports_zero_min() {
-        let mut r = MetricsRegistry::new(true);
+        let mut r = MetricsRegistry::new();
         r.histogram("h", &[1]);
         let snap = r.snapshot();
         assert_eq!(snap.histograms["h"].min, 0);
@@ -552,22 +475,26 @@ mod tests {
 
     #[test]
     fn merge_adds_counters_and_buckets() {
-        let mut a = MetricsRegistry::new(true);
+        let mut a = MetricsRegistry::new();
         let c = a.counter("c");
         let h = a.histogram("h", &[5]);
         a.inc(c, 1);
         a.observe(h, 3);
         let mut snap = a.snapshot();
-        let mut b = MetricsRegistry::new(true);
+        let mut b = MetricsRegistry::new();
         let c2 = b.counter("c");
         let h2 = b.histogram("h", &[5]);
-        let g = b.gauge("g");
         b.inc(c2, 4);
         b.observe(h2, 9);
-        b.set(g, 2.0);
-        snap.merge(&b.snapshot());
+        let mut other = b.snapshot();
+        other.gauges.insert("g".to_owned(), 2.0);
+        snap.merge(&other);
+        snap.merge(&MetricsSnapshot {
+            gauges: BTreeMap::from([("g".to_owned(), 1.0)]),
+            ..MetricsSnapshot::default()
+        });
         assert_eq!(snap.counter("c"), Some(5));
-        assert_eq!(snap.gauge("g"), Some(2.0));
+        assert_eq!(snap.gauge("g"), Some(2.0), "gauges keep the maximum");
         let hs = &snap.histograms["h"];
         assert_eq!(hs.counts, vec![1, 1]);
         assert_eq!((hs.count, hs.min, hs.max), (2, 3, 9));
@@ -582,17 +509,17 @@ mod tests {
 
     #[test]
     fn snapshot_json_is_stable_and_parseable() {
-        let mut r = MetricsRegistry::new(true);
+        let mut r = MetricsRegistry::new();
         let c = r.counter("z.count");
         let c2 = r.counter("a.count");
-        let g = r.gauge("g");
         let h = r.histogram("h", &[2]);
         r.inc(c, 1);
         r.inc(c2, 2);
-        r.set(g, 1.5);
         r.observe(h, 1);
         r.observe(h, 3);
-        let json = r.snapshot().to_json();
+        let mut snap = r.snapshot();
+        snap.gauges.insert("g".to_owned(), 1.5);
+        let json = snap.to_json();
         // Name-sorted: "a.count" precedes "z.count".
         assert!(json.find("a.count").unwrap() < json.find("z.count").unwrap());
         let parsed = crate::json::parse(&json).expect("valid JSON");

@@ -1,7 +1,8 @@
 //! Prometheus text-format encoding of [`MetricsSnapshot`]s.
 //!
-//! The `harpd` daemon serves its `/metrics` endpoint straight from the
-//! in-tree metrics registry; this module renders one or more snapshots —
+//! The `harpd` daemon serves its `/metrics` endpoint from its own
+//! registry and its tenants' snapshots; this module renders one or more
+//! snapshots —
 //! each tagged with a label set such as `tenant="plant7"` — in the
 //! [Prometheus text exposition format] (version 0.0.4), the same
 //! hand-rolled-writer philosophy as the JSON modules.
@@ -17,7 +18,7 @@
 //!   `histogram_quantile`.
 //!
 //! Metric names are sanitised to the Prometheus charset (`[a-zA-Z0-9_:]`,
-//! non-digit first char): the registry's `harp.adjustments` becomes
+//! non-digit first char): the snapshot's `harp.adjustments` becomes
 //! `harp_adjustments`. A `TYPE` line is emitted once per metric name even
 //! when many label groups carry it.
 //!
@@ -353,16 +354,16 @@ mod tests {
     use crate::metrics::MetricsRegistry;
 
     fn sample_snapshot() -> MetricsSnapshot {
-        let mut r = MetricsRegistry::new(true);
+        let mut r = MetricsRegistry::new();
         let c = r.counter("harp.adjustments");
-        let g = r.gauge("harpd.networks");
         let h = r.histogram("harpd.request_us", &[10, 100]);
         r.inc(c, 7);
-        r.set(g, 3.0);
         r.observe(h, 5);
         r.observe(h, 50);
         r.observe(h, 5000);
-        r.snapshot()
+        let mut snap = r.snapshot();
+        snap.gauges.insert("harpd.networks".to_owned(), 3.0);
+        snap
     }
 
     #[test]

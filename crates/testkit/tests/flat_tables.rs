@@ -54,7 +54,7 @@ fn fault_storm() -> Input {
 fn a_replicate_allocates_what_it_keeps() {
     /// `build()` on the 50-node input: the per-link-id tables, the conflict
     /// CSR, the slot table, one queue, one PDR and one occupancy entry per
-    /// lane, a lane route per task (182; 1,015 with candidate vectors per
+    /// lane, a lane route per task (177; 1,015 with candidate vectors per
     /// link and a vector per scheduled cell), + 10 %.
     const BUILD_BUDGET: u64 = 200;
     /// Sixty slotframes of it: queue growth and the statistics (175; 477

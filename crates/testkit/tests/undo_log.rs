@@ -381,7 +381,7 @@ fn hot_link_sequence(tree: &Tree, rng: &mut SplitMix64) -> Vec<(Link, u32)> {
 #[test]
 fn an_adjustment_allocates_what_it_writes() {
     /// Allocations of the 256-node create, measured with the schedule and
-    /// the tree's children as flat tables (1,684; 2,829 with the schedule
+    /// the tree's children as flat tables (1,676; 2,829 with the schedule
     /// as two maps of vectors, 4,427 with a map per field of a
     /// node-direction and a cell vector per link and end, 7,631 with
     /// composition and row scheduling in per-call buffers too), + 10 %.

@@ -65,8 +65,9 @@
 //!
 //! The invariant that a skipped slot truly had no work is self-checked: a
 //! slot whose `slot_busy` count promised work but whose cells all turned
-//! out idle increments the `sim.idle_wakeups` counter (and trips a debug
-//! assertion); the equivalence suite pins that counter to zero. Builders
+//! out idle counts as an idle wakeup ([`Simulator::idle_wakeups`], the
+//! `sim.idle_wakeups` metric) and trips a debug assertion; the equivalence
+//! suite pins that count to zero. Builders
 //! can opt back into the unconditional walk with
 //! [`SimulatorBuilder::dense_walk`], which is kept as the in-tree
 //! differential baseline.
@@ -90,46 +91,9 @@ use crate::time::{Asn, Cell, SlotframeConfig};
 use crate::topology::{Direction, Link, NodeId, Tree};
 use crate::trace::{TraceBuffer, TraceEvent};
 use core::fmt;
-use harp_obs::{CounterId, GaugeId, HistogramId, MetricsSnapshot, Obs, NO_NODE};
+use harp_obs::{MetricsSnapshot, Obs, NO_NODE};
 use std::collections::VecDeque;
 use std::sync::Arc;
-
-/// Pre-registered metric handles for the engine's hot paths. Registration
-/// happens once at build time so the slot loop never searches by name.
-#[derive(Debug, Clone, Copy)]
-struct SimObsIds {
-    slots: CounterId,
-    tx_attempts: CounterId,
-    collisions: CounterId,
-    losses: CounterId,
-    queue_drops: CounterId,
-    deliveries: CounterId,
-    generated: CounterId,
-    /// Slots the wake index executed without finding an active link —
-    /// must stay 0 (see the module docs).
-    idle_wakeups: CounterId,
-    latency: HistogramId,
-    queue_high_water: GaugeId,
-}
-
-impl SimObsIds {
-    fn register(obs: &mut Obs) -> Self {
-        Self {
-            slots: obs.metrics.counter("sim.slots"),
-            tx_attempts: obs.metrics.counter("sim.tx_attempts"),
-            collisions: obs.metrics.counter("sim.collisions"),
-            losses: obs.metrics.counter("sim.losses"),
-            queue_drops: obs.metrics.counter("sim.queue_drops"),
-            deliveries: obs.metrics.counter("sim.deliveries"),
-            generated: obs.metrics.counter("sim.generated"),
-            idle_wakeups: obs.metrics.counter("sim.idle_wakeups"),
-            latency: obs
-                .metrics
-                .histogram("sim.latency_slots", harp_obs::LATENCY_SLOT_BOUNDS),
-            queue_high_water: obs.metrics.gauge("sim.queue_high_water"),
-        }
-    }
-}
 
 /// Default bound on packets queued per directed link.
 pub(crate) const DEFAULT_QUEUE_CAPACITY: usize = 64;
@@ -279,7 +243,6 @@ pub struct Simulator {
     max_retries: u32,
     trace: TraceBuffer,
     obs: Obs,
-    obs_ids: SimObsIds,
     /// First ASN of the slotframe in progress (observability only).
     frame_start_asn: u64,
     /// `stats.tx_attempts` at the start of the slotframe in progress.
@@ -293,8 +256,8 @@ pub struct Simulator {
     link_masked: Vec<bool>,
     /// Fault actions applied so far.
     faults_fired: u64,
-    /// Always-on mirror of the `sim.idle_wakeups` obs counter, so the
-    /// invariant is checkable without enabling observability.
+    /// Slots the wake index executed without finding an active link —
+    /// must stay 0 (see the module docs).
     idle_wakeup_count: u64,
 }
 
@@ -369,10 +332,35 @@ impl Simulator {
         &self.obs
     }
 
-    /// Snapshots the engine's metrics (empty while observability is off).
+    /// Renders the engine's counts as metrics (empty while observability
+    /// is off): the `sim.*` counters from [`SimStats`] and
+    /// [`Simulator::idle_wakeups`], the deepest queue as the
+    /// `sim.queue_high_water` gauge, and [`SimStats::latency_histogram`] as
+    /// `sim.latency_slots`. Counts run from the build.
     #[must_use]
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.obs.metrics.snapshot()
+        let mut snap = MetricsSnapshot::default();
+        if !self.obs.is_enabled() {
+            return snap;
+        }
+        let s = &self.stats;
+        snap.add_counters([
+            ("sim.slots", s.slots_simulated),
+            ("sim.tx_attempts", s.tx_attempts),
+            ("sim.collisions", s.collisions),
+            ("sim.losses", s.losses),
+            ("sim.queue_drops", s.queue_drops),
+            ("sim.deliveries", s.delivered()),
+            ("sim.generated", s.generated),
+            ("sim.idle_wakeups", self.idle_wakeup_count),
+        ]);
+        snap.gauges.insert(
+            "sim.queue_high_water".to_owned(),
+            s.max_queue_high_water() as f64,
+        );
+        snap.histograms
+            .insert("sim.latency_slots".to_owned(), s.latency_histogram());
+        snap
     }
 
     /// Total packets currently queued anywhere in the network.
@@ -530,12 +518,10 @@ impl Simulator {
                 // was idle — unreachable by construction; the reconcile
                 // suite and the bench gate pin this counter to zero.
                 self.idle_wakeup_count += 1;
-                self.obs.metrics.inc(self.obs_ids.idle_wakeups, 1);
                 debug_assert!(false, "event calendar woke idle slot {slot}");
             }
         }
         self.stats.slots_simulated += 1;
-        self.obs.metrics.inc(self.obs_ids.slots, 1);
         self.now = self.now.plus(1);
     }
 
@@ -613,12 +599,9 @@ impl Simulator {
         for (route, route_lanes, task, seq0, n) in releases.drain(..) {
             for k in 0..u64::from(n) {
                 self.stats.generated += 1;
-                self.obs.metrics.inc(self.obs_ids.generated, 1);
                 let packet = Packet::new(task, seq0 + k, self.now, route.clone());
                 if packet.is_delivered() {
                     // Gateway-sourced degenerate route: delivered instantly.
-                    self.obs.metrics.inc(self.obs_ids.deliveries, 1);
-                    self.obs.metrics.observe(self.obs_ids.latency, 0);
                     self.stats
                         .record_delivery(packet.holder(), self.now, self.now);
                 } else {
@@ -635,7 +618,6 @@ impl Simulator {
         let queue = &mut self.queues[lane];
         if queue.len() >= self.queue_capacity {
             self.stats.queue_drops += 1;
-            self.obs.metrics.inc(self.obs_ids.queue_drops, 1);
         } else {
             let was_empty = queue.is_empty();
             queue.push_back(QueuedPacket {
@@ -666,7 +648,6 @@ impl Simulator {
             return false;
         }
         self.stats.tx_attempts += n as u64;
-        self.obs.metrics.inc(self.obs_ids.tx_attempts, n as u64);
         for &lane in &self.active_scratch {
             self.stats.record_tx_attempt(self.lane_links[lane as usize]);
         }
@@ -707,7 +688,6 @@ impl Simulator {
             let link = self.lane_links[lane];
             if self.collided_scratch[idx] {
                 self.stats.collisions += 1;
-                self.obs.metrics.inc(self.obs_ids.collisions, 1);
                 self.trace.record(TraceEvent::TxCollision {
                     at: self.now,
                     link,
@@ -719,7 +699,6 @@ impl Simulator {
             let pdr = self.lane_pdr[lane];
             if pdr < 1.0 && !self.rng.chance(pdr) {
                 self.stats.losses += 1;
-                self.obs.metrics.inc(self.obs_ids.losses, 1);
                 self.trace.record(TraceEvent::TxLoss {
                     at: self.now,
                     link,
@@ -747,7 +726,6 @@ impl Simulator {
             queue.pop_front();
             let emptied = queue.is_empty();
             self.stats.queue_drops += 1;
-            self.obs.metrics.inc(self.obs_ids.queue_drops, 1);
             self.trace.record(TraceEvent::Drop { at: self.now, link });
             if emptied {
                 self.note_queue_empty(lane);
@@ -767,11 +745,6 @@ impl Simulator {
         if queued.packet.is_delivered() {
             let source = queued.packet.route[0];
             let delivered_at = self.now.plus(1);
-            self.obs.metrics.inc(self.obs_ids.deliveries, 1);
-            self.obs.metrics.observe(
-                self.obs_ids.latency,
-                delivered_at.0 - queued.packet.created.0,
-            );
             self.stats
                 .record_delivery(source, queued.packet.created, delivered_at);
         } else {
@@ -785,8 +758,7 @@ impl Simulator {
     /// The event-driven path walks only the occupied links — the nodes it
     /// reports and the depths it reports for them are exactly those the
     /// dense scan finds, because empty queues contribute nothing either
-    /// way and `record_queue_depth`/`set_max` are order-insensitive
-    /// max-merges.
+    /// way and `record_queue_depth` is an order-insensitive max-merge.
     fn sample_queue_depths(&mut self) {
         if self.dense_walk {
             self.depth_scratch.clear();
@@ -810,9 +782,6 @@ impl Simulator {
             for (i, &depth) in self.depth_scratch.iter().enumerate() {
                 if depth > 0 {
                     self.stats.record_queue_depth(NodeId(i as u32), depth);
-                    self.obs
-                        .metrics
-                        .set_max(self.obs_ids.queue_high_water, depth as f64);
                 }
             }
             return;
@@ -840,9 +809,6 @@ impl Simulator {
             let depth = self.depth_scratch[node];
             self.depth_scratch[node] = 0;
             self.stats.record_queue_depth(NodeId(node as u32), depth);
-            self.obs
-                .metrics
-                .set_max(self.obs_ids.queue_high_water, depth as f64);
         }
     }
 
@@ -956,7 +922,6 @@ impl Simulator {
         let link = self.lane_links[lane];
         self.queues[lane].clear();
         self.stats.queue_drops += n as u64;
-        self.obs.metrics.inc(self.obs_ids.queue_drops, n as u64);
         for _ in 0..n {
             self.trace.record(TraceEvent::Drop { at: self.now, link });
         }
@@ -979,11 +944,8 @@ impl Simulator {
         self.tasks[i].next_seq += u64::from(n);
         for k in 0..u64::from(n) {
             self.stats.generated += 1;
-            self.obs.metrics.inc(self.obs_ids.generated, 1);
             let packet = Packet::new(id, seq0 + k, self.now, route.clone());
             if packet.is_delivered() {
-                self.obs.metrics.inc(self.obs_ids.deliveries, 1);
-                self.obs.metrics.observe(self.obs_ids.latency, 0);
                 self.stats
                     .record_delivery(packet.holder(), self.now, self.now);
             } else {
@@ -1028,8 +990,8 @@ impl Simulator {
     }
 
     /// Slots the event calendar woke without finding work — the engine's
-    /// core invariant pins this to 0 (always counted, observability or
-    /// not; mirrored to the `sim.idle_wakeups` metric when enabled).
+    /// core invariant pins this to 0. Always counted, observability or
+    /// not; a snapshot renders it as `sim.idle_wakeups`.
     #[must_use]
     pub fn idle_wakeups(&self) -> u64 {
         self.idle_wakeup_count

@@ -3,7 +3,7 @@
 //! wake index. Everything here runs at build time or after a schedule
 //! mutation, never inside a slot.
 
-use super::{link_id, SimObsIds, Simulator, SlotCell, TaskState};
+use super::{link_id, Simulator, SlotCell, TaskState};
 use super::{DEFAULT_MAX_RETRIES, DEFAULT_QUEUE_CAPACITY};
 use crate::calendar::EventCalendar;
 use crate::faults::{FaultAction, FaultPlan};
@@ -273,11 +273,10 @@ impl SimulatorBuilder {
             );
         }
 
-        let mut obs = match self.obs_span_capacity {
+        let obs = match self.obs_span_capacity {
             Some(capacity) => Obs::enabled(capacity),
             None => Obs::disabled(),
         };
-        let obs_ids = SimObsIds::register(&mut obs);
 
         // Validate the fault plan against the tree and task set, then load
         // it onto the event calendar. Same-ASN actions keep plan order
@@ -359,7 +358,6 @@ impl SimulatorBuilder {
             max_retries: self.max_retries,
             trace: TraceBuffer::new(self.trace_capacity),
             obs,
-            obs_ids,
             frame_start_asn: 0,
             frame_tx_base: 0,
             fault_calendar,

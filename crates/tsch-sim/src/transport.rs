@@ -35,30 +35,8 @@ use crate::rng::SplitMix64;
 use crate::time::{Asn, SlotframeConfig};
 use crate::topology::{Link, NodeId, Tree};
 use core::fmt;
-use harp_obs::{CounterId, MetricsSnapshot, Obs};
+use harp_obs::{MetricsSnapshot, Obs};
 use std::collections::{BTreeMap, BTreeSet};
-
-/// Pre-registered metric handles for the reliability sublayer.
-#[derive(Debug, Clone, Copy)]
-struct TransportObsIds {
-    attempts: CounterId,
-    retransmissions: CounterId,
-    acks_sent: CounterId,
-    dropped: CounterId,
-    duplicates_suppressed: CounterId,
-}
-
-impl TransportObsIds {
-    fn register(obs: &mut Obs) -> Self {
-        Self {
-            attempts: obs.metrics.counter("transport.attempts"),
-            retransmissions: obs.metrics.counter("transport.retransmissions"),
-            acks_sent: obs.metrics.counter("transport.acks_sent"),
-            dropped: obs.metrics.counter("transport.dropped"),
-            duplicates_suppressed: obs.metrics.counter("transport.duplicates_suppressed"),
-        }
-    }
-}
 
 /// Whether an envelope carries data or confirms receipt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -360,7 +338,6 @@ pub struct ControlPlane<M> {
     windows: BTreeMap<(NodeId, NodeId), DedupWindow>,
     stats: TransportStats,
     obs: Obs,
-    obs_ids: TransportObsIds,
 }
 
 impl<M: Clone> ControlPlane<M> {
@@ -369,8 +346,6 @@ impl<M: Clone> ControlPlane<M> {
     #[must_use]
     pub fn new(tree: &Tree, config: SlotframeConfig, transport: Box<dyn Transport>) -> Self {
         let lossless = transport.is_lossless();
-        let mut obs = Obs::disabled();
-        let obs_ids = TransportObsIds::register(&mut obs);
         Self {
             config,
             reliability: ReliabilityConfig::default(),
@@ -383,8 +358,7 @@ impl<M: Clone> ControlPlane<M> {
             next_msg_id: BTreeMap::new(),
             windows: BTreeMap::new(),
             stats: TransportStats::default(),
-            obs,
-            obs_ids,
+            obs: Obs::disabled(),
         }
     }
 
@@ -429,11 +403,10 @@ impl<M: Clone> ControlPlane<M> {
 
     /// Enables the observability layer, retaining the most recent
     /// `span_capacity` spans (retransmissions and duplicate suppressions).
-    /// Off by default; counters mirror [`TransportStats`] exactly.
+    /// Off by default. [`ControlPlane::metrics_snapshot`] renders the
+    /// counts since construction, enabled early or late.
     pub fn enable_observability(&mut self, span_capacity: usize) {
-        let mut obs = Obs::enabled(span_capacity);
-        self.obs_ids = TransportObsIds::register(&mut obs);
-        self.obs = obs;
+        self.obs = Obs::enabled(span_capacity);
     }
 
     /// The observability handle (disabled unless
@@ -451,10 +424,22 @@ impl<M: Clone> ControlPlane<M> {
         self.obs.set_correlation(corr);
     }
 
-    /// Snapshots the transport metrics (empty while observability is off).
+    /// Renders [`ControlPlane::stats`] as the five `transport.*` counters
+    /// (empty while observability is off).
     #[must_use]
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.obs.metrics.snapshot()
+        let mut snap = MetricsSnapshot::default();
+        if self.obs.is_enabled() {
+            let s = self.stats;
+            snap.add_counters([
+                ("transport.attempts", s.attempts),
+                ("transport.retransmissions", s.retransmissions),
+                ("transport.acks_sent", s.acks_sent),
+                ("transport.dropped", s.dropped),
+                ("transport.duplicates_suppressed", s.duplicates_suppressed),
+            ]);
+        }
+        snap
     }
 
     /// Sends `payload` from `from` to its tree neighbour `to` as a
@@ -477,7 +462,6 @@ impl<M: Clone> ControlPlane<M> {
         let link = hop(tree, from, to)?;
         let deliver_at = self.plane.occupy(now, link, 1);
         self.stats.attempts += 1;
-        self.obs.metrics.inc(self.obs_ids.attempts, 1);
         if self.lossless {
             self.plane.enqueue_raw(
                 deliver_at,
@@ -564,7 +548,6 @@ impl<M: Clone> ControlPlane<M> {
         );
         let first = self.plane.occupy(now, hop(tree, from, to)?, count);
         self.stats.attempts += count;
-        self.obs.metrics.inc(self.obs_ids.attempts, count);
         Ok(first)
     }
 
@@ -580,7 +563,6 @@ impl<M: Clone> ControlPlane<M> {
     ) {
         if !fate.delivered {
             self.stats.dropped += 1;
-            self.obs.metrics.inc(self.obs_ids.dropped, 1);
             return;
         }
         if fate.duplicated {
@@ -641,7 +623,6 @@ impl<M: Clone> ControlPlane<M> {
                         });
                     } else {
                         self.stats.duplicates_suppressed += 1;
-                        self.obs.metrics.inc(self.obs_ids.duplicates_suppressed, 1);
                         self.obs.span(
                             "dup_suppressed",
                             "transport",
@@ -673,7 +654,6 @@ impl<M: Clone> ControlPlane<M> {
         let link = hop(tree, from, to)?;
         let ack_at = self.plane.peek_transmit_time(received_at, link);
         self.stats.acks_sent += 1;
-        self.obs.metrics.inc(self.obs_ids.acks_sent, 1);
         let fate = self.transport.fate(link);
         if fate.delivered {
             self.plane.enqueue_raw(
@@ -689,7 +669,6 @@ impl<M: Clone> ControlPlane<M> {
             );
         } else {
             self.stats.dropped += 1;
-            self.obs.metrics.inc(self.obs_ids.dropped, 1);
         }
         Ok(())
     }
@@ -734,8 +713,6 @@ impl<M: Clone> ControlPlane<M> {
             let deliver_at = self.plane.occupy(now, link, 1);
             self.stats.attempts += 1;
             self.stats.retransmissions += 1;
-            self.obs.metrics.inc(self.obs_ids.attempts, 1);
-            self.obs.metrics.inc(self.obs_ids.retransmissions, 1);
             self.obs.span(
                 "retx",
                 "transport",
@@ -991,6 +968,44 @@ mod tests {
         assert_eq!(plane.stats().duplicates_suppressed, 1);
         assert_eq!(plane.stats().acks_sent, 2, "every copy is re-acked");
         assert!(plane.is_idle());
+    }
+
+    #[test]
+    fn snapshot_holds_the_five_transport_counts() {
+        let t = tree();
+        let lost = TxFate {
+            delivered: false,
+            duplicated: false,
+            delay_slots: 0,
+        };
+        // Fates drawn in order: con (lost), its retransmission (delivered
+        // twice), the first copy's ack (lost), the second copy's ack (ok).
+        let twice = TxFate {
+            duplicated: true,
+            ..TxFate::DELIVERED
+        };
+        let mut plane: ControlPlane<u32> =
+            ControlPlane::new(&t, cfg(), Box::new(Scripted::new(vec![lost, twice, lost])));
+        plane.enable_observability(16);
+        plane.send(&t, Asn(0), NodeId(9), NodeId(7), 3).unwrap();
+        assert_eq!(drain(&mut plane, &t).len(), 1);
+        let s = plane.stats();
+        let expected = [
+            ("transport.acks_sent", s.acks_sent),
+            ("transport.attempts", s.attempts),
+            ("transport.dropped", s.dropped),
+            ("transport.duplicates_suppressed", s.duplicates_suppressed),
+            ("transport.retransmissions", s.retransmissions),
+        ];
+        assert!(expected.iter().all(|&(_, n)| n > 0), "{s:?}");
+        let snap = plane.metrics_snapshot();
+        let series: Vec<(&str, u64)> = snap
+            .counters
+            .iter()
+            .map(|(k, &v)| (k.as_str(), v))
+            .collect();
+        assert_eq!(series, expected);
+        assert!(snap.gauges.is_empty() && snap.histograms.is_empty());
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Observability reconciliation: the metrics layer must agree with
-//! [`SimStats`] *exactly* — both are incremented at the same sites — and
-//! switching observability on must not change simulation behaviour at all.
+//! Observability reconciliation: the engine's metrics snapshot must agree
+//! with [`SimStats`] *exactly* — it is rendered from them — and switching
+//! observability on must not change simulation behaviour at all.
 //!
 //! The scenario deliberately exercises every counter: an imperfect channel
 //! (losses), two links sharing a cell (collisions) and an undersized queue
@@ -72,7 +72,7 @@ fn run(observability: bool) -> Simulator {
     sim
 }
 
-/// Every field of [`SimStats`] that the metrics layer mirrors, for the
+/// Every field of [`SimStats`] that the metrics snapshot renders, for the
 /// byte-identical comparison (run_time is wall clock and excluded).
 fn fingerprint(stats: &SimStats) -> impl PartialEq + std::fmt::Debug + '_ {
     (
@@ -107,8 +107,8 @@ fn metrics_reconcile_exactly_with_sim_stats() {
     let stats = sim.stats();
     let snap = sim.metrics_snapshot();
 
-    // Counters and stats are incremented at the same sites, so this is
-    // exact equality, not tolerance-based agreement.
+    // The snapshot is rendered from the stats, so this is exact
+    // equality, not tolerance-based agreement.
     assert_eq!(snap.counter("sim.slots"), Some(stats.slots_simulated));
     assert_eq!(snap.counter("sim.tx_attempts"), Some(stats.tx_attempts));
     assert_eq!(snap.counter("sim.collisions"), Some(stats.collisions));

@@ -214,6 +214,9 @@ impl CliCommand {
 }
 
 fn build_network(net: NetArgs) -> Result<(tsch_sim::Tree, Requirements, SlotframeConfig), String> {
+    if net.layers == 0 {
+        return Err("--layers must be at least 1".to_owned());
+    }
     if net.nodes <= net.layers {
         return Err(format!(
             "need more than {} nodes for {} layers",
@@ -380,6 +383,9 @@ pub fn run(command: CliCommand) -> Result<String, String> {
                 },
                 other => return Err(format!("unknown scheduler '{other}'")),
             };
+            if count == 0 {
+                return Err("--count must be at least 1".to_owned());
+            }
             let config = SlotframeConfig::paper_default();
             let topologies = TopologyConfig::paper_50_node().generate_batch(0xF1_611, count);
             let mut sum = 0.0;
@@ -680,6 +686,14 @@ mod tests {
             count: 1
         })
         .is_err());
+        // No topology to average over: an error, not NaN.
+        let err = run(CliCommand::Collisions {
+            scheduler: "harp".into(),
+            rate: 1,
+            count: 0,
+        })
+        .unwrap_err();
+        assert!(err.contains("--count"), "{err}");
     }
 
     #[test]
@@ -693,5 +707,15 @@ mod tests {
         }))
         .unwrap_err();
         assert!(err.contains("need more"));
+        // Zero layers is refused before the generator could panic on it.
+        let err = run(CliCommand::Partition(NetArgs {
+            nodes: 5,
+            layers: 0,
+            seed: 0,
+            rate: 1,
+            channels: 16,
+        }))
+        .unwrap_err();
+        assert!(err.contains("--layers"), "{err}");
     }
 }
