@@ -276,8 +276,8 @@ pub fn obs_footer() -> String {
 }
 
 /// Advances a HARP control plane and a data-plane simulator in lockstep for
-/// `slots` slots, applying control-plane schedule changes to the simulator
-/// the moment they take effect at the nodes.
+/// `slots` slots: after each slot the simulator takes up the cells the
+/// nodes installed during it (see [`follow_schedule`]).
 ///
 /// `net_offset` maps simulator time to the control plane's clock (the
 /// static phase consumed control-plane time before the data plane started).
@@ -294,12 +294,17 @@ pub(crate) fn run_lockstep(
 ) {
     for _ in 0..slots {
         sim.step_slot();
-        let ops = net
-            .step(Asn(sim.now().0 + net_offset))
+        net.step(Asn(sim.now().0 + net_offset))
             .expect("feasible scenario");
-        for op in &ops {
-            harp_core::apply_op(sim.schedule_mut(), op).expect("collision-free ops");
-        }
+        follow_schedule(sim, net);
+    }
+}
+
+/// Copies the control plane's installed schedule into the simulator if its
+/// version moved: a clone keeps the version and a rollback restores it.
+pub(crate) fn follow_schedule(sim: &mut tsch_sim::Simulator, net: &HarpNetwork) {
+    if sim.schedule().version() != net.schedule().version() {
+        sim.schedule_mut().clone_from(net.schedule());
     }
 }
 

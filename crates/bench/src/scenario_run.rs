@@ -26,7 +26,7 @@
 //! `idle_wakeups == 0` invariant, fault windows included.
 
 use crate::harness::{print_bench_threads, rows_json, to_json_with_sections, write_report};
-use crate::{measure_harp_adjustment_traced, run_lockstep};
+use crate::{follow_schedule, measure_harp_adjustment_traced, run_lockstep};
 use harp_core::{HarpNetwork, ProtocolReport, SchedulingPolicy};
 use harp_obs::flame::{detect_storms, TraceSpan};
 use harp_obs::{
@@ -390,12 +390,9 @@ fn apply_demand_change(
         )
     }));
     for (link, cells) in changes {
-        let ops = net
-            .request_change(now, link, cells)
+        net.request_change(now, link, cells)
             .expect("feasible change");
-        for op in &ops {
-            harp_core::apply_op(sim.schedule_mut(), op).expect("consistent ops");
-        }
+        follow_schedule(sim, net);
     }
 }
 

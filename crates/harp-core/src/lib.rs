@@ -116,7 +116,7 @@ pub use node::{Effects, HarpNode, NodeObsCounters, ScheduleOp};
 pub use protocol::{HarpMessage, MessageKind};
 pub use render::{render_cell_map, render_super_partitions, render_utilization};
 pub use requirement::Requirements;
-pub use runner::{apply_op, HarpNetwork, ProtocolReport};
+pub use runner::{HarpNetwork, ProtocolReport};
 pub use schedule_gen::{
     generate_schedule, unsatisfied_links, CellRun, RowAssignments, SchedulingPolicy,
 };

@@ -24,7 +24,7 @@ use crate::schedule_gen::{CellRun, SchedulingPolicy};
 use crate::workspace::Workspace;
 use packing::{Point, Rect};
 use std::collections::BTreeMap;
-use tsch_sim::{Cell, Direction, Link, NetworkSchedule, NodeId, SlotframeConfig, Tree};
+use tsch_sim::{Direction, Link, NetworkSchedule, NodeId, SlotframeConfig, Tree};
 
 /// A schedule change produced by the protocol, to be applied to the network
 /// schedule by whoever drives the nodes.
@@ -34,8 +34,8 @@ pub enum ScheduleOp {
     SetLinkCells {
         /// The directed link whose cells change.
         link: Link,
-        /// The new cell set, in transmission order.
-        cells: Vec<Cell>,
+        /// The new cells, the run the cell assignment carried.
+        cells: CellRun,
     },
 }
 
@@ -492,21 +492,20 @@ impl HarpNode {
             HarpMessage::CellAssignment { direction, cells } => {
                 // The child starts (or stops) using the granted cells now.
                 // A re-delivered assignment matches the cells already in
-                // use and must not re-emit the (externally visible) op.
+                // use and must not re-emit the op.
                 let id = self.id;
                 let mut ds = self.dir_mut(cx.log, direction);
                 if ds.own_cells() == Some(&cells) {
                     return Ok(());
                 }
-                // The one place a run becomes a vector of cells.
+                ds.set_own_cells(cells.clone());
                 cx.fx.schedule_ops.push(ScheduleOp::SetLinkCells {
                     link: Link {
                         child: id,
                         direction,
                     },
-                    cells: cells.to_vec(),
+                    cells,
                 });
-                ds.set_own_cells(cells);
                 Ok(())
             }
         }
@@ -1098,6 +1097,7 @@ impl HarpNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tsch_sim::Cell;
 
     /// Drives a whole network of nodes to quiescence with synchronous,
     /// zero-latency message delivery (protocol-order tests; timing is
@@ -1172,7 +1172,7 @@ mod tests {
         /// The network schedule implied by all applied ops.
         fn schedule(&self) -> tsch_sim::NetworkSchedule {
             let mut s = tsch_sim::NetworkSchedule::new(SlotframeConfig::paper_default());
-            let mut latest: BTreeMap<Link, Vec<Cell>> = BTreeMap::new();
+            let mut latest: BTreeMap<Link, CellRun> = BTreeMap::new();
             for op in &self.schedule_ops {
                 let ScheduleOp::SetLinkCells { link, cells } = op;
                 latest.insert(*link, cells.clone());
@@ -1415,12 +1415,13 @@ mod tests {
         );
         let config = SlotframeConfig::paper_default();
         let cells = CellRun::new(Rect::from_xywh(3, 0, 2, 1), config, 0..2);
+        assert!(cells.clone().eq([Cell::new(3, 0), Cell::new(4, 0)]));
         let fx = node
             .handle(
                 NodeId(1),
                 HarpMessage::CellAssignment {
                     direction: Direction::Up,
-                    cells,
+                    cells: cells.clone(),
                 },
             )
             .unwrap();
@@ -1428,7 +1429,7 @@ mod tests {
             fx.schedule_ops,
             vec![ScheduleOp::SetLinkCells {
                 link: Link::up(NodeId(4)),
-                cells: vec![Cell::new(3, 0), Cell::new(4, 0)],
+                cells,
             }]
         );
     }

@@ -113,6 +113,11 @@ pub(super) fn create(
     if tenant_id.is_empty() || tenant_id.len() > 128 {
         return Err(HttpError::new(400, "tenant id must be 1..=128 characters"));
     }
+    // The id is a path segment of every other tenant route, and the path
+    // is decoded before it is split, so no route could reach this tenant.
+    if tenant_id.contains('/') {
+        return Err(HttpError::new(400, "field \"tenant\" must not contain '/'"));
+    }
     rec.tenant = tenant_id.clone().into();
     // Refuse a taken id before paying for a convergence. Two racing
     // creates of one id can both pass here; the check at the insert below
@@ -264,7 +269,16 @@ pub(super) fn adjust<'r>(
     let cells = u64_field(&json, "cells")?;
     let node = u32::try_from(node).map_err(|_| HttpError::new(400, "node out of range"))?;
     let cells = u32::try_from(cells).map_err(|_| HttpError::new(400, "cells out of range"))?;
-    let down = matches!(json.get("direction").and_then(Json::as_str), Some("down"));
+    let down = match json.get("direction").map(Json::as_str) {
+        None | Some(Some("up")) => false,
+        Some(Some("down")) => true,
+        Some(_) => {
+            return Err(HttpError::new(
+                400,
+                "field \"direction\" must be \"up\" or \"down\"",
+            ))
+        }
+    };
 
     let slot = state.tenant(id)?;
     let mut tenant = slot.lock()?;
@@ -439,6 +453,48 @@ mod tests {
             ),
         );
         assert_eq!(resp.status, 404);
+    }
+
+    #[test]
+    fn a_tenant_id_no_route_could_reach_is_refused() {
+        let state = state();
+        for id in ["a/b", "/", "a/"] {
+            let resp = create_tiny(&state, id);
+            assert_eq!(resp.status, 400, "{id}");
+            let text = String::from_utf8(resp.body).unwrap();
+            assert!(text.contains("\\\"tenant\\\""), "{id}: {text}");
+        }
+        assert_eq!(state.network_count(), 0);
+        // A refused id leaks nothing the routes could not delete.
+        assert_eq!(create_tiny(&state, "a").status, 201);
+        let mut req = get("/networks/a");
+        req.method = "DELETE".into();
+        assert_eq!(handle_request(&state, &req).status, 200);
+        assert_eq!(state.network_count(), 0);
+    }
+
+    #[test]
+    fn adjust_accepts_only_up_or_down() {
+        let state = state();
+        assert_eq!(create_tiny(&state, "t1").status, 201);
+        let adjust = |body: &str| handle_request(&state, &post("/networks/t1/adjust", body));
+        for direction in ["\"sideways\"", "7", "null", "\"Up\""] {
+            let body = format!("{{\"node\": 9, \"cells\": 2, \"direction\": {direction}}}");
+            let resp = adjust(&body);
+            assert_eq!(resp.status, 400, "{direction}");
+            let text = String::from_utf8(resp.body).unwrap();
+            assert!(text.contains("direction"), "{direction}: {text}");
+        }
+        let list = handle_request(&state, &get("/networks"));
+        let text = String::from_utf8(list.body).unwrap();
+        assert!(text.contains("\"adjustments\": 0"), "{text}");
+        for body in [
+            "{\"node\": 9, \"cells\": 2}",
+            "{\"node\": 9, \"cells\": 3, \"direction\": \"up\"}",
+            "{\"node\": 9, \"cells\": 2, \"direction\": \"down\"}",
+        ] {
+            assert_eq!(adjust(body).status, 200, "{body}");
+        }
     }
 
     #[test]

@@ -15,8 +15,7 @@ pub mod seeded;
 use harp_core::{HarpNetwork, HarpNode};
 use tsch_sim::{Cell, Link, Tree};
 
-/// Everything a rejected event must leave as it found it, apart from the
-/// op sink, which the callers check themselves.
+/// Everything a rejected event must leave as it found it.
 pub struct PreImage {
     tree: Tree,
     nodes: Vec<HarpNode>,

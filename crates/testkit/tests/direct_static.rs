@@ -83,7 +83,6 @@ fn direct_settle_is_indistinguishable_from_the_message_driven_run() {
         let b = referee.run_static_by_messages();
         assert_eq!(a, b, "{ctx}: static outcome");
         assert_same(&direct, &referee, &ctx);
-        assert!(direct.take_ops().is_empty(), "{ctx}: ops left in the sink");
         if a.is_err() {
             rejected += 1;
             continue;
@@ -112,7 +111,6 @@ fn direct_settle_is_indistinguishable_from_the_message_driven_run() {
             let ra = direct.adjust_and_settle(direct.now(), link, cells);
             let rb = referee.adjust_and_settle(referee.now(), link, cells);
             assert_eq!(ra, rb, "{ctx}: adjustment {step} ({link} -> {cells})");
-            assert_eq!(direct.take_ops(), referee.take_ops(), "{ctx}: ops {step}");
             assert_same(&direct, &referee, &format!("{ctx}, adjustment {step}"));
             match ra {
                 Ok(r) if r.mgmt_messages == 0 => local += 1,

@@ -7,9 +7,9 @@
 //! reliable transport and under Lossy/Chaos
 //! channels (where a re-delivery can reach any handler arm mid-transaction
 //! and a dead hop aborts a run half-way). A rejection must leave every node
-//! `==` its pre-image, the schedule rows and version and the op sink
-//! untouched and nothing in flight; a commit must pass the collision and
-//! disjointness checks of `verify.rs`. The second runs joins, leaves and
+//! `==` its pre-image, the schedule rows and version untouched and nothing
+//! in flight; a commit must pass the collision and disjointness checks of
+//! `verify.rs`. The second runs joins, leaves and
 //! parent switches over the same trees and channels and holds a rejection
 //! to the same pre-image, the tree and the node count included.
 //!
@@ -22,9 +22,9 @@
 //! per field shows up here first.
 
 use harp_core::{
-    allocate_partitions, apply_op, build_interfaces, verify_partitions, verify_schedule,
-    AllocatorHandle, HarpNetwork, HarpNode, PartitionTable, Requirements, ResourceComponent,
-    SchedulingPolicy, Workspace,
+    allocate_partitions, build_interfaces, verify_partitions, verify_schedule, AllocatorHandle,
+    HarpNetwork, HarpNode, PartitionTable, Requirements, ResourceComponent, SchedulingPolicy,
+    Workspace,
 };
 use testkit::alloc::{allocated, counted, freed};
 use testkit::seeded::{seeded_config, seeded_network, seeded_reqs, seeded_tree};
@@ -133,8 +133,6 @@ fn rejected_topology_events_restore_the_pre_image_and_commits_stay_collision_fre
         if net.run_static().is_err() {
             continue;
         }
-        net.discard_ops();
-        let mut mirror = net.schedule().clone();
         let mut demand = reqs;
         let mut joined: Vec<NodeId> = Vec::new();
 
@@ -179,14 +177,6 @@ fn rejected_topology_events_restore_the_pre_image_and_commits_stay_collision_fre
                 }
             };
             let ctx = format!("{ctx}, event {step} ({event:?})");
-            // Ops of earlier commits stay in the sink on three steps of
-            // four: a rollback must cut its own and no others.
-            if step % 4 == 0 {
-                for op in net.take_ops() {
-                    apply_op(&mut mirror, &op).expect("ops replay");
-                }
-                assert!(mirror.iter_links().eq(net.schedule().iter_links()), "{ctx}");
-            }
             let would_be = NodeId(net.tree().len() as u32);
             let pre = PreImage::of(&net);
             let now = net.now();
@@ -228,10 +218,6 @@ fn rejected_topology_events_restore_the_pre_image_and_commits_stay_collision_fre
                 }
             }
         }
-        for op in net.take_ops() {
-            apply_op(&mut mirror, &op).expect("ops replay");
-        }
-        assert!(mirror.iter_links().eq(net.schedule().iter_links()), "{ctx}");
     }
     // The generator must keep covering what the suite claims to cover. A
     // departure only releases cells, so only a dead hop rejects one.
@@ -260,9 +246,6 @@ fn rejections_restore_the_pre_image_and_commits_stay_collision_free() {
         if net.run_static().is_err() {
             continue;
         }
-        net.discard_ops();
-        // What an embedding simulator holds: the drained ops, replayed.
-        let mut mirror = net.schedule().clone();
         let table = static_table(&tree, &reqs, config);
         let mut demand = reqs;
 
@@ -280,15 +263,6 @@ fn rejections_restore_the_pre_image_and_commits_stay_collision_free() {
             let ctx = format!("{ctx}, adjustment {step} ({link} -> {cells})");
 
             let pre = PreImage::of(&net);
-            // Ops of earlier commits stay in the sink on three steps of
-            // four: a rollback must cut its own and no others.
-            if step % 4 == 0 {
-                for op in net.take_ops() {
-                    apply_op(&mut mirror, &op).expect("ops replay");
-                }
-                assert!(mirror.iter_links().eq(net.schedule().iter_links()), "{ctx}");
-            }
-
             match net.adjust_and_settle(net.now(), link, cells) {
                 Err(_) => {
                     rejections += 1;
@@ -312,10 +286,6 @@ fn rejections_restore_the_pre_image_and_commits_stay_collision_free() {
                 }
             }
         }
-        for op in net.take_ops() {
-            apply_op(&mut mirror, &op).expect("ops replay");
-        }
-        assert!(mirror.iter_links().eq(net.schedule().iter_links()), "{ctx}");
         let broken = verify_partitions(&tree, &current_partitions(&net, table));
         assert!(broken.is_empty(), "{ctx}: {broken:?}");
     }
@@ -391,12 +361,13 @@ fn an_adjustment_allocates_what_it_writes() {
     /// settle (7 while the gateway's placement cloned both its interfaces
     /// and collected their layers). Everything else it allocates, it keeps.
     const CREATE_FREES_BUDGET: u64 = 3;
-    /// Mean allocations per adjustment, measured likewise (174.3; 202.9
-    /// with a fresh outbox per handler, 231.0 with the schedule as maps,
+    /// Mean allocations per adjustment, measured likewise (159.9; 174.3
+    /// with a cell vector per schedule op and an op sink, 202.9 with a
+    /// fresh outbox per handler too, 231.0 with the schedule as maps,
     /// 261.5 with maps and cell vectors in the nodes too, 301.3 with
     /// per-call buffers, 878.7 with the first-touch node clones the undo
     /// log replaced), + 10 %.
-    const MEAN_ALLOCS_BUDGET: f64 = 191.7;
+    const MEAN_ALLOCS_BUDGET: f64 = 175.9;
     /// A local adjustment rewrites one row: its undo log, the cell messages
     /// and the schedule ops they become, 3.8 KiB on average here (21.3 KiB
     /// with node clones).

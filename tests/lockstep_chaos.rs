@@ -1,10 +1,19 @@
 //! Chaos test of the lockstep path: the data plane runs continuously while
 //! random traffic changes stream through the control plane. At no instant —
 //! including mid-adjustment, while partitions move and cell assignments are
-//! in flight — may a single transmission collide.
+//! in flight — may a single transmission collide. The simulator follows the
+//! control plane's installed schedule by its version, copying it whenever
+//! it moved.
 
-use harp::core::{apply_op, HarpNetwork, SchedulingPolicy};
-use harp::sim::{Asn, Direction, Link, NodeId, Rate, SimulatorBuilder, SlotframeConfig};
+use harp::core::{HarpNetwork, SchedulingPolicy};
+use harp::sim::{Asn, Direction, Link, NodeId, Rate, Simulator, SimulatorBuilder, SlotframeConfig};
+
+/// Copies `net`'s installed schedule into `sim` if its version moved.
+fn follow(sim: &mut Simulator, net: &HarpNetwork) {
+    if sim.schedule().version() != net.schedule().version() {
+        sim.schedule_mut().clone_from(net.schedule());
+    }
+}
 
 #[test]
 fn continuous_operation_under_random_changes_never_collides() {
@@ -44,27 +53,22 @@ fn continuous_operation_under_random_changes_never_collides() {
             };
             let cells = 1 + rng.next_below(3) as u32;
             let at = Asn(sim.now().0 + net_offset);
-            let ops = net
-                .request_change(
-                    at,
-                    Link {
-                        child: node,
-                        direction,
-                    },
-                    cells,
-                )
-                .unwrap_or_else(|e| panic!("frame {frame}: {e}"));
-            for op in &ops {
-                apply_op(sim.schedule_mut(), op).unwrap();
-            }
+            net.request_change(
+                at,
+                Link {
+                    child: node,
+                    direction,
+                },
+                cells,
+            )
+            .unwrap_or_else(|e| panic!("frame {frame}: {e}"));
+            follow(&mut sim, &net);
         }
         // Advance both planes one slotframe, slot by slot.
         for _ in 0..config.slots {
             sim.step_slot();
-            let ops = net.step(Asn(sim.now().0 + net_offset)).unwrap();
-            for op in &ops {
-                apply_op(sim.schedule_mut(), op).unwrap();
-            }
+            net.step(Asn(sim.now().0 + net_offset)).unwrap();
+            follow(&mut sim, &net);
             // The invariant, checked every single slot.
             assert_eq!(
                 sim.stats().collisions,
