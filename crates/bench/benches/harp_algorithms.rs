@@ -1,16 +1,17 @@
-//! Benchmarks of HARP's algorithms plus the design-choice ablations of
-//! DESIGN.md: the two-pass SPP mapping of Alg. 1 (vs stopping after pass 1)
-//! and the neighbour-first adjustment of Alg. 2 (vs an immediate full
-//! repack). `static_settle/*` times what a service pays per tenant: the
-//! distributed static phase through [`AllocatorHandle`] and the drop of its
-//! result.
+//! Timings of HARP's algorithms: Alg. 1's two-pass composition, the
+//! centralized static pipeline, and Alg. 2's neighbour-first adjustment
+//! beside an immediate full repack of the same siblings.
+//! `static_settle/*` times what a service pays per tenant: the distributed
+//! static phase through [`AllocatorHandle`] and the drop of its result.
+//! What the design choices buy (channels saved, partitions moved) is
+//! counted over seeded instances by `ablation_report`, not here.
 
 use harp_bench::harness::{measure, measure_with_setup};
 use harp_core::{
     adjust_partition, allocate_partitions, build_interfaces, compose_components, generate_schedule,
     AllocatorHandle, Requirements, ResourceComponent, SchedulingPolicy,
 };
-use packing::{pack_into, pack_strip, Rect, Size};
+use packing::{pack_into, Rect, Size};
 use std::hint::black_box;
 use tsch_sim::{Direction, SlotframeConfig, SplitMix64, Tree};
 use workloads::TopologyConfig;
@@ -30,21 +31,6 @@ fn random_components(n: usize, seed: u64) -> Vec<(tsch_sim::NodeId, ResourceComp
 fn bench_compose() {
     for &n in &[4usize, 16, 64] {
         let comps = random_components(n, 11);
-        // Ablation: channel extent with and without the second SPP pass.
-        let two_pass = compose_components(&comps, 16, 1).unwrap().composite();
-        let one_pass = {
-            let items: Vec<Size> = comps
-                .iter()
-                .map(|(_, c)| c.as_size_channel_major())
-                .collect();
-            let p = pack_strip(&items, 16).unwrap();
-            let channels = p.placements().iter().map(Rect::right).max().unwrap_or(0);
-            ResourceComponent::new(p.height(), channels)
-        };
-        println!(
-            "# ablation n={n}: two-pass {two_pass} vs one-pass {one_pass} (channels saved: {})",
-            one_pass.channels.saturating_sub(two_pass.channels)
-        );
         let m = measure(&format!("compose/alg1_two_pass/{n}"), || {
             compose_components(black_box(&comps), 16, 1).unwrap()
         });
@@ -138,33 +124,6 @@ fn bench_adjustment() {
         x += w + 1;
     }
     let grown = ResourceComponent::row(9);
-
-    // Ablation data: moved-partition counts, Alg. 2 vs immediate repack.
-    let alg2_moved = adjust_partition(parent, &children, tsch_sim::NodeId(0), grown)
-        .unwrap()
-        .map(|o| o.moved_count())
-        .unwrap_or(usize::MAX);
-    let repack_moved = {
-        let sizes: Vec<Size> = children
-            .iter()
-            .map(|&(n, r)| {
-                if n == tsch_sim::NodeId(0) {
-                    grown.as_size()
-                } else {
-                    r.size
-                }
-            })
-            .collect();
-        match pack_into(&sizes, parent.size).unwrap() {
-            Some(placements) => placements
-                .iter()
-                .zip(&children)
-                .filter(|(new, (_, old))| **new != *old)
-                .count(),
-            None => usize::MAX,
-        }
-    };
-    println!("# ablation: Alg.2 moves {alg2_moved} partitions, full repack moves {repack_moved}");
 
     let m = measure("adjustment/alg2_neighbour_first", || {
         adjust_partition(

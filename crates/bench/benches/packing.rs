@@ -1,9 +1,9 @@
-//! Packing-substrate benchmarks and the packer ablation.
+//! Packing-substrate timings.
 //!
 //! DESIGN.md calls out the choice of the best-fit skyline heuristic over
-//! simpler shelf packers (FFDH/NFDH). This bench measures both runtime and
-//! — via the reported strip heights printed once per size — solution
-//! quality on workloads shaped like HARP compositions.
+//! simpler shelf packers (FFDH/NFDH). This bench times each of them on
+//! workloads shaped like HARP compositions; their strip heights against
+//! the exact optimum and MaxRects are `ablation_report`'s ablation 1.
 //!
 //! The 2- and 4-item rows are the traffic: every `BENCHMARK.json` workload
 //! composes at most `max_children` = 4 components per layer, where the
@@ -35,12 +35,6 @@ fn component_set(n: usize, seed: u64) -> Vec<Size> {
 fn bench_strip_packers() {
     for &n in &[2usize, 4, 8, 32, 128] {
         let items = component_set(n, 7);
-        // Print the quality comparison once per size (ablation data).
-        let sky = pack_strip(&items, 16).unwrap().height();
-        let ffdh = pack_strip_ffdh(&items, 16).unwrap().height();
-        let nfdh = pack_strip_nfdh(&items, 16).unwrap().height();
-        println!("# ablation n={n}: heights skyline={sky} ffdh={ffdh} nfdh={nfdh}");
-
         let m = measure(&format!("strip_packing/skyline/{n}"), || {
             pack_strip(black_box(&items), 16).unwrap()
         });

@@ -5,19 +5,16 @@
 //! 16-channel slotframe, once timed and once instrumented for a sustained
 //! run. Every timing — the means, the engine's slots/sec — is printed as a
 //! `timing` line; `BENCH_simulator.json` at the workspace root holds what
-//! the seeds determine: packing quality against proven optima and the
-//! counters and spans of the instrumented sustained run.
+//! the seeds determine: the counters and spans of the instrumented
+//! sustained run.
 
 use harp_bench::harness::{
     measure, measure_with_setup, print_timing, to_json_with_sections, write_report, Measurement,
 };
 use harp_core::{HarpNetwork, SchedulingPolicy};
-use packing::{exact_strip_height, pack_strip, FreeSpace, Size};
 use schedulers::{HarpScheduler, Scheduler};
 use std::hint::black_box;
-use tsch_sim::{
-    NetworkSchedule, Rate, Simulator, SimulatorBuilder, SlotframeConfig, SplitMix64, Task, Tree,
-};
+use tsch_sim::{NetworkSchedule, Rate, Simulator, SimulatorBuilder, SlotframeConfig, Task, Tree};
 use workloads::TopologyConfig;
 
 /// The engine's scenario: 100 nodes, paper slotframe, a HARP
@@ -197,85 +194,14 @@ fn bench_control_plane() {
     print_mean(&adjustment);
 }
 
-/// Strip width for the packing-quality instances (all item sides fit).
-const QUALITY_WIDTH: u32 = 12;
-
-/// Node budget for the exact search — ≤8-rect instances finish well
-/// inside it, so every baseline below is a proven optimum.
-const QUALITY_BUDGET: u64 = 5_000_000;
-
-/// Seeded ≤8-rect instances for the heuristic-vs-exact comparison.
-fn quality_instances() -> Vec<Vec<Size>> {
-    let mut rng = SplitMix64::new(0x9AC4_71FA);
-    (0..24)
-        .map(|_| {
-            let n = 5 + rng.next_below(4) as usize;
-            (0..n)
-                .map(|_| Size::new(1 + rng.next_below(6) as u32, 1 + rng.next_below(6) as u32))
-                .collect()
-        })
-        .collect()
-}
-
-/// Minimal strip height at which greedy MaxRects places every item:
-/// scans up from the area/tallest-item lower bound. Any height it
-/// succeeds at is a feasible packing, so the ratio to the exact optimum
-/// is a true quality factor (≥ 1).
-fn maxrects_strip_height(items: &[Size], width: u32) -> u32 {
-    let area: u64 = items.iter().map(|s| s.area()).sum();
-    let tallest = items.iter().map(|s| s.h).max().unwrap_or(0);
-    let total_h: u32 = items.iter().map(|s| s.h).sum();
-    let lower = u32::try_from(area.div_ceil(u64::from(width))).expect("small instance");
-    let mut h = lower.max(tallest);
-    while h <= total_h {
-        if FreeSpace::new(Size::new(width, h))
-            .place_all(items)
-            .is_some()
-        {
-            return h;
-        }
-        h += 1;
-    }
-    unreachable!("stacking all items vertically always fits")
-}
-
-/// Heuristic-vs-exact packing quality on seeded small instances — the
-/// ROADMAP "packing exactness" metric. All values are deterministic
-/// (seeded instances, proven optima).
-fn packing_quality_metrics() -> Vec<(&'static str, f64)> {
-    let instances = quality_instances();
-    let mut skyline_factors = Vec::with_capacity(instances.len());
-    let mut maxrects_factors = Vec::with_capacity(instances.len());
-    for items in &instances {
-        let exact = exact_strip_height(items, QUALITY_WIDTH, QUALITY_BUDGET).unwrap();
-        assert!(exact.is_optimal(), "budget too small for {items:?}");
-        let optimal = f64::from(exact.height());
-        let skyline = f64::from(pack_strip(items, QUALITY_WIDTH).unwrap().height());
-        let maxrects = f64::from(maxrects_strip_height(items, QUALITY_WIDTH));
-        skyline_factors.push(skyline / optimal);
-        maxrects_factors.push(maxrects / optimal);
-    }
-    let worst = |v: &[f64]| v.iter().copied().fold(1.0f64, f64::max);
-    vec![
-        ("skyline_quality_mean", harp_bench::mean(&skyline_factors)),
-        ("skyline_quality_worst", worst(&skyline_factors)),
-        ("maxrects_quality_mean", harp_bench::mean(&maxrects_factors)),
-        ("maxrects_quality_worst", worst(&maxrects_factors)),
-    ]
-}
-
 fn main() {
     let outcome = bench_engine_100_nodes();
     bench_data_plane();
     bench_schedule_table();
     bench_control_plane();
-    let quality = packing_quality_metrics();
-    for (name, value) in &quality {
-        println!("# {name}: {value:.3}");
-    }
 
     let json = to_json_with_sections(
-        &quality,
+        &[],
         &[
             ("obs", outcome.obs_json),
             ("trace_sample", outcome.trace_json.clone()),

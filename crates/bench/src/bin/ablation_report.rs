@@ -1,19 +1,30 @@
-//! Ablation report for the design choices DESIGN.md calls out:
+//! Ablation report for the design choices DESIGN.md §7 calls out:
 //!
-//! 1. best-fit skyline vs shelf packers vs the exact optimum (solution
-//!    quality on composition-shaped workloads);
+//! 1. best-fit skyline vs greedy MaxRects vs shelf packers vs the exact
+//!    optimum (solution quality on composition-shaped workloads);
 //! 2. the two-pass SPP mapping of Alg. 1 vs stopping after pass 1
 //!    (channel waste);
 //! 3. Alg. 2's neighbour-first adjustment vs an immediate full repack
 //!    (partitions moved = messages sent).
 //!
+//! Writes `BENCH_ablation.json` at the workspace root: one gated row per
+//! ablation point plus the packing counters. Every instance is seeded, so
+//! the report is a function of the source tree like every other.
+//!
 //! Run with `cargo run --release -p harp-bench --bin ablation_report`.
 
-use harp_bench::{mean, par_map};
+use harp_bench::harness::{
+    print_bench_threads, rows_json, to_json_with_sections, write_report, Args,
+};
+use harp_bench::{bench_threads, mean, par_map};
 use harp_core::{adjust_partition, compose_components, ResourceComponent};
+use harp_obs::MetricsSnapshot;
 use packing::shelf::{pack_strip_ffdh, pack_strip_nfdh};
-use packing::{exact_strip_height, pack_into, pack_strip, Rect, Size};
+use packing::{exact_strip_height, pack_into, pack_strip, FreeSpace, Rect, Size};
 use tsch_sim::{NodeId, SplitMix64};
+
+/// Seeded instances per ablation point.
+const INSTANCES: u64 = 40;
 
 fn components(n: usize, seed: u64) -> Vec<Size> {
     let mut rng = SplitMix64::new(seed);
@@ -22,42 +33,89 @@ fn components(n: usize, seed: u64) -> Vec<Size> {
         .collect()
 }
 
+/// Minimal strip height at which greedy MaxRects places every item:
+/// scans up from the area/tallest-item lower bound. Any height it
+/// succeeds at is a feasible packing, so the ratio to the exact optimum
+/// is a true quality factor (≥ 1).
+fn maxrects_strip_height(items: &[Size], width: u32) -> u32 {
+    let area: u64 = items.iter().map(|s| s.area()).sum();
+    let tallest = items.iter().map(|s| s.h).max().unwrap_or(0);
+    let total_h: u32 = items.iter().map(|s| s.h).sum();
+    let lower = u32::try_from(area.div_ceil(u64::from(width))).expect("small instance");
+    let mut h = lower.max(tallest);
+    while h <= total_h {
+        if FreeSpace::new(Size::new(width, h))
+            .place_all(items)
+            .is_some()
+        {
+            return h;
+        }
+        h += 1;
+    }
+    unreachable!("stacking all items vertically always fits")
+}
+
+/// The largest ratio of a heuristic's height to the exact one.
+fn worst_ratio(heights: &[f64], exact: &[f64]) -> f64 {
+    heights
+        .iter()
+        .zip(exact)
+        .map(|(h, e)| h / e)
+        .fold(1.0, f64::max)
+}
+
 fn main() {
+    Args::parse("usage: ablation_report");
+    let mut rows: Vec<(String, Vec<(&'static str, f64)>)> = Vec::new();
+
     println!("# Ablation 1 — packer quality on composition workloads");
-    println!("# (strip width 16 channels; heights relative to the exact optimum)");
+    println!("# (strip width 16 channels; mean heights, worst ratio to the exact optimum)");
     println!(
-        "{:>3} {:>10} {:>10} {:>10} {:>10} {:>9}",
-        "n", "exact", "skyline", "ffdh", "nfdh", "solved"
+        "{:>3} {:>8} {:>8} {:>8} {:>8} {:>8} {:>9} {:>9} {:>7}",
+        "n", "exact", "skyline", "ffdh", "nfdh", "maxrects", "sky_worst", "mr_worst", "solved"
     );
     for &n in &[4usize, 6, 8] {
-        let instances = 40;
         // The exact solver dominates this sweep; spread the seeds across
-        // cores and fold the per-seed tuples back in seed order.
-        let seeds: Vec<u64> = (0..instances).collect();
+        // cores and fold the per-seed heights back in seed order.
+        let seeds: Vec<u64> = (0..INSTANCES).collect();
         let samples = par_map(&seeds, |_, &seed| {
             let items = components(n, seed);
             let e = exact_strip_height(&items, 16, 3_000_000).unwrap();
             (
                 e.is_optimal(),
-                f64::from(e.height()),
-                f64::from(pack_strip(&items, 16).unwrap().height()),
-                f64::from(pack_strip_ffdh(&items, 16).unwrap().height()),
-                f64::from(pack_strip_nfdh(&items, 16).unwrap().height()),
+                [
+                    e.height(),
+                    pack_strip(&items, 16).unwrap().height(),
+                    pack_strip_ffdh(&items, 16).unwrap().height(),
+                    pack_strip_nfdh(&items, 16).unwrap().height(),
+                    maxrects_strip_height(&items, 16),
+                ]
+                .map(f64::from),
             )
         });
         let solved = samples.iter().filter(|s| s.0).count();
-        let exact_h: Vec<f64> = samples.iter().map(|s| s.1).collect();
-        let sky: Vec<f64> = samples.iter().map(|s| s.2).collect();
-        let ffdh: Vec<f64> = samples.iter().map(|s| s.3).collect();
-        let nfdh: Vec<f64> = samples.iter().map(|s| s.4).collect();
+        let column = |i: usize| -> Vec<f64> { samples.iter().map(|s| s.1[i]).collect() };
+        let heights = [0, 1, 2, 3, 4].map(column);
+        let [exact, sky, ffdh, nfdh, maxrects] = [0, 1, 2, 3, 4].map(|i| mean(&heights[i]));
+        let sky_worst = worst_ratio(&heights[1], &heights[0]);
+        let mr_worst = worst_ratio(&heights[4], &heights[0]);
         println!(
-            "{n:>3} {:>10.2} {:>10.2} {:>10.2} {:>10.2} {:>6}/{instances}",
-            mean(&exact_h),
-            mean(&sky),
-            mean(&ffdh),
-            mean(&nfdh),
-            solved
+            "{n:>3} {exact:>8.2} {sky:>8.2} {ffdh:>8.2} {nfdh:>8.2} {maxrects:>8.2} \
+             {sky_worst:>9.3} {mr_worst:>9.3} {solved:>4}/{INSTANCES}"
         );
+        rows.push((
+            format!("packers_n{n}"),
+            vec![
+                ("exact", exact),
+                ("skyline", sky),
+                ("ffdh", ffdh),
+                ("nfdh", nfdh),
+                ("maxrects", maxrects),
+                ("skyline_worst", sky_worst),
+                ("maxrects_worst", mr_worst),
+                ("solved", solved as f64),
+            ],
+        ));
     }
 
     println!("\n# Ablation 2 — Alg. 1 second pass (channel extent saved)");
@@ -66,7 +124,7 @@ fn main() {
         "n", "one-pass ch", "two-pass ch", "saved"
     );
     for &n in &[4usize, 8, 16, 32] {
-        let seeds: Vec<u64> = (100..140).collect();
+        let seeds: Vec<u64> = (100..100 + INSTANCES).collect();
         let samples = par_map(&seeds, |_, &seed| {
             let comps: Vec<(NodeId, ResourceComponent)> = components(n, seed)
                 .into_iter()
@@ -82,20 +140,26 @@ fn main() {
             let one_pass_channels = p.placements().iter().map(Rect::right).max().unwrap_or(0);
             (f64::from(one_pass_channels), f64::from(two_pass.channels))
         });
-        let one: Vec<f64> = samples.iter().map(|s| s.0).collect();
-        let two: Vec<f64> = samples.iter().map(|s| s.1).collect();
-        println!(
-            "{n:>3} {:>14.2} {:>14.2} {:>8.2}",
-            mean(&one),
-            mean(&two),
-            mean(&one) - mean(&two)
-        );
+        let one = mean(&samples.iter().map(|s| s.0).collect::<Vec<_>>());
+        let two = mean(&samples.iter().map(|s| s.1).collect::<Vec<_>>());
+        println!("{n:>3} {one:>14.2} {two:>14.2} {:>8.2}", one - two);
+        rows.push((
+            format!("second_pass_n{n}"),
+            vec![
+                ("one_pass_channels", one),
+                ("two_pass_channels", two),
+                ("saved", one - two),
+            ],
+        ));
     }
 
     println!("\n# Ablation 3 — Alg. 2 vs full repack (partitions moved per adjustment)");
-    println!("{:>9} {:>10} {:>12}", "siblings", "alg2", "full repack");
+    println!(
+        "{:>9} {:>10} {:>12} {:>9} {:>9}",
+        "siblings", "alg2", "full repack", "alg2 ok", "repack ok"
+    );
     for &n in &[4usize, 8, 12] {
-        let seeds: Vec<u64> = (200..240).collect();
+        let seeds: Vec<u64> = (200..200 + INSTANCES).collect();
         let samples = par_map(&seeds, |_, &seed| {
             let mut rng = SplitMix64::new(seed);
             // Sibling rows spaced with one idle slot between them.
@@ -133,11 +197,29 @@ fn main() {
         });
         let alg2_moved: Vec<f64> = samples.iter().filter_map(|s| s.0).collect();
         let repack_moved: Vec<f64> = samples.iter().filter_map(|s| s.1).collect();
+        let (alg2_ok, repack_ok) = (alg2_moved.len(), repack_moved.len());
         println!(
-            "{n:>9} {:>10.2} {:>12.2}",
+            "{n:>9} {:>10.2} {:>12.2} {:>6}/{INSTANCES} {:>6}/{INSTANCES}",
             mean(&alg2_moved),
-            mean(&repack_moved)
+            mean(&repack_moved),
+            alg2_ok,
+            repack_ok
         );
+        rows.push((
+            format!("alg2_siblings{n}"),
+            vec![
+                ("alg2_moved", mean(&alg2_moved)),
+                ("repack_moved", mean(&repack_moved)),
+                ("alg2_feasible", alg2_ok as f64),
+                ("repack_feasible", repack_ok as f64),
+            ],
+        ));
     }
     println!("{}", harp_bench::obs_footer());
+
+    print_bench_threads(bench_threads());
+    let mut snap = MetricsSnapshot::default();
+    snap.add_counters(packing::obs::totals());
+    let json = to_json_with_sections(&[], &[("rows", rows_json(&rows)), ("obs", snap.to_json())]);
+    write_report("BENCH_ablation.json", &json);
 }

@@ -49,7 +49,7 @@
 //! the committed baseline.
 
 use harp_bench::harness::{
-    assert_flat, flag, median, print_timing, rows_json, to_json_with_sections, write_report,
+    assert_flat, median, print_timing, rows_json, to_json_with_sections, write_report, Args,
 };
 use harp_core::{AllocatorHandle, Requirements, SchedulingPolicy};
 use std::collections::BTreeMap;
@@ -172,7 +172,7 @@ fn build_size(label: &'static str, nodes: u32) -> SizeRun {
 }
 
 fn main() {
-    let quick = flag("--quick");
+    let quick = Args::parse("usage: adjust_hot [--quick]").flag("--quick");
     let rounds = if quick { 3 } else { ROUNDS };
     let adjusts_per_round = if quick { 16 } else { ADJUSTS_PER_ROUND };
 

@@ -5,17 +5,16 @@
 //! Random/MSF/LDSF grow roughly linearly with the rate, HARP stays at zero.
 //!
 //! Writes `BENCH_fig11a.json` at the workspace root: one gated row per
-//! rate with every scheduler's collision probability, plus a synthetic
-//! sweep trace (one span per sweep cell on a virtual clock — layer
-//! `bench`, depth = rate) so `harp_trace` can show where the sweep spent
-//! its slots.
+//! rate with every scheduler's collision probability.
 //!
 //! Run with `cargo run --release -p harp-bench --bin fig11a_collision_rate`.
 
+use harp_bench::harness::Args;
 use harp_bench::Fig11Sweep;
 use tsch_sim::SlotframeConfig;
 
 fn main() {
+    Args::parse("usage: fig11a_collision_rate");
     let mut sweep = Fig11Sweep::new();
     let config = SlotframeConfig::paper_default();
 
@@ -33,7 +32,7 @@ fn main() {
     for rate in 1..=8u32 {
         print!("{rate:>4}");
         sweep
-            .point(format!("rate{rate}"), rate, rate, config)
+            .point(format!("rate{rate}"), rate, config)
             .push(("total_cells", f64::from(49 * rate)));
         println!(" {:>12}", 49 * rate);
     }

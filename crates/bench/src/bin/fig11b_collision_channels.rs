@@ -8,16 +8,16 @@
 //! the demand, then rises slightly but keeps dominating.
 //!
 //! Writes `BENCH_fig11b.json` at the workspace root: one gated row per
-//! (rate, channels) point with every scheduler's collision probability,
-//! plus a synthetic sweep trace on a virtual clock (layer `bench`, depth =
-//! channel count) for `harp_trace`.
+//! (rate, channels) point with every scheduler's collision probability.
 //!
 //! Run with `cargo run --release -p harp-bench --bin fig11b_collision_channels`.
 
+use harp_bench::harness::Args;
 use harp_bench::Fig11Sweep;
 use tsch_sim::SlotframeConfig;
 
 fn main() {
+    Args::parse("usage: fig11b_collision_channels");
     let mut sweep = Fig11Sweep::new();
     // The paper sweeps at rate 3. Our composition packs tighter than the
     // testbed implementation, so at rate 3 HARP stays collision-free even
@@ -38,12 +38,7 @@ fn main() {
                 .with_channels(channels)
                 .expect("nonzero channel count");
             print!("{channels:>8}");
-            sweep.point(
-                format!("r{rate}c{channels:02}"),
-                u32::from(channels),
-                rate,
-                config,
-            );
+            sweep.point(format!("r{rate}c{channels:02}"), rate, config);
             println!();
         }
         println!();

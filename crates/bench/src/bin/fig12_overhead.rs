@@ -7,6 +7,10 @@
 //! layer `l` (grows linearly with depth); HARP's cost is small and roughly
 //! flat because most requests resolve at the parent.
 //!
+//! HARP's count is the [`AdjustmentBill`](harp_core::AdjustmentBill) of
+//! [`AllocatorHandle::adjust`] — the bill harpd returns for the same
+//! change.
+//!
 //! Writes `BENCH_fig12.json` at the workspace root: one gated row per
 //! layer, plus a trace sample from one instrumented adjustment per layer
 //! (the `adjust` spans carry the layer depth, so the flame view shows how
@@ -14,20 +18,17 @@
 //!
 //! Run with `cargo run --release -p harp-bench --bin fig12_overhead`.
 
-use harp_bench::harness::{print_bench_threads, rows_json, to_json_with_sections, write_report};
-use harp_bench::{mean, measure_harp_adjustment, measure_harp_adjustment_traced, par_map};
-use harp_core::Requirements;
+use harp_bench::harness::{
+    print_bench_threads, rows_json, to_json_with_sections, write_report, Args,
+};
+use harp_bench::{mean, par_map};
+use harp_core::{AllocatorHandle, SchedulingPolicy};
 use harp_obs::{spans_to_json, MetricsSnapshot, SpanEvent};
 use schedulers::{apas_adjustment_packets, sixtop_transaction_packets, ApasNetwork};
-use tsch_sim::{Asn, Direction, Link, SlotframeConfig, Tree};
-
-/// Per-link demand used for the static phase (low, so adjustments have
-/// room to resolve below the gateway, as in the paper's setup).
-fn base_requirements(tree: &Tree) -> Requirements {
-    workloads::uniform_link_requirements(tree, 1)
-}
+use tsch_sim::{Asn, Direction, Link, SlotframeConfig};
 
 fn main() {
+    Args::parse("usage: fig12_overhead");
     let config = SlotframeConfig::paper_default();
     let topologies = workloads::fig12_topologies(10);
 
@@ -60,24 +61,24 @@ fn main() {
                     child: node,
                     direction: Direction::Up,
                 };
-                // The first sample of each layer runs instrumented and
-                // contributes its protocol spans to the trace sample;
-                // observability never changes the measured numbers.
-                if ti == 0 && ni == 0 {
-                    if let Some((sample, trace)) = measure_harp_adjustment_traced(
-                        tree,
-                        &base_requirements(tree),
-                        config,
-                        link,
-                        2,
-                    ) {
-                        harp_samples.push(sample.mgmt_messages as f64);
+                // One cell per link for the static phase (low, so
+                // adjustments have room to resolve below the gateway, as in
+                // the paper's setup). The first sample of each layer runs
+                // instrumented and contributes its `adjust` spans to the
+                // trace sample; observability never changes the bill.
+                let reqs = workloads::uniform_link_requirements(tree, 1);
+                let policy = SchedulingPolicy::RateMonotonic;
+                let handle = if ti == 0 && ni == 0 {
+                    AllocatorHandle::converge_observed(tree.clone(), config, &reqs, policy, 1024)
+                } else {
+                    AllocatorHandle::converge(tree.clone(), config, &reqs, policy)
+                };
+                if let Ok(mut handle) = handle {
+                    if let Ok(bill) = handle.adjust(link, 2) {
+                        harp_samples.push(bill.mgmt_messages as f64);
+                        let trace = &handle.network().obs().spans;
                         spans.extend(trace.iter().filter(|s| s.name == "adjust"));
                     }
-                } else if let Some(sample) =
-                    measure_harp_adjustment(tree, &base_requirements(tree), config, link, 2)
-                {
-                    harp_samples.push(sample.mgmt_messages as f64);
                 }
             }
         }

@@ -22,7 +22,9 @@
 //!
 //! Run with `cargo run --release -p harp-bench --bin fig9_latency`.
 
-use harp_bench::harness::{print_bench_threads, rows_json, to_json_with_sections, write_report};
+use harp_bench::harness::{
+    print_bench_threads, rows_json, to_json_with_sections, write_report, Args,
+};
 use harp_core::{HarpNetwork, ProtocolReport, Requirements, SchedulingPolicy};
 use harp_obs::{merged_trace_json, SpanRing};
 use std::fmt::Write as _;
@@ -239,6 +241,7 @@ fn provisioned_report(slotframes: u64) -> VariantOut {
 }
 
 fn main() {
+    Args::parse("usage: fig9_latency");
     let config = SlotframeConfig::paper_default();
     // Data plane: 30 minutes = ~905 slotframes of 1.99 s.
     let minutes = 30u64;

@@ -29,7 +29,7 @@
 //! no report).
 
 use harp_bench::harness::{
-    assert_flat, median, print_timing, rows_json, to_json_with_sections, write_report,
+    assert_flat, median, print_timing, rows_json, to_json_with_sections, write_report, Args,
 };
 use harp_obs::MetricsSnapshot;
 use tsch_sim::{Simulator, SimulatorBuilder, StatsMode};
@@ -100,7 +100,7 @@ fn build_size(nodes: u32, warmup: u64) -> SizeRun {
 }
 
 fn main() {
-    let smoke = harp_bench::harness::flag("--smoke");
+    let smoke = Args::parse("usage: fig_scale [--smoke]").flag("--smoke");
     let (sizes, rounds, frames, warmup): (&[u32], usize, u64, u64) = if smoke {
         (&[10_000], 1, 2, 2)
     } else {

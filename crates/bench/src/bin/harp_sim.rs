@@ -25,6 +25,7 @@
 use harp_bench::scenario_run::{load_scenario_file, run_scenario, RunOptions};
 use std::path::Path;
 use std::process::ExitCode;
+use workloads::scenario_dsl::ReportMode;
 
 const USAGE: &str = "usage: harp_sim --scenario <file.scn> [--seed <n>] [--quick] [--threads <n>] [--flight <out.json>]
   --seed <n>  replay with another seed; the report still goes to the scenario's own `[report] file`
@@ -100,17 +101,25 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    let records_flight = matches!(
+        scenario.report.mode,
+        ReportMode::Timeline { .. } | ReportMode::Replicates { .. }
+    );
+    if flight.is_some() && !records_flight {
+        eprintln!(
+            "error: --flight needs a `timeline` or `replicates` scenario; \
+             this mode records no event timeline"
+        );
+        return ExitCode::FAILURE;
+    }
     match run_scenario(&scenario, &opts) {
         Ok(output) => {
             output.emit(&opts);
             if let Some(path) = flight {
-                let Some(flight) = &output.flight else {
-                    eprintln!(
-                        "error: --flight needs a `timeline` or `replicates` scenario; \
-                         this mode records no event timeline"
-                    );
-                    return ExitCode::FAILURE;
-                };
+                let flight = output
+                    .flight
+                    .as_ref()
+                    .expect("timeline and replicates runs record a flight dump");
                 if let Err(e) = std::fs::write(&path, flight) {
                     eprintln!("error: write {path}: {e}");
                     return ExitCode::FAILURE;

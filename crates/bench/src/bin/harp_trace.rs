@@ -11,8 +11,8 @@
 //!                     flight-recorder dump ({"events": [...]}, as served
 //!                     by /debug/flight — incident wrappers included)
 //!                     (default: BENCH_trace_sample.json at the repo root)
-//!   --live            ignore INPUT; run an instrumented 50-node static
-//!                     phase + one deep adjustment and render its trace
+//!   --live            ignore INPUT; converge an instrumented allocator on
+//!                     50 nodes, adjust one deep link and render its trace
 //!   --view VIEW       all | flame | collapsed | chrome | heatmap | storms
 //!                     (default: all)
 //!   --out-dir DIR     write <stem>.flame.txt / .collapsed.txt /
@@ -114,26 +114,25 @@ fn default_input() -> std::path::PathBuf {
     }
 }
 
-/// Runs an instrumented static phase plus one deep adjustment on the
-/// 50-node testbed topology and returns the recorded trace.
+/// Converges an instrumented allocator on the 50-node testbed topology,
+/// adjusts one deep link and returns the recorded trace.
 fn live_trace() -> TraceDoc {
     use tsch_sim::{Link, NodeId, SlotframeConfig};
     let tree = workloads::testbed_50_node_tree();
-    let config = SlotframeConfig::paper_default();
     let reqs = workloads::aggregated_echo_requirements(&tree, tsch_sim::Rate::per_slotframe(1));
-    let mut net = harp_core::HarpNetwork::new(
+    let mut handle = harp_core::AllocatorHandle::converge_observed(
         tree,
-        config,
+        SlotframeConfig::paper_default(),
         &reqs,
         harp_core::SchedulingPolicy::RateMonotonic,
-    );
-    net.enable_observability(2048);
-    net.run_static().expect("testbed workload is feasible");
+        2048,
+    )
+    .expect("testbed workload is feasible");
     let link = Link::up(NodeId(45));
-    let new_cells = reqs.get(link) + 2;
-    net.adjust_and_settle(net.now(), link, new_cells)
+    handle
+        .adjust(link, reqs.get(link) + 2)
         .expect("adjustment resolves");
-    TraceDoc::from_events(net.obs().spans.iter())
+    TraceDoc::from_events(handle.network().obs().spans.iter())
 }
 
 fn main() -> ExitCode {

@@ -18,9 +18,12 @@
 
 use std::time::Duration;
 
-use harp_bench::harness::{arg_value, workspace_path};
+use harp_bench::harness::{workspace_path, Args};
 use harp_obs::prometheus::validate_exposition;
 use harpd::client::{ClientResponse, HttpClient};
+
+const USAGE: &str =
+    "usage: harpd_smoke --harpd <bin> [--port <n>] [--scenario-dir <dir>] [--artifact-dir <dir>]";
 
 fn expect_2xx(what: &str, result: Result<ClientResponse, String>) -> ClientResponse {
     match result {
@@ -42,21 +45,24 @@ fn expect_2xx(what: &str, result: Result<ClientResponse, String>) -> ClientRespo
 /// Boots a `harpd` child and walks the API surface once. Exits non-zero
 /// on the first non-2xx, invalid exposition, or unclean child exit.
 fn main() {
-    let harpd_bin = arg_value("--harpd").unwrap_or_else(|| {
-        eprintln!("smoke: --harpd <path-to-binary> is required");
+    let args = Args::parse(USAGE);
+    let harpd_bin = args.value("--harpd").unwrap_or_else(|| {
+        eprintln!("smoke: --harpd <path-to-binary> is required\n{USAGE}");
         std::process::exit(2);
     });
-    let port: u16 = arg_value("--port").map_or(47464, |v| {
+    let port: u16 = args.value("--port").map_or(47464, |v| {
         v.parse().unwrap_or_else(|_| {
             eprintln!("smoke: --port takes a port number, got {v:?}");
             std::process::exit(2);
         })
     });
-    let scenario_dir = arg_value("--scenario-dir")
-        .unwrap_or_else(|| workspace_path("scenarios").display().to_string());
+    let scenario_dir = args.value("--scenario-dir").map_or_else(
+        || workspace_path("scenarios").display().to_string(),
+        str::to_owned,
+    );
     let token = "ci-smoke";
 
-    let mut child = std::process::Command::new(&harpd_bin)
+    let mut child = std::process::Command::new(harpd_bin)
         .args([
             "--addr",
             "127.0.0.1",
@@ -217,8 +223,8 @@ fn main() {
     }
 
     // Save the dumps for CI to render and upload as artifacts.
-    if let Some(dir) = arg_value("--artifact-dir") {
-        let dir = std::path::Path::new(&dir);
+    if let Some(dir) = args.value("--artifact-dir") {
+        let dir = std::path::Path::new(dir);
         std::fs::create_dir_all(dir).unwrap_or_else(|e| {
             eprintln!("smoke: create {}: {e}", dir.display());
             std::process::exit(2);

@@ -3,8 +3,9 @@
 //! The workspace builds offline, so the `[[bench]]` targets cannot pull in
 //! an external harness crate; this module provides the few pieces they
 //! need: warmed-up, time-budgeted measurement loops, a plain JSON report
-//! writer and the flat-cost check the two scale studies share
-//! ([`assert_flat`]).
+//! writer, the flat-cost check the two scale studies share
+//! ([`assert_flat`]) and the command-line check every experiment binary
+//! without a parser of its own starts with ([`Args`]).
 //!
 //! A report file holds only what the source tree and the seeds written in
 //! it determine, so the committed copy can be compared byte for byte with a
@@ -278,23 +279,74 @@ pub fn workspace_path(rel: &str) -> std::path::PathBuf {
     }
 }
 
-/// True when `name` appears among the process arguments — the experiment
-/// binaries' shared convention for flags like `--quick`.
-#[must_use]
-pub fn flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
+/// An experiment binary's command line, checked against the flags its usage
+/// line names: every `--name` word of the line is a flag the binary defines,
+/// and one followed by a `<placeholder>` word takes a value. So
+/// `usage: harpd_smoke --harpd <bin> [--port <n>]` defines `--harpd` and
+/// `--port`, both with a value, and `usage: fig9_latency` defines none.
+#[derive(Debug)]
+pub struct Args {
+    given: Vec<(String, Option<String>)>,
 }
 
-/// Value of a `--key value` argument pair, if present.
-#[must_use]
-pub fn arg_value(key: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == key {
-            return args.next();
-        }
+impl Args {
+    /// Parses the process arguments against `usage`. Anything the line does
+    /// not name — an unknown flag, a stray word, a flag without its value —
+    /// prints the error and the usage line on stderr and exits 2 before the
+    /// binary runs, so a mistyped `--quick` cannot run the full study and
+    /// overwrite its committed report. A binary that defines no flag calls
+    /// it for the check alone.
+    pub fn parse(usage: &str) -> Self {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Self::parse_from(usage, &args).unwrap_or_else(|e| {
+            eprintln!("error: {e}\n{usage}");
+            std::process::exit(2);
+        })
     }
-    None
+
+    fn parse_from(usage: &str, args: &[String]) -> Result<Self, String> {
+        // `Some(takes_value)` for a flag the usage line names.
+        let defined = |arg: &str| {
+            if !arg.starts_with("--") {
+                return None;
+            }
+            let mut words = usage
+                .split_whitespace()
+                .map(|w| w.trim_matches(|c| c == '[' || c == ']'));
+            words.find(|w| *w == arg)?;
+            Some(words.next().is_some_and(|w| w.starts_with('<')))
+        };
+        let mut given = Vec::new();
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            let value = match defined(arg) {
+                None => return Err(format!("unknown argument `{arg}`")),
+                Some(false) => None,
+                Some(true) => Some(
+                    it.next()
+                        .cloned()
+                        .ok_or_else(|| format!("{arg} needs a value"))?,
+                ),
+            };
+            given.push((arg.clone(), value));
+        }
+        Ok(Self { given })
+    }
+
+    /// Whether the flag `name` was given.
+    #[must_use]
+    pub fn flag(&self, name: &str) -> bool {
+        self.given.iter().any(|(flag, _)| flag == name)
+    }
+
+    /// The value given with the flag `name`, if it was given.
+    #[must_use]
+    pub fn value(&self, name: &str) -> Option<&str> {
+        self.given
+            .iter()
+            .find(|(flag, _)| flag == name)
+            .and_then(|(_, value)| value.as_deref())
+    }
 }
 
 /// Writes a report file at the workspace root (see [`workspace_path`]) and
@@ -375,6 +427,37 @@ mod tests {
         assert!(json.contains("{\"name\": \"sf\\\"1\", \"a\": 3.000}\n"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
+    }
+
+    fn args(usage: &str, args: &[&str]) -> Result<Args, String> {
+        let args: Vec<String> = args.iter().map(|&a| a.to_owned()).collect();
+        Args::parse_from(usage, &args)
+    }
+
+    #[test]
+    fn args_accept_what_the_usage_line_names() {
+        let usage = "usage: smoke --harpd <bin> [--port <n>] [--quick]";
+        let parsed = args(usage, &["--quick", "--harpd", "h", "--port", "5"]).unwrap();
+        assert!(parsed.flag("--quick") && parsed.flag("--port"));
+        assert_eq!(parsed.value("--harpd"), Some("h"));
+        assert_eq!(parsed.value("--port"), Some("5"));
+        assert_eq!(parsed.value("--quick"), None);
+        assert!(!args(usage, &[]).unwrap().flag("--quick"));
+    }
+
+    #[test]
+    fn args_refuse_what_the_usage_line_does_not_name() {
+        let usage = "usage: smoke [--quick] [--port <n>]";
+        for (given, error) in [
+            (&["--quik"][..], "unknown argument `--quik`"),
+            (&["--prot", "5"], "unknown argument `--prot`"),
+            (&["smoke"], "unknown argument `smoke`"),
+            (&["<n>"], "unknown argument `<n>`"),
+            (&["--port"], "--port needs a value"),
+        ] {
+            assert_eq!(args(usage, given).unwrap_err(), error, "{given:?}");
+        }
+        assert!(args("usage: fig9_latency", &["--quick"]).is_err());
     }
 
     fn rates(rows: &[(&str, f64)]) -> Vec<(String, f64)> {

@@ -11,9 +11,9 @@
 pub mod harness;
 pub mod scenario_run;
 
-use harp_core::{HarpNetwork, Requirements, SchedulingPolicy};
+use harp_core::HarpNetwork;
 use schedulers::Scheduler;
-use tsch_sim::{Asn, GlobalInterference, Link, SlotframeConfig, Tree};
+use tsch_sim::{Asn, GlobalInterference, SlotframeConfig, Tree};
 
 pub use tsch_sim::mean;
 
@@ -46,15 +46,11 @@ pub(crate) fn average_collision_probability(
 }
 
 /// The sweep both Fig. 11 panels run: the five compared schedulers over the
-/// 100 Fig. 11 topologies. Each [`point`](Self::point) adds one
-/// report row and one lane of synthetic `bench` spans on a virtual clock
-/// (1000 "slots" per point, one 150-slot lane per scheduler), so
-/// `harp_trace` can show where the sweep spent its slots.
+/// 100 Fig. 11 topologies. Each [`point`](Self::point) adds one report row.
 pub struct Fig11Sweep {
     topologies: Vec<Tree>,
     schedulers: [Box<dyn Scheduler>; 5],
     rows: Vec<(String, Vec<(&'static str, f64)>)>,
-    spans: Vec<harp_obs::SpanEvent>,
 }
 
 impl Fig11Sweep {
@@ -72,7 +68,6 @@ impl Fig11Sweep {
                 Box::new(schedulers::HarpScheduler::default()),
             ],
             rows: Vec::new(),
-            spans: Vec::new(),
         }
     }
 
@@ -90,147 +85,42 @@ impl Fig11Sweep {
     }
 
     /// Measures every scheduler at one sweep point, prints the collision
-    /// probabilities as columns (no newline) and records the row `name`
-    /// and its spans, whose `depth` carries the swept parameter. Returns
-    /// the row's fields so a panel can append its own.
+    /// probabilities as columns (no newline) and records the row `name`.
+    /// Returns the row's fields so a panel can append its own.
     pub fn point(
         &mut self,
         name: String,
-        depth: u32,
         cells_per_link: u32,
         config: SlotframeConfig,
     ) -> &mut Vec<(&'static str, f64)> {
-        let step = self.rows.len() as u64;
         let mut fields = Vec::new();
-        for (si, s) in self.schedulers.iter().enumerate() {
+        for s in &self.schedulers {
             let p =
                 average_collision_probability(s.as_ref(), &self.topologies, cells_per_link, config);
             print!(" {:>8}", pct(p));
             fields.push((s.name(), p));
-            let start = step * 1000 + si as u64 * 150;
-            self.spans.push(harp_obs::SpanEvent {
-                name: s.name(),
-                layer: "bench",
-                node: harp_obs::NO_NODE,
-                depth,
-                start_asn: start,
-                end_asn: start + 149,
-                detail: (p * 1e6).round() as i64,
-                corr: 0,
-            });
         }
         self.rows.push((name, fields));
         &mut self.rows.last_mut().expect("row just pushed").1
     }
 
-    /// Prints the library-counter footer and writes the report: rows, the
-    /// workloads and schedulers counters, and the sweep trace.
+    /// Prints the library-counter footer and writes the report: rows and
+    /// the workloads and schedulers counters.
     pub fn write_report(self, file_name: &str) {
         println!("{}", obs_footer());
         harness::print_bench_threads(bench_threads());
         let mut snap = tsch_sim::MetricsSnapshot::default();
         snap.add_counters(workloads::obs::totals());
         snap.add_counters(schedulers::obs::totals());
-        let total = self.spans.len() as u64;
         let json = harness::to_json_with_sections(
             &[],
             &[
                 ("rows", harness::rows_json(&self.rows)),
                 ("obs", snap.to_json()),
-                (
-                    "trace_sample",
-                    harp_obs::spans_to_json(self.spans.iter(), total),
-                ),
             ],
         );
         harness::write_report(file_name, &json);
     }
-}
-
-/// One measured HARP adjustment: messages and timing for raising one link's
-/// demand on a converged network (a Table II row / Fig. 12 sample).
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdjustmentSample {
-    /// The adjusted link.
-    pub link: Link,
-    /// The link's layer.
-    pub layer: u32,
-    /// Management messages exchanged.
-    pub mgmt_messages: u64,
-    /// Nodes that participated.
-    pub involved_nodes: usize,
-    /// Distinct layers named in PUT messages.
-    pub layers_touched: usize,
-    /// Wall time of the adjustment in seconds.
-    pub seconds: f64,
-    /// Wall time in whole slotframes.
-    pub slotframes: u64,
-}
-
-/// Runs HARP's static phase on `tree` and then measures one adjustment that
-/// raises `link`'s requirement to `new_cells`.
-///
-/// Returns `None` if the adjustment is infeasible (slotframe overflow).
-#[must_use]
-pub fn measure_harp_adjustment(
-    tree: &Tree,
-    requirements: &Requirements,
-    config: SlotframeConfig,
-    link: Link,
-    new_cells: u32,
-) -> Option<AdjustmentSample> {
-    measure_adjustment(tree, requirements, config, link, new_cells, None).map(|(sample, _)| sample)
-}
-
-/// [`measure_harp_adjustment`] with span capture: runs the same static
-/// phase + adjustment on an observability-enabled network and also returns
-/// the recorded protocol spans (static run, the adjustment itself, and any
-/// cascaded layer work), for the `trace_sample` section of the experiment
-/// reports. The sample itself is unchanged — observability never alters
-/// protocol behaviour.
-#[must_use]
-pub fn measure_harp_adjustment_traced(
-    tree: &Tree,
-    requirements: &Requirements,
-    config: SlotframeConfig,
-    link: Link,
-    new_cells: u32,
-) -> Option<(AdjustmentSample, Vec<harp_obs::SpanEvent>)> {
-    measure_adjustment(tree, requirements, config, link, new_cells, Some(1024))
-}
-
-/// The one measurement body: static phase, then the adjustment, on a
-/// network that captures spans when given a capacity (none otherwise).
-fn measure_adjustment(
-    tree: &Tree,
-    requirements: &Requirements,
-    config: SlotframeConfig,
-    link: Link,
-    new_cells: u32,
-    span_capacity: Option<usize>,
-) -> Option<(AdjustmentSample, Vec<harp_obs::SpanEvent>)> {
-    let mut net = HarpNetwork::new(
-        tree.clone(),
-        config,
-        requirements,
-        SchedulingPolicy::RateMonotonic,
-    );
-    if let Some(capacity) = span_capacity {
-        net.enable_observability(capacity);
-    }
-    net.run_static().ok()?;
-    let report = net.adjust_and_settle(net.now(), link, new_cells).ok()?;
-    let sample = AdjustmentSample {
-        link,
-        layer: tree.layer_of_link(link),
-        mgmt_messages: report.mgmt_messages,
-        involved_nodes: report.involved_nodes.len(),
-        layers_touched: report.layers.len(),
-        seconds: report.elapsed_seconds(config),
-        slotframes: report.slotframes(config),
-    };
-    let spans: Vec<harp_obs::SpanEvent> = net.obs().spans.iter().copied().collect();
-    Some((sample, spans))
 }
 
 /// Folds the process-wide packing and workloads counters into a snapshot —
@@ -360,18 +250,6 @@ mod tests {
         let random = average_collision_probability(&RandomScheduler, &topologies, 3, cfg);
         assert_eq!(harp, 0.0);
         assert!(random > 0.0);
-    }
-
-    #[test]
-    fn adjustment_sample_layer_matches_tree() {
-        let tree = workloads::testbed_50_node_tree();
-        let reqs = workloads::uniform_link_requirements(&tree, 1);
-        let cfg = SlotframeConfig::paper_default();
-        let link = Link::up(tsch_sim::NodeId(45)); // a layer-5 leaf
-        let sample = measure_harp_adjustment(&tree, &reqs, cfg, link, 2).unwrap();
-        assert_eq!(sample.layer, 5);
-        assert!(sample.mgmt_messages >= 1 || sample.involved_nodes >= 1);
-        assert!(sample.slotframes >= 1);
     }
 
     #[test]

@@ -26,8 +26,8 @@
 //! `idle_wakeups == 0` invariant, fault windows included.
 
 use crate::harness::{print_bench_threads, rows_json, to_json_with_sections, write_report};
-use crate::{follow_schedule, measure_harp_adjustment_traced, run_lockstep};
-use harp_core::{HarpNetwork, ProtocolReport, SchedulingPolicy};
+use crate::{follow_schedule, run_lockstep};
+use harp_core::{AllocatorHandle, HarpNetwork, ProtocolReport, SchedulingPolicy};
 use harp_obs::flame::{detect_storms, TraceSpan};
 use harp_obs::{
     merged_trace_json, spans_to_json, FlightEvent, FlightRecorder, MetricsSnapshot, SpanEvent,
@@ -484,7 +484,18 @@ fn run_pdr_sweep(
             assert_eq!(sample.static_report.dropped, 0);
         }
     }
-    let (obs_snapshot, trace_sample) = sweep_equivalence_probe(scenario, &trees[0], config);
+    // The report's `obs` and `trace_sample` come from one instrumented
+    // static phase on the ideal channel.
+    let ideal = AllocatorHandle::converge_observed(
+        trees[0].clone(),
+        config,
+        &scenario.requirements(&trees[0]),
+        SchedulingPolicy::RateMonotonic,
+        1024,
+    )
+    .expect("static phase converges");
+    let mut obs_snapshot = ideal.metrics_snapshot();
+    crate::add_library_counters(&mut obs_snapshot);
 
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"topologies\": {topologies},");
@@ -523,47 +534,9 @@ fn run_pdr_sweep(
     json.push_str("  ],\n  \"obs\": ");
     json.push_str(&obs_snapshot.to_json());
     json.push_str(",\n  \"trace_sample\": ");
-    json.push_str(&trace_sample);
+    json.push_str(&ideal.network().obs().spans.to_json(32));
     json.push_str("\n}\n");
     Ok((out, json))
-}
-
-/// Explicit equivalence check on one topology: [`Lossy`] at PDR 1.0
-/// (every `chance()` draw succeeds) vs the ideal fast path must agree on
-/// everything but piggybacked ACKs. The instrumented ideal run doubles as
-/// the sweep's observability probe — the comparison proves metrics
-/// recording does not perturb the protocol.
-fn sweep_equivalence_probe(
-    scenario: &Scenario,
-    tree: &Tree,
-    config: SlotframeConfig,
-) -> (MetricsSnapshot, String) {
-    let reqs = scenario.requirements(tree);
-    let mut ideal = HarpNetwork::new(tree.clone(), config, &reqs, SchedulingPolicy::RateMonotonic);
-    ideal.enable_observability(1024);
-    let ideal_report = ideal.run_static().unwrap();
-    let mut lossy = HarpNetwork::with_transport(
-        tree.clone(),
-        config,
-        &reqs,
-        SchedulingPolicy::RateMonotonic,
-        Box::new(Lossy::uniform(1.0, 7).unwrap()),
-    );
-    let lossy_report = lossy.run_static().unwrap();
-    let mut comparable = lossy_report.clone();
-    comparable.acks = ideal_report.acks;
-    assert_eq!(
-        ideal_report, comparable,
-        "Lossy at PDR 1.0 must match the ideal channel exactly"
-    );
-    assert_eq!(lossy_report.retransmissions, 0);
-    assert_eq!(lossy_report.dropped, 0);
-    let a: Vec<_> = ideal.schedule().iter_links().collect();
-    let b: Vec<_> = lossy.schedule().iter_links().collect();
-    assert_eq!(a, b, "schedules must be identical at PDR 1.0");
-    let mut snap = ideal.metrics_snapshot();
-    crate::add_library_counters(&mut snap);
-    (snap, ideal.obs().spans.to_json(32))
 }
 
 /// `adjustments`: one measured partition adjustment per `demand_step` on a
@@ -599,16 +572,28 @@ fn run_adjustments(
             old,
             new_cells
         );
-        match measure_harp_adjustment_traced(&tree, &reqs, config, ev.link, new_cells) {
-            Some((s, trace)) => {
+        let measured = AllocatorHandle::converge_observed(
+            tree.clone(),
+            config,
+            &reqs,
+            SchedulingPolicy::RateMonotonic,
+            1024,
+        )
+        .ok()
+        .and_then(|mut handle| {
+            let bill = handle.adjust(ev.link, new_cells).ok()?;
+            Some((bill, handle))
+        });
+        match measured {
+            Some((bill, handle)) => {
                 let text = format!(
                     "{:<30} {:>6} {:>7} {:>5} {:>8.2} {:>4}",
                     label,
-                    s.involved_nodes,
-                    s.layers_touched,
-                    s.mgmt_messages,
-                    s.seconds,
-                    s.slotframes
+                    bill.involved_nodes,
+                    bill.layers_touched,
+                    bill.mgmt_messages,
+                    bill.seconds,
+                    bill.slotframes
                 );
                 let row = (
                     format!(
@@ -618,17 +603,23 @@ fn run_adjustments(
                         ev.link.child.0
                     ),
                     vec![
-                        ("involved_nodes", s.involved_nodes as f64),
-                        ("layers_touched", s.layers_touched as f64),
-                        ("mgmt_messages", s.mgmt_messages as f64),
-                        ("seconds", s.seconds),
-                        ("slotframes", s.slotframes as f64),
+                        ("involved_nodes", bill.involved_nodes as f64),
+                        ("layers_touched", bill.layers_touched as f64),
+                        ("mgmt_messages", bill.mgmt_messages as f64),
+                        ("seconds", bill.seconds),
+                        ("slotframes", bill.slotframes as f64),
                     ],
                 );
                 // Keep the adjustment spans only: the identical static
                 // phases would otherwise drown the interesting part.
-                let spans: Vec<SpanEvent> =
-                    trace.into_iter().filter(|s| s.name == "adjust").collect();
+                let spans: Vec<SpanEvent> = handle
+                    .network()
+                    .obs()
+                    .spans
+                    .iter()
+                    .filter(|s| s.name == "adjust")
+                    .copied()
+                    .collect();
                 (text, Some(row), spans)
             }
             None => (format!("{label:<30} infeasible"), None, Vec::new()),

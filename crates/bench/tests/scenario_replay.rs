@@ -141,6 +141,71 @@ fn harp_sim_rejects_a_flag_it_does_not_define() {
 }
 
 #[test]
+fn every_experiment_binary_rejects_a_flag_it_does_not_define() {
+    // A binary that ignored the flag would run in full — `adjust_hot
+    // --quik` builds 100k-node trees and overwrites its committed report —
+    // so the cheapest goes first.
+    for (name, bin) in [
+        ("ablation_report", env!("CARGO_BIN_EXE_ablation_report")),
+        ("fig12_overhead", env!("CARGO_BIN_EXE_fig12_overhead")),
+        ("fig9_latency", env!("CARGO_BIN_EXE_fig9_latency")),
+        (
+            "fig11a_collision_rate",
+            env!("CARGO_BIN_EXE_fig11a_collision_rate"),
+        ),
+        (
+            "fig11b_collision_channels",
+            env!("CARGO_BIN_EXE_fig11b_collision_channels"),
+        ),
+        ("adjust_hot", env!("CARGO_BIN_EXE_adjust_hot")),
+        ("fig_scale", env!("CARGO_BIN_EXE_fig_scale")),
+        ("harpd_smoke", env!("CARGO_BIN_EXE_harpd_smoke")),
+    ] {
+        let out = Command::new(bin)
+            .arg("--no-such-flag")
+            .current_dir(workspace_root())
+            .output()
+            .unwrap_or_else(|e| panic!("{name} spawns: {e}"));
+        assert_eq!(out.status.code(), Some(2), "{name}");
+        assert!(out.stdout.is_empty(), "{name} ran");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("`--no-such-flag`") && stderr.contains(&format!("usage: {name}")),
+            "{name}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn harp_sim_refuses_a_flight_dump_the_mode_cannot_record_before_running() {
+    // The loss sweep has no event timeline. The refusal must come before
+    // the sweep runs, which without `--quick` writes its report.
+    let dump = std::env::temp_dir().join("harp_sim_refused_flight.json");
+    let out = Command::new(env!("CARGO_BIN_EXE_harp_sim"))
+        .args([
+            "--scenario",
+            "scenarios/mgmt_loss.scn",
+            "--quick",
+            "--flight",
+        ])
+        .arg(&dump)
+        .current_dir(workspace_root())
+        .output()
+        .expect("harp_sim spawns");
+    assert_eq!(out.status.code(), Some(1));
+    assert!(
+        out.stdout.is_empty(),
+        "the sweep ran: {}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--flight needs a `timeline` or `replicates` scenario"),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn timeline_replays_byte_identically_under_fault_windows() {
     let scenario = parse_scenario(
         "scenario timeline_replay

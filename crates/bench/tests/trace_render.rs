@@ -10,13 +10,11 @@ use harp_obs::json::{parse, Json};
 /// Committed workspace-root reports that carry a renderable trace. (The
 /// simulator bench's `BENCH_trace_sample.json` is git-ignored: a clean
 /// checkout does not have it, and CI renders it right after producing it.)
-const TRACE_FILES: [&str; 7] = [
+const TRACE_FILES: [&str; 5] = [
     "BENCH_simulator.json",
     "BENCH_mgmt_loss.json",
     "BENCH_fig9.json",
     "BENCH_fig10.json",
-    "BENCH_fig11a.json",
-    "BENCH_fig11b.json",
     "BENCH_table2.json",
 ];
 

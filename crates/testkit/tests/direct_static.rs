@@ -8,14 +8,15 @@
 //! report, the clock, every node, the schedule, the transport counters,
 //! the metrics and the span rings — and that the same feasible,
 //! escalating and infeasible adjustments then bill identically on both.
-//! (When each management cell is next free is pinned in `tsch-sim`, by
+//! On the same trees, a `Lossy` channel that loses nothing must settle to
+//! the reliable channel's report, acknowledgements aside. (When each management cell is next free is pinned in `tsch-sim`, by
 //! `occupying_a_cell_books_what_the_sends_would`: once a run is quiescent
 //! the clock has passed every cell's last use, so no later protocol run
 //! can observe it.)
 
-use harp_core::{HarpError, HarpNetwork, ProtocolReport, Requirements};
+use harp_core::{HarpError, HarpNetwork, ProtocolReport, Requirements, SchedulingPolicy};
 use testkit::seeded::{seeded_config, seeded_network, seeded_reqs, seeded_tree};
-use tsch_sim::{Direction, Link, NodeId, SlotframeConfig, SplitMix64, Tree};
+use tsch_sim::{Direction, Link, Lossy, NodeId, SlotframeConfig, SplitMix64, Tree};
 
 const CASES: u64 = 240;
 const ADJUSTMENTS: usize = 32;
@@ -196,6 +197,45 @@ fn lossy_and_chaos_networks_settle_by_messages() {
                 .iter_links()
                 .eq(reliable.schedule().iter_links()));
         }
+    }
+}
+
+/// A [`Lossy`] channel at PDR 1.0 loses nothing (every draw succeeds), so
+/// its message-driven static phase must end where the reliable channel's
+/// direct settle does: the same report but for the acknowledgements only
+/// its reliability sublayer sends, no retransmission or drop, and the same
+/// schedule. Only the reliable network records spans, so this also holds
+/// that observability does not perturb the protocol.
+#[test]
+fn a_lossy_channel_that_loses_nothing_settles_like_the_reliable_one() {
+    for case in 0..CASES {
+        let mut rng = SplitMix64::new(0xD1EC7 ^ (case << 20));
+        let tree = seeded_tree(&mut rng, case);
+        let reqs = seeded_reqs(&mut rng, case, &tree);
+        let config = seeded_config(&mut rng);
+        let ctx = format!("case {case} ({} nodes)", tree.len());
+        let mut reliable = build(&tree, config, &reqs);
+        let mut lossless = HarpNetwork::with_transport(
+            tree.clone(),
+            config,
+            &reqs,
+            SchedulingPolicy::RateMonotonic,
+            Box::new(Lossy::uniform(1.0, case).expect("valid pdr")),
+        );
+        let (a, b) = (reliable.run_static(), lossless.run_static());
+        assert_eq!(a.err(), b.err(), "{ctx}: static outcome");
+        let mut report = lossless.report().clone();
+        assert_eq!(report.retransmissions, 0, "{ctx}");
+        assert_eq!(report.dropped, 0, "{ctx}");
+        report.acks = reliable.report().acks;
+        assert_eq!(&report, reliable.report(), "{ctx}: report");
+        assert!(
+            lossless
+                .schedule()
+                .iter_links()
+                .eq(reliable.schedule().iter_links()),
+            "{ctx}: schedule"
+        );
     }
 }
 
