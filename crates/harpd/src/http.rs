@@ -1,22 +1,29 @@
 //! A minimal, strict HTTP/1.1 message layer over blocking sockets.
 //!
 //! Hand-rolled like the workspace's JSON writer: no dependency, no async.
-//! The parser is *incremental* — [`try_parse`] consumes a byte buffer and
+//! The parser is *incremental* — [`try_parse`] reads a byte buffer and
 //! either yields a complete [`Request`] plus the bytes it consumed, asks
 //! for more input, or rejects with an [`HttpError`] carrying the 4xx
 //! status to answer with. Incremental parsing is what makes split reads
 //! and pipelined requests (several messages already buffered) natural: the
 //! connection loop keeps a rolling buffer and re-parses as bytes arrive.
 //!
+//! A [`Request`] borrows that buffer and allocates only what it keeps: a
+//! path that needs percent-decoding. The query and the header lines stay
+//! raw slices, checked here once and read on lookup; the body is a slice.
+//!
 //! Hard limits keep a hostile peer from pinning a worker: request heads
 //! over [`MAX_HEAD_BYTES`] are rejected with 431, bodies over
 //! `MAX_BODY_BYTES` with 413, and more than `MAX_HEADERS` header
 //! lines with 431. Anything malformed — a bad start-line, a non-CRLF
-//! line ending, a header without a colon, an unparsable
-//! `content-length` — is a clean 400, never a panic and never a hang.
+//! line ending, a header without a colon, a `%` not followed by two hex
+//! digits, a `content-length` that is not all digits or that a second
+//! `content-length` contradicts — is a clean 400, never a panic and never
+//! a hang.
 
+use std::borrow::Cow;
 use std::fmt;
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::net::TcpStream;
 
 /// Maximum bytes of request line + headers.
@@ -52,40 +59,44 @@ impl fmt::Display for HttpError {
     }
 }
 
-/// One parsed request.
+/// One parsed request, borrowed from the buffer it was parsed from.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Request {
+pub struct Request<'a> {
     /// Method token, upper-case (`GET`, `POST`, ...).
-    pub method: String,
-    /// Decoded path without the query string, e.g. `/networks/t1/schedule`.
-    pub path: String,
-    /// Decoded query pairs in request order.
-    pub query: Vec<(String, String)>,
-    /// Header `(name, value)` pairs; names lower-cased.
-    pub headers: Vec<(String, String)>,
+    pub method: &'a str,
+    /// Decoded path without the query string, e.g. `/networks/t1/schedule`:
+    /// borrowed unless it contained a `%`.
+    pub path: Cow<'a, str>,
+    /// The raw query string after `?` (empty when none), whose escapes
+    /// [`try_parse`] has checked; [`Request::query_value`] decodes.
+    pub(crate) query: &'a str,
+    /// The raw header lines after the start-line, CRLF-separated, each
+    /// checked by [`try_parse`]; [`Request::header`] reads them.
+    pub(crate) headers: &'a str,
     /// Request body (empty when no `content-length`).
-    pub body: Vec<u8>,
+    pub body: &'a [u8],
     /// Whether the connection may serve another request after this one.
     pub keep_alive: bool,
 }
 
-impl Request {
-    /// First value of a (lower-case) header name.
+impl<'a> Request<'a> {
+    /// The trimmed value of the first header named `name`, matched
+    /// case-insensitively.
     #[must_use]
-    pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
+    pub fn header(&self, name: &str) -> Option<&'a str> {
+        header_lines(self.headers)
+            .find(|(n, _)| n.eq_ignore_ascii_case(name))
+            .map(|(_, v)| v)
     }
 
-    /// First value of a query key.
+    /// The decoded value of the first query pair whose decoded key is
+    /// `key` (a key without `=` has the empty value).
     #[must_use]
-    pub(crate) fn query_value(&self, key: &str) -> Option<&str> {
-        self.query
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
+    pub(crate) fn query_value(&self, key: &str) -> Option<Cow<'a, str>> {
+        // `try_parse` checked every pair, so decoding cannot fail.
+        let (_, value) =
+            query_pairs(self.query).find(|(k, _)| percent_decode(k).is_ok_and(|k| k == key))?;
+        percent_decode(value).ok()
     }
 
     /// The body as UTF-8.
@@ -93,18 +104,18 @@ impl Request {
     /// # Errors
     ///
     /// A 400 [`HttpError`] when the body is not valid UTF-8.
-    pub(crate) fn body_str(&self) -> Result<&str, HttpError> {
-        std::str::from_utf8(&self.body)
+    pub(crate) fn body_str(&self) -> Result<&'a str, HttpError> {
+        std::str::from_utf8(self.body)
             .map_err(|_| HttpError::new(400, "request body is not valid UTF-8"))
     }
 }
 
 /// Outcome of one [`try_parse`] call.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Parsed {
+pub enum Parsed<'a> {
     /// A complete request and the number of buffer bytes it consumed
     /// (strip them before parsing the next pipelined message).
-    Complete(Request, usize),
+    Complete(Request<'a>, usize),
     /// The buffer holds only a prefix of a message; read more bytes.
     Incomplete,
 }
@@ -113,43 +124,58 @@ fn bad(message: impl Into<String>) -> HttpError {
     HttpError::new(400, message)
 }
 
-/// Percent-decodes a URL component (`%41` → `A`, `+` is *not* treated as a
-/// space — the daemon's tokens and tenant ids never encode spaces).
-fn percent_decode(s: &str) -> Result<String, HttpError> {
-    let bytes = s.as_bytes();
-    let mut out = Vec::with_capacity(bytes.len());
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'%' {
-            let hex = bytes
-                .get(i + 1..i + 3)
-                .and_then(|h| std::str::from_utf8(h).ok())
-                .and_then(|h| u8::from_str_radix(h, 16).ok())
-                .ok_or_else(|| bad("malformed percent-encoding"))?;
-            out.push(hex);
-            i += 3;
-        } else {
-            out.push(bytes[i]);
-            i += 1;
-        }
-    }
-    String::from_utf8(out).map_err(|_| bad("percent-encoding decodes to invalid UTF-8"))
+/// `(name, trimmed value)` of each line of a checked header block.
+fn header_lines(block: &str) -> impl Iterator<Item = (&str, &str)> {
+    block
+        .split("\r\n")
+        .filter_map(|line| line.split_once(':'))
+        .map(|(name, value)| (name, value.trim()))
 }
 
-fn parse_target(target: &str) -> Result<(String, Vec<(String, String)>), HttpError> {
-    if !target.starts_with('/') {
-        return Err(bad("request target must be origin-form (start with '/')"));
+/// The raw `(key, value)` pairs of a query string.
+fn query_pairs(query: &str) -> impl Iterator<Item = (&str, &str)> {
+    query
+        .split('&')
+        .filter(|p| !p.is_empty())
+        .map(|pair| pair.split_once('=').unwrap_or((pair, "")))
+}
+
+/// The bytes `s` percent-decodes to, with `None` for a `%` not followed
+/// by exactly two hex digits (`+` is *not* a space: the daemon's tokens
+/// and tenant ids never encode spaces).
+fn decode_bytes(s: &str) -> impl Iterator<Item = Option<u8>> + '_ {
+    let hex = |b: Option<u8>| char::from(b?).to_digit(16);
+    let mut bytes = s.bytes();
+    std::iter::from_fn(move || {
+        let b = bytes.next()?;
+        if b != b'%' {
+            return Some(Some(b));
+        }
+        let (hi, lo) = (hex(bytes.next()), hex(bytes.next()));
+        // Two hex digits fit a byte.
+        Some(hi.zip(lo).map(|(hi, lo)| (hi << 4 | lo) as u8))
+    })
+}
+
+/// Percent-decodes a URL component, borrowing it when it has no `%`.
+fn percent_decode(s: &str) -> Result<Cow<'_, str>, HttpError> {
+    if !s.contains('%') {
+        return Ok(Cow::Borrowed(s));
     }
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p, q),
-        None => (target, ""),
-    };
-    let mut pairs = Vec::new();
-    for pair in query.split('&').filter(|p| !p.is_empty()) {
-        let (k, v) = pair.split_once('=').unwrap_or((pair, ""));
-        pairs.push((percent_decode(k)?, percent_decode(v)?));
+    let bytes: Vec<u8> = decode_bytes(s)
+        .collect::<Option<_>>()
+        .ok_or_else(|| bad("malformed percent-encoding"))?;
+    String::from_utf8(bytes)
+        .map(Cow::Owned)
+        .map_err(|_| bad("percent-encoding decodes to invalid UTF-8"))
+}
+
+/// A `content-length` value: one or more ASCII digits, nothing else.
+fn content_length(value: &str) -> Result<usize, HttpError> {
+    if value.is_empty() || !value.bytes().all(|b| b.is_ascii_digit()) {
+        return Err(bad("unparsable content-length"));
     }
-    Ok((percent_decode(path)?, pairs))
+    value.parse().map_err(|_| bad("unparsable content-length"))
 }
 
 /// Attempts to parse one request from the front of `buf`.
@@ -158,8 +184,8 @@ fn parse_target(target: &str) -> Result<(String, Vec<(String, String)>), HttpErr
 ///
 /// An [`HttpError`] (4xx) when the buffered bytes can never become a valid
 /// message: malformed start-line or header, oversized head/body, bare-LF
-/// line endings, unsupported transfer framing.
-pub fn try_parse(buf: &[u8]) -> Result<Parsed, HttpError> {
+/// line endings, unsupported or contradictory framing.
+pub fn try_parse(buf: &[u8]) -> Result<Parsed<'_>, HttpError> {
     // Locate the head terminator within the size limit.
     let window = &buf[..buf.len().min(MAX_HEAD_BYTES)];
     let head_end = window.windows(4).position(|w| w == b"\r\n\r\n");
@@ -176,8 +202,7 @@ pub fn try_parse(buf: &[u8]) -> Result<Parsed, HttpError> {
     };
     let head = std::str::from_utf8(&buf[..head_end])
         .map_err(|_| bad("request head is not valid UTF-8"))?;
-    let mut lines = head.split("\r\n");
-    let start = lines.next().unwrap_or_default();
+    let (start, headers) = head.split_once("\r\n").unwrap_or((head, ""));
     if start.chars().any(|c| c.is_control()) {
         return Err(bad("control character in start-line"));
     }
@@ -193,11 +218,20 @@ pub fn try_parse(buf: &[u8]) -> Result<Parsed, HttpError> {
     if version != "HTTP/1.1" && version != "HTTP/1.0" {
         return Err(bad("unsupported HTTP version"));
     }
-    let (path, query) = parse_target(target)?;
+    if !target.starts_with('/') {
+        return Err(bad("request target must be origin-form (start with '/')"));
+    }
+    let (path, query) = target.split_once('?').unwrap_or((target, ""));
+    let path = percent_decode(path)?;
+    for (k, v) in query_pairs(query) {
+        percent_decode(k)?;
+        percent_decode(v)?;
+    }
 
-    let mut headers: Vec<(String, String)> = Vec::new();
-    for line in lines {
-        if headers.len() >= MAX_HEADERS {
+    let (mut length, mut chunked, mut connection) = (None, false, None);
+    // Only a head without header lines has an empty one.
+    for (i, line) in headers.split("\r\n").filter(|l| !l.is_empty()).enumerate() {
+        if i >= MAX_HEADERS {
             return Err(HttpError::new(431, "too many header lines"));
         }
         let (name, value) = line
@@ -213,26 +247,26 @@ pub fn try_parse(buf: &[u8]) -> Result<Parsed, HttpError> {
         if value.chars().any(|c| c.is_control() && c != '\t') {
             return Err(bad("control character in header value"));
         }
-        headers.push((name.to_ascii_lowercase(), value.trim().to_owned()));
+        let value = value.trim();
+        if name.eq_ignore_ascii_case("content-length") {
+            let n = content_length(value)?;
+            // RFC 9112 §6.3: differing lengths leave the framing unknown.
+            if length.is_some_and(|first| first != n) {
+                return Err(bad("conflicting content-length headers"));
+            }
+            length = Some(n);
+        } else if name.eq_ignore_ascii_case("transfer-encoding") {
+            chunked = true;
+        } else if name.eq_ignore_ascii_case("connection") && connection.is_none() {
+            connection = Some(value);
+        }
     }
-
-    let find = |n: &str| {
-        headers
-            .iter()
-            .find(|(name, _)| name == n)
-            .map(|(_, v)| v.as_str())
-    };
-    if find("transfer-encoding").is_some() {
+    if chunked {
         return Err(bad(
             "transfer-encoding is not supported; send content-length",
         ));
     }
-    let content_length = match find("content-length") {
-        Some(v) => v
-            .parse::<usize>()
-            .map_err(|_| bad("unparsable content-length"))?,
-        None => 0,
-    };
+    let content_length = length.unwrap_or(0);
     if content_length > MAX_BODY_BYTES {
         return Err(HttpError::new(413, "request body exceeds 4 MiB"));
     }
@@ -242,18 +276,18 @@ pub fn try_parse(buf: &[u8]) -> Result<Parsed, HttpError> {
         return Ok(Parsed::Incomplete);
     }
 
-    let keep_alive = match find("connection").map(str::to_ascii_lowercase) {
-        Some(v) if v == "close" => false,
-        Some(v) if v == "keep-alive" => true,
+    let keep_alive = match connection {
+        Some(v) if v.eq_ignore_ascii_case("close") => false,
+        Some(v) if v.eq_ignore_ascii_case("keep-alive") => true,
         _ => version == "HTTP/1.1",
     };
     Ok(Parsed::Complete(
         Request {
-            method: method.to_owned(),
+            method,
             path,
             query,
             headers,
-            body: buf[body_start..total].to_vec(),
+            body: &buf[body_start..total],
             keep_alive,
         },
         total,
@@ -316,23 +350,40 @@ impl Response {
         r
     }
 
-    /// Serialises status line, headers and body onto `stream`.
+    /// Serialises status line, headers and body onto `out`. The head is
+    /// formatted on the stack and leaves with the body in one vectored
+    /// write; only a short write takes a second.
     ///
     /// # Errors
     ///
-    /// The underlying socket write error.
-    pub(crate) fn write_to(&self, stream: &mut TcpStream) -> std::io::Result<()> {
-        let connection = if self.close { "close" } else { "keep-alive" };
-        let head = format!(
-            "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: {connection}\r\n\r\n",
+    /// The underlying write error.
+    pub(crate) fn write_to(&self, out: &mut impl Write) -> std::io::Result<()> {
+        let mut head = [0u8; 256];
+        let mut cursor = std::io::Cursor::new(&mut head[..]);
+        write!(
+            cursor,
+            "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: {}\r\n\r\n",
             self.status,
             status_text(self.status),
             self.content_type,
-            self.body.len()
-        );
-        stream.write_all(head.as_bytes())?;
-        stream.write_all(&self.body)?;
-        stream.flush()
+            self.body.len(),
+            if self.close { "close" } else { "keep-alive" },
+        )?;
+        let len = cursor.position() as usize;
+        let head = &head[..len];
+        let written = loop {
+            match out.write_vectored(&[IoSlice::new(head), IoSlice::new(&self.body)]) {
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                result => break result?,
+            }
+        };
+        if written < head.len() {
+            out.write_all(&head[written..])?;
+            out.write_all(&self.body)?;
+        } else {
+            out.write_all(&self.body[written - head.len()..])?;
+        }
+        out.flush()
     }
 }
 
@@ -361,51 +412,32 @@ pub(crate) fn status_text(status: u16) -> &'static str {
 /// found it.
 pub use harp_obs::json::escape_json;
 
-/// Reads the next complete request from `stream`, buffering leftovers in
-/// `buf` across calls (pipelining), and reports the microseconds spent
-/// *parsing* the message (CPU over all incremental [`try_parse`] passes,
-/// excluding socket waits) — the `parse` span of the request trace.
+/// Reads more bytes of the message `buf` holds a prefix of.
 ///
-/// Returns `Ok(None)` on clean end-of-stream (peer closed between
+/// Returns `Ok(false)` on clean end-of-stream (peer closed between
 /// requests) and on a read timeout with nothing buffered (idle keep-alive
 /// connection going away).
 ///
 /// # Errors
 ///
-/// A parse [`HttpError`], 408 when a partial message times out, or 400
-/// when the peer closes mid-message.
-pub(crate) fn next_request_timed(
-    stream: &mut TcpStream,
-    buf: &mut Vec<u8>,
-) -> Result<Option<(Request, u64)>, HttpError> {
+/// 408 when a partial message times out, or 400 when the peer closes
+/// mid-message or the read fails.
+pub(crate) fn read_more(stream: &mut TcpStream, buf: &mut Vec<u8>) -> Result<bool, HttpError> {
     let mut chunk = [0u8; 8 * 1024];
-    let mut parse_us: u64 = 0;
     loop {
-        let started = std::time::Instant::now();
-        let parsed = try_parse(buf);
-        parse_us = parse_us
-            .saturating_add(u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX));
-        match parsed? {
-            Parsed::Complete(req, consumed) => {
-                buf.drain(..consumed);
-                return Ok(Some((req, parse_us)));
-            }
-            Parsed::Incomplete => {}
-        }
         match stream.read(&mut chunk) {
-            Ok(0) => {
-                if buf.is_empty() {
-                    return Ok(None);
-                }
-                return Err(bad("peer closed mid-request"));
+            Ok(0) if buf.is_empty() => return Ok(false),
+            Ok(0) => return Err(bad("peer closed mid-request")),
+            Ok(n) => {
+                buf.extend_from_slice(&chunk[..n]);
+                return Ok(true);
             }
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
             {
                 if buf.is_empty() {
-                    return Ok(None);
+                    return Ok(false);
                 }
                 return Err(HttpError::new(408, "timed out mid-request"));
             }
@@ -419,7 +451,7 @@ pub(crate) fn next_request_timed(
 mod tests {
     use super::*;
 
-    fn parse_ok(raw: &str) -> Request {
+    fn parse_ok(raw: &str) -> Request<'_> {
         match try_parse(raw.as_bytes()).expect("parses") {
             Parsed::Complete(req, consumed) => {
                 assert_eq!(consumed, raw.len());
@@ -434,10 +466,70 @@ mod tests {
         let req = parse_ok("GET /networks/t1/schedule?verbose=1&x=%2F HTTP/1.1\r\nhost: a\r\n\r\n");
         assert_eq!(req.method, "GET");
         assert_eq!(req.path, "/networks/t1/schedule");
-        assert_eq!(req.query_value("verbose"), Some("1"));
-        assert_eq!(req.query_value("x"), Some("/"));
+        assert_eq!(req.query_value("verbose").as_deref(), Some("1"));
+        assert_eq!(req.query_value("x").as_deref(), Some("/"));
         assert!(req.keep_alive);
         assert!(req.body.is_empty());
+    }
+
+    #[test]
+    fn borrows_what_needs_no_decoding() {
+        let req = parse_ok("GET /networks/t%31/schedule?a%3Db=%C3%A9&flag HTTP/1.1\r\n\r\n");
+        assert!(matches!(req.path, Cow::Owned(_)), "decoded: {:?}", req.path);
+        assert_eq!(req.path, "/networks/t1/schedule");
+        assert_eq!(req.query_value("a=b").as_deref(), Some("\u{e9}"));
+        assert_eq!(req.query_value("flag").as_deref(), Some(""));
+        assert_eq!(req.query_value("a"), None);
+        let req = parse_ok("GET /networks/t1/schedule?x=1 HTTP/1.1\r\n\r\n");
+        assert!(matches!(req.path, Cow::Borrowed(_)));
+        assert!(matches!(req.query_value("x"), Some(Cow::Borrowed("1"))));
+    }
+
+    #[test]
+    fn headers_match_case_insensitively_and_trim() {
+        let req =
+            parse_ok("GET /x HTTP/1.1\r\nX-Harpd-Token: \t s3 \r\nx-harpd-token: second\r\n\r\n");
+        assert_eq!(req.header("x-harpd-token"), Some("s3"));
+        assert_eq!(req.header("X-HARPD-TOKEN"), Some("s3"));
+        assert_eq!(req.header("host"), None);
+        assert_eq!(parse_ok("GET /x HTTP/1.1\r\n\r\n").header(""), None);
+    }
+
+    #[test]
+    fn an_escape_is_exactly_two_hex_digits() {
+        // `u8::from_str_radix` would take the sign: `%+1` is byte 1.
+        for raw in [
+            "GET /x%+1 HTTP/1.1\r\n\r\n",
+            "GET /x?a=%+f HTTP/1.1\r\n\r\n",
+            "GET /x?%+fa=1 HTTP/1.1\r\n\r\n",
+            "GET /x%4 HTTP/1.1\r\n\r\n",
+            "GET /x?a=%4 HTTP/1.1\r\n\r\n",
+            "GET /x?a=%C3 HTTP/1.1\r\n\r\n",
+            "GET /x?a=%C3%28 HTTP/1.1\r\n\r\n",
+        ] {
+            let err = try_parse(raw.as_bytes()).unwrap_err();
+            assert_eq!(err.status, 400, "{raw:?} -> {err}");
+        }
+        assert_eq!(parse_ok("GET /%7e%7E HTTP/1.1\r\n\r\n").path, "/~~");
+    }
+
+    #[test]
+    fn content_length_is_digits_and_agrees_with_itself() {
+        for raw in [
+            "POST /x HTTP/1.1\r\ncontent-length: +4\r\n\r\nabcd",
+            "POST /x HTTP/1.1\r\ncontent-length: -0\r\n\r\n",
+            "POST /x HTTP/1.1\r\ncontent-length: 4 4\r\n\r\nabcd",
+            "POST /x HTTP/1.1\r\ncontent-length:\r\n\r\n",
+            "POST /x HTTP/1.1\r\ncontent-length: 4\r\nContent-Length: 10\r\n\r\nabcd",
+            "POST /x HTTP/1.1\r\ncontent-length: 10\r\ncontent-length: 4\r\n\r\nabcd",
+        ] {
+            let err = try_parse(raw.as_bytes()).unwrap_err();
+            assert_eq!(err.status, 400, "{raw:?} -> {err}");
+        }
+        // Repeating the same length leaves the framing known.
+        let req =
+            parse_ok("POST /x HTTP/1.1\r\ncontent-length: 4\r\nContent-Length:  4 \r\n\r\nabcd");
+        assert_eq!(req.body, b"abcd");
     }
 
     #[test]
@@ -541,6 +633,62 @@ mod tests {
         let err = Response::from_error(&HttpError::new(431, "too big"));
         assert!(err.close);
         assert!(String::from_utf8(err.body).unwrap().contains("too big"));
+    }
+
+    /// Counts the calls that reach the socket.
+    #[derive(Default)]
+    struct Wire {
+        bytes: Vec<u8>,
+        writes: usize,
+        /// Accept at most this many bytes per call (0: unlimited).
+        limit: usize,
+    }
+
+    impl Write for Wire {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.writes += 1;
+            let mut taken = 0;
+            for buf in bufs {
+                let room = if self.limit == 0 {
+                    buf.len()
+                } else {
+                    (self.limit - taken).min(buf.len())
+                };
+                self.bytes.extend_from_slice(&buf[..room]);
+                taken += room;
+            }
+            Ok(taken)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn head_and_body_leave_in_one_write() {
+        let mut r = Response::json(409, "{\"error\": \"x\"}".into());
+        r.close = true;
+        let expected = "HTTP/1.1 409 Conflict\r\ncontent-type: application/json\r\ncontent-length: 14\r\nconnection: close\r\n\r\n{\"error\": \"x\"}";
+        let mut wire = Wire::default();
+        r.write_to(&mut wire).unwrap();
+        assert_eq!(
+            (wire.writes, String::from_utf8(wire.bytes).unwrap().as_str()),
+            (1, expected)
+        );
+        // A short write finishes the head, then the body.
+        for limit in [7, 100, 108] {
+            let mut wire = Wire {
+                limit,
+                ..Wire::default()
+            };
+            r.write_to(&mut wire).unwrap();
+            assert_eq!(String::from_utf8(wire.bytes).unwrap(), expected, "{limit}");
+        }
     }
 
     #[test]

@@ -15,13 +15,13 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use harp_obs::prometheus::render_exposition;
+use harp_obs::prometheus::write_exposition;
 use harp_obs::MetricsSnapshot;
 
-use crate::http::next_request_timed;
-use crate::state::{handle_request_timed, handle_unparsed, AppState};
+use crate::http::{read_more, try_parse, Parsed};
+use crate::state::{handle_request_timed, handle_unparsed, micros, AppState};
 
 /// How the server binds and behaves.
 #[derive(Debug, Clone)]
@@ -71,7 +71,9 @@ impl ServerSummary {
     /// binary on exit — the "flush" of the service's last state).
     #[must_use]
     pub fn exposition(&self) -> String {
-        render_exposition(&[(Vec::new(), self.metrics.clone())])
+        let mut text = String::new();
+        write_exposition(&mut text, &[(&[], &self.metrics)]);
+        text
     }
 }
 
@@ -206,15 +208,24 @@ fn serve_connection(mut stream: TcpStream, state: &Arc<AppState>, read_timeout: 
     let _ = stream.set_read_timeout(Some(read_timeout));
     let _ = stream.set_nodelay(true);
     let mut buf: Vec<u8> = Vec::with_capacity(4 * 1024);
+    // CPU time over every incremental parse of the current message,
+    // excluding socket waits: the `parse` span of the request trace.
+    let mut parse_us: u64 = 0;
     loop {
-        match next_request_timed(&mut stream, &mut buf) {
-            Ok(Some((req, parse_us))) => {
+        let started = Instant::now();
+        let parsed = try_parse(&buf);
+        parse_us = parse_us.saturating_add(micros(started.elapsed()));
+        let err = match parsed {
+            Ok(Parsed::Complete(req, consumed)) => {
                 let mut resp = handle_request_timed(state, &req, parse_us);
-                let draining = state.is_shutting_down();
-                if !req.keep_alive || draining {
+                if !req.keep_alive || state.is_shutting_down() {
                     resp.close = true;
                 }
                 let wrote = resp.write_to(&mut stream).is_ok();
+                // The request borrows the buffer, so its bytes go only now.
+                drop(req);
+                buf.drain(..consumed);
+                parse_us = 0;
                 // The body buffer came from the state's pool (handlers
                 // assemble into `take_buf` buffers); hand it back so the
                 // next response reuses the allocation.
@@ -222,14 +233,17 @@ fn serve_connection(mut stream: TcpStream, state: &Arc<AppState>, read_timeout: 
                 if !wrote || resp.close {
                     return;
                 }
+                continue;
             }
-            Ok(None) => return, // clean close or idle timeout
-            Err(err) => {
-                // Counted, then answered best-effort; framing is gone,
-                // so close.
-                let _ = handle_unparsed(state, &err).write_to(&mut stream);
-                return;
-            }
-        }
+            Ok(Parsed::Incomplete) => match read_more(&mut stream, &mut buf) {
+                Ok(true) => continue,
+                Ok(false) => return, // clean close or idle timeout
+                Err(err) => err,
+            },
+            Err(err) => err,
+        };
+        // Counted, then answered best-effort; framing is gone, so close.
+        let _ = handle_unparsed(state, &err).write_to(&mut stream);
+        return;
     }
 }

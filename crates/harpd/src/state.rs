@@ -38,10 +38,14 @@ use std::sync::{Arc, Mutex, RwLock};
 use harp_obs::MetricsSnapshot;
 
 use crate::http::{HttpError, Request, Response};
-pub(crate) use telemetry::DEFAULT_SLO_US;
+pub(crate) use telemetry::{micros, DEFAULT_SLO_US};
 use telemetry::{Record, RouteClass, Telemetry};
 use tenant::TenantSlot;
 
+/// Path segments the router keeps, on the stack: a fixed route has at most
+/// three, so a longer path cut to its first five still matches no fixed
+/// route and every `..` route it matched whole.
+const MAX_SEGMENTS: usize = 5;
 /// Response-body buffers kept around for reuse.
 const POOL_MAX_BUFFERS: usize = 64;
 /// A buffer that grew beyond this capacity is dropped, not pooled, so a
@@ -174,7 +178,7 @@ impl AppState {
 
 /// Routes one request; this is the whole HTTP surface of the daemon.
 /// Always returns a [`Response`] — failures become their status code.
-pub fn handle_request(state: &AppState, req: &Request) -> Response {
+pub fn handle_request(state: &AppState, req: &Request<'_>) -> Response {
     handle_request_timed(state, req, 0)
 }
 
@@ -183,10 +187,20 @@ pub fn handle_request(state: &AppState, req: &Request) -> Response {
 /// observation. Every request gets a fresh correlation id and exactly one
 /// telemetry record — counters, latency histograms, flight events, the
 /// SLO check — written when its response is ready.
-pub(crate) fn handle_request_timed(state: &AppState, req: &Request, parse_us: u64) -> Response {
-    let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
-    let mut rec = state.telemetry.begin(&req.method, &req.path, parse_us);
-    let (class, result) = route(state, req, &segments, &mut rec);
+pub(crate) fn handle_request_timed(state: &AppState, req: &Request<'_>, parse_us: u64) -> Response {
+    let mut segments = [""; MAX_SEGMENTS];
+    let mut len = 0;
+    for segment in req
+        .path
+        .split('/')
+        .filter(|s| !s.is_empty())
+        .take(MAX_SEGMENTS)
+    {
+        segments[len] = segment;
+        len += 1;
+    }
+    let mut rec = state.telemetry.begin(req.method, &req.path, parse_us);
+    let (class, result) = route(state, req, &segments[..len], &mut rec);
     let response = result.unwrap_or_else(|err| Response::from_error(&err));
     state.telemetry.record(rec, class, response.status);
     response
@@ -211,13 +225,13 @@ pub(crate) fn handle_unparsed(state: &AppState, err: &HttpError) -> Response {
 /// with the wrong method is a 405 metered under that resource's class.
 fn route<'r>(
     state: &AppState,
-    req: &Request,
+    req: &Request<'_>,
     segments: &[&'r str],
     rec: &mut Record<'r>,
 ) -> (RouteClass, Result<Response, HttpError>) {
     use RouteClass::*;
     let wrong_method = || Err(HttpError::new(405, "method not allowed on this resource"));
-    match (req.method.as_str(), segments) {
+    match (req.method, segments) {
         ("GET", ["health"]) => (Health, Ok(debug::health(state))),
         ("GET", ["metrics"]) => (Metrics, Ok(debug::metrics(state))),
         ("GET", ["debug", "health"]) => (Debug, Ok(debug::debug_health(state))),
@@ -253,25 +267,22 @@ mod test_support {
         AppState::new("secret".into(), "/nonexistent".into())
     }
 
-    pub(super) fn get(path: &str) -> Request {
+    pub(super) fn get(path: &str) -> Request<'_> {
         Request {
-            method: "GET".into(),
+            method: "GET",
             path: path.into(),
-            query: Vec::new(),
-            headers: Vec::new(),
-            body: Vec::new(),
+            query: "",
+            headers: "",
+            body: &[],
             keep_alive: true,
         }
     }
 
-    pub(super) fn post(path: &str, body: &str) -> Request {
+    pub(super) fn post<'a>(path: &'a str, body: &'a str) -> Request<'a> {
         Request {
-            method: "POST".into(),
-            path: path.into(),
-            query: Vec::new(),
-            headers: Vec::new(),
-            body: body.as_bytes().to_vec(),
-            keep_alive: true,
+            method: "POST",
+            body: body.as_bytes(),
+            ..get(path)
         }
     }
 
@@ -299,7 +310,7 @@ mod test_support {
     /// `GET /debug/flight?incident`.
     pub(super) fn incident(state: &AppState) -> Response {
         let mut req = get("/debug/flight");
-        req.query = vec![("incident".into(), String::new())];
+        req.query = "incident";
         handle_request(state, &req)
     }
 
@@ -400,7 +411,7 @@ mod tests {
             let series = format!("harpd.route.{class}_us");
             let before = state.metrics_snapshot().histograms[&series].count;
             let mut req = get(path);
-            req.method = method.into();
+            req.method = method;
             assert_eq!(
                 handle_request(&state, &req).status,
                 status,

@@ -1,11 +1,11 @@
 //! The operator routes: `/health`, `/metrics`, `/debug/*`, `/shutdown`.
 
+use std::borrow::Cow;
 use std::sync::atomic::Ordering;
 
 use harp_obs::json::JsonBuf;
 use harp_obs::merged_trace_json;
-use harp_obs::prometheus::{render_exposition, Labels};
-use harp_obs::MetricsSnapshot;
+use harp_obs::prometheus::{write_exposition, Group};
 
 use super::telemetry::Record;
 use super::tenant::TRACE_DUMP_LIMIT;
@@ -22,16 +22,25 @@ pub(super) fn health(state: &AppState) -> Response {
     Response::json_bytes(200, b.into_bytes())
 }
 
+/// `GET /metrics`: the daemon's series, then each tenant's under its
+/// `tenant` label, rendered straight into a pooled buffer. The tenants'
+/// series are read in place (see `TenantSlot::scrape_metrics`), so a scrape
+/// allocates nothing per tenant. The document is ordered by family, so the
+/// tenant map and every slot stay locked for the whole render.
 pub(super) fn metrics(state: &AppState) -> Response {
-    let mut groups: Vec<(Labels, MetricsSnapshot)> = vec![(Vec::new(), state.metrics_snapshot())];
-    if let Ok(tenants) = state.tenants.read() {
-        for (id, slot) in tenants.iter() {
-            if let Some(snap) = slot.scrape_metrics() {
-                groups.push((vec![("tenant".into(), id.clone())], (*snap).clone()));
-            }
-        }
-    }
-    Response::text(200, "text/plain; version=0.0.4", render_exposition(&groups))
+    let daemon = state.metrics_snapshot();
+    let tenants = state.tenants.read().ok();
+    let scraped: Vec<_> = tenants
+        .iter()
+        .flat_map(|t| t.iter())
+        .filter_map(|(id, slot)| slot.scrape_metrics(id))
+        .collect();
+    let mut groups: Vec<Group<'_>> = Vec::with_capacity(1 + scraped.len());
+    groups.push((&[], &daemon));
+    groups.extend(scraped.iter().map(|s| (&s.0[..], &s.1)));
+    let mut text = String::from_utf8(state.take_buf()).unwrap_or_default();
+    write_exposition(&mut text, &groups);
+    Response::text(200, "text/plain; version=0.0.4", text)
 }
 
 /// `GET /debug/health`: per-tenant liveness and queue depths — everything
@@ -119,8 +128,8 @@ pub(super) fn debug_trace<'r>(
 
 /// `GET /debug/flight[?incident]`: the live flight-recorder ring, or the
 /// incident snapshot frozen by the first SLO/storm trip.
-pub(super) fn debug_flight(state: &AppState, req: &Request) -> Result<Response, HttpError> {
-    let incident = req.query.iter().any(|(k, _)| k == "incident");
+pub(super) fn debug_flight(state: &AppState, req: &Request<'_>) -> Result<Response, HttpError> {
+    let incident = req.query_value("incident").is_some();
     let dump = state
         .telemetry
         .flight_json(incident)
@@ -128,12 +137,12 @@ pub(super) fn debug_flight(state: &AppState, req: &Request) -> Result<Response, 
     Ok(Response::json(200, format!("{dump}\n")))
 }
 
-pub(super) fn shutdown(state: &AppState, req: &Request) -> Result<Response, HttpError> {
+pub(super) fn shutdown(state: &AppState, req: &Request<'_>) -> Result<Response, HttpError> {
     let presented = req
         .query_value("token")
-        .or_else(|| req.header("x-harpd-token"))
+        .or_else(|| req.header("x-harpd-token").map(Cow::Borrowed))
         .unwrap_or_default();
-    if presented != state.token {
+    if *presented != *state.token {
         return Err(HttpError::new(403, "shutdown token mismatch"));
     }
     state.request_shutdown();
@@ -154,7 +163,7 @@ mod tests {
         let mut req = post("/shutdown", "");
         assert_eq!(handle_request(&state, &req).status, 403);
         assert!(!state.is_shutting_down());
-        req.query = vec![("token".into(), "secret".into())];
+        req.query = "token=secret";
         assert_eq!(handle_request(&state, &req).status, 200);
         assert!(state.is_shutting_down());
         // Creates are refused while draining.

@@ -44,7 +44,7 @@ pub(super) fn list(state: &AppState) -> Response {
     Response::json_bytes(200, b.into_bytes())
 }
 
-fn body_json(req: &Request) -> Result<Json, HttpError> {
+fn body_json(req: &Request<'_>) -> Result<Json, HttpError> {
     let text = req.body_str()?;
     parse(text).map_err(|e| HttpError::new(400, format!("invalid JSON body: {e}")))
 }
@@ -102,7 +102,7 @@ fn already_hosted(tenant_id: &str) -> HttpError {
 
 pub(super) fn create(
     state: &AppState,
-    req: &Request,
+    req: &Request<'_>,
     rec: &mut Record<'_>,
 ) -> Result<Response, HttpError> {
     if state.is_shutting_down() {
@@ -252,7 +252,7 @@ pub(super) fn schedule<'r>(
         .raw("}\n");
     let body = b.into_bytes();
     if let Ok(mut cache) = slot.schedule_cache.write() {
-        *cache = Some((version, Arc::new(body.clone())));
+        *cache = Some((version, Arc::from(&body[..])));
     }
     Ok(Response::json_bytes(200, body))
 }
@@ -260,7 +260,7 @@ pub(super) fn schedule<'r>(
 pub(super) fn adjust<'r>(
     state: &AppState,
     id: &'r str,
-    req: &Request,
+    req: &Request<'_>,
     rec: &mut Record<'r>,
 ) -> Result<Response, HttpError> {
     rec.tenant = id.into();
@@ -405,7 +405,7 @@ mod tests {
         assert!(text.contains("\"mgmt_messages\""), "{text}");
 
         let mut req = get("/networks/t1");
-        req.method = "DELETE".into();
+        req.method = "DELETE";
         assert_eq!(handle_request(&state, &req).status, 200);
         assert_eq!(
             handle_request(&state, &get("/networks/t1/schedule")).status,
@@ -468,7 +468,7 @@ mod tests {
         // A refused id leaks nothing the routes could not delete.
         assert_eq!(create_tiny(&state, "a").status, 201);
         let mut req = get("/networks/a");
-        req.method = "DELETE".into();
+        req.method = "DELETE";
         assert_eq!(handle_request(&state, &req).status, 200);
         assert_eq!(state.network_count(), 0);
     }

@@ -8,13 +8,13 @@
 //! is taken.
 
 use std::borrow::Cow;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use harp_obs::{
-    CounterId, FlightEvent, FlightRecorder, HistogramId, MetricsRegistry, MetricsSnapshot,
-    NO_FLIGHT_NODE,
+    CounterId, FlightRecorder, HistogramId, MetricsRegistry, MetricsSnapshot, NO_FLIGHT_NODE,
 };
 
 use super::tenant::storm_reason;
@@ -109,8 +109,32 @@ pub(super) struct Record<'r> {
     pub(super) storm: bool,
 }
 
+impl Record<'_> {
+    /// Writes this request's event of `kind` into the slot the flight ring
+    /// hands out, and returns the slot's (empty) detail for the caller to
+    /// write: both strings keep the capacity of the event the full ring
+    /// evicted. `None` when the ring records nothing.
+    fn log<'f>(
+        &self,
+        flight: &'f mut FlightRecorder,
+        at: u64,
+        kind: &'static str,
+        node: Option<u32>,
+        magnitude: u64,
+    ) -> Option<&'f mut String> {
+        let event = flight.next_slot()?;
+        event.at = at;
+        event.kind = kind;
+        event.tenant.push_str(&self.tenant);
+        event.corr = self.corr;
+        event.node = node.map_or(NO_FLIGHT_NODE, i64::from);
+        event.magnitude = magnitude as i64;
+        Some(&mut event.detail)
+    }
+}
+
 /// Whole microseconds of `d`, saturating.
-pub(super) fn micros(d: Duration) -> u64 {
+pub(crate) fn micros(d: Duration) -> u64 {
     d.as_micros().min(u128::from(u64::MAX)) as u64
 }
 
@@ -200,26 +224,20 @@ impl Telemetry {
     /// observes its latencies, appends the lifecycle event of the
     /// operation that happened (then a storm trip, if its tenant's window
     /// tripped), the `"request"` event, and a trip when the request
-    /// breached the latency SLO.
+    /// breached the latency SLO. Events are written into the slots the
+    /// flight ring hands out, so once it is full they allocate nothing.
     pub(super) fn record(&self, r: Record<'_>, class: RouteClass, status: u16) {
         let now = self.start.elapsed();
         let (at, total_us) = (micros(now), r.parse_us + micros(now - r.started));
-        let event = |kind, node: Option<u32>, detail, magnitude: u64| FlightEvent {
-            seq: 0,
-            at,
-            kind,
-            tenant: r.tenant.to_string(),
-            corr: r.corr,
-            node: node.map_or(NO_FLIGHT_NODE, i64::from),
-            detail,
-            magnitude: magnitude as i64,
-        };
         let mut guard = self.lock();
         let Guarded { registry, flight } = &mut *guard;
         // Tags the frozen incident and logs the trip itself as an event.
         let trip = |flight: &mut FlightRecorder, reason: String| {
             flight.trip(&reason);
-            flight.record(event("trip", None, reason, flight.trips()));
+            let trips = flight.trips();
+            if let Some(detail) = r.log(flight, at, "trip", None, trips) {
+                detail.push_str(&reason);
+            }
         };
 
         registry.inc(self.requests_total, 1);
@@ -231,10 +249,12 @@ impl Telemetry {
             registry.observe(self.allocator_us, r.allocator_us);
         }
         registry.observe(self.route_us[class as usize], total_us);
-        match r.op {
+        match &r.op {
             Some(Op::Created { scenario, nodes }) => {
                 registry.inc(self.creates, 1);
-                flight.record(event("create", None, scenario, nodes as u64));
+                if let Some(detail) = r.log(flight, at, "create", None, *nodes as u64) {
+                    detail.push_str(scenario);
+                }
             }
             Some(Op::Adjusted {
                 node,
@@ -242,18 +262,25 @@ impl Telemetry {
                 mgmt_messages,
             }) => {
                 registry.inc(self.adjustments, 1);
-                let detail = format!("cells={cells}");
-                flight.record(event("adjust", Some(node), detail, mgmt_messages));
+                if let Some(detail) = r.log(flight, at, "adjust", Some(*node), *mgmt_messages) {
+                    let _ = write!(detail, "cells={cells}");
+                }
             }
-            Some(Op::Deleted) => flight.record(event("delete", None, String::new(), 0)),
+            Some(Op::Deleted) => {
+                r.log(flight, at, "delete", None, 0);
+            }
             Some(Op::ScheduleQuery) => registry.inc(self.schedule_queries, 1),
             None => {}
         }
         if r.storm {
             trip(flight, storm_reason(&r.tenant));
         }
-        let detail = format!("{} {} -> {status}", r.method, r.path);
-        flight.record(event("request", None, detail, total_us));
+        if let Some(detail) = r.log(flight, at, "request", None, total_us) {
+            // The whole line at once: a slot the ring has not yet recycled
+            // allocates once, not once per piece.
+            detail.reserve(r.method.len() + r.path.len() + " -> 200 ".len());
+            let _ = write!(detail, "{} {} -> {status}", r.method, r.path);
+        }
         let slo = self.slo_us.load(Ordering::Relaxed);
         if total_us > slo {
             let class = ROUTES[class as usize].0;

@@ -2,11 +2,12 @@
 //! duration of one allocator operation) and what is readable without that
 //! mutex ([`TenantSlot`]: version mirror, the two caches, counts).
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, TryLockError};
 
 use harp_core::AllocatorHandle;
+use harp_obs::prometheus::Labels;
 use harp_obs::{MetricsSnapshot, SpanEvent, SpanRing, NO_NODE};
 
 use crate::http::HttpError;
@@ -98,40 +99,45 @@ impl Tenant {
         request + allocator
     }
 
-    /// Per-tenant metrics as a synthetic snapshot for the `/metrics`
-    /// exposition, labelled with `tenant="<id>"` by the caller. The
-    /// schedule-query count lives on the [`TenantSlot`] (it advances on
-    /// lock-free cache hits), so the caller passes it in.
-    fn metrics(&self, schedule_queries: u64) -> MetricsSnapshot {
-        let mut snap = MetricsSnapshot::default();
+    /// Writes the per-tenant series of the `/metrics` exposition into
+    /// `snap`, in place: a series already there is overwritten, so only
+    /// the first write allocates. The schedule-query count lives on the
+    /// [`TenantSlot`] (it advances on lock-free cache hits), so the caller
+    /// passes it in.
+    fn write_metrics(&self, snap: &mut MetricsSnapshot, schedule_queries: u64) {
         let summary = self.handle.summary();
-        snap.counters
-            .insert("harpd.tenant.adjustments".into(), self.handle.adjustments());
-        snap.counters.insert(
-            "harpd.tenant.mgmt_messages".into(),
-            self.handle.mgmt_messages_total(),
-        );
-        snap.counters.insert(
-            "harpd.tenant.cell_messages".into(),
-            self.handle.cell_messages_total(),
-        );
-        snap.counters
-            .insert("harpd.tenant.schedule_queries".into(), schedule_queries);
-        snap.gauges
-            .insert("harpd.tenant.nodes".into(), summary.nodes as f64);
-        snap.gauges.insert(
-            "harpd.tenant.assignments".into(),
-            summary.assignments as f64,
-        );
-        snap.gauges.insert(
-            "harpd.tenant.active_cells".into(),
-            summary.active_cells as f64,
-        );
-        snap.gauges.insert(
-            "harpd.tenant.spans_dropped".into(),
-            self.spans_dropped() as f64,
-        );
-        snap
+        for (name, v) in [
+            ("harpd.tenant.adjustments", self.handle.adjustments()),
+            (
+                "harpd.tenant.mgmt_messages",
+                self.handle.mgmt_messages_total(),
+            ),
+            (
+                "harpd.tenant.cell_messages",
+                self.handle.cell_messages_total(),
+            ),
+            ("harpd.tenant.schedule_queries", schedule_queries),
+        ] {
+            set(&mut snap.counters, name, v);
+        }
+        for (name, v) in [
+            ("harpd.tenant.nodes", summary.nodes as f64),
+            ("harpd.tenant.assignments", summary.assignments as f64),
+            ("harpd.tenant.active_cells", summary.active_cells as f64),
+            ("harpd.tenant.spans_dropped", self.spans_dropped() as f64),
+        ] {
+            set(&mut snap.gauges, name, v);
+        }
+    }
+}
+
+/// Overwrites the value of series `name`, inserting it the first time.
+fn set<T>(series: &mut BTreeMap<String, T>, name: &str, value: T) {
+    match series.get_mut(name) {
+        Some(slot) => *slot = value,
+        None => {
+            series.insert(name.to_owned(), value);
+        }
     }
 }
 
@@ -149,10 +155,12 @@ pub(super) struct TenantSlot {
     pub(super) schedule_queries: AtomicU64,
     /// The rendered `GET /schedule` body, keyed by the version stamp it
     /// was rendered under.
-    pub(super) schedule_cache: RwLock<Option<(u64, Arc<Vec<u8>>)>>,
-    /// The last rendered per-tenant metrics snapshot, replayed to a
-    /// `/metrics` scrape when an adjustment holds the tenant lock.
-    metrics_cache: RwLock<Option<Arc<MetricsSnapshot>>>,
+    pub(super) schedule_cache: RwLock<Option<(u64, Arc<[u8]>)>>,
+    /// The tenant's `/metrics` series under its `tenant` label, as the
+    /// last scrape that found the tenant lock free read them: written in
+    /// place by each such scrape, and replayed as they stand by a scrape
+    /// that finds an adjustment holding the lock. Empty until first read.
+    scrape: Mutex<(Labels, MetricsSnapshot)>,
     /// Nodes in the network, fixed at create: no route changes a tenant's
     /// topology, so the daemon's node gauge never needs the tenant lock.
     pub(super) nodes: usize,
@@ -170,7 +178,7 @@ impl TenantSlot {
             }),
             schedule_queries: AtomicU64::new(0),
             schedule_cache: RwLock::new(None),
-            metrics_cache: RwLock::new(None),
+            scrape: Mutex::default(),
             nodes,
         }
     }
@@ -184,7 +192,7 @@ impl TenantSlot {
 
     /// The cached schedule body, when nothing has mutated the allocator
     /// since it was rendered.
-    pub(super) fn cached_schedule(&self) -> Option<Arc<Vec<u8>>> {
+    pub(super) fn cached_schedule(&self) -> Option<Arc<[u8]>> {
         let version = self.version.load(Ordering::Acquire);
         let cache = self.schedule_cache.read().ok()?;
         match cache.as_ref() {
@@ -193,24 +201,29 @@ impl TenantSlot {
         }
     }
 
-    /// Per-tenant metrics for the `/metrics` scrape: rendered fresh when
-    /// the tenant lock is free, replayed from the last render when an
-    /// adjustment holds it — a scrape never queues behind the allocator.
-    pub(super) fn scrape_metrics(&self) -> Option<Arc<MetricsSnapshot>> {
+    /// The labelled series of tenant `id` for a `/metrics` scrape, held
+    /// for the render: read afresh when the tenant lock is free, replayed
+    /// as the last scrape left them when an adjustment holds it — a scrape
+    /// never queues behind the allocator. `None` for a poisoned tenant, and
+    /// for a busy one no scrape has read yet.
+    pub(super) fn scrape_metrics(
+        &self,
+        id: &str,
+    ) -> Option<MutexGuard<'_, (Labels, MetricsSnapshot)>> {
         let queries = self.schedule_queries.load(Ordering::Relaxed);
+        let mut scrape = self.scrape.lock().ok()?;
         match self.tenant.try_lock() {
             Ok(tenant) => {
-                let snap = Arc::new(tenant.metrics(queries));
-                if let Ok(mut cache) = self.metrics_cache.write() {
-                    *cache = Some(Arc::clone(&snap));
+                let (labels, snap) = &mut *scrape;
+                if labels.is_empty() {
+                    labels.push(("tenant".to_owned(), id.to_owned()));
                 }
-                Some(snap)
+                tenant.write_metrics(snap, queries);
             }
-            Err(TryLockError::WouldBlock) => {
-                self.metrics_cache.read().ok()?.as_ref().map(Arc::clone)
-            }
-            Err(TryLockError::Poisoned(_)) => None,
+            Err(TryLockError::WouldBlock) => {}
+            Err(TryLockError::Poisoned(_)) => return None,
         }
+        (!scrape.1.is_empty()).then_some(scrape)
     }
 }
 

@@ -6,10 +6,15 @@
 //! incident". It records discrete, tagged occurrences — requests served,
 //! fault-plan actions fired, storm-detector windows, retransmission bursts
 //! — each stamped with a caller-supplied timestamp (`at`), an optional
-//! tenant, and the correlation id of the request that caused it. The ring
-//! never allocates past its capacity, so it is cheap enough to leave on in
-//! production, and eviction is accounted (`dropped`) so a dump can never be
-//! mistaken for a complete history.
+//! tenant, and the correlation id of the request that caused it. Eviction
+//! is accounted (`dropped`), so a dump can never be mistaken for a complete
+//! history.
+//!
+//! The ring allocates nothing once it is full, so it is cheap enough to
+//! leave on in production: [`FlightRecorder::next_slot`] hands out the slot
+//! of the event it evicts, whose two strings the caller clears and writes
+//! in place, keeping their capacity. Only the first `capacity` events,
+//! which fill the ring, start from empty strings.
 //!
 //! When something trips — the adjustment-storm detector fires, or a request
 //! breaches the latency SLO — [`FlightRecorder::trip`] freezes the ring
@@ -104,16 +109,43 @@ impl FlightRecorder {
 
     /// Records one event, assigning its sequence number and evicting the
     /// oldest when full. The caller's `seq` field is overwritten.
-    pub fn record(&mut self, mut event: FlightEvent) {
+    pub fn record(&mut self, event: FlightEvent) {
+        if let Some(slot) = self.next_slot() {
+            let seq = slot.seq;
+            *slot = FlightEvent { seq, ..event };
+        }
+    }
+
+    /// The slot of the next event, for the caller to write in place: `seq`
+    /// assigned, the other fields reset, and — once the ring is full — the
+    /// `tenant` and `detail` strings of the event it evicts, cleared but
+    /// keeping their capacity. Writing into them allocates nothing once
+    /// they have grown to the lengths written. `None` at capacity 0.
+    pub fn next_slot(&mut self) -> Option<&mut FlightEvent> {
         if self.capacity == 0 {
-            return;
+            return None;
         }
         self.seq += 1;
-        event.seq = self.seq;
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-        }
-        self.events.push_back(event);
+        let evicted = if self.events.len() == self.capacity {
+            self.events.pop_front()
+        } else {
+            None
+        };
+        let (mut tenant, mut detail) =
+            evicted.map_or_else(Default::default, |e| (e.tenant, e.detail));
+        tenant.clear();
+        detail.clear();
+        self.events.push_back(FlightEvent {
+            seq: self.seq,
+            at: 0,
+            kind: "",
+            tenant,
+            corr: 0,
+            node: NO_FLIGHT_NODE,
+            detail,
+            magnitude: 0,
+        });
+        self.events.back_mut()
     }
 
     /// Total events ever recorded (including evicted ones).
@@ -369,8 +401,26 @@ mod tests {
     fn zero_capacity_disables() {
         let mut r = FlightRecorder::new(0);
         r.record(ev(0, "request", ""));
+        assert!(r.next_slot().is_none());
         assert!(r.is_empty());
         assert_eq!(r.total_recorded(), 0);
+    }
+
+    #[test]
+    fn a_full_ring_hands_out_the_evicted_strings() {
+        let mut r = FlightRecorder::new(2);
+        for i in 0..3 {
+            r.record(ev(i, "request", "t1"));
+        }
+        let evicted = r.iter().next().map(|e| e.detail.as_ptr()).unwrap();
+        let slot = r.next_slot().unwrap();
+        assert_eq!((slot.seq, slot.kind, slot.node), (4, "", NO_FLIGHT_NODE));
+        assert!(slot.tenant.is_empty() && slot.detail.is_empty());
+        assert_eq!(slot.detail.as_ptr(), evicted, "the oldest event's buffer");
+        slot.detail.push('y');
+        let seqs: Vec<(u64, &str)> = r.iter().map(|e| (e.seq, e.detail.as_str())).collect();
+        assert_eq!(seqs, [(3, "x"), (4, "y")]);
+        assert_eq!(r.dropped(), 2);
     }
 
     #[test]

@@ -29,32 +29,34 @@
 
 use crate::metrics::{HistogramSnapshot, MetricsSnapshot};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// One label set attached to every series of a snapshot: `(key, value)`
 /// pairs, rendered in the given order.
 pub type Labels = Vec<(String, String)>;
 
-/// Sanitises a registry metric name into the Prometheus charset: every
+/// One group of series as [`write_exposition`] reads it: a label set and
+/// the snapshot it applies to, both borrowed.
+pub type Group<'g> = (&'g [(String, String)], &'g MetricsSnapshot);
+
+/// Writes a registry metric name in the Prometheus charset: every
 /// character outside `[a-zA-Z0-9_:]` becomes `_`, and a leading digit is
 /// prefixed with `_`.
-#[must_use]
-pub(crate) fn sanitize_name(name: &str) -> String {
-    let mut out = String::with_capacity(name.len());
-    for (i, c) in name.chars().enumerate() {
-        let ok = c.is_ascii_alphanumeric() || c == '_' || c == ':';
-        if i == 0 && c.is_ascii_digit() {
-            out.push('_');
-        }
-        out.push(if ok { c } else { '_' });
+fn write_name(out: &mut String, name: &str) {
+    if name.starts_with(|c: char| c.is_ascii_digit()) {
+        out.push('_');
     }
-    out
+    out.extend(name.chars().map(|c| {
+        if c.is_ascii_alphanumeric() || c == '_' || c == ':' {
+            c
+        } else {
+            '_'
+        }
+    }));
 }
 
-/// Escapes a label value (`\` → `\\`, `"` → `\"`, newline → `\n`).
-#[must_use]
-pub(crate) fn escape_label_value(value: &str) -> String {
-    let mut out = String::with_capacity(value.len());
+/// Writes a label value escaped (`\` → `\\`, `"` → `\"`, newline → `\n`).
+fn write_label_value(out: &mut String, value: &str) {
     for c in value.chars() {
         match c {
             '\\' => out.push_str("\\\\"),
@@ -63,133 +65,159 @@ pub(crate) fn escape_label_value(value: &str) -> String {
             _ => out.push(c),
         }
     }
-    out
 }
 
-fn render_labels(labels: &[(String, String)], extra: Option<(&str, String)>) -> String {
-    let mut parts: Vec<String> = labels
-        .iter()
-        .map(|(k, v)| format!("{}=\"{}\"", sanitize_name(k), escape_label_value(v)))
-        .collect();
-    if let Some((k, v)) = extra {
-        parts.push(format!("{k}=\"{}\"", escape_label_value(&v)));
+/// Writes one sample line: `series{labels[,le="…"]} value`, with no braces
+/// for an empty label set.
+fn write_sample(
+    out: &mut String,
+    series: fmt::Arguments<'_>,
+    labels: &[(String, String)],
+    le: Option<&dyn fmt::Display>,
+    value: impl fmt::Display,
+) {
+    let _ = out.write_fmt(series);
+    if !labels.is_empty() || le.is_some() {
+        out.push('{');
+        for (i, (k, v)) in labels.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write_name(out, k);
+            out.push_str("=\"");
+            write_label_value(out, v);
+            out.push('"');
+        }
+        if let Some(le) = le {
+            if !labels.is_empty() {
+                out.push(',');
+            }
+            let _ = write!(out, "le=\"{le}\"");
+        }
+        out.push('}');
     }
-    if parts.is_empty() {
-        String::new()
-    } else {
-        format!("{{{}}}", parts.join(","))
-    }
+    let _ = writeln!(out, " {value}");
 }
 
-fn fmt_value(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_owned()
-    }
-}
+/// One series of a family: the group's label set and its value.
+type Series<'g, T> = (&'g [(String, String)], &'g T);
 
 #[derive(Default)]
-struct Family<'a> {
+struct Family<'g> {
     /// The first registry name that sanitised to this family (shown as the
     /// HELP text so a scrape maps back to the in-tree metric).
-    source: Option<&'a str>,
-    counters: Vec<(&'a Labels, u64)>,
-    gauges: Vec<(&'a Labels, f64)>,
-    histograms: Vec<(&'a Labels, &'a HistogramSnapshot)>,
+    source: &'g str,
+    counters: Vec<Series<'g, u64>>,
+    gauges: Vec<Series<'g, f64>>,
+    histograms: Vec<Series<'g, HistogramSnapshot>>,
 }
 
-impl<'a> Family<'a> {
-    fn of<'m>(families: &'m mut BTreeMap<String, Family<'a>>, name: &'a str) -> &'m mut Family<'a> {
-        let family = families.entry(sanitize_name(name)).or_default();
-        family.source.get_or_insert(name);
-        family
+impl<'g> Family<'g> {
+    /// The family `name` sanitises to. `key` is scratch reused across
+    /// names, so only a family's first name allocates its key.
+    fn of<'m>(
+        families: &'m mut BTreeMap<String, Family<'g>>,
+        key: &mut String,
+        name: &'g str,
+    ) -> &'m mut Family<'g> {
+        key.clear();
+        write_name(key, name);
+        if !families.contains_key(key.as_str()) {
+            let family = Family {
+                source: name,
+                ..Family::default()
+            };
+            families.insert(key.clone(), family);
+        }
+        families.get_mut(key.as_str()).expect("inserted above")
     }
 }
 
-/// Renders snapshots as one Prometheus text document.
+/// Appends snapshots to `out` as one Prometheus text document.
 ///
 /// `groups` pairs a label set with the snapshot it applies to; the daemon
 /// passes its own registry with no labels plus one group per tenant with
 /// `tenant="<id>"`. Series are ordered by sanitised metric name and, within
 /// a name, by group order, so the output is stable for a given input.
-#[must_use]
-pub fn render_exposition(groups: &[(Labels, MetricsSnapshot)]) -> String {
+/// Labels and values are written straight into `out`: no sample line
+/// allocates.
+pub fn write_exposition(out: &mut String, groups: &[Group<'_>]) {
     // Fold every group into per-name families so each TYPE header is
     // emitted exactly once even when many tenants share a metric name.
     let mut families: BTreeMap<String, Family<'_>> = BTreeMap::new();
-    for (labels, snap) in groups {
-        for (name, &v) in &snap.counters {
-            Family::of(&mut families, name).counters.push((labels, v));
+    let mut key = String::new();
+    for &(labels, snap) in groups {
+        for (name, v) in &snap.counters {
+            Family::of(&mut families, &mut key, name)
+                .counters
+                .push((labels, v));
         }
-        for (name, &v) in &snap.gauges {
-            Family::of(&mut families, name).gauges.push((labels, v));
+        for (name, v) in &snap.gauges {
+            Family::of(&mut families, &mut key, name)
+                .gauges
+                .push((labels, v));
         }
         for (name, h) in &snap.histograms {
-            Family::of(&mut families, name).histograms.push((labels, h));
+            Family::of(&mut families, &mut key, name)
+                .histograms
+                .push((labels, h));
         }
     }
 
-    let mut out = String::new();
     for (name, family) in &families {
-        let source = family.source.unwrap_or("");
-        let _ = writeln!(out, "# HELP {name} registry metric {source}");
+        let _ = writeln!(out, "# HELP {name} registry metric {}", family.source);
         if !family.counters.is_empty() {
             let _ = writeln!(out, "# TYPE {name} counter");
-            for (labels, v) in &family.counters {
-                let _ = writeln!(out, "{name}{} {v}", render_labels(labels, None));
+            for &(labels, v) in &family.counters {
+                write_sample(out, format_args!("{name}"), labels, None, v);
             }
         }
         if !family.gauges.is_empty() {
             let _ = writeln!(out, "# TYPE {name} gauge");
-            for (labels, v) in &family.gauges {
-                let _ = writeln!(
-                    out,
-                    "{name}{} {}",
-                    render_labels(labels, None),
-                    fmt_value(*v)
-                );
+            for &(labels, &v) in &family.gauges {
+                let v = if v.is_finite() { v } else { 0.0 };
+                write_sample(out, format_args!("{name}"), labels, None, v);
             }
         }
-        if !family.histograms.is_empty() {
-            let _ = writeln!(out, "# TYPE {name} histogram");
-            for (labels, h) in &family.histograms {
-                let mut cumulative = 0u64;
-                for (i, &n) in h.counts.iter().enumerate() {
-                    cumulative += n;
-                    let le = match h.bounds.get(i) {
-                        Some(&b) => format!("{b}"),
-                        None => "+Inf".to_owned(),
-                    };
-                    let _ = writeln!(
-                        out,
-                        "{name}_bucket{} {cumulative}",
-                        render_labels(labels, Some(("le", le)))
-                    );
-                }
-                let _ = writeln!(out, "{name}_sum{} {}", render_labels(labels, None), h.sum);
-                let _ = writeln!(
-                    out,
-                    "{name}_count{} {}",
-                    render_labels(labels, None),
-                    h.count
-                );
+        if family.histograms.is_empty() {
+            continue;
+        }
+        let _ = writeln!(out, "# TYPE {name} histogram");
+        for &(labels, h) in &family.histograms {
+            let mut cumulative = 0u64;
+            for (i, &n) in h.counts.iter().enumerate() {
+                cumulative += n;
+                let le: &dyn fmt::Display = match h.bounds.get(i) {
+                    Some(bound) => bound,
+                    None => &"+Inf",
+                };
+                let series = format_args!("{name}_bucket");
+                write_sample(out, series, labels, Some(le), cumulative);
             }
-            // Derived percentile gauges, one family per quantile.
-            for (suffix, q) in [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)] {
-                let _ = writeln!(out, "# HELP {name}_{suffix} {suffix} of {source}");
-                let _ = writeln!(out, "# TYPE {name}_{suffix} gauge");
-                for (labels, h) in &family.histograms {
-                    let _ = writeln!(
-                        out,
-                        "{name}_{suffix}{} {}",
-                        render_labels(labels, None),
-                        h.percentile(q)
-                    );
-                }
+            write_sample(out, format_args!("{name}_sum"), labels, None, h.sum);
+            write_sample(out, format_args!("{name}_count"), labels, None, h.count);
+        }
+        // Derived percentile gauges, one family per quantile.
+        for (suffix, q) in [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)] {
+            let _ = writeln!(out, "# HELP {name}_{suffix} {suffix} of {}", family.source);
+            let _ = writeln!(out, "# TYPE {name}_{suffix} gauge");
+            for &(labels, h) in &family.histograms {
+                let series = format_args!("{name}_{suffix}");
+                write_sample(out, series, labels, None, h.percentile(q));
             }
         }
     }
+}
+
+/// Renders snapshots as one Prometheus text document: [`write_exposition`]
+/// into a fresh string.
+#[must_use]
+pub fn render_exposition(groups: &[(Labels, MetricsSnapshot)]) -> String {
+    let mut out = String::new();
+    write_exposition(
+        &mut out,
+        &groups.iter().map(|(l, s)| (&l[..], s)).collect::<Vec<_>>(),
+    );
     out
 }
 
@@ -366,6 +394,65 @@ mod tests {
         snap
     }
 
+    /// The input of the golden document: a daemon registry shaped like
+    /// `harpd`'s (request counters, latency histograms, gauges read at
+    /// scrape time) and two tenants, the second labelled with a value that
+    /// needs every escape. Two names sanitise to one family, one gauge is
+    /// not finite and one name starts with a digit.
+    fn golden_groups() -> Vec<(Labels, MetricsSnapshot)> {
+        const BOUNDS: &[u64] = &[1, 4, 16, 64, 256];
+        let mut r = MetricsRegistry::new();
+        let requests = r.counter("harpd.requests_total");
+        let errors = r.counter("harpd.http_errors");
+        let request_us = r.histogram("harpd.request_us", BOUNDS);
+        let schedule_us = r.histogram("harpd.route.schedule_us", BOUNDS);
+        r.histogram("harpd.route.metrics_us", BOUNDS);
+        r.inc(requests, 41);
+        r.inc(errors, 2);
+        for v in [0, 1, 3, 9, 70, 300, 5000] {
+            r.observe(request_us, v);
+        }
+        for v in [2, 2, 5] {
+            r.observe(schedule_us, v);
+        }
+        let mut daemon = r.snapshot();
+        for (name, v) in [
+            ("harpd.networks", 2.0),
+            ("harpd.load-factor", 0.25),
+            ("harpd.load_factor", 1.5e-7),
+            ("harpd.broken", f64::NAN),
+            ("9lives", 9.0),
+        ] {
+            daemon.gauges.insert(name.to_owned(), v);
+        }
+        let tenant = |adjustments: u64, nodes: f64| {
+            let mut snap = MetricsSnapshot::default();
+            for (name, v) in [
+                ("harpd.tenant.adjustments", adjustments),
+                ("harpd.tenant.mgmt_messages", 3 * adjustments),
+                ("harpd.tenant.cell_messages", 0),
+                ("harpd.tenant.schedule_queries", 17),
+            ] {
+                snap.counters.insert(name.to_owned(), v);
+            }
+            for (name, v) in [
+                ("harpd.tenant.nodes", nodes),
+                ("harpd.tenant.assignments", nodes - 1.0),
+                ("harpd.tenant.active_cells", 2.0 * nodes),
+                ("harpd.tenant.spans_dropped", 0.0),
+            ] {
+                snap.gauges.insert(name.to_owned(), v);
+            }
+            snap
+        };
+        let label = |v: &str| vec![("tenant".to_owned(), v.to_owned())];
+        vec![
+            (Vec::new(), daemon),
+            (label("plant-7"), tenant(5, 256.0)),
+            (label("a\"b\\c\nd"), tenant(0, 64.0)),
+        ]
+    }
+
     #[test]
     fn renders_counters_gauges_histograms() {
         let text = render_exposition(&[(Vec::new(), sample_snapshot())]);
@@ -408,9 +495,28 @@ mod tests {
 
     #[test]
     fn sanitizes_names() {
-        assert_eq!(sanitize_name("harp.mgmt-messages"), "harp_mgmt_messages");
-        assert_eq!(sanitize_name("9lives"), "_9lives");
-        assert_eq!(sanitize_name("ok_name:x"), "ok_name:x");
+        let sanitized = |name| {
+            let mut out = String::new();
+            write_name(&mut out, name);
+            out
+        };
+        assert_eq!(sanitized("harp.mgmt-messages"), "harp_mgmt_messages");
+        assert_eq!(sanitized("9lives"), "_9lives");
+        assert_eq!(sanitized("ok_name:x"), "ok_name:x");
+    }
+
+    /// The document the renderer wrote before it wrote into the caller's
+    /// buffer, byte for byte.
+    #[test]
+    fn reproduces_the_golden_document() {
+        let golden = include_str!("../tests/golden/exposition.prom");
+        assert_eq!(render_exposition(&golden_groups()), golden);
+        // Appending leaves what the buffer held.
+        let groups = golden_groups();
+        let borrowed: Vec<Group<'_>> = groups.iter().map(|(l, s)| (&l[..], s)).collect();
+        let mut out = String::from("kept\n");
+        write_exposition(&mut out, &borrowed);
+        assert_eq!(out.strip_prefix("kept\n"), Some(golden));
     }
 
     #[test]
