@@ -509,7 +509,7 @@ mod tests {
     }
 
     #[test]
-    fn offset_parent_coordinates_are_respected() {
+    fn a_parent_away_from_the_origin_keeps_placements_inside() {
         // Parent partition not at the origin: placements must stay inside
         // the absolute rectangle.
         let parent = Rect::from_xywh(50, 3, 8, 2);

@@ -17,7 +17,7 @@
 
 use crate::component::{ResourceComponent, ResourceInterface};
 use crate::compose::CompositionLayout;
-use crate::node::{HarpNode, NeighbourUndo, NodeObsCounters};
+use crate::node::{HarpNode, NodeObsCounters};
 use crate::schedule_gen::CellRun;
 use packing::{Point, Rect};
 use std::mem;
@@ -303,8 +303,6 @@ enum Undo {
     Dir(Direction, DirUndo),
     /// The node's counters before a bump.
     Counters(NodeObsCounters),
-    /// A topology event's edit of the node's neighbourhood.
-    Neighbour(NeighbourUndo),
 }
 
 // A recording run allocates its log, so an adjustment's bytes follow the
@@ -357,11 +355,6 @@ impl UndoLog {
         self.push(node, Undo::Counters(counters));
     }
 
-    /// Records how to undo an edit of `node`'s neighbourhood.
-    pub(crate) fn save_neighbourhood(&mut self, node: NodeId, undo: NeighbourUndo) {
-        self.push(node, Undo::Neighbour(undo));
-    }
-
     /// Puts every recorded value back, newest first: the nodes are as they
     /// were when recording started.
     pub(crate) fn rollback(self, nodes: &mut [HarpNode]) {
@@ -370,7 +363,6 @@ impl UndoLog {
             match undo {
                 Undo::Dir(direction, displaced) => node.dir_state_mut(direction).revert(displaced),
                 Undo::Counters(counters) => node.restore_counters(counters),
-                Undo::Neighbour(undo) => node.revert_neighbourhood(undo),
             }
         }
     }
@@ -558,7 +550,7 @@ impl<'a> DirWriter<'a> {
 mod tests {
     use super::*;
     use crate::schedule_gen::SchedulingPolicy;
-    use tsch_sim::{SlotframeConfig, Tree};
+    use tsch_sim::SlotframeConfig;
 
     /// Every setter once, each on a key that is there and on one that is
     /// not (or, for the whole-value setters, on `Some` and on `None`).
@@ -639,20 +631,15 @@ mod tests {
 
     #[test]
     fn rollback_puts_every_displaced_value_back() {
-        let tree = Tree::paper_fig1_example();
         let config = SlotframeConfig::paper_default();
-        let mut nodes = [HarpNode::new(
-            &tree,
-            tree.root(),
-            config,
-            SchedulingPolicy::RateMonotonic,
-        )];
+        let root = NodeId(0);
+        let mut nodes = [HarpNode::new(root, config, SchedulingPolicy::RateMonotonic)];
         let d = Direction::Down;
         let empty = nodes[0].clone();
 
         // From nothing: every setter creates, a rollback leaves nothing.
         let mut log = UndoLog::recording();
-        let mut w = DirWriter::new(nodes[0].dir_state_mut(d), &mut log, tree.root(), d);
+        let mut w = DirWriter::new(nodes[0].dir_state_mut(d), &mut log, root, d);
         write_everything(&mut w, 0);
         assert_ne!(nodes[0], empty);
         log.rollback(&mut nodes);
@@ -661,16 +648,16 @@ mod tests {
         // From a populated state, written without a log: every setter
         // overwrites, adds or removes, a rollback restores the lot.
         let mut off = UndoLog::off();
-        let mut w = DirWriter::new(nodes[0].dir_state_mut(d), &mut off, tree.root(), d);
+        let mut w = DirWriter::new(nodes[0].dir_state_mut(d), &mut off, root, d);
         write_everything(&mut w, 0);
         let populated = nodes[0].clone();
         let mut log = UndoLog::recording();
-        log.save_counters(tree.root(), *nodes[0].obs_counters());
+        log.save_counters(root, *nodes[0].obs_counters());
         nodes[0].restore_counters(NodeObsCounters {
             escalations: 3,
             ..NodeObsCounters::default()
         });
-        let mut w = DirWriter::new(nodes[0].dir_state_mut(d), &mut log, tree.root(), d);
+        let mut w = DirWriter::new(nodes[0].dir_state_mut(d), &mut log, root, d);
         write_everything(&mut w, 0);
         write_everything(&mut w, 1);
         remove_everything(&mut w);

@@ -1,9 +1,13 @@
 //! The per-node HARP state machine.
 //!
-//! A [`HarpNode`] holds exactly the state a real device holds on the
-//! testbed: its own neighbourhood (parent, children), the cell requirements
-//! of its child links, the interfaces its children reported, the partitions
-//! its parent granted, and the schedule it decided for its own links.
+//! A [`HarpNode`] holds the protocol state a real device holds on the
+//! testbed: the cell requirements of its child links, the interfaces its
+//! children reported, the partitions its parent granted, and the schedule
+//! it decided for its own links. Its neighbourhood (parent, children, link
+//! layer) is RPL's output, not HARP state: handlers read it from the
+//! routing [`Tree`] they are handed, the one the network owns and swaps on
+//! every join and parent switch.
+//!
 //! Handlers consume one [`HarpMessage`] and write into an outbox of
 //! [`Effects`] — messages to send to neighbours plus schedule operations
 //! that take effect at the *receiving* end of a cell-assignment message (a
@@ -72,10 +76,11 @@ impl Effects {
     }
 }
 
-/// What a handler borrows from whoever drives it: the undo log its writes
-/// feed, the workspace it computes in, and the outbox its messages and
-/// schedule operations go to.
+/// What a handler borrows from whoever drives it: the routing tree it reads
+/// its neighbourhood from, the undo log its writes feed, the workspace it
+/// computes in, and the outbox its messages and schedule operations go to.
 pub(crate) struct Cx<'a> {
+    pub tree: &'a Tree,
     pub log: &'a mut UndoLog,
     pub ws: &'a mut Workspace,
     pub fx: &'a mut Effects,
@@ -132,30 +137,10 @@ impl NodeObsCounters {
     }
 }
 
-/// A neighbourhood edit as the undo log keeps it: what puts it back.
-#[derive(Debug)]
-pub(crate) enum NeighbourUndo {
-    /// A child was appended to the children list, or to the non-leaf
-    /// children list if `nonleaf`.
-    Appended { nonleaf: bool },
-    /// `child` was removed from position `at` of one of those lists.
-    Removed {
-        nonleaf: bool,
-        at: u32,
-        child: NodeId,
-    },
-    /// The parent pointer and link layer before a parent switch.
-    Parent(Option<NodeId>, u32),
-}
-
 /// One HARP participant: the distributed state machine of a single device.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HarpNode {
     id: NodeId,
-    parent: Option<NodeId>,
-    children: Vec<NodeId>,
-    nonleaf_children: Vec<NodeId>,
-    link_layer: u32,
     config: SlotframeConfig,
     policy: SchedulingPolicy,
     up: DirState,
@@ -164,21 +149,13 @@ pub struct HarpNode {
 }
 
 impl HarpNode {
-    /// Creates the node for `id`, copying its one-hop neighbourhood out of
-    /// the tree (a real device learns this from RPL).
+    /// Creates the node for `id`, holding no protocol state yet. Its
+    /// neighbourhood is the routing tree's, which every handler is handed
+    /// (a real device learns it from RPL).
     #[must_use]
-    pub fn new(tree: &Tree, id: NodeId, config: SlotframeConfig, policy: SchedulingPolicy) -> Self {
+    pub fn new(id: NodeId, config: SlotframeConfig, policy: SchedulingPolicy) -> Self {
         Self {
             id,
-            parent: tree.parent(id),
-            children: tree.children(id).to_vec(),
-            nonleaf_children: tree
-                .children(id)
-                .iter()
-                .copied()
-                .filter(|&c| !tree.is_leaf(c))
-                .collect(),
-            link_layer: tree.link_layer(id),
             config,
             policy,
             up: DirState::default(),
@@ -197,12 +174,6 @@ impl HarpNode {
     #[must_use]
     pub(crate) fn obs_counters(&self) -> &NodeObsCounters {
         &self.counters
-    }
-
-    /// Returns `true` if the node has no children.
-    #[must_use]
-    pub fn is_leaf(&self) -> bool {
-        self.children.is_empty()
     }
 
     fn dir(&self, d: Direction) -> &DirState {
@@ -225,50 +196,6 @@ impl HarpNode {
     /// Puts back counters an aborted run had saved ([`UndoLog::rollback`]).
     pub(crate) fn restore_counters(&mut self, counters: NodeObsCounters) {
         self.counters = counters;
-    }
-
-    /// Undoes one neighbourhood edit an aborted run had logged
-    /// ([`UndoLog::rollback`]).
-    pub(crate) fn revert_neighbourhood(&mut self, undo: NeighbourUndo) {
-        match undo {
-            NeighbourUndo::Appended { nonleaf } => {
-                self.neighbours(nonleaf).pop();
-            }
-            NeighbourUndo::Removed { nonleaf, at, child } => {
-                self.neighbours(nonleaf).insert(at as usize, child);
-            }
-            NeighbourUndo::Parent(parent, link_layer) => {
-                self.parent = parent;
-                self.link_layer = link_layer;
-            }
-        }
-    }
-
-    /// The children list, or the non-leaf children list if `nonleaf`.
-    fn neighbours(&mut self, nonleaf: bool) -> &mut Vec<NodeId> {
-        if nonleaf {
-            &mut self.nonleaf_children
-        } else {
-            &mut self.children
-        }
-    }
-
-    /// Appends `child` to one children list, logging the edit.
-    fn append_neighbour(&mut self, log: &mut UndoLog, nonleaf: bool, child: NodeId) {
-        self.neighbours(nonleaf).push(child);
-        log.save_neighbourhood(self.id, NeighbourUndo::Appended { nonleaf });
-    }
-
-    /// Removes `child` from one children list if it is there, logging the
-    /// edit.
-    fn remove_neighbour(&mut self, log: &mut UndoLog, nonleaf: bool, child: NodeId) {
-        let list = self.neighbours(nonleaf);
-        if let Some(at) = list.iter().position(|&c| c == child) {
-            list.remove(at);
-            let at = u32::try_from(at).expect("a node has fewer than u32::MAX children");
-            let undo = NeighbourUndo::Removed { nonleaf, at, child };
-            log.save_neighbourhood(self.id, undo);
-        }
     }
 
     /// The only way to write one direction's state: through `log`.
@@ -317,17 +244,15 @@ impl HarpNode {
         self.dir(direction).req(child).unwrap_or(0)
     }
 
-    // ---- topology mutation (node join / departure / parent switch); each
-    // edit writes through `log` like a handler does, so a rejected event
-    // rolls it back ----
+    // ---- topology mutation (node join / departure / parent switch): the
+    // edge itself is the tree's; each edit writes what this node keeps
+    // about the child through `log` like a handler does, so a rejected
+    // event rolls it back ----
 
-    /// Registers `child` as a new (leaf) child of this node with zero
-    /// demand. Demand is added afterwards via
+    /// Takes on `child`, a new (leaf) child of this node in the tree, with
+    /// zero demand. Demand is added afterwards via
     /// [`HarpNode::request_change`], which triggers the partition machinery.
     pub(crate) fn adopt_child(&mut self, log: &mut UndoLog, child: NodeId) {
-        if !self.children.contains(&child) {
-            self.append_neighbour(log, false, child);
-        }
         for d in Direction::BOTH {
             if self.dir(d).req(child).is_none() {
                 self.dir_mut(log, d).put_req(child, Some(0));
@@ -335,21 +260,11 @@ impl HarpNode {
         }
     }
 
-    /// Marks `child` as non-leaf (it adopted a child of its own), so this
-    /// node starts forwarding partition updates to it.
-    pub(crate) fn promote_child(&mut self, log: &mut UndoLog, child: NodeId) {
-        if self.children.contains(&child) && !self.nonleaf_children.contains(&child) {
-            self.append_neighbour(log, true, child);
-        }
-    }
-
-    /// Removes `child` from this node's neighbourhood, dropping its demand,
-    /// interface and cell assignments. The freed cells become idle area in
-    /// this node's partition (released locally, as §V prescribes for
-    /// departures).
+    /// Forgets `child`, which left this node, dropping its demand,
+    /// interface, cell assignments and partitions. The freed cells become
+    /// idle area in this node's partition (released locally, as §V
+    /// prescribes for departures).
     pub(crate) fn orphan_child(&mut self, log: &mut UndoLog, child: NodeId) {
-        self.remove_neighbour(log, false, child);
-        self.remove_neighbour(log, true, child);
         for d in Direction::BOTH {
             let mut ds = self.dir_mut(log, d);
             ds.put_req(child, None);
@@ -371,46 +286,41 @@ impl HarpNode {
         }
     }
 
-    /// Rebinds this node's parent pointer and link layer after a parent
-    /// switch (its own depth may have changed).
-    pub(crate) fn set_parent(&mut self, log: &mut UndoLog, parent: NodeId, link_layer: u32) {
-        let old = NeighbourUndo::Parent(self.parent.replace(parent), self.link_layer);
-        log.save_neighbourhood(self.id, old);
-        self.link_layer = link_layer;
-    }
-
-    /// Kicks off the static phase at this node. Nodes whose children are all
-    /// leaves can generate and report their interfaces immediately; everyone
-    /// else waits for `POST intf` messages.
+    /// Kicks off the static phase at this node, `tree` being the routing
+    /// tree. Nodes whose children are all leaves can generate and report
+    /// their interfaces immediately; everyone else waits for `POST intf`
+    /// messages.
     ///
     /// # Errors
     ///
     /// Propagates composition/allocation failures.
-    pub fn bootstrap(&mut self) -> Result<Effects, HarpError> {
-        self.standalone(Self::bootstrap_logged)
+    pub fn bootstrap(&mut self, tree: &Tree) -> Result<Effects, HarpError> {
+        self.standalone(tree, Self::bootstrap_logged)
     }
 
-    /// Runs `handler` outside any transaction, in a fresh workspace, and
-    /// returns what it put in its outbox.
+    /// Runs `handler` on `tree` outside any transaction, in a fresh
+    /// workspace, and returns what it put in its outbox.
     fn standalone(
         &mut self,
+        tree: &Tree,
         handler: impl FnOnce(&mut Self, &mut Cx<'_>) -> Result<(), HarpError>,
     ) -> Result<Effects, HarpError> {
         let mut outbox = Effects::default();
         let (log, ws, fx) = (&mut UndoLog::off(), &mut Workspace::new(), &mut outbox);
-        handler(self, &mut Cx { log, ws, fx })?;
+        handler(self, &mut Cx { tree, log, ws, fx })?;
         Ok(outbox)
     }
 
     /// [`HarpNode::bootstrap`] in `cx`.
     pub(crate) fn bootstrap_logged(&mut self, cx: &mut Cx<'_>) -> Result<(), HarpError> {
-        if self.is_leaf() {
+        if cx.tree.is_leaf(self.id) {
             return Ok(());
         }
         self.maybe_generate_and_report(cx)
     }
 
-    /// Handles one protocol message from a neighbour.
+    /// Handles one protocol message from a neighbour, `tree` being the
+    /// routing tree.
     ///
     /// Handlers are **idempotent**: the transport layer may re-deliver any
     /// message (a retransmission whose original squeaked through), so each
@@ -420,8 +330,13 @@ impl HarpNode {
     /// # Errors
     ///
     /// Propagates algorithmic failures (overflow, packing, missing state).
-    pub fn handle(&mut self, from: NodeId, msg: HarpMessage) -> Result<Effects, HarpError> {
-        self.standalone(|node, cx| node.handle_logged(cx, from, msg))
+    pub fn handle(
+        &mut self,
+        tree: &Tree,
+        from: NodeId,
+        msg: HarpMessage,
+    ) -> Result<Effects, HarpError> {
+        self.standalone(tree, |node, cx| node.handle_logged(cx, from, msg))
     }
 
     /// [`HarpNode::handle`] in `cx`.
@@ -511,10 +426,10 @@ impl HarpNode {
         }
     }
 
-    /// A traffic change at one of this node's child links (§V): `r(e)` of
-    /// the link to `child` becomes `new_cells`. Returns the effects — either
-    /// a purely local schedule update (Case 1) or a `PUT intf` escalation
-    /// (Case 2).
+    /// A traffic change at one of this node's child links (§V), `tree`
+    /// being the routing tree: `r(e)` of the link to `child` becomes
+    /// `new_cells`. Returns the effects — either a purely local schedule
+    /// update (Case 1) or a `PUT intf` escalation (Case 2).
     ///
     /// # Errors
     ///
@@ -522,11 +437,14 @@ impl HarpNode {
     /// gateway cannot grow the slotframe allocation.
     pub fn request_change(
         &mut self,
+        tree: &Tree,
         direction: Direction,
         child: NodeId,
         new_cells: u32,
     ) -> Result<Effects, HarpError> {
-        self.standalone(|node, cx| node.request_change_logged(cx, direction, child, new_cells))
+        self.standalone(tree, |node, cx| {
+            node.request_change_logged(cx, direction, child, new_cells)
+        })
     }
 
     /// [`HarpNode::request_change`] in `cx`.
@@ -537,7 +455,7 @@ impl HarpNode {
         child: NodeId,
         new_cells: u32,
     ) -> Result<(), HarpError> {
-        let layer = self.link_layer;
+        let layer = cx.tree.link_layer(self.id);
         let mut ds = self.dir_mut(cx.log, direction);
         ds.put_req(child, Some(new_cells));
         let total: u32 = ds.reqs().map(|(_, r)| r).sum();
@@ -558,16 +476,16 @@ impl HarpNode {
     /// has reported, then reports upward — or allocates if this is the
     /// gateway.
     fn maybe_generate_and_report(&mut self, cx: &mut Cx<'_>) -> Result<(), HarpError> {
-        let ready =
-            |ds: &DirState, kids: &[NodeId]| kids.iter().all(|&c| ds.child_interface(c).is_some());
-        if self.up.interface().is_some()
-            || !ready(&self.up, &self.nonleaf_children)
-            || !ready(&self.down, &self.nonleaf_children)
-        {
+        let tree = cx.tree;
+        let ready = |ds: &DirState| {
+            let mut nonleaf = tree.children(self.id).iter().filter(|&&c| !tree.is_leaf(c));
+            nonleaf.all(|&c| ds.child_interface(c).is_some())
+        };
+        if self.up.interface().is_some() || !ready(&self.up) || !ready(&self.down) {
             return Ok(());
         }
-        self.generate_interfaces(cx.log, cx.ws)?;
-        let Some(parent) = self.parent else {
+        self.generate_interfaces(tree, cx.log, cx.ws)?;
+        let Some(parent) = tree.parent(self.id) else {
             return self.gateway_allocate(cx);
         };
         let msg = HarpMessage::PostInterface {
@@ -582,23 +500,26 @@ impl HarpNode {
     /// requirements and the interfaces its non-leaf children reported.
     pub(crate) fn generate_interfaces(
         &mut self,
+        tree: &Tree,
         log: &mut UndoLog,
         ws: &mut Workspace,
     ) -> Result<(), HarpError> {
-        self.generate_interface(log, ws, Direction::Up)?;
-        self.generate_interface(log, ws, Direction::Down)
+        let own_layer = tree.link_layer(self.id);
+        self.generate_interface(log, ws, Direction::Up, own_layer)?;
+        self.generate_interface(log, ws, Direction::Down, own_layer)
     }
 
     /// Builds this node's interface for one direction (Case 1 + Case 2 of
-    /// §IV-B) from local requirements and the children's interfaces.
+    /// §IV-B) from local requirements and the children's interfaces, its
+    /// own links being at `own_layer`.
     fn generate_interface(
         &mut self,
         log: &mut UndoLog,
         ws: &mut Workspace,
         direction: Direction,
+        own_layer: u32,
     ) -> Result<(), HarpError> {
         let channels = self.config.channels;
-        let own_layer = self.link_layer;
         let mut ds = self.dir_mut(log, direction);
         let mut iface = ResourceInterface::new();
         let direct: u32 = ds.reqs().map(|(_, r)| r).sum();
@@ -662,12 +583,8 @@ impl HarpNode {
         for (layer, _) in ds.layouts() {
             let placed = ds.child_partitions_at(layer).expect("derived above");
             for &(c, rect) in placed {
-                if self.nonleaf_children.contains(&c) {
-                    per_child
-                        .entry(c)
-                        .or_default()
-                        .push((direction, layer, rect));
-                }
+                let entry = (direction, layer, rect);
+                per_child.entry(c).or_default().push(entry);
             }
         }
         for (child, partitions) in per_child {
@@ -699,7 +616,7 @@ impl HarpNode {
     /// every child whose cells changed.
     fn schedule_own_row(&mut self, cx: &mut Cx<'_>, direction: Direction) -> Result<(), HarpError> {
         let messages = &mut cx.fx.messages;
-        self.assign_own_row(cx.log, cx.ws, direction, |child, cells| {
+        self.assign_own_row(cx.tree, cx.log, cx.ws, direction, |child, cells| {
             let cells = cells.clone();
             messages.push((child, HarpMessage::CellAssignment { direction, cells }));
         })
@@ -710,6 +627,7 @@ impl HarpNode {
     /// `(child, cells)` to `changed`, in row order.
     fn assign_own_row(
         &mut self,
+        tree: &Tree,
         log: &mut UndoLog,
         ws: &mut Workspace,
         direction: Direction,
@@ -718,7 +636,7 @@ impl HarpNode {
         let id = self.id;
         let policy = self.policy;
         let config = self.config;
-        let layer = self.link_layer;
+        let layer = tree.link_layer(id);
         let mut ds = self.dir_mut(log, direction);
         let total: u32 = ds.reqs().map(|(_, r)| r).sum();
         let Some(row) = ds.partition(layer) else {
@@ -764,21 +682,23 @@ impl HarpNode {
     /// the messages.
     pub(crate) fn settle_partitions(
         &mut self,
+        tree: &Tree,
         log: &mut UndoLog,
         ws: &mut Workspace,
     ) -> Result<(), HarpError> {
         for d in Direction::BOTH {
             self.derive_child_partitions(log, d)?;
-            self.assign_own_row(log, ws, d, |_, _| {})?;
+            self.assign_own_row(tree, log, ws, d, |_, _| {})?;
         }
         Ok(())
     }
 
     /// Takes over what `parent` decided for this node — its partitions at
-    /// every composed layer (non-leaf nodes only) and the cells of its own
-    /// link, both directions — as the `POST part` and cell-assignment
-    /// messages would have delivered them, and installs the cells in
-    /// `schedule`. Returns which of those messages the grant stands for.
+    /// every composed layer (a leaf reported no interface, so it has none)
+    /// and the cells of its own link, both directions — as the `POST part`
+    /// and cell-assignment messages would have delivered them, and installs
+    /// the cells in `schedule`. Returns which of those messages the grant
+    /// stands for.
     pub(crate) fn accept_static_grant(
         &mut self,
         log: &mut UndoLog,
@@ -789,13 +709,11 @@ impl HarpNode {
         let mut grant = StaticGrant::default();
         for d in Direction::BOTH {
             let from = parent.dir(d);
-            if parent.nonleaf_children.contains(&id) {
-                for (layer, placed) in from.child_partitions() {
-                    for &(c, rect) in placed {
-                        if c == id {
-                            self.dir_mut(log, d).set_partition(layer, rect);
-                            grant.partitions = true;
-                        }
+            for (layer, placed) in from.child_partitions() {
+                for &(c, rect) in placed {
+                    if c == id {
+                        self.dir_mut(log, d).set_partition(layer, rect);
+                        grant.partitions = true;
                     }
                 }
             }
@@ -912,7 +830,7 @@ impl HarpNode {
         let mut ds = self.dir_mut(cx.log, direction);
         ds.set_component(layer, component);
         ds.put_pending(layer, Some(requester));
-        let Some(parent) = self.parent else {
+        let Some(parent) = cx.tree.parent(self.id) else {
             return self.gateway_reallocate(cx, direction, layer);
         };
         self.count(cx.log, |c| c.escalations += 1);
@@ -964,7 +882,10 @@ impl HarpNode {
 
     /// The own partition at `layer` became `rect` (it was `old`): settles
     /// the escalation pending there, re-places whatever lives inside it and
-    /// tells every non-leaf child whose partition changed.
+    /// tells every child whose partition changed. A child holds a partition
+    /// only once it reported an interface; one whose own children have all
+    /// moved away since is told too, as its rectangle still sits inside
+    /// this node's partition.
     fn replace_layer(
         &mut self,
         cx: &mut Cx<'_>,
@@ -976,7 +897,7 @@ impl HarpNode {
         if self.dir(direction).pending(layer).is_some() {
             self.dir_mut(cx.log, direction).put_pending(layer, None);
         }
-        if layer == self.link_layer {
+        if layer == cx.tree.link_layer(self.id) {
             return self.schedule_own_row(cx, direction);
         }
 
@@ -1026,7 +947,7 @@ impl HarpNode {
                 .find(|(n, _)| *n == c)
                 .map(|&(_, r)| r)
                 .unwrap_or_default();
-            if r != old_rect && self.nonleaf_children.contains(&c) {
+            if r != old_rect {
                 let msg = HarpMessage::PutPartition {
                     direction,
                     layer,
@@ -1103,6 +1024,7 @@ mod tests {
     /// zero-latency message delivery (protocol-order tests; timing is
     /// covered by the runner tests).
     struct Fabric {
+        tree: Tree,
         nodes: Vec<HarpNode>,
         schedule_ops: Vec<ScheduleOp>,
         messages_seen: Vec<(NodeId, NodeId, HarpMessage)>,
@@ -1113,7 +1035,7 @@ mod tests {
             let config = SlotframeConfig::paper_default();
             let mut nodes: Vec<HarpNode> = tree
                 .nodes()
-                .map(|v| HarpNode::new(tree, v, config, SchedulingPolicy::RateMonotonic))
+                .map(|v| HarpNode::new(v, config, SchedulingPolicy::RateMonotonic))
                 .collect();
             for (link, cells) in reqs.iter() {
                 if let Ok((_, _)) = tree.endpoints(link) {
@@ -1122,6 +1044,7 @@ mod tests {
                 }
             }
             Self {
+                tree: tree.clone(),
                 nodes,
                 schedule_ops: Vec::new(),
                 messages_seen: Vec::new(),
@@ -1141,7 +1064,7 @@ mod tests {
                 .collect();
             while let Some((src, dst, msg)) = queue.pop() {
                 self.messages_seen.push((src, dst, msg.clone()));
-                let fx = self.nodes[dst.index()].handle(src, msg)?;
+                let fx = self.nodes[dst.index()].handle(&self.tree, src, msg)?;
                 self.schedule_ops.extend(fx.schedule_ops);
                 queue.extend(fx.messages.into_iter().map(|(to, m)| (dst, to, m)));
             }
@@ -1151,22 +1074,17 @@ mod tests {
         fn run_static(&mut self) {
             for i in 0..self.nodes.len() {
                 let id = self.nodes[i].id();
-                let fx = self.nodes[i].bootstrap().unwrap();
+                let fx = self.nodes[i].bootstrap(&self.tree).unwrap();
                 self.dispatch(id, fx);
             }
         }
 
         fn request_change(&mut self, d: Direction, link: Link, cells: u32) {
-            let parent = self
-                .nodes
-                .iter()
-                .position(|n| n.children.contains(&link.child))
+            let parent = self.tree.parent(link.child).unwrap();
+            let fx = self.nodes[parent.index()]
+                .request_change(&self.tree, d, link.child, cells)
                 .unwrap();
-            let fx = self.nodes[parent]
-                .request_change(d, link.child, cells)
-                .unwrap();
-            let id = self.nodes[parent].id();
-            self.dispatch(id, fx);
+            self.dispatch(parent, fx);
         }
 
         /// The network schedule implied by all applied ops.
@@ -1367,7 +1285,7 @@ mod tests {
         // chain is dispatched.
         let parent = NodeId(7);
         let result = fabric.nodes[parent.index()]
-            .request_change(Direction::Up, NodeId(9), 500)
+            .request_change(&tree, Direction::Up, NodeId(9), 500)
             .and_then(|fx| fabric.try_dispatch(parent, fx));
         assert!(
             matches!(result, Err(HarpError::SlotframeOverflow { .. })),
@@ -1393,13 +1311,12 @@ mod tests {
     fn leaf_bootstrap_is_silent() {
         let tree = Tree::paper_fig1_example();
         let mut node = HarpNode::new(
-            &tree,
             NodeId(4),
             SlotframeConfig::paper_default(),
             SchedulingPolicy::RateMonotonic,
         );
-        assert!(node.is_leaf());
-        let fx = node.bootstrap().unwrap();
+        assert!(tree.is_leaf(NodeId(4)));
+        let fx = node.bootstrap(&tree).unwrap();
         assert!(fx.messages.is_empty());
         assert!(fx.schedule_ops.is_empty());
     }
@@ -1408,7 +1325,6 @@ mod tests {
     fn cell_assignment_produces_schedule_op_at_child() {
         let tree = Tree::paper_fig1_example();
         let mut node = HarpNode::new(
-            &tree,
             NodeId(4),
             SlotframeConfig::paper_default(),
             SchedulingPolicy::RateMonotonic,
@@ -1418,6 +1334,7 @@ mod tests {
         assert!(cells.clone().eq([Cell::new(3, 0), Cell::new(4, 0)]));
         let fx = node
             .handle(
+                &tree,
                 NodeId(1),
                 HarpMessage::CellAssignment {
                     direction: Direction::Up,

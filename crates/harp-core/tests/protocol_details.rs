@@ -24,7 +24,7 @@ fn post_partitions_carries_both_directions_in_one_message() {
     let config = SlotframeConfig::paper_default();
     let mut nodes: Vec<HarpNode> = tree
         .nodes()
-        .map(|v| HarpNode::new(&tree, v, config, SchedulingPolicy::RateMonotonic))
+        .map(|v| HarpNode::new(v, config, SchedulingPolicy::RateMonotonic))
         .collect();
     for (link, cells) in fig1_reqs(&tree).iter() {
         let parent = tree.parent(link.child).unwrap();
@@ -33,7 +33,7 @@ fn post_partitions_carries_both_directions_in_one_message() {
     // Drive the static phase synchronously and capture the gateway's output.
     let mut inbox: Vec<(NodeId, NodeId, HarpMessage)> = Vec::new();
     for node in &mut nodes {
-        let fx = node.bootstrap().unwrap();
+        let fx = node.bootstrap(&tree).unwrap();
         let from = node.id();
         inbox.extend(fx.messages.into_iter().map(|(to, m)| (from, to, m)));
     }
@@ -44,7 +44,7 @@ fn post_partitions_carries_both_directions_in_one_message() {
                 gateway_posts.push((to, partitions.clone()));
             }
         }
-        let fx = nodes[to.index()].handle(from, msg).unwrap();
+        let fx = nodes[to.index()].handle(&tree, from, msg).unwrap();
         inbox.extend(fx.messages.into_iter().map(|(t, m)| (to, t, m)));
     }
     assert!(!gateway_posts.is_empty());
@@ -203,15 +203,16 @@ fn variant(msg: &HarpMessage) -> &'static str {
 /// receiver's state byte-identical (compared via its `Debug` rendering).
 /// Returns the set of message variants exercised.
 fn drive_with_duplicates(
+    tree: &Tree,
     nodes: &mut [HarpNode],
     mut inbox: Vec<(NodeId, NodeId, HarpMessage)>,
 ) -> std::collections::BTreeSet<&'static str> {
     let mut covered = std::collections::BTreeSet::new();
     while let Some((from, to, msg)) = inbox.pop() {
         covered.insert(variant(&msg));
-        let fx = nodes[to.index()].handle(from, msg.clone()).unwrap();
+        let fx = nodes[to.index()].handle(tree, from, msg.clone()).unwrap();
         let state_after = format!("{:?}", nodes[to.index()]);
-        let dup = nodes[to.index()].handle(from, msg.clone()).unwrap();
+        let dup = nodes[to.index()].handle(tree, from, msg.clone()).unwrap();
         assert!(
             dup.messages.is_empty(),
             "duplicate {} re-delivered to {to} re-emitted messages: {:?}",
@@ -238,7 +239,7 @@ fn drive_with_duplicates(
 fn fresh_nodes(tree: &Tree, config: SlotframeConfig) -> Vec<HarpNode> {
     let mut nodes: Vec<HarpNode> = tree
         .nodes()
-        .map(|v| HarpNode::new(tree, v, config, SchedulingPolicy::RateMonotonic))
+        .map(|v| HarpNode::new(v, config, SchedulingPolicy::RateMonotonic))
         .collect();
     for (link, cells) in fig1_reqs(tree).iter() {
         let parent = tree.parent(link.child).unwrap();
@@ -255,10 +256,10 @@ fn static_phase_handlers_are_idempotent() {
     let mut inbox: Vec<(NodeId, NodeId, HarpMessage)> = Vec::new();
     for node in &mut nodes {
         let from = node.id();
-        let fx = node.bootstrap().unwrap();
+        let fx = node.bootstrap(&tree).unwrap();
         inbox.extend(fx.messages.into_iter().map(|(to, m)| (from, to, m)));
     }
-    let covered = drive_with_duplicates(&mut nodes, inbox);
+    let covered = drive_with_duplicates(&tree, &mut nodes, inbox);
     for want in ["PostInterface", "PostPartitions", "CellAssignment"] {
         assert!(
             covered.contains(want),
@@ -276,11 +277,11 @@ fn dynamic_phase_handlers_are_idempotent() {
     let mut inbox: Vec<(NodeId, NodeId, HarpMessage)> = Vec::new();
     for node in &mut nodes {
         let from = node.id();
-        let fx = node.bootstrap().unwrap();
+        let fx = node.bootstrap(&tree).unwrap();
         inbox.extend(fx.messages.into_iter().map(|(to, m)| (from, to, m)));
     }
     while let Some((from, to, msg)) = inbox.pop() {
-        let fx = nodes[to.index()].handle(from, msg).unwrap();
+        let fx = nodes[to.index()].handle(&tree, from, msg).unwrap();
         inbox.extend(fx.messages.into_iter().map(|(t, m)| (to, t, m)));
     }
     // A large increase deep in the tree escalates through every ancestor,
@@ -288,14 +289,14 @@ fn dynamic_phase_handlers_are_idempotent() {
     // whole cascade with duplicates.
     let parent = tree.parent(NodeId(9)).unwrap();
     let fx = nodes[parent.index()]
-        .request_change(Direction::Up, NodeId(9), 8)
+        .request_change(&tree, Direction::Up, NodeId(9), 8)
         .unwrap();
     let inbox: Vec<(NodeId, NodeId, HarpMessage)> = fx
         .messages
         .into_iter()
         .map(|(to, m)| (parent, to, m))
         .collect();
-    let covered = drive_with_duplicates(&mut nodes, inbox);
+    let covered = drive_with_duplicates(&tree, &mut nodes, inbox);
     for want in ["PutInterface", "PutPartition", "CellAssignment"] {
         assert!(covered.contains(want), "adjustment never exercised {want}");
     }
@@ -307,13 +308,14 @@ fn dynamic_phase_handlers_are_idempotent() {
 /// loop (last in, first out), recording `from -> to: message` for every
 /// delivery.
 fn deliver_in_order(
+    tree: &Tree,
     nodes: &mut [HarpNode],
     mut inbox: Vec<(NodeId, NodeId, HarpMessage)>,
 ) -> Vec<String> {
     let mut seen = Vec::new();
     while let Some((from, to, msg)) = inbox.pop() {
         seen.push(format!("{from} -> {to}: {msg}"));
-        let fx = nodes[to.index()].handle(from, msg).unwrap();
+        let fx = nodes[to.index()].handle(tree, from, msg).unwrap();
         inbox.extend(fx.messages.into_iter().map(|(t, m)| (to, t, m)));
     }
     seen
@@ -321,13 +323,14 @@ fn deliver_in_order(
 
 /// The messages `node` sends for one traffic change of the link to `child`.
 fn change(
+    tree: &Tree,
     nodes: &mut [HarpNode],
     node: NodeId,
     child: NodeId,
     cells: u32,
 ) -> Vec<(NodeId, NodeId, HarpMessage)> {
     let fx = nodes[node.index()]
-        .request_change(Direction::Up, child, cells)
+        .request_change(tree, Direction::Up, child, cells)
         .unwrap();
     fx.messages
         .into_iter()
@@ -347,11 +350,11 @@ fn messages_leave_in_a_fixed_order() {
     let mut inbox = Vec::new();
     for node in &mut nodes {
         let from = node.id();
-        let fx = node.bootstrap().unwrap();
+        let fx = node.bootstrap(&tree).unwrap();
         inbox.extend(fx.messages.into_iter().map(|(to, m)| (from, to, m)));
     }
     assert_eq!(
-        deliver_in_order(&mut nodes, inbox),
+        deliver_in_order(&tree, &mut nodes, inbox),
         [
             "N8 -> N3: POST intf up={l3:[1, 1]} down={l3:[1, 1]}",
             "N7 -> N3: POST intf up={l3:[2, 1]} down={l3:[2, 1]}",
@@ -387,9 +390,9 @@ fn messages_leave_in_a_fixed_order() {
             "N0 -> N1: CELLS up (1 cells)",
         ]
     );
-    let inbox = change(&mut nodes, NodeId(7), NodeId(9), 8);
+    let inbox = change(&tree, &mut nodes, NodeId(7), NodeId(9), 8);
     assert_eq!(
-        deliver_in_order(&mut nodes, inbox),
+        deliver_in_order(&tree, &mut nodes, inbox),
         [
             "N7 -> N3: PUT intf up l3 [9, 1]",
             "N3 -> N0: PUT intf up l3 [9, 2]",
@@ -401,18 +404,18 @@ fn messages_leave_in_a_fixed_order() {
             "N7 -> N9: CELLS up (8 cells)",
         ]
     );
-    let inbox = change(&mut nodes, tree.root(), NodeId(2), 5);
+    let inbox = change(&tree, &mut nodes, tree.root(), NodeId(2), 5);
     assert_eq!(
-        deliver_in_order(&mut nodes, inbox),
+        deliver_in_order(&tree, &mut nodes, inbox),
         [
             "N0 -> N3: CELLS up (1 cells)",
             "N0 -> N1: CELLS up (1 cells)",
             "N0 -> N2: CELLS up (5 cells)",
         ]
     );
-    let inbox = change(&mut nodes, NodeId(8), NodeId(11), 2);
+    let inbox = change(&tree, &mut nodes, NodeId(8), NodeId(11), 2);
     assert_eq!(
-        deliver_in_order(&mut nodes, inbox),
+        deliver_in_order(&tree, &mut nodes, inbox),
         [
             "N8 -> N3: PUT intf up l3 [2, 1]",
             "N3 -> N8: PUT part up l3 2x1+(14, 1)",

@@ -3,20 +3,27 @@
 //! HARP (§I of the paper).
 
 use harp_core::{
-    unsatisfied_links, HarpError, HarpNetwork, HarpNode, Requirements, SchedulingPolicy,
+    allocate_partitions, build_interfaces, unsatisfied_links, verify_partitions, verify_schedule,
+    HarpError, HarpNetwork, HarpNode, PartitionTable, Requirements, SchedulingPolicy,
 };
 use tsch_sim::{
     Cell, Direction, Link, NetworkSchedule, NodeId, SlotframeConfig, TopologyError, Tree,
 };
 
-/// The paper's tree with one cell per link, before the static phase.
-fn fig1_deployment() -> HarpNetwork {
-    let tree = Tree::paper_fig1_example();
+/// One cell per link of `tree`, both directions.
+fn one_cell_per_link(tree: &Tree) -> Requirements {
     let mut reqs = Requirements::new();
     for v in tree.nodes().skip(1) {
         reqs.set(Link::up(v), 1);
         reqs.set(Link::down(v), 1);
     }
+    reqs
+}
+
+/// The paper's tree with one cell per link, before the static phase.
+fn fig1_deployment() -> HarpNetwork {
+    let tree = Tree::paper_fig1_example();
+    let reqs = one_cell_per_link(&tree);
     HarpNetwork::new(
         tree,
         SlotframeConfig::paper_default(),
@@ -177,16 +184,16 @@ fn parent_switch_across_layers() {
     assert_eq!(net.node(NodeId(2)).requirement(Direction::Up, NodeId(6)), 0);
 }
 
-/// Everything a refused topology event must leave as it was: every node,
-/// every schedule row, and the version stamps and the clock.
-type Observable = (Vec<HarpNode>, Vec<(Link, Vec<Cell>)>, [u64; 3]);
+/// Everything a refused topology event must leave as it was: the tree,
+/// every node, every schedule row, and the version stamps and the clock.
+type Observable = (Tree, Vec<HarpNode>, Vec<(Link, Vec<Cell>)>, [u64; 3]);
 
 fn observable(net: &HarpNetwork) -> Observable {
     let nodes = net.tree().nodes().map(|v| net.node(v).clone()).collect();
     let rows = net.schedule().iter_links();
     let rows = rows.map(|(l, c)| (l, c.to_vec())).collect();
     let stamps = [net.version(), net.schedule().version(), net.now().0];
-    (nodes, rows, stamps)
+    (net.tree().clone(), nodes, rows, stamps)
 }
 
 #[test]
@@ -308,4 +315,52 @@ fn churn_storm_keeps_invariants() {
     }
     let missing = unsatisfied_links(&tree, &expected, net.schedule());
     assert!(missing.is_empty(), "unsatisfied: {missing:?}");
+}
+
+/// `table` with every entry overwritten by the partition its node holds
+/// now: the partitions `verify_partitions` must find clean.
+fn held_partitions(net: &HarpNetwork, mut table: PartitionTable) -> PartitionTable {
+    let tree = net.tree();
+    for v in tree.nodes() {
+        for d in Direction::BOTH {
+            for layer in 1..=tree.layers() {
+                if let Some(rect) = net.node(v).partition(d, layer) {
+                    table.set(v, d, layer, rect);
+                }
+            }
+        }
+    }
+    table
+}
+
+#[test]
+fn a_child_that_became_a_leaf_follows_its_partition() {
+    // N8's only child moves away, so the tree calls N8 a leaf, yet N8 still
+    // holds a layer-3 rectangle inside N3's partition. When an escalation
+    // makes N3 re-place layer 3, N3 must tell N8 where that rectangle went:
+    // the leaf that joins N8 next is scheduled inside it.
+    let mut net = fig1_network();
+    let (tree, config) = (net.tree().clone(), net.config());
+    let mut demand = one_cell_per_link(&tree);
+    let up = build_interfaces(&tree, &demand, Direction::Up, config.channels).unwrap();
+    let down = build_interfaces(&tree, &demand, Direction::Down, config.channels).unwrap();
+    let table = allocate_partitions(&tree, &up, &down, config).unwrap();
+
+    net.reparent_leaf(net.now(), NodeId(11), NodeId(1)).unwrap();
+    assert!(net.tree().is_leaf(NodeId(8)));
+    let held = net.node(NodeId(8)).partition(Direction::Up, 3);
+    let report = net
+        .adjust_and_settle(net.now(), Link::up(NodeId(9)), 8)
+        .unwrap();
+    demand.set(Link::up(NodeId(9)), 8);
+    assert!(report.involved_nodes.contains(&NodeId(8)), "N8 was told");
+    assert_ne!(net.node(NodeId(8)).partition(Direction::Up, 3), held);
+
+    let (joined, _) = net.join_leaf(net.now(), NodeId(8), 1, 1).unwrap();
+    demand.set(Link::up(joined), 1);
+    demand.set(Link::down(joined), 1);
+    let broken = verify_partitions(net.tree(), &held_partitions(&net, table));
+    assert!(broken.is_empty(), "{broken:?}");
+    let broken = verify_schedule(net.tree(), &demand, net.schedule());
+    assert!(broken.is_empty(), "{broken:?}");
 }

@@ -121,7 +121,7 @@ fn rejected_topology_events_restore_the_pre_image_and_commits_stay_collision_fre
     // Per kind (join, leave, reparent): commits, and rejections per channel.
     let mut commits = [0u32; 3];
     let mut rejections = [[0u32; 3]; 3];
-    let mut overtaken = 0u32;
+    let mut overtaken = Vec::new();
     for case in 0..CASES {
         let mut rng = SplitMix64::new(0x70_9010 ^ (case << 20));
         let tree = seeded_tree(&mut rng, case);
@@ -203,14 +203,15 @@ fn rejected_topology_events_restore_the_pre_image_and_commits_stay_collision_fre
                 Ok(()) => {
                     commits[event.kind()] += 1;
                     // A known fault the transaction does not cover (ROADMAP
-                    // item 2): under loss, a retransmitted cell assignment
+                    // item 1): under loss, a retransmitted cell assignment
                     // can arrive after a newer one to the same link, and the
                     // child installs the older cells. It can only happen
                     // with retransmissions, and the case stops there.
                     if let Some(link) = overtaken_link(&net) {
                         assert_ne!(channel, 0, "{ctx}: {link} is not as assigned");
-                        println!("{ctx}: {link} installed an overtaken assignment");
-                        overtaken += 1;
+                        let fault = format!("{ctx}: {link} installed an overtaken assignment");
+                        println!("{fault}");
+                        overtaken.push(fault);
                         break;
                     }
                     let broken = verify_schedule(net.tree(), &demand, net.schedule());
@@ -219,16 +220,20 @@ fn rejected_topology_events_restore_the_pre_image_and_commits_stay_collision_fre
             }
         }
     }
-    // The generator must keep covering what the suite claims to cover. A
-    // departure only releases cells, so only a dead hop rejects one.
     println!(
         "commits (join, leave, reparent) {commits:?}, rejections per channel {rejections:?}, \
-         overtaken assignments {overtaken}"
+         overtaken assignments {}",
+        overtaken.len()
     );
-    assert!(commits.iter().all(|&c| c > 300), "{commits:?}");
-    for kind in [0, 2] {
-        assert!(rejections[kind].iter().all(|&r| r > 20), "{rejections:?}");
-    }
+    // The counts are a fingerprint of every handler's decisions on these
+    // inputs: a change to a handler or to the runner's outbox that moves
+    // one has to say which and why. A departure only releases cells, so
+    // only a dead hop rejects one.
+    assert_eq!(commits, [1074, 793, 1673]);
+    assert_eq!(rejections, [[292, 289, 259], [0, 0, 0], [47, 53, 66]]);
+    let fault = "case 128 (145 nodes, channel 2), event 21 (Join { parent: NodeId(52), up: 4, \
+                 down: 3 }): N148:up installed an overtaken assignment";
+    assert_eq!(overtaken, [fault]);
 }
 
 #[test]
@@ -289,11 +294,10 @@ fn rejections_restore_the_pre_image_and_commits_stay_collision_free() {
         let broken = verify_partitions(&tree, &current_partitions(&net, table));
         assert!(broken.is_empty(), "{ctx}: {broken:?}");
     }
-    // The generator must keep covering what the suite claims to cover.
     println!("{commits} commits ({escalated} escalated), {rejections} rejections {rejected_on:?}");
-    assert!(commits > 1000 && escalated > 200, "{commits} / {escalated}");
-    assert!(rejections > 200, "only {rejections} rejections");
-    assert!(rejected_on.iter().all(|&r| r > 20), "{rejected_on:?}");
+    // A fingerprint of the handlers' decisions, as in the topology referee.
+    assert_eq!((commits, escalated), (5676, 1973));
+    assert_eq!((rejections, rejected_on), (1844, [585, 640, 619]));
 }
 
 /// A 256-node tree of 8 layers with at most 4 children per node (the shape
@@ -351,11 +355,12 @@ fn hot_link_sequence(tree: &Tree, rng: &mut SplitMix64) -> Vec<(Link, u32)> {
 #[test]
 fn an_adjustment_allocates_what_it_writes() {
     /// Allocations of the 256-node create, measured with the schedule and
-    /// the tree's children as flat tables (1,676; 2,829 with the schedule
-    /// as two maps of vectors, 4,427 with a map per field of a
+    /// the tree's children as flat tables and the neighbourhood read from
+    /// the tree (1,499; 1,676 with two neighbour lists per node, 2,829 with
+    /// the schedule as two maps of vectors, 4,427 with a map per field of a
     /// node-direction and a cell vector per link and end, 7,631 with
     /// composition and row scheduling in per-call buffers too), + 10 %.
-    const CREATE_ALLOCS_BUDGET: u64 = 1_852;
+    const CREATE_ALLOCS_BUDGET: u64 = 1_649;
     /// Blocks the create frees before it returns: the tree's walk order,
     /// the stack that produced it and the per-node instants of the direct
     /// settle (7 while the gateway's placement cloned both its interfaces
@@ -455,16 +460,17 @@ fn a_local_change_of_one_link_allocates_for_that_link_only() {
         let pairs: Vec<(u32, u32)> = (1..=siblings + 1).map(|c| (c, 0)).collect();
         let tree = Tree::from_parents(&pairs);
         let config = SlotframeConfig::paper_default();
-        let mut gateway =
-            HarpNode::new(&tree, tree.root(), config, SchedulingPolicy::RateMonotonic);
+        let mut gateway = HarpNode::new(tree.root(), config, SchedulingPolicy::RateMonotonic);
         let light = NodeId(siblings + 1);
         for c in tree.children(tree.root()) {
             gateway.set_requirement(Direction::Up, *c, if *c == light { 2 } else { 3 });
         }
-        gateway.bootstrap().expect("the row fits the slotframe");
+        gateway
+            .bootstrap(&tree)
+            .expect("the row fits the slotframe");
         let (fx, allocs) = counted(|| {
             gateway
-                .request_change(Direction::Up, light, 1)
+                .request_change(&tree, Direction::Up, light, 1)
                 .expect("a decrease is local")
         });
         assert_eq!(fx.messages.len(), 1, "only the changed link is told");

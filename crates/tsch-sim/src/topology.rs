@@ -383,7 +383,8 @@ impl Tree {
         self.parent[node.index()]
     }
 
-    /// The children of `node`, in insertion order.
+    /// The children of `node`, in id order (a tree is built whole from its
+    /// parent pointers, so a joined or reparented node sits by its id).
     #[must_use]
     pub fn children(&self, node: NodeId) -> &[NodeId] {
         let v = node.index();
@@ -448,7 +449,7 @@ impl Tree {
         let mut stack = vec![node];
         while let Some(u) = stack.pop() {
             out.push(u);
-            // Reverse so preorder visits children in insertion order.
+            // Reverse so preorder visits children in id order.
             for &c in self.children(u).iter().rev() {
                 stack.push(c);
             }
