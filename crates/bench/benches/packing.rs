@@ -1,7 +1,7 @@
 //! Packing-substrate timings.
 //!
 //! DESIGN.md calls out the choice of the best-fit skyline heuristic over
-//! simpler shelf packers (FFDH/NFDH). This bench times each of them on
+//! a simpler shelf packer (FFDH). This bench times both on
 //! workloads shaped like HARP compositions; their strip heights against
 //! the exact optimum and MaxRects are `ablation_report`'s ablation 1.
 //!
@@ -14,7 +14,7 @@
 //! with).
 
 use harp_bench::harness::measure;
-use packing::shelf::{pack_strip_ffdh, pack_strip_nfdh};
+use packing::shelf::pack_strip_ffdh;
 use packing::{pack_strip, FreeSpace, Rect, Size, StripWorkspace};
 use std::hint::black_box;
 use tsch_sim::SplitMix64;
@@ -47,10 +47,6 @@ fn bench_strip_packers() {
         println!("{}", m.report());
         let m = measure(&format!("strip_packing/ffdh/{n}"), || {
             pack_strip_ffdh(black_box(&items), 16).unwrap()
-        });
-        println!("{}", m.report());
-        let m = measure(&format!("strip_packing/nfdh/{n}"), || {
-            pack_strip_nfdh(black_box(&items), 16).unwrap()
         });
         println!("{}", m.report());
     }

@@ -1,7 +1,7 @@
 //! Ablation report for the design choices DESIGN.md §7 calls out:
 //!
-//! 1. best-fit skyline vs greedy MaxRects vs shelf packers vs the exact
-//!    optimum (solution quality on composition-shaped workloads);
+//! 1. best-fit skyline vs greedy MaxRects vs the FFDH shelf packer vs the
+//!    exact optimum (solution quality on composition-shaped workloads);
 //! 2. the two-pass SPP mapping of Alg. 1 vs stopping after pass 1
 //!    (channel waste);
 //! 3. Alg. 2's neighbour-first adjustment vs an immediate full repack
@@ -19,7 +19,7 @@ use harp_bench::harness::{
 use harp_bench::{bench_threads, mean, par_map};
 use harp_core::{adjust_partition, compose_components, ResourceComponent};
 use harp_obs::MetricsSnapshot;
-use packing::shelf::{pack_strip_ffdh, pack_strip_nfdh};
+use packing::shelf::pack_strip_ffdh;
 use packing::{exact_strip_height, pack_into, pack_strip, FreeSpace, Rect, Size};
 use tsch_sim::{NodeId, SplitMix64};
 
@@ -71,8 +71,8 @@ fn main() {
     println!("# Ablation 1 — packer quality on composition workloads");
     println!("# (strip width 16 channels; mean heights, worst ratio to the exact optimum)");
     println!(
-        "{:>3} {:>8} {:>8} {:>8} {:>8} {:>8} {:>9} {:>9} {:>7}",
-        "n", "exact", "skyline", "ffdh", "nfdh", "maxrects", "sky_worst", "mr_worst", "solved"
+        "{:>3} {:>8} {:>8} {:>8} {:>8} {:>9} {:>9} {:>7}",
+        "n", "exact", "skyline", "ffdh", "maxrects", "sky_worst", "mr_worst", "solved"
     );
     for &n in &[4usize, 6, 8] {
         // The exact solver dominates this sweep; spread the seeds across
@@ -87,7 +87,6 @@ fn main() {
                     e.height(),
                     pack_strip(&items, 16).unwrap().height(),
                     pack_strip_ffdh(&items, 16).unwrap().height(),
-                    pack_strip_nfdh(&items, 16).unwrap().height(),
                     maxrects_strip_height(&items, 16),
                 ]
                 .map(f64::from),
@@ -95,12 +94,12 @@ fn main() {
         });
         let solved = samples.iter().filter(|s| s.0).count();
         let column = |i: usize| -> Vec<f64> { samples.iter().map(|s| s.1[i]).collect() };
-        let heights = [0, 1, 2, 3, 4].map(column);
-        let [exact, sky, ffdh, nfdh, maxrects] = [0, 1, 2, 3, 4].map(|i| mean(&heights[i]));
+        let heights = [0, 1, 2, 3].map(column);
+        let [exact, sky, ffdh, maxrects] = [0, 1, 2, 3].map(|i| mean(&heights[i]));
         let sky_worst = worst_ratio(&heights[1], &heights[0]);
-        let mr_worst = worst_ratio(&heights[4], &heights[0]);
+        let mr_worst = worst_ratio(&heights[3], &heights[0]);
         println!(
-            "{n:>3} {exact:>8.2} {sky:>8.2} {ffdh:>8.2} {nfdh:>8.2} {maxrects:>8.2} \
+            "{n:>3} {exact:>8.2} {sky:>8.2} {ffdh:>8.2} {maxrects:>8.2} \
              {sky_worst:>9.3} {mr_worst:>9.3} {solved:>4}/{INSTANCES}"
         );
         rows.push((
@@ -109,7 +108,6 @@ fn main() {
                 ("exact", exact),
                 ("skyline", sky),
                 ("ffdh", ffdh),
-                ("nfdh", nfdh),
                 ("maxrects", maxrects),
                 ("skyline_worst", sky_worst),
                 ("maxrects_worst", mr_worst),

@@ -29,9 +29,9 @@
 //!   [`ADJUST_DEPTH`]-deep chain of resource interfaces; the parent then
 //!   retains the slack (§V releases locally), so every *timed*
 //!   adjustment is the steady-state transaction: log the displaced
-//!   values and rows, move `SWING_HIGH - 1` cells in the parent's
-//!   partition, emit the schedule ops, settle the confirming cell
-//!   message. Rollback never fires — the log cost measured is the
+//!   values, move `SWING_HIGH - 1` cells in the parent's partition,
+//!   settle the confirming cell message, whose child installs the cells
+//!   in its link's row. Rollback never fires — the log cost measured is the
 //!   pure bookkeeping overhead the old snapshot paid as `O(nodes)`.
 //!
 //! Rounds interleave the sizes (1k, 10k, 100k, 1k, ...) so minutes-scale

@@ -7,7 +7,8 @@
 //! handler in `node.rs` therefore cannot change protocol state without the
 //! log seeing it: the write would not compile. Replaying the log in reverse
 //! puts every displaced value back, which is all a rollback of node state
-//! is.
+//! is — and, as a link's schedule row projects its child's own cells, of
+//! the rows too.
 //!
 //! What a node keeps per child and per layer sits in two small sorted
 //! tables, one row per child link and one per layer. A node has a handful
@@ -17,12 +18,13 @@
 
 use crate::component::{ResourceComponent, ResourceInterface};
 use crate::compose::CompositionLayout;
+use crate::error::HarpError;
 use crate::node::{HarpNode, NodeObsCounters};
 use crate::schedule_gen::CellRun;
 use packing::{Point, Rect};
 use std::mem;
 use std::ops::Deref;
-use tsch_sim::{Direction, NodeId};
+use tsch_sim::{Direction, Link, NetworkSchedule, NodeId};
 
 /// A row of one of [`DirState`]'s tables: a key and fields that may each
 /// hold a value or not.
@@ -147,6 +149,14 @@ fn row<R: Row>(table: &[R], key: R::Key) -> Option<&R> {
     table.iter().find(|row| row.key() == key)
 }
 
+/// `slots`, or the overflow of `available` slots it is past `u32::MAX`.
+fn slot_count(slots: u64, available: u32) -> Result<u32, HarpError> {
+    u32::try_from(slots).map_err(|_| HarpError::SlotframeOverflow {
+        needed_slots: slots,
+        available,
+    })
+}
+
 /// Per-direction protocol state of a node.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct DirState {
@@ -157,8 +167,8 @@ pub(crate) struct DirState {
     /// One row per layer this node keeps anything about, by layer.
     layers: Vec<LayerState>,
     /// Cells granted to this node's own link by its parent (`None` until
-    /// the first `CellAssignment` arrives). Tracked so a re-delivered
-    /// assignment is recognisable as a duplicate.
+    /// the first `CellAssignment` arrives): what the link has installed,
+    /// which its schedule row projects, and how a re-delivery is seen.
     own_cells: Option<CellRun>,
 }
 
@@ -167,6 +177,12 @@ impl DirState {
     /// child order.
     pub(crate) fn reqs(&self) -> impl Iterator<Item = (NodeId, u32)> + '_ {
         self.links.iter().filter_map(|l| Some((l.child, l.req?)))
+    }
+
+    /// The cells the links to this node's children need in all (its own
+    /// row's slots); an overflow of `available` slots past `u32::MAX`.
+    pub(crate) fn direct_demand(&self, available: u32) -> Result<u32, HarpError> {
+        slot_count(self.reqs().map(|(_, r)| u64::from(r)).sum(), available)
     }
 
     pub(crate) fn req(&self, child: NodeId) -> Option<u32> {
@@ -355,16 +371,35 @@ impl UndoLog {
         self.push(node, Undo::Counters(counters));
     }
 
-    /// Puts every recorded value back, newest first: the nodes are as they
-    /// were when recording started.
-    pub(crate) fn rollback(self, nodes: &mut [HarpNode]) {
-        for (node, undo) in self.entries.into_iter().flatten().rev() {
-            let node = &mut nodes[node.index()];
+    /// Puts every recorded value back, newest first, writing each own-cells
+    /// run put back into its link's row of `schedule`: the nodes and rows
+    /// are as they were when recording started, and so is the `version`.
+    pub(crate) fn rollback(
+        self,
+        nodes: &mut [HarpNode],
+        schedule: &mut NetworkSchedule,
+        version: u64,
+    ) {
+        // `restore_rows` drives the replay, taking each restored run as the
+        // replay reaches it.
+        let rows = self.entries.into_iter().flatten().rev();
+        let rows = rows.filter_map(|(child, undo)| {
+            let node = &mut nodes[child.index()];
             match undo {
-                Undo::Dir(direction, displaced) => node.dir_state_mut(direction).revert(displaced),
-                Undo::Counters(counters) => node.restore_counters(counters),
+                Undo::Dir(direction, displaced) => {
+                    let own = matches!(displaced, DirUndo::OwnCells(_));
+                    let state = node.dir_state_mut(direction);
+                    state.revert(displaced);
+                    let link = Link { child, direction };
+                    own.then(|| (link, state.own_cells.clone().unwrap_or_default()))
+                }
+                Undo::Counters(counters) => {
+                    node.restore_counters(counters);
+                    None
+                }
             }
-        }
+        });
+        schedule.restore_rows(rows, version);
     }
 }
 
@@ -476,12 +511,20 @@ impl<'a> DirWriter<'a> {
     /// interface, in one pass (a caller cannot read the interface while it
     /// writes): the layers' components side by side along the slot axis
     /// from `cursor` on, deepest layer first if `descending`. Returns the
-    /// slot after the last one.
-    pub(crate) fn place_partitions_in_a_row(&mut self, mut cursor: u32, descending: bool) -> u32 {
+    /// slot after the last one, or, placing nothing, the overflow of
+    /// `available` slots when that slot is past `u32::MAX`.
+    pub(crate) fn place_partitions_in_a_row(
+        &mut self,
+        mut cursor: u32,
+        descending: bool,
+        available: u32,
+    ) -> Result<u32, HarpError> {
         let DirState {
             interface, layers, ..
         } = &mut *self.state;
         let iface = interface.as_ref().expect("generated before allocation");
+        let slots: u64 = iface.iter().map(|(_, c)| u64::from(c.slots)).sum();
+        slot_count(u64::from(cursor) + slots, available)?;
         let mut place = |(layer, c): (u32, ResourceComponent)| {
             let rect = Rect::new(Point::new(cursor, 0), c.as_size());
             let old = put(layers, layer, |l| &mut l.partition, Some(rect));
@@ -494,7 +537,7 @@ impl<'a> DirWriter<'a> {
         } else {
             iface.iter().for_each(&mut place);
         }
-        cursor
+        Ok(cursor)
     }
 
     pub(crate) fn set_child_partitions(&mut self, layer: u32, placed: Vec<(NodeId, Rect)>) {
@@ -571,7 +614,8 @@ mod tests {
         w.set_layout(layer, layout.clone());
         w.set_layout(layer + 1, layout);
         w.set_partition(layer, rect);
-        w.place_partitions_in_a_row(round, round == 0);
+        w.place_partitions_in_a_row(round, round == 0, 199)
+            .expect("fits a u32");
         w.set_child_partitions(layer, vec![(kid, rect)]);
         w.place_child_partitions(|_, layout, own| match own {
             Some(own) => Ok(vec![(kid, own), (kid, layout.placements()[0].1)]),
@@ -636,14 +680,17 @@ mod tests {
         let mut nodes = [HarpNode::new(root, config, SchedulingPolicy::RateMonotonic)];
         let d = Direction::Down;
         let empty = nodes[0].clone();
+        let mut schedule = NetworkSchedule::new(config);
 
         // From nothing: every setter creates, a rollback leaves nothing.
         let mut log = UndoLog::recording();
         let mut w = DirWriter::new(nodes[0].dir_state_mut(d), &mut log, root, d);
         write_everything(&mut w, 0);
         assert_ne!(nodes[0], empty);
-        log.rollback(&mut nodes);
+        log.rollback(&mut nodes, &mut schedule, 7);
         assert_eq!(nodes[0], empty);
+        assert_eq!(schedule.cells_of(Link::down(root)), []);
+        assert_eq!(schedule.version(), 7, "restored verbatim");
 
         // From a populated state, written without a log: every setter
         // overwrites, adds or removes, a rollback restores the lot.
@@ -662,7 +709,11 @@ mod tests {
         write_everything(&mut w, 1);
         remove_everything(&mut w);
         assert_ne!(nodes[0], populated);
-        log.rollback(&mut nodes);
+        log.rollback(&mut nodes, &mut schedule, 0);
         assert_eq!(nodes[0], populated);
+        // The link's row projects the own cells the replay put back.
+        let installed = nodes[0].installed(d).to_vec();
+        assert_eq!(installed.len(), 1);
+        assert_eq!(schedule.cells_of(Link::down(root)), installed);
     }
 }

@@ -9,10 +9,10 @@
 //! every join and parent switch.
 //!
 //! Handlers consume one [`HarpMessage`] and write into an outbox of
-//! [`Effects`] — messages to send to neighbours plus schedule operations
-//! that take effect at the *receiving* end of a cell-assignment message (a
-//! child only uses new cells once told about them, which is what gives the
-//! dynamic-adjustment experiments their latency shape).
+//! [`Effects`] the messages to send to neighbours. A child installs a cell
+//! assignment only on receipt — as its own cells and, their projection, in
+//! its link's schedule row — which is what gives the dynamic-adjustment
+//! experiments their latency shape.
 //!
 //! The dynamic phase (§V) makes three decisions, each in one transition
 //! that every handler reaching it calls: `escalate` asks the parent for
@@ -30,26 +30,11 @@ use packing::{Point, Rect};
 use std::collections::BTreeMap;
 use tsch_sim::{Direction, Link, NetworkSchedule, NodeId, SlotframeConfig, Tree};
 
-/// A schedule change produced by the protocol, to be applied to the network
-/// schedule by whoever drives the nodes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ScheduleOp {
-    /// Replace the cells of `link` with `cells` (empty = release the link).
-    SetLinkCells {
-        /// The directed link whose cells change.
-        link: Link,
-        /// The new cells, the run the cell assignment carried.
-        cells: CellRun,
-    },
-}
-
-/// What a handler wants done: messages to neighbours and schedule changes.
+/// What a handler wants sent: messages to neighbours.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Effects {
     /// `(recipient, message)` pairs to hand to the management plane.
     pub messages: Vec<(NodeId, HarpMessage)>,
-    /// Schedule operations to apply immediately (at this node).
-    pub schedule_ops: Vec<ScheduleOp>,
 }
 
 impl Effects {
@@ -68,20 +53,15 @@ impl Effects {
                 .push((to, HarpMessage::PostPartitions { partitions })),
         }
     }
-
-    /// Empties the outbox, keeping its capacity.
-    pub(crate) fn clear(&mut self) {
-        self.messages.clear();
-        self.schedule_ops.clear();
-    }
 }
 
 /// What a handler borrows from whoever drives it: the routing tree it reads
-/// its neighbourhood from, the undo log its writes feed, the workspace it
-/// computes in, and the outbox its messages and schedule operations go to.
+/// its neighbourhood from, the undo log its writes feed, the schedule it
+/// installs cells in, the workspace it computes in, and its outbox.
 pub(crate) struct Cx<'a> {
     pub tree: &'a Tree,
     pub log: &'a mut UndoLog,
+    pub schedule: &'a mut NetworkSchedule,
     pub ws: &'a mut Workspace,
     pub fx: &'a mut Effects,
 }
@@ -238,6 +218,13 @@ impl HarpNode {
             .unwrap_or_default()
     }
 
+    /// The cells this node installed on its link to its parent, which that
+    /// link's schedule row holds (an empty run if none).
+    #[must_use]
+    pub fn installed(&self, direction: Direction) -> CellRun {
+        self.dir(direction).own_cells().cloned().unwrap_or_default()
+    }
+
     /// The current requirement of the link to `child` as this node tracks it.
     #[must_use]
     pub fn requirement(&self, direction: Direction, child: NodeId) -> u32 {
@@ -294,20 +281,32 @@ impl HarpNode {
     /// # Errors
     ///
     /// Propagates composition/allocation failures.
-    pub fn bootstrap(&mut self, tree: &Tree) -> Result<Effects, HarpError> {
-        self.standalone(tree, Self::bootstrap_logged)
+    pub fn bootstrap(
+        &mut self,
+        tree: &Tree,
+        schedule: &mut NetworkSchedule,
+    ) -> Result<Effects, HarpError> {
+        self.standalone(tree, schedule, Self::bootstrap_logged)
     }
 
-    /// Runs `handler` on `tree` outside any transaction, in a fresh
-    /// workspace, and returns what it put in its outbox.
+    /// Runs `handler` on `tree` and `schedule` outside any transaction, in
+    /// a fresh workspace, and returns what it put in its outbox.
     fn standalone(
         &mut self,
         tree: &Tree,
+        schedule: &mut NetworkSchedule,
         handler: impl FnOnce(&mut Self, &mut Cx<'_>) -> Result<(), HarpError>,
     ) -> Result<Effects, HarpError> {
         let mut outbox = Effects::default();
         let (log, ws, fx) = (&mut UndoLog::off(), &mut Workspace::new(), &mut outbox);
-        handler(self, &mut Cx { tree, log, ws, fx })?;
+        let cx = &mut Cx {
+            tree,
+            log,
+            schedule,
+            ws,
+            fx,
+        };
+        handler(self, cx)?;
         Ok(outbox)
     }
 
@@ -320,7 +319,7 @@ impl HarpNode {
     }
 
     /// Handles one protocol message from a neighbour, `tree` being the
-    /// routing tree.
+    /// routing tree; a cell assignment installs its cells in `schedule`.
     ///
     /// Handlers are **idempotent**: the transport layer may re-deliver any
     /// message (a retransmission whose original squeaked through), so each
@@ -333,10 +332,11 @@ impl HarpNode {
     pub fn handle(
         &mut self,
         tree: &Tree,
+        schedule: &mut NetworkSchedule,
         from: NodeId,
         msg: HarpMessage,
     ) -> Result<Effects, HarpError> {
-        self.standalone(tree, |node, cx| node.handle_logged(cx, from, msg))
+        self.standalone(tree, schedule, |node, cx| node.handle_logged(cx, from, msg))
     }
 
     /// [`HarpNode::handle`] in `cx`.
@@ -407,23 +407,35 @@ impl HarpNode {
             HarpMessage::CellAssignment { direction, cells } => {
                 // The child starts (or stops) using the granted cells now.
                 // A re-delivered assignment matches the cells already in
-                // use and must not re-emit the op.
-                let id = self.id;
-                let mut ds = self.dir_mut(cx.log, direction);
-                if ds.own_cells() == Some(&cells) {
+                // use and must not rewrite the row.
+                if self.dir(direction).own_cells() == Some(&cells) {
                     return Ok(());
                 }
-                ds.set_own_cells(cells.clone());
-                cx.fx.schedule_ops.push(ScheduleOp::SetLinkCells {
-                    link: Link {
-                        child: id,
-                        direction,
-                    },
-                    cells,
-                });
-                Ok(())
+                self.install(cx.log, cx.schedule, direction, cells)
             }
         }
+    }
+
+    /// Makes `cells` this node's own cells in `direction` and its link's row
+    /// in `schedule`: the one place a link's installed cells are written.
+    fn install(
+        &mut self,
+        log: &mut UndoLog,
+        schedule: &mut NetworkSchedule,
+        direction: Direction,
+        cells: CellRun,
+    ) -> Result<(), HarpError> {
+        let child = self.id;
+        let link = Link { child, direction };
+        // The own cells are logged before the row is written: a rollback
+        // writes the row back from them, so a row whose write fails half-way
+        // (a `DuplicateAssignment`) is restored too.
+        self.dir_mut(log, direction).set_own_cells(cells.clone());
+        schedule.unassign_link(link);
+        for cell in cells {
+            schedule.assign(cell, link)?;
+        }
+        Ok(())
     }
 
     /// A traffic change at one of this node's child links (§V), `tree`
@@ -438,11 +450,12 @@ impl HarpNode {
     pub fn request_change(
         &mut self,
         tree: &Tree,
+        schedule: &mut NetworkSchedule,
         direction: Direction,
         child: NodeId,
         new_cells: u32,
     ) -> Result<Effects, HarpError> {
-        self.standalone(tree, |node, cx| {
+        self.standalone(tree, schedule, |node, cx| {
             node.request_change_logged(cx, direction, child, new_cells)
         })
     }
@@ -456,9 +469,10 @@ impl HarpNode {
         new_cells: u32,
     ) -> Result<(), HarpError> {
         let layer = cx.tree.link_layer(self.id);
+        let slots = self.config.slots;
         let mut ds = self.dir_mut(cx.log, direction);
         ds.put_req(child, Some(new_cells));
-        let total: u32 = ds.reqs().map(|(_, r)| r).sum();
+        let total = ds.direct_demand(slots)?;
         match ds.partition(layer) {
             Some(row) if total <= row.width() * row.height() => {
                 // Case 1: enough idle cells in the current partition.
@@ -519,11 +533,10 @@ impl HarpNode {
         direction: Direction,
         own_layer: u32,
     ) -> Result<(), HarpError> {
-        let channels = self.config.channels;
+        let (channels, slots) = (self.config.channels, self.config.slots);
         let mut ds = self.dir_mut(log, direction);
         let mut iface = ResourceInterface::new();
-        let direct: u32 = ds.reqs().map(|(_, r)| r).sum();
-        iface.set(own_layer, ResourceComponent::row(direct));
+        iface.set(own_layer, ResourceComponent::row(ds.direct_demand(slots)?));
 
         let deepest = ds
             .child_interfaces()
@@ -553,16 +566,17 @@ impl HarpNode {
     /// Lays the gateway's per-layer partitions side by side along the
     /// slotframe and checks that they fit it.
     pub(crate) fn place_gateway_partitions(&mut self, log: &mut UndoLog) -> Result<(), HarpError> {
+        let slots = self.config.slots;
         let mut cursor: u32 = 0;
         for (d, descending) in [(Direction::Up, true), (Direction::Down, false)] {
             cursor = self
                 .dir_mut(log, d)
-                .place_partitions_in_a_row(cursor, descending);
+                .place_partitions_in_a_row(cursor, descending, slots)?;
         }
-        if u64::from(cursor) > u64::from(self.config.slots) {
+        if cursor > slots {
             return Err(HarpError::SlotframeOverflow {
                 needed_slots: u64::from(cursor),
-                available: self.config.slots,
+                available: slots,
             });
         }
         Ok(())
@@ -638,7 +652,7 @@ impl HarpNode {
         let config = self.config;
         let layer = tree.link_layer(id);
         let mut ds = self.dir_mut(log, direction);
-        let total: u32 = ds.reqs().map(|(_, r)| r).sum();
+        let total = ds.direct_demand(config.slots)?;
         let Some(row) = ds.partition(layer) else {
             if total == 0 {
                 return Ok(());
@@ -718,14 +732,7 @@ impl HarpNode {
                 }
             }
             if let Some(cells) = from.assignment(id) {
-                let link = Link {
-                    child: id,
-                    direction: d,
-                };
-                for cell in cells.clone() {
-                    schedule.assign(cell, link)?;
-                }
-                self.dir_mut(log, d).set_own_cells(cells.clone());
+                self.install(log, schedule, d, cells.clone())?;
                 match d {
                     Direction::Up => grant.up_cells = true,
                     Direction::Down => grant.down_cells = true,
@@ -1026,7 +1033,7 @@ mod tests {
     struct Fabric {
         tree: Tree,
         nodes: Vec<HarpNode>,
-        schedule_ops: Vec<ScheduleOp>,
+        schedule: NetworkSchedule,
         messages_seen: Vec<(NodeId, NodeId, HarpMessage)>,
     }
 
@@ -1046,7 +1053,7 @@ mod tests {
             Self {
                 tree: tree.clone(),
                 nodes,
-                schedule_ops: Vec::new(),
+                schedule: NetworkSchedule::new(config),
                 messages_seen: Vec::new(),
             }
         }
@@ -1056,7 +1063,6 @@ mod tests {
         }
 
         fn try_dispatch(&mut self, from: NodeId, fx: Effects) -> Result<(), HarpError> {
-            self.schedule_ops.extend(fx.schedule_ops);
             let mut queue: Vec<(NodeId, NodeId, HarpMessage)> = fx
                 .messages
                 .into_iter()
@@ -1064,8 +1070,8 @@ mod tests {
                 .collect();
             while let Some((src, dst, msg)) = queue.pop() {
                 self.messages_seen.push((src, dst, msg.clone()));
-                let fx = self.nodes[dst.index()].handle(&self.tree, src, msg)?;
-                self.schedule_ops.extend(fx.schedule_ops);
+                let node = &mut self.nodes[dst.index()];
+                let fx = node.handle(&self.tree, &mut self.schedule, src, msg)?;
                 queue.extend(fx.messages.into_iter().map(|(to, m)| (dst, to, m)));
             }
             Ok(())
@@ -1074,7 +1080,9 @@ mod tests {
         fn run_static(&mut self) {
             for i in 0..self.nodes.len() {
                 let id = self.nodes[i].id();
-                let fx = self.nodes[i].bootstrap(&self.tree).unwrap();
+                let fx = self.nodes[i]
+                    .bootstrap(&self.tree, &mut self.schedule)
+                    .unwrap();
                 self.dispatch(id, fx);
             }
         }
@@ -1082,25 +1090,14 @@ mod tests {
         fn request_change(&mut self, d: Direction, link: Link, cells: u32) {
             let parent = self.tree.parent(link.child).unwrap();
             let fx = self.nodes[parent.index()]
-                .request_change(&self.tree, d, link.child, cells)
+                .request_change(&self.tree, &mut self.schedule, d, link.child, cells)
                 .unwrap();
             self.dispatch(parent, fx);
         }
 
-        /// The network schedule implied by all applied ops.
-        fn schedule(&self) -> tsch_sim::NetworkSchedule {
-            let mut s = tsch_sim::NetworkSchedule::new(SlotframeConfig::paper_default());
-            let mut latest: BTreeMap<Link, CellRun> = BTreeMap::new();
-            for op in &self.schedule_ops {
-                let ScheduleOp::SetLinkCells { link, cells } = op;
-                latest.insert(*link, cells.clone());
-            }
-            for (link, cells) in latest {
-                for c in cells {
-                    s.assign(c, link).unwrap();
-                }
-            }
-            s
+        /// A copy of the network schedule the children installed into.
+        fn schedule(&self) -> NetworkSchedule {
+            self.schedule.clone()
         }
     }
 
@@ -1285,7 +1282,7 @@ mod tests {
         // chain is dispatched.
         let parent = NodeId(7);
         let result = fabric.nodes[parent.index()]
-            .request_change(&tree, Direction::Up, NodeId(9), 500)
+            .request_change(&tree, &mut fabric.schedule, Direction::Up, NodeId(9), 500)
             .and_then(|fx| fabric.try_dispatch(parent, fx));
         assert!(
             matches!(result, Err(HarpError::SlotframeOverflow { .. })),
@@ -1316,38 +1313,37 @@ mod tests {
             SchedulingPolicy::RateMonotonic,
         );
         assert!(tree.is_leaf(NodeId(4)));
-        let fx = node.bootstrap(&tree).unwrap();
+        let mut schedule = NetworkSchedule::new(SlotframeConfig::paper_default());
+        let fx = node.bootstrap(&tree, &mut schedule).unwrap();
         assert!(fx.messages.is_empty());
-        assert!(fx.schedule_ops.is_empty());
+        assert_eq!(schedule.version(), 0, "nothing installed");
     }
 
     #[test]
-    fn cell_assignment_produces_schedule_op_at_child() {
+    fn cell_assignment_installs_its_cells_at_child() {
         let tree = Tree::paper_fig1_example();
-        let mut node = HarpNode::new(
-            NodeId(4),
-            SlotframeConfig::paper_default(),
-            SchedulingPolicy::RateMonotonic,
-        );
         let config = SlotframeConfig::paper_default();
+        let mut node = HarpNode::new(NodeId(4), config, SchedulingPolicy::RateMonotonic);
+        let mut schedule = NetworkSchedule::new(config);
         let cells = CellRun::new(Rect::from_xywh(3, 0, 2, 1), config, 0..2);
         assert!(cells.clone().eq([Cell::new(3, 0), Cell::new(4, 0)]));
-        let fx = node
-            .handle(
-                &tree,
-                NodeId(1),
-                HarpMessage::CellAssignment {
-                    direction: Direction::Up,
-                    cells: cells.clone(),
-                },
-            )
-            .unwrap();
-        assert_eq!(
-            fx.schedule_ops,
-            vec![ScheduleOp::SetLinkCells {
-                link: Link::up(NodeId(4)),
-                cells,
-            }]
-        );
+        let msg = HarpMessage::CellAssignment {
+            direction: Direction::Up,
+            cells: cells.clone(),
+        };
+        let fx = node.handle(&tree, &mut schedule, NodeId(1), msg).unwrap();
+        assert!(fx.messages.is_empty());
+        assert_eq!(node.installed(Direction::Up), cells);
+        let link = Link::up(NodeId(4));
+        assert_eq!(schedule.cells_of(link), [Cell::new(3, 0), Cell::new(4, 0)]);
+
+        // A shorter run replaces the row rather than adding to it.
+        let fewer = CellRun::new(Rect::from_xywh(3, 0, 2, 1), config, 1..2);
+        let msg = HarpMessage::CellAssignment {
+            direction: Direction::Up,
+            cells: fewer,
+        };
+        node.handle(&tree, &mut schedule, NodeId(1), msg).unwrap();
+        assert_eq!(schedule.cells_of(link), [Cell::new(4, 0)]);
     }
 }

@@ -5,7 +5,7 @@
 use harp_core::{
     HarpMessage, HarpNetwork, HarpNode, Requirements, ResourceComponent, SchedulingPolicy,
 };
-use tsch_sim::{Direction, Link, NodeId, SlotframeConfig, Tree};
+use tsch_sim::{Direction, Link, NetworkSchedule, NodeId, SlotframeConfig, Tree};
 
 fn fig1_reqs(tree: &Tree) -> Requirements {
     let mut reqs = Requirements::new();
@@ -31,9 +31,10 @@ fn post_partitions_carries_both_directions_in_one_message() {
         nodes[parent.index()].set_requirement(link.direction, link.child, cells);
     }
     // Drive the static phase synchronously and capture the gateway's output.
+    let mut schedule = NetworkSchedule::new(config);
     let mut inbox: Vec<(NodeId, NodeId, HarpMessage)> = Vec::new();
     for node in &mut nodes {
-        let fx = node.bootstrap(&tree).unwrap();
+        let fx = node.bootstrap(&tree, &mut schedule).unwrap();
         let from = node.id();
         inbox.extend(fx.messages.into_iter().map(|(to, m)| (from, to, m)));
     }
@@ -44,7 +45,9 @@ fn post_partitions_carries_both_directions_in_one_message() {
                 gateway_posts.push((to, partitions.clone()));
             }
         }
-        let fx = nodes[to.index()].handle(&tree, from, msg).unwrap();
+        let fx = nodes[to.index()]
+            .handle(&tree, &mut schedule, from, msg)
+            .unwrap();
         inbox.extend(fx.messages.into_iter().map(|(t, m)| (to, t, m)));
     }
     assert!(!gateway_posts.is_empty());
@@ -199,31 +202,38 @@ fn variant(msg: &HarpMessage) -> &'static str {
 }
 
 /// Drives a synchronous exchange delivering every message **twice**. The
-/// duplicate must be a no-op: no new messages, no new schedule ops, and the
-/// receiver's state byte-identical (compared via its `Debug` rendering).
-/// Returns the set of message variants exercised.
+/// duplicate must be a no-op: no new messages, no schedule write (its
+/// version does not move), and the receiver's state byte-identical
+/// (compared via its `Debug` rendering). Returns the set of message
+/// variants exercised.
 fn drive_with_duplicates(
     tree: &Tree,
+    schedule: &mut NetworkSchedule,
     nodes: &mut [HarpNode],
     mut inbox: Vec<(NodeId, NodeId, HarpMessage)>,
 ) -> std::collections::BTreeSet<&'static str> {
     let mut covered = std::collections::BTreeSet::new();
     while let Some((from, to, msg)) = inbox.pop() {
         covered.insert(variant(&msg));
-        let fx = nodes[to.index()].handle(tree, from, msg.clone()).unwrap();
+        let fx = nodes[to.index()]
+            .handle(tree, schedule, from, msg.clone())
+            .unwrap();
         let state_after = format!("{:?}", nodes[to.index()]);
-        let dup = nodes[to.index()].handle(tree, from, msg.clone()).unwrap();
+        let version = schedule.version();
+        let dup = nodes[to.index()]
+            .handle(tree, schedule, from, msg.clone())
+            .unwrap();
         assert!(
             dup.messages.is_empty(),
             "duplicate {} re-delivered to {to} re-emitted messages: {:?}",
             variant(&msg),
             dup.messages
         );
-        assert!(
-            dup.schedule_ops.is_empty(),
-            "duplicate {} re-delivered to {to} re-emitted schedule ops: {:?}",
-            variant(&msg),
-            dup.schedule_ops
+        assert_eq!(
+            schedule.version(),
+            version,
+            "duplicate {} re-delivered to {to} rewrote the schedule",
+            variant(&msg)
         );
         assert_eq!(
             format!("{:?}", nodes[to.index()]),
@@ -253,13 +263,14 @@ fn static_phase_handlers_are_idempotent() {
     let tree = Tree::paper_fig1_example();
     let config = SlotframeConfig::paper_default();
     let mut nodes = fresh_nodes(&tree, config);
+    let mut schedule = NetworkSchedule::new(config);
     let mut inbox: Vec<(NodeId, NodeId, HarpMessage)> = Vec::new();
     for node in &mut nodes {
         let from = node.id();
-        let fx = node.bootstrap(&tree).unwrap();
+        let fx = node.bootstrap(&tree, &mut schedule).unwrap();
         inbox.extend(fx.messages.into_iter().map(|(to, m)| (from, to, m)));
     }
-    let covered = drive_with_duplicates(&tree, &mut nodes, inbox);
+    let covered = drive_with_duplicates(&tree, &mut schedule, &mut nodes, inbox);
     for want in ["PostInterface", "PostPartitions", "CellAssignment"] {
         assert!(
             covered.contains(want),
@@ -273,15 +284,18 @@ fn dynamic_phase_handlers_are_idempotent() {
     let tree = Tree::paper_fig1_example();
     let config = SlotframeConfig::paper_default();
     let mut nodes = fresh_nodes(&tree, config);
+    let mut schedule = NetworkSchedule::new(config);
     // Converge the static phase first (without duplicates).
     let mut inbox: Vec<(NodeId, NodeId, HarpMessage)> = Vec::new();
     for node in &mut nodes {
         let from = node.id();
-        let fx = node.bootstrap(&tree).unwrap();
+        let fx = node.bootstrap(&tree, &mut schedule).unwrap();
         inbox.extend(fx.messages.into_iter().map(|(to, m)| (from, to, m)));
     }
     while let Some((from, to, msg)) = inbox.pop() {
-        let fx = nodes[to.index()].handle(&tree, from, msg).unwrap();
+        let fx = nodes[to.index()]
+            .handle(&tree, &mut schedule, from, msg)
+            .unwrap();
         inbox.extend(fx.messages.into_iter().map(|(t, m)| (to, t, m)));
     }
     // A large increase deep in the tree escalates through every ancestor,
@@ -289,14 +303,14 @@ fn dynamic_phase_handlers_are_idempotent() {
     // whole cascade with duplicates.
     let parent = tree.parent(NodeId(9)).unwrap();
     let fx = nodes[parent.index()]
-        .request_change(&tree, Direction::Up, NodeId(9), 8)
+        .request_change(&tree, &mut schedule, Direction::Up, NodeId(9), 8)
         .unwrap();
     let inbox: Vec<(NodeId, NodeId, HarpMessage)> = fx
         .messages
         .into_iter()
         .map(|(to, m)| (parent, to, m))
         .collect();
-    let covered = drive_with_duplicates(&tree, &mut nodes, inbox);
+    let covered = drive_with_duplicates(&tree, &mut schedule, &mut nodes, inbox);
     for want in ["PutInterface", "PutPartition", "CellAssignment"] {
         assert!(covered.contains(want), "adjustment never exercised {want}");
     }
@@ -309,13 +323,14 @@ fn dynamic_phase_handlers_are_idempotent() {
 /// delivery.
 fn deliver_in_order(
     tree: &Tree,
+    schedule: &mut NetworkSchedule,
     nodes: &mut [HarpNode],
     mut inbox: Vec<(NodeId, NodeId, HarpMessage)>,
 ) -> Vec<String> {
     let mut seen = Vec::new();
     while let Some((from, to, msg)) = inbox.pop() {
         seen.push(format!("{from} -> {to}: {msg}"));
-        let fx = nodes[to.index()].handle(tree, from, msg).unwrap();
+        let fx = nodes[to.index()].handle(tree, schedule, from, msg).unwrap();
         inbox.extend(fx.messages.into_iter().map(|(t, m)| (to, t, m)));
     }
     seen
@@ -324,13 +339,14 @@ fn deliver_in_order(
 /// The messages `node` sends for one traffic change of the link to `child`.
 fn change(
     tree: &Tree,
+    schedule: &mut NetworkSchedule,
     nodes: &mut [HarpNode],
     node: NodeId,
     child: NodeId,
     cells: u32,
 ) -> Vec<(NodeId, NodeId, HarpMessage)> {
     let fx = nodes[node.index()]
-        .request_change(tree, Direction::Up, child, cells)
+        .request_change(tree, schedule, Direction::Up, child, cells)
         .unwrap();
     fx.messages
         .into_iter()
@@ -346,15 +362,17 @@ fn change(
 #[test]
 fn messages_leave_in_a_fixed_order() {
     let tree = Tree::paper_fig1_example();
-    let mut nodes = fresh_nodes(&tree, SlotframeConfig::paper_default());
+    let config = SlotframeConfig::paper_default();
+    let mut nodes = fresh_nodes(&tree, config);
+    let schedule = &mut NetworkSchedule::new(config);
     let mut inbox = Vec::new();
     for node in &mut nodes {
         let from = node.id();
-        let fx = node.bootstrap(&tree).unwrap();
+        let fx = node.bootstrap(&tree, schedule).unwrap();
         inbox.extend(fx.messages.into_iter().map(|(to, m)| (from, to, m)));
     }
     assert_eq!(
-        deliver_in_order(&tree, &mut nodes, inbox),
+        deliver_in_order(&tree, schedule, &mut nodes, inbox),
         [
             "N8 -> N3: POST intf up={l3:[1, 1]} down={l3:[1, 1]}",
             "N7 -> N3: POST intf up={l3:[2, 1]} down={l3:[2, 1]}",
@@ -390,9 +408,9 @@ fn messages_leave_in_a_fixed_order() {
             "N0 -> N1: CELLS up (1 cells)",
         ]
     );
-    let inbox = change(&tree, &mut nodes, NodeId(7), NodeId(9), 8);
+    let inbox = change(&tree, schedule, &mut nodes, NodeId(7), NodeId(9), 8);
     assert_eq!(
-        deliver_in_order(&tree, &mut nodes, inbox),
+        deliver_in_order(&tree, schedule, &mut nodes, inbox),
         [
             "N7 -> N3: PUT intf up l3 [9, 1]",
             "N3 -> N0: PUT intf up l3 [9, 2]",
@@ -404,18 +422,18 @@ fn messages_leave_in_a_fixed_order() {
             "N7 -> N9: CELLS up (8 cells)",
         ]
     );
-    let inbox = change(&tree, &mut nodes, tree.root(), NodeId(2), 5);
+    let inbox = change(&tree, schedule, &mut nodes, tree.root(), NodeId(2), 5);
     assert_eq!(
-        deliver_in_order(&tree, &mut nodes, inbox),
+        deliver_in_order(&tree, schedule, &mut nodes, inbox),
         [
             "N0 -> N3: CELLS up (1 cells)",
             "N0 -> N1: CELLS up (1 cells)",
             "N0 -> N2: CELLS up (5 cells)",
         ]
     );
-    let inbox = change(&tree, &mut nodes, NodeId(8), NodeId(11), 2);
+    let inbox = change(&tree, schedule, &mut nodes, NodeId(8), NodeId(11), 2);
     assert_eq!(
-        deliver_in_order(&tree, &mut nodes, inbox),
+        deliver_in_order(&tree, schedule, &mut nodes, inbox),
         [
             "N8 -> N3: PUT intf up l3 [2, 1]",
             "N3 -> N8: PUT part up l3 2x1+(14, 1)",

@@ -501,15 +501,28 @@ mod tests {
     fn infeasible_adjustment_is_conflict_not_crash() {
         let state = state();
         assert_eq!(create_tiny(&state, "t1").status, 201);
-        let resp = handle_request(
-            &state,
-            &post("/networks/t1/adjust", "{\"node\": 9, \"cells\": 100000}"),
-        );
-        assert_eq!(resp.status, 409);
-        // The network still serves.
-        assert_eq!(
-            handle_request(&state, &get("/networks/t1/schedule")).status,
-            200
-        );
+        // The second makes N7's row, N9's cells plus N10's, overflow a u32.
+        for cells in ["100000", "4294967295"] {
+            let body = format!("{{\"node\": 9, \"cells\": {cells}}}");
+            let resp = handle_request(&state, &post("/networks/t1/adjust", &body));
+            assert_eq!(resp.status, 409, "{cells}");
+            // The network still serves.
+            assert_eq!(
+                handle_request(&state, &get("/networks/t1/schedule")).status,
+                200,
+                "{cells}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_demand_whose_rows_overflow_a_u32_is_unprocessable() {
+        let state = state();
+        let scenario = "scenario huge\\nseed 1\\n[topology]\\ngenerator fig1\\n[workloads]\\n\
+                        demand uniform cells=4294967295\\n";
+        let body = format!("{{\"tenant\": \"huge\", \"scenario\": \"{scenario}\"}}");
+        let resp = handle_request(&state, &post("/networks", &body));
+        assert_eq!(resp.status, 422, "{}", String::from_utf8_lossy(&resp.body));
+        assert_eq!(state.network_count(), 0);
     }
 }

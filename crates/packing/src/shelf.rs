@@ -1,16 +1,14 @@
-//! Shelf-based strip-packing baselines used for ablation studies.
+//! A shelf-based strip-packing baseline used for the ablation study.
 //!
 //! The HARP paper picks the best-fit skyline heuristic for resource-component
-//! composition; these simpler packers exist to quantify that choice (see the
-//! `packing_ablation` bench):
+//! composition; this simpler packer exists to quantify that choice (see the
+//! `packers_n*` rows of `ablation_report`):
 //!
 //! * [`pack_strip_ffdh`] — First-Fit Decreasing Height: sort by height, place
 //!   each item on the first shelf it fits, open a new shelf otherwise. The
 //!   classic 1.7·OPT + 1 approximation.
-//! * [`pack_strip_nfdh`] — Next-Fit Decreasing Height: like FFDH but only the
-//!   topmost shelf may receive items (2·OPT bound, cheaper, worse fill).
 
-use crate::skyline::StripPacking;
+use crate::skyline::{validate, StripPacking};
 use crate::{PackError, Rect, Size};
 
 /// A horizontal shelf: items are placed left to right, the shelf height is
@@ -20,70 +18,6 @@ struct Shelf {
     y: u32,
     height: u32,
     used_width: u32,
-}
-
-fn validate(items: &[Size], width: u32) -> Result<(), PackError> {
-    if width == 0 {
-        return Err(PackError::ZeroWidthStrip);
-    }
-    for (index, item) in items.iter().enumerate() {
-        if item.is_empty() {
-            return Err(PackError::EmptyItem { index });
-        }
-        if item.w > width {
-            return Err(PackError::ItemTooWide {
-                index,
-                item_width: item.w,
-                strip_width: width,
-            });
-        }
-    }
-    Ok(())
-}
-
-/// Indices of `items` ordered by decreasing height (ties: decreasing width,
-/// then input order). Shelf algorithms need this order for their guarantees.
-fn decreasing_height_order(items: &[Size]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..items.len()).collect();
-    order.sort_by(|&a, &b| (items[b].h, items[b].w, a).cmp(&(items[a].h, items[a].w, b)));
-    order
-}
-
-fn shelf_pack(items: &[Size], width: u32, first_fit: bool) -> Result<StripPacking, PackError> {
-    validate(items, width)?;
-    let mut shelves: Vec<Shelf> = Vec::new();
-    let mut placements = vec![Rect::default(); items.len()];
-    let mut top = 0u32;
-
-    for idx in decreasing_height_order(items) {
-        let size = items[idx];
-        let candidate = if first_fit {
-            shelves
-                .iter_mut()
-                .find(|s| s.height >= size.h && s.used_width + size.w <= width)
-        } else {
-            shelves
-                .last_mut()
-                .filter(|s| s.height >= size.h && s.used_width + size.w <= width)
-        };
-        let shelf = match candidate {
-            Some(shelf) => shelf,
-            None => {
-                shelves.push(Shelf {
-                    y: top,
-                    height: size.h,
-                    used_width: 0,
-                });
-                top += size.h;
-                shelves.last_mut().expect("just pushed")
-            }
-        };
-        placements[idx] = Rect::from_xywh(shelf.used_width, shelf.y, size.w, size.h);
-        shelf.used_width += size.w;
-    }
-
-    let height = placements.iter().map(Rect::top).max().unwrap_or(0);
-    Ok(StripPacking::from_parts(placements, width, height))
 }
 
 /// Packs `items` into a strip of `width` using First-Fit Decreasing Height.
@@ -106,16 +40,38 @@ fn shelf_pack(items: &[Size], width: u32, first_fit: bool) -> Result<StripPackin
 /// # }
 /// ```
 pub fn pack_strip_ffdh(items: &[Size], width: u32) -> Result<StripPacking, PackError> {
-    shelf_pack(items, width, true)
-}
+    validate(items, width)?;
+    let mut shelves: Vec<Shelf> = Vec::new();
+    let mut placements = vec![Rect::default(); items.len()];
+    let mut top = 0u32;
+    // Decreasing height (ties: decreasing width, then input order), the
+    // order the guarantee needs.
+    let mut order: Vec<usize> = (0..items.len()).collect();
+    order.sort_by(|&a, &b| (items[b].h, items[b].w, a).cmp(&(items[a].h, items[a].w, b)));
 
-/// Packs `items` into a strip of `width` using Next-Fit Decreasing Height.
-///
-/// # Errors
-///
-/// Same conditions as [`crate::pack_strip`].
-pub fn pack_strip_nfdh(items: &[Size], width: u32) -> Result<StripPacking, PackError> {
-    shelf_pack(items, width, false)
+    for idx in order {
+        let size = items[idx];
+        let candidate = shelves
+            .iter_mut()
+            .find(|s| s.height >= size.h && s.used_width + size.w <= width);
+        let shelf = match candidate {
+            Some(shelf) => shelf,
+            None => {
+                shelves.push(Shelf {
+                    y: top,
+                    height: size.h,
+                    used_width: 0,
+                });
+                top += size.h;
+                shelves.last_mut().expect("just pushed")
+            }
+        };
+        placements[idx] = Rect::from_xywh(shelf.used_width, shelf.y, size.w, size.h);
+        shelf.used_width += size.w;
+    }
+
+    let height = placements.iter().map(Rect::top).max().unwrap_or(0);
+    Ok(StripPacking::from_parts(placements, width, height))
 }
 
 #[cfg(test)]
@@ -148,23 +104,12 @@ mod tests {
     #[test]
     fn ffdh_reuses_earlier_shelf() {
         // Heights sorted: 3, 2, 1, 1. The two unit items return to shelf 1's
-        // spare width under FFDH but not under NFDH.
+        // spare width.
         let items = sizes(&[(4, 3), (4, 2), (1, 1), (1, 1)]);
         let ffdh = pack_strip_ffdh(&items, 6).unwrap();
-        let nfdh = pack_strip_nfdh(&items, 6).unwrap();
         check_valid(&items, &ffdh);
-        check_valid(&items, &nfdh);
         assert_eq!(ffdh.height(), 5);
-        assert!(nfdh.height() >= ffdh.height());
-    }
-
-    #[test]
-    fn nfdh_only_uses_top_shelf() {
-        let items = sizes(&[(4, 3), (4, 2), (2, 1)]);
-        let p = pack_strip_nfdh(&items, 6).unwrap();
-        check_valid(&items, &p);
-        // The 2x1 fits beside the 4x2 on the top shelf.
-        assert_eq!(p.height(), 5);
+        assert_eq!(ffdh.placements()[2].bottom(), 0, "on the first shelf");
     }
 
     #[test]
@@ -178,7 +123,7 @@ mod tests {
             PackError::EmptyItem { index: 0 }
         );
         assert_eq!(
-            pack_strip_nfdh(&sizes(&[(9, 1)]), 5).unwrap_err(),
+            pack_strip_ffdh(&sizes(&[(9, 1)]), 5).unwrap_err(),
             PackError::ItemTooWide {
                 index: 0,
                 item_width: 9,
@@ -190,13 +135,12 @@ mod tests {
     #[test]
     fn empty_input_is_flat() {
         assert_eq!(pack_strip_ffdh(&[], 5).unwrap().height(), 0);
-        assert_eq!(pack_strip_nfdh(&[], 5).unwrap().height(), 0);
     }
 
     #[test]
     fn skyline_not_worse_than_shelves_on_mixed_load() {
         // Sanity anchor for the ablation claim: on a mixed workload the
-        // skyline heuristic should not lose to the shelf baselines.
+        // skyline heuristic should not lose to the shelf baseline.
         let items = sizes(&[
             (5, 3),
             (3, 4),
@@ -209,9 +153,7 @@ mod tests {
         ]);
         let sky = crate::pack_strip(&items, 8).unwrap();
         let ffdh = pack_strip_ffdh(&items, 8).unwrap();
-        let nfdh = pack_strip_nfdh(&items, 8).unwrap();
         check_valid(&items, &sky);
         assert!(sky.height() <= ffdh.height());
-        assert!(ffdh.height() <= nfdh.height());
     }
 }

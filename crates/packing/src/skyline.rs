@@ -263,8 +263,9 @@ impl Skyline {
     }
 }
 
-/// Validates a list of items against a strip width.
-fn validate(items: &[Size], width: u32) -> Result<(), PackError> {
+/// Validates a list of items against a strip width (the shelf packer's
+/// check too).
+pub(crate) fn validate(items: &[Size], width: u32) -> Result<(), PackError> {
     if width == 0 {
         return Err(PackError::ZeroWidthStrip);
     }

@@ -3,7 +3,9 @@
 //!
 //! * [`alloc`]: the counting allocator behind every allocation budget;
 //! * [`seeded`]: the seeded trees, demands, scenarios and networks;
-//! * [`PreImage`]: what a rejected protocol event must leave as it found.
+//! * [`PreImage`]: what a rejected protocol event must leave as it found;
+//! * [`assert_rows_installed`]: the schedule as a projection of what the
+//!   children installed.
 //!
 //! No crate depends on this one. It depends on `tsch-sim` and `harp-core`,
 //! so a test that needs both lives here instead of giving a lower crate a
@@ -13,7 +15,18 @@ pub mod alloc;
 pub mod seeded;
 
 use harp_core::{HarpNetwork, HarpNode};
-use tsch_sim::{Cell, Link, Tree};
+use tsch_sim::{Cell, Direction, Link, Tree};
+
+/// Panics, naming `ctx`, unless every link's row of `net`'s schedule holds
+/// the run its child installed ([`HarpNode::installed`]): what a rollback,
+/// which restores the rows from the logged own cells alone, relies on.
+pub fn assert_rows_installed(net: &HarpNetwork, ctx: &str) {
+    for link in Direction::BOTH.map(|d| net.tree().links(d)).concat() {
+        let installed = net.node(link.child).installed(link.direction);
+        let row = net.schedule().cells_of(link).iter().copied();
+        assert!(row.eq(installed), "{ctx}: {link} is not as installed");
+    }
+}
 
 /// Everything a rejected event must leave as it found it.
 pub struct PreImage {

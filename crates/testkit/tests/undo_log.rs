@@ -28,8 +28,8 @@ use harp_core::{
 };
 use testkit::alloc::{allocated, counted, freed};
 use testkit::seeded::{seeded_config, seeded_network, seeded_reqs, seeded_tree};
-use testkit::PreImage;
-use tsch_sim::{Direction, Link, NodeId, SlotframeConfig, SplitMix64, Tree};
+use testkit::{assert_rows_installed, PreImage};
+use tsch_sim::{Direction, Link, NetworkSchedule, NodeId, SlotframeConfig, SplitMix64, Tree};
 
 const CASES: u64 = 240;
 const ADJUSTMENTS: usize = 32;
@@ -194,6 +194,7 @@ fn rejected_topology_events_restore_the_pre_image_and_commits_stay_collision_fre
                 }),
                 Topology::Reparent { leaf, to } => net.reparent_leaf(now, leaf, to).map(drop),
             };
+            assert_rows_installed(&net, &ctx);
             match result {
                 Err(_) => {
                     rejections[event.kind()][channel] += 1;
@@ -268,7 +269,9 @@ fn rejections_restore_the_pre_image_and_commits_stay_collision_free() {
             let ctx = format!("{ctx}, adjustment {step} ({link} -> {cells})");
 
             let pre = PreImage::of(&net);
-            match net.adjust_and_settle(net.now(), link, cells) {
+            let result = net.adjust_and_settle(net.now(), link, cells);
+            assert_rows_installed(&net, &ctx);
+            match result {
                 Err(_) => {
                     rejections += 1;
                     rejected_on[channel] += 1;
@@ -366,16 +369,15 @@ fn an_adjustment_allocates_what_it_writes() {
     /// settle (7 while the gateway's placement cloned both its interfaces
     /// and collected their layers). Everything else it allocates, it keeps.
     const CREATE_FREES_BUDGET: u64 = 3;
-    /// Mean allocations per adjustment, measured likewise (159.9; 174.3
-    /// with a cell vector per schedule op and an op sink, 202.9 with a
-    /// fresh outbox per handler too, 231.0 with the schedule as maps,
-    /// 261.5 with maps and cell vectors in the nodes too, 301.3 with
-    /// per-call buffers, 878.7 with the first-touch node clones the undo
-    /// log replaced), + 10 %.
-    const MEAN_ALLOCS_BUDGET: f64 = 175.9;
-    /// A local adjustment rewrites one row: its undo log, the cell messages
-    /// and the schedule ops they become, 3.8 KiB on average here (21.3 KiB
-    /// with node clones).
+    /// Mean allocations per adjustment, measured likewise (143.2; 159.9
+    /// with a first-touch row map beside the log, 174.3 with a cell vector
+    /// per schedule op and an op sink too, 202.9 with a fresh outbox per
+    /// handler too, 231.0 with the schedule as maps, 261.5 with maps and
+    /// cell vectors in the nodes too, 301.3 with per-call buffers, 878.7
+    /// with the first-touch node clones the undo log replaced), + 10 %.
+    const MEAN_ALLOCS_BUDGET: f64 = 157.5;
+    /// A local adjustment rewrites one row: its undo log and the cell
+    /// messages, 3.4 KiB on average here (21.3 KiB with node clones).
     const LOCAL_BYTES_BUDGET: f64 = 8.0 * 1024.0;
 
     let mut rng = SplitMix64::new(0xB0D6E7);
@@ -465,12 +467,13 @@ fn a_local_change_of_one_link_allocates_for_that_link_only() {
         for c in tree.children(tree.root()) {
             gateway.set_requirement(Direction::Up, *c, if *c == light { 2 } else { 3 });
         }
+        let mut schedule = NetworkSchedule::new(config);
         gateway
-            .bootstrap(&tree)
+            .bootstrap(&tree, &mut schedule)
             .expect("the row fits the slotframe");
         let (fx, allocs) = counted(|| {
             gateway
-                .request_change(&tree, Direction::Up, light, 1)
+                .request_change(&tree, &mut schedule, Direction::Up, light, 1)
                 .expect("a decrease is local")
         });
         assert_eq!(fx.messages.len(), 1, "only the changed link is told");

@@ -316,7 +316,7 @@ impl SimulatorBuilder {
             fault_calendar.schedule(at, action);
         }
 
-        let node_count = self.tree.len();
+        let nodes = self.tree.len();
         let mut sim = Simulator {
             tree: self.tree,
             config: self.config,
@@ -361,7 +361,7 @@ impl SimulatorBuilder {
             frame_start_asn: 0,
             frame_tx_base: 0,
             fault_calendar,
-            node_down: vec![false; node_count],
+            node_down: vec![false; nodes],
             link_masked: vec![false; link_count],
             faults_fired: 0,
             idle_wakeup_count: 0,

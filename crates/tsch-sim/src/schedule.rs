@@ -308,8 +308,8 @@ impl NetworkSchedule {
     }
 
     /// Empties the row of link `id`; returns how many cells it held. The
-    /// row keeps its room for the re-assignment `SetLinkCells` always
-    /// follows with, unless the run is the pool's tail, which shrinks.
+    /// row keeps its room for the re-assignment that rewriting a link's
+    /// cells follows with, unless the run is the pool's tail, which shrinks.
     fn release(&mut self, id: usize) -> usize {
         let Some(&row) = self.rows.get(id) else {
             return 0;
@@ -481,44 +481,34 @@ impl NetworkSchedule {
         self.bump_version();
     }
 
-    /// Restores previously captured link rows — the rollback primitive
-    /// behind `HarpNetwork`'s transactional adjustments.
+    /// Restores earlier link rows — the rollback primitive behind
+    /// `HarpNetwork`'s transactional events, whose undo log feeds it every
+    /// cell run it puts back.
     ///
-    /// Each `(link, cells)` pair is a before-image taken with
-    /// [`cells_of`](Self::cells_of) prior to mutating that link: whatever
-    /// the link holds now is removed and the captured cells are
-    /// reinstated in their original order. `version` is the value
-    /// [`version`](Self::version) returned when the first row was
-    /// captured; it is restored verbatim (no fresh version is minted), so
-    /// a rollback is indistinguishable — version included —
-    /// from swapping in a clone taken at the same point.
-    ///
-    /// The restore reproduces the pre-image exactly as long as no
-    /// restored link shared a cell with a link that was *not* captured —
-    /// always true for exclusive schedules (HARP's invariant), where a
-    /// cell hosts at most one link.
+    /// Pair by pair, whatever `link` holds is removed and `cells` are
+    /// reinstated in their order. `version` is restored verbatim (no fresh
+    /// version is minted), so a rollback is indistinguishable — version
+    /// included — from swapping in a clone taken at the point restored to,
+    /// as long as no restored link shared a cell with one that is not
+    /// restored: always, for exclusive schedules (HARP's invariant).
     ///
     /// # Panics
     ///
-    /// Panics if a captured cell lies outside the slotframe, which a
-    /// before-image of this schedule never does.
-    pub fn restore_rows<'a>(
+    /// Panics if a restored cell lies outside the slotframe.
+    pub fn restore_rows<R: IntoIterator<Item = Cell>>(
         &mut self,
-        rows: impl IntoIterator<Item = (Link, &'a [Cell])>,
+        rows: impl IntoIterator<Item = (Link, R)>,
         version: u64,
     ) {
         for (link, cells) in rows {
             let id = link.dense_id();
             // Drop whatever the aborted transaction left on this link.
             self.release(id);
-            if cells.is_empty() {
-                continue;
-            }
-            if id >= self.rows.len() {
-                self.grow_rows(id);
-            }
-            for &cell in cells {
+            for cell in cells {
                 assert!(self.config.contains_cell(cell), "restored {cell} in bounds");
+                if id >= self.rows.len() {
+                    self.grow_rows(id);
+                }
                 self.occupy(cell, link);
                 self.push_cell(id, cell);
             }
@@ -686,10 +676,7 @@ mod tests {
         s.assign(Cell::new(6, 2), Link::down(NodeId(3))).unwrap();
         assert_ne!(s.version(), saved_version);
 
-        s.restore_rows(
-            [(a, saved_a.as_slice()), (b, saved_b.as_slice())],
-            saved_version,
-        );
+        s.restore_rows([(a, saved_a), (b, saved_b)], saved_version);
         assert_eq!(s.cells_of(a), reference.cells_of(a));
         assert_eq!(s.cells_of(b), reference.cells_of(b));
         assert!(s.links_on(Cell::new(5, 1)).is_empty());
@@ -704,7 +691,7 @@ mod tests {
         let mut t = NetworkSchedule::new(cfg());
         let v0 = t.version();
         t.assign(Cell::new(0, 0), a).unwrap();
-        t.restore_rows([(a, &[][..])], v0);
+        t.restore_rows([(a, [])], v0);
         assert!(t.cells_of(a).is_empty());
         assert_eq!(t.assignment_count(), 0);
         assert_eq!(t.version(), v0);

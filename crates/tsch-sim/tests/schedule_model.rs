@@ -179,7 +179,8 @@ impl Pair {
         )
     }
 
-    /// `SetLinkCells`: the unassign + re-assign every adjustment applies.
+    /// A link's row rewritten as a child installs new cells: unassign, then
+    /// re-assign.
     fn set_link_cells(&mut self, link: Link, cells: &[Cell]) {
         self.unassign(link);
         for &cell in cells {
@@ -201,9 +202,10 @@ impl Pair {
     }
 
     fn restore(&mut self, rows: &[(Link, Vec<Cell>)], version: u64) {
-        let borrowed = || rows.iter().map(|(l, c)| (*l, c.as_slice()));
-        self.real.restore_rows(borrowed(), version);
-        self.model.restore_rows(borrowed());
+        let real = rows.iter().map(|(l, c)| (*l, c.iter().copied()));
+        self.real.restore_rows(real, version);
+        self.model
+            .restore_rows(rows.iter().map(|(l, c)| (*l, c.as_slice())));
         assert_eq!(
             self.real.version(),
             version,
