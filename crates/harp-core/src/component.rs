@@ -128,15 +128,6 @@ impl ResourceInterface {
         self.components.insert(layer, component)
     }
 
-    /// Undoes a [`ResourceInterface::set`] given what it returned: the
-    /// displaced component comes back, or the layer goes away again.
-    pub(crate) fn restore(&mut self, layer: u32, displaced: Option<ResourceComponent>) {
-        match displaced {
-            Some(c) => self.components.insert(layer, c),
-            None => self.components.remove(&layer),
-        };
-    }
-
     /// The component at `layer`, if present.
     #[must_use]
     pub fn component(&self, layer: u32) -> Option<ResourceComponent> {
@@ -167,9 +158,29 @@ impl ResourceInterface {
     }
 
     /// The largest layer, if any (`l(G_Vi)`).
-    #[must_use]
+    #[cfg(test)]
     pub(crate) fn max_layer(&self) -> Option<u32> {
         self.components.keys().next_back().copied()
+    }
+}
+
+/// Per-layer components, however they are kept: a [`ResourceInterface`],
+/// or a run of `(layer, component)` in layer order as a network's node
+/// tables keep interfaces.
+pub(crate) trait LayerComponents {
+    /// The component at `layer`, if present.
+    fn component(&self, layer: u32) -> Option<ResourceComponent>;
+}
+
+impl LayerComponents for &ResourceInterface {
+    fn component(&self, layer: u32) -> Option<ResourceComponent> {
+        ResourceInterface::component(self, layer)
+    }
+}
+
+impl LayerComponents for &[(u32, ResourceComponent)] {
+    fn component(&self, layer: u32) -> Option<ResourceComponent> {
+        self.iter().find(|&&(l, _)| l == layer).map(|&(_, c)| c)
     }
 }
 

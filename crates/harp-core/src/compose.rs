@@ -16,7 +16,7 @@
 //! is kept as the [`CompositionLayout`]; the partition-allocation phase uses
 //! it to carve children's partitions out of the parent's.
 
-use crate::component::{ResourceComponent, ResourceInterface};
+use crate::component::{LayerComponents, ResourceComponent, ResourceInterface};
 use crate::error::HarpError;
 use crate::requirement::Requirements;
 use crate::workspace::Workspace;
@@ -37,6 +37,13 @@ pub struct CompositionLayout {
 }
 
 impl CompositionLayout {
+    pub(crate) fn new(composite: ResourceComponent, placements: Vec<(NodeId, Rect)>) -> Self {
+        Self {
+            composite,
+            placements,
+        }
+    }
+
     /// The composite component `C_{i,l}`.
     #[must_use]
     pub fn composite(&self) -> ResourceComponent {
@@ -109,6 +116,23 @@ impl Workspace {
         max_channels: u16,
         layer: u32,
     ) -> Result<CompositionLayout, HarpError> {
+        let mut placements = Vec::new();
+        let composite = self.compose_into(children, max_channels, layer, &mut placements)?;
+        Ok(CompositionLayout {
+            composite,
+            placements,
+        })
+    }
+
+    /// [`Workspace::compose`], appending the placements to `out` (one per
+    /// child, in input order) and returning the composite.
+    fn compose_into(
+        &mut self,
+        children: impl IntoIterator<Item = (NodeId, ResourceComponent)>,
+        max_channels: u16,
+        layer: u32,
+        out: &mut Vec<(NodeId, Rect)>,
+    ) -> Result<ResourceComponent, HarpError> {
         let Self {
             strip,
             components,
@@ -128,18 +152,14 @@ impl Workspace {
                 budget: max_channels,
             });
         }
+        out.reserve(components.len());
 
         // Pass 1: width = channel budget, minimise the slot extent.
         sizes.clear();
         sizes.extend(packable().map(ResourceComponent::as_size_channel_major));
         if sizes.is_empty() {
-            return Ok(CompositionLayout {
-                composite: ResourceComponent::default(),
-                placements: components
-                    .iter()
-                    .map(|&(n, _)| (n, Rect::default()))
-                    .collect(),
-            });
+            out.extend(components.iter().map(|&(n, _)| (n, Rect::default())));
+            return Ok(ResourceComponent::default());
         }
         let min_slots = strip.pack(sizes, u32::from(max_channels), pass1)?;
         let pass1_channels = pass1
@@ -162,54 +182,68 @@ impl Workspace {
         // The packed items are `components` minus the empty ones, in order,
         // and the packer answers in input order: walk both in step.
         let mut packed = if use_pass2 { pass2 } else { pass1 }.iter();
-        let placements = components
-            .iter()
-            .map(|&(n, c)| {
-                if c.is_empty() {
-                    return (n, Rect::default());
-                }
-                let rect = *packed.next().expect("one placement per packable child");
-                if use_pass2 {
-                    (n, rect)
-                } else {
-                    // Pass 1 coordinates are (x = channel, y = slot):
-                    // transpose back to slotframe orientation.
-                    let (o, s) = (rect.origin, rect.size);
-                    (n, Rect::from_xywh(o.y, o.x, s.h, s.w))
-                }
-            })
-            .collect();
-        Ok(CompositionLayout {
-            composite: ResourceComponent::new(min_slots, channels),
-            placements,
-        })
+        out.extend(components.iter().map(|&(n, c)| {
+            if c.is_empty() {
+                return (n, Rect::default());
+            }
+            let rect = *packed.next().expect("one placement per packable child");
+            if use_pass2 {
+                (n, rect)
+            } else {
+                // Pass 1 coordinates are (x = channel, y = slot):
+                // transpose back to slotframe orientation.
+                let (o, s) = (rect.origin, rect.size);
+                (n, Rect::from_xywh(o.y, o.x, s.h, s.w))
+            }
+        }));
+        Ok(ResourceComponent::new(min_slots, channels))
     }
 
     /// Case 2 of §IV-B at one node: for each of `layers` at which a child
-    /// reports a component, composes the children's components into
-    /// `iface`. The `(layer, layout)` pairs come back in layer order, out of
-    /// a buffer of the workspace: a caller moves each layout to where it
+    /// reports a component, composes the children's components. What it
+    /// composed stays in the workspace, read through
+    /// [`Workspace::composed`]: a caller copies each layer to where it
     /// keeps it, and no container is built to carry them there.
-    pub(crate) fn compose_layers<'a>(
+    pub(crate) fn compose_layers<C: LayerComponents>(
         &mut self,
-        children: impl Iterator<Item = (NodeId, &'a ResourceInterface)> + Clone,
+        children: impl Iterator<Item = (NodeId, C)> + Clone,
         layers: std::ops::RangeInclusive<u32>,
         max_channels: u16,
-        iface: &mut ResourceInterface,
-    ) -> Result<std::vec::Drain<'_, (u32, CompositionLayout)>, HarpError> {
-        self.layouts.clear();
+    ) -> Result<(), HarpError> {
+        self.composed.clear();
+        let mut placed = std::mem::take(&mut self.placed);
+        placed.clear();
         for layer in layers {
             let reported = children
                 .clone()
                 .filter_map(|(c, i)| i.component(layer).map(|comp| (c, comp)));
-            let layout = self.compose(reported, max_channels, layer)?;
-            if layout.placements.is_empty() {
-                continue;
+            let from = placed.len();
+            let composite = match self.compose_into(reported, max_channels, layer, &mut placed) {
+                Ok(composite) => composite,
+                Err(e) => {
+                    self.placed = placed;
+                    return Err(e);
+                }
+            };
+            if placed.len() > from {
+                self.composed.push((layer, composite, placed.len()));
             }
-            iface.set(layer, layout.composite());
-            self.layouts.push((layer, layout));
         }
-        Ok(self.layouts.drain(..))
+        self.placed = placed;
+        Ok(())
+    }
+
+    /// What the last [`Workspace::compose_layers`] composed, in layer
+    /// order: each layer, its composite and the children's placements.
+    pub(crate) fn composed(
+        &self,
+    ) -> impl Iterator<Item = (u32, ResourceComponent, &[(NodeId, Rect)])> + '_ {
+        let mut from = 0;
+        self.composed.iter().map(move |&(layer, composite, to)| {
+            let placed = &self.placed[from..to];
+            from = to;
+            (layer, composite, placed)
+        })
     }
 }
 
@@ -310,9 +344,13 @@ pub fn build_interfaces(
             .iter()
             .map(|&c| (c, &nodes[c.index()].interface));
         let layers = own_layer + 1..=tree.subtree_layer(v);
+        ws.compose_layers(children, layers, max_channels)?;
         // One by one: collecting a map sorts its input in a vector first.
         let mut layouts = BTreeMap::new();
-        layouts.extend(ws.compose_layers(children, layers, max_channels, &mut interface)?);
+        for (layer, composite, placed) in ws.composed() {
+            interface.set(layer, composite);
+            layouts.insert(layer, CompositionLayout::new(composite, placed.to_vec()));
+        }
         nodes[v.index()] = NodeInterface { interface, layouts };
     }
     Ok(InterfaceSet { direction, nodes })

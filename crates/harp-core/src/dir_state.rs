@@ -1,98 +1,80 @@
-//! A node's per-direction protocol state, and the undo log its writes feed.
+//! The protocol state of every node of a network, in network-wide tables,
+//! and the undo log their writes feed.
 //!
-//! [`DirState`]'s fields are private to this module. Code outside it reads
-//! them through getters and writes them only through a [`DirWriter`], whose
-//! every setter hands the value it displaced — what the table write or
-//! `Option::replace` returns, moved, never cloned — to an [`UndoLog`]. A
-//! handler in `node.rs` therefore cannot change protocol state without the
-//! log seeing it: the write would not compile. Replaying the log in reverse
-//! puts every displaced value back, which is all a rollback of node state
-//! is — and, as a link's schedule row projects its child's own cells, of
-//! the rows too.
+//! [`NodeTables`] keeps what the paper's nodes keep — per child link and
+//! per layer of their subtree — in a few tables the network owns:
 //!
-//! What a node keeps per child and per layer sits in two small sorted
-//! tables, one row per child link and one per layer. A node has a handful
-//! of children and its subtree a handful of layers, so a row is found by
-//! walking the table, and a node-direction owns two heap blocks where a map
-//! per field owned seven.
+//! - **the link table**, one row per directed link, dense by link id, for
+//!   what the link's parent keeps: its requirement, the interface the child
+//!   reported and the cells it assigned. A link has one parent, so a
+//!   node's rows are its children's links, in the tree's child order;
+//! - **the node table**, one fixed-size record per node: each direction's
+//!   own interface, its run of layer rows and its own cells, and the
+//!   counters;
+//! - **three pools** of runs ([`RunPool`]): layer rows (layer, layout,
+//!   partition, children's partitions, pending escalation), kept sorted
+//!   by layer; interface components `(layer, component)`, both the node's
+//!   own interfaces and the parent's copies; and `(child, rectangle)`
+//!   placements, both the layouts' and the children's partitions.
+//!
+//! A create sizes the pools from the tree, so the static phase writes
+//! every run once, at the pools' tails, and allocates no more.
+//!
+//! Code outside this module reads the tables through a [`DirView`] and
+//! writes them only through a [`DirWriter`], whose every setter hands what
+//! it displaced to an [`UndoLog`]. A handler in `node.rs` therefore cannot
+//! change protocol state without the log seeing it: the write would not
+//! compile. A write of a field overwrites it in place and logs the value
+//! it displaced. A write that changes a run's length — a row or component
+//! added, a whole run replaced — is copy-on-write while the log records:
+//! the new run goes to the pool's tail, the old items stay where they were,
+//! and the log keeps the old descriptor, so an entry never holds more than
+//! a descriptor, a field or a run of cells. Replaying the log newest-first
+//! puts every field and descriptor back, which is all a rollback of node
+//! state is — and, as a link's schedule row projects its child's own
+//! cells, of the rows too. A pool compacts only while no log records, as
+//! a compaction moves the items a logged descriptor points at.
+//!
+//! Rows are never removed: a layer row whose fields are all empty reads as
+//! no row at all, through every getter.
 
 use crate::component::{ResourceComponent, ResourceInterface};
-use crate::compose::CompositionLayout;
 use crate::error::HarpError;
-use crate::node::{HarpNode, NodeObsCounters};
+use crate::node::NodeObsCounters;
+use crate::requirement::Requirements;
 use crate::schedule_gen::CellRun;
 use packing::{Point, Rect};
-use std::mem;
-use std::ops::Deref;
-use tsch_sim::{Direction, Link, NetworkSchedule, NodeId};
+use std::ops::RangeInclusive;
+use std::{fmt, mem};
+use tsch_sim::{Direction, Link, NetworkSchedule, NodeId, Run, RunPool, Tree};
 
-/// A row of one of [`DirState`]'s tables: a key and fields that may each
-/// hold a value or not.
-trait Row {
-    type Key: Ord + Copy;
+/// An interface as the tables keep it: `(layer, component)` in layer order.
+pub(crate) type Components = [(u32, ResourceComponent)];
 
-    /// The row of `key` with no field set.
-    fn vacant(key: Self::Key) -> Self;
-
-    fn key(&self) -> Self::Key;
-
-    /// No field holds a value. Such a row says nothing, and a table never
-    /// keeps one: states that read the same are then equal field by field,
-    /// which is the equality the rollback referees compare nodes with.
-    fn is_vacant(&self) -> bool;
+/// How the children's components at one layer were composed: the composite
+/// and, in the placement pool, where each child landed.
+#[derive(Debug, Clone, Copy)]
+struct Layout {
+    composite: ResourceComponent,
+    placements: Run,
 }
 
-/// What this node keeps about the link to one child.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct ChildLink {
-    child: NodeId,
-    /// The link's cell requirement `r(e)`.
-    req: Option<u32>,
-    /// The interface the child (a non-leaf) reported.
-    interface: Option<ResourceInterface>,
-    /// The cells this node assigned to the link.
-    assignment: Option<CellRun>,
-}
-
-impl Row for ChildLink {
-    type Key = NodeId;
-
-    fn vacant(child: NodeId) -> Self {
-        Self {
-            child,
-            req: None,
-            interface: None,
-            assignment: None,
-        }
-    }
-
-    fn key(&self) -> NodeId {
-        self.child
-    }
-
-    fn is_vacant(&self) -> bool {
-        self.req.is_none() && self.interface.is_none() && self.assignment.is_none()
-    }
-}
-
-/// What this node keeps about one layer of its subtree.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct LayerState {
+/// What a node keeps about one layer of its subtree, in one direction.
+#[derive(Debug, Clone, Copy)]
+struct LayerRow {
     layer: u32,
     /// How the children's components were composed (layers below the own).
-    layout: Option<CompositionLayout>,
+    layout: Option<Layout>,
     /// The partition granted to this node.
     partition: Option<Rect>,
     /// The partitions this node allocated to its children.
-    child_partitions: Option<Vec<(NodeId, Rect)>>,
+    child_partitions: Option<Run>,
     /// An escalation awaiting a bigger partition from the parent: the child
     /// whose component grew.
     pending: Option<NodeId>,
 }
 
-impl Row for LayerState {
-    type Key = u32;
-
+impl LayerRow {
     fn vacant(layer: u32) -> Self {
         Self {
             layer,
@@ -102,51 +84,40 @@ impl Row for LayerState {
             pending: None,
         }
     }
-
-    fn key(&self) -> u32 {
-        self.layer
-    }
-
-    fn is_vacant(&self) -> bool {
-        self.layout.is_none()
-            && self.partition.is_none()
-            && self.child_partitions.is_none()
-            && self.pending.is_none()
-    }
 }
 
-/// Stores `value` in one field of `key`'s row, or empties the field for
-/// `None`; returns what the field held. The row is made when a value needs
-/// one and removed when the write leaves it vacant, so the write is its own
-/// inverse: `put(t, k, f, put(t, k, f, v))` changes nothing.
-fn put<R: Row, V>(
-    table: &mut Vec<R>,
-    key: R::Key,
-    field: impl Fn(&mut R) -> &mut Option<V>,
-    value: Option<V>,
-) -> Option<V> {
-    let at = table.partition_point(|row| row.key() < key);
-    match table.get_mut(at).filter(|row| row.key() == key) {
-        Some(row) => {
-            let old = mem::replace(field(row), value);
-            if row.is_vacant() {
-                table.remove(at);
-            }
-            old
-        }
-        None => {
-            if value.is_some() {
-                let mut row = R::vacant(key);
-                *field(&mut row) = value;
-                table.insert(at, row);
-            }
-            None
-        }
-    }
+/// What a link's parent keeps about it.
+#[derive(Debug, Clone, Default)]
+struct LinkRow {
+    /// The link's cell requirement `r(e)`.
+    req: Option<u32>,
+    /// The interface the child (a non-leaf) reported.
+    interface: Option<Run>,
+    /// The cells the parent assigned to the link.
+    assignment: Option<CellRun>,
 }
 
-fn row<R: Row>(table: &[R], key: R::Key) -> Option<&R> {
-    table.iter().find(|row| row.key() == key)
+/// One direction of one node's fixed-size state.
+#[derive(Debug, Clone, Default)]
+struct DirRecord {
+    /// This node's own interface, once generated.
+    interface: Option<Run>,
+    /// The node's layer rows, sorted by layer.
+    layers: Run,
+    /// Cells granted to this node's own link by its parent (`None` until
+    /// the first `CellAssignment` arrives): what the link has installed,
+    /// which its schedule row projects, and how a re-delivery is seen.
+    own_cells: Option<CellRun>,
+}
+
+#[derive(Debug, Clone, Default)]
+struct NodeRecord {
+    dirs: [DirRecord; 2],
+    counters: NodeObsCounters,
+}
+
+fn side(direction: Direction) -> usize {
+    usize::from(direction == Direction::Down)
 }
 
 /// `slots`, or the overflow of `available` slots it is past `u32::MAX`.
@@ -157,159 +128,446 @@ fn slot_count(slots: u64, available: u32) -> Result<u32, HarpError> {
     })
 }
 
-/// Per-direction protocol state of a node.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub(crate) struct DirState {
-    /// One row per child link this node keeps anything about, by child.
-    links: Vec<ChildLink>,
-    /// This node's own interface, once generated.
-    interface: Option<ResourceInterface>,
-    /// One row per layer this node keeps anything about, by layer.
-    layers: Vec<LayerState>,
-    /// Cells granted to this node's own link by its parent (`None` until
-    /// the first `CellAssignment` arrives): what the link has installed,
-    /// which its schedule row projects, and how a re-delivery is seen.
-    own_cells: Option<CellRun>,
+/// Writes a run into `slot` through `write`, making the run if the slot
+/// held none; returns what the slot held.
+fn write_slot<T: Copy>(
+    pool: &mut RunPool<T>,
+    slot: &mut Option<Run>,
+    write: impl FnOnce(&mut RunPool<T>, &mut Run) -> Run,
+) -> Option<Run> {
+    let old = *slot;
+    let mut run = old.unwrap_or_default();
+    write(pool, &mut run);
+    *slot = Some(run);
+    old
 }
 
-impl DirState {
+/// Puts `old` back into `slot`, a run descriptor a logged write displaced.
+fn restore_slot<T: Copy>(pool: &mut RunPool<T>, slot: &mut Option<Run>, old: Option<Run>) {
+    pool.restore(*slot, old);
+    *slot = old;
+}
+
+/// The entry of `layer` in a run of components.
+fn component_mut(
+    pool: &mut RunPool<(u32, ResourceComponent)>,
+    run: Run,
+    layer: u32,
+) -> Option<&mut ResourceComponent> {
+    let entry = pool.get_mut(run).iter_mut().find(|(l, _)| *l == layer)?;
+    Some(&mut entry.1)
+}
+
+/// The protocol state of every node of one network: see the module docs.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct NodeTables {
+    nodes: Vec<NodeRecord>,
+    /// Dense by `Link::dense_id`, two rows per node.
+    links: Vec<LinkRow>,
+    layers: RunPool<LayerRow>,
+    components: RunPool<(u32, ResourceComponent)>,
+    placements: RunPool<(NodeId, Rect)>,
+}
+
+impl NodeTables {
+    /// The tables of a network on `tree` that holds nothing but
+    /// `requirements`, each link's at its row, sized for what the static
+    /// phase writes: every non-leaf node-direction holds a row and a
+    /// component per layer from its own to its subtree's deepest, its
+    /// parent a copy of those components, its parent's layout and
+    /// children's partitions a placement per layer.
+    pub(crate) fn new(tree: &Tree, requirements: &Requirements) -> Self {
+        let (mut rows, mut reported) = (0, 0);
+        for v in tree.nodes().filter(|&v| !tree.is_leaf(v)) {
+            let layers = (tree.subtree_layer(v) - tree.depth(v)) as usize;
+            rows += layers;
+            if v != tree.root() {
+                reported += layers;
+            }
+        }
+        let mut links = vec![LinkRow::default(); 2 * tree.len()];
+        // The gateway's two ids name no link.
+        let set = links.iter_mut().zip(requirements.dense()).skip(2);
+        for (row, &cells) in set.filter(|(_, &cells)| cells > 0) {
+            row.req = Some(cells);
+        }
+        // Room to spare, so the runs a transaction moves fit beside the
+        // garbage it leaves until the pool compacts after it.
+        let room = |live: usize| live + live / 8 + 32;
+        Self {
+            nodes: vec![NodeRecord::default(); tree.len()],
+            links,
+            layers: RunPool::with_capacity(room(2 * rows)),
+            components: RunPool::with_capacity(room(2 * (rows + reported))),
+            placements: RunPool::with_capacity(room(4 * reported)),
+        }
+    }
+
+    /// Adds the record and link rows of a node that joined.
+    pub(crate) fn add_node(&mut self) {
+        self.nodes.push(NodeRecord::default());
+        self.links.resize(2 * self.nodes.len(), LinkRow::default());
+    }
+
+    /// Drops the nodes from `len` on (joined ones a rollback cut off).
+    pub(crate) fn truncate(&mut self, len: usize) {
+        self.nodes.truncate(len);
+        self.links.truncate(2 * len);
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// One direction of `node`'s state, to read.
+    pub(crate) fn dir<'a>(&'a self, tree: &'a Tree, node: NodeId, d: Direction) -> DirView<'a> {
+        DirView {
+            tables: self,
+            tree,
+            node,
+            direction: d,
+        }
+    }
+
+    pub(crate) fn counters(&self, node: NodeId) -> &NodeObsCounters {
+        &self.nodes[node.index()].counters
+    }
+
+    /// Changes `node`'s counters, saving them to `log` first.
+    pub(crate) fn count(
+        &mut self,
+        log: &mut UndoLog,
+        node: NodeId,
+        change: impl FnOnce(&mut NodeObsCounters),
+    ) {
+        let counters = &mut self.nodes[node.index()].counters;
+        log.push(node, Undo::Counters(*counters));
+        change(counters);
+    }
+
+    /// Packs each pool whose garbage outgrew its room or half of it, unless
+    /// `log` records: a recording log holds descriptors of items a
+    /// compaction would move. Returns whether it was free to compact.
+    pub(crate) fn compact(&mut self, log: &UndoLog) -> bool {
+        fn wanted<T: Copy>(pool: &RunPool<T>) -> bool {
+            pool.wants_compaction() || pool.garbage() > pool.room()
+        }
+        if log.is_recording() {
+            return false;
+        }
+        let Self {
+            nodes,
+            links,
+            layers,
+            components,
+            placements,
+        } = self;
+        if wanted(components) {
+            components.compact(|each| {
+                let owned = nodes.iter_mut().flat_map(|n| &mut n.dirs);
+                owned
+                    .filter_map(|dir| dir.interface.as_mut())
+                    .for_each(&mut *each);
+                let reported = links.iter_mut().filter_map(|l| l.interface.as_mut());
+                reported.for_each(each);
+            });
+        }
+        if wanted(placements) {
+            placements.compact(|each| {
+                for dir in nodes.iter().flat_map(|n| &n.dirs) {
+                    for row in layers.get_mut(dir.layers) {
+                        if let Some(layout) = &mut row.layout {
+                            each(&mut layout.placements);
+                        }
+                        if let Some(run) = &mut row.child_partitions {
+                            each(run);
+                        }
+                    }
+                }
+            });
+        }
+        if wanted(layers) {
+            layers.compact(|each| {
+                for dir in nodes.iter_mut().flat_map(|n| &mut n.dirs) {
+                    each(&mut dir.layers);
+                }
+            });
+        }
+        true
+    }
+
+    /// Puts one displaced value of `node`'s `d` state back where its setter
+    /// took it from; returns the link whose own cells it put back.
+    fn revert(&mut self, node: NodeId, d: Direction, undo: DirUndo) -> Option<Link> {
+        const HELD: &str = "a logged write's run or row is there until it is reverted";
+        let Self {
+            nodes,
+            links,
+            layers,
+            components,
+            placements,
+        } = self;
+        let dir = &mut nodes[node.index()].dirs[side(d)];
+        let link = |child| {
+            Link {
+                child,
+                direction: d,
+            }
+            .dense_id()
+        };
+        fn row(rows: &mut [LayerRow], layer: u32) -> &mut LayerRow {
+            rows.iter_mut().find(|r| r.layer == layer).expect(HELD)
+        }
+        match undo {
+            DirUndo::Req(child, old) => links[link(child)].req = old,
+            DirUndo::ChildInterface(child, old) => {
+                restore_slot(components, &mut links[link(child)].interface, old);
+            }
+            DirUndo::ChildComponent(child, layer, old) => {
+                let run = links[link(child)].interface.expect(HELD);
+                *component_mut(components, run, layer).expect(HELD) = old;
+            }
+            DirUndo::Interface(old) => restore_slot(components, &mut dir.interface, old),
+            DirUndo::Component(layer, old) => {
+                let run = dir.interface.expect(HELD);
+                *component_mut(components, run, layer).expect(HELD) = old;
+            }
+            DirUndo::Layers(old) => {
+                layers.restore(Some(dir.layers), Some(old));
+                dir.layers = old;
+            }
+            DirUndo::Layout(layer, old) => {
+                let row = row(layers.get_mut(dir.layers), layer);
+                let placed = |l: Option<Layout>| l.map(|l| l.placements);
+                placements.restore(placed(row.layout), placed(old));
+                row.layout = old;
+            }
+            DirUndo::Partition(layer, old) => {
+                row(layers.get_mut(dir.layers), layer).partition = old
+            }
+            DirUndo::ChildPartitions(layer, old) => {
+                let row = row(layers.get_mut(dir.layers), layer);
+                restore_slot(placements, &mut row.child_partitions, old);
+            }
+            DirUndo::Assignment(child, old) => links[link(child)].assignment = old,
+            DirUndo::OwnCells(old) => {
+                dir.own_cells = old;
+                return Some(Link {
+                    child: node,
+                    direction: d,
+                });
+            }
+            DirUndo::Pending(layer, old) => row(layers.get_mut(dir.layers), layer).pending = old,
+            DirUndo::Placement(layer, which, i, old) => {
+                let row = row(layers.get_mut(dir.layers), layer);
+                let run = match which {
+                    Placed::Layout => row.layout.map(|l| l.placements),
+                    Placed::Children => row.child_partitions,
+                };
+                placements.get_mut(run.expect(HELD))[i as usize] = old;
+            }
+        }
+        None
+    }
+}
+
+/// Read access to one direction of one node's state. A link row belongs to
+/// the node only while the tree makes it the link's parent.
+#[derive(Clone, Copy)]
+pub(crate) struct DirView<'a> {
+    tables: &'a NodeTables,
+    tree: &'a Tree,
+    node: NodeId,
+    direction: Direction,
+}
+
+impl<'a> DirView<'a> {
+    fn record(self) -> &'a DirRecord {
+        &self.tables.nodes[self.node.index()].dirs[side(self.direction)]
+    }
+
+    fn link_row(self, child: NodeId) -> &'a LinkRow {
+        let direction = self.direction;
+        &self.tables.links[Link { child, direction }.dense_id()]
+    }
+
+    fn link(self, child: NodeId) -> Option<&'a LinkRow> {
+        let ours = child.index() < self.tree.len() && self.tree.parent(child) == Some(self.node);
+        ours.then(|| self.link_row(child))
+    }
+
+    /// This node's children with their link rows, in child order.
+    fn children(self) -> impl Iterator<Item = (NodeId, &'a LinkRow)> + Clone + 'a {
+        let children = self.tree.children(self.node).iter();
+        children.map(move |&c| (c, self.link_row(c)))
+    }
+
+    fn rows(self) -> &'a [LayerRow] {
+        self.tables.layers.get(self.record().layers)
+    }
+
+    fn row(self, layer: u32) -> Option<&'a LayerRow> {
+        self.rows().iter().find(|r| r.layer == layer)
+    }
+
     /// Cell requirements `r(e)` of the links to this node's children, in
     /// child order.
-    pub(crate) fn reqs(&self) -> impl Iterator<Item = (NodeId, u32)> + '_ {
-        self.links.iter().filter_map(|l| Some((l.child, l.req?)))
+    pub(crate) fn reqs(self) -> impl Iterator<Item = (NodeId, u32)> + 'a {
+        self.children().filter_map(|(c, l)| Some((c, l.req?)))
     }
 
     /// The cells the links to this node's children need in all (its own
     /// row's slots); an overflow of `available` slots past `u32::MAX`.
-    pub(crate) fn direct_demand(&self, available: u32) -> Result<u32, HarpError> {
+    pub(crate) fn direct_demand(self, available: u32) -> Result<u32, HarpError> {
         slot_count(self.reqs().map(|(_, r)| u64::from(r)).sum(), available)
     }
 
-    pub(crate) fn req(&self, child: NodeId) -> Option<u32> {
-        row(&self.links, child)?.req
+    pub(crate) fn req(self, child: NodeId) -> Option<u32> {
+        self.link(child)?.req
     }
 
     /// Interfaces reported by non-leaf children, in child order.
     pub(crate) fn child_interfaces(
-        &self,
-    ) -> impl Iterator<Item = (NodeId, &ResourceInterface)> + Clone {
-        self.links
-            .iter()
-            .filter_map(|l| Some((l.child, l.interface.as_ref()?)))
+        self,
+    ) -> impl Iterator<Item = (NodeId, &'a Components)> + Clone + 'a {
+        let pool = &self.tables.components;
+        self.children()
+            .filter_map(move |(c, l)| Some((c, pool.get(l.interface?))))
     }
 
-    pub(crate) fn child_interface(&self, child: NodeId) -> Option<&ResourceInterface> {
-        row(&self.links, child)?.interface.as_ref()
-    }
-
-    fn child_interface_mut(&mut self, child: NodeId) -> Option<&mut ResourceInterface> {
-        let link = self.links.iter_mut().find(|l| l.child == child)?;
-        link.interface.as_mut()
+    pub(crate) fn child_interface(self, child: NodeId) -> Option<&'a Components> {
+        Some(self.tables.components.get(self.link(child)?.interface?))
     }
 
     /// Cells this node assigned to the link to `child`.
-    pub(crate) fn assignment(&self, child: NodeId) -> Option<&CellRun> {
-        row(&self.links, child)?.assignment.as_ref()
+    pub(crate) fn assignment(self, child: NodeId) -> Option<&'a CellRun> {
+        self.link(child)?.assignment.as_ref()
     }
 
-    pub(crate) fn interface(&self) -> Option<&ResourceInterface> {
-        self.interface.as_ref()
+    /// Cells this node assigned to its children's links, in child order.
+    pub(crate) fn assignments(self) -> impl Iterator<Item = (NodeId, &'a CellRun)> + 'a {
+        self.children()
+            .filter_map(|(c, l)| Some((c, l.assignment.as_ref()?)))
     }
 
-    pub(crate) fn own_cells(&self) -> Option<&CellRun> {
-        self.own_cells.as_ref()
+    pub(crate) fn interface(self) -> Option<&'a Components> {
+        Some(self.tables.components.get(self.record().interface?))
     }
 
-    /// Composition layouts of the composed layers, in layer order.
-    pub(crate) fn layouts(&self) -> impl Iterator<Item = (u32, &CompositionLayout)> {
-        self.layers
-            .iter()
-            .filter_map(|l| Some((l.layer, l.layout.as_ref()?)))
+    pub(crate) fn own_cells(self) -> Option<&'a CellRun> {
+        self.record().own_cells.as_ref()
     }
 
-    pub(crate) fn layout(&self, layer: u32) -> Option<&CompositionLayout> {
-        row(&self.layers, layer)?.layout.as_ref()
+    /// Composition layouts of the composed layers, in layer order: each
+    /// layer's composite and the children's placements inside it.
+    pub(crate) fn layouts(
+        self,
+    ) -> impl Iterator<Item = (u32, ResourceComponent, &'a [(NodeId, Rect)])> + 'a {
+        let pool = &self.tables.placements;
+        self.rows().iter().filter_map(move |r| {
+            let l = r.layout?;
+            Some((r.layer, l.composite, pool.get(l.placements)))
+        })
+    }
+
+    pub(crate) fn layout(self, layer: u32) -> Option<&'a [(NodeId, Rect)]> {
+        Some(
+            self.tables
+                .placements
+                .get(self.row(layer)?.layout?.placements),
+        )
     }
 
     /// Partitions granted to this node, in layer order.
-    pub(crate) fn partitions(&self) -> impl Iterator<Item = (u32, Rect)> + '_ {
-        self.layers
+    pub(crate) fn partitions(self) -> impl Iterator<Item = (u32, Rect)> + 'a {
+        self.rows()
             .iter()
-            .filter_map(|l| Some((l.layer, l.partition?)))
+            .filter_map(|r| Some((r.layer, r.partition?)))
     }
 
-    pub(crate) fn partition(&self, layer: u32) -> Option<Rect> {
-        row(&self.layers, layer)?.partition
+    pub(crate) fn partition(self, layer: u32) -> Option<Rect> {
+        self.row(layer)?.partition
     }
 
     /// Partitions this node allocated to its children, in layer order.
-    pub(crate) fn child_partitions(&self) -> impl Iterator<Item = (u32, &[(NodeId, Rect)])> {
-        self.layers
+    pub(crate) fn child_partitions(self) -> impl Iterator<Item = (u32, &'a [(NodeId, Rect)])> + 'a {
+        let pool = &self.tables.placements;
+        self.rows()
             .iter()
-            .filter_map(|l| Some((l.layer, l.child_partitions.as_deref()?)))
+            .filter_map(move |r| Some((r.layer, pool.get(r.child_partitions?))))
     }
 
-    pub(crate) fn child_partitions_at(&self, layer: u32) -> Option<&[(NodeId, Rect)]> {
-        row(&self.layers, layer)?.child_partitions.as_deref()
+    pub(crate) fn child_partitions_at(self, layer: u32) -> Option<&'a [(NodeId, Rect)]> {
+        Some(
+            self.tables
+                .placements
+                .get(self.row(layer)?.child_partitions?),
+        )
     }
 
     /// The child whose grown component awaits a bigger partition at `layer`.
-    pub(crate) fn pending(&self, layer: u32) -> Option<NodeId> {
-        row(&self.layers, layer)?.pending
+    pub(crate) fn pending(self, layer: u32) -> Option<NodeId> {
+        self.row(layer)?.pending
     }
 
-    /// Puts one displaced value back where its setter took it from.
-    fn revert(&mut self, undo: DirUndo) {
-        const SET: &str = "the interface was there when its component was set";
-        match undo {
-            DirUndo::Req(child, old) => {
-                put(&mut self.links, child, |l| &mut l.req, old);
-            }
-            DirUndo::ChildInterface(child, old) => {
-                put(&mut self.links, child, |l| &mut l.interface, old);
-            }
-            DirUndo::ChildComponent(child, layer, old) => self
-                .child_interface_mut(child)
-                .expect(SET)
-                .restore(layer, old),
-            DirUndo::Interface(old) => self.interface = old,
-            DirUndo::Component(layer, old) => {
-                self.interface.as_mut().expect(SET).restore(layer, old);
-            }
-            DirUndo::Layout(layer, old) => {
-                put(&mut self.layers, layer, |l| &mut l.layout, old);
-            }
-            DirUndo::Partition(layer, old) => {
-                put(&mut self.layers, layer, |l| &mut l.partition, old);
-            }
-            DirUndo::ChildPartitions(layer, old) => {
-                put(&mut self.layers, layer, |l| &mut l.child_partitions, old);
-            }
-            DirUndo::Assignment(child, old) => {
-                put(&mut self.links, child, |l| &mut l.assignment, old);
-            }
-            DirUndo::OwnCells(old) => self.own_cells = old,
-            DirUndo::Pending(layer, old) => {
-                put(&mut self.layers, layer, |l| &mut l.pending, old);
-            }
-        }
+    /// Every pending escalation, in layer order.
+    pub(crate) fn pendings(self) -> impl Iterator<Item = (u32, NodeId)> + 'a {
+        self.rows()
+            .iter()
+            .filter_map(|r| Some((r.layer, r.pending?)))
     }
 }
 
-/// The value one [`DirWriter`] setter displaced, keyed by where it sat.
+/// What every getter reads, never where it sits.
+impl fmt::Debug for DirView<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let v = *self;
+        f.debug_struct("DirView")
+            .field("reqs", &v.reqs().collect::<Vec<_>>())
+            .field(
+                "child_interfaces",
+                &v.child_interfaces().collect::<Vec<_>>(),
+            )
+            .field("interface", &v.interface())
+            .field("layouts", &v.layouts().collect::<Vec<_>>())
+            .field("partitions", &v.partitions().collect::<Vec<_>>())
+            .field(
+                "child_partitions",
+                &v.child_partitions().collect::<Vec<_>>(),
+            )
+            .field("pending", &v.pendings().collect::<Vec<_>>())
+            .field("assignments", &v.assignments().collect::<Vec<_>>())
+            .field("own_cells", &v.own_cells())
+            .finish()
+    }
+}
+
+/// The value one [`DirWriter`] setter displaced, keyed by where it sat: a
+/// field, or the descriptor of a run the write moved.
 #[derive(Debug)]
 enum DirUndo {
     Req(NodeId, Option<u32>),
-    ChildInterface(NodeId, Option<ResourceInterface>),
-    ChildComponent(NodeId, u32, Option<ResourceComponent>),
-    Interface(Option<ResourceInterface>),
-    Component(u32, Option<ResourceComponent>),
-    Layout(u32, Option<CompositionLayout>),
+    ChildInterface(NodeId, Option<Run>),
+    ChildComponent(NodeId, u32, ResourceComponent),
+    Interface(Option<Run>),
+    Component(u32, ResourceComponent),
+    Layers(Run),
+    Layout(u32, Option<Layout>),
     Partition(u32, Option<Rect>),
-    ChildPartitions(u32, Option<Vec<(NodeId, Rect)>>),
+    ChildPartitions(u32, Option<Run>),
     Assignment(NodeId, Option<CellRun>),
     OwnCells(Option<CellRun>),
     Pending(u32, Option<NodeId>),
+    Placement(u32, Placed, u32, (NodeId, Rect)),
+}
+
+/// One of a layer row's two runs of placements.
+#[derive(Debug, Clone, Copy)]
+enum Placed {
+    /// Where the layout placed each child inside the composite.
+    Layout,
+    /// The partitions allocated to the children.
+    Children,
 }
 
 /// One log entry's payload: what to put back at a node.
@@ -343,11 +601,6 @@ pub(crate) struct UndoLog {
 }
 
 impl UndoLog {
-    /// A log that records nothing.
-    pub(crate) const fn off() -> Self {
-        Self { entries: None }
-    }
-
     /// An empty recording log, with room for what a local adjustment
     /// writes (its requirement, its counters, a row of cell assignments).
     pub(crate) fn recording() -> Self {
@@ -366,37 +619,27 @@ impl UndoLog {
         }
     }
 
-    /// Records `node`'s counters as they are, ahead of a change to them.
-    pub(crate) fn save_counters(&mut self, node: NodeId, counters: NodeObsCounters) {
-        self.push(node, Undo::Counters(counters));
-    }
-
     /// Puts every recorded value back, newest first, writing each own-cells
-    /// run put back into its link's row of `schedule`: the nodes and rows
+    /// run put back into its link's row of `schedule`: the tables and rows
     /// are as they were when recording started, and so is the `version`.
     pub(crate) fn rollback(
         self,
-        nodes: &mut [HarpNode],
+        tables: &mut NodeTables,
         schedule: &mut NetworkSchedule,
         version: u64,
     ) {
         // `restore_rows` drives the replay, taking each restored run as the
         // replay reaches it.
         let rows = self.entries.into_iter().flatten().rev();
-        let rows = rows.filter_map(|(child, undo)| {
-            let node = &mut nodes[child.index()];
-            match undo {
-                Undo::Dir(direction, displaced) => {
-                    let own = matches!(displaced, DirUndo::OwnCells(_));
-                    let state = node.dir_state_mut(direction);
-                    state.revert(displaced);
-                    let link = Link { child, direction };
-                    own.then(|| (link, state.own_cells.clone().unwrap_or_default()))
-                }
-                Undo::Counters(counters) => {
-                    node.restore_counters(counters);
-                    None
-                }
+        let rows = rows.filter_map(|(node, undo)| match undo {
+            Undo::Dir(direction, displaced) => {
+                let link = tables.revert(node, direction, displaced)?;
+                let dir = &tables.nodes[node.index()].dirs[side(direction)];
+                Some((link, dir.own_cells.clone().unwrap_or_default()))
+            }
+            Undo::Counters(counters) => {
+                tables.nodes[node.index()].counters = counters;
+                None
             }
         });
         schedule.restore_rows(rows, version);
@@ -404,112 +647,324 @@ impl UndoLog {
 }
 
 /// Write access to one direction of one node: every setter logs what it
-/// displaces. Reads go through [`Deref`] to the [`DirState`] getters.
+/// displaces. Reads go through [`DirWriter::read`].
 pub(crate) struct DirWriter<'a> {
-    state: &'a mut DirState,
+    tables: &'a mut NodeTables,
     log: &'a mut UndoLog,
+    tree: &'a Tree,
     node: NodeId,
     direction: Direction,
 }
 
-impl Deref for DirWriter<'_> {
-    type Target = DirState;
-
-    fn deref(&self) -> &DirState {
-        self.state
-    }
-}
-
 impl<'a> DirWriter<'a> {
     pub(crate) fn new(
-        state: &'a mut DirState,
+        tables: &'a mut NodeTables,
         log: &'a mut UndoLog,
+        tree: &'a Tree,
         node: NodeId,
         direction: Direction,
     ) -> Self {
         Self {
-            state,
+            tables,
             log,
+            tree,
             node,
             direction,
         }
+    }
+
+    /// The state as written so far.
+    pub(crate) fn read(&self) -> DirView<'_> {
+        self.tables.dir(self.tree, self.node, self.direction)
+    }
+
+    /// Whether a write may go over what it replaces: only while no log
+    /// records, as a recording log may need the old items back.
+    fn in_place(&self) -> bool {
+        !self.log.is_recording()
     }
 
     fn displaced(&mut self, undo: DirUndo) {
         self.log.push(self.node, Undo::Dir(self.direction, undo));
     }
 
+    fn record_mut(&mut self) -> &mut DirRecord {
+        &mut self.tables.nodes[self.node.index()].dirs[side(self.direction)]
+    }
+
+    fn link_id(&self, child: NodeId) -> usize {
+        debug_assert_eq!(self.tree.parent(child), Some(self.node), "{child}'s parent");
+        let direction = self.direction;
+        Link { child, direction }.dense_id()
+    }
+
     /// Sets (`Some`) or drops (`None`) the requirement of the link to
     /// `child`.
     pub(crate) fn put_req(&mut self, child: NodeId, cells: Option<u32>) {
-        let old = put(&mut self.state.links, child, |l| &mut l.req, cells);
+        let id = self.link_id(child);
+        let old = mem::replace(&mut self.tables.links[id].req, cells);
         self.displaced(DirUndo::Req(child, old));
+    }
+
+    /// Writes the interface `child` reported through `write`.
+    fn write_child_interface(
+        &mut self,
+        child: NodeId,
+        write: impl FnOnce(&mut RunPool<(u32, ResourceComponent)>, &mut Run) -> Run,
+    ) {
+        let id = self.link_id(child);
+        let NodeTables {
+            links, components, ..
+        } = &mut *self.tables;
+        let old = write_slot(components, &mut links[id].interface, write);
+        self.displaced(DirUndo::ChildInterface(child, old));
     }
 
     /// Stores (`Some`) or forgets (`None`) the whole interface `child`
     /// reported.
-    pub(crate) fn put_child_interface(&mut self, child: NodeId, iface: Option<ResourceInterface>) {
-        let old = put(&mut self.state.links, child, |l| &mut l.interface, iface);
-        self.displaced(DirUndo::ChildInterface(child, old));
+    pub(crate) fn put_child_interface(&mut self, child: NodeId, iface: Option<&ResourceInterface>) {
+        let in_place = self.in_place();
+        match iface {
+            Some(iface) => self.write_child_interface(child, |pool, run| {
+                pool.rewrite(run, in_place, |items| items.extend(iface.iter()))
+            }),
+            None => {
+                let id = self.link_id(child);
+                let old = self.tables.links[id].interface.take();
+                if let Some(run) = old {
+                    self.tables.components.discard(run);
+                }
+                self.displaced(DirUndo::ChildInterface(child, old));
+            }
+        }
     }
 
-    /// Sets one component of `child`'s interface, starting an empty
-    /// interface if the child had reported none.
+    /// Stores the interface `child` generated, as its `POST intf` would
+    /// have delivered it.
+    pub(crate) fn store_child_interface(&mut self, child: NodeId) {
+        let in_place = self.in_place();
+        let side = side(self.direction);
+        let generated = self.tables.nodes[child.index()].dirs[side].interface;
+        let src = generated.expect("children generate before their parent");
+        self.write_child_interface(child, |pool, run| {
+            pool.rewrite_from(run, in_place, src, Some)
+        });
+    }
+
+    /// Sets one component of `child`'s interface, starting an interface
+    /// if the child had reported none.
     pub(crate) fn set_child_component(
         &mut self,
         child: NodeId,
         layer: u32,
         component: ResourceComponent,
     ) {
-        if self.state.child_interface(child).is_none() {
-            self.put_child_interface(child, Some(ResourceInterface::new()));
+        let in_place = self.in_place();
+        let id = self.link_id(child);
+        let Some(run) = self.tables.links[id].interface else {
+            return self.write_child_interface(child, |pool, run| {
+                pool.rewrite(run, in_place, |items| items.push((layer, component)))
+            });
+        };
+        let components = &mut self.tables.components;
+        if let Some(c) = component_mut(components, run, layer) {
+            let old = mem::replace(c, component);
+            return self.displaced(DirUndo::ChildComponent(child, layer, old));
         }
-        let iface = self
-            .state
-            .child_interface_mut(child)
-            .expect("present or just inserted");
-        let old = iface.set(layer, component);
-        self.displaced(DirUndo::ChildComponent(child, layer, old));
+        let at = components.get(run).partition_point(|&(l, _)| l < layer);
+        self.write_child_interface(child, |pool, run| {
+            pool.insert(run, in_place, at, (layer, component))
+        });
     }
 
-    /// Replaces this node's whole interface.
-    pub(crate) fn set_interface(&mut self, iface: ResourceInterface) {
-        let old = self.state.interface.replace(iface);
+    /// Replaces this node's whole interface: `own` at `own_layer`, then
+    /// the `composed` layers in order.
+    pub(crate) fn set_interface(
+        &mut self,
+        own_layer: u32,
+        own: ResourceComponent,
+        composed: impl Iterator<Item = (u32, ResourceComponent)>,
+    ) {
+        let in_place = self.in_place();
+        let side = side(self.direction);
+        let NodeTables {
+            nodes, components, ..
+        } = &mut *self.tables;
+        let slot = &mut nodes[self.node.index()].dirs[side].interface;
+        let old = write_slot(components, slot, |pool, run| {
+            pool.rewrite(run, in_place, |items| {
+                items.push((own_layer, own));
+                items.extend(composed);
+            })
+        });
         self.displaced(DirUndo::Interface(old));
     }
 
     /// Sets one component of this node's interface; no-op before the
     /// interface was generated.
     pub(crate) fn set_component(&mut self, layer: u32, component: ResourceComponent) {
-        if let Some(iface) = self.state.interface.as_mut() {
-            let old = iface.set(layer, component);
-            self.displaced(DirUndo::Component(layer, old));
+        let in_place = self.in_place();
+        let side = side(self.direction);
+        let NodeTables {
+            nodes, components, ..
+        } = &mut *self.tables;
+        let slot = &mut nodes[self.node.index()].dirs[side].interface;
+        let Some(run) = *slot else {
+            return;
+        };
+        if let Some(c) = component_mut(components, run, layer) {
+            let old = mem::replace(c, component);
+            return self.displaced(DirUndo::Component(layer, old));
         }
+        let at = components.get(run).partition_point(|&(l, _)| l < layer);
+        let old = write_slot(components, slot, |pool, run| {
+            pool.insert(run, in_place, at, (layer, component))
+        });
+        self.displaced(DirUndo::Interface(old));
     }
 
-    pub(crate) fn set_layout(&mut self, layer: u32, layout: CompositionLayout) {
-        let old = put(
-            &mut self.state.layers,
-            layer,
-            |l| &mut l.layout,
-            Some(layout),
-        );
+    /// The position of `layer`'s row, made first (vacant) if `make` and
+    /// there is none.
+    fn row_at(&mut self, layer: u32, make: bool) -> Option<usize> {
+        let rows = self.read().rows();
+        let at = rows.partition_point(|r| r.layer < layer);
+        if rows.get(at).is_some_and(|r| r.layer == layer) {
+            return Some(at);
+        }
+        if !make {
+            return None;
+        }
+        let in_place = self.in_place();
+        let side = side(self.direction);
+        let NodeTables { nodes, layers, .. } = &mut *self.tables;
+        let run = &mut nodes[self.node.index()].dirs[side].layers;
+        let old = layers.insert(run, in_place, at, LayerRow::vacant(layer));
+        self.displaced(DirUndo::Layers(old));
+        Some(at)
+    }
+
+    fn row_mut(&mut self, at: usize) -> &mut LayerRow {
+        let run = self.record_mut().layers;
+        &mut self.tables.layers.get_mut(run)[at]
+    }
+
+    /// Makes a row for every one of `layers` this node holds none for: in
+    /// one write when it holds none at all, as a node that generates its
+    /// interface does.
+    pub(crate) fn hold_layers(&mut self, layers: RangeInclusive<u32>) {
+        if !self.record_mut().layers.is_empty() {
+            layers.for_each(|layer| {
+                self.row_at(layer, true);
+            });
+            return;
+        }
+        let in_place = self.in_place();
+        let side = side(self.direction);
+        let NodeTables {
+            nodes,
+            layers: pool,
+            ..
+        } = &mut *self.tables;
+        let run = &mut nodes[self.node.index()].dirs[side].layers;
+        let old = pool.rewrite(run, in_place, |rows| {
+            rows.extend(layers.map(LayerRow::vacant));
+        });
+        self.displaced(DirUndo::Layers(old));
+    }
+
+    /// Writes one field of `layer`'s row, making the row when a value needs
+    /// one, and logs what the field held.
+    fn put_field<V: Copy>(
+        &mut self,
+        layer: u32,
+        field: fn(&mut LayerRow) -> &mut Option<V>,
+        value: Option<V>,
+        undo: fn(u32, Option<V>) -> DirUndo,
+    ) {
+        let Some(at) = self.row_at(layer, value.is_some()) else {
+            return;
+        };
+        let old = mem::replace(field(self.row_mut(at)), value);
+        self.displaced(undo(layer, old));
+    }
+
+    /// Writes the children's partitions at `layer` through `write`.
+    fn write_child_partitions(
+        &mut self,
+        layer: u32,
+        write: impl FnOnce(&mut RunPool<(NodeId, Rect)>, &mut Run) -> Run,
+    ) {
+        let at = self.row_at(layer, true).expect("made");
+        let run = self.record_mut().layers;
+        let NodeTables {
+            layers, placements, ..
+        } = &mut *self.tables;
+        let slot = &mut layers.get_mut(run)[at].child_partitions;
+        let old = write_slot(placements, slot, write);
+        self.displaced(DirUndo::ChildPartitions(layer, old));
+    }
+
+    /// Stores how the children's components at `layer` were composed: the
+    /// `composite`, and each child's `placed` rectangle inside it.
+    pub(crate) fn set_layout(
+        &mut self,
+        layer: u32,
+        composite: ResourceComponent,
+        placed: &[(NodeId, Rect)],
+    ) {
+        let in_place = self.in_place();
+        let at = self.row_at(layer, true).expect("made");
+        let old = self.row_mut(at).layout;
+        let mut placements = old.map_or_else(Run::default, |l| l.placements);
+        if !self.overwrite_placed(layer, Placed::Layout, placed) {
+            let write = |items: &mut Vec<_>| items.extend_from_slice(placed);
+            self.tables
+                .placements
+                .rewrite(&mut placements, in_place, write);
+        }
+        self.row_mut(at).layout = Some(Layout {
+            composite,
+            placements,
+        });
         self.displaced(DirUndo::Layout(layer, old));
     }
 
+    /// Writes `placed` over the `which` placements of `layer`'s row when
+    /// the row holds as many and at most one of them changes: that one is
+    /// logged, and the run stays where it is. A write that changes more
+    /// moves the run instead, for the one log entry of its descriptor.
+    /// Returns whether it wrote.
+    fn overwrite_placed(&mut self, layer: u32, which: Placed, placed: &[(NodeId, Rect)]) -> bool {
+        let Some(at) = self.row_at(layer, false) else {
+            return false;
+        };
+        let row = *self.row_mut(at);
+        let run = match which {
+            Placed::Layout => row.layout.map(|l| l.placements),
+            Placed::Children => row.child_partitions,
+        };
+        let Some(run) = run.filter(|run| run.len() == placed.len()) else {
+            return false;
+        };
+        let held = self.tables.placements.get_mut(run);
+        let mut changed = (0..placed.len()).filter(|&i| held[i] != placed[i]);
+        let (first, more) = (changed.next(), changed.next());
+        if more.is_some() {
+            return false;
+        }
+        if let Some(i) = first {
+            let old = mem::replace(&mut held[i], placed[i]);
+            self.displaced(DirUndo::Placement(layer, which, i as u32, old));
+        }
+        true
+    }
+
     pub(crate) fn set_partition(&mut self, layer: u32, rect: Rect) {
-        let old = put(
-            &mut self.state.layers,
-            layer,
-            |l| &mut l.partition,
-            Some(rect),
-        );
-        self.displaced(DirUndo::Partition(layer, old));
+        self.put_field(layer, |r| &mut r.partition, Some(rect), DirUndo::Partition);
     }
 
     /// [`DirWriter::set_partition`] for every layer of this node's
-    /// interface, in one pass (a caller cannot read the interface while it
-    /// writes): the layers' components side by side along the slot axis
+    /// interface: the layers' components side by side along the slot axis
     /// from `cursor` on, deepest layer first if `descending`. Returns the
     /// slot after the last one, or, placing nothing, the overflow of
     /// `available` slots when that slot is past `u32::MAX`.
@@ -519,52 +974,78 @@ impl<'a> DirWriter<'a> {
         descending: bool,
         available: u32,
     ) -> Result<u32, HarpError> {
-        let DirState {
-            interface, layers, ..
-        } = &mut *self.state;
-        let iface = interface.as_ref().expect("generated before allocation");
-        let slots: u64 = iface.iter().map(|(_, c)| u64::from(c.slots)).sum();
+        let iface = self.record_mut().interface;
+        let iface = iface.expect("generated before allocation");
+        let components = self.tables.components.get(iface);
+        let slots: u64 = components.iter().map(|(_, c)| u64::from(c.slots)).sum();
         slot_count(u64::from(cursor) + slots, available)?;
-        let mut place = |(layer, c): (u32, ResourceComponent)| {
-            let rect = Rect::new(Point::new(cursor, 0), c.as_size());
-            let old = put(layers, layer, |l| &mut l.partition, Some(rect));
-            let undo = DirUndo::Partition(layer, old);
-            self.log.push(self.node, Undo::Dir(self.direction, undo));
+        let n = iface.len();
+        for k in 0..n {
+            let at = if descending { n - 1 - k } else { k };
+            let (layer, c) = self.tables.components.get(iface)[at];
+            self.set_partition(layer, Rect::new(Point::new(cursor, 0), c.as_size()));
             cursor += c.slots;
-        };
-        if descending {
-            iface.iter().rev().for_each(&mut place);
-        } else {
-            iface.iter().for_each(&mut place);
         }
         Ok(cursor)
     }
 
-    pub(crate) fn set_child_partitions(&mut self, layer: u32, placed: Vec<(NodeId, Rect)>) {
-        let old = put(
-            &mut self.state.layers,
-            layer,
-            |l| &mut l.child_partitions,
-            Some(placed),
-        );
-        self.displaced(DirUndo::ChildPartitions(layer, old));
+    /// Stores the partitions this node allocated to its children at
+    /// `layer`.
+    pub(crate) fn set_child_partitions(&mut self, layer: u32, placed: &[(NodeId, Rect)]) {
+        if self.overwrite_placed(layer, Placed::Children, placed) {
+            return;
+        }
+        let in_place = self.in_place();
+        self.write_child_partitions(layer, |pool, run| {
+            pool.rewrite(run, in_place, |items| items.extend_from_slice(placed))
+        });
     }
 
-    /// [`DirWriter::set_child_partitions`] for every composed layer, in one
-    /// pass: stores what `place` makes of the layer's layout and this
-    /// node's partition there (a caller cannot read those while it writes).
-    pub(crate) fn place_child_partitions<E>(
-        &mut self,
-        mut place: impl FnMut(u32, &CompositionLayout, Option<Rect>) -> Result<Vec<(NodeId, Rect)>, E>,
-    ) -> Result<(), E> {
-        for row in &mut self.state.layers {
-            let Some(layout) = &row.layout else {
+    /// Drops `child`'s partition from every layer that holds one.
+    pub(crate) fn drop_child_partitions(&mut self, child: NodeId) {
+        let in_place = self.in_place();
+        let mut from = 0;
+        loop {
+            let next = self.read().child_partitions().find(|&(l, _)| l >= from);
+            let Some((layer, placed)) = next else {
+                return;
+            };
+            if placed.iter().any(|&(c, _)| c == child) {
+                let keep = |(c, rect): (NodeId, Rect)| (c != child).then_some((c, rect));
+                self.write_child_partitions(layer, |pool, run| {
+                    let placed = *run;
+                    pool.rewrite_from(run, in_place, placed, keep)
+                });
+            }
+            from = layer + 1;
+        }
+    }
+
+    /// Carves the children's partitions out of this node's own at every
+    /// composed layer: each layout's placements, translated to the node's
+    /// partition there.
+    ///
+    /// # Errors
+    ///
+    /// [`HarpError::MissingPartition`] at a composed layer the node holds
+    /// no partition for (the layers before it are carved).
+    pub(crate) fn place_child_partitions(&mut self) -> Result<(), HarpError> {
+        let in_place = self.in_place();
+        for at in 0..self.read().rows().len() {
+            let row = self.read().rows()[at];
+            let Some(layout) = row.layout else {
                 continue;
             };
-            let placed = place(row.layer, layout, row.partition)?;
-            let old = row.child_partitions.replace(placed);
-            let undo = DirUndo::ChildPartitions(row.layer, old);
-            self.log.push(self.node, Undo::Dir(self.direction, undo));
+            let layer = row.layer;
+            let own = row.partition.ok_or(HarpError::MissingPartition {
+                node: self.node,
+                layer,
+            })?;
+            let (dx, dy) = (own.origin.x, own.origin.y);
+            let translate = move |(c, rel): (NodeId, Rect)| Some((c, rel.translated(dx, dy)));
+            self.write_child_partitions(layer, |pool, run| {
+                pool.rewrite_from(run, in_place, layout.placements, translate)
+            });
         }
         Ok(())
     }
@@ -572,28 +1053,41 @@ impl<'a> DirWriter<'a> {
     /// Stores (`Some`) or drops (`None`) the cells assigned to the link to
     /// `child`.
     pub(crate) fn put_assignment(&mut self, child: NodeId, cells: Option<CellRun>) {
-        let old = put(&mut self.state.links, child, |l| &mut l.assignment, cells);
+        let id = self.link_id(child);
+        let old = mem::replace(&mut self.tables.links[id].assignment, cells);
         self.displaced(DirUndo::Assignment(child, old));
     }
 
     pub(crate) fn set_own_cells(&mut self, cells: CellRun) {
-        let old = self.state.own_cells.replace(cells);
+        let old = self.record_mut().own_cells.replace(cells);
         self.displaced(DirUndo::OwnCells(old));
     }
 
     /// Marks (`Some(requester)`) or clears (`None`) the escalation pending
     /// at `layer`.
     pub(crate) fn put_pending(&mut self, layer: u32, requester: Option<NodeId>) {
-        let old = put(&mut self.state.layers, layer, |l| &mut l.pending, requester);
-        self.displaced(DirUndo::Pending(layer, old));
+        self.put_field(layer, |r| &mut r.pending, requester, DirUndo::Pending);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule_gen::SchedulingPolicy;
     use tsch_sim::SlotframeConfig;
+
+    /// A gateway with five children, and tables holding nothing.
+    fn star() -> (Tree, NodeTables) {
+        let tree = Tree::from_parents(&[(1, 0), (2, 0), (3, 0), (4, 0), (5, 0)]);
+        let tables = NodeTables::new(&tree, &Requirements::new());
+        (tree, tables)
+    }
+
+    /// Everything the getters read of the gateway, both directions.
+    fn contents(tables: &NodeTables, tree: &Tree) -> String {
+        let root = tree.root();
+        let dirs = Direction::BOTH.map(|d| tables.dir(tree, root, d));
+        format!("{dirs:?} {:?}", tables.counters(root))
+    }
 
     /// Every setter once, each on a key that is there and on one that is
     /// not (or, for the whole-value setters, on `Some` and on `None`).
@@ -601,31 +1095,31 @@ mod tests {
         let (kid, layer) = (NodeId(1 + round), 2 + round);
         let comp = ResourceComponent::new(3 + round, 2);
         let rect = Rect::from_xywh(round, 0, 4, 2);
-        let layout =
-            crate::compose::compose_components(&[(kid, comp)], 16, layer).expect("composes");
+        let iface: ResourceInterface = [(layer, comp)].into_iter().collect();
         w.put_req(kid, Some(7 + round));
-        w.put_child_interface(kid, Some([(layer, comp)].into_iter().collect()));
+        w.put_child_interface(kid, Some(&iface));
         w.set_child_component(kid, layer + 1, comp);
-        w.set_child_component(NodeId(90 + round), layer, comp);
+        w.set_child_component(kid, layer, ResourceComponent::row(1));
+        w.set_child_component(NodeId(3 + round), layer, comp);
         w.set_component(layer, comp);
-        w.set_interface([(layer, comp)].into_iter().collect());
+        w.set_interface(layer, comp, std::iter::empty());
         w.set_component(layer, ResourceComponent::row(9));
         w.set_component(layer + 1, comp);
-        w.set_layout(layer, layout.clone());
-        w.set_layout(layer + 1, layout);
+        w.set_component(layer - 1, comp);
+        w.hold_layers(layer..=layer + 2);
+        w.set_layout(layer, comp, &[(kid, rect)]);
+        w.set_layout(layer + 1, comp, &[(kid, rect), (NodeId(5), rect)]);
         w.set_partition(layer, rect);
         w.place_partitions_in_a_row(round, round == 0, 199)
             .expect("fits a u32");
-        w.set_child_partitions(layer, vec![(kid, rect)]);
-        w.place_child_partitions(|_, layout, own| match own {
-            Some(own) => Ok(vec![(kid, own), (kid, layout.placements()[0].1)]),
-            None => Err(()),
-        })
-        .expect("both layers with a layout have a partition");
+        w.set_child_partitions(layer, &[(kid, rect)]);
+        w.place_child_partitions()
+            .expect("both layers with a layout have a partition");
         let config = SlotframeConfig::paper_default();
         w.put_assignment(kid, Some(CellRun::new(rect, config, 0..1)));
         w.set_own_cells(CellRun::new(rect, config, 4..5));
         w.put_pending(layer, Some(kid));
+        w.put_pending(layer + 7, Some(kid));
     }
 
     fn remove_everything(w: &mut DirWriter<'_>) {
@@ -633,87 +1127,137 @@ mod tests {
         w.put_req(kid, None);
         w.put_child_interface(kid, None);
         w.put_assignment(kid, None);
+        w.drop_child_partitions(kid);
         w.put_pending(2, None);
         w.put_pending(77, None);
     }
 
     #[test]
-    fn a_table_write_is_its_own_inverse_at_every_position() {
-        let rect = |l: u32| Rect::from_xywh(l, 0, 3, 1);
-        // Rows 2, 4 and 6 hold a partition, row 4 a pending requester too.
-        let mut table: Vec<LayerState> = Vec::new();
-        for layer in [4, 2, 6] {
-            put(&mut table, layer, |l| &mut l.partition, Some(rect(layer)));
-        }
-        put(&mut table, 4, |l| &mut l.pending, Some(NodeId(9)));
-        let before = table.clone();
-
-        // Keys before, between and after the rows, and the first, middle
-        // and last row; a value, and the `None` that empties rows 2 and 6
-        // but not row 4.
-        for layer in 1..=7 {
-            for value in [Some(rect(99)), None] {
-                let old = put(&mut table, layer, |l| &mut l.partition, value);
-                assert_eq!(
-                    old,
-                    before
-                        .iter()
-                        .find(|l| l.layer == layer)
-                        .map(|_| rect(layer))
-                );
-                assert_eq!(row(&table, layer).and_then(|l| l.partition), value);
-                assert_eq!(row(&table, layer).is_some(), value.is_some() || layer == 4);
-                assert!(table.windows(2).all(|w| w[0].layer < w[1].layer));
-                assert!(!table.iter().any(Row::is_vacant));
-
-                let written = put(&mut table, layer, |l| &mut l.partition, old);
-                assert_eq!(written, value);
-                assert_eq!(table, before, "layer {layer}, {value:?}");
-            }
-        }
-    }
-
-    #[test]
     fn rollback_puts_every_displaced_value_back() {
         let config = SlotframeConfig::paper_default();
-        let root = NodeId(0);
-        let mut nodes = [HarpNode::new(root, config, SchedulingPolicy::RateMonotonic)];
-        let d = Direction::Down;
-        let empty = nodes[0].clone();
+        let (tree, mut tables) = star();
+        let (root, d) = (tree.root(), Direction::Down);
+        let empty = contents(&tables, &tree);
         let mut schedule = NetworkSchedule::new(config);
 
         // From nothing: every setter creates, a rollback leaves nothing.
         let mut log = UndoLog::recording();
-        let mut w = DirWriter::new(nodes[0].dir_state_mut(d), &mut log, root, d);
-        write_everything(&mut w, 0);
-        assert_ne!(nodes[0], empty);
-        log.rollback(&mut nodes, &mut schedule, 7);
-        assert_eq!(nodes[0], empty);
+        write_everything(
+            &mut DirWriter::new(&mut tables, &mut log, &tree, root, d),
+            0,
+        );
+        assert_ne!(contents(&tables, &tree), empty);
+        log.rollback(&mut tables, &mut schedule, 7);
+        assert_eq!(contents(&tables, &tree), empty);
         assert_eq!(schedule.cells_of(Link::down(root)), []);
         assert_eq!(schedule.version(), 7, "restored verbatim");
 
         // From a populated state, written without a log: every setter
         // overwrites, adds or removes, a rollback restores the lot.
-        let mut off = UndoLog::off();
-        let mut w = DirWriter::new(nodes[0].dir_state_mut(d), &mut off, root, d);
-        write_everything(&mut w, 0);
-        let populated = nodes[0].clone();
+        let mut off = UndoLog::default();
+        write_everything(
+            &mut DirWriter::new(&mut tables, &mut off, &tree, root, d),
+            0,
+        );
+        let populated = contents(&tables, &tree);
         let mut log = UndoLog::recording();
-        log.save_counters(root, *nodes[0].obs_counters());
-        nodes[0].restore_counters(NodeObsCounters {
-            escalations: 3,
-            ..NodeObsCounters::default()
-        });
-        let mut w = DirWriter::new(nodes[0].dir_state_mut(d), &mut log, root, d);
+        tables.count(&mut log, root, |c| c.escalations = 3);
+        let mut w = DirWriter::new(&mut tables, &mut log, &tree, root, d);
         write_everything(&mut w, 0);
         write_everything(&mut w, 1);
         remove_everything(&mut w);
-        assert_ne!(nodes[0], populated);
-        log.rollback(&mut nodes, &mut schedule, 0);
-        assert_eq!(nodes[0], populated);
+        assert_ne!(contents(&tables, &tree), populated);
+        log.rollback(&mut tables, &mut schedule, 0);
+        assert_eq!(contents(&tables, &tree), populated);
         // The link's row projects the own cells the replay put back.
-        let installed = nodes[0].installed(d).to_vec();
+        let installed = tables.dir(&tree, root, d).own_cells().cloned();
+        let installed = installed.expect("written").to_vec();
         assert_eq!(installed.len(), 1);
         assert_eq!(schedule.cells_of(Link::down(root)), installed);
+    }
+
+    #[test]
+    fn a_rollback_reads_a_run_back_from_before_it_moved() {
+        let (tree, mut tables) = star();
+        let (root, d) = (tree.root(), Direction::Up);
+        let mut off = UndoLog::default();
+        let mut w = DirWriter::new(&mut tables, &mut off, &tree, root, d);
+        w.set_interface(
+            1,
+            ResourceComponent::row(4),
+            [(2, ResourceComponent::new(2, 2))].into_iter(),
+        );
+        w.hold_layers(1..=2);
+        w.set_partition(2, Rect::from_xywh(0, 0, 2, 2));
+        let before = contents(&tables, &tree);
+        let (layers, components) = (tables.layers.garbage(), tables.components.garbage());
+
+        // A deeper layer joins both runs: recording, each moves to its
+        // pool's tail; later writes go to the moved runs.
+        let mut log = UndoLog::recording();
+        let mut w = DirWriter::new(&mut tables, &mut log, &tree, root, d);
+        w.set_component(3, ResourceComponent::row(1));
+        w.set_component(1, ResourceComponent::row(6));
+        w.put_pending(3, Some(NodeId(2)));
+        w.set_partition(2, Rect::from_xywh(5, 0, 2, 2));
+        assert!(tables.layers.garbage() > layers, "the layer rows moved");
+        assert!(
+            tables.components.garbage() > components,
+            "the interface moved"
+        );
+        let view = tables.dir(&tree, root, d);
+        assert_eq!(view.pending(3), Some(NodeId(2)));
+        assert_eq!(view.interface().map(<[_]>::len), Some(3));
+
+        log.rollback(&mut tables, &mut NetworkSchedule::default(), 0);
+        assert_eq!(contents(&tables, &tree), before);
+        // The moved-to runs are what is garbage now.
+        assert_eq!(tables.layers.garbage(), layers + 3);
+        assert_eq!(tables.components.garbage(), components + 3);
+    }
+
+    #[test]
+    fn a_write_that_keeps_a_runs_length_leaves_it_in_place() {
+        let (tree, mut tables) = star();
+        let (root, d) = (tree.root(), Direction::Down);
+        let rect = |x| Rect::from_xywh(x, 0, 2, 1);
+        let mut off = UndoLog::default();
+        let w = &mut DirWriter::new(&mut tables, &mut off, &tree, root, d);
+        w.set_child_partitions(3, &[(NodeId(1), rect(0)), (NodeId(2), rect(2))]);
+        let before = contents(&tables, &tree);
+
+        let mut log = UndoLog::recording();
+        let w = &mut DirWriter::new(&mut tables, &mut log, &tree, root, d);
+        w.set_child_partitions(3, &[(NodeId(1), rect(0)), (NodeId(2), rect(5))]);
+        assert_eq!(tables.placements.garbage(), 0, "nothing moved");
+        let view = tables.dir(&tree, root, d);
+        assert_eq!(view.child_partitions_at(3).map(|p| p[1].1), Some(rect(5)));
+        log.rollback(&mut tables, &mut NetworkSchedule::default(), 0);
+        assert_eq!(contents(&tables, &tree), before);
+    }
+
+    #[test]
+    fn compaction_waits_for_the_log_to_close() {
+        let (tree, mut tables) = star();
+        let root = tree.root();
+        let mut log = UndoLog::recording();
+        // Each write changes the run's length, so it moves the run.
+        for round in 0..40 {
+            let w = &mut DirWriter::new(&mut tables, &mut log, &tree, root, Direction::Up);
+            let placed: Vec<_> = (1..=1 + round % 5)
+                .map(|c| (NodeId(c), Rect::from_xywh(round, 0, 1, 1)))
+                .collect();
+            w.set_child_partitions(2, &placed);
+        }
+        assert!(tables.placements.wants_compaction());
+        let written = contents(&tables, &tree);
+        let garbage = tables.placements.garbage();
+        assert!(!tables.compact(&log), "a recording log holds moved runs");
+        assert_eq!(tables.placements.garbage(), garbage);
+
+        drop(log);
+        assert!(tables.compact(&UndoLog::default()));
+        assert_eq!(tables.placements.garbage(), 0);
+        assert_eq!(contents(&tables, &tree), written);
     }
 }

@@ -17,10 +17,10 @@
 //! 2. **Centralized oracle** — run the whole pipeline in one call sequence
 //!    to obtain the network schedule a converged HARP deployment produces
 //!    (used by the paper's simulation studies, Fig. 11).
-//! 3. **Distributed deployment** — one [`HarpNode`] state machine per
-//!    device exchanging [`HarpMessage`]s (Table I) over a simulated
-//!    management plane via [`HarpNetwork`], with realistic per-hop latency
-//!    (used by the testbed experiments, Figs. 9–10 and Table II).
+//! 3. **Distributed deployment** — one HARP state machine per device
+//!    ([`HarpNode`] reads one) exchanging [`HarpMessage`]s (Table I) over a
+//!    simulated management plane via [`HarpNetwork`], with realistic per-hop
+//!    latency (used by the testbed experiments, Figs. 9–10 and Table II).
 //!
 //! # Examples
 //!
@@ -136,7 +136,7 @@ mod lib_tests {
         assert_traits::<CompositionLayout>();
         assert_traits::<PartitionTable>();
         assert_traits::<HarpMessage>();
-        assert_traits::<HarpNode>();
+        assert_traits::<HarpNode<'static>>();
         assert_traits::<ProtocolReport>();
         assert_traits::<HarpError>();
     }
@@ -144,7 +144,7 @@ mod lib_tests {
     #[test]
     fn core_types_are_send_sync() {
         fn assert_ss<T: Send + Sync>() {}
-        assert_ss::<HarpNode>();
+        assert_ss::<HarpNode<'static>>();
         assert_ss::<HarpNetwork>();
         assert_ss::<PartitionTable>();
     }

@@ -1,14 +1,17 @@
 //! The per-node HARP state machine.
 //!
-//! A [`HarpNode`] holds the protocol state a real device holds on the
-//! testbed: the cell requirements of its child links, the interfaces its
-//! children reported, the partitions its parent granted, and the schedule
-//! it decided for its own links. Its neighbourhood (parent, children, link
-//! layer) is RPL's output, not HARP state: handlers read it from the
-//! routing [`Tree`] they are handed, the one the network owns and swaps on
+//! A node holds the protocol state a real device holds on the testbed: the
+//! cell requirements of its child links, the interfaces its children
+//! reported, the partitions its parent granted, and the schedule it
+//! decided for its own links. That state lives in the network's node
+//! tables (`dir_state.rs`); [`HarpNode`] is the read view of one node that
+//! [`HarpNetwork::node`](crate::HarpNetwork::node) lends. Its neighbourhood
+//! (parent, children, link layer) is RPL's output, not HARP state: handlers
+//! read it from the routing [`Tree`], the one the network owns and swaps on
 //! every join and parent switch.
 //!
-//! Handlers consume one [`HarpMessage`] and write into an outbox of
+//! A handler is a method of [`Cx`], what the network lends it, run for one
+//! node: it consumes one [`HarpMessage`] and writes into an outbox of
 //! [`Effects`] the messages to send to neighbours. A child installs a cell
 //! assignment only on receipt — as its own cells and, their projection, in
 //! its link's schedule row — which is what gives the dynamic-adjustment
@@ -20,14 +23,16 @@
 //! one step of Alg. 2, and `take_partition` installs a granted partition.
 
 use crate::adjust::{adjust_partition, AdjustmentOutcome};
-use crate::component::{ResourceComponent, ResourceInterface};
-use crate::dir_state::{DirState, DirWriter, UndoLog};
+use crate::component::{LayerComponents, ResourceComponent, ResourceInterface};
+use crate::compose::CompositionLayout;
+use crate::dir_state::{DirView, DirWriter, NodeTables, UndoLog};
 use crate::error::HarpError;
 use crate::protocol::HarpMessage;
 use crate::schedule_gen::{CellRun, SchedulingPolicy};
 use crate::workspace::Workspace;
 use packing::{Point, Rect};
 use std::collections::BTreeMap;
+use std::{fmt, mem};
 use tsch_sim::{Direction, Link, NetworkSchedule, NodeId, SlotframeConfig, Tree};
 
 /// What a handler wants sent: messages to neighbours.
@@ -55,11 +60,16 @@ impl Effects {
     }
 }
 
-/// What a handler borrows from whoever drives it: the routing tree it reads
-/// its neighbourhood from, the undo log its writes feed, the schedule it
-/// installs cells in, the workspace it computes in, and its outbox.
+/// What a handler borrows from the network that drives it: the routing tree
+/// it reads its neighbourhood from, the slotframe and policy, the node
+/// tables it keeps its state in, the undo log their writes feed, the
+/// schedule it installs cells in, the workspace it computes in, and its
+/// outbox.
 pub(crate) struct Cx<'a> {
     pub tree: &'a Tree,
+    pub config: SlotframeConfig,
+    pub policy: SchedulingPolicy,
+    pub nodes: &'a mut NodeTables,
     pub log: &'a mut UndoLog,
     pub schedule: &'a mut NetworkSchedule,
     pub ws: &'a mut Workspace,
@@ -117,31 +127,19 @@ impl NodeObsCounters {
     }
 }
 
-/// One HARP participant: the distributed state machine of a single device.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HarpNode {
+/// One HARP participant's protocol state, read through the network that
+/// keeps it ([`HarpNetwork::node`](crate::HarpNetwork::node)). Its `Debug`
+/// form lists what every getter reads.
+#[derive(Clone, Copy)]
+pub struct HarpNode<'a> {
+    tables: &'a NodeTables,
+    tree: &'a Tree,
     id: NodeId,
-    config: SlotframeConfig,
-    policy: SchedulingPolicy,
-    up: DirState,
-    down: DirState,
-    counters: NodeObsCounters,
 }
 
-impl HarpNode {
-    /// Creates the node for `id`, holding no protocol state yet. Its
-    /// neighbourhood is the routing tree's, which every handler is handed
-    /// (a real device learns it from RPL).
-    #[must_use]
-    pub fn new(id: NodeId, config: SlotframeConfig, policy: SchedulingPolicy) -> Self {
-        Self {
-            id,
-            config,
-            policy,
-            up: DirState::default(),
-            down: DirState::default(),
-            counters: NodeObsCounters::default(),
-        }
+impl<'a> HarpNode<'a> {
+    pub(crate) fn new(tables: &'a NodeTables, tree: &'a Tree, id: NodeId) -> Self {
+        Self { tables, tree, id }
     }
 
     /// This node's id.
@@ -150,62 +148,31 @@ impl HarpNode {
         self.id
     }
 
+    fn dir(&self, direction: Direction) -> DirView<'a> {
+        self.tables.dir(self.tree, self.id, direction)
+    }
+
     /// This node's adjustment-activity counters.
     #[must_use]
-    pub(crate) fn obs_counters(&self) -> &NodeObsCounters {
-        &self.counters
-    }
-
-    fn dir(&self, d: Direction) -> &DirState {
-        match d {
-            Direction::Up => &self.up,
-            Direction::Down => &self.down,
-        }
-    }
-
-    /// One direction's state. Harmless to hand out: its fields are private
-    /// to `dir_state.rs`, which writes through this only to build a
-    /// [`DirWriter`] or to roll back.
-    pub(crate) fn dir_state_mut(&mut self, d: Direction) -> &mut DirState {
-        match d {
-            Direction::Up => &mut self.up,
-            Direction::Down => &mut self.down,
-        }
-    }
-
-    /// Puts back counters an aborted run had saved ([`UndoLog::rollback`]).
-    pub(crate) fn restore_counters(&mut self, counters: NodeObsCounters) {
-        self.counters = counters;
-    }
-
-    /// The only way to write one direction's state: through `log`.
-    fn dir_mut<'a>(&'a mut self, log: &'a mut UndoLog, d: Direction) -> DirWriter<'a> {
-        let id = self.id;
-        DirWriter::new(self.dir_state_mut(d), log, id, d)
-    }
-
-    /// Changes the counters, saving them to `log` first.
-    fn count(&mut self, log: &mut UndoLog, change: impl FnOnce(&mut NodeObsCounters)) {
-        log.save_counters(self.id, self.counters);
-        change(&mut self.counters);
-    }
-
-    /// Sets the requirement of the link to `child` (static configuration).
-    pub fn set_requirement(&mut self, direction: Direction, child: NodeId, cells: u32) {
-        self.dir_mut(&mut UndoLog::off(), direction)
-            .put_req(child, Some(cells));
+    pub fn counters(&self) -> NodeObsCounters {
+        *self.tables.counters(self.id)
     }
 
     /// The node's generated interface for `direction`, if any.
     #[must_use]
-    pub fn interface(&self, direction: Direction) -> Option<&ResourceInterface> {
-        self.dir(direction).interface()
+    pub fn interface(&self, direction: Direction) -> Option<ResourceInterface> {
+        Some(self.dir(direction).interface()?.iter().copied().collect())
     }
 
     /// The partition granted to this node at `layer`.
     #[must_use]
     pub fn partition(&self, direction: Direction, layer: u32) -> Option<Rect> {
         self.dir(direction).partition(layer)
+    }
+
+    /// The partitions granted to this node, in layer order.
+    pub fn partitions(&self, direction: Direction) -> impl Iterator<Item = (u32, Rect)> + 'a {
+        self.dir(direction).partitions()
     }
 
     /// The cells this node assigned to the link toward `child` (an empty
@@ -216,6 +183,16 @@ impl HarpNode {
             .assignment(child)
             .cloned()
             .unwrap_or_default()
+    }
+
+    /// The cells this node assigned to its children's links, in child
+    /// order.
+    pub fn assignments(
+        &self,
+        direction: Direction,
+    ) -> impl Iterator<Item = (NodeId, CellRun)> + 'a {
+        let assigned = self.dir(direction).assignments();
+        assigned.map(|(c, cells)| (c, cells.clone()))
     }
 
     /// The cells this node installed on its link to its parent, which that
@@ -231,118 +208,126 @@ impl HarpNode {
         self.dir(direction).req(child).unwrap_or(0)
     }
 
+    /// The requirements this node tracks for its children's links, in child
+    /// order (a child it tracks with no demand reads 0).
+    pub fn requirements(&self, direction: Direction) -> impl Iterator<Item = (NodeId, u32)> + 'a {
+        self.dir(direction).reqs()
+    }
+
+    /// The interfaces this node's children reported, in child order.
+    pub fn child_interfaces(
+        &self,
+        direction: Direction,
+    ) -> impl Iterator<Item = (NodeId, ResourceInterface)> + 'a {
+        let reported = self.dir(direction).child_interfaces();
+        reported.map(|(c, iface)| (c, iface.iter().copied().collect()))
+    }
+
+    /// How this node composed its children's components, per composed
+    /// layer in layer order.
+    pub fn layouts(
+        &self,
+        direction: Direction,
+    ) -> impl Iterator<Item = (u32, CompositionLayout)> + 'a {
+        let layouts = self.dir(direction).layouts();
+        layouts.map(|(layer, composite, placed)| {
+            (layer, CompositionLayout::new(composite, placed.to_vec()))
+        })
+    }
+
+    /// The partitions this node allocated to its children, in layer order.
+    pub fn child_partitions(
+        &self,
+        direction: Direction,
+    ) -> impl Iterator<Item = (u32, &'a [(NodeId, Rect)])> + 'a {
+        self.dir(direction).child_partitions()
+    }
+
+    /// The escalations awaiting a bigger partition from the parent, in
+    /// layer order: each layer and the child whose component grew there.
+    pub fn pending(&self, direction: Direction) -> impl Iterator<Item = (u32, NodeId)> + 'a {
+        self.dir(direction).pendings()
+    }
+}
+
+impl fmt::Debug for HarpNode<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("HarpNode")
+            .field("id", &self.id)
+            .field("up", &self.dir(Direction::Up))
+            .field("down", &self.dir(Direction::Down))
+            .field("counters", &self.counters())
+            .finish()
+    }
+}
+
+impl Cx<'_> {
+    fn dir(&self, at: NodeId, direction: Direction) -> DirView<'_> {
+        self.nodes.dir(self.tree, at, direction)
+    }
+
+    /// The only way to write one direction of `at`'s state: through the
+    /// log.
+    fn dir_mut(&mut self, at: NodeId, direction: Direction) -> DirWriter<'_> {
+        DirWriter::new(self.nodes, self.log, self.tree, at, direction)
+    }
+
+    /// Changes `at`'s counters, saving them to the log first.
+    fn count(&mut self, at: NodeId, change: impl FnOnce(&mut NodeObsCounters)) {
+        self.nodes.count(self.log, at, change);
+    }
+
     // ---- topology mutation (node join / departure / parent switch): the
-    // edge itself is the tree's; each edit writes what this node keeps
-    // about the child through `log` like a handler does, so a rejected
+    // edge itself is the tree's; each edit writes what the parent keeps
+    // about the child through the log like a handler does, so a rejected
     // event rolls it back ----
 
-    /// Takes on `child`, a new (leaf) child of this node in the tree, with
-    /// zero demand. Demand is added afterwards via
-    /// [`HarpNode::request_change`], which triggers the partition machinery.
-    pub(crate) fn adopt_child(&mut self, log: &mut UndoLog, child: NodeId) {
+    /// `at` takes on `child`, a new (leaf) child of it in the tree, with
+    /// zero demand. Demand is added afterwards by a traffic change, which
+    /// triggers the partition machinery.
+    pub(crate) fn adopt_child(&mut self, at: NodeId, child: NodeId) {
         for d in Direction::BOTH {
-            if self.dir(d).req(child).is_none() {
-                self.dir_mut(log, d).put_req(child, Some(0));
+            if self.dir(at, d).req(child).is_none() {
+                self.dir_mut(at, d).put_req(child, Some(0));
             }
         }
     }
 
-    /// Forgets `child`, which left this node, dropping its demand,
-    /// interface, cell assignments and partitions. The freed cells become
-    /// idle area in this node's partition (released locally, as §V
-    /// prescribes for departures).
-    pub(crate) fn orphan_child(&mut self, log: &mut UndoLog, child: NodeId) {
+    /// `at` forgets `child`, which is leaving it (while the tree still
+    /// names `at` its parent), dropping its demand, interface, cell
+    /// assignments and partitions. The freed cells become idle area in
+    /// `at`'s partition (released locally, as §V prescribes for
+    /// departures).
+    pub(crate) fn orphan_child(&mut self, at: NodeId, child: NodeId) {
         for d in Direction::BOTH {
-            let mut ds = self.dir_mut(log, d);
+            let mut ds = self.dir_mut(at, d);
             ds.put_req(child, None);
             ds.put_child_interface(child, None);
             ds.put_assignment(child, None);
-            let mut from = 0;
-            loop {
-                let next = ds.child_partitions().find(|&(l, _)| l >= from);
-                let Some((layer, placed)) = next else {
-                    break;
-                };
-                if placed.iter().any(|&(c, _)| c == child) {
-                    let kept = placed.iter().copied().filter(|&(c, _)| c != child);
-                    let kept = kept.collect();
-                    ds.set_child_partitions(layer, kept);
-                }
-                from = layer + 1;
-            }
+            ds.drop_child_partitions(child);
         }
     }
 
-    /// Kicks off the static phase at this node, `tree` being the routing
-    /// tree. Nodes whose children are all leaves can generate and report
-    /// their interfaces immediately; everyone else waits for `POST intf`
-    /// messages.
-    ///
-    /// # Errors
-    ///
-    /// Propagates composition/allocation failures.
-    pub fn bootstrap(
-        &mut self,
-        tree: &Tree,
-        schedule: &mut NetworkSchedule,
-    ) -> Result<Effects, HarpError> {
-        self.standalone(tree, schedule, Self::bootstrap_logged)
-    }
-
-    /// Runs `handler` on `tree` and `schedule` outside any transaction, in
-    /// a fresh workspace, and returns what it put in its outbox.
-    fn standalone(
-        &mut self,
-        tree: &Tree,
-        schedule: &mut NetworkSchedule,
-        handler: impl FnOnce(&mut Self, &mut Cx<'_>) -> Result<(), HarpError>,
-    ) -> Result<Effects, HarpError> {
-        let mut outbox = Effects::default();
-        let (log, ws, fx) = (&mut UndoLog::off(), &mut Workspace::new(), &mut outbox);
-        let cx = &mut Cx {
-            tree,
-            log,
-            schedule,
-            ws,
-            fx,
-        };
-        handler(self, cx)?;
-        Ok(outbox)
-    }
-
-    /// [`HarpNode::bootstrap`] in `cx`.
-    pub(crate) fn bootstrap_logged(&mut self, cx: &mut Cx<'_>) -> Result<(), HarpError> {
-        if cx.tree.is_leaf(self.id) {
+    /// Kicks off the static phase at `at`. Nodes whose children are all
+    /// leaves can generate and report their interfaces immediately;
+    /// everyone else waits for `POST intf` messages.
+    pub(crate) fn bootstrap(&mut self, at: NodeId) -> Result<(), HarpError> {
+        if self.tree.is_leaf(at) {
             return Ok(());
         }
-        self.maybe_generate_and_report(cx)
+        self.maybe_generate_and_report(at)
     }
 
-    /// Handles one protocol message from a neighbour, `tree` being the
-    /// routing tree; a cell assignment installs its cells in `schedule`.
+    /// Handles one protocol message from `from` at `at`; a cell assignment
+    /// installs its cells in the schedule.
     ///
     /// Handlers are **idempotent**: the transport layer may re-deliver any
     /// message (a retransmission whose original squeaked through), so each
     /// arm recognises "nothing new" and sends nothing instead of
     /// re-applying state or re-triggering adjustments.
-    ///
-    /// # Errors
-    ///
-    /// Propagates algorithmic failures (overflow, packing, missing state).
-    pub fn handle(
+    pub(crate) fn handle(
         &mut self,
-        tree: &Tree,
-        schedule: &mut NetworkSchedule,
-        from: NodeId,
-        msg: HarpMessage,
-    ) -> Result<Effects, HarpError> {
-        self.standalone(tree, schedule, |node, cx| node.handle_logged(cx, from, msg))
-    }
-
-    /// [`HarpNode::handle`] in `cx`.
-    pub(crate) fn handle_logged(
-        &mut self,
-        cx: &mut Cx<'_>,
+        at: NodeId,
         from: NodeId,
         msg: HarpMessage,
     ) -> Result<(), HarpError> {
@@ -353,14 +338,14 @@ impl HarpNode {
                 // already contributed, so a further copy is a re-delivery.
                 // Storing it again would clobber dynamic (`PUT intf`)
                 // updates that arrived since.
-                if self.up.interface().is_some() {
+                if self.dir(at, Direction::Up).interface().is_some() {
                     return Ok(());
                 }
-                self.dir_mut(cx.log, Direction::Up)
-                    .put_child_interface(from, Some(up));
-                self.dir_mut(cx.log, Direction::Down)
-                    .put_child_interface(from, Some(down));
-                self.maybe_generate_and_report(cx)
+                self.dir_mut(at, Direction::Up)
+                    .put_child_interface(from, Some(&up));
+                self.dir_mut(at, Direction::Down)
+                    .put_child_interface(from, Some(&down));
+                self.maybe_generate_and_report(at)
             }
             HarpMessage::PostPartitions { partitions } => {
                 // Every entry identical to stored state ⇒ the original of
@@ -369,18 +354,18 @@ impl HarpNode {
                 if !partitions.is_empty()
                     && partitions
                         .iter()
-                        .all(|&(d, layer, rect)| self.dir(d).partition(layer) == Some(rect))
+                        .all(|&(d, layer, rect)| self.dir(at, d).partition(layer) == Some(rect))
                 {
                     return Ok(());
                 }
                 for &(d, layer, rect) in &partitions {
-                    self.dir_mut(cx.log, d).set_partition(layer, rect);
+                    self.dir_mut(at, d).set_partition(layer, rect);
                 }
                 // A parent lists a direction's entries together, uplink
                 // first.
                 for d in Direction::BOTH {
                     if partitions.iter().any(|&(pd, _, _)| pd == d) {
-                        self.distribute_partitions(cx, d)?;
+                        self.distribute_partitions(at, d)?;
                     }
                 }
                 Ok(())
@@ -389,7 +374,7 @@ impl HarpNode {
                 direction,
                 layer,
                 component,
-            } => self.on_child_component_update(cx, direction, from, layer, component),
+            } => self.on_child_component_update(at, direction, from, layer, component),
             HarpMessage::PutPartition {
                 direction,
                 layer,
@@ -398,179 +383,166 @@ impl HarpNode {
                 // An unchanged grant with no escalation pending is a
                 // re-delivery; replaying it would only recompute a layout
                 // identical to the stored one.
-                let ds = self.dir(direction);
+                let ds = self.dir(at, direction);
                 if ds.partition(layer) == Some(rect) && ds.pending(layer).is_none() {
                     return Ok(());
                 }
-                self.take_partition(cx, direction, layer, rect)
+                self.take_partition(at, direction, layer, rect)
             }
             HarpMessage::CellAssignment { direction, cells } => {
                 // The child starts (or stops) using the granted cells now.
                 // A re-delivered assignment matches the cells already in
                 // use and must not rewrite the row.
-                if self.dir(direction).own_cells() == Some(&cells) {
+                if self.dir(at, direction).own_cells() == Some(&cells) {
                     return Ok(());
                 }
-                self.install(cx.log, cx.schedule, direction, cells)
+                self.install(at, direction, cells)
             }
         }
     }
 
-    /// Makes `cells` this node's own cells in `direction` and its link's row
-    /// in `schedule`: the one place a link's installed cells are written.
+    /// Makes `cells` `at`'s own cells in `direction` and its link's row in
+    /// the schedule: the one place a link's installed cells are written.
     fn install(
         &mut self,
-        log: &mut UndoLog,
-        schedule: &mut NetworkSchedule,
+        at: NodeId,
         direction: Direction,
         cells: CellRun,
     ) -> Result<(), HarpError> {
-        let child = self.id;
-        let link = Link { child, direction };
+        let link = Link {
+            child: at,
+            direction,
+        };
         // The own cells are logged before the row is written: a rollback
         // writes the row back from them, so a row whose write fails half-way
         // (a `DuplicateAssignment`) is restored too.
-        self.dir_mut(log, direction).set_own_cells(cells.clone());
-        schedule.unassign_link(link);
+        self.dir_mut(at, direction).set_own_cells(cells.clone());
+        self.schedule.unassign_link(link);
         for cell in cells {
-            schedule.assign(cell, link)?;
+            self.schedule.assign(cell, link)?;
         }
         Ok(())
     }
 
-    /// A traffic change at one of this node's child links (§V), `tree`
-    /// being the routing tree: `r(e)` of the link to `child` becomes
-    /// `new_cells`. Returns the effects — either a purely local schedule
+    /// A traffic change at one of `at`'s child links (§V): `r(e)` of the
+    /// link to `child` becomes `new_cells`. Either a purely local schedule
     /// update (Case 1) or a `PUT intf` escalation (Case 2).
     ///
     /// # Errors
     ///
     /// Fails if the static phase has not completed at this node, or the
     /// gateway cannot grow the slotframe allocation.
-    pub fn request_change(
+    pub(crate) fn request_change(
         &mut self,
-        tree: &Tree,
-        schedule: &mut NetworkSchedule,
-        direction: Direction,
-        child: NodeId,
-        new_cells: u32,
-    ) -> Result<Effects, HarpError> {
-        self.standalone(tree, schedule, |node, cx| {
-            node.request_change_logged(cx, direction, child, new_cells)
-        })
-    }
-
-    /// [`HarpNode::request_change`] in `cx`.
-    pub(crate) fn request_change_logged(
-        &mut self,
-        cx: &mut Cx<'_>,
+        at: NodeId,
         direction: Direction,
         child: NodeId,
         new_cells: u32,
     ) -> Result<(), HarpError> {
-        let layer = cx.tree.link_layer(self.id);
+        let layer = self.tree.link_layer(at);
         let slots = self.config.slots;
-        let mut ds = self.dir_mut(cx.log, direction);
+        let mut ds = self.dir_mut(at, direction);
         ds.put_req(child, Some(new_cells));
-        let total = ds.direct_demand(slots)?;
-        match ds.partition(layer) {
+        let total = ds.read().direct_demand(slots)?;
+        match ds.read().partition(layer) {
             Some(row) if total <= row.width() * row.height() => {
                 // Case 1: enough idle cells in the current partition.
-                self.count(cx.log, |c| c.local_updates += 1);
-                self.schedule_own_row(cx, direction)
+                self.count(at, |c| c.local_updates += 1);
+                self.schedule_own_row(at, direction)
             }
             // Case 2: the partition itself must grow.
-            _ => self.escalate(cx, direction, layer, ResourceComponent::row(total), self.id),
+            _ => self.escalate(at, direction, layer, ResourceComponent::row(total), at),
         }
     }
 
     // ---- static phase internals ----
 
-    /// Generates the interface (both directions) once every non-leaf child
-    /// has reported, then reports upward — or allocates if this is the
-    /// gateway.
-    fn maybe_generate_and_report(&mut self, cx: &mut Cx<'_>) -> Result<(), HarpError> {
-        let tree = cx.tree;
-        let ready = |ds: &DirState| {
-            let mut nonleaf = tree.children(self.id).iter().filter(|&&c| !tree.is_leaf(c));
+    /// Generates `at`'s interface (both directions) once every non-leaf
+    /// child has reported, then reports upward — or allocates if `at` is
+    /// the gateway.
+    fn maybe_generate_and_report(&mut self, at: NodeId) -> Result<(), HarpError> {
+        let tree = self.tree;
+        let ready = |ds: DirView<'_>| {
+            let mut nonleaf = tree.children(at).iter().filter(|&&c| !tree.is_leaf(c));
             nonleaf.all(|&c| ds.child_interface(c).is_some())
         };
-        if self.up.interface().is_some() || !ready(&self.up) || !ready(&self.down) {
+        let (up, down) = (self.dir(at, Direction::Up), self.dir(at, Direction::Down));
+        if up.interface().is_some() || !ready(up) || !ready(down) {
             return Ok(());
         }
-        self.generate_interfaces(tree, cx.log, cx.ws)?;
-        let Some(parent) = tree.parent(self.id) else {
-            return self.gateway_allocate(cx);
+        self.generate_interfaces(at)?;
+        let Some(parent) = tree.parent(at) else {
+            return self.gateway_allocate(at);
+        };
+        let generated = |d| -> ResourceInterface {
+            let iface = self.dir(at, d).interface().expect("just generated");
+            iface.iter().copied().collect()
         };
         let msg = HarpMessage::PostInterface {
-            up: self.up.interface().cloned().expect("just generated"),
-            down: self.down.interface().cloned().expect("just generated"),
+            up: generated(Direction::Up),
+            down: generated(Direction::Down),
         };
-        cx.fx.messages.push((parent, msg));
+        self.fx.messages.push((parent, msg));
         Ok(())
     }
 
-    /// Builds this node's interfaces, uplink then downlink, from local
+    /// Builds `at`'s interfaces, uplink then downlink, from local
     /// requirements and the interfaces its non-leaf children reported.
-    pub(crate) fn generate_interfaces(
-        &mut self,
-        tree: &Tree,
-        log: &mut UndoLog,
-        ws: &mut Workspace,
-    ) -> Result<(), HarpError> {
-        let own_layer = tree.link_layer(self.id);
-        self.generate_interface(log, ws, Direction::Up, own_layer)?;
-        self.generate_interface(log, ws, Direction::Down, own_layer)
+    pub(crate) fn generate_interfaces(&mut self, at: NodeId) -> Result<(), HarpError> {
+        let own_layer = self.tree.link_layer(at);
+        self.generate_interface(at, Direction::Up, own_layer)?;
+        self.generate_interface(at, Direction::Down, own_layer)
     }
 
-    /// Builds this node's interface for one direction (Case 1 + Case 2 of
-    /// §IV-B) from local requirements and the children's interfaces, its
-    /// own links being at `own_layer`.
+    /// Builds `at`'s interface for one direction (Case 1 + Case 2 of §IV-B)
+    /// from local requirements and the children's interfaces, its own links
+    /// being at `own_layer`, with a row for each of its layers and the
+    /// composed layers' layouts in them.
     fn generate_interface(
         &mut self,
-        log: &mut UndoLog,
-        ws: &mut Workspace,
+        at: NodeId,
         direction: Direction,
         own_layer: u32,
     ) -> Result<(), HarpError> {
         let (channels, slots) = (self.config.channels, self.config.slots);
-        let mut ds = self.dir_mut(log, direction);
-        let mut iface = ResourceInterface::new();
-        iface.set(own_layer, ResourceComponent::row(ds.direct_demand(slots)?));
-
+        let ds = self.nodes.dir(self.tree, at, direction);
+        let direct = ResourceComponent::row(ds.direct_demand(slots)?);
         let deepest = ds
             .child_interfaces()
-            .filter_map(|(_, i)| i.max_layer())
+            .filter_map(|(_, i)| i.last().map(|&(l, _)| l))
             .max()
             .unwrap_or(own_layer);
         let children = ds.child_interfaces();
-        let layouts = ws.compose_layers(children, own_layer + 1..=deepest, channels, &mut iface)?;
-        ds.set_interface(iface);
-        // A node generates its interface once, before it holds any layout.
-        for (layer, layout) in layouts {
-            ds.set_layout(layer, layout);
+        self.ws
+            .compose_layers(children, own_layer + 1..=deepest, channels)?;
+        let mut ds = DirWriter::new(self.nodes, self.log, self.tree, at, direction);
+        let composites = self.ws.composed().map(|(layer, c, _)| (layer, c));
+        ds.set_interface(own_layer, direct, composites);
+        ds.hold_layers(own_layer..=deepest);
+        for (layer, composite, placed) in self.ws.composed() {
+            ds.set_layout(layer, composite, placed);
         }
         Ok(())
     }
 
     /// The gateway's slotframe placement: uplink super-partition first with
     /// layers descending, downlink after with layers ascending (§IV-C).
-    fn gateway_allocate(&mut self, cx: &mut Cx<'_>) -> Result<(), HarpError> {
-        self.place_gateway_partitions(cx.log)?;
+    fn gateway_allocate(&mut self, at: NodeId) -> Result<(), HarpError> {
+        self.place_gateway_partitions(at)?;
         for d in Direction::BOTH {
-            self.distribute_partitions(cx, d)?;
+            self.distribute_partitions(at, d)?;
         }
         Ok(())
     }
 
     /// Lays the gateway's per-layer partitions side by side along the
     /// slotframe and checks that they fit it.
-    pub(crate) fn place_gateway_partitions(&mut self, log: &mut UndoLog) -> Result<(), HarpError> {
+    pub(crate) fn place_gateway_partitions(&mut self, at: NodeId) -> Result<(), HarpError> {
         let slots = self.config.slots;
         let mut cursor: u32 = 0;
         for (d, descending) in [(Direction::Up, true), (Direction::Down, false)] {
             cursor = self
-                .dir_mut(log, d)
+                .dir_mut(at, d)
                 .place_partitions_in_a_row(cursor, descending, slots)?;
         }
         if cursor > slots {
@@ -582,19 +554,15 @@ impl HarpNode {
         Ok(())
     }
 
-    /// Having just received (or allocated) partitions for every layer of the
-    /// own subtree: derive children's partitions from the stored composition
-    /// layouts, send them down, and schedule the own row.
-    fn distribute_partitions(
-        &mut self,
-        cx: &mut Cx<'_>,
-        direction: Direction,
-    ) -> Result<(), HarpError> {
-        self.derive_child_partitions(cx.log, direction)?;
-        self.schedule_own_row(cx, direction)?;
-        let ds = self.dir(direction);
+    /// Having just received (or allocated) partitions for every layer of its
+    /// subtree: `at` derives its children's partitions from the stored
+    /// composition layouts, sends them down, and schedules its own row.
+    fn distribute_partitions(&mut self, at: NodeId, direction: Direction) -> Result<(), HarpError> {
+        self.dir_mut(at, direction).place_child_partitions()?;
+        self.schedule_own_row(at, direction)?;
+        let ds = self.dir(at, direction);
         let mut per_child: BTreeMap<NodeId, Vec<(Direction, u32, Rect)>> = BTreeMap::new();
-        for (layer, _) in ds.layouts() {
+        for (layer, _, _) in ds.layouts() {
             let placed = ds.child_partitions_at(layer).expect("derived above");
             for &(c, rect) in placed {
                 let entry = (direction, layer, rect);
@@ -602,72 +570,52 @@ impl HarpNode {
             }
         }
         for (child, partitions) in per_child {
-            cx.fx.post_partitions(child, partitions);
+            self.fx.post_partitions(child, partitions);
         }
         Ok(())
     }
 
-    /// Carves the children's partitions out of this node's own, one composed
-    /// layer at a time, by translating the stored composition layouts.
-    fn derive_child_partitions(
-        &mut self,
-        log: &mut UndoLog,
-        direction: Direction,
-    ) -> Result<(), HarpError> {
-        let id = self.id;
-        self.dir_mut(log, direction)
-            .place_child_partitions(|layer, layout, own| {
-                let own = own.ok_or(HarpError::MissingPartition { node: id, layer })?;
-                Ok(layout
-                    .placements()
-                    .iter()
-                    .map(|&(c, rel)| (c, rel.translated(own.origin.x, own.origin.y)))
-                    .collect())
-            })
+    /// Re-runs the local scheduler over `at`'s own partition row and
+    /// notifies every child whose cells changed.
+    fn schedule_own_row(&mut self, at: NodeId, direction: Direction) -> Result<(), HarpError> {
+        self.assign_own_row(at, direction, true)
     }
 
-    /// Re-runs the local scheduler over the own partition row and notifies
-    /// every child whose cells changed.
-    fn schedule_own_row(&mut self, cx: &mut Cx<'_>, direction: Direction) -> Result<(), HarpError> {
-        let messages = &mut cx.fx.messages;
-        self.assign_own_row(cx.tree, cx.log, cx.ws, direction, |child, cells| {
-            let cells = cells.clone();
-            messages.push((child, HarpMessage::CellAssignment { direction, cells }));
-        })
-    }
-
-    /// Re-runs the local scheduler over the own partition row, storing the
-    /// cells of every child link whose cells changed and reporting each such
-    /// `(child, cells)` to `changed`, in row order.
+    /// Re-runs the local scheduler over `at`'s own partition row, storing
+    /// the cells of every child link whose cells changed and, if `notify`,
+    /// sending each such child its cells, in row order.
     fn assign_own_row(
         &mut self,
-        tree: &Tree,
-        log: &mut UndoLog,
-        ws: &mut Workspace,
+        at: NodeId,
         direction: Direction,
-        mut changed: impl FnMut(NodeId, &CellRun),
+        notify: bool,
     ) -> Result<(), HarpError> {
-        let id = self.id;
-        let policy = self.policy;
-        let config = self.config;
-        let layer = tree.link_layer(id);
-        let mut ds = self.dir_mut(log, direction);
-        let total = ds.direct_demand(config.slots)?;
-        let Some(row) = ds.partition(layer) else {
+        let (policy, config) = (self.policy, self.config);
+        let layer = self.tree.link_layer(at);
+        let mut ds = DirWriter::new(self.nodes, self.log, self.tree, at, direction);
+        let total = ds.read().direct_demand(config.slots)?;
+        let Some(row) = ds.read().partition(layer) else {
             if total == 0 {
                 return Ok(());
             }
-            return Err(HarpError::MissingPartition { node: id, layer });
+            return Err(HarpError::MissingPartition { node: at, layer });
         };
-        for (child, cells) in ws.assign_row(id, ds.reqs(), row, policy, config)? {
+        for (child, cells) in self
+            .ws
+            .assign_row(at, ds.read().reqs(), row, policy, config)?
+        {
             // By the cells, not by the row they were cut from: a row that
             // grew in place leaves the leading links' cells where they were.
-            let unchanged = match ds.assignment(child) {
+            let unchanged = match ds.read().assignment(child) {
                 Some(old) => *old == cells,
                 None => cells.is_empty(),
             };
             if !unchanged {
-                changed(child, &cells);
+                if notify {
+                    let cells = cells.clone();
+                    let msg = HarpMessage::CellAssignment { direction, cells };
+                    self.fx.messages.push((child, msg));
+                }
                 ds.put_assignment(child, Some(cells));
             }
         }
@@ -676,63 +624,55 @@ impl HarpNode {
 
     // ---- direct static settle (see `HarpNetwork::run_static`) ----
 
-    /// Stores the interfaces `child` generated, as its `POST intf` would
-    /// have delivered them.
-    pub(crate) fn store_child_interfaces(&mut self, log: &mut UndoLog, child: &HarpNode) {
+    /// `at` stores the interfaces its child `child` generated, as its
+    /// `POST intf` would have delivered them.
+    pub(crate) fn store_child_interfaces(&mut self, at: NodeId, child: NodeId) {
         for d in Direction::BOTH {
-            let iface = child
-                .dir(d)
-                .interface()
-                .cloned()
-                .expect("children generate before their parent");
-            self.dir_mut(log, d)
-                .put_child_interface(child.id, Some(iface));
+            self.dir_mut(at, d).store_child_interface(child);
         }
     }
 
-    /// With this node's partitions in place for every layer of its subtree:
+    /// With `at`'s partitions in place for every layer of its subtree:
     /// carves out the children's partitions and schedules the own row, both
     /// directions — the state a `POST part` handler leaves behind, without
     /// the messages.
-    pub(crate) fn settle_partitions(
-        &mut self,
-        tree: &Tree,
-        log: &mut UndoLog,
-        ws: &mut Workspace,
-    ) -> Result<(), HarpError> {
+    pub(crate) fn settle_partitions(&mut self, at: NodeId) -> Result<(), HarpError> {
         for d in Direction::BOTH {
-            self.derive_child_partitions(log, d)?;
-            self.assign_own_row(tree, log, ws, d, |_, _| {})?;
+            self.dir_mut(at, d).place_child_partitions()?;
+            self.assign_own_row(at, d, false)?;
         }
         Ok(())
     }
 
-    /// Takes over what `parent` decided for this node — its partitions at
+    /// `at` takes over what its `parent` decided for it — its partitions at
     /// every composed layer (a leaf reported no interface, so it has none)
     /// and the cells of its own link, both directions — as the `POST part`
     /// and cell-assignment messages would have delivered them, and installs
-    /// the cells in `schedule`. Returns which of those messages the grant
+    /// the cells in the schedule. Returns which of those messages the grant
     /// stands for.
     pub(crate) fn accept_static_grant(
         &mut self,
-        log: &mut UndoLog,
-        parent: &HarpNode,
-        schedule: &mut NetworkSchedule,
+        at: NodeId,
+        parent: NodeId,
     ) -> Result<StaticGrant, HarpError> {
-        let id = self.id;
         let mut grant = StaticGrant::default();
         for d in Direction::BOTH {
-            let from = parent.dir(d);
-            for (layer, placed) in from.child_partitions() {
-                for &(c, rect) in placed {
-                    if c == id {
-                        self.dir_mut(log, d).set_partition(layer, rect);
-                        grant.partitions = true;
-                    }
-                }
+            let mut from = 0;
+            loop {
+                let layers = self.dir(parent, d).child_partitions();
+                let next = layers.filter(|&(l, _)| l >= from).find_map(|(l, placed)| {
+                    let (_, rect) = placed.iter().find(|&&(c, _)| c == at)?;
+                    Some((l, *rect))
+                });
+                let Some((layer, rect)) = next else {
+                    break;
+                };
+                self.dir_mut(at, d).set_partition(layer, rect);
+                grant.partitions = true;
+                from = layer + 1;
             }
-            if let Some(cells) = from.assignment(id) {
-                self.install(log, schedule, d, cells.clone())?;
+            if let Some(cells) = self.dir(parent, d).assignment(at).cloned() {
+                self.install(at, d, cells)?;
                 match d {
                     Direction::Up => grant.up_cells = true,
                     Direction::Down => grant.down_cells = true,
@@ -744,11 +684,11 @@ impl HarpNode {
 
     // ---- dynamic phase: three transitions and the handlers around them ----
 
-    /// A child reported a grown component at `layer` (`PUT intf`). Try to
-    /// absorb it locally (Alg. 2); escalate otherwise.
+    /// `child` reported a grown component at `layer` to `at` (`PUT intf`).
+    /// Try to absorb it locally (Alg. 2); escalate otherwise.
     fn on_child_component_update(
         &mut self,
-        cx: &mut Cx<'_>,
+        at: NodeId,
         direction: Direction,
         child: NodeId,
         layer: u32,
@@ -760,7 +700,7 @@ impl HarpNode {
         // child is already pending at the parent — re-processing would
         // re-grant or re-escalate redundantly.
         {
-            let ds = self.dir(direction);
+            let ds = self.dir(at, direction);
             let already_stored =
                 ds.child_interface(child).and_then(|i| i.component(layer)) == Some(component);
             let already_granted = ds.child_partitions_at(layer).is_some_and(|ps| {
@@ -772,23 +712,28 @@ impl HarpNode {
                 return Ok(());
             }
         }
-        let mut ds = self.dir_mut(cx.log, direction);
+        let mut ds = self.dir_mut(at, direction);
         ds.set_child_component(child, layer, component);
         // A layer this node has never held a partition for (the subtree just
         // grew deeper, e.g. after a node join): nothing to adjust locally —
         // escalate straight away so an ancestor creates the layer.
-        let Some(own) = ds.partition(layer) else {
-            return self.escalate_layer(cx, direction, layer, child);
+        let Some(own) = ds.read().partition(layer) else {
+            return self.escalate_layer(at, direction, layer, child);
         };
-        let mut placements = ds
-            .child_partitions_at(layer)
-            .map(<[_]>::to_vec)
-            .unwrap_or_default();
+        let mut placements = mem::take(&mut self.ws.placed);
+        placements.clear();
+        let held = self
+            .nodes
+            .dir(self.tree, at, direction)
+            .child_partitions_at(layer);
+        placements.extend_from_slice(held.unwrap_or_default());
         if !placements.iter().any(|(c, _)| *c == child) {
             placements.push((child, Rect::default()));
         }
-        let Some(outcome) = self.adjust_within(cx.log, own, &placements, child, component)? else {
-            return self.escalate_layer(cx, direction, layer, child);
+        let outcome = self.adjust_within(at, own, &placements, child, component);
+        self.ws.placed = placements;
+        let Some(outcome) = outcome? else {
+            return self.escalate_layer(at, direction, layer, child);
         };
         for (moved, rect) in outcome.moved_rects() {
             let msg = HarpMessage::PutPartition {
@@ -796,73 +741,76 @@ impl HarpNode {
                 layer,
                 rect,
             };
-            cx.fx.messages.push((moved, msg));
+            self.fx.messages.push((moved, msg));
         }
-        self.dir_mut(cx.log, direction)
-            .set_child_partitions(layer, outcome.layout);
+        self.dir_mut(at, direction)
+            .set_child_partitions(layer, &outcome.layout);
         Ok(())
     }
 
-    /// Recomposes `layer` from the children's current components, stores
-    /// the layout and escalates the composite.
+    /// Recomposes `at`'s `layer` from the children's current components,
+    /// stores the layout and escalates the composite.
     fn escalate_layer(
         &mut self,
-        cx: &mut Cx<'_>,
+        at: NodeId,
         direction: Direction,
         layer: u32,
         requester: NodeId,
     ) -> Result<(), HarpError> {
-        let reported = self
-            .dir(direction)
-            .child_interfaces()
-            .filter_map(|(c, i)| i.component(layer).map(|comp| (c, comp)));
-        let layout = cx.ws.compose(reported, self.config.channels, layer)?;
-        let composite = layout.composite();
-        self.dir_mut(cx.log, direction).set_layout(layer, layout);
-        self.escalate(cx, direction, layer, composite, requester)
+        let children = self.nodes.dir(self.tree, at, direction).child_interfaces();
+        self.ws
+            .compose_layers(children, layer..=layer, self.config.channels)?;
+        // No child reports the layer: an empty composite, placing nobody.
+        let (composite, placed) = self
+            .ws
+            .composed()
+            .next()
+            .map_or((ResourceComponent::default(), &[][..]), |(_, c, p)| (c, p));
+        DirWriter::new(self.nodes, self.log, self.tree, at, direction)
+            .set_layout(layer, composite, placed);
+        self.escalate(at, direction, layer, composite, requester)
     }
 
-    /// Case 2 of §V: this node's component at `layer` grows to `component`
-    /// on behalf of `requester`. Marks the layer pending, then asks the
-    /// parent for room (`PUT intf`) or, at the gateway, re-places the
-    /// slotframe.
+    /// Case 2 of §V: `at`'s component at `layer` grows to `component` on
+    /// behalf of `requester`. Marks the layer pending, then asks the parent
+    /// for room (`PUT intf`) or, at the gateway, re-places the slotframe.
     fn escalate(
         &mut self,
-        cx: &mut Cx<'_>,
+        at: NodeId,
         direction: Direction,
         layer: u32,
         component: ResourceComponent,
         requester: NodeId,
     ) -> Result<(), HarpError> {
-        let mut ds = self.dir_mut(cx.log, direction);
+        let mut ds = self.dir_mut(at, direction);
         ds.set_component(layer, component);
         ds.put_pending(layer, Some(requester));
-        let Some(parent) = cx.tree.parent(self.id) else {
-            return self.gateway_reallocate(cx, direction, layer);
+        let Some(parent) = self.tree.parent(at) else {
+            return self.gateway_reallocate(at, direction, layer);
         };
-        self.count(cx.log, |c| c.escalations += 1);
+        self.count(at, |c| c.escalations += 1);
         let msg = HarpMessage::PutInterface {
             direction,
             layer,
             component,
         };
-        cx.fx.messages.push((parent, msg));
+        self.fx.messages.push((parent, msg));
         Ok(())
     }
 
-    /// One step of Alg. 2 (§V): `key`'s partition, one of `entries` inside
-    /// `container`, grows to `component`. Counts the outcome, which is
-    /// `None` when even a full repack cannot fit.
+    /// One step of Alg. 2 (§V) at `at`: `key`'s partition, one of `entries`
+    /// inside `container`, grows to `component`. Counts the outcome, which
+    /// is `None` when even a full repack cannot fit.
     fn adjust_within<K: Copy + Ord>(
         &mut self,
-        log: &mut UndoLog,
+        at: NodeId,
         container: Rect,
         entries: &[(K, Rect)],
         key: K,
         component: ResourceComponent,
     ) -> Result<Option<AdjustmentOutcome<K>>, HarpError> {
         let outcome = adjust_partition(container, entries, key, component)?;
-        self.count(log, |c| match &outcome {
+        self.count(at, |c| match &outcome {
             Some(outcome) => {
                 c.adjust_feasible += 1;
                 c.partitions_moved += outcome.moved_count() as u64;
@@ -872,22 +820,22 @@ impl HarpNode {
         Ok(outcome)
     }
 
-    /// Installs a partition granted at `layer` (`PUT part`, or the
+    /// Installs a partition granted to `at` at `layer` (`PUT part`, or the
     /// gateway's own re-placement) and re-places whatever lives inside it.
     fn take_partition(
         &mut self,
-        cx: &mut Cx<'_>,
+        at: NodeId,
         direction: Direction,
         layer: u32,
         rect: Rect,
     ) -> Result<(), HarpError> {
-        let mut ds = self.dir_mut(cx.log, direction);
-        let old = ds.partition(layer);
+        let mut ds = self.dir_mut(at, direction);
+        let old = ds.read().partition(layer);
         ds.set_partition(layer, rect);
-        self.replace_layer(cx, direction, layer, old, rect)
+        self.replace_layer(at, direction, layer, old, rect)
     }
 
-    /// The own partition at `layer` became `rect` (it was `old`): settles
+    /// `at`'s partition at `layer` became `rect` (it was `old`): settles
     /// the escalation pending there, re-places whatever lives inside it and
     /// tells every child whose partition changed. A child holds a partition
     /// only once it reported an interface; one whose own children have all
@@ -895,60 +843,49 @@ impl HarpNode {
     /// this node's partition.
     fn replace_layer(
         &mut self,
-        cx: &mut Cx<'_>,
+        at: NodeId,
         direction: Direction,
         layer: u32,
         old: Option<Rect>,
         rect: Rect,
     ) -> Result<(), HarpError> {
-        if self.dir(direction).pending(layer).is_some() {
-            self.dir_mut(cx.log, direction).put_pending(layer, None);
+        if self.dir(at, direction).pending(layer).is_some() {
+            self.dir_mut(at, direction).put_pending(layer, None);
         }
-        if layer == cx.tree.link_layer(self.id) {
-            return self.schedule_own_row(cx, direction);
+        if layer == self.tree.link_layer(at) {
+            return self.schedule_own_row(at, direction);
         }
 
-        let current = self
-            .dir(direction)
-            .child_partitions_at(layer)
-            .map(<[_]>::to_vec)
-            .unwrap_or_default();
-
-        let new_layout: Vec<(NodeId, Rect)> = match old {
+        let ds = self.nodes.dir(self.tree, at, direction);
+        let current = ds.child_partitions_at(layer).unwrap_or_default();
+        let mut placed = mem::take(&mut self.ws.placed);
+        placed.clear();
+        match old {
             // Pure move: same size, translate everything inside.
-            Some(old) if old.size == rect.size => current
-                .iter()
-                .map(|&(c, r)| {
+            Some(old) if old.size == rect.size => {
+                placed.extend(current.iter().map(|&(c, r)| {
                     if r.is_empty() {
                         (c, r)
                     } else {
                         let dx = r.left() - old.left();
                         let dy = r.bottom() - old.bottom();
-                        (
-                            c,
-                            Rect::new(Point::new(rect.left() + dx, rect.bottom() + dy), r.size),
-                        )
+                        let origin = Point::new(rect.left() + dx, rect.bottom() + dy);
+                        (c, Rect::new(origin, r.size))
                     }
-                })
-                .collect(),
+                }));
+            }
             // Growth: lay the (re)composed layout into the new rectangle.
             _ => {
-                let layout =
-                    self.dir(direction)
-                        .layout(layer)
-                        .ok_or(HarpError::MissingPartition {
-                            node: self.id,
-                            layer,
-                        })?;
-                layout
-                    .placements()
-                    .iter()
-                    .map(|&(c, rel)| (c, rel.translated(rect.origin.x, rect.origin.y)))
-                    .collect()
+                let Some(layout) = ds.layout(layer) else {
+                    self.ws.placed = placed;
+                    return Err(HarpError::MissingPartition { node: at, layer });
+                };
+                let (x, y) = (rect.origin.x, rect.origin.y);
+                placed.extend(layout.iter().map(|&(c, rel)| (c, rel.translated(x, y))));
             }
-        };
+        }
 
-        for &(c, r) in &new_layout {
+        for &(c, r) in &placed {
             let old_rect = current
                 .iter()
                 .find(|(n, _)| *n == c)
@@ -960,30 +897,31 @@ impl HarpNode {
                     layer,
                     rect: r,
                 };
-                cx.fx.messages.push((c, msg));
+                self.fx.messages.push((c, msg));
             }
         }
-        self.dir_mut(cx.log, direction)
-            .set_child_partitions(layer, new_layout);
+        DirWriter::new(self.nodes, self.log, self.tree, at, direction)
+            .set_child_partitions(layer, &placed);
+        self.ws.placed = placed;
         Ok(())
     }
 
-    /// The gateway absorbs a grown component at `(direction, layer)` by
-    /// adjusting its slotframe-level placement (there is no parent to
-    /// escalate to). The slotframe is the container, the gateway's per-layer
-    /// partitions (both directions) are the sub-partitions, and the same
-    /// cost-aware heuristic (Alg. 2) keeps unaffected layers in place —
-    /// growth lands in the slotframe's idle area whenever possible.
+    /// The gateway `at` absorbs a grown component at `(direction, layer)`
+    /// by adjusting its slotframe-level placement (there is no parent to
+    /// escalate to). The slotframe is the container, the gateway's
+    /// per-layer partitions (both directions) are the sub-partitions, and
+    /// the same cost-aware heuristic (Alg. 2) keeps unaffected layers in
+    /// place — growth lands in the slotframe's idle area whenever possible.
     fn gateway_reallocate(
         &mut self,
-        cx: &mut Cx<'_>,
+        at: NodeId,
         direction: Direction,
         layer: u32,
     ) -> Result<(), HarpError> {
         let container = Rect::from_xywh(0, 0, self.config.slots, u32::from(self.config.channels));
         let mut entries: Vec<((Direction, u32), Rect)> = Vec::new();
         for d in Direction::BOTH {
-            for (l, r) in self.dir(d).partitions() {
+            for (l, r) in self.dir(at, d).partitions() {
                 entries.push(((d, l), r));
             }
         }
@@ -993,15 +931,12 @@ impl HarpNode {
             entries.push(((direction, layer), Rect::default()));
         }
         let component = self
-            .dir(direction)
+            .dir(at, direction)
             .interface()
             .and_then(|i| i.component(layer))
-            .ok_or(HarpError::MissingPartition {
-                node: self.id,
-                layer,
-            })?;
+            .ok_or(HarpError::MissingPartition { node: at, layer })?;
         let key = (direction, layer);
-        let Some(outcome) = self.adjust_within(cx.log, container, &entries, key, component)? else {
+        let Some(outcome) = self.adjust_within(at, container, &entries, key, component)? else {
             let total: u64 =
                 entries.iter().map(|(_, r)| r.area()).sum::<u64>() + component.cell_count();
             // The binding constraint is either the total area or the grown
@@ -1016,7 +951,7 @@ impl HarpNode {
             });
         };
         for ((d, l), rect) in outcome.moved_rects() {
-            self.take_partition(cx, d, l, rect)?;
+            self.take_partition(at, d, l, rect)?;
         }
         Ok(())
     }
@@ -1025,35 +960,22 @@ impl HarpNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{HarpNetwork, Requirements};
     use tsch_sim::Cell;
 
-    /// Drives a whole network of nodes to quiescence with synchronous,
+    /// Drives a network's handlers to quiescence with synchronous,
     /// zero-latency message delivery (protocol-order tests; timing is
     /// covered by the runner tests).
     struct Fabric {
-        tree: Tree,
-        nodes: Vec<HarpNode>,
-        schedule: NetworkSchedule,
+        net: HarpNetwork,
         messages_seen: Vec<(NodeId, NodeId, HarpMessage)>,
     }
 
     impl Fabric {
-        fn new(tree: &Tree, reqs: &crate::Requirements) -> Self {
+        fn new(tree: &Tree, reqs: &Requirements) -> Self {
             let config = SlotframeConfig::paper_default();
-            let mut nodes: Vec<HarpNode> = tree
-                .nodes()
-                .map(|v| HarpNode::new(v, config, SchedulingPolicy::RateMonotonic))
-                .collect();
-            for (link, cells) in reqs.iter() {
-                if let Ok((_, _)) = tree.endpoints(link) {
-                    let parent = tree.parent(link.child).unwrap();
-                    nodes[parent.index()].set_requirement(link.direction, link.child, cells);
-                }
-            }
             Self {
-                tree: tree.clone(),
-                nodes,
-                schedule: NetworkSchedule::new(config),
+                net: HarpNetwork::new(tree.clone(), config, reqs, SchedulingPolicy::RateMonotonic),
                 messages_seen: Vec::new(),
             }
         }
@@ -1070,39 +992,37 @@ mod tests {
                 .collect();
             while let Some((src, dst, msg)) = queue.pop() {
                 self.messages_seen.push((src, dst, msg.clone()));
-                let node = &mut self.nodes[dst.index()];
-                let fx = node.handle(&self.tree, &mut self.schedule, src, msg)?;
+                let fx = self.net.deliver_now(src, dst, msg)?;
                 queue.extend(fx.messages.into_iter().map(|(to, m)| (dst, to, m)));
             }
             Ok(())
         }
 
         fn run_static(&mut self) {
-            for i in 0..self.nodes.len() {
-                let id = self.nodes[i].id();
-                let fx = self.nodes[i]
-                    .bootstrap(&self.tree, &mut self.schedule)
-                    .unwrap();
-                self.dispatch(id, fx);
+            for v in self.net.tree().clone().nodes() {
+                let fx = self.net.bootstrap_node(v).unwrap();
+                self.dispatch(v, fx);
             }
         }
 
-        fn request_change(&mut self, d: Direction, link: Link, cells: u32) {
-            let parent = self.tree.parent(link.child).unwrap();
-            let fx = self.nodes[parent.index()]
-                .request_change(&self.tree, &mut self.schedule, d, link.child, cells)
-                .unwrap();
+        fn request_change(&mut self, link: Link, cells: u32) {
+            let parent = self.net.tree().parent(link.child).unwrap();
+            let fx = self.net.request_change_now(link, cells).unwrap();
             self.dispatch(parent, fx);
         }
 
-        /// A copy of the network schedule the children installed into.
-        fn schedule(&self) -> NetworkSchedule {
-            self.schedule.clone()
+        fn node(&self, v: NodeId) -> HarpNode<'_> {
+            self.net.node(v)
+        }
+
+        /// The network schedule the children installed into.
+        fn schedule(&self) -> &NetworkSchedule {
+            self.net.schedule()
         }
     }
 
-    fn fig1_reqs(tree: &Tree) -> crate::Requirements {
-        let mut reqs = crate::Requirements::new();
+    fn fig1_reqs(tree: &Tree) -> Requirements {
+        let mut reqs = Requirements::new();
         for v in tree.nodes().skip(1) {
             reqs.set(Link::up(v), tree.subtree_size(v));
             reqs.set(Link::down(v), tree.subtree_size(v));
@@ -1122,7 +1042,7 @@ mod tests {
             if tree.is_leaf(v) {
                 continue;
             }
-            let node = &fabric.nodes[v.index()];
+            let node = fabric.node(v);
             assert!(
                 node.interface(Direction::Up).is_some(),
                 "{v} has up interface"
@@ -1141,7 +1061,7 @@ mod tests {
                 continue;
             }
             for d in Direction::BOTH {
-                let distributed = fabric.nodes[v.index()].partition(d, tree.link_layer(v));
+                let distributed = fabric.node(v).partition(d, tree.link_layer(v));
                 let centralized = table.scheduling_area(&tree, v, d);
                 assert_eq!(distributed, centralized, "{v} {d}");
             }
@@ -1156,7 +1076,7 @@ mod tests {
         fabric.run_static();
         let schedule = fabric.schedule();
         assert!(schedule.is_exclusive());
-        assert!(crate::unsatisfied_links(&tree, &reqs, &schedule).is_empty());
+        assert!(crate::unsatisfied_links(&tree, &reqs, schedule).is_empty());
     }
 
     #[test]
@@ -1190,7 +1110,7 @@ mod tests {
         let mut fabric = Fabric::new(&tree, &reqs);
         fabric.run_static();
         fabric.messages_seen.clear();
-        fabric.request_change(Direction::Up, Link::up(NodeId(9)), 0);
+        fabric.request_change(Link::up(NodeId(9)), 0);
         let mgmt = fabric
             .messages_seen
             .iter()
@@ -1212,14 +1132,14 @@ mod tests {
         let mut fabric = Fabric::new(&tree, &reqs);
         fabric.run_static();
         fabric.messages_seen.clear();
-        fabric.request_change(Direction::Up, Link::up(NodeId(9)), 2);
+        fabric.request_change(Link::up(NodeId(9)), 2);
         let schedule = fabric.schedule();
         assert!(schedule.is_exclusive(), "no collisions during adjustment");
         assert_eq!(schedule.cells_of(Link::up(NodeId(9))).len(), 2);
         // All other links still satisfied.
         let mut expected = fig1_reqs(&tree);
         expected.set(Link::up(NodeId(9)), 2);
-        assert!(crate::unsatisfied_links(&tree, &expected, &schedule).is_empty());
+        assert!(crate::unsatisfied_links(&tree, &expected, schedule).is_empty());
         let put_intf = fabric
             .messages_seen
             .iter()
@@ -1237,13 +1157,13 @@ mod tests {
         let mut fabric = Fabric::new(&tree, &reqs);
         fabric.run_static();
         fabric.messages_seen.clear();
-        fabric.request_change(Direction::Up, Link::up(NodeId(9)), 12);
+        fabric.request_change(Link::up(NodeId(9)), 12);
         let schedule = fabric.schedule();
         assert!(schedule.is_exclusive());
         assert_eq!(schedule.cells_of(Link::up(NodeId(9))).len(), 12);
         let mut expected = fig1_reqs(&tree);
         expected.set(Link::up(NodeId(9)), 12);
-        assert!(crate::unsatisfied_links(&tree, &expected, &schedule).is_empty());
+        assert!(crate::unsatisfied_links(&tree, &expected, schedule).is_empty());
     }
 
     #[test]
@@ -1253,7 +1173,7 @@ mod tests {
         let reqs = fig1_reqs(&tree);
         let mut fabric = Fabric::new(&tree, &reqs);
         fabric.run_static();
-        fabric.request_change(Direction::Up, Link::up(NodeId(2)), 5);
+        fabric.request_change(Link::up(NodeId(2)), 5);
         let schedule = fabric.schedule();
         assert!(schedule.is_exclusive());
         assert_eq!(schedule.cells_of(Link::up(NodeId(2))).len(), 5);
@@ -1265,7 +1185,7 @@ mod tests {
         let reqs = fig1_reqs(&tree);
         let mut fabric = Fabric::new(&tree, &reqs);
         fabric.run_static();
-        fabric.request_change(Direction::Down, Link::down(NodeId(11)), 4);
+        fabric.request_change(Link::down(NodeId(11)), 4);
         let schedule = fabric.schedule();
         assert!(schedule.is_exclusive());
         assert_eq!(schedule.cells_of(Link::down(NodeId(11))).len(), 4);
@@ -1281,9 +1201,8 @@ mod tests {
         // as SlotframeOverflow, either immediately or while the escalation
         // chain is dispatched.
         let parent = NodeId(7);
-        let result = fabric.nodes[parent.index()]
-            .request_change(&tree, &mut fabric.schedule, Direction::Up, NodeId(9), 500)
-            .and_then(|fx| fabric.try_dispatch(parent, fx));
+        let result = fabric.net.request_change_now(Link::up(NodeId(9)), 500);
+        let result = result.and_then(|fx| fabric.try_dispatch(parent, fx));
         assert!(
             matches!(result, Err(HarpError::SlotframeOverflow { .. })),
             "a 500-cell increase cannot be absorbed: {result:?}"
@@ -1297,7 +1216,7 @@ mod tests {
         let mut fabric = Fabric::new(&tree, &reqs);
         fabric.run_static();
         for r in [2, 3, 2, 4, 1] {
-            fabric.request_change(Direction::Up, Link::up(NodeId(10)), r);
+            fabric.request_change(Link::up(NodeId(10)), r);
             let schedule = fabric.schedule();
             assert!(schedule.is_exclusive(), "after setting r={r}");
             assert_eq!(schedule.cells_of(Link::up(NodeId(10))).len(), r as usize);
@@ -1307,35 +1226,32 @@ mod tests {
     #[test]
     fn leaf_bootstrap_is_silent() {
         let tree = Tree::paper_fig1_example();
-        let mut node = HarpNode::new(
-            NodeId(4),
-            SlotframeConfig::paper_default(),
-            SchedulingPolicy::RateMonotonic,
-        );
+        let mut fabric = Fabric::new(&tree, &fig1_reqs(&tree));
         assert!(tree.is_leaf(NodeId(4)));
-        let mut schedule = NetworkSchedule::new(SlotframeConfig::paper_default());
-        let fx = node.bootstrap(&tree, &mut schedule).unwrap();
+        let fx = fabric.net.bootstrap_node(NodeId(4)).unwrap();
         assert!(fx.messages.is_empty());
-        assert_eq!(schedule.version(), 0, "nothing installed");
+        assert_eq!(fabric.schedule().version(), 0, "nothing installed");
     }
 
     #[test]
     fn cell_assignment_installs_its_cells_at_child() {
         let tree = Tree::paper_fig1_example();
         let config = SlotframeConfig::paper_default();
-        let mut node = HarpNode::new(NodeId(4), config, SchedulingPolicy::RateMonotonic);
-        let mut schedule = NetworkSchedule::new(config);
+        let mut fabric = Fabric::new(&tree, &fig1_reqs(&tree));
         let cells = CellRun::new(Rect::from_xywh(3, 0, 2, 1), config, 0..2);
         assert!(cells.clone().eq([Cell::new(3, 0), Cell::new(4, 0)]));
         let msg = HarpMessage::CellAssignment {
             direction: Direction::Up,
             cells: cells.clone(),
         };
-        let fx = node.handle(&tree, &mut schedule, NodeId(1), msg).unwrap();
+        let fx = fabric.net.deliver_now(NodeId(1), NodeId(4), msg).unwrap();
         assert!(fx.messages.is_empty());
-        assert_eq!(node.installed(Direction::Up), cells);
+        assert_eq!(fabric.node(NodeId(4)).installed(Direction::Up), cells);
         let link = Link::up(NodeId(4));
-        assert_eq!(schedule.cells_of(link), [Cell::new(3, 0), Cell::new(4, 0)]);
+        assert_eq!(
+            fabric.schedule().cells_of(link),
+            [Cell::new(3, 0), Cell::new(4, 0)]
+        );
 
         // A shorter run replaces the row rather than adding to it.
         let fewer = CellRun::new(Rect::from_xywh(3, 0, 2, 1), config, 1..2);
@@ -1343,7 +1259,7 @@ mod tests {
             direction: Direction::Up,
             cells: fewer,
         };
-        node.handle(&tree, &mut schedule, NodeId(1), msg).unwrap();
-        assert_eq!(schedule.cells_of(link), [Cell::new(4, 0)]);
+        fabric.net.deliver_now(NodeId(1), NodeId(4), msg).unwrap();
+        assert_eq!(fabric.schedule().cells_of(link), [Cell::new(4, 0)]);
     }
 }

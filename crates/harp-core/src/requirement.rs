@@ -8,7 +8,6 @@
 //! cells (a link forwarding 1.5 packets per slotframe needs 2 cells).
 
 use core::fmt;
-use std::collections::BTreeMap;
 use tsch_sim::{Direction, Link, NodeId, Task, TaskKind, Tree};
 
 /// An exact sum of rational packet rates, used while accumulating task
@@ -67,10 +66,21 @@ fn gcd(mut a: u64, mut b: u64) -> u64 {
 /// assert_eq!(reqs.get(Link::up(NodeId(4))), 2);
 /// assert_eq!(reqs.get(Link::down(NodeId(4))), 0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Requirements {
-    cells: BTreeMap<Link, u32>,
+    /// `r(link)` at the link's dense id, 0 where unset, as long as the
+    /// largest id ever set.
+    cells: Vec<u32>,
 }
+
+/// Equal when every link's requirement is, whatever ids were set to 0.
+impl PartialEq for Requirements {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for Requirements {}
 
 impl Requirements {
     /// Creates an empty requirement table (every link needs 0 cells).
@@ -79,24 +89,42 @@ impl Requirements {
         Self::default()
     }
 
+    /// An empty table with room for both links of every node of `tree`.
+    #[must_use]
+    pub fn for_tree(tree: &Tree) -> Self {
+        Self {
+            cells: Vec::with_capacity(2 * tree.len()),
+        }
+    }
+
     /// Sets `r(link)`; a value of 0 removes the entry.
     pub fn set(&mut self, link: Link, cells: u32) {
-        if cells == 0 {
-            self.cells.remove(&link);
-        } else {
-            self.cells.insert(link, cells);
+        let id = link.dense_id();
+        if id >= self.cells.len() {
+            if cells == 0 {
+                return;
+            }
+            self.cells.resize(id + 1, 0);
         }
+        self.cells[id] = cells;
     }
 
     /// The requirement of one directed link (0 if unset).
     #[must_use]
     pub fn get(&self, link: Link) -> u32 {
-        self.cells.get(&link).copied().unwrap_or(0)
+        self.cells.get(link.dense_id()).copied().unwrap_or(0)
+    }
+
+    /// Every link's requirement at its dense id (0: unset); links past the
+    /// end are unset too.
+    pub(crate) fn dense(&self) -> &[u32] {
+        &self.cells
     }
 
     /// Iterates over all non-zero requirements in link order.
     pub fn iter(&self) -> impl Iterator<Item = (Link, u32)> + '_ {
-        self.cells.iter().map(|(&l, &c)| (l, c))
+        let set = self.cells.iter().enumerate().filter(|&(_, &c)| c > 0);
+        set.map(|(id, &c)| (Link::from_dense_id(id), c))
     }
 
     /// Sum of requirements of the links between `parent` and its children in
@@ -118,10 +146,9 @@ impl Requirements {
     /// Total cells required network-wide in one direction.
     #[must_use]
     pub fn total(&self, direction: Direction) -> u64 {
-        self.cells
-            .iter()
+        self.iter()
             .filter(|(l, _)| l.direction == direction)
-            .map(|(_, &c)| u64::from(c))
+            .map(|(_, c)| u64::from(c))
             .sum()
     }
 
@@ -153,32 +180,28 @@ impl Requirements {
     /// ```
     #[must_use]
     pub fn from_tasks(tree: &Tree, tasks: &[Task]) -> Self {
-        let mut acc: BTreeMap<Link, Fraction> = BTreeMap::new();
+        // Dense by link id, like the table it becomes.
+        let mut acc = vec![Fraction::ZERO; 2 * tree.len()];
         for task in tasks {
             let (num, den) = rate_parts(task.rate);
             if num == 0 {
                 continue;
             }
-            let up_path = tree.path_to_root(task.source);
-            for hop in up_path.windows(2) {
-                let link = Link::up(hop[0]);
-                let f = acc.get(&link).copied().unwrap_or(Fraction::ZERO);
-                acc.insert(link, f.add(num, den));
-            }
-            if task.kind == TaskKind::Echo {
-                for hop in up_path.windows(2) {
-                    let link = Link::down(hop[0]);
-                    let f = acc.get(&link).copied().unwrap_or(Fraction::ZERO);
-                    acc.insert(link, f.add(num, den));
+            let mut hop = task.source;
+            while tree.parent(hop).is_some() {
+                let f = &mut acc[Link::up(hop).dense_id()];
+                *f = f.add(num, den);
+                if task.kind == TaskKind::Echo {
+                    let f = &mut acc[Link::down(hop).dense_id()];
+                    *f = f.add(num, den);
                 }
+                hop = tree.parent(hop).expect("checked above");
             }
         }
-        let mut reqs = Requirements::new();
-        for (link, f) in acc {
-            reqs.set(
-                link,
-                u32::try_from(f.ceil()).expect("requirement fits in u32"),
-            );
+        let mut reqs = Requirements::for_tree(tree);
+        for (id, f) in acc.into_iter().enumerate() {
+            let cells = u32::try_from(f.ceil()).expect("requirement fits in u32");
+            reqs.set(Link::from_dense_id(id), cells);
         }
         reqs
     }

@@ -2,9 +2,8 @@
 //! between calls: [`Workspace`].
 
 use crate::component::ResourceComponent;
-use crate::compose::CompositionLayout;
 use packing::{Rect, Size, StripWorkspace};
-use tsch_sim::NodeId;
+use tsch_sim::{Asn, NodeId, Tree};
 
 /// Reusable working buffers for [`Workspace::compose`] and
 /// [`Workspace::assign_row`].
@@ -16,8 +15,9 @@ use tsch_sim::NodeId;
 /// workspace holds them instead — the strip packer's skyline and pending
 /// list, the size list and placements of the two passes, the components
 /// gathered for a layer, the layouts of a node's layers on their way into
-/// the node, the `(child, requirement)` list of a row — so what runs in it
-/// allocates only what its caller keeps.
+/// the node, the `(child, requirement)` list of a row, the walk of the
+/// direct static settle — so what runs in it allocates only what its
+/// caller keeps.
 ///
 /// A workspace belongs to whoever drives the algorithms: a
 /// [`HarpNetwork`](crate::HarpNetwork) has one and lends it to every
@@ -40,11 +40,21 @@ pub struct Workspace {
     pub(crate) pass1: Vec<Rect>,
     /// Placements of pass 2 (slot-major).
     pub(crate) pass2: Vec<Rect>,
-    /// The layouts of the layers a node just composed, until their caller
-    /// takes them.
-    pub(crate) layouts: Vec<(u32, CompositionLayout)>,
+    /// The placements of the layers `compose_layers` composed, back to
+    /// back, until their caller copies them to where it keeps them; also
+    /// the children's partitions a handler works out before storing them.
+    pub(crate) placed: Vec<(NodeId, Rect)>,
+    /// Each layer `compose_layers` composed: the layer, its composite and
+    /// where its placements end in `placed`.
+    pub(crate) composed: Vec<(u32, ResourceComponent, usize)>,
     /// The links of the row being scheduled, in the policy's order.
     pub(crate) row: Vec<(NodeId, u32)>,
+    /// The direct static settle's post-order of the tree.
+    pub(crate) order: Vec<NodeId>,
+    /// The stack of the walk that produces `order`.
+    pub(crate) stack: Vec<NodeId>,
+    /// When each node's handler runs in the direct static settle.
+    pub(crate) instants: Vec<Asn>,
 }
 
 impl Workspace {
@@ -57,8 +67,38 @@ impl Workspace {
             sizes: Vec::new(),
             pass1: Vec::new(),
             pass2: Vec::new(),
-            layouts: Vec::new(),
+            placed: Vec::new(),
+            composed: Vec::new(),
             row: Vec::new(),
+            order: Vec::new(),
+            stack: Vec::new(),
+            instants: Vec::new(),
         }
+    }
+
+    /// Reserves what the static phase on `tree` works in: the direct
+    /// settle's walk for every node, and the lists of the node with the
+    /// most children and of the one that composes the most placements.
+    pub(crate) fn reserve_for(&mut self, tree: &Tree) {
+        let (mut children, mut layers, mut placed) = (0, 0, 0);
+        for v in tree.nodes() {
+            let kids = tree.children(v);
+            children = children.max(kids.len());
+            layers = layers.max(tree.subtree_layer(v).saturating_sub(tree.link_layer(v)));
+            let reported = kids.iter().map(|&c| tree.subtree_layer(c) - tree.depth(c));
+            placed = placed.max(reported.sum::<u32>() as usize);
+        }
+        let n = tree.len();
+        self.order.reserve(n);
+        self.stack.reserve(n);
+        self.instants.reserve(n);
+        self.strip.reserve(children);
+        self.components.reserve(children);
+        self.sizes.reserve(children);
+        self.pass1.reserve(children);
+        self.pass2.reserve(children);
+        self.row.reserve(children);
+        self.placed.reserve(placed);
+        self.composed.reserve(layers as usize);
     }
 }

@@ -2,10 +2,8 @@
 //! partition translation on sibling moves, pending-request consumption,
 //! and report accounting.
 
-use harp_core::{
-    HarpMessage, HarpNetwork, HarpNode, Requirements, ResourceComponent, SchedulingPolicy,
-};
-use tsch_sim::{Direction, Link, NetworkSchedule, NodeId, SlotframeConfig, Tree};
+use harp_core::{HarpMessage, HarpNetwork, Requirements, ResourceComponent, SchedulingPolicy};
+use tsch_sim::{Direction, Link, NodeId, SlotframeConfig, Tree};
 
 fn fig1_reqs(tree: &Tree) -> Requirements {
     let mut reqs = Requirements::new();
@@ -21,23 +19,9 @@ fn post_partitions_carries_both_directions_in_one_message() {
     // The gateway's POST-part to each child must contain uplink and
     // downlink entries together (one message per child, as on the testbed).
     let tree = Tree::paper_fig1_example();
-    let config = SlotframeConfig::paper_default();
-    let mut nodes: Vec<HarpNode> = tree
-        .nodes()
-        .map(|v| HarpNode::new(v, config, SchedulingPolicy::RateMonotonic))
-        .collect();
-    for (link, cells) in fig1_reqs(&tree).iter() {
-        let parent = tree.parent(link.child).unwrap();
-        nodes[parent.index()].set_requirement(link.direction, link.child, cells);
-    }
     // Drive the static phase synchronously and capture the gateway's output.
-    let mut schedule = NetworkSchedule::new(config);
-    let mut inbox: Vec<(NodeId, NodeId, HarpMessage)> = Vec::new();
-    for node in &mut nodes {
-        let fx = node.bootstrap(&tree, &mut schedule).unwrap();
-        let from = node.id();
-        inbox.extend(fx.messages.into_iter().map(|(to, m)| (from, to, m)));
-    }
+    let mut net = fresh_network(&tree);
+    let mut inbox = bootstrap_all(&mut net);
     let mut gateway_posts = Vec::new();
     while let Some((from, to, msg)) = inbox.pop() {
         if from == tree.root() {
@@ -45,9 +29,7 @@ fn post_partitions_carries_both_directions_in_one_message() {
                 gateway_posts.push((to, partitions.clone()));
             }
         }
-        let fx = nodes[to.index()]
-            .handle(&tree, &mut schedule, from, msg)
-            .unwrap();
+        let fx = net.deliver_now(from, to, msg).unwrap();
         inbox.extend(fx.messages.into_iter().map(|(t, m)| (to, t, m)));
     }
     assert!(!gateway_posts.is_empty());
@@ -203,26 +185,20 @@ fn variant(msg: &HarpMessage) -> &'static str {
 
 /// Drives a synchronous exchange delivering every message **twice**. The
 /// duplicate must be a no-op: no new messages, no schedule write (its
-/// version does not move), and the receiver's state byte-identical
-/// (compared via its `Debug` rendering). Returns the set of message
-/// variants exercised.
+/// version does not move), and the receiver's state unchanged (compared
+/// via its `Debug` rendering, which lists every getter's reading).
+/// Returns the set of message variants exercised.
 fn drive_with_duplicates(
-    tree: &Tree,
-    schedule: &mut NetworkSchedule,
-    nodes: &mut [HarpNode],
+    net: &mut HarpNetwork,
     mut inbox: Vec<(NodeId, NodeId, HarpMessage)>,
 ) -> std::collections::BTreeSet<&'static str> {
     let mut covered = std::collections::BTreeSet::new();
     while let Some((from, to, msg)) = inbox.pop() {
         covered.insert(variant(&msg));
-        let fx = nodes[to.index()]
-            .handle(tree, schedule, from, msg.clone())
-            .unwrap();
-        let state_after = format!("{:?}", nodes[to.index()]);
-        let version = schedule.version();
-        let dup = nodes[to.index()]
-            .handle(tree, schedule, from, msg.clone())
-            .unwrap();
+        let fx = net.deliver_now(from, to, msg.clone()).unwrap();
+        let state_after = format!("{:?}", net.node(to));
+        let version = net.schedule().version();
+        let dup = net.deliver_now(from, to, msg.clone()).unwrap();
         assert!(
             dup.messages.is_empty(),
             "duplicate {} re-delivered to {to} re-emitted messages: {:?}",
@@ -230,13 +206,13 @@ fn drive_with_duplicates(
             dup.messages
         );
         assert_eq!(
-            schedule.version(),
+            net.schedule().version(),
             version,
             "duplicate {} re-delivered to {to} rewrote the schedule",
             variant(&msg)
         );
         assert_eq!(
-            format!("{:?}", nodes[to.index()]),
+            format!("{:?}", net.node(to)),
             state_after,
             "duplicate {} re-delivered to {to} changed node state",
             variant(&msg)
@@ -246,31 +222,29 @@ fn drive_with_duplicates(
     covered
 }
 
-fn fresh_nodes(tree: &Tree, config: SlotframeConfig) -> Vec<HarpNode> {
-    let mut nodes: Vec<HarpNode> = tree
-        .nodes()
-        .map(|v| HarpNode::new(v, config, SchedulingPolicy::RateMonotonic))
-        .collect();
-    for (link, cells) in fig1_reqs(tree).iter() {
-        let parent = tree.parent(link.child).unwrap();
-        nodes[parent.index()].set_requirement(link.direction, link.child, cells);
+/// Fig. 1 with one cell per link, before the static phase.
+fn fresh_network(tree: &Tree) -> HarpNetwork {
+    let config = SlotframeConfig::paper_default();
+    let policy = SchedulingPolicy::RateMonotonic;
+    HarpNetwork::new(tree.clone(), config, &fig1_reqs(tree), policy)
+}
+
+/// Every node's bootstrap, in id order: the first wave of the static phase.
+fn bootstrap_all(net: &mut HarpNetwork) -> Vec<(NodeId, NodeId, HarpMessage)> {
+    let mut inbox = Vec::new();
+    for from in net.tree().clone().nodes() {
+        let fx = net.bootstrap_node(from).unwrap();
+        inbox.extend(fx.messages.into_iter().map(|(to, m)| (from, to, m)));
     }
-    nodes
+    inbox
 }
 
 #[test]
 fn static_phase_handlers_are_idempotent() {
     let tree = Tree::paper_fig1_example();
-    let config = SlotframeConfig::paper_default();
-    let mut nodes = fresh_nodes(&tree, config);
-    let mut schedule = NetworkSchedule::new(config);
-    let mut inbox: Vec<(NodeId, NodeId, HarpMessage)> = Vec::new();
-    for node in &mut nodes {
-        let from = node.id();
-        let fx = node.bootstrap(&tree, &mut schedule).unwrap();
-        inbox.extend(fx.messages.into_iter().map(|(to, m)| (from, to, m)));
-    }
-    let covered = drive_with_duplicates(&tree, &mut schedule, &mut nodes, inbox);
+    let mut net = fresh_network(&tree);
+    let inbox = bootstrap_all(&mut net);
+    let covered = drive_with_duplicates(&mut net, inbox);
     for want in ["PostInterface", "PostPartitions", "CellAssignment"] {
         assert!(
             covered.contains(want),
@@ -282,35 +256,24 @@ fn static_phase_handlers_are_idempotent() {
 #[test]
 fn dynamic_phase_handlers_are_idempotent() {
     let tree = Tree::paper_fig1_example();
-    let config = SlotframeConfig::paper_default();
-    let mut nodes = fresh_nodes(&tree, config);
-    let mut schedule = NetworkSchedule::new(config);
+    let mut net = fresh_network(&tree);
     // Converge the static phase first (without duplicates).
-    let mut inbox: Vec<(NodeId, NodeId, HarpMessage)> = Vec::new();
-    for node in &mut nodes {
-        let from = node.id();
-        let fx = node.bootstrap(&tree, &mut schedule).unwrap();
-        inbox.extend(fx.messages.into_iter().map(|(to, m)| (from, to, m)));
-    }
+    let mut inbox = bootstrap_all(&mut net);
     while let Some((from, to, msg)) = inbox.pop() {
-        let fx = nodes[to.index()]
-            .handle(&tree, &mut schedule, from, msg)
-            .unwrap();
+        let fx = net.deliver_now(from, to, msg).unwrap();
         inbox.extend(fx.messages.into_iter().map(|(t, m)| (to, t, m)));
     }
     // A large increase deep in the tree escalates through every ancestor,
     // exercising PUT intf, PUT part and fresh cell assignments; deliver the
     // whole cascade with duplicates.
     let parent = tree.parent(NodeId(9)).unwrap();
-    let fx = nodes[parent.index()]
-        .request_change(&tree, &mut schedule, Direction::Up, NodeId(9), 8)
-        .unwrap();
+    let fx = net.request_change_now(Link::up(NodeId(9)), 8).unwrap();
     let inbox: Vec<(NodeId, NodeId, HarpMessage)> = fx
         .messages
         .into_iter()
         .map(|(to, m)| (parent, to, m))
         .collect();
-    let covered = drive_with_duplicates(&tree, &mut schedule, &mut nodes, inbox);
+    let covered = drive_with_duplicates(&mut net, inbox);
     for want in ["PutInterface", "PutPartition", "CellAssignment"] {
         assert!(covered.contains(want), "adjustment never exercised {want}");
     }
@@ -322,32 +285,23 @@ fn dynamic_phase_handlers_are_idempotent() {
 /// loop (last in, first out), recording `from -> to: message` for every
 /// delivery.
 fn deliver_in_order(
-    tree: &Tree,
-    schedule: &mut NetworkSchedule,
-    nodes: &mut [HarpNode],
+    net: &mut HarpNetwork,
     mut inbox: Vec<(NodeId, NodeId, HarpMessage)>,
 ) -> Vec<String> {
     let mut seen = Vec::new();
     while let Some((from, to, msg)) = inbox.pop() {
         seen.push(format!("{from} -> {to}: {msg}"));
-        let fx = nodes[to.index()].handle(tree, schedule, from, msg).unwrap();
+        let fx = net.deliver_now(from, to, msg).unwrap();
         inbox.extend(fx.messages.into_iter().map(|(t, m)| (to, t, m)));
     }
     seen
 }
 
-/// The messages `node` sends for one traffic change of the link to `child`.
-fn change(
-    tree: &Tree,
-    schedule: &mut NetworkSchedule,
-    nodes: &mut [HarpNode],
-    node: NodeId,
-    child: NodeId,
-    cells: u32,
-) -> Vec<(NodeId, NodeId, HarpMessage)> {
-    let fx = nodes[node.index()]
-        .request_change(tree, schedule, Direction::Up, child, cells)
-        .unwrap();
+/// The messages the parent of `child` sends for one traffic change of the
+/// uplink of `child`.
+fn change(net: &mut HarpNetwork, child: NodeId, cells: u32) -> Vec<(NodeId, NodeId, HarpMessage)> {
+    let node = net.tree().parent(child).unwrap();
+    let fx = net.request_change_now(Link::up(child), cells).unwrap();
     fx.messages
         .into_iter()
         .map(|(to, m)| (node, to, m))
@@ -362,17 +316,10 @@ fn change(
 #[test]
 fn messages_leave_in_a_fixed_order() {
     let tree = Tree::paper_fig1_example();
-    let config = SlotframeConfig::paper_default();
-    let mut nodes = fresh_nodes(&tree, config);
-    let schedule = &mut NetworkSchedule::new(config);
-    let mut inbox = Vec::new();
-    for node in &mut nodes {
-        let from = node.id();
-        let fx = node.bootstrap(&tree, schedule).unwrap();
-        inbox.extend(fx.messages.into_iter().map(|(to, m)| (from, to, m)));
-    }
+    let mut net = fresh_network(&tree);
+    let inbox = bootstrap_all(&mut net);
     assert_eq!(
-        deliver_in_order(&tree, schedule, &mut nodes, inbox),
+        deliver_in_order(&mut net, inbox),
         [
             "N8 -> N3: POST intf up={l3:[1, 1]} down={l3:[1, 1]}",
             "N7 -> N3: POST intf up={l3:[2, 1]} down={l3:[2, 1]}",
@@ -408,9 +355,9 @@ fn messages_leave_in_a_fixed_order() {
             "N0 -> N1: CELLS up (1 cells)",
         ]
     );
-    let inbox = change(&tree, schedule, &mut nodes, NodeId(7), NodeId(9), 8);
+    let inbox = change(&mut net, NodeId(9), 8);
     assert_eq!(
-        deliver_in_order(&tree, schedule, &mut nodes, inbox),
+        deliver_in_order(&mut net, inbox),
         [
             "N7 -> N3: PUT intf up l3 [9, 1]",
             "N3 -> N0: PUT intf up l3 [9, 2]",
@@ -422,18 +369,18 @@ fn messages_leave_in_a_fixed_order() {
             "N7 -> N9: CELLS up (8 cells)",
         ]
     );
-    let inbox = change(&tree, schedule, &mut nodes, tree.root(), NodeId(2), 5);
+    let inbox = change(&mut net, NodeId(2), 5);
     assert_eq!(
-        deliver_in_order(&tree, schedule, &mut nodes, inbox),
+        deliver_in_order(&mut net, inbox),
         [
             "N0 -> N3: CELLS up (1 cells)",
             "N0 -> N1: CELLS up (1 cells)",
             "N0 -> N2: CELLS up (5 cells)",
         ]
     );
-    let inbox = change(&tree, schedule, &mut nodes, NodeId(8), NodeId(11), 2);
+    let inbox = change(&mut net, NodeId(11), 2);
     assert_eq!(
-        deliver_in_order(&tree, schedule, &mut nodes, inbox),
+        deliver_in_order(&mut net, inbox),
         [
             "N8 -> N3: PUT intf up l3 [2, 1]",
             "N3 -> N8: PUT part up l3 2x1+(14, 1)",

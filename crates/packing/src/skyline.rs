@@ -316,6 +316,13 @@ impl StripWorkspace {
         }
     }
 
+    /// Reserves room to pack up to `items` rectangles without allocating:
+    /// a skyline has at most one segment more than it holds items.
+    pub fn reserve(&mut self, items: usize) {
+        self.skyline.segments.reserve(items + 1);
+        self.pending.reserve(items);
+    }
+
     /// Packs `items` into a strip of the given `width` using the best-fit
     /// skyline heuristic, minimising the resulting height, which it
     /// returns.

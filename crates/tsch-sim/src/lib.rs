@@ -60,6 +60,7 @@ mod par;
 mod radio;
 pub mod reference;
 mod rng;
+mod run_pool;
 mod schedule;
 mod stats;
 mod time;
@@ -77,6 +78,7 @@ pub use packet::{Packet, Rate, RateError, Task, TaskId, TaskKind};
 pub use par::{bench_threads, par_map, par_map_with_threads};
 pub use radio::{LinkQuality, PdrError};
 pub use rng::SplitMix64;
+pub use run_pool::{Run, RunPool};
 pub use schedule::{CollisionReport, NetworkSchedule, ScheduleError};
 pub use stats::{mean, DeliveryRecord, LatencySummary, SimStats, StatsMode};
 pub use time::{Asn, Cell, ConfigError, SlotframeConfig};

@@ -8,6 +8,7 @@
 //! in `tests/schedule_model.rs`.
 
 use crate::interference::InterferenceModel;
+use crate::run_pool::{Run, RunPool};
 use crate::time::{Cell, SlotframeConfig};
 use crate::topology::{Link, Tree};
 use core::fmt;
@@ -96,28 +97,14 @@ impl CollisionReport {
 /// list, first link included, lives in `NetworkSchedule::stacked`.
 const STACKED: u32 = u32::MAX;
 
-/// Dead pool entries tolerated before a relocation compacts the pool
-/// (they must also outnumber half of it).
-const GARBAGE_FLOOR: usize = 64;
-
 /// One row of the link table: the link itself, so an exclusive cell can
-/// lend it as a one-element slice, and its run of the cell pool.
+/// lend it as a one-element slice, and its run of the cell pool. A row
+/// keeps its run's room after an unassign, for the re-assignment that
+/// follows.
 #[derive(Debug, Clone, Copy)]
 struct LinkRow {
     link: Link,
-    /// First pool entry of the run; 0 while the row owns no room.
-    start: u32,
-    /// Cells assigned: the run's live prefix.
-    len: u32,
-    /// Pool entries the row owns from `start`. `len..cap` is room kept for
-    /// the re-assignment that follows an unassign.
-    cap: u32,
-}
-
-impl LinkRow {
-    fn run(&self) -> core::ops::Range<usize> {
-        self.start as usize..(self.start + self.len) as usize
-    }
+    cells: Run,
 }
 
 /// A slotframe-wide table of cell assignments.
@@ -151,9 +138,7 @@ pub struct NetworkSchedule {
     /// The link table, dense by `Link::dense_id` and grown on demand.
     rows: Vec<LinkRow>,
     /// Every link's cells, in assignment order within a row's run.
-    pool: Vec<Cell>,
-    /// Pool entries no row owns (runs left behind by a relocation).
-    garbage: usize,
+    pool: RunPool<Cell>,
     /// Cells hosting two or more links, in assignment order. Empty for a
     /// HARP schedule.
     stacked: BTreeMap<Cell, Vec<Link>>,
@@ -168,6 +153,19 @@ impl NetworkSchedule {
     pub fn new(config: SlotframeConfig) -> Self {
         Self {
             config,
+            ..Self::default()
+        }
+    }
+
+    /// An empty schedule with room for `links` link ids and `cells`
+    /// assignments, so filling it up to that allocates nothing more than
+    /// its cell index.
+    #[must_use]
+    pub fn with_capacity(config: SlotframeConfig, links: usize, cells: usize) -> Self {
+        Self {
+            config,
+            rows: Vec::with_capacity(links),
+            pool: RunPool::with_capacity(cells),
             ..Self::default()
         }
     }
@@ -218,9 +216,7 @@ impl NetworkSchedule {
         let from = self.rows.len();
         self.rows.extend((from..=id).map(|id| LinkRow {
             link: Link::from_dense_id(id),
-            start: 0,
-            len: 0,
-            cap: 0,
+            cells: Run::default(),
         }));
     }
 
@@ -268,66 +264,28 @@ impl NetworkSchedule {
         }
     }
 
-    /// Appends `cell` to the run of link `id`: in place while the row has
-    /// room, at the pool's tail when the run ends there, else the run
-    /// moves to the tail and its old room becomes garbage.
+    /// Appends `cell` to the run of link `id`, compacting the pool when
+    /// the run moved and left too much garbage behind.
     fn push_cell(&mut self, id: usize, cell: Cell) {
         self.assignments += 1;
-        let row = &mut self.rows[id];
-        let (start, len, cap) = (row.start as usize, row.len as usize, row.cap as usize);
-        row.len += 1;
-        if len < cap {
-            self.pool[start + len] = cell;
-            return;
-        }
-        let relocated = start + cap != self.pool.len();
-        if relocated {
-            row.start = u32::try_from(self.pool.len()).expect("cell pool fits u32");
-            row.cap = len as u32;
-            self.pool.extend_from_within(start..start + len);
-            self.garbage += cap;
-        }
-        row.cap += 1;
-        self.pool.push(cell);
-        if relocated && self.garbage > GARBAGE_FLOOR.max(self.pool.len() / 2) {
-            self.compact();
+        if self.pool.push(&mut self.rows[id].cells, cell) && self.pool.wants_compaction() {
+            let rows = &mut self.rows;
+            self.pool
+                .compact(|each| rows.iter_mut().for_each(|row| each(&mut row.cells)));
         }
     }
 
-    /// Rewrites the pool with every run packed in link order and no room.
-    fn compact(&mut self) {
-        let mut pool = Vec::with_capacity(self.assignments);
-        for row in &mut self.rows {
-            let run = row.run();
-            row.start = if run.is_empty() { 0 } else { pool.len() as u32 };
-            row.cap = row.len;
-            pool.extend_from_slice(&self.pool[run]);
-        }
-        self.pool = pool;
-        self.garbage = 0;
-    }
-
-    /// Empties the row of link `id`; returns how many cells it held. The
-    /// row keeps its room for the re-assignment that rewriting a link's
-    /// cells follows with, unless the run is the pool's tail, which shrinks.
+    /// Empties the row of link `id`; returns how many cells it held.
     fn release(&mut self, id: usize) -> usize {
         let Some(&row) = self.rows.get(id) else {
             return 0;
         };
-        for k in row.run() {
-            self.vacate(self.pool[k], row.link);
+        for k in 0..row.cells.len() {
+            self.vacate(self.pool.get(row.cells)[k], row.link);
         }
-        let released = row.len as usize;
+        let released = row.cells.len();
         self.assignments -= released;
-        let row = &mut self.rows[id];
-        row.len = 0;
-        if (row.start + row.cap) as usize == self.pool.len() {
-            self.pool.truncate(row.start as usize);
-            // An emptied row must not keep pointing past a pool that other
-            // tail rows may shrink further.
-            row.start = 0;
-            row.cap = 0;
-        }
+        self.pool.clear(&mut self.rows[id].cells);
         released
     }
 
@@ -373,7 +331,7 @@ impl NetworkSchedule {
     #[must_use]
     pub fn cells_of(&self, link: Link) -> &[Cell] {
         match self.rows.get(link.dense_id()) {
-            Some(row) => &self.pool[row.run()],
+            Some(row) => self.pool.get(row.cells),
             None => &[],
         }
     }
@@ -407,8 +365,8 @@ impl NetworkSchedule {
     pub fn iter_links(&self) -> impl Iterator<Item = (Link, &[Cell])> + '_ {
         self.rows
             .iter()
-            .filter(|row| row.len > 0)
-            .map(|row| (row.link, &self.pool[row.run()]))
+            .filter(|row| !row.cells.is_empty())
+            .map(|row| (row.link, self.pool.get(row.cells)))
     }
 
     /// Total number of (cell, link) assignments — per-slotframe

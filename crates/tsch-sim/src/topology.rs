@@ -104,14 +104,20 @@ impl Link {
     }
 
     /// The link's dense id, `child * 2 + direction` — the index of every
-    /// per-link table in this crate. Ids order links as the derived `Ord`
-    /// does: child first, then `Up < Down`.
-    pub(crate) fn dense_id(self) -> usize {
+    /// per-link table. Ids order links as the derived `Ord` does: child
+    /// first, then `Up < Down`.
+    #[must_use]
+    pub fn dense_id(self) -> usize {
         self.child.index() * 2 + usize::from(self.direction == Direction::Down)
     }
 
     /// The link with dense id `id`.
-    pub(crate) fn from_dense_id(id: usize) -> Link {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id / 2` does not fit a node id.
+    #[must_use]
+    pub fn from_dense_id(id: usize) -> Link {
         Link {
             child: NodeId(u32::try_from(id / 2).expect("link ids come from u32 node ids")),
             direction: Direction::BOTH[id % 2],
@@ -474,10 +480,26 @@ impl Tree {
     /// bottom-up resource-interface generation phase.
     #[must_use]
     pub fn postorder(&self) -> Vec<NodeId> {
-        let mut pre = self.subtree_nodes(self.root());
-        pre.reverse();
-        // Reversed preorder with reversed child order is a valid post-order.
-        pre
+        let mut order = Vec::new();
+        self.postorder_into(&mut order, &mut Vec::new());
+        order
+    }
+
+    /// [`Tree::postorder`] into `order`, with `stack` as the walk's stack;
+    /// both reserve the whole tree, so warm buffers allocate nothing.
+    pub fn postorder_into(&self, order: &mut Vec<NodeId>, stack: &mut Vec<NodeId>) {
+        order.clear();
+        order.reserve(self.len());
+        stack.clear();
+        stack.reserve(self.len());
+        stack.push(self.root());
+        // A preorder that visits children in id order, reversed: children
+        // before parents.
+        while let Some(v) = stack.pop() {
+            order.push(v);
+            stack.extend(self.children(v).iter().rev());
+        }
+        order.reverse();
     }
 
     /// Returns `true` if `ancestor` lies on `node`'s path to the root

@@ -61,7 +61,7 @@ pub fn task_id_of(tree: &Tree, node: NodeId) -> Option<TaskId> {
 /// count without forwarding aggregation.
 #[must_use]
 pub fn uniform_link_requirements(tree: &Tree, cells_per_link: u32) -> harp_core::Requirements {
-    let mut reqs = harp_core::Requirements::new();
+    let mut reqs = harp_core::Requirements::for_tree(tree);
     for v in tree.nodes().skip(1) {
         reqs.set(tsch_sim::Link::up(v), cells_per_link);
         reqs.set(tsch_sim::Link::down(v), cells_per_link);
@@ -75,7 +75,7 @@ pub fn uniform_link_requirements(tree: &Tree, cells_per_link: u32) -> harp_core:
 /// exactly, the regime the paper sweeps).
 #[must_use]
 pub fn uniform_uplink_requirements(tree: &Tree, cells_per_link: u32) -> harp_core::Requirements {
-    let mut reqs = harp_core::Requirements::new();
+    let mut reqs = harp_core::Requirements::for_tree(tree);
     for v in tree.nodes().skip(1) {
         reqs.set(tsch_sim::Link::up(v), cells_per_link);
     }
