@@ -1,4 +1,5 @@
-//! Ablation report for the design choices DESIGN.md §7 calls out:
+//! Ablation report for the design choices `DESIGN.md`'s "Packing" section
+//! calls out:
 //!
 //! 1. best-fit skyline vs greedy MaxRects vs the FFDH shelf packer vs the
 //!    exact optimum (solution quality on composition-shaped workloads);

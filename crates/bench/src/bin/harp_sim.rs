@@ -13,7 +13,7 @@
 //! values.
 //!
 //! The scenario file declares topology, scheduler, workload, fault
-//! schedule and report shape (grammar in `DESIGN.md` §14); the runner
+//! schedule and report shape (grammar in `workloads::scenario_dsl`); the runner
 //! replays it deterministically — the same scenario and seed produce a
 //! byte-identical report on every run and for every `--threads` value.
 //! `--seed` overrides the file's seed and still writes to the scenario's

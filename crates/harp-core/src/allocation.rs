@@ -127,7 +127,11 @@ impl PartitionTable {
         self.total_slots
     }
 
-    /// Replaces one partition (used by the dynamic-adjustment machinery).
+    /// Replaces one partition. Only tests call it: the helpers
+    /// `undo_log.rs::current_partitions` and
+    /// `topology_dynamics.rs::held_partitions` lay the nodes' held
+    /// partitions over a static table, and `verify.rs`'s unit tests break a
+    /// table to see the verifiers catch it.
     pub fn set(&mut self, node: NodeId, direction: Direction, layer: u32, rect: Rect) {
         self.map.insert((node, direction, layer), rect);
     }

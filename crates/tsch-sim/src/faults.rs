@@ -15,7 +15,7 @@
 //! bursts, reparenting churn) all lower onto this action set; the
 //! control-plane kinds (gateway failover with re-bootstrap, reparenting)
 //! additionally drive `HarpNetwork` operations from the scenario runner —
-//! see `DESIGN.md` §14.
+//! see the scenario part of `DESIGN.md`'s "Reports and benchmarks" section.
 //!
 //! # Semantics
 //!

@@ -5,8 +5,8 @@
 //! shape — hand-parsed like the in-tree JSON writer (no serde). The
 //! checked-in files under `scenarios/` replace what used to be bespoke
 //! experiment binaries; `harp_sim --scenario <file>` replays any of them
-//! byte-identically for a given seed (see `DESIGN.md` §14 for the grammar
-//! and determinism rules).
+//! byte-identically for a given seed (`DESIGN.md`'s "Reports and
+//! benchmarks" section has the determinism rules; the grammar is below).
 //!
 //! ```text
 //! # Comments run to end of line; blank lines are ignored.
