@@ -7,8 +7,8 @@
 //! layer `l` (grows linearly with depth); HARP's cost is small and roughly
 //! flat because most requests resolve at the parent.
 //!
-//! HARP's count is the [`AdjustmentBill`](harp_core::AdjustmentBill) of
-//! [`AllocatorHandle::adjust`] — the bill harpd returns for the same
+//! HARP's count is the [`ProtocolReport`](harp_core::ProtocolReport) of
+//! [`AllocatorHandle::adjust`] — the report harpd returns for the same
 //! change.
 //!
 //! Writes `BENCH_fig12.json` at the workspace root: one gated row per

@@ -580,10 +580,7 @@ fn run_adjustments(
             1024,
         )
         .ok()
-        .and_then(|mut handle| {
-            let bill = handle.adjust(ev.link, new_cells).ok()?;
-            Some((bill, handle))
-        });
+        .and_then(|mut handle| Some((handle.adjust(ev.link, new_cells).ok()?, handle)));
         match measured {
             Some((bill, handle)) => {
                 let text = format!(
@@ -592,8 +589,8 @@ fn run_adjustments(
                     bill.involved_nodes,
                     bill.layers_touched,
                     bill.mgmt_messages,
-                    bill.seconds,
-                    bill.slotframes
+                    bill.elapsed_seconds(config),
+                    bill.slotframes(config)
                 );
                 let row = (
                     format!(
@@ -606,8 +603,8 @@ fn run_adjustments(
                         ("involved_nodes", bill.involved_nodes as f64),
                         ("layers_touched", bill.layers_touched as f64),
                         ("mgmt_messages", bill.mgmt_messages as f64),
-                        ("seconds", bill.seconds),
-                        ("slotframes", bill.slotframes as f64),
+                        ("seconds", bill.elapsed_seconds(config)),
+                        ("slotframes", bill.slotframes(config) as f64),
                     ],
                 );
                 // Keep the adjustment spans only: the identical static
@@ -806,8 +803,8 @@ fn run_churn(scenario: &Scenario, opts: &RunOptions) -> Result<(String, String),
                 let _ = writeln!(
                     out,
                     "{label:<16} {:>6} {:>7} {:>5} {:>4}",
-                    report.involved_nodes.len(),
-                    report.layers.len(),
+                    report.involved_nodes,
+                    report.layers_touched,
                     report.mgmt_messages + report.cell_messages,
                     report.slotframes(config)
                 );
@@ -821,8 +818,8 @@ fn run_churn(scenario: &Scenario, opts: &RunOptions) -> Result<(String, String),
         rows.push((
             label,
             vec![
-                ("involved_nodes", report.involved_nodes.len() as f64),
-                ("layers_touched", report.layers.len() as f64),
+                ("involved_nodes", report.involved_nodes as f64),
+                ("layers_touched", report.layers_touched as f64),
                 ("mgmt_messages", report.mgmt_messages as f64),
                 ("cell_messages", report.cell_messages as f64),
                 ("slotframes", report.slotframes(config) as f64),

@@ -6,9 +6,9 @@
 //! tenant alive for hours and drives it request by request; this module
 //! packages that usage as [`AllocatorHandle`]: converge once, then any
 //! number of [`AllocatorHandle::adjust`] calls, each returning the
-//! control-message bill ([`AdjustmentBill`]) the change cost, with a
-//! schedule summary ([`ScheduleSummary`]) cheap enough to serve on every
-//! query.
+//! [`ProtocolReport`] of the change (its messages, nodes, layers and
+//! time), with a schedule summary ([`ScheduleSummary`]) cheap enough to
+//! serve on every query.
 
 use crate::error::HarpError;
 use crate::requirement::Requirements;
@@ -16,37 +16,6 @@ use crate::runner::{HarpNetwork, ProtocolReport};
 use crate::schedule_gen::SchedulingPolicy;
 use harp_obs::MetricsSnapshot;
 use tsch_sim::{Link, NodeId, SlotframeConfig, Tree};
-
-/// The control-plane cost of one partition adjustment — what a service
-/// returns to the caller that requested the change.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdjustmentBill {
-    /// Management messages exchanged (`POST/PUT intf`, `POST/PUT part`).
-    pub mgmt_messages: u64,
-    /// Cell-assignment notifications exchanged.
-    pub cell_messages: u64,
-    /// Nodes that sent or received any message.
-    pub involved_nodes: usize,
-    /// Distinct layers named in dynamic (`PUT`) messages.
-    pub layers_touched: usize,
-    /// Duration in whole slotframes (rounded up).
-    pub slotframes: u64,
-    /// Duration in seconds of slotframe time.
-    pub seconds: f64,
-}
-
-impl AdjustmentBill {
-    fn from_report(report: &ProtocolReport, config: SlotframeConfig) -> Self {
-        Self {
-            mgmt_messages: report.mgmt_messages,
-            cell_messages: report.cell_messages,
-            involved_nodes: report.involved_nodes.len(),
-            layers_touched: report.layers.len(),
-            slotframes: report.slotframes(config),
-            seconds: report.elapsed_seconds(config),
-        }
-    }
-}
 
 /// A point-in-time view of the converged schedule, cheap to compute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,8 +59,8 @@ pub struct ScheduleSummary {
 ///     &reqs,
 ///     SchedulingPolicy::RateMonotonic,
 /// )?;
-/// let bill = handle.adjust(Link::up(NodeId(9)), 3)?;
-/// assert!(bill.mgmt_messages >= 2);
+/// let report = handle.adjust(Link::up(NodeId(9)), 3)?;
+/// assert!(report.mgmt_messages >= 2);
 /// assert!(handle.summary().exclusive);
 /// assert_eq!(handle.adjustments(), 1);
 /// # Ok(())
@@ -154,30 +123,30 @@ impl AllocatorHandle {
             net.enable_observability(capacity);
         }
         let static_report = net.run_static()?;
-        let (mgmt, cells) = (static_report.mgmt_messages, static_report.cell_messages);
         Ok(Self {
             net,
             static_report,
             adjustments: 0,
-            mgmt_messages_total: mgmt,
-            cell_messages_total: cells,
+            mgmt_messages_total: static_report.mgmt_messages,
+            cell_messages_total: static_report.cell_messages,
         })
     }
 
     /// Raises (or lowers) one link's cell requirement and settles the
-    /// protocol, returning the control-message bill of the change.
+    /// protocol, returning the report of the change: what it cost in
+    /// messages, nodes, layers and time.
     ///
     /// # Errors
     ///
     /// The adjustment's [`HarpError`] when it is infeasible; the previous
     /// schedule stays installed (the protocol rolls back).
-    pub fn adjust(&mut self, link: Link, cells: u32) -> Result<AdjustmentBill, HarpError> {
+    pub fn adjust(&mut self, link: Link, cells: u32) -> Result<ProtocolReport, HarpError> {
         let now = self.net.now();
         let report = self.net.adjust_and_settle(now, link, cells)?;
         self.adjustments += 1;
         self.mgmt_messages_total += report.mgmt_messages;
         self.cell_messages_total += report.cell_messages;
-        Ok(AdjustmentBill::from_report(&report, self.net.config()))
+        Ok(report)
     }
 
     /// Like [`AllocatorHandle::adjust`], with `corr` stamped as the
@@ -195,7 +164,7 @@ impl AllocatorHandle {
         link: Link,
         cells: u32,
         corr: u64,
-    ) -> Result<AdjustmentBill, HarpError> {
+    ) -> Result<ProtocolReport, HarpError> {
         self.net.set_correlation(corr);
         let result = self.adjust(link, cells);
         self.net.set_correlation(harp_obs::NO_CORRELATION);
@@ -303,7 +272,7 @@ mod tests {
         assert!(before > 0, "static phase exchanged messages");
         let bill = handle.adjust(Link::up(NodeId(9)), 3).unwrap();
         assert!(bill.mgmt_messages >= 2);
-        assert!(bill.slotframes >= 1);
+        assert!(bill.slotframes(handle.network().config()) >= 1);
         assert!(bill.involved_nodes >= 1);
         assert_eq!(handle.adjustments(), 1);
         assert_eq!(

@@ -111,7 +111,7 @@ pub use compose::{
     build_interfaces, compose_components, CompositionLayout, InterfaceSet, NodeInterface,
 };
 pub use error::HarpError;
-pub use handle::{AdjustmentBill, AllocatorHandle, ScheduleSummary};
+pub use handle::{AllocatorHandle, ScheduleSummary};
 pub use node::{Effects, HarpNode, NodeObsCounters};
 pub use protocol::{HarpMessage, MessageKind};
 pub use render::{render_cell_map, render_super_partitions, render_utilization};
@@ -139,6 +139,14 @@ mod lib_tests {
         assert_traits::<HarpNode<'static>>();
         assert_traits::<ProtocolReport>();
         assert_traits::<HarpError>();
+    }
+
+    #[test]
+    fn the_protocol_report_is_a_plain_value() {
+        // `Copy` rules out a heap field: the report is derived on read and
+        // never cloned.
+        fn assert_copy<T: Copy>() {}
+        assert_copy::<ProtocolReport>();
     }
 
     #[test]

@@ -44,9 +44,9 @@ struct NetworkCounts {
     cell_messages: u64,
 }
 
-/// Counters and metadata for one protocol run (static phase or one dynamic
-/// adjustment) — the raw material of Table II and Fig. 12.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// The one record of a protocol run — a row of Table II, a count of Fig. 12,
+/// harpd's adjust response — derived on read by [`HarpNetwork::report`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ProtocolReport {
     /// When the run started.
     pub started_at: Asn,
@@ -64,10 +64,12 @@ pub struct ProtocolReport {
     pub acks: u64,
     /// Control transmissions lost to the channel during the run.
     pub dropped: u64,
-    /// Nodes that sent or received any message during the run.
-    pub involved_nodes: BTreeSet<NodeId>,
-    /// Layers named in dynamic (`PUT`) messages.
-    pub layers: BTreeSet<u32>,
+    /// Distinct nodes that sent or received a message during the run, and
+    /// the parent that handled each traffic change, even one that sent
+    /// nothing (see [`HarpNetwork::involved`]).
+    pub involved_nodes: usize,
+    /// Distinct layers named in dynamic (`PUT`) messages.
+    pub layers_touched: usize,
 }
 
 impl ProtocolReport {
@@ -88,6 +90,49 @@ impl ProtocolReport {
     pub fn elapsed_seconds(&self, config: SlotframeConfig) -> f64 {
         config.slots_to_seconds(self.elapsed_slots())
     }
+}
+
+/// The report window in progress: its clock, the counts at its start, and
+/// two mark arrays, a stamp per node and per layer (the gateway's 0
+/// included), marked while it equals the epoch. Opening a window advances
+/// the epoch, which unmarks both in O(1); a wrap of the epoch clears them.
+#[derive(Debug, Default)]
+struct Window {
+    started_at: Asn,
+    completed_at: Asn,
+    base: (TransportStats, NetworkCounts),
+    epoch: u32,
+    nodes: Vec<u32>,
+    layers: Vec<u32>,
+    /// Marked nodes and layers.
+    marked: (usize, usize),
+}
+
+impl Window {
+    fn open(&mut self, now: Asn, base: (TransportStats, NetworkCounts)) {
+        (self.started_at, self.completed_at, self.base) = (now, now, base);
+        self.epoch = self.epoch.checked_add(1).unwrap_or_else(|| {
+            self.nodes.fill(0);
+            self.layers.fill(0);
+            1
+        });
+        self.marked = (0, 0);
+    }
+
+    fn involve(&mut self, nodes: impl IntoIterator<Item = NodeId>) {
+        for v in nodes {
+            self.marked.0 += stamp(&mut self.nodes, v.index(), self.epoch);
+        }
+    }
+}
+
+/// Stamps mark `i` with `epoch`, growing the array where a join grew the
+/// tree: 1 if that marked it, 0 if it was marked.
+fn stamp(marks: &mut Vec<u32>, i: usize, epoch: u32) -> usize {
+    if i >= marks.len() {
+        marks.resize(i + 1, 0);
+    }
+    usize::from(mem::replace(&mut marks[i], epoch) != epoch)
 }
 
 /// What it takes to abort the protocol event in progress.
@@ -113,10 +158,13 @@ struct Transaction {
     tree: Option<Tree>,
 }
 
-/// What [`HarpNetwork::transact`] records when an event commits: the count
-/// it bumps, and a span of that name on that node.
+/// What `HarpNetwork::close_run` records when a protocol run converges:
+/// the count it bumps, and a span of that name on that node.
 #[derive(Debug, Clone, Copy)]
 struct Event(fn(&mut NetworkCounts) -> &mut u64, &'static str, NodeId);
+
+/// The static phase, on either path: a network-wide span.
+const STATIC_RUN: Event = Event(|c| &mut c.static_runs, "static", NodeId(NO_NODE));
 
 /// A network of HARP nodes plus the management plane connecting them.
 #[derive(Debug)]
@@ -133,12 +181,9 @@ pub struct HarpNetwork {
     /// a rollback. An embedder copies it when its version moves.
     schedule: NetworkSchedule,
     now: Asn,
-    report: ProtocolReport,
+    window: Window,
     /// The runner's own counts since the network was built.
     counts: NetworkCounts,
-    /// Transport and runner counts at the start of the current report
-    /// window.
-    window_base: (TransportStats, NetworkCounts),
     /// Nodes that have left the network (their tree entries remain, but
     /// they carry no demand and take no further part in the protocol).
     departed: BTreeSet<NodeId>,
@@ -206,6 +251,12 @@ impl HarpNetwork {
         let schedule = NetworkSchedule::with_capacity(config, 2 * tree.len(), cells);
         let mut workspace = Workspace::new();
         workspace.reserve_for(&tree);
+        let mut window = Window {
+            nodes: vec![0; tree.len()],
+            layers: vec![0; tree.layers() as usize + 1],
+            ..Window::default()
+        };
+        window.open(Asn::ZERO, Default::default());
         Self {
             tree,
             config,
@@ -214,9 +265,8 @@ impl HarpNetwork {
             plane,
             schedule,
             now: Asn::ZERO,
-            report: ProtocolReport::default(),
+            window,
             counts: NetworkCounts::default(),
-            window_base: Default::default(),
             departed: BTreeSet::new(),
             obs: Obs::disabled(),
             txn: Transaction::default(),
@@ -334,7 +384,7 @@ impl HarpNetwork {
         } else {
             self.tree.depth(NodeId(node))
         };
-        let (start, end) = (self.report.started_at.0, self.report.completed_at.0);
+        let (start, end) = (self.window.started_at.0, self.window.completed_at.0);
         self.obs.span(name, "harp", node, depth, start, end, detail);
     }
 
@@ -391,10 +441,28 @@ impl HarpNetwork {
         self.plane.is_idle()
     }
 
-    /// The report accumulated since the last [`HarpNetwork::reset_report`].
+    /// The report of the window [`HarpNetwork::reset_report`] last opened.
     #[must_use]
-    pub fn report(&self) -> &ProtocolReport {
-        &self.report
+    pub fn report(&self) -> ProtocolReport {
+        let (w, s, c) = (&self.window, self.plane.stats(), self.counts);
+        let (s0, c0) = w.base;
+        ProtocolReport {
+            started_at: w.started_at,
+            completed_at: w.completed_at,
+            mgmt_messages: c.mgmt_messages - c0.mgmt_messages,
+            cell_messages: c.cell_messages - c0.cell_messages,
+            retransmissions: s.retransmissions - s0.retransmissions,
+            acks: s.acks_sent - s0.acks_sent,
+            dropped: s.dropped - s0.dropped,
+            involved_nodes: w.marked.0,
+            layers_touched: w.marked.1,
+        }
+    }
+
+    /// Whether the current window's report counts `node` as involved.
+    #[must_use]
+    pub fn involved(&self, node: NodeId) -> bool {
+        self.window.nodes.get(node.index()) == Some(&self.window.epoch)
     }
 
     /// Cumulative transport counters since the network was built (monotonic
@@ -406,24 +474,8 @@ impl HarpNetwork {
 
     /// Starts a fresh report window at the current time.
     pub fn reset_report(&mut self) {
-        self.report = ProtocolReport {
-            started_at: self.now,
-            completed_at: self.now,
-            ..ProtocolReport::default()
-        };
-        self.window_base = (self.plane.stats(), self.counts);
-    }
-
-    /// Folds the counts accrued this window into the report: messages,
-    /// and the transport's retransmissions, ACKs and drops.
-    fn sync_report(&mut self) {
-        let (s, c) = (self.plane.stats(), self.counts);
-        let (s0, c0) = self.window_base;
-        self.report.mgmt_messages = c.mgmt_messages - c0.mgmt_messages;
-        self.report.cell_messages = c.cell_messages - c0.cell_messages;
-        self.report.retransmissions = s.retransmissions - s0.retransmissions;
-        self.report.acks = s.acks_sent - s0.acks_sent;
-        self.report.dropped = s.dropped - s0.dropped;
+        self.window
+            .open(self.now, (self.plane.stats(), self.counts));
     }
 
     /// Runs `f` with what this network lends its handlers: the tree, the
@@ -465,7 +517,6 @@ impl HarpNetwork {
         outbox.messages.clear();
         self.outbox = outbox;
         self.nodes.compact(&self.txn.log);
-        self.sync_report();
         sent
     }
 
@@ -532,32 +583,27 @@ impl HarpNetwork {
     }
 
     fn account_message(&mut self, from: NodeId, to: NodeId, msg: &HarpMessage) {
-        if msg.is_management() {
-            self.counts.mgmt_messages += 1;
+        let (count, name) = if msg.is_management() {
+            (&mut self.counts.mgmt_messages, "mgmt_op")
         } else {
-            self.counts.cell_messages += 1;
-        }
+            (&mut self.counts.cell_messages, "cell_op")
+        };
+        *count += 1;
         // While a correlation id is ambient (a request scope is open),
         // every message becomes an instantaneous op span so the request
         // resolves to the exact control-plane traffic it caused. Gated on
         // the correlation so batch runs record no extra spans.
         if self.obs.correlation() != harp_obs::NO_CORRELATION {
-            let name = if msg.is_management() {
-                "mgmt_op"
-            } else {
-                "cell_op"
-            };
             let at = self.now.0;
             self.obs
                 .span(name, "harp", to.0, self.tree.depth(to), at, at, 1);
         }
-        self.report.involved_nodes.insert(from);
-        self.report.involved_nodes.insert(to);
-        match msg {
-            HarpMessage::PutInterface { layer, .. } | HarpMessage::PutPartition { layer, .. } => {
-                self.report.layers.insert(*layer);
-            }
-            _ => {}
+        self.window.involve([from, to]);
+        if let HarpMessage::PutInterface { layer, .. } | HarpMessage::PutPartition { layer, .. } =
+            msg
+        {
+            let w = &mut self.window;
+            w.marked.1 += stamp(&mut w.layers, *layer as usize, w.epoch);
         }
     }
 
@@ -612,14 +658,13 @@ impl HarpNetwork {
             }
             delivered_any = true;
             for d in delivered {
-                self.report.completed_at = self.report.completed_at.max(d.at);
+                self.window.completed_at = self.window.completed_at.max(d.at);
                 self.run_handler(d.to, |cx| cx.handle(d.to, d.from, d.payload))?;
             }
             if self.plane.next_event().map(|a| a > now).unwrap_or(true) {
                 break;
             }
         }
-        self.sync_report();
         Ok(delivered_any)
     }
 
@@ -634,7 +679,7 @@ impl HarpNetwork {
         while let Some(at) = self.plane.next_event() {
             self.step_inner(at)?;
         }
-        Ok(self.report.clone())
+        Ok(self.report())
     }
 
     /// Runs the complete static phase and returns its report. Its result is
@@ -667,8 +712,7 @@ impl HarpNetwork {
         self.touch();
         self.reset_report();
         self.settle_static_directly()?;
-        self.close_static_run();
-        Ok(self.report.clone())
+        Ok(self.close_run(STATIC_RUN))
     }
 
     /// The static phase as the devices run it: bootstrap every node, then
@@ -683,17 +727,18 @@ impl HarpNetwork {
     pub fn run_static_by_messages(&mut self) -> Result<ProtocolReport, HarpError> {
         self.touch();
         self.bootstrap_inner()?;
-        let report = self.run_until_quiescent()?;
-        self.close_static_run();
-        Ok(report)
+        self.run_until_quiescent()?;
+        Ok(self.close_run(STATIC_RUN))
     }
 
-    /// What both static paths do once converged: count the run, record its
-    /// span.
-    fn close_static_run(&mut self) {
-        self.counts.static_runs += 1;
-        let msgs = self.report.mgmt_messages + self.report.cell_messages;
-        self.report_span("static", NO_NODE, msgs as i64);
+    /// What every converged protocol run ends with: count it, record its
+    /// span with its message count, return its report.
+    fn close_run(&mut self, Event(count, span, node): Event) -> ProtocolReport {
+        *count(&mut self.counts) += 1;
+        let report = self.report();
+        let msgs = report.mgmt_messages + report.cell_messages;
+        self.report_span(span, node.0, msgs as i64);
+        report
     }
 
     /// Solves the static phase of a pristine network on a lossless
@@ -741,7 +786,7 @@ impl HarpNetwork {
             let arrives = self.plane.occupy_cell(&self.tree, at[v.index()], v, p, 1)?;
             at[p.index()] = at[p.index()].max(arrives);
             self.with_cx(|cx| cx.store_child_interfaces(p, v));
-            self.report.involved_nodes.extend([v, p]);
+            self.window.involve([v, p]);
             mgmt += 1;
         }
         // The gateway generates last; billing before it allocates leaves an
@@ -774,7 +819,7 @@ impl HarpNetwork {
                 // The `POST part` leaves after the uplink cell assignment.
                 at[c.index()] = first.plus(u64::from(grant.up_cells) * slots);
                 last = last.max(first.plus((count - 1) * slots));
-                self.report.involved_nodes.extend([p, c]);
+                self.window.involve([p, c]);
                 mgmt += u64::from(grant.partitions);
                 cells += cell_msgs;
             }
@@ -788,8 +833,7 @@ impl HarpNetwork {
     fn bill_static(&mut self, mgmt: u64, cells: u64, last_delivery: Asn) {
         self.counts.mgmt_messages += mgmt;
         self.counts.cell_messages += cells;
-        self.sync_report();
-        self.report.completed_at = last_delivery;
+        self.window.completed_at = last_delivery;
         self.now = last_delivery;
     }
 
@@ -838,7 +882,7 @@ impl HarpNetwork {
             .parent(link.child)
             .ok_or(TopologyError::RootHasNoParent)?;
         self.now = self.now.max(at);
-        self.report.involved_nodes.insert(parent);
+        self.window.involve([parent]);
         self.run_handler(parent, |cx| {
             cx.request_change(parent, link.direction, link.child, new_cells)
         })
@@ -874,7 +918,7 @@ impl HarpNetwork {
     /// The one bracket around a protocol event — an adjustment, a join, a
     /// leave or a parent switch: advances the clock to `at`, opens a report
     /// window and a [`Transaction`], runs `body` and settles the network.
-    /// On success it counts the event and records its span; on failure it
+    /// On success it closes the run (`HarpNetwork::close_run`); on failure it
     /// rolls back everything the event wrote — node state, schedule rows,
     /// in-flight messages, the tree and any joined node — and counts the
     /// rollback.
@@ -893,28 +937,22 @@ impl HarpNetwork {
             schedule_version: self.schedule.version(),
             tree: None,
         };
-        let result = body(self).and_then(|()| self.run_until_quiescent());
+        let result = body(self)
+            .and_then(|()| self.run_until_quiescent())
+            .map(|_| self.close_run(event));
         let txn = std::mem::take(&mut self.txn);
-        match &result {
-            Ok(report) => {
-                let Event(count, span, node) = event;
-                *count(&mut self.counts) += 1;
-                let msgs = report.mgmt_messages + report.cell_messages;
-                self.report_span(span, node.0, msgs as i64);
+        if result.is_err() {
+            // The log rolls back before the joined node is cut off, so the
+            // row it installed is released while the node exists.
+            let version = txn.schedule_version;
+            txn.log
+                .rollback(&mut self.nodes, &mut self.schedule, version);
+            self.plane.cancel_in_flight();
+            if let Some(tree) = txn.tree {
+                self.tree = tree;
             }
-            Err(_) => {
-                // The log rolls back before the joined node is cut off, so
-                // the row it installed is released while the node exists.
-                let version = txn.schedule_version;
-                txn.log
-                    .rollback(&mut self.nodes, &mut self.schedule, version);
-                self.plane.cancel_in_flight();
-                if let Some(tree) = txn.tree {
-                    self.tree = tree;
-                }
-                self.nodes.truncate(self.tree.len());
-                self.counts.adjustments_rolled_back += 1;
-            }
+            self.nodes.truncate(self.tree.len());
+            self.counts.adjustments_rolled_back += 1;
         }
         // The log is closed: the pools may pack what the event left behind.
         self.nodes.compact(&self.txn.log);
@@ -1168,7 +1206,7 @@ mod tests {
         let t0 = net.now();
         let report = net.adjust_and_settle(t0, Link::up(NodeId(9)), 2).unwrap();
         assert!(report.mgmt_messages >= 2, "PUT intf + PUT part at minimum");
-        assert!(!report.layers.is_empty());
+        assert!(report.layers_touched > 0);
         assert!(report.elapsed_slots() > 0);
         let schedule = net.schedule();
         assert!(schedule.is_exclusive());
@@ -1216,6 +1254,41 @@ mod tests {
         let adj = net.adjust_and_settle(t0, Link::up(NodeId(9)), 2).unwrap();
         assert!(adj.mgmt_messages < static_report.mgmt_messages);
         assert!(adj.started_at >= static_report.completed_at);
+    }
+
+    #[test]
+    fn a_new_window_unmarks_every_node_and_a_wrapped_epoch_clears_the_stamps() {
+        let (tree, _, mut net) = network();
+        let report = net.run_static().unwrap();
+        assert_eq!(report.involved_nodes, tree.len());
+        assert!(tree.nodes().all(|v| net.involved(v)));
+        assert!(!net.involved(NodeId(tree.len() as u32)), "outside the tree");
+        net.reset_report();
+        assert_eq!(net.report().involved_nodes, 0);
+        assert!(tree.nodes().all(|v| !net.involved(v)));
+
+        // One window before the wrap marks the nodes with `u32::MAX`; the
+        // wrap must not leave them marked in the window after it.
+        net.window.epoch = u32::MAX - 1;
+        let t0 = net.now();
+        let adj = net.adjust_and_settle(t0, Link::up(NodeId(9)), 2).unwrap();
+        assert_eq!(net.window.epoch, u32::MAX);
+        assert!(adj.involved_nodes > 0 && adj.layers_touched > 0);
+        net.reset_report();
+        assert_eq!(net.window.epoch, 1);
+        assert_eq!(
+            net.report(),
+            ProtocolReport {
+                started_at: net.now(),
+                completed_at: net.now(),
+                ..ProtocolReport::default()
+            }
+        );
+        assert!(tree.nodes().all(|v| !net.involved(v)));
+        let again = net
+            .adjust_and_settle(net.now(), Link::up(NodeId(9)), 3)
+            .unwrap();
+        assert!(again.involved_nodes > 0 && again.involved_nodes <= tree.len());
     }
 
     #[test]

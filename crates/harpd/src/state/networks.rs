@@ -321,6 +321,7 @@ pub(super) fn adjust<'r>(
         rec.corr,
     );
     rec.storm = tenant.slide_storm_window(committed_us);
+    let config = tenant.handle.network().config();
     drop(tenant);
     rec.op = Some(Op::Adjusted {
         node,
@@ -343,9 +344,9 @@ pub(super) fn adjust<'r>(
         .raw(", \"layers_touched\": ")
         .u64(bill.layers_touched as u64)
         .raw(", \"slotframes\": ")
-        .u64(bill.slotframes)
+        .u64(bill.slotframes(config))
         .raw(", \"seconds\": ")
-        .fixed(bill.seconds, 6)
+        .fixed(bill.elapsed_seconds(config), 6)
         .raw(", \"correlation_id\": ")
         .u64(rec.corr)
         .raw("}\n");

@@ -33,6 +33,7 @@ fn build(tree: &Tree, config: SlotframeConfig, reqs: &Requirements) -> HarpNetwo
 /// meaningless across two networks).
 fn assert_same(direct: &HarpNetwork, referee: &HarpNetwork, ctx: &str) {
     assert_eq!(direct.report(), referee.report(), "{ctx}: report");
+    assert_same_involvement(direct, referee, ctx);
     assert_eq!(direct.now(), referee.now(), "{ctx}: clock");
     assert_eq!(direct.version(), referee.version(), "{ctx}: version");
     assert_eq!(direct.quiescent(), referee.quiescent(), "{ctx}: quiescent");
@@ -56,6 +57,13 @@ fn assert_same(direct: &HarpNetwork, referee: &HarpNetwork, ctx: &str) {
     for (x, y) in direct.span_rings().iter().zip(referee.span_rings()) {
         assert!(x.iter().eq(y.iter()), "{ctx}: spans");
         assert_eq!(x.total_recorded(), y.total_recorded(), "{ctx}: span count");
+    }
+}
+
+/// The report counts the involved nodes; this compares them node by node.
+fn assert_same_involvement(a: &HarpNetwork, b: &HarpNetwork, ctx: &str) {
+    for v in a.tree().nodes() {
+        assert_eq!(a.involved(v), b.involved(v), "{ctx}: is {v} involved");
     }
 }
 
@@ -226,11 +234,12 @@ fn a_lossy_channel_that_loses_nothing_settles_like_the_reliable_one() {
         );
         let (a, b) = (reliable.run_static(), lossless.run_static());
         assert_eq!(a.err(), b.err(), "{ctx}: static outcome");
-        let mut report = lossless.report().clone();
+        let mut report = lossless.report();
         assert_eq!(report.retransmissions, 0, "{ctx}");
         assert_eq!(report.dropped, 0, "{ctx}");
         report.acks = reliable.report().acks;
-        assert_eq!(&report, reliable.report(), "{ctx}: report");
+        assert_eq!(report, reliable.report(), "{ctx}: report");
+        assert_same_involvement(&lossless, &reliable, &ctx);
         assert!(
             lossless
                 .schedule()

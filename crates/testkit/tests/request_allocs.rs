@@ -101,6 +101,9 @@ fn a_request_allocates_only_what_it_keeps() {
     /// the exposition (8,262 with a snapshot, a label set and a string per
     /// sample line for every tenant).
     const SCRAPE_BUDGET: u64 = 400;
+    /// Mean allocations of an adjustment, committed or refused: 144.5
+    /// (157.1 with the report's B-tree sets), + 10 %.
+    const ADJUST_BUDGET: f64 = 159.0;
     /// What 40 more tenants may add to a scrape: the vector of groups and
     /// each family's vector of series double a few more times, nothing is
     /// allocated per tenant.
@@ -152,6 +155,10 @@ fn a_request_allocates_only_what_it_keeps() {
     assert!(
         miss <= MISS_BUDGET,
         "a schedule render allocates {miss:.1} times, budget {MISS_BUDGET}"
+    );
+    assert!(
+        adjust <= ADJUST_BUDGET,
+        "an adjustment allocates {adjust:.1} times, budget {ADJUST_BUDGET}"
     );
     assert!(
         scrape_48 <= SCRAPE_BUDGET,

@@ -61,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!(
             "{label:<46} {:>5} {:>6} {:>8.2}",
             report.mgmt_messages,
-            report.involved_nodes.len(),
+            report.involved_nodes,
             report.elapsed_seconds(config)
         );
     }

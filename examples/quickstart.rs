@@ -57,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "adjustment: {} management messages, {} nodes involved, {:.2} s",
         adj.mgmt_messages,
-        adj.involved_nodes.len(),
+        adj.involved_nodes,
         adj.elapsed_seconds(net.config())
     );
     assert!(net.schedule().is_exclusive(), "still collision-free");

@@ -340,7 +340,7 @@ pub fn run(command: CliCommand) -> Result<String, String> {
             Ok(format!(
                 "adjusted {link} to {cells} cells: {} mgmt msgs, {} nodes, {:.2} s ({} slotframes); exclusive: {}\n",
                 report.mgmt_messages,
-                report.involved_nodes.len(),
+                report.involved_nodes,
                 report.elapsed_seconds(config),
                 report.slotframes(config),
                 hn.schedule().is_exclusive()

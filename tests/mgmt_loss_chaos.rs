@@ -56,13 +56,13 @@ fn lossy_transport_converges_to_the_reliable_schedule() {
         );
         assert!(net.schedule().is_exclusive());
         assert!(unsatisfied_links(tree, &reqs, net.schedule()).is_empty());
-        let report = net.report().clone();
+        let report = net.report();
         total_retransmissions += report.retransmissions;
         total_dropped += report.dropped;
 
         // Same seed ⇒ same trace: identical report, counters and schedule.
         let again = run_static_with(tree, config, Box::new(Lossy::uniform(0.85, seed).unwrap()));
-        assert_eq!(again.report(), &report, "topology {i}: non-deterministic");
+        assert_eq!(again.report(), report, "topology {i}: non-deterministic");
         assert_eq!(
             again.transport_stats(),
             net.transport_stats(),
