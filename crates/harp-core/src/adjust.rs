@@ -17,6 +17,7 @@
 
 use crate::component::ResourceComponent;
 use crate::error::HarpError;
+use crate::workspace::Workspace;
 use packing::{pack_into, FreeSpace, Rect, Size};
 
 /// The outcome of a successful partition adjustment.
@@ -41,22 +42,6 @@ impl<K> AdjustmentOutcome<K> {
     #[must_use]
     pub fn moved_count(&self) -> usize {
         self.moved.len()
-    }
-
-    /// The partitions that moved, each with its new rectangle, in `moved`
-    /// order.
-    pub(crate) fn moved_rects(&self) -> impl Iterator<Item = (K, Rect)> + '_
-    where
-        K: Copy + Eq,
-    {
-        self.moved.iter().map(|&k| {
-            let (_, rect) = self
-                .layout
-                .iter()
-                .find(|&&(n, _)| n == k)
-                .expect("a moved key is in the layout");
-            (k, *rect)
-        })
     }
 }
 
@@ -94,12 +79,16 @@ pub fn is_feasible(
 ///
 /// * `parent_rect` — the parent partition `P_{p,l}` (absolute).
 /// * `children` — current absolute placements of all child partitions at
-///   the layer (the requester included, at its *old* size).
+///   the layer (the requester included, at its *old* size); each key once.
 /// * `requester` — the child whose component grew.
 /// * `new_size` — the grown component `C'_{j,l}` as (slots × channels).
 ///
 /// Returns `Ok(None)` when even a full repack cannot fit — the caller must
 /// escalate the request one level up.
+///
+/// This is `Workspace::adjust` on a fresh [`Workspace`], its outcome
+/// collected into owned vectors; a network runs the same code in its own
+/// warm workspace, where it allocates nothing.
 ///
 /// # Errors
 ///
@@ -137,163 +126,252 @@ pub fn adjust_partition<K: Copy + Ord>(
     requester: K,
     new_size: ResourceComponent,
 ) -> Result<Option<AdjustmentOutcome<K>>, HarpError> {
-    let old_rect = children
-        .iter()
-        .find(|(n, _)| *n == requester)
-        .map(|&(_, r)| r)
-        .ok_or(HarpError::UnknownAdjustmentTarget)?;
+    let mut ws = Workspace::new();
+    let adjusted = ws.adjust(parent_rect, children, requester, new_size)?;
+    Ok(adjusted.map(|_| ws.adjustment_outcome(children)))
+}
 
-    // Fast path: the new size still fits where the old partition was.
-    if new_size.slots <= old_rect.width() && new_size.channels <= old_rect.height() {
-        let mut layout = children.to_vec();
-        let mut moved = Vec::new();
-        if new_size.slots != old_rect.width() || new_size.channels != old_rect.height() {
-            // Shrink in place (release the extra cells).
-            for (n, r) in &mut layout {
-                if *n == requester {
-                    *r = Rect::new(old_rect.origin, new_size.as_size());
-                    moved.push(requester);
-                }
-            }
-        }
-        return Ok(Some(AdjustmentOutcome { layout, moved }));
-    }
+/// The working buffers of Alg. 2 that a [`Workspace`] holds beside those it
+/// shares with composition.
+///
+/// Alg. 2 works on entry indices, never on keys, so one scratch serves an
+/// interior node's children (keyed by [`NodeId`](tsch_sim::NodeId)) and
+/// the gateway's layers (keyed by `(Direction, layer)`) alike. What it
+/// decides lives in the workspace until the next adjustment: the new
+/// rectangle of every entry in `Workspace::pass2`, by entry index, and the
+/// order the layout lists them in here.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct AdjustScratch {
+    /// The parent partition's idle area on the current pass.
+    free: FreeSpace,
+    /// While the loop runs, the entries re-placed so far (the requester
+    /// first, then each removed sibling in removal order) followed by the
+    /// siblings still in place; once it succeeds, every entry in key
+    /// order.
+    order: Vec<u32>,
+    /// The requester's index in the entries.
+    requester: u32,
+    /// How the last outcome was reached.
+    path: Path,
+}
 
-    // An empty parent partition cannot host any growth: escalate. (Arises
-    // when a zero-demand subtree sees its first traffic.)
-    if parent_rect.is_empty() {
-        return Ok(None);
-    }
+/// How Alg. 2 reached an outcome, which decides the layout's order and
+/// whether the requester counts as moved.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+enum Path {
+    /// The new size fits the old rectangle: the layout keeps the input's
+    /// order and the requester moved only if its size changed.
+    #[default]
+    InPlace,
+    /// Placed in the idle area, with siblings removed if need be: the
+    /// layout is in key order and the requester always moved.
+    IdleArea,
+    /// Every sibling removed, all repacked: the layout keeps the input's
+    /// order and the requester always moved.
+    Repack,
+}
 
-    // Alg. 2 proper: S ← {C'_j}; grow S with the nearest remaining sibling
-    // until everything in S fits the idle areas.
-    let mut removed: Vec<(K, Size)> = vec![(requester, new_size.as_size())];
-    let mut remaining: Vec<(K, Rect)> = children
-        .iter()
-        .filter(|&&(n, r)| n != requester && !r.is_empty())
-        .copied()
-        .collect();
-    let untouched_empty: Vec<(K, Rect)> = children
-        .iter()
-        .filter(|&&(n, r)| n != requester && r.is_empty())
-        .copied()
-        .collect();
-
-    loop {
-        // Idle space = parent minus the partitions still in place.
-        let mut free = FreeSpace::new(parent_rect.size);
-        for &(_, r) in &remaining {
-            let rel = Rect::from_xywh(
-                r.left() - parent_rect.left(),
-                r.bottom() - parent_rect.bottom(),
-                r.width(),
-                r.height(),
-            );
-            free.occupy(rel);
-        }
-        let sizes: Vec<Size> = removed.iter().map(|&(_, s)| s).collect();
-        if let Some(placements) = free.place_all(&sizes) {
-            let mut layout: Vec<(K, Rect)> = remaining.clone();
-            layout.extend(untouched_empty.iter().copied());
-            let mut moved = Vec::new();
-            for (&(node, _), rel) in removed.iter().zip(&placements) {
-                let abs = rel.translated(parent_rect.left(), parent_rect.bottom());
-                layout.push((node, abs));
-                let old = children
-                    .iter()
-                    .find(|(n, _)| *n == node)
-                    .map(|&(_, r)| r)
-                    .expect("removed children come from the input");
-                if abs != old {
-                    moved.push(node);
-                } else if node == requester {
-                    // Same origin but a different size still counts as a
-                    // change the child must learn about.
-                    moved.push(node);
-                }
-            }
-            layout.sort_by_key(|&(n, _)| n);
-            moved.sort_unstable();
-            return Ok(Some(AdjustmentOutcome { layout, moved }));
-        }
-
-        // Nothing fits: remove the sibling closest to the requester's old
-        // position (ties broken by id for determinism) and retry.
-        let Some(best_idx) = remaining
+impl Workspace {
+    /// Alg. 2 in this workspace: [`adjust_partition`]'s decision, kept
+    /// here instead of returned. `Some(moved)` counts the partitions that
+    /// moved; [`Workspace::moved`] and [`Workspace::adopt_layout`] read
+    /// the outcome until the next adjustment. Allocates nothing once the
+    /// workspace is warm, but for a full repack's packing.
+    ///
+    /// # Errors
+    ///
+    /// As [`adjust_partition`].
+    pub(crate) fn adjust<K: Copy + Ord>(
+        &mut self,
+        parent_rect: Rect,
+        entries: &[(K, Rect)],
+        requester: K,
+        new_size: ResourceComponent,
+    ) -> Result<Option<usize>, HarpError> {
+        let req = entries
             .iter()
-            .enumerate()
-            .min_by_key(|(_, &(n, r))| (old_rect.distance_to(&r), n))
-            .map(|(i, _)| i)
-        else {
-            // Everything removed: the final fallback is a full repack
-            // (Problem 2's rectangle packing).
-            return full_repack(parent_rect, children, requester, new_size);
-        };
-        let (node, rect) = remaining.swap_remove(best_idx);
-        removed.push((node, rect.size));
+            .position(|&(k, _)| k == requester)
+            .ok_or(HarpError::UnknownAdjustmentTarget)?;
+        let old_rect = entries[req].1;
+        let Self {
+            adjust: scratch,
+            sizes,
+            pass1: placements,
+            pass2: rects,
+            ..
+        } = self;
+        rects.clear();
+        rects.extend(entries.iter().map(|&(_, r)| r));
+
+        // Fast path: the new size still fits where the old partition was;
+        // a smaller one shrinks in place (releasing the extra cells).
+        if new_size.slots <= old_rect.width() && new_size.channels <= old_rect.height() {
+            rects[req] = Rect::new(old_rect.origin, new_size.as_size());
+            return Ok(Some(scratch.finish(entries, rects, req, Path::InPlace)));
+        }
+
+        // An empty parent partition cannot host any growth: escalate. (Arises
+        // when a zero-demand subtree sees its first traffic.)
+        if parent_rect.is_empty() {
+            return Ok(None);
+        }
+
+        // Alg. 2 proper: S ← {C'_j}; grow S with the nearest remaining sibling
+        // until everything in S fits the idle areas.
+        let order = &mut scratch.order;
+        order.clear();
+        order.push(req as u32);
+        order.extend((0..entries.len() as u32).filter(|&i| {
+            let i = i as usize;
+            i != req && !entries[i].1.is_empty()
+        }));
+        sizes.clear();
+        sizes.push(new_size.as_size());
+        let (dx, dy) = (parent_rect.left(), parent_rect.bottom());
+        loop {
+            let removed = sizes.len();
+            // Idle space = parent minus the partitions still in place.
+            scratch.free.reset(parent_rect.size);
+            for &i in &scratch.order[removed..] {
+                let r = entries[i as usize].1;
+                scratch.free.occupy(Rect::from_xywh(
+                    r.left() - dx,
+                    r.bottom() - dy,
+                    r.width(),
+                    r.height(),
+                ));
+            }
+            if scratch.free.place_all_into(sizes, placements) {
+                for (&i, rel) in scratch.order.iter().zip(placements.iter()) {
+                    rects[i as usize] = rel.translated(dx, dy);
+                }
+                return Ok(Some(scratch.finish(entries, rects, req, Path::IdleArea)));
+            }
+
+            // Nothing fits: remove the sibling closest to the requester's old
+            // position (ties broken by key for determinism) and retry.
+            let Some(nearest) = (removed..scratch.order.len()).min_by_key(|&t| {
+                let (k, r) = entries[scratch.order[t] as usize];
+                (old_rect.distance_to(&r), k)
+            }) else {
+                // Everything removed: the final fallback is a full repack
+                // (Problem 2's rectangle packing).
+                return full_repack(scratch, sizes, rects, parent_rect, entries, req, new_size);
+            };
+            scratch.order.swap(removed, nearest);
+            sizes.push(entries[scratch.order[removed] as usize].1.size);
+        }
+    }
+
+    /// The partitions the last [`Workspace::adjust`] on `entries` moved,
+    /// each with its new rectangle, in key order.
+    pub(crate) fn moved<'a, K: Copy>(
+        &'a self,
+        entries: &'a [(K, Rect)],
+    ) -> impl Iterator<Item = (K, Rect)> + 'a {
+        (0..entries.len()).filter_map(|t| self.moved_at(entries, t))
+    }
+
+    /// The `t`-th of `entries` in key order with its new rectangle, if the
+    /// last [`Workspace::adjust`] on them moved it: [`Workspace::moved`]
+    /// one at a time, for a caller that needs the workspace in between.
+    pub(crate) fn moved_at<K: Copy>(&self, entries: &[(K, Rect)], t: usize) -> Option<(K, Rect)> {
+        let i = self.adjust.order[t];
+        let (k, old) = entries[i as usize];
+        let rect = self.pass2[i as usize];
+        self.adjust.moved(i, old, rect).then_some((k, rect))
+    }
+
+    /// Rewrites `entries`, the input of the last [`Workspace::adjust`],
+    /// into its layout: every entry with its new rectangle, in the
+    /// layout's order.
+    pub(crate) fn adopt_layout<K: Copy + Ord>(&self, entries: &mut [(K, Rect)]) {
+        for ((_, rect), &new) in entries.iter_mut().zip(&self.pass2) {
+            *rect = new;
+        }
+        if self.adjust.path == Path::IdleArea {
+            entries.sort_unstable_by_key(|&(k, _)| k);
+        }
+    }
+
+    /// The last [`Workspace::adjust`] on `entries` as an owned outcome.
+    fn adjustment_outcome<K: Copy + Ord>(&self, entries: &[(K, Rect)]) -> AdjustmentOutcome<K> {
+        let mut layout = entries.to_vec();
+        let moved = self.moved(entries).map(|(k, _)| k).collect();
+        self.adopt_layout(&mut layout);
+        AdjustmentOutcome { layout, moved }
+    }
+}
+
+impl AdjustScratch {
+    /// Settles an outcome reached by `path` whose new rectangles are
+    /// `rects`: lists every entry in key order and returns how many moved.
+    fn finish<K: Copy + Ord>(
+        &mut self,
+        entries: &[(K, Rect)],
+        rects: &[Rect],
+        requester: usize,
+        path: Path,
+    ) -> usize {
+        (self.requester, self.path) = (requester as u32, path);
+        self.order.clear();
+        self.order.extend(0..entries.len() as u32);
+        // Keys are unique, so the unstable sort is the stable one.
+        self.order.sort_unstable_by_key(|&i| entries[i as usize].0);
+        (0..entries.len() as u32)
+            .filter(|&i| self.moved(i, entries[i as usize].1, rects[i as usize]))
+            .count()
+    }
+
+    /// Whether entry `i`, which was at `old`, moved to `new`: its rectangle
+    /// changed, or it is the requester off the in-place path (Alg. 2 tells
+    /// it its grant even when the rectangle stayed, e.g. one still empty).
+    fn moved(&self, i: u32, old: Rect, new: Rect) -> bool {
+        old != new || (i == self.requester && self.path != Path::InPlace)
     }
 }
 
 /// Full repack of all child partitions into the parent (the Alg. 2 line-15
-/// fallback).
+/// fallback), leaving the new rectangles in `rects`.
 fn full_repack<K: Copy + Ord>(
+    scratch: &mut AdjustScratch,
+    sizes: &mut Vec<Size>,
+    rects: &mut [Rect],
     parent_rect: Rect,
-    children: &[(K, Rect)],
-    requester: K,
+    entries: &[(K, Rect)],
+    req: usize,
     new_size: ResourceComponent,
-) -> Result<Option<AdjustmentOutcome<K>>, HarpError> {
-    let entries: Vec<(K, Size)> = children
-        .iter()
-        .map(|&(n, r)| {
-            (
-                n,
-                if n == requester {
-                    new_size.as_size()
-                } else {
-                    r.size
-                },
-            )
-        })
-        .collect();
-    let packable: Vec<(K, Size)> = entries
-        .iter()
-        .filter(|(_, s)| !s.is_empty())
-        .copied()
-        .collect();
-    let sizes: Vec<Size> = packable.iter().map(|&(_, s)| s).collect();
-    let Some(placements) = pack_into(&sizes, parent_rect.size)? else {
-        return Ok(None);
-    };
-    let mut layout = Vec::with_capacity(children.len());
-    let mut moved = Vec::new();
-    let mut placed = packable.iter().zip(&placements);
-    for &(node, old) in children {
-        let size = if node == requester {
+) -> Result<Option<usize>, HarpError> {
+    let size = |i: usize| {
+        if i == req {
             new_size.as_size()
         } else {
-            old.size
-        };
-        let abs = if size.is_empty() {
+            entries[i].1.size
+        }
+    };
+    sizes.clear();
+    sizes.extend((0..entries.len()).map(size).filter(|s| !s.is_empty()));
+    let Some(placements) = pack_into(sizes, parent_rect.size)? else {
+        return Ok(None);
+    };
+    let mut placed = placements.iter();
+    for (i, rect) in rects.iter_mut().enumerate() {
+        *rect = if size(i).is_empty() {
             Rect::default()
         } else {
-            let (_, rel) = placed
+            let rel = placed
                 .next()
                 .expect("packable entries align with placements");
             rel.translated(parent_rect.left(), parent_rect.bottom())
         };
-        layout.push((node, abs));
-        if abs != old || node == requester {
-            moved.push(node);
-        }
     }
-    moved.sort_unstable();
-    Ok(Some(AdjustmentOutcome { layout, moved }))
+    Ok(Some(scratch.finish(entries, rects, req, Path::Repack)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tsch_sim::NodeId;
+    use tsch_sim::{Direction, NodeId, SplitMix64};
 
     fn rc(s: u32, c: u32) -> ResourceComponent {
         ResourceComponent::new(s, c)
@@ -521,6 +599,123 @@ mod tests {
             .unwrap()
             .unwrap();
         check_outcome(parent, &children, NodeId(1), rc(4, 2), &outcome);
+    }
+
+    /// A seeded Alg. 2 instance over `keys` (distinct, in input order):
+    /// a parent partition away from the origin, disjoint children inside it
+    /// — packed tight or scattered, a few of them empty — the requester (now
+    /// and then a key no child has) and its new size, smaller or larger.
+    fn instance<K: Copy>(
+        rng: &mut SplitMix64,
+        keys: &[K],
+        stranger: K,
+    ) -> (Rect, Vec<(K, Rect)>, K, ResourceComponent) {
+        let (w, h) = (1 + rng.next_below(16) as u32, 1 + rng.next_below(4) as u32);
+        let parent = Rect::from_xywh(rng.next_below(40) as u32, rng.next_below(3) as u32, w, h);
+        let tight = rng.next_below(2) == 0;
+        let mut space = FreeSpace::new(parent.size);
+        let mut children = Vec::new();
+        for &k in &keys[..1 + rng.next_below(keys.len() as u64) as usize] {
+            let size = Size::new(1 + rng.next_below(5) as u32, 1 + rng.next_below(2) as u32);
+            let spot = if rng.next_below(6) == 0 {
+                None
+            } else if tight {
+                space.place(size)
+            } else {
+                let at = packing::Point::new(
+                    rng.next_below(u64::from(w)) as u32,
+                    rng.next_below(u64::from(h)) as u32,
+                );
+                let mut probe = space.clone();
+                probe.occupy(Rect::new(at, size));
+                let fits = at.x + size.w <= w
+                    && at.y + size.h <= h
+                    && probe.free_area() + size.area() == space.free_area();
+                fits.then(|| {
+                    space = probe;
+                    at
+                })
+            };
+            let rect = spot.map_or(Rect::default(), |at| {
+                Rect::new(at, size).translated(parent.left(), parent.bottom())
+            });
+            children.push((k, rect));
+        }
+        let requester = if rng.next_below(16) == 0 {
+            stranger
+        } else {
+            children[rng.next_below(children.len() as u64) as usize].0
+        };
+        let new_size = rc(rng.next_below(9) as u32, 1 + rng.next_below(3) as u32);
+        (parent, children, requester, new_size)
+    }
+
+    /// Runs one instance through the warm `ws` and through a fresh
+    /// [`adjust_partition`], asserts the two agree, and names the path
+    /// Alg. 2 took.
+    fn warm_against_fresh<K: Copy + Ord + std::fmt::Debug>(
+        ws: &mut Workspace,
+        (parent, children, requester, new_size): (Rect, Vec<(K, Rect)>, K, ResourceComponent),
+        case: u64,
+    ) -> &'static str {
+        let fresh = adjust_partition(parent, &children, requester, new_size);
+        let warm = ws
+            .adjust(parent, &children, requester, new_size)
+            .map(|moved| moved.map(|_| ws.adjustment_outcome(&children)));
+        assert_eq!(warm, fresh, "case {case}");
+        match fresh {
+            Err(_) => "unknown target",
+            Ok(None) => "escalation",
+            Ok(Some(outcome)) => match ws.adjust.path {
+                Path::InPlace => "in place",
+                Path::Repack => "full repack",
+                Path::IdleArea if outcome.moved.len() > 1 => "neighbour removal",
+                Path::IdleArea => "idle area",
+            },
+        }
+    }
+
+    #[test]
+    fn a_warm_scratch_adjusts_as_fresh_ones() {
+        // One workspace through a seeded sequence of interior and gateway
+        // instances: each must equal a fresh run, layout for layout and
+        // error for error — an idle area, an order or a rectangle left
+        // over from the previous instance would show.
+        let mut ws = Workspace::new();
+        let mut paths = std::collections::BTreeMap::new();
+        for case in 0..800u64 {
+            let mut rng = SplitMix64::new(0xA1_62 ^ case);
+            let path = if case % 2 == 0 {
+                let mut ids: Vec<NodeId> = (1..=8).map(NodeId).collect();
+                for i in (1..ids.len()).rev() {
+                    ids.swap(i, rng.next_below(i as u64 + 1) as usize);
+                }
+                let inst = instance(&mut rng, &ids, NodeId(99));
+                warm_against_fresh(&mut ws, inst, case)
+            } else {
+                let keys: Vec<(Direction, u32)> = Direction::BOTH
+                    .into_iter()
+                    .flat_map(|d| (1..=4).map(move |l| (d, l)))
+                    .collect();
+                let inst = instance(&mut rng, &keys, (Direction::Up, 9));
+                warm_against_fresh(&mut ws, inst, case)
+            };
+            *paths.entry(path).or_insert(0) += 1;
+        }
+        let kinds = [
+            "in place",
+            "idle area",
+            "neighbour removal",
+            "full repack",
+            "escalation",
+            "unknown target",
+        ];
+        for kind in kinds {
+            assert!(
+                paths.get(kind).is_some_and(|&n| n >= 10),
+                "{kind}: {paths:?}"
+            );
+        }
     }
 
     // ---- feasibility test ----

@@ -22,7 +22,6 @@
 //! room (or, at the gateway, re-places the slotframe), `adjust_within` is
 //! one step of Alg. 2, and `take_partition` installs a granted partition.
 
-use crate::adjust::{adjust_partition, AdjustmentOutcome};
 use crate::component::{LayerComponents, ResourceComponent, ResourceInterface};
 use crate::compose::CompositionLayout;
 use crate::dir_state::{DirView, DirWriter, NodeTables, UndoLog};
@@ -730,12 +729,13 @@ impl Cx<'_> {
         if !placements.iter().any(|(c, _)| *c == child) {
             placements.push((child, Rect::default()));
         }
-        let outcome = self.adjust_within(at, own, &placements, child, component);
-        self.ws.placed = placements;
-        let Some(outcome) = outcome? else {
+        let adjusted = self.adjust_within(at, own, &placements, child, component);
+        if !matches!(adjusted, Ok(true)) {
+            self.ws.placed = placements;
+            adjusted?;
             return self.escalate_layer(at, direction, layer, child);
-        };
-        for (moved, rect) in outcome.moved_rects() {
+        }
+        for (moved, rect) in self.ws.moved(&placements) {
             let msg = HarpMessage::PutPartition {
                 direction,
                 layer,
@@ -743,8 +743,10 @@ impl Cx<'_> {
             };
             self.fx.messages.push((moved, msg));
         }
+        self.ws.adopt_layout(&mut placements);
         self.dir_mut(at, direction)
-            .set_child_partitions(layer, &outcome.layout);
+            .set_child_partitions(layer, &placements);
+        self.ws.placed = placements;
         Ok(())
     }
 
@@ -798,9 +800,11 @@ impl Cx<'_> {
         Ok(())
     }
 
-    /// One step of Alg. 2 (§V) at `at`: `key`'s partition, one of `entries`
-    /// inside `container`, grows to `component`. Counts the outcome, which
-    /// is `None` when even a full repack cannot fit.
+    /// One step of Alg. 2 (§V) at `at`, in the workspace: `key`'s
+    /// partition, one of `entries` inside `container`, grows to
+    /// `component`. Counts the outcome, which is `false` when even a full
+    /// repack cannot fit; [`Workspace::moved`] and
+    /// [`Workspace::adopt_layout`] read it when it is `true`.
     fn adjust_within<K: Copy + Ord>(
         &mut self,
         at: NodeId,
@@ -808,16 +812,16 @@ impl Cx<'_> {
         entries: &[(K, Rect)],
         key: K,
         component: ResourceComponent,
-    ) -> Result<Option<AdjustmentOutcome<K>>, HarpError> {
-        let outcome = adjust_partition(container, entries, key, component)?;
-        self.count(at, |c| match &outcome {
-            Some(outcome) => {
+    ) -> Result<bool, HarpError> {
+        let moved = self.ws.adjust(container, entries, key, component)?;
+        self.count(at, |c| match moved {
+            Some(moved) => {
                 c.adjust_feasible += 1;
-                c.partitions_moved += outcome.moved_count() as u64;
+                c.partitions_moved += moved as u64;
             }
             None => c.adjust_infeasible += 1,
         });
-        Ok(outcome)
+        Ok(moved.is_some())
     }
 
     /// Installs a partition granted to `at` at `layer` (`PUT part`, or the
@@ -918,40 +922,59 @@ impl Cx<'_> {
         direction: Direction,
         layer: u32,
     ) -> Result<(), HarpError> {
-        let container = Rect::from_xywh(0, 0, self.config.slots, u32::from(self.config.channels));
-        let mut entries: Vec<((Direction, u32), Rect)> = Vec::new();
-        for d in Direction::BOTH {
-            for (l, r) in self.dir(at, d).partitions() {
-                entries.push(((d, l), r));
-            }
-        }
-        // A brand-new layer (the network just grew deeper): enter it with an
-        // empty rectangle so the adjustment places it like a fresh grant.
-        if !entries.iter().any(|&(k, _)| k == (direction, layer)) {
-            entries.push(((direction, layer), Rect::default()));
-        }
         let component = self
             .dir(at, direction)
             .interface()
             .and_then(|i| i.component(layer))
             .ok_or(HarpError::MissingPartition { node: at, layer })?;
+        let container = Rect::from_xywh(0, 0, self.config.slots, u32::from(self.config.channels));
+        let mut entries = mem::take(&mut self.ws.gateway);
+        entries.clear();
+        for d in Direction::BOTH {
+            entries.extend(self.dir(at, d).partitions().map(|(l, r)| ((d, l), r)));
+        }
+        // A brand-new layer (the network just grew deeper): enter it with an
+        // empty rectangle so the adjustment places it like a fresh grant.
         let key = (direction, layer);
-        let Some(outcome) = self.adjust_within(at, container, &entries, key, component)? else {
-            let total: u64 =
-                entries.iter().map(|(_, r)| r.area()).sum::<u64>() + component.cell_count();
-            // The binding constraint is either the total area or the grown
-            // component's own slot extent (a row wider than the slotframe
-            // can never fit, whatever the area says).
-            let needed_slots = total
-                .div_ceil(u64::from(self.config.channels))
-                .max(u64::from(component.slots));
-            return Err(HarpError::SlotframeOverflow {
-                needed_slots,
-                available: self.config.slots,
-            });
+        if !entries.iter().any(|&(k, _)| k == key) {
+            entries.push((key, Rect::default()));
+        }
+        let adjusted = self.adjust_within(at, container, &entries, key, component);
+        let result = match adjusted {
+            Ok(true) => self.take_moved_partitions(at, &entries),
+            Ok(false) => {
+                let total: u64 =
+                    entries.iter().map(|(_, r)| r.area()).sum::<u64>() + component.cell_count();
+                // The binding constraint is either the total area or the grown
+                // component's own slot extent (a row wider than the slotframe
+                // can never fit, whatever the area says).
+                let needed_slots = total
+                    .div_ceil(u64::from(self.config.channels))
+                    .max(u64::from(component.slots));
+                Err(HarpError::SlotframeOverflow {
+                    needed_slots,
+                    available: self.config.slots,
+                })
+            }
+            Err(e) => Err(e),
         };
-        for ((d, l), rect) in outcome.moved_rects() {
-            self.take_partition(at, d, l, rect)?;
+        self.ws.gateway = entries;
+        result
+    }
+
+    /// The gateway `at` takes every partition the last Alg. 2 on its
+    /// layers, `entries`, moved, in key order.
+    fn take_moved_partitions(
+        &mut self,
+        at: NodeId,
+        entries: &[((Direction, u32), Rect)],
+    ) -> Result<(), HarpError> {
+        // One at a time: taking a partition works in the workspace, though
+        // never in what Alg. 2 left there.
+        for t in 0..entries.len() {
+            if let Some(((d, l), rect)) = self.ws.moved_at(entries, t) {
+                self.take_partition(at, d, l, rect)?;
+            }
         }
         Ok(())
     }

@@ -21,7 +21,7 @@ use std::collections::BTreeSet;
 use std::mem;
 
 use tsch_sim::{
-    Asn, ControlPlane, Direction, Link, NetworkSchedule, NodeId, ReliabilityConfig,
+    Asn, ControlPlane, Direction, Inbox, Link, NetworkSchedule, NodeId, ReliabilityConfig,
     SlotframeConfig, TopologyError, Transport, TransportStats, Tree,
 };
 
@@ -201,10 +201,19 @@ pub struct HarpNetwork {
     /// The outbox lent to every protocol handler this network invokes,
     /// drained after each one (see `HarpNetwork::run_handler`).
     outbox: Effects,
+    /// What the control plane delivers on each poll, kept between polls.
+    inbox: Inbox<HarpMessage>,
     /// Monotone stamp advancing on every mutation of observable state
     /// (see [`HarpNetwork::version`]).
     version: u64,
 }
+
+// A create pays a network's inline size in bytes beyond its tables, and
+// the benchmark bounds `create_churn`'s `alloc_kb_per_op` at 0.1 %: 128
+// bytes here are about 0.05 % of it. Alg. 2's scratch, the gateway's list
+// and the inbox take 112 of the 128 this leaves above 1,776, so a warm
+// buffer added here must reuse one rather than sit beside it.
+const _: () = assert!(mem::size_of::<HarpNetwork>() <= 1_904);
 
 impl HarpNetwork {
     /// Builds the deployment: one node per device, requirements installed at
@@ -272,6 +281,7 @@ impl HarpNetwork {
             txn: Transaction::default(),
             workspace,
             outbox: Effects::default(),
+            inbox: Inbox::new(),
             version: 0,
         }
     }
@@ -652,20 +662,32 @@ impl HarpNetwork {
         // Deliveries can enqueue messages due at the same instant; loop
         // until this instant is drained.
         loop {
-            let delivered = self.plane.poll(&self.tree, now)?;
-            if delivered.is_empty() {
+            let mut inbox = mem::take(&mut self.inbox);
+            let delivered = self.deliver(now, &mut inbox);
+            self.inbox = inbox;
+            if !delivered? {
                 break;
             }
             delivered_any = true;
-            for d in delivered {
-                self.window.completed_at = self.window.completed_at.max(d.at);
-                self.run_handler(d.to, |cx| cx.handle(d.to, d.from, d.payload))?;
-            }
             if self.plane.next_event().map(|a| a > now).unwrap_or(true) {
                 break;
             }
         }
         Ok(delivered_any)
+    }
+
+    /// Polls the control plane at `now` into `inbox` and runs the handler
+    /// of every message it delivers; `false` when none was due.
+    fn deliver(&mut self, now: Asn, inbox: &mut Inbox<HarpMessage>) -> Result<bool, HarpError> {
+        self.plane.poll_into(&self.tree, now, inbox)?;
+        if inbox.is_empty() {
+            return Ok(false);
+        }
+        for d in inbox.drain() {
+            self.window.completed_at = self.window.completed_at.max(d.at);
+            self.run_handler(d.to, |cx| cx.handle(d.to, d.from, d.payload))?;
+        }
+        Ok(true)
     }
 
     /// Fast-forwards between events (deliveries and retransmission timers)

@@ -1,11 +1,12 @@
-//! The working buffers of Alg. 1 and of the local row scheduler, kept
-//! between calls: [`Workspace`].
+//! The working buffers of Alg. 1, Alg. 2 and the local row scheduler,
+//! kept between calls: [`Workspace`].
 
+use crate::adjust::AdjustScratch;
 use crate::component::ResourceComponent;
 use packing::{Rect, Size, StripWorkspace};
-use tsch_sim::{Asn, NodeId, Tree};
+use tsch_sim::{Asn, Direction, NodeId, Tree};
 
-/// Reusable working buffers for [`Workspace::compose`] and
+/// Reusable working buffers for [`Workspace::compose`], Alg. 2 and
 /// [`Workspace::assign_row`].
 ///
 /// Composing one layer packs at most a handful of components, twice, and
@@ -16,8 +17,11 @@ use tsch_sim::{Asn, NodeId, Tree};
 /// list, the size list and placements of the two passes, the components
 /// gathered for a layer, the layouts of a node's layers on their way into
 /// the node, the `(child, requirement)` list of a row, the walk of the
-/// direct static settle — so what runs in it allocates only what its
-/// caller keeps.
+/// direct static settle, Alg. 2's idle area and order of removal and the
+/// gateway's list of its layers — so what runs in it allocates only what
+/// its caller keeps. Alg. 2 runs in the buffers composition uses too: the
+/// sizes it re-places in `sizes`, where they land in `pass1`, every
+/// entry's new rectangle in `pass2`.
 ///
 /// A workspace belongs to whoever drives the algorithms: a
 /// [`HarpNetwork`](crate::HarpNetwork) has one and lends it to every
@@ -36,9 +40,11 @@ pub struct Workspace {
     /// The non-empty components as packing items, in the orientation of the
     /// pass about to run.
     pub(crate) sizes: Vec<Size>,
-    /// Placements of pass 1 (channel-major).
+    /// Placements of pass 1 (channel-major); where Alg. 2 re-places the
+    /// sizes it removed.
     pub(crate) pass1: Vec<Rect>,
-    /// Placements of pass 2 (slot-major).
+    /// Placements of pass 2 (slot-major); Alg. 2's outcome, the new
+    /// rectangle of every entry.
     pub(crate) pass2: Vec<Rect>,
     /// The placements of the layers `compose_layers` composed, back to
     /// back, until their caller copies them to where it keeps them; also
@@ -55,25 +61,17 @@ pub struct Workspace {
     pub(crate) stack: Vec<NodeId>,
     /// When each node's handler runs in the direct static settle.
     pub(crate) instants: Vec<Asn>,
+    /// Alg. 2's idle area and the order of its entries.
+    pub(crate) adjust: AdjustScratch,
+    /// The gateway's partitions, both directions, on their way into Alg. 2.
+    pub(crate) gateway: Vec<((Direction, u32), Rect)>,
 }
 
 impl Workspace {
     /// An empty workspace; it owns no heap until first used.
     #[must_use]
-    pub const fn new() -> Self {
-        Self {
-            strip: StripWorkspace::new(),
-            components: Vec::new(),
-            sizes: Vec::new(),
-            pass1: Vec::new(),
-            pass2: Vec::new(),
-            placed: Vec::new(),
-            composed: Vec::new(),
-            row: Vec::new(),
-            order: Vec::new(),
-            stack: Vec::new(),
-            instants: Vec::new(),
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Reserves what the static phase on `tree` works in: the direct

@@ -66,9 +66,10 @@ pub mod obs {
     pub(crate) static CONTAINER_PACKS: StaticCounter = StaticCounter::new();
     /// Feasibility tests run ([`fits_into`](crate::fits_into) — Problem 2).
     pub(crate) static FEASIBILITY_TESTS: StaticCounter = StaticCounter::new();
-    /// Idle-area batch placements
-    /// ([`FreeSpace::place_all`](crate::FreeSpace::place_all) — Alg. 2's
-    /// cost-aware adjustment).
+    /// Idle-area batch placements, one per
+    /// [`FreeSpace::place_all_into`](crate::FreeSpace::place_all_into) call
+    /// ([`FreeSpace::place_all`](crate::FreeSpace::place_all) makes one) —
+    /// Alg. 2's cost-aware adjustment.
     pub(crate) static FREESPACE_PLACEMENTS: StaticCounter = StaticCounter::new();
 
     /// Current totals, in the shape

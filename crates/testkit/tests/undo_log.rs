@@ -20,7 +20,10 @@
 //! from the tree when it is built, and a link's cells are a run of its
 //! parent's row, so both cost what they write, and a change that goes back
 //! to copying node state, to per-call buffers or to a container per node
-//! shows up here first — the create, at three tree sizes.
+//! shows up here first — the create, at three tree sizes. In debug builds
+//! the adjustments' bill is also printed per layer (packing, Alg. 2, the
+//! control plane, ...), each allocation filed by its backtrace, so a
+//! change to the bill names the layer it came from.
 
 use harp_core::{
     allocate_partitions, build_interfaces, verify_partitions, verify_schedule,
@@ -377,6 +380,17 @@ fn hot_link_sequence(tree: &Tree, rng: &mut SplitMix64) -> Vec<(Link, u32)> {
     moves
 }
 
+/// The 256-node tenant the allocation bills are measured on: its tree, one
+/// cell per link, and the 64 changes of [`hot_link_sequence`].
+fn hot_tenant() -> (Tree, Requirements, Vec<(Link, u32)>) {
+    let mut rng = SplitMix64::new(0xB0D6E7);
+    let tree = tenant_tree(&mut rng, 256);
+    assert_eq!((tree.len(), tree.layers()), (256, 8));
+    let reqs = one_cell_per_link(&tree);
+    let moves = hot_link_sequence(&tree, &mut rng);
+    (tree, reqs, moves)
+}
+
 /// One cell on every link of `tree`, both directions.
 fn one_cell_per_link(tree: &Tree) -> Requirements {
     let mut reqs = Requirements::for_tree(tree);
@@ -432,24 +446,22 @@ fn an_adjustment_allocates_what_it_writes() {
     /// instants were transients, 7 while the gateway's placement cloned both
     /// its interfaces and collected their layers too).
     const CREATE_FREES_BUDGET: u64 = 0;
-    /// Mean allocations per adjustment, measured likewise (120.1; 128.8
-    /// with the report's B-tree sets, 143.2 with node state in per-node
-    /// containers too, 159.9 with a first-touch row map beside the log too,
-    /// 174.3 with a cell vector per schedule op and an op sink too, 202.9
-    /// with a fresh outbox per handler too, 231.0 with the schedule as
-    /// maps, 261.5 with maps and cell vectors in the nodes too, 301.3 with
-    /// per-call buffers, 878.7 with the first-touch node clones the undo
-    /// log replaced), + 10 %.
-    const MEAN_ALLOCS_BUDGET: f64 = 132.1;
+    /// Mean allocations per adjustment, measured likewise (6.1; 120.1 with
+    /// Alg. 2's idle area, lists and layouts and the control plane's
+    /// deliveries in fresh vectors, 128.8 with the report's B-tree sets
+    /// too, 143.2 with node state in per-node containers too, 159.9 with a
+    /// first-touch row map beside the log too, 174.3 with a cell vector per
+    /// schedule op and an op sink too, 202.9 with a fresh outbox per
+    /// handler too, 231.0 with the schedule as maps, 261.5 with maps and
+    /// cell vectors in the nodes too, 301.3 with per-call buffers, 878.7
+    /// with the first-touch node clones the undo log replaced), + 10 %.
+    const MEAN_ALLOCS_BUDGET: f64 = 6.7;
     /// A local adjustment rewrites one row: its undo log and the cell
-    /// messages, 3.4 KiB on average here (21.3 KiB with node clones).
-    const LOCAL_BYTES_BUDGET: f64 = 8.0 * 1024.0;
+    /// messages, 910 bytes on average here (3,392 with Alg. 2 and the
+    /// deliveries in fresh vectors, 21.3 KiB with node clones), + 10 %.
+    const LOCAL_BYTES_BUDGET: f64 = 1001.0;
 
-    let mut rng = SplitMix64::new(0xB0D6E7);
-    let tree = tenant_tree(&mut rng, 256);
-    assert_eq!((tree.len(), tree.layers()), (256, 8));
-    let reqs = one_cell_per_link(&tree);
-    let moves = hot_link_sequence(&tree, &mut rng);
+    let (tree, reqs, moves) = hot_tenant();
     let config = SlotframeConfig::paper_default();
     let ((before, _), freed_before) = (allocated(), freed());
     let mut handle =
@@ -545,4 +557,78 @@ fn a_local_change_of_one_link_allocates_for_that_link_only() {
     let (one, three) = (allocs_with(1), allocs_with(3));
     assert_eq!(one, three);
     assert!(three <= 1, "{three} allocations");
+}
+
+/// The layers an adjustment's allocations are filed under, in the order
+/// the bill prints them, each with the frames that belong to it.
+#[cfg(debug_assertions)]
+const LAYERS: [(&str, &[&str]); 7] = [
+    ("packing", &["packing::"]),
+    ("Alg. 2", &["harp_core::adjust::", "Cx::gateway_reallocate"]),
+    (
+        "control plane",
+        &[
+            "tsch_sim::transport::",
+            "tsch_sim::mgmt::",
+            "tsch_sim::calendar::",
+        ],
+    ),
+    ("report", &["harp_core::runner::stamp", "ProtocolReport"]),
+    ("undo log", &["harp_core::dir_state::UndoLog"]),
+    ("schedule", &["tsch_sim::schedule::"]),
+    ("other", &["harp_core::", "tsch_sim::"]),
+];
+
+/// Files one allocation under its layer in [`LAYERS`]: the innermost frame
+/// of this workspace decides. Frames outside it (std, the allocator) are
+/// skipped, and so are a run pool's: a pool is a container, not a layer,
+/// so its user decides for it.
+#[cfg(debug_assertions)]
+fn layer_of(backtrace: &str) -> usize {
+    backtrace
+        .lines()
+        .filter_map(|line| line.trim_start().split_once(": ").map(|(_, f)| f))
+        .filter(|f| !f.starts_with("tsch_sim::run_pool::"))
+        .find_map(|frame| {
+            LAYERS
+                .iter()
+                .position(|(_, frames)| frames.iter().any(|m| frame.contains(m)))
+        })
+        .unwrap_or(LAYERS.len() - 1)
+}
+
+/// Who allocates in an adjustment: the 256-node tenant's 64 changes, each
+/// allocation filed by the frames it was made in. Debug only, where every
+/// function keeps its frame.
+#[cfg(debug_assertions)]
+#[test]
+fn an_adjustments_bill_per_layer_sums_to_its_total() {
+    let (tree, reqs, moves) = hot_tenant();
+    let config = SlotframeConfig::paper_default();
+    let mut handle =
+        AllocatorHandle::converge(tree, config, &reqs, SchedulingPolicy::RateMonotonic)
+            .expect("one cell per link fits the paper's slotframe");
+    let before = allocated().0;
+    let ((), bill) = testkit::alloc::sites::attributed(layer_of, || {
+        for &(link, cells) in &moves {
+            let _ = handle.adjust(link, cells);
+        }
+    });
+    let total = allocated().0 - before;
+    let per_adjustment = |n: u64| n as f64 / moves.len() as f64;
+    let layers: Vec<String> = LAYERS
+        .iter()
+        .zip(bill)
+        .map(|((name, _), n)| format!("{name} {:.1}", per_adjustment(n)))
+        .collect();
+    println!(
+        "adjustment bill per layer (allocations per adjustment): {}; total {:.1}",
+        layers.join(", "),
+        per_adjustment(total)
+    );
+    assert_eq!(
+        bill.iter().sum::<u64>(),
+        total,
+        "the layers sum to the total"
+    );
 }

@@ -85,7 +85,8 @@ pub use time::{Asn, Cell, ConfigError, SlotframeConfig};
 pub use topology::{Direction, Link, NodeId, TopologyError, Tree, TreeBuilder};
 pub use trace::{TraceBuffer, TraceEvent};
 pub use transport::{
-    Chaos, ControlPlane, Lossy, ReliabilityConfig, Reliable, Transport, TransportStats, TxFate,
+    Chaos, ControlPlane, Inbox, Lossy, ReliabilityConfig, Reliable, Transport, TransportStats,
+    TxFate,
 };
 
 #[cfg(test)]

@@ -214,9 +214,9 @@ impl<M> MgmtPlane<M> {
     }
 
     /// Delivers every message whose time has come (deliver_at ≤ `now`), in
-    /// delivery-time order.
-    pub(crate) fn poll(&mut self, now: Asn) -> Vec<Delivered<M>> {
-        let mut out = Vec::new();
+    /// delivery-time order, appending them to `out` straight off the
+    /// calendar.
+    pub(crate) fn poll_into(&mut self, now: Asn, out: &mut Vec<Delivered<M>>) {
         while let Some((at, m)) = self.in_flight.pop_due(now) {
             out.push(Delivered {
                 from: m.from,
@@ -225,6 +225,13 @@ impl<M> MgmtPlane<M> {
                 payload: m.payload,
             });
         }
+    }
+
+    /// [`MgmtPlane::poll_into`] a fresh vector.
+    #[cfg(test)]
+    pub(crate) fn poll(&mut self, now: Asn) -> Vec<Delivered<M>> {
+        let mut out = Vec::new();
+        self.poll_into(now, &mut out);
         out
     }
 

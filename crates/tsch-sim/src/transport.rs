@@ -284,6 +284,50 @@ impl DedupWindow {
     }
 }
 
+/// The messages one [`ControlPlane::poll_into`] delivered, in a buffer its
+/// caller keeps between polls.
+///
+/// It holds the envelopes as they came off the management plane's
+/// calendar; [`Inbox::drain`] hands out their payloads.
+#[derive(Debug)]
+pub struct Inbox<M> {
+    due: Vec<Delivered<Envelope<M>>>,
+}
+
+impl<M> Default for Inbox<M> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<M> Inbox<M> {
+    /// An empty inbox; it owns no heap until a poll fills it.
+    #[must_use]
+    pub const fn new() -> Self {
+        Self { due: Vec::new() }
+    }
+
+    /// `true` when the last poll delivered nothing (or it was drained).
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.due.is_empty()
+    }
+
+    /// Takes the delivered messages out in delivery order, keeping the
+    /// buffer. Messages left when the iterator is dropped are discarded.
+    pub fn drain(&mut self) -> impl Iterator<Item = Delivered<M>> + '_ {
+        self.due.drain(..).map(|d| Delivered {
+            from: d.from,
+            to: d.to,
+            at: d.at,
+            payload: d
+                .payload
+                .payload
+                .expect("a delivered Con carries a payload"),
+        })
+    }
+}
+
 /// A `Con` awaiting its ACK, with its retransmission timer.
 #[derive(Debug, Clone)]
 struct OutstandingCon<M> {
@@ -581,63 +625,101 @@ impl<M: Clone> ControlPlane<M> {
 
     /// Delivers every due fresh payload (ASN ≤ `now`), consuming ACKs,
     /// acknowledging and deduplicating `Con`s, then firing due
-    /// retransmission timers.
+    /// retransmission timers: [`ControlPlane::poll_into`] a fresh
+    /// [`Inbox`], collected.
     ///
     /// # Errors
     ///
     /// Returns [`MgmtError::RetriesExhausted`] when a `Con` runs out of
     /// retransmissions (the neighbour is effectively unreachable).
     pub fn poll(&mut self, tree: &Tree, now: Asn) -> Result<Vec<Delivered<M>>, MgmtError> {
-        let mut out = Vec::new();
-        for d in self.plane.poll(now) {
-            let envelope = d.payload;
-            match envelope.kind {
-                EnvelopeKind::Ack => {
-                    self.outstanding.retain(|o| o.token != envelope.token);
-                }
-                EnvelopeKind::Con => {
-                    let payload = envelope.payload.expect("Con envelopes carry a payload");
-                    if self.lossless {
-                        out.push(Delivered {
-                            from: d.from,
-                            to: d.to,
-                            at: d.at,
-                            payload,
-                        });
-                        continue;
-                    }
-                    // Acknowledge every received copy — the ACK for the
-                    // original may have been the frame that got lost.
-                    self.send_ack(tree, d.at, d.to, d.from, envelope.msg_id, envelope.token)?;
-                    let fresh = self
-                        .windows
-                        .entry((d.from, d.to))
-                        .or_default()
-                        .observe(envelope.msg_id, self.reliability.dedup_window);
-                    if fresh {
-                        out.push(Delivered {
-                            from: d.from,
-                            to: d.to,
-                            at: d.at,
-                            payload,
-                        });
-                    } else {
-                        self.stats.duplicates_suppressed += 1;
-                        self.obs.span(
-                            "dup_suppressed",
-                            "transport",
-                            d.to.0,
-                            tree.depth(d.to),
-                            d.at.0,
-                            d.at.0,
-                            1,
-                        );
-                    }
-                }
+        let mut inbox = Inbox::new();
+        self.poll_into(tree, now, &mut inbox)?;
+        Ok(inbox.drain().collect())
+    }
+
+    /// Delivers every due fresh payload (ASN ≤ `now`) into `inbox`,
+    /// replacing what it held, then fires due retransmission timers.
+    ///
+    /// A poll delivers exactly the envelopes due when it began: they come
+    /// off the calendar into `inbox` before any is handled, so an envelope
+    /// enqueued while they are (an ACK above all) waits for the next poll.
+    /// Then, in delivery order, each ACK retires its exchange and each
+    /// `Con` is acknowledged — every ACK's fate is drawn before a caller
+    /// handles any payload — and dropped if it is a duplicate. A caller
+    /// that keeps its inbox between polls delivers without allocating.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MgmtError::RetriesExhausted`] when a `Con` runs out of
+    /// retransmissions (the neighbour is effectively unreachable); `inbox`
+    /// is then empty.
+    pub fn poll_into(
+        &mut self,
+        tree: &Tree,
+        now: Asn,
+        inbox: &mut Inbox<M>,
+    ) -> Result<(), MgmtError> {
+        inbox.due.clear();
+        self.plane.poll_into(now, &mut inbox.due);
+        let acknowledged = if self.lossless {
+            Ok(())
+        } else {
+            self.acknowledge(tree, &mut inbox.due)
+        };
+        let polled = acknowledged.and_then(|()| self.run_retransmission_timers(tree, now));
+        if polled.is_err() {
+            inbox.due.clear();
+        }
+        polled
+    }
+
+    /// Consumes the ACKs among `due`, acknowledges every `Con` and keeps
+    /// the fresh ones, in order.
+    fn acknowledge(
+        &mut self,
+        tree: &Tree,
+        due: &mut Vec<Delivered<Envelope<M>>>,
+    ) -> Result<(), MgmtError> {
+        let mut kept = 0;
+        for i in 0..due.len() {
+            let Delivered { from, to, at, .. } = due[i];
+            let Envelope {
+                msg_id,
+                token,
+                kind,
+                ..
+            } = due[i].payload;
+            if kind == EnvelopeKind::Ack {
+                self.outstanding.retain(|o| o.token != token);
+                continue;
+            }
+            // Acknowledge every received copy — the ACK for the original may
+            // have been the frame that got lost.
+            self.send_ack(tree, at, to, from, msg_id, token)?;
+            let fresh = self
+                .windows
+                .entry((from, to))
+                .or_default()
+                .observe(msg_id, self.reliability.dedup_window);
+            if fresh {
+                due.swap(kept, i);
+                kept += 1;
+            } else {
+                self.stats.duplicates_suppressed += 1;
+                self.obs.span(
+                    "dup_suppressed",
+                    "transport",
+                    to.0,
+                    tree.depth(to),
+                    at.0,
+                    at.0,
+                    1,
+                );
             }
         }
-        self.run_retransmission_timers(tree, now)?;
-        Ok(out)
+        due.truncate(kept);
+        Ok(())
     }
 
     /// Emits an ACK for (`msg_id`, `token`) from `from` back to `to`,
@@ -968,6 +1050,32 @@ mod tests {
         assert_eq!(plane.stats().duplicates_suppressed, 1);
         assert_eq!(plane.stats().acks_sent, 2, "every copy is re-acked");
         assert!(plane.is_idle());
+    }
+
+    #[test]
+    fn an_ack_enqueued_during_a_poll_waits_for_the_next_one() {
+        // Polled a slotframe after the Con arrived, the receiver's ACK
+        // (piggybacked on the next reverse cell) is due at `now` as well:
+        // the poll acknowledges the Con but does not deliver that ACK, so
+        // the exchange stays outstanding until the next poll retires it.
+        let t = tree();
+        let mut plane: ControlPlane<u32> =
+            ControlPlane::new(&t, cfg(), Box::new(Scripted::new(Vec::new())));
+        let arrival = plane.send(&t, Asn(0), NodeId(9), NodeId(7), 7).unwrap();
+        let now = arrival.plus(u64::from(cfg().slots));
+        let mut inbox = Inbox::new();
+        plane.poll_into(&t, now, &mut inbox).unwrap();
+        let got: Vec<(NodeId, u32)> = inbox.drain().map(|d| (d.to, d.payload)).collect();
+        assert_eq!(got, [(NodeId(7), 7)]);
+        assert_eq!(plane.stats().acks_sent, 1);
+        assert_eq!(plane.in_flight(), 1, "the ACK is still in flight");
+        assert!(plane.next_event() <= Some(now), "and was due in that poll");
+        assert!(!plane.is_idle());
+
+        plane.poll_into(&t, now, &mut inbox).unwrap();
+        assert!(inbox.is_empty(), "an ACK carries no payload");
+        assert!(plane.is_idle(), "the next poll retires the exchange");
+        assert_eq!(plane.stats().retransmissions, 0);
     }
 
     #[test]
