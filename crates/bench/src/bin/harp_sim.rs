@@ -22,6 +22,7 @@
 //! topology sweeps to their `quick_count` (the CI smoke setting) and never
 //! writes the report file.
 
+use harp_bench::harness::Args;
 use harp_bench::scenario_run::{load_scenario_file, run_scenario, RunOptions};
 use std::path::Path;
 use std::process::ExitCode;
@@ -39,62 +40,42 @@ fn parse_u64(s: &str) -> Option<u64> {
     }
 }
 
-struct Args {
-    scenario: String,
-    flight: Option<String>,
-    opts: RunOptions,
-}
-
-fn parse_args(args: &[String]) -> Result<Args, String> {
-    let mut scenario = None;
-    let mut flight = None;
-    let mut opts = RunOptions::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{arg} needs a value"))
-        };
-        match arg.as_str() {
-            "--quick" => opts.quick = true,
-            "--scenario" => scenario = Some(value()?),
-            "--flight" => flight = Some(value()?),
-            "--seed" => {
-                let v = value()?;
-                opts.seed = Some(parse_u64(&v).ok_or_else(|| format!("invalid --seed `{v}`"))?);
-            }
-            "--threads" => {
-                let v = value()?;
-                match v.parse::<usize>() {
-                    Ok(n) if n > 0 => opts.threads = Some(n),
-                    _ => return Err(format!("invalid --threads `{v}`")),
-                }
-            }
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-    Ok(Args {
-        scenario: scenario.ok_or("--scenario is required")?,
-        flight,
-        opts,
-    })
+/// The scenario path and the run options the flags name.
+fn run_options(args: &Args) -> Result<(&str, RunOptions), String> {
+    let scenario = args.value("--scenario").ok_or("--scenario is required")?;
+    let seed = args
+        .value("--seed")
+        .map(|v| parse_u64(v).ok_or_else(|| format!("invalid --seed `{v}`")))
+        .transpose()?;
+    let threads = args
+        .value("--threads")
+        .map(|v| match v.parse::<usize>() {
+            Ok(n) if n > 0 => Ok(n),
+            _ => Err(format!("invalid --threads `{v}`")),
+        })
+        .transpose()?;
+    let quick = args.flag("--quick");
+    Ok((
+        scenario,
+        RunOptions {
+            quick,
+            seed,
+            threads,
+        },
+    ))
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Args {
-        scenario,
-        flight,
-        opts,
-    } = match parse_args(&args) {
+    let args = Args::parse(USAGE);
+    let (scenario, opts) = match run_options(&args) {
         Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("error: {e}\n{USAGE}");
             return ExitCode::from(2);
         }
     };
-    let scenario = match load_scenario_file(Path::new(&scenario)) {
+    let flight = args.value("--flight");
+    let scenario = match load_scenario_file(Path::new(scenario)) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("error: {e}");
@@ -120,7 +101,7 @@ fn main() -> ExitCode {
                     .flight
                     .as_ref()
                     .expect("timeline and replicates runs record a flight dump");
-                if let Err(e) = std::fs::write(&path, flight) {
+                if let Err(e) = std::fs::write(path, flight) {
                     eprintln!("error: write {path}: {e}");
                     return ExitCode::FAILURE;
                 }

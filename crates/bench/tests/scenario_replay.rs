@@ -146,6 +146,7 @@ fn every_experiment_binary_rejects_a_flag_it_does_not_define() {
     // --quik` builds 100k-node trees and overwrites its committed report —
     // so the cheapest goes first.
     for (name, bin) in [
+        ("harp_sim", env!("CARGO_BIN_EXE_harp_sim")),
         ("ablation_report", env!("CARGO_BIN_EXE_ablation_report")),
         ("fig12_overhead", env!("CARGO_BIN_EXE_fig12_overhead")),
         ("fig9_latency", env!("CARGO_BIN_EXE_fig9_latency")),

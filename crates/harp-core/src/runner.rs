@@ -21,8 +21,8 @@ use std::collections::BTreeSet;
 use std::mem;
 
 use tsch_sim::{
-    Asn, ControlPlane, Direction, Inbox, Link, NetworkSchedule, NodeId, ReliabilityConfig,
-    SlotframeConfig, TopologyError, Transport, TransportStats, Tree,
+    Asn, ControlPlane, Direction, Inbox, Link, NetworkSchedule, NodeId, SlotframeConfig,
+    TopologyError, Transport, TransportStats, Tree,
 };
 
 /// The runner's own counts since the network was built: the "harp.*"
@@ -209,11 +209,11 @@ pub struct HarpNetwork {
 }
 
 // A create pays a network's inline size in bytes beyond its tables, and
-// the benchmark bounds `create_churn`'s `alloc_kb_per_op` at 0.1 %: 128
-// bytes here are about 0.05 % of it. Alg. 2's scratch, the gateway's list
-// and the inbox take 112 of the 128 this leaves above 1,776, so a warm
-// buffer added here must reuse one rather than sit beside it.
-const _: () = assert!(mem::size_of::<HarpNetwork>() <= 1_904);
+// the benchmark bounds `create_churn`'s `alloc_kb_per_op` at 0.1 %. The
+// network measures 1,792 bytes on a 64-bit target; the bound is that plus
+// 16 bytes of slack, so a field added here must reuse one rather than sit
+// beside it, and a change that shrinks the network lowers the bound.
+const _: () = assert!(mem::size_of::<HarpNetwork>() <= 1_808);
 
 impl HarpNetwork {
     /// Builds the deployment: one node per device, requirements installed at
@@ -396,12 +396,6 @@ impl HarpNetwork {
         };
         let (start, end) = (self.window.started_at.0, self.window.completed_at.0);
         self.obs.span(name, "harp", node, depth, start, end, detail);
-    }
-
-    /// Replaces the retransmission tuning of the control plane. Affects
-    /// messages sent after the call.
-    pub fn set_reliability(&mut self, reliability: ReliabilityConfig) {
-        self.plane.set_reliability(reliability);
     }
 
     /// The tree this network runs on.

@@ -10,7 +10,7 @@
 //! simulated management plane so both the packet count and the elapsed
 //! time are measured rather than assumed.
 
-use tsch_sim::{Asn, ControlPlane, NodeId, SlotframeConfig, Tree};
+use tsch_sim::{Asn, ControlPlane, Inbox, NodeId, SlotframeConfig, Tree};
 
 /// The analytic per-adjustment packet cost of APaS for a node at `layer`.
 ///
@@ -100,7 +100,7 @@ impl ApasNetwork {
         );
         self.now = self.now.max(at);
         let start = self.now;
-        let sent_before = self.plane.messages_sent();
+        let sent_before = self.plane.stats().attempts;
 
         let parent = self.tree.parent(node).expect("non-root node");
         let mut pending_updates = 0u32;
@@ -116,13 +116,13 @@ impl ApasNetwork {
             .expect("parent is a neighbour");
 
         let mut last_delivery = self.now;
+        let mut inbox = Inbox::new();
         while let Some(next) = self.plane.next_event() {
             self.now = next;
-            let delivered = self
-                .plane
-                .poll(&self.tree, next)
+            self.plane
+                .poll_into(&self.tree, next, &mut inbox)
                 .expect("reliable transport never exhausts retries");
-            for d in delivered {
+            for d in inbox.drain() {
                 last_delivery = last_delivery.max(d.at);
                 match d.payload {
                     ApasMessage::Request { origin } => {
@@ -169,7 +169,7 @@ impl ApasNetwork {
         }
 
         ApasReport {
-            packets: self.plane.messages_sent() - sent_before,
+            packets: self.plane.stats().attempts - sent_before,
             elapsed_slots: last_delivery.since(start),
         }
     }

@@ -24,7 +24,7 @@
 use testkit::seeded::{random_scenario, random_tree};
 use tsch_sim::reference::ReferenceSimulator;
 use tsch_sim::{
-    Asn, Cell, Chaos, ControlPlane, Delivered, Link, Lossy, NodeId, SimStats, Simulator,
+    Asn, Cell, Chaos, ControlPlane, Delivered, Inbox, Link, Lossy, NodeId, SimStats, Simulator,
     SimulatorBuilder, SlotframeConfig, SplitMix64, TraceEvent, TransportStats, Tree,
     TwoHopInterference,
 };
@@ -254,18 +254,20 @@ fn control_plane_outcome(
             .unwrap();
     }
     let mut delivered = Vec::new();
+    let mut inbox = Inbox::new();
     while let Some(at) = plane.next_event() {
-        delivered.extend(plane.poll(&tree, at).unwrap());
+        plane.poll_into(&tree, at, &mut inbox).unwrap();
+        delivered.extend(inbox.drain());
     }
-    (delivered, plane.stats(), plane.messages_sent())
+    (delivered, plane.stats(), plane.stats().attempts)
 }
 
 #[test]
 fn calendar_timers_are_byte_identical_under_lossy_transport() {
-    // The retransmission path is driven by the event calendar; two
+    // Retransmissions fire from the outstanding list, in token order; two
     // identically seeded runs must produce the same delivery stream,
     // stats, and message count — and retransmissions must actually fire,
-    // so the calendar path is the one being exercised.
+    // so the timer path is the one being exercised.
     let run = || control_plane_outcome(&|| Box::new(Lossy::uniform(0.5, 0xCAFE).unwrap()) as _);
     let (delivered, stats, sent) = run();
     assert_eq!((delivered.clone(), stats, sent), run(), "lossy reruns");

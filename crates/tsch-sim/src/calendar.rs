@@ -1,18 +1,19 @@
 //! A time-ordered event calendar shared by the simulation layers.
 //!
-//! The event-driven engine, the management plane and the transport's
-//! retransmission timers all need the same primitive: schedule a value to
-//! fire at an absolute slot number, then drain everything due at or before
-//! `now` in deterministic order. [`EventCalendar`] wraps a binary heap
-//! keyed on `(fire_at, insertion_seq)`, so simultaneous events pop in the
-//! order they were scheduled — the FIFO-within-a-slot contract the
-//! management plane's `same_slot_messages_fifo_by_seq` test pins.
+//! The event-driven engine's fault plan and the management plane's
+//! in-flight messages need the same primitive: schedule a value to fire at
+//! an absolute slot number, then drain everything due at or before `now` in
+//! deterministic order. [`EventCalendar`] wraps a binary heap keyed on
+//! `(fire_at, insertion_seq)`, so simultaneous events pop in the order they
+//! were scheduled — the FIFO-within-a-slot contract the management plane's
+//! `same_slot_messages_fifo_by_seq` test pins.
 //!
-//! Cancellation is deliberately absent: callers that reschedule or drop
-//! events (e.g. the transport layer when an ACK lands before the
-//! retransmission timer fires) leave the stale entry in the heap and
-//! validate on pop instead ("lazy deletion"). That keeps `schedule` and
-//! `pop_due` at O(log n) with no auxiliary index.
+//! Cancellation is deliberately absent: every scheduled event fires, or the
+//! whole calendar is cleared (a rolled-back exchange drops its in-flight
+//! messages). That keeps `schedule` and `pop_due` at O(log n) with no
+//! auxiliary index. The transport's retransmission timers, which an ACK
+//! cancels, are not events here: each waiting exchange holds its own due
+//! time, and a poll walks those exchanges in token order.
 
 use crate::time::Asn;
 use std::collections::BinaryHeap;

@@ -85,8 +85,7 @@ pub use time::{Asn, Cell, ConfigError, SlotframeConfig};
 pub use topology::{Direction, Link, NodeId, TopologyError, Tree, TreeBuilder};
 pub use trace::{TraceBuffer, TraceEvent};
 pub use transport::{
-    Chaos, ControlPlane, Inbox, Lossy, ReliabilityConfig, Reliable, Transport, TransportStats,
-    TxFate,
+    Chaos, ControlPlane, Inbox, Lossy, Reliable, Transport, TransportStats, TxFate,
 };
 
 #[cfg(test)]

@@ -10,8 +10,8 @@
 //!
 //! The plane is generic over the payload type so `harp-core` can carry its
 //! protocol messages and the APaS baseline its own, while sharing the same
-//! timing and accounting semantics (message counts feed Table II and
-//! Fig. 12).
+//! timing semantics. The transport on top counts the transmissions
+//! (`TransportStats::attempts`, which feeds Table II and Fig. 12).
 
 use crate::calendar::EventCalendar;
 use crate::time::{Asn, SlotframeConfig};
@@ -19,7 +19,8 @@ use crate::topology::{Link, NodeId, Tree};
 use core::fmt;
 
 /// A message delivered by
-/// [`ControlPlane::poll`](crate::ControlPlane::poll).
+/// [`ControlPlane::poll_into`](crate::ControlPlane::poll_into), as
+/// [`Inbox::drain`](crate::Inbox::drain) hands it out.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Delivered<M> {
     /// The sending neighbour.
@@ -85,7 +86,7 @@ struct InFlight<M> {
 const IN_FLIGHT_RESERVE: usize = 64;
 
 /// The management plane of a network: carries one-hop messages with
-/// management-cell timing and counts every transmission.
+/// management-cell timing.
 ///
 /// A management cell is a link: node *i*'s uplink cell and the downlink
 /// cell toward *i* are the hops [`Link::up`] and [`Link::down`] of *i*, so
@@ -105,7 +106,6 @@ pub(crate) struct MgmtPlane<M> {
     /// Sized for the tree the plane was built for; a joined node's cells
     /// are appended when first used.
     busy_until: Vec<Asn>,
-    sent: u64,
 }
 
 /// The directed management hop a `from → to` transmission crosses: the
@@ -132,7 +132,6 @@ impl<M> MgmtPlane<M> {
             config,
             in_flight: EventCalendar::with_capacity(cells.min(IN_FLIGHT_RESERVE)),
             busy_until: vec![Asn::ZERO; cells],
-            sent: 0,
         }
     }
 
@@ -141,13 +140,6 @@ impl<M> MgmtPlane<M> {
         let channels = usize::from(self.config.channels).max(1);
         let slots = usize::try_from(self.config.slots).expect("a u32 fits usize");
         u32::try_from(hop.dense_id() / channels % slots).expect("an offset below `slots`")
-    }
-
-    /// Total management messages transmitted so far — the overhead metric of
-    /// Table II and Fig. 12.
-    #[must_use]
-    pub(crate) fn messages_sent(&self) -> u64 {
-        self.sent
     }
 
     /// Number of messages still in flight.
@@ -175,8 +167,8 @@ impl<M> MgmtPlane<M> {
     }
 
     /// Occupies the next `count` occurrences of `hop`'s management cell —
-    /// strictly after `now` and the cell's previous use — and counts
-    /// `count` transmissions, without enqueuing anything: the transport
+    /// strictly after `now` and the cell's previous use — without
+    /// enqueuing anything: the transport
     /// layer decides what (if anything) actually arrives. Returns when the
     /// first occurrence fires; a cell carries one message per slotframe, so
     /// the `k`-th fires `k` slotframes later.
@@ -192,12 +184,11 @@ impl<M> MgmtPlane<M> {
         let earliest = now.plus(1).max(self.busy_until[id].plus(1));
         let first = self.config.next_occurrence(earliest, slot);
         self.busy_until[id] = first.plus((count - 1) * u64::from(self.config.slots));
-        self.sent += count;
         first
     }
 
     /// When `hop`'s management cell next fires, strictly after `now`,
-    /// *without* occupying it or counting a transmission. ACKs piggyback on
+    /// *without* occupying it. ACKs piggyback on
     /// this occurrence: they share the cell with regular traffic instead of
     /// serialising behind it.
     pub(crate) fn peek_transmit_time(&self, now: Asn, hop: Link) -> Asn {
@@ -252,6 +243,7 @@ impl<M> MgmtPlane<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ControlPlane, Inbox};
 
     fn tree() -> Tree {
         Tree::paper_fig1_example()
@@ -312,14 +304,16 @@ mod tests {
     #[test]
     fn message_count_accumulates() {
         let t = tree();
-        let mut plane: MgmtPlane<u8> = MgmtPlane::new(&t, cfg());
+        let mut plane: ControlPlane<u8> = ControlPlane::reliable(&t, cfg());
         plane.send(&t, Asn(0), NodeId(4), NodeId(1), 1).unwrap();
         plane.send(&t, Asn(0), NodeId(1), NodeId(0), 2).unwrap();
         plane.send(&t, Asn(0), NodeId(0), NodeId(1), 3).unwrap();
-        assert_eq!(plane.messages_sent(), 3);
-        let _ = plane.poll(Asn(1000));
+        assert_eq!(plane.stats().attempts, 3);
+        let mut inbox = Inbox::new();
+        plane.poll_into(&t, Asn(1000), &mut inbox).unwrap();
+        assert_eq!(inbox.drain().count(), 3);
         assert_eq!(
-            plane.messages_sent(),
+            plane.stats().attempts,
             3,
             "polling does not change the count"
         );
@@ -372,14 +366,16 @@ mod tests {
         let (grown, id) = t.with_new_leaf(NodeId(9)).unwrap();
         let mut small: MgmtPlane<u8> = MgmtPlane::new(&t, cfg());
         let mut built: MgmtPlane<u8> = MgmtPlane::new(&grown, cfg());
+        let mut wrapped: ControlPlane<u8> = ControlPlane::reliable(&t, cfg());
         // Both of the joined node's cells, twice each: the second use
-        // queues behind the first on both planes alike.
+        // queues behind the first on every plane alike.
         for (from, to) in [(id, NodeId(9)), (NodeId(9), id)].repeat(2) {
             let at = small.send(&grown, Asn(3), from, to, 7).unwrap();
             assert_eq!(at, built.send(&grown, Asn(3), from, to, 7).unwrap());
+            assert_eq!(at, wrapped.send(&grown, Asn(3), from, to, 7).unwrap());
         }
         assert_eq!(small.poll(Asn(1000)), built.poll(Asn(1000)));
-        assert_eq!(small.messages_sent(), 4);
+        assert_eq!(wrapped.stats().attempts, 4);
     }
 
     #[test]

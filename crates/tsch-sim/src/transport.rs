@@ -28,7 +28,6 @@
 //! ids, no ACKs, no timers — deliveries are bit-for-bit identical to the
 //! plain `MgmtPlane`, which keeps the paper-reproduction reports stable.
 
-use crate::calendar::EventCalendar;
 use crate::mgmt::{hop, Delivered, MgmtError, MgmtPlane};
 use crate::radio::{LinkQuality, PdrError};
 use crate::rng::SplitMix64;
@@ -212,37 +211,27 @@ impl Transport for Chaos {
     }
 }
 
-/// Tuning of the reliability sublayer, in slotframe units.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReliabilityConfig {
-    /// Initial retransmission timeout, counted from the `Con`'s scheduled
-    /// arrival. Two slotframes cover the worst-case ACK return trip (the
-    /// reverse management cell is at most one slotframe away).
-    pub ack_timeout_slotframes: u64,
-    /// How many retransmissions before the sender gives up with
-    /// [`MgmtError::RetriesExhausted`].
-    pub max_retransmissions: u32,
-    /// Upper bound of the exponential backoff.
-    pub max_backoff_slotframes: u64,
-    /// Size of the per-neighbour duplicate-suppression msg-id window.
-    pub dedup_window: u64,
-}
+/// Initial retransmission timeout in slotframes, counted from the `Con`'s
+/// scheduled arrival. Two slotframes cover the worst-case ACK return trip
+/// (the reverse management cell is at most one slotframe away).
+const ACK_TIMEOUT_SLOTFRAMES: u64 = 2;
 
-impl Default for ReliabilityConfig {
-    fn default() -> Self {
-        Self {
-            ack_timeout_slotframes: 2,
-            max_retransmissions: 12,
-            max_backoff_slotframes: 16,
-            dedup_window: 64,
-        }
-    }
-}
+/// How many retransmissions before the sender gives up with
+/// [`MgmtError::RetriesExhausted`].
+const MAX_RETRANSMISSIONS: u32 = 12;
+
+/// Upper bound of the exponential backoff, in slotframes.
+const MAX_BACKOFF_SLOTFRAMES: u64 = 16;
+
+/// Size of the per-neighbour duplicate-suppression msg-id window.
+const DEDUP_WINDOW: u64 = 64;
 
 /// Monotonic counters of the reliability sublayer.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TransportStats {
-    /// Transmission attempts (first sends + retransmissions) of `Con`s.
+    /// Management transmissions: first sends and retransmissions of `Con`s
+    /// and the cells [`ControlPlane::occupy_cell`] books; piggybacked ACKs
+    /// are free. The overhead metric of Table II and Fig. 12.
     pub attempts: u64,
     /// Retransmissions among the attempts.
     pub retransmissions: u64,
@@ -264,7 +253,7 @@ struct DedupWindow {
 
 impl DedupWindow {
     /// Records `id`; returns `true` if it was fresh (first observation).
-    fn observe(&mut self, id: u64, window: u64) -> bool {
+    fn observe(&mut self, id: u64) -> bool {
         if id < self.floor || !self.seen.insert(id) {
             return false;
         }
@@ -274,7 +263,7 @@ impl DedupWindow {
             self.floor += 1;
         }
         if let Some(&max) = self.seen.iter().next_back() {
-            let min_keep = max.saturating_sub(window.saturating_sub(1));
+            let min_keep = max.saturating_sub(DEDUP_WINDOW - 1);
             if self.floor < min_keep {
                 self.floor = min_keep;
                 self.seen = self.seen.split_off(&min_keep);
@@ -347,15 +336,16 @@ struct OutstandingCon<M> {
 /// # Examples
 ///
 /// ```
-/// use tsch_sim::{Asn, ControlPlane, NodeId, Reliable, SlotframeConfig, Tree};
+/// use tsch_sim::{Asn, ControlPlane, Inbox, NodeId, SlotframeConfig, Tree};
 ///
 /// # fn main() -> Result<(), tsch_sim::MgmtError> {
 /// let tree = Tree::paper_fig1_example();
 /// let mut plane: ControlPlane<&str> =
 ///     ControlPlane::reliable(&tree, SlotframeConfig::paper_default());
 /// let at = plane.send(&tree, Asn(0), NodeId(4), NodeId(1), "request")?;
-/// let delivered = plane.poll(&tree, at)?;
-/// assert_eq!(delivered[0].payload, "request");
+/// let mut inbox = Inbox::new();
+/// plane.poll_into(&tree, at, &mut inbox)?;
+/// assert_eq!(inbox.drain().next().unwrap().payload, "request");
 /// assert!(plane.is_idle());
 /// # Ok(())
 /// # }
@@ -363,44 +353,36 @@ struct OutstandingCon<M> {
 #[derive(Debug)]
 pub struct ControlPlane<M> {
     config: SlotframeConfig,
-    reliability: ReliabilityConfig,
     transport: Box<dyn Transport>,
     /// Cached `transport.is_lossless()`: lossless transports bypass the
     /// reliability sublayer entirely.
     lossless: bool,
     plane: MgmtPlane<Envelope<M>>,
+    /// The exchanges awaiting an ACK, sorted by token — sends append
+    /// ascending tokens and removals keep order — and, through each one's
+    /// `next_retry_at`, the retransmission schedule.
     outstanding: Vec<OutstandingCon<M>>,
-    /// Retransmission wakeups (token keyed by fire time). Entries are never
-    /// cancelled: an ACK or a reschedule leaves a stale entry behind, and
-    /// [`ControlPlane::run_retransmission_timers`] validates each popped
-    /// token against the live `outstanding` state instead (lazy deletion).
-    retry_timers: EventCalendar<u64>,
     next_token: u64,
-    /// Next msg id per directed `(sender, receiver)` pair.
-    next_msg_id: BTreeMap<(NodeId, NodeId), u64>,
-    /// Receiver-side dedup windows per directed `(sender, receiver)` pair.
-    windows: BTreeMap<(NodeId, NodeId), DedupWindow>,
+    /// Per directed `(sender, receiver)` pair: the sender's next msg id
+    /// and the receiver's dedup window.
+    pairs: BTreeMap<(NodeId, NodeId), (u64, DedupWindow)>,
     stats: TransportStats,
     obs: Obs,
 }
 
 impl<M: Clone> ControlPlane<M> {
-    /// Builds a control plane over `transport` with default reliability
-    /// tuning.
+    /// Builds a control plane over `transport`.
     #[must_use]
     pub fn new(tree: &Tree, config: SlotframeConfig, transport: Box<dyn Transport>) -> Self {
         let lossless = transport.is_lossless();
         Self {
             config,
-            reliability: ReliabilityConfig::default(),
             transport,
             lossless,
             plane: MgmtPlane::new(tree, config),
             outstanding: Vec::new(),
-            retry_timers: EventCalendar::new(),
             next_token: 0,
-            next_msg_id: BTreeMap::new(),
-            windows: BTreeMap::new(),
+            pairs: BTreeMap::new(),
             stats: TransportStats::default(),
             obs: Obs::disabled(),
         }
@@ -410,20 +392,6 @@ impl<M: Clone> ControlPlane<M> {
     #[must_use]
     pub fn reliable(tree: &Tree, config: SlotframeConfig) -> Self {
         Self::new(tree, config, Box::new(Reliable))
-    }
-
-    /// Replaces the reliability tuning in place. Affects only messages sent
-    /// after the call; already-outstanding `Con`s keep their timers.
-    pub fn set_reliability(&mut self, reliability: ReliabilityConfig) {
-        self.reliability = reliability;
-    }
-
-    /// Total management transmissions (first sends and retransmissions;
-    /// piggybacked ACKs are free) — the overhead metric of Table II and
-    /// Fig. 12.
-    #[must_use]
-    pub fn messages_sent(&self) -> u64 {
-        self.plane.messages_sent()
     }
 
     /// Envelopes currently in flight (including ACKs and duplicates).
@@ -520,12 +488,9 @@ impl<M: Clone> ControlPlane<M> {
             );
             return Ok(deliver_at);
         }
-        let msg_id = {
-            let next = self.next_msg_id.entry((from, to)).or_insert(0);
-            let id = *next;
-            *next += 1;
-            id
-        };
+        let next = &mut self.pairs.entry((from, to)).or_default().0;
+        let msg_id = *next;
+        *next += 1;
         let token = self.next_token;
         self.next_token += 1;
         let fate = self.transport.fate(link);
@@ -536,19 +501,16 @@ impl<M: Clone> ControlPlane<M> {
             payload: Some(payload.clone()),
         };
         self.deliver_per_fate(fate, deliver_at, from, to, envelope);
-        let next_retry_at =
-            deliver_at.plus(self.reliability.ack_timeout_slotframes * u64::from(self.config.slots));
         self.outstanding.push(OutstandingCon {
             token,
             msg_id,
             from,
             to,
             payload,
-            retries_left: self.reliability.max_retransmissions,
-            backoff_slotframes: self.reliability.ack_timeout_slotframes,
-            next_retry_at,
+            retries_left: MAX_RETRANSMISSIONS,
+            backoff_slotframes: ACK_TIMEOUT_SLOTFRAMES,
+            next_retry_at: deliver_at.plus(ACK_TIMEOUT_SLOTFRAMES * u64::from(self.config.slots)),
         });
-        self.retry_timers.schedule(next_retry_at, token);
         Ok(deliver_at)
     }
 
@@ -623,21 +585,6 @@ impl<M: Clone> ControlPlane<M> {
             .enqueue_raw(deliver_at.plus(fate.delay_slots), from, to, envelope);
     }
 
-    /// Delivers every due fresh payload (ASN ≤ `now`), consuming ACKs,
-    /// acknowledging and deduplicating `Con`s, then firing due
-    /// retransmission timers: [`ControlPlane::poll_into`] a fresh
-    /// [`Inbox`], collected.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MgmtError::RetriesExhausted`] when a `Con` runs out of
-    /// retransmissions (the neighbour is effectively unreachable).
-    pub fn poll(&mut self, tree: &Tree, now: Asn) -> Result<Vec<Delivered<M>>, MgmtError> {
-        let mut inbox = Inbox::new();
-        self.poll_into(tree, now, &mut inbox)?;
-        Ok(inbox.drain().collect())
-    }
-
     /// Delivers every due fresh payload (ASN ≤ `now`) into `inbox`,
     /// replacing what it held, then fires due retransmission timers.
     ///
@@ -697,11 +644,7 @@ impl<M: Clone> ControlPlane<M> {
             // Acknowledge every received copy — the ACK for the original may
             // have been the frame that got lost.
             self.send_ack(tree, at, to, from, msg_id, token)?;
-            let fresh = self
-                .windows
-                .entry((from, to))
-                .or_default()
-                .observe(msg_id, self.reliability.dedup_window);
+            let fresh = self.pairs.entry((from, to)).or_default().1.observe(msg_id);
             if fresh {
                 due.swap(kept, i);
                 kept += 1;
@@ -758,39 +701,31 @@ impl<M: Clone> ControlPlane<M> {
     /// Retransmits every timed-out `Con`, backing off exponentially;
     /// removes (and reports) exchanges whose retry budget is exhausted.
     ///
-    /// Driven by the wakeup calendar: only tokens with a due wakeup are
-    /// examined, instead of the old full scan over every outstanding
-    /// exchange per poll. Due tokens fire in ascending token order — the
-    /// order the scan used, since `outstanding` always stays sorted by
-    /// token (tokens are assigned monotonically and removals keep order) —
-    /// so the transport RNG stream and cell occupations are unchanged.
+    /// Due exchanges fire in `outstanding` order, which is token order —
+    /// the order the transport's fates and the cells are drawn in — and a
+    /// retransmitted one is next due strictly after `now`, so none fires
+    /// twice in a poll. When several exhaust at once, the error names the
+    /// one sent first.
     fn run_retransmission_timers(&mut self, tree: &Tree, now: Asn) -> Result<(), MgmtError> {
-        let mut due: Vec<u64> = Vec::new();
-        while let Some((_, token)) = self.retry_timers.pop_due(now) {
-            due.push(token);
-        }
-        if due.is_empty() {
-            return Ok(());
-        }
-        due.sort_unstable();
-        due.dedup();
+        debug_assert!(
+            self.outstanding.windows(2).all(|w| w[0].token < w[1].token),
+            "outstanding exchanges are sorted by token"
+        );
         let mut exhausted: Option<(NodeId, NodeId)> = None;
-        for token in due {
-            let Ok(i) = self.outstanding.binary_search_by_key(&token, |o| o.token) else {
-                continue; // ACKed or cancelled before the timer fired.
-            };
-            if self.outstanding[i].next_retry_at > now {
-                continue; // Stale wakeup: the exchange was rescheduled.
+        let mut i = 0;
+        while i < self.outstanding.len() {
+            let o = &self.outstanding[i];
+            if o.next_retry_at > now {
+                i += 1;
+                continue;
             }
-            if self.outstanding[i].retries_left == 0 {
+            if o.retries_left == 0 {
                 let o = self.outstanding.remove(i);
                 exhausted.get_or_insert((o.from, o.to));
                 continue;
             }
-            let (from, to, msg_id, payload) = {
-                let o = &self.outstanding[i];
-                (o.from, o.to, o.msg_id, o.payload.clone())
-            };
+            let (from, to, msg_id, token) = (o.from, o.to, o.msg_id, o.token);
+            let payload = o.payload.clone();
             let link = hop(tree, from, to)?;
             let deliver_at = self.plane.occupy(now, link, 1);
             self.stats.attempts += 1;
@@ -817,12 +752,11 @@ impl<M: Clone> ControlPlane<M> {
                     payload: Some(payload),
                 },
             );
-            let backoff_cap = self.reliability.max_backoff_slotframes;
             let o = &mut self.outstanding[i];
             o.retries_left -= 1;
-            o.backoff_slotframes = (o.backoff_slotframes * 2).min(backoff_cap);
+            o.backoff_slotframes = (o.backoff_slotframes * 2).min(MAX_BACKOFF_SLOTFRAMES);
             o.next_retry_at = deliver_at.plus(o.backoff_slotframes * u64::from(self.config.slots));
-            self.retry_timers.schedule(o.next_retry_at, token);
+            i += 1;
         }
         if let Some((from, to)) = exhausted {
             return Err(MgmtError::RetriesExhausted { from, to });
@@ -831,8 +765,8 @@ impl<M: Clone> ControlPlane<M> {
     }
 
     /// The earliest ASN at which something happens: a pending delivery or a
-    /// retransmission timer. Drive [`ControlPlane::poll`] to these instants
-    /// to fast-forward through idle slots.
+    /// due retransmission. Drive [`ControlPlane::poll_into`] to these
+    /// instants to fast-forward through idle slots.
     #[must_use]
     pub fn next_event(&self) -> Option<Asn> {
         let delivery = self.plane.next_delivery();
@@ -843,14 +777,13 @@ impl<M: Clone> ControlPlane<M> {
         }
     }
 
-    /// Drops every in-flight envelope and cancels every retransmission
-    /// timer (a transactional rollback). Dedup windows and msg-id counters
-    /// survive, so post-cancel traffic cannot collide with pre-cancel ids;
-    /// counters are unaffected.
+    /// Drops every in-flight envelope and every exchange awaiting an ACK,
+    /// timer and all (a transactional rollback). Dedup windows and msg-id
+    /// counters survive, so post-cancel traffic cannot collide with
+    /// pre-cancel ids; counters are unaffected.
     pub fn cancel_in_flight(&mut self) {
         self.plane.clear_in_flight();
         self.outstanding.clear();
-        self.retry_timers.clear();
     }
 
     /// Rebuilds the underlying plane for (possibly new) `tree`/`config`,
@@ -860,9 +793,7 @@ impl<M: Clone> ControlPlane<M> {
         self.config = config;
         self.plane = MgmtPlane::new(tree, config);
         self.outstanding.clear();
-        self.retry_timers.clear();
-        self.next_msg_id.clear();
-        self.windows.clear();
+        self.pairs.clear();
         self.next_token = 0;
     }
 }
@@ -870,6 +801,7 @@ impl<M: Clone> ControlPlane<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Arc, Mutex};
 
     fn tree() -> Tree {
         Tree::paper_fig1_example()
@@ -880,16 +812,20 @@ mod tests {
     }
 
     /// A transport that pops scripted fates (and delivers cleanly once the
-    /// script runs out).
+    /// script runs out), logging the link of every fate it draws.
     #[derive(Debug)]
     struct Scripted {
         fates: Vec<TxFate>,
+        log: Arc<Mutex<Vec<Link>>>,
     }
 
     impl Scripted {
         fn new(mut fates: Vec<TxFate>) -> Self {
             fates.reverse();
-            Self { fates }
+            Self {
+                fates,
+                log: Arc::default(),
+            }
         }
 
         fn drop_first(n: usize) -> Self {
@@ -905,16 +841,28 @@ mod tests {
     }
 
     impl Transport for Scripted {
-        fn fate(&mut self, _link: Link) -> TxFate {
+        fn fate(&mut self, link: Link) -> TxFate {
+            self.log.lock().unwrap().push(link);
             self.fates.pop().unwrap_or(TxFate::DELIVERED)
         }
+    }
+
+    /// Polls `plane` at `now` and collects what it delivered.
+    fn poll(
+        plane: &mut ControlPlane<u32>,
+        tree: &Tree,
+        now: Asn,
+    ) -> Result<Vec<Delivered<u32>>, MgmtError> {
+        let mut inbox = Inbox::new();
+        plane.poll_into(tree, now, &mut inbox)?;
+        Ok(inbox.drain().collect())
     }
 
     /// Drains the plane event by event, returning all payload deliveries.
     fn drain(plane: &mut ControlPlane<u32>, tree: &Tree) -> Vec<Delivered<u32>> {
         let mut out = Vec::new();
         while let Some(at) = plane.next_event() {
-            out.extend(plane.poll(tree, at).unwrap());
+            out.extend(poll(plane, tree, at).unwrap());
         }
         out
     }
@@ -936,7 +884,7 @@ mod tests {
             assert_eq!(a, b, "identical cell timing");
         }
         let got_plain = plain.poll(Asn(1000));
-        let got_wrapped = wrapped.poll(&t, Asn(1000)).unwrap();
+        let got_wrapped = poll(&mut wrapped, &t, Asn(1000)).unwrap();
         assert_eq!(got_plain.len(), got_wrapped.len());
         for (p, w) in got_plain.iter().zip(&got_wrapped) {
             assert_eq!(
@@ -944,7 +892,7 @@ mod tests {
                 (w.from, w.to, w.at, w.payload)
             );
         }
-        assert_eq!(plain.messages_sent(), wrapped.messages_sent());
+        assert_eq!(wrapped.stats().attempts, sends.len() as u64);
         assert!(wrapped.is_idle(), "no ACKs outstanding on lossless");
         assert_eq!(wrapped.stats().acks_sent, 0);
         assert_eq!(wrapped.stats().retransmissions, 0);
@@ -964,7 +912,6 @@ mod tests {
             let expected: Vec<Asn> = (0..3).map(|k| first.plus(k * slots)).collect();
             assert_eq!(arrivals, expected, "one occurrence per slotframe");
             assert_eq!(booked.stats(), sent.stats());
-            assert_eq!(booked.messages_sent(), sent.messages_sent());
             assert!(booked.is_idle(), "nothing was enqueued");
             // The cell stays busy through its last booked occurrence: a
             // send handed over earlier queues behind it on both planes.
@@ -1023,7 +970,7 @@ mod tests {
         assert_eq!(plane.stats().retransmissions, 1);
         assert_eq!(plane.stats().dropped, 1);
         assert!(plane.is_idle());
-        assert_eq!(plane.messages_sent(), 2, "both attempts cost airtime");
+        assert_eq!(plane.stats().attempts, 2, "both attempts cost airtime");
     }
 
     #[test]
@@ -1147,14 +1094,10 @@ mod tests {
             64
         ]);
         let mut plane: ControlPlane<u32> = ControlPlane::new(&t, cfg(), Box::new(blackhole));
-        plane.set_reliability(ReliabilityConfig {
-            max_retransmissions: 3,
-            ..ReliabilityConfig::default()
-        });
         plane.send(&t, Asn(0), NodeId(9), NodeId(7), 1).unwrap();
         let mut last = Ok(Vec::new());
         while let Some(at) = plane.next_event() {
-            last = plane.poll(&t, at);
+            last = poll(&mut plane, &t, at);
             if last.is_err() {
                 break;
             }
@@ -1166,7 +1109,77 @@ mod tests {
                 to: NodeId(7)
             }
         );
+        assert_eq!(
+            plane.stats().retransmissions,
+            u64::from(MAX_RETRANSMISSIONS)
+        );
+    }
+
+    #[test]
+    fn due_retransmissions_fire_once_each_in_send_order() {
+        let t = tree();
+        let slots = u64::from(cfg().slots);
+        // Sent in this order, the first attempts arrive (and their timers
+        // fall due) in another: the second exchange's cell comes first.
+        let sends = [
+            (NodeId(9), NodeId(7)),
+            (NodeId(4), NodeId(1)),
+            (NodeId(1), NodeId(0)),
+        ];
+        let links: Vec<Link> = sends
+            .iter()
+            .map(|&(from, to)| hop(&t, from, to).unwrap())
+            .collect();
+        let scripted = Scripted::drop_first(sends.len());
+        let log = Arc::clone(&scripted.log);
+        let mut plane: ControlPlane<u32> = ControlPlane::new(&t, cfg(), Box::new(scripted));
+        let arrivals: Vec<Asn> = sends
+            .iter()
+            .zip(0..)
+            .map(|(&(from, to), m)| plane.send(&t, Asn(0), from, to, m).unwrap())
+            .collect();
+        assert!(arrivals[1] < arrivals[0], "due order is not send order");
+        let latest = *arrivals.iter().max().unwrap();
+        let now = latest.plus(ACK_TIMEOUT_SLOTFRAMES * slots);
+        let mut inbox = Inbox::new();
+        plane.poll_into(&t, now, &mut inbox).unwrap();
+        assert!(inbox.is_empty(), "every first attempt was lost");
         assert_eq!(plane.stats().retransmissions, 3);
+        assert_eq!(*log.lock().unwrap(), links.repeat(2), "send order, twice");
+
+        plane.poll_into(&t, now, &mut inbox).unwrap();
+        assert_eq!(plane.stats().retransmissions, 3, "nothing fires twice");
+        assert_eq!(log.lock().unwrap().len(), 6);
+    }
+
+    #[test]
+    fn exchanges_exhausted_in_one_poll_name_the_first_sent() {
+        let t = tree();
+        let blackhole = Scripted::drop_first(64);
+        let log = Arc::clone(&blackhole.log);
+        let mut plane: ControlPlane<u32> = ControlPlane::new(&t, cfg(), Box::new(blackhole));
+        // The first exchange's cell fires after the second's.
+        let first = plane.send(&t, Asn(0), NodeId(9), NodeId(7), 1).unwrap();
+        let second = plane.send(&t, Asn(0), NodeId(4), NodeId(1), 2).unwrap();
+        assert!(second < first);
+        // Polls a thousand slots apart find both timers due every time.
+        let mut inbox = Inbox::new();
+        let err = (1..=64)
+            .find_map(|k| plane.poll_into(&t, Asn(1000 * k), &mut inbox).err())
+            .expect("a blackhole exhausts the retry budget");
+        assert_eq!(
+            err,
+            MgmtError::RetriesExhausted {
+                from: NodeId(9),
+                to: NodeId(7)
+            }
+        );
+        let draws = log.lock().unwrap().clone();
+        let per_link = |l: Link| draws.iter().filter(|&&d| d == l).count();
+        let (a, b) = (Link::up(NodeId(9)), Link::up(NodeId(4)));
+        assert_eq!(per_link(a), per_link(b), "both retried alike");
+        assert_eq!(draws.len(), per_link(a) + per_link(b));
+        assert!(plane.is_idle(), "both exhausted exchanges are gone");
     }
 
     #[test]
@@ -1182,28 +1195,24 @@ mod tests {
             64
         ]);
         let mut plane: ControlPlane<u32> = ControlPlane::new(&t, cfg(), Box::new(blackhole));
-        plane.set_reliability(ReliabilityConfig {
-            ack_timeout_slotframes: 1,
-            max_retransmissions: 5,
-            max_backoff_slotframes: 4,
-            dedup_window: 64,
-        });
-        plane.send(&t, Asn(0), NodeId(9), NodeId(7), 1).unwrap();
+        let arrival = plane.send(&t, Asn(0), NodeId(9), NodeId(7), 1).unwrap();
         let mut timer_gaps = Vec::new();
-        let mut prev = None;
+        let mut prev = arrival.0;
         while let Some(at) = plane.next_event() {
-            if let Some(p) = prev {
-                timer_gaps.push((at.0 - p) / slots);
-            }
-            prev = Some(at.0);
-            if plane.poll(&t, at).is_err() {
+            timer_gaps.push((at.0 - prev) / slots);
+            prev = at.0;
+            if poll(&mut plane, &t, at).is_err() {
                 break;
             }
         }
-        // Gaps between retransmission timers follow the doubling backoff
-        // capped at 4 slotframes, plus the one frame it takes the
-        // retransmitted frame to reach the next cell occurrence.
-        assert_eq!(timer_gaps, vec![3, 5, 5, 5, 5]);
+        // The first timer fires the 2-slotframe timeout after the scheduled
+        // arrival. Each of the 12 retransmissions then doubles the backoff,
+        // capped at 16 slotframes, plus the one frame it takes the
+        // retransmitted frame to reach the next cell occurrence; the last
+        // timer finds the budget spent.
+        let mut expected = vec![ACK_TIMEOUT_SLOTFRAMES, 5, 9];
+        expected.resize(1 + MAX_RETRANSMISSIONS as usize, MAX_BACKOFF_SLOTFRAMES + 1);
+        assert_eq!(timer_gaps, expected);
     }
 
     #[test]
@@ -1224,23 +1233,28 @@ mod tests {
     fn dedup_window_slides_and_stays_bounded() {
         let mut w = DedupWindow::default();
         for id in 0..200 {
-            assert!(w.observe(id, 8), "id {id} is fresh");
-            assert!(!w.observe(id, 8), "id {id} re-observed");
+            assert!(w.observe(id), "id {id} is fresh");
+            assert!(!w.observe(id), "id {id} re-observed");
         }
-        assert!(w.seen.len() <= 8);
+        assert!(w.seen.len() as u64 <= DEDUP_WINDOW);
         // Out-of-order arrivals within the window are tracked exactly.
         let mut w = DedupWindow::default();
-        assert!(w.observe(2, 8));
-        assert!(w.observe(0, 8));
-        assert!(!w.observe(0, 8));
-        assert!(w.observe(1, 8));
-        assert!(!w.observe(2, 8));
+        assert!(w.observe(2));
+        assert!(w.observe(0));
+        assert!(!w.observe(0));
+        assert!(w.observe(1));
+        assert!(!w.observe(2));
         // Anything below the advanced floor reads as duplicate.
         let mut w = DedupWindow::default();
         for id in 0..20 {
-            w.observe(id, 4);
+            w.observe(id);
         }
-        assert!(!w.observe(3, 4));
+        assert!(!w.observe(3));
+        // An id far ahead drags the floor to within the window of it.
+        let mut w = DedupWindow::default();
+        assert!(w.observe(1000));
+        assert!(!w.observe(1000 - DEDUP_WINDOW), "fell out of the window");
+        assert!(w.observe(1001 - DEDUP_WINDOW), "still inside it");
     }
 
     #[test]
@@ -1255,7 +1269,7 @@ mod tests {
                     .unwrap();
             }
             let delivered = drain(&mut plane, &t);
-            (delivered, plane.stats(), plane.messages_sent())
+            (delivered, plane.stats())
         };
         assert_eq!(run(11), run(11), "same seed, same trace");
         let (a, ..) = run(11);
