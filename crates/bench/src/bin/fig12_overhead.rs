@@ -83,7 +83,7 @@ fn main() {
             }
         }
         let harp_max = harp_samples.iter().copied().fold(0.0f64, f64::max);
-        debug_assert!(
+        assert!(
             (mean(&apas_samples) - apas_adjustment_packets(layer) as f64).abs() < 1e-9,
             "APaS measurement must match the 3l-1 formula"
         );

@@ -1,5 +1,5 @@
-//! Scale study: event-engine throughput and conflict-storage footprint at
-//! 1k / 10k / 100k / 1M nodes.
+//! Scale study: event-engine build time and throughput at 1k / 10k / 100k /
+//! 1M nodes.
 //!
 //! Each size runs the [`workloads::scale_scenario`] — 16 grafted fanout-4
 //! subtrees, a 199-slot × 16-channel slotframe, and a conflict-free
@@ -19,10 +19,10 @@
 //! counter stays zero — the calendar never woke a slot with no traffic.
 //!
 //! Writes `BENCH_scale.json` at the workspace root: one row per size
-//! with the CSR conflict-storage bytes, the idle-wakeup count and the
-//! deterministic traffic counts. The raw and per-active-cell rates are
-//! printed as `timing` lines, and the flatness check runs here, on the
-//! rates of this run ([`harp_bench::harness::assert_flat`]).
+//! with the idle-wakeup count and the deterministic traffic counts. The
+//! time `SimulatorBuilder::build` takes and the raw and per-active-cell
+//! rates are printed as `timing` lines, and the flatness check runs here,
+//! on the rates of this run ([`harp_bench::harness::assert_flat`]).
 //!
 //! Run with `cargo run --release -p harp-bench --bin fig_scale`; pass
 //! `--smoke` for the CI debug-assertions pass (10k nodes, 2 slotframes,
@@ -34,11 +34,6 @@ use harp_bench::harness::{
 use harp_obs::MetricsSnapshot;
 use tsch_sim::{Simulator, SimulatorBuilder, StatsMode};
 use workloads::{scale_scenario, ScaleScenario, SCALE_SIZES};
-
-/// Per-node budget on CSR conflict storage. The dense matrix needed
-/// `(2n)^2` bytes (~37 GiB at 100k); the CSR rows grow linearly, so a
-/// fixed per-node allowance covers every row including 1M.
-const CONFLICT_BYTES_PER_NODE: usize = 256;
 
 /// Untimed slotframes run before the measured window. Until the packet
 /// pipeline fills (one frame per route hop, ~10 frames at 1M nodes) each
@@ -72,10 +67,12 @@ fn row_label(nodes: u32) -> String {
     }
 }
 
-/// One size's live engine plus the rates sampled so far.
+/// One size's live engine, how long it took to build, and the rates
+/// sampled so far.
 struct SizeRun {
     scenario: ScaleScenario,
     sim: Simulator,
+    build_ms: f64,
     rates: Vec<f64>,
 }
 
@@ -90,11 +87,14 @@ fn build_size(nodes: u32, warmup: u64) -> SizeRun {
     for task in &scenario.tasks {
         builder = builder.task(task.clone()).expect("unique task ids");
     }
+    let start = std::time::Instant::now();
     let mut sim = builder.build();
+    let build_ms = start.elapsed().as_secs_f64() * 1e3;
     sim.run_slotframes(warmup);
     SizeRun {
         scenario,
         sim,
+        build_ms,
         rates: Vec::new(),
     }
 }
@@ -125,25 +125,17 @@ fn main() {
     }
 
     println!(
-        "{:>8} {:>14} {:>8} {:>8} {:>14} {:>14} {:>10}",
-        "nodes", "conflict_B", "active", "distinct", "slots/s", "cell_slots/s", "delivered"
+        "{:>8} {:>8} {:>8} {:>14} {:>14} {:>10}",
+        "nodes", "active", "distinct", "slots/s", "cell_slots/s", "delivered"
     );
     let mut rows = Vec::new();
-    let mut timings: Vec<(String, f64)> = Vec::new();
+    let mut timings: Vec<(String, f64, &str)> = Vec::new();
     let mut cell_rates: Vec<(String, f64)> = Vec::new();
     for run in runs {
         let nodes = run.scenario.tree.len() as u32;
         let active_cells = run.scenario.schedule.assignment_count();
         let distinct_cells = run.scenario.schedule.active_cells();
         let slots = run.scenario.config.slots;
-        let conflict_bytes = run.sim.conflict_storage_bytes();
-        let conflict_entries = run.sim.conflict_entries();
-        let conflict_limit = nodes as usize * CONFLICT_BYTES_PER_NODE;
-        assert!(
-            conflict_bytes < conflict_limit,
-            "conflict storage {conflict_bytes} B exceeds the {conflict_limit} B budget \
-             at {nodes} nodes"
-        );
         let idle_wakeups = run
             .sim
             .metrics_snapshot()
@@ -162,9 +154,8 @@ fn main() {
         let cell_rate = rate * active_cells as f64 / f64::from(slots);
 
         println!(
-            "{:>8} {:>14} {:>8} {:>8} {:>14.0} {:>14.0} {:>10}",
+            "{:>8} {:>8} {:>8} {:>14.0} {:>14.0} {:>10}",
             nodes,
-            conflict_bytes,
             active_cells,
             distinct_cells,
             rate,
@@ -173,15 +164,18 @@ fn main() {
         );
 
         let label = row_label(nodes);
-        timings.push((format!("{label}.slots_per_sec"), rate));
-        timings.push((format!("{label}.active_cell_slots_per_sec"), cell_rate));
+        timings.push((format!("{label}.build_ms"), run.build_ms, "ms"));
+        timings.push((format!("{label}.slots_per_sec"), rate, "1/s"));
+        timings.push((
+            format!("{label}.active_cell_slots_per_sec"),
+            cell_rate,
+            "1/s",
+        ));
         cell_rates.push((label.clone(), cell_rate));
         rows.push((
             label,
             vec![
                 ("nodes", f64::from(nodes)),
-                ("conflict_bytes", conflict_bytes as f64),
-                ("conflict_entries", conflict_entries as f64),
                 ("active_cells", active_cells as f64),
                 ("distinct_cells", distinct_cells as f64),
                 ("idle_wakeups", idle_wakeups as f64),
@@ -192,8 +186,8 @@ fn main() {
         ));
     }
 
-    for (name, rate) in &timings {
-        print_timing(name, *rate, "1/s");
+    for (name, value, unit) in &timings {
+        print_timing(name, *value, unit);
     }
     println!("{}", harp_bench::obs_footer());
 

@@ -178,7 +178,9 @@ fn engines_agree_on_random_scenarios() {
     // (seed base, cases, lossy links, every case loses). Lossy links make
     // slot skipping observable through the shared RNG stream: if the event
     // engine ever skipped a slot the dense walk executes (or vice versa),
-    // the loss pattern diverges from that draw on.
+    // the loss pattern diverges from that draw on. Some cases must
+    // collide, or the interference rule goes unrefereed.
+    let mut colliding = 0;
     for (base, cases, lossy, loses) in [
         (0x000D_E25E, 24, true, false),
         (0xE7E4_7000, 16, false, false),
@@ -195,22 +197,29 @@ fn engines_agree_on_random_scenarios() {
                 !loses || engines.event.stats().losses > 0,
                 "{label}: scenario must actually draw losses"
             );
+            colliding += usize::from(engines.event.stats().collisions > 0);
         }
     }
+    println!("{colliding} of 56 cases collide");
+    assert!(colliding > 0, "no case exercises the collision rule");
 }
 
 #[test]
 fn engines_agree_with_extra_radio_edges() {
-    // Extra (non-tree) radio edges exercise the candidate-set CSR build:
-    // the sparse adjacency must capture exactly the conflicts the
-    // reference probes pairwise on every occupied cell.
+    // Extra (non-tree) radio edges add hidden-terminal conflicts the tree
+    // alone does not imply: every engine must ask the model about them
+    // on every occupied cell and collide exactly where the reference does.
+    let mut colliding = 0;
     for case in 0..16u64 {
         let mut rng = SplitMix64::new(0x0E_D6E5 ^ case);
         let config = SlotframeConfig::new(20, 4, 10_000).unwrap();
         let mut engines = Engines::draw(&mut rng, 24, config, true, 4);
         engines.run_slotframes(10);
         engines.assert_agree(&format!("extra-edge case {case}"));
+        colliding += usize::from(engines.event.stats().collisions > 0);
     }
+    println!("{colliding} of 16 cases collide");
+    assert!(colliding > 0, "no case exercises the collision rule");
 }
 
 #[test]

@@ -19,20 +19,20 @@
 //!
 //! # Dense fast path
 //!
-//! The hot loop never touches a map. At build time every directed link is
-//! interned into a dense index (`child * 2 + direction`), and the engine
-//! keeps:
+//! The hot loop never touches a map. Every directed link has a dense id
+//! (`child * 2 + direction`), and a link that is scheduled or queues a
+//! packet also gets a compact *lane*. The engine keeps:
 //!
-//! * per-link queues in a `Vec<VecDeque<_>>` indexed by link id;
-//! * per-link PDR values in a flat `Vec<f64>`;
-//! * the pairwise interference relation in a sparse CSR adjacency (built
-//!   from [`crate::InterferenceModel::conflict_candidates`] when the model has
-//!   bounded range), so the trait object is consulted once per candidate
-//!   pair at build instead of once per pair per slot, and storage stays
-//!   O(Σ degree) instead of `(2n)²`;
+//! * per-lane queues, [`Link`]s and PDRs in flat vectors;
+//! * per-link configured PDRs in a flat `Vec<f64>` indexed by dense id;
 //! * a per-slot table of non-empty cells in CSR form (slot → cells →
 //!   lanes, three flat vectors filled straight from
 //!   [`NetworkSchedule::iter_cells`]).
+//!
+//! Interference is decided where it acts: inside one cell, each pair of
+//! active lanes asks the [`InterferenceModel`], as
+//! [`crate::reference::ReferenceSimulator`] does, so the build derives
+//! nothing from the model and its cost follows the schedule, not the tree.
 //!
 //! The slot table is derived from the [`NetworkSchedule`] and rebuilt lazily
 //! whenever the schedule's version counter changes (see
@@ -82,6 +82,7 @@ pub use build::SimulatorBuilder;
 
 use crate::calendar::EventCalendar;
 use crate::faults::FaultAction;
+use crate::interference::InterferenceModel;
 use crate::packet::{Packet, Rate, Task, TaskId};
 use crate::radio::PdrError;
 use crate::rng::SplitMix64;
@@ -179,21 +180,15 @@ pub struct Simulator {
     /// Dense link id (`child * 2 + direction`) → lane, `u32::MAX` while
     /// the link has no lane yet.
     lane_of: Vec<u32>,
-    /// Lane → [`Link`], for stats, trace and sampler reporting.
+    /// Lane → [`Link`], for interference, stats, trace and sampler
+    /// reporting.
     lane_links: Vec<Link>,
-    /// Lane → dense link id (conflict rows and stamps stay id-indexed).
-    lane_link_id: Vec<u32>,
     /// Lane → PDR (copied from [`Self::pdr`]; quality is frozen at build).
     lane_pdr: Vec<f64>,
-    /// Dense link id → [`Link`], consulted at build and lane creation.
-    links: Vec<Link>,
     /// Per-link PDR, indexed by dense link id.
     pdr: Vec<f64>,
-    /// CSR offsets into [`Self::conflict_neighbors`]; row `id` spans
-    /// `conflict_offsets[id]..conflict_offsets[id + 1]`.
-    conflict_offsets: Vec<u32>,
-    /// Concatenated, per-row-sorted conflicting link ids.
-    conflict_neighbors: Vec<u32>,
+    /// Decides which same-cell transmissions collide.
+    interference: Box<dyn InterferenceModel + Send + Sync>,
     /// The slot table in CSR form: slot `s`'s non-empty cells are
     /// `slot_cells[slot_offsets[s]..slot_offsets[s + 1]]`, in channel order.
     slot_offsets: Vec<u32>,
@@ -231,11 +226,6 @@ pub struct Simulator {
     touched_scratch: Vec<u32>,
     /// The releases of the slotframe boundary in progress.
     release_scratch: Vec<TaskRelease>,
-    /// Per-link stamp marking membership in the current cell's active set;
-    /// a link is active iff `active_stamp[id] == stamp`.
-    active_stamp: Vec<u32>,
-    /// Stamp for the cell currently executing (0 = never stamped).
-    stamp: u32,
     now: Asn,
     rng: SplitMix64,
     stats: SimStats,
@@ -367,21 +357,6 @@ impl Simulator {
     #[must_use]
     pub fn queued_packets(&self) -> usize {
         self.queues.iter().map(VecDeque::len).sum()
-    }
-
-    /// Bytes held by the sparse conflict adjacency (CSR offsets plus
-    /// neighbor ids) — the scale experiments' peak-RSS proxy. The old
-    /// dense matrix cost `(2n)²` bytes; this is O(Σ conflict degree).
-    #[must_use]
-    pub fn conflict_storage_bytes(&self) -> usize {
-        std::mem::size_of_val(self.conflict_offsets.as_slice())
-            + std::mem::size_of_val(self.conflict_neighbors.as_slice())
-    }
-
-    /// Directed conflict pairs stored in the sparse adjacency.
-    #[must_use]
-    pub fn conflict_entries(&self) -> usize {
-        self.conflict_neighbors.len()
     }
 
     /// Packets queued at one node (over all its outgoing links).
@@ -652,33 +627,19 @@ impl Simulator {
             self.stats.record_tx_attempt(self.lane_links[lane as usize]);
         }
 
-        // Interference among simultaneous transmissions, resolved against
-        // the sparse conflict rows: stamp the active set, then walk each
-        // active link's row until a co-active conflict is found. The rows
-        // hold exactly the links the old pairwise matrix scan consulted,
-        // and the relation is symmetric, so the marking is identical —
-        // at O(Σ active-row degree) instead of O(k²) probes.
+        // Interference among simultaneous transmissions: each pair of
+        // active lanes asks the model, as the reference engine does. The
+        // model is symmetric, so marking both ends of a conflicting pair
+        // marks exactly the links that collide.
         self.collided_scratch.clear();
         self.collided_scratch.resize(n, false);
-        if n > 1 {
-            self.stamp = self.stamp.wrapping_add(1);
-            if self.stamp == 0 {
-                // Stamp wrapped: clear stale marks so no link looks active.
-                self.active_stamp.iter_mut().for_each(|s| *s = 0);
-                self.stamp = 1;
-            }
-            for &lane in &self.active_scratch {
-                self.active_stamp[self.lane_link_id[lane as usize] as usize] = self.stamp;
-            }
-            for i in 0..n {
-                let a = self.lane_link_id[self.active_scratch[i] as usize] as usize;
-                let lo = self.conflict_offsets[a] as usize;
-                let hi = self.conflict_offsets[a + 1] as usize;
-                for &b in &self.conflict_neighbors[lo..hi] {
-                    if self.active_stamp[b as usize] == self.stamp {
-                        self.collided_scratch[i] = true;
-                        break;
-                    }
+        for i in 0..n {
+            let a = self.lane_links[self.active_scratch[i] as usize];
+            for j in i + 1..n {
+                let b = self.lane_links[self.active_scratch[j] as usize];
+                if self.interference.conflicts(&self.tree, a, b) {
+                    self.collided_scratch[i] = true;
+                    self.collided_scratch[j] = true;
                 }
             }
         }
@@ -860,7 +821,7 @@ impl Simulator {
         if self.link_masked[id] {
             return 0.0;
         }
-        let link = self.links[id];
+        let link = Link::from_dense_id(id);
         if self.node_down[link.child.index()] {
             return 0.0;
         }

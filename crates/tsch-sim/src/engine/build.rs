@@ -1,7 +1,6 @@
 //! Building a [`Simulator`] and deriving its tables from the schedule: the
-//! builder, the sparse conflict adjacency, the per-slot cell table and the
-//! wake index. Everything here runs at build time or after a schedule
-//! mutation, never inside a slot.
+//! builder, the per-slot cell table and the wake index. Everything here
+//! runs at build time or after a schedule mutation, never inside a slot.
 
 use super::{link_id, Simulator, SlotCell, TaskState};
 use super::{DEFAULT_MAX_RETRIES, DEFAULT_QUEUE_CAPACITY};
@@ -216,62 +215,11 @@ impl SimulatorBuilder {
             .unwrap_or_else(|| NetworkSchedule::new(self.config));
         let link_count = self.tree.len() * 2;
 
-        // Intern every directed tree link; the dense id is
-        // `child * 2 + direction`, so `links[id]` inverts the mapping.
-        let links: Vec<Link> = (0..link_count).map(Link::from_dense_id).collect();
-
         // Per-link PDR, frozen at build time (the quality model has no
         // runtime mutation API).
-        let pdr: Vec<f64> = links.iter().map(|&l| self.quality.pdr(l)).collect();
-
-        // Pairwise interference in sparse CSR form, consulted once per
-        // ordered pair here rather than once per pair per occupied cell.
-        // Links whose child is the root have no tree edge and can never
-        // carry traffic; their rows stay empty. Models exposing conflict
-        // candidates (bounded-range interference such as
-        // [`crate::TwoHopInterference`]) make the build near-linear —
-        // O(Σ degree) storage instead of the old dense `(2n)²` matrix,
-        // which is ~37 GiB at 100k nodes.
-        let valid: Vec<bool> = (0..link_count)
-            .map(|id| self.tree.parent(links[id].child).is_some())
+        let pdr: Vec<f64> = (0..link_count)
+            .map(|id| self.quality.pdr(Link::from_dense_id(id)))
             .collect();
-        let mut conflict_offsets: Vec<u32> = Vec::with_capacity(link_count + 1);
-        let mut conflict_neighbors: Vec<u32> = Vec::new();
-        let mut row: Vec<u32> = Vec::new();
-        // One candidate buffer for every link: the model writes into it.
-        let mut candidates: Vec<Link> = Vec::new();
-        conflict_offsets.push(0);
-        for a in 0..link_count {
-            row.clear();
-            if valid[a] {
-                let conflicts_with = |b: usize| {
-                    b != a
-                        && valid[b]
-                        && self.interference.conflicts(&self.tree, links[a], links[b])
-                };
-                if self
-                    .interference
-                    .conflict_candidates(&self.tree, links[a], &mut candidates)
-                {
-                    let ids = candidates
-                        .iter()
-                        .filter_map(|&candidate| link_id(self.tree.len(), candidate));
-                    row.extend(ids.filter(|&b| conflicts_with(b)).map(|b| b as u32));
-                    row.sort_unstable();
-                    row.dedup();
-                } else {
-                    row.extend(
-                        (0..link_count)
-                            .filter(|&b| conflicts_with(b))
-                            .map(|b| b as u32),
-                    );
-                }
-            }
-            conflict_neighbors.extend_from_slice(&row);
-            conflict_offsets.push(
-                u32::try_from(conflict_neighbors.len()).expect("conflict adjacency fits u32"),
-            );
-        }
 
         let obs = match self.obs_span_capacity {
             Some(capacity) => Obs::enabled(capacity),
@@ -325,17 +273,14 @@ impl SimulatorBuilder {
             queues: Vec::new(),
             lane_of: vec![u32::MAX; link_count],
             lane_links: Vec::new(),
-            lane_link_id: Vec::new(),
             lane_pdr: Vec::new(),
-            links,
             pdr,
-            conflict_offsets,
-            conflict_neighbors,
+            interference: self.interference,
             slot_offsets: Vec::new(),
             slot_cells: Vec::new(),
             cell_lanes: Vec::new(),
             table_version: u64::MAX,
-            link_slot_offsets: vec![0; link_count + 1],
+            link_slot_offsets: Vec::new(),
             link_slots: Vec::new(),
             slot_busy: vec![0; self.config.slots as usize],
             occupied_links: Vec::new(),
@@ -346,8 +291,6 @@ impl SimulatorBuilder {
             depth_scratch: Vec::new(),
             touched_scratch: Vec::new(),
             release_scratch: Vec::new(),
-            active_stamp: vec![0; link_count],
-            stamp: 0,
             now: Asn::ZERO,
             rng: SplitMix64::new(self.seed),
             stats: match self.stats_mode {
@@ -448,8 +391,7 @@ impl Simulator {
         }
         let lane = self.lane_links.len();
         self.lane_of[id] = u32::try_from(lane).expect("lane count fits u32");
-        self.lane_links.push(self.links[id]);
-        self.lane_link_id.push(id as u32);
+        self.lane_links.push(Link::from_dense_id(id));
         self.lane_pdr.push(self.effective_pdr(id));
         self.queues.push(VecDeque::new());
         self.occupied_pos.push(u32::MAX);

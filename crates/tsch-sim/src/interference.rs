@@ -13,31 +13,17 @@
 //!   physically close but not tree neighbours).
 
 use crate::topology::{Link, NodeId, Tree};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Decides whether two links assigned to the same cell interfere.
 ///
 /// Implementations must be symmetric: `conflicts(a, b) == conflicts(b, a)`.
+/// The engine relies on it: it asks once per pair of a cell's active links
+/// and marks both ends of a conflicting pair.
 pub trait InterferenceModel {
     /// Returns `true` if simultaneous transmissions on `a` and `b` (same slot
     /// and channel) fail due to interference or radio constraints.
     fn conflicts(&self, tree: &Tree, a: Link, b: Link) -> bool;
-
-    /// Writes a *superset* of the links that may conflict with `link` into
-    /// `out` (replacing its contents) and returns `true`, or returns
-    /// `false` when the model has no locality to exploit (the caller must
-    /// then probe every link pair; `out` is unspecified).
-    ///
-    /// Models whose interference is bounded in the radio graph override
-    /// this so the engine can build its sparse conflict adjacency in
-    /// near-linear time and space; the engine still filters candidates
-    /// through [`InterferenceModel::conflicts`], so over-approximation is
-    /// safe while *under*-approximation is not. The buffer is the
-    /// caller's, reused from link to link: once it has grown to the
-    /// largest neighbourhood a call allocates nothing.
-    fn conflict_candidates(&self, _tree: &Tree, _link: Link, _out: &mut Vec<Link>) -> bool {
-        false
-    }
 }
 
 /// Every pair of same-cell transmissions collides.
@@ -84,19 +70,13 @@ impl InterferenceModel for GlobalInterference {
 pub struct TwoHopInterference {
     /// Undirected extra radio edges, stored with the smaller id first.
     extra_edges: HashSet<(NodeId, NodeId)>,
-    /// Per-node extra-edge partners, for candidate enumeration without
-    /// scanning the whole edge set.
-    extra_adjacency: HashMap<NodeId, Vec<NodeId>>,
 }
 
 impl TwoHopInterference {
     /// Interference limited to tree adjacency (no extra radio edges).
     #[must_use]
     pub fn from_tree(_tree: &Tree) -> Self {
-        Self {
-            extra_edges: HashSet::new(),
-            extra_adjacency: HashMap::new(),
-        }
+        Self::default()
     }
 
     /// Adds extra radio edges beyond the routing tree.
@@ -105,17 +85,8 @@ impl TwoHopInterference {
     where
         I: IntoIterator<Item = (NodeId, NodeId)>,
     {
-        let mut extra_edges = HashSet::new();
-        let mut extra_adjacency: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
-        for (a, b) in edges {
-            if extra_edges.insert(normalise(a, b)) {
-                extra_adjacency.entry(a).or_default().push(b);
-                extra_adjacency.entry(b).or_default().push(a);
-            }
-        }
         Self {
-            extra_edges,
-            extra_adjacency,
+            extra_edges: edges.into_iter().map(|(a, b)| normalise(a, b)).collect(),
         }
     }
 
@@ -150,45 +121,6 @@ impl InterferenceModel for TwoHopInterference {
         }
         // Hidden terminal: a receiver hears the other sender.
         self.in_range(tree, s2, r1) || self.in_range(tree, s1, r2)
-    }
-
-    fn conflict_candidates(&self, tree: &Tree, link: Link, out: &mut Vec<Link>) -> bool {
-        // Every conflict with `link` requires the other link to have an
-        // endpoint that is either an endpoint of `link` (shared node) or a
-        // radio neighbour of one (hidden terminal), so enumerating the
-        // links incident to that closed neighbourhood is a complete
-        // over-approximation.
-        out.clear();
-        let Ok((sender, receiver)) = tree.endpoints(link) else {
-            return true; // No tree edge: conflicts with nothing.
-        };
-        // The neighbourhood sits at the front of the buffer, each node as
-        // its uplink, and is deduplicated *before* it is expanded: a dozen
-        // nodes to sort instead of every link incident to them.
-        for n in [sender, receiver] {
-            out.push(Link::up(n));
-            out.extend(tree.parent(n).map(Link::up));
-            out.extend(tree.children(n).iter().copied().map(Link::up));
-            if let Some(extra) = self.extra_adjacency.get(&n) {
-                out.extend(extra.iter().copied().map(Link::up));
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        let nodes = out.len();
-        for i in 0..nodes {
-            // Links with endpoint `v`: its own up/down pair plus each
-            // child's (whose far endpoint is `v`).
-            let v = out[i].child;
-            out.push(Link::up(v));
-            out.push(Link::down(v));
-            for &c in tree.children(v) {
-                out.push(Link::up(c));
-                out.push(Link::down(c));
-            }
-        }
-        out.drain(..nodes);
-        true
     }
 }
 
@@ -296,43 +228,6 @@ mod tests {
         let m = TwoHopInterference::from_tree(&t);
         // Link::up(root) is invalid; conflicts must return false, not panic.
         assert!(!m.conflicts(&t, Link::up(NodeId(0)), Link::up(NodeId(4))));
-    }
-
-    #[test]
-    fn conflict_candidates_cover_all_conflicts() {
-        let t = tree();
-        // Extra edges participate in candidate enumeration too.
-        let m = TwoHopInterference::with_extra_edges([(NodeId(4), NodeId(7))]);
-        let all: Vec<Link> = t
-            .links(Direction::Up)
-            .into_iter()
-            .chain(t.links(Direction::Down))
-            .collect();
-        let mut candidates = Vec::new();
-        for &a in &all {
-            assert!(m.conflict_candidates(&t, a, &mut candidates));
-            for &b in &all {
-                if a != b && m.conflicts(&t, a, b) {
-                    assert!(
-                        candidates.contains(&b),
-                        "{a:?} conflicts with {b:?} but candidates miss it"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn root_uplink_has_no_candidates() {
-        let t = tree();
-        let m = TwoHopInterference::from_tree(&t);
-        let mut candidates = vec![Link::up(NodeId(4))];
-        assert!(m.conflict_candidates(&t, Link::up(NodeId(0)), &mut candidates));
-        assert!(
-            candidates.is_empty(),
-            "the buffer's old contents are replaced"
-        );
-        assert!(!GlobalInterference.conflict_candidates(&t, Link::up(NodeId(4)), &mut candidates));
     }
 
     #[test]
