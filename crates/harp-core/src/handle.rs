@@ -88,13 +88,12 @@ impl AllocatorHandle {
         requirements: &Requirements,
         policy: SchedulingPolicy,
     ) -> Result<Self, HarpError> {
-        Self::converge_with(tree, config, requirements, policy, None)
+        Self::converge_observed(tree, config, requirements, policy, 0)
     }
 
-    /// Like [`AllocatorHandle::converge`] with observability enabled before
-    /// the static phase, so the handle's [`AllocatorHandle::metrics_snapshot`]
-    /// carries the "harp.*" and "transport.*" series and its spans cover
-    /// the static phase.
+    /// Like [`AllocatorHandle::converge`], keeping up to `span_capacity`
+    /// spans of the network and as many of its control plane's from
+    /// before the static phase on, so the spans cover it.
     ///
     /// # Errors
     ///
@@ -106,22 +105,8 @@ impl AllocatorHandle {
         policy: SchedulingPolicy,
         span_capacity: usize,
     ) -> Result<Self, HarpError> {
-        Self::converge_with(tree, config, requirements, policy, Some(span_capacity))
-    }
-
-    /// The one convergence body: observability, when asked for, is enabled
-    /// before the static phase runs.
-    fn converge_with(
-        tree: Tree,
-        config: SlotframeConfig,
-        requirements: &Requirements,
-        policy: SchedulingPolicy,
-        span_capacity: Option<usize>,
-    ) -> Result<Self, HarpError> {
         let mut net = HarpNetwork::new(tree, config, requirements, policy);
-        if let Some(capacity) = span_capacity {
-            net.enable_observability(capacity);
-        }
+        net.enable_observability(span_capacity);
         let static_report = net.run_static()?;
         Ok(Self {
             net,
@@ -237,8 +222,8 @@ impl AllocatorHandle {
         &self.net
     }
 
-    /// Metrics of the underlying deployment (empty unless built with
-    /// [`AllocatorHandle::converge_observed`]).
+    /// Metrics of the underlying deployment: its "harp.*", "harp.node.*"
+    /// and "transport.*" counts since the network was built.
     #[must_use]
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.net.metrics_snapshot()
@@ -406,7 +391,10 @@ mod tests {
         let snap = handle.metrics_snapshot();
         assert_eq!(snap.counter("harp.static_runs"), Some(1));
         assert_eq!(snap.counter("harp.adjustments"), Some(1));
-        // The unobserved handle snapshots empty.
-        assert!(fig1_handle().metrics_snapshot().is_empty());
+        // Recording never changes a count: the unobserved handle snapshots
+        // the same.
+        let mut unobserved = fig1_handle();
+        unobserved.adjust(Link::up(NodeId(9)), 2).unwrap();
+        assert_eq!(unobserved.metrics_snapshot(), snap);
     }
 }

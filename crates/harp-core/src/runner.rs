@@ -187,8 +187,8 @@ pub struct HarpNetwork {
     /// Nodes that have left the network (their tree entries remain, but
     /// they carry no demand and take no further part in the protocol).
     departed: BTreeSet<NodeId>,
-    /// Observability handle (disabled unless
-    /// [`HarpNetwork::enable_observability`] was called).
+    /// Observability handle (span capacity 0 unless
+    /// [`HarpNetwork::enable_observability`] sized it).
     obs: Obs,
     /// Rollback state of the protocol event in progress (closed outside
     /// [`HarpNetwork::transact`]). Every protocol handler and topology edit
@@ -210,10 +210,10 @@ pub struct HarpNetwork {
 
 // A create pays a network's inline size in bytes beyond its tables, and
 // the benchmark bounds `create_churn`'s `alloc_kb_per_op` at 0.1 %. The
-// network measures 1,792 bytes on a 64-bit target; the bound is that plus
+// network measures 1,776 bytes on a 64-bit target; the bound is that plus
 // 16 bytes of slack, so a field added here must reuse one rather than sit
 // beside it, and a change that shrinks the network lowers the bound.
-const _: () = assert!(mem::size_of::<HarpNetwork>() <= 1_808);
+const _: () = assert!(mem::size_of::<HarpNetwork>() <= 1_792);
 
 impl HarpNetwork {
     /// Builds the deployment: one node per device, requirements installed at
@@ -277,7 +277,7 @@ impl HarpNetwork {
             window,
             counts: NetworkCounts::default(),
             departed: BTreeSet::new(),
-            obs: Obs::disabled(),
+            obs: Obs::default(),
             txn: Transaction::default(),
             workspace,
             outbox: Effects::default(),
@@ -304,19 +304,15 @@ impl HarpNetwork {
         self.version += 1;
     }
 
-    /// Turns on metrics and span recording for this network, keeping up to
-    /// `span_capacity` spans (protocol runs: static phase, adjustments,
-    /// refreshes, topology events). Also enables observability on the
-    /// underlying control plane, so transport counters ("transport.*")
-    /// appear in [`HarpNetwork::metrics_snapshot`]. Recording never touches
-    /// the protocol's decisions or its random streams: runs with and without
-    /// observability are identical.
-    ///
-    /// The counts are kept whether or not observability is on, so a
-    /// snapshot reports everything since the network was built, however
-    /// late this is called. Spans start here.
+    /// Keeps up to `span_capacity` spans of this network from here on
+    /// (protocol runs: static phase, adjustments, refreshes, topology
+    /// events), and as many of its control plane's. 0, the default, records
+    /// none. Recording never touches the protocol's decisions, its random
+    /// streams or its counts: runs are identical at every capacity, and
+    /// [`HarpNetwork::metrics_snapshot`] reports everything since the
+    /// network was built, however late this is called.
     pub fn enable_observability(&mut self, span_capacity: usize) {
-        self.obs = Obs::enabled(span_capacity);
+        self.obs = Obs::new(span_capacity);
         self.plane.enable_observability(span_capacity);
     }
 
@@ -325,8 +321,9 @@ impl HarpNetwork {
     /// the next call carries it, and each management/cell message becomes
     /// an op span (see [`HarpNetwork::obs`]), so a service can resolve a
     /// request id to the exact protocol work it caused. Pass
-    /// [`harp_obs::NO_CORRELATION`] to clear. No-op while observability is
-    /// off, so batch experiments stay byte-identical.
+    /// [`harp_obs::NO_CORRELATION`] to clear. The id is kept at any span
+    /// capacity, and while one is set [`HarpNetwork::run_static`] settles
+    /// through the messages, so that each of them can carry it.
     pub fn set_correlation(&mut self, corr: u64) {
         self.obs.set_correlation(corr);
         self.plane.set_correlation(corr);
@@ -340,8 +337,8 @@ impl HarpNetwork {
         [&self.obs.spans, &self.plane.obs().spans]
     }
 
-    /// The observability handle (disabled unless
-    /// [`HarpNetwork::enable_observability`] was called).
+    /// The observability handle (span capacity 0 unless
+    /// [`HarpNetwork::enable_observability`] sized it).
     #[must_use]
     pub fn obs(&self) -> &Obs {
         &self.obs
@@ -350,13 +347,9 @@ impl HarpNetwork {
     /// Renders all counts of this deployment as metrics: the runner's own
     /// ("harp.*"), the control plane's ("transport.*"), and the per-node
     /// adjustment counters aggregated over every node ("harp.node.*").
-    /// Empty while observability is off.
     #[must_use]
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::default();
-        if !self.obs.is_enabled() {
-            return snap;
-        }
         let mut agg = NodeObsCounters::default();
         for v in self.tree.nodes() {
             agg.absorb(self.nodes.counters(v));
@@ -386,9 +379,6 @@ impl HarpNetwork {
     /// enriched with the concerned node's tree depth (0 for network-wide
     /// runs) so flame views can fold per HARP layer.
     fn report_span(&mut self, name: &'static str, node: u32, detail: i64) {
-        if !self.obs.is_enabled() {
-            return;
-        }
         let depth = if node == NO_NODE {
             0
         } else {
@@ -869,21 +859,19 @@ impl HarpNetwork {
     pub fn request_change(&mut self, at: Asn, link: Link, new_cells: u32) -> Result<(), HarpError> {
         self.touch();
         self.request_change_inner(at, link, new_cells)?;
-        if self.obs.is_enabled() {
-            // The request plus its synchronous handler cascade; messages it
-            // triggered may still be in flight. Storm analysis folds these
-            // together with settled `adjust` spans.
-            let depth = self.tree.depth(link.child);
-            self.obs.span(
-                "change",
-                "harp",
-                link.child.0,
-                depth,
-                at.0,
-                self.now.0.max(at.0),
-                i64::from(new_cells),
-            );
-        }
+        // The request plus its synchronous handler cascade; messages it
+        // triggered may still be in flight. Storm analysis folds these
+        // together with settled `adjust` spans.
+        let depth = self.tree.depth(link.child);
+        self.obs.span(
+            "change",
+            "harp",
+            link.child.0,
+            depth,
+            at.0,
+            self.now.0.max(at.0),
+            i64::from(new_cells),
+        );
         Ok(())
     }
 
@@ -1423,10 +1411,11 @@ mod tests {
         on.enable_observability(64);
         let report_on = on.run_static().unwrap();
         let report_off = off.run_static().unwrap();
-        // Recording never touches protocol state: identical reports and
-        // schedules either way.
+        // Recording never touches protocol state or a count: identical
+        // reports, snapshots and schedules either way.
         assert_eq!(report_on, report_off);
-        assert!(off.metrics_snapshot().is_empty());
+        assert_eq!(on.metrics_snapshot(), off.metrics_snapshot());
+        assert!(!on.obs().spans.is_empty());
         assert!(off.obs().spans.is_empty());
         let a: Vec<_> = on.schedule().iter_links().collect();
         let b: Vec<_> = off.schedule().iter_links().collect();

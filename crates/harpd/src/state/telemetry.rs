@@ -13,9 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use harp_obs::{
-    CounterId, FlightRecorder, HistogramId, MetricsRegistry, MetricsSnapshot, NO_FLIGHT_NODE,
-};
+use harp_obs::{FlightRecorder, HistogramSnapshot, MetricsSnapshot, NO_FLIGHT_NODE};
 
 use super::tenant::storm_reason;
 
@@ -138,15 +136,24 @@ pub(crate) fn micros(d: Duration) -> u64 {
     d.as_micros().min(u128::from(u64::MAX)) as u64
 }
 
-/// What the one telemetry mutex guards: the metrics registry (not
-/// thread-safe itself) and the always-on flight recorder.
+/// What the one telemetry mutex guards: the daemon's counts, its latency
+/// histograms and the always-on flight recorder.
 struct Guarded {
-    registry: MetricsRegistry,
+    requests_total: u64,
+    http_errors: u64,
+    networks_created: u64,
+    adjustments: u64,
+    schedule_queries: u64,
+    request_us: HistogramSnapshot,
+    /// Time spent inside the allocator per request (µs) — subtracting its
+    /// percentiles from `request_us` is the server-overhead split.
+    allocator_us: HistogramSnapshot,
+    route_us: [HistogramSnapshot; ROUTES.len()],
     flight: FlightRecorder,
 }
 
-/// The daemon's clock, correlation-id source, latency SLO, the ids of its
-/// pre-registered series, and the one lock over what a request writes.
+/// The daemon's clock, correlation-id source, latency SLO, and the one
+/// lock over what a request writes.
 pub(super) struct Telemetry {
     /// The daemon clock epoch: every span and flight event is stamped in
     /// µs since this instant.
@@ -154,36 +161,25 @@ pub(super) struct Telemetry {
     correlation: AtomicU64,
     /// Per-request latency SLO in µs; breaching it trips the recorder.
     slo_us: AtomicU64,
-    requests_total: CounterId,
-    http_errors: CounterId,
-    creates: CounterId,
-    adjustments: CounterId,
-    schedule_queries: CounterId,
-    request_us: HistogramId,
-    /// Time spent inside the allocator per request (µs) — subtracting its
-    /// percentiles from `request_us` is the server-overhead split.
-    allocator_us: HistogramId,
-    route_us: [HistogramId; ROUTES.len()],
     guarded: Mutex<Guarded>,
 }
 
 impl Telemetry {
     pub(super) fn new() -> Self {
-        let mut registry = MetricsRegistry::new();
+        let histogram = || HistogramSnapshot::with_bounds(REQUEST_US_BOUNDS);
         Self {
             start: Instant::now(),
             correlation: AtomicU64::new(0),
             slo_us: AtomicU64::new(DEFAULT_SLO_US),
-            requests_total: registry.counter("harpd.requests_total"),
-            http_errors: registry.counter("harpd.http_errors"),
-            creates: registry.counter("harpd.networks_created"),
-            adjustments: registry.counter("harpd.adjustments"),
-            schedule_queries: registry.counter("harpd.schedule_queries"),
-            request_us: registry.histogram("harpd.request_us", REQUEST_US_BOUNDS),
-            allocator_us: registry.histogram("harpd.allocator_us", REQUEST_US_BOUNDS),
-            route_us: ROUTES.map(|(_, name)| registry.histogram(name, REQUEST_US_BOUNDS)),
             guarded: Mutex::new(Guarded {
-                registry,
+                requests_total: 0,
+                http_errors: 0,
+                networks_created: 0,
+                adjustments: 0,
+                schedule_queries: 0,
+                request_us: histogram(),
+                allocator_us: histogram(),
+                route_us: ROUTES.map(|_| histogram()),
                 flight: FlightRecorder::new(FLIGHT_CAPACITY),
             }),
         }
@@ -230,7 +226,8 @@ impl Telemetry {
         let now = self.start.elapsed();
         let (at, total_us) = (micros(now), r.parse_us + micros(now - r.started));
         let mut guard = self.lock();
-        let Guarded { registry, flight } = &mut *guard;
+        let g = &mut *guard;
+        let flight = &mut g.flight;
         // Tags the frozen incident and logs the trip itself as an event.
         let trip = |flight: &mut FlightRecorder, reason: String| {
             flight.trip(&reason);
@@ -240,18 +237,18 @@ impl Telemetry {
             }
         };
 
-        registry.inc(self.requests_total, 1);
+        g.requests_total += 1;
         if status >= 400 {
-            registry.inc(self.http_errors, 1);
+            g.http_errors += 1;
         }
-        registry.observe(self.request_us, total_us);
+        g.request_us.observe(total_us);
         if r.allocator_us > 0 {
-            registry.observe(self.allocator_us, r.allocator_us);
+            g.allocator_us.observe(r.allocator_us);
         }
-        registry.observe(self.route_us[class as usize], total_us);
+        g.route_us[class as usize].observe(total_us);
         match &r.op {
             Some(Op::Created { scenario, nodes }) => {
-                registry.inc(self.creates, 1);
+                g.networks_created += 1;
                 if let Some(detail) = r.log(flight, at, "create", None, *nodes as u64) {
                     detail.push_str(scenario);
                 }
@@ -261,7 +258,7 @@ impl Telemetry {
                 cells,
                 mgmt_messages,
             }) => {
-                registry.inc(self.adjustments, 1);
+                g.adjustments += 1;
                 if let Some(detail) = r.log(flight, at, "adjust", Some(*node), *mgmt_messages) {
                     let _ = write!(detail, "cells={cells}");
                 }
@@ -269,7 +266,7 @@ impl Telemetry {
             Some(Op::Deleted) => {
                 r.log(flight, at, "delete", None, 0);
             }
-            Some(Op::ScheduleQuery) => registry.inc(self.schedule_queries, 1),
+            Some(Op::ScheduleQuery) => g.schedule_queries += 1,
             None => {}
         }
         if r.storm {
@@ -296,11 +293,26 @@ impl Telemetry {
     /// ring's accounting.
     pub(super) fn snapshot(&self, networks: usize, nodes: usize) -> MetricsSnapshot {
         let g = self.lock();
-        let mut snap = g.registry.snapshot();
+        let mut snap = MetricsSnapshot::default();
+        snap.add_counters([
+            ("harpd.requests_total", g.requests_total),
+            ("harpd.http_errors", g.http_errors),
+            ("harpd.networks_created", g.networks_created),
+            ("harpd.adjustments", g.adjustments),
+            ("harpd.schedule_queries", g.schedule_queries),
+        ]);
+        let daemon = [
+            ("harpd.request_us", &g.request_us),
+            ("harpd.allocator_us", &g.allocator_us),
+        ];
+        let routes = ROUTES.iter().map(|&(_, name)| name).zip(&g.route_us);
+        for (name, h) in daemon.into_iter().chain(routes) {
+            snap.histograms.insert(name.to_owned(), h.clone());
+        }
         let mut gauge = |name: &str, value: u64| snap.gauges.insert(name.into(), value as f64);
         gauge("harpd.networks", networks as u64);
         gauge("harpd.aggregate_nodes", nodes as u64);
-        gauge("harpd.flight_events_dropped", g.flight.dropped());
+        gauge("harpd.flight_events_dropped", g.flight.events().dropped());
         gauge("harpd.flight_trips", g.flight.trips());
         snap
     }
@@ -308,11 +320,8 @@ impl Telemetry {
     /// The flight ring's `(recorded, dropped, trips)` for `/debug/health`.
     pub(super) fn flight_accounting(&self) -> (u64, u64, u64) {
         let g = self.lock();
-        (
-            g.flight.total_recorded(),
-            g.flight.dropped(),
-            g.flight.trips(),
-        )
+        let events = g.flight.events();
+        (events.total_recorded(), events.dropped(), g.flight.trips())
     }
 
     /// The live flight ring's most recent events as JSON, or — `incident`

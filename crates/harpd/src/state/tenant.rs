@@ -59,7 +59,7 @@ impl Tenant {
         detail: i64,
         corr: u64,
     ) {
-        self.request_spans.record(SpanEvent {
+        self.request_spans.push(SpanEvent {
             name,
             layer: "harpd",
             node: node.unwrap_or(NO_NODE),
@@ -88,15 +88,14 @@ impl Tenant {
     /// Spans recorded but evicted across this tenant's rings (the request
     /// ring plus the allocator's observed layers).
     pub(super) fn spans_dropped(&self) -> u64 {
-        let request = self.request_spans.total_recorded() - self.request_spans.len() as u64;
         let allocator: u64 = self
             .handle
             .network()
             .span_rings()
             .iter()
-            .map(|r| r.total_recorded() - r.len() as u64)
+            .map(|r| r.dropped())
             .sum();
-        request + allocator
+        self.request_spans.dropped() + allocator
     }
 
     /// Writes the per-tenant series of the `/metrics` exposition into

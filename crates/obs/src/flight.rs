@@ -28,7 +28,7 @@
 //! across runs and thread counts (pinned by `flight_determinism`).
 
 use crate::json::escape_json;
-use std::collections::VecDeque;
+use crate::Ring;
 
 /// Node id meaning "no specific node" in a [`FlightEvent`].
 pub const NO_FLIGHT_NODE: i64 = -1;
@@ -84,12 +84,11 @@ struct Incident {
     dump: String,
 }
 
-/// The bounded event ring (capacity 0 disables recording entirely).
+/// The bounded event ring (capacity 0 records nothing) plus what is the
+/// recorder's own: its trips and the frozen incident.
 #[derive(Debug, Clone, Default)]
 pub struct FlightRecorder {
-    events: VecDeque<FlightEvent>,
-    capacity: usize,
-    seq: u64,
+    events: Ring<FlightEvent>,
     trips: u64,
     incident: Option<Incident>,
 }
@@ -99,9 +98,7 @@ impl FlightRecorder {
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         Self {
-            events: VecDeque::with_capacity(capacity.min(4096)),
-            capacity,
-            seq: 0,
+            events: Ring::new(capacity),
             trips: 0,
             incident: None,
         }
@@ -122,59 +119,35 @@ impl FlightRecorder {
     /// keeping their capacity. Writing into them allocates nothing once
     /// they have grown to the lengths written. `None` at capacity 0.
     pub fn next_slot(&mut self) -> Option<&mut FlightEvent> {
-        if self.capacity == 0 {
-            return None;
-        }
-        self.seq += 1;
-        let evicted = if self.events.len() == self.capacity {
-            self.events.pop_front()
-        } else {
-            None
-        };
-        let (mut tenant, mut detail) =
-            evicted.map_or_else(Default::default, |e| (e.tenant, e.detail));
-        tenant.clear();
-        detail.clear();
-        self.events.push_back(FlightEvent {
-            seq: self.seq,
+        let evicted = self.events.push(FlightEvent {
+            seq: self.events.total_recorded() + 1,
             at: 0,
             kind: "",
-            tenant,
+            tenant: String::new(),
             corr: 0,
             node: NO_FLIGHT_NODE,
-            detail,
+            detail: String::new(),
             magnitude: 0,
         });
-        self.events.back_mut()
+        let slot = self.events.newest_mut()?;
+        if let Some(FlightEvent {
+            mut tenant,
+            mut detail,
+            ..
+        }) = evicted
+        {
+            tenant.clear();
+            detail.clear();
+            (slot.tenant, slot.detail) = (tenant, detail);
+        }
+        Some(slot)
     }
 
-    /// Total events ever recorded (including evicted ones).
+    /// The event ring: retained events, oldest first, and its accounting
+    /// (the sequence number of the newest event is its `total_recorded`).
     #[must_use]
-    pub fn total_recorded(&self) -> u64 {
-        self.seq
-    }
-
-    /// Events recorded but no longer retained (ring eviction).
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.seq - self.events.len() as u64
-    }
-
-    /// Number of retained events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True when nothing is retained.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// The retained events, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &FlightEvent> {
-        self.events.iter()
+    pub fn events(&self) -> &Ring<FlightEvent> {
+        &self.events
     }
 
     /// How many times [`FlightRecorder::trip`] has fired.
@@ -189,20 +162,20 @@ impl FlightRecorder {
     /// render limit), so a tail is never mistaken for the whole history.
     #[must_use]
     pub fn to_json(&self, limit: usize) -> String {
-        let skip = self.events.len().saturating_sub(limit);
         let mut body = String::new();
         let mut rendered = 0u64;
-        for e in self.events.iter().skip(skip) {
+        for e in self.events.tail(limit) {
             if rendered > 0 {
                 body.push_str(", ");
             }
             body.push_str(&e.to_json());
             rendered += 1;
         }
-        let dropped = self.seq.saturating_sub(rendered);
+        let total = self.events.total_recorded();
+        let dropped = total - rendered;
         format!(
-            "{{\"total_recorded\": {}, \"dropped\": {dropped}, \"trips\": {}, \"events\": [{body}]}}",
-            self.seq, self.trips,
+            "{{\"total_recorded\": {total}, \"dropped\": {dropped}, \"trips\": {}, \"events\": [{body}]}}",
+            self.trips,
         )
     }
 
@@ -218,8 +191,8 @@ impl FlightRecorder {
         }
         self.incident = Some(Incident {
             reason: reason.to_owned(),
-            at_seq: self.seq,
-            dump: self.to_json(self.capacity.max(self.events.len())),
+            at_seq: self.events.total_recorded(),
+            dump: self.to_json(self.events.len()),
         });
         true
     }
@@ -388,10 +361,10 @@ mod tests {
         for i in 0..5 {
             r.record(ev(i, "request", "t1"));
         }
-        assert_eq!(r.len(), 2);
-        assert_eq!(r.total_recorded(), 5);
-        assert_eq!(r.dropped(), 3);
-        let seqs: Vec<u64> = r.iter().map(|e| e.seq).collect();
+        assert_eq!(r.events().len(), 2);
+        assert_eq!(r.events().total_recorded(), 5);
+        assert_eq!(r.events().dropped(), 3);
+        let seqs: Vec<u64> = r.events().iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![4, 5], "seq is assigned by the recorder");
         let doc = json::parse(&r.to_json(10)).unwrap();
         assert_eq!(doc.get("dropped").and_then(json::Json::as_f64), Some(3.0));
@@ -402,8 +375,8 @@ mod tests {
         let mut r = FlightRecorder::new(0);
         r.record(ev(0, "request", ""));
         assert!(r.next_slot().is_none());
-        assert!(r.is_empty());
-        assert_eq!(r.total_recorded(), 0);
+        assert!(r.events().is_empty());
+        assert_eq!(r.events().total_recorded(), 0);
     }
 
     #[test]
@@ -412,15 +385,19 @@ mod tests {
         for i in 0..3 {
             r.record(ev(i, "request", "t1"));
         }
-        let evicted = r.iter().next().map(|e| e.detail.as_ptr()).unwrap();
+        let evicted = r.events().iter().next().map(|e| e.detail.as_ptr()).unwrap();
         let slot = r.next_slot().unwrap();
         assert_eq!((slot.seq, slot.kind, slot.node), (4, "", NO_FLIGHT_NODE));
         assert!(slot.tenant.is_empty() && slot.detail.is_empty());
         assert_eq!(slot.detail.as_ptr(), evicted, "the oldest event's buffer");
         slot.detail.push('y');
-        let seqs: Vec<(u64, &str)> = r.iter().map(|e| (e.seq, e.detail.as_str())).collect();
+        let seqs: Vec<(u64, &str)> = r
+            .events()
+            .iter()
+            .map(|e| (e.seq, e.detail.as_str()))
+            .collect();
         assert_eq!(seqs, [(3, "x"), (4, "y")]);
-        assert_eq!(r.dropped(), 2);
+        assert_eq!(r.events().dropped(), 2);
     }
 
     #[test]

@@ -3,22 +3,26 @@
 //! Every quantitative claim in the paper — convergence slotframes,
 //! adjustment overhead, collision-free schedules — needs a durable way to
 //! be *seen* while the system runs and to be *guarded* in CI. This crate
-//! provides the pieces the rest of the workspace wires in:
+//! provides the pieces the rest of the workspace wires in, one way to
+//! record each kind of fact:
 //!
-//! * [`MetricsSnapshot`]: counters, gauges and histograms by name, in
-//!   stable JSON or Prometheus text ([`prometheus`]). The simulator, the
-//!   control plane and the protocol runner keep every count once, in the
-//!   stats their callers read, and render a snapshot from them on demand;
-//!   `harpd` records its request series in a [`MetricsRegistry`];
-//! * slotframe-time trace spans ([`SpanRing`], [`SpanEvent`]) — ring-buffered
-//!   events stamped with start/end ASN and per-node / per-layer labels;
+//! * counts: [`MetricsSnapshot`], counters, gauges and histograms by name,
+//!   in stable JSON or Prometheus text ([`prometheus`]). Every component —
+//!   the simulator, the control plane, the protocol runner, `harpd` —
+//!   keeps each count once, in a plain struct, and renders a snapshot from
+//!   it on demand; a histogram grows through [`bucket_of`];
+//! * recent history: one bounded [`Ring`], holding slotframe-time trace
+//!   spans ([`SpanRing`], [`SpanEvent`] — stamped with start/end ASN and
+//!   per-node / per-layer labels), the simulator's trace events, and the
+//!   [`FlightRecorder`]'s events;
 //! * process-wide [`StaticCounter`]s for library crates with no instance
 //!   state to keep a count in (packing calls, topology generations).
 //!
-//! Instrumented components own an [`Obs`] handle: the switch that makes
-//! their snapshots non-empty, and their span ring. Observability is **off
-//! by default**: a disabled handle records no span and its component
-//! snapshots empty, so simulations are byte-identical with and without it.
+//! Instrumented components own an [`Obs`] handle: their span ring and the
+//! ambient correlation id. Its ring's capacity is the one observability
+//! setting: 0 by default, which records no span. Counts are kept and
+//! rendered either way, and recording never changes one, so simulations
+//! are byte-identical with and without spans.
 //!
 //! The [`json`] module is the consumer side: a minimal JSON value parser
 //! that `harpd` reads request bodies with and `harp_trace` reads committed
@@ -29,7 +33,7 @@
 //! ```
 //! use harp_obs::{MetricsSnapshot, Obs};
 //!
-//! let mut obs = Obs::enabled(64);
+//! let mut obs = Obs::new(64);
 //! obs.span("slotframe", "sim", harp_obs::NO_NODE, 0, 0, 199, 3);
 //! assert_eq!(obs.spans.len(), 1);
 //! // A component renders the counts it keeps.
@@ -46,26 +50,25 @@ pub mod flight;
 pub mod json;
 mod metrics;
 pub mod prometheus;
+mod ring;
 mod span;
 
 pub use flight::{FlightDoc, FlightEvent, FlightRecorder, NO_FLIGHT_NODE};
 pub use metrics::{
-    CounterId, HistogramId, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, StaticCounter,
-    LATENCY_SLOT_BOUNDS,
+    bucket_of, HistogramSnapshot, MetricsSnapshot, StaticCounter, LATENCY_SLOT_BOUNDS,
 };
+pub use ring::Ring;
 pub use span::{merged_trace_json, spans_to_json, SpanEvent, SpanRing, NO_CORRELATION, NO_NODE};
 
-/// One observability handle: an on/off switch plus a span ring.
+/// One observability handle: a span ring plus the ambient correlation id.
 ///
 /// Components that can be observed (the simulator, the control plane, the
-/// HARP runner) own one of these; callers enable it at construction or via
-/// the component's `enable_observability` hook. The component's counts do
-/// not live here: it keeps them always, and renders them into its
-/// `metrics_snapshot` while the handle is enabled.
-#[derive(Debug, Clone)]
+/// HARP runner) own one of these, with a ring of capacity 0 until a caller
+/// sizes it at construction or through the component's
+/// `enable_observability` hook. The component's counts do not live here:
+/// it keeps them always, and its `metrics_snapshot` renders them.
+#[derive(Debug, Clone, Default)]
 pub struct Obs {
-    /// Whether spans are recorded and the component's snapshots are filled.
-    enabled: bool,
     /// Ring buffer of slotframe-time spans.
     pub spans: SpanRing,
     /// Ambient correlation id stamped onto every span recorded while set
@@ -74,23 +77,11 @@ pub struct Obs {
 }
 
 impl Obs {
-    /// An enabled handle retaining the most recent `span_capacity` spans.
+    /// A handle retaining the most recent `span_capacity` spans.
     #[must_use]
-    pub fn enabled(span_capacity: usize) -> Self {
+    pub fn new(span_capacity: usize) -> Self {
         Self {
-            enabled: true,
             spans: SpanRing::new(span_capacity),
-            corr: NO_CORRELATION,
-        }
-    }
-
-    /// A disabled handle: it records no span, and the component owning it
-    /// snapshots empty.
-    #[must_use]
-    pub fn disabled() -> Self {
-        Self {
-            enabled: false,
-            spans: SpanRing::new(0),
             corr: NO_CORRELATION,
         }
     }
@@ -108,15 +99,9 @@ impl Obs {
         self.corr
     }
 
-    /// Whether observability is on.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Records one span (no-op while disabled). `depth` is the tree depth
-    /// of the node concerned — the HARP layer the event folds into in flame
-    /// views — and 0 for network-wide events.
+    /// Records one span (nothing at span capacity 0). `depth` is the tree
+    /// depth of the node concerned — the HARP layer the event folds into
+    /// in flame views — and 0 for network-wide events.
     #[inline]
     #[allow(clippy::too_many_arguments)]
     pub fn span(
@@ -129,7 +114,7 @@ impl Obs {
         end_asn: u64,
         detail: i64,
     ) {
-        self.spans.record(SpanEvent {
+        self.spans.push(SpanEvent {
             name,
             layer,
             node,
@@ -142,40 +127,28 @@ impl Obs {
     }
 }
 
-impl Default for Obs {
-    fn default() -> Self {
-        Self::disabled()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn disabled_handle_records_nothing() {
-        let mut obs = Obs::disabled();
+    fn default_handle_records_nothing() {
+        let mut obs = Obs::default();
         obs.span("s", "l", NO_NODE, 0, 0, 1, 0);
-        assert!(!obs.is_enabled());
         assert!(obs.spans.is_empty());
+        assert_eq!(obs.spans.total_recorded(), 0);
     }
 
     #[test]
-    fn enabled_handle_records() {
-        let mut obs = Obs::enabled(4);
-        assert!(obs.is_enabled());
+    fn sized_handle_records() {
+        let mut obs = Obs::new(4);
         obs.span("s", "l", 3, 1, 10, 20, -1);
         assert_eq!(obs.spans.iter().next().unwrap().slot_mass(), 11);
     }
 
     #[test]
-    fn default_is_disabled() {
-        assert!(!Obs::default().is_enabled());
-    }
-
-    #[test]
     fn ambient_correlation_stamps_spans_while_set() {
-        let mut obs = Obs::enabled(4);
+        let mut obs = Obs::new(4);
         obs.span("before", "l", NO_NODE, 0, 0, 0, 0);
         obs.set_correlation(7);
         obs.span("inside", "l", NO_NODE, 0, 1, 1, 0);

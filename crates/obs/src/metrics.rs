@@ -1,18 +1,13 @@
-//! Metric snapshots, and the registry the daemon records its own request
-//! series in.
+//! Metric snapshots.
 //!
 //! A [`MetricsSnapshot`] is the one vocabulary every component reports
 //! in: counters, gauges and histograms by name, rendered as stable JSON or
-//! Prometheus text. The simulator, the control plane and the protocol
-//! runner keep each count once, in the stats their callers already read,
-//! and render a snapshot from them when one is asked for. The process-wide
-//! [`StaticCounter`]s of the library crates fold in with
+//! Prometheus text. Every component — the simulator, the control plane,
+//! the protocol runner, `harpd`'s telemetry — keeps each count once, in a
+//! plain struct its callers can read, and renders a snapshot from it when
+//! one is asked for. A histogram grows through [`bucket_of`]. The
+//! process-wide [`StaticCounter`]s of the library crates fold in with
 //! [`MetricsSnapshot::add_counters`].
-//!
-//! A [`MetricsRegistry`] is for a component with no such stats: `harpd`'s
-//! telemetry, which counts requests and observes their latencies. Handles
-//! ([`CounterId`], [`HistogramId`]) are dense indices handed out at
-//! registration, so recording is one bounds-checked array access.
 
 use crate::json::escape_json;
 use std::collections::BTreeMap;
@@ -31,116 +26,17 @@ pub const LATENCY_SLOT_BOUNDS: &[u64] = &[
     262_144, 524_288, 1_048_576,
 ];
 
-/// Handle to a registered counter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CounterId(usize);
-
-/// Handle to a registered histogram.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HistogramId(usize);
-
-#[derive(Debug, Clone)]
-struct Histogram {
-    name: &'static str,
-    /// Ascending inclusive upper bounds; one implicit overflow bucket above.
-    bounds: &'static [u64],
-    counts: Vec<u64>,
-    count: u64,
-    sum: u128,
-    min: u64,
-    max: u64,
+/// The bucket `value` falls in over ascending inclusive upper `bounds`: the
+/// first bound at or above it, or `bounds.len()` — the overflow bucket —
+/// above the last. The one bucketing rule of every histogram.
+#[must_use]
+#[inline]
+pub fn bucket_of(bounds: &[u64], value: u64) -> usize {
+    bounds.partition_point(|&b| b < value)
 }
 
-/// Named counters and histograms, recorded through pre-registered handles.
-#[derive(Debug, Clone, Default)]
-pub struct MetricsRegistry {
-    counters: Vec<(&'static str, u64)>,
-    histograms: Vec<Histogram>,
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers (or finds) a counter. Registration is idempotent per name.
-    pub fn counter(&mut self, name: &'static str) -> CounterId {
-        if let Some(i) = self.counters.iter().position(|&(n, _)| n == name) {
-            return CounterId(i);
-        }
-        self.counters.push((name, 0));
-        CounterId(self.counters.len() - 1)
-    }
-
-    /// Registers (or finds) a histogram over `bounds` (ascending inclusive
-    /// upper bucket bounds; values above the last bound land in an implicit
-    /// overflow bucket).
-    pub fn histogram(&mut self, name: &'static str, bounds: &'static [u64]) -> HistogramId {
-        debug_assert!(bounds.windows(2).all(|w| w[0] < w[1]), "ascending bounds");
-        if let Some(i) = self.histograms.iter().position(|h| h.name == name) {
-            return HistogramId(i);
-        }
-        self.histograms.push(Histogram {
-            name,
-            bounds,
-            counts: vec![0; bounds.len() + 1],
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        });
-        HistogramId(self.histograms.len() - 1)
-    }
-
-    /// Adds `by` to a counter.
-    #[inline]
-    pub fn inc(&mut self, id: CounterId, by: u64) {
-        self.counters[id.0].1 += by;
-    }
-
-    /// Records one histogram observation.
-    #[inline]
-    pub fn observe(&mut self, id: HistogramId, value: u64) {
-        let h = &mut self.histograms[id.0];
-        let bucket = h
-            .bounds
-            .iter()
-            .position(|&b| value <= b)
-            .unwrap_or(h.bounds.len());
-        h.counts[bucket] += 1;
-        h.count += 1;
-        h.sum += u128::from(value);
-        h.min = h.min.min(value);
-        h.max = h.max.max(value);
-    }
-
-    /// Snapshots every metric into an owned, name-sorted view.
-    #[must_use]
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut snap = MetricsSnapshot::default();
-        for &(name, v) in &self.counters {
-            snap.counters.insert(name.to_owned(), v);
-        }
-        for h in &self.histograms {
-            snap.histograms.insert(
-                h.name.to_owned(),
-                HistogramSnapshot {
-                    bounds: h.bounds.to_vec(),
-                    counts: h.counts.clone(),
-                    count: h.count,
-                    sum: h.sum,
-                    min: if h.count == 0 { 0 } else { h.min },
-                    max: h.max,
-                },
-            );
-        }
-        snap
-    }
-}
-
-/// One histogram's frozen state.
+/// One histogram: a component keeps it, observes into it, and clones it
+/// into the [`MetricsSnapshot`] it renders.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct HistogramSnapshot {
     /// Inclusive upper bucket bounds (ascending).
@@ -158,6 +54,32 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
+    /// An empty histogram over `bounds` (ascending inclusive upper bucket
+    /// bounds; values above the last land in an implicit overflow bucket).
+    #[must_use]
+    pub fn with_bounds(bounds: &[u64]) -> Self {
+        debug_assert!(bounds.windows(2).all(|w| w[0] < w[1]), "ascending bounds");
+        Self {
+            bounds: bounds.to_vec(),
+            counts: vec![0; bounds.len() + 1],
+            ..Self::default()
+        }
+    }
+
+    /// Records one observation.
+    #[inline]
+    pub fn observe(&mut self, value: u64) {
+        self.counts[bucket_of(&self.bounds, value)] += 1;
+        self.min = if self.count == 0 {
+            value
+        } else {
+            self.min.min(value)
+        };
+        self.max = self.max.max(value);
+        self.count += 1;
+        self.sum += u128::from(value);
+    }
+
     /// Mean observed value; 0 when empty.
     #[must_use]
     pub fn mean(&self) -> f64 {
@@ -342,8 +264,8 @@ fn fmt_f64(v: f64) -> String {
     }
 }
 
-/// A process-wide counter for library crates with no instance to own a
-/// registry (packing calls, topology generations). Relaxed atomics: totals
+/// A process-wide counter for library crates with no instance to keep a
+/// count in (packing calls, topology generations). Relaxed atomics: totals
 /// are exact, ordering across threads is not observable.
 #[derive(Debug)]
 pub struct StaticCounter(AtomicU64);
@@ -378,26 +300,28 @@ impl Default for StaticCounter {
 mod tests {
     use super::*;
 
+    fn histogram(bounds: &[u64], values: &[u64]) -> HistogramSnapshot {
+        let mut h = HistogramSnapshot::with_bounds(bounds);
+        for &v in values {
+            h.observe(v);
+        }
+        h
+    }
+
     #[test]
-    fn counters_register_once_and_accumulate() {
-        let mut r = MetricsRegistry::new();
-        let a = r.counter("a");
-        let a2 = r.counter("a");
-        assert_eq!(a, a2);
-        r.inc(a, 2);
-        r.inc(a2, 3);
-        assert_eq!(r.snapshot().counter("a"), Some(5));
+    fn bucket_of_takes_the_first_bound_at_or_above() {
+        let bounds = [10, 100];
+        let buckets: Vec<usize> = [0, 10, 11, 100, 101, u64::MAX]
+            .iter()
+            .map(|&v| bucket_of(&bounds, v))
+            .collect();
+        assert_eq!(buckets, [0, 0, 1, 1, 2, 2]);
+        assert_eq!(bucket_of(&[], 7), 0, "no bounds: everything overflows");
     }
 
     #[test]
     fn histogram_buckets_and_stats() {
-        let mut r = MetricsRegistry::new();
-        let h = r.histogram("lat", &[10, 100]);
-        for v in [1, 10, 11, 1000] {
-            r.observe(h, v);
-        }
-        let snap = r.snapshot();
-        let hs = &snap.histograms["lat"];
+        let hs = histogram(&[10, 100], &[1, 10, 11, 1000]);
         assert_eq!(hs.counts, vec![2, 1, 1]);
         assert_eq!((hs.count, hs.min, hs.max), (4, 1, 1000));
         assert_eq!(hs.sum, 1022);
@@ -406,18 +330,11 @@ mod tests {
 
     #[test]
     fn percentiles_interpolate_within_buckets() {
-        let mut r = MetricsRegistry::new();
-        let h = r.histogram("lat", &[10, 100, 1000]);
         // 90 observations <= 10, 9 in (10, 100], 1 in (1000, inf).
-        for _ in 0..90 {
-            r.observe(h, 5);
-        }
-        for _ in 0..9 {
-            r.observe(h, 50);
-        }
-        r.observe(h, 5000);
-        let snap = r.snapshot();
-        let hs = &snap.histograms["lat"];
+        let mut values = vec![5; 90];
+        values.extend([50; 9]);
+        values.push(5000);
+        let hs = histogram(&[10, 100, 1000], &values);
         // Rank 50 of 90 in (0, 10]: 10 * 50 / 90 = 5 — the true value,
         // where bucket-bound resolution would report 10.
         assert_eq!(hs.percentile(0.50), 5);
@@ -431,22 +348,15 @@ mod tests {
         assert_eq!(HistogramSnapshot::default().percentile(0.95), 0);
         // Single observation: every quantile is that observation's bucket,
         // clamped into the [min, max] range actually seen.
-        let mut r2 = MetricsRegistry::new();
-        let h2 = r2.histogram("one", &[64]);
-        r2.observe(h2, 7);
-        let s2 = r2.snapshot();
-        assert_eq!(s2.histograms["one"].percentile(0.5), 7);
+        assert_eq!(histogram(&[64], &[7]).percentile(0.5), 7);
     }
 
     #[test]
     fn snapshot_json_includes_percentiles() {
-        let mut r = MetricsRegistry::new();
-        let h = r.histogram("lat", &[10, 100]);
-        for v in [1, 2, 3, 50] {
-            r.observe(h, v);
-        }
-        let json = r.snapshot().to_json();
-        let parsed = crate::json::parse(&json).expect("valid JSON");
+        let mut snap = MetricsSnapshot::default();
+        snap.histograms
+            .insert("lat".to_owned(), histogram(&[10, 100], &[1, 2, 3, 50]));
+        let parsed = crate::json::parse(&snap.to_json()).expect("valid JSON");
         let hist = parsed.get("histograms").and_then(|h| h.get("lat")).unwrap();
         assert_eq!(
             hist.get("p50").and_then(crate::json::Json::as_f64),
@@ -466,27 +376,25 @@ mod tests {
 
     #[test]
     fn empty_histogram_reports_zero_min() {
-        let mut r = MetricsRegistry::new();
-        r.histogram("h", &[1]);
-        let snap = r.snapshot();
-        assert_eq!(snap.histograms["h"].min, 0);
-        assert_eq!(snap.histograms["h"].mean(), 0.0);
+        let h = HistogramSnapshot::with_bounds(&[1]);
+        assert_eq!(
+            (h.counts.as_slice(), h.min, h.max),
+            ([0, 0].as_slice(), 0, 0)
+        );
+        assert_eq!(h.mean(), 0.0);
     }
 
     #[test]
     fn merge_adds_counters_and_buckets() {
-        let mut a = MetricsRegistry::new();
-        let c = a.counter("c");
-        let h = a.histogram("h", &[5]);
-        a.inc(c, 1);
-        a.observe(h, 3);
-        let mut snap = a.snapshot();
-        let mut b = MetricsRegistry::new();
-        let c2 = b.counter("c");
-        let h2 = b.histogram("h", &[5]);
-        b.inc(c2, 4);
-        b.observe(h2, 9);
-        let mut other = b.snapshot();
+        let mut snap = MetricsSnapshot::default();
+        snap.add_counters([("c", 1)]);
+        snap.histograms
+            .insert("h".to_owned(), histogram(&[5], &[3]));
+        let mut other = MetricsSnapshot::default();
+        other.add_counters([("c", 4)]);
+        other
+            .histograms
+            .insert("h".to_owned(), histogram(&[5], &[9]));
         other.gauges.insert("g".to_owned(), 2.0);
         snap.merge(&other);
         snap.merge(&MetricsSnapshot {
@@ -509,15 +417,10 @@ mod tests {
 
     #[test]
     fn snapshot_json_is_stable_and_parseable() {
-        let mut r = MetricsRegistry::new();
-        let c = r.counter("z.count");
-        let c2 = r.counter("a.count");
-        let h = r.histogram("h", &[2]);
-        r.inc(c, 1);
-        r.inc(c2, 2);
-        r.observe(h, 1);
-        r.observe(h, 3);
-        let mut snap = r.snapshot();
+        let mut snap = MetricsSnapshot::default();
+        snap.add_counters([("z.count", 1), ("a.count", 2)]);
+        snap.histograms
+            .insert("h".to_owned(), histogram(&[2], &[1, 3]));
         snap.gauges.insert("g".to_owned(), 1.5);
         let json = snap.to_json();
         // Name-sorted: "a.count" precedes "z.count".

@@ -1,8 +1,7 @@
 //! Prometheus text-format encoding of [`MetricsSnapshot`]s.
 //!
 //! The `harpd` daemon serves its `/metrics` endpoint from its own
-//! registry and its tenants' snapshots; this module renders one or more
-//! snapshots —
+//! snapshot and its tenants'; this module renders one or more snapshots —
 //! each tagged with a label set such as `tenant="plant7"` — in the
 //! [Prometheus text exposition format] (version 0.0.4), the same
 //! hand-rolled-writer philosophy as the JSON modules.
@@ -39,7 +38,7 @@ pub type Labels = Vec<(String, String)>;
 /// the snapshot it applies to, both borrowed.
 pub type Group<'g> = (&'g [(String, String)], &'g MetricsSnapshot);
 
-/// Writes a registry metric name in the Prometheus charset: every
+/// Writes an in-tree metric name in the Prometheus charset: every
 /// character outside `[a-zA-Z0-9_:]` becomes `_`, and a leading digit is
 /// prefixed with `_`.
 fn write_name(out: &mut String, name: &str) {
@@ -104,7 +103,7 @@ type Series<'g, T> = (&'g [(String, String)], &'g T);
 
 #[derive(Default)]
 struct Family<'g> {
-    /// The first registry name that sanitised to this family (shown as the
+    /// The first in-tree name that sanitised to this family (shown as the
     /// HELP text so a scrape maps back to the in-tree metric).
     source: &'g str,
     counters: Vec<Series<'g, u64>>,
@@ -136,7 +135,7 @@ impl<'g> Family<'g> {
 /// Appends snapshots to `out` as one Prometheus text document.
 ///
 /// `groups` pairs a label set with the snapshot it applies to; the daemon
-/// passes its own registry with no labels plus one group per tenant with
+/// passes its own snapshot with no labels plus one group per tenant with
 /// `tenant="<id>"`. Series are ordered by sanitised metric name and, within
 /// a name, by group order, so the output is stable for a given input.
 /// Labels and values are written straight into `out`: no sample line
@@ -379,43 +378,45 @@ fn validate_labels(body: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::MetricsRegistry;
+    use crate::HistogramSnapshot;
+
+    fn histogram(bounds: &[u64], values: &[u64]) -> HistogramSnapshot {
+        let mut h = HistogramSnapshot::with_bounds(bounds);
+        for &v in values {
+            h.observe(v);
+        }
+        h
+    }
 
     fn sample_snapshot() -> MetricsSnapshot {
-        let mut r = MetricsRegistry::new();
-        let c = r.counter("harp.adjustments");
-        let h = r.histogram("harpd.request_us", &[10, 100]);
-        r.inc(c, 7);
-        r.observe(h, 5);
-        r.observe(h, 50);
-        r.observe(h, 5000);
-        let mut snap = r.snapshot();
+        let mut snap = MetricsSnapshot::default();
+        snap.add_counters([("harp.adjustments", 7)]);
+        snap.histograms.insert(
+            "harpd.request_us".to_owned(),
+            histogram(&[10, 100], &[5, 50, 5000]),
+        );
         snap.gauges.insert("harpd.networks".to_owned(), 3.0);
         snap
     }
 
-    /// The input of the golden document: a daemon registry shaped like
+    /// The input of the golden document: a daemon snapshot shaped like
     /// `harpd`'s (request counters, latency histograms, gauges read at
     /// scrape time) and two tenants, the second labelled with a value that
     /// needs every escape. Two names sanitise to one family, one gauge is
     /// not finite and one name starts with a digit.
     fn golden_groups() -> Vec<(Labels, MetricsSnapshot)> {
         const BOUNDS: &[u64] = &[1, 4, 16, 64, 256];
-        let mut r = MetricsRegistry::new();
-        let requests = r.counter("harpd.requests_total");
-        let errors = r.counter("harpd.http_errors");
-        let request_us = r.histogram("harpd.request_us", BOUNDS);
-        let schedule_us = r.histogram("harpd.route.schedule_us", BOUNDS);
-        r.histogram("harpd.route.metrics_us", BOUNDS);
-        r.inc(requests, 41);
-        r.inc(errors, 2);
-        for v in [0, 1, 3, 9, 70, 300, 5000] {
-            r.observe(request_us, v);
+        let mut daemon = MetricsSnapshot::default();
+        daemon.add_counters([("harpd.requests_total", 41), ("harpd.http_errors", 2)]);
+        for (name, values) in [
+            ("harpd.request_us", &[0, 1, 3, 9, 70, 300, 5000][..]),
+            ("harpd.route.schedule_us", &[2, 2, 5]),
+            ("harpd.route.metrics_us", &[]),
+        ] {
+            daemon
+                .histograms
+                .insert(name.to_owned(), histogram(BOUNDS, values));
         }
-        for v in [2, 2, 5] {
-            r.observe(schedule_us, v);
-        }
-        let mut daemon = r.snapshot();
         for (name, v) in [
             ("harpd.networks", 2.0),
             ("harpd.load-factor", 0.25),

@@ -5,12 +5,12 @@
 //! concerns (or [`NO_NODE`] for network-wide events), the node's tree depth
 //! (the HARP layer the event folds into) and a free-form integer detail
 //! (messages exchanged, cells moved, transmissions attempted).
-//! Spans land in a bounded ring so steady-state recording never allocates
-//! unboundedly; experiments keep the tail that explains *why* the run ended
-//! the way it did.
+//! Spans land in a bounded [`Ring`] so steady-state recording never
+//! allocates unboundedly; experiments keep the tail that explains *why* the
+//! run ended the way it did.
 
+use crate::Ring;
 use core::fmt;
-use std::collections::VecDeque;
 
 /// Sentinel node id for network-wide spans.
 pub const NO_NODE: u32 = u32::MAX;
@@ -116,75 +116,13 @@ where
     format!("{{\"total_recorded\": {total_recorded}, \"dropped\": {dropped}, \"spans\": [{body}]}}")
 }
 
-/// A bounded ring buffer of spans (capacity 0 disables recording).
-#[derive(Debug, Clone, Default)]
-pub struct SpanRing {
-    events: VecDeque<SpanEvent>,
-    capacity: usize,
-    total_recorded: u64,
-}
+/// A bounded ring of spans (capacity 0 records nothing).
+pub type SpanRing = Ring<SpanEvent>;
 
-impl SpanRing {
-    /// A ring keeping the most recent `capacity` spans. Storage is reserved
-    /// by the first [`SpanRing::record`], so a ring that never records —
-    /// the control plane's on a lossless transport — costs nothing.
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            events: VecDeque::new(),
-            capacity,
-            total_recorded: 0,
-        }
-    }
-
-    /// Records one span, evicting the oldest when full.
-    #[inline]
-    pub fn record(&mut self, event: SpanEvent) {
-        if self.capacity == 0 {
-            return;
-        }
-        if self.events.capacity() == 0 {
-            // The one reservation; larger rings grow past it on demand.
-            self.events.reserve_exact(self.capacity.min(4096));
-        }
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-        }
-        self.events.push_back(event);
-        self.total_recorded += 1;
-    }
-
-    /// The retained spans, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &SpanEvent> {
-        self.events.iter()
-    }
-
+impl Ring<SpanEvent> {
     /// Retained spans with one name.
     pub fn named(&self, name: &'static str) -> impl Iterator<Item = &SpanEvent> + '_ {
-        self.events.iter().filter(move |e| e.name == name)
-    }
-
-    /// Number of retained spans.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True when nothing is retained.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Total spans ever recorded (including evicted ones).
-    #[must_use]
-    pub fn total_recorded(&self) -> u64 {
-        self.total_recorded
-    }
-
-    /// Clears the retained spans (the total keeps counting).
-    pub fn clear(&mut self) {
-        self.events.clear();
+        self.iter().filter(move |e| e.name == name)
     }
 
     /// Renders up to `limit` of the most recent spans as a JSON object
@@ -194,8 +132,7 @@ impl SpanRing {
     /// complete one.
     #[must_use]
     pub fn to_json(&self, limit: usize) -> String {
-        let skip = self.events.len().saturating_sub(limit);
-        spans_to_json(self.events.iter().skip(skip), self.total_recorded)
+        spans_to_json(self.tail(limit), self.total_recorded())
     }
 }
 
@@ -231,45 +168,11 @@ mod tests {
     }
 
     #[test]
-    fn ring_evicts_oldest() {
-        let mut r = SpanRing::new(2);
-        for i in 0..4 {
-            r.record(ev("a", "sim", i));
-        }
-        assert_eq!(r.len(), 2);
-        assert_eq!(r.total_recorded(), 4);
-        let starts: Vec<u64> = r.iter().map(|e| e.start_asn).collect();
-        assert_eq!(starts, vec![2, 3]);
-    }
-
-    #[test]
-    fn storage_is_reserved_once_by_the_first_record() {
-        let mut r = SpanRing::new(64);
-        assert_eq!(r.events.capacity(), 0, "an idle ring holds no storage");
-        r.record(ev("a", "sim", 0));
-        let reserved = r.events.capacity();
-        assert!(reserved >= 64);
-        for i in 1..200 {
-            r.record(ev("a", "sim", i));
-        }
-        assert_eq!(r.events.capacity(), reserved, "a full ring never regrows");
-        assert_eq!(r.len(), 64);
-    }
-
-    #[test]
-    fn zero_capacity_disables() {
-        let mut r = SpanRing::new(0);
-        r.record(ev("a", "sim", 0));
-        assert!(r.is_empty());
-        assert_eq!(r.total_recorded(), 0);
-    }
-
-    #[test]
     fn filters_by_name() {
         let mut r = SpanRing::new(8);
-        r.record(ev("a", "sim", 0));
-        r.record(ev("b", "transport", 1));
-        r.record(ev("a", "harp", 2));
+        r.push(ev("a", "sim", 0));
+        r.push(ev("b", "transport", 1));
+        r.push(ev("a", "harp", 2));
         assert_eq!(r.named("a").count(), 2);
     }
 
@@ -288,7 +191,7 @@ mod tests {
     fn json_keeps_most_recent_limit_and_counts_dropped() {
         let mut r = SpanRing::new(8);
         for i in 0..5 {
-            r.record(ev("a", "sim", i));
+            r.push(ev("a", "sim", i));
         }
         let json = r.to_json(2);
         let parsed = crate::json::parse(&json).unwrap();
@@ -318,7 +221,7 @@ mod tests {
         );
         // NO_NODE serialises as -1.
         let mut r2 = SpanRing::new(2);
-        r2.record(SpanEvent {
+        r2.push(SpanEvent {
             node: NO_NODE,
             ..ev("a", "sim", 0)
         });
@@ -341,7 +244,7 @@ mod tests {
     fn eviction_counts_as_dropped_even_without_limit() {
         let mut r = SpanRing::new(2);
         for i in 0..6 {
-            r.record(ev("a", "sim", i));
+            r.push(ev("a", "sim", i));
         }
         let parsed = crate::json::parse(&r.to_json(100)).unwrap();
         assert_eq!(
@@ -360,9 +263,9 @@ mod tests {
     fn merged_trace_orders_by_time_across_rings() {
         let mut a = SpanRing::new(8);
         let mut b = SpanRing::new(8);
-        a.record(ev("a", "sim", 10));
-        b.record(ev("b", "harp", 0));
-        b.record(ev("c", "harp", 20));
+        a.push(ev("a", "sim", 10));
+        b.push(ev("b", "harp", 0));
+        b.push(ev("c", "harp", 20));
         let json = merged_trace_json(&[&a, &b], 100);
         let parsed = crate::json::parse(&json).unwrap();
         let spans = parsed
@@ -403,14 +306,5 @@ mod tests {
             parsed.get("corr").and_then(crate::json::Json::as_f64),
             Some(42.0)
         );
-    }
-
-    #[test]
-    fn clear_keeps_total() {
-        let mut r = SpanRing::new(4);
-        r.record(ev("a", "sim", 0));
-        r.clear();
-        assert!(r.is_empty());
-        assert_eq!(r.total_recorded(), 1);
     }
 }

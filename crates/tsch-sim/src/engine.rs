@@ -84,7 +84,6 @@ use crate::calendar::EventCalendar;
 use crate::faults::FaultAction;
 use crate::interference::InterferenceModel;
 use crate::packet::{Packet, Rate, Task, TaskId};
-use crate::radio::PdrError;
 use crate::rng::SplitMix64;
 use crate::schedule::NetworkSchedule;
 use crate::stats::SimStats;
@@ -315,24 +314,20 @@ impl Simulator {
         &self.trace
     }
 
-    /// The observability handle (disabled unless enabled via
-    /// [`SimulatorBuilder::observability`]).
+    /// The observability handle (its span ring has capacity 0 unless sized
+    /// by [`SimulatorBuilder::observability`]).
     #[must_use]
     pub fn obs(&self) -> &Obs {
         &self.obs
     }
 
-    /// Renders the engine's counts as metrics (empty while observability
-    /// is off): the `sim.*` counters from [`SimStats`] and
-    /// [`Simulator::idle_wakeups`], the deepest queue as the
-    /// `sim.queue_high_water` gauge, and [`SimStats::latency_histogram`] as
-    /// `sim.latency_slots`. Counts run from the build.
+    /// Renders the engine's counts as metrics: the `sim.*` counters from
+    /// [`SimStats`] and [`Simulator::idle_wakeups`], the deepest queue as
+    /// the `sim.queue_high_water` gauge, and [`SimStats::latency_histogram`]
+    /// as `sim.latency_slots`. Counts run from the build.
     #[must_use]
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::default();
-        if !self.obs.is_enabled() {
-            return snap;
-        }
         let s = &self.stats;
         snap.add_counters([
             ("sim.slots", s.slots_simulated),
@@ -437,38 +432,34 @@ impl Simulator {
                 // Tag each firing as an instantaneous span on a "fault"
                 // lane so traces and flight recorders can show what the
                 // plan did and when, not just that something fired.
-                if self.obs.is_enabled() {
-                    let node = action.node().map_or(NO_NODE, |n| n.0);
-                    self.obs.span(
-                        action.kind(),
-                        "fault",
-                        node,
-                        0,
-                        self.now.0,
-                        self.now.0,
-                        self.faults_fired as i64,
-                    );
-                }
+                let node = action.node().map_or(NO_NODE, |n| n.0);
+                self.obs.span(
+                    action.kind(),
+                    "fault",
+                    node,
+                    0,
+                    self.now.0,
+                    self.now.0,
+                    self.faults_fired as i64,
+                );
                 self.apply_fault(action);
             }
         }
         if self.config.slot_offset(self.now) == 0 {
-            if self.obs.is_enabled() {
-                if self.now.0 > 0 {
-                    let tx_in_frame = self.stats.tx_attempts - self.frame_tx_base;
-                    self.obs.span(
-                        "slotframe",
-                        "sim",
-                        NO_NODE,
-                        0,
-                        self.frame_start_asn,
-                        self.now.0 - 1,
-                        tx_in_frame as i64,
-                    );
-                }
-                self.frame_start_asn = self.now.0;
-                self.frame_tx_base = self.stats.tx_attempts;
+            if self.now.0 > 0 {
+                let tx_in_frame = self.stats.tx_attempts - self.frame_tx_base;
+                self.obs.span(
+                    "slotframe",
+                    "sim",
+                    NO_NODE,
+                    0,
+                    self.frame_start_asn,
+                    self.now.0 - 1,
+                    tx_in_frame as i64,
+                );
             }
+            self.frame_start_asn = self.now.0;
+            self.frame_tx_base = self.stats.tx_attempts;
             self.release_tasks();
             self.sample_queue_depths();
         }
@@ -649,7 +640,7 @@ impl Simulator {
             let link = self.lane_links[lane];
             if self.collided_scratch[idx] {
                 self.stats.collisions += 1;
-                self.trace.record(TraceEvent::TxCollision {
+                self.trace.push(TraceEvent::TxCollision {
                     at: self.now,
                     link,
                     cell,
@@ -660,7 +651,7 @@ impl Simulator {
             let pdr = self.lane_pdr[lane];
             if pdr < 1.0 && !self.rng.chance(pdr) {
                 self.stats.losses += 1;
-                self.trace.record(TraceEvent::TxLoss {
+                self.trace.push(TraceEvent::TxLoss {
                     at: self.now,
                     link,
                     cell,
@@ -668,7 +659,7 @@ impl Simulator {
                 self.fail_head(lane, link);
                 continue;
             }
-            self.trace.record(TraceEvent::TxOk {
+            self.trace.push(TraceEvent::TxOk {
                 at: self.now,
                 link,
                 cell,
@@ -687,7 +678,7 @@ impl Simulator {
             queue.pop_front();
             let emptied = queue.is_empty();
             self.stats.queue_drops += 1;
-            self.trace.record(TraceEvent::Drop { at: self.now, link });
+            self.trace.push(TraceEvent::Drop { at: self.now, link });
             if emptied {
                 self.note_queue_empty(lane);
             }
@@ -884,7 +875,7 @@ impl Simulator {
         self.queues[lane].clear();
         self.stats.queue_drops += n as u64;
         for _ in 0..n {
-            self.trace.record(TraceEvent::Drop { at: self.now, link });
+            self.trace.push(TraceEvent::Drop { at: self.now, link });
         }
         self.note_queue_empty(lane);
     }
@@ -913,23 +904,6 @@ impl Simulator {
                 self.enqueue(packet, route_lanes.clone());
             }
         }
-    }
-
-    /// Rewrites one directed link's configured PDR at runtime, outside any
-    /// fault plan. Masks and crashed endpoints still override it to 0.
-    ///
-    /// # Errors
-    ///
-    /// [`PdrError`] if `pdr` is outside `[0, 1]`.
-    pub fn set_link_pdr(&mut self, link: Link, pdr: f64) -> Result<(), PdrError> {
-        if !(0.0..=1.0).contains(&pdr) {
-            return Err(PdrError { pdr });
-        }
-        if let Some(id) = link_id(self.tree.len(), link) {
-            self.pdr[id] = pdr;
-            self.refresh_link_quality(id);
-        }
-        Ok(())
     }
 
     /// Whether `node` is currently crashed by a fault plan.

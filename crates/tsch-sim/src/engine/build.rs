@@ -51,7 +51,7 @@ pub struct SimulatorBuilder {
     queue_capacity: usize,
     max_retries: u32,
     trace_capacity: usize,
-    obs_span_capacity: Option<usize>,
+    span_capacity: usize,
     stats_mode: StatsMode,
     dense_walk: bool,
     fault_plan: FaultPlan,
@@ -84,7 +84,7 @@ impl SimulatorBuilder {
             queue_capacity: DEFAULT_QUEUE_CAPACITY,
             max_retries: DEFAULT_MAX_RETRIES,
             trace_capacity: 0,
-            obs_span_capacity: None,
+            span_capacity: 0,
             stats_mode: StatsMode::Full,
             dense_walk: false,
             fault_plan: FaultPlan::new(),
@@ -161,13 +161,12 @@ impl SimulatorBuilder {
         self
     }
 
-    /// Enables the observability layer, retaining the most recent
-    /// `span_capacity` slotframe-time spans. Off by default; a disabled
-    /// simulator records nothing and snapshots empty, and its random
-    /// processes are untouched, so runs are byte-identical either way.
+    /// Retains the most recent `span_capacity` slotframe-time spans (0, the
+    /// default, records none). Spans never touch the counts or the random
+    /// processes, so runs are byte-identical at every capacity.
     #[must_use]
     pub fn observability(mut self, span_capacity: usize) -> Self {
-        self.obs_span_capacity = Some(span_capacity);
+        self.span_capacity = span_capacity;
         self
     }
 
@@ -220,11 +219,6 @@ impl SimulatorBuilder {
         let pdr: Vec<f64> = (0..link_count)
             .map(|id| self.quality.pdr(Link::from_dense_id(id)))
             .collect();
-
-        let obs = match self.obs_span_capacity {
-            Some(capacity) => Obs::enabled(capacity),
-            None => Obs::disabled(),
-        };
 
         // Validate the fault plan against the tree and task set, then load
         // it onto the event calendar. Same-ASN actions keep plan order
@@ -300,7 +294,7 @@ impl SimulatorBuilder {
             queue_capacity: self.queue_capacity,
             max_retries: self.max_retries,
             trace: TraceBuffer::new(self.trace_capacity),
-            obs,
+            obs: Obs::new(self.span_capacity),
             frame_start_asn: 0,
             frame_tx_base: 0,
             fault_calendar,

@@ -28,7 +28,7 @@
 
 use crate::time::Asn;
 use crate::topology::{Direction, Link, NodeId};
-use harp_obs::{HistogramSnapshot, LATENCY_SLOT_BOUNDS};
+use harp_obs::{bucket_of, HistogramSnapshot, LATENCY_SLOT_BOUNDS};
 use std::collections::HashMap;
 use std::time::Duration;
 
@@ -213,10 +213,7 @@ impl SimStats {
     }
 
     fn observe_bucket(hist: &mut [u64], latency: u64) {
-        let bucket = LATENCY_SLOT_BOUNDS
-            .partition_point(|&b| b < latency)
-            .min(LATENCY_SLOT_BOUNDS.len());
-        hist[bucket] += 1;
+        hist[bucket_of(LATENCY_SLOT_BOUNDS, latency)] += 1;
     }
 
     /// Records one transmission attempt on `link` (per-link bookkeeping

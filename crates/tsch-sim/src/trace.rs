@@ -1,7 +1,7 @@
 //! Structured event tracing for simulation runs.
 //!
 //! A [`TraceBuffer`] records the interesting events of a run — transmission
-//! outcomes, deliveries, drops — in a bounded ring buffer, cheap enough to
+//! outcomes, deliveries, drops — in a bounded [`Ring`], cheap enough to
 //! leave enabled. Experiments use it to explain *why* a latency spike
 //! happened (which link collided, where a packet was dropped) rather than
 //! just observing that it did.
@@ -9,7 +9,7 @@
 use crate::time::{Asn, Cell};
 use crate::topology::Link;
 use core::fmt;
-use std::collections::VecDeque;
+use harp_obs::Ring;
 
 /// One traced event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,7 +75,7 @@ impl TraceEvent {
 
     /// Returns `true` for failure events (collision, loss, drop).
     #[must_use]
-    pub(crate) fn is_failure(&self) -> bool {
+    pub fn is_failure(&self) -> bool {
         !matches!(self, TraceEvent::TxOk { .. })
     }
 }
@@ -93,7 +93,7 @@ impl fmt::Display for TraceEvent {
     }
 }
 
-/// A bounded ring buffer of trace events.
+/// A bounded ring of trace events (capacity 0 records nothing).
 ///
 /// # Examples
 ///
@@ -101,78 +101,15 @@ impl fmt::Display for TraceEvent {
 /// use tsch_sim::{Asn, Cell, Link, NodeId, TraceBuffer, TraceEvent};
 ///
 /// let mut trace = TraceBuffer::new(4);
-/// trace.record(TraceEvent::TxOk {
+/// trace.push(TraceEvent::TxOk {
 ///     at: Asn(3),
 ///     link: Link::up(NodeId(1)),
 ///     cell: Cell::new(3, 0),
 /// });
 /// assert_eq!(trace.len(), 1);
-/// assert_eq!(trace.failures().count(), 0);
+/// assert_eq!(trace.iter().filter(|e| e.is_failure()).count(), 0);
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct TraceBuffer {
-    events: VecDeque<TraceEvent>,
-    capacity: usize,
-    total_recorded: u64,
-}
-
-impl TraceBuffer {
-    /// Creates a buffer keeping the most recent `capacity` events. A zero
-    /// capacity disables recording entirely.
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            events: VecDeque::with_capacity(capacity.min(4096)),
-            capacity,
-            total_recorded: 0,
-        }
-    }
-
-    /// Records one event, evicting the oldest if full.
-    pub fn record(&mut self, event: TraceEvent) {
-        if self.capacity == 0 {
-            return;
-        }
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-        }
-        self.events.push_back(event);
-        self.total_recorded += 1;
-    }
-
-    /// The retained events, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter()
-    }
-
-    /// Only the failure events (collisions, losses, drops).
-    pub fn failures(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter().filter(|e| e.is_failure())
-    }
-
-    /// Number of retained events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Returns `true` if nothing is retained.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Total events ever recorded (including evicted ones).
-    #[must_use]
-    pub fn total_recorded(&self) -> u64 {
-        self.total_recorded
-    }
-
-    /// Clears the retained events (the total counter keeps counting).
-    pub fn clear(&mut self) {
-        self.events.clear();
-    }
-}
+pub type TraceBuffer = Ring<TraceEvent>;
 
 #[cfg(test)]
 mod tests {
@@ -188,49 +125,24 @@ mod tests {
     }
 
     #[test]
-    fn ring_buffer_evicts_oldest() {
-        let mut t = TraceBuffer::new(3);
-        for i in 0..5 {
-            t.record(ok(i, 1));
-        }
-        assert_eq!(t.len(), 3);
-        assert_eq!(t.total_recorded(), 5);
-        let ats: Vec<u64> = t.iter().map(|e| e.at().0).collect();
-        assert_eq!(ats, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn zero_capacity_disables() {
-        let mut t = TraceBuffer::new(0);
-        t.record(ok(0, 1));
-        assert!(t.is_empty());
-        assert_eq!(t.total_recorded(), 0);
-    }
-
-    #[test]
     fn failure_filter() {
         let mut t = TraceBuffer::new(10);
-        t.record(ok(0, 1));
-        t.record(TraceEvent::TxCollision {
+        t.push(ok(0, 1));
+        t.push(TraceEvent::TxCollision {
             at: Asn(1),
             link: Link::up(NodeId(2)),
             cell: Cell::new(1, 0),
         });
-        t.record(TraceEvent::Drop {
+        t.push(TraceEvent::Drop {
             at: Asn(2),
             link: Link::up(NodeId(2)),
         });
-        assert_eq!(t.failures().count(), 2);
-        assert!(t.failures().all(TraceEvent::is_failure));
-    }
-
-    #[test]
-    fn clear_keeps_total() {
-        let mut t = TraceBuffer::new(4);
-        t.record(ok(0, 1));
-        t.clear();
-        assert!(t.is_empty());
-        assert_eq!(t.total_recorded(), 1);
+        let failures: Vec<u64> = t
+            .iter()
+            .filter(|e| e.is_failure())
+            .map(|e| e.at().0)
+            .collect();
+        assert_eq!(failures, [1, 2]);
     }
 
     #[test]

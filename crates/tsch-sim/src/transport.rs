@@ -384,7 +384,7 @@ impl<M: Clone> ControlPlane<M> {
             next_token: 0,
             pairs: BTreeMap::new(),
             stats: TransportStats::default(),
-            obs: Obs::disabled(),
+            obs: Obs::default(),
         }
     }
 
@@ -413,16 +413,14 @@ impl<M: Clone> ControlPlane<M> {
         self.stats
     }
 
-    /// Enables the observability layer, retaining the most recent
-    /// `span_capacity` spans (retransmissions and duplicate suppressions).
-    /// Off by default. [`ControlPlane::metrics_snapshot`] renders the
-    /// counts since construction, enabled early or late.
+    /// Retains the most recent `span_capacity` spans (retransmissions and
+    /// duplicate suppressions) from here on; 0, the default, records none.
     pub fn enable_observability(&mut self, span_capacity: usize) {
-        self.obs = Obs::enabled(span_capacity);
+        self.obs = Obs::new(span_capacity);
     }
 
-    /// The observability handle (disabled unless
-    /// [`ControlPlane::enable_observability`] was called).
+    /// The observability handle (its span ring has capacity 0 unless
+    /// sized by [`ControlPlane::enable_observability`]).
     #[must_use]
     pub fn obs(&self) -> &Obs {
         &self.obs
@@ -436,21 +434,19 @@ impl<M: Clone> ControlPlane<M> {
         self.obs.set_correlation(corr);
     }
 
-    /// Renders [`ControlPlane::stats`] as the five `transport.*` counters
-    /// (empty while observability is off).
+    /// Renders [`ControlPlane::stats`], the counts since construction, as
+    /// the five `transport.*` counters.
     #[must_use]
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
+        let s = self.stats;
         let mut snap = MetricsSnapshot::default();
-        if self.obs.is_enabled() {
-            let s = self.stats;
-            snap.add_counters([
-                ("transport.attempts", s.attempts),
-                ("transport.retransmissions", s.retransmissions),
-                ("transport.acks_sent", s.acks_sent),
-                ("transport.dropped", s.dropped),
-                ("transport.duplicates_suppressed", s.duplicates_suppressed),
-            ]);
-        }
+        snap.add_counters([
+            ("transport.attempts", s.attempts),
+            ("transport.retransmissions", s.retransmissions),
+            ("transport.acks_sent", s.acks_sent),
+            ("transport.dropped", s.dropped),
+            ("transport.duplicates_suppressed", s.duplicates_suppressed),
+        ]);
         snap
     }
 

@@ -238,15 +238,3 @@ fn build_rejects_fault_on_unknown_task() {
         .fault_plan(plan)
         .build();
 }
-
-#[test]
-fn runtime_pdr_mutation_is_public_api() {
-    let mut sim = chain_sim(FaultPlan::new());
-    sim.set_link_pdr(Link::up(NodeId(2)), 0.0).unwrap();
-    sim.run_slotframes(4);
-    assert_eq!(sim.stats().delivered(), 0);
-    assert!(sim.set_link_pdr(Link::up(NodeId(2)), 1.5).is_err());
-    sim.set_link_pdr(Link::up(NodeId(2)), 1.0).unwrap();
-    sim.run_slotframes(4);
-    assert!(sim.stats().delivered() > 0);
-}

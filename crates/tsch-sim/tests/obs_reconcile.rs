@@ -162,10 +162,12 @@ fn disabled_observability_is_empty_and_behaviour_identical() {
     let on = run(true);
     let off = run(false);
 
-    assert!(off.metrics_snapshot().is_empty());
-    assert!(off.obs().spans.is_empty());
+    // Recording never changes a count: the unobserved run snapshots the
+    // same series with the same values.
     assert!(!on.metrics_snapshot().is_empty());
+    assert_eq!(on.metrics_snapshot(), off.metrics_snapshot());
     assert!(!on.obs().spans.is_empty());
+    assert!(off.obs().spans.is_empty());
 
     // Observability never touches the RNG or the data path: both runs
     // must produce identical statistics, delivery for delivery.

@@ -92,7 +92,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.generated,
         stats.deliveries.len(),
         stats.collisions,
-        sim.trace().failures().count()
+        sim.trace().iter().filter(|e| e.is_failure()).count()
     );
     assert_eq!(stats.collisions, 0);
     assert_eq!(stats.deliveries.len() as u64, stats.generated);
