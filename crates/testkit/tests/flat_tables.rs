@@ -1,33 +1,39 @@
 //! What the flat tables promise, pinned where it was measured.
 //!
-//! A replicate is `tree.clone()`, `schedule.clone()`, a builder, `build()`
-//! and a run; until PR 21 three quarters of its allocations were containers
-//! — a vector per child list, per scheduled cell and per link, two fresh
-//! candidate vectors per link in `build` — that a flat table makes
-//! unnecessary. The budgets below are the counts measured on the
-//! benchmark's `fault_storm` input, + 10 %; the counts repeat exactly, in
-//! debug and release.
+//! A replicate is `schedule.clone()`, `tree.clone()`, a builder and the
+//! registration of its tasks, `build()` and a run — what the benchmark's
+//! `dataplane_replay` op does, on each of its three inputs. Three quarters
+//! of its allocations were once containers — a vector per child list, per
+//! scheduled cell and per link, two fresh candidate vectors per link in
+//! `build` — and later most of the rest were one small heap object per
+//! task route, per lane queue and per streaming source, all of which a flat
+//! table makes unnecessary. The budgets below are the counts measured on
+//! each input, + 10 %; the counts repeat exactly, in debug and release.
 
 use harp_core::{AllocatorHandle, SchedulingPolicy};
 use testkit::alloc::counted;
-use tsch_sim::{FaultPlan, NetworkSchedule, NodeId, SimulatorBuilder, SlotframeConfig, Task, Tree};
+use tsch_sim::{
+    FaultPlan, NetworkSchedule, NodeId, Simulator, SimulatorBuilder, SlotframeConfig, StatsMode,
+    Task, Tree,
+};
 use workloads::scenario_dsl::parse_scenario;
 use workloads::TopologyConfig;
 
-/// The benchmark's `fault_storm` input: `scenarios/fault_storm.scn` and the
-/// schedule HARP converges to on its tree.
+/// One of the benchmark's `dataplane_replay` inputs.
 struct Input {
+    name: &'static str,
     tree: Tree,
     config: SlotframeConfig,
     schedule: NetworkSchedule,
     tasks: Vec<Task>,
     faults: FaultPlan,
     frames: u64,
+    stats_mode: StatsMode,
 }
 
-fn fault_storm() -> Input {
-    let scenario = parse_scenario(include_str!("../../../scenarios/fault_storm.scn"))
-        .expect("the checked-in scenario parses");
+/// A checked-in scenario and the schedule HARP converges to on its tree.
+fn scenario_input(name: &'static str, text: &str) -> Input {
+    let scenario = parse_scenario(text).expect("the checked-in scenario parses");
     let config = scenario.slotframe_config().expect("a valid slotframe");
     let tree = scenario.trees(true).pop().expect("one topology");
     let handle = AllocatorHandle::converge(
@@ -38,60 +44,158 @@ fn fault_storm() -> Input {
     )
     .expect("the static phase fits");
     Input {
+        name,
         schedule: handle.network().schedule().clone(),
         tasks: scenario.tasks(&tree),
         faults: scenario.data_fault_plan(&tree).expect("faults resolve"),
         frames: scenario.frames,
+        stats_mode: StatsMode::Full,
         tree,
         config,
     }
 }
 
+/// The 500-node scale scenario, four slotframes, streaming statistics.
+fn scale_input() -> Input {
+    let scale = workloads::scale_scenario(500, 1);
+    Input {
+        name: "scale 500",
+        tree: scale.tree,
+        config: scale.config,
+        schedule: scale.schedule,
+        tasks: scale.tasks,
+        faults: FaultPlan::default(),
+        frames: 4,
+        stats_mode: StatsMode::Streaming,
+    }
+}
+
+/// Allocations of each phase of one replicate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Bill {
+    schedule_clone: u64,
+    tree_clone: u64,
+    registration: u64,
+    build: u64,
+    run: u64,
+}
+
+/// Runs one replicate of `input` with its first `tasks` tasks, billing
+/// each phase.
+fn replicate(input: &Input, tasks: usize) -> (Bill, Simulator) {
+    let (schedule, schedule_clone) = counted(|| input.schedule.clone());
+    let (tree, tree_clone) = counted(|| input.tree.clone());
+    let (builder, registration) = counted(|| {
+        let mut builder = SimulatorBuilder::new(tree, input.config)
+            .schedule(schedule)
+            .seed(1)
+            .stats_mode(input.stats_mode)
+            .fault_plan(input.faults.clone());
+        for task in &input.tasks[..tasks] {
+            builder = builder.task(task.clone()).expect("tasks of the tree");
+        }
+        builder
+    });
+    let (mut sim, build) = counted(|| builder.build());
+    let ((), run) = counted(|| sim.run_slotframes(input.frames));
+    let bill = Bill {
+        schedule_clone,
+        tree_clone,
+        registration,
+        build,
+        run,
+    };
+    (bill, sim)
+}
+
 #[test]
 fn a_replicate_allocates_what_it_keeps() {
-    /// `build()` on the 50-node input: the per-link-id tables, the slot
-    /// table, one queue, one PDR and one occupancy entry per lane, a lane
-    /// route per task (149; 177 with a conflict CSR and a link table,
-    /// 1,015 with candidate vectors per link and a vector per scheduled
-    /// cell too), + 10 %.
-    const BUILD_BUDGET: u64 = 164;
-    /// Sixty slotframes of it: queue growth and the statistics (175; 477
-    /// with a fresh release list every slotframe), + 10 %.
-    const RUN_BUDGET: u64 = 192;
+    /// Per input, the budget of each phase: `schedule.clone()`,
+    /// `tree.clone()`, registration, `build()` and the run.
+    ///
+    /// - The schedule clone copies the cell index, the link table and the
+    ///   cell pool (3); the scale schedule stacks links in cells, and its
+    ///   per-cell vectors make it 127.
+    /// - The tree clone copies parents, two child arrays, depths, subtree
+    ///   layers and sizes (6, held exactly).
+    /// - Registration is the builder's interference model, the fault
+    ///   plan's copy and the task list's growth: 7 at 49 tasks and at 128
+    ///   (203 and 391 while each task built its route and its `Arc`).
+    /// - `build()` is the per-link-id tables, the slot table, the lane
+    ///   vectors' growth, the lane-route table's two vectors, the fault
+    ///   calendar and, when streaming, the histogram table: 53, 51 and 55
+    ///   (149, 147 and 308 with a lane route `Arc` per task; 177 on
+    ///   `fault_storm` with a conflict CSR and a link table too).
+    /// - The run is the growth of the packet pool (7 and 8), of the
+    ///   delivery records, the statistics' per-node and per-link vectors,
+    ///   the occupied set and the scratch buffers: 43, 42 and 46 (175, 171
+    ///   and 439 with a queue per lane and a histogram vector per
+    ///   streaming source; 477 on `fault_storm` with a fresh release list
+    ///   every slotframe too).
+    ///
+    /// Each is the count measured + 10 %, the tree's exact.
+    const BUDGETS: [(&str, [u64; 5]); 3] = [
+        ("fault_storm", [4, 6, 8, 59, 48]),
+        ("gateway_failover", [4, 6, 8, 57, 47]),
+        ("scale 500", [140, 6, 8, 61, 51]),
+    ];
 
-    let input = fault_storm();
-    assert!(input.schedule.is_exclusive());
-
-    // The cell index, the link table and the cell pool; an exclusive
-    // schedule has no stacked cell to copy.
-    let (schedule, allocs) = counted(|| input.schedule.clone());
-    println!("schedule.clone() allocates {allocs} times");
-    assert!(allocs <= 4, "schedule.clone() allocates {allocs} times");
-    // Parents, two child arrays, depths, subtree layers and sizes.
-    let (tree, allocs) = counted(|| input.tree.clone());
-    println!("tree.clone() allocates {allocs} times");
-    assert!(allocs <= 6, "tree.clone() allocates {allocs} times");
-
-    let mut builder = SimulatorBuilder::new(tree, input.config)
-        .schedule(schedule)
-        .seed(1)
-        .fault_plan(input.faults.clone());
-    for task in &input.tasks {
-        builder = builder.task(task.clone()).expect("tasks of the tree");
+    let inputs = [
+        scenario_input(
+            "fault_storm",
+            include_str!("../../../scenarios/fault_storm.scn"),
+        ),
+        scenario_input(
+            "gateway_failover",
+            include_str!("../../../scenarios/gateway_failover.scn"),
+        ),
+        scale_input(),
+    ];
+    for (input, (name, budget)) in inputs.iter().zip(BUDGETS) {
+        assert_eq!(input.name, name);
+        let (bill, sim) = replicate(input, input.tasks.len());
+        let phases = [
+            ("schedule.clone()".to_owned(), bill.schedule_clone),
+            ("tree.clone()".to_owned(), bill.tree_clone),
+            (
+                format!("registration of {} tasks", input.tasks.len()),
+                bill.registration,
+            ),
+            ("build()".to_owned(), bill.build),
+            (format!("run_slotframes({})", input.frames), bill.run),
+        ];
+        for ((phase, allocs), budget) in phases.iter().zip(budget) {
+            println!("{name}: {phase} allocates {allocs} times");
+            assert!(
+                *allocs <= budget,
+                "{name}: {phase} allocates {allocs} times, budget {budget}"
+            );
+        }
+        assert!(sim.stats().delivered() > 0 && sim.stats().collisions == 0);
+        assert_eq!(sim.idle_wakeups(), 0);
     }
-    let (mut sim, allocs) = counted(|| builder.build());
-    println!("build() allocates {allocs} times");
-    assert!(
-        allocs <= BUILD_BUDGET,
-        "build() allocates {allocs} times, budget {BUILD_BUDGET}"
+}
+
+/// Registration plus `build()` costs the same at any task count: routes
+/// are one table, not one object per task (136 with 16 tasks against 699
+/// with 128 while each task built its own).
+#[test]
+fn registration_and_build_are_flat_in_the_task_count() {
+    let input = scale_input();
+    let all = input.tasks.len();
+    assert_eq!(all, 128);
+    let setup = |tasks| {
+        let (bill, _) = replicate(&input, tasks);
+        bill.registration + bill.build
+    };
+    let (few, many) = (setup(16), setup(all));
+    println!(
+        "scale 500: registration + build() allocates {few} times with 16 tasks, {many} with {all}"
     );
-    let ((), allocs) = counted(|| sim.run_slotframes(input.frames));
-    println!("run_slotframes({}) allocates {allocs} times", input.frames);
     assert!(
-        allocs <= RUN_BUDGET,
-        "the run allocates {allocs} times, budget {RUN_BUDGET}"
+        few.abs_diff(many) <= 4,
+        "registration + build(): {few} allocations with 16 tasks, {many} with {all}"
     );
-    assert!(sim.stats().delivered() > 0 && sim.stats().collisions == 0);
 }
 
 /// The child rows of a generated tree are the per-node lists a parent

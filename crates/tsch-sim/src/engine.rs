@@ -23,7 +23,12 @@
 //! (`child * 2 + direction`), and a link that is scheduled or queues a
 //! packet also gets a compact *lane*. The engine keeps:
 //!
-//! * per-lane queues, [`Link`]s and PDRs in flat vectors;
+//! * per-lane [`Link`]s and PDRs in flat vectors;
+//! * every lane's queue in one packet pool: a slab of 24-byte entries, a
+//!   `{head, tail, len}` triple per lane and a free list (`engine/pool.rs`);
+//! * a lane-route table in CSR form: task → the lane of each hop, resolved
+//!   once at build, so a queued packet is its task index, hop, retries and
+//!   creation time, and holds no pointer;
 //! * per-link configured PDRs in a flat `Vec<f64>` indexed by dense id;
 //! * a per-slot table of non-empty cells in CSR form (slot → cells →
 //!   lanes, three flat vectors filled straight from
@@ -37,9 +42,15 @@
 //! The slot table is derived from the [`NetworkSchedule`] and rebuilt lazily
 //! whenever the schedule's version counter changes (see
 //! [`NetworkSchedule::version`]), so runtime reconfiguration through
-//! [`Simulator::schedule_mut`] keeps working. Scratch buffers for the
-//! per-cell active/collided sets are reused across slots, so steady-state
-//! execution performs no allocation.
+//! [`Simulator::schedule_mut`] keeps working.
+//!
+//! A slot allocates only when a table grows past its high-water mark: the
+//! packet pool when more packets are queued at once than ever before, the
+//! occupied set, the scratch buffers of the per-cell active/collided sets
+//! and of the queue sampler, and the statistics' per-node and per-link
+//! vectors. [`StatsMode::Full`](crate::StatsMode::Full) also appends a
+//! record per delivery, so its vector keeps growing with the run. Nothing
+//! is allocated per packet, per hop or per lane.
 //!
 //! # Event-driven wake index
 //!
@@ -72,18 +83,20 @@
 //! [`SimulatorBuilder::dense_walk`], which is kept as the in-tree
 //! differential baseline.
 //!
-//! The builder and the derivations of these tables live in `engine/build.rs`;
-//! this file is what runs inside a slot: the slot loop, the queues, fault
-//! application and the statistics they feed.
+//! The builder and the derivations of these tables live in `engine/build.rs`,
+//! the packet pool in `engine/pool.rs`; this file is what runs inside a
+//! slot: the slot loop, releases and forwarding, fault application and the
+//! statistics they feed.
 
 mod build;
+mod pool;
 
 pub use build::SimulatorBuilder;
 
 use crate::calendar::EventCalendar;
 use crate::faults::FaultAction;
 use crate::interference::InterferenceModel;
-use crate::packet::{Packet, Rate, Task, TaskId};
+use crate::packet::{Rate, Task, TaskId};
 use crate::rng::SplitMix64;
 use crate::schedule::NetworkSchedule;
 use crate::stats::SimStats;
@@ -92,8 +105,7 @@ use crate::topology::{Direction, Link, NodeId, Tree};
 use crate::trace::{TraceBuffer, TraceEvent};
 use core::fmt;
 use harp_obs::{MetricsSnapshot, Obs, NO_NODE};
-use std::collections::VecDeque;
-use std::sync::Arc;
+use pool::{PacketPool, Queued};
 
 /// Default bound on packets queued per directed link.
 pub(crate) const DEFAULT_QUEUE_CAPACITY: usize = 64;
@@ -126,29 +138,6 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-#[derive(Debug, Clone)]
-struct TaskState {
-    task: Task,
-    route: Arc<[NodeId]>,
-    /// Lane of each route hop's link, precomputed at build so the enqueue
-    /// hot path never walks the tree or the id→lane table.
-    route_lanes: Arc<[u32]>,
-    next_seq: u64,
-}
-
-#[derive(Debug, Clone)]
-struct QueuedPacket {
-    packet: Packet,
-    /// The packet's task-wide lane route (`route_lanes[hop]` is the lane
-    /// the packet queues on next), shared via `Arc` like the route itself.
-    route_lanes: Arc<[u32]>,
-    retries: u32,
-}
-
-/// One slotframe-boundary release: route, lane route, task, first
-/// sequence number, and packet count.
-type TaskRelease = (Arc<[NodeId]>, Arc<[u32]>, TaskId, u64, u32);
-
 /// One non-empty cell of the slot table: its channel and where its lanes
 /// start in `Simulator::cell_lanes`. They end where the next cell's start;
 /// a sentinel closes the last.
@@ -170,12 +159,18 @@ pub struct Simulator {
     tree: Tree,
     config: SlotframeConfig,
     schedule: NetworkSchedule,
-    tasks: Vec<TaskState>,
-    /// Per-lane queues. All mutable per-link hot state is indexed by the
-    /// compact *lane* id — allocated on first schedule appearance or first
-    /// queued packet — so the cache/TLB working set scales with the number
-    /// of links that ever carry traffic, not with the tree size.
-    queues: Vec<VecDeque<QueuedPacket>>,
+    tasks: Vec<Task>,
+    /// The lane route table in CSR form: task `t`'s packets queue on
+    /// `route_lanes[route_offsets[t]..route_offsets[t + 1]]`, one lane per
+    /// hop, so the enqueue path never walks the tree or the id→lane table.
+    route_offsets: Vec<u32>,
+    route_lanes: Vec<u32>,
+    /// Per-lane queues, all in one slab. All mutable per-link hot state is
+    /// indexed by the compact *lane* id — allocated on first schedule
+    /// appearance or first queued packet — so the cache/TLB working set
+    /// scales with the number of links that ever carry traffic, not with
+    /// the tree size.
+    queues: PacketPool,
     /// Dense link id (`child * 2 + direction`) → lane, `u32::MAX` while
     /// the link has no lane yet.
     lane_of: Vec<u32>,
@@ -223,12 +218,9 @@ pub struct Simulator {
     depth_scratch: Vec<usize>,
     /// Sender nodes touched by the current queue-depth sample.
     touched_scratch: Vec<u32>,
-    /// The releases of the slotframe boundary in progress.
-    release_scratch: Vec<TaskRelease>,
     now: Asn,
     rng: SplitMix64,
     stats: SimStats,
-    queue_capacity: usize,
     max_retries: u32,
     trace: TraceBuffer,
     obs: Obs,
@@ -351,7 +343,7 @@ impl Simulator {
     /// Total packets currently queued anywhere in the network.
     #[must_use]
     pub fn queued_packets(&self) -> usize {
-        self.queues.iter().map(VecDeque::len).sum()
+        self.queues.live()
     }
 
     /// Packets queued at one node (over all its outgoing links).
@@ -372,7 +364,7 @@ impl Simulator {
     fn id_queue_len(&self, id: usize) -> usize {
         match self.lane_of[id] {
             u32::MAX => 0,
-            lane => self.queues[lane as usize].len(),
+            lane => self.queues.len(lane as usize),
         }
     }
 
@@ -382,19 +374,19 @@ impl Simulator {
     ///
     /// Returns [`SimError::UnknownTask`] for an unregistered id.
     pub fn set_task_rate(&mut self, id: TaskId, rate: Rate) -> Result<(), SimError> {
-        let state = self
+        let task = self
             .tasks
             .iter_mut()
-            .find(|t| t.task.id == id)
+            .find(|t| t.id == id)
             .ok_or(SimError::UnknownTask(id))?;
-        state.task.rate = rate;
+        task.rate = rate;
         Ok(())
     }
 
     /// The registered tasks.
     #[must_use]
     pub fn tasks(&self) -> Vec<Task> {
-        self.tasks.iter().map(|t| t.task.clone()).collect()
+        self.tasks.clone()
     }
 
     /// Advances the simulation by `n` slots, accumulating wall-clock time
@@ -538,62 +530,42 @@ impl Simulator {
         }
     }
 
-    /// Releases task packets at a slotframe boundary.
+    /// Releases task packets at a slotframe boundary, in task order.
     fn release_tasks(&mut self) {
         let frame = self.config.slotframe_index(self.now);
-        // Collect first: route clones are cheap (Arc), and we must not hold
-        // a borrow of `self.tasks` while enqueueing.
-        let mut releases = std::mem::take(&mut self.release_scratch);
-        for state in &mut self.tasks {
+        for t in 0..self.tasks.len() {
+            let task = &self.tasks[t];
             // A crashed node generates nothing while down (the sensor is
-            // off, not buffering); its sequence numbers do not advance.
-            if self.node_down[state.task.source.index()] {
+            // off, not buffering).
+            if self.node_down[task.source.index()] {
                 continue;
             }
-            let n = state.task.rate.packets_in_slotframe(frame);
-            if n > 0 {
-                releases.push((
-                    state.route.clone(),
-                    state.route_lanes.clone(),
-                    state.task.id,
-                    state.next_seq,
-                    n,
-                ));
-                state.next_seq += u64::from(n);
+            for _ in 0..task.rate.packets_in_slotframe(frame) {
+                self.release(t);
             }
         }
-        for (route, route_lanes, task, seq0, n) in releases.drain(..) {
-            for k in 0..u64::from(n) {
-                self.stats.generated += 1;
-                let packet = Packet::new(task, seq0 + k, self.now, route.clone());
-                if packet.is_delivered() {
-                    // Gateway-sourced degenerate route: delivered instantly.
-                    self.stats
-                        .record_delivery(packet.holder(), self.now, self.now);
-                } else {
-                    self.enqueue(packet, route_lanes.clone());
-                }
-            }
+    }
+
+    /// Generates one packet of task index `t` now.
+    fn release(&mut self, t: usize) {
+        self.stats.generated += 1;
+        if self.route_offsets[t] == self.route_offsets[t + 1] {
+            // Gateway-sourced degenerate route: delivered instantly.
+            self.stats
+                .record_delivery(self.tasks[t].source, self.now, self.now);
+        } else {
+            self.enqueue(Queued::new(t as u32, 0, self.now));
         }
-        self.release_scratch = releases;
     }
 
     /// Queues a packet at its current holder for its next hop.
-    fn enqueue(&mut self, packet: Packet, route_lanes: Arc<[u32]>) {
-        let lane = route_lanes[packet.hop] as usize;
-        let queue = &mut self.queues[lane];
-        if queue.len() >= self.queue_capacity {
+    fn enqueue(&mut self, packet: Queued) {
+        let start = self.route_offsets[packet.task as usize] as usize;
+        let lane = self.route_lanes[start + packet.hop as usize] as usize;
+        if !self.queues.push(lane, packet) {
             self.stats.queue_drops += 1;
-        } else {
-            let was_empty = queue.is_empty();
-            queue.push_back(QueuedPacket {
-                packet,
-                route_lanes,
-                retries: 0,
-            });
-            if was_empty {
-                self.note_queue_nonempty(lane);
-            }
+        } else if self.queues.len(lane) == 1 {
+            self.note_queue_nonempty(lane);
         }
     }
 
@@ -605,7 +577,7 @@ impl Simulator {
         // Links with traffic ready on this cell.
         self.active_scratch.clear();
         for &lane in &self.cell_lanes[lanes] {
-            if !self.queues[lane as usize].is_empty() {
+            if !self.queues.is_empty(lane as usize) {
                 self.active_scratch.push(lane);
             }
         }
@@ -671,15 +643,13 @@ impl Simulator {
 
     /// Handles a failed transmission: retry or drop the head packet.
     fn fail_head(&mut self, lane: usize, link: Link) {
-        let queue = &mut self.queues[lane];
-        let head = queue.front_mut().expect("active link queue is non-empty");
+        let head = self.queues.front_mut(lane);
         head.retries += 1;
         if head.retries > self.max_retries {
-            queue.pop_front();
-            let emptied = queue.is_empty();
+            self.queues.pop_front(lane);
             self.stats.queue_drops += 1;
             self.trace.push(TraceEvent::Drop { at: self.now, link });
-            if emptied {
+            if self.queues.is_empty(lane) {
                 self.note_queue_empty(lane);
             }
         }
@@ -687,21 +657,18 @@ impl Simulator {
 
     /// Advances the head packet of lane `lane` by one hop.
     fn deliver_head(&mut self, lane: usize) {
-        let mut queued = self.queues[lane]
-            .pop_front()
-            .expect("active link queue is non-empty");
-        if self.queues[lane].is_empty() {
+        let packet = self.queues.pop_front(lane);
+        if self.queues.is_empty(lane) {
             self.note_queue_empty(lane);
         }
-        queued.packet.advance();
-        if queued.packet.is_delivered() {
-            let source = queued.packet.route[0];
-            let delivered_at = self.now.plus(1);
+        let t = packet.task as usize;
+        let hop = packet.hop + 1;
+        if hop == self.route_offsets[t + 1] - self.route_offsets[t] {
+            let source = self.tasks[t].source;
             self.stats
-                .record_delivery(source, queued.packet.created, delivered_at);
+                .record_delivery(source, packet.created, self.now.plus(1));
         } else {
-            queued.retries = 0;
-            self.enqueue(queued.packet, queued.route_lanes);
+            self.enqueue(Queued::new(packet.task, hop, packet.created));
         }
     }
 
@@ -715,8 +682,9 @@ impl Simulator {
         if self.dense_walk {
             self.depth_scratch.clear();
             self.depth_scratch.resize(self.tree.len(), 0);
-            for (lane, queue) in self.queues.iter().enumerate() {
-                if queue.is_empty() {
+            for lane in 0..self.lane_links.len() {
+                let len = self.queues.len(lane);
+                if len == 0 {
                     continue;
                 }
                 let link = self.lane_links[lane];
@@ -728,7 +696,7 @@ impl Simulator {
                     Direction::Down => self.tree.parent(link.child),
                 };
                 if let Some(sender) = sender {
-                    self.depth_scratch[sender.index()] += queue.len();
+                    self.depth_scratch[sender.index()] += len;
                 }
             }
             for (i, &depth) in self.depth_scratch.iter().enumerate() {
@@ -753,7 +721,7 @@ impl Simulator {
             if self.depth_scratch[sender.index()] == 0 {
                 self.touched_scratch.push(sender.index() as u32);
             }
-            self.depth_scratch[sender.index()] += self.queues[lane].len();
+            self.depth_scratch[sender.index()] += self.queues.len(lane);
         }
         self.touched_scratch.sort_unstable();
         for i in 0..self.touched_scratch.len() {
@@ -867,12 +835,11 @@ impl Simulator {
             return;
         }
         let lane = lane as usize;
-        let n = self.queues[lane].len();
+        let n = self.queues.clear(lane);
         if n == 0 {
             return;
         }
         let link = self.lane_links[lane];
-        self.queues[lane].clear();
         self.stats.queue_drops += n as u64;
         for _ in 0..n {
             self.trace.push(TraceEvent::Drop { at: self.now, link });
@@ -884,25 +851,14 @@ impl Simulator {
     /// slotframe-boundary cadence), through the normal enqueue path. A
     /// burst at a crashed node is silently absorbed — the radio is off.
     fn release_burst(&mut self, id: TaskId, n: u32) {
-        let Some(i) = self.tasks.iter().position(|t| t.task.id == id) else {
+        let Some(t) = self.tasks.iter().position(|t| t.id == id) else {
             return;
         };
-        if self.node_down[self.tasks[i].task.source.index()] {
+        if self.node_down[self.tasks[t].source.index()] {
             return;
         }
-        let route = self.tasks[i].route.clone();
-        let route_lanes = self.tasks[i].route_lanes.clone();
-        let seq0 = self.tasks[i].next_seq;
-        self.tasks[i].next_seq += u64::from(n);
-        for k in 0..u64::from(n) {
-            self.stats.generated += 1;
-            let packet = Packet::new(id, seq0 + k, self.now, route.clone());
-            if packet.is_delivered() {
-                self.stats
-                    .record_delivery(packet.holder(), self.now, self.now);
-            } else {
-                self.enqueue(packet, route_lanes.clone());
-            }
+        for _ in 0..n {
+            self.release(t);
         }
     }
 

@@ -2,24 +2,23 @@
 //! builder, the per-slot cell table and the wake index. Everything here
 //! runs at build time or after a schedule mutation, never inside a slot.
 
-use super::{link_id, Simulator, SlotCell, TaskState};
+use super::pool::PacketPool;
+use super::{link_id, Simulator, SlotCell};
 use super::{DEFAULT_MAX_RETRIES, DEFAULT_QUEUE_CAPACITY};
 use crate::calendar::EventCalendar;
 use crate::faults::{FaultAction, FaultPlan};
 use crate::interference::InterferenceModel;
-use crate::packet::Task;
+use crate::packet::{Task, TaskKind};
 use crate::radio::LinkQuality;
 use crate::rng::SplitMix64;
 use crate::schedule::NetworkSchedule;
 use crate::stats::{SimStats, StatsMode};
 use crate::time::{Asn, SlotframeConfig};
-use crate::topology::{Link, NodeId, Tree};
+use crate::topology::{Link, Tree};
 use crate::trace::TraceBuffer;
 use crate::SimError;
 use core::fmt;
 use harp_obs::Obs;
-use std::collections::VecDeque;
-use std::sync::Arc;
 
 /// Configures and builds a [`Simulator`].
 ///
@@ -46,7 +45,7 @@ pub struct SimulatorBuilder {
     schedule: Option<NetworkSchedule>,
     interference: Box<dyn InterferenceModel + Send + Sync>,
     quality: LinkQuality,
-    tasks: Vec<TaskState>,
+    tasks: Vec<Task>,
     seed: u64,
     queue_capacity: usize,
     max_retries: u32,
@@ -193,16 +192,10 @@ impl SimulatorBuilder {
         if task.source.index() >= self.tree.len() {
             return Err(SimError::UnknownTaskSource(task.source));
         }
-        if self.tasks.iter().any(|t| t.task.id == task.id) {
+        if self.tasks.iter().any(|t| t.id == task.id) {
             return Err(SimError::DuplicateTask(task.id));
         }
-        let route: Arc<[NodeId]> = task.route(&self.tree).into();
-        self.tasks.push(TaskState {
-            task,
-            route,
-            route_lanes: Arc::from([]),
-            next_seq: 0,
-        });
+        self.tasks.push(task);
         Ok(self)
     }
 
@@ -250,7 +243,7 @@ impl SimulatorBuilder {
                 }
                 FaultAction::TaskBurst(t, _) | FaultAction::TaskRate(t, _) => {
                     assert!(
-                        self.tasks.iter().any(|s| s.task.id == t),
+                        self.tasks.iter().any(|s| s.id == t),
                         "fault plan names unregistered task {t}"
                     );
                 }
@@ -259,12 +252,15 @@ impl SimulatorBuilder {
         }
 
         let nodes = self.tree.len();
+        let sources = self.tasks.len();
         let mut sim = Simulator {
             tree: self.tree,
             config: self.config,
             schedule,
             tasks: self.tasks,
-            queues: Vec::new(),
+            route_offsets: Vec::new(),
+            route_lanes: Vec::new(),
+            queues: PacketPool::new(self.queue_capacity),
             lane_of: vec![u32::MAX; link_count],
             lane_links: Vec::new(),
             lane_pdr: Vec::new(),
@@ -284,14 +280,16 @@ impl SimulatorBuilder {
             collided_scratch: Vec::new(),
             depth_scratch: Vec::new(),
             touched_scratch: Vec::new(),
-            release_scratch: Vec::new(),
             now: Asn::ZERO,
             rng: SplitMix64::new(self.seed),
             stats: match self.stats_mode {
                 StatsMode::Full => SimStats::new(),
-                StatsMode::Streaming => SimStats::streaming(),
+                StatsMode::Streaming => {
+                    let mut stats = SimStats::streaming();
+                    stats.reserve_histograms(sources);
+                    stats
+                }
             },
-            queue_capacity: self.queue_capacity,
             max_retries: self.max_retries,
             trace: TraceBuffer::new(self.trace_capacity),
             obs: Obs::new(self.span_capacity),
@@ -304,20 +302,9 @@ impl SimulatorBuilder {
             idle_wakeup_count: 0,
         };
         sim.rebuild_slot_table();
-        // Scheduled links took the low (cache-densest) lanes above; now
-        // resolve each task route into its per-hop lane sequence so the
-        // enqueue path is a single indexed read.
-        for i in 0..sim.tasks.len() {
-            let route = sim.tasks[i].route.clone();
-            let lanes: Vec<u32> = route
-                .windows(2)
-                .map(|hop| {
-                    let id = sim.route_link_id(hop[0], hop[1]);
-                    sim.lane_for(id) as u32
-                })
-                .collect();
-            sim.tasks[i].route_lanes = lanes.into();
-        }
+        // Scheduled links took the low (cache-densest) lanes above; the
+        // route links follow in task and hop order.
+        sim.build_route_table();
         sim
     }
 }
@@ -387,7 +374,7 @@ impl Simulator {
         self.lane_of[id] = u32::try_from(lane).expect("lane count fits u32");
         self.lane_links.push(Link::from_dense_id(id));
         self.lane_pdr.push(self.effective_pdr(id));
-        self.queues.push(VecDeque::new());
+        self.queues.add_lane();
         self.occupied_pos.push(u32::MAX);
         lane
     }
@@ -439,19 +426,39 @@ impl Simulator {
         }
     }
 
-    /// The dense id of the link from `holder` to `next` (build-time route
-    /// resolution; see [`TaskState::route_lanes`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the hop is not a tree edge.
-    fn route_link_id(&self, holder: NodeId, next: NodeId) -> usize {
-        if self.tree.parent(holder) == Some(next) {
-            holder.index() * 2 // Link::up(holder)
-        } else if self.tree.parent(next) == Some(holder) {
-            next.index() * 2 + 1 // Link::down(next)
-        } else {
-            panic!("route hop {holder}->{next} is not a tree edge");
+    /// Resolves every task's route into its per-hop lanes, in one table
+    /// sized exactly: up from the source to the gateway (`Task::route`'s
+    /// first half), then, for an echo task, back down the same links.
+    fn build_route_table(&mut self) {
+        let hops = |task: &Task| {
+            let up = self.tree.depth(task.source) as usize;
+            match task.kind {
+                TaskKind::UplinkOnly => up,
+                TaskKind::Echo => 2 * up,
+            }
+        };
+        let total: usize = self.tasks.iter().map(hops).sum();
+        let mut offsets = Vec::with_capacity(self.tasks.len() + 1);
+        let mut lanes = Vec::with_capacity(total);
+        offsets.push(0);
+        for t in 0..self.tasks.len() {
+            let start = lanes.len();
+            let mut node = self.tasks[t].source;
+            while let Some(parent) = self.tree.parent(node) {
+                lanes.push(self.lane_for(node.index() * 2) as u32); // Link::up(node)
+                node = parent;
+            }
+            if self.tasks[t].kind == TaskKind::Echo {
+                // Down from the gateway: the uplinks' children, reversed.
+                for k in (start..lanes.len()).rev() {
+                    let child = self.lane_links[lanes[k] as usize].child;
+                    lanes.push(self.lane_for(child.index() * 2 + 1) as u32); // Link::down(child)
+                }
+            }
+            offsets.push(u32::try_from(lanes.len()).expect("route hops fit u32"));
         }
+        debug_assert_eq!(lanes.len(), total);
+        self.route_offsets = offsets;
+        self.route_lanes = lanes;
     }
 }

@@ -124,16 +124,34 @@ pub enum StatsMode {
     Streaming,
 }
 
+/// Buckets of a latency histogram over [`LATENCY_SLOT_BOUNDS`].
+const BUCKETS: usize = LATENCY_SLOT_BOUNDS.len() + 1;
+
+/// A source without a histogram row.
+const NO_ROW: u32 = u32::MAX;
+
 /// Streaming per-source latency aggregate.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct SourceAgg {
     count: u64,
     sum: u128,
     min: u64,
     max: u64,
-    /// Bucket counts over [`LATENCY_SLOT_BOUNDS`]; allocated on the first
+    /// The source's row of [`SimStats::histograms`], filled on its first
     /// delivery in streaming mode only (full mode has the exact records).
-    hist: Vec<u64>,
+    hist: u32,
+}
+
+impl Default for SourceAgg {
+    fn default() -> Self {
+        Self {
+            count: 0,
+            sum: 0,
+            min: 0,
+            max: 0,
+            hist: NO_ROW,
+        }
+    }
 }
 
 /// All measurements recorded by a simulation run.
@@ -169,6 +187,9 @@ pub struct SimStats {
     /// Per-source latency aggregates, indexed by node; maintained in both
     /// modes (they are O(nodes) and make network-wide summaries cheap).
     per_source: Vec<SourceAgg>,
+    /// The streaming per-source histograms, one row of [`BUCKETS`] counts
+    /// per source that delivered, in first-delivery order.
+    histograms: Vec<u64>,
 }
 
 impl SimStats {
@@ -184,6 +205,20 @@ impl SimStats {
         Self {
             mode: StatsMode::Streaming,
             ..Self::default()
+        }
+    }
+
+    /// Reserves histogram rows for `sources` sources (at most one per
+    /// task), so a streaming run fills its rows without growing the table.
+    pub(crate) fn reserve_histograms(&mut self, sources: usize) {
+        self.histograms.reserve_exact(sources * BUCKETS);
+    }
+
+    /// The histogram row of `agg`, empty while it has none.
+    fn hist_of(&self, agg: &SourceAgg) -> &[u64] {
+        match agg.hist {
+            NO_ROW => &[],
+            row => &self.histograms[row as usize * BUCKETS..][..BUCKETS],
         }
     }
 
@@ -263,10 +298,13 @@ impl SimStats {
                 delivered,
             }),
             StatsMode::Streaming => {
-                if agg.hist.is_empty() {
-                    agg.hist = vec![0; LATENCY_SLOT_BOUNDS.len() + 1];
+                if agg.hist == NO_ROW {
+                    let rows = self.histograms.len() / BUCKETS;
+                    agg.hist = u32::try_from(rows).expect("histogram rows fit u32");
+                    self.histograms.resize(self.histograms.len() + BUCKETS, 0);
                 }
-                Self::observe_bucket(&mut agg.hist, latency);
+                let row = agg.hist as usize * BUCKETS;
+                Self::observe_bucket(&mut self.histograms[row..row + BUCKETS], latency);
             }
         }
     }
@@ -327,7 +365,7 @@ impl SimStats {
                 };
                 let snapshot = HistogramSnapshot {
                     bounds: LATENCY_SLOT_BOUNDS.to_vec(),
-                    counts: agg.hist.clone(),
+                    counts: self.hist_of(agg).to_vec(),
                     count: agg.count,
                     sum: agg.sum,
                     min: agg.min,
@@ -357,7 +395,7 @@ impl SimStats {
             sum += agg.sum;
             min = min.min(agg.min);
             max = max.max(agg.max);
-            for (total, &n) in counts.iter_mut().zip(&agg.hist) {
+            for (total, &n) in counts.iter_mut().zip(self.hist_of(agg)) {
                 *total += n;
             }
         }
