@@ -135,6 +135,8 @@ fn bench_data_plane() {
 /// layers, at most 4 children, one cell per link and direction): the clone
 /// every replicate and every schedule read starts from, and one pass of
 /// the unassign + re-assign that every adjustment applies, over all links.
+/// Beside it, the clone of the 500-node scale schedule, whose stacked cells
+/// are one more table.
 fn bench_schedule_table() {
     let tree = TopologyConfig {
         nodes: 256,
@@ -151,6 +153,9 @@ fn bench_schedule_table() {
         .collect();
 
     let m = measure("schedule/clone/256", || schedule.clone());
+    print_mean(&m);
+    let scale = workloads::scale_scenario(500, 1).schedule;
+    let m = measure("schedule/clone/scale500", || scale.clone());
     print_mean(&m);
     let m = measure_with_setup(
         "schedule/assign_unassign/256",

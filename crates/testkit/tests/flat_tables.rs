@@ -21,7 +21,7 @@ use workloads::TopologyConfig;
 
 /// One of the benchmark's `dataplane_replay` inputs.
 struct Input {
-    name: &'static str,
+    name: String,
     tree: Tree,
     config: SlotframeConfig,
     schedule: NetworkSchedule,
@@ -32,7 +32,7 @@ struct Input {
 }
 
 /// A checked-in scenario and the schedule HARP converges to on its tree.
-fn scenario_input(name: &'static str, text: &str) -> Input {
+fn scenario_input(name: &str, text: &str) -> Input {
     let scenario = parse_scenario(text).expect("the checked-in scenario parses");
     let config = scenario.slotframe_config().expect("a valid slotframe");
     let tree = scenario.trees(true).pop().expect("one topology");
@@ -44,7 +44,7 @@ fn scenario_input(name: &'static str, text: &str) -> Input {
     )
     .expect("the static phase fits");
     Input {
-        name,
+        name: name.to_owned(),
         schedule: handle.network().schedule().clone(),
         tasks: scenario.tasks(&tree),
         faults: scenario.data_fault_plan(&tree).expect("faults resolve"),
@@ -55,11 +55,12 @@ fn scenario_input(name: &'static str, text: &str) -> Input {
     }
 }
 
-/// The 500-node scale scenario, four slotframes, streaming statistics.
-fn scale_input() -> Input {
-    let scale = workloads::scale_scenario(500, 1);
+/// The scale scenario of `nodes` nodes, four slotframes, streaming
+/// statistics.
+fn scale_input(nodes: u32) -> Input {
+    let scale = workloads::scale_scenario(nodes, 1);
     Input {
-        name: "scale 500",
+        name: format!("scale {nodes}"),
         tree: scale.tree,
         config: scale.config,
         schedule: scale.schedule,
@@ -115,29 +116,35 @@ fn a_replicate_allocates_what_it_keeps() {
     ///
     /// - The schedule clone copies the cell index, the link table and the
     ///   cell pool (3); the scale schedule stacks links in cells, and its
-    ///   per-cell vectors make it 127.
+    ///   table of stacked cells adds a box and two vectors: 6 (127 with a
+    ///   vector per stacked cell).
     /// - The tree clone copies parents, two child arrays, depths, subtree
     ///   layers and sizes (6, held exactly).
     /// - Registration is the builder's interference model, the fault
     ///   plan's copy and the task list's growth: 7 at 49 tasks and at 128
     ///   (203 and 391 while each task built its route and its `Arc`).
-    /// - `build()` is the per-link-id tables, the slot table, the lane
-    ///   vectors' growth, the lane-route table's two vectors, the fault
-    ///   calendar and, when streaming, the histogram table: 53, 51 and 55
-    ///   (149, 147 and 308 with a lane route `Arc` per task; 177 on
-    ///   `fault_storm` with a conflict CSR and a link table too).
-    /// - The run is the growth of the packet pool (7 and 8), of the
-    ///   delivery records, the statistics' per-node and per-link vectors,
-    ///   the occupied set and the scratch buffers: 43, 42 and 46 (175, 171
-    ///   and 439 with a queue per lane and a histogram vector per
-    ///   streaming source; 477 on `fault_storm` with a fresh release list
-    ///   every slotframe too).
+    /// - `build()` allocates each table once, at the size a counting pass
+    ///   over the schedule and the routes gives it: the per-link-id
+    ///   tables, the lane vectors and the pool's lane triples, the slot
+    ///   table, the wake index, the lane-route table, the scratch buffers,
+    ///   the statistics' per-link, per-node and per-source tables, the
+    ///   fault calendar and, when streaming, the histogram table: 27, 25
+    ///   and 25 (53, 51 and 55 while the lane vectors and the slot table
+    ///   grew by doubling; 149, 147 and 308 with a lane route `Arc` per
+    ///   task; 177 on `fault_storm` with a conflict CSR and a link table
+    ///   too).
+    /// - The run is the growth of the packet pool (7 and 8) and, in `Full`
+    ///   mode, of the delivery records: 18, 17 and 8 (43, 42 and 46 while
+    ///   the statistics' tables, the occupied set and the scratch buffers
+    ///   grew in the run; 175, 171 and 439 with a queue per lane and a
+    ///   histogram vector per streaming source; 477 on `fault_storm` with a
+    ///   fresh release list every slotframe too).
     ///
     /// Each is the count measured + 10 %, the tree's exact.
     const BUDGETS: [(&str, [u64; 5]); 3] = [
-        ("fault_storm", [4, 6, 8, 59, 48]),
-        ("gateway_failover", [4, 6, 8, 57, 47]),
-        ("scale 500", [140, 6, 8, 61, 51]),
+        ("fault_storm", [4, 6, 8, 30, 20]),
+        ("gateway_failover", [4, 6, 8, 28, 19]),
+        ("scale 500", [7, 6, 8, 28, 9]),
     ];
 
     let inputs = [
@@ -149,7 +156,7 @@ fn a_replicate_allocates_what_it_keeps() {
             "gateway_failover",
             include_str!("../../../scenarios/gateway_failover.scn"),
         ),
-        scale_input(),
+        scale_input(500),
     ];
     for (input, (name, budget)) in inputs.iter().zip(BUDGETS) {
         assert_eq!(input.name, name);
@@ -177,11 +184,11 @@ fn a_replicate_allocates_what_it_keeps() {
 }
 
 /// Registration plus `build()` costs the same at any task count: routes
-/// are one table, not one object per task (136 with 16 tasks against 699
-/// with 128 while each task built its own).
+/// are one table, not one object per task (29 with 16 tasks against 32
+/// with 128; 136 against 699 while each task built its own).
 #[test]
 fn registration_and_build_are_flat_in_the_task_count() {
-    let input = scale_input();
+    let input = scale_input(500);
     let all = input.tasks.len();
     assert_eq!(all, 128);
     let setup = |tasks| {
@@ -196,6 +203,36 @@ fn registration_and_build_are_flat_in_the_task_count() {
         few.abs_diff(many) <= 4,
         "registration + build(): {few} allocations with 16 tasks, {many} with {all}"
     );
+}
+
+/// A replicate's schedule clone and `build()` allocate the same at every
+/// tree size: the schedule's stacked cells are one table, and `build()`
+/// sizes each of its tables before filling it, from the schedule, the
+/// routes and the node count. The scale schedule's clone allocated 31,
+/// 127, 171 and 226 times at these sizes while it kept a vector per
+/// stacked cell.
+#[test]
+fn a_replicate_allocates_the_same_at_every_size() {
+    const SIZES: [u32; 4] = [100, 500, 2_000, 10_000];
+    let bills = SIZES.map(|nodes| {
+        let input = scale_input(nodes);
+        replicate(&input, input.tasks.len()).0
+    });
+    let line = |phase: fn(&Bill) -> u64| bills.map(|b| phase(&b).to_string()).join("/");
+    println!(
+        "allocations of a replicate at {} nodes: schedule.clone() {}, build() {}",
+        SIZES.map(|n| n.to_string()).join("/"),
+        line(|b| b.schedule_clone),
+        line(|b| b.build)
+    );
+    for (nodes, bill) in SIZES.iter().zip(&bills) {
+        assert_eq!(
+            (bill.schedule_clone, bill.build),
+            (bills[0].schedule_clone, bills[0].build),
+            "scale {nodes}: schedule.clone() and build() against scale {}",
+            SIZES[0]
+        );
+    }
 }
 
 /// The child rows of a generated tree are the per-node lists a parent

@@ -44,13 +44,16 @@
 //! [`NetworkSchedule::version`]), so runtime reconfiguration through
 //! [`Simulator::schedule_mut`] keeps working.
 //!
-//! A slot allocates only when a table grows past its high-water mark: the
-//! packet pool when more packets are queued at once than ever before, the
-//! occupied set, the scratch buffers of the per-cell active/collided sets
-//! and of the queue sampler, and the statistics' per-node and per-link
-//! vectors. [`StatsMode::Full`](crate::StatsMode::Full) also appends a
-//! record per delivery, so its vector keeps growing with the run. Nothing
-//! is allocated per packet, per hop or per lane.
+//! The build counts the lanes it will hand out before it hands out any,
+//! and sizes every lane-indexed table, the slot table, the scratch
+//! buffers and the statistics' per-link, per-node and per-source tables
+//! once, from that count, the schedule, the widest cell and the node
+//! count. A slot then allocates only for what grows with traffic: the
+//! packet pool when more packets are queued at once than ever before, and
+//! under [`StatsMode::Full`](crate::StatsMode::Full) the record appended
+//! per delivery. A schedule mutation that brings new links grows the lane
+//! tables at its rebuild. Nothing is allocated per packet, per hop or per
+//! lane.
 //!
 //! # Event-driven wake index
 //!
@@ -215,6 +218,8 @@ pub struct Simulator {
     dense_walk: bool,
     active_scratch: Vec<u32>,
     collided_scratch: Vec<bool>,
+    /// Per node: packets queued at the sample in progress, all zero
+    /// between samples. Sized at build.
     depth_scratch: Vec<usize>,
     /// Sender nodes touched by the current queue-depth sample.
     touched_scratch: Vec<u32>,
@@ -705,9 +710,6 @@ impl Simulator {
                 }
             }
             return;
-        }
-        if self.depth_scratch.len() < self.tree.len() {
-            self.depth_scratch.resize(self.tree.len(), 0);
         }
         self.touched_scratch.clear();
         for i in 0..self.occupied_links.len() {

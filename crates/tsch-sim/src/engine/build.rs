@@ -252,12 +252,7 @@ impl SimulatorBuilder {
         }
 
         let nodes = self.tree.len();
-        let sources = self.tasks.len();
         let mut sim = Simulator {
-            tree: self.tree,
-            config: self.config,
-            schedule,
-            tasks: self.tasks,
             route_offsets: Vec::new(),
             route_lanes: Vec::new(),
             queues: PacketPool::new(self.queue_capacity),
@@ -267,8 +262,8 @@ impl SimulatorBuilder {
             pdr,
             interference: self.interference,
             slot_offsets: Vec::new(),
-            slot_cells: Vec::new(),
-            cell_lanes: Vec::new(),
+            slot_cells: Vec::with_capacity(schedule.active_cells() + 1),
+            cell_lanes: Vec::with_capacity(schedule.assignment_count()),
             table_version: u64::MAX,
             link_slot_offsets: Vec::new(),
             link_slots: Vec::new(),
@@ -278,18 +273,15 @@ impl SimulatorBuilder {
             dense_walk: self.dense_walk,
             active_scratch: Vec::new(),
             collided_scratch: Vec::new(),
-            depth_scratch: Vec::new(),
+            depth_scratch: vec![0; nodes],
             touched_scratch: Vec::new(),
             now: Asn::ZERO,
             rng: SplitMix64::new(self.seed),
-            stats: match self.stats_mode {
-                StatsMode::Full => SimStats::new(),
-                StatsMode::Streaming => {
-                    let mut stats = SimStats::streaming();
-                    stats.reserve_histograms(sources);
-                    stats
-                }
-            },
+            stats: SimStats::sized(self.stats_mode, nodes, self.tasks.len()),
+            tree: self.tree,
+            config: self.config,
+            schedule,
+            tasks: self.tasks,
             max_retries: self.max_retries,
             trace: TraceBuffer::new(self.trace_capacity),
             obs: Obs::new(self.span_capacity),
@@ -301,24 +293,50 @@ impl SimulatorBuilder {
             faults_fired: 0,
             idle_wakeup_count: 0,
         };
-        sim.rebuild_slot_table();
-        // Scheduled links took the low (cache-densest) lanes above; the
-        // route links follow in task and hop order.
-        sim.build_route_table();
+        // Both tables name their links by dense id first, so the lanes can
+        // be counted, and every lane table sized, before any is handed out.
+        // Scheduled links take the low (cache-densest) lanes; the route
+        // links follow in task and hop order.
+        sim.fill_slot_table();
+        sim.fill_route_table();
+        let lanes = sim.number_lanes();
+        sim.index_slot_table();
+        // A sender per occupied lane at most.
+        sim.touched_scratch.reserve_exact(lanes.min(nodes));
+        // The per-cell scratch holds the active lanes of one cell at most.
+        let widest = sim.slot_cells.windows(2).map(|w| w[1].lanes - w[0].lanes);
+        let widest = widest.max().unwrap_or(0) as usize;
+        sim.active_scratch.reserve_exact(widest);
+        sim.collided_scratch.reserve_exact(widest);
         sim
     }
 }
 
 impl Simulator {
-    /// Re-derives the per-slot schedule table from the live schedule.
+    /// Re-derives the per-slot schedule table from the live schedule,
+    /// giving a lane to each link that has none yet.
     pub(super) fn rebuild_slot_table(&mut self) {
+        self.fill_slot_table();
+        // Dense ids → lanes (a `&mut self` call, so it cannot run while
+        // `iter_cells` borrows the schedule), in (slot, channel,
+        // assignment) order.
+        let mut lanes = std::mem::take(&mut self.cell_lanes);
+        for id in &mut lanes {
+            *id = self.lane_for(*id as usize) as u32;
+        }
+        self.cell_lanes = lanes;
+        self.index_slot_table();
+    }
+
+    /// Fills the per-slot schedule table from the live schedule, naming
+    /// each cell's links by dense id. `iter_cells` is cell-ordered, so the
+    /// cells arrive grouped by slot with channels ascending.
+    fn fill_slot_table(&mut self) {
         let slots = self.config.slots as usize;
         self.slot_offsets.clear();
         self.slot_offsets.resize(slots + 1, 0);
         self.slot_cells.clear();
         self.cell_lanes.clear();
-        // First pass: dense link ids. `iter_cells` is cell-ordered, so the
-        // cells arrive grouped by slot with channels ascending.
         let nodes = self.tree.len();
         for (cell, links) in self.schedule.iter_cells() {
             // Mirror the map-based engine: only cells inside the simulator's
@@ -348,16 +366,44 @@ impl Simulator {
         for slot in 0..slots {
             self.slot_offsets[slot + 1] += self.slot_offsets[slot];
         }
-        // Second pass: dense ids → lanes (a `&mut self` call, so it cannot
-        // run while `iter_cells` borrows the schedule). Every scheduled
-        // link gets its lane here, in (slot, channel, assignment) order.
-        let mut lanes = std::mem::take(&mut self.cell_lanes);
-        for id in &mut lanes {
-            *id = self.lane_for(*id as usize) as u32;
-        }
-        self.cell_lanes = lanes;
+    }
+
+    /// Stamps the slot table, which must already name lanes, with the
+    /// schedule's version and derives the wake index from it.
+    fn index_slot_table(&mut self) {
         self.table_version = self.schedule.version();
         self.rebuild_wake_index();
+    }
+
+    /// Numbers a lane for every link the freshly filled slot and route
+    /// tables name, in the order they first name it (the order
+    /// [`Self::lane_for`] would), rewrites both tables from dense ids to
+    /// lanes, and allocates each lane table once, at the final count,
+    /// which it returns.
+    fn number_lanes(&mut self) -> usize {
+        let mut lanes = 0;
+        for id in self.cell_lanes.iter_mut().chain(&mut self.route_lanes) {
+            let lane = &mut self.lane_of[*id as usize];
+            if *lane == u32::MAX {
+                *lane = lanes;
+                lanes += 1;
+            }
+            *id = *lane;
+        }
+        let lanes = lanes as usize;
+        let mut lane_links = vec![Link::from_dense_id(0); lanes];
+        for (id, &lane) in self.lane_of.iter().enumerate() {
+            if lane != u32::MAX {
+                lane_links[lane as usize] = Link::from_dense_id(id);
+            }
+        }
+        let pdr = lane_links.iter().map(|l| self.effective_pdr(l.dense_id()));
+        self.lane_pdr = pdr.collect();
+        self.lane_links = lane_links;
+        self.queues.add_lanes(lanes);
+        self.occupied_pos = vec![u32::MAX; lanes];
+        self.occupied_links.reserve_exact(lanes);
+        lanes
     }
 
     /// The lane of dense link `id`, allocated on first use. A lane pins
@@ -426,39 +472,38 @@ impl Simulator {
         }
     }
 
-    /// Resolves every task's route into its per-hop lanes, in one table
+    /// Fills every task's route, by dense link id per hop, into one table
     /// sized exactly: up from the source to the gateway (`Task::route`'s
     /// first half), then, for an echo task, back down the same links.
-    fn build_route_table(&mut self) {
-        let hops = |task: &Task| {
+    fn fill_route_table(&mut self) {
+        let hop_count = |task: &Task| {
             let up = self.tree.depth(task.source) as usize;
             match task.kind {
                 TaskKind::UplinkOnly => up,
                 TaskKind::Echo => 2 * up,
             }
         };
-        let total: usize = self.tasks.iter().map(hops).sum();
+        let total: usize = self.tasks.iter().map(hop_count).sum();
         let mut offsets = Vec::with_capacity(self.tasks.len() + 1);
-        let mut lanes = Vec::with_capacity(total);
+        let mut hops = Vec::with_capacity(total);
         offsets.push(0);
-        for t in 0..self.tasks.len() {
-            let start = lanes.len();
-            let mut node = self.tasks[t].source;
+        for task in &self.tasks {
+            let start = hops.len();
+            let mut node = task.source;
             while let Some(parent) = self.tree.parent(node) {
-                lanes.push(self.lane_for(node.index() * 2) as u32); // Link::up(node)
+                hops.push((node.index() * 2) as u32); // Link::up(node)
                 node = parent;
             }
-            if self.tasks[t].kind == TaskKind::Echo {
+            if task.kind == TaskKind::Echo {
                 // Down from the gateway: the uplinks' children, reversed.
-                for k in (start..lanes.len()).rev() {
-                    let child = self.lane_links[lanes[k] as usize].child;
-                    lanes.push(self.lane_for(child.index() * 2 + 1) as u32); // Link::down(child)
+                for k in (start..hops.len()).rev() {
+                    hops.push(hops[k] + 1); // Link::down(child)
                 }
             }
-            offsets.push(u32::try_from(lanes.len()).expect("route hops fit u32"));
+            offsets.push(u32::try_from(hops.len()).expect("route hops fit u32"));
         }
-        debug_assert_eq!(lanes.len(), total);
+        debug_assert_eq!(hops.len(), total);
         self.route_offsets = offsets;
-        self.route_lanes = lanes;
+        self.route_lanes = hops;
     }
 }

@@ -77,6 +77,14 @@ impl PacketPool {
         });
     }
 
+    /// Adds `n` empty lanes, growing the lane table once.
+    pub(super) fn add_lanes(&mut self, n: usize) {
+        self.lanes.reserve_exact(n);
+        for _ in 0..n {
+            self.add_lane();
+        }
+    }
+
     /// Packets queued over all lanes.
     pub(super) fn live(&self) -> usize {
         self.entries.len() - self.free_len

@@ -12,7 +12,7 @@ use crate::run_pool::{Run, RunPool};
 use crate::time::{Cell, SlotframeConfig};
 use crate::topology::{Link, Tree};
 use core::fmt;
-use std::collections::BTreeMap;
+use core::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Process-wide monotone counter backing [`NetworkSchedule::version`].
@@ -97,6 +97,24 @@ impl CollisionReport {
 /// list, first link included, lives in `NetworkSchedule::stacked`.
 const STACKED: u32 = u32::MAX;
 
+/// Every cell that hosts two or more links, in one table: `links[k]` is
+/// assigned to `cells[k]`, sorted by cell and, within a cell, in
+/// assignment order, so a cell's links are one slice of `links`.
+#[derive(Debug, Clone, Default)]
+struct Stacked {
+    cells: Vec<Cell>,
+    links: Vec<Link>,
+}
+
+impl Stacked {
+    /// Where `cell`'s entries are; empty, at the place they would go, when
+    /// it has none.
+    fn range(&self, cell: Cell) -> Range<usize> {
+        let start = self.cells.partition_point(|&c| c < cell);
+        start..start + self.cells[start..].partition_point(|&c| c == cell)
+    }
+}
+
 /// One row of the link table: the link itself, so an exclusive cell can
 /// lend it as a one-element slice, and its run of the cell pool. A row
 /// keeps its run's room after an unassign, for the re-assignment that
@@ -111,9 +129,11 @@ struct LinkRow {
 ///
 /// Stored flat: a dense `slots × channels` cell index naming each cell's
 /// link, and a link table dense by link id whose rows are runs of one cell
-/// pool. Only cells that host several links (the baseline schedulers'
-/// collisions) keep a list of their own. The tables hold `20 B` per link
-/// id up to the largest id assigned, so node ids are expected to be dense.
+/// pool. Cells that host several links (the baseline schedulers'
+/// collisions, and HARP's for the moment an escalated install overlaps a
+/// sibling's row that has yet to move) share one sorted side table. The
+/// tables hold `20 B` per link id up to the largest id assigned, so node
+/// ids are expected to be dense.
 ///
 /// # Examples
 ///
@@ -139,9 +159,11 @@ pub struct NetworkSchedule {
     rows: Vec<LinkRow>,
     /// Every link's cells, in assignment order within a row's run.
     pool: RunPool<Cell>,
-    /// Cells hosting two or more links, in assignment order. Empty for a
-    /// HARP schedule.
-    stacked: BTreeMap<Cell, Vec<Link>>,
+    /// Cells hosting two or more links, created by the first such cell and
+    /// kept once it empties. A HARP schedule stacks only inside an
+    /// escalated adjustment, while a sibling still holds the cells a new
+    /// row takes, and is exclusive again when the adjustment settles.
+    stacked: Option<Box<Stacked>>,
     assignments: usize,
     active_cells: usize,
     version: u64,
@@ -202,7 +224,13 @@ impl NetworkSchedule {
     fn links_at(&self, cell: Cell, entry: u32) -> &[Link] {
         match entry {
             0 => &[],
-            STACKED => &self.stacked[&cell],
+            STACKED => {
+                let stacked = self
+                    .stacked
+                    .as_deref()
+                    .expect("a stacked cell has its table");
+                &stacked.links[stacked.range(cell)]
+            }
             id_plus_one => core::slice::from_ref(&self.rows[id_plus_one as usize - 1].link),
         }
     }
@@ -231,14 +259,18 @@ impl NetworkSchedule {
                 self.index[pos] = link.dense_id() as u32 + 1;
                 self.active_cells += 1;
             }
-            STACKED => self
-                .stacked
-                .get_mut(&cell)
-                .expect("a stacked cell has its list")
-                .push(link),
+            STACKED => {
+                let stacked = self.stacked.as_mut().expect("a stacked cell has its table");
+                let end = stacked.range(cell).end;
+                stacked.cells.insert(end, cell);
+                stacked.links.insert(end, link);
+            }
             first => {
                 let first = self.rows[first as usize - 1].link;
-                self.stacked.insert(cell, vec![first, link]);
+                let stacked = self.stacked.get_or_insert_with(Box::default);
+                let at = stacked.range(cell).start;
+                stacked.cells.splice(at..at, [cell, cell]);
+                stacked.links.splice(at..at, [first, link]);
                 self.index[pos] = STACKED;
             }
         }
@@ -248,14 +280,20 @@ impl NetworkSchedule {
     fn vacate(&mut self, cell: Cell, link: Link) {
         let pos = self.cell_pos(cell);
         if self.index[pos] == STACKED {
-            let links = self
-                .stacked
-                .get_mut(&cell)
-                .expect("a stacked cell has its list");
-            links.retain(|&l| l != link);
-            if let [last] = links[..] {
+            let stacked = self.stacked.as_mut().expect("a stacked cell has its table");
+            let range = stacked.range(cell);
+            let at = range.start
+                + stacked.links[range.clone()]
+                    .iter()
+                    .position(|&l| l == link)
+                    .expect("the link is on its cell");
+            stacked.cells.remove(at);
+            stacked.links.remove(at);
+            if range.len() == 2 {
+                // The other link holds the cell alone again.
+                let last = stacked.links.remove(range.start);
+                stacked.cells.remove(range.start);
                 self.index[pos] = last.dense_id() as u32 + 1;
-                self.stacked.remove(&cell);
             }
         } else {
             debug_assert_eq!(self.index[pos], link.dense_id() as u32 + 1);
@@ -390,13 +428,33 @@ impl NetworkSchedule {
     /// Returns `true` if no cell hosts more than one link — HARP's invariant.
     #[must_use]
     pub fn is_exclusive(&self) -> bool {
-        self.stacked.is_empty()
+        self.stacked.iter().all(|s| s.cells.is_empty())
     }
 
-    /// Cells assigned to more than one link.
+    /// Cells assigned to more than one link, in cell order.
     #[must_use]
     pub fn shared_cells(&self) -> Vec<Cell> {
-        self.stacked.keys().copied().collect()
+        let mut cells: Vec<Cell> = self
+            .stacked
+            .iter()
+            .flat_map(|s| s.cells.iter().copied())
+            .collect();
+        cells.dedup();
+        cells
+    }
+
+    /// The links of every cell that hosts two or more, in cell order.
+    fn stacked_lists(&self) -> impl Iterator<Item = &[Link]> + '_ {
+        let stacked = self.stacked.as_deref();
+        let mut start = 0;
+        core::iter::from_fn(move || {
+            let s = stacked?;
+            let cell = *s.cells.get(start)?;
+            let end = start + s.cells[start..].partition_point(|&c| c == cell);
+            let links = &s.links[start..end];
+            start = end;
+            Some(links)
+        })
     }
 
     /// Analyses collisions under an interference model.
@@ -413,7 +471,7 @@ impl NetworkSchedule {
             ..CollisionReport::default()
         };
         let mut colliding = Vec::new();
-        for links in self.stacked.values() {
+        for links in self.stacked_lists() {
             colliding.clear();
             colliding.resize(links.len(), false);
             for i in 0..links.len() {

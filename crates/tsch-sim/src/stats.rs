@@ -199,19 +199,26 @@ impl SimStats {
         Self::default()
     }
 
-    /// Creates an empty collector in [`StatsMode::Streaming`].
+    /// Creates an empty collector in `mode` for a tree of `nodes` nodes and
+    /// at most `sources` sources (one per task), with room for its per-link
+    /// (`2 × nodes`), per-node and per-source tables and, when streaming,
+    /// its histogram table: each is allocated once, at its final size, and
+    /// filled in place up to the highest id the run records, so a run never
+    /// moves them and a tree's untouched tail costs no writes.
     #[must_use]
-    pub(crate) fn streaming() -> Self {
+    pub(crate) fn sized(mode: StatsMode, nodes: usize, sources: usize) -> Self {
+        let rows = match mode {
+            StatsMode::Full => 0,
+            StatsMode::Streaming => sources,
+        };
         Self {
-            mode: StatsMode::Streaming,
+            mode,
+            tx_attempts_by_link: Vec::with_capacity(2 * nodes),
+            queue_high_water_by_node: Vec::with_capacity(nodes),
+            per_source: Vec::with_capacity(nodes),
+            histograms: Vec::with_capacity(rows * BUCKETS),
             ..Self::default()
         }
-    }
-
-    /// Reserves histogram rows for `sources` sources (at most one per
-    /// task), so a streaming run fills its rows without growing the table.
-    pub(crate) fn reserve_histograms(&mut self, sources: usize) {
-        self.histograms.reserve_exact(sources * BUCKETS);
     }
 
     /// The histogram row of `agg`, empty while it has none.
@@ -564,7 +571,7 @@ mod tests {
     #[test]
     fn streaming_mode_matches_full_aggregates() {
         let mut full = SimStats::new();
-        let mut streaming = SimStats::streaming();
+        let mut streaming = SimStats::sized(StatsMode::Streaming, 0, 0);
         let deliveries = [
             (NodeId(1), Asn(0), Asn(5)),
             (NodeId(1), Asn(2), Asn(9)),
@@ -594,7 +601,7 @@ mod tests {
 
     #[test]
     fn streaming_summary_p95_is_within_observed_range() {
-        let mut stats = SimStats::streaming();
+        let mut stats = SimStats::sized(StatsMode::Streaming, 0, 0);
         for i in 0..100u64 {
             stats.record_delivery(NodeId(1), Asn(0), Asn(1 + i));
         }

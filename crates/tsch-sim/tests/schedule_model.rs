@@ -2,10 +2,12 @@
 //!
 //! Until PR 21 the schedule *was* these two maps (`BTreeMap<Cell,
 //! Vec<Link>>` + `BTreeMap<Link, Vec<Cell>>`). The production type is now a
-//! dense cell index plus a link table over one cell pool; the maps live on
-//! here, driven side by side with it through seeded operation sequences.
-//! After every operation every reader must agree, and the version rules of
-//! the unit test `version_changes_on_every_mutation` must hold.
+//! dense cell index plus a link table over one cell pool, and the cells
+//! several links share are one sorted table of (cell, link) entries; the
+//! maps live on here, driven side by side with it through seeded operation
+//! sequences. After every operation every reader must agree, and the
+//! version rules of the unit test `version_changes_on_every_mutation` must
+//! hold.
 
 use std::collections::{BTreeMap, HashSet};
 
@@ -282,6 +284,18 @@ impl Pair {
         );
     }
 
+    /// A second pair that starts where this one is: the schedule's clone
+    /// beside the model's.
+    fn fork(&self) -> Self {
+        Self {
+            real: self.real.clone(),
+            model: self.model.clone(),
+            tree: self.tree.clone(),
+            two_hop: self.two_hop.clone(),
+            seen_versions: self.seen_versions.clone(),
+        }
+    }
+
     /// Dead pool entries, read off the derived `Debug` output: the one
     /// window onto the pool that needs no accessor in the library.
     fn garbage(&self) -> usize {
@@ -536,4 +550,211 @@ fn relocations_cross_the_compaction_threshold() {
         }
     }
     assert!(compactions >= 1, "the sequence never compacted the pool");
+}
+
+/// Stacks `per_cell` distinct links (drawn from `nodes` nodes' links) on
+/// each of `cells` cells, visiting the cells in a shuffled order so the
+/// stacked table is filled out of cell order. Returns the cells.
+fn stack_cells(rng: &mut SplitMix64, pair: &mut Pair, cells: usize, per_cell: usize) -> Vec<Cell> {
+    let config = pair.real.config();
+    let nodes = pair.tree.len();
+    let mut chosen = free_cells(rng, pair, cells);
+    for k in (1..chosen.len()).rev() {
+        chosen.swap(k, below(rng, k + 1));
+    }
+    for &cell in &chosen {
+        while pair.model.links_on(cell).len() < per_cell {
+            let _ = pair.assign(cell, random_link(rng, nodes));
+        }
+    }
+    assert!(chosen.iter().all(|&c| config.contains_cell(c)));
+    chosen
+}
+
+/// A clone shares nothing with its origin: mutating the copy's stacked
+/// cells, its exclusive cells and its rows leaves every reader of the
+/// original as the model snapshot taken at the copy, and the copy agrees
+/// with its own model throughout.
+#[test]
+fn a_clone_mutated_after_the_copy_leaves_the_original_intact() {
+    for seed in 0..8 {
+        let mut rng = SplitMix64::new(0xC10_0000 + seed);
+        let mut pair = Pair::new(small(), random_tree(&mut rng, 12));
+        let per_cell = 2 + below(&mut rng, 3);
+        let stacked = stack_cells(&mut rng, &mut pair, 6, per_cell);
+        let mut copy = pair.fork();
+        for _ in 0..40 {
+            let link = random_link(&mut rng, 12);
+            match rng.next_below(3) {
+                0 => {
+                    let cell = stacked[below(&mut rng, stacked.len())];
+                    let _ = copy.assign(cell, link);
+                }
+                1 => {
+                    copy.unassign(link);
+                }
+                _ => {
+                    let _ = copy.assign(random_cell(&mut rng, small()), link);
+                }
+            }
+        }
+        pair.check(&format!("seed {seed}: the original after its clone moved"));
+        assert_ne!(
+            pair.model.by_cell, copy.model.by_cell,
+            "seed {seed}: the copy moved"
+        );
+        for &cell in &stacked {
+            assert_eq!(pair.real.links_on(cell), pair.model.links_on(cell));
+            assert!(pair.real.links_on(cell).len() >= 2, "seed {seed}: {cell}");
+        }
+    }
+}
+
+/// Cells stacked out of cell order list in cell order, as the model's keys
+/// do, and each cell appears once however many links it holds.
+#[test]
+fn shared_cells_follow_the_models_cell_order() {
+    for seed in 0..8 {
+        let mut rng = SplitMix64::new(0x5A2E_D000 + seed);
+        let mut pair = Pair::new(SlotframeConfig::paper_default(), random_tree(&mut rng, 40));
+        let per_cell = 2 + below(&mut rng, 4);
+        let mut stacked = stack_cells(&mut rng, &mut pair, 12, per_cell);
+        stacked.sort_unstable();
+        assert_eq!(pair.real.shared_cells(), stacked, "seed {seed}");
+        // Exclusive cells between them are not listed.
+        let lone = free_cells(&mut rng, &pair, 6);
+        for (k, &cell) in lone.iter().enumerate() {
+            pair.assign(cell, Link::down(NodeId(k as u32 + 1)))
+                .expect("a free cell");
+        }
+        assert_eq!(pair.real.shared_cells(), stacked, "seed {seed}");
+        pair.check(&format!("seed {seed}"));
+    }
+}
+
+/// Unassigning a link in the middle of a stacked cell's list closes the
+/// gap and keeps the others in assignment order, while the neighbouring
+/// stacked cells in the table keep theirs.
+#[test]
+fn removal_from_the_middle_of_a_stacked_list_keeps_assignment_order() {
+    for seed in 0..8 {
+        let mut rng = SplitMix64::new(0x0DD_E000 + seed);
+        let mut pair = Pair::new(small(), random_tree(&mut rng, 16));
+        let per_cell = 3 + below(&mut rng, 3);
+        let mut stacked = stack_cells(&mut rng, &mut pair, 5, per_cell);
+        stacked.sort_unstable();
+        // The middle cell of the table, neighbours on both sides.
+        let cell = stacked[2];
+        let mut want = pair.model.links_on(cell).to_vec();
+        let gone = want.remove(1 + below(&mut rng, want.len() - 2));
+        let neighbours: Vec<(Cell, Vec<Link>)> = [stacked[1], stacked[3]]
+            .iter()
+            .map(|&c| (c, pair.model.links_on(c).to_vec()))
+            .collect();
+        pair.unassign(gone);
+        assert_eq!(pair.real.links_on(cell), want, "seed {seed}: {cell}");
+        for (c, links) in neighbours {
+            let kept: Vec<Link> = links.into_iter().filter(|&l| l != gone).collect();
+            assert_eq!(pair.real.links_on(c), kept, "seed {seed}: {c}");
+        }
+    }
+}
+
+/// A stacked cell left with one link is that link's exclusive cell again:
+/// the schedule turns exclusive once no cell is left stacked, and stacks
+/// the cell again on the next shared assignment.
+#[test]
+fn a_cell_that_unstacks_to_one_link_returns_to_an_exclusive_entry() {
+    for seed in 0..8 {
+        let mut rng = SplitMix64::new(0x1_0E00 + seed);
+        let mut pair = Pair::new(small(), random_tree(&mut rng, 12));
+        let per_cell = 2 + below(&mut rng, 3);
+        let stacked = stack_cells(&mut rng, &mut pair, 3, per_cell);
+        for &cell in &stacked {
+            while let [first, _, ..] = *pair.model.links_on(cell) {
+                pair.unassign(first);
+            }
+        }
+        for &cell in &stacked {
+            let links = pair.real.links_on(cell);
+            assert!(links.len() <= 1, "seed {seed}: {cell} holds {links:?}");
+            if let [only] = *links {
+                assert_eq!(pair.real.cells_of(only), pair.model.cells_of(only));
+            }
+        }
+        assert!(pair.real.is_exclusive(), "seed {seed}");
+        assert!(pair.real.shared_cells().is_empty(), "seed {seed}");
+        // Free the cell entirely, then stack it again from scratch.
+        let cell = stacked[0];
+        for link in pair.model.links_on(cell).to_vec() {
+            pair.unassign(link);
+        }
+        let (a, b) = (Link::up(NodeId(1)), Link::down(NodeId(2)));
+        pair.unassign(a);
+        pair.unassign(b);
+        pair.assign(cell, a).expect("a free cell");
+        assert!(pair.real.is_exclusive(), "seed {seed}");
+        pair.assign(cell, b).expect("a second link on the cell");
+        assert_eq!(pair.real.links_on(cell), [a, b], "seed {seed}");
+        assert_eq!(pair.real.shared_cells(), [cell], "seed {seed}");
+    }
+}
+
+/// An aborted transaction over links that hold stacked cells: the rows
+/// restored through the stacked table read as the model's, and restoring
+/// every link of a stacked cell puts its list back in restore order.
+#[test]
+fn restore_rows_works_through_stacked_cells() {
+    for seed in 0..8 {
+        let mut rng = SplitMix64::new(0x2E5_7000 + seed);
+        let mut pair = Pair::new(small(), random_tree(&mut rng, 12));
+        let per_cell = 2 + below(&mut rng, 3);
+        let stacked = stack_cells(&mut rng, &mut pair, 4, per_cell);
+        let cell = stacked[below(&mut rng, stacked.len())];
+        let captured = pair.model.links_on(cell).to_vec();
+        let version = pair.real.version();
+        let rows: Vec<(Link, Vec<Cell>)> = captured
+            .iter()
+            .map(|&l| (l, pair.real.cells_of(l).to_vec()))
+            .collect();
+        for _ in 0..6 {
+            let link = captured[below(&mut rng, captured.len())];
+            if rng.next_below(2) == 0 {
+                pair.unassign(link);
+            } else {
+                let _ = pair.assign(stacked[below(&mut rng, stacked.len())], link);
+            }
+        }
+        pair.restore(&rows, version);
+        assert_eq!(pair.real.links_on(cell), captured, "seed {seed}: {cell}");
+        assert!(pair.real.shared_cells().contains(&cell), "seed {seed}");
+    }
+}
+
+/// The collision analysis walks the stacked table cell by cell: on stacked
+/// cells of a real tree it counts what the model recounts, under both
+/// interference models, and the sequence does produce collisions.
+#[test]
+fn collision_report_equals_a_model_recomputation() {
+    let mut colliding = 0;
+    for seed in 0..8 {
+        let mut rng = SplitMix64::new(0xC0_11DE + seed);
+        let mut pair = Pair::new(small(), random_tree(&mut rng, 24));
+        let per_cell = 2 + below(&mut rng, 4);
+        stack_cells(&mut rng, &mut pair, 10, per_cell);
+        for _ in 0..20 {
+            pair.unassign(random_link(&mut rng, 24));
+            let report = pair.real.collision_report(&pair.tree, &pair.two_hop);
+            assert_eq!(
+                report,
+                pair.model.collision_report(&pair.tree, &pair.two_hop),
+                "seed {seed}"
+            );
+            colliding += report.colliding_assignments;
+        }
+    }
+    assert!(
+        colliding > 0,
+        "no sequence collided under the two-hop model"
+    );
 }
