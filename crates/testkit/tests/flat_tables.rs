@@ -124,27 +124,32 @@ fn a_replicate_allocates_what_it_keeps() {
     ///   plan's copy and the task list's growth: 7 at 49 tasks and at 128
     ///   (203 and 391 while each task built its route and its `Arc`).
     /// - `build()` allocates each table once, at the size a counting pass
-    ///   over the schedule and the routes gives it: the per-link-id
-    ///   tables, the lane vectors and the pool's lane triples, the slot
-    ///   table, the wake index, the lane-route table, the scratch buffers,
-    ///   the statistics' per-link, per-node and per-source tables, the
-    ///   fault calendar and, when streaming, the histogram table: 27, 25
-    ///   and 25 (53, 51 and 55 while the lane vectors and the slot table
-    ///   grew by doubling; 149, 147 and 308 with a lane route `Arc` per
-    ///   task; 177 on `fault_storm` with a conflict CSR and a link table
-    ///   too).
-    /// - The run is the growth of the packet pool (7 and 8) and, in `Full`
-    ///   mode, of the delivery records: 18, 17 and 8 (43, 42 and 46 while
-    ///   the statistics' tables, the occupied set and the scratch buffers
-    ///   grew in the run; 175, 171 and 439 with a queue per lane and a
-    ///   histogram vector per streaming source; 477 on `fault_storm` with a
-    ///   fresh release list every slotframe too).
+    ///   over the schedule and the routes gives it: the id → lane table,
+    ///   the lane vectors and the pool's lane triples, the slot table, the
+    ///   wake index, the lane-route table, the scratch buffers, the
+    ///   statistics' per-node and per-source tables, the fault calendar
+    ///   and, when streaming, the histogram table: 24, 22 and 22 (27, 25
+    ///   and 25 while the engine kept a PDR and a fault mask per link id
+    ///   and the statistics an attempt count per link id; 53, 51 and 55
+    ///   while the lane vectors and the slot table grew by doubling; 149,
+    ///   147 and 308 with a lane route `Arc` per task; 177 on
+    ///   `fault_storm` with a conflict CSR and a link table too).
+    /// - The run is the growth of the packet pool (7 and 8), in `Full`
+    ///   mode of the delivery records, and on `fault_storm` of the masked
+    ///   links' list and the quality map's first override: 20, 17 and 8
+    ///   (18 on `fault_storm` while masks and PDRs were per-link-id
+    ///   vectors filled at build; 43, 42 and 46 while the statistics'
+    ///   tables, the occupied set and the scratch buffers grew in the run;
+    ///   175, 171 and 439 with a queue per lane and a histogram vector per
+    ///   streaming source; 477 on `fault_storm` with a fresh release list
+    ///   every slotframe too).
     ///
-    /// Each is the count measured + 10 %, the tree's exact.
+    /// Each is the count measured + 10 %, the tree's exact (the build's
+    /// were 30, 28 and 28 before the per-link-id vectors went).
     const BUDGETS: [(&str, [u64; 5]); 3] = [
-        ("fault_storm", [4, 6, 8, 30, 20]),
-        ("gateway_failover", [4, 6, 8, 28, 19]),
-        ("scale 500", [7, 6, 8, 28, 9]),
+        ("fault_storm", [4, 6, 8, 27, 22]),
+        ("gateway_failover", [4, 6, 8, 25, 19]),
+        ("scale 500", [7, 6, 8, 25, 9]),
     ];
 
     let inputs = [
@@ -184,8 +189,9 @@ fn a_replicate_allocates_what_it_keeps() {
 }
 
 /// Registration plus `build()` costs the same at any task count: routes
-/// are one table, not one object per task (29 with 16 tasks against 32
-/// with 128; 136 against 699 while each task built its own).
+/// are one table, not one object per task (26 with 16 tasks against 29
+/// with 128; 29 against 32 with the per-link-id PDR, mask and attempt
+/// vectors; 136 against 699 while each task built its own).
 #[test]
 fn registration_and_build_are_flat_in_the_task_count() {
     let input = scale_input(500);
@@ -208,9 +214,10 @@ fn registration_and_build_are_flat_in_the_task_count() {
 /// A replicate's schedule clone and `build()` allocate the same at every
 /// tree size: the schedule's stacked cells are one table, and `build()`
 /// sizes each of its tables before filling it, from the schedule, the
-/// routes and the node count. The scale schedule's clone allocated 31,
-/// 127, 171 and 226 times at these sizes while it kept a vector per
-/// stacked cell.
+/// routes and the node count (6 and 22 at every size; `build()` was 25
+/// while it kept a PDR, a fault mask and an attempt count per link id).
+/// The scale schedule's clone allocated 31, 127, 171 and 226 times at
+/// these sizes while it kept a vector per stacked cell.
 #[test]
 fn a_replicate_allocates_the_same_at_every_size() {
     const SIZES: [u32; 4] = [100, 500, 2_000, 10_000];

@@ -5,11 +5,10 @@
 //! case is reproducible from the fixed seeds below and the suite builds
 //! offline with no external property-testing dependency.
 
-use std::sync::Arc;
 use testkit::seeded::random_tree;
 use tsch_sim::{
-    Cell, Direction, Link, NetworkSchedule, NodeId, Packet, Rate, SimulatorBuilder,
-    SlotframeConfig, SplitMix64, Task, TaskId, Tree,
+    Cell, Direction, NetworkSchedule, Rate, SimulatorBuilder, SlotframeConfig, SplitMix64, Task,
+    TaskId, Tree,
 };
 
 /// A collision-free uplink schedule: every link gets one dedicated cell,
@@ -131,20 +130,5 @@ fn rate_release_counts_are_exact() {
         // Accumulated releases never drift more than one period's worth.
         assert!(released >= exact, "case {case}");
         assert!(released <= exact + u64::from(packets), "case {case}");
-    }
-}
-
-#[test]
-fn packet_route_traversal_never_skips() {
-    for hops in 1usize..8 {
-        let route: Arc<[NodeId]> = (0..=hops as u32).map(NodeId).collect();
-        let mut p = Packet::new(TaskId(0), 0, tsch_sim::Asn(0), route);
-        let mut visited = vec![p.holder()];
-        while !p.is_delivered() {
-            p.advance();
-            visited.push(p.holder());
-        }
-        assert_eq!(visited.len(), hops + 1);
-        let _ = Link::up(NodeId(0));
     }
 }

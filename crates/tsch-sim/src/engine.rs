@@ -21,15 +21,18 @@
 //!
 //! The hot loop never touches a map. Every directed link has a dense id
 //! (`child * 2 + direction`), and a link that is scheduled or queues a
-//! packet also gets a compact *lane*. The engine keeps:
+//! packet also gets a compact *lane*. The id → lane table is the one table
+//! the engine sizes by link id; everything else is per lane, per node or
+//! per task. The engine keeps:
 //!
-//! * per-lane [`Link`]s and PDRs in flat vectors;
+//! * per-lane [`Link`]s and effective PDRs in flat vectors, the PDR read
+//!   from the builder's [`LinkQuality`], the crashed nodes and the masked
+//!   links when a lane is numbered or a fault touches its link;
 //! * every lane's queue in one packet pool: a slab of 24-byte entries, a
 //!   `{head, tail, len}` triple per lane and a free list (`engine/pool.rs`);
 //! * a lane-route table in CSR form: task → the lane of each hop, resolved
 //!   once at build, so a queued packet is its task index, hop, retries and
 //!   creation time, and holds no pointer;
-//! * per-link configured PDRs in a flat `Vec<f64>` indexed by dense id;
 //! * a per-slot table of non-empty cells in CSR form (slot → cells →
 //!   lanes, three flat vectors filled straight from
 //!   [`NetworkSchedule::iter_cells`]).
@@ -44,16 +47,19 @@
 //! [`NetworkSchedule::version`]), so runtime reconfiguration through
 //! [`Simulator::schedule_mut`] keeps working.
 //!
-//! The build counts the lanes it will hand out before it hands out any,
-//! and sizes every lane-indexed table, the slot table, the scratch
-//! buffers and the statistics' per-link, per-node and per-source tables
-//! once, from that count, the schedule, the widest cell and the node
-//! count. A slot then allocates only for what grows with traffic: the
-//! packet pool when more packets are queued at once than ever before, and
-//! under [`StatsMode::Full`](crate::StatsMode::Full) the record appended
-//! per delivery. A schedule mutation that brings new links grows the lane
-//! tables at its rebuild. Nothing is allocated per packet, per hop or per
-//! lane.
+//! One routine numbers lanes, at build over the slot and route tables and
+//! at every rebuild over the refilled slot table: it counts the links that
+//! have no lane yet, grows every lane-indexed table once, then fills them.
+//! The build sizes the slot table, the scratch buffers and the
+//! statistics' per-node and per-source tables once too, from the
+//! schedule, the widest cell and the node count. A slot then allocates
+//! only for what grows with traffic or faults: the packet pool when more
+//! packets are queued at once than ever before, under
+//! [`StatsMode::Full`](crate::StatsMode::Full) the record appended per
+//! delivery, and the masked links' list or the quality map when a fault
+//! first needs room in it. A schedule mutation that brings new links grows
+//! the lane tables at its rebuild. Nothing is allocated per packet, per
+//! hop or per lane.
 //!
 //! # Event-driven wake index
 //!
@@ -100,17 +106,19 @@ use crate::calendar::EventCalendar;
 use crate::faults::FaultAction;
 use crate::interference::InterferenceModel;
 use crate::packet::{Rate, Task, TaskId};
+use crate::radio::LinkQuality;
 use crate::rng::SplitMix64;
 use crate::schedule::NetworkSchedule;
 use crate::stats::SimStats;
 use crate::time::{Asn, Cell, SlotframeConfig};
-use crate::topology::{Direction, Link, NodeId, Tree};
+use crate::topology::{Link, NodeId, Tree};
 use crate::trace::{TraceBuffer, TraceEvent};
 use core::fmt;
 use harp_obs::{MetricsSnapshot, Obs, NO_NODE};
 use pool::{PacketPool, Queued};
 
-/// Default bound on packets queued per directed link.
+/// Bound on packets queued per directed link; a packet beyond it is
+/// dropped.
 pub(crate) const DEFAULT_QUEUE_CAPACITY: usize = 64;
 
 /// Default number of transmission attempts per hop before a packet is
@@ -150,13 +158,6 @@ struct SlotCell {
     lanes: u32,
 }
 
-/// The dense id of `link` (`child * 2 + direction`) in a tree of `nodes`
-/// nodes, or `None` for links outside its id space (they can never carry
-/// traffic).
-fn link_id(nodes: usize, link: Link) -> Option<usize> {
-    (link.child.index() < nodes).then(|| link.dense_id())
-}
-
 /// The running network simulation.
 pub struct Simulator {
     tree: Tree,
@@ -180,10 +181,11 @@ pub struct Simulator {
     /// Lane → [`Link`], for interference, stats, trace and sampler
     /// reporting.
     lane_links: Vec<Link>,
-    /// Lane → PDR (copied from [`Self::pdr`]; quality is frozen at build).
+    /// Lane → the PDR its link transmits at ([`Self::effective_pdr`]).
     lane_pdr: Vec<f64>,
-    /// Per-link PDR, indexed by dense link id.
-    pdr: Vec<f64>,
+    /// The configured PDR of every link; a [`FaultAction::LinkPdr`]
+    /// rewrites it.
+    quality: LinkQuality,
     /// Decides which same-cell transmissions collide.
     interference: Box<dyn InterferenceModel + Send + Sync>,
     /// The slot table in CSR form: slot `s`'s non-empty cells are
@@ -238,8 +240,9 @@ pub struct Simulator {
     fault_calendar: EventCalendar<FaultAction>,
     /// Per node: currently crashed. Adjacent links read as PDR 0.
     node_down: Vec<bool>,
-    /// Per dense link id: effective PDR forced to 0 (partition windows).
-    link_masked: Vec<bool>,
+    /// Links whose effective PDR a [`FaultAction::LinkMask`] forces to 0
+    /// (partition windows), sorted.
+    masked: Vec<Link>,
     /// Fault actions applied so far.
     faults_fired: u64,
     /// Slots the wake index executed without finding an active link —
@@ -356,18 +359,18 @@ impl Simulator {
     pub fn queue_depth(&self, node: NodeId) -> usize {
         // The node transmits on its own uplink and on each child's downlink.
         let mut total = match self.tree.parent(node) {
-            Some(_) => self.id_queue_len(node.index() * 2),
+            Some(_) => self.link_queue_len(Link::up(node)),
             None => 0,
         };
         for &child in self.tree.children(node) {
-            total += self.id_queue_len(child.index() * 2 + 1);
+            total += self.link_queue_len(Link::down(child));
         }
         total
     }
 
-    /// Queue length of the dense link id, 0 while the link has no lane.
-    fn id_queue_len(&self, id: usize) -> usize {
-        match self.lane_of[id] {
+    /// Queue length of `link`, 0 while the link has no lane.
+    fn link_queue_len(&self, link: Link) -> usize {
+        match self.lane_of[link.dense_id()] {
             u32::MAX => 0,
             lane => self.queues.len(lane as usize),
         }
@@ -591,9 +594,6 @@ impl Simulator {
             return false;
         }
         self.stats.tx_attempts += n as u64;
-        for &lane in &self.active_scratch {
-            self.stats.record_tx_attempt(self.lane_links[lane as usize]);
-        }
 
         // Interference among simultaneous transmissions: each pair of
         // active lanes asks the model, as the reference engine does. The
@@ -692,15 +692,8 @@ impl Simulator {
                 if len == 0 {
                     continue;
                 }
-                let link = self.lane_links[lane];
-                // The sender of an uplink is the child itself; of a downlink,
-                // the child's parent. Links without a tree edge hold no
-                // traffic.
-                let sender = match link.direction {
-                    Direction::Up => self.tree.parent(link.child).map(|_| link.child),
-                    Direction::Down => self.tree.parent(link.child),
-                };
-                if let Some(sender) = sender {
+                // Links without a tree edge hold no traffic.
+                if let Ok((sender, _)) = self.tree.endpoints(self.lane_links[lane]) {
                     self.depth_scratch[sender.index()] += len;
                 }
             }
@@ -714,12 +707,10 @@ impl Simulator {
         self.touched_scratch.clear();
         for i in 0..self.occupied_links.len() {
             let lane = self.occupied_links[i] as usize;
-            let link = self.lane_links[lane];
-            let sender = match link.direction {
-                Direction::Up => self.tree.parent(link.child).map(|_| link.child),
-                Direction::Down => self.tree.parent(link.child),
-            };
-            let sender = sender.expect("occupied link lies on a tree edge");
+            let (sender, _) = self
+                .tree
+                .endpoints(self.lane_links[lane])
+                .expect("occupied link lies on a tree edge");
             if self.depth_scratch[sender.index()] == 0 {
                 self.touched_scratch.push(sender.index() as u32);
             }
@@ -757,16 +748,20 @@ impl Simulator {
                 self.refresh_node_links(node);
             }
             FaultAction::LinkMask(link, masked) => {
-                if let Some(id) = link_id(self.tree.len(), link) {
-                    self.link_masked[id] = masked;
-                    self.refresh_link_quality(id);
+                match (self.masked.binary_search(&link), masked) {
+                    (Err(at), true) => self.masked.insert(at, link),
+                    (Ok(at), false) => {
+                        self.masked.remove(at);
+                    }
+                    _ => {}
                 }
+                self.refresh_link_quality(link);
             }
             FaultAction::LinkPdr(link, pdr) => {
-                if let Some(id) = link_id(self.tree.len(), link) {
-                    self.pdr[id] = pdr;
-                    self.refresh_link_quality(id);
-                }
+                self.quality
+                    .set_pdr(link, pdr)
+                    .expect("fault plan PDRs are validated at build");
+                self.refresh_link_quality(link);
             }
             FaultAction::TaskBurst(task, n) => self.release_burst(task, n),
             FaultAction::TaskRate(task, rate) => {
@@ -776,43 +771,38 @@ impl Simulator {
         }
     }
 
-    /// The PDR link `id` currently transmits at: 0 while either endpoint
-    /// is down or the link is masked, its configured value otherwise.
-    fn effective_pdr(&self, id: usize) -> f64 {
-        if self.link_masked[id] {
+    /// The PDR `link` currently transmits at: 0 while either endpoint is
+    /// down or the link is masked, its configured value otherwise.
+    fn effective_pdr(&self, link: Link) -> f64 {
+        let down = |node: NodeId| self.node_down[node.index()];
+        if self.masked.binary_search(&link).is_ok()
+            || down(link.child)
+            || self.tree.parent(link.child).is_some_and(down)
+        {
             return 0.0;
         }
-        let link = Link::from_dense_id(id);
-        if self.node_down[link.child.index()] {
-            return 0.0;
-        }
-        if let Some(parent) = self.tree.parent(link.child) {
-            if self.node_down[parent.index()] {
-                return 0.0;
-            }
-        }
-        self.pdr[id]
+        self.quality.pdr(link)
     }
 
-    /// Re-derives the lane-cached PDR of link `id` after a fault mutation.
-    /// Links without a lane need nothing: [`Self::lane_for`] reads the
-    /// effective value at allocation.
-    fn refresh_link_quality(&mut self, id: usize) {
-        let lane = self.lane_of[id];
+    /// Re-derives the lane-cached PDR of `link` after a fault mutation.
+    /// A link without a lane needs nothing: its lane reads the effective
+    /// value when it is numbered.
+    fn refresh_link_quality(&mut self, link: Link) {
+        let lane = self.lane_of[link.dense_id()];
         if lane != u32::MAX {
-            self.lane_pdr[lane as usize] = self.effective_pdr(id);
+            self.lane_pdr[lane as usize] = self.effective_pdr(link);
         }
     }
 
     /// Refreshes every link with `node` as an endpoint: its own up/down
     /// pair and each child's up/down pair.
     fn refresh_node_links(&mut self, node: NodeId) {
-        self.refresh_link_quality(node.index() * 2);
-        self.refresh_link_quality(node.index() * 2 + 1);
+        self.refresh_link_quality(Link::up(node));
+        self.refresh_link_quality(Link::down(node));
         for i in 0..self.tree.children(node).len() {
-            let child = self.tree.children(node)[i].index();
-            self.refresh_link_quality(child * 2);
-            self.refresh_link_quality(child * 2 + 1);
+            let child = self.tree.children(node)[i];
+            self.refresh_link_quality(Link::up(child));
+            self.refresh_link_quality(Link::down(child));
         }
     }
 
@@ -821,18 +811,16 @@ impl Simulator {
     /// releases the lanes' queue pressure.
     fn clear_sender_queues(&mut self, node: NodeId) {
         if self.tree.parent(node).is_some() {
-            self.clear_queue(node.index() * 2); // Link::up(node)
+            self.clear_queue(Link::up(node));
         }
         for i in 0..self.tree.children(node).len() {
-            let child = self.tree.children(node)[i].index();
-            self.clear_queue(child * 2 + 1); // Link::down(child)
+            self.clear_queue(Link::down(self.tree.children(node)[i]));
         }
     }
 
-    /// Drops the queue of dense link `id`, if it has one and it holds
-    /// anything.
-    fn clear_queue(&mut self, id: usize) {
-        let lane = self.lane_of[id];
+    /// Drops the queue of `link`, if it has one and it holds anything.
+    fn clear_queue(&mut self, link: Link) {
+        let lane = self.lane_of[link.dense_id()];
         if lane == u32::MAX {
             return;
         }
@@ -841,7 +829,6 @@ impl Simulator {
         if n == 0 {
             return;
         }
-        let link = self.lane_links[lane];
         self.stats.queue_drops += n as u64;
         for _ in 0..n {
             self.trace.push(TraceEvent::Drop { at: self.now, link });
@@ -1052,15 +1039,15 @@ mod tests {
 
     #[test]
     fn queue_capacity_drops_overflow() {
-        // No schedule: queues fill up at rate 2/frame with capacity 3.
+        // No schedule: 20 packets a frame fill the one queue past its
+        // bound.
         let sim = SimulatorBuilder::new(chain_tree(), small_config())
-            .queue_capacity(3)
-            .task(Task::uplink(TaskId(0), NodeId(2), Rate::per_slotframe(2)))
+            .task(Task::uplink(TaskId(0), NodeId(2), Rate::per_slotframe(20)))
             .unwrap();
         let mut sim = sim.build();
         sim.run_slotframes(5);
-        assert_eq!(sim.queued_packets(), 3);
-        assert_eq!(sim.stats().queue_drops, 10 - 3);
+        assert_eq!(sim.queued_packets(), DEFAULT_QUEUE_CAPACITY);
+        assert_eq!(sim.stats().queue_drops, 100 - DEFAULT_QUEUE_CAPACITY as u64);
     }
 
     #[test]

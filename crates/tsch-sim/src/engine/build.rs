@@ -1,9 +1,10 @@
 //! Building a [`Simulator`] and deriving its tables from the schedule: the
-//! builder, the per-slot cell table and the wake index. Everything here
-//! runs at build time or after a schedule mutation, never inside a slot.
+//! builder, the lanes, the per-slot cell table and the wake index.
+//! Everything here runs at build time or after a schedule mutation, never
+//! inside a slot.
 
 use super::pool::PacketPool;
-use super::{link_id, Simulator, SlotCell};
+use super::{Simulator, SlotCell};
 use super::{DEFAULT_MAX_RETRIES, DEFAULT_QUEUE_CAPACITY};
 use crate::calendar::EventCalendar;
 use crate::faults::{FaultAction, FaultPlan};
@@ -47,7 +48,6 @@ pub struct SimulatorBuilder {
     quality: LinkQuality,
     tasks: Vec<Task>,
     seed: u64,
-    queue_capacity: usize,
     max_retries: u32,
     trace_capacity: usize,
     span_capacity: usize,
@@ -80,7 +80,6 @@ impl SimulatorBuilder {
             quality: LinkQuality::perfect(),
             tasks: Vec::new(),
             seed: 0,
-            queue_capacity: DEFAULT_QUEUE_CAPACITY,
             max_retries: DEFAULT_MAX_RETRIES,
             trace_capacity: 0,
             span_capacity: 0,
@@ -135,13 +134,6 @@ impl SimulatorBuilder {
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Bounds the per-link packet queue (packets beyond it are dropped).
-    #[must_use]
-    pub fn queue_capacity(mut self, capacity: usize) -> Self {
-        self.queue_capacity = capacity;
         self
     }
 
@@ -205,13 +197,6 @@ impl SimulatorBuilder {
         let schedule = self
             .schedule
             .unwrap_or_else(|| NetworkSchedule::new(self.config));
-        let link_count = self.tree.len() * 2;
-
-        // Per-link PDR, frozen at build time (the quality model has no
-        // runtime mutation API).
-        let pdr: Vec<f64> = (0..link_count)
-            .map(|id| self.quality.pdr(Link::from_dense_id(id)))
-            .collect();
 
         // Validate the fault plan against the tree and task set, then load
         // it onto the event calendar. Same-ASN actions keep plan order
@@ -255,11 +240,11 @@ impl SimulatorBuilder {
         let mut sim = Simulator {
             route_offsets: Vec::new(),
             route_lanes: Vec::new(),
-            queues: PacketPool::new(self.queue_capacity),
-            lane_of: vec![u32::MAX; link_count],
+            queues: PacketPool::new(DEFAULT_QUEUE_CAPACITY),
+            lane_of: vec![u32::MAX; 2 * nodes],
             lane_links: Vec::new(),
             lane_pdr: Vec::new(),
-            pdr,
+            quality: self.quality,
             interference: self.interference,
             slot_offsets: Vec::new(),
             slot_cells: Vec::with_capacity(schedule.active_cells() + 1),
@@ -289,7 +274,7 @@ impl SimulatorBuilder {
             frame_tx_base: 0,
             fault_calendar,
             node_down: vec![false; nodes],
-            link_masked: vec![false; link_count],
+            masked: Vec::new(),
             faults_fired: 0,
             idle_wakeup_count: 0,
         };
@@ -298,11 +283,13 @@ impl SimulatorBuilder {
         // Scheduled links take the low (cache-densest) lanes; the route
         // links follow in task and hop order.
         sim.fill_slot_table();
-        sim.fill_route_table();
-        let lanes = sim.number_lanes();
+        let mut route_lanes = sim.fill_route_table();
+        sim.number_lanes(&mut route_lanes);
+        sim.route_lanes = route_lanes;
         sim.index_slot_table();
         // A sender per occupied lane at most.
-        sim.touched_scratch.reserve_exact(lanes.min(nodes));
+        sim.touched_scratch
+            .reserve_exact(sim.lane_links.len().min(nodes));
         // The per-cell scratch holds the active lanes of one cell at most.
         let widest = sim.slot_cells.windows(2).map(|w| w[1].lanes - w[0].lanes);
         let widest = widest.max().unwrap_or(0) as usize;
@@ -317,14 +304,7 @@ impl Simulator {
     /// giving a lane to each link that has none yet.
     pub(super) fn rebuild_slot_table(&mut self) {
         self.fill_slot_table();
-        // Dense ids → lanes (a `&mut self` call, so it cannot run while
-        // `iter_cells` borrows the schedule), in (slot, channel,
-        // assignment) order.
-        let mut lanes = std::mem::take(&mut self.cell_lanes);
-        for id in &mut lanes {
-            *id = self.lane_for(*id as usize) as u32;
-        }
-        self.cell_lanes = lanes;
+        self.number_lanes(&mut []);
         self.index_slot_table();
     }
 
@@ -344,12 +324,13 @@ impl Simulator {
             if cell.slot >= self.config.slots || cell.channel >= self.config.channels {
                 continue;
             }
+            // A link outside the tree's id space can never carry traffic.
             let lanes = self.cell_lanes.len();
             self.cell_lanes.extend(
                 links
                     .iter()
-                    .filter_map(|&l| link_id(nodes, l))
-                    .map(|id| id as u32),
+                    .filter(|l| l.child.index() < nodes)
+                    .map(|l| l.dense_id() as u32),
             );
             if self.cell_lanes.len() > lanes {
                 self.slot_cells.push(SlotCell {
@@ -375,54 +356,46 @@ impl Simulator {
         self.rebuild_wake_index();
     }
 
-    /// Numbers a lane for every link the freshly filled slot and route
-    /// tables name, in the order they first name it (the order
-    /// [`Self::lane_for`] would), rewrites both tables from dense ids to
-    /// lanes, and allocates each lane table once, at the final count,
-    /// which it returns.
-    fn number_lanes(&mut self) -> usize {
-        let mut lanes = 0;
-        for id in self.cell_lanes.iter_mut().chain(&mut self.route_lanes) {
-            let lane = &mut self.lane_of[*id as usize];
+    /// Gives every link id that the freshly filled slot table or `routes`
+    /// names, and that has no lane yet, the next lane, in the order the
+    /// two tables first name it; then rewrites both from ids to lanes.
+    /// Pass 1 numbers the new lanes, every lane table grows once, to the
+    /// new count, and pass 2 fills the new lanes and rewrites the ids. A
+    /// lane pins the link's queue, occupancy slot and wake rows into
+    /// contiguous arrays, so per-slot work touches memory proportional to
+    /// the links that carry traffic — the mechanism behind the flat
+    /// per-active-cell cost from 1k to 1M nodes.
+    fn number_lanes(&mut self, routes: &mut [u32]) {
+        let first = self.lane_links.len();
+        let mut next = u32::try_from(first).expect("lane count fits u32");
+        for &id in self.cell_lanes.iter().chain(&*routes) {
+            let lane = &mut self.lane_of[id as usize];
             if *lane == u32::MAX {
-                *lane = lanes;
-                lanes += 1;
-            }
-            *id = *lane;
-        }
-        let lanes = lanes as usize;
-        let mut lane_links = vec![Link::from_dense_id(0); lanes];
-        for (id, &lane) in self.lane_of.iter().enumerate() {
-            if lane != u32::MAX {
-                lane_links[lane as usize] = Link::from_dense_id(id);
+                *lane = next;
+                next = next.checked_add(1).expect("lane count fits u32");
             }
         }
-        let pdr = lane_links.iter().map(|l| self.effective_pdr(l.dense_id()));
-        self.lane_pdr = pdr.collect();
-        self.lane_links = lane_links;
-        self.queues.add_lanes(lanes);
-        self.occupied_pos = vec![u32::MAX; lanes];
-        self.occupied_links.reserve_exact(lanes);
-        lanes
-    }
-
-    /// The lane of dense link `id`, allocated on first use. A lane pins
-    /// the link's queue, occupancy slot and wake rows into contiguous
-    /// arrays, so per-slot work touches memory proportional to the active
-    /// link population — the mechanism behind the flat per-active-cell
-    /// cost from 1k to 1M nodes.
-    fn lane_for(&mut self, id: usize) -> usize {
-        let lane = self.lane_of[id];
-        if lane != u32::MAX {
-            return lane as usize;
+        let lanes = next as usize;
+        self.lane_links.resize(lanes, Link::from_dense_id(0));
+        self.lane_pdr.resize(lanes, 0.0);
+        self.queues.add_lanes(lanes - first);
+        self.occupied_pos.resize(lanes, u32::MAX);
+        self.occupied_links
+            .reserve(lanes - self.occupied_links.len());
+        // Lanes go out in first-naming order, so the tables name lane
+        // `next` for the first time exactly where it is new.
+        let mut next = first as u32;
+        for id in self.cell_lanes.iter_mut().chain(routes) {
+            let lane = self.lane_of[*id as usize];
+            if lane == next {
+                self.lane_links[lane as usize] = Link::from_dense_id(*id as usize);
+                next += 1;
+            }
+            *id = lane;
         }
-        let lane = self.lane_links.len();
-        self.lane_of[id] = u32::try_from(lane).expect("lane count fits u32");
-        self.lane_links.push(Link::from_dense_id(id));
-        self.lane_pdr.push(self.effective_pdr(id));
-        self.queues.add_lane();
-        self.occupied_pos.push(u32::MAX);
-        lane
+        for lane in first..lanes {
+            self.lane_pdr[lane] = self.effective_pdr(self.lane_links[lane]);
+        }
     }
 
     /// Re-derives the link→slots CSR and per-slot queue-pressure counts
@@ -472,10 +445,11 @@ impl Simulator {
         }
     }
 
-    /// Fills every task's route, by dense link id per hop, into one table
-    /// sized exactly: up from the source to the gateway (`Task::route`'s
-    /// first half), then, for an echo task, back down the same links.
-    fn fill_route_table(&mut self) {
+    /// Fills every task's route offsets, and returns its hops by dense
+    /// link id, in one table sized exactly: up from the source to the
+    /// gateway (`Task::route`'s first half), then, for an echo task, back
+    /// down the same links.
+    fn fill_route_table(&mut self) -> Vec<u32> {
         let hop_count = |task: &Task| {
             let up = self.tree.depth(task.source) as usize;
             match task.kind {
@@ -491,19 +465,20 @@ impl Simulator {
             let start = hops.len();
             let mut node = task.source;
             while let Some(parent) = self.tree.parent(node) {
-                hops.push((node.index() * 2) as u32); // Link::up(node)
+                hops.push(Link::up(node).dense_id() as u32);
                 node = parent;
             }
             if task.kind == TaskKind::Echo {
                 // Down from the gateway: the uplinks' children, reversed.
                 for k in (start..hops.len()).rev() {
-                    hops.push(hops[k] + 1); // Link::down(child)
+                    let child = Link::from_dense_id(hops[k] as usize).child;
+                    hops.push(Link::down(child).dense_id() as u32);
                 }
             }
             offsets.push(u32::try_from(hops.len()).expect("route hops fit u32"));
         }
         debug_assert_eq!(hops.len(), total);
         self.route_offsets = offsets;
-        self.route_lanes = hops;
+        hops
     }
 }

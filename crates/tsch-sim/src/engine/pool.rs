@@ -68,21 +68,15 @@ impl PacketPool {
         }
     }
 
-    /// Adds an empty lane; lanes are numbered in the order they are added.
-    pub(super) fn add_lane(&mut self) {
-        self.lanes.push(Lane {
+    /// Adds `n` empty lanes, growing the lane table once; lanes are
+    /// numbered in the order they are added.
+    pub(super) fn add_lanes(&mut self, n: usize) {
+        let empty = Lane {
             head: NIL,
             tail: NIL,
             len: 0,
-        });
-    }
-
-    /// Adds `n` empty lanes, growing the lane table once.
-    pub(super) fn add_lanes(&mut self, n: usize) {
-        self.lanes.reserve_exact(n);
-        for _ in 0..n {
-            self.add_lane();
-        }
+        };
+        self.lanes.resize(self.lanes.len() + n, empty);
     }
 
     /// Packets queued over all lanes.
@@ -226,9 +220,7 @@ mod tests {
             for capacity in 1..=6 {
                 let mut pool = PacketPool::new(capacity);
                 let mut model: Vec<VecDeque<Queued>> = vec![VecDeque::new(); lanes];
-                for _ in 0..lanes {
-                    pool.add_lane();
-                }
+                pool.add_lanes(lanes);
                 let (mut drops, mut model_drops) = (0u64, 0u64);
                 for step in 0..400u64 {
                     let lane = rng.next_below(lanes as u64) as usize;

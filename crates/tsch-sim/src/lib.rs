@@ -74,7 +74,7 @@ pub use faults::{FaultAction, FaultPlan};
 pub use harp_obs::{MetricsSnapshot, Obs, SpanEvent, SpanRing, NO_NODE};
 pub use interference::{GlobalInterference, InterferenceModel, TwoHopInterference};
 pub use mgmt::{Delivered, MgmtError};
-pub use packet::{Packet, Rate, RateError, Task, TaskId, TaskKind};
+pub use packet::{Rate, RateError, Task, TaskId, TaskKind};
 pub use par::{bench_threads, par_map, par_map_with_threads};
 pub use radio::{LinkQuality, PdrError};
 pub use rng::SplitMix64;

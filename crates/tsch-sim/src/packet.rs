@@ -1,4 +1,4 @@
-//! Tasks (periodic data flows) and the packets they generate.
+//! Tasks (periodic data flows) and the rates they release packets at.
 //!
 //! Following the paper (§II-A), a *task* periodically samples a physical
 //! entity at a source node and sends the reading along the uplink path to
@@ -8,10 +8,8 @@
 //! (e.g. the 1.5 packet/slotframe step of Fig. 10), represented exactly as
 //! a rational number.
 
-use crate::time::Asn;
 use crate::topology::{NodeId, Tree};
 use core::fmt;
-use std::sync::Arc;
 
 /// Identifier of a task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
@@ -211,71 +209,6 @@ impl Task {
     }
 }
 
-/// A packet in flight.
-///
-/// The packet carries its full route (shared, since every packet of a task
-/// follows the same path) and a hop index pointing at its current holder.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Packet {
-    /// The task that generated this packet.
-    pub task: TaskId,
-    /// Sequence number within the task.
-    pub seq: u64,
-    /// ASN at generation time.
-    pub created: Asn,
-    /// The node path from source to final destination.
-    pub route: Arc<[NodeId]>,
-    /// Index into `route` of the node currently holding the packet.
-    pub hop: usize,
-}
-
-impl Packet {
-    /// Creates a packet at the start of its route.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the route is empty.
-    #[must_use]
-    pub fn new(task: TaskId, seq: u64, created: Asn, route: Arc<[NodeId]>) -> Self {
-        assert!(!route.is_empty(), "a packet route cannot be empty");
-        Self {
-            task,
-            seq,
-            created,
-            route,
-            hop: 0,
-        }
-    }
-
-    /// The node currently holding the packet.
-    #[must_use]
-    pub fn holder(&self) -> NodeId {
-        self.route[self.hop]
-    }
-
-    /// The next node on the route, or `None` if delivered.
-    #[must_use]
-    pub(crate) fn next_hop(&self) -> Option<NodeId> {
-        self.route.get(self.hop + 1).copied()
-    }
-
-    /// Returns `true` once the packet reached the end of its route.
-    #[must_use]
-    pub fn is_delivered(&self) -> bool {
-        self.hop + 1 == self.route.len()
-    }
-
-    /// Advances the packet one hop.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the packet is already delivered.
-    pub fn advance(&mut self) {
-        assert!(!self.is_delivered(), "cannot advance a delivered packet");
-        self.hop += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -361,34 +294,5 @@ mod tests {
         let tree = Tree::paper_fig1_example();
         let echo = Task::echo(TaskId(0), NodeId(0), Rate::default());
         assert_eq!(echo.route(&tree), vec![NodeId(0)]);
-    }
-
-    #[test]
-    fn packet_traversal() {
-        let route: Arc<[NodeId]> = vec![NodeId(9), NodeId(7), NodeId(3)].into();
-        let mut p = Packet::new(TaskId(0), 1, Asn(5), route);
-        assert_eq!(p.holder(), NodeId(9));
-        assert_eq!(p.next_hop(), Some(NodeId(7)));
-        assert!(!p.is_delivered());
-        p.advance();
-        p.advance();
-        assert!(p.is_delivered());
-        assert_eq!(p.holder(), NodeId(3));
-        assert_eq!(p.next_hop(), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot advance")]
-    fn packet_advance_past_end_panics() {
-        let route: Arc<[NodeId]> = vec![NodeId(0)].into();
-        let mut p = Packet::new(TaskId(0), 0, Asn(0), route);
-        p.advance();
-    }
-
-    #[test]
-    #[should_panic(expected = "route cannot be empty")]
-    fn packet_empty_route_panics() {
-        let route: Arc<[NodeId]> = Vec::new().into();
-        let _ = Packet::new(TaskId(0), 0, Asn(0), route);
     }
 }

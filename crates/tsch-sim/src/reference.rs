@@ -15,11 +15,13 @@
 //!
 //! It supports exactly the features that test needs: tasks, PDR losses,
 //! retries, bounded queues, extra radio edges, runtime schedule mutation.
-//! Defaults for queue capacity and retry limit match the real engine's.
+//! Its queue capacity and retry limit are the real engine's defaults. A
+//! queued packet carries its task's node route, where the real engine
+//! keeps a task index and a hop into one lane-route table.
 
 use crate::engine::{DEFAULT_MAX_RETRIES, DEFAULT_QUEUE_CAPACITY};
 use crate::interference::{InterferenceModel, TwoHopInterference};
-use crate::packet::{Packet, Task, TaskId};
+use crate::packet::Task;
 use crate::radio::LinkQuality;
 use crate::rng::SplitMix64;
 use crate::schedule::NetworkSchedule;
@@ -30,6 +32,56 @@ use crate::trace::TraceEvent;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
+/// A packet in flight: its route, shared by every packet of its task, and
+/// the index of the node holding it.
+#[derive(Debug)]
+struct Packet {
+    created: Asn,
+    route: Arc<[NodeId]>,
+    hop: usize,
+}
+
+impl Packet {
+    /// A packet at the start of `route`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the route is empty.
+    fn new(created: Asn, route: Arc<[NodeId]>) -> Self {
+        assert!(!route.is_empty(), "a packet route cannot be empty");
+        Self {
+            created,
+            route,
+            hop: 0,
+        }
+    }
+
+    /// The node currently holding the packet.
+    fn holder(&self) -> NodeId {
+        self.route[self.hop]
+    }
+
+    /// The next node on the route, or `None` once delivered.
+    fn next_hop(&self) -> Option<NodeId> {
+        self.route.get(self.hop + 1).copied()
+    }
+
+    /// Whether the packet reached the end of its route.
+    fn is_delivered(&self) -> bool {
+        self.hop + 1 == self.route.len()
+    }
+
+    /// Advances the packet one hop.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the packet is already delivered.
+    fn advance(&mut self) {
+        assert!(!self.is_delivered(), "cannot advance a delivered packet");
+        self.hop += 1;
+    }
+}
+
 /// The map-based oracle engine. See the module docs.
 #[derive(Debug)]
 pub struct ReferenceSimulator {
@@ -38,7 +90,7 @@ pub struct ReferenceSimulator {
     schedule: NetworkSchedule,
     interference: TwoHopInterference,
     quality: LinkQuality,
-    tasks: Vec<(Task, Arc<[NodeId]>, u64)>,
+    tasks: Vec<(Task, Arc<[NodeId]>)>,
     queues: BTreeMap<Link, VecDeque<(Packet, u32)>>,
     now: Asn,
     rng: SplitMix64,
@@ -66,7 +118,7 @@ impl ReferenceSimulator {
         let interference = TwoHopInterference::from_tree(&tree);
         let tasks = tasks
             .iter()
-            .map(|t| (t.clone(), Arc::<[NodeId]>::from(t.route(&tree)), 0u64))
+            .map(|t| (t.clone(), Arc::<[NodeId]>::from(t.route(&tree))))
             .collect();
         Self {
             tree,
@@ -132,18 +184,12 @@ impl ReferenceSimulator {
 
     fn release_tasks(&mut self) {
         let frame = self.config.slotframe_index(self.now);
-        let mut releases: Vec<(Arc<[NodeId]>, TaskId, u64, u32)> = Vec::new();
-        for (task, route, next_seq) in &mut self.tasks {
-            let n = task.rate.packets_in_slotframe(frame);
-            if n > 0 {
-                releases.push((route.clone(), task.id, *next_seq, n));
-                *next_seq += u64::from(n);
-            }
-        }
-        for (route, task, seq0, n) in releases {
-            for k in 0..u64::from(n) {
+        for t in 0..self.tasks.len() {
+            let (task, route) = &self.tasks[t];
+            let route = route.clone();
+            for _ in 0..task.rate.packets_in_slotframe(frame) {
                 self.stats.generated += 1;
-                let packet = Packet::new(task, seq0 + k, self.now, route.clone());
+                let packet = Packet::new(self.now, route.clone());
                 if packet.is_delivered() {
                     self.stats
                         .record_delivery(packet.holder(), self.now, self.now);
@@ -188,9 +234,6 @@ impl ReferenceSimulator {
             return;
         }
         self.stats.tx_attempts += active.len() as u64;
-        for &link in &active {
-            self.stats.record_tx_attempt(link);
-        }
         let mut collided = vec![false; active.len()];
         for i in 0..active.len() {
             for j in i + 1..active.len() {
@@ -274,5 +317,51 @@ impl ReferenceSimulator {
         for (node, depth) in per_node {
             self.stats.record_queue_depth(node, depth);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn packet_traversal() {
+        let route: Arc<[NodeId]> = vec![NodeId(9), NodeId(7), NodeId(3)].into();
+        let mut p = Packet::new(Asn(5), route);
+        assert_eq!(p.holder(), NodeId(9));
+        assert_eq!(p.next_hop(), Some(NodeId(7)));
+        assert!(!p.is_delivered());
+        p.advance();
+        p.advance();
+        assert!(p.is_delivered());
+        assert_eq!(p.holder(), NodeId(3));
+        assert_eq!(p.next_hop(), None);
+    }
+
+    #[test]
+    fn packet_route_traversal_never_skips() {
+        for hops in 1usize..8 {
+            let route: Arc<[NodeId]> = (0..=hops as u32).map(NodeId).collect();
+            let mut p = Packet::new(Asn(0), route);
+            let mut visited = vec![p.holder()];
+            while !p.is_delivered() {
+                p.advance();
+                visited.push(p.holder());
+            }
+            assert_eq!(visited, (0..=hops as u32).map(NodeId).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot advance")]
+    fn packet_advance_past_end_panics() {
+        let mut p = Packet::new(Asn(0), vec![NodeId(0)].into());
+        p.advance();
+    }
+
+    #[test]
+    #[should_panic(expected = "route cannot be empty")]
+    fn packet_empty_route_panics() {
+        let _ = Packet::new(Asn(0), Vec::new().into());
     }
 }

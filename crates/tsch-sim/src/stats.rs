@@ -16,18 +16,19 @@
 //! * [`Streaming`](StatsMode::Streaming) drops individual records and keeps
 //!   only O(nodes + buckets) state: per-source count/sum/min/max plus a
 //!   fixed-bucket latency histogram (bounds shared with the observability
-//!   layer, [`harp_obs::LATENCY_SLOT_BOUNDS`]). Counters, per-link
-//!   attempts, queue high-water marks, delivery counts, means, minima and
-//!   maxima are identical to `Full` mode; per-source p95 becomes a
-//!   histogram interpolation instead of an exact nearest-rank, and there
-//!   is no per-slotframe timeline.
+//!   layer, [`harp_obs::LATENCY_SLOT_BOUNDS`]). Counters, queue
+//!   high-water marks, delivery counts, means, minima and maxima are
+//!   identical to `Full` mode; per-source p95 becomes a histogram
+//!   interpolation instead of an exact nearest-rank, and there is no
+//!   per-slotframe timeline.
 //!
-//! In both modes per-link attempts and per-node queue high-water marks live
-//! in dense id-indexed vectors (one add on the hot path); the `HashMap`
-//! views the analysis code consumes are materialized only on export.
+//! In both modes per-node queue high-water marks and per-source aggregates
+//! live in node-indexed vectors; the `HashMap` view the analysis code
+//! consumes is materialized only on export. Nothing is kept per link: the
+//! engine's trace ([`crate::TraceEvent`]) names the link of every attempt.
 
 use crate::time::Asn;
-use crate::topology::{Direction, Link, NodeId};
+use crate::topology::NodeId;
 use harp_obs::{bucket_of, HistogramSnapshot, LATENCY_SLOT_BOUNDS};
 use std::collections::HashMap;
 use std::time::Duration;
@@ -180,8 +181,6 @@ pub struct SimStats {
     pub run_time: Duration,
     mode: StatsMode,
     delivered: u64,
-    /// Attempts per directed link, indexed by `child * 2 + direction`.
-    tx_attempts_by_link: Vec<u64>,
     /// High-water mark of queued packets, indexed by node.
     queue_high_water_by_node: Vec<usize>,
     /// Per-source latency aggregates, indexed by node; maintained in both
@@ -200,11 +199,11 @@ impl SimStats {
     }
 
     /// Creates an empty collector in `mode` for a tree of `nodes` nodes and
-    /// at most `sources` sources (one per task), with room for its per-link
-    /// (`2 × nodes`), per-node and per-source tables and, when streaming,
-    /// its histogram table: each is allocated once, at its final size, and
-    /// filled in place up to the highest id the run records, so a run never
-    /// moves them and a tree's untouched tail costs no writes.
+    /// at most `sources` sources (one per task), with room for its per-node
+    /// and per-source tables and, when streaming, its histogram table:
+    /// each is allocated once, at its final size, and filled in place up
+    /// to the highest id the run records, so a run never moves them and a
+    /// tree's untouched tail costs no writes.
     #[must_use]
     pub(crate) fn sized(mode: StatsMode, nodes: usize, sources: usize) -> Self {
         let rows = match mode {
@@ -213,7 +212,6 @@ impl SimStats {
         };
         Self {
             mode,
-            tx_attempts_by_link: Vec::with_capacity(2 * nodes),
             queue_high_water_by_node: Vec::with_capacity(nodes),
             per_source: Vec::with_capacity(nodes),
             histograms: Vec::with_capacity(rows * BUCKETS),
@@ -241,43 +239,8 @@ impl SimStats {
         self.delivered
     }
 
-    fn link_index(link: Link) -> usize {
-        link.child.index() * 2 + usize::from(link.direction == Direction::Down)
-    }
-
-    fn link_of(index: usize) -> Link {
-        let child = NodeId(u32::try_from(index / 2).expect("link index fits u32"));
-        if index & 1 == 0 {
-            Link::up(child)
-        } else {
-            Link::down(child)
-        }
-    }
-
     fn observe_bucket(hist: &mut [u64], latency: u64) {
         hist[bucket_of(LATENCY_SLOT_BOUNDS, latency)] += 1;
-    }
-
-    /// Records one transmission attempt on `link` (per-link bookkeeping
-    /// only; the caller maintains the aggregate `tx_attempts` counter).
-    pub(crate) fn record_tx_attempt(&mut self, link: Link) {
-        let i = Self::link_index(link);
-        if i >= self.tx_attempts_by_link.len() {
-            self.tx_attempts_by_link.resize(i + 1, 0);
-        }
-        self.tx_attempts_by_link[i] += 1;
-    }
-
-    /// Attempts per directed link, materialized as a map (links with zero
-    /// attempts are omitted).
-    #[must_use]
-    pub fn tx_attempts_per_link(&self) -> HashMap<Link, u64> {
-        self.tx_attempts_by_link
-            .iter()
-            .enumerate()
-            .filter(|&(_, &n)| n > 0)
-            .map(|(i, &n)| (Self::link_of(i), n))
-            .collect()
     }
 
     /// Records a delivery.
@@ -538,24 +501,6 @@ mod tests {
         stats.record_delivery(NodeId(1), Asn(12), Asn(25)); // frame 2
         let timeline = stats.latency_timeline(NodeId(1), 10);
         assert_eq!(timeline, vec![(0, 6.0), (2, 13.0)]);
-    }
-
-    #[test]
-    fn per_link_attempts_default_to_zero() {
-        let stats = SimStats::new();
-        assert!(stats.tx_attempts_per_link().is_empty());
-    }
-
-    #[test]
-    fn per_link_attempts_roundtrip_through_export() {
-        let mut stats = SimStats::new();
-        stats.record_tx_attempt(Link::up(NodeId(3)));
-        stats.record_tx_attempt(Link::up(NodeId(3)));
-        stats.record_tx_attempt(Link::down(NodeId(3)));
-        let map = stats.tx_attempts_per_link();
-        assert_eq!(map.len(), 2, "zero entries are omitted");
-        assert_eq!(map[&Link::up(NodeId(3))], 2);
-        assert_eq!(map[&Link::down(NodeId(3))], 1);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! against the dense walk).
 
 use tsch_sim::{
-    Asn, Cell, FaultAction, FaultPlan, Link, NetworkSchedule, NodeId, Rate, Simulator,
-    SimulatorBuilder, SlotframeConfig, Task, TaskId, Tree,
+    Asn, Cell, FaultAction, FaultPlan, Link, LinkQuality, NetworkSchedule, NodeId, Rate, Simulator,
+    SimulatorBuilder, SlotframeConfig, Task, TaskId, TraceEvent, Tree,
 };
 
 fn chain_tree() -> Tree {
@@ -158,6 +158,111 @@ fn rate_ramp_takes_effect_at_next_boundary() {
     assert_eq!(sim.stats().generated, 3);
     sim.run_slotframes(2);
     assert_eq!(sim.stats().generated, 3 + 6, "ramped rate from frame 3");
+}
+
+/// A PDR window, a partition and a crash of the link's parent, nested on
+/// one link in each of the six orders. The trace, which names the link of
+/// every attempt, shows the link never delivering while it is masked or
+/// its parent is down, losing frames at the degraded PDR while only the
+/// PDR window is open, and at its configured PDR once every window has
+/// closed.
+#[test]
+fn overlapping_windows_on_one_link_compose_in_every_nesting_order() {
+    const CONFIGURED: f64 = 0.9;
+    const DEGRADED: f64 = 0.3;
+    /// The outer, middle and inner window, in slots.
+    const WINDOWS: [(u64, u64); 3] = [(100, 1000), (300, 800), (500, 600)];
+    const KINDS: [&str; 3] = ["pdr window", "partition", "parent crash"];
+    const ORDERS: [[usize; 3]; 6] = [
+        [0, 1, 2],
+        [0, 2, 1],
+        [1, 0, 2],
+        [1, 2, 0],
+        [2, 0, 1],
+        [2, 1, 0],
+    ];
+    let link = Link::up(NodeId(2));
+    // Five cells a frame for the link and five for its parent's uplink;
+    // five releases a frame keep the link's queue from ever draining.
+    let mut schedule = NetworkSchedule::new(small_config());
+    for slot in 0..5 {
+        schedule.assign(Cell::new(slot, 0), link).unwrap();
+        schedule
+            .assign(Cell::new(slot + 5, 0), Link::up(NodeId(1)))
+            .unwrap();
+    }
+    let mut quality = LinkQuality::perfect();
+    quality.set_pdr(link, CONFIGURED).unwrap();
+    for order in ORDERS {
+        let label = order.map(|k| KINDS[k]).join(" ⊃ ");
+        // Each kind's window, indexed as `KINDS`.
+        let mut window = [(0, 0); 3];
+        let mut plan = FaultPlan::new();
+        for (&kind, (from, until)) in order.iter().zip(WINDOWS) {
+            window[kind] = (from, until);
+            let (from, until) = (Asn(from), Asn(until));
+            plan = match kind {
+                0 => plan.pdr_window(link, from, until, DEGRADED, CONFIGURED),
+                1 => plan.mask_window(link, from, until),
+                _ => plan.crash(NodeId(1), from, Some(until)),
+            };
+        }
+        let mut sim = SimulatorBuilder::new(chain_tree(), small_config())
+            .schedule(schedule.clone())
+            .quality(quality.clone())
+            .seed(0x0FA7)
+            .trace_capacity(1 << 16)
+            .fault_plan(plan)
+            .task(Task::uplink(TaskId(0), NodeId(2), Rate::per_slotframe(5)))
+            .unwrap()
+            .build();
+        sim.run_slotframes(160);
+        assert_eq!(sim.trace().dropped(), 0, "{label}: the trace holds the run");
+
+        let open = |kind: usize, at: u64| (window[kind].0..window[kind].1).contains(&at);
+        // Attempts and losses while only the PDR window is open, and after
+        // the last window closed.
+        let (mut degraded, mut restored) = ([0u32; 2], [0u32; 2]);
+        for event in sim.trace().iter().filter(|e| e.link() == link) {
+            let lost = match event {
+                TraceEvent::TxOk { .. } => false,
+                TraceEvent::TxLoss { .. } => true,
+                _ => continue,
+            };
+            let at = event.at().0;
+            if open(1, at) || open(2, at) {
+                assert!(lost, "{label}: delivered at {at} while cut off");
+                continue;
+            }
+            let tally = if open(0, at) {
+                &mut degraded
+            } else if at >= WINDOWS[0].1 {
+                &mut restored
+            } else {
+                continue;
+            };
+            tally[0] += 1;
+            tally[1] += u32::from(lost);
+        }
+        let loss = |[attempts, losses]: [u32; 2]| f64::from(losses) / f64::from(attempts);
+        // Only an outermost PDR window is ever open alone: 40 frames of it.
+        if order[0] == 0 {
+            assert!(degraded[0] >= 150, "{label}: {degraded:?}");
+            let rate = loss(degraded);
+            assert!(
+                (0.55..0.85).contains(&rate),
+                "{label}: loss {rate} at PDR {DEGRADED}"
+            );
+        } else {
+            assert_eq!(degraded[0], 0, "{label}");
+        }
+        assert!(restored[0] >= 250, "{label}: {restored:?}");
+        let rate = loss(restored);
+        assert!(
+            (0.02..0.2).contains(&rate),
+            "{label}: loss {rate} at PDR {CONFIGURED}"
+        );
+    }
 }
 
 fn storm_plan() -> FaultPlan {

@@ -3,12 +3,12 @@
 //! observability on must not change simulation behaviour at all.
 //!
 //! The scenario deliberately exercises every counter: an imperfect channel
-//! (losses), two links sharing a cell (collisions) and an undersized queue
-//! under an oversubscribed rate (queue drops).
+//! (losses), two links sharing a cell (collisions) and a queue under an
+//! oversubscribed rate (queue drops).
 
 use tsch_sim::{
-    Cell, Direction, Link, LinkQuality, NetworkSchedule, NodeId, Rate, SimStats, Simulator,
-    SimulatorBuilder, SlotframeConfig, Task, TaskId, Tree,
+    Cell, Direction, Link, LinkQuality, NetworkSchedule, NodeId, Rate, Simulator, SimulatorBuilder,
+    SlotframeConfig, Task, TaskId, TraceEvent, Tree,
 };
 
 /// A 7-node tree: a 0-1-2-3-4 chain plus sibling leaves 5 and 6 under 1.
@@ -45,17 +45,17 @@ fn build(observability: bool) -> Simulator {
     let mut builder = SimulatorBuilder::new(tree.clone(), config)
         .schedule(schedule(&tree, config))
         .quality(LinkQuality::uniform(0.8).unwrap())
-        .queue_capacity(1)
+        .trace_capacity(1 << 16)
         .seed(0x0B5E_CAFE);
     if observability {
         builder = builder.observability(256);
     }
-    // Node 4 is oversubscribed: two packets per frame into a single cell
-    // with a one-deep queue, guaranteeing queue drops once losses back the
-    // chain up.
+    // Node 4 is oversubscribed: four packets per frame into a single cell,
+    // so its queue grows by at least three a frame and overflows the
+    // 64-packet bound well within the run.
     for (i, v) in tree.nodes().skip(1).enumerate() {
         let rate = if v == NodeId(4) {
-            Rate::per_slotframe(2)
+            Rate::per_slotframe(4)
         } else {
             Rate::per_slotframe(1)
         };
@@ -72,13 +72,17 @@ fn run(observability: bool) -> Simulator {
     sim
 }
 
-/// Every field of [`SimStats`] that the metrics snapshot renders, for the
-/// byte-identical comparison (run_time is wall clock and excluded).
-fn fingerprint(stats: &SimStats) -> impl PartialEq + std::fmt::Debug + '_ {
+/// Every field of [`tsch_sim::SimStats`] that the metrics snapshot
+/// renders, and the whole trace, which names the link of every attempt,
+/// for the byte-identical comparison (run_time is wall clock and
+/// excluded).
+fn fingerprint(sim: &Simulator) -> impl PartialEq + std::fmt::Debug + '_ {
+    assert_eq!(sim.trace().dropped(), 0, "the trace holds the whole run");
+    let stats = sim.stats();
     (
         &stats.deliveries,
         stats.tx_attempts,
-        stats.tx_attempts_per_link(),
+        sim.trace().iter().copied().collect::<Vec<TraceEvent>>(),
         stats.collisions,
         stats.losses,
         stats.queue_drops,
@@ -171,5 +175,5 @@ fn disabled_observability_is_empty_and_behaviour_identical() {
 
     // Observability never touches the RNG or the data path: both runs
     // must produce identical statistics, delivery for delivery.
-    assert_eq!(fingerprint(on.stats()), fingerprint(off.stats()));
+    assert_eq!(fingerprint(&on), fingerprint(&off));
 }
