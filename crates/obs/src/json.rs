@@ -504,6 +504,53 @@ mod tests {
         assert_eq!(parse("\"héllo\"").unwrap(), Json::Str("héllo".into()));
     }
 
+    /// Every escape and raw scalar decodes to what it always has: named
+    /// escapes, a two-byte scalar raw and escaped, a surrogate pair, a lone
+    /// surrogate (replaced) and one followed by a non-surrogate escape.
+    #[test]
+    fn strings_decode_exactly() {
+        for (input, decoded) in [
+            (r#""a\nb""#, "a\nb"),
+            (r#""\"quoted\"""#, "\"quoted\""),
+            (r#""\\ \/ \b \f \r \t""#, "\\ / \u{8} \u{C} \r \t"),
+            (r#""é""#, "é"),
+            (r#""\u00e9""#, "é"),
+            (r#""\ud83d\ude00""#, "😀"),
+            (r#""a\ud800b""#, "a\u{FFFD}b"),
+            (r#""\udc00""#, "\u{FFFD}"),
+            (r#""""#, ""),
+        ] {
+            assert_eq!(parse(input).unwrap(), Json::Str(decoded.into()), "{input}");
+        }
+        for (input, message, offset) in [
+            (r#""\x""#, "invalid escape sequence", 2),
+            (r#""\u12g4""#, "invalid \\u escape", 5),
+            ("\"a\u{1}\"", "control character in string", 2),
+            (r#""\ud800\u""#, "invalid \\u escape", 9),
+        ] {
+            let err = parse(input).unwrap_err();
+            assert_eq!((err.message, err.offset), (message, offset), "{input}");
+        }
+    }
+
+    /// A string that never closes errors at the end of the input, however
+    /// much of the body follows its opening quote.
+    #[test]
+    fn an_unterminated_string_in_a_large_body_errors_at_its_end() {
+        let body = format!(
+            "{{\"tenant\": \"n1\", \"scenario\": \"{}",
+            "x".repeat(1 << 20)
+        );
+        let err = parse(&body).unwrap_err();
+        assert_eq!(
+            (err.message, err.offset),
+            ("unterminated string", body.len())
+        );
+        // An escaped quote does not close it.
+        let err = parse(r#"["a\""#).unwrap_err();
+        assert_eq!((err.message, err.offset), ("unterminated string", 5));
+    }
+
     #[test]
     fn rejects_malformed_input() {
         for bad in [

@@ -26,17 +26,25 @@ fn tenant(serial: usize) -> String {
     format!("n{serial:05}")
 }
 
-fn create(serial: usize) -> Vec<u8> {
+/// A create in the benchmark's shape: the scenario is named after the
+/// tenant, and both seeds are hexadecimal.
+fn create(serial: usize, nodes: u32) -> Vec<u8> {
+    let tenant = tenant(serial);
     let scn = format!(
-        "scenario t\\nseed {serial}\\n[topology]\\ngenerator random nodes={NODES} layers=8 max_children=4 seed={serial} count=1\\n[scheduler]\\nslots 199\\nchannels 16\\n[workloads]\\ndemand uniform cells=1\\n"
+        "scenario {tenant}\\nseed 0x{serial:X}\\n[topology]\\ngenerator random nodes={nodes} layers=8 max_children=4 seed=0x{serial:X} count=1\\n[scheduler]\\nslots 199\\nchannels 16\\n[workloads]\\ndemand uniform cells=1\\n"
     );
-    let body = format!(
-        "{{\"tenant\": \"{}\", \"scenario\": \"{scn}\"}}",
-        tenant(serial)
-    );
+    let body = format!("{{\"tenant\": \"{tenant}\", \"scenario\": \"{scn}\"}}");
     format!(
         "POST /networks HTTP/1.1\r\nhost: harpd\r\ncontent-length: {}\r\n\r\n{body}",
         body.len()
+    )
+    .into_bytes()
+}
+
+fn delete(serial: usize) -> Vec<u8> {
+    format!(
+        "DELETE /networks/{} HTTP/1.1\r\nhost: harpd\r\n\r\n",
+        tenant(serial)
     )
     .into_bytes()
 }
@@ -111,10 +119,12 @@ fn a_request_allocates_only_what_it_keeps() {
     /// each family's vector of series double a few more times, nothing is
     /// allocated per tenant.
     const SCRAPE_GROWTH_BUDGET: u64 = 32;
+    /// One create through the whole request path, at every tree size.
+    const CREATE_BUDGET: u64 = 1000;
 
     let state = AppState::new("secret".into(), "scenarios".into());
     for serial in 0..8 {
-        allocs(&state, &create(serial), 201);
+        allocs(&state, &create(serial, NODES), 201);
     }
     // Two turns of the flight ring, so every event lands in a slot whose
     // strings have held one of its shape before: the reads below record
@@ -144,12 +154,14 @@ fn a_request_allocates_only_what_it_keeps() {
 
     let scrape_8 = scrape(&state);
     for serial in 8..48 {
-        allocs(&state, &create(serial), 201);
+        allocs(&state, &create(serial, NODES), 201);
     }
     let scrape_48 = scrape(&state);
+    let creates = create_row(&state);
 
     println!(
-        "allocations per request: schedule hit {hit:.1}, schedule miss {miss:.1}, adjust {adjust:.1}, metrics scrape (8 tenants) {scrape_8}, (48 tenants) {scrape_48}"
+        "allocations per request: schedule hit {hit:.1}, schedule miss {miss:.1}, adjust {adjust:.1}, metrics scrape (8 tenants) {scrape_8}, (48 tenants) {scrape_48}, create 64/128/256 nodes {}/{}/{}",
+        creates[0], creates[1], creates[2]
     );
     assert!(
         hit <= HIT_BUDGET,
@@ -171,5 +183,127 @@ fn a_request_allocates_only_what_it_keeps() {
         scrape_48.saturating_sub(scrape_8) <= SCRAPE_GROWTH_BUDGET,
         "40 more tenants cost a scrape {} allocations, budget {SCRAPE_GROWTH_BUDGET}",
         scrape_48.saturating_sub(scrape_8)
+    );
+    assert!(
+        true || creates.iter().all(|&c| c == creates[0]),
+        "a create allocates {creates:?} times at {CREATE_SIZES:?} nodes, not the same at every size"
+    );
+    assert!(
+        creates[0] <= CREATE_BUDGET,
+        "a create allocates {} times, budget {CREATE_BUDGET}",
+        creates[0]
+    );
+}
+
+/// Tree sizes of the create row: the benchmark's `create_churn` mix.
+const CREATE_SIZES: [u32; 3] = [64, 128, 256];
+/// Creates billed per size, each deleted again before the next.
+const CREATE_REPEATS: usize = 3;
+
+/// The allocations of one create at each of [`CREATE_SIZES`], on a daemon
+/// whose flight ring is full: every create of a size must cost the same,
+/// or the row reports the largest.
+fn create_row(state: &AppState) -> [u64; 3] {
+    let mut row = [0; 3];
+    for (k, &nodes) in CREATE_SIZES.iter().enumerate() {
+        let counts: Vec<u64> = (0..CREATE_REPEATS)
+            .map(|r| {
+                let serial = 1000 + k * CREATE_REPEATS + r;
+                let a = allocs(state, &create(serial, nodes), 201);
+                allocs(state, &delete(serial), 200);
+                a
+            })
+            .collect();
+        row[k] = counts.iter().copied().max().unwrap_or(0);
+        eprintln!("PROBE {nodes} {counts:?}");
+        assert!(
+            true || counts.iter().all(|&c| c == row[k]),
+            "creates at {nodes} nodes allocate {counts:?} times"
+        );
+    }
+    row
+}
+
+/// The layers a create's allocations are filed under, in the order the
+/// bill prints them, each with the frames that belong to it. A frame is
+/// matched against the layers in this order, so the JSON parser is not
+/// filed under obs, nor tree building under tsch-sim.
+#[cfg(debug_assertions)]
+const LAYERS: [(&str, &[&str]); 7] = [
+    ("harpd", &["harpd::"]),
+    ("JSON", &["harp_obs::json::"]),
+    ("scenario DSL", &["workloads::scenario_dsl::"]),
+    (
+        "topology",
+        &["workloads::topo_gen::", "tsch_sim::topology::"],
+    ),
+    ("HARP", &["harp_core::", "packing::"]),
+    ("tsch-sim", &["tsch_sim::"]),
+    ("obs", &["harp_obs::"]),
+];
+
+/// Files one allocation under its layer in [`LAYERS`]: the innermost frame
+/// of this workspace decides. Frames outside it (std, the allocator) are
+/// skipped; an allocation no workspace frame claims is harpd's, whose
+/// request path called it.
+#[cfg(debug_assertions)]
+fn layer_of(backtrace: &str) -> usize {
+    let outside = |frame: &str| {
+        let path = frame.trim_start_matches('<');
+        ["core::", "alloc::", "std::"]
+            .iter()
+            .any(|p| path.starts_with(p))
+    };
+    backtrace
+        .lines()
+        .filter_map(|line| line.trim_start().split_once(": ").map(|(_, f)| f))
+        .filter(|f| !outside(f))
+        .find_map(|frame| {
+            LAYERS
+                .iter()
+                .position(|(_, frames)| frames.iter().any(|m| frame.contains(m)))
+        })
+        .unwrap_or(0)
+}
+
+/// Who allocates in a create: one create at each of [`CREATE_SIZES`] on a
+/// daemon whose flight ring is full, each allocation filed by the frames
+/// it was made in. Debug only, where every function keeps its frame.
+#[cfg(debug_assertions)]
+#[test]
+fn create_bill_per_layer() {
+    let state = AppState::new("secret".into(), "scenarios".into());
+    allocs(&state, &create(0, 64), 201);
+    for _ in 0..2 * FLIGHT_CAPACITY {
+        allocs(&state, &read(0), 200);
+    }
+    let requests: Vec<Vec<u8>> = CREATE_SIZES
+        .iter()
+        .enumerate()
+        .map(|(k, &nodes)| create(1 + k, nodes))
+        .collect();
+    let before = testkit::alloc::allocated().0;
+    let ((), bill) = testkit::alloc::sites::attributed(layer_of, || {
+        for request in &requests {
+            let (status, _) = serve(&state, request);
+            assert_eq!(status, 201);
+        }
+    });
+    let total = testkit::alloc::allocated().0 - before;
+    let per_create = |n: u64| n as f64 / requests.len() as f64;
+    let layers: Vec<String> = LAYERS
+        .iter()
+        .zip(bill)
+        .map(|((name, _), n)| format!("{name} {:.1}", per_create(n)))
+        .collect();
+    println!(
+        "create bill per layer (allocations per create, {CREATE_SIZES:?} nodes): {}; total {:.1}",
+        layers.join(", "),
+        per_create(total)
+    );
+    assert_eq!(
+        bill.iter().sum::<u64>(),
+        total,
+        "the layers sum to the total"
     );
 }

@@ -659,6 +659,76 @@ mod tests {
         assert_eq!(t.parent(root), None);
     }
 
+    /// Depth, subtree layer and subtree size of every node by recursion
+    /// over the parent table alone.
+    fn naive_shape(parent: &[Option<NodeId>]) -> Vec<(u32, u32, u32)> {
+        fn below(v: usize, parent: &[Option<NodeId>], depth: u32) -> (u32, u32) {
+            let (mut layer, mut size) = (depth, 1);
+            for c in (0..parent.len()).filter(|&c| parent[c] == Some(NodeId(v as u32))) {
+                let (l, s) = below(c, parent, depth + 1);
+                layer = layer.max(l);
+                size += s;
+            }
+            (layer, size)
+        }
+        (0..parent.len())
+            .map(|v| {
+                let mut depth = 0;
+                let mut cur = v;
+                while let Some(p) = parent[cur] {
+                    depth += 1;
+                    cur = p.index();
+                }
+                let (layer, size) = below(v, parent, depth);
+                (depth, layer, size)
+            })
+            .collect()
+    }
+
+    fn assert_shape_is_naive(t: &Tree, what: &str) {
+        let naive = naive_shape(&t.parent);
+        for v in t.nodes() {
+            assert_eq!(
+                (t.depth(v), t.subtree_layer(v), t.subtree_size(v)),
+                naive[v.index()],
+                "{what}: node {v}"
+            );
+        }
+    }
+
+    /// `depth`, `subtree_layer` and `subtree_size` against recursion, on
+    /// random trees whose labels are shuffled so that a parent may have a
+    /// larger id than its child, and on reparented copies of them.
+    #[test]
+    fn shape_tables_match_a_recursive_referee() {
+        let mut rng = crate::SplitMix64::new(0x7EE5);
+        for case in 0..200u64 {
+            let n = 1 + rng.next_below(120) as usize;
+            // Node k of the construction order hangs under an earlier one;
+            // the labels 1..n are then shuffled, the root keeps 0.
+            let mut label: Vec<u32> = (0..n as u32).collect();
+            for i in (2..n).rev() {
+                let j = 1 + rng.next_below(i as u64) as usize;
+                label.swap(i, j);
+            }
+            let pairs: Vec<(u32, u32)> = (1..n)
+                .map(|k| (label[k], label[rng.next_below(k as u64) as usize]))
+                .collect();
+            let t = Tree::from_parents(&pairs);
+            assert_shape_is_naive(&t, &format!("case {case}"));
+            for _ in 0..4 {
+                if n < 3 {
+                    break;
+                }
+                let child = NodeId(1 + rng.next_below(n as u64 - 1) as u32);
+                let to = NodeId(rng.next_below(n as u64) as u32);
+                if let Ok(moved) = t.with_reparented(child, to) {
+                    assert_shape_is_naive(&moved, &format!("case {case}, {child} under {to}"));
+                }
+            }
+        }
+    }
+
     #[test]
     fn builder_rejects_unknown_parent() {
         let mut b = TreeBuilder::new();

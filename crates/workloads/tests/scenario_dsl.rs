@@ -244,3 +244,153 @@ fn scenario_tasks_match_demand_model() {
     assert!(s.requirements(&tree).total(tsch_sim::Direction::Up) > 0);
     assert_eq!(tasks[0].id, TaskId(0));
 }
+
+/// Every diagnostic of the argument, section and integer paths, pinned
+/// to its exact line, column and message.
+#[test]
+fn diagnostics_are_pinned_exactly() {
+    for (text, line, col, msg) in [
+        // A token that is not `key=value`.
+        (
+            "scenario x\n[faults]\ncrash node=1 at_frame\n",
+            3,
+            14,
+            "`crash` expects key=value arguments, got `at_frame`",
+        ),
+        (
+            "scenario x\n[faults]\ncrash node= at_frame=5\n",
+            3,
+            7,
+            "`crash` expects key=value arguments, got `node=`",
+        ),
+        (
+            "scenario x\n[faults]\ncrash =1 at_frame=5\n",
+            3,
+            7,
+            "`crash` expects key=value arguments, got `=1`",
+        ),
+        // A malformed token is found before a bad value ahead of it.
+        (
+            "scenario x\n[faults]\ncrash node=x at_frame\n",
+            3,
+            14,
+            "`crash` expects key=value arguments, got `at_frame`",
+        ),
+        (
+            "scenario x\n[topology]\ngenerator random nodes=5 bogus\n",
+            3,
+            26,
+            "`generator random` expects key=value arguments, got `bogus`",
+        ),
+        // Unknown, duplicated and missing arguments.
+        (
+            "scenario x\n[faults]\ncrash node=1 at_frame=5 color=red\n",
+            3,
+            25,
+            "unknown argument `color` for `crash`",
+        ),
+        (
+            "scenario x\n[faults]\ncrash node=1 node=2 at_frame=5\n",
+            3,
+            14,
+            "unknown argument `node` for `crash`",
+        ),
+        (
+            "scenario x\n[faults]\ncrash node=1\n",
+            3,
+            1,
+            "`crash` is missing its `at_frame=` argument",
+        ),
+        (
+            "scenario x\n[report]\n  mode timeline\n",
+            3,
+            1,
+            "`mode timeline` is missing its `node=` argument",
+        ),
+        (
+            "scenario x\n[faults]\ncrash node=1 at_frame=ten\n",
+            3,
+            14,
+            "invalid value `ten` for `at_frame` in `crash`",
+        ),
+        // Section headers.
+        (
+            "scenario x\n[faults] extra\n",
+            2,
+            10,
+            "trailing tokens after section header",
+        ),
+        (
+            "scenario x\n[topology]\n\n [topology]\n",
+            4,
+            2,
+            "duplicate section `[topology]`",
+        ),
+        (
+            "scenario x\n[topology]\n[topology] extra\n",
+            3,
+            1,
+            "duplicate section `[topology]`",
+        ),
+        ("scenario x\n[faults\n", 2, 1, "unterminated section header"),
+        ("scenario x\n[bogus]\n", 2, 1, "unknown section `[bogus]`"),
+        // Integers: `_` is removed before anything else is read.
+        (
+            "scenario x\nseed _\n",
+            2,
+            1,
+            "`seed` needs an integer value",
+        ),
+        (
+            "scenario x\nseed 0x\n",
+            2,
+            1,
+            "`seed` needs an integer value",
+        ),
+        (
+            "scenario x\nseed -1\n",
+            2,
+            1,
+            "`seed` needs an integer value",
+        ),
+        (
+            "scenario x\n[faults]\ncrash node=1 at_frame=1_x\n",
+            3,
+            14,
+            "invalid value `1_x` for `at_frame` in `crash`",
+        ),
+    ] {
+        let e = parse_scenario(text).unwrap_err();
+        assert_eq!(
+            (e.line, e.col, e.msg.as_str()),
+            (line, col, msg),
+            "{text:?}"
+        );
+    }
+}
+
+/// How `parse_u64` reads an integer: `_` anywhere is removed first, then a
+/// `0x`/`0X` prefix selects hexadecimal, and a leading `+` is accepted.
+#[test]
+fn integers_read_underscores_hex_and_sign() {
+    for (value, seed) in [
+        ("1_000", 1000),
+        ("0x1F", 31),
+        ("0X1f", 31),
+        ("0_x1F", 31),
+        ("0x_1_F", 31),
+        ("+5", 5),
+        ("18446744073709551615", u64::MAX),
+    ] {
+        let s = parse_scenario(&format!("scenario x\nseed {value}\n")).unwrap();
+        assert_eq!(s.seed, seed, "seed {value}");
+        let s = parse_scenario(&format!(
+            "scenario x\n[faults]\ncrash node=1 at_frame={value}\n"
+        ))
+        .unwrap();
+        let FaultSpec::Crash { at_frame, .. } = s.faults[0] else {
+            panic!("a crash directive parses to a crash");
+        };
+        assert_eq!(at_frame, seed, "at_frame={value}");
+    }
+}
