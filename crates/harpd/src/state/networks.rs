@@ -2,6 +2,7 @@
 //! request-body helpers they share. A handler's only contact with
 //! telemetry is the request's [`Record`], which it fills in.
 
+use std::borrow::Cow;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
@@ -69,9 +70,14 @@ fn u64_field(json: &Json, key: &str) -> Result<u64, HttpError> {
     Ok(v as u64)
 }
 
-fn load_scenario_text(state: &AppState, json: &Json) -> Result<(String, String), HttpError> {
+/// The scenario text of a create body and, for a named scenario, its
+/// name. An inline scenario is borrowed from the parsed body.
+fn load_scenario_text<'j>(
+    state: &AppState,
+    json: &'j Json,
+) -> Result<(Option<&'j str>, Cow<'j, str>), HttpError> {
     if let Some(inline) = json.get("scenario").and_then(Json::as_str) {
-        return Ok(("inline".to_owned(), inline.to_owned()));
+        return Ok((None, Cow::Borrowed(inline)));
     }
     let name = str_field(json, "scenario_file").map_err(|_| {
         HttpError::new(
@@ -90,7 +96,7 @@ fn load_scenario_text(state: &AppState, json: &Json) -> Result<(String, String),
     let path = state.scenario_dir.join(&file);
     let text = std::fs::read_to_string(&path)
         .map_err(|_| HttpError::new(404, format!("no checked-in scenario named \"{file}\"")))?;
-    Ok((name.to_owned(), text))
+    Ok((Some(name), Cow::Owned(text)))
 }
 
 fn already_hosted(tenant_id: &str) -> HttpError {
@@ -122,10 +128,14 @@ pub(super) fn create(
     // Refuse a taken id before paying for a convergence. Two racing
     // creates of one id can both pass here; the check at the insert below
     // is the race-free one (and the one that reports a poisoned map).
-    if state.tenant(&tenant_id).is_ok() {
+    if state
+        .tenants
+        .read()
+        .is_ok_and(|tenants| tenants.contains_key(&tenant_id))
+    {
         return Err(already_hosted(&tenant_id));
     }
-    let (source, text) = load_scenario_text(state, &json)?;
+    let (file_name, text) = load_scenario_text(state, &json)?;
     let scenario = parse_scenario(&text)
         .map_err(|e| HttpError::new(422, format!("scenario does not parse: {e}")))?;
     let config = scenario
@@ -150,10 +160,9 @@ pub(super) fn create(
     .map_err(|e| HttpError::new(422, format!("scenario demand is infeasible: {e}")))?;
     rec.allocator_us = micros(alloc_start.elapsed());
 
-    let scenario_name = if source == "inline" {
-        scenario.name.clone()
-    } else {
-        source
+    let scenario_name = match file_name {
+        Some(name) => name.to_owned(),
+        None => scenario.name,
     };
     let summary = handle.summary();
     let static_report = handle.static_report();

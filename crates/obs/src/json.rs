@@ -354,9 +354,25 @@ impl Parser<'_> {
         }
     }
 
+    /// Bytes from the cursor to the string's closing quote, or 0 when it
+    /// never closes. An escape never decodes to more bytes than it is
+    /// written in, so this bounds the decoded length.
+    fn closed_span(&self) -> usize {
+        let rest = &self.bytes[self.pos..];
+        let mut i = 0;
+        while i < rest.len() {
+            match rest[i] {
+                b'"' => return i,
+                b'\\' => i += 2,
+                _ => i += 1,
+            }
+        }
+        0
+    }
+
     fn string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"', "expected '\"'")?;
-        let mut out = String::new();
+        let mut out = String::with_capacity(self.closed_span());
         loop {
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
@@ -384,10 +400,17 @@ impl Parser<'_> {
                                 if self.bytes[self.pos..].starts_with(b"\\u") {
                                     self.pos += 2;
                                     let low = self.hex4()?;
-                                    let combined = 0x10000
-                                        + ((u32::from(code) - 0xD800) << 10)
-                                        + (u32::from(low) - 0xDC00);
-                                    char::from_u32(combined).unwrap_or('\u{FFFD}')
+                                    if (0xDC00..0xE000).contains(&low) {
+                                        let combined = 0x10000
+                                            + ((u32::from(code) - 0xD800) << 10)
+                                            + (u32::from(low) - 0xDC00);
+                                        char::from_u32(combined).unwrap_or('\u{FFFD}')
+                                    } else {
+                                        // Not a pair: the high half is lone,
+                                        // the second escape its own scalar.
+                                        out.push('\u{FFFD}');
+                                        char::from_u32(u32::from(low)).unwrap_or('\u{FFFD}')
+                                    }
                                 } else {
                                     '\u{FFFD}'
                                 }
@@ -518,6 +541,8 @@ mod tests {
             (r#""\ud83d\ude00""#, "😀"),
             (r#""a\ud800b""#, "a\u{FFFD}b"),
             (r#""\udc00""#, "\u{FFFD}"),
+            (r#""\ud800\u0041""#, "\u{FFFD}A"),
+            (r#""\ud800\ud800\udc00""#, "\u{FFFD}\u{FFFD}\u{FFFD}"),
             (r#""""#, ""),
         ] {
             assert_eq!(parse(input).unwrap(), Json::Str(decoded.into()), "{input}");
@@ -546,6 +571,17 @@ mod tests {
             (err.message, err.offset),
             ("unterminated string", body.len())
         );
+        // Nor does it reserve the rest of the body for its value.
+        let parser = Parser {
+            bytes: body.as_bytes(),
+            pos: body.len() - (1 << 20),
+        };
+        assert_eq!(parser.closed_span(), 0);
+        let parser = Parser {
+            bytes: br#"a\"b\\" tail"#,
+            pos: 0,
+        };
+        assert_eq!(parser.closed_span(), 6, "an escape is skipped whole");
         // An escaped quote does not close it.
         let err = parse(r#"["a\""#).unwrap_err();
         assert_eq!((err.message, err.offset), ("unterminated string", 5));

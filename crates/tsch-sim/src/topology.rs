@@ -187,7 +187,16 @@ impl TreeBuilder {
     /// Starts a tree whose root (the gateway) is node `0`.
     #[must_use]
     pub fn new() -> Self {
-        Self { parent: vec![None] }
+        Self::with_capacity(1)
+    }
+
+    /// Starts a tree like [`TreeBuilder::new`], with room for `nodes`
+    /// nodes (the root included) before its table grows.
+    #[must_use]
+    pub fn with_capacity(nodes: usize) -> Self {
+        let mut parent = Vec::with_capacity(nodes.max(1));
+        parent.push(None);
+        Self { parent }
     }
 
     /// The root node id.
@@ -318,31 +327,30 @@ impl Tree {
         let children = |v: NodeId| {
             &child_ids[child_offsets[v.index()] as usize..child_offsets[v.index() + 1] as usize]
         };
-        // Depths: BFS from the root. Parents must form an acyclic structure;
-        // TreeBuilder guarantees parents precede children, from_parents
-        // re-checks reachability here.
+        // Depths: breadth first from the root, one node at a time into
+        // `order`. Parents must form an acyclic structure; TreeBuilder
+        // guarantees parents precede children, from_parents re-checks
+        // reachability here.
         let mut depth = vec![u32::MAX; n];
         depth[0] = 0;
-        let mut queue = std::collections::VecDeque::from([NodeId(0)]);
-        let mut seen = 1usize;
-        while let Some(u) = queue.pop_front() {
+        let mut order = Vec::with_capacity(n);
+        order.push(NodeId(0));
+        let mut next = 0;
+        while let Some(&u) = order.get(next) {
+            next += 1;
             for &c in children(u) {
                 assert_eq!(depth[c.index()], u32::MAX, "cycle at {c}");
                 depth[c.index()] = depth[u.index()] + 1;
-                seen += 1;
-                queue.push_back(c);
+                order.push(c);
             }
         }
-        assert_eq!(seen, n, "all nodes must be reachable from the root");
+        assert_eq!(order.len(), n, "all nodes must be reachable from the root");
 
-        // Post-order accumulation of subtree layer and size.
+        // Breadth-first order walked backwards is deepest first: every
+        // child is folded into its parent before the parent into its own.
         let mut subtree_layer = depth.clone();
         let mut subtree_size = vec![1u32; n];
-        let mut order: Vec<NodeId> = (0..n)
-            .map(|i| NodeId(u32::try_from(i).expect("dense u32 ids")))
-            .collect();
-        order.sort_by_key(|&v| std::cmp::Reverse(depth[v.index()]));
-        for &v in &order {
+        for &v in order.iter().rev() {
             if let Some(p) = parent[v.index()] {
                 let (vi, pi) = (v.index(), p.index());
                 subtree_layer[pi] = subtree_layer[pi].max(subtree_layer[vi]);

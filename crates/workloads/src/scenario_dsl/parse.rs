@@ -12,6 +12,7 @@ use super::ast::{
     DemandModel, DemandStep, FaultSpec, Headroom, LinkSel, RateStep, ReportMode, ReportSpec,
     Scenario, SchedulerSpec, TopologySpec, WorkloadSpec,
 };
+use core::cell::Cell;
 use core::fmt;
 use tsch_sim::Rate;
 
@@ -46,15 +47,22 @@ fn err<T>(line: usize, col: usize, msg: impl Into<String>) -> Result<T, Scenario
 struct Tok<'a> {
     col: usize,
     text: &'a str,
+    /// Set when a directive's [`Args`] consumes the token.
+    taken: Cell<bool>,
 }
 
-/// Tokenizes one line: strips the `#` comment, splits on whitespace.
-fn tokenize(raw: &str) -> Vec<Tok<'_>> {
+/// The most tokens a directive of fixed arity has (`generator random`
+/// with all six arguments): the token buffer's first size.
+const LONGEST_DIRECTIVE: usize = 8;
+
+/// Tokenizes one line into `toks`: strips the `#` comment, splits on
+/// whitespace.
+fn tokenize<'a>(raw: &'a str, toks: &mut Vec<Tok<'a>>) {
+    toks.clear();
     let code = match raw.find('#') {
         Some(i) => &raw[..i],
         None => raw,
     };
-    let mut toks = Vec::new();
     let mut rest = code;
     let mut offset = 0;
     while let Some(start) = rest.find(|c: char| !c.is_whitespace()) {
@@ -63,15 +71,21 @@ fn tokenize(raw: &str) -> Vec<Tok<'_>> {
         toks.push(Tok {
             col: offset + start + 1,
             text: &after[..len],
+            taken: Cell::new(false),
         });
         offset += start + len;
         rest = &rest[start + len..];
     }
-    toks
 }
 
 fn parse_u64(s: &str) -> Option<u64> {
-    let s = s.replace('_', "");
+    let without_underscores;
+    let s = if s.contains('_') {
+        without_underscores = s.replace('_', "");
+        &without_underscores
+    } else {
+        s
+    };
     if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
         u64::from_str_radix(hex, 16).ok()
     } else {
@@ -100,22 +114,25 @@ fn parse_link(s: &str) -> Option<LinkSel> {
     }
 }
 
-/// A directive's `key=value` arguments, consumed by name; leftover keys
-/// are a positioned error.
-struct Args<'a> {
+/// A directive's `key=value` arguments: the line's tokens after the
+/// directive's words, consumed by name; leftover keys are a positioned
+/// error.
+struct Args<'t, 'a> {
     line: usize,
-    head: &'a str,
-    pairs: Vec<(&'a str, &'a str, usize)>,
+    head: &'static str,
+    toks: &'t [Tok<'a>],
 }
 
-impl<'a> Args<'a> {
-    fn new(line: usize, head: &'a str, toks: &[Tok<'a>]) -> Result<Self, ScenarioError> {
-        let mut pairs = Vec::new();
+/// A token's key and value; [`Args::new`] has checked both are non-empty.
+fn pair<'a>(t: &Tok<'a>) -> (&'a str, &'a str) {
+    t.text.split_once('=').unwrap_or((t.text, ""))
+}
+
+impl<'t, 'a> Args<'t, 'a> {
+    fn new(line: usize, head: &'static str, toks: &'t [Tok<'a>]) -> Result<Self, ScenarioError> {
         for t in toks {
             match t.text.split_once('=') {
-                Some((k, v)) if !k.is_empty() && !v.is_empty() => {
-                    pairs.push((k, v, t.col));
-                }
+                Some((k, v)) if !k.is_empty() && !v.is_empty() => {}
                 _ => {
                     return err(
                         line,
@@ -125,7 +142,7 @@ impl<'a> Args<'a> {
                 }
             }
         }
-        Ok(Self { line, head, pairs })
+        Ok(Self { line, head, toks })
     }
 
     /// Takes a required argument, parsing it with `parse`.
@@ -146,15 +163,20 @@ impl<'a> Args<'a> {
         key: &str,
         parse: impl Fn(&str) -> Option<T>,
     ) -> Result<Option<T>, ScenarioError> {
-        let Some(i) = self.pairs.iter().position(|&(k, _, _)| k == key) else {
+        let Some(t) = self
+            .toks
+            .iter()
+            .find(|t| !t.taken.get() && pair(t).0 == key)
+        else {
             return Ok(None);
         };
-        let (_, v, col) = self.pairs.remove(i);
+        t.taken.set(true);
+        let v = pair(t).1;
         match parse(v) {
             Some(parsed) => Ok(Some(parsed)),
             None => err(
                 self.line,
-                col,
+                t.col,
                 format!("invalid value `{v}` for `{key}` in `{}`", self.head),
             ),
         }
@@ -162,12 +184,12 @@ impl<'a> Args<'a> {
 
     /// Errors on any argument not consumed.
     fn finish(self) -> Result<(), ScenarioError> {
-        match self.pairs.first() {
+        match self.toks.iter().find(|t| !t.taken.get()) {
             None => Ok(()),
-            Some(&(k, _, col)) => err(
+            Some(t) => err(
                 self.line,
-                col,
-                format!("unknown argument `{k}` for `{}`", self.head),
+                t.col,
+                format!("unknown argument `{}` for `{}`", pair(t).0, self.head),
             ),
         }
     }
@@ -193,11 +215,12 @@ pub fn parse_scenario(text: &str) -> Result<Scenario, ScenarioError> {
     let mut report = ReportSpec::default();
     let mut mode_line = 0usize;
     let mut section: Option<&str> = None;
-    let mut seen: Vec<&str> = Vec::new();
+    let mut seen = [false; SECTIONS.len()];
+    let mut toks = Vec::with_capacity(LONGEST_DIRECTIVE);
 
     for (i, raw) in text.lines().enumerate() {
         let line = i + 1;
-        let toks = tokenize(raw);
+        tokenize(raw, &mut toks);
         let Some(head) = toks.first() else { continue };
 
         // Section headers.
@@ -205,17 +228,17 @@ pub fn parse_scenario(text: &str) -> Result<Scenario, ScenarioError> {
             let Some(sec) = inner.strip_suffix(']') else {
                 return err(line, head.col, "unterminated section header");
             };
-            let Some(&known) = SECTIONS.iter().find(|&&s| s == sec) else {
+            let Some(k) = SECTIONS.iter().position(|&s| s == sec) else {
                 return err(line, head.col, format!("unknown section `[{sec}]`"));
             };
-            if seen.contains(&known) {
+            if seen[k] {
                 return err(line, head.col, format!("duplicate section `[{sec}]`"));
             }
             if let Some(t) = toks.get(1) {
                 return err(line, t.col, "trailing tokens after section header");
             }
-            seen.push(known);
-            section = Some(known);
+            seen[k] = true;
+            section = Some(SECTIONS[k]);
             continue;
         }
 

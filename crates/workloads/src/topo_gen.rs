@@ -157,14 +157,17 @@ impl TopologyConfig {
             "multi-node trees need layers"
         );
         let mut rng = SplitMix64::new(seed);
-        let mut builder = TreeBuilder::new();
-        let mut depth = vec![0u32];
-        let mut child_count = vec![0usize];
+        let nodes = self.nodes as usize;
+        let mut builder = TreeBuilder::with_capacity(nodes);
+        let mut depth = Vec::with_capacity(nodes);
+        depth.push(0u32);
+        let mut child_count = Vec::with_capacity(nodes);
+        child_count.push(0usize);
         // A node is an eligible parent while its depth leaves room within
         // the layer bound and it has child capacity left. The set tracks
         // exactly the list the former O(n) rebuild produced, so each
         // `kth(next_below(count))` draw picks the same parent.
-        let mut eligible = EligibleSet::with_capacity(self.nodes as usize);
+        let mut eligible = EligibleSet::with_capacity(nodes);
         let is_eligible =
             |depth: u32, children: usize| depth < self.layers && children < self.max_children;
         eligible.push(is_eligible(0, 0));
@@ -185,7 +188,7 @@ impl TopologyConfig {
         }
 
         // Attach the rest to random eligible parents.
-        while builder.len() < self.nodes as usize {
+        while builder.len() < nodes {
             assert!(
                 eligible.count() > 0,
                 "max_children {} too small for {} nodes",
