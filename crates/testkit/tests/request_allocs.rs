@@ -275,7 +275,9 @@ fn layer_of(backtrace: &str) -> usize {
 
 /// Who allocates in a create: one create at each of [`CREATE_SIZES`] on a
 /// daemon whose flight ring is full, each allocation filed by the frames
-/// it was made in. Debug only, where every function keeps its frame.
+/// it was made in. Every layer must bill the same at every size, and the
+/// layers must sum to the total. Debug only, where every function keeps
+/// its frame.
 #[cfg(debug_assertions)]
 #[test]
 fn create_bill_per_layer() {
@@ -284,33 +286,37 @@ fn create_bill_per_layer() {
     for _ in 0..2 * FLIGHT_CAPACITY {
         allocs(&state, &read(0), 200);
     }
-    let requests: Vec<Vec<u8>> = CREATE_SIZES
-        .iter()
-        .enumerate()
-        .map(|(k, &nodes)| create(1 + k, nodes))
-        .collect();
-    let before = testkit::alloc::allocated().0;
-    let ((), bill) = testkit::alloc::sites::attributed(layer_of, || {
-        for request in &requests {
-            let (status, _) = serve(&state, request);
-            assert_eq!(status, 201);
-        }
-    });
-    let total = testkit::alloc::allocated().0 - before;
-    let per_create = |n: u64| n as f64 / requests.len() as f64;
+    let mut bills = Vec::with_capacity(CREATE_SIZES.len());
+    for (k, &nodes) in CREATE_SIZES.iter().enumerate() {
+        let request = create(1 + k, nodes);
+        let before = testkit::alloc::allocated().0;
+        let (status, bill) =
+            testkit::alloc::sites::attributed(layer_of, || serve(&state, &request).0);
+        let total = testkit::alloc::allocated().0 - before;
+        assert_eq!(status, 201);
+        assert_eq!(
+            bill.iter().sum::<u64>(),
+            total,
+            "at {nodes} nodes the layers sum to the total"
+        );
+        allocs(&state, &delete(1 + k), 200);
+        bills.push((bill, total));
+    }
+    let (bill, total) = bills[0];
     let layers: Vec<String> = LAYERS
         .iter()
         .zip(bill)
-        .map(|((name, _), n)| format!("{name} {:.1}", per_create(n)))
+        .map(|((name, _), n)| format!("{name} {n}"))
         .collect();
     println!(
-        "create bill per layer (allocations per create, {CREATE_SIZES:?} nodes): {}; total {:.1}",
-        layers.join(", "),
-        per_create(total)
+        "create bill per layer (allocations per create at {CREATE_SIZES:?} nodes): {}; total {total}",
+        layers.join(", ")
     );
-    assert_eq!(
-        bill.iter().sum::<u64>(),
-        total,
-        "the layers sum to the total"
-    );
+    for (&nodes, &(other, _)) in CREATE_SIZES.iter().zip(&bills) {
+        assert_eq!(
+            other, bill,
+            "at {nodes} nodes the layers bill {other:?}, at {} nodes {bill:?}",
+            CREATE_SIZES[0]
+        );
+    }
 }
