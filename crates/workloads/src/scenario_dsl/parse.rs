@@ -123,7 +123,7 @@ struct Args<'t, 'a> {
     toks: &'t [Tok<'a>],
 }
 
-/// A token's key and value; [`Args::new`] has checked both are non-empty.
+/// A token's key and value; a token without `=` is a key with no value.
 fn pair<'a>(t: &Tok<'a>) -> (&'a str, &'a str) {
     t.text.split_once('=').unwrap_or((t.text, ""))
 }
@@ -131,15 +131,13 @@ fn pair<'a>(t: &Tok<'a>) -> (&'a str, &'a str) {
 impl<'t, 'a> Args<'t, 'a> {
     fn new(line: usize, head: &'static str, toks: &'t [Tok<'a>]) -> Result<Self, ScenarioError> {
         for t in toks {
-            match t.text.split_once('=') {
-                Some((k, v)) if !k.is_empty() && !v.is_empty() => {}
-                _ => {
-                    return err(
-                        line,
-                        t.col,
-                        format!("`{head}` expects key=value arguments, got `{}`", t.text),
-                    )
-                }
+            let (k, v) = pair(t);
+            if k.is_empty() || v.is_empty() {
+                return err(
+                    line,
+                    t.col,
+                    format!("`{head}` expects key=value arguments, got `{}`", t.text),
+                );
             }
         }
         Ok(Self { line, head, toks })
