@@ -209,8 +209,7 @@ const CREATE_SIZES: [u32; 3] = [64, 128, 256];
 const CREATE_REPEATS: usize = 3;
 
 /// The allocations of one create at each of [`CREATE_SIZES`], on a daemon
-/// whose flight ring is full: every create of a size must cost the same,
-/// or the row reports the largest.
+/// whose flight ring is full; every create of a size must cost the same.
 fn create_row(state: &AppState) -> [u64; 3] {
     let mut row = [0; 3];
     for (k, &nodes) in CREATE_SIZES.iter().enumerate() {
@@ -222,7 +221,7 @@ fn create_row(state: &AppState) -> [u64; 3] {
                 a
             })
             .collect();
-        row[k] = counts.iter().copied().max().unwrap_or(0);
+        row[k] = counts[0];
         assert!(
             counts.iter().all(|&c| c == row[k]),
             "creates at {nodes} nodes allocate {counts:?} times"
