@@ -106,6 +106,30 @@ impl HarpMessage {
     pub(crate) fn is_management(&self) -> bool {
         !matches!(self, HarpMessage::CellAssignment { .. })
     }
+
+    /// Returns `true` if `self`, sent to the neighbour `older` went to,
+    /// replaces the state `older` set there: a cell assignment in the same
+    /// direction, or a `PUT intf` or `PUT part` for the same direction and
+    /// layer. The sender retires such an older message before it sends
+    /// this one, so a retransmission of it cannot arrive after this one.
+    pub(crate) fn supersedes(&self, older: &HarpMessage) -> bool {
+        use HarpMessage::{
+            CellAssignment, PostInterface, PostPartitions, PutInterface, PutPartition,
+        };
+        // The state a message replaces at its receiver. The static phase's
+        // posts replace none: a node sends each of them once per settle.
+        let replaced = |m: &HarpMessage| match *m {
+            CellAssignment { direction, .. } => Some((MessageKind::CellAssignment, direction, 0)),
+            PutInterface {
+                direction, layer, ..
+            } => Some((MessageKind::Interface, direction, layer)),
+            PutPartition {
+                direction, layer, ..
+            } => Some((MessageKind::Partition, direction, layer)),
+            PostInterface { .. } | PostPartitions { .. } => None,
+        };
+        replaced(self).is_some_and(|state| replaced(older) == Some(state))
+    }
 }
 
 impl fmt::Display for HarpMessage {
@@ -185,6 +209,56 @@ mod tests {
         assert!(put.is_management());
         let post = HarpMessage::PostPartitions { partitions: vec![] };
         assert!(post.is_management());
+    }
+
+    #[test]
+    fn a_message_supersedes_its_own_kind_for_the_same_state() {
+        use Direction::{Down, Up};
+        let cells = |direction| HarpMessage::CellAssignment {
+            direction,
+            cells: CellRun::default(),
+        };
+        let put_intf = |direction, layer, cells| HarpMessage::PutInterface {
+            direction,
+            layer,
+            component: ResourceComponent::row(cells),
+        };
+        let put_part = |direction, layer, slots| HarpMessage::PutPartition {
+            direction,
+            layer,
+            rect: Rect::from_xywh(0, 0, slots, 1),
+        };
+        let post_intf = || HarpMessage::PostInterface {
+            up: ResourceInterface::new(),
+            down: ResourceInterface::new(),
+        };
+        let post_part = || HarpMessage::PostPartitions { partitions: vec![] };
+        let table = [
+            // A cell assignment matches by direction.
+            (cells(Up), cells(Up), true),
+            (cells(Down), cells(Up), false),
+            // `PUT intf` and `PUT part` match by direction and layer,
+            // whatever they carry.
+            (put_intf(Up, 2, 5), put_intf(Up, 2, 3), true),
+            (put_intf(Up, 2, 3), put_intf(Up, 3, 3), false),
+            (put_intf(Down, 2, 3), put_intf(Up, 2, 3), false),
+            (put_part(Down, 1, 4), put_part(Down, 1, 2), true),
+            (put_part(Down, 1, 2), put_part(Down, 2, 2), false),
+            (put_part(Up, 1, 2), put_part(Down, 1, 2), false),
+            // The static phase's posts never match, not even themselves.
+            (post_intf(), post_intf(), false),
+            (post_part(), post_part(), false),
+            // Nor does another variant for the same direction and layer.
+            (put_part(Up, 2, 3), put_intf(Up, 2, 3), false),
+            (put_intf(Up, 2, 3), put_part(Up, 2, 3), false),
+            (cells(Up), put_part(Up, 1, 1), false),
+            (put_part(Up, 1, 1), cells(Up), false),
+            (post_part(), put_part(Up, 1, 1), false),
+            (post_intf(), put_intf(Up, 1, 1), false),
+        ];
+        for (newer, older, expected) in table {
+            assert_eq!(newer.supersedes(&older), expected, "{newer} after {older}");
+        }
     }
 
     #[test]

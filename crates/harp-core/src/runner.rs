@@ -490,7 +490,9 @@ impl HarpNetwork {
     }
 
     /// Runs one handler at node `at` in this network's [`Cx`], then sends
-    /// what it put in the outbox. The outbox is empty afterwards, whatever
+    /// what it put in the outbox, each message first retiring an
+    /// unacknowledged older one to the same neighbour that it supersedes
+    /// (`HarpMessage::supersedes`). The outbox is empty afterwards, whatever
     /// happened: nothing a failed handler pushed outlives the rollback.
     /// Whatever it sent is in the report, failed or not. Outside a
     /// transaction the node tables compact here, between handlers, when
@@ -505,6 +507,7 @@ impl HarpNetwork {
         let sent = handled.and_then(|()| {
             for (to, msg) in outbox.messages.drain(..) {
                 self.account_message(at, to, &msg);
+                self.plane.retire(at, to, |older| msg.supersedes(older));
                 self.plane.send(&self.tree, self.now, at, to, msg)?;
             }
             Ok(())

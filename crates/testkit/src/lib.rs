@@ -6,7 +6,7 @@
 //! * [`NodeContents`]: what a node holds, read through every getter;
 //! * [`PreImage`]: what a rejected protocol event must leave as it found;
 //! * [`assert_rows_installed`]: the schedule as a projection of what the
-//!   children installed.
+//!   children installed, and that as what their parents assigned last.
 //!
 //! No crate depends on this one. It depends on `tsch-sim`, `packing` and
 //! `harp-core`, so a test that needs them lives here instead of giving a
@@ -69,15 +69,35 @@ impl NodeContents {
     }
 }
 
-/// Panics, naming `ctx`, unless every link's row of `net`'s schedule holds
-/// the run its child installed ([`HarpNode::installed`]): what a rollback,
-/// which restores the rows from the logged own cells alone, relies on.
+/// Panics, naming `ctx`, at the first link found by [`misinstalled`].
 pub fn assert_rows_installed(net: &HarpNetwork, ctx: &str) {
-    for link in Direction::BOTH.map(|d| net.tree().links(d)).concat() {
-        let installed = net.node(link.child).installed(link.direction);
-        let row = net.schedule().cells_of(link).iter().copied();
-        assert!(row.eq(installed), "{ctx}: {link} is not as installed");
+    if let Some(fault) = misinstalled(net) {
+        panic!("{ctx}: {fault}");
     }
+}
+
+/// The first link whose row of `net`'s schedule is not the run its child
+/// installed ([`HarpNode::installed`]) — what a rollback, which restores
+/// the rows from the logged own cells alone, relies on — or whose installed
+/// run is not the one its parent assigned last ([`HarpNode::assignment`]),
+/// which is what the parent's disjoint partitions make collision-free.
+#[must_use]
+pub fn misinstalled(net: &HarpNetwork) -> Option<String> {
+    let tree = net.tree();
+    Direction::BOTH
+        .map(|d| tree.links(d))
+        .concat()
+        .into_iter()
+        .find_map(|link| {
+            let installed = net.node(link.child).installed(link.direction);
+            let row = net.schedule().cells_of(link).iter().copied();
+            if !row.eq(installed.clone()) {
+                return Some(format!("{link} is not as installed"));
+            }
+            let parent = tree.parent(link.child).expect("a link has a parent");
+            let assigned = net.node(parent).assignment(link.direction, link.child);
+            (installed != assigned).then(|| format!("{link} is not as assigned"))
+        })
 }
 
 /// Everything a rejected event must leave as it found it.

@@ -85,22 +85,6 @@ fn active_node(net: &HarpNetwork, rng: &mut SplitMix64, not: Option<NodeId>) -> 
     }
 }
 
-/// A link whose installed cells are not the ones its parent assigned last.
-fn overtaken_link(net: &HarpNetwork) -> Option<Link> {
-    let tree = net.tree();
-    tree.nodes().skip(1).find_map(|v| {
-        let parent = net.node(tree.parent(v).expect("not the gateway"));
-        Direction::BOTH.into_iter().find_map(|direction| {
-            let link = Link {
-                child: v,
-                direction,
-            };
-            let assigned = parent.assignment(direction, v).to_vec();
-            (net.schedule().cells_of(link) != assigned.as_slice()).then_some(link)
-        })
-    })
-}
-
 /// A topology event of the referee below.
 #[derive(Debug, Clone, Copy)]
 enum Topology {
@@ -125,7 +109,6 @@ fn rejected_topology_events_restore_the_pre_image_and_commits_stay_collision_fre
     // Per kind (join, leave, reparent): commits, and rejections per channel.
     let mut commits = [0u32; 3];
     let mut rejections = [[0u32; 3]; 3];
-    let mut overtaken = Vec::new();
     for case in 0..CASES {
         let mut rng = SplitMix64::new(0x70_9010 ^ (case << 20));
         let tree = seeded_tree(&mut rng, case);
@@ -207,38 +190,22 @@ fn rejected_topology_events_restore_the_pre_image_and_commits_stay_collision_fre
                 }
                 Ok(()) => {
                     commits[event.kind()] += 1;
-                    // A known fault the transaction does not cover (ROADMAP
-                    // item 1): under loss, a retransmitted cell assignment
-                    // can arrive after a newer one to the same link, and the
-                    // child installs the older cells. It can only happen
-                    // with retransmissions, and the case stops there.
-                    if let Some(link) = overtaken_link(&net) {
-                        assert_ne!(channel, 0, "{ctx}: {link} is not as assigned");
-                        let fault = format!("{ctx}: {link} installed an overtaken assignment");
-                        println!("{fault}");
-                        overtaken.push(fault);
-                        break;
-                    }
                     let broken = verify_schedule(net.tree(), &demand, net.schedule());
                     assert!(broken.is_empty(), "{ctx}: {broken:?}");
                 }
             }
         }
     }
-    println!(
-        "commits (join, leave, reparent) {commits:?}, rejections per channel {rejections:?}, \
-         overtaken assignments {}",
-        overtaken.len()
-    );
+    println!("commits (join, leave, reparent) {commits:?}, rejections per channel {rejections:?}");
     // The counts are a fingerprint of every handler's decisions on these
     // inputs: a change to a handler or to the runner's outbox that moves
     // one has to say which and why. A departure only releases cells, so
-    // only a dead hop rejects one.
-    assert_eq!(commits, [1074, 793, 1673]);
-    assert_eq!(rejections, [[292, 289, 259], [0, 0, 0], [47, 53, 66]]);
-    let fault = "case 128 (145 nodes, channel 2), event 21 (Join { parent: NodeId(52), up: 4, \
-                 down: 3 }): N148:up installed an overtaken assignment";
-    assert_eq!(overtaken, [fault]);
+    // only a dead hop rejects one. Case 128 (Chaos) ran to its last event
+    // once senders retired superseded messages: at event 21 its join had
+    // left N148:up on an overtaken cell assignment, and its two events
+    // after that add a leave commit and a join rejection.
+    assert_eq!(commits, [1074, 794, 1673]);
+    assert_eq!(rejections, [[292, 289, 260], [0, 0, 0], [47, 53, 66]]);
 }
 
 #[test]

@@ -167,6 +167,11 @@ impl Transport for Lossy {
 
 /// Adversarial channel for robustness tests: independent seeded drop,
 /// duplicate and delay processes on every transmission.
+///
+/// Its delay must stay below the slotframe's length: a delayed frame may
+/// not pass its management cell's next occurrence, which is what lets a
+/// sender retire a superseded message ([`ControlPlane::retire`]) instead
+/// of ordering it. [`ControlPlane`] panics on a longer delay.
 #[derive(Debug, Clone)]
 pub struct Chaos {
     rng: SplitMix64,
@@ -510,6 +515,19 @@ impl<M: Clone> ControlPlane<M> {
         Ok(deliver_at)
     }
 
+    /// Retires every exchange from `from` to `to` still awaiting its ACK
+    /// whose payload `superseded` names, so it is never retransmitted. A
+    /// sender calls it before a message that replaces the state an older
+    /// one set at the receiver: a retransmitted older copy could otherwise
+    /// arrive after the newer message and undo it. A copy already in
+    /// flight still arrives, but first, since no fate delays a frame past
+    /// its cell's next occurrence. The retired id leaves a gap in the
+    /// receiver's duplicate window that later ids do not wait for.
+    pub fn retire(&mut self, from: NodeId, to: NodeId, mut superseded: impl FnMut(&M) -> bool) {
+        self.outstanding
+            .retain(|o| !(o.from == from && o.to == to && superseded(&o.payload)));
+    }
+
     /// Returns `true` if the transport delivers every frame exactly once, on
     /// time: the reliability sublayer is disengaged and a transmission's
     /// arrival is the ASN its management cell fires.
@@ -555,6 +573,12 @@ impl<M: Clone> ControlPlane<M> {
 
     /// Enqueues `envelope` according to `fate` (possibly dropping it, adding
     /// delay, or delivering a second copy one slotframe later).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fate` delays the frame a slotframe or more: it would pass
+    /// its cell's next occurrence, where a newer message that retired it
+    /// may travel.
     fn deliver_per_fate(
         &mut self,
         fate: TxFate,
@@ -563,6 +587,12 @@ impl<M: Clone> ControlPlane<M> {
         to: NodeId,
         envelope: Envelope<M>,
     ) {
+        assert!(
+            fate.delay_slots < u64::from(self.config.slots),
+            "a frame delayed {} slots passes its cell's next occurrence ({} slots)",
+            fate.delay_slots,
+            self.config.slots
+        );
         if !fate.delivered {
             self.stats.dropped += 1;
             return;
@@ -1209,6 +1239,85 @@ mod tests {
         let mut expected = vec![ACK_TIMEOUT_SLOTFRAMES, 5, 9];
         expected.resize(1 + MAX_RETRANSMISSIONS as usize, MAX_BACKOFF_SLOTFRAMES + 1);
         assert_eq!(timer_gaps, expected);
+    }
+
+    #[test]
+    fn retire_drops_only_the_named_exchanges_of_one_pair_for_good() {
+        let t = tree();
+        let (a, b) = (NodeId(9), NodeId(7));
+        let sends = [
+            (a, b, 1),
+            (NodeId(4), NodeId(1), 3),
+            (a, b, 5),
+            (a, b, 6),
+            (b, a, 7),
+        ];
+        // Every first attempt is lost, so every exchange awaits its ACK.
+        let mut plane: ControlPlane<u32> =
+            ControlPlane::new(&t, cfg(), Box::new(Scripted::drop_first(sends.len())));
+        for &(from, to, m) in &sends {
+            plane.send(&t, Asn(0), from, to, m).unwrap();
+        }
+        // Odd payloads from `a` to `b`: not 6, and not 3 or 7 on other pairs.
+        plane.retire(a, b, |&m| m % 2 == 1);
+        let left: Vec<(NodeId, NodeId, u32)> = plane
+            .outstanding
+            .iter()
+            .map(|o| (o.from, o.to, o.payload))
+            .collect();
+        assert_eq!(left, [sends[1], sends[3], sends[4]]);
+        assert!(
+            plane
+                .outstanding
+                .windows(2)
+                .all(|w| w[0].token < w[1].token),
+            "still sorted by token"
+        );
+        let mut delivered: Vec<u32> = drain(&mut plane, &t).iter().map(|d| d.payload).collect();
+        delivered.sort_unstable();
+        assert_eq!(delivered, [3, 6, 7], "each survivor once, no retired one");
+        assert_eq!(plane.stats().retransmissions, 3, "none for a retired one");
+        assert!(plane.is_idle());
+    }
+
+    #[test]
+    fn a_retired_id_leaves_a_gap_later_ids_do_not_wait_for() {
+        let t = tree();
+        let (a, b) = (NodeId(9), NodeId(7));
+        let mut plane: ControlPlane<u32> =
+            ControlPlane::new(&t, cfg(), Box::new(Scripted::drop_first(1)));
+        // Id 0 is lost and retired: the receiver never sees it.
+        plane.send(&t, Asn(0), a, b, 0).unwrap();
+        plane.retire(a, b, |_| true);
+        let later = 1..=DEDUP_WINDOW as u32 + 8;
+        for m in later.clone() {
+            plane.send(&t, Asn(0), a, b, m).unwrap();
+        }
+        let delivered: Vec<u32> = drain(&mut plane, &t).iter().map(|d| d.payload).collect();
+        assert_eq!(delivered, later.collect::<Vec<_>>(), "every later id, once");
+        let window = &plane.pairs[&(a, b)].1;
+        assert!(window.seen.len() as u64 <= DEDUP_WINDOW);
+        assert_eq!(window.floor, DEDUP_WINDOW + 9, "the floor passed the gap");
+        assert_eq!(plane.stats().duplicates_suppressed, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "passes its cell's next occurrence")]
+    fn a_frame_delayed_a_slotframe_is_refused() {
+        let t = tree();
+        let slots = u64::from(cfg().slots);
+        let delayed = |delay_slots| TxFate {
+            delay_slots,
+            ..TxFate::DELIVERED
+        };
+        let mut plane: ControlPlane<u32> = ControlPlane::new(
+            &t,
+            cfg(),
+            Box::new(Scripted::new(vec![delayed(slots - 1), delayed(slots)])),
+        );
+        // The longest delay allowed passes, the next one does not.
+        plane.send(&t, Asn(0), NodeId(9), NodeId(7), 1).unwrap();
+        let _ = plane.send(&t, Asn(0), NodeId(9), NodeId(7), 2);
     }
 
     #[test]
