@@ -176,7 +176,7 @@ impl Workspace {
     /// here instead of returned. `Some(moved)` counts the partitions that
     /// moved; [`Workspace::moved`] and [`Workspace::adopt_layout`] read
     /// the outcome until the next adjustment. Allocates nothing once the
-    /// workspace is warm, but for a full repack's packing.
+    /// workspace is warm.
     ///
     /// # Errors
     ///
@@ -254,13 +254,58 @@ impl Workspace {
                 let (k, r) = entries[scratch.order[t] as usize];
                 (old_rect.distance_to(&r), k)
             }) else {
-                // Everything removed: the final fallback is a full repack
-                // (Problem 2's rectangle packing).
-                return full_repack(scratch, sizes, rects, parent_rect, entries, req, new_size);
+                break;
             };
             scratch.order.swap(removed, nearest);
             sizes.push(entries[scratch.order[removed] as usize].1.size);
         }
+        // Everything removed: the final fallback is a full repack
+        // (Problem 2's rectangle packing).
+        self.full_repack(parent_rect, entries, req, new_size)
+    }
+
+    /// Full repack of all entries into the parent (the Alg. 2 line-15
+    /// fallback), in this workspace's strip packer, `sizes` and `pass1`;
+    /// leaves the new rectangles in `pass2`.
+    fn full_repack<K: Copy + Ord>(
+        &mut self,
+        parent_rect: Rect,
+        entries: &[(K, Rect)],
+        req: usize,
+        new_size: ResourceComponent,
+    ) -> Result<Option<usize>, HarpError> {
+        let size = |i: usize| {
+            if i == req {
+                new_size.as_size()
+            } else {
+                entries[i].1.size
+            }
+        };
+        let Self {
+            strip,
+            adjust: scratch,
+            sizes,
+            pass1: placements,
+            pass2: rects,
+            ..
+        } = self;
+        sizes.clear();
+        sizes.extend((0..entries.len()).map(size).filter(|s| !s.is_empty()));
+        if !strip.pack_into(sizes, parent_rect.size, placements)? {
+            return Ok(None);
+        }
+        let mut placed = placements.iter();
+        for (i, rect) in rects.iter_mut().enumerate() {
+            *rect = if size(i).is_empty() {
+                Rect::default()
+            } else {
+                let rel = placed
+                    .next()
+                    .expect("packable entries align with placements");
+                rel.translated(parent_rect.left(), parent_rect.bottom())
+            };
+        }
+        Ok(Some(scratch.finish(entries, rects, req, Path::Repack)))
     }
 
     /// The partitions the last [`Workspace::adjust`] on `entries` moved,
@@ -329,43 +374,6 @@ impl AdjustScratch {
     fn moved(&self, i: u32, old: Rect, new: Rect) -> bool {
         old != new || (i == self.requester && self.path != Path::InPlace)
     }
-}
-
-/// Full repack of all child partitions into the parent (the Alg. 2 line-15
-/// fallback), leaving the new rectangles in `rects`.
-fn full_repack<K: Copy + Ord>(
-    scratch: &mut AdjustScratch,
-    sizes: &mut Vec<Size>,
-    rects: &mut [Rect],
-    parent_rect: Rect,
-    entries: &[(K, Rect)],
-    req: usize,
-    new_size: ResourceComponent,
-) -> Result<Option<usize>, HarpError> {
-    let size = |i: usize| {
-        if i == req {
-            new_size.as_size()
-        } else {
-            entries[i].1.size
-        }
-    };
-    sizes.clear();
-    sizes.extend((0..entries.len()).map(size).filter(|s| !s.is_empty()));
-    let Some(placements) = pack_into(sizes, parent_rect.size)? else {
-        return Ok(None);
-    };
-    let mut placed = placements.iter();
-    for (i, rect) in rects.iter_mut().enumerate() {
-        *rect = if size(i).is_empty() {
-            Rect::default()
-        } else {
-            let rel = placed
-                .next()
-                .expect("packable entries align with placements");
-            rel.translated(parent_rect.left(), parent_rect.bottom())
-        };
-    }
-    Ok(Some(scratch.finish(entries, rects, req, Path::Repack)))
 }
 
 #[cfg(test)]

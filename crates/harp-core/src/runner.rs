@@ -145,7 +145,7 @@ fn stamp(marks: &mut Vec<u32>, i: usize, epoch: u32) -> usize {
 /// replaced, moved in rather than cloned; a joined node is cut off at that
 /// tree's length. Restoring on failure costs what the event wrote, not the
 /// network size. Open only inside [`HarpNetwork::transact`]; closed (the
-/// default), it records nothing and owns no heap.
+/// default), it records nothing and owns at most the log's kept buffer.
 #[derive(Debug, Default)]
 struct Transaction {
     /// Displaced node-state values, in write order (per-node counters and
@@ -210,10 +210,12 @@ pub struct HarpNetwork {
 
 // A create pays a network's inline size in bytes beyond its tables, and
 // the benchmark bounds `create_churn`'s `alloc_kb_per_op` at 0.1 %. The
-// network measures 1,760 bytes on a 64-bit target (1,776 while the
-// schedule kept its stacked cells in a `BTreeMap`); the bound is that plus
-// 16 bytes of slack, so a field added here must reuse one rather than sit
-// beside it, and a change that shrinks the network lowers the bound.
+// network measures 1,768 bytes on a 64-bit target (1,760 while the undo
+// log freed its buffer at every commit, and so told recording from closed
+// by whether it had one; 1,776 while the schedule kept its stacked cells
+// in a `BTreeMap`); the bound leaves 8 bytes of slack, so a field added
+// here must reuse one rather than sit beside it, and a change that shrinks
+// the network lowers the bound.
 const _: () = assert!(mem::size_of::<HarpNetwork>() <= 1_776);
 
 impl HarpNetwork {
@@ -940,27 +942,27 @@ impl HarpNetwork {
         self.reset_report();
         self.touch();
         debug_assert!(!self.txn.log.is_recording(), "protocol events do not nest");
-        self.txn = Transaction {
-            log: UndoLog::recording(),
-            schedule_version: self.schedule.version(),
-            tree: None,
-        };
+        self.txn.log.open();
+        self.txn.schedule_version = self.schedule.version();
         let result = body(self)
             .and_then(|()| self.run_until_quiescent())
             .map(|_| self.close_run(event));
-        let txn = std::mem::take(&mut self.txn);
+        let replaced = self.txn.tree.take();
         if result.is_err() {
             // The log rolls back before the joined node is cut off, so the
             // row it installed is released while the node exists.
-            let version = txn.schedule_version;
-            txn.log
+            let version = self.txn.schedule_version;
+            self.txn
+                .log
                 .rollback(&mut self.nodes, &mut self.schedule, version);
             self.plane.cancel_in_flight();
-            if let Some(tree) = txn.tree {
+            if let Some(tree) = replaced {
                 self.tree = tree;
             }
             self.nodes.truncate(self.tree.len());
             self.counts.adjustments_rolled_back += 1;
+        } else {
+            self.txn.log.commit();
         }
         // The log is closed: the pools may pack what the event left behind.
         self.nodes.compact(&self.txn.log);

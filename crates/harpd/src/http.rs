@@ -337,13 +337,13 @@ impl Response {
         }
     }
 
-    /// The canonical error body for an [`HttpError`].
+    /// The canonical error body for an [`HttpError`], written into `buf`
+    /// (a buffer from the response pool, like every other body).
     #[must_use]
-    pub(crate) fn from_error(err: &HttpError) -> Self {
-        let mut r = Self::json(
-            err.status,
-            format!("{{\"error\": \"{}\"}}\n", escape_json(&err.message)),
-        );
+    pub(crate) fn from_error(err: &HttpError, buf: Vec<u8>) -> Self {
+        let mut b = harp_obs::json::JsonBuf::reuse(buf);
+        b.raw("{\"error\": ").string(&err.message).raw("}\n");
+        let mut r = Self::json_bytes(err.status, b.into_bytes());
         // Framing may be lost after a protocol error; never reuse the
         // connection.
         r.close = true;
@@ -630,9 +630,9 @@ mod tests {
         let r = Response::json(200, "{}".into());
         assert_eq!(r.status, 200);
         assert!(!r.close);
-        let err = Response::from_error(&HttpError::new(431, "too big"));
+        let err = Response::from_error(&HttpError::new(431, "too \"big\"\n"), b"old".to_vec());
         assert!(err.close);
-        assert!(String::from_utf8(err.body).unwrap().contains("too big"));
+        assert_eq!(err.body, b"{\"error\": \"too \\\"big\\\"\\n\"}\n");
     }
 
     /// Counts the calls that reach the socket.

@@ -201,7 +201,7 @@ pub(crate) fn handle_request_timed(state: &AppState, req: &Request<'_>, parse_us
     }
     let mut rec = state.telemetry.begin(req.method, &req.path, parse_us);
     let (class, result) = route(state, req, &segments[..len], &mut rec);
-    let response = result.unwrap_or_else(|err| Response::from_error(&err));
+    let response = result.unwrap_or_else(|err| Response::from_error(&err, state.take_buf()));
     state.telemetry.record(rec, class, response.status);
     response
 }
@@ -212,7 +212,7 @@ pub(crate) fn handle_request_timed(state: &AppState, req: &Request<'_>, parse_us
 /// `harpd_http_errors`. The transport times no parse it gave up on, so
 /// the latency recorded is 0.
 pub(crate) fn handle_unparsed(state: &AppState, err: &HttpError) -> Response {
-    let response = Response::from_error(err);
+    let response = Response::from_error(err, state.take_buf());
     let rec = state.telemetry.begin("UNPARSED", &err.message, 0);
     state
         .telemetry

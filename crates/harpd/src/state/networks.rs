@@ -45,7 +45,7 @@ pub(super) fn list(state: &AppState) -> Response {
     Response::json_bytes(200, b.into_bytes())
 }
 
-fn body_json(req: &Request<'_>) -> Result<Json, HttpError> {
+fn body_json<'b>(req: &Request<'b>) -> Result<Json<'b>, HttpError> {
     let text = req.body_str()?;
     parse(text).map_err(|e| HttpError::new(400, format!("invalid JSON body: {e}")))
 }

@@ -248,7 +248,8 @@ mod tests {
 
         let resp = handle_request(&state, &get("/debug/trace/t1"));
         assert_eq!(resp.status, 200);
-        let doc = harp_obs::json::parse(&String::from_utf8(resp.body).unwrap()).unwrap();
+        let text = String::from_utf8(resp.body).unwrap();
+        let doc = harp_obs::json::parse(&text).unwrap();
         let requests =
             harp_obs::flame::TraceDoc::from_json(doc.get("request_spans").unwrap()).unwrap();
         let kept: Vec<u64> = requests.spans.iter().map(|s| s.corr).collect();

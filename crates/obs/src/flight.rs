@@ -366,7 +366,8 @@ mod tests {
         assert_eq!(r.events().dropped(), 3);
         let seqs: Vec<u64> = r.events().iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![4, 5], "seq is assigned by the recorder");
-        let doc = json::parse(&r.to_json(10)).unwrap();
+        let text = r.to_json(10);
+        let doc = json::parse(&text).unwrap();
         assert_eq!(doc.get("dropped").and_then(json::Json::as_f64), Some(3.0));
     }
 
@@ -406,7 +407,8 @@ mod tests {
         for i in 0..5 {
             r.record(ev(i, "request", ""));
         }
-        let doc = json::parse(&r.to_json(2)).unwrap();
+        let text = r.to_json(2);
+        let doc = json::parse(&text).unwrap();
         assert_eq!(doc.get("dropped").and_then(json::Json::as_f64), Some(3.0));
         let events = doc.get("events").and_then(json::Json::as_arr).unwrap();
         assert_eq!(events.len(), 2);
@@ -468,7 +470,8 @@ mod tests {
             detail: "say \"hi\"\n".to_owned(),
             ..ev(1, "request", "")
         });
-        let doc = json::parse(&r.to_json(2)).unwrap();
+        let text = r.to_json(2);
+        let doc = json::parse(&text).unwrap();
         let events = doc.get("events").and_then(json::Json::as_arr).unwrap();
         assert_eq!(
             events[0].get("detail").and_then(json::Json::as_str),

@@ -12,6 +12,7 @@
 //! place.
 
 use core::fmt;
+use std::borrow::Cow;
 
 /// Appends the JSON string-escape of `s` (no surrounding quotes) to a
 /// byte buffer: `\\`, `\"`, the whitespace escapes, `\u00XX` for other
@@ -156,27 +157,28 @@ impl JsonBuf {
 /// Numbers are kept as `f64` — every number the benchmark reports emit fits
 /// (counters stay far below 2^53) and the gate compares percentages anyway.
 /// Objects preserve insertion order; lookup is linear, which is fine at
-/// report sizes.
+/// report sizes. Strings and keys borrow from the parsed input unless they
+/// hold an escape, so a request body's keys and plain values cost nothing.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Json {
+pub enum Json<'a> {
     /// `null`
     Null,
     /// `true` / `false`
     Bool(bool),
     /// Any number.
     Num(f64),
-    /// A string (escapes decoded).
-    Str(String),
+    /// A string: borrowed from the input, or decoded when it holds an escape.
+    Str(Cow<'a, str>),
     /// An array.
-    Arr(Vec<Json>),
+    Arr(Vec<Json<'a>>),
     /// An object, in document order.
-    Obj(Vec<(String, Json)>),
+    Obj(Vec<(Cow<'a, str>, Json<'a>)>),
 }
 
-impl Json {
+impl<'a> Json<'a> {
     /// Member lookup on an object (`None` for other variants or missing key).
     #[must_use]
-    pub fn get(&self, key: &str) -> Option<&Json> {
+    pub fn get(&self, key: &str) -> Option<&Json<'a>> {
         match self {
             Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
@@ -203,7 +205,7 @@ impl Json {
 
     /// The elements, if this is an array.
     #[must_use]
-    pub fn as_arr(&self) -> Option<&[Json]> {
+    pub fn as_arr(&self) -> Option<&[Json<'a>]> {
         match self {
             Json::Arr(items) => Some(items),
             _ => None,
@@ -232,8 +234,9 @@ const MAX_DEPTH: usize = 128;
 
 /// Parses one JSON document (trailing whitespace allowed, trailing garbage
 /// rejected).
-pub fn parse(input: &str) -> Result<Json, JsonError> {
+pub fn parse(input: &str) -> Result<Json<'_>, JsonError> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -247,11 +250,12 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
     fn err(&self, message: &'static str) -> JsonError {
         JsonError {
             offset: self.pos,
@@ -278,7 +282,7 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
+    fn value(&mut self, depth: usize) -> Result<Json<'a>, JsonError> {
         if depth > MAX_DEPTH {
             return Err(self.err("nesting too deep"));
         }
@@ -294,7 +298,7 @@ impl Parser<'_> {
         }
     }
 
-    fn literal(&mut self, word: &'static [u8], value: Json) -> Result<Json, JsonError> {
+    fn literal(&mut self, word: &'static [u8], value: Json<'a>) -> Result<Json<'a>, JsonError> {
         if self.bytes[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(value)
@@ -303,7 +307,7 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
+    fn object(&mut self, depth: usize) -> Result<Json<'a>, JsonError> {
         self.expect(b'{', "expected '{'")?;
         let mut members = Vec::new();
         self.skip_ws();
@@ -331,7 +335,7 @@ impl Parser<'_> {
         }
     }
 
-    fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
+    fn array(&mut self, depth: usize) -> Result<Json<'a>, JsonError> {
         self.expect(b'[', "expected '['")?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -354,11 +358,11 @@ impl Parser<'_> {
         }
     }
 
-    /// Bytes from the cursor to the string's closing quote, or 0 when it
-    /// never closes. An escape never decodes to more bytes than it is
-    /// written in, so this bounds the decoded length.
-    fn closed_span(&self) -> usize {
-        let rest = &self.bytes[self.pos..];
+    /// Bytes from `from` to the string's closing quote, or 0 when it never
+    /// closes. An escape never decodes to more bytes than it is written in,
+    /// so this bounds the decoded length.
+    fn closed_span(&self, from: usize) -> usize {
+        let rest = &self.bytes[from..];
         let mut i = 0;
         while i < rest.len() {
             match rest[i] {
@@ -370,9 +374,34 @@ impl Parser<'_> {
         0
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// A string, borrowed from the input when it holds no escape. One
+    /// with an escape or a control character is decoded by [`Self::decode`],
+    /// which reports every error at the offset it always has.
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"', "expected '\"'")?;
-        let mut out = String::with_capacity(self.closed_span());
+        let start = self.pos;
+        let rest = &self.bytes[start..];
+        let plain = rest
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+            .unwrap_or(rest.len());
+        self.pos = start + plain;
+        match self.peek() {
+            Some(b'"') => {
+                self.pos += 1;
+                Ok(Cow::Borrowed(&self.text[start..start + plain]))
+            }
+            None => Err(self.err("unterminated string")),
+            Some(_) => self.decode(start).map(Cow::Owned),
+        }
+    }
+
+    /// Decodes the rest of a string whose content began at `start`, into a
+    /// `String` sized from its raw span; the bytes from `start` to the
+    /// cursor hold no quote, escape or control character.
+    fn decode(&mut self, start: usize) -> Result<String, JsonError> {
+        let mut out = String::with_capacity(self.closed_span(start));
+        out.push_str(&self.text[start..self.pos]);
         loop {
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
@@ -457,7 +486,7 @@ impl Parser<'_> {
         Ok(code)
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
+    fn number(&mut self) -> Result<Json<'a>, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -573,15 +602,18 @@ mod tests {
         );
         // Nor does it reserve the rest of the body for its value.
         let parser = Parser {
+            text: &body,
             bytes: body.as_bytes(),
-            pos: body.len() - (1 << 20),
-        };
-        assert_eq!(parser.closed_span(), 0);
-        let parser = Parser {
-            bytes: br#"a\"b\\" tail"#,
             pos: 0,
         };
-        assert_eq!(parser.closed_span(), 6, "an escape is skipped whole");
+        assert_eq!(parser.closed_span(body.len() - (1 << 20)), 0);
+        let text = r#"a\"b\\" tail"#;
+        let parser = Parser {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+        };
+        assert_eq!(parser.closed_span(0), 6, "an escape is skipped whole");
         // An escaped quote does not close it.
         let err = parse(r#"["a\""#).unwrap_err();
         assert_eq!((err.message, err.offset), ("unterminated string", 5));
@@ -640,10 +672,139 @@ mod tests {
             let doc = format!("\"{}\"", escape_json(original));
             assert_eq!(
                 parse(&doc).unwrap(),
-                Json::Str(original.to_owned()),
+                Json::Str(original.into()),
                 "round-trip failed for {original:?}"
             );
         }
+    }
+
+    /// The decoder as it has always run: the string at the start of
+    /// `input` decoded from its opening quote, with where it ended.
+    fn decoded_whole(input: &str) -> Result<(String, usize), JsonError> {
+        let mut p = Parser {
+            text: input,
+            bytes: input.as_bytes(),
+            pos: 0,
+        };
+        p.expect(b'"', "expected '\"'")?;
+        let start = p.pos;
+        p.decode(start).map(|s| (s, p.pos))
+    }
+
+    /// `string` agrees with [`decoded_whole`] on the text, the end and
+    /// every error, and borrows from `input` exactly when the string holds
+    /// no escape.
+    fn borrows_or_decodes_exactly(input: &str) {
+        let mut p = Parser {
+            text: input,
+            bytes: input.as_bytes(),
+            pos: 0,
+        };
+        match (p.string().map(|s| (s, p.pos)), decoded_whole(input)) {
+            (Ok((text, end)), Ok((whole, whole_end))) => {
+                assert_eq!(
+                    (text.as_ref(), end),
+                    (whole.as_str(), whole_end),
+                    "{input:?}"
+                );
+                let escaped = input[1..end - 1].contains('\\');
+                match text {
+                    Cow::Borrowed(b) => {
+                        assert!(!escaped, "{input:?} is escaped but borrowed");
+                        let within = input.as_bytes().as_ptr_range();
+                        assert!(within.contains(&b.as_ptr()), "{input:?}");
+                    }
+                    Cow::Owned(_) => assert!(escaped, "{input:?} is plain but decoded"),
+                }
+            }
+            (Err(err), Err(whole)) => assert_eq!(err, whole, "{input:?}"),
+            (got, whole) => panic!("{input:?}: {got:?} against {whole:?}"),
+        }
+    }
+
+    /// The referee of borrowed strings: every row of
+    /// `strings_decode_exactly`, its errors, seeded documents of plain
+    /// text, escapes, surrogates, controls and unclosed ends, and a seeded
+    /// `escape_json` round trip.
+    #[test]
+    fn borrowed_strings_decode_as_the_decoder_does() {
+        for input in [
+            r#""a\nb""#,
+            r#""\"quoted\"""#,
+            r#""\\ \/ \b \f \r \t""#,
+            r#""é""#,
+            r#""\u00e9""#,
+            r#""\ud83d\ude00""#,
+            r#""a\ud800b""#,
+            r#""\udc00""#,
+            r#""\ud800\u0041""#,
+            r#""\ud800\ud800\udc00""#,
+            r#""""#,
+            r#""\x""#,
+            r#""\u12g4""#,
+            "\"a\u{1}\"",
+            r#""\ud800\u""#,
+            r#""abc"#,
+            r#""a\"#,
+            "\"",
+        ] {
+            borrows_or_decodes_exactly(input);
+        }
+        const FRAGMENTS: [&str; 18] = [
+            "a",
+            "plain ",
+            "é",
+            "東京",
+            "🦀",
+            r#"\""#,
+            r"\\",
+            r"\/",
+            r"\n",
+            r"\u00e9",
+            r"\ud83d\ude00",
+            r"\ud800",
+            r"\udc00",
+            r"\u0041",
+            r"\x",
+            r"\u12g4",
+            "\u{1}",
+            "\u{1f}",
+        ];
+        const CHARS: [char; 12] = [
+            'a', ' ', '"', '\\', '/', '\n', '\u{1}', '\u{7f}', '\u{9f}', 'é', '東', '🦀',
+        ];
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut next = |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        for _ in 0..2000 {
+            let mut doc = String::from("\"");
+            for _ in 0..next(6) {
+                doc.push_str(FRAGMENTS[next(FRAGMENTS.len())]);
+            }
+            if next(4) > 0 {
+                doc.push_str("\", 1");
+            }
+            borrows_or_decodes_exactly(&doc);
+
+            let original: String = (0..next(8)).map(|_| CHARS[next(CHARS.len())]).collect();
+            let doc = format!("\"{}\"", escape_json(&original));
+            borrows_or_decodes_exactly(&doc);
+            match parse(&doc).unwrap() {
+                Json::Str(text) => assert_eq!(text, original.as_str()),
+                other => panic!("{doc:?} parsed as {other:?}"),
+            }
+        }
+        // An object's keys borrow too.
+        let body = r#"{"node": 3, "cells": 2, "direction": "up"}"#;
+        let Json::Obj(members) = parse(body).unwrap() else {
+            panic!("an object")
+        };
+        assert!(members.iter().all(|(k, _)| matches!(k, Cow::Borrowed(_))));
+        assert!(matches!(&members[2].1, Json::Str(Cow::Borrowed("up"))));
     }
 
     #[test]

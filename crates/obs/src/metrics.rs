@@ -356,7 +356,8 @@ mod tests {
         let mut snap = MetricsSnapshot::default();
         snap.histograms
             .insert("lat".to_owned(), histogram(&[10, 100], &[1, 2, 3, 50]));
-        let parsed = crate::json::parse(&snap.to_json()).expect("valid JSON");
+        let text = snap.to_json();
+        let parsed = crate::json::parse(&text).expect("valid JSON");
         let hist = parsed.get("histograms").and_then(|h| h.get("lat")).unwrap();
         assert_eq!(
             hist.get("p50").and_then(crate::json::Json::as_f64),

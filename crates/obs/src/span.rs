@@ -225,7 +225,8 @@ mod tests {
             node: NO_NODE,
             ..ev("a", "sim", 0)
         });
-        let parsed = crate::json::parse(&r2.to_json(10)).unwrap();
+        let text = r2.to_json(10);
+        let parsed = crate::json::parse(&text).unwrap();
         let spans = parsed
             .get("spans")
             .and_then(crate::json::Json::as_arr)
@@ -246,7 +247,8 @@ mod tests {
         for i in 0..6 {
             r.push(ev("a", "sim", i));
         }
-        let parsed = crate::json::parse(&r.to_json(100)).unwrap();
+        let text = r.to_json(100);
+        let parsed = crate::json::parse(&text).unwrap();
         assert_eq!(
             parsed
                 .get("total_recorded")
@@ -301,7 +303,8 @@ mod tests {
             scoped.to_json()
         );
         assert!(scoped.to_string().ends_with("corr=42"));
-        let parsed = crate::json::parse(&scoped.to_json()).unwrap();
+        let text = scoped.to_json();
+        let parsed = crate::json::parse(&text).unwrap();
         assert_eq!(
             parsed.get("corr").and_then(crate::json::Json::as_f64),
             Some(42.0)

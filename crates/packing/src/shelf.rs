@@ -40,7 +40,7 @@ struct Shelf {
 /// # }
 /// ```
 pub fn pack_strip_ffdh(items: &[Size], width: u32) -> Result<StripPacking, PackError> {
-    validate(items, width)?;
+    validate(items.iter().copied(), width)?;
     let mut shelves: Vec<Shelf> = Vec::new();
     let mut placements = vec![Rect::default(); items.len()];
     let mut top = 0u32;

@@ -54,12 +54,6 @@ impl StripPacking {
         &self.placements
     }
 
-    /// Consumes the packing and returns the placements.
-    #[must_use]
-    pub(crate) fn into_placements(self) -> Vec<Rect> {
-        self.placements
-    }
-
     /// The strip width the items were packed into.
     #[must_use]
     pub fn width(&self) -> u32 {
@@ -265,11 +259,11 @@ impl Skyline {
 
 /// Validates a list of items against a strip width (the shelf packer's
 /// check too).
-pub(crate) fn validate(items: &[Size], width: u32) -> Result<(), PackError> {
+pub(crate) fn validate(items: impl IntoIterator<Item = Size>, width: u32) -> Result<(), PackError> {
     if width == 0 {
         return Err(PackError::ZeroWidthStrip);
     }
-    for (index, item) in items.iter().enumerate() {
+    for (index, item) in items.into_iter().enumerate() {
         if item.is_empty() {
             return Err(PackError::EmptyItem { index });
         }
@@ -291,7 +285,9 @@ pub(crate) fn validate(items: &[Size], width: u32) -> Result<(), PackError> {
 /// at most a handful of components per layer, twice — pays more for those
 /// than for the packing. A workspace keeps the first two and writes the
 /// placements into a buffer the caller brings, so a warm one allocates
-/// nothing. Every call resets what it reads: results depend on the
+/// nothing. It packs a strip ([`StripWorkspace::pack`]) or a fixed
+/// container ([`StripWorkspace::pack_into`], the form Alg. 2's full repack
+/// runs in). Every call resets what it reads: results depend on the
 /// arguments only, never on what the workspace packed before.
 #[derive(Debug, Clone)]
 pub struct StripWorkspace {
@@ -343,8 +339,21 @@ impl StripWorkspace {
         width: u32,
         placements: &mut Vec<Rect>,
     ) -> Result<u32, PackError> {
+        self.pack_oriented(items, width, |size| size, placements)
+    }
+
+    /// [`StripWorkspace::pack`] of every item as `orient` presents it, the
+    /// placements in that orientation: the container form packs its
+    /// second orientation this way instead of through a transposed copy.
+    pub(crate) fn pack_oriented(
+        &mut self,
+        items: &[Size],
+        width: u32,
+        orient: impl Fn(Size) -> Size,
+        placements: &mut Vec<Rect>,
+    ) -> Result<u32, PackError> {
         crate::obs::STRIP_PACKS.add(1);
-        validate(items, width)?;
+        validate(items.iter().map(|&size| orient(size)), width)?;
         let Self { skyline, pending } = self;
         skyline.reset(width)?;
         placements.clear();
@@ -361,7 +370,7 @@ impl StripWorkspace {
             // early), then by input order for determinism.
             let mut best: Option<(usize, Size)> = None;
             for &item_idx in pending.iter() {
-                let size = items[item_idx];
+                let size = orient(items[item_idx]);
                 if size.w > seg_w {
                     continue;
                 }

@@ -103,6 +103,77 @@ fn workspace_reuse_is_invisible() {
         }
     }
     assert_eq!(errors, [8, 8, 8], "every error kind, in the middle");
+
+    // The container form in the same warm workspace: every instance packs
+    // as `pack_into` packs it, and as the packer did with a transposed copy
+    // of the items for its second orientation.
+    let mut outcomes = [0u32; 4];
+    for call in 0..400u64 {
+        let width = if call % 50 == 7 {
+            0
+        } else {
+            1 + rng.next_below(16) as u32
+        };
+        let container = Size::new(width, 1 + rng.next_below(16) as u32);
+        let n = [64, 1, 2, 4, 8][call as usize % 5];
+        let mut items: Vec<Size> = (0..n).map(|_| item(&mut rng, 8)).collect();
+        if call % 50 == 13 {
+            items[n / 2].h = 0;
+        }
+        let before = placements.clone();
+        let reused = ws.pack_into(&items, container, &mut placements);
+        let fresh = pack_into(&items, container);
+        let model = pack_into_with_a_transposed_copy(&items, container);
+        match (reused, fresh, model) {
+            (Ok(true), Ok(Some(fresh)), Ok(Some((model, orientation)))) => {
+                assert_eq!(placements, fresh, "call {call}");
+                assert_eq!(placements, model, "call {call}");
+                outcomes[orientation] += 1;
+            }
+            (Ok(false), Ok(None), Ok(None)) => outcomes[2] += 1,
+            (Err(reused), Err(fresh), Err(model)) => {
+                assert_eq!([reused, fresh], [model, model], "call {call}");
+                assert_eq!(placements, before, "call {call}: an error writes nothing");
+                outcomes[3] += 1;
+            }
+            (reused, fresh, model) => {
+                panic!("call {call}: {reused:?} vs {fresh:?} vs {model:?}")
+            }
+        }
+    }
+    assert!(
+        outcomes.iter().all(|&n| n > 0),
+        "both orientations, a refusal and an error: {outcomes:?}"
+    );
+}
+
+/// The container packing as the packer ran it with a transposed copy of
+/// the items, with the orientation that fit (0 primary, 1 secondary).
+fn pack_into_with_a_transposed_copy(
+    items: &[Size],
+    container: Size,
+) -> Result<Option<(Vec<Rect>, usize)>, PackError> {
+    if container.w == 0 || container.h == 0 {
+        return Err(PackError::ZeroWidthStrip);
+    }
+    if let Some(index) = items.iter().position(|i| i.w == 0 || i.h == 0) {
+        return Err(PackError::EmptyItem { index });
+    }
+    if items.iter().any(|i| !i.fits_in(container)) {
+        return Ok(None);
+    }
+    let packing = pack_strip(items, container.w)?;
+    if packing.height() <= container.h {
+        return Ok(Some((packing.placements().to_vec(), 0)));
+    }
+    let transposed: Vec<Size> = items.iter().map(|i| Size::new(i.h, i.w)).collect();
+    let packing = pack_strip(&transposed, container.h)?;
+    if packing.height() <= container.w {
+        let back = packing.placements().iter();
+        let back = back.map(|r| Rect::from_xywh(r.origin.y, r.origin.x, r.size.h, r.size.w));
+        return Ok(Some((back.collect(), 1)));
+    }
+    Ok(None)
 }
 
 #[test]

@@ -10,10 +10,12 @@
 //! nothing, a schedule render allocates the cached copy of its body, and a
 //! `/metrics` scrape allocates per metric family, not per tenant or series.
 //! A create allocates per table it keeps, so the same at every tree size:
-//! the parsed body's strings sized to their raw span, one token buffer per
-//! scenario, tree tables sized from the node count. A change that goes back
-//! to owned request strings, a segment vector, a fresh event per record, a
-//! string per sample line or a table grown by doubling shows up here first.
+//! the parsed body's strings borrowed from it, one token buffer per
+//! scenario, tree tables sized from the node count. An adjustment's body
+//! costs its object's member list, and the network adjusts in buffers it
+//! keeps. A change that goes back to owned request strings, a segment
+//! vector, a fresh event per record, a string per sample line or a table
+//! grown by doubling shows up here first.
 
 use harpd::http::{try_parse, Parsed};
 use harpd::state::{handle_request, AppState};
@@ -112,23 +114,26 @@ fn a_request_allocates_only_what_it_keeps() {
     /// the exposition (8,262 with a snapshot, a label set and a string per
     /// sample line for every tenant).
     const SCRAPE_BUDGET: u64 = 400;
-    /// Mean allocations of an adjustment, committed or refused: 13.0
-    /// (14.0 while the JSON parser grew the body's key strings by
-    /// doubling, 15.9 while the schedule kept a vector per stacked cell
+    /// Mean allocations of an adjustment, committed or refused: 5.9
+    /// (13.0 while the JSON parser copied the body's strings, a full
+    /// repack packed in fresh vectors, the undo log took a fresh buffer
+    /// per event and an error body was formatted, 14.0 while the JSON
+    /// parser grew the body's key strings by doubling, 15.9 while the schedule kept a vector per stacked cell
     /// too, 144.5 with Alg. 2's idle area, lists and layouts and the
     /// control plane's deliveries in fresh vectors, 157.1 with the
     /// report's B-tree sets too), + 10 %.
-    const ADJUST_BUDGET: f64 = 14.3;
+    const ADJUST_BUDGET: f64 = 6.5;
     /// What 40 more tenants may add to a scrape: the vector of groups and
     /// each family's vector of series double a few more times, nothing is
     /// allocated per tenant.
     const SCRAPE_GROWTH_BUDGET: u64 = 32;
     /// One create through the whole request path, the same at 64, 128 and
-    /// 256 nodes: 54 (98/102/106 while the scenario parser tokenized into a
+    /// 256 nodes: 51 (54 while the JSON parser copied the body's keys and
+    /// the tenant id, 98/102/106 while the scenario parser tokenized into a
     /// vector per line, the JSON parser grew strings by doubling, the tree
     /// tables grew from length 1 and harpd copied the inline scenario),
     /// + 10 %.
-    const CREATE_BUDGET: u64 = 59;
+    const CREATE_BUDGET: u64 = 56;
 
     let state = AppState::new("secret".into(), "scenarios".into());
     for serial in 0..8 {
@@ -230,12 +235,12 @@ fn create_row(state: &AppState) -> [u64; 3] {
     row
 }
 
-/// The layers a create's allocations are filed under, in the order the
+/// The layers a request's allocations are filed under, in the order the
 /// bill prints them, each with the frames that belong to it. A frame is
 /// matched against the layers in this order, so the JSON parser is not
 /// filed under obs, nor tree building under tsch-sim.
 #[cfg(debug_assertions)]
-const LAYERS: [(&str, &[&str]); 7] = [
+const LAYERS: [(&str, &[&str]); 8] = [
     ("harpd", &["harpd::"]),
     ("JSON", &["harp_obs::json::"]),
     ("scenario DSL", &["workloads::scenario_dsl::"]),
@@ -243,7 +248,8 @@ const LAYERS: [(&str, &[&str]); 7] = [
         "topology",
         &["workloads::topo_gen::", "tsch_sim::topology::"],
     ),
-    ("HARP", &["harp_core::", "packing::"]),
+    ("HARP", &["harp_core::"]),
+    ("packing", &["packing::"]),
     ("tsch-sim", &["tsch_sim::"]),
     ("obs", &["harp_obs::"]),
 ];
@@ -318,4 +324,65 @@ fn create_bill_per_layer() {
             CREATE_SIZES[0]
         );
     }
+}
+
+/// Adjustments billed per layer, after as many to warm the tenant.
+#[cfg(debug_assertions)]
+const BILLED_ADJUSTS: usize = 64;
+
+/// Who allocates in an adjust request: a 256-node tenant's adjustments
+/// on a daemon whose flight ring is full, after as many to warm its
+/// buffers, each allocation filed by the frames it was made in. The
+/// layers must sum to the total, the JSON body bills at most its object's
+/// member list, and packing bills nothing: Alg. 2's full repack runs in
+/// the network's workspace. Debug only, where every function keeps its
+/// frame.
+#[cfg(debug_assertions)]
+#[test]
+fn adjust_bill_per_layer() {
+    let state = AppState::new("secret".into(), "scenarios".into());
+    allocs(&state, &create(0, NODES), 201);
+    for _ in 0..2 * FLIGHT_CAPACITY {
+        allocs(&state, &read(0), 200);
+    }
+    let request = |i: usize| adjust(0, 1 + (i as u32 * 7) % 255, 1 + (i as u32) % 3);
+    for i in 0..BILLED_ADJUSTS {
+        serve(&state, &request(i));
+    }
+    let (mut bill, mut total, mut refused) = ([0u64; LAYERS.len()], 0, 0);
+    for i in BILLED_ADJUSTS..2 * BILLED_ADJUSTS {
+        let request = request(i);
+        let before = testkit::alloc::allocated().0;
+        let (status, one) =
+            testkit::alloc::sites::attributed(layer_of, || serve(&state, &request).0);
+        total += testkit::alloc::allocated().0 - before;
+        assert!(status == 200 || status == 409, "adjust answered {status}");
+        refused += u64::from(status == 409);
+        for (layer, n) in bill.iter_mut().zip(one) {
+            *layer += n;
+        }
+    }
+    let per_request = |n: u64| n as f64 / BILLED_ADJUSTS as f64;
+    let layers: Vec<String> = LAYERS
+        .iter()
+        .zip(bill)
+        .map(|((name, _), n)| format!("{name} {:.1}", per_request(n)))
+        .collect();
+    println!(
+        "adjust bill per layer (allocations per adjust request, {refused} of {BILLED_ADJUSTS} refused): {}; total {:.1}",
+        layers.join(", "),
+        per_request(total)
+    );
+    assert_eq!(
+        bill.iter().sum::<u64>(),
+        total,
+        "the layers sum to the total"
+    );
+    let layer = |name: &str| bill[LAYERS.iter().position(|(n, _)| *n == name).unwrap()];
+    assert!(
+        layer("JSON") <= BILLED_ADJUSTS as u64,
+        "the JSON bodies bill {:.1} per request, more than their member lists",
+        per_request(layer("JSON"))
+    );
+    assert_eq!(layer("packing"), 0, "a warm network packs in its workspace");
 }

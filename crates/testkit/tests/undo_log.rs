@@ -417,7 +417,9 @@ fn an_adjustment_allocates_what_it_writes() {
     /// instants were transients, 7 while the gateway's placement cloned both
     /// its interfaces and collected their layers too).
     const CREATE_FREES_BUDGET: u64 = 0;
-    /// Mean allocations per adjustment, measured likewise (4.1; 6.1 while
+    /// Mean allocations per adjustment, measured likewise (1.8; 4.1 while
+    /// a full repack packed in fresh vectors and the undo log took a fresh
+    /// buffer per event, 6.1 while
     /// the schedule kept a vector per stacked cell, and an escalated
     /// install stacked a cell for a moment about twice per adjustment; 120.1 with
     /// Alg. 2's idle area, lists and layouts and the control plane's
@@ -428,12 +430,14 @@ fn an_adjustment_allocates_what_it_writes() {
     /// handler too, 231.0 with the schedule as maps, 261.5 with maps and
     /// cell vectors in the nodes too, 301.3 with per-call buffers, 878.7
     /// with the first-touch node clones the undo log replaced), + 10 %.
-    const MEAN_ALLOCS_BUDGET: f64 = 4.5;
-    /// A local adjustment rewrites one row: its undo log and the cell
-    /// messages, 896 bytes on average here (910 with a vector per stacked
-    /// cell, 3,392 with Alg. 2 and the deliveries in fresh vectors, 21.3
-    /// KiB with node clones), + 10 %.
-    const LOCAL_BYTES_BUDGET: f64 = 986.0;
+    const MEAN_ALLOCS_BUDGET: f64 = 1.98;
+    /// A local adjustment rewrites one row: the cell messages, and its undo
+    /// log's buffer when the last event freed it, 333 bytes on average here
+    /// (896 with a fresh 16-entry buffer per event, 910 with a vector per
+    /// stacked cell too, 3,392 with Alg. 2 and the deliveries in fresh
+    /// vectors, 21.3 KiB with node clones), + 10 %. A log that reopened at
+    /// 64 entries would read 1,331.
+    const LOCAL_BYTES_BUDGET: f64 = 366.0;
 
     let (tree, reqs, moves) = hot_tenant();
     let config = SlotframeConfig::paper_default();

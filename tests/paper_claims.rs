@@ -17,7 +17,10 @@
 use std::fs;
 use std::path::PathBuf;
 
-use harp_obs::json::{parse, Json};
+use harp_obs::json::parse;
+
+/// A parsed report; its text lives as long as the test binary.
+type Json = harp_obs::json::Json<'static>;
 use workloads::scenario_dsl::parse_scenario;
 
 /// The paper's numbers the ratchets print beside the reproduction's.
@@ -57,7 +60,8 @@ fn read(name: &str) -> String {
 
 /// A committed report, parsed.
 fn report(name: &str) -> Json {
-    parse(&read(name)).unwrap_or_else(|e| panic!("{name}: {e}"))
+    let text: &'static str = Box::leak(read(name).into_boxed_str());
+    parse(text).unwrap_or_else(|e| panic!("{name}: {e}"))
 }
 
 /// A report's rows.
