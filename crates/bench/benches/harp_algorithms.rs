@@ -76,9 +76,9 @@ fn bench_static_pipeline() {
 /// in — so the rows here and the spans there can be read side by side. The
 /// rows above time the centralized functions, which keep no per-node state.
 fn bench_static_settle() {
-    /// The spans harpd keeps per tenant allocator
-    /// (`ALLOCATOR_SPAN_CAPACITY` in `harpd/src/state/tenant.rs`).
-    const ALLOCATOR_SPAN_CAPACITY: usize = 2048;
+    /// The spans harpd keeps per tenant allocator ring, what its trace
+    /// dump returns (`TRACE_DUMP_LIMIT` in `harpd/src/state/tenant.rs`).
+    const TRACE_DUMP_LIMIT: usize = 512;
     let config = SlotframeConfig::paper_default();
     for nodes in [64u32, 256] {
         let tree = TopologyConfig {
@@ -94,7 +94,7 @@ fn bench_static_settle() {
                 config,
                 &reqs,
                 SchedulingPolicy::RateMonotonic,
-                ALLOCATOR_SPAN_CAPACITY,
+                TRACE_DUMP_LIMIT,
             )
             .expect("one cell per link fits the paper's slotframe")
         };

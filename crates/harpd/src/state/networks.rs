@@ -13,7 +13,7 @@ use tsch_sim::{Link, NodeId};
 use workloads::scenario_dsl::parse_scenario;
 
 use super::telemetry::{micros, Op, Record};
-use super::tenant::{TenantSlot, ALLOCATOR_SPAN_CAPACITY};
+use super::tenant::{TenantSlot, TRACE_DUMP_LIMIT};
 use super::AppState;
 use crate::http::{HttpError, Request, Response};
 
@@ -148,14 +148,15 @@ pub(super) fn create(
         .ok_or_else(|| HttpError::new(422, "scenario yields no topology"))?;
     let requirements: Requirements = scenario.requirements(&tree);
     // Converge observed so /debug/trace/<tenant> can resolve request ids
-    // to allocator and control-plane spans from the first message on.
+    // to allocator and control-plane spans from the first message on; each
+    // ring keeps as many spans as that dump returns.
     let alloc_start = Instant::now();
     let handle = AllocatorHandle::converge_observed(
         tree,
         config,
         &requirements,
         SchedulingPolicy::RateMonotonic,
-        ALLOCATOR_SPAN_CAPACITY,
+        TRACE_DUMP_LIMIT,
     )
     .map_err(|e| HttpError::new(422, format!("scenario demand is infeasible: {e}")))?;
     rec.allocator_us = micros(alloc_start.elapsed());

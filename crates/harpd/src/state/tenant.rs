@@ -12,14 +12,11 @@ use harp_obs::{MetricsSnapshot, SpanEvent, SpanRing, NO_NODE};
 
 use crate::http::HttpError;
 
-/// Span capacity handed to each tenant's observed allocator: four times
-/// what `/debug/trace/<tenant>` can return. It cannot shrink alone: the
-/// benchmark's stage replay (`benchmark/src/layers.rs`) converges with the
-/// same capacity, to replay what a create does here.
-pub(super) const ALLOCATOR_SPAN_CAPACITY: usize = 2048;
-/// Most recent spans `/debug/trace/<tenant>` returns per ring, and so the
-/// capacity of a tenant's request-span ring: that endpoint is its only
-/// reader, and a ring reserves its whole capacity on the first span.
+/// Most recent spans `/debug/trace/<tenant>` returns per trace, and so the
+/// capacity of every ring a tenant keeps: its request-span ring and each
+/// of its observed allocator's. That endpoint is their only reader, and a
+/// ring reserves its whole capacity on the first span, so a slot it cannot
+/// return would be held for nothing.
 pub(super) const TRACE_DUMP_LIMIT: usize = 512;
 /// Adjustment-storm detector: this many committed adjustments of one
 /// tenant inside [`STORM_WINDOW_US`] trip the flight recorder.
@@ -85,17 +82,14 @@ impl Tenant {
         tripped
     }
 
-    /// Spans recorded but evicted across this tenant's rings (the request
-    /// ring plus the allocator's observed layers).
+    /// Spans recorded that `/debug/trace/<tenant>` can no longer return:
+    /// the request ring's evictions, plus the allocator's recorded spans
+    /// beyond the [`TRACE_DUMP_LIMIT`] newest its merged trace keeps.
     pub(super) fn spans_dropped(&self) -> u64 {
-        let allocator: u64 = self
-            .handle
-            .network()
-            .span_rings()
-            .iter()
-            .map(|r| r.dropped())
-            .sum();
-        self.request_spans.dropped() + allocator
+        let rings = self.handle.network().span_rings();
+        let recorded: u64 = rings.iter().map(|r| r.total_recorded()).sum();
+        let kept: usize = rings.iter().map(|r| r.len()).sum();
+        self.request_spans.dropped() + recorded - kept.min(TRACE_DUMP_LIMIT) as u64
     }
 
     /// Writes the per-tenant series of the `/metrics` exposition into
@@ -250,16 +244,20 @@ mod tests {
         assert_eq!(resp.status, 200);
         let text = String::from_utf8(resp.body).unwrap();
         let doc = harp_obs::json::parse(&text).unwrap();
-        let requests =
-            harp_obs::flame::TraceDoc::from_json(doc.get("request_spans").unwrap()).unwrap();
+        let trace = |key| harp_obs::flame::TraceDoc::from_json(doc.get(key).unwrap()).unwrap();
+        let (requests, allocator) = (trace("request_spans"), trace("allocator_trace"));
         let kept: Vec<u64> = requests.spans.iter().map(|s| s.corr).collect();
         assert_eq!(kept, corrs[WRAPPED..], "the newest, oldest first");
         assert_eq!(requests.dropped, WRAPPED as u64);
-        // The ring keeps what its reader returns and no more, so what the
+        assert_eq!(allocator.spans.len(), TRACE_DUMP_LIMIT);
+        // Every ring keeps what its reader returns and no more, so what the
         // tenant reports dropped is what a reader can no longer get.
         let slot = state.tenant("t1").unwrap();
         let tenant = slot.tenant.lock().unwrap();
         assert_eq!(tenant.request_spans.len(), TRACE_DUMP_LIMIT);
-        assert_eq!(tenant.spans_dropped(), requests.dropped);
+        for ring in tenant.handle.network().span_rings() {
+            assert!(ring.len() <= TRACE_DUMP_LIMIT, "{} spans kept", ring.len());
+        }
+        assert_eq!(tenant.spans_dropped(), requests.dropped + allocator.dropped);
     }
 }

@@ -19,9 +19,13 @@ thread_local! {
     static ALLOCS: Counter<u64> = const { Counter::new(0) };
     static BYTES: Counter<u64> = const { Counter::new(0) };
     static FREES: Counter<u64> = const { Counter::new(0) };
+    // Signed: a thread may free what another allocated.
+    static LIVE: Counter<i64> = const { Counter::new(0) };
 }
 
-fn on_alloc(size: usize) {
+/// Counts one allocation of `size` bytes that grows the thread's live
+/// bytes by `grown`: `size` for a new block, a `realloc`'s change of size.
+fn on_alloc(size: usize, grown: i64) {
     #[cfg(debug_assertions)]
     if sites::in_tally() {
         return;
@@ -29,16 +33,18 @@ fn on_alloc(size: usize) {
     // `try_with`: a thread may still allocate while its locals are torn down.
     let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
     let _ = BYTES.try_with(|c| c.set(c.get() + size as u64));
+    let _ = LIVE.try_with(|c| c.set(c.get() + grown));
     #[cfg(debug_assertions)]
     sites::attribute();
 }
 
-fn on_free() {
+fn on_free(size: usize) {
     #[cfg(debug_assertions)]
     if sites::in_tally() {
         return;
     }
     let _ = FREES.try_with(|c| c.set(c.get() + 1));
+    let _ = LIVE.try_with(|c| c.set(c.get() - size as i64));
 }
 
 // SAFETY: every method forwards to `System` with the caller's layout and
@@ -46,25 +52,25 @@ fn on_free() {
 // touches thread-local state only, never the allocated memory.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        on_alloc(layout.size());
+        on_alloc(layout.size(), layout.size() as i64);
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        on_alloc(layout.size());
+        on_alloc(layout.size(), layout.size() as i64);
         // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        on_free();
+        on_free(layout.size());
         // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        on_alloc(new_size);
+        on_alloc(new_size, new_size as i64 - layout.size() as i64);
         // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -84,6 +90,14 @@ pub fn allocated() -> (u64, u64) {
 #[must_use]
 pub fn freed() -> u64 {
     FREES.with(Counter::get)
+}
+
+/// Bytes the calling thread still holds: what it allocated minus what it
+/// freed, a `realloc` counting its change of size. Negative when the thread
+/// freed more than it allocated, blocks of other threads included.
+#[must_use]
+pub fn live() -> i64 {
+    LIVE.with(Counter::get)
 }
 
 /// The value of `f` and how many times the calling thread allocated in it.

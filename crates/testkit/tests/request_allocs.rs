@@ -72,7 +72,13 @@ fn adjust(serial: usize, node: u32, cells: u32) -> Vec<u8> {
     .into_bytes()
 }
 
+/// The `i`th adjustment of the request tests' draws, on tenant `serial`.
+fn draw(serial: usize, i: usize) -> Vec<u8> {
+    adjust(serial, 1 + (i as u32 * 7) % 255, 1 + (i as u32) % 3)
+}
+
 const SCRAPE: &[u8] = b"GET /metrics HTTP/1.1\r\nhost: harpd\r\n\r\n";
+const INCIDENT: &[u8] = b"GET /debug/flight?incident HTTP/1.1\r\nhost: harpd\r\n\r\n";
 
 /// Serves `bytes` as one request and returns its status and allocations.
 fn serve(state: &AppState, bytes: &[u8]) -> (u16, u64) {
@@ -99,6 +105,21 @@ fn allocs(state: &AppState, bytes: &[u8], status: u16) -> u64 {
 fn scrape(state: &AppState) -> u64 {
     allocs(state, SCRAPE, 200);
     allocs(state, SCRAPE, 200)
+}
+
+/// A daemon hosting 8 tenants (serials 0 to 7) whose flight ring has
+/// turned twice, so every event lands in a slot whose strings have held
+/// one of its shape before: the requests that follow record into a full
+/// ring, and what they allocate is their own.
+fn warm() -> AppState {
+    let state = AppState::new("secret".into(), "scenarios".into());
+    for serial in 0..8 {
+        allocs(&state, &create(serial, NODES), 201);
+    }
+    for i in 0..2 * FLIGHT_CAPACITY {
+        allocs(&state, &read(i % 8), 200);
+    }
+    state
 }
 
 #[test]
@@ -135,16 +156,7 @@ fn a_request_allocates_only_what_it_keeps() {
     /// + 10 %.
     const CREATE_BUDGET: u64 = 56;
 
-    let state = AppState::new("secret".into(), "scenarios".into());
-    for serial in 0..8 {
-        allocs(&state, &create(serial, NODES), 201);
-    }
-    // Two turns of the flight ring, so every event lands in a slot whose
-    // strings have held one of its shape before: the reads below record
-    // into a full ring, and their count is its bill too.
-    for i in 0..2 * FLIGHT_CAPACITY {
-        allocs(&state, &read(i % 8), 200);
-    }
+    let state = warm();
     let reads: Vec<Vec<u8>> = (0..256).map(|i| read(i % 8)).collect();
     let hits: u64 = reads.iter().map(|r| allocs(&state, r, 200)).sum();
     let hit = hits as f64 / reads.len() as f64;
@@ -152,7 +164,7 @@ fn a_request_allocates_only_what_it_keeps() {
     let (mut adjusted, mut missed, mut adjusts) = (0u64, 0u64, 0u64);
     for i in 0..64 {
         let serial = i % 8;
-        let request = adjust(serial, 1 + (i as u32 * 7) % 255, 1 + (i as u32) % 3);
+        let request = draw(serial, i);
         let (status, a) = serve(&state, &request);
         assert!(status == 200 || status == 409, "adjust answered {status}");
         // Even a refused adjustment moves the clock, so the read misses.
@@ -205,6 +217,43 @@ fn a_request_allocates_only_what_it_keeps() {
         creates[0] <= CREATE_BUDGET,
         "a create allocates {} times, budget {CREATE_BUDGET}",
         creates[0]
+    );
+}
+
+/// What a resident tenant costs: the bytes a warm daemon still holds per
+/// 256-node tenant after its create, its first schedule read and 64
+/// adjustments, each followed by a read. Every ring a tenant keeps holds
+/// what `/debug/trace` returns and no more, so the rest is the node tables,
+/// the schedule and its cached body.
+#[test]
+fn a_tenant_keeps_what_its_readers_read() {
+    /// Bytes per tenant: 286,237 (396,829 while the allocator's span ring
+    /// held 2,048 spans, four times what its dump returns), + 10 %.
+    const RESIDENT_BUDGET: i64 = 314_860;
+    const TENANTS: usize = 8;
+
+    let state = warm();
+    // One storm first: its trip freezes the flight recorder's incident, a
+    // copy of the daemon's ring that no tenant below should be billed for.
+    for i in 0..64 {
+        serve(&state, &draw(0, i));
+    }
+    allocs(&state, INCIDENT, 200);
+    let before = testkit::alloc::live();
+    for serial in 8..8 + TENANTS {
+        allocs(&state, &create(serial, NODES), 201);
+        allocs(&state, &read(serial), 200);
+        for i in 0..64 {
+            let (status, _) = serve(&state, &draw(serial, i));
+            assert!(status == 200 || status == 409, "adjust answered {status}");
+            allocs(&state, &read(serial), 200);
+        }
+    }
+    let resident = (testkit::alloc::live() - before) / TENANTS as i64;
+    println!("resident bytes per tenant {resident}");
+    assert!(
+        resident <= RESIDENT_BUDGET,
+        "a tenant holds {resident} bytes, budget {RESIDENT_BUDGET}"
     );
 }
 
@@ -345,7 +394,7 @@ fn adjust_bill_per_layer() {
     for _ in 0..2 * FLIGHT_CAPACITY {
         allocs(&state, &read(0), 200);
     }
-    let request = |i: usize| adjust(0, 1 + (i as u32 * 7) % 255, 1 + (i as u32) % 3);
+    let request = |i: usize| draw(0, i);
     for i in 0..BILLED_ADJUSTS {
         serve(&state, &request(i));
     }
