@@ -9,8 +9,7 @@
 //!   reported and the cells it assigned. A link has one parent, so a
 //!   node's rows are its children's links, in the tree's child order;
 //! - **the node table**, one fixed-size record per node: each direction's
-//!   own interface, its run of layer rows and its own cells, and the
-//!   counters;
+//!   own interface, its run of layer rows and its own cells;
 //! - **three pools** of runs ([`RunPool`]): layer rows (layer, layout,
 //!   partition, children's partitions, pending escalation), kept sorted
 //!   by layer; interface components `(layer, component)`, both the node's
@@ -40,7 +39,6 @@
 
 use crate::component::{ResourceComponent, ResourceInterface};
 use crate::error::HarpError;
-use crate::node::NodeObsCounters;
 use crate::requirement::Requirements;
 use crate::schedule_gen::CellRun;
 use packing::{Point, Rect};
@@ -113,7 +111,6 @@ struct DirRecord {
 #[derive(Debug, Clone, Default)]
 struct NodeRecord {
     dirs: [DirRecord; 2],
-    counters: NodeObsCounters,
 }
 
 fn side(direction: Direction) -> usize {
@@ -227,22 +224,6 @@ impl NodeTables {
             node,
             direction: d,
         }
-    }
-
-    pub(crate) fn counters(&self, node: NodeId) -> &NodeObsCounters {
-        &self.nodes[node.index()].counters
-    }
-
-    /// Changes `node`'s counters, saving them to `log` first.
-    pub(crate) fn count(
-        &mut self,
-        log: &mut UndoLog,
-        node: NodeId,
-        change: impl FnOnce(&mut NodeObsCounters),
-    ) {
-        let counters = &mut self.nodes[node.index()].counters;
-        log.push(node, Undo::Counters(*counters));
-        change(counters);
     }
 
     /// Packs each pool whose garbage outgrew its room or half of it, unless
@@ -570,26 +551,20 @@ enum Placed {
     Children,
 }
 
-/// One log entry's payload: what to put back at a node.
-#[derive(Debug)]
-enum Undo {
-    /// A displaced value of one direction's state.
-    Dir(Direction, DirUndo),
-    /// The node's counters before a bump.
-    Counters(NodeObsCounters),
-}
-
 // A recording run allocates its log, so an adjustment's bytes follow the
 // size of an entry, and a displaced run of cells is part of one. Measured
 // on the benchmark's `adjust_storm`: with a 36-byte run (the row's height
 // and the slot duration kept too, i.e. a `Rect` and a `SlotframeConfig`)
 // an entry is 64 bytes and `alloc_kb_per_op` reads 32.34, more than the
 // 31.65 it read with a vector of cells per link; with the 28-byte run an
-// entry stays 56 bytes and it reads 31.33.
+// entry stays 56 bytes and it reads 31.33. An entry is 44 bytes since the
+// log holds node state only: it was 56 while an entry could also hold a
+// node's 40 bytes of counters.
 const _: () = assert!(mem::size_of::<CellRun>() <= 28);
-const _: () = assert!(mem::size_of::<(NodeId, Undo)>() <= 56);
+const _: () = assert!(mem::size_of::<(NodeId, Direction, DirUndo)>() <= 44);
 
-/// The displaced values of one transactional run, in write order.
+/// The displaced values of one transactional run, in write order, each
+/// with the node and direction whose state it was taken from.
 ///
 /// Closed, it drops what it is given, so writes outside a transaction cost
 /// what they did without a log; open, it keeps each displaced value until
@@ -600,7 +575,7 @@ const _: () = assert!(mem::size_of::<(NodeId, Undo)>() <= 56);
 /// holds at most [`UndoLog::KEPT`] entries, and frees it otherwise.
 #[derive(Debug, Default)]
 pub(crate) struct UndoLog {
-    entries: Vec<(NodeId, Undo)>,
+    entries: Vec<(NodeId, Direction, DirUndo)>,
     recording: bool,
 }
 
@@ -620,8 +595,8 @@ impl UndoLog {
     }
 
     /// Opens the closed log. A log without a buffer gets room for what a
-    /// local adjustment writes (its requirement, its counters, a row of
-    /// cell assignments); one that kept its buffer uses that.
+    /// local adjustment writes (its requirement and a row of cell
+    /// assignments); one that kept its buffer uses that.
     pub(crate) fn open(&mut self) {
         debug_assert!(!self.recording && self.entries.is_empty());
         if self.entries.capacity() == 0 {
@@ -634,9 +609,9 @@ impl UndoLog {
         self.recording
     }
 
-    fn push(&mut self, node: NodeId, undo: Undo) {
+    fn push(&mut self, node: NodeId, direction: Direction, undo: DirUndo) {
         if self.recording {
-            self.entries.push((node, undo));
+            self.entries.push((node, direction, undo));
         }
     }
 
@@ -667,16 +642,10 @@ impl UndoLog {
         // `restore_rows` drives the replay, taking each restored run as the
         // replay reaches it.
         let rows = self.entries.drain(..).rev();
-        let rows = rows.filter_map(|(node, undo)| match undo {
-            Undo::Dir(direction, displaced) => {
-                let link = tables.revert(node, direction, displaced)?;
-                let dir = &tables.nodes[node.index()].dirs[side(direction)];
-                Some((link, dir.own_cells.clone().unwrap_or_default()))
-            }
-            Undo::Counters(counters) => {
-                tables.nodes[node.index()].counters = counters;
-                None
-            }
+        let rows = rows.filter_map(|(node, direction, displaced)| {
+            let link = tables.revert(node, direction, displaced)?;
+            let dir = &tables.nodes[node.index()].dirs[side(direction)];
+            Some((link, dir.own_cells.clone().unwrap_or_default()))
         });
         schedule.restore_rows(rows, version);
         self.close();
@@ -722,7 +691,7 @@ impl<'a> DirWriter<'a> {
     }
 
     fn displaced(&mut self, undo: DirUndo) {
-        self.log.push(self.node, Undo::Dir(self.direction, undo));
+        self.log.push(self.node, self.direction, undo);
     }
 
     fn record_mut(&mut self) -> &mut DirRecord {
@@ -1123,7 +1092,7 @@ mod tests {
     fn contents(tables: &NodeTables, tree: &Tree) -> String {
         let root = tree.root();
         let dirs = Direction::BOTH.map(|d| tables.dir(tree, root, d));
-        format!("{dirs:?} {:?}", tables.counters(root))
+        format!("{dirs:?}")
     }
 
     /// Every setter once, each on a key that is there and on one that is
@@ -1198,7 +1167,6 @@ mod tests {
         );
         let populated = contents(&tables, &tree);
         let mut log = UndoLog::recording();
-        tables.count(&mut log, root, |c| c.escalations = 3);
         let mut w = DirWriter::new(&mut tables, &mut log, &tree, root, d);
         write_everything(&mut w, 0);
         write_everything(&mut w, 1);
@@ -1224,7 +1192,7 @@ mod tests {
         assert_eq!(log.entries.capacity(), 0, "nothing before the first run");
         log.open();
         assert_eq!(log.entries.capacity(), 16, "what a local adjustment writes");
-        tables.count(&mut log, root, |c| c.escalations += 1);
+        DirWriter::new(&mut tables, &mut log, &tree, root, d).put_req(NodeId(1), Some(1));
         log.commit();
         assert!(!log.is_recording() && log.entries.is_empty());
         assert_eq!(
@@ -1234,8 +1202,9 @@ mod tests {
         );
 
         log.open();
-        for _ in 0..=UndoLog::KEPT {
-            tables.count(&mut log, root, |c| c.escalations += 1);
+        let mut w = DirWriter::new(&mut tables, &mut log, &tree, root, d);
+        for cells in 0..=UndoLog::KEPT as u32 {
+            w.put_req(NodeId(1), Some(cells));
         }
         assert!(log.entries.len() > UndoLog::KEPT);
         log.commit();
@@ -1255,7 +1224,6 @@ mod tests {
 
         // The next run writes into the kept buffer and rolls back as exactly.
         log.open();
-        tables.count(&mut log, root, |c| c.escalations = 9);
         let mut w = DirWriter::new(&mut tables, &mut log, &tree, root, d);
         write_everything(&mut w, 1);
         remove_everything(&mut w);

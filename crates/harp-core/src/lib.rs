@@ -112,7 +112,7 @@ pub use compose::{
 };
 pub use error::HarpError;
 pub use handle::{AllocatorHandle, ScheduleSummary};
-pub use node::{Effects, HarpNode, NodeObsCounters};
+pub use node::{Effects, HarpNode};
 pub use protocol::{HarpMessage, MessageKind};
 pub use render::{render_cell_map, render_super_partitions, render_utilization};
 pub use requirement::Requirements;

@@ -62,14 +62,15 @@ impl Effects {
 /// What a handler borrows from the network that drives it: the routing tree
 /// it reads its neighbourhood from, the slotframe and policy, the node
 /// tables it keeps its state in, the undo log their writes feed, the
-/// schedule it installs cells in, the workspace it computes in, and its
-/// outbox.
+/// network's adjustment counts, the schedule it installs cells in, the
+/// workspace it computes in, and its outbox.
 pub(crate) struct Cx<'a> {
     pub tree: &'a Tree,
     pub config: SlotframeConfig,
     pub policy: SchedulingPolicy,
     pub nodes: &'a mut NodeTables,
     pub log: &'a mut UndoLog,
+    pub counts: &'a mut AdjustCounts,
     pub schedule: &'a mut NetworkSchedule,
     pub ws: &'a mut Workspace,
     pub fx: &'a mut Effects,
@@ -88,23 +89,23 @@ pub(crate) struct StaticGrant {
     pub down_cells: bool,
 }
 
-/// Plain counters of one node's dynamic-adjustment activity, aggregated by
-/// the runner into its metrics snapshot.
+/// The dynamic-phase decisions the network's nodes made since it was
+/// built, summed over the nodes: the "harp.node.*" series of
+/// [`HarpNetwork::metrics_snapshot`](crate::HarpNetwork::metrics_snapshot).
 ///
-/// Deliberately not an `Obs` handle: the counters are node state, logged
-/// like the rest of it, so a transactional rollback in
-/// [`HarpNetwork::adjust_and_settle`](crate::HarpNetwork::adjust_and_settle)
-/// rolls the counts of the aborted attempt back too — the snapshot only ever
-/// reports work that actually happened.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NodeObsCounters {
+/// Kept once, by the network, and lent to every handler. Unlike the
+/// runner's own counts they are part of what a transaction restores, so a
+/// rolled-back event leaves no trace in them: the snapshot only ever
+/// reports decisions that stood.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct AdjustCounts {
     /// Case-1 changes absorbed in the node's own row (no mgmt messages).
     pub local_updates: u64,
     /// Case-2 escalations sent toward the gateway (`PUT intf`), including
     /// re-escalations from intermediate nodes.
     pub escalations: u64,
     /// Partition adjustments (Alg. 2) that fit locally — the feasibility
-    /// test passed at this node.
+    /// test passed at the node.
     pub adjust_feasible: u64,
     /// Partition adjustments that could not fit even with a full repack —
     /// the feasibility test failed and the request escalated (or, at the
@@ -113,17 +114,6 @@ pub struct NodeObsCounters {
     /// Partition rectangles moved by successful adjustments (the
     /// communication-overhead metric Alg. 2 minimises).
     pub partitions_moved: u64,
-}
-
-impl NodeObsCounters {
-    /// Folds another node's counters into this one.
-    pub(crate) fn absorb(&mut self, other: &NodeObsCounters) {
-        self.local_updates += other.local_updates;
-        self.escalations += other.escalations;
-        self.adjust_feasible += other.adjust_feasible;
-        self.adjust_infeasible += other.adjust_infeasible;
-        self.partitions_moved += other.partitions_moved;
-    }
 }
 
 /// One HARP participant's protocol state, read through the network that
@@ -149,12 +139,6 @@ impl<'a> HarpNode<'a> {
 
     fn dir(&self, direction: Direction) -> DirView<'a> {
         self.tables.dir(self.tree, self.id, direction)
-    }
-
-    /// This node's adjustment-activity counters.
-    #[must_use]
-    pub fn counters(&self) -> NodeObsCounters {
-        *self.tables.counters(self.id)
     }
 
     /// The node's generated interface for `direction`, if any.
@@ -255,7 +239,6 @@ impl fmt::Debug for HarpNode<'_> {
             .field("id", &self.id)
             .field("up", &self.dir(Direction::Up))
             .field("down", &self.dir(Direction::Down))
-            .field("counters", &self.counters())
             .finish()
     }
 }
@@ -269,11 +252,6 @@ impl Cx<'_> {
     /// log.
     fn dir_mut(&mut self, at: NodeId, direction: Direction) -> DirWriter<'_> {
         DirWriter::new(self.nodes, self.log, self.tree, at, direction)
-    }
-
-    /// Changes `at`'s counters, saving them to the log first.
-    fn count(&mut self, at: NodeId, change: impl FnOnce(&mut NodeObsCounters)) {
-        self.nodes.count(self.log, at, change);
     }
 
     // ---- topology mutation (node join / departure / parent switch): the
@@ -446,7 +424,7 @@ impl Cx<'_> {
         match ds.read().partition(layer) {
             Some(row) if total <= row.width() * row.height() => {
                 // Case 1: enough idle cells in the current partition.
-                self.count(at, |c| c.local_updates += 1);
+                self.counts.local_updates += 1;
                 self.schedule_own_row(at, direction)
             }
             // Case 2: the partition itself must grow.
@@ -729,7 +707,7 @@ impl Cx<'_> {
         if !placements.iter().any(|(c, _)| *c == child) {
             placements.push((child, Rect::default()));
         }
-        let adjusted = self.adjust_within(at, own, &placements, child, component);
+        let adjusted = self.adjust_within(own, &placements, child, component);
         if !matches!(adjusted, Ok(true)) {
             self.ws.placed = placements;
             adjusted?;
@@ -790,7 +768,7 @@ impl Cx<'_> {
         let Some(parent) = self.tree.parent(at) else {
             return self.gateway_reallocate(at, direction, layer);
         };
-        self.count(at, |c| c.escalations += 1);
+        self.counts.escalations += 1;
         let msg = HarpMessage::PutInterface {
             direction,
             layer,
@@ -800,27 +778,26 @@ impl Cx<'_> {
         Ok(())
     }
 
-    /// One step of Alg. 2 (§V) at `at`, in the workspace: `key`'s
-    /// partition, one of `entries` inside `container`, grows to
-    /// `component`. Counts the outcome, which is `false` when even a full
-    /// repack cannot fit; [`Workspace::moved`] and
-    /// [`Workspace::adopt_layout`] read it when it is `true`.
+    /// One step of Alg. 2 (§V), in the workspace: `key`'s partition, one
+    /// of `entries` inside `container`, grows to `component`. Counts the
+    /// outcome, which is `false` when even a full repack cannot fit;
+    /// [`Workspace::moved`] and [`Workspace::adopt_layout`] read it when it
+    /// is `true`.
     fn adjust_within<K: Copy + Ord>(
         &mut self,
-        at: NodeId,
         container: Rect,
         entries: &[(K, Rect)],
         key: K,
         component: ResourceComponent,
     ) -> Result<bool, HarpError> {
         let moved = self.ws.adjust(container, entries, key, component)?;
-        self.count(at, |c| match moved {
+        match moved {
             Some(moved) => {
-                c.adjust_feasible += 1;
-                c.partitions_moved += moved as u64;
+                self.counts.adjust_feasible += 1;
+                self.counts.partitions_moved += moved as u64;
             }
-            None => c.adjust_infeasible += 1,
-        });
+            None => self.counts.adjust_infeasible += 1,
+        }
         Ok(moved.is_some())
     }
 
@@ -939,7 +916,7 @@ impl Cx<'_> {
         if !entries.iter().any(|&(k, _)| k == key) {
             entries.push((key, Rect::default()));
         }
-        let adjusted = self.adjust_within(at, container, &entries, key, component);
+        let adjusted = self.adjust_within(container, &entries, key, component);
         let result = match adjusted {
             Ok(true) => self.take_moved_partitions(at, &entries),
             Ok(false) => {

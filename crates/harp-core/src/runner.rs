@@ -11,7 +11,7 @@
 
 use crate::dir_state::{NodeTables, UndoLog};
 use crate::error::HarpError;
-use crate::node::{Cx, Effects, HarpNode, NodeObsCounters};
+use crate::node::{AdjustCounts, Cx, Effects, HarpNode};
 use crate::protocol::HarpMessage;
 use crate::requirement::Requirements;
 use crate::schedule_gen::SchedulingPolicy;
@@ -27,9 +27,9 @@ use tsch_sim::{
 
 /// The runner's own counts since the network was built: the "harp.*"
 /// series of [`HarpNetwork::metrics_snapshot`], and what a
-/// [`ProtocolReport`]'s message counts are a window of. Unlike the nodes'
-/// [`NodeObsCounters`] they are not written through the undo log, so a
-/// rolled-back event's messages stay counted.
+/// [`ProtocolReport`]'s message counts are a window of. Unlike the
+/// [`AdjustCounts`] they are never rolled back, so a rolled-back event's
+/// messages stay counted.
 #[derive(Debug, Clone, Copy, Default)]
 struct NetworkCounts {
     static_runs: u64,
@@ -141,16 +141,19 @@ fn stamp(marks: &mut Vec<u32>, i: usize, epoch: u32) -> usize {
 /// gateway — so its rollback state is too: the node-state values the event
 /// displaced, each handed over by the write that displaced it. A child's own
 /// cells are among them, and the schedule's link rows are their projection,
-/// so the same log rolls the rows back. A topology event adds the tree it
+/// so the same log rolls the rows back. The network's [`AdjustCounts`] are
+/// copied whole, as the event opens. A topology event adds the tree it
 /// replaced, moved in rather than cloned; a joined node is cut off at that
 /// tree's length. Restoring on failure costs what the event wrote, not the
 /// network size. Open only inside [`HarpNetwork::transact`]; closed (the
 /// default), it records nothing and owns at most the log's kept buffer.
 #[derive(Debug, Default)]
 struct Transaction {
-    /// Displaced node-state values, in write order (per-node counters and
-    /// own cells included, so they and the rows roll back too).
+    /// Displaced node-state values, in write order (own cells included, so
+    /// the rows roll back too).
     log: UndoLog,
+    /// The adjustment counts at the start of the event.
+    counts: AdjustCounts,
     /// Schedule version at the start of the event, restored verbatim so a
     /// rollback is indistinguishable from swapping in a pre-event clone.
     schedule_version: u64,
@@ -184,6 +187,9 @@ pub struct HarpNetwork {
     window: Window,
     /// The runner's own counts since the network was built.
     counts: NetworkCounts,
+    /// The nodes' dynamic-phase decisions since the network was built,
+    /// lent to every handler and restored with a rolled-back event.
+    adjust_counts: AdjustCounts,
     /// Nodes that have left the network (their tree entries remain, but
     /// they carry no demand and take no further part in the protocol).
     departed: BTreeSet<NodeId>,
@@ -210,13 +216,15 @@ pub struct HarpNetwork {
 
 // A create pays a network's inline size in bytes beyond its tables, and
 // the benchmark bounds `create_churn`'s `alloc_kb_per_op` at 0.1 %. The
-// network measures 1,768 bytes on a 64-bit target (1,760 while the undo
-// log freed its buffer at every commit, and so told recording from closed
-// by whether it had one; 1,776 while the schedule kept its stacked cells
-// in a `BTreeMap`); the bound leaves 8 bytes of slack, so a field added
-// here must reuse one rather than sit beside it, and a change that shrinks
-// the network lowers the bound.
-const _: () = assert!(mem::size_of::<HarpNetwork>() <= 1_776);
+// network measures 1,848 bytes on a 64-bit target: the adjustment counts
+// and the transaction's copy of them add 80 bytes inline, against the 40
+// bytes every node record spent on its own counters before (1,768 then;
+// 1,760 while the undo log freed its buffer at every commit, and so told
+// recording from closed by whether it had one; 1,776 while the schedule
+// kept its stacked cells in a `BTreeMap`); the bound leaves 8 bytes of
+// slack, so a field added here must reuse one rather than sit beside it,
+// and a change that shrinks the network lowers the bound.
+const _: () = assert!(mem::size_of::<HarpNetwork>() <= 1_856);
 
 impl HarpNetwork {
     /// Builds the deployment: one node per device, requirements installed at
@@ -279,6 +287,7 @@ impl HarpNetwork {
             now: Asn::ZERO,
             window,
             counts: NetworkCounts::default(),
+            adjust_counts: AdjustCounts::default(),
             departed: BTreeSet::new(),
             obs: Obs::default(),
             txn: Transaction::default(),
@@ -348,16 +357,12 @@ impl HarpNetwork {
     }
 
     /// Renders all counts of this deployment as metrics: the runner's own
-    /// ("harp.*"), the control plane's ("transport.*"), and the per-node
-    /// adjustment counters aggregated over every node ("harp.node.*").
+    /// ("harp.*"), the control plane's ("transport.*"), and the nodes'
+    /// dynamic-phase decisions summed over every node ("harp.node.*").
     #[must_use]
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::default();
-        let mut agg = NodeObsCounters::default();
-        for v in self.tree.nodes() {
-            agg.absorb(self.nodes.counters(v));
-        }
-        let c = self.counts;
+        let (c, node) = (self.counts, self.adjust_counts);
         snap.add_counters([
             ("harp.static_runs", c.static_runs),
             ("harp.adjustments", c.adjustments),
@@ -368,11 +373,11 @@ impl HarpNetwork {
             ("harp.reparents", c.reparents),
             ("harp.mgmt_messages", c.mgmt_messages),
             ("harp.cell_messages", c.cell_messages),
-            ("harp.node.local_updates", agg.local_updates),
-            ("harp.node.escalations", agg.escalations),
-            ("harp.node.adjust_feasible", agg.adjust_feasible),
-            ("harp.node.adjust_infeasible", agg.adjust_infeasible),
-            ("harp.node.partitions_moved", agg.partitions_moved),
+            ("harp.node.local_updates", node.local_updates),
+            ("harp.node.escalations", node.escalations),
+            ("harp.node.adjust_feasible", node.adjust_feasible),
+            ("harp.node.adjust_infeasible", node.adjust_infeasible),
+            ("harp.node.partitions_moved", node.partitions_moved),
         ]);
         snap.merge(&self.plane.metrics_snapshot());
         snap
@@ -476,8 +481,8 @@ impl HarpNetwork {
     }
 
     /// Runs `f` with what this network lends its handlers: the tree, the
-    /// node tables, the undo log, the schedule, the workspace and the
-    /// outbox.
+    /// node tables, the undo log, the adjustment counts, the schedule, the
+    /// workspace and the outbox.
     fn with_cx<R>(&mut self, f: impl FnOnce(&mut Cx<'_>) -> R) -> R {
         f(&mut Cx {
             tree: &self.tree,
@@ -485,6 +490,7 @@ impl HarpNetwork {
             policy: self.policy,
             nodes: &mut self.nodes,
             log: &mut self.txn.log,
+            counts: &mut self.adjust_counts,
             schedule: &mut self.schedule,
             ws: &mut self.workspace,
             fx: &mut self.outbox,
@@ -943,6 +949,7 @@ impl HarpNetwork {
         self.touch();
         debug_assert!(!self.txn.log.is_recording(), "protocol events do not nest");
         self.txn.log.open();
+        self.txn.counts = self.adjust_counts;
         self.txn.schedule_version = self.schedule.version();
         let result = body(self)
             .and_then(|()| self.run_until_quiescent())
@@ -955,6 +962,7 @@ impl HarpNetwork {
             self.txn
                 .log
                 .rollback(&mut self.nodes, &mut self.schedule, version);
+            self.adjust_counts = self.txn.counts;
             self.plane.cancel_in_flight();
             if let Some(tree) = replaced {
                 self.tree = tree;
@@ -1037,7 +1045,8 @@ impl HarpNetwork {
 
         self.touch();
         // Rebuild the control plane in place; the clock keeps running and
-        // the transport (with its seeded random stream) carries over.
+        // the transport (with its seeded random stream) carries over, as do
+        // the counts, the nodes' adjustment counts included.
         self.nodes = NodeTables::new(&self.tree, &requirements);
         self.plane.reset(&self.tree, self.config);
         // The old layout, kept for the moved-link count.
@@ -1385,20 +1394,27 @@ mod tests {
         let (_, _, mut net) = network();
         net.enable_observability(256);
         net.run_static().unwrap();
-        let before = net.metrics_snapshot();
+        // A committed escalation first, so the counts a rollback must keep
+        // are not the zeros a reset would also leave.
         let t0 = net.now();
-        let result = net.adjust_and_settle(t0, Link::up(NodeId(9)), 500);
+        let adj = net.adjust_and_settle(t0, Link::up(NodeId(9)), 2).unwrap();
+        assert!(adj.mgmt_messages > 0, "the adjustment escalates");
+        let before = net.metrics_snapshot();
+        assert!(before.counter("harp.node.escalations") > Some(0));
+        assert!(before.counter("harp.node.adjust_feasible") > Some(0));
+        let t1 = net.now();
+        let result = net.adjust_and_settle(t1, Link::up(NodeId(9)), 500);
         assert!(matches!(result, Err(HarpError::SlotframeOverflow { .. })));
         let after = net.metrics_snapshot();
 
         assert_eq!(after.counter("harp.adjustments_rolled_back"), Some(1));
         assert_eq!(
             after.counter("harp.adjustments"),
-            Some(0),
-            "nothing settled"
+            Some(1),
+            "only the first settled"
         );
-        // Node counters live on the nodes themselves and were restored by
-        // the rollback: the aborted attempt leaves no trace in them.
+        // The transaction restored the adjustment counts: the aborted
+        // attempt leaves no trace in them.
         for key in [
             "harp.node.local_updates",
             "harp.node.escalations",

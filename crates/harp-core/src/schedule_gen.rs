@@ -25,8 +25,6 @@ pub enum SchedulingPolicy {
     /// / higher rates) are scheduled earliest in the row.
     #[default]
     RateMonotonic,
-    /// Children in id order — a deterministic baseline.
-    ChildOrder,
 }
 
 /// `parent`'s children with the requirement of each one's `direction` link.
@@ -79,7 +77,6 @@ impl Workspace {
             SchedulingPolicy::RateMonotonic => {
                 links.sort_by_key(|&(c, r)| (std::cmp::Reverse(r), c));
             }
-            SchedulingPolicy::ChildOrder => links.sort_by_key(|&(c, _)| c),
         }
         Ok(RowAssignments {
             links: links.iter(),
@@ -386,7 +383,7 @@ mod tests {
     fn exact_cell_counts_match_requirements() {
         let (tree, reqs, schedule) = full_schedule(
             SlotframeConfig::paper_default(),
-            SchedulingPolicy::ChildOrder,
+            SchedulingPolicy::RateMonotonic,
         );
         for (link, need) in reqs.iter() {
             assert_eq!(schedule.cells_of(link).len(), need as usize, "{link}");
@@ -406,14 +403,6 @@ mod tests {
         assert_eq!(assignments[1].0, NodeId(1));
         assert_eq!(assignments[2].0, NodeId(2));
         assert_eq!(assignments[2].1.last(), Some(&Cell::new(20, 0)));
-    }
-
-    #[test]
-    fn child_order_policy_is_id_order() {
-        let row = Rect::from_xywh(0, 2, 11, 1);
-        let assignments = assign_row(gateway_uplinks(), row, SchedulingPolicy::ChildOrder).unwrap();
-        let order: Vec<NodeId> = assignments.iter().map(|a| a.0).collect();
-        assert_eq!(order, vec![NodeId(1), NodeId(2), NodeId(3)]);
     }
 
     #[test]
@@ -450,36 +439,32 @@ mod tests {
             (0..n).map(|i| (NodeId(40 - i), 1 + (i * 7) % 4)).collect()
         };
         let mut ws = Workspace::new();
-        for policy in [
-            SchedulingPolicy::RateMonotonic,
-            SchedulingPolicy::ChildOrder,
+        let policy = SchedulingPolicy::RateMonotonic;
+        for (n, row) in [
+            (24, Rect::from_xywh(3, 1, 30, 2)),
+            (5, Rect::from_xywh(0, 0, 4, 1)),
+            (2, Rect::from_xywh(190, 15, 9, 1)),
+            (1, Rect::from_xywh(7, 2, 1, 1)),
         ] {
-            for (n, row) in [
-                (24, Rect::from_xywh(3, 1, 30, 2)),
-                (5, Rect::from_xywh(0, 0, 4, 1)),
-                (2, Rect::from_xywh(190, 15, 9, 1)),
-                (1, Rect::from_xywh(7, 2, 1, 1)),
-            ] {
-                let links = links(n);
-                let reused = ws
-                    .assign_row(NodeId(0), links.iter().copied(), row, policy, cfg)
-                    .map(|assigned| {
-                        assigned
-                            .map(|(child, run)| (child, run.to_vec()))
-                            .collect::<Vec<_>>()
-                    });
-                let fresh = assign_row(links, row, policy);
-                assert_eq!(reused.is_err(), n == 5, "the 4-cell row is too small");
-                assert_eq!(reused, fresh);
-                // The links share out the row's walk: left to right, then
-                // the next channel.
-                let granted = fresh.iter().flatten().flat_map(|a| a.1.iter().copied());
-                let walk = (0..row.height()).flat_map(|dy| {
-                    (0..row.width())
-                        .map(move |dx| Cell::new(row.left() + dx, (row.bottom() + dy) as u16))
+            let links = links(n);
+            let reused = ws
+                .assign_row(NodeId(0), links.iter().copied(), row, policy, cfg)
+                .map(|assigned| {
+                    assigned
+                        .map(|(child, run)| (child, run.to_vec()))
+                        .collect::<Vec<_>>()
                 });
-                assert!(granted.zip(walk).all(|(got, cell)| got == cell));
-            }
+            let fresh = assign_row(links, row, policy);
+            assert_eq!(reused.is_err(), n == 5, "the 4-cell row is too small");
+            assert_eq!(reused, fresh);
+            // The links share out the row's walk: left to right, then
+            // the next channel.
+            let granted = fresh.iter().flatten().flat_map(|a| a.1.iter().copied());
+            let walk = (0..row.height()).flat_map(|dy| {
+                (0..row.width())
+                    .map(move |dx| Cell::new(row.left() + dx, (row.bottom() + dy) as u16))
+            });
+            assert!(granted.zip(walk).all(|(got, cell)| got == cell));
         }
     }
 

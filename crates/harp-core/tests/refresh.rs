@@ -68,6 +68,26 @@ fn refresh_restores_compliance_after_adjustments() {
     }
 }
 
+/// A refresh re-lays the schedule, not the network's history: no counter of
+/// the metrics goes back, the nodes' adjustment counts included.
+#[test]
+fn a_refresh_takes_back_no_count() {
+    let (_, _, mut net) = network();
+    net.run_static().unwrap();
+    for (node, cells) in [(9u32, 4u32), (10, 3), (11, 5), (4, 3), (6, 4), (9, 1)] {
+        net.adjust_and_settle(net.now(), Link::up(NodeId(node)), cells)
+            .unwrap();
+    }
+    let before = net.metrics_snapshot();
+    assert!(before.counter("harp.node.escalations") > Some(0));
+    net.refresh().unwrap();
+    let after = net.metrics_snapshot();
+    for (name, &was) in &before.counters {
+        let now = after.counter(name).unwrap_or(0);
+        assert!(now >= was, "{name} fell from {was} to {now}");
+    }
+}
+
 #[test]
 fn refresh_is_idempotent() {
     let (tree, reqs, mut net) = network();

@@ -15,9 +15,7 @@
 pub mod alloc;
 pub mod seeded;
 
-use harp_core::{
-    CellRun, CompositionLayout, HarpNetwork, HarpNode, NodeObsCounters, ResourceInterface,
-};
+use harp_core::{CellRun, CompositionLayout, HarpNetwork, HarpNode, ResourceInterface};
 use packing::Rect;
 use tsch_sim::{Cell, Direction, Link, NodeId, Tree};
 
@@ -27,7 +25,6 @@ use tsch_sim::{Cell, Direction, Link, NodeId, Tree};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeContents {
     directions: [DirContents; 2],
-    counters: NodeObsCounters,
 }
 
 /// [`NodeContents`] of one direction.
@@ -64,7 +61,6 @@ impl NodeContents {
         };
         Self {
             directions: Direction::BOTH.map(direction),
-            counters: node.counters(),
         }
     }
 }
@@ -106,6 +102,15 @@ pub struct PreImage {
     nodes: Vec<NodeContents>,
     rows: Vec<(Link, Vec<Cell>)>,
     schedule_version: u64,
+    adjust_counts: Vec<(String, u64)>,
+}
+
+/// The `harp.node.*` counts of `net`'s metrics: the decisions its nodes
+/// made, which a rejected event takes back.
+fn adjust_counts(net: &HarpNetwork) -> Vec<(String, u64)> {
+    let mut counters = net.metrics_snapshot().counters;
+    counters.retain(|name, _| name.starts_with("harp.node."));
+    counters.into_iter().collect()
 }
 
 impl PreImage {
@@ -124,6 +129,7 @@ impl PreImage {
                 .map(|(l, c)| (l, c.to_vec()))
                 .collect(),
             schedule_version: net.schedule().version(),
+            adjust_counts: adjust_counts(net),
         }
     }
 
@@ -145,6 +151,11 @@ impl PreImage {
             net.schedule().version(),
             self.schedule_version,
             "{ctx}: version"
+        );
+        assert_eq!(
+            adjust_counts(net),
+            self.adjust_counts,
+            "{ctx}: adjustment counts"
         );
         assert!(net.quiescent(), "{ctx}: messages left in flight");
     }

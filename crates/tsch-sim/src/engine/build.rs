@@ -71,7 +71,7 @@ impl SimulatorBuilder {
     /// Starts a builder with perfect links and two-hop interference.
     #[must_use]
     pub fn new(tree: Tree, config: SlotframeConfig) -> Self {
-        let interference = Box::new(crate::interference::TwoHopInterference::from_tree(&tree));
+        let interference = Box::new(crate::interference::TwoHopInterference::default());
         Self {
             tree,
             config,

@@ -51,8 +51,9 @@ impl InterferenceModel for GlobalInterference {
 /// radio range of the other link's sender (hidden-terminal collision).
 ///
 /// Radio range is the tree adjacency plus any extra edges supplied at
-/// construction, which model nodes that hear each other without being
-/// routing neighbours.
+/// construction ([`TwoHopInterference::with_extra_edges`]; the default has
+/// none), which model nodes that hear each other without being routing
+/// neighbours.
 ///
 /// # Examples
 ///
@@ -60,7 +61,7 @@ impl InterferenceModel for GlobalInterference {
 /// use tsch_sim::{InterferenceModel, Link, NodeId, Tree, TwoHopInterference};
 ///
 /// let tree = Tree::paper_fig1_example();
-/// let m = TwoHopInterference::from_tree(&tree);
+/// let m = TwoHopInterference::default();
 /// // Sibling uplinks share their receiver: always a conflict.
 /// assert!(m.conflicts(&tree, Link::up(NodeId(4)), Link::up(NodeId(5))));
 /// // Links in far-apart subtrees do not interfere.
@@ -73,12 +74,6 @@ pub struct TwoHopInterference {
 }
 
 impl TwoHopInterference {
-    /// Interference limited to tree adjacency (no extra radio edges).
-    #[must_use]
-    pub fn from_tree(_tree: &Tree) -> Self {
-        Self::default()
-    }
-
     /// Adds extra radio edges beyond the routing tree.
     #[must_use]
     pub fn with_extra_edges<I>(edges: I) -> Self
@@ -147,7 +142,7 @@ mod tests {
     #[test]
     fn shared_receiver_conflicts() {
         let t = tree();
-        let m = TwoHopInterference::from_tree(&t);
+        let m = TwoHopInterference::default();
         // 4→1 and 5→1 share receiver 1.
         assert!(m.conflicts(&t, Link::up(NodeId(4)), Link::up(NodeId(5))));
     }
@@ -155,7 +150,7 @@ mod tests {
     #[test]
     fn shared_sender_conflicts() {
         let t = tree();
-        let m = TwoHopInterference::from_tree(&t);
+        let m = TwoHopInterference::default();
         // 1→4 and 1→5 share sender 1.
         assert!(m.conflicts(&t, Link::down(NodeId(4)), Link::down(NodeId(5))));
     }
@@ -163,14 +158,14 @@ mod tests {
     #[test]
     fn up_and_down_of_same_edge_conflict() {
         let t = tree();
-        let m = TwoHopInterference::from_tree(&t);
+        let m = TwoHopInterference::default();
         assert!(m.conflicts(&t, Link::up(NodeId(4)), Link::down(NodeId(4))));
     }
 
     #[test]
     fn chained_links_conflict() {
         let t = tree();
-        let m = TwoHopInterference::from_tree(&t);
+        let m = TwoHopInterference::default();
         // 9→7 and 7→3 share node 7.
         assert!(m.conflicts(&t, Link::up(NodeId(9)), Link::up(NodeId(7))));
     }
@@ -178,7 +173,7 @@ mod tests {
     #[test]
     fn hidden_terminal_via_tree_edge() {
         let t = tree();
-        let m = TwoHopInterference::from_tree(&t);
+        let m = TwoHopInterference::default();
         // 9→7 (receiver 7) and 8→3: sender 8's parent is 3; 8 is not
         // adjacent to 7, so no conflict from that side. But 10→7 up and
         // 9's downlink 7→9: sender 7 is adjacent to receiver 7? Use a
@@ -193,7 +188,7 @@ mod tests {
     #[test]
     fn distant_links_do_not_conflict() {
         let t = tree();
-        let m = TwoHopInterference::from_tree(&t);
+        let m = TwoHopInterference::default();
         // 4→1 and 9→7 share nothing and are far apart.
         assert!(!m.conflicts(&t, Link::up(NodeId(4)), Link::up(NodeId(9))));
         assert!(!m.conflicts(&t, Link::down(NodeId(4)), Link::down(NodeId(9))));
@@ -214,7 +209,7 @@ mod tests {
     #[test]
     fn conflicts_is_symmetric() {
         let t = tree();
-        let m = TwoHopInterference::from_tree(&t);
+        let m = TwoHopInterference::default();
         for a in t.links(Direction::Up) {
             for b in t.links(Direction::Down) {
                 assert_eq!(m.conflicts(&t, a, b), m.conflicts(&t, b, a));
@@ -225,7 +220,7 @@ mod tests {
     #[test]
     fn root_link_is_never_conflicting() {
         let t = tree();
-        let m = TwoHopInterference::from_tree(&t);
+        let m = TwoHopInterference::default();
         // Link::up(root) is invalid; conflicts must return false, not panic.
         assert!(!m.conflicts(&t, Link::up(NodeId(0)), Link::up(NodeId(4))));
     }
@@ -233,7 +228,7 @@ mod tests {
     #[test]
     fn in_range_adjacency() {
         let t = tree();
-        let m = TwoHopInterference::from_tree(&t);
+        let m = TwoHopInterference::default();
         assert!(m.in_range(&t, NodeId(1), NodeId(0)));
         assert!(m.in_range(&t, NodeId(0), NodeId(1)));
         assert!(m.in_range(&t, NodeId(4), NodeId(4)));

@@ -115,7 +115,7 @@ impl ReferenceSimulator {
         seed: u64,
         tasks: &[Task],
     ) -> Self {
-        let interference = TwoHopInterference::from_tree(&tree);
+        let interference = TwoHopInterference::default();
         let tasks = tasks
             .iter()
             .map(|t| (t.clone(), Arc::<[NodeId]>::from(t.route(&tree))))

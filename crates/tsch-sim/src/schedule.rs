@@ -615,7 +615,7 @@ mod tests {
         // 4→1 and 9→7 are far apart: same cell but no interference.
         s.assign(c, Link::up(NodeId(4))).unwrap();
         s.assign(c, Link::up(NodeId(9))).unwrap();
-        let model = TwoHopInterference::from_tree(&tree);
+        let model = TwoHopInterference::default();
         let r = s.collision_report(&tree, &model);
         assert_eq!(r.colliding_assignments, 0);
         assert_eq!(r.collision_probability(), 0.0);

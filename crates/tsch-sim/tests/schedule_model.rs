@@ -132,7 +132,7 @@ impl Pair {
         Self {
             real,
             model: Model::new(config),
-            two_hop: TwoHopInterference::from_tree(&tree),
+            two_hop: TwoHopInterference::default(),
             tree,
             seen_versions: HashSet::from([0]),
         }

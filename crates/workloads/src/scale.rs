@@ -155,7 +155,7 @@ fn scale_schedule(
     let count = u32::try_from(subtree_roots.len()).expect("small constant");
     let width = config.slots / count;
     assert!(width >= 1, "slotframe too short for {count} subtree ranges");
-    let interference = TwoHopInterference::from_tree(tree);
+    let interference = TwoHopInterference::default();
     let depth = node_depths(tree);
 
     // Per-subtree uplink demand per link child (uplinks only: tasks walk

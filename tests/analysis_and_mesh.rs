@@ -102,7 +102,7 @@ fn harp_on_mesh_topologies_stays_collision_free_under_real_interference() {
         for s in [&RandomScheduler as &dyn Scheduler, &AliceScheduler] {
             let schedule = s.build_schedule(&tree, &reqs, config, seed);
             let tree_only = schedule
-                .collision_report(&tree, &TwoHopInterference::from_tree(&tree))
+                .collision_report(&tree, &TwoHopInterference::default())
                 .colliding_assignments;
             let with_mesh = schedule
                 .collision_report(&tree, &model)
