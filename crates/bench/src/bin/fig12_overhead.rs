@@ -22,10 +22,21 @@ use harp_bench::harness::{
     print_bench_threads, rows_json, to_json_with_sections, write_report, Args,
 };
 use harp_bench::{mean, par_map};
-use harp_core::{AllocatorHandle, SchedulingPolicy};
+use harp_core::{AllocatorHandle, Cause, MessageCauses, SchedulingPolicy};
 use harp_obs::{spans_to_json, MetricsSnapshot, SpanEvent};
 use schedulers::{apas_adjustment_packets, sixtop_transaction_packets, ApasNetwork};
 use tsch_sim::{Asn, Direction, Link, SlotframeConfig};
+
+/// HARP's messages by cause, each a column of the report: the mean over a
+/// layer's samples.
+const CAUSE_COLUMNS: [(Cause, &str); 6] = [
+    (Cause::Climb, "harp_climb"),
+    (Cause::Grant, "harp_grant"),
+    (Cause::SiblingMove, "harp_sibling_move"),
+    (Cause::Bystander, "harp_bystander"),
+    (Cause::Translation, "harp_translation"),
+    (Cause::Cells, "harp_cells"),
+];
 
 fn main() {
     Args::parse("usage: fig12_overhead");
@@ -49,6 +60,7 @@ fn main() {
     let per_layer = par_map(&layers, |_, &layer| {
         let mut apas_samples = Vec::new();
         let mut harp_samples = Vec::new();
+        let mut harp_causes: Vec<MessageCauses> = Vec::new();
         let mut spans: Vec<SpanEvent> = Vec::new();
         for (ti, tree) in topologies.iter().enumerate() {
             // Sample up to three nodes at this layer per topology.
@@ -76,6 +88,7 @@ fn main() {
                 if let Ok(mut handle) = handle {
                     if let Ok(bill) = handle.adjust(link, 2) {
                         harp_samples.push(bill.mgmt_messages as f64);
+                        harp_causes.push(bill.causes);
                         let trace = &handle.network().obs().spans;
                         spans.extend(trace.iter().filter(|s| s.name == "adjust"));
                     }
@@ -97,12 +110,16 @@ fn main() {
             harp_max,
             sixtop_transaction_packets()
         );
-        let fields: Vec<(&'static str, f64)> = vec![
+        let mut fields: Vec<(&'static str, f64)> = vec![
             ("apas_packets", mean(&apas_samples)),
             ("harp_messages", mean(&harp_samples)),
             ("harp_max", harp_max),
             ("msf_6p", sixtop_transaction_packets() as f64),
         ];
+        for (cause, column) in CAUSE_COLUMNS {
+            let counts: Vec<f64> = harp_causes.iter().map(|c| c.get(cause) as f64).collect();
+            fields.push((column, mean(&counts)));
+        }
         (text, (format!("L{layer:02}"), fields), spans)
     });
     let mut rows = Vec::new();

@@ -599,13 +599,16 @@ fn run_adjustments(
                         tree.layer_of_link(ev.link),
                         ev.link.child.0
                     ),
-                    vec![
+                    [
                         ("involved_nodes", bill.involved_nodes as f64),
                         ("layers_touched", bill.layers_touched as f64),
                         ("mgmt_messages", bill.mgmt_messages as f64),
                         ("seconds", bill.elapsed_seconds(config)),
                         ("slotframes", bill.slotframes(config) as f64),
-                    ],
+                    ]
+                    .into_iter()
+                    .chain(bill.causes.iter().map(|(c, n)| (c.name(), n as f64)))
+                    .collect(),
                 );
                 // Keep the adjustment spans only: the identical static
                 // phases would otherwise drown the interesting part.

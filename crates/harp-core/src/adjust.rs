@@ -8,7 +8,9 @@
 //! partitions that move:
 //!
 //! 1. first try to place the grown component using only the idle areas of
-//!    the parent partition (no sibling moves at all);
+//!    the parent partition (no sibling moves at all), around its old
+//!    rectangle if it can be — the grown partition's own children then
+//!    stay where they are — and wherever it fits best if not;
 //! 2. otherwise remove the sibling closest to the grown component's old
 //!    position, add it to the set to re-place, and retry;
 //! 3. when every sibling has been removed the problem degenerates to plain
@@ -18,12 +20,13 @@
 use crate::component::ResourceComponent;
 use crate::error::HarpError;
 use crate::workspace::Workspace;
-use packing::{pack_into, FreeSpace, Rect, Size};
+use packing::{pack_into, FreeSpace, Point, Rect, Size};
+use tsch_sim::NodeId;
 
 /// The outcome of a successful partition adjustment.
 ///
 /// Generic over the key identifying each sub-partition: interior nodes key
-/// by child [`NodeId`](tsch_sim::NodeId); the gateway keys its slotframe-level
+/// by child [`NodeId`]; the gateway keys its slotframe-level
 /// adjustment by `(Direction, layer)`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AdjustmentOutcome<K> {
@@ -131,11 +134,21 @@ pub fn adjust_partition<K: Copy + Ord>(
     Ok(adjusted.map(|_| ws.adjustment_outcome(children)))
 }
 
+/// `r`, inside `partition`, relative to `partition`'s origin, as a layout
+/// holds it; an empty `r` is the empty rectangle, wherever it sat.
+pub(crate) fn relative_to(r: Rect, partition: Rect) -> Rect {
+    if r.is_empty() {
+        return Rect::default();
+    }
+    let origin = Point::new(r.left() - partition.left(), r.bottom() - partition.bottom());
+    Rect::new(origin, r.size)
+}
+
 /// The working buffers of Alg. 2 that a [`Workspace`] holds beside those it
 /// shares with composition.
 ///
 /// Alg. 2 works on entry indices, never on keys, so one scratch serves an
-/// interior node's children (keyed by [`NodeId`](tsch_sim::NodeId)) and
+/// interior node's children (keyed by [`NodeId`]) and
 /// the gateway's layers (keyed by `(Direction, layer)`) alike. What it
 /// decides lives in the workspace until the next adjustment: the new
 /// rectangle of every entry in `Workspace::pass2`, by entry index, and the
@@ -241,6 +254,16 @@ impl Workspace {
                     r.height(),
                 ));
             }
+            // With every sibling in place, grow around the old rectangle
+            // first: the requester's own children then keep their cells.
+            if removed == 1 && !old_rect.is_empty() && parent_rect.contains_rect(&old_rect) {
+                let (x, y) = (old_rect.left() - dx, old_rect.bottom() - dy);
+                let around = Rect::new(Point::new(x, y), old_rect.size);
+                if let Some(at) = scratch.free.place_around(sizes[0], around) {
+                    rects[req] = Rect::new(at, sizes[0]).translated(dx, dy);
+                    return Ok(Some(scratch.finish(entries, rects, req, Path::IdleArea)));
+                }
+            }
             if scratch.free.place_all_into(sizes, placements) {
                 for (&i, rel) in scratch.order.iter().zip(placements.iter()) {
                     rects[i as usize] = rel.translated(dx, dy);
@@ -308,23 +331,94 @@ impl Workspace {
         Ok(Some(scratch.finish(entries, rects, req, Path::Repack)))
     }
 
+    /// The stable layout of an escalation at a node whose partition at the
+    /// layer is `own`, its children's partitions there `current`, and whose
+    /// child `requester` reported the grown `component` there: every other
+    /// child where it is, the requester in a container `channels` tall,
+    /// around its old spot if it can be and anywhere if not, at the
+    /// narrowest width from `own`'s up to `max(own's, fresh_slots)` that
+    /// holds it, `fresh_slots` being the fresh composite's. Appends the
+    /// layout, relative to the partition and in `current`'s order, behind
+    /// what `placed` holds, and returns its composite: that width by the
+    /// higher of `own`'s height and the requester's top.
+    ///
+    /// `None`, appending nothing, when no width holds it, or when the
+    /// fresh composition, the `placed` it left, places other children than
+    /// `current` or `requester` holds no partition yet.
+    pub(crate) fn stable_layout(
+        &mut self,
+        own: Rect,
+        current: &[(NodeId, Rect)],
+        (requester, component): (NodeId, ResourceComponent),
+        fresh_slots: u32,
+        channels: u16,
+    ) -> Option<ResourceComponent> {
+        let composed = &self.placed;
+        let same = current.len() == composed.len()
+            && current
+                .iter()
+                .all(|&(c, _)| composed.iter().any(|&(p, _)| p == c));
+        let old = current.iter().find(|&&(c, _)| c == requester)?.1;
+        let inside = current
+            .iter()
+            .all(|(_, r)| r.is_empty() || own.contains_rect(r));
+        if !same || !inside || component.is_empty() {
+            return None;
+        }
+        let relative = |r: Rect| relative_to(r, own);
+        let size = component.as_size();
+        // The container `width` wide, every other child in place.
+        let room = |free: &mut FreeSpace, width: u32| {
+            free.reset(Size::new(width, u32::from(channels)));
+            for &(c, r) in current {
+                if c != requester && !r.is_empty() {
+                    free.occupy(relative(r));
+                }
+            }
+        };
+        let fits = |free: &mut FreeSpace, width: u32| {
+            room(free, width);
+            free.place(size).is_some()
+        };
+        // Whether the requester fits only grows with the width: bisect.
+        let free = &mut self.adjust.free;
+        let (mut narrow, mut wide) = (own.width(), own.width().max(fresh_slots));
+        if !fits(free, wide) {
+            return None;
+        }
+        while narrow < wide {
+            let mid = narrow + (wide - narrow) / 2;
+            if fits(free, mid) {
+                wide = mid;
+            } else {
+                narrow = mid + 1;
+            }
+        }
+        room(free, wide);
+        let at = free
+            .place_around(size, relative(old))
+            .or_else(|| free.place(size))
+            .expect("the narrowest width holds it");
+        let grown = Rect::new(at, size);
+        self.placed.extend(
+            current
+                .iter()
+                .map(|&(c, r)| (c, if c == requester { grown } else { relative(r) })),
+        );
+        Some(ResourceComponent::new(wide, own.height().max(grown.top())))
+    }
+
     /// The partitions the last [`Workspace::adjust`] on `entries` moved,
     /// each with its new rectangle, in key order.
     pub(crate) fn moved<'a, K: Copy>(
         &'a self,
         entries: &'a [(K, Rect)],
     ) -> impl Iterator<Item = (K, Rect)> + 'a {
-        (0..entries.len()).filter_map(|t| self.moved_at(entries, t))
-    }
-
-    /// The `t`-th of `entries` in key order with its new rectangle, if the
-    /// last [`Workspace::adjust`] on them moved it: [`Workspace::moved`]
-    /// one at a time, for a caller that needs the workspace in between.
-    pub(crate) fn moved_at<K: Copy>(&self, entries: &[(K, Rect)], t: usize) -> Option<(K, Rect)> {
-        let i = self.adjust.order[t];
-        let (k, old) = entries[i as usize];
-        let rect = self.pass2[i as usize];
-        self.adjust.moved(i, old, rect).then_some((k, rect))
+        self.adjust.order.iter().filter_map(|&i| {
+            let (k, old) = entries[i as usize];
+            let rect = self.pass2[i as usize];
+            self.adjust.moved(i, old, rect).then_some((k, rect))
+        })
     }
 
     /// Rewrites `entries`, the input of the last [`Workspace::adjust`],
@@ -476,6 +570,28 @@ mod tests {
             .unwrap();
         check_outcome(parent, &children, NodeId(2), rc(8, 1), &outcome);
         assert_eq!(outcome.moved, vec![NodeId(2)], "only the requester moves");
+    }
+
+    #[test]
+    fn a_growth_with_room_around_it_keeps_its_old_rectangle() {
+        // Bottom-left best-fit would start the grown partition at slot 0,
+        // clear of its old cells; growing around them fits as well.
+        let parent = Rect::from_xywh(0, 0, 10, 2);
+        let old = Rect::from_xywh(4, 0, 2, 1);
+        let children = vec![(NodeId(1), old), (NodeId(2), Rect::from_xywh(0, 1, 3, 1))];
+        let outcome = adjust_partition(parent, &children, NodeId(1), rc(4, 1))
+            .unwrap()
+            .unwrap();
+        check_outcome(parent, &children, NodeId(1), rc(4, 1), &outcome);
+        let grown = outcome
+            .layout
+            .iter()
+            .find(|(n, _)| *n == NodeId(1))
+            .unwrap()
+            .1;
+        assert!(grown.contains_rect(&old), "{grown} leaves {old}");
+        assert_eq!(grown, Rect::from_xywh(4, 0, 4, 1), "nearest its old origin");
+        assert_eq!(outcome.moved, vec![NodeId(1)]);
     }
 
     #[test]
@@ -724,6 +840,95 @@ mod tests {
                 "{kind}: {paths:?}"
             );
         }
+    }
+
+    /// The stable layout by trying every width from the narrowest up:
+    /// what `Workspace::stable_layout` finds by bisection.
+    fn stable_layout_by_every_width(
+        own: Rect,
+        current: &[(NodeId, Rect)],
+        (requester, component): (NodeId, ResourceComponent),
+        fresh_slots: u32,
+        channels: u16,
+    ) -> Option<(ResourceComponent, Vec<(NodeId, Rect)>)> {
+        let relative = |r: Rect| {
+            if r.is_empty() {
+                Rect::default()
+            } else {
+                Rect::new(
+                    Point::new(r.left() - own.left(), r.bottom() - own.bottom()),
+                    r.size,
+                )
+            }
+        };
+        let old = current.iter().find(|&&(c, _)| c == requester)?.1;
+        let size = component.as_size();
+        let room = |width: u32| {
+            let mut free = FreeSpace::new(Size::new(width, u32::from(channels)));
+            for &(c, r) in current {
+                if c != requester && !r.is_empty() {
+                    free.occupy(relative(r));
+                }
+            }
+            free
+        };
+        let width = (own.width()..=own.width().max(fresh_slots))
+            .find(|&w| room(w).place(size).is_some())?;
+        let mut free = room(width);
+        let at = free
+            .place_around(size, relative(old))
+            .or_else(|| free.place(size))?;
+        let grown = Rect::new(at, size);
+        let layout = current
+            .iter()
+            .map(|&(c, r)| (c, if c == requester { grown } else { relative(r) }))
+            .collect();
+        Some((
+            ResourceComponent::new(width, own.height().max(grown.top())),
+            layout,
+        ))
+    }
+
+    #[test]
+    fn the_stable_layout_bisects_to_the_narrowest_width() {
+        // Seeded partitions with children placed tight or scattered, some
+        // empty, and a grown requester: the bisection must pick the width
+        // a walk over every width picks, and lay the same layout behind
+        // what the workspace's placements held.
+        let (mut stable, mut none) = (0, 0);
+        let mut ws = Workspace::new();
+        for case in 0..600u64 {
+            let mut rng = SplitMix64::new(0x57AB ^ case);
+            let ids: Vec<NodeId> = (1..=6).map(NodeId).collect();
+            let (own, current, _, _) = instance(&mut rng, &ids, NodeId(99));
+            let requester = current[rng.next_below(current.len() as u64) as usize].0;
+            let component = rc(1 + rng.next_below(24) as u32, 1 + rng.next_below(4) as u32);
+            let fresh_slots = rng.next_below(u64::from(own.width()) + 24) as u32;
+            let channels = (own.height() + rng.next_below(3) as u32) as u16;
+            let grown = (requester, component);
+            let expected =
+                stable_layout_by_every_width(own, &current, grown, fresh_slots, channels);
+            // The fresh composition places the same children, in its order.
+            ws.placed.clear();
+            ws.placed.extend(current.iter().rev());
+            let fresh = ws.placed.clone();
+            let composite = ws.stable_layout(own, &current, grown, fresh_slots, channels);
+            assert_eq!(&ws.placed[..fresh.len()], &fresh[..], "case {case}");
+            let laid = ws.placed[fresh.len()..].to_vec();
+            match expected {
+                Some((c, layout)) => {
+                    stable += 1;
+                    assert_eq!(composite, Some(c), "case {case}");
+                    assert_eq!(laid, layout, "case {case}");
+                }
+                None => {
+                    none += 1;
+                    assert_eq!(composite, None, "case {case}");
+                    assert!(laid.is_empty(), "case {case}");
+                }
+            }
+        }
+        assert!(stable >= 100 && none >= 50, "{stable} stable, {none} fresh");
     }
 
     // ---- feasibility test ----

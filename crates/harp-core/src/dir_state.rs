@@ -969,6 +969,19 @@ impl<'a> DirWriter<'a> {
         self.put_field(layer, |r| &mut r.partition, Some(rect), DirUndo::Partition);
     }
 
+    /// Drops every partition granted to this node.
+    pub(crate) fn drop_partitions(&mut self) {
+        let mut from = 0;
+        loop {
+            let next = self.read().partitions().find(|&(l, _)| l >= from);
+            let Some((layer, _)) = next else {
+                return;
+            };
+            self.put_field(layer, |r| &mut r.partition, None, DirUndo::Partition);
+            from = layer + 1;
+        }
+    }
+
     /// [`DirWriter::set_partition`] for every layer of this node's
     /// interface: the layers' components side by side along the slot axis
     /// from `cursor` on, deepest layer first if `descending`. Returns the

@@ -112,11 +112,11 @@ pub use compose::{
 };
 pub use error::HarpError;
 pub use handle::{AllocatorHandle, ScheduleSummary};
-pub use node::{Effects, HarpNode};
+pub use node::{Cause, Effects, HarpNode};
 pub use protocol::{HarpMessage, MessageKind};
 pub use render::{render_cell_map, render_super_partitions, render_utilization};
 pub use requirement::Requirements;
-pub use runner::{HarpNetwork, ProtocolReport};
+pub use runner::{HarpNetwork, MessageCauses, ProtocolReport};
 pub use schedule_gen::{
     generate_schedule, unsatisfied_links, CellRun, RowAssignments, SchedulingPolicy,
 };

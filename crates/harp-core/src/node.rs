@@ -22,6 +22,7 @@
 //! room (or, at the gateway, re-places the slotframe), `adjust_within` is
 //! one step of Alg. 2, and `take_partition` installs a granted partition.
 
+use crate::adjust::relative_to;
 use crate::component::{LayerComponents, ResourceComponent, ResourceInterface};
 use crate::compose::CompositionLayout;
 use crate::dir_state::{DirView, DirWriter, NodeTables, UndoLog};
@@ -34,27 +35,78 @@ use std::collections::BTreeMap;
 use std::{fmt, mem};
 use tsch_sim::{Direction, Link, NetworkSchedule, NodeId, SlotframeConfig, Tree};
 
+/// Why a handler sends a message: what a protocol run's messages are
+/// counted by ([`MessageCauses`](crate::MessageCauses)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Cause {
+    /// An interface climbing toward the gateway: the static phase's `POST
+    /// intf`, or an escalation's `PUT intf`.
+    Climb,
+    /// A node's partitions granted to it: the static phase's `POST part`,
+    /// or the `PUT part` that answers the node's escalation.
+    Grant,
+    /// A sibling Alg. 2 moved to make room for a grown partition (`PUT
+    /// part`).
+    SiblingMove,
+    /// A child re-laid inside a partition that grew (`PUT part`).
+    Bystander,
+    /// A child carried along with a partition that moved at its size (`PUT
+    /// part`).
+    Translation,
+    /// A cell assignment.
+    Cells,
+}
+
+impl Cause {
+    /// Every cause, in the order [`MessageCauses`](crate::MessageCauses)
+    /// lists them.
+    pub const ALL: [Cause; 6] = [
+        Cause::Climb,
+        Cause::Grant,
+        Cause::SiblingMove,
+        Cause::Bystander,
+        Cause::Translation,
+        Cause::Cells,
+    ];
+
+    /// The cause's name in reports.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            Cause::Climb => "climb",
+            Cause::Grant => "grant",
+            Cause::SiblingMove => "sibling_move",
+            Cause::Bystander => "bystander",
+            Cause::Translation => "translation",
+            Cause::Cells => "cells",
+        }
+    }
+}
+
 /// What a handler wants sent: messages to neighbours.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Effects {
-    /// `(recipient, message)` pairs to hand to the management plane.
-    pub messages: Vec<(NodeId, HarpMessage)>,
+    /// `(recipient, message, cause)` triples to hand to the management
+    /// plane.
+    pub messages: Vec<(NodeId, HarpMessage, Cause)>,
 }
 
 impl Effects {
+    fn push(&mut self, to: NodeId, msg: HarpMessage, cause: Cause) {
+        self.messages.push((to, msg, cause));
+    }
+
     /// Queues `POST part` entries for `to`, onto the `POST part` already
     /// queued for it if there is one: a parent reports a child's
     /// partitions for both directions in one message, as on the testbed.
     fn post_partitions(&mut self, to: NodeId, partitions: Vec<(Direction, u32, Rect)>) {
-        let queued = self.messages.iter_mut().find_map(|(t, m)| match m {
+        let queued = self.messages.iter_mut().find_map(|(t, m, _)| match m {
             HarpMessage::PostPartitions { partitions } if *t == to => Some(partitions),
             _ => None,
         });
         match queued {
             Some(queued) => queued.extend(partitions),
-            None => self
-                .messages
-                .push((to, HarpMessage::PostPartitions { partitions })),
+            None => self.push(to, HarpMessage::PostPartitions { partitions }, Cause::Grant),
         }
     }
 }
@@ -285,6 +337,16 @@ impl Cx<'_> {
         }
     }
 
+    /// `leaf`, leaving its parent for another, drops every partition the
+    /// old parent granted it, both directions: a node holds only
+    /// partitions its parent reserves, and a leaf may still hold rows from
+    /// children it once had.
+    pub(crate) fn release_partitions(&mut self, leaf: NodeId) {
+        for d in Direction::BOTH {
+            self.dir_mut(leaf, d).drop_partitions();
+        }
+    }
+
     /// Kicks off the static phase at `at`. Nodes whose children are all
     /// leaves can generate and report their interfaces immediately;
     /// everyone else waits for `POST intf` messages.
@@ -459,7 +521,7 @@ impl Cx<'_> {
             up: generated(Direction::Up),
             down: generated(Direction::Down),
         };
-        self.fx.messages.push((parent, msg));
+        self.fx.push(parent, msg, Cause::Climb);
         Ok(())
     }
 
@@ -591,7 +653,7 @@ impl Cx<'_> {
                 if notify {
                     let cells = cells.clone();
                     let msg = HarpMessage::CellAssignment { direction, cells };
-                    self.fx.messages.push((child, msg));
+                    self.fx.push(child, msg, Cause::Cells);
                 }
                 ds.put_assignment(child, Some(cells));
             }
@@ -697,39 +759,76 @@ impl Cx<'_> {
         let Some(own) = ds.read().partition(layer) else {
             return self.escalate_layer(at, direction, layer, child);
         };
-        let mut placements = mem::take(&mut self.ws.placed);
-        placements.clear();
-        let held = self
-            .nodes
-            .dir(self.tree, at, direction)
-            .child_partitions_at(layer);
-        placements.extend_from_slice(held.unwrap_or_default());
-        if !placements.iter().any(|(c, _)| *c == child) {
-            placements.push((child, Rect::default()));
-        }
+        let placements = self.children_with(at, direction, layer, child);
         let adjusted = self.adjust_within(own, &placements, child, component);
         if !matches!(adjusted, Ok(true)) {
             self.ws.placed = placements;
             adjusted?;
             return self.escalate_layer(at, direction, layer, child);
         }
-        for (moved, rect) in self.ws.moved(&placements) {
+        self.ws.placed = self.take_adjusted(at, direction, layer, placements, child);
+        Ok(())
+    }
+
+    /// The children's partitions `at` holds at `layer`, `child`'s among
+    /// them (empty if it holds none yet): Alg. 2's entries, in the
+    /// workspace's `placed` buffer, taken out of it.
+    fn children_with(
+        &mut self,
+        at: NodeId,
+        direction: Direction,
+        layer: u32,
+        child: NodeId,
+    ) -> Vec<(NodeId, Rect)> {
+        let mut placed = mem::take(&mut self.ws.placed);
+        placed.clear();
+        let held = self
+            .nodes
+            .dir(self.tree, at, direction)
+            .child_partitions_at(layer);
+        placed.extend_from_slice(held.unwrap_or_default());
+        if !placed.iter().any(|(c, _)| *c == child) {
+            placed.push((child, Rect::default()));
+        }
+        placed
+    }
+
+    /// Settles the last Alg. 2 on `placed`, `at`'s children's partitions
+    /// at `layer`, for `child`'s growth: tells every child it moved (a
+    /// grant to `child`, a sibling move to the others) and stores the
+    /// outcome. Returns `placed`, rewritten to the outcome.
+    fn take_adjusted(
+        &mut self,
+        at: NodeId,
+        direction: Direction,
+        layer: u32,
+        mut placed: Vec<(NodeId, Rect)>,
+        child: NodeId,
+    ) -> Vec<(NodeId, Rect)> {
+        for (moved, rect) in self.ws.moved(&placed) {
             let msg = HarpMessage::PutPartition {
                 direction,
                 layer,
                 rect,
             };
-            self.fx.messages.push((moved, msg));
+            let cause = if moved == child {
+                Cause::Grant
+            } else {
+                Cause::SiblingMove
+            };
+            self.fx.push(moved, msg, cause);
         }
-        self.ws.adopt_layout(&mut placements);
+        self.ws.adopt_layout(&mut placed);
         self.dir_mut(at, direction)
-            .set_child_partitions(layer, &placements);
-        self.ws.placed = placements;
-        Ok(())
+            .set_child_partitions(layer, &placed);
+        placed
     }
 
     /// Recomposes `at`'s `layer` from the children's current components,
-    /// stores the layout and escalates the composite.
+    /// stores the layout it will lay and escalates its composite: the
+    /// stable layout when one qualifies (`Workspace::stable_layout`), which
+    /// keeps every other child where it is, and the fresh composition
+    /// otherwise.
     fn escalate_layer(
         &mut self,
         at: NodeId,
@@ -737,15 +836,32 @@ impl Cx<'_> {
         layer: u32,
         requester: NodeId,
     ) -> Result<(), HarpError> {
-        let children = self.nodes.dir(self.tree, at, direction).child_interfaces();
+        let channels = self.config.channels;
+        let ds = self.nodes.dir(self.tree, at, direction);
         self.ws
-            .compose_layers(children, layer..=layer, self.config.channels)?;
+            .compose_layers(ds.child_interfaces(), layer..=layer, channels)?;
         // No child reports the layer: an empty composite, placing nobody.
-        let (composite, placed) = self
+        let fresh = self
             .ws
             .composed()
             .next()
-            .map_or((ResourceComponent::default(), &[][..]), |(_, c, p)| (c, p));
+            .map_or(ResourceComponent::default(), |(_, c, _)| c);
+        let composed = self.ws.placed.len();
+        let reported = ds
+            .child_interface(requester)
+            .and_then(|i| i.component(layer));
+        let stable = match (ds.partition(layer), ds.child_partitions_at(layer), reported) {
+            (Some(own), Some(current), Some(component)) => {
+                let grown = (requester, component);
+                self.ws
+                    .stable_layout(own, current, grown, fresh.slots, channels)
+            }
+            _ => None,
+        };
+        let (composite, placed) = match stable {
+            Some(composite) => (composite, &self.ws.placed[composed..]),
+            None => (fresh, &self.ws.placed[..composed]),
+        };
         DirWriter::new(self.nodes, self.log, self.tree, at, direction)
             .set_layout(layer, composite, placed);
         self.escalate(at, direction, layer, composite, requester)
@@ -774,7 +890,7 @@ impl Cx<'_> {
             layer,
             component,
         };
-        self.fx.messages.push((parent, msg));
+        self.fx.push(parent, msg, Cause::Climb);
         Ok(())
     }
 
@@ -830,18 +946,27 @@ impl Cx<'_> {
         old: Option<Rect>,
         rect: Rect,
     ) -> Result<(), HarpError> {
-        if self.dir(at, direction).pending(layer).is_some() {
+        let pending = self.dir(at, direction).pending(layer);
+        if pending.is_some() {
             self.dir_mut(at, direction).put_pending(layer, None);
         }
         if layer == self.tree.link_layer(at) {
             return self.schedule_own_row(at, direction);
+        }
+        // A growth around the old partition keeps the children where they
+        // are and re-places only the one that asked.
+        if let (Some(old), Some(child)) = (old, pending) {
+            let around = old.size != rect.size && rect.contains_rect(&old);
+            if around && self.keep_children(at, direction, layer, rect, child)? {
+                return Ok(());
+            }
         }
 
         let ds = self.nodes.dir(self.tree, at, direction);
         let current = ds.child_partitions_at(layer).unwrap_or_default();
         let mut placed = mem::take(&mut self.ws.placed);
         placed.clear();
-        match old {
+        let moved = match old {
             // Pure move: same size, translate everything inside.
             Some(old) if old.size == rect.size => {
                 placed.extend(current.iter().map(|&(c, r)| {
@@ -854,8 +979,9 @@ impl Cx<'_> {
                         (c, Rect::new(origin, r.size))
                     }
                 }));
+                Cause::Translation
             }
-            // Growth: lay the (re)composed layout into the new rectangle.
+            // Growth: lay the stored layout into the new rectangle.
             _ => {
                 let Some(layout) = ds.layout(layer) else {
                     self.ws.placed = placed;
@@ -863,8 +989,9 @@ impl Cx<'_> {
                 };
                 let (x, y) = (rect.origin.x, rect.origin.y);
                 placed.extend(layout.iter().map(|&(c, rel)| (c, rel.translated(x, y))));
+                Cause::Bystander
             }
-        }
+        };
 
         for &(c, r) in &placed {
             let old_rect = current
@@ -878,13 +1005,54 @@ impl Cx<'_> {
                     layer,
                     rect: r,
                 };
-                self.fx.messages.push((c, msg));
+                let cause = if pending == Some(c) {
+                    Cause::Grant
+                } else {
+                    moved
+                };
+                self.fx.push(c, msg, cause);
             }
         }
         DirWriter::new(self.nodes, self.log, self.tree, at, direction)
             .set_child_partitions(layer, &placed);
         self.ws.placed = placed;
         Ok(())
+    }
+
+    /// `at`'s partition at `layer` grew to `rect` around the old one, for
+    /// `child`'s escalation: Alg. 2 re-places `child`'s reported component
+    /// among the children where they are, tells only the children it moved
+    /// and stores its outcome as the layer's layout. Returns `false`,
+    /// changing nothing, when it does not fit.
+    fn keep_children(
+        &mut self,
+        at: NodeId,
+        direction: Direction,
+        layer: u32,
+        rect: Rect,
+        child: NodeId,
+    ) -> Result<bool, HarpError> {
+        let ds = self.nodes.dir(self.tree, at, direction);
+        let reported = ds.child_interface(child).and_then(|i| i.component(layer));
+        let composite = ds.layouts().find(|&(l, _, _)| l == layer);
+        let (Some(component), Some((_, composite, _))) = (reported, composite) else {
+            return Ok(false);
+        };
+        let placed = self.children_with(at, direction, layer, child);
+        let adjusted = self.ws.adjust(rect, &placed, child, component);
+        if !matches!(adjusted, Ok(Some(_))) {
+            self.ws.placed = placed;
+            return adjusted.map(|_| false);
+        }
+        let mut placed = self.take_adjusted(at, direction, layer, placed, child);
+        // The layout is the same placements, relative to the partition.
+        for (_, r) in &mut placed {
+            *r = relative_to(*r, rect);
+        }
+        self.dir_mut(at, direction)
+            .set_layout(layer, composite, &placed);
+        self.ws.placed = placed;
+        Ok(true)
     }
 
     /// The gateway `at` absorbs a grown component at `(direction, layer)`
@@ -918,7 +1086,7 @@ impl Cx<'_> {
         }
         let adjusted = self.adjust_within(container, &entries, key, component);
         let result = match adjusted {
-            Ok(true) => self.take_moved_partitions(at, &entries),
+            Ok(true) => self.take_moved_partitions(at, &mut entries, key),
             Ok(false) => {
                 let total: u64 =
                     entries.iter().map(|(_, r)| r.area()).sum::<u64>() + component.cell_count();
@@ -940,16 +1108,20 @@ impl Cx<'_> {
     }
 
     /// The gateway `at` takes every partition the last Alg. 2 on its
-    /// layers, `entries`, moved, in key order.
+    /// layers, `entries`, moved, in key order; `key`'s, the grown one,
+    /// always.
     fn take_moved_partitions(
         &mut self,
         at: NodeId,
-        entries: &[((Direction, u32), Rect)],
+        entries: &mut [((Direction, u32), Rect)],
+        key: (Direction, u32),
     ) -> Result<(), HarpError> {
-        // One at a time: taking a partition works in the workspace, though
-        // never in what Alg. 2 left there.
-        for t in 0..entries.len() {
-            if let Some(((d, l), rect)) = self.ws.moved_at(entries, t) {
+        // Taking a partition may run Alg. 2 again in the workspace: every
+        // move is read out of it before the first is taken.
+        self.ws.adopt_layout(entries);
+        entries.sort_unstable_by_key(|&(k, _)| k);
+        for &((d, l), rect) in &*entries {
+            if (d, l) == key || self.dir(at, d).partition(l) != Some(rect) {
                 self.take_partition(at, d, l, rect)?;
             }
         }
@@ -968,7 +1140,7 @@ mod tests {
     /// covered by the runner tests).
     struct Fabric {
         net: HarpNetwork,
-        messages_seen: Vec<(NodeId, NodeId, HarpMessage)>,
+        messages_seen: Vec<(NodeId, NodeId, HarpMessage, Cause)>,
     }
 
     impl Fabric {
@@ -985,15 +1157,16 @@ mod tests {
         }
 
         fn try_dispatch(&mut self, from: NodeId, fx: Effects) -> Result<(), HarpError> {
-            let mut queue: Vec<(NodeId, NodeId, HarpMessage)> = fx
+            let mut queue: Vec<(NodeId, NodeId, HarpMessage, Cause)> = fx
                 .messages
                 .into_iter()
-                .map(|(to, m)| (from, to, m))
+                .map(|(to, m, cause)| (from, to, m, cause))
                 .collect();
-            while let Some((src, dst, msg)) = queue.pop() {
-                self.messages_seen.push((src, dst, msg.clone()));
+            while let Some((src, dst, msg, cause)) = queue.pop() {
+                self.messages_seen.push((src, dst, msg.clone(), cause));
                 let fx = self.net.deliver_now(src, dst, msg)?;
-                queue.extend(fx.messages.into_iter().map(|(to, m)| (dst, to, m)));
+                let sent = fx.messages.into_iter();
+                queue.extend(sent.map(|(to, m, cause)| (dst, to, m, cause)));
             }
             Ok(())
         }
@@ -1088,12 +1261,12 @@ mod tests {
         let intf = fabric
             .messages_seen
             .iter()
-            .filter(|(_, _, m)| matches!(m, HarpMessage::PostInterface { .. }))
+            .filter(|(_, _, m, _)| matches!(m, HarpMessage::PostInterface { .. }))
             .count();
         let part = fabric
             .messages_seen
             .iter()
-            .filter(|(_, _, m)| matches!(m, HarpMessage::PostPartitions { .. }))
+            .filter(|(_, _, m, _)| matches!(m, HarpMessage::PostPartitions { .. }))
             .count();
         // Non-leaf, non-gateway nodes: 1, 2, 3, 7, 8 → 5 POST-intf.
         assert_eq!(intf, 5);
@@ -1114,7 +1287,7 @@ mod tests {
         let mgmt = fabric
             .messages_seen
             .iter()
-            .filter(|(_, _, m)| m.is_management())
+            .filter(|(_, _, m, _)| m.is_management())
             .count();
         assert_eq!(mgmt, 0, "local case sends no intf/part messages");
         let schedule = fabric.schedule();
@@ -1143,7 +1316,7 @@ mod tests {
         let put_intf = fabric
             .messages_seen
             .iter()
-            .filter(|(_, _, m)| matches!(m, HarpMessage::PutInterface { .. }))
+            .filter(|(_, _, m, _)| matches!(m, HarpMessage::PutInterface { .. }))
             .count();
         assert!(put_intf >= 1, "the change escalates at least one hop");
     }
@@ -1261,5 +1434,57 @@ mod tests {
         };
         fabric.net.deliver_now(NodeId(1), NodeId(4), msg).unwrap();
         assert_eq!(fabric.schedule().cells_of(link), [Cell::new(4, 0)]);
+    }
+
+    #[test]
+    fn a_growth_granted_around_its_partition_tells_no_bystander() {
+        // N1's downlink layer-3 partition holds the rows of N2 (for N7)
+        // and N5 (for N6). Once a first growth has moved the gateway's
+        // layers, N6's growth climbs to the gateway, which grows N1's
+        // partition around the old one, shifted toward the slotframe's
+        // start: N1 re-places N5's row and leaves N2's where it was.
+        let tree = Tree::from_parents(&[(1, 0), (2, 1), (3, 1), (4, 1), (5, 1), (6, 5), (7, 2)]);
+        let mut reqs = Requirements::new();
+        for v in tree.nodes().skip(1) {
+            reqs.set(Link::up(v), 1);
+            reqs.set(Link::down(v), 1);
+        }
+        let mut fabric = Fabric::new(&tree, &reqs);
+        fabric.run_static();
+        fabric.request_change(Link::down(NodeId(2)), 6);
+        let (n1, d) = (NodeId(1), Direction::Down);
+        let old = fabric.node(n1).partition(d, 3).unwrap();
+        let bystander = |f: &Fabric| {
+            let (_, placed) = f
+                .node(n1)
+                .child_partitions(d)
+                .find(|&(l, _)| l == 3)
+                .unwrap();
+            placed.iter().find(|&&(c, _)| c == NodeId(2)).unwrap().1
+        };
+        let before = bystander(&fabric);
+        fabric.messages_seen.clear();
+        fabric.request_change(Link::down(NodeId(6)), 3);
+
+        let new = fabric.node(n1).partition(d, 3).unwrap();
+        assert!(
+            new.contains_rect(&old) && new.origin != old.origin,
+            "{old} -> {new}"
+        );
+        assert_eq!(bystander(&fabric), before, "N2's row stays");
+        let causes: Vec<Cause> = fabric.messages_seen.iter().map(|m| m.3).collect();
+        assert!(
+            causes.contains(&Cause::Climb),
+            "the growth escalated: {causes:?}"
+        );
+        for (_, to, msg, cause) in &fabric.messages_seen {
+            let told = matches!(msg, HarpMessage::PutPartition { .. }) && *to == NodeId(2);
+            assert!(!told, "N2 told of a partition ({cause:?})");
+            assert!(
+                !matches!(cause, Cause::Bystander | Cause::Translation),
+                "{causes:?}"
+            );
+        }
+        assert!(fabric.schedule().is_exclusive());
     }
 }

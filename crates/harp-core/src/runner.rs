@@ -11,7 +11,7 @@
 
 use crate::dir_state::{NodeTables, UndoLog};
 use crate::error::HarpError;
-use crate::node::{AdjustCounts, Cx, Effects, HarpNode};
+use crate::node::{AdjustCounts, Cause, Cx, Effects, HarpNode};
 use crate::protocol::HarpMessage;
 use crate::requirement::Requirements;
 use crate::schedule_gen::SchedulingPolicy;
@@ -70,6 +70,40 @@ pub struct ProtocolReport {
     pub involved_nodes: usize,
     /// Distinct layers named in dynamic (`PUT`) messages.
     pub layers_touched: usize,
+    /// The messages by why they were sent.
+    pub causes: MessageCauses,
+}
+
+/// A protocol run's messages by why they were sent: the five management
+/// causes sum to [`ProtocolReport::mgmt_messages`], and [`Cause::Cells`]
+/// is [`ProtocolReport::cell_messages`]. Each count is kept modulo 2³²,
+/// which a run of fewer messages than that reads exactly.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct MessageCauses([u32; 6]);
+
+impl MessageCauses {
+    /// The messages sent for `cause`.
+    #[must_use]
+    pub fn get(&self, cause: Cause) -> u64 {
+        u64::from(self.0[cause as usize])
+    }
+
+    /// Counts `n` more messages sent for `cause`.
+    fn add(&mut self, cause: Cause, n: u64) {
+        let count = &mut self.0[cause as usize];
+        *count = count.wrapping_add(n as u32);
+    }
+
+    /// Every cause with its count, in [`Cause::ALL`]'s order.
+    pub fn iter(&self) -> impl Iterator<Item = (Cause, u64)> + '_ {
+        Cause::ALL.into_iter().map(|c| (c, self.get(c)))
+    }
+
+    /// The messages of every cause.
+    #[must_use]
+    pub fn total(&self) -> u64 {
+        self.0.iter().map(|&n| u64::from(n)).sum()
+    }
 }
 
 impl ProtocolReport {
@@ -106,6 +140,8 @@ struct Window {
     layers: Vec<u32>,
     /// Marked nodes and layers.
     marked: (usize, usize),
+    /// The messages sent since the window opened, by cause.
+    causes: MessageCauses,
 }
 
 impl Window {
@@ -117,6 +153,7 @@ impl Window {
             1
         });
         self.marked = (0, 0);
+        self.causes = MessageCauses::default();
     }
 
     fn involve(&mut self, nodes: impl IntoIterator<Item = NodeId>) {
@@ -216,15 +253,18 @@ pub struct HarpNetwork {
 
 // A create pays a network's inline size in bytes beyond its tables, and
 // the benchmark bounds `create_churn`'s `alloc_kb_per_op` at 0.1 %. The
-// network measures 1,848 bytes on a 64-bit target: the adjustment counts
+// network measures 1,872 bytes on a 64-bit target. The report window's
+// messages by cause add 24 bytes (1,848 before), kept in the window alone
+// since nothing reads them over a network's life; a create pays 24 more
+// for the static phase's report its handle keeps. The adjustment counts
 // and the transaction's copy of them add 80 bytes inline, against the 40
 // bytes every node record spent on its own counters before (1,768 then;
 // 1,760 while the undo log freed its buffer at every commit, and so told
 // recording from closed by whether it had one; 1,776 while the schedule
-// kept its stacked cells in a `BTreeMap`); the bound leaves 8 bytes of
+// kept its stacked cells in a `BTreeMap`). The bound leaves 8 bytes of
 // slack, so a field added here must reuse one rather than sit beside it,
 // and a change that shrinks the network lowers the bound.
-const _: () = assert!(mem::size_of::<HarpNetwork>() <= 1_856);
+const _: () = assert!(mem::size_of::<HarpNetwork>() <= 1_880);
 
 impl HarpNetwork {
     /// Builds the deployment: one node per device, requirements installed at
@@ -458,6 +498,7 @@ impl HarpNetwork {
             dropped: s.dropped - s0.dropped,
             involved_nodes: w.marked.0,
             layers_touched: w.marked.1,
+            causes: w.causes,
         }
     }
 
@@ -513,8 +554,8 @@ impl HarpNetwork {
         let handled = self.with_cx(handler);
         let mut outbox = mem::take(&mut self.outbox);
         let sent = handled.and_then(|()| {
-            for (to, msg) in outbox.messages.drain(..) {
-                self.account_message(at, to, &msg);
+            for (to, msg, cause) in outbox.messages.drain(..) {
+                self.account_message(at, to, &msg, cause);
                 self.plane.retire(at, to, |older| msg.supersedes(older));
                 self.plane.send(&self.tree, self.now, at, to, msg)?;
             }
@@ -588,13 +629,14 @@ impl HarpNetwork {
         self.run_now(|cx| cx.request_change(parent, link.direction, link.child, new_cells))
     }
 
-    fn account_message(&mut self, from: NodeId, to: NodeId, msg: &HarpMessage) {
+    fn account_message(&mut self, from: NodeId, to: NodeId, msg: &HarpMessage, cause: Cause) {
         let (count, name) = if msg.is_management() {
             (&mut self.counts.mgmt_messages, "mgmt_op")
         } else {
             (&mut self.counts.cell_messages, "cell_op")
         };
         *count += 1;
+        self.window.causes.add(cause, 1);
         // While a correlation id is ambient (a request scope is open),
         // every message becomes an instantaneous op span so the request
         // resolves to the exact control-plane traffic it caused. Gated on
@@ -755,6 +797,7 @@ impl HarpNetwork {
         *count(&mut self.counts) += 1;
         let report = self.report();
         let msgs = report.mgmt_messages + report.cell_messages;
+        debug_assert_eq!(report.causes.total(), msgs, "every message has a cause");
         self.report_span(span, node.0, msgs as i64);
         report
     }
@@ -809,7 +852,7 @@ impl HarpNetwork {
         }
         // The gateway generates last; billing before it allocates leaves an
         // overflowing demand in the state the message-driven run fails in.
-        self.bill_static(mgmt, 0, at[root.index()]);
+        self.bill_static((Cause::Climb, mgmt), 0, at[root.index()]);
         if self.tree.is_leaf(root) {
             return Ok(());
         }
@@ -842,15 +885,18 @@ impl HarpNetwork {
                 cells += cell_msgs;
             }
         }
-        self.bill_static(mgmt, cells, last);
+        self.bill_static((Cause::Grant, mgmt), cells, last);
         Ok(())
     }
 
     /// Books the messages the direct settle stands for, in the counts and
-    /// so in the report, and the clock at the last delivery.
-    fn bill_static(&mut self, mgmt: u64, cells: u64, last_delivery: Asn) {
+    /// so in the report — `mgmt` management messages, all of one cause,
+    /// and `cells` cell assignments — and the clock at the last delivery.
+    fn bill_static(&mut self, (cause, mgmt): (Cause, u64), cells: u64, last_delivery: Asn) {
         self.counts.mgmt_messages += mgmt;
         self.counts.cell_messages += cells;
+        self.window.causes.add(cause, mgmt);
+        self.window.causes.add(Cause::Cells, cells);
         self.window.completed_at = last_delivery;
         self.now = last_delivery;
     }
@@ -1148,7 +1194,10 @@ impl HarpNetwork {
             // tree edge), drain, and let it forget the leaf before rewiring.
             net.set_leaf_demand(leaf, [0, 0])?;
             net.run_until_quiescent()?;
-            net.with_cx(|cx| cx.orphan_child(old_parent, leaf));
+            net.with_cx(|cx| {
+                cx.orphan_child(old_parent, leaf);
+                cx.release_partitions(leaf);
+            });
             net.swap_tree(tree);
             net.with_cx(|cx| cx.adopt_child(new_parent, leaf));
             // Re-demand at the new parent.

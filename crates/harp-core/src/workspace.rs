@@ -22,7 +22,9 @@ use tsch_sim::{Asn, Direction, NodeId, Tree};
 /// its caller keeps. Alg. 2 runs in the buffers composition uses too: the
 /// sizes it re-places in `sizes`, where they land in `pass1`, every
 /// entry's new rectangle in `pass2`, and its full repack in the container
-/// form of the strip packer.
+/// form of the strip packer. An escalation's stable layout is laid behind
+/// the fresh composition in `placed`, and searched for in Alg. 2's idle
+/// area.
 ///
 /// A workspace belongs to whoever drives the algorithms: a
 /// [`HarpNetwork`](crate::HarpNetwork) has one and lends it to every

@@ -30,7 +30,7 @@ fn post_partitions_carries_both_directions_in_one_message() {
             }
         }
         let fx = net.deliver_now(from, to, msg).unwrap();
-        inbox.extend(fx.messages.into_iter().map(|(t, m)| (to, t, m)));
+        inbox.extend(fx.messages.into_iter().map(|(t, m, _)| (to, t, m)));
     }
     assert!(!gateway_posts.is_empty());
     for (child, partitions) in gateway_posts {
@@ -218,7 +218,7 @@ fn drive_with_duplicates(
             "duplicate {} re-delivered to {to} changed node state",
             variant(&msg)
         );
-        inbox.extend(fx.messages.into_iter().map(|(t, m)| (to, t, m)));
+        inbox.extend(fx.messages.into_iter().map(|(t, m, _)| (to, t, m)));
     }
     covered
 }
@@ -235,7 +235,7 @@ fn bootstrap_all(net: &mut HarpNetwork) -> Vec<(NodeId, NodeId, HarpMessage)> {
     let mut inbox = Vec::new();
     for from in net.tree().clone().nodes() {
         let fx = net.bootstrap_node(from).unwrap();
-        inbox.extend(fx.messages.into_iter().map(|(to, m)| (from, to, m)));
+        inbox.extend(fx.messages.into_iter().map(|(to, m, _)| (from, to, m)));
     }
     inbox
 }
@@ -262,7 +262,7 @@ fn dynamic_phase_handlers_are_idempotent() {
     let mut inbox = bootstrap_all(&mut net);
     while let Some((from, to, msg)) = inbox.pop() {
         let fx = net.deliver_now(from, to, msg).unwrap();
-        inbox.extend(fx.messages.into_iter().map(|(t, m)| (to, t, m)));
+        inbox.extend(fx.messages.into_iter().map(|(t, m, _)| (to, t, m)));
     }
     // A large increase deep in the tree escalates through every ancestor,
     // exercising PUT intf, PUT part and fresh cell assignments; deliver the
@@ -272,7 +272,7 @@ fn dynamic_phase_handlers_are_idempotent() {
     let inbox: Vec<(NodeId, NodeId, HarpMessage)> = fx
         .messages
         .into_iter()
-        .map(|(to, m)| (parent, to, m))
+        .map(|(to, m, _)| (parent, to, m))
         .collect();
     let covered = drive_with_duplicates(&mut net, inbox);
     for want in ["PutInterface", "PutPartition", "CellAssignment"] {
@@ -293,7 +293,7 @@ fn deliver_in_order(
     while let Some((from, to, msg)) = inbox.pop() {
         seen.push(format!("{from} -> {to}: {msg}"));
         let fx = net.deliver_now(from, to, msg).unwrap();
-        inbox.extend(fx.messages.into_iter().map(|(t, m)| (to, t, m)));
+        inbox.extend(fx.messages.into_iter().map(|(t, m, _)| (to, t, m)));
     }
     seen
 }
@@ -305,7 +305,7 @@ fn change(net: &mut HarpNetwork, child: NodeId, cells: u32) -> Vec<(NodeId, Node
     let fx = net.request_change_now(Link::up(child), cells).unwrap();
     fx.messages
         .into_iter()
-        .map(|(to, m)| (node, to, m))
+        .map(|(to, m, _)| (node, to, m))
         .collect()
 }
 

@@ -190,6 +190,50 @@ impl FreeSpace {
         Some(spot)
     }
 
+    /// Places a rectangle of `size` so that it contains `keep`, and commits
+    /// it: a region that grows around the one it had. Among the maximal
+    /// free rectangles that contain `keep` and fit `size`, it takes the
+    /// position nearest `keep`'s origin (the fewest slots and channels to
+    /// step down and left), ties toward the lowest, then the leftmost.
+    ///
+    /// Returns the chosen origin, or `None` if no free position of `size`
+    /// contains `keep` (`keep` itself must be free). Zero-sized requests
+    /// and an empty `keep` are rejected with `None`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use packing::{FreeSpace, Point, Rect, Size};
+    ///
+    /// let mut space = FreeSpace::new(Size::new(10, 2));
+    /// space.occupy(Rect::from_xywh(7, 0, 3, 2)); // a neighbour on the right
+    /// let keep = Rect::from_xywh(4, 0, 2, 1); // where the region was
+    /// let spot = space.place_around(Size::new(4, 1), keep).expect("room around it");
+    /// assert_eq!(spot, Point::new(3, 0), "it grows left, up to the neighbour");
+    /// assert!(space.place_around(Size::new(8, 1), keep).is_none());
+    /// ```
+    pub fn place_around(&mut self, size: Size, keep: Rect) -> Option<Point> {
+        if size.is_empty() || keep.is_empty() {
+            return None;
+        }
+        // Inside one free rectangle the origins that hold `size` and contain
+        // `keep` form a box below and left of `keep`'s origin; the nearest
+        // is its upper right corner.
+        let spot = self
+            .free
+            .iter()
+            .filter(|fr| size.fits_in(fr.size) && fr.contains_rect(&keep))
+            .filter_map(|fr| {
+                let x = keep.left().min(fr.right() - size.w);
+                let y = keep.bottom().min(fr.top() - size.h);
+                let at = Rect::new(Point::new(x, y), size);
+                at.contains_rect(&keep).then_some(at.origin)
+            })
+            .min_by_key(|p| (keep.left() - p.x + keep.bottom() - p.y, p.y, p.x))?;
+        self.occupy(Rect::new(spot, size));
+        Some(spot)
+    }
+
     /// Places every size in `sizes`, largest area first, committing all of
     /// them; returns one placement per input (input order), or `None` if any
     /// fails — in which case `self` is left unchanged.

@@ -301,6 +301,73 @@ fn freespace_placements_never_overlap_obstacles() {
 }
 
 #[test]
+fn place_around_finds_the_nearest_free_position_that_contains_keep() {
+    // Against a scan of every origin: `place_around` answers `Some`
+    // exactly when some free position inside the container contains
+    // `keep`, and then the nearest one to `keep`'s origin (fewest steps
+    // down and left, ties lowest, then leftmost), and commits it.
+    let (mut around, mut refused) = (0, 0);
+    for case in 0..400u64 {
+        let mut rng = SplitMix64::new(0xA5_0D ^ case);
+        let container = Size::new(1 + rng.next_below(16) as u32, 1 + rng.next_below(6) as u32);
+        let bounds = Rect::from_xywh(0, 0, container.w, container.h);
+        let obstacles: Vec<Rect> = (0..rng.next_below(6))
+            .map(|_| {
+                Rect::from_xywh(
+                    rng.next_below(u64::from(container.w)) as u32,
+                    rng.next_below(u64::from(container.h)) as u32,
+                    1 + rng.next_below(5) as u32,
+                    1 + rng.next_below(3) as u32,
+                )
+            })
+            .collect();
+        let free = |r: &Rect| bounds.contains_rect(r) && !obstacles.iter().any(|o| o.overlaps(r));
+        // Where the region was: free, now and then beside the obstacles
+        // rather than clear of them, or off the container.
+        let keep = Rect::from_xywh(
+            rng.next_below(u64::from(container.w)) as u32,
+            rng.next_below(u64::from(container.h)) as u32,
+            1 + rng.next_below(4) as u32,
+            1 + rng.next_below(2) as u32,
+        );
+        let size = Size::new(1 + rng.next_below(9) as u32, 1 + rng.next_below(4) as u32);
+        let mut fs = FreeSpace::new(container);
+        for &o in &obstacles {
+            fs.occupy(o);
+        }
+        let before = fs.free_area();
+        let nearest = (0..container.h)
+            .flat_map(|y| (0..container.w).map(move |x| Rect::new(packing::Point::new(x, y), size)))
+            .filter(|at| free(at) && at.contains_rect(&keep))
+            .min_by_key(|at| {
+                let (x, y) = (at.left(), at.bottom());
+                (keep.left() - x + keep.bottom() - y, y, x)
+            });
+        let placed = fs.place_around(size, keep);
+        assert_eq!(placed, nearest.map(|at| at.origin), "case {case}");
+        match nearest {
+            Some(at) => {
+                around += 1;
+                assert!(free(&at) && at.contains_rect(&keep), "case {case}");
+                assert_eq!(
+                    fs.free_area(),
+                    before - size.area(),
+                    "case {case}: committed"
+                );
+            }
+            None => {
+                refused += 1;
+                assert_eq!(fs.free_area(), before, "case {case}: nothing committed");
+            }
+        }
+    }
+    assert!(
+        around >= 40 && refused >= 40,
+        "{around} placed, {refused} refused"
+    );
+}
+
+#[test]
 fn freespace_area_accounting_is_consistent() {
     for case in 0..96u64 {
         let mut rng = SplitMix64::new(0xF5_A2 ^ case);

@@ -135,15 +135,15 @@ fn a_request_allocates_only_what_it_keeps() {
     /// the exposition (8,262 with a snapshot, a label set and a string per
     /// sample line for every tenant).
     const SCRAPE_BUDGET: u64 = 400;
-    /// Mean allocations of an adjustment, committed or refused: 5.9
-    /// (13.0 while the JSON parser copied the body's strings, a full
+    /// Mean allocations of an adjustment, committed or refused: 5.3
+    /// (5.9 while a grown partition re-laid its children, 13.0 while the JSON parser copied the body's strings, a full
     /// repack packed in fresh vectors, the undo log took a fresh buffer
     /// per event and an error body was formatted, 14.0 while the JSON
     /// parser grew the body's key strings by doubling, 15.9 while the schedule kept a vector per stacked cell
     /// too, 144.5 with Alg. 2's idle area, lists and layouts and the
     /// control plane's deliveries in fresh vectors, 157.1 with the
     /// report's B-tree sets too), + 10 %.
-    const ADJUST_BUDGET: f64 = 6.5;
+    const ADJUST_BUDGET: f64 = 5.9;
     /// What 40 more tenants may add to a scrape: the vector of groups and
     /// each family's vector of series double a few more times, nothing is
     /// allocated per tenant.
@@ -227,10 +227,11 @@ fn a_request_allocates_only_what_it_keeps() {
 /// the schedule and its cached body.
 #[test]
 fn a_tenant_keeps_what_its_readers_read() {
-    /// Bytes per tenant: 276,269 (286,237 while every node record held 40
+    /// Bytes per tenant: 275,789 (276,269 while a grown partition re-laid
+    /// its children, 286,237 while every node record held 40
     /// bytes of counters, 396,829 while the allocator's span ring held
     /// 2,048 spans, four times what its dump returns), + 10 %.
-    const RESIDENT_BUDGET: i64 = 303_896;
+    const RESIDENT_BUDGET: i64 = 303_368;
     const TENANTS: usize = 8;
 
     let state = warm();

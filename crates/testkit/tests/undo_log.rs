@@ -27,7 +27,7 @@
 
 use harp_core::{
     allocate_partitions, build_interfaces, verify_partitions, verify_schedule,
-    verify_uplink_compliance, AllocatorHandle, HarpNetwork, PartitionTable, Requirements,
+    verify_uplink_compliance, AllocatorHandle, Cause, HarpNetwork, PartitionTable, Requirements,
     ResourceComponent, SchedulingPolicy, Workspace,
 };
 use testkit::alloc::{allocated, counted, freed};
@@ -203,15 +203,50 @@ fn rejected_topology_events_restore_the_pre_image_and_commits_stay_collision_fre
     // only a dead hop rejects one. Case 128 (Chaos) ran to its last event
     // once senders retired superseded messages: at event 21 its join had
     // left N148:up on an overtaken cell assignment, and its two events
-    // after that add a leave commit and a join rejection.
-    assert_eq!(commits, [1074, 794, 1673]);
-    assert_eq!(rejections, [[292, 289, 260], [0, 0, 0], [47, 53, 66]]);
+    // after that add a leave commit and a join rejection. Once a grown
+    // partition kept its children where they were, the event streams
+    // diverged ([1074, 794, 1673] and [[292, 289, 260], [0, 0, 0], [47,
+    // 53, 66]] before): reparents commit 90.51 % of the time, 90.97 %
+    // before, within one binomial standard deviation.
+    assert_eq!(commits, [1067, 791, 1670]);
+    assert_eq!(rejections, [[290, 291, 261], [0, 0, 0], [49, 54, 72]]);
+}
+
+#[test]
+fn a_reparented_leaf_keeps_no_partition_of_its_old_parent() {
+    // 3, then 2, move under 4, leaving 1 and 2 leaves. Under 1, 2 was
+    // granted a layer-3 row for 3's links; had it kept the row, Y would
+    // be scheduled in it locally, on the cells 1 later grants X for X's
+    // child: (slot 0, channel 0) up and (slot 7, channel 0) down.
+    let tree = Tree::from_parents(&[(1, 0), (2, 1), (3, 2), (4, 0)]);
+    let reqs = one_cell_per_link(&tree);
+    let config = SlotframeConfig::paper_default();
+    let mut net = HarpNetwork::new(tree, config, &reqs, SchedulingPolicy::RateMonotonic);
+    net.run_static().expect("the static phase fits");
+    let mut demand = reqs;
+    let now = net.now();
+    net.reparent_leaf(now, NodeId(3), NodeId(4))
+        .expect("3 moves");
+    net.reparent_leaf(now, NodeId(2), NodeId(4))
+        .expect("2 moves");
+    let (x, _) = net.join_leaf(now, NodeId(1), 1, 1).expect("X joins 1");
+    let (below_x, _) = net.join_leaf(now, x, 1, 1).expect("a leaf joins X");
+    let (y, _) = net.join_leaf(now, NodeId(2), 1, 1).expect("Y joins 2");
+    for v in [x, below_x, y] {
+        demand.set(Link::up(v), 1);
+        demand.set(Link::down(v), 1);
+    }
+    assert_rows_installed(&net, "after the joins");
+    let broken = verify_schedule(net.tree(), &demand, net.schedule());
+    assert!(broken.is_empty(), "{broken:?}");
 }
 
 #[test]
 fn rejections_restore_the_pre_image_and_commits_stay_collision_free() {
     let (mut commits, mut rejections, mut escalated) = (0u32, 0u32, 0u32);
     let mut rejected_on = [0u32; 3];
+    // The committed adjustments' messages, by cause and in all.
+    let (mut by_cause, mut messages) = ([0u64; 6], 0u64);
     // Uplink order (§IV-C): static tables checked and compliant; checks
     // after an escalated commit, those that found a violation, and the
     // violations they found.
@@ -262,6 +297,10 @@ fn rejections_restore_the_pre_image_and_commits_stay_collision_free() {
                 Ok(report) => {
                     commits += 1;
                     demand.set(link, cells);
+                    for (count, (_, n)) in by_cause.iter_mut().zip(report.causes.iter()) {
+                        *count += n;
+                    }
+                    messages += report.mgmt_messages + report.cell_messages;
                     let broken = verify_schedule(&tree, &demand, net.schedule());
                     assert!(broken.is_empty(), "{ctx}: {broken:?}");
                     // No management message, no partition moved. The
@@ -285,6 +324,17 @@ fn rejections_restore_the_pre_image_and_commits_stay_collision_free() {
         assert!(broken.is_empty(), "{ctx}: {broken:?}");
     }
     println!("{commits} commits ({escalated} escalated), {rejections} rejections {rejected_on:?}");
+    let causes: Vec<String> = Cause::ALL
+        .iter()
+        .zip(by_cause)
+        .map(|(c, n)| format!("{} {n}", c.name()))
+        .collect();
+    println!("messages by cause: {}", causes.join(", "));
+    assert_eq!(
+        by_cause.iter().sum::<u64>(),
+        messages,
+        "every message has a cause"
+    );
     println!(
         "uplink order: {compliant} of {static_tables} static tables compliant; after escalated \
          commits on trees of <= 64 nodes {drifted} of {checks} checks with a violation, \
@@ -295,9 +345,10 @@ fn rejections_restore_the_pre_image_and_commits_stay_collision_free() {
     assert_eq!((rejections, rejected_on), (1844, [585, 640, 619]));
     // The drift escalations leave in the latency-compliant order (ROADMAP
     // item 13): a change to Alg. 2 or the gateway's reallocation that moves
-    // it has to say which way and why.
+    // it has to say which way and why. Growing a partition around its old
+    // rectangle lowered it from (804, 1154, 1937).
     assert_eq!((compliant, static_tables), (235, 235));
-    assert_eq!((drifted, checks, out_of_order), (804, 1154, 1937));
+    assert_eq!((drifted, checks, out_of_order), (799, 1154, 1924));
 }
 
 /// A tree of `NODES` nodes and 8 layers with at most 4 children per node
@@ -417,7 +468,8 @@ fn an_adjustment_allocates_what_it_writes() {
     /// instants were transients, 7 while the gateway's placement cloned both
     /// its interfaces and collected their layers too).
     const CREATE_FREES_BUDGET: u64 = 0;
-    /// Mean allocations per adjustment, measured likewise (1.6; 1.8 while
+    /// Mean allocations per adjustment, measured likewise (1.25; 1.6 while
+    /// a grown partition re-laid its children, 1.8 while
     /// the undo log also saved a node's counters before each bump, 4.1
     /// while a full repack packed in fresh vectors and the undo log took a
     /// fresh buffer per event, 6.1 while
@@ -431,15 +483,16 @@ fn an_adjustment_allocates_what_it_writes() {
     /// handler too, 231.0 with the schedule as maps, 261.5 with maps and
     /// cell vectors in the nodes too, 301.3 with per-call buffers, 878.7
     /// with the first-touch node clones the undo log replaced), + 10 %.
-    const MEAN_ALLOCS_BUDGET: f64 = 1.77;
+    const MEAN_ALLOCS_BUDGET: f64 = 1.38;
     /// A local adjustment rewrites one row: the cell messages, and its undo
-    /// log's buffer when the last event freed it, 221 bytes on average here
-    /// (333 with 56-byte log entries that also saved a node's counters, 896
+    /// log's buffer when the last event freed it, 164 bytes on average here
+    /// (221 while a grown partition re-laid its children, 333 with 56-byte
+    /// log entries that also saved a node's counters, 896
     /// with a fresh 16-entry buffer per event, 910 with a vector per
     /// stacked cell too, 3,392 with Alg. 2 and the deliveries in fresh
     /// vectors, 21.3 KiB with node clones), + 10 %. A log that reopened at
     /// 64 entries would read 1,331.
-    const LOCAL_BYTES_BUDGET: f64 = 243.0;
+    const LOCAL_BYTES_BUDGET: f64 = 181.0;
 
     let (tree, reqs, moves) = hot_tenant();
     let config = SlotframeConfig::paper_default();
