@@ -13,8 +13,8 @@
 use harp_core::{AllocatorHandle, SchedulingPolicy};
 use testkit::alloc::counted;
 use tsch_sim::{
-    FaultPlan, NetworkSchedule, NodeId, Simulator, SimulatorBuilder, SlotframeConfig, StatsMode,
-    Task, Tree,
+    Cell, FaultPlan, Link, NetworkSchedule, NodeId, Rate, Simulator, SimulatorBuilder,
+    SlotframeConfig, StatsMode, Task, TaskId, Tree,
 };
 use workloads::scenario_dsl::parse_scenario;
 use workloads::TopologyConfig;
@@ -69,6 +69,21 @@ fn scale_input(nodes: u32) -> Input {
         frames: 4,
         stats_mode: StatsMode::Streaming,
     }
+}
+
+/// The benchmark's three `dataplane_replay` inputs, in its order.
+fn benchmark_inputs() -> [Input; 3] {
+    [
+        scenario_input(
+            "fault_storm",
+            include_str!("../../../scenarios/fault_storm.scn"),
+        ),
+        scenario_input(
+            "gateway_failover",
+            include_str!("../../../scenarios/gateway_failover.scn"),
+        ),
+        scale_input(500),
+    ]
 }
 
 /// Allocations of each phase of one replicate.
@@ -128,42 +143,36 @@ fn a_replicate_allocates_what_it_keeps() {
     ///   the lane vectors and the pool's lane triples, the slot table, the
     ///   wake index, the lane-route table, the scratch buffers, the
     ///   statistics' per-node and per-source tables, the fault calendar
-    ///   and, when streaming, the histogram table: 24, 22 and 22 (27, 25
-    ///   and 25 while the engine kept a PDR and a fault mask per link id
-    ///   and the statistics an attempt count per link id; 53, 51 and 55
-    ///   while the lane vectors and the slot table grew by doubling; 149,
-    ///   147 and 308 with a lane route `Arc` per task; 177 on
-    ///   `fault_storm` with a conflict CSR and a link table too).
-    /// - The run is the growth of the packet pool (7 and 8), in `Full`
-    ///   mode of the delivery records, and on `fault_storm` of the masked
-    ///   links' list and the quality map's first override: 20, 17 and 8
-    ///   (18 on `fault_storm` while masks and PDRs were per-link-id
-    ///   vectors filled at build; 43, 42 and 46 while the statistics'
-    ///   tables, the occupied set and the scratch buffers grew in the run;
-    ///   175, 171 and 439 with a queue per lane and a histogram vector per
-    ///   streaming source; 477 on `fault_storm` with a fresh release list
-    ///   every slotframe too).
+    ///   (sized to the plan) and, when streaming, the histogram table: 22,
+    ///   22 and 22 (24 on `fault_storm` while the fault calendar grew by
+    ///   doubling; 27, 25 and 25 while the engine kept a PDR and a fault
+    ///   mask per link id and the statistics an attempt count per link id;
+    ///   53, 51 and 55 while the lane vectors and the slot table grew by
+    ///   doubling; 149, 147 and 308 with a lane route `Arc` per task; 177
+    ///   on `fault_storm` with a conflict CSR and a link table too).
+    /// - The run reserves, at its start, the packet pool's room for one
+    ///   slotframe's releases and, in `Full` mode, the delivery records
+    ///   (see `a_run_reserves_its_delivery_records_once`); it then grows
+    ///   the pool past a slotframe's releases (a crash's backlog, a burst)
+    ///   and on `fault_storm` the masked links' list and the quality map's
+    ///   first override: 6, 5 and 3 (20, 17 and 8 while the pool and the
+    ///   records grew by doubling from empty; 18 on `fault_storm` while
+    ///   masks and PDRs were per-link-id vectors filled at build; 43, 42
+    ///   and 46 while the statistics' tables, the occupied set and the
+    ///   scratch buffers grew in the run; 175, 171 and 439 with a queue
+    ///   per lane and a histogram vector per streaming source; 477 on
+    ///   `fault_storm` with a fresh release list every slotframe too).
     ///
     /// Each is the count measured + 10 %, the tree's exact (the build's
-    /// were 30, 28 and 28 before the per-link-id vectors went).
+    /// were 30, 28 and 28 before the per-link-id vectors went; the budgets
+    /// were build 27/25/25 and run 22/19/9 before the run reserved).
     const BUDGETS: [(&str, [u64; 5]); 3] = [
-        ("fault_storm", [4, 6, 8, 27, 22]),
-        ("gateway_failover", [4, 6, 8, 25, 19]),
-        ("scale 500", [7, 6, 8, 25, 9]),
+        ("fault_storm", [4, 6, 8, 25, 7]),
+        ("gateway_failover", [4, 6, 8, 25, 6]),
+        ("scale 500", [7, 6, 8, 25, 4]),
     ];
 
-    let inputs = [
-        scenario_input(
-            "fault_storm",
-            include_str!("../../../scenarios/fault_storm.scn"),
-        ),
-        scenario_input(
-            "gateway_failover",
-            include_str!("../../../scenarios/gateway_failover.scn"),
-        ),
-        scale_input(500),
-    ];
-    for (input, (name, budget)) in inputs.iter().zip(BUDGETS) {
+    for (input, (name, budget)) in benchmark_inputs().iter().zip(BUDGETS) {
         assert_eq!(input.name, name);
         let (bill, sim) = replicate(input, input.tasks.len());
         let phases = [
@@ -186,6 +195,94 @@ fn a_replicate_allocates_what_it_keeps() {
         assert!(sim.stats().delivered() > 0 && sim.stats().collisions == 0);
         assert_eq!(sim.idle_wakeups(), 0);
     }
+}
+
+/// A run sizes its delivery records once, at its start, to the lesser of
+/// the packets the window can release (those queued, each task's releases
+/// at its slotframe boundaries, the bursts due in it) and the deliveries
+/// its last-hop cells can carry. On `fault_storm` that is 49 tasks × 60
+/// slotframes + a 20-packet burst; `gateway_failover` is 49 × 40; the
+/// scale input streams and keeps no record. While the records grew by
+/// doubling, the two scenarios ended at 4,096 and 2,048.
+#[test]
+fn a_run_reserves_its_delivery_records_once() {
+    let inputs = benchmark_inputs();
+    for (input, reserved) in inputs.iter().zip([2_960, 1_960, 0]) {
+        let (_, sim) = replicate(input, input.tasks.len());
+        let records = &sim.stats().deliveries;
+        println!(
+            "{}: run_slotframes({}) reserves {} delivery records and keeps {}",
+            input.name,
+            input.frames,
+            records.capacity(),
+            records.len()
+        );
+        assert_eq!(records.capacity(), reserved, "{}", input.name);
+    }
+
+    // Without a schedule no last-hop cell carries anything: 100
+    // slotframes of 49 echo tasks reserve no record.
+    let storm = &inputs[0];
+    let mut unscheduled = SimulatorBuilder::new(storm.tree.clone(), storm.config);
+    for task in &storm.tasks {
+        unscheduled = unscheduled.task(task.clone()).expect("tasks of the tree");
+    }
+    let mut unscheduled = unscheduled.build();
+    unscheduled.run_slotframes(100);
+    assert_eq!(unscheduled.stats().deliveries.capacity(), 0);
+    assert_eq!(unscheduled.stats().delivered(), 0);
+
+    // Five packets a slotframe over one uplink cell per hop: 10 slotframes
+    // release 50 packets, and the last hop's 10 cells bound the records.
+    let config = SlotframeConfig::new(10, 2, 10_000).expect("a valid slotframe");
+    let mut schedule = NetworkSchedule::new(config);
+    schedule
+        .assign(Cell::new(0, 0), Link::up(NodeId(2)))
+        .unwrap();
+    schedule
+        .assign(Cell::new(1, 0), Link::up(NodeId(1)))
+        .unwrap();
+    let mut overloaded = SimulatorBuilder::new(Tree::from_parents(&[(1, 0), (2, 1)]), config)
+        .schedule(schedule)
+        .task(Task::uplink(TaskId(0), NodeId(2), Rate::per_slotframe(5)))
+        .expect("a task of the tree")
+        .build();
+    overloaded.run_slotframes(10);
+    let stats = overloaded.stats();
+    assert_eq!(stats.generated, 50);
+    assert_eq!(stats.deliveries.capacity(), 10, "the carriers bound");
+    assert_eq!(stats.delivered(), 10);
+
+    // Stepped a slotframe at a time, the run records what it records in
+    // one call; the records then grow a slotframe's bound at a time.
+    let (_, whole) = replicate(storm, storm.tasks.len());
+    let mut stepped = SimulatorBuilder::new(storm.tree.clone(), storm.config)
+        .schedule(storm.schedule.clone())
+        .seed(1)
+        .fault_plan(storm.faults.clone());
+    for task in &storm.tasks {
+        stepped = stepped.task(task.clone()).expect("tasks of the tree");
+    }
+    let mut stepped = stepped.build();
+    for _ in 0..storm.frames {
+        stepped.run_slotframes(1);
+    }
+    let counts = |sim: &Simulator| {
+        let s = sim.stats();
+        [
+            s.generated,
+            s.delivered(),
+            s.tx_attempts,
+            s.collisions,
+            s.losses,
+            s.queue_drops,
+            s.slots_simulated,
+            sim.faults_fired(),
+            s.max_queue_high_water() as u64,
+        ]
+    };
+    assert_eq!(stepped.stats().deliveries, whole.stats().deliveries);
+    assert_eq!(counts(&stepped), counts(&whole));
 }
 
 /// Registration plus `build()` costs the same at any task count: routes

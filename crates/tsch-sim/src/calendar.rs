@@ -117,6 +117,11 @@ impl<T> EventCalendar<T> {
         self.heap.peek().map(|e| e.at)
     }
 
+    /// Every scheduled event, in no particular order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (Asn, &T)> {
+        self.heap.iter().map(|e| (e.at, &e.value))
+    }
+
     /// Number of scheduled events (including stale, lazily deleted ones).
     #[must_use]
     pub fn len(&self) -> usize {

@@ -52,14 +52,19 @@
 //! have no lane yet, grows every lane-indexed table once, then fills them.
 //! The build sizes the slot table, the scratch buffers and the
 //! statistics' per-node and per-source tables once too, from the
-//! schedule, the widest cell and the node count. A slot then allocates
-//! only for what grows with traffic or faults: the packet pool when more
-//! packets are queued at once than ever before, under
-//! [`StatsMode::Full`](crate::StatsMode::Full) the record appended per
-//! delivery, and the masked links' list or the quality map when a fault
-//! first needs room in it. A schedule mutation that brings new links grows
-//! the lane tables at its rebuild. Nothing is allocated per packet, per
-//! hop or per lane.
+//! schedule, the widest cell and the node count. A run
+//! ([`Simulator::run_slots`]) sizes the two tables that grow with traffic
+//! once, at its start: the packet pool gets room for one slotframe's
+//! releases, which a boundary queues at once, and under
+//! [`StatsMode::Full`](crate::StatsMode::Full) the delivery records get
+//! room for the lesser of the packets the run can release (queued, at its
+//! boundaries, in the bursts due) and the deliveries its tasks' last-hop
+//! cells can carry. A slot then allocates only past those bounds: the
+//! packet pool when more packets are queued at once than ever before, the
+//! records when a rate raised inside the run outgrows them, and the
+//! masked links' list or the quality map when a fault first needs room in
+//! it. A schedule mutation that brings new links grows the lane tables at
+//! its rebuild. Nothing is allocated per packet, per hop or per lane.
 //!
 //! # Event-driven wake index
 //!
@@ -398,9 +403,13 @@ impl Simulator {
     }
 
     /// Advances the simulation by `n` slots, accumulating wall-clock time
-    /// into [`SimStats::run_time`].
+    /// into [`SimStats::run_time`]. Before the first slot it sizes the
+    /// packet pool and, under [`StatsMode::Full`](crate::StatsMode::Full),
+    /// the delivery records for the whole run (see the module docs);
+    /// [`step_slot`](Self::step_slot) reserves nothing.
     pub fn run_slots(&mut self, n: u64) {
         let start = std::time::Instant::now();
+        self.reserve_run(n);
         for _ in 0..n {
             self.step_slot();
         }
@@ -408,8 +417,16 @@ impl Simulator {
     }
 
     /// Advances the simulation by `n` whole slotframes.
+    ///
+    /// # Panics
+    ///
+    /// When `n` slotframes hold more than `u64::MAX` slots.
     pub fn run_slotframes(&mut self, n: u64) {
-        self.run_slots(n * u64::from(self.config.slots));
+        let slots = u64::from(self.config.slots);
+        let total = n.checked_mul(slots).unwrap_or_else(|| {
+            panic!("run_slotframes({n}): {n} slotframes of {slots} slots overflow u64")
+        });
+        self.run_slots(total);
     }
 
     /// Executes exactly one slot.
@@ -1200,6 +1217,31 @@ mod tests {
         assert_eq!(sim.stats().slots_simulated, 40);
         assert!(sim.stats().run_time > std::time::Duration::ZERO);
         assert!(sim.stats().slots_per_sec() > 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "slotframes of 10 slots overflow u64")]
+    fn run_slotframes_refuses_a_slot_count_past_u64() {
+        let mut sim = SimulatorBuilder::new(chain_tree(), small_config())
+            .schedule(chain_schedule())
+            .build();
+        sim.run_slotframes(u64::MAX / 10 + 1);
+    }
+
+    #[test]
+    fn a_window_past_u64_reserves_nothing_more() {
+        let mut sim = SimulatorBuilder::new(chain_tree(), small_config())
+            .schedule(chain_schedule())
+            .task(Task::echo(TaskId(0), NodeId(2), Rate::per_slotframe(1)))
+            .unwrap()
+            .build();
+        sim.run_slots(5);
+        let reserved = sim.stats().deliveries.capacity();
+        assert!(reserved >= 1, "the first slotframe's record");
+        // The window's end saturates, and a bound too large to allocate
+        // leaves the records as they are.
+        sim.reserve_run(u64::MAX);
+        assert_eq!(sim.stats().deliveries.capacity(), reserved);
     }
 
     #[test]

@@ -201,7 +201,7 @@ impl SimulatorBuilder {
         // Validate the fault plan against the tree and task set, then load
         // it onto the event calendar. Same-ASN actions keep plan order
         // (the calendar is FIFO within a slot).
-        let mut fault_calendar = EventCalendar::new();
+        let mut fault_calendar = EventCalendar::with_capacity(self.fault_plan.events().len());
         for &(at, action) in self.fault_plan.events() {
             match action {
                 FaultAction::NodeDown(n) | FaultAction::NodeUp(n) => {
@@ -300,6 +300,73 @@ impl SimulatorBuilder {
 }
 
 impl Simulator {
+    /// Sizes the two tables a run of `n` slots grows, once, before its
+    /// first slot; the run then allocates for them only past these bounds.
+    ///
+    /// * The packet pool gets room for one slotframe's releases, which a
+    ///   boundary queues all at once: each routed task's most packets in
+    ///   one slotframe (`⌈packets / per_slotframes⌉`), at most a queue's
+    ///   capacity.
+    /// * Under [`StatsMode::Full`] the delivery records get room for the
+    ///   lesser of two bounds on what the window `now..now + n` can
+    ///   deliver. *Packets*: those queued now, each task's releases at the
+    ///   window's slotframe boundaries ([`Rate::packets_in_slotframes`])
+    ///   and the [`FaultAction::TaskBurst`] packets due before the window
+    ///   ends. *Carriers*: per task, the cells per slotframe of its
+    ///   last-hop lane, from the wake index, times the slotframes the
+    ///   window touches; a gateway-sourced task delivers each release as
+    ///   it is made, so it counts its releases instead. An unscheduled or
+    ///   overloaded run therefore reserves nothing it cannot fill.
+    ///
+    /// A [`FaultAction::TaskRate`] raise inside the window, or a burst at a
+    /// gateway-sourced task, is not counted: the records then grow as they
+    /// come, amortised, as they do when a caller steps one slotframe at a
+    /// time. No outcome depends on the bounds.
+    ///
+    /// [`Rate::packets_in_slotframes`]: crate::Rate::packets_in_slotframes
+    pub(super) fn reserve_run(&mut self, n: u64) {
+        if n == 0 {
+            return;
+        }
+        // The rebuild `step_slot` would do first: the carriers are read
+        // from the fresh wake index.
+        if self.table_version != self.schedule.version() {
+            self.rebuild_slot_table();
+        }
+        let slots = u64::from(self.config.slots);
+        let (now, end) = (self.now.0, self.now.0.saturating_add(n));
+        // The window holds the boundaries of frames `first..last` and
+        // touches frames `now / slots..last`.
+        let (first, last) = (now.div_ceil(slots), end.div_ceil(slots));
+        let touched = last - now / slots;
+        let mut frame = 0usize;
+        let mut packets = self.queues.live() as u64;
+        let mut carriers = 0u64;
+        for (t, task) in self.tasks.iter().enumerate() {
+            let released = task.rate.packets_in_slotframes(first, last);
+            packets = packets.saturating_add(released);
+            let hops = self.route_offsets[t] as usize..self.route_offsets[t + 1] as usize;
+            let Some(&lane) = self.route_lanes[hops].last() else {
+                carriers = carriers.saturating_add(released);
+                continue;
+            };
+            frame += (task.rate.cells_per_slotframe() as usize).min(DEFAULT_QUEUE_CAPACITY);
+            let (lo, hi) = self.lane_slot_range(lane as usize);
+            carriers = carriers.saturating_add(((hi - lo) as u64).saturating_mul(touched));
+        }
+        for (at, action) in self.fault_calendar.iter() {
+            if let (FaultAction::TaskBurst(_, burst), true) = (action, at.0 < end) {
+                packets = packets.saturating_add(u64::from(*burst));
+            }
+        }
+        self.queues.reserve(frame);
+        if self.stats.mode() == StatsMode::Full {
+            // A bound too large to allocate reserves nothing.
+            let records = usize::try_from(packets.min(carriers)).unwrap_or(usize::MAX);
+            let _ = self.stats.deliveries.try_reserve(records);
+        }
+    }
+
     /// Re-derives the per-slot schedule table from the live schedule,
     /// giving a lane to each link that has none yet.
     pub(super) fn rebuild_slot_table(&mut self) {

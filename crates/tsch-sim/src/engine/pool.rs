@@ -4,7 +4,8 @@
 //! compact entries; a free list recycles the entries a pop or a clear
 //! gives back. A run therefore allocates for queues only while the number
 //! of packets queued at once climbs past its previous high-water mark, and
-//! never per lane.
+//! never per lane; a run reserves room for one slotframe's releases at its
+//! start ([`PacketPool::reserve`]), so the first boundary grows nothing.
 
 use crate::time::Asn;
 
@@ -77,6 +78,12 @@ impl PacketPool {
             len: 0,
         };
         self.lanes.resize(self.lanes.len() + n, empty);
+    }
+
+    /// Makes room for `packets` more queued packets, the recycled entries
+    /// included, so that many pushes allocate nothing.
+    pub(super) fn reserve(&mut self, packets: usize) {
+        self.entries.reserve(packets.saturating_sub(self.free_len));
     }
 
     /// Packets queued over all lanes.

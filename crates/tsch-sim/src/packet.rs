@@ -104,6 +104,27 @@ impl Rate {
         (((index + 1) * n).div_ceil(d) - (index * n).div_ceil(d)) as u32
     }
 
+    /// Number of packets released over slotframes `first..end`, the sum
+    /// of [`packets_in_slotframe`](Self::packets_in_slotframe) over the
+    /// range in closed form: `⌈end·packets / per_slotframes⌉ −
+    /// ⌈first·packets / per_slotframes⌉`. An empty range releases 0; a
+    /// count past `u64::MAX` saturates.
+    ///
+    /// ```
+    /// use tsch_sim::Rate;
+    ///
+    /// let r = Rate::new(3, 2).unwrap();
+    /// assert_eq!(r.packets_in_slotframes(1, 4), 1 + 2 + 1);
+    /// ```
+    #[must_use]
+    pub fn packets_in_slotframes(self, first: u64, end: u64) -> u64 {
+        let released = |frames: u64| {
+            (u128::from(frames) * u128::from(self.packets))
+                .div_ceil(u128::from(self.per_slotframes))
+        };
+        u64::try_from(released(end).saturating_sub(released(first))).unwrap_or(u64::MAX)
+    }
+
     /// Cells needed per slotframe to sustain this rate on one hop
     /// (`⌈packets / per_slotframes⌉`).
     #[must_use]
@@ -245,6 +266,28 @@ mod tests {
         let counts: Vec<u32> = (0..8).map(|f| r.packets_in_slotframe(f)).collect();
         assert_eq!(counts.iter().sum::<u32>(), 2);
         assert_eq!(counts.iter().filter(|&&c| c > 0).count(), 2);
+    }
+
+    #[test]
+    fn closed_form_releases_sum_the_per_frame_releases() {
+        for (n, d) in [(0, 1), (1, 1), (3, 2), (1, 4), (7, 3), (5, 5)] {
+            let r = Rate::new(n, d).unwrap();
+            for first in 0..12 {
+                for end in first..24 {
+                    let sum: u64 = (first..end)
+                        .map(|f| u64::from(r.packets_in_slotframe(f)))
+                        .sum();
+                    assert_eq!(
+                        r.packets_in_slotframes(first, end),
+                        sum,
+                        "{r} over {first}..{end}"
+                    );
+                }
+            }
+            assert_eq!(r.packets_in_slotframes(5, 2), 0, "an empty range");
+        }
+        let r = Rate::per_slotframe(u32::MAX);
+        assert_eq!(r.packets_in_slotframes(0, u64::MAX), u64::MAX, "saturates");
     }
 
     #[test]

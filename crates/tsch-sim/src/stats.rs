@@ -12,7 +12,10 @@
 //! * [`Full`](StatsMode::Full) (the default) keeps every
 //!   [`DeliveryRecord`], so per-source percentiles and timelines are exact.
 //!   Memory grows with the delivery count — fine for the paper-scale
-//!   experiments, ruinous for million-node runs.
+//!   experiments, ruinous for million-node runs. A run reserves its
+//!   records once, at its start, from what it can release and deliver
+//!   (see [`Simulator::run_slots`](crate::Simulator::run_slots)), so the
+//!   vector is not regrown by doubling as the deliveries arrive.
 //! * [`Streaming`](StatsMode::Streaming) drops individual records and keeps
 //!   only O(nodes + buckets) state: per-source count/sum/min/max plus a
 //!   fixed-bucket latency histogram (bounds shared with the observability
@@ -94,23 +97,22 @@ pub struct LatencySummary {
 }
 
 impl LatencySummary {
-    /// Computes a summary from raw slot latencies. Returns the default
-    /// (all-zero) summary for an empty slice.
+    /// Computes a summary from raw slot latencies, sorting them in place.
+    /// Returns the default (all-zero) summary for no samples.
     #[must_use]
-    pub(crate) fn from_samples(samples: &[u64]) -> Self {
+    pub(crate) fn from_samples(mut samples: Vec<u64>) -> Self {
         if samples.is_empty() {
             return Self::default();
         }
-        let mut sorted = samples.to_vec();
-        sorted.sort_unstable();
-        let count = sorted.len();
-        let sum: u128 = sorted.iter().map(|&s| u128::from(s)).sum();
+        samples.sort_unstable();
+        let count = samples.len();
+        let sum: u128 = samples.iter().map(|&s| u128::from(s)).sum();
         Self {
             count,
             mean: sum as f64 / count as f64,
-            min: sorted[0],
-            max: sorted[count - 1],
-            p95: percentile_nearest_rank(&sorted, 0.95),
+            min: samples[0],
+            max: samples[count - 1],
+            p95: percentile_nearest_rank(&samples, 0.95),
         }
     }
 }
@@ -328,7 +330,7 @@ impl SimStats {
     #[must_use]
     pub fn latency_summary(&self, source: NodeId) -> LatencySummary {
         match self.mode {
-            StatsMode::Full => LatencySummary::from_samples(&self.latencies_of(source)),
+            StatsMode::Full => LatencySummary::from_samples(self.latencies_of(source)),
             StatsMode::Streaming => {
                 let Some(agg) = self.per_source.get(source.index()).filter(|a| a.count > 0) else {
                     return LatencySummary::default();
@@ -453,14 +455,14 @@ mod tests {
 
     #[test]
     fn summary_of_empty_is_default() {
-        let s = LatencySummary::from_samples(&[]);
+        let s = LatencySummary::from_samples(Vec::new());
         assert_eq!(s.count, 0);
         assert_eq!(s.mean, 0.0);
     }
 
     #[test]
     fn summary_basic() {
-        let s = LatencySummary::from_samples(&[10, 20, 30, 40]);
+        let s = LatencySummary::from_samples(vec![10, 20, 30, 40]);
         assert_eq!(s.count, 4);
         assert_eq!(s.mean, 25.0);
         assert_eq!(s.min, 10);
@@ -471,13 +473,13 @@ mod tests {
     #[test]
     fn summary_p95_nearest_rank() {
         let samples: Vec<u64> = (1..=100).collect();
-        let s = LatencySummary::from_samples(&samples);
+        let s = LatencySummary::from_samples(samples);
         assert_eq!(s.p95, 95);
     }
 
     #[test]
     fn summary_single_sample() {
-        let s = LatencySummary::from_samples(&[7]);
+        let s = LatencySummary::from_samples(vec![7]);
         assert_eq!((s.min, s.max, s.p95, s.count), (7, 7, 7, 1));
     }
 
