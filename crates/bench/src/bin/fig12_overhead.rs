@@ -90,7 +90,7 @@ fn main() {
                         harp_samples.push(bill.mgmt_messages as f64);
                         harp_causes.push(bill.causes);
                         let trace = &handle.network().obs().spans;
-                        spans.extend(trace.iter().filter(|s| s.name == "adjust"));
+                        spans.extend(trace.iter().filter(|s| s.name() == "adjust"));
                     }
                 }
             }

@@ -167,7 +167,9 @@ pub fn obs_footer() -> String {
 
 /// Advances a HARP control plane and a data-plane simulator in lockstep for
 /// `slots` slots: after each slot the simulator takes up the cells the
-/// nodes installed during it (see [`follow_schedule`]).
+/// nodes installed during it (see [`follow_schedule`]). The simulator's
+/// run-sized tables are reserved once, before the first slot, as
+/// [`Simulator::run_slots`](tsch_sim::Simulator::run_slots) reserves them.
 ///
 /// `net_offset` maps simulator time to the control plane's clock (the
 /// static phase consumed control-plane time before the data plane started).
@@ -182,6 +184,7 @@ pub(crate) fn run_lockstep(
     net_offset: u64,
     slots: u64,
 ) {
+    sim.reserve_slots(slots);
     for _ in 0..slots {
         sim.step_slot();
         net.step(Asn(sim.now().0 + net_offset))

@@ -36,8 +36,8 @@ use harp_obs::{
 use std::fmt::Write as _;
 use std::path::Path;
 use tsch_sim::{
-    bench_threads, mean, par_map_with_threads, Asn, Direction, Link, Lossy, NodeId, Rate,
-    SimulatorBuilder, SlotframeConfig, SplitMix64, Tree,
+    bench_threads, mean, par_map_with_threads, Asn, Direction, FaultPlan, Link, Lossy, NodeId,
+    Rate, SimulatorBuilder, SlotframeConfig, SplitMix64, Tree,
 };
 use workloads::scenario_dsl::{parse_scenario, DemandModel, ReportMode, Scenario};
 
@@ -194,29 +194,20 @@ fn single_tree(scenario: &Scenario, opts: &RunOptions) -> Tree {
         .expect("every topology spec yields at least one tree")
 }
 
-/// `timeline node=N`: lockstep control/data planes, rate steps applied at
-/// their frames, per-slotframe latency rows of the observed node.
-fn run_timeline(
+/// The two planes of a `timeline` run, before its first slot: the control
+/// plane after its static phase (the declared headroom padded onto the
+/// node's path, then released: partitions keep their size, schedules
+/// shrink), and a data plane on its schedule with `fault_plan` compiled
+/// in. Also returns the control-plane time that set-up took, which maps
+/// simulator time onto the control plane's clock.
+fn timeline_planes(
     scenario: &Scenario,
-    node: u32,
+    tree: &Tree,
+    fault_plan: FaultPlan,
     seed: u64,
-    opts: &RunOptions,
-) -> Result<(String, String, Option<String>), String> {
-    let tree = single_tree(scenario, opts);
+) -> Result<(HarpNetwork, tsch_sim::Simulator, u64), String> {
     let config = scenario.slotframe_config()?;
-    let observed = NodeId(node);
-    if observed.index() >= tree.len() || observed == tree.root() {
-        return Err(format!(
-            "timeline observes node {node}, which is not a non-root tree node"
-        ));
-    }
-    let DemandModel::Echo(base_rate) = scenario.workload.demand else {
-        return Err("`mode timeline` needs `demand echo` (rate steps change echo tasks)".into());
-    };
-
-    // Static phase, with the declared headroom padded onto the node's path
-    // and then released (partitions keep their size, schedules shrink).
-    let base = scenario.requirements(&tree);
+    let base = scenario.requirements(tree);
     let mut padded = base.clone();
     if let Some(h) = scenario.workload.headroom {
         for hop in tree.path_to_root(NodeId(h.node)).windows(2) {
@@ -242,18 +233,41 @@ fn run_timeline(
     net.run_until_quiescent().expect("decreases settle");
     assert!(net.schedule().is_exclusive());
 
-    // Data plane, with the scenario's fault plan compiled in.
     let net_offset = net.now().0;
-    let fault_plan = scenario.data_fault_plan(&tree)?;
     let mut builder = SimulatorBuilder::new(tree.clone(), config)
         .schedule(net.schedule().clone())
         .seed(seed)
         .observability(256)
-        .fault_plan(fault_plan.clone());
-    for task in scenario.tasks(&tree) {
+        .fault_plan(fault_plan);
+    for task in scenario.tasks(tree) {
         builder = builder.task(task).expect("valid task");
     }
-    let mut sim = builder.build();
+    Ok((net, builder.build(), net_offset))
+}
+
+/// `timeline node=N`: lockstep control/data planes, rate steps applied at
+/// their frames, per-slotframe latency rows of the observed node.
+fn run_timeline(
+    scenario: &Scenario,
+    node: u32,
+    seed: u64,
+    opts: &RunOptions,
+) -> Result<(String, String, Option<String>), String> {
+    let tree = single_tree(scenario, opts);
+    let config = scenario.slotframe_config()?;
+    let observed = NodeId(node);
+    if observed.index() >= tree.len() || observed == tree.root() {
+        return Err(format!(
+            "timeline observes node {node}, which is not a non-root tree node"
+        ));
+    }
+    let DemandModel::Echo(base_rate) = scenario.workload.demand else {
+        return Err("`mode timeline` needs `demand echo` (rate steps change echo tasks)".into());
+    };
+
+    let fault_plan = scenario.data_fault_plan(&tree)?;
+    let (mut net, mut sim, net_offset) =
+        timeline_planes(scenario, &tree, fault_plan.clone(), seed)?;
 
     let mut steps = scenario.workload.rate_steps.clone();
     steps.sort_by_key(|s| s.at_frame); // stable: file order within a frame
@@ -617,7 +631,7 @@ fn run_adjustments(
                     .obs()
                     .spans
                     .iter()
-                    .filter(|s| s.name == "adjust")
+                    .filter(|s| s.name() == "adjust")
                     .copied()
                     .collect();
                 (text, Some(row), spans)
@@ -850,6 +864,30 @@ fn run_churn(scenario: &Scenario, opts: &RunOptions) -> Result<(String, String),
 mod tests {
     use super::*;
     use workloads::TopologyConfig;
+
+    #[test]
+    fn a_lockstep_run_reserves_its_delivery_records_once() {
+        // Fig. 10's first lockstep window, up to its first rate step:
+        // the records the run reserves before its first slot are all it
+        // keeps, as `run_slots` reserves them.
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios/fig10_dynamic.scn");
+        let scenario = load_scenario_file(&path).unwrap();
+        let tree = single_tree(&scenario, &RunOptions::default());
+        let planes = || {
+            let plan = scenario.data_fault_plan(&tree).unwrap();
+            timeline_planes(&scenario, &tree, plan, scenario.seed).unwrap()
+        };
+        let (_, mut probe, _) = planes();
+        let (mut net, mut sim, net_offset) = planes();
+        let first_step = scenario.workload.rate_steps[0].at_frame;
+        let slots = first_step * u64::from(sim.config().slots);
+        probe.reserve_slots(slots);
+        let reserved = probe.stats().deliveries.capacity();
+        run_lockstep(&mut sim, &mut net, net_offset, slots);
+        let records = &sim.stats().deliveries;
+        assert!(!records.is_empty() && records.len() <= reserved);
+        assert_eq!(records.capacity(), reserved, "kept {}", records.len());
+    }
 
     #[test]
     fn lossy_sweep_converges_on_one_topology() {

@@ -347,10 +347,10 @@ mod tests {
             .cloned()
             .collect();
         assert!(
-            tagged.iter().any(|e| e.name == "adjust"),
+            tagged.iter().any(|e| e.name() == "adjust"),
             "the adjustment span carries the correlation id"
         );
-        let ops = tagged.iter().filter(|e| e.name == "mgmt_op").count() as u64;
+        let ops = tagged.iter().filter(|e| e.name() == "mgmt_op").count() as u64;
         assert_eq!(
             ops, bill.mgmt_messages,
             "every billed mgmt message resolves to one tagged op span"
@@ -368,7 +368,7 @@ mod tests {
             .obs()
             .spans
             .iter()
-            .filter(|e| e.name == "adjust")
+            .filter(|e| e.name() == "adjust")
             .any(|e| e.corr == harp_obs::NO_CORRELATION));
     }
 

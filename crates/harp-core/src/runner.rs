@@ -16,7 +16,7 @@ use crate::protocol::HarpMessage;
 use crate::requirement::Requirements;
 use crate::schedule_gen::SchedulingPolicy;
 use crate::workspace::Workspace;
-use harp_obs::{MetricsSnapshot, Obs, NO_NODE};
+use harp_obs::{MetricsSnapshot, Obs, SpanKind, NO_NODE};
 use std::collections::BTreeSet;
 use std::mem;
 
@@ -198,13 +198,37 @@ struct Transaction {
     tree: Option<Tree>,
 }
 
+/// A span the runner records: layer `"harp"`, named by what happened.
+const fn harp(name: &'static str) -> SpanKind {
+    SpanKind {
+        layer: "harp",
+        name,
+    }
+}
+
 /// What `HarpNetwork::close_run` records when a protocol run converges:
-/// the count it bumps, and a span of that name on that node.
+/// the count it bumps, and a span of that kind on that node.
 #[derive(Debug, Clone, Copy)]
-struct Event(fn(&mut NetworkCounts) -> &mut u64, &'static str, NodeId);
+struct Event(
+    fn(&mut NetworkCounts) -> &mut u64,
+    &'static SpanKind,
+    NodeId,
+);
 
 /// The static phase, on either path: a network-wide span.
-const STATIC_RUN: Event = Event(|c| &mut c.static_runs, "static", NodeId(NO_NODE));
+const STATIC_RUN: Event = Event(|c| &mut c.static_runs, &harp("static"), NodeId(NO_NODE));
+
+// The runner's other spans (DESIGN §8's `harp` rows): the converged runs,
+// a requested change with its synchronous handler cascade, a refresh, and
+// one span per message of a correlated run, at its receiver.
+const ADJUST: &SpanKind = &harp("adjust");
+const JOIN: &SpanKind = &harp("join");
+const LEAVE: &SpanKind = &harp("leave");
+const REPARENT: &SpanKind = &harp("reparent");
+const CHANGE: &SpanKind = &harp("change");
+const REFRESH: &SpanKind = &harp("refresh");
+const MGMT_OP: &SpanKind = &harp("mgmt_op");
+const CELL_OP: &SpanKind = &harp("cell_op");
 
 /// A network of HARP nodes plus the management plane connecting them.
 #[derive(Debug)]
@@ -426,14 +450,14 @@ impl HarpNetwork {
     /// Records a protocol-run span from the current report window,
     /// enriched with the concerned node's tree depth (0 for network-wide
     /// runs) so flame views can fold per HARP layer.
-    fn report_span(&mut self, name: &'static str, node: u32, detail: i64) {
+    fn report_span(&mut self, kind: &'static SpanKind, node: u32, detail: i64) {
         let depth = if node == NO_NODE {
             0
         } else {
             self.tree.depth(NodeId(node))
         };
         let (start, end) = (self.window.started_at.0, self.window.completed_at.0);
-        self.obs.span(name, "harp", node, depth, start, end, detail);
+        self.obs.span(kind, node, depth, start, end, detail);
     }
 
     /// The tree this network runs on.
@@ -630,10 +654,10 @@ impl HarpNetwork {
     }
 
     fn account_message(&mut self, from: NodeId, to: NodeId, msg: &HarpMessage, cause: Cause) {
-        let (count, name) = if msg.is_management() {
-            (&mut self.counts.mgmt_messages, "mgmt_op")
+        let (count, kind) = if msg.is_management() {
+            (&mut self.counts.mgmt_messages, MGMT_OP)
         } else {
-            (&mut self.counts.cell_messages, "cell_op")
+            (&mut self.counts.cell_messages, CELL_OP)
         };
         *count += 1;
         self.window.causes.add(cause, 1);
@@ -643,8 +667,7 @@ impl HarpNetwork {
         // the correlation so batch runs record no extra spans.
         if self.obs.correlation() != harp_obs::NO_CORRELATION {
             let at = self.now.0;
-            self.obs
-                .span(name, "harp", to.0, self.tree.depth(to), at, at, 1);
+            self.obs.span(kind, to.0, self.tree.depth(to), at, at, 1);
         }
         self.window.involve([from, to]);
         if let HarpMessage::PutInterface { layer, .. } | HarpMessage::PutPartition { layer, .. } =
@@ -793,12 +816,12 @@ impl HarpNetwork {
 
     /// What every converged protocol run ends with: count it, record its
     /// span with its message count, return its report.
-    fn close_run(&mut self, Event(count, span, node): Event) -> ProtocolReport {
+    fn close_run(&mut self, Event(count, kind, node): Event) -> ProtocolReport {
         *count(&mut self.counts) += 1;
         let report = self.report();
         let msgs = report.mgmt_messages + report.cell_messages;
         debug_assert_eq!(report.causes.total(), msgs, "every message has a cause");
-        self.report_span(span, node.0, msgs as i64);
+        self.report_span(kind, node.0, msgs as i64);
         report
     }
 
@@ -922,8 +945,7 @@ impl HarpNetwork {
         // together with settled `adjust` spans.
         let depth = self.tree.depth(link.child);
         self.obs.span(
-            "change",
-            "harp",
+            CHANGE,
             link.child.0,
             depth,
             at.0,
@@ -971,7 +993,7 @@ impl HarpNetwork {
         link: Link,
         new_cells: u32,
     ) -> Result<ProtocolReport, HarpError> {
-        let event = Event(|c| &mut c.adjustments, "adjust", link.child);
+        let event = Event(|c| &mut c.adjustments, ADJUST, link.child);
         self.transact(at, event, |net| {
             net.request_change_inner(at, link, new_cells)
         })
@@ -1106,7 +1128,7 @@ impl HarpNetwork {
             .filter(|&link| self.schedule.cells_of(link) != old.cells_of(link))
             .count();
         self.counts.refreshes += 1;
-        self.report_span("refresh", NO_NODE, moved as i64);
+        self.report_span(REFRESH, NO_NODE, moved as i64);
         Ok((report, moved))
     }
 
@@ -1134,7 +1156,7 @@ impl HarpNetwork {
             return Err(HarpError::NodeDeparted(parent));
         }
         let (tree, id) = self.tree.with_new_leaf(parent)?;
-        let event = Event(|c| &mut c.joins, "join", id);
+        let event = Event(|c| &mut c.joins, JOIN, id);
         let report = self.transact(at, event, |net| {
             net.swap_tree(tree);
             net.nodes.add_node();
@@ -1155,7 +1177,7 @@ impl HarpNetwork {
     /// Propagates handler failures; on error the network is unchanged.
     pub fn leave_leaf(&mut self, at: Asn, leaf: NodeId) -> Result<ProtocolReport, HarpError> {
         let parent = self.movable_leaf(leaf)?;
-        let event = Event(|c| &mut c.leaves, "leave", leaf);
+        let event = Event(|c| &mut c.leaves, LEAVE, leaf);
         let report = self.transact(at, event, |net| {
             net.set_leaf_demand(leaf, [0, 0])?;
             net.run_until_quiescent()?;
@@ -1188,7 +1210,7 @@ impl HarpNetwork {
         }
         let tree = self.tree.with_reparented(leaf, new_parent)?;
         let demand = Direction::BOTH.map(|d| self.node(old_parent).requirement(d, leaf));
-        let event = Event(|c| &mut c.reparents, "reparent", leaf);
+        let event = Event(|c| &mut c.reparents, REPARENT, leaf);
         self.transact(at, event, |net| {
             // Release at the old parent first (messages still travel the old
             // tree edge), drain, and let it forget the leaf before rewiring.
@@ -1403,7 +1425,7 @@ mod tests {
         let spans = &net.obs().spans;
         let stat: Vec<_> = spans.named("static").collect();
         assert_eq!(stat.len(), 1);
-        assert_eq!(stat[0].layer, "harp");
+        assert_eq!(stat[0].layer(), "harp");
         assert_eq!(stat[0].node, harp_obs::NO_NODE);
         let adj: Vec<_> = spans.named("adjust").collect();
         assert_eq!(adj.len(), 1);

@@ -13,7 +13,7 @@ use tsch_sim::{Link, NodeId};
 use workloads::scenario_dsl::parse_scenario;
 
 use super::telemetry::{micros, Op, Record};
-use super::tenant::{TenantSlot, TRACE_DUMP_LIMIT};
+use super::tenant::{TenantSlot, ADJUST_SPAN, SCHEDULE_SPAN, TRACE_DUMP_LIMIT};
 use super::AppState;
 use crate::http::{HttpError, Request, Response};
 
@@ -232,7 +232,7 @@ pub(super) fn schedule<'r>(
     let version = tenant.handle.version();
     rec.allocator_us = micros(alloc_start.elapsed());
     tenant.record_span(
-        "schedule",
+        SCHEDULE_SPAN,
         None,
         started_us,
         state.uptime_us(),
@@ -323,7 +323,7 @@ pub(super) fn adjust<'r>(
     })?;
     let committed_us = state.uptime_us();
     tenant.record_span(
-        "adjust",
+        ADJUST_SPAN,
         Some(node),
         started_us,
         committed_us,

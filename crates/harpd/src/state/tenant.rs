@@ -8,7 +8,7 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock, TryLockError};
 
 use harp_core::AllocatorHandle;
 use harp_obs::prometheus::Labels;
-use harp_obs::{MetricsSnapshot, SpanEvent, SpanRing, NO_NODE};
+use harp_obs::{MetricsSnapshot, SpanEvent, SpanKind, SpanRing, NO_NODE};
 
 use crate::http::HttpError;
 
@@ -18,6 +18,19 @@ use crate::http::HttpError;
 /// ring reserves its whole capacity on the first span, so a slot it cannot
 /// return would be held for nothing.
 pub(super) const TRACE_DUMP_LIMIT: usize = 512;
+/// The request spans a tenant records: a schedule read rendered under the
+/// lock (its detail the assignments), and a committed adjustment (its
+/// detail the management messages).
+pub(super) const SCHEDULE_SPAN: &SpanKind = &harpd("schedule");
+pub(super) const ADJUST_SPAN: &SpanKind = &harpd("adjust");
+
+const fn harpd(name: &'static str) -> SpanKind {
+    SpanKind {
+        layer: "harpd",
+        name,
+    }
+}
+
 /// Adjustment-storm detector: this many committed adjustments of one
 /// tenant inside [`STORM_WINDOW_US`] trip the flight recorder.
 const STORM_THRESHOLD: usize = 64;
@@ -45,11 +58,12 @@ pub(super) struct Tenant {
 }
 
 impl Tenant {
-    /// Records one request span into the tenant's ring (µs timebase, layer
-    /// `"harpd"`), stamped with the request's correlation id.
+    /// Records one request span of `kind` (layer `"harpd"`) into the
+    /// tenant's ring (µs timebase), stamped with the request's correlation
+    /// id.
     pub(super) fn record_span(
         &mut self,
-        name: &'static str,
+        kind: &'static SpanKind,
         node: Option<u32>,
         start_us: u64,
         end_us: u64,
@@ -57,8 +71,7 @@ impl Tenant {
         corr: u64,
     ) {
         self.request_spans.push(SpanEvent {
-            name,
-            layer: "harpd",
+            kind,
             node: node.unwrap_or(NO_NODE),
             depth: 0,
             start_asn: start_us,

@@ -37,7 +37,8 @@ use std::collections::BTreeMap;
 pub const ADJUSTMENT_SPAN_NAMES: &[&str] = &["adjust", "change"];
 
 /// One span as read back from a trace document (owned strings — the
-/// `&'static str` labels of [`SpanEvent`] do not survive parsing).
+/// declared [`SpanKind`](crate::SpanKind) of a [`SpanEvent`] does not
+/// survive parsing).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceSpan {
     /// What happened (`"slotframe"`, `"adjust"`, ...).
@@ -81,8 +82,8 @@ impl TraceSpan {
     #[must_use]
     pub fn from_event(e: &SpanEvent) -> Self {
         Self {
-            name: e.name.to_owned(),
-            layer: e.layer.to_owned(),
+            name: e.kind.name.to_owned(),
+            layer: e.kind.layer.to_owned(),
             node: if e.node == NO_NODE {
                 -1
             } else {

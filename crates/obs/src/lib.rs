@@ -12,9 +12,9 @@
 //!   keeps each count once, in a plain struct, and renders a snapshot from
 //!   it on demand; a histogram grows through [`bucket_of`];
 //! * recent history: one bounded [`Ring`], holding slotframe-time trace
-//!   spans ([`SpanRing`], [`SpanEvent`] — stamped with start/end ASN and
-//!   per-node / per-layer labels), the simulator's trace events, and the
-//!   [`FlightRecorder`]'s events;
+//!   spans ([`SpanRing`], [`SpanEvent`] — stamped with start/end ASN, a
+//!   node and a [`SpanKind`] each producer declares once), the simulator's
+//!   trace events, and the [`FlightRecorder`]'s events;
 //! * process-wide [`StaticCounter`]s for library crates with no instance
 //!   state to keep a count in (packing calls, topology generations).
 //!
@@ -31,10 +31,11 @@
 //! # Examples
 //!
 //! ```
-//! use harp_obs::{MetricsSnapshot, Obs};
+//! use harp_obs::{MetricsSnapshot, Obs, SpanKind};
 //!
+//! const SLOTFRAME: &SpanKind = &SpanKind { layer: "sim", name: "slotframe" };
 //! let mut obs = Obs::new(64);
-//! obs.span("slotframe", "sim", harp_obs::NO_NODE, 0, 0, 199, 3);
+//! obs.span(SLOTFRAME, harp_obs::NO_NODE, 0, 0, 199, 3);
 //! assert_eq!(obs.spans.len(), 1);
 //! // A component renders the counts it keeps.
 //! let mut snap = MetricsSnapshot::default();
@@ -58,7 +59,9 @@ pub use metrics::{
     bucket_of, HistogramSnapshot, MetricsSnapshot, StaticCounter, LATENCY_SLOT_BOUNDS,
 };
 pub use ring::Ring;
-pub use span::{merged_trace_json, spans_to_json, SpanEvent, SpanRing, NO_CORRELATION, NO_NODE};
+pub use span::{
+    merged_trace_json, spans_to_json, SpanEvent, SpanKind, SpanRing, NO_CORRELATION, NO_NODE,
+};
 
 /// One observability handle: a span ring plus the ambient correlation id.
 ///
@@ -99,15 +102,15 @@ impl Obs {
         self.corr
     }
 
-    /// Records one span (nothing at span capacity 0). `depth` is the tree
-    /// depth of the node concerned — the HARP layer the event folds into
-    /// in flame views — and 0 for network-wide events.
+    /// Records one span of `kind` (nothing at span capacity 0), stamped
+    /// with the ambient correlation id. `kind` is one of the recorder's
+    /// declared constants; `depth` is the tree depth of the node concerned
+    /// — the HARP layer the event folds into in flame views — and 0 for
+    /// network-wide events.
     #[inline]
-    #[allow(clippy::too_many_arguments)]
     pub fn span(
         &mut self,
-        name: &'static str,
-        layer: &'static str,
+        kind: &'static SpanKind,
         node: u32,
         depth: u32,
         start_asn: u64,
@@ -115,8 +118,7 @@ impl Obs {
         detail: i64,
     ) {
         self.spans.push(SpanEvent {
-            name,
-            layer,
+            kind,
             node,
             depth,
             start_asn,
@@ -131,10 +133,18 @@ impl Obs {
 mod tests {
     use super::*;
 
+    const fn kind(name: &'static str) -> SpanKind {
+        SpanKind { layer: "l", name }
+    }
+    const S: &SpanKind = &kind("s");
+    const BEFORE: &SpanKind = &kind("before");
+    const INSIDE: &SpanKind = &kind("inside");
+    const AFTER: &SpanKind = &kind("after");
+
     #[test]
     fn default_handle_records_nothing() {
         let mut obs = Obs::default();
-        obs.span("s", "l", NO_NODE, 0, 0, 1, 0);
+        obs.span(S, NO_NODE, 0, 0, 1, 0);
         assert!(obs.spans.is_empty());
         assert_eq!(obs.spans.total_recorded(), 0);
     }
@@ -142,18 +152,18 @@ mod tests {
     #[test]
     fn sized_handle_records() {
         let mut obs = Obs::new(4);
-        obs.span("s", "l", 3, 1, 10, 20, -1);
+        obs.span(S, 3, 1, 10, 20, -1);
         assert_eq!(obs.spans.iter().next().unwrap().slot_mass(), 11);
     }
 
     #[test]
     fn ambient_correlation_stamps_spans_while_set() {
         let mut obs = Obs::new(4);
-        obs.span("before", "l", NO_NODE, 0, 0, 0, 0);
+        obs.span(BEFORE, NO_NODE, 0, 0, 0, 0);
         obs.set_correlation(7);
-        obs.span("inside", "l", NO_NODE, 0, 1, 1, 0);
+        obs.span(INSIDE, NO_NODE, 0, 1, 1, 0);
         obs.set_correlation(NO_CORRELATION);
-        obs.span("after", "l", NO_NODE, 0, 2, 2, 0);
+        obs.span(AFTER, NO_NODE, 0, 2, 2, 0);
         let corrs: Vec<u64> = obs.spans.iter().map(|e| e.corr).collect();
         assert_eq!(corrs, vec![NO_CORRELATION, 7, NO_CORRELATION]);
         assert_eq!(obs.correlation(), NO_CORRELATION);

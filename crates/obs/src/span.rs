@@ -1,16 +1,18 @@
 //! Slotframe-time trace spans.
 //!
 //! A span is an interval of simulated time — stamped with its start and end
-//! ASN — labelled with the subsystem ("layer") that produced it, the node it
-//! concerns (or [`NO_NODE`] for network-wide events), the node's tree depth
-//! (the HARP layer the event folds into) and a free-form integer detail
-//! (messages exchanged, cells moved, transmissions attempted).
+//! ASN — of one [`SpanKind`] (the subsystem, or "layer", that produced it
+//! and what happened), the node it concerns (or [`NO_NODE`] for
+//! network-wide events), the node's tree depth (the HARP layer the event
+//! folds into) and a free-form integer detail (messages exchanged, cells
+//! moved, transmissions attempted).
 //! Spans land in a bounded [`Ring`] so steady-state recording never
 //! allocates unboundedly; experiments keep the tail that explains *why* the
 //! run ended the way it did.
 
 use crate::Ring;
 use core::fmt;
+use core::mem::size_of;
 
 /// Sentinel node id for network-wide spans.
 pub const NO_NODE: u32 = u32::MAX;
@@ -18,13 +20,27 @@ pub const NO_NODE: u32 = u32::MAX;
 /// Correlation id meaning "not caused by any tracked request".
 pub const NO_CORRELATION: u64 = 0;
 
-/// One recorded span.
+/// What a span records: the subsystem that produced it and what happened.
+///
+/// The workspace records a fixed set of kinds, and each producer declares
+/// its own once, as a constant (`&SpanKind { layer: "harp", name: "adjust"
+/// }`), so a [`SpanEvent`] carries one pointer to its pair of strings
+/// instead of the two strings themselves. Two kinds are the same kind when
+/// their strings are equal, wherever they were declared.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpanEvent {
+pub struct SpanKind {
+    /// Which subsystem records it (e.g. `"sim"`, `"transport"`, `"harp"`).
+    pub layer: &'static str,
     /// What happened (e.g. `"slotframe"`, `"adjust"`, `"retx"`).
     pub name: &'static str,
-    /// Which subsystem recorded it (e.g. `"sim"`, `"transport"`, `"harp"`).
-    pub layer: &'static str,
+}
+
+/// One recorded span: a [`SpanKind`] plus six words, 48 bytes, so a ring
+/// of 512 spans reserves 24 KiB.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SpanEvent {
+    /// What the span records.
+    pub kind: &'static SpanKind,
     /// The node concerned, or [`NO_NODE`].
     pub node: u32,
     /// Tree depth of the node concerned (the HARP layer the event belongs
@@ -42,7 +58,21 @@ pub struct SpanEvent {
     pub corr: u64,
 }
 
+const _: () = assert!(size_of::<SpanEvent>() == 48);
+
 impl SpanEvent {
+    /// What happened (the kind's name).
+    #[must_use]
+    pub fn name(&self) -> &'static str {
+        self.kind.name
+    }
+
+    /// Which subsystem recorded it (the kind's layer).
+    #[must_use]
+    pub fn layer(&self) -> &'static str {
+        self.kind.layer
+    }
+
     /// The span's *mass* in slots: the number of slots the inclusive
     /// interval covers (`end - start + 1`). Flame folding aggregates mass,
     /// so instantaneous events still weigh one slot.
@@ -64,8 +94,8 @@ impl SpanEvent {
         };
         format!(
             "{{\"name\": \"{}\", \"layer\": \"{}\", \"node\": {}, \"depth\": {}, \"start_asn\": {}, \"end_asn\": {}, \"detail\": {}{corr}}}",
-            self.name,
-            self.layer,
+            self.kind.name,
+            self.kind.layer,
             if self.node == NO_NODE { -1 } else { i64::from(self.node) },
             self.depth,
             self.start_asn,
@@ -80,7 +110,7 @@ impl fmt::Display for SpanEvent {
         write!(
             f,
             "[{}..{}] {}/{}",
-            self.start_asn, self.end_asn, self.layer, self.name
+            self.start_asn, self.end_asn, self.kind.layer, self.kind.name
         )?;
         if self.node != NO_NODE {
             write!(f, " N{}@L{}", self.node, self.depth)?;
@@ -121,8 +151,8 @@ pub type SpanRing = Ring<SpanEvent>;
 
 impl Ring<SpanEvent> {
     /// Retained spans with one name.
-    pub fn named(&self, name: &'static str) -> impl Iterator<Item = &SpanEvent> + '_ {
-        self.iter().filter(move |e| e.name == name)
+    pub fn named<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a SpanEvent> + 'a {
+        self.iter().filter(move |e| e.kind.name == name)
     }
 
     /// Renders up to `limit` of the most recent spans as a JSON object
@@ -139,12 +169,13 @@ impl Ring<SpanEvent> {
 /// Merges the retained spans of several rings into one JSON trace document
 /// (same shape as [`SpanRing::to_json`]), ordered by `(start_asn, end_asn,
 /// layer, name, node)` so the merge is deterministic regardless of ring
-/// order. The union's `total_recorded` is the sum over the rings, so the
+/// order, and of where each kind was declared: the key is the kind's
+/// strings, never its address. The union's `total_recorded` is the sum over the rings, so the
 /// `dropped` count carries across the merge.
 #[must_use]
 pub fn merged_trace_json(rings: &[&SpanRing], limit: usize) -> String {
     let mut all: Vec<&SpanEvent> = rings.iter().flat_map(|r| r.iter()).collect();
-    all.sort_by_key(|e| (e.start_asn, e.end_asn, e.layer, e.name, e.node));
+    all.sort_by_key(|e| (e.start_asn, e.end_asn, e.kind.layer, e.kind.name, e.node));
     let skip = all.len().saturating_sub(limit);
     let total: u64 = rings.iter().map(|r| r.total_recorded()).sum();
     spans_to_json(all.into_iter().skip(skip), total)
@@ -154,10 +185,10 @@ pub fn merged_trace_json(rings: &[&SpanRing], limit: usize) -> String {
 mod tests {
     use super::*;
 
+    /// A span of a kind built from runtime strings: leaked, as a test may.
     fn ev(name: &'static str, layer: &'static str, start: u64) -> SpanEvent {
         SpanEvent {
-            name,
-            layer,
+            kind: Box::leak(Box::new(SpanKind { layer, name })),
             node: 2,
             depth: 3,
             start_asn: start,
@@ -288,6 +319,67 @@ mod tests {
                 .get("total_recorded")
                 .and_then(crate::json::Json::as_f64),
             Some(3.0)
+        );
+    }
+
+    /// Three kinds laid out in one array, so their addresses run in the
+    /// reverse of their strings' order.
+    static BY_ADDRESS: [SpanKind; 3] = [
+        SpanKind {
+            layer: "harp",
+            name: "zeta",
+        },
+        SpanKind {
+            layer: "harp",
+            name: "alpha",
+        },
+        SpanKind {
+            layer: "fault",
+            name: "zeta",
+        },
+    ];
+
+    #[test]
+    fn merged_trace_orders_by_the_kinds_strings_not_their_addresses() {
+        let at = |kind: &'static SpanKind, node: u32, start: u64| SpanEvent {
+            kind,
+            node,
+            start_asn: start,
+            end_asn: start,
+            ..ev("a", "sim", 0)
+        };
+        let [zeta, alpha, fault] = &BY_ADDRESS;
+        let mut a = SpanRing::new(8);
+        let mut b = SpanRing::new(8);
+        a.push(at(zeta, 1, 7));
+        a.push(at(alpha, 5, 7));
+        b.push(at(alpha, 3, 7));
+        b.push(at(fault, 9, 7));
+        b.push(at(zeta, 0, 6));
+        let json = merged_trace_json(&[&a, &b], 100);
+        let parsed = crate::json::parse(&json).unwrap();
+        let spans = parsed
+            .get("spans")
+            .and_then(crate::json::Json::as_arr)
+            .unwrap();
+        let order: Vec<String> = spans
+            .iter()
+            .map(|s| {
+                let text = |key: &str| s.get(key).and_then(crate::json::Json::as_str).unwrap();
+                let node = s.get("node").and_then(crate::json::Json::as_f64).unwrap();
+                format!("{}/{} N{node}", text("layer"), text("name"))
+            })
+            .collect();
+        assert_eq!(
+            order,
+            [
+                "harp/zeta N0",
+                "fault/zeta N9",
+                "harp/alpha N3",
+                "harp/alpha N5",
+                "harp/zeta N1"
+            ],
+            "(start, end, layer, name, node), by the kinds' strings"
         );
     }
 

@@ -11,15 +11,27 @@ use harp_obs::flame::{
     chrome_trace, collapsed_stacks, detect_storms, text_flame, total_mass, utilization_heatmap,
     TraceDoc, TraceSpan,
 };
-use harp_obs::{spans_to_json, SpanEvent, NO_NODE};
+use harp_obs::{spans_to_json, SpanEvent, SpanKind, NO_NODE};
+
+const SLOTFRAME: &SpanKind = &SpanKind {
+    layer: "sim",
+    name: "slotframe",
+};
+const ADJUST: &SpanKind = &SpanKind {
+    layer: "harp",
+    name: "adjust",
+};
+const RETX: &SpanKind = &SpanKind {
+    layer: "transport",
+    name: "retx",
+};
 
 /// The fixture: a slotframe span, two adjustments at different depths, and
 /// a retransmission — one span per subsystem shape the workspace records.
 fn fixture() -> Vec<SpanEvent> {
     vec![
         SpanEvent {
-            name: "slotframe",
-            layer: "sim",
+            kind: SLOTFRAME,
             node: NO_NODE,
             depth: 0,
             start_asn: 0,
@@ -28,8 +40,7 @@ fn fixture() -> Vec<SpanEvent> {
             corr: 0,
         },
         SpanEvent {
-            name: "adjust",
-            layer: "harp",
+            kind: ADJUST,
             node: 7,
             depth: 2,
             start_asn: 50,
@@ -38,8 +49,7 @@ fn fixture() -> Vec<SpanEvent> {
             corr: 0,
         },
         SpanEvent {
-            name: "adjust",
-            layer: "harp",
+            kind: ADJUST,
             node: 12,
             depth: 3,
             start_asn: 200,
@@ -48,8 +58,7 @@ fn fixture() -> Vec<SpanEvent> {
             corr: 0,
         },
         SpanEvent {
-            name: "retx",
-            layer: "transport",
+            kind: RETX,
             node: 12,
             depth: 3,
             start_asn: 210,

@@ -8,7 +8,7 @@
 //! renders it.
 
 use harp_obs::json::{parse, Json};
-use harp_obs::{Ring, SpanEvent, SpanRing, NO_CORRELATION, NO_NODE};
+use harp_obs::{Ring, SpanEvent, SpanKind, SpanRing, NO_CORRELATION, NO_NODE};
 
 /// SplitMix64: a seeded stream of item values and render limits.
 struct SplitMix(u64);
@@ -50,8 +50,10 @@ impl Model {
 
 fn span(start_asn: u64) -> SpanEvent {
     SpanEvent {
-        name: "s",
-        layer: "model",
+        kind: &SpanKind {
+            layer: "model",
+            name: "s",
+        },
         node: NO_NODE,
         depth: 0,
         start_asn,

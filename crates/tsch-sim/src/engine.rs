@@ -119,7 +119,7 @@ use crate::time::{Asn, Cell, SlotframeConfig};
 use crate::topology::{Link, NodeId, Tree};
 use crate::trace::{TraceBuffer, TraceEvent};
 use core::fmt;
-use harp_obs::{MetricsSnapshot, Obs, NO_NODE};
+use harp_obs::{MetricsSnapshot, Obs, SpanKind, NO_NODE};
 use pool::{PacketPool, Queued};
 
 /// Bound on packets queued per directed link; a packet beyond it is
@@ -129,6 +129,13 @@ pub(crate) const DEFAULT_QUEUE_CAPACITY: usize = 64;
 /// Default number of transmission attempts per hop before a packet is
 /// dropped.
 pub(crate) const DEFAULT_MAX_RETRIES: u32 = 16;
+
+/// The span each completed slotframe records, its detail the frame's
+/// transmission attempts.
+const SLOTFRAME: &SpanKind = &SpanKind {
+    layer: "sim",
+    name: "slotframe",
+};
 
 /// Errors raised when configuring or driving the simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -405,11 +412,12 @@ impl Simulator {
     /// Advances the simulation by `n` slots, accumulating wall-clock time
     /// into [`SimStats::run_time`]. Before the first slot it sizes the
     /// packet pool and, under [`StatsMode::Full`](crate::StatsMode::Full),
-    /// the delivery records for the whole run (see the module docs);
+    /// the delivery records for the whole run
+    /// ([`reserve_slots`](Self::reserve_slots));
     /// [`step_slot`](Self::step_slot) reserves nothing.
     pub fn run_slots(&mut self, n: u64) {
         let start = std::time::Instant::now();
-        self.reserve_run(n);
+        self.reserve_slots(n);
         for _ in 0..n {
             self.step_slot();
         }
@@ -451,8 +459,7 @@ impl Simulator {
                 // plan did and when, not just that something fired.
                 let node = action.node().map_or(NO_NODE, |n| n.0);
                 self.obs.span(
-                    action.kind(),
-                    "fault",
+                    action.span_kind(),
                     node,
                     0,
                     self.now.0,
@@ -466,8 +473,7 @@ impl Simulator {
             if self.now.0 > 0 {
                 let tx_in_frame = self.stats.tx_attempts - self.frame_tx_base;
                 self.obs.span(
-                    "slotframe",
-                    "sim",
+                    SLOTFRAME,
                     NO_NODE,
                     0,
                     self.frame_start_asn,
@@ -1240,7 +1246,7 @@ mod tests {
         assert!(reserved >= 1, "the first slotframe's record");
         // The window's end saturates, and a bound too large to allocate
         // leaves the records as they are.
-        sim.reserve_run(u64::MAX);
+        sim.reserve_slots(u64::MAX);
         assert_eq!(sim.stats().deliveries.capacity(), reserved);
     }
 

@@ -302,6 +302,9 @@ impl SimulatorBuilder {
 impl Simulator {
     /// Sizes the two tables a run of `n` slots grows, once, before its
     /// first slot; the run then allocates for them only past these bounds.
+    /// [`Simulator::run_slots`] calls it; a caller that advances by
+    /// [`Simulator::step_slot`] instead (a lockstep driver, which follows
+    /// another schedule between slots) calls it once before its loop.
     ///
     /// * The packet pool gets room for one slotframe's releases, which a
     ///   boundary queues all at once: each routed task's most packets in
@@ -324,7 +327,7 @@ impl Simulator {
     /// time. No outcome depends on the bounds.
     ///
     /// [`Rate::packets_in_slotframes`]: crate::Rate::packets_in_slotframes
-    pub(super) fn reserve_run(&mut self, n: u64) {
+    pub fn reserve_slots(&mut self, n: u64) {
         if n == 0 {
             return;
         }

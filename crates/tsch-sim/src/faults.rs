@@ -50,6 +50,7 @@
 use crate::packet::{Rate, TaskId};
 use crate::time::Asn;
 use crate::topology::{Link, NodeId};
+use harp_obs::SpanKind;
 
 /// One primitive fault mutation, applied at an exact ASN.
 ///
@@ -72,19 +73,42 @@ pub enum FaultAction {
     TaskRate(TaskId, Rate),
 }
 
+/// The span kind of a fault firing: the `"fault"` lane, named by the
+/// action's kind.
+const fn fault(name: &'static str) -> SpanKind {
+    SpanKind {
+        layer: "fault",
+        name,
+    }
+}
+
 impl FaultAction {
     /// Stable tag naming the action's kind — the label fault firings carry
     /// in trace spans and flight-recorder events.
     #[must_use]
     pub fn kind(&self) -> &'static str {
+        self.span_kind().name
+    }
+
+    /// The kind of the span a firing of this action records: layer
+    /// `"fault"`, named by [`FaultAction::kind`].
+    #[must_use]
+    pub fn span_kind(&self) -> &'static SpanKind {
+        const NODE_DOWN: &SpanKind = &fault("node_down");
+        const NODE_UP: &SpanKind = &fault("node_up");
+        const LINK_MASK: &SpanKind = &fault("link_mask");
+        const LINK_UNMASK: &SpanKind = &fault("link_unmask");
+        const LINK_PDR: &SpanKind = &fault("link_pdr");
+        const TASK_BURST: &SpanKind = &fault("task_burst");
+        const TASK_RATE: &SpanKind = &fault("task_rate");
         match self {
-            Self::NodeDown(_) => "node_down",
-            Self::NodeUp(_) => "node_up",
-            Self::LinkMask(_, true) => "link_mask",
-            Self::LinkMask(_, false) => "link_unmask",
-            Self::LinkPdr(..) => "link_pdr",
-            Self::TaskBurst(..) => "task_burst",
-            Self::TaskRate(..) => "task_rate",
+            Self::NodeDown(_) => NODE_DOWN,
+            Self::NodeUp(_) => NODE_UP,
+            Self::LinkMask(_, true) => LINK_MASK,
+            Self::LinkMask(_, false) => LINK_UNMASK,
+            Self::LinkPdr(..) => LINK_PDR,
+            Self::TaskBurst(..) => TASK_BURST,
+            Self::TaskRate(..) => TASK_RATE,
         }
     }
 

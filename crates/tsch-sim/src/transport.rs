@@ -34,7 +34,7 @@ use crate::rng::SplitMix64;
 use crate::time::{Asn, SlotframeConfig};
 use crate::topology::{Link, NodeId, Tree};
 use core::fmt;
-use harp_obs::{MetricsSnapshot, Obs};
+use harp_obs::{MetricsSnapshot, Obs, SpanKind};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Whether an envelope carries data or confirms receipt.
@@ -230,6 +230,19 @@ const MAX_BACKOFF_SLOTFRAMES: u64 = 16;
 
 /// Size of the per-neighbour duplicate-suppression msg-id window.
 const DEDUP_WINDOW: u64 = 64;
+
+/// The span of one retransmission, by its sender; its detail is the
+/// retries left.
+const RETX: &SpanKind = &SpanKind {
+    layer: "transport",
+    name: "retx",
+};
+
+/// The span of one suppressed duplicate, at its receiver.
+const DUP_SUPPRESSED: &SpanKind = &SpanKind {
+    layer: "transport",
+    name: "dup_suppressed",
+};
 
 /// Monotonic counters of the reliability sublayer.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -676,15 +689,8 @@ impl<M: Clone> ControlPlane<M> {
                 kept += 1;
             } else {
                 self.stats.duplicates_suppressed += 1;
-                self.obs.span(
-                    "dup_suppressed",
-                    "transport",
-                    to.0,
-                    tree.depth(to),
-                    at.0,
-                    at.0,
-                    1,
-                );
+                self.obs
+                    .span(DUP_SUPPRESSED, to.0, tree.depth(to), at.0, at.0, 1);
             }
         }
         due.truncate(kept);
@@ -757,8 +763,7 @@ impl<M: Clone> ControlPlane<M> {
             self.stats.attempts += 1;
             self.stats.retransmissions += 1;
             self.obs.span(
-                "retx",
-                "transport",
+                RETX,
                 from.0,
                 tree.depth(from),
                 now.0,

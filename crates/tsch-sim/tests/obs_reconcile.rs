@@ -150,7 +150,7 @@ fn slotframe_spans_cover_the_run() {
     let slots = u64::from(sim.config().slots);
     let mut tx_total = 0i64;
     for (i, span) in spans.iter().enumerate() {
-        assert_eq!(span.layer, "sim");
+        assert_eq!(span.layer(), "sim");
         assert_eq!(span.start_asn, i as u64 * slots);
         assert_eq!(span.end_asn, span.start_asn + slots - 1);
         tx_total += span.detail;
