@@ -867,26 +867,42 @@ mod tests {
 
     #[test]
     fn a_lockstep_run_reserves_its_delivery_records_once() {
-        // Fig. 10's first lockstep window, up to its first rate step:
-        // the records the run reserves before its first slot are all it
-        // keeps, as `run_slots` reserves them.
+        // Fig. 10's three lockstep windows, split at its rate steps as
+        // `run_timeline` splits them: each window's reservation adds its
+        // bound to the records kept before it, and nothing inside the
+        // window grows them, so at its end the records hold exactly that.
         let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios/fig10_dynamic.scn");
         let scenario = load_scenario_file(&path).unwrap();
         let tree = single_tree(&scenario, &RunOptions::default());
-        let planes = || {
-            let plan = scenario.data_fault_plan(&tree).unwrap();
-            timeline_planes(&scenario, &tree, plan, scenario.seed).unwrap()
+        let plan = scenario.data_fault_plan(&tree).unwrap();
+        let (mut net, mut sim, net_offset) =
+            timeline_planes(&scenario, &tree, plan, scenario.seed).unwrap();
+        let DemandModel::Echo(base_rate) = scenario.workload.demand else {
+            panic!("Fig. 10 runs echo tasks");
         };
-        let (_, mut probe, _) = planes();
-        let (mut net, mut sim, net_offset) = planes();
-        let first_step = scenario.workload.rate_steps[0].at_frame;
-        let slots = first_step * u64::from(sim.config().slots);
-        probe.reserve_slots(slots);
-        let reserved = probe.stats().deliveries.capacity();
-        run_lockstep(&mut sim, &mut net, net_offset, slots);
-        let records = &sim.stats().deliveries;
-        assert!(!records.is_empty() && records.len() <= reserved);
-        assert_eq!(records.capacity(), reserved, "kept {}", records.len());
+        let slots = u64::from(sim.config().slots);
+        let steps = &scenario.workload.rate_steps;
+        let ends = steps.iter().map(|s| s.at_frame).chain([scenario.frames]);
+        let mut frame = 0;
+        let mut windows = Vec::new();
+        for (w, end) in ends.enumerate() {
+            let n = (end - frame) * slots;
+            let kept = sim.stats().deliveries.len();
+            let bound = sim.records_bound(n);
+            run_lockstep(&mut sim, &mut net, net_offset, n);
+            let records = &sim.stats().deliveries;
+            assert!(records.len() > kept, "window {w} delivers");
+            assert_eq!(records.capacity(), kept + bound, "window {w}");
+            windows.push((kept, bound, records.len()));
+            frame = end;
+            if let Some(step) = steps.get(w) {
+                let stepped = NodeId(step.node);
+                let task = workloads::task_id_of(&tree, stepped).unwrap();
+                sim.set_task_rate(task, step.rate).unwrap();
+                apply_demand_change(&tree, &mut net, &mut sim, stepped, base_rate, step.rate);
+            }
+        }
+        assert_eq!(windows.len(), 3, "{windows:?}");
     }
 
     #[test]

@@ -16,7 +16,10 @@
 //! (and skips the per-tenant span, since no allocator work happened).
 //! `/metrics` scrapes render per-tenant series through `try_lock`,
 //! replaying the last snapshot when an in-flight adjustment holds the
-//! lock — a scrape never queues behind the allocator. Response bodies are
+//! lock — a scrape never queues behind the allocator. A scrape writes into
+//! what the last one left: the daemon's snapshot and the exposition's
+//! family index sit behind one scrape mutex, taken before the map's read
+//! lock and the slots' snapshot mutexes. Response bodies are
 //! assembled with [`harp_obs::json::JsonBuf`] into buffers pooled on
 //! [`AppState`] and recycled by the connection loop after each write.
 //!
@@ -35,6 +38,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
+use harp_obs::prometheus::Exposition;
 use harp_obs::MetricsSnapshot;
 
 use crate::http::{HttpError, Request, Response};
@@ -63,6 +67,29 @@ pub struct AppState {
     queue_depth: AtomicI64,
     /// Recycled response-body buffers (see [`AppState::take_buf`]).
     pool: Mutex<Vec<Vec<u8>>>,
+    /// What a `/metrics` scrape writes into and the next one overwrites.
+    /// Taken first: a scrape then takes the map's read lock and the slots'
+    /// snapshot mutexes, in map order.
+    scrape: Mutex<Scrape>,
+}
+
+/// What a scrape keeps for the next: the daemon's series and the family
+/// index the exposition folds the groups into.
+#[derive(Default)]
+struct Scrape {
+    daemon: MetricsSnapshot,
+    index: Exposition,
+}
+
+/// Overwrites the value of series `name` in place (a histogram keeps its
+/// bucket vectors), inserting it the first time.
+fn set<T: Clone>(series: &mut BTreeMap<String, T>, name: &str, value: &T) {
+    match series.get_mut(name) {
+        Some(slot) => slot.clone_from(value),
+        None => {
+            series.insert(name.to_owned(), value.clone());
+        }
+    }
 }
 
 impl AppState {
@@ -78,6 +105,7 @@ impl AppState {
             scenario_dir,
             queue_depth: AtomicI64::new(0),
             pool: Mutex::new(Vec::new()),
+            scrape: Mutex::default(),
         }
     }
 
@@ -154,16 +182,28 @@ impl AppState {
     }
 
     /// The daemon's metrics now: what `/metrics` serves without a tenant
-    /// label, and what is flushed on shutdown. The node total is summed
-    /// from the counts fixed at create, so no tenant lock is taken.
+    /// label, and what is flushed on shutdown: a fresh snapshot, written by
+    /// the function a scrape refreshes its kept one with.
     #[must_use]
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let (networks, nodes) = self
-            .tenants
-            .read()
-            .map(|t| (t.len(), t.values().map(|slot| slot.nodes).sum()))
-            .unwrap_or((0, 0));
-        self.telemetry.snapshot(networks, nodes)
+        let mut snap = MetricsSnapshot::default();
+        let tenants = self.tenants.read().ok();
+        self.write_metrics(&mut snap, tenants.as_deref());
+        snap
+    }
+
+    /// Writes the daemon's metrics into `snap` in place. The node total is
+    /// summed from the counts fixed at create over `tenants`, the map the
+    /// caller holds (none when it is poisoned), so no tenant lock is taken.
+    fn write_metrics(
+        &self,
+        snap: &mut MetricsSnapshot,
+        tenants: Option<&BTreeMap<String, Arc<TenantSlot>>>,
+    ) {
+        let (networks, nodes) = tenants.map_or((0, 0), |t| {
+            (t.len(), t.values().map(|slot| slot.nodes).sum())
+        });
+        self.telemetry.write_snapshot(snap, networks, nodes);
     }
 
     fn tenant(&self, id: &str) -> Result<Arc<TenantSlot>, HttpError> {

@@ -1,15 +1,17 @@
 //! The operator routes: `/health`, `/metrics`, `/debug/*`, `/shutdown`.
 
 use std::borrow::Cow;
+use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
+use std::sync::PoisonError;
 
 use harp_obs::json::JsonBuf;
 use harp_obs::merged_trace_json;
-use harp_obs::prometheus::{write_exposition, Group};
+use harp_obs::prometheus::Group;
 
 use super::telemetry::Record;
 use super::tenant::TRACE_DUMP_LIMIT;
-use super::AppState;
+use super::{AppState, Scrape};
 use crate::http::{HttpError, Request, Response};
 
 pub(super) fn health(state: &AppState) -> Response {
@@ -23,23 +25,33 @@ pub(super) fn health(state: &AppState) -> Response {
 }
 
 /// `GET /metrics`: the daemon's series, then each tenant's under its
-/// `tenant` label, rendered straight into a pooled buffer. The tenants'
-/// series are read in place (see `TenantSlot::scrape_metrics`), so a scrape
-/// allocates nothing per tenant. The document is ordered by family, so the
-/// tenant map and every slot stay locked for the whole render.
+/// `tenant` label, rendered straight into a pooled buffer. A scrape writes
+/// into what the last one left: the daemon's snapshot and the exposition's
+/// family index are kept behind the scrape mutex, and each tenant's series
+/// on its slot (see `TenantSlot::scrape_metrics`), all overwritten in
+/// place. So a steady scrape allocates twice, the vector of slot guards and
+/// the vector of groups, each sized once from the tenant count. The
+/// document is ordered by family, so the scrape mutex, the tenant map and
+/// every slot stay locked for the whole render, taken in that order.
 pub(super) fn metrics(state: &AppState) -> Response {
-    let daemon = state.metrics_snapshot();
+    // A poisoned scrape is entered anyway: every render overwrites it.
+    let mut scrape = state.scrape.lock().unwrap_or_else(PoisonError::into_inner);
+    let Scrape { daemon, index } = &mut *scrape;
     let tenants = state.tenants.read().ok();
-    let scraped: Vec<_> = tenants
-        .iter()
-        .flat_map(|t| t.iter())
-        .filter_map(|(id, slot)| slot.scrape_metrics(id))
-        .collect();
+    state.write_metrics(daemon, tenants.as_deref());
+    let slots = tenants.as_deref().map_or(0, BTreeMap::len);
+    let mut scraped = Vec::with_capacity(slots);
+    scraped.extend(
+        tenants
+            .iter()
+            .flat_map(|t| t.iter())
+            .filter_map(|(id, slot)| slot.scrape_metrics(id)),
+    );
     let mut groups: Vec<Group<'_>> = Vec::with_capacity(1 + scraped.len());
-    groups.push((&[], &daemon));
+    groups.push((&[], daemon));
     groups.extend(scraped.iter().map(|s| (&s.0[..], &s.1)));
     let mut text = String::from_utf8(state.take_buf()).unwrap_or_default();
-    write_exposition(&mut text, &groups);
+    index.write(&mut text, &groups);
     Response::text(200, "text/plain; version=0.0.4", text)
 }
 
@@ -182,6 +194,107 @@ mod tests {
         assert!(text.contains("harpd_requests_total"), "{text}");
         assert!(text.contains("tenant=\"t1\""), "{text}");
         assert!(text.contains("harpd_request_us_p99"), "{text}");
+    }
+
+    fn scrape(state: &AppState) -> String {
+        let resp = handle_request(state, &get("/metrics"));
+        assert_eq!(resp.status, 200);
+        let text = String::from_utf8(resp.body).unwrap();
+        harp_obs::prometheus::validate_exposition(&text).expect("valid exposition");
+        text
+    }
+
+    /// The value of the sample line of `series` (name and labels).
+    fn sample(text: &str, series: &str) -> u64 {
+        text.lines()
+            .find_map(|line| line.strip_prefix(series)?.strip_prefix(' ')?.parse().ok())
+            .unwrap_or_else(|| panic!("no sample {series}: {text}"))
+    }
+
+    /// The groups the last scrape rendered, rendered cold: the daemon's
+    /// snapshot as it kept it, and each tenant's series read again (no
+    /// request since has moved them).
+    fn cold_render(state: &AppState) -> String {
+        let daemon = state.scrape.lock().unwrap().daemon.clone();
+        let mut groups = vec![(Vec::new(), daemon)];
+        for (id, slot) in state.tenants.read().unwrap().iter() {
+            let scraped = slot.scrape_metrics(id).expect("a free tenant");
+            groups.push(scraped.clone());
+        }
+        harp_obs::prometheus::render_exposition(&groups)
+    }
+
+    /// A kept index forgets a deleted tenant and takes in a new one: the
+    /// scrape after a delete and a create equals a cold render of its
+    /// groups.
+    #[test]
+    fn a_scrape_after_a_delete_and_a_create_equals_a_cold_render() {
+        let state = state();
+        for tenant in ["t1", "t2"] {
+            assert_eq!(create_tiny(&state, tenant).status, 201);
+        }
+        let first = scrape(&state);
+        assert!(first.contains("tenant=\"t1\""), "{first}");
+        assert_eq!(first, cold_render(&state));
+        let delete = Request {
+            method: "DELETE",
+            ..get("/networks/t1")
+        };
+        assert_eq!(handle_request(&state, &delete).status, 200);
+        assert_eq!(create_tiny(&state, "t3").status, 201);
+        let second = scrape(&state);
+        assert!(!second.contains("tenant=\"t1\""), "{second}");
+        assert!(second.contains("tenant=\"t3\""), "{second}");
+        assert_eq!(second, cold_render(&state));
+    }
+
+    /// The tenant families stay in the kept index when the last tenant
+    /// goes, and print nothing, not even their declarations.
+    #[test]
+    fn a_scrape_after_the_last_delete_declares_no_tenant_family() {
+        let state = state();
+        assert_eq!(create_tiny(&state, "t1").status, 201);
+        assert!(scrape(&state).contains("# TYPE harpd_tenant_nodes gauge"));
+        let delete = Request {
+            method: "DELETE",
+            ..get("/networks/t1")
+        };
+        assert_eq!(handle_request(&state, &delete).status, 200);
+        let text = scrape(&state);
+        let declared: Vec<&str> = text
+            .lines()
+            .filter(|l| {
+                l.starts_with("# HELP harpd_tenant_") || l.starts_with("# TYPE harpd_tenant_")
+            })
+            .collect();
+        assert!(declared.is_empty(), "{declared:?}");
+        assert_eq!(text, cold_render(&state));
+    }
+
+    /// The kept daemon snapshot is refreshed, histograms bucket by bucket:
+    /// a second scrape counts the requests served since the first, the
+    /// first scrape among them, and its `+Inf` bucket still equals its
+    /// count.
+    #[test]
+    fn a_second_scrape_counts_the_requests_since_the_first() {
+        const READS: u64 = 5;
+        let state = state();
+        assert_eq!(create_tiny(&state, "t1").status, 201);
+        let counts = |text: &str| {
+            let count = sample(text, "harpd_request_us_count");
+            let inf = sample(text, "harpd_request_us_bucket{le=\"+Inf\"}");
+            assert_eq!(inf, count, "the +Inf bucket holds every request");
+            count
+        };
+        let first = counts(&scrape(&state));
+        for _ in 0..READS {
+            assert_eq!(
+                handle_request(&state, &get("/networks/t1/schedule")).status,
+                200
+            );
+        }
+        let second = counts(&scrape(&state));
+        assert_eq!(second, first + 1 + READS);
     }
 
     #[test]

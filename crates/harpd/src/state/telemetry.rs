@@ -15,6 +15,7 @@ use std::time::{Duration, Instant};
 
 use harp_obs::{FlightRecorder, HistogramSnapshot, MetricsSnapshot, NO_FLIGHT_NODE};
 
+use super::set;
 use super::tenant::storm_reason;
 
 /// Microsecond bucket bounds for the request-latency histograms:
@@ -288,33 +289,38 @@ impl Telemetry {
         }
     }
 
-    /// The daemon's series, plus the gauges that are readings rather than
-    /// running counts: hosted networks, their node total, the flight
-    /// ring's accounting.
-    pub(super) fn snapshot(&self, networks: usize, nodes: usize) -> MetricsSnapshot {
+    /// Writes the daemon's series into `snap`, plus the gauges that are
+    /// readings rather than running counts: hosted networks, their node
+    /// total, the flight ring's accounting. Values are overwritten in place
+    /// and a name is inserted only the first time, so refreshing a kept
+    /// snapshot allocates nothing.
+    pub(super) fn write_snapshot(&self, snap: &mut MetricsSnapshot, networks: usize, nodes: usize) {
         let g = self.lock();
-        let mut snap = MetricsSnapshot::default();
-        snap.add_counters([
+        for (name, v) in [
             ("harpd.requests_total", g.requests_total),
             ("harpd.http_errors", g.http_errors),
             ("harpd.networks_created", g.networks_created),
             ("harpd.adjustments", g.adjustments),
             ("harpd.schedule_queries", g.schedule_queries),
-        ]);
+        ] {
+            set(&mut snap.counters, name, &v);
+        }
         let daemon = [
             ("harpd.request_us", &g.request_us),
             ("harpd.allocator_us", &g.allocator_us),
         ];
         let routes = ROUTES.iter().map(|&(_, name)| name).zip(&g.route_us);
         for (name, h) in daemon.into_iter().chain(routes) {
-            snap.histograms.insert(name.to_owned(), h.clone());
+            set(&mut snap.histograms, name, h);
         }
-        let mut gauge = |name: &str, value: u64| snap.gauges.insert(name.into(), value as f64);
-        gauge("harpd.networks", networks as u64);
-        gauge("harpd.aggregate_nodes", nodes as u64);
-        gauge("harpd.flight_events_dropped", g.flight.events().dropped());
-        gauge("harpd.flight_trips", g.flight.trips());
-        snap
+        for (name, v) in [
+            ("harpd.networks", networks as u64),
+            ("harpd.aggregate_nodes", nodes as u64),
+            ("harpd.flight_events_dropped", g.flight.events().dropped()),
+            ("harpd.flight_trips", g.flight.trips()),
+        ] {
+            set(&mut snap.gauges, name, &(v as f64));
+        }
     }
 
     /// The flight ring's `(recorded, dropped, trips)` for `/debug/health`.

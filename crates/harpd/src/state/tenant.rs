@@ -2,7 +2,7 @@
 //! duration of one allocator operation) and what is readable without that
 //! mutex ([`TenantSlot`]: version mirror, the two caches, counts).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, TryLockError};
 
@@ -10,6 +10,7 @@ use harp_core::AllocatorHandle;
 use harp_obs::prometheus::Labels;
 use harp_obs::{MetricsSnapshot, SpanEvent, SpanKind, SpanRing, NO_NODE};
 
+use super::set;
 use crate::http::HttpError;
 
 /// Most recent spans `/debug/trace/<tenant>` returns per trace, and so the
@@ -124,7 +125,7 @@ impl Tenant {
             ),
             ("harpd.tenant.schedule_queries", schedule_queries),
         ] {
-            set(&mut snap.counters, name, v);
+            set(&mut snap.counters, name, &v);
         }
         for (name, v) in [
             ("harpd.tenant.nodes", summary.nodes as f64),
@@ -132,17 +133,7 @@ impl Tenant {
             ("harpd.tenant.active_cells", summary.active_cells as f64),
             ("harpd.tenant.spans_dropped", self.spans_dropped() as f64),
         ] {
-            set(&mut snap.gauges, name, v);
-        }
-    }
-}
-
-/// Overwrites the value of series `name`, inserting it the first time.
-fn set<T>(series: &mut BTreeMap<String, T>, name: &str, value: T) {
-    match series.get_mut(name) {
-        Some(slot) => *slot = value,
-        None => {
-            series.insert(name.to_owned(), value);
+            set(&mut snap.gauges, name, &v);
         }
     }
 }

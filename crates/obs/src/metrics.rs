@@ -36,8 +36,10 @@ pub fn bucket_of(bounds: &[u64], value: u64) -> usize {
 }
 
 /// One histogram: a component keeps it, observes into it, and clones it
-/// into the [`MetricsSnapshot`] it renders.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// into the [`MetricsSnapshot`] it renders. `clone_from` copies into the
+/// target's own bucket vectors, so refreshing a kept snapshot allocates
+/// nothing.
+#[derive(Debug, PartialEq, Eq, Default)]
 pub struct HistogramSnapshot {
     /// Inclusive upper bucket bounds (ascending).
     pub bounds: Vec<u64>,
@@ -51,6 +53,25 @@ pub struct HistogramSnapshot {
     pub min: u64,
     /// Largest observation (0 when empty).
     pub max: u64,
+}
+
+impl Clone for HistogramSnapshot {
+    fn clone(&self) -> Self {
+        Self {
+            bounds: self.bounds.clone(),
+            counts: self.counts.clone(),
+            ..*self
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.bounds.clone_from(&source.bounds);
+        self.counts.clone_from(&source.counts);
+        self.count = source.count;
+        self.sum = source.sum;
+        self.min = source.min;
+        self.max = source.max;
+    }
 }
 
 impl HistogramSnapshot {

@@ -19,14 +19,16 @@
 //! Metric names are sanitised to the Prometheus charset (`[a-zA-Z0-9_:]`,
 //! non-digit first char): the snapshot's `harp.adjustments` becomes
 //! `harp_adjustments`. A `TYPE` line is emitted once per metric name even
-//! when many label groups carry it.
+//! when many label groups carry it. A caller that renders again and again
+//! (the daemon's scrape) keeps the [`Exposition`] that folds the groups
+//! into families, so a render of the names it has seen allocates nothing.
 //!
 //! [`validate_exposition`] is the consumer-side check used by the HTTP
 //! loopback tests and the `harpd_smoke` CI client: it rejects
 //! malformed sample lines, label syntax, duplicate series and samples of
 //! undeclared histogram types.
 
-use crate::metrics::{HistogramSnapshot, MetricsSnapshot};
+use crate::metrics::MetricsSnapshot;
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 
@@ -34,8 +36,8 @@ use std::fmt::{self, Write as _};
 /// pairs, rendered in the given order.
 pub type Labels = Vec<(String, String)>;
 
-/// One group of series as [`write_exposition`] reads it: a label set and
-/// the snapshot it applies to, both borrowed.
+/// One group of series as [`Exposition::write`] reads it: a label set and
+/// the snapshot it applies to, both borrowed for the render.
 pub type Group<'g> = (&'g [(String, String)], &'g MetricsSnapshot);
 
 /// Writes an in-tree metric name in the Prometheus charset: every
@@ -98,114 +100,162 @@ fn write_sample(
     let _ = writeln!(out, " {value}");
 }
 
-/// One series of a family: the group's label set and its value.
-type Series<'g, T> = (&'g [(String, String)], &'g T);
-
+/// One metric family of the render under way. A series names its group
+/// by index into the render's groups, so the family borrows nothing and
+/// outlives the render with its vectors' capacity.
 #[derive(Default)]
-struct Family<'g> {
-    /// The first in-tree name that sanitised to this family (shown as the
-    /// HELP text so a scrape maps back to the in-tree metric).
-    source: &'g str,
-    counters: Vec<Series<'g, u64>>,
-    gauges: Vec<Series<'g, f64>>,
-    histograms: Vec<Series<'g, HistogramSnapshot>>,
+struct Family {
+    /// The first in-tree name that sanitised to this family in this render
+    /// (shown as the HELP text so a scrape maps back to the in-tree metric).
+    source: String,
+    /// `(group, value)`.
+    counters: Vec<(usize, u64)>,
+    /// `(group, value)`.
+    gauges: Vec<(usize, f64)>,
+    /// `(group, index into names)`: a histogram is read in place, under
+    /// its in-tree name.
+    histograms: Vec<(usize, usize)>,
+    /// The in-tree names of the histograms that sanitised to this family.
+    names: Vec<String>,
 }
 
-impl<'g> Family<'g> {
-    /// The family `name` sanitises to. `key` is scratch reused across
-    /// names, so only a family's first name allocates its key.
-    fn of<'m>(
-        families: &'m mut BTreeMap<String, Family<'g>>,
-        key: &mut String,
-        name: &'g str,
-    ) -> &'m mut Family<'g> {
-        key.clear();
-        write_name(key, name);
-        if !families.contains_key(key.as_str()) {
-            let family = Family {
-                source: name,
-                ..Family::default()
-            };
-            families.insert(key.clone(), family);
-        }
-        families.get_mut(key.as_str()).expect("inserted above")
+impl Family {
+    fn is_empty(&self) -> bool {
+        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }
 }
 
-/// Appends snapshots to `out` as one Prometheus text document.
+/// The family index of a Prometheus document, kept between renders.
 ///
-/// `groups` pairs a label set with the snapshot it applies to; the daemon
-/// passes its own snapshot with no labels plus one group per tenant with
-/// `tenant="<id>"`. Series are ordered by sanitised metric name and, within
-/// a name, by group order, so the output is stable for a given input.
-/// Labels and values are written straight into `out`: no sample line
-/// allocates.
-pub fn write_exposition(out: &mut String, groups: &[Group<'_>]) {
-    // Fold every group into per-name families so each TYPE header is
-    // emitted exactly once even when many tenants share a metric name.
-    let mut families: BTreeMap<String, Family<'_>> = BTreeMap::new();
-    let mut key = String::new();
-    for &(labels, snap) in groups {
-        for (name, v) in &snap.counters {
-            Family::of(&mut families, &mut key, name)
-                .counters
-                .push((labels, v));
+/// [`Exposition::write`] folds every group's series into per-name families,
+/// so each `# TYPE` header is emitted once even when many tenants share a
+/// metric name. The index outlives the render: a family's series lists are
+/// cleared, not freed, and a name is inserted the first time it is seen.
+/// So a render of the same names as the last allocates nothing. A family
+/// that no group feeds in a render prints nothing.
+#[derive(Default)]
+pub struct Exposition {
+    /// Families by sanitised name: the document's order.
+    families: BTreeMap<String, Family>,
+    /// Scratch for a name's sanitised form.
+    key: String,
+}
+
+impl Exposition {
+    /// Appends snapshots to `out` as one Prometheus text document.
+    ///
+    /// `groups` pairs a label set with the snapshot it applies to; the
+    /// daemon passes its own snapshot with no labels plus one group per
+    /// tenant with `tenant="<id>"`. Series are ordered by sanitised metric
+    /// name and, within a name, by group order, so the output is stable for
+    /// a given input, whatever the index held before. Labels and values are
+    /// written straight into `out`: no sample line allocates.
+    pub fn write(&mut self, out: &mut String, groups: &[Group<'_>]) {
+        for family in self.families.values_mut() {
+            family.counters.clear();
+            family.gauges.clear();
+            family.histograms.clear();
         }
-        for (name, v) in &snap.gauges {
-            Family::of(&mut families, &mut key, name)
-                .gauges
-                .push((labels, v));
+        for (g, &(_, snap)) in groups.iter().enumerate() {
+            for (name, &v) in &snap.counters {
+                self.family(name).counters.push((g, v));
+            }
+            for (name, &v) in &snap.gauges {
+                self.family(name).gauges.push((g, v));
+            }
+            for name in snap.histograms.keys() {
+                let family = self.family(name);
+                let at = match family.names.iter().position(|n| n == name) {
+                    Some(at) => at,
+                    None => {
+                        family.names.push(name.clone());
+                        family.names.len() - 1
+                    }
+                };
+                family.histograms.push((g, at));
+            }
         }
-        for (name, h) in &snap.histograms {
-            Family::of(&mut families, &mut key, name)
-                .histograms
-                .push((labels, h));
+
+        for (name, family) in &self.families {
+            if family.is_empty() {
+                continue;
+            }
+            let _ = writeln!(out, "# HELP {name} registry metric {}", family.source);
+            if !family.counters.is_empty() {
+                let _ = writeln!(out, "# TYPE {name} counter");
+                for &(g, v) in &family.counters {
+                    write_sample(out, format_args!("{name}"), groups[g].0, None, v);
+                }
+            }
+            if !family.gauges.is_empty() {
+                let _ = writeln!(out, "# TYPE {name} gauge");
+                for &(g, v) in &family.gauges {
+                    let v = if v.is_finite() { v } else { 0.0 };
+                    write_sample(out, format_args!("{name}"), groups[g].0, None, v);
+                }
+            }
+            if family.histograms.is_empty() {
+                continue;
+            }
+            let histogram = |g: usize, at: usize| {
+                let (labels, snap) = groups[g];
+                let h = &snap.histograms[&family.names[at]];
+                (labels, h)
+            };
+            let _ = writeln!(out, "# TYPE {name} histogram");
+            for &(g, at) in &family.histograms {
+                let (labels, h) = histogram(g, at);
+                let mut cumulative = 0u64;
+                for (i, &n) in h.counts.iter().enumerate() {
+                    cumulative += n;
+                    let le: &dyn fmt::Display = match h.bounds.get(i) {
+                        Some(bound) => bound,
+                        None => &"+Inf",
+                    };
+                    let series = format_args!("{name}_bucket");
+                    write_sample(out, series, labels, Some(le), cumulative);
+                }
+                write_sample(out, format_args!("{name}_sum"), labels, None, h.sum);
+                write_sample(out, format_args!("{name}_count"), labels, None, h.count);
+            }
+            // Derived percentile gauges, one family per quantile.
+            for (suffix, q) in [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)] {
+                let _ = writeln!(out, "# HELP {name}_{suffix} {suffix} of {}", family.source);
+                let _ = writeln!(out, "# TYPE {name}_{suffix} gauge");
+                for &(g, at) in &family.histograms {
+                    let (labels, h) = histogram(g, at);
+                    let series = format_args!("{name}_{suffix}");
+                    write_sample(out, series, labels, None, h.percentile(q));
+                }
+            }
         }
     }
 
-    for (name, family) in &families {
-        let _ = writeln!(out, "# HELP {name} registry metric {}", family.source);
-        if !family.counters.is_empty() {
-            let _ = writeln!(out, "# TYPE {name} counter");
-            for &(labels, v) in &family.counters {
-                write_sample(out, format_args!("{name}"), labels, None, v);
-            }
+    /// The family `name` sanitises to, inserted the first time: only a
+    /// family's first name allocates its key. The first name to reach a
+    /// family in a render becomes its HELP text.
+    fn family(&mut self, name: &str) -> &mut Family {
+        self.key.clear();
+        write_name(&mut self.key, name);
+        if !self.families.contains_key(self.key.as_str()) {
+            self.families.insert(self.key.clone(), Family::default());
         }
-        if !family.gauges.is_empty() {
-            let _ = writeln!(out, "# TYPE {name} gauge");
-            for &(labels, &v) in &family.gauges {
-                let v = if v.is_finite() { v } else { 0.0 };
-                write_sample(out, format_args!("{name}"), labels, None, v);
-            }
+        let family = self
+            .families
+            .get_mut(self.key.as_str())
+            .expect("inserted above");
+        if family.is_empty() {
+            family.source.clear();
+            family.source.push_str(name);
         }
-        if family.histograms.is_empty() {
-            continue;
-        }
-        let _ = writeln!(out, "# TYPE {name} histogram");
-        for &(labels, h) in &family.histograms {
-            let mut cumulative = 0u64;
-            for (i, &n) in h.counts.iter().enumerate() {
-                cumulative += n;
-                let le: &dyn fmt::Display = match h.bounds.get(i) {
-                    Some(bound) => bound,
-                    None => &"+Inf",
-                };
-                let series = format_args!("{name}_bucket");
-                write_sample(out, series, labels, Some(le), cumulative);
-            }
-            write_sample(out, format_args!("{name}_sum"), labels, None, h.sum);
-            write_sample(out, format_args!("{name}_count"), labels, None, h.count);
-        }
-        // Derived percentile gauges, one family per quantile.
-        for (suffix, q) in [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)] {
-            let _ = writeln!(out, "# HELP {name}_{suffix} {suffix} of {}", family.source);
-            let _ = writeln!(out, "# TYPE {name}_{suffix} gauge");
-            for &(labels, h) in &family.histograms {
-                let series = format_args!("{name}_{suffix}");
-                write_sample(out, series, labels, None, h.percentile(q));
-            }
-        }
+        family
     }
+}
+
+/// Appends snapshots to `out` as one Prometheus text document, through a
+/// fresh [`Exposition`]: a caller that renders again keeps one instead.
+pub fn write_exposition(out: &mut String, groups: &[Group<'_>]) {
+    Exposition::default().write(out, groups);
 }
 
 /// Renders snapshots as one Prometheus text document: [`write_exposition`]
@@ -518,6 +568,37 @@ mod tests {
         let mut out = String::from("kept\n");
         write_exposition(&mut out, &borrowed);
         assert_eq!(out.strip_prefix("kept\n"), Some(golden));
+    }
+
+    /// One index kept across renders: the second render of the golden
+    /// groups is the golden document again, and a render that feeds fewer
+    /// families equals a cold render of the same groups, HELP text
+    /// included.
+    #[test]
+    fn a_kept_index_renders_what_a_cold_one_does() {
+        let golden = include_str!("../tests/golden/exposition.prom");
+        let groups = golden_groups();
+        let borrowed: Vec<Group<'_>> = groups.iter().map(|(l, s)| (&l[..], s)).collect();
+        let mut index = Exposition::default();
+        for render in ["first", "second"] {
+            let mut out = String::new();
+            index.write(&mut out, &borrowed);
+            assert_eq!(out, golden, "the {render} render");
+        }
+        // The daemon alone, with one of the two names that share a family:
+        // the tenants' families print nothing, and the family's HELP names
+        // the one name left.
+        let mut daemon = groups[0].1.clone();
+        daemon.gauges.remove("harpd.load-factor");
+        let alone: [Group<'_>; 1] = [(&[], &daemon)];
+        let mut out = String::new();
+        index.write(&mut out, &alone);
+        assert_eq!(out, render_exposition(&[(Vec::new(), daemon.clone())]));
+        assert!(!out.contains("harpd_tenant"), "{out}");
+        assert!(out.contains("# HELP harpd_load_factor registry metric harpd.load_factor\n"));
+        let mut out = String::new();
+        index.write(&mut out, &borrowed);
+        assert_eq!(out, golden, "after a smaller render");
     }
 
     #[test]

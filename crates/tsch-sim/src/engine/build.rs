@@ -321,15 +321,36 @@ impl Simulator {
     ///   it is made, so it counts its releases instead. An unscheduled or
     ///   overloaded run therefore reserves nothing it cannot fill.
     ///
-    /// A [`FaultAction::TaskRate`] raise inside the window, or a burst at a
+    /// The records are reserved exactly: a window's reservation adds its
+    /// bound to the records kept before it, so a lockstep driver's windows
+    /// each hold what they can deliver and no more, and a caller stepping
+    /// one slotframe at a time reallocates at most once a slotframe. A
+    /// [`FaultAction::TaskRate`] raise inside the window, or a burst at a
     /// gateway-sourced task, is not counted: the records then grow as they
-    /// come, amortised, as they do when a caller steps one slotframe at a
-    /// time. No outcome depends on the bounds.
+    /// come. No outcome depends on the bounds.
     ///
     /// [`Rate::packets_in_slotframes`]: crate::Rate::packets_in_slotframes
     pub fn reserve_slots(&mut self, n: u64) {
+        let (frame, records) = self.run_bounds(n);
+        self.queues.reserve(frame);
+        if self.stats.mode() == StatsMode::Full {
+            // A bound too large to allocate reserves nothing.
+            let _ = self.stats.deliveries.try_reserve_exact(records);
+        }
+    }
+
+    /// The delivery records a run of `n` slots from now can add: the
+    /// bound [`Simulator::reserve_slots`] reserves room for under
+    /// [`StatsMode::Full`], saturated to `usize::MAX`.
+    pub fn records_bound(&mut self, n: u64) -> usize {
+        self.run_bounds(n).1
+    }
+
+    /// The packet pool's and the delivery records' bounds for a run of `n`
+    /// slots from now, as [`Simulator::reserve_slots`] describes them.
+    fn run_bounds(&mut self, n: u64) -> (usize, usize) {
         if n == 0 {
-            return;
+            return (0, 0);
         }
         // The rebuild `step_slot` would do first: the carriers are read
         // from the fresh wake index.
@@ -362,12 +383,8 @@ impl Simulator {
                 packets = packets.saturating_add(u64::from(*burst));
             }
         }
-        self.queues.reserve(frame);
-        if self.stats.mode() == StatsMode::Full {
-            // A bound too large to allocate reserves nothing.
-            let records = usize::try_from(packets.min(carriers)).unwrap_or(usize::MAX);
-            let _ = self.stats.deliveries.try_reserve(records);
-        }
+        let records = usize::try_from(packets.min(carriers)).unwrap_or(usize::MAX);
+        (frame, records)
     }
 
     /// Re-derives the per-slot schedule table from the live schedule,
