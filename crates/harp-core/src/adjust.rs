@@ -348,7 +348,7 @@ impl Workspace {
     pub(crate) fn stable_layout(
         &mut self,
         own: Rect,
-        current: &[(NodeId, Rect)],
+        current: impl ExactSizeIterator<Item = (NodeId, Rect)> + Clone,
         (requester, component): (NodeId, ResourceComponent),
         fresh_slots: u32,
         channels: u16,
@@ -356,12 +356,12 @@ impl Workspace {
         let composed = &self.placed;
         let same = current.len() == composed.len()
             && current
-                .iter()
-                .all(|&(c, _)| composed.iter().any(|&(p, _)| p == c));
-        let old = current.iter().find(|&&(c, _)| c == requester)?.1;
+                .clone()
+                .all(|(c, _)| composed.iter().any(|&(p, _)| p == c));
+        let old = current.clone().find(|&(c, _)| c == requester)?.1;
         let inside = current
-            .iter()
-            .all(|(_, r)| r.is_empty() || own.contains_rect(r));
+            .clone()
+            .all(|(_, r)| r.is_empty() || own.contains_rect(&r));
         if !same || !inside || component.is_empty() {
             return None;
         }
@@ -370,7 +370,7 @@ impl Workspace {
         // The container `width` wide, every other child in place.
         let room = |free: &mut FreeSpace, width: u32| {
             free.reset(Size::new(width, u32::from(channels)));
-            for &(c, r) in current {
+            for (c, r) in current.clone() {
                 if c != requester && !r.is_empty() {
                     free.occupy(relative(r));
                 }
@@ -400,11 +400,8 @@ impl Workspace {
             .or_else(|| free.place(size))
             .expect("the narrowest width holds it");
         let grown = Rect::new(at, size);
-        self.placed.extend(
-            current
-                .iter()
-                .map(|&(c, r)| (c, if c == requester { grown } else { relative(r) })),
-        );
+        self.placed
+            .extend(current.map(|(c, r)| (c, if c == requester { grown } else { relative(r) })));
         Some(ResourceComponent::new(wide, own.height().max(grown.top())))
     }
 
@@ -912,7 +909,8 @@ mod tests {
             ws.placed.clear();
             ws.placed.extend(current.iter().rev());
             let fresh = ws.placed.clone();
-            let composite = ws.stable_layout(own, &current, grown, fresh_slots, channels);
+            let composite =
+                ws.stable_layout(own, current.iter().copied(), grown, fresh_slots, channels);
             assert_eq!(&ws.placed[..fresh.len()], &fresh[..], "case {case}");
             let laid = ws.placed[fresh.len()..].to_vec();
             match expected {

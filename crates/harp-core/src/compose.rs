@@ -237,7 +237,7 @@ impl Workspace {
     /// order: each layer, its composite and the children's placements.
     pub(crate) fn composed(
         &self,
-    ) -> impl Iterator<Item = (u32, ResourceComponent, &[(NodeId, Rect)])> + '_ {
+    ) -> impl Iterator<Item = (u32, ResourceComponent, &[(NodeId, Rect)])> + Clone + '_ {
         let mut from = 0;
         self.composed.iter().map(move |&(layer, composite, to)| {
             let placed = &self.placed[from..to];

@@ -24,6 +24,16 @@ pub enum HarpError {
         /// Slots available in the slotframe.
         available: u32,
     },
+    /// A count a node's tables keep in 16 bits is past 65,535: the
+    /// slotframe's slots (an IEEE 802.15.4 Slotframe IE carries them in two
+    /// octets), the tree's layers, or how far a rectangle or a row of cells
+    /// reaches.
+    TableLimit {
+        /// What was counted.
+        what: &'static str,
+        /// The count.
+        count: u64,
+    },
     /// A node has no allocated partition at the given layer.
     MissingPartition {
         /// The node whose partition is missing.
@@ -76,6 +86,11 @@ impl fmt::Display for HarpError {
             } => write!(
                 f,
                 "allocation needs {needed_slots} slots, slotframe has {available}"
+            ),
+            HarpError::TableLimit { what, count } => write!(
+                f,
+                "{count} {what} exceed the {} a node's tables hold",
+                u16::MAX
             ),
             HarpError::MissingPartition { node, layer } => {
                 write!(f, "no partition for {node} at layer {layer}")

@@ -249,6 +249,66 @@ mod tests {
         .expect("fig1 demand fits")
     }
 
+    /// Both directions of every link of `tree` at `cells(child)`.
+    fn demand(tree: &Tree, cells: impl Fn(NodeId) -> u32) -> Requirements {
+        let mut reqs = Requirements::new();
+        for v in tree.nodes().skip(1) {
+            reqs.set(Link::up(v), cells(v));
+            reqs.set(Link::down(v), cells(v));
+        }
+        reqs
+    }
+
+    fn slotframe(slots: u32) -> SlotframeConfig {
+        SlotframeConfig::new(slots, 16, 10_000).expect("a valid slotframe")
+    }
+
+    /// A node's tables keep a slot in 16 bits, as a Slotframe IE carries a
+    /// slotframe's size: one slot more is refused before the static phase,
+    /// on either of its paths, and not wrapped.
+    #[test]
+    fn a_slotframe_past_sixteen_bits_is_refused_where_it_is_built() {
+        let tree = Tree::paper_fig1_example();
+        let reqs = demand(&tree, |_| 1);
+        let refused = Err(HarpError::TableLimit {
+            what: "slotframe slots",
+            count: 65_536,
+        });
+        let policy = SchedulingPolicy::RateMonotonic;
+        let converged = AllocatorHandle::converge(tree.clone(), slotframe(65_536), &reqs, policy);
+        assert_eq!(converged.map(drop), refused);
+        let mut net = HarpNetwork::new(tree.clone(), slotframe(65_536), &reqs, policy);
+        assert_eq!(net.run_static_by_messages().map(drop), refused);
+        // The handler-at-a-time driver refuses it before its first handler.
+        let mut net = HarpNetwork::new(tree.clone(), slotframe(65_536), &reqs, policy);
+        assert_eq!(net.bootstrap_node(NodeId(9)).map(drop), refused);
+
+        let handle = AllocatorHandle::converge(tree, slotframe(65_535), &reqs, policy)
+            .expect("the widest slotframe the tables keep holds a small tree");
+        assert!(handle.network().schedule().is_exclusive());
+        assert!(handle.summary().assignments > 0);
+    }
+
+    /// The gateway's layers side by side past a 65,535-slot frame are a
+    /// `SlotframeOverflow` naming their total, before a partition is laid:
+    /// none ends past the slotframe, where the tables could not keep it.
+    #[test]
+    fn a_gateway_placement_past_the_widest_slotframe_overflows() {
+        // 0 <- 1 <- 3 and 0 <- 2 <- 4: each direction's layers take 40,002
+        // slots, both together 80,004.
+        let tree = Tree::from_parents(&[(1, 0), (2, 0), (3, 1), (4, 2)]);
+        let reqs = demand(&tree, |v| if v.0 >= 3 { 40_000 } else { 1 });
+        let policy = SchedulingPolicy::RateMonotonic;
+        let converged = AllocatorHandle::converge(tree, slotframe(65_535), &reqs, policy);
+        assert_eq!(
+            converged.map(drop),
+            Err(HarpError::SlotframeOverflow {
+                needed_slots: 80_004,
+                available: 65_535,
+            })
+        );
+    }
+
     #[test]
     fn converge_then_adjust_bills_each_change() {
         let mut handle = fig1_handle();

@@ -25,7 +25,7 @@
 use crate::adjust::relative_to;
 use crate::component::{LayerComponents, ResourceComponent, ResourceInterface};
 use crate::compose::CompositionLayout;
-use crate::dir_state::{DirView, DirWriter, NodeTables, UndoLog};
+use crate::dir_state::{DirView, DirWriter, NodeTables, UndoLog, TABLE_LIMIT};
 use crate::error::HarpError;
 use crate::protocol::HarpMessage;
 use crate::schedule_gen::{CellRun, SchedulingPolicy};
@@ -196,7 +196,7 @@ impl<'a> HarpNode<'a> {
     /// The node's generated interface for `direction`, if any.
     #[must_use]
     pub fn interface(&self, direction: Direction) -> Option<ResourceInterface> {
-        Some(self.dir(direction).interface()?.iter().copied().collect())
+        Some(self.dir(direction).interface()?.iter().collect())
     }
 
     /// The partition granted to this node at `layer`.
@@ -214,10 +214,7 @@ impl<'a> HarpNode<'a> {
     /// run if none).
     #[must_use]
     pub fn assignment(&self, direction: Direction, child: NodeId) -> CellRun {
-        self.dir(direction)
-            .assignment(child)
-            .cloned()
-            .unwrap_or_default()
+        self.dir(direction).assignment(child).unwrap_or_default()
     }
 
     /// The cells this node assigned to its children's links, in child
@@ -226,15 +223,14 @@ impl<'a> HarpNode<'a> {
         &self,
         direction: Direction,
     ) -> impl Iterator<Item = (NodeId, CellRun)> + 'a {
-        let assigned = self.dir(direction).assignments();
-        assigned.map(|(c, cells)| (c, cells.clone()))
+        self.dir(direction).assignments()
     }
 
     /// The cells this node installed on its link to its parent, which that
     /// link's schedule row holds (an empty run if none).
     #[must_use]
     pub fn installed(&self, direction: Direction) -> CellRun {
-        self.dir(direction).own_cells().cloned().unwrap_or_default()
+        self.dir(direction).own_cells().unwrap_or_default()
     }
 
     /// The current requirement of the link to `child` as this node tracks it.
@@ -255,7 +251,7 @@ impl<'a> HarpNode<'a> {
         direction: Direction,
     ) -> impl Iterator<Item = (NodeId, ResourceInterface)> + 'a {
         let reported = self.dir(direction).child_interfaces();
-        reported.map(|(c, iface)| (c, iface.iter().copied().collect()))
+        reported.map(|(c, iface)| (c, iface.iter().collect()))
     }
 
     /// How this node composed its children's components, per composed
@@ -266,7 +262,10 @@ impl<'a> HarpNode<'a> {
     ) -> impl Iterator<Item = (u32, CompositionLayout)> + 'a {
         let layouts = self.dir(direction).layouts();
         layouts.map(|(layer, composite, placed)| {
-            (layer, CompositionLayout::new(composite, placed.to_vec()))
+            (
+                layer,
+                CompositionLayout::new(composite, placed.iter().collect()),
+            )
         })
     }
 
@@ -274,8 +273,9 @@ impl<'a> HarpNode<'a> {
     pub fn child_partitions(
         &self,
         direction: Direction,
-    ) -> impl Iterator<Item = (u32, &'a [(NodeId, Rect)])> + 'a {
-        self.dir(direction).child_partitions()
+    ) -> impl Iterator<Item = (u32, Vec<(NodeId, Rect)>)> + 'a {
+        let allocated = self.dir(direction).child_partitions();
+        allocated.map(|(layer, placed)| (layer, placed.iter().collect()))
     }
 
     /// The escalations awaiting a bigger partition from the parent, in
@@ -331,8 +331,8 @@ impl Cx<'_> {
         for d in Direction::BOTH {
             let mut ds = self.dir_mut(at, d);
             ds.put_req(child, None);
-            ds.put_child_interface(child, None);
-            ds.put_assignment(child, None);
+            ds.forget_child_interface(child);
+            ds.drop_assignment(child);
             ds.drop_child_partitions(child);
         }
     }
@@ -381,9 +381,9 @@ impl Cx<'_> {
                     return Ok(());
                 }
                 self.dir_mut(at, Direction::Up)
-                    .put_child_interface(from, Some(&up));
+                    .put_child_interface(from, &up)?;
                 self.dir_mut(at, Direction::Down)
-                    .put_child_interface(from, Some(&down));
+                    .put_child_interface(from, &down)?;
                 self.maybe_generate_and_report(at)
             }
             HarpMessage::PostPartitions { partitions } => {
@@ -398,7 +398,7 @@ impl Cx<'_> {
                     return Ok(());
                 }
                 for &(d, layer, rect) in &partitions {
-                    self.dir_mut(at, d).set_partition(layer, rect);
+                    self.dir_mut(at, d).set_partition(layer, rect)?;
                 }
                 // A parent lists a direction's entries together, uplink
                 // first.
@@ -432,7 +432,7 @@ impl Cx<'_> {
                 // The child starts (or stops) using the granted cells now.
                 // A re-delivered assignment matches the cells already in
                 // use and must not rewrite the row.
-                if self.dir(at, direction).own_cells() == Some(&cells) {
+                if self.dir(at, direction).own_cells().as_ref() == Some(&cells) {
                     return Ok(());
                 }
                 self.install(at, direction, cells)
@@ -455,7 +455,7 @@ impl Cx<'_> {
         // The own cells are logged before the row is written: a rollback
         // writes the row back from them, so a row whose write fails half-way
         // (a `DuplicateAssignment`) is restored too.
-        self.dir_mut(at, direction).set_own_cells(cells.clone());
+        self.dir_mut(at, direction).set_own_cells(&cells)?;
         self.schedule.unassign_link(link);
         for cell in cells {
             self.schedule.assign(cell, link)?;
@@ -515,7 +515,7 @@ impl Cx<'_> {
         };
         let generated = |d| -> ResourceInterface {
             let iface = self.dir(at, d).interface().expect("just generated");
-            iface.iter().copied().collect()
+            iface.iter().collect()
         };
         let msg = HarpMessage::PostInterface {
             up: generated(Direction::Up),
@@ -548,20 +548,44 @@ impl Cx<'_> {
         let direct = ResourceComponent::row(ds.direct_demand(slots)?);
         let deepest = ds
             .child_interfaces()
-            .filter_map(|(_, i)| i.last().map(|&(l, _)| l))
+            .filter_map(|(_, i)| i.last().map(|(l, _)| l))
             .max()
             .unwrap_or(own_layer);
         let children = ds.child_interfaces();
         self.ws
             .compose_layers(children, own_layer + 1..=deepest, channels)?;
-        let mut ds = DirWriter::new(self.nodes, self.log, self.tree, at, direction);
         let composites = self.ws.composed().map(|(layer, c, _)| (layer, c));
-        ds.set_interface(own_layer, direct, composites);
-        ds.hold_layers(own_layer..=deepest);
+        let needed = composites.clone().map(|(_, c)| u64::from(c.slots));
+        let needed = needed.sum::<u64>() + u64::from(direct.slots);
+        for (_, composite) in composites.clone() {
+            self.check_composite(composite, needed)?;
+        }
+        let mut ds = DirWriter::new(self.nodes, self.log, self.tree, at, direction);
+        ds.set_interface(own_layer, direct, composites)?;
+        ds.hold_layers(own_layer..=deepest)?;
         for (layer, composite, placed) in self.ws.composed() {
-            ds.set_layout(layer, composite, placed);
+            ds.set_layout(layer, composite, placed)?;
         }
         Ok(())
+    }
+
+    /// Refuses a `composite` wider than the slots a node's tables keep,
+    /// which no slotframe holds either, as an allocation that needs
+    /// `needed_slots`: what the node's interface sums to, or the
+    /// composite's own width — what this node needs, a lower bound of the
+    /// total the gateway would name (DESIGN §3).
+    fn check_composite(
+        &self,
+        composite: ResourceComponent,
+        needed_slots: u64,
+    ) -> Result<(), HarpError> {
+        if composite.slots <= TABLE_LIMIT {
+            return Ok(());
+        }
+        Err(HarpError::SlotframeOverflow {
+            needed_slots,
+            available: self.config.slots,
+        })
     }
 
     /// The gateway's slotframe placement: uplink super-partition first with
@@ -574,21 +598,25 @@ impl Cx<'_> {
         Ok(())
     }
 
-    /// Lays the gateway's per-layer partitions side by side along the
-    /// slotframe and checks that they fit it.
+    /// Checks that the gateway's per-layer partitions fit the slotframe
+    /// side by side, then lays them along it: a refusal places nothing,
+    /// so no partition ends past the slotframe.
     pub(crate) fn place_gateway_partitions(&mut self, at: NodeId) -> Result<(), HarpError> {
         let slots = self.config.slots;
+        let interfaces = Direction::BOTH.map(|d| self.dir(at, d).interface());
+        let components = interfaces.into_iter().flatten().flat_map(|i| i.iter());
+        let needed: u64 = components.map(|(_, c)| u64::from(c.slots)).sum();
+        if needed > u64::from(slots) {
+            return Err(HarpError::SlotframeOverflow {
+                needed_slots: needed,
+                available: slots,
+            });
+        }
         let mut cursor: u32 = 0;
         for (d, descending) in [(Direction::Up, true), (Direction::Down, false)] {
             cursor = self
                 .dir_mut(at, d)
-                .place_partitions_in_a_row(cursor, descending, slots)?;
-        }
-        if cursor > slots {
-            return Err(HarpError::SlotframeOverflow {
-                needed_slots: u64::from(cursor),
-                available: slots,
-            });
+                .place_partitions_in_a_row(cursor, descending)?;
         }
         Ok(())
     }
@@ -603,7 +631,7 @@ impl Cx<'_> {
         let mut per_child: BTreeMap<NodeId, Vec<(Direction, u32, Rect)>> = BTreeMap::new();
         for (layer, _, _) in ds.layouts() {
             let placed = ds.child_partitions_at(layer).expect("derived above");
-            for &(c, rect) in placed {
+            for (c, rect) in placed.iter() {
                 let entry = (direction, layer, rect);
                 per_child.entry(c).or_default().push(entry);
             }
@@ -646,7 +674,7 @@ impl Cx<'_> {
             // By the cells, not by the row they were cut from: a row that
             // grew in place leaves the leading links' cells where they were.
             let unchanged = match ds.read().assignment(child) {
-                Some(old) => *old == cells,
+                Some(old) => old == cells,
                 None => cells.is_empty(),
             };
             if !unchanged {
@@ -655,7 +683,7 @@ impl Cx<'_> {
                     let msg = HarpMessage::CellAssignment { direction, cells };
                     self.fx.push(child, msg, Cause::Cells);
                 }
-                ds.put_assignment(child, Some(cells));
+                ds.put_assignment(child, &cells)?;
             }
         }
         Ok(())
@@ -700,17 +728,17 @@ impl Cx<'_> {
             loop {
                 let layers = self.dir(parent, d).child_partitions();
                 let next = layers.filter(|&(l, _)| l >= from).find_map(|(l, placed)| {
-                    let (_, rect) = placed.iter().find(|&&(c, _)| c == at)?;
-                    Some((l, *rect))
+                    let (_, rect) = placed.iter().find(|&(c, _)| c == at)?;
+                    Some((l, rect))
                 });
                 let Some((layer, rect)) = next else {
                     break;
                 };
-                self.dir_mut(at, d).set_partition(layer, rect);
+                self.dir_mut(at, d).set_partition(layer, rect)?;
                 grant.partitions = true;
                 from = layer + 1;
             }
-            if let Some(cells) = self.dir(parent, d).assignment(at).cloned() {
+            if let Some(cells) = self.dir(parent, d).assignment(at) {
                 self.install(at, d, cells)?;
                 match d {
                     Direction::Up => grant.up_cells = true,
@@ -744,7 +772,7 @@ impl Cx<'_> {
                 ds.child_interface(child).and_then(|i| i.component(layer)) == Some(component);
             let already_granted = ds.child_partitions_at(layer).is_some_and(|ps| {
                 ps.iter()
-                    .any(|&(c, r)| c == child && r.size == component.as_size())
+                    .any(|(c, r)| c == child && r.size == component.as_size())
             });
             let already_escalated = ds.pending(layer) == Some(child);
             if already_stored && (already_granted || already_escalated) {
@@ -752,7 +780,7 @@ impl Cx<'_> {
             }
         }
         let mut ds = self.dir_mut(at, direction);
-        ds.set_child_component(child, layer, component);
+        ds.set_child_component(child, layer, component)?;
         // A layer this node has never held a partition for (the subtree just
         // grew deeper, e.g. after a node join): nothing to adjust locally —
         // escalate straight away so an ancestor creates the layer.
@@ -766,7 +794,7 @@ impl Cx<'_> {
             adjusted?;
             return self.escalate_layer(at, direction, layer, child);
         }
-        self.ws.placed = self.take_adjusted(at, direction, layer, placements, child);
+        self.ws.placed = self.take_adjusted(at, direction, layer, placements, child)?;
         Ok(())
     }
 
@@ -786,7 +814,7 @@ impl Cx<'_> {
             .nodes
             .dir(self.tree, at, direction)
             .child_partitions_at(layer);
-        placed.extend_from_slice(held.unwrap_or_default());
+        placed.extend(held.unwrap_or_default().iter());
         if !placed.iter().any(|(c, _)| *c == child) {
             placed.push((child, Rect::default()));
         }
@@ -804,7 +832,7 @@ impl Cx<'_> {
         layer: u32,
         mut placed: Vec<(NodeId, Rect)>,
         child: NodeId,
-    ) -> Vec<(NodeId, Rect)> {
+    ) -> Result<Vec<(NodeId, Rect)>, HarpError> {
         for (moved, rect) in self.ws.moved(&placed) {
             let msg = HarpMessage::PutPartition {
                 direction,
@@ -820,8 +848,8 @@ impl Cx<'_> {
         }
         self.ws.adopt_layout(&mut placed);
         self.dir_mut(at, direction)
-            .set_child_partitions(layer, &placed);
-        placed
+            .set_child_partitions(layer, &placed)?;
+        Ok(placed)
     }
 
     /// Recomposes `at`'s `layer` from the children's current components,
@@ -854,7 +882,7 @@ impl Cx<'_> {
             (Some(own), Some(current), Some(component)) => {
                 let grown = (requester, component);
                 self.ws
-                    .stable_layout(own, current, grown, fresh.slots, channels)
+                    .stable_layout(own, current.iter(), grown, fresh.slots, channels)
             }
             _ => None,
         };
@@ -862,8 +890,9 @@ impl Cx<'_> {
             Some(composite) => (composite, &self.ws.placed[composed..]),
             None => (fresh, &self.ws.placed[..composed]),
         };
+        self.check_composite(composite, u64::from(composite.slots))?;
         DirWriter::new(self.nodes, self.log, self.tree, at, direction)
-            .set_layout(layer, composite, placed);
+            .set_layout(layer, composite, placed)?;
         self.escalate(at, direction, layer, composite, requester)
     }
 
@@ -879,8 +908,8 @@ impl Cx<'_> {
         requester: NodeId,
     ) -> Result<(), HarpError> {
         let mut ds = self.dir_mut(at, direction);
-        ds.set_component(layer, component);
-        ds.put_pending(layer, Some(requester));
+        ds.set_component(layer, component)?;
+        ds.put_pending(layer, Some(requester))?;
         let Some(parent) = self.tree.parent(at) else {
             return self.gateway_reallocate(at, direction, layer);
         };
@@ -928,7 +957,7 @@ impl Cx<'_> {
     ) -> Result<(), HarpError> {
         let mut ds = self.dir_mut(at, direction);
         let old = ds.read().partition(layer);
-        ds.set_partition(layer, rect);
+        ds.set_partition(layer, rect)?;
         self.replace_layer(at, direction, layer, old, rect)
     }
 
@@ -948,7 +977,7 @@ impl Cx<'_> {
     ) -> Result<(), HarpError> {
         let pending = self.dir(at, direction).pending(layer);
         if pending.is_some() {
-            self.dir_mut(at, direction).put_pending(layer, None);
+            self.dir_mut(at, direction).put_pending(layer, None)?;
         }
         if layer == self.tree.link_layer(at) {
             return self.schedule_own_row(at, direction);
@@ -969,7 +998,7 @@ impl Cx<'_> {
         let moved = match old {
             // Pure move: same size, translate everything inside.
             Some(old) if old.size == rect.size => {
-                placed.extend(current.iter().map(|&(c, r)| {
+                placed.extend(current.iter().map(|(c, r)| {
                     if r.is_empty() {
                         (c, r)
                     } else {
@@ -988,7 +1017,7 @@ impl Cx<'_> {
                     return Err(HarpError::MissingPartition { node: at, layer });
                 };
                 let (x, y) = (rect.origin.x, rect.origin.y);
-                placed.extend(layout.iter().map(|&(c, rel)| (c, rel.translated(x, y))));
+                placed.extend(layout.iter().map(|(c, rel)| (c, rel.translated(x, y))));
                 Cause::Bystander
             }
         };
@@ -996,8 +1025,8 @@ impl Cx<'_> {
         for &(c, r) in &placed {
             let old_rect = current
                 .iter()
-                .find(|(n, _)| *n == c)
-                .map(|&(_, r)| r)
+                .find(|&(n, _)| n == c)
+                .map(|(_, r)| r)
                 .unwrap_or_default();
             if r != old_rect {
                 let msg = HarpMessage::PutPartition {
@@ -1013,10 +1042,10 @@ impl Cx<'_> {
                 self.fx.push(c, msg, cause);
             }
         }
-        DirWriter::new(self.nodes, self.log, self.tree, at, direction)
+        let stored = DirWriter::new(self.nodes, self.log, self.tree, at, direction)
             .set_child_partitions(layer, &placed);
         self.ws.placed = placed;
-        Ok(())
+        stored
     }
 
     /// `at`'s partition at `layer` grew to `rect` around the old one, for
@@ -1044,15 +1073,16 @@ impl Cx<'_> {
             self.ws.placed = placed;
             return adjusted.map(|_| false);
         }
-        let mut placed = self.take_adjusted(at, direction, layer, placed, child);
+        let mut placed = self.take_adjusted(at, direction, layer, placed, child)?;
         // The layout is the same placements, relative to the partition.
         for (_, r) in &mut placed {
             *r = relative_to(*r, rect);
         }
-        self.dir_mut(at, direction)
+        let stored = self
+            .dir_mut(at, direction)
             .set_layout(layer, composite, &placed);
         self.ws.placed = placed;
-        Ok(true)
+        stored.map(|()| true)
     }
 
     /// The gateway `at` absorbs a grown component at `(direction, layer)`

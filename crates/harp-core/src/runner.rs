@@ -9,7 +9,7 @@
 //! [`HarpNetwork::step`] every slot and copying [`HarpNetwork::schedule`]
 //! into the simulator whenever its [`NetworkSchedule::version`] moves.
 
-use crate::dir_state::{NodeTables, UndoLog};
+use crate::dir_state::{NodeTables, UndoLog, TABLE_LIMIT};
 use crate::error::HarpError;
 use crate::node::{AdjustCounts, Cause, Cx, Effects, HarpNode};
 use crate::protocol::HarpMessage;
@@ -234,10 +234,9 @@ const CELL_OP: &SpanKind = &harp("cell_op");
 #[derive(Debug)]
 pub struct HarpNetwork {
     tree: Tree,
-    config: SlotframeConfig,
     policy: SchedulingPolicy,
     /// Every node's protocol state, lent to every handler this network
-    /// invokes.
+    /// invokes, and the slotframe it lies in.
     nodes: NodeTables,
     plane: ControlPlane<HarpMessage>,
     /// The installed schedule, and its only copy: each link's row projects
@@ -285,10 +284,11 @@ pub struct HarpNetwork {
 // bytes every node record spent on its own counters before (1,768 then;
 // 1,760 while the undo log freed its buffer at every commit, and so told
 // recording from closed by whether it had one; 1,776 while the schedule
-// kept its stacked cells in a `BTreeMap`). The bound leaves 8 bytes of
-// slack, so a field added here must reuse one rather than sit beside it,
-// and a change that shrinks the network lowers the bound.
-const _: () = assert!(mem::size_of::<HarpNetwork>() <= 1_880);
+// kept its stacked cells in a `BTreeMap`). The slotframe is kept once, in
+// the node tables, which unpack every run of cells in it. The bound is
+// the size, so a field added here must reuse one rather than sit beside
+// it, and a change that shrinks the network lowers the bound.
+const _: () = assert!(mem::size_of::<HarpNetwork>() <= 1_872);
 
 impl HarpNetwork {
     /// Builds the deployment: one node per device, requirements installed at
@@ -329,7 +329,7 @@ impl HarpNetwork {
         policy: SchedulingPolicy,
         plane: ControlPlane<HarpMessage>,
     ) -> Self {
-        let nodes = NodeTables::new(&tree, requirements);
+        let nodes = NodeTables::new(&tree, requirements, config);
         let cells = requirements.iter().map(|(_, c)| c as usize).sum::<usize>();
         let cells = cells.min(config.cells_per_slotframe() as usize);
         let schedule = NetworkSchedule::with_capacity(config, 2 * tree.len(), cells);
@@ -343,7 +343,6 @@ impl HarpNetwork {
         window.open(Asn::ZERO, Default::default());
         Self {
             tree,
-            config,
             policy,
             nodes,
             plane,
@@ -475,7 +474,7 @@ impl HarpNetwork {
     /// The slotframe configuration of this deployment.
     #[must_use]
     pub fn config(&self) -> SlotframeConfig {
-        self.config
+        self.nodes.config()
     }
 
     /// The schedule as installed so far by the protocol: the cells each
@@ -551,7 +550,7 @@ impl HarpNetwork {
     fn with_cx<R>(&mut self, f: impl FnOnce(&mut Cx<'_>) -> R) -> R {
         f(&mut Cx {
             tree: &self.tree,
-            config: self.config,
+            config: self.nodes.config(),
             policy: self.policy,
             nodes: &mut self.nodes,
             log: &mut self.txn.log,
@@ -593,16 +592,40 @@ impl HarpNetwork {
 
     /// Runs one handler now, outside the management plane and any
     /// transaction, and returns what it put in the outbox instead of
-    /// sending it.
+    /// sending it. A network its tables cannot keep is refused first, as
+    /// on the static phase's other entries.
     fn run_now(
         &mut self,
         handler: impl FnOnce(&mut Cx<'_>) -> Result<(), HarpError>,
     ) -> Result<Effects, HarpError> {
+        self.check_widths()?;
         self.touch();
         let handled = self.with_cx(handler);
         let outbox = mem::take(&mut self.outbox);
         self.nodes.compact(&self.txn.log);
         handled.map(|()| outbox)
+    }
+
+    /// Refuses, before the static phase, a network its node tables cannot
+    /// keep: a slotframe of more slots, or a tree of more layers, than the
+    /// tables' 16 bits hold (an IEEE 802.15.4 Slotframe IE carries a
+    /// slotframe's size in two octets).
+    fn check_widths(&self) -> Result<(), HarpError> {
+        let slots = self.config().slots;
+        if slots > TABLE_LIMIT {
+            return Err(HarpError::TableLimit {
+                what: "slotframe slots",
+                count: u64::from(slots),
+            });
+        }
+        let layers = self.tree.layers();
+        if layers > TABLE_LIMIT {
+            return Err(HarpError::TableLimit {
+                what: "tree layers",
+                count: u64::from(layers),
+            });
+        }
+        Ok(())
     }
 
     /// Runs `node`'s static-phase bootstrap now and returns what it would
@@ -613,7 +636,8 @@ impl HarpNetwork {
     ///
     /// # Errors
     ///
-    /// Propagates composition/allocation failures.
+    /// [`HarpError::TableLimit`] for a slotframe or tree wider than the
+    /// node tables keep; propagates composition/allocation failures.
     pub fn bootstrap_node(&mut self, node: NodeId) -> Result<Effects, HarpError> {
         self.run_now(|cx| cx.bootstrap(node))
     }
@@ -690,6 +714,7 @@ impl HarpNetwork {
     }
 
     fn bootstrap_inner(&mut self) -> Result<(), HarpError> {
+        self.check_widths()?;
         self.reset_report();
         for i in 0..self.tree.len() {
             let id = NodeId(i as u32);
@@ -792,6 +817,7 @@ impl HarpNetwork {
         if !direct {
             return self.run_static_by_messages();
         }
+        self.check_widths()?;
         self.touch();
         self.reset_report();
         self.settle_static_directly()?;
@@ -856,7 +882,7 @@ impl HarpNetwork {
     /// The two walks of [`HarpNetwork::settle_static_directly`], over
     /// `order`, a post-order, with `at` each node's instant.
     fn settle_in_order(&mut self, order: &[NodeId], at: &mut [Asn]) -> Result<(), HarpError> {
-        let slots = u64::from(self.config.slots);
+        let slots = u64::from(self.config().slots);
         let root = self.tree.root();
         let mut mgmt = 0u64;
         for &v in order {
@@ -1115,10 +1141,11 @@ impl HarpNetwork {
         // Rebuild the control plane in place; the clock keeps running and
         // the transport (with its seeded random stream) carries over, as do
         // the counts, the nodes' adjustment counts included.
-        self.nodes = NodeTables::new(&self.tree, &requirements);
-        self.plane.reset(&self.tree, self.config);
+        let config = self.config();
+        self.nodes = NodeTables::new(&self.tree, &requirements, config);
+        self.plane.reset(&self.tree, config);
         // The old layout, kept for the moved-link count.
-        let old = std::mem::replace(&mut self.schedule, NetworkSchedule::new(self.config));
+        let old = std::mem::replace(&mut self.schedule, NetworkSchedule::new(config));
         self.bootstrap_inner()?;
         let report = self.run_until_quiescent()?;
 

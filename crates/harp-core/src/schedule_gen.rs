@@ -162,6 +162,32 @@ impl CellRun {
         }
     }
 
+    /// The row's left slot, bottom channel and width, and the range: what
+    /// a run is, its slotframe aside.
+    pub(crate) fn parts(&self) -> (u32, u32, u32, Range<u32>) {
+        (self.left, self.bottom, self.width, self.range.clone())
+    }
+
+    /// The run of [`CellRun::parts`] in `config`'s slotframe.
+    pub(crate) fn from_parts(
+        (left, bottom, width, range): (u32, u32, u32, Range<u32>),
+        config: SlotframeConfig,
+    ) -> Self {
+        Self {
+            left,
+            bottom,
+            width,
+            slots: config.slots,
+            channels: config.channels,
+            range,
+        }
+    }
+
+    /// Whether the run was cut in `config`'s slotframe.
+    pub(crate) fn is_in(&self, config: SlotframeConfig) -> bool {
+        (self.slots, self.channels) == (config.slots, config.channels)
+    }
+
     /// Returns `true` if the run holds no cell.
     #[must_use]
     pub fn is_empty(&self) -> bool {

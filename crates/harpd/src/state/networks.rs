@@ -527,6 +527,28 @@ mod tests {
     }
 
     #[test]
+    fn a_slotframe_wider_than_the_tables_hold_is_unprocessable() {
+        let state = state();
+        let create = |tenant: &str, slots: u32| {
+            let scenario = format!(
+                "scenario wide\\nseed 1\\n[topology]\\ngenerator fig1\\n[scheduler]\\n\
+                 slots {slots}\\nchannels 16\\n[workloads]\\ndemand uniform cells=1\\n"
+            );
+            let body = format!("{{\"tenant\": \"{tenant}\", \"scenario\": \"{scenario}\"}}");
+            handle_request(&state, &post("/networks", &body))
+        };
+        let resp = create("wide", 65_536);
+        let text = String::from_utf8_lossy(&resp.body).into_owned();
+        assert_eq!(resp.status, 422, "{text}");
+        assert!(
+            text.contains("65536 slotframe slots") && text.contains("65535"),
+            "{text}"
+        );
+        assert_eq!(state.network_count(), 0);
+        assert_eq!(create("widest", 65_535).status, 201);
+    }
+
+    #[test]
     fn a_demand_whose_rows_overflow_a_u32_is_unprocessable() {
         let state = state();
         let scenario = "scenario huge\\nseed 1\\n[topology]\\ngenerator fig1\\n[workloads]\\n\

@@ -66,3 +66,20 @@ fn a_gateway_placement_past_u32_max_is_refused_before_it_places() {
     let reqs = demand(&tree, |v| if v.0 >= 3 { u32::MAX } else { 1 });
     assert_overflows_u32(converge(tree, &reqs));
 }
+
+#[test]
+fn a_composite_past_sixteen_bits_names_the_total_of_the_node_that_composed_it() {
+    // 0 <- 1 <- 2 <- 3: N2's row of 70,000 cells is N1's layer-2 composite,
+    // wider than a node's tables keep. N1 refuses it with its own
+    // interface's total, 70,000 plus its direct cell, before the gateway
+    // would total both directions.
+    let tree = Tree::from_parents(&[(1, 0), (2, 1), (3, 2)]);
+    let reqs = demand(&tree, |v| if v.0 == 3 { 70_000 } else { 1 });
+    assert_eq!(
+        converge(tree, &reqs).map(drop),
+        Err(HarpError::SlotframeOverflow {
+            needed_slots: 70_001,
+            available: 199,
+        })
+    );
+}

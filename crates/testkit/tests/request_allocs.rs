@@ -231,14 +231,17 @@ fn a_request_allocates_only_what_it_keeps() {
 /// the schedule and its cached body.
 #[test]
 fn a_tenant_keeps_what_its_readers_read() {
-    /// Bytes per tenant: 251,213 (275,789 while a span named its layer
+    /// Bytes per tenant: 195,553 (251,213 while the node tables kept
+    /// partitions, placements and runs of cells in 32-bit words, node
+    /// records of 120 bytes against 72 and link rows of 56 against 32;
+    /// 275,789 while a span named its layer
     /// and name in two string slices, 72 bytes a span against 48, so each
     /// of its two 512-span rings held 36,864 bytes against 24,576; 276,269
     /// while a grown partition re-laid its children, 286,237 while every
     /// node record held 40 bytes of counters, 396,829 while the allocator's
     /// span ring held 2,048 spans, four times what its dump returns),
-    /// + 10 % (303,368 before).
-    const RESIDENT_BUDGET: i64 = 276_334;
+    /// + 10 % (276,334 and 303,368 before).
+    const RESIDENT_BUDGET: i64 = 215_108;
     const TENANTS: usize = 8;
 
     let state = warm();

@@ -485,14 +485,15 @@ fn an_adjustment_allocates_what_it_writes() {
     /// with the first-touch node clones the undo log replaced), + 10 %.
     const MEAN_ALLOCS_BUDGET: f64 = 1.38;
     /// A local adjustment rewrites one row: the cell messages, and its undo
-    /// log's buffer when the last event freed it, 164 bytes on average here
-    /// (221 while a grown partition re-laid its children, 333 with 56-byte
-    /// log entries that also saved a node's counters, 896
+    /// log's buffer when the last event freed it, 106 bytes on average here
+    /// (164 with 44-byte log entries, while the node tables kept 32-bit
+    /// words; 221 while a grown partition re-laid its children, 333 with
+    /// 56-byte log entries that also saved a node's counters, 896
     /// with a fresh 16-entry buffer per event, 910 with a vector per
     /// stacked cell too, 3,392 with Alg. 2 and the deliveries in fresh
-    /// vectors, 21.3 KiB with node clones), + 10 %. A log that reopened at
-    /// 64 entries would read 1,331.
-    const LOCAL_BYTES_BUDGET: f64 = 181.0;
+    /// vectors, 21.3 KiB with node clones), + 10 %. A log of 44-byte
+    /// entries that reopened at 64 entries read 1,331.
+    const LOCAL_BYTES_BUDGET: f64 = 117.0;
 
     let (tree, reqs, moves) = hot_tenant();
     let config = SlotframeConfig::paper_default();

@@ -31,6 +31,16 @@ pub struct Run {
 }
 
 impl Run {
+    /// A descriptor no pool makes, as it holds more items than room and
+    /// starts past any pool's end, so reading it panics: what a table keeps
+    /// for "no run" in a run's own 12 bytes, where an `Option<Run>` takes
+    /// 16.
+    pub const NONE: Run = Run {
+        start: u32::MAX,
+        len: 1,
+        cap: 0,
+    };
+
     /// Number of items in the run.
     #[must_use]
     pub fn len(self) -> usize {
@@ -44,7 +54,8 @@ impl Run {
     }
 
     fn items(self) -> Range<usize> {
-        self.start as usize..(self.start + self.len) as usize
+        let start = self.start as usize;
+        start..start + self.len as usize
     }
 
     fn end_of_room(self) -> usize {
@@ -299,6 +310,14 @@ mod tests {
         pool.restore(Some(a), Some(old));
         assert_eq!(pool.garbage(), 4, "the moved-to items are the garbage now");
         assert_eq!(pool.get(b), [9]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn the_none_run_reads_nothing() {
+        let mut pool = RunPool::new();
+        pool.push(&mut Run::default(), 1);
+        let _ = pool.get(Run::NONE);
     }
 
     #[test]
