@@ -14,13 +14,14 @@
 //! 2. otherwise remove the sibling closest to the grown component's old
 //!    position, add it to the set to re-place, and retry;
 //! 3. when every sibling has been removed the problem degenerates to plain
-//!    rectangle packing (the feasibility test); if even that fails the
-//!    request must escalate to the grandparent.
+//!    rectangle packing into the empty parent: that last pass is the
+//!    feasibility test (Problem 2), and if it fails the request must
+//!    escalate to the grandparent.
 
 use crate::component::ResourceComponent;
 use crate::error::HarpError;
 use crate::workspace::Workspace;
-use packing::{pack_into, FreeSpace, Point, Rect, Size};
+use packing::{FreeSpace, Point, Rect, Size};
 use tsch_sim::NodeId;
 
 /// The outcome of a successful partition adjustment.
@@ -48,36 +49,6 @@ impl<K> AdjustmentOutcome<K> {
     }
 }
 
-/// The feasibility test (Problem 2): can the updated component plus its
-/// siblings' components be packed inside the parent partition at all?
-///
-/// This is the oracle a node consults before deciding between adjusting
-/// locally and escalating to its parent. It ignores current placements —
-/// a full repack is permitted.
-///
-/// # Errors
-///
-/// Propagates [`HarpError::Pack`] on degenerate input (an empty parent
-/// partition with non-empty components is reported as infeasible, not an
-/// error).
-pub fn is_feasible(
-    parent: ResourceComponent,
-    components: &[ResourceComponent],
-) -> Result<bool, HarpError> {
-    let items: Vec<Size> = components
-        .iter()
-        .filter(|c| !c.is_empty())
-        .map(|c| c.as_size())
-        .collect();
-    if items.is_empty() {
-        return Ok(true);
-    }
-    if parent.is_empty() {
-        return Ok(false);
-    }
-    Ok(pack_into(&items, parent.as_size())?.is_some())
-}
-
 /// Cost-aware partition adjustment (Alg. 2).
 ///
 /// * `parent_rect` — the parent partition `P_{p,l}` (absolute).
@@ -86,8 +57,9 @@ pub fn is_feasible(
 /// * `requester` — the child whose component grew.
 /// * `new_size` — the grown component `C'_{j,l}` as (slots × channels).
 ///
-/// Returns `Ok(None)` when even a full repack cannot fit — the caller must
-/// escalate the request one level up.
+/// Returns `Ok(None)` when the entries do not fit even with every sibling
+/// removed and re-placed — the caller must escalate the request one level
+/// up.
 ///
 /// This is `Workspace::adjust` on a fresh [`Workspace`], its outcome
 /// collected into owned vectors; a network runs the same code in its own
@@ -95,8 +67,7 @@ pub fn is_feasible(
 ///
 /// # Errors
 ///
-/// Propagates packing-input errors ([`HarpError::Pack`]); an unknown
-/// `requester` is also an error.
+/// [`HarpError::UnknownAdjustmentTarget`] when no entry is `requester`.
 ///
 /// # Examples
 ///
@@ -179,9 +150,6 @@ enum Path {
     /// Placed in the idle area, with siblings removed if need be: the
     /// layout is in key order and the requester always moved.
     IdleArea,
-    /// Every sibling removed, all repacked: the layout keeps the input's
-    /// order and the requester always moved.
-    Repack,
 }
 
 impl Workspace {
@@ -272,63 +240,18 @@ impl Workspace {
             }
 
             // Nothing fits: remove the sibling closest to the requester's old
-            // position (ties broken by key for determinism) and retry.
+            // position (ties broken by key for determinism) and retry. With
+            // every sibling removed, the pass that just failed was the
+            // feasibility test (Problem 2): the request must escalate.
             let Some(nearest) = (removed..scratch.order.len()).min_by_key(|&t| {
                 let (k, r) = entries[scratch.order[t] as usize];
                 (old_rect.distance_to(&r), k)
             }) else {
-                break;
+                return Ok(None);
             };
             scratch.order.swap(removed, nearest);
             sizes.push(entries[scratch.order[removed] as usize].1.size);
         }
-        // Everything removed: the final fallback is a full repack
-        // (Problem 2's rectangle packing).
-        self.full_repack(parent_rect, entries, req, new_size)
-    }
-
-    /// Full repack of all entries into the parent (the Alg. 2 line-15
-    /// fallback), in this workspace's strip packer, `sizes` and `pass1`;
-    /// leaves the new rectangles in `pass2`.
-    fn full_repack<K: Copy + Ord>(
-        &mut self,
-        parent_rect: Rect,
-        entries: &[(K, Rect)],
-        req: usize,
-        new_size: ResourceComponent,
-    ) -> Result<Option<usize>, HarpError> {
-        let size = |i: usize| {
-            if i == req {
-                new_size.as_size()
-            } else {
-                entries[i].1.size
-            }
-        };
-        let Self {
-            strip,
-            adjust: scratch,
-            sizes,
-            pass1: placements,
-            pass2: rects,
-            ..
-        } = self;
-        sizes.clear();
-        sizes.extend((0..entries.len()).map(size).filter(|s| !s.is_empty()));
-        if !strip.pack_into(sizes, parent_rect.size, placements)? {
-            return Ok(None);
-        }
-        let mut placed = placements.iter();
-        for (i, rect) in rects.iter_mut().enumerate() {
-            *rect = if size(i).is_empty() {
-                Rect::default()
-            } else {
-                let rel = placed
-                    .next()
-                    .expect("packable entries align with placements");
-                rel.translated(parent_rect.left(), parent_rect.bottom())
-            };
-        }
-        Ok(Some(scratch.finish(entries, rects, req, Path::Repack)))
     }
 
     /// The stable layout of an escalation at a node whose partition at the
@@ -616,7 +539,7 @@ mod tests {
             (NodeId(1), Rect::from_xywh(0, 0, 4, 1)),
             (NodeId(2), Rect::from_xywh(4, 0, 4, 1)),
         ];
-        // 4 + 6 > 8: impossible even with a full repack.
+        // 4 + 6 > 8: impossible even with node 2 removed and re-placed.
         let outcome = adjust_partition(parent, &children, NodeId(1), rc(6, 1)).unwrap();
         assert!(outcome.is_none());
     }
@@ -660,23 +583,21 @@ mod tests {
     }
 
     #[test]
-    fn full_repack_when_badly_fragmented() {
-        // Four 2-wide siblings spaced out in an 11-slot row; the requester
-        // wants 5 — several removals are needed; the heuristic must still
-        // find the repacked solution.
-        let parent = Rect::from_xywh(0, 0, 11, 1);
+    fn only_the_all_removed_pass_fits_a_fragmented_row() {
+        // Idle slots are {3} and {6}. With node 2 removed, node 3 still
+        // splits the row: 3 + 2 do not fit [0, 4) and [6, 7). Only the last
+        // pass, every sibling removed, fits 3 + 2 + 2 into the 7 slots.
+        let parent = Rect::from_xywh(0, 0, 7, 1);
         let children = vec![
-            (NodeId(1), Rect::from_xywh(0, 0, 2, 1)),
-            (NodeId(2), Rect::from_xywh(3, 0, 2, 1)),
-            (NodeId(3), Rect::from_xywh(6, 0, 2, 1)),
-            (NodeId(4), Rect::from_xywh(9, 0, 2, 1)),
+            (NodeId(1), Rect::from_xywh(0, 0, 1, 1)),
+            (NodeId(2), Rect::from_xywh(1, 0, 2, 1)),
+            (NodeId(3), Rect::from_xywh(4, 0, 2, 1)),
         ];
-        let outcome = adjust_partition(parent, &children, NodeId(1), rc(5, 1))
+        let outcome = adjust_partition(parent, &children, NodeId(1), rc(3, 1))
             .unwrap()
             .unwrap();
-        check_outcome(parent, &children, NodeId(1), rc(5, 1), &outcome);
-        // 5 + 2 + 2 + 2 = 11 exactly: feasible only as a full repack.
-        assert!(outcome.moved_count() >= 3);
+        check_outcome(parent, &children, NodeId(1), rc(3, 1), &outcome);
+        assert_eq!(outcome.moved_count(), 3);
     }
 
     #[test]
@@ -789,7 +710,6 @@ mod tests {
             Ok(None) => "escalation",
             Ok(Some(outcome)) => match ws.adjust.path {
                 Path::InPlace => "in place",
-                Path::Repack => "full repack",
                 Path::IdleArea if outcome.moved.len() > 1 => "neighbour removal",
                 Path::IdleArea => "idle area",
             },
@@ -827,7 +747,6 @@ mod tests {
             "in place",
             "idle area",
             "neighbour removal",
-            "full repack",
             "escalation",
             "unknown target",
         ];
@@ -927,29 +846,5 @@ mod tests {
             }
         }
         assert!(stable >= 100 && none >= 50, "{stable} stable, {none} fresh");
-    }
-
-    // ---- feasibility test ----
-
-    #[test]
-    fn feasibility_accepts_fitting_sets() {
-        assert!(is_feasible(rc(10, 2), &[rc(5, 1), rc(5, 1), rc(10, 1)]).unwrap());
-        assert!(is_feasible(rc(4, 4), &[]).unwrap());
-        assert!(is_feasible(rc(0, 0), &[]).unwrap());
-    }
-
-    #[test]
-    fn feasibility_rejects_overflow() {
-        assert!(!is_feasible(rc(10, 1), &[rc(6, 1), rc(5, 1)]).unwrap());
-        assert!(!is_feasible(rc(0, 0), &[rc(1, 1)]).unwrap());
-        assert!(
-            !is_feasible(rc(4, 1), &[rc(1, 2)]).unwrap(),
-            "too many channels"
-        );
-    }
-
-    #[test]
-    fn feasibility_ignores_empty_components() {
-        assert!(is_feasible(rc(2, 1), &[rc(0, 1), rc(2, 1), rc(0, 0)]).unwrap());
     }
 }

@@ -133,7 +133,7 @@ impl BandPlan {
     /// # Errors
     ///
     /// [`HarpError::ChannelBudgetExceeded`] if the request cannot fit even
-    /// with a full repack.
+    /// with every other band moved.
     pub fn adjust(&mut self, index: usize, new_width: u16) -> Result<Vec<usize>, HarpError> {
         let container = Rect::from_xywh(0, 0, u32::from(self.total_channels), 1);
         let children: Vec<(usize, Rect)> = self

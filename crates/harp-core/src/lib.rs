@@ -12,8 +12,9 @@
 //! 1. **Algorithms** — resource-component composition
 //!    ([`compose_components`], Alg. 1), top-down partition allocation
 //!    ([`allocate_partitions`]), distributed schedule generation
-//!    ([`generate_schedule`]), the feasibility test ([`is_feasible`]) and
-//!    the cost-aware adjustment heuristic ([`adjust_partition`], Alg. 2).
+//!    ([`generate_schedule`]) and the cost-aware adjustment heuristic
+//!    ([`adjust_partition`], Alg. 2), whose last pass is the feasibility
+//!    test.
 //! 2. **Centralized oracle** — run the whole pipeline in one call sequence
 //!    to obtain the network schedule a converged HARP deployment produces
 //!    (used by the paper's simulation studies, Fig. 11).
@@ -100,7 +101,7 @@ mod schedule_gen;
 mod verify;
 mod workspace;
 
-pub use adjust::{adjust_partition, is_feasible, AdjustmentOutcome};
+pub use adjust::{adjust_partition, AdjustmentOutcome};
 pub use allocation::{
     allocate_partitions, allocate_partitions_unbounded, Partition, PartitionTable,
 };

@@ -159,9 +159,9 @@ pub(crate) struct AdjustCounts {
     /// Partition adjustments (Alg. 2) that fit locally — the feasibility
     /// test passed at the node.
     pub adjust_feasible: u64,
-    /// Partition adjustments that could not fit even with a full repack —
-    /// the feasibility test failed and the request escalated (or, at the
-    /// gateway, overflowed the slotframe).
+    /// Partition adjustments that could not fit even with every sibling
+    /// removed and re-placed — the feasibility test failed and the request
+    /// escalated (or, at the gateway, overflowed the slotframe).
     pub adjust_infeasible: u64,
     /// Partition rectangles moved by successful adjustments (the
     /// communication-overhead metric Alg. 2 minimises).
@@ -925,9 +925,9 @@ impl Cx<'_> {
 
     /// One step of Alg. 2 (§V), in the workspace: `key`'s partition, one
     /// of `entries` inside `container`, grows to `component`. Counts the
-    /// outcome, which is `false` when even a full repack cannot fit;
-    /// [`Workspace::moved`] and [`Workspace::adopt_layout`] read it when it
-    /// is `true`.
+    /// outcome, which is `false` when it does not fit even with every
+    /// sibling removed; [`Workspace::moved`] and [`Workspace::adopt_layout`]
+    /// read it when it is `true`.
     fn adjust_within<K: Copy + Ord>(
         &mut self,
         container: Rect,

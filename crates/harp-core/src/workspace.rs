@@ -20,11 +20,10 @@ use tsch_sim::{Asn, Direction, NodeId, Tree};
 /// direct static settle, Alg. 2's idle area and order of removal and the
 /// gateway's list of its layers — so what runs in it allocates only what
 /// its caller keeps. Alg. 2 runs in the buffers composition uses too: the
-/// sizes it re-places in `sizes`, where they land in `pass1`, every
-/// entry's new rectangle in `pass2`, and its full repack in the container
-/// form of the strip packer. An escalation's stable layout is laid behind
-/// the fresh composition in `placed`, and searched for in Alg. 2's idle
-/// area.
+/// sizes it re-places in `sizes`, where they land in `pass1` and every
+/// entry's new rectangle in `pass2`. An escalation's stable layout is laid
+/// behind the fresh composition in `placed`, and searched for in Alg. 2's
+/// idle area.
 ///
 /// A workspace belongs to whoever drives the algorithms: a
 /// [`HarpNetwork`](crate::HarpNetwork) has one and lends it to every
@@ -36,8 +35,7 @@ use tsch_sim::{Asn, Direction, NodeId, Tree};
 /// workspace did before.
 #[derive(Debug, Clone, Default)]
 pub struct Workspace {
-    /// The strip packer's skyline and pending list, for strips and, in
-    /// Alg. 2's full repack, a fixed container.
+    /// The strip packer's skyline and pending list.
     pub(crate) strip: StripWorkspace,
     /// The components being composed, as the caller gave them.
     pub(crate) components: Vec<(NodeId, ResourceComponent)>,

@@ -6,7 +6,9 @@
 //! * **Resource component composition** (Alg. 1) → strip packing, solved here
 //!   by the best-fit skyline heuristic: [`pack_strip`].
 //! * **Feasibility test** (Problem 2) → rectangle packing into a fixed
-//!   container: [`pack_into`] / [`fits_into`].
+//!   container. Alg. 2 answers it with [`FreeSpace`] in its last pass;
+//!   [`pack_into`] / [`fits_into`] answer it with the skyline, the baseline
+//!   Alg. 2 is measured against.
 //! * **Cost-aware partition adjustment** (Alg. 2) → packing into the *idle*
 //!   areas of a partly occupied container: [`FreeSpace`].
 //!

@@ -3,69 +3,18 @@
 //!
 //! HARP's dynamic-adjustment *feasibility test* (Problem 2 in the paper) is an
 //! RPP instance: given the updated resource component and its siblings, decide
-//! whether they still fit in the parent's partition. Following the paper we
-//! answer it with the best-fit skyline heuristic — pack into a strip of the
-//! container's width and accept if the achieved height fits. The heuristic is
-//! sound (a reported packing is always valid) but, like any heuristic for an
-//! NP-hard problem, incomplete: it may report "no" for instances an exact
-//! solver could pack.
+//! whether they still fit in the parent's partition. Alg. 2 answers it in its
+//! last pass, every sibling removed, with [`FreeSpace`](crate::FreeSpace).
+//! This module answers the same question with the best-fit skyline
+//! heuristic — pack into a strip of the container's width and accept if the
+//! achieved height fits — as the baseline Alg. 2 is measured against. The
+//! heuristic is sound (a reported packing is always valid) but, like any
+//! heuristic for an NP-hard problem, incomplete: it may report "no" for
+//! instances an exact solver could pack.
 
 use crate::{PackError, Rect, Size, StripWorkspace};
 
-impl StripWorkspace {
-    /// The container form of the packer: [`pack_into`]'s decision, its
-    /// placements written into a buffer the caller brings, so a warm
-    /// workspace allocates nothing.
-    ///
-    /// Returns whether the items fit. When they do, `placements` holds one
-    /// placement per item, in input order, pairwise disjoint and inside
-    /// `(0,0)..(container.w, container.h)`; when they do not, it holds the
-    /// last attempt's. On error it is left as it was.
-    ///
-    /// # Errors
-    ///
-    /// As [`pack_into`].
-    pub fn pack_into(
-        &mut self,
-        items: &[Size],
-        container: Size,
-        placements: &mut Vec<Rect>,
-    ) -> Result<bool, PackError> {
-        crate::obs::CONTAINER_PACKS.add(1);
-        if container.is_empty() {
-            return Err(PackError::ZeroWidthStrip);
-        }
-        for (index, item) in items.iter().enumerate() {
-            if item.is_empty() {
-                return Err(PackError::EmptyItem { index });
-            }
-        }
-        if items.iter().any(|i| !i.fits_in(container)) {
-            return Ok(false);
-        }
-
-        // Primary orientation: strip width = container width, height bound =
-        // container height.
-        if self.pack(items, container.w, placements)? <= container.h {
-            return Ok(true);
-        }
-
-        // Secondary orientation: pack along the other axis (read every item
-        // transposed, then transpose the placements back). The items
-        // themselves are still not rotated — only the packing direction
-        // changes.
-        if self.pack_oriented(items, container.h, Size::transposed, placements)? <= container.w {
-            for r in placements.iter_mut() {
-                *r = Rect::from_xywh(r.origin.y, r.origin.x, r.size.h, r.size.w);
-            }
-            return Ok(true);
-        }
-        Ok(false)
-    }
-}
-
-/// Attempts to pack `items` inside a `container` of fixed size:
-/// [`StripWorkspace::pack_into`] on a fresh workspace.
+/// Attempts to pack `items` inside a `container` of fixed size.
 ///
 /// On success, returns one placement per item (input order) whose rectangles
 /// are pairwise disjoint and lie within `(0,0)..(container.w, container.h)`.
@@ -96,9 +45,38 @@ impl StripWorkspace {
 /// # }
 /// ```
 pub fn pack_into(items: &[Size], container: Size) -> Result<Option<Vec<Rect>>, PackError> {
+    crate::obs::CONTAINER_PACKS.add(1);
+    if container.is_empty() {
+        return Err(PackError::ZeroWidthStrip);
+    }
+    for (index, item) in items.iter().enumerate() {
+        if item.is_empty() {
+            return Err(PackError::EmptyItem { index });
+        }
+    }
+    if items.iter().any(|i| !i.fits_in(container)) {
+        return Ok(None);
+    }
+
+    // Primary orientation: strip width = container width, height bound =
+    // container height.
+    let mut ws = StripWorkspace::new();
     let mut placements = Vec::with_capacity(items.len());
-    let fits = StripWorkspace::new().pack_into(items, container, &mut placements)?;
-    Ok(fits.then_some(placements))
+    if ws.pack(items, container.w, &mut placements)? <= container.h {
+        return Ok(Some(placements));
+    }
+
+    // Secondary orientation: pack along the other axis (read every item
+    // transposed, then transpose the placements back). The items
+    // themselves are still not rotated — only the packing direction
+    // changes.
+    if ws.pack_oriented(items, container.h, Size::transposed, &mut placements)? <= container.w {
+        for r in &mut placements {
+            *r = Rect::from_xywh(r.origin.y, r.origin.x, r.size.h, r.size.w);
+        }
+        return Ok(Some(placements));
+    }
+    Ok(None)
 }
 
 /// Convenience wrapper for [`pack_into`] when only feasibility is needed.

@@ -285,9 +285,9 @@ pub(crate) fn validate(items: impl IntoIterator<Item = Size>, width: u32) -> Res
 /// at most a handful of components per layer, twice — pays more for those
 /// than for the packing. A workspace keeps the first two and writes the
 /// placements into a buffer the caller brings, so a warm one allocates
-/// nothing. It packs a strip ([`StripWorkspace::pack`]) or a fixed
-/// container ([`StripWorkspace::pack_into`], the form Alg. 2's full repack
-/// runs in). Every call resets what it reads: results depend on the
+/// nothing. It packs a strip ([`StripWorkspace::pack`]);
+/// [`pack_into`](crate::pack_into) runs both orientations of a fixed
+/// container in one. Every call resets what it reads: results depend on the
 /// arguments only, never on what the workspace packed before.
 #[derive(Debug, Clone)]
 pub struct StripWorkspace {
@@ -343,8 +343,9 @@ impl StripWorkspace {
     }
 
     /// [`StripWorkspace::pack`] of every item as `orient` presents it, the
-    /// placements in that orientation: the container form packs its
-    /// second orientation this way instead of through a transposed copy.
+    /// placements in that orientation: [`pack_into`](crate::pack_into)
+    /// packs its second orientation this way instead of through a
+    /// transposed copy.
     pub(crate) fn pack_oriented(
         &mut self,
         items: &[Size],

@@ -3,7 +3,7 @@
 //! The counters are process-wide, so this binary holds one test: nothing
 //! else packs while it counts.
 
-use packing::{fits_into, obs, pack_into, pack_strip, PackError, Size, StripWorkspace};
+use packing::{fits_into, obs, pack_into, pack_strip, Size};
 use tsch_sim::SplitMix64;
 
 /// The counters `f` bumps, in the order of [`obs::totals`]: strip packs,
@@ -34,10 +34,8 @@ fn strip_packs(items: &[Size], container: Size) -> u64 {
 }
 
 #[test]
-fn a_warm_container_form_counts_as_pack_into_and_fits_into() {
+fn the_container_form_counts_one_pack_and_its_strips() {
     let mut rng = SplitMix64::new(0xC0_4E75);
-    let mut ws = StripWorkspace::new();
-    let mut placements = Vec::new();
     let mut seen = [0u32; 3];
     for call in 0..300u64 {
         let width = if call % 50 == 7 {
@@ -55,14 +53,9 @@ fn a_warm_container_form_counts_as_pack_into_and_fits_into() {
         }
         let strips = strip_packs(&items, container);
         seen[strips as usize] += 1;
-        let mut warm: Result<bool, PackError> = Ok(false);
-        let counted = bumped(|| warm = ws.pack_into(&items, container, &mut placements));
-        assert_eq!(counted, [strips, 1, 0, 0], "call {call}: {warm:?}");
-        let mut fresh = Ok(None);
-        let counted_fresh = bumped(|| fresh = pack_into(&items, container));
-        assert_eq!(counted_fresh, counted, "call {call}");
-        let warm = warm.map(|fit| fit.then(|| placements.clone()));
-        assert_eq!(warm, fresh, "call {call}");
+        let mut packed = Ok(None);
+        let counted = bumped(|| packed = pack_into(&items, container));
+        assert_eq!(counted, [strips, 1, 0, 0], "call {call}: {packed:?}");
         let counted_test = bumped(|| {
             let _ = fits_into(&items, container);
         });

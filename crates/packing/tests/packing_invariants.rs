@@ -104,9 +104,9 @@ fn workspace_reuse_is_invisible() {
     }
     assert_eq!(errors, [8, 8, 8], "every error kind, in the middle");
 
-    // The container form in the same warm workspace: every instance packs
-    // as `pack_into` packs it, and as the packer did with a transposed copy
-    // of the items for its second orientation.
+    // The container form, whose second orientation packs in the workspace
+    // its first left: every instance packs as the packer did with a
+    // transposed copy of the items.
     let mut outcomes = [0u32; 4];
     for call in 0..400u64 {
         let width = if call % 50 == 7 {
@@ -120,25 +120,19 @@ fn workspace_reuse_is_invisible() {
         if call % 50 == 13 {
             items[n / 2].h = 0;
         }
-        let before = placements.clone();
-        let reused = ws.pack_into(&items, container, &mut placements);
-        let fresh = pack_into(&items, container);
+        let packed = pack_into(&items, container);
         let model = pack_into_with_a_transposed_copy(&items, container);
-        match (reused, fresh, model) {
-            (Ok(true), Ok(Some(fresh)), Ok(Some((model, orientation)))) => {
-                assert_eq!(placements, fresh, "call {call}");
-                assert_eq!(placements, model, "call {call}");
+        match (packed, model) {
+            (Ok(Some(packed)), Ok(Some((model, orientation)))) => {
+                assert_eq!(packed, model, "call {call}");
                 outcomes[orientation] += 1;
             }
-            (Ok(false), Ok(None), Ok(None)) => outcomes[2] += 1,
-            (Err(reused), Err(fresh), Err(model)) => {
-                assert_eq!([reused, fresh], [model, model], "call {call}");
-                assert_eq!(placements, before, "call {call}: an error writes nothing");
+            (Ok(None), Ok(None)) => outcomes[2] += 1,
+            (Err(packed), Err(model)) => {
+                assert_eq!(packed, model, "call {call}");
                 outcomes[3] += 1;
             }
-            (reused, fresh, model) => {
-                panic!("call {call}: {reused:?} vs {fresh:?} vs {model:?}")
-            }
+            (packed, model) => panic!("call {call}: {packed:?} vs {model:?}"),
         }
     }
     assert!(

@@ -14,7 +14,7 @@
 
 use harp_core::{
     adjust_partition, allocate_partitions, build_interfaces, compose_components, generate_schedule,
-    is_feasible, unsatisfied_links, ResourceComponent, SchedulingPolicy,
+    unsatisfied_links, ResourceComponent, SchedulingPolicy,
 };
 use packing::{all_disjoint, Rect};
 use testkit::seeded::{random_reqs, random_tree};
@@ -171,31 +171,6 @@ fn adjustment_outcome_is_always_valid() {
                      needed {needed}, capacity {}",
                     parent_w * parent_h
                 );
-            }
-        }
-    }
-}
-
-#[test]
-fn feasibility_test_never_false_positive() {
-    for case in 0..64u64 {
-        let mut rng = SplitMix64::new(0xFE_A5 ^ case);
-        let comps: Vec<(u32, u32)> = (0..1 + rng.next_below(7))
-            .map(|_| (1 + rng.next_below(6) as u32, 1 + rng.next_below(3) as u32))
-            .collect();
-        let pw = 1 + rng.next_below(20) as u32;
-        let ph = 1 + rng.next_below(4) as u32;
-        let components: Vec<ResourceComponent> = comps
-            .iter()
-            .map(|&(s, c)| ResourceComponent::new(s, c))
-            .collect();
-        let parent = ResourceComponent::new(pw, ph);
-        if is_feasible(parent, &components).unwrap() {
-            // A positive answer comes with an actual packing inside.
-            let area: u64 = components.iter().map(|c| c.cell_count()).sum();
-            assert!(area <= parent.cell_count(), "case {case}");
-            for c in &components {
-                assert!(c.slots <= pw && c.channels <= ph, "case {case}");
             }
         }
     }

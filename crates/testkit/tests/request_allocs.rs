@@ -395,9 +395,8 @@ const BILLED_ADJUSTS: usize = 64;
 /// on a daemon whose flight ring is full, after as many to warm its
 /// buffers, each allocation filed by the frames it was made in. The
 /// layers must sum to the total, the JSON body bills at most its object's
-/// member list, and packing bills nothing: Alg. 2's full repack runs in
-/// the network's workspace. Debug only, where every function keeps its
-/// frame.
+/// member list, and packing bills nothing: Alg. 2 places in the
+/// network's workspace. Debug only, where every function keeps its frame.
 #[cfg(debug_assertions)]
 #[test]
 fn adjust_bill_per_layer() {

@@ -207,9 +207,16 @@ fn rejected_topology_events_restore_the_pre_image_and_commits_stay_collision_fre
     // partition kept its children where they were, the event streams
     // diverged ([1074, 794, 1673] and [[292, 289, 260], [0, 0, 0], [47,
     // 53, 66]] before): reparents commit 90.51 % of the time, 90.97 %
-    // before, within one binomial standard deviation.
-    assert_eq!(commits, [1067, 791, 1670]);
-    assert_eq!(rejections, [[290, 291, 261], [0, 0, 0], [49, 54, 72]]);
+    // before, within one binomial standard deviation. Case 117 (Chaos),
+    // event 14, joins a leaf at N0 (8 cells up, 1 down): the gateway's
+    // slotframe-level entry grows to 10 x 1, and Alg. 2's last pass, every
+    // layer removed, cannot re-place its 8 layers in the 159 x 2
+    // slotframe, where a skyline repack did. The join is rejected, so the
+    // case's later events differ: a join rejection fewer, a reparent commit
+    // more ([1067, 791, 1670] and [[290, 291, 261], …] while a skyline
+    // repack followed the last pass).
+    assert_eq!(commits, [1067, 791, 1671]);
+    assert_eq!(rejections, [[290, 291, 260], [0, 0, 0], [49, 54, 72]]);
 }
 
 #[test]
