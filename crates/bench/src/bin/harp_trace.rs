@@ -272,10 +272,10 @@ mod tests {
             seq: 0,
             at: 120,
             kind: "adjust",
-            tenant: "t1".to_owned(),
+            tenant: "t1",
             corr: 7,
             node: 5,
-            detail: "cells=2".to_owned(),
+            detail: "cells=2",
             magnitude: 2,
         });
         let doc = parse_trace_or_flight(&recorder.to_json(8)).expect("flight dump parses");

@@ -147,8 +147,9 @@ fn scenario_flight(
     scenario: &Scenario,
     plan: &tsch_sim::FaultPlan,
     spans: &[TraceSpan],
-    extra: Vec<FlightEvent>,
+    extra: Vec<FlightEvent<'_>>,
 ) -> String {
+    let tenant = scenario.name.as_str();
     let mut events: Vec<FlightEvent> = plan
         .events()
         .iter()
@@ -156,23 +157,28 @@ fn scenario_flight(
             seq: 0,
             at: at.0,
             kind: action.kind(),
-            tenant: scenario.name.clone(),
+            tenant,
             corr: 0,
             node: action.node().map_or(NO_FLIGHT_NODE, |n| i64::from(n.0)),
-            detail: String::new(),
+            detail: "",
             magnitude: 0,
         })
         .collect();
     events.extend(extra);
-    for storm in detect_storms(spans, 3) {
+    let storms = detect_storms(spans, 3);
+    let storm_details: Vec<String> = storms
+        .iter()
+        .map(|storm| format!("nodes={} bill={}", storm.nodes.len(), storm.bill))
+        .collect();
+    for (storm, detail) in storms.iter().zip(&storm_details) {
         events.push(FlightEvent {
             seq: 0,
             at: storm.start_asn,
             kind: "storm",
-            tenant: scenario.name.clone(),
+            tenant,
             corr: 0,
             node: NO_FLIGHT_NODE,
-            detail: format!("nodes={} bill={}", storm.nodes.len(), storm.bill),
+            detail,
             magnitude: storm.span_count as i64,
         });
     }
@@ -356,16 +362,18 @@ fn run_timeline(
 
     // Flight dump: fault firings, rate steps and adjustment storms on the
     // run's ASN timeline.
+    let rates: Vec<String> = steps.iter().map(|step| step.rate.to_string()).collect();
     let rate_events: Vec<FlightEvent> = steps
         .iter()
-        .map(|step| FlightEvent {
+        .zip(&rates)
+        .map(|(step, rate)| FlightEvent {
             seq: 0,
             at: step.at_frame * u64::from(config.slots),
             kind: "rate_step",
-            tenant: scenario.name.clone(),
+            tenant: &scenario.name,
             corr: 0,
             node: i64::from(step.node),
-            detail: format!("{}", step.rate),
+            detail: rate,
             magnitude: 0,
         })
         .collect();
@@ -768,10 +776,10 @@ fn run_replicates(
                 seq: 0,
                 at: end_asn,
                 kind: "replicate",
-                tenant: scenario.name.clone(),
+                tenant: &scenario.name,
                 corr: 0,
                 node: NO_FLIGHT_NODE,
-                detail: name.clone(),
+                detail: name,
                 magnitude: delivered as i64,
             }
         })

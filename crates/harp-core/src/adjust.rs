@@ -185,8 +185,10 @@ impl Workspace {
         rects.extend(entries.iter().map(|&(_, r)| r));
 
         // Fast path: the new size still fits where the old partition was;
-        // a smaller one shrinks in place (releasing the extra cells).
-        if new_size.slots <= old_rect.width() && new_size.channels <= old_rect.height() {
+        // a smaller one shrinks in place (releasing the extra cells). An
+        // empty size needs no room, however tall or wide.
+        let fits = new_size.slots <= old_rect.width() && new_size.channels <= old_rect.height();
+        if fits || new_size.is_empty() {
             rects[req] = Rect::new(old_rect.origin, new_size.as_size());
             return Ok(Some(scratch.finish(entries, rects, req, Path::InPlace)));
         }
@@ -598,6 +600,25 @@ mod tests {
             .unwrap();
         check_outcome(parent, &children, NodeId(1), rc(3, 1), &outcome);
         assert_eq!(outcome.moved_count(), 3);
+    }
+
+    #[test]
+    fn an_emptied_partition_stays_in_place_however_tall() {
+        // 2x1 → 0x3 needs no cells: the requester keeps its origin and no
+        // sibling moves, although a 0x3 rectangle is taller than the old.
+        let parent = Rect::from_xywh(0, 0, 4, 1);
+        let children = vec![
+            (NodeId(1), Rect::from_xywh(0, 0, 2, 1)),
+            (NodeId(2), Rect::from_xywh(2, 0, 2, 1)),
+        ];
+        let mut ws = Workspace::new();
+        let moved = ws.adjust(parent, &children, NodeId(1), rc(0, 3)).unwrap();
+        assert_eq!(moved, Some(1), "the requester alone, its size changed");
+        assert_eq!(ws.adjust.path, Path::InPlace);
+        let outcome = ws.adjustment_outcome(&children);
+        assert_eq!(outcome.moved, vec![NodeId(1)]);
+        assert_eq!(outcome.layout[1], children[1]);
+        assert_eq!(outcome.layout[0].1.origin, children[0].1.origin);
     }
 
     #[test]

@@ -8,12 +8,12 @@
 //! is taken.
 
 use std::borrow::Cow;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use harp_obs::{FlightRecorder, HistogramSnapshot, MetricsSnapshot, NO_FLIGHT_NODE};
+use harp_obs::{FlightEvent, FlightRecorder, HistogramSnapshot, MetricsSnapshot, NO_FLIGHT_NODE};
 
 use super::set;
 use super::tenant::storm_reason;
@@ -109,26 +109,30 @@ pub(super) struct Record<'r> {
 }
 
 impl Record<'_> {
-    /// Writes this request's event of `kind` into the slot the flight ring
-    /// hands out, and returns the slot's (empty) detail for the caller to
-    /// write: both strings keep the capacity of the event the full ring
-    /// evicted. `None` when the ring records nothing.
-    fn log<'f>(
+    /// Records this request's event of `kind`, its tenant and `detail`
+    /// written straight into the flight ring's text arena.
+    fn log(
         &self,
-        flight: &'f mut FlightRecorder,
+        flight: &mut FlightRecorder,
         at: u64,
         kind: &'static str,
         node: Option<u32>,
         magnitude: u64,
-    ) -> Option<&'f mut String> {
-        let event = flight.next_slot()?;
-        event.at = at;
-        event.kind = kind;
-        event.tenant.push_str(&self.tenant);
-        event.corr = self.corr;
-        event.node = node.map_or(NO_FLIGHT_NODE, i64::from);
-        event.magnitude = magnitude as i64;
-        Some(&mut event.detail)
+        detail: fmt::Arguments<'_>,
+    ) {
+        let event = FlightEvent {
+            seq: 0,
+            at,
+            kind,
+            tenant: &self.tenant,
+            corr: self.corr,
+            node: node.map_or(NO_FLIGHT_NODE, i64::from),
+            detail: "",
+            magnitude: magnitude as i64,
+        };
+        if let Some(mut text) = flight.begin(event) {
+            let _ = text.write_fmt(detail);
+        }
     }
 }
 
@@ -221,8 +225,8 @@ impl Telemetry {
     /// observes its latencies, appends the lifecycle event of the
     /// operation that happened (then a storm trip, if its tenant's window
     /// tripped), the `"request"` event, and a trip when the request
-    /// breached the latency SLO. Events are written into the slots the
-    /// flight ring hands out, so once it is full they allocate nothing.
+    /// breached the latency SLO. Events are written into the flight ring's
+    /// arena, so they allocate nothing.
     pub(super) fn record(&self, r: Record<'_>, class: RouteClass, status: u16) {
         let now = self.start.elapsed();
         let (at, total_us) = (micros(now), r.parse_us + micros(now - r.started));
@@ -233,9 +237,7 @@ impl Telemetry {
         let trip = |flight: &mut FlightRecorder, reason: String| {
             flight.trip(&reason);
             let trips = flight.trips();
-            if let Some(detail) = r.log(flight, at, "trip", None, trips) {
-                detail.push_str(&reason);
-            }
+            r.log(flight, at, "trip", None, trips, format_args!("{reason}"));
         };
 
         g.requests_total += 1;
@@ -250,9 +252,14 @@ impl Telemetry {
         match &r.op {
             Some(Op::Created { scenario, nodes }) => {
                 g.networks_created += 1;
-                if let Some(detail) = r.log(flight, at, "create", None, *nodes as u64) {
-                    detail.push_str(scenario);
-                }
+                r.log(
+                    flight,
+                    at,
+                    "create",
+                    None,
+                    *nodes as u64,
+                    format_args!("{scenario}"),
+                );
             }
             Some(Op::Adjusted {
                 node,
@@ -260,12 +267,17 @@ impl Telemetry {
                 mgmt_messages,
             }) => {
                 g.adjustments += 1;
-                if let Some(detail) = r.log(flight, at, "adjust", Some(*node), *mgmt_messages) {
-                    let _ = write!(detail, "cells={cells}");
-                }
+                r.log(
+                    flight,
+                    at,
+                    "adjust",
+                    Some(*node),
+                    *mgmt_messages,
+                    format_args!("cells={cells}"),
+                );
             }
             Some(Op::Deleted) => {
-                r.log(flight, at, "delete", None, 0);
+                r.log(flight, at, "delete", None, 0, format_args!(""));
             }
             Some(Op::ScheduleQuery) => g.schedule_queries += 1,
             None => {}
@@ -273,12 +285,14 @@ impl Telemetry {
         if r.storm {
             trip(flight, storm_reason(&r.tenant));
         }
-        if let Some(detail) = r.log(flight, at, "request", None, total_us) {
-            // The whole line at once: a slot the ring has not yet recycled
-            // allocates once, not once per piece.
-            detail.reserve(r.method.len() + r.path.len() + " -> 200 ".len());
-            let _ = write!(detail, "{} {} -> {status}", r.method, r.path);
-        }
+        r.log(
+            flight,
+            at,
+            "request",
+            None,
+            total_us,
+            format_args!("{} {} -> {status}", r.method, r.path),
+        );
         let slo = self.slo_us.load(Ordering::Relaxed);
         if total_us > slo {
             let class = ROUTES[class as usize].0;
@@ -316,7 +330,7 @@ impl Telemetry {
         for (name, v) in [
             ("harpd.networks", networks as u64),
             ("harpd.aggregate_nodes", nodes as u64),
-            ("harpd.flight_events_dropped", g.flight.events().dropped()),
+            ("harpd.flight_events_dropped", g.flight.dropped()),
             ("harpd.flight_trips", g.flight.trips()),
         ] {
             set(&mut snap.gauges, name, &(v as f64));
@@ -326,8 +340,11 @@ impl Telemetry {
     /// The flight ring's `(recorded, dropped, trips)` for `/debug/health`.
     pub(super) fn flight_accounting(&self) -> (u64, u64, u64) {
         let g = self.lock();
-        let events = g.flight.events();
-        (events.total_recorded(), events.dropped(), g.flight.trips())
+        (
+            g.flight.total_recorded(),
+            g.flight.dropped(),
+            g.flight.trips(),
+        )
     }
 
     /// The live flight ring's most recent events as JSON, or — `incident`

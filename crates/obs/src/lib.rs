@@ -54,7 +54,7 @@ pub mod prometheus;
 mod ring;
 mod span;
 
-pub use flight::{FlightDoc, FlightEvent, FlightRecorder, NO_FLIGHT_NODE};
+pub use flight::{FlightDoc, FlightEvent, FlightRecorder, FlightText, NO_FLIGHT_NODE};
 pub use metrics::{
     bucket_of, HistogramSnapshot, MetricsSnapshot, StaticCounter, LATENCY_SLOT_BOUNDS,
 };
