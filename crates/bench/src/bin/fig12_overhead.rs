@@ -7,7 +7,8 @@
 //! layer `l` (grows linearly with depth); HARP's cost is small and roughly
 //! flat because most requests resolve at the parent.
 //!
-//! HARP's count is the [`ProtocolReport`](harp_core::ProtocolReport) of
+//! APaS's column is that count, [`apas_adjustment_packets`]. HARP's is
+//! the [`ProtocolReport`](harp_core::ProtocolReport) of
 //! [`AllocatorHandle::adjust`] — the report harpd returns for the same
 //! change.
 //!
@@ -24,8 +25,8 @@ use harp_bench::harness::{
 use harp_bench::{mean, par_map};
 use harp_core::{AllocatorHandle, Cause, MessageCauses, SchedulingPolicy};
 use harp_obs::{spans_to_json, MetricsSnapshot, SpanEvent};
-use schedulers::{apas_adjustment_packets, sixtop_transaction_packets, ApasNetwork};
-use tsch_sim::{Asn, Direction, Link, SlotframeConfig};
+use schedulers::{apas_adjustment_packets, sixtop_transaction_packets};
+use tsch_sim::{Direction, Link, SlotframeConfig};
 
 /// HARP's messages by cause, each a column of the report: the mean over a
 /// layer's samples.
@@ -58,7 +59,6 @@ fn main() {
     // and print the rows in layer order.
     let layers: Vec<u32> = (1..=10).collect();
     let per_layer = par_map(&layers, |_, &layer| {
-        let mut apas_samples = Vec::new();
         let mut harp_samples = Vec::new();
         let mut harp_causes: Vec<MessageCauses> = Vec::new();
         let mut spans: Vec<SpanEvent> = Vec::new();
@@ -66,9 +66,6 @@ fn main() {
             // Sample up to three nodes at this layer per topology.
             let nodes = tree.nodes_at_depth(layer);
             for (ni, &node) in nodes.iter().take(3).enumerate() {
-                let mut apas = ApasNetwork::new(tree.clone(), config);
-                apas_samples.push(apas.adjust(Asn(0), node).packets as f64);
-
                 let link = Link {
                     child: node,
                     direction: Direction::Up,
@@ -96,22 +93,19 @@ fn main() {
             }
         }
         let harp_max = harp_samples.iter().copied().fold(0.0f64, f64::max);
-        assert!(
-            (mean(&apas_samples) - apas_adjustment_packets(layer) as f64).abs() < 1e-9,
-            "APaS measurement must match the 3l-1 formula"
-        );
+        let apas = apas_adjustment_packets(layer) as f64;
         // MSF adds cells with one 6P pair at any depth — flat and minimal,
         // but with no collision protection (the Fig. 11 trade-off).
         let text = format!(
             "{:>5} {:>10.2} {:>10.2} {:>10.0} {:>10}",
             layer,
-            mean(&apas_samples),
+            apas,
             mean(&harp_samples),
             harp_max,
             sixtop_transaction_packets()
         );
         let mut fields: Vec<(&'static str, f64)> = vec![
-            ("apas_packets", mean(&apas_samples)),
+            ("apas_packets", apas),
             ("harp_messages", mean(&harp_samples)),
             ("harp_max", harp_max),
             ("msf_6p", sixtop_transaction_packets() as f64),

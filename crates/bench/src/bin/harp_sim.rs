@@ -3,19 +3,20 @@
 //!
 //! ```text
 //! harp_sim --scenario scenarios/mgmt_loss.scn [--seed 42] [--quick] \
-//!          [--threads N] [--flight dump.json]
+//!          [--flight dump.json]
 //! ```
 //!
 //! `--flight` writes the run's flight-recorder dump (fault firings, rate
 //! steps, replicate outcomes, detected adjustment storms on the ASN
 //! timeline) for `harp_trace` to render; available for `timeline` and
-//! `replicates` scenarios, and byte-identical across runs and `--threads`
-//! values.
+//! `replicates` scenarios, and byte-identical across runs and
+//! `HARP_BENCH_THREADS` values.
 //!
 //! The scenario file declares topology, scheduler, workload, fault
 //! schedule and report shape (grammar in `workloads::scenario_dsl`); the runner
 //! replays it deterministically — the same scenario and seed produce a
-//! byte-identical report on every run and for every `--threads` value.
+//! byte-identical report on every run and for every `HARP_BENCH_THREADS`
+//! value, the worker count every experiment binary reads.
 //! `--seed` overrides the file's seed and still writes to the scenario's
 //! own `[report] file`, so on a checkout whose reports are compared with
 //! the committed ones, restore that file afterwards. `--quick` shrinks
@@ -28,7 +29,8 @@ use std::path::Path;
 use std::process::ExitCode;
 use workloads::scenario_dsl::ReportMode;
 
-const USAGE: &str = "usage: harp_sim --scenario <file.scn> [--seed <n>] [--quick] [--threads <n>] [--flight <out.json>]
+const USAGE: &str =
+    "usage: harp_sim --scenario <file.scn> [--seed <n>] [--quick] [--flight <out.json>]
   --seed <n>  replay with another seed; the report still goes to the scenario's own `[report] file`
   --quick     shrink sweeps to their quick_count; the report file is not written";
 
@@ -47,20 +49,13 @@ fn run_options(args: &Args) -> Result<(&str, RunOptions), String> {
         .value("--seed")
         .map(|v| parse_u64(v).ok_or_else(|| format!("invalid --seed `{v}`")))
         .transpose()?;
-    let threads = args
-        .value("--threads")
-        .map(|v| match v.parse::<usize>() {
-            Ok(n) if n > 0 => Ok(n),
-            _ => Err(format!("invalid --threads `{v}`")),
-        })
-        .transpose()?;
     let quick = args.flag("--quick");
     Ok((
         scenario,
         RunOptions {
             quick,
             seed,
-            threads,
+            threads: None,
         },
     ))
 }

@@ -20,9 +20,8 @@
 //! across thread counts, and reports render through the same JSON writers
 //! as the bespoke binaries use. A scenario that names a `[report] file`
 //! therefore reproduces its committed `BENCH_*` byte for byte, and any scenario+seed
-//! pair replays identically across runs, `--threads` settings and
-//! `HARP_BENCH_THREADS` values (the thread count is printed, not
-//! reported). Every data-plane run also re-pins the engine's
+//! pair replays identically across runs and `HARP_BENCH_THREADS` values
+//! (the thread count is printed, not reported). Every data-plane run also re-pins the engine's
 //! `idle_wakeups == 0` invariant, fault windows included.
 
 use crate::harness::{print_bench_threads, rows_json, to_json_with_sections, write_report};
@@ -48,8 +47,9 @@ pub struct RunOptions {
     pub quick: bool,
     /// Overrides the scenario's seed.
     pub seed: Option<u64>,
-    /// Worker threads for parallel sweeps (default: [`bench_threads`]).
-    /// Results are byte-identical for any value.
+    /// Worker threads for parallel sweeps (default: [`bench_threads`],
+    /// which reads `HARP_BENCH_THREADS`). Results are byte-identical for
+    /// any value.
     pub threads: Option<usize>,
 }
 
@@ -66,7 +66,7 @@ pub struct RunOutput {
     /// firings, mode-specific events and detected adjustment storms.
     /// `None` for modes without an event timeline (sweeps, churn).
     /// A pure function of scenario + seed: byte-identical across runs
-    /// and `--threads` values.
+    /// and thread counts.
     pub flight: Option<String>,
 }
 
@@ -763,7 +763,7 @@ fn run_replicates(
 
     // Flight dump: the shared fault plan plus one end-of-run event per
     // replicate. `par_map_with_threads` returns rows in input order, so
-    // the dump is identical for every `--threads` value.
+    // the dump is identical for every thread count.
     let end_asn = scenario.frames * u64::from(config.slots);
     let replicate_events: Vec<FlightEvent> = rows
         .iter()

@@ -1,7 +1,7 @@
 //! Replay determinism: the same scenario file and seed must produce
-//! byte-identical output — across repeated runs, across `--threads`
-//! settings and `HARP_BENCH_THREADS` values, and with fault windows active
-//! mid-run. That is what lets CI gate the committed `BENCH_*.json` on
+//! byte-identical output — across repeated runs, across thread counts
+//! (`HARP_BENCH_THREADS` for the binary, [`RunOptions::threads`] in
+//! process), and with fault windows active mid-run. That is what lets CI gate the committed `BENCH_*.json` on
 //! equality with a regenerated copy; the last test keeps anything a clock
 //! or the machine decides out of those files.
 //!
@@ -59,25 +59,20 @@ fn workspace_root() -> PathBuf {
 }
 
 /// Runs the `harp_sim` binary on `scenario_path` under
-/// `HARP_BENCH_THREADS=env_threads` (how CI sets the worker count), with
-/// `--threads` on top when given, and returns its stdout plus the bytes of
-/// the report it wrote.
+/// `HARP_BENCH_THREADS=threads` (the one worker-count setting) and returns
+/// its stdout plus the bytes of the report it wrote.
 fn run_harp_sim(
     scenario_path: &std::path::Path,
     seed: u64,
-    env_threads: usize,
-    cli_threads: Option<usize>,
+    threads: usize,
     report: &str,
 ) -> (String, String) {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_harp_sim"));
-    cmd.arg("--scenario").arg(scenario_path);
-    cmd.args(["--seed", &seed.to_string()]);
-    if let Some(n) = cli_threads {
-        cmd.args(["--threads", &n.to_string()]);
-    }
-    let out = cmd
+    let out = Command::new(env!("CARGO_BIN_EXE_harp_sim"))
+        .arg("--scenario")
+        .arg(scenario_path)
+        .args(["--seed", &seed.to_string()])
         .env("CARGO_MANIFEST_DIR", env!("CARGO_MANIFEST_DIR"))
-        .env("HARP_BENCH_THREADS", env_threads.to_string())
+        .env("HARP_BENCH_THREADS", threads.to_string())
         .output()
         .expect("harp_sim spawns");
     assert!(
@@ -102,19 +97,17 @@ fn harp_sim_replays_byte_identically_across_runs_and_threads() {
     )
     .unwrap();
 
-    let (stdout_a, json_a) = run_harp_sim(&scn, 5, 1, None, report);
-    let (stdout_b, json_b) = run_harp_sim(&scn, 5, 1, None, report);
+    let (stdout_a, json_a) = run_harp_sim(&scn, 5, 1, report);
+    let (stdout_b, json_b) = run_harp_sim(&scn, 5, 1, report);
     assert_eq!(stdout_a, stdout_b, "same seed, same threads: same bytes");
     assert_eq!(json_a, json_b);
 
-    for (env_threads, cli_threads) in [(4, None), (1, Some(4))] {
-        let (stdout_c, json_c) = run_harp_sim(&scn, 5, env_threads, cli_threads, report);
-        assert_eq!(stdout_a, stdout_c, "thread count must not leak into output");
-        assert_eq!(
-            json_a, json_c,
-            "a report is a function of tree and seed, not of the machine's threads"
-        );
-    }
+    let (stdout_c, json_c) = run_harp_sim(&scn, 5, 4, report);
+    assert_eq!(stdout_a, stdout_c, "thread count must not leak into output");
+    assert_eq!(
+        json_a, json_c,
+        "a report is a function of tree and seed, not of the machine's threads"
+    );
 
     // The comparison must have happened under live fault pressure: all
     // nine lowered events (crash 2, pdr_window 2, partition 4, burst 1)

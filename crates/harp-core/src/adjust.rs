@@ -603,6 +603,41 @@ mod tests {
     }
 
     #[test]
+    fn the_last_pass_refuses_a_gateway_the_skyline_packs() {
+        // `undo_log.rs` case 117 (Chaos), event 14: a leaf joins at the
+        // gateway and its (Up, 1) entry grows 2x1 → 10x1. The eight layers,
+        // 315 cells, fit the 159x2 slotframe's 318: the two 2-channel
+        // layers side by side (135 slots), the six others in two rows of
+        // 23 and 22 in the 24 slots left. The greedy last pass, largest
+        // first, does not find that row split, so a feasible join is
+        // refused; the skyline finds it.
+        use Direction::{Down, Up};
+        let slotframe = Rect::from_xywh(0, 0, 159, 2);
+        let entries = [
+            ((Up, 1), Rect::from_xywh(156, 0, 2, 1)),
+            ((Up, 2), Rect::from_xywh(17, 0, 131, 2)),
+            ((Up, 3), Rect::from_xywh(15, 0, 2, 1)),
+            ((Up, 4), Rect::from_xywh(0, 0, 13, 1)),
+            ((Down, 1), Rect::from_xywh(14, 0, 1, 1)),
+            ((Down, 2), Rect::from_xywh(148, 0, 4, 2)),
+            ((Down, 3), Rect::from_xywh(152, 0, 4, 1)),
+            ((Down, 4), Rect::from_xywh(0, 1, 15, 1)),
+        ];
+        let grown = rc(10, 1);
+        assert_eq!(
+            adjust_partition(slotframe, &entries, (Up, 1), grown).unwrap(),
+            None
+        );
+        let mut sizes: Vec<Size> = entries.iter().map(|&(_, r)| r.size).collect();
+        sizes[0] = grown.as_size();
+        let packed = packing::pack_into(&sizes, slotframe.size)
+            .unwrap()
+            .expect("the skyline packs them");
+        assert!(packed.iter().all(|r| slotframe.contains_rect(r)));
+        assert!(packing::all_disjoint(&packed));
+    }
+
+    #[test]
     fn an_emptied_partition_stays_in_place_however_tall() {
         // 2x1 → 0x3 needs no cells: the requester keeps its origin and no
         // sibling moves, although a 0x3 rectangle is taller than the old.

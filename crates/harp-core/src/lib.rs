@@ -114,7 +114,7 @@ pub use compose::{
 pub use error::HarpError;
 pub use handle::{AllocatorHandle, ScheduleSummary};
 pub use node::{Cause, Effects, HarpNode};
-pub use protocol::{HarpMessage, MessageKind};
+pub use protocol::HarpMessage;
 pub use render::{render_cell_map, render_super_partitions, render_utilization};
 pub use requirement::Requirements;
 pub use runner::{HarpNetwork, MessageCauses, ProtocolReport};

@@ -17,7 +17,7 @@
 
 use crate::component::{ResourceComponent, ResourceInterface};
 use crate::schedule_gen::CellRun;
-use core::fmt;
+use core::{fmt, mem};
 use packing::Rect;
 use tsch_sim::Direction;
 
@@ -73,32 +73,7 @@ pub enum HarpMessage {
     },
 }
 
-/// Coarse classification of messages for overhead accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MessageKind {
-    /// Interface reports (`POST intf` / `PUT intf`).
-    Interface,
-    /// Partition allocations (`POST part` / `PUT part`).
-    Partition,
-    /// Cell-assignment notifications.
-    CellAssignment,
-}
-
 impl HarpMessage {
-    /// The message's accounting class.
-    #[must_use]
-    pub fn kind(&self) -> MessageKind {
-        match self {
-            HarpMessage::PostInterface { .. } | HarpMessage::PutInterface { .. } => {
-                MessageKind::Interface
-            }
-            HarpMessage::PostPartitions { .. } | HarpMessage::PutPartition { .. } => {
-                MessageKind::Partition
-            }
-            HarpMessage::CellAssignment { .. } => MessageKind::CellAssignment,
-        }
-    }
-
     /// Returns `true` for the management messages counted as HARP overhead
     /// in the paper (interface and partition messages; cell assignments are
     /// local schedule distribution).
@@ -116,17 +91,21 @@ impl HarpMessage {
         use HarpMessage::{
             CellAssignment, PostInterface, PostPartitions, PutInterface, PutPartition,
         };
-        // The state a message replaces at its receiver. The static phase's
-        // posts replace none: a node sends each of them once per settle.
-        let replaced = |m: &HarpMessage| match *m {
-            CellAssignment { direction, .. } => Some((MessageKind::CellAssignment, direction, 0)),
-            PutInterface {
-                direction, layer, ..
-            } => Some((MessageKind::Interface, direction, layer)),
-            PutPartition {
-                direction, layer, ..
-            } => Some((MessageKind::Partition, direction, layer)),
-            PostInterface { .. } | PostPartitions { .. } => None,
+        // The state a message replaces at its receiver: its variant,
+        // direction and layer. The static phase's posts replace none: a
+        // node sends each of them once per settle.
+        let replaced = |m: &HarpMessage| {
+            let (direction, layer) = match *m {
+                CellAssignment { direction, .. } => (direction, 0),
+                PutInterface {
+                    direction, layer, ..
+                }
+                | PutPartition {
+                    direction, layer, ..
+                } => (direction, layer),
+                PostInterface { .. } | PostPartitions { .. } => return None,
+            };
+            Some((mem::discriminant(m), direction, layer))
         };
         replaced(self).is_some_and(|state| replaced(older) == Some(state))
     }
@@ -165,34 +144,6 @@ impl fmt::Display for HarpMessage {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn kinds_match_table_one() {
-        let post_intf = HarpMessage::PostInterface {
-            up: ResourceInterface::new(),
-            down: ResourceInterface::new(),
-        };
-        let put_intf = HarpMessage::PutInterface {
-            direction: Direction::Up,
-            layer: 2,
-            component: ResourceComponent::row(3),
-        };
-        let post_part = HarpMessage::PostPartitions { partitions: vec![] };
-        let put_part = HarpMessage::PutPartition {
-            direction: Direction::Down,
-            layer: 1,
-            rect: Rect::default(),
-        };
-        let cells = HarpMessage::CellAssignment {
-            direction: Direction::Up,
-            cells: CellRun::default(),
-        };
-        assert_eq!(post_intf.kind(), MessageKind::Interface);
-        assert_eq!(put_intf.kind(), MessageKind::Interface);
-        assert_eq!(post_part.kind(), MessageKind::Partition);
-        assert_eq!(put_part.kind(), MessageKind::Partition);
-        assert_eq!(cells.kind(), MessageKind::CellAssignment);
-    }
 
     #[test]
     fn management_classification() {

@@ -1,6 +1,7 @@
 //! The schedulers compared in the HARP paper's evaluation: the Random, MSF
-//! and LDSF distributed baselines (Fig. 11), HARP itself behind the same
-//! interface, and the centralized APaS adjustment baseline (Fig. 12).
+//! and LDSF distributed baselines (Fig. 11) and HARP itself behind the same
+//! interface, plus the adjustment costs Fig. 12 plots beside HARP's: the
+//! centralized APaS baseline's `3l − 1` packets and one 6P transaction's 2.
 //!
 //! # Examples
 //!
@@ -32,7 +33,7 @@ mod sixtop;
 mod traits;
 
 pub use alice::AliceScheduler;
-pub use apas::{apas_adjustment_packets, ApasNetwork, ApasReport};
+pub use apas::apas_adjustment_packets;
 pub use baselines::{LdsfScheduler, MsfScheduler, RandomScheduler};
 pub use harp_adapter::HarpScheduler;
 pub use sixtop::sixtop_transaction_packets;

@@ -412,12 +412,6 @@ impl<M: Clone> ControlPlane<M> {
         Self::new(tree, config, Box::new(Reliable))
     }
 
-    /// Envelopes currently in flight (including ACKs and duplicates).
-    #[must_use]
-    pub fn in_flight(&self) -> usize {
-        self.plane.in_flight()
-    }
-
     /// Nothing in flight and nothing awaiting an ACK.
     #[must_use]
     pub fn is_idle(&self) -> bool {
@@ -1046,7 +1040,7 @@ mod tests {
         let got: Vec<(NodeId, u32)> = inbox.drain().map(|d| (d.to, d.payload)).collect();
         assert_eq!(got, [(NodeId(7), 7)]);
         assert_eq!(plane.stats().acks_sent, 1);
-        assert_eq!(plane.in_flight(), 1, "the ACK is still in flight");
+        assert_eq!(plane.plane.in_flight(), 1, "the ACK is still in flight");
         assert!(plane.next_event() <= Some(now), "and was due in that poll");
         assert!(!plane.is_idle());
 
